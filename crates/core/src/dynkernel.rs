@@ -31,9 +31,10 @@ use std::sync::Arc;
 
 use fg_graph::{CsrGraph, VertexId};
 
-use crate::engine::{ForkGraphEngine, ForkGraphRunResult};
+use crate::buffer::{Lane, RemoteScratch};
+use crate::engine::{ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
 use crate::kernel::FppKernel;
-use crate::operation::{ErasedPayload, MultiValue16, MultiValue8, Operation, PayloadOps, Priority};
+use crate::operation::{ErasedPayload, MultiValue16, MultiValue8, PayloadOps, Priority};
 
 /// One query's type-erased final state, as produced by
 /// [`DynKernel::run_erased`]. Downcast it to the kernel's concrete
@@ -122,8 +123,9 @@ mod sealed {
 /// **Sealed** — implemented only by [`erase`]'s wrapper. The seal is the
 /// soundness argument for the payloads' unchecked (in release builds)
 /// inline erasure: every payload of a query group is written
-/// ([`Self::source_op_multi`], re-erasure of visit leftovers) and read
-/// (de-erasure in [`Self::process_visit_multi`]) by one wrapper around one
+/// ([`Self::source_op_multi`], erasure of the operations a visit emits) and
+/// read (de-erasure of the operations [`Self::process_visit_multi`] pops) by
+/// one wrapper around one
 /// concrete [`FppKernel`], so the bytes always round-trip through the same
 /// `Value` type; external code can pass hook objects along but never
 /// interleave two kernels' erased values.
@@ -137,22 +139,23 @@ pub trait MultiKernelHooks<P: ErasedPayload>: Send + Sync + sealed::SealedMultiH
     /// The erased operation seeding one of this group's queries at `source`.
     fn source_op_multi(&self, source: VertexId) -> (P, Priority);
 
-    /// Process one of this group's queries' consolidated operations within
-    /// one partition visit: downcast `state`, de-erase `ops` to the concrete
-    /// [`FppKernel::Value`] **once**, run the engine's monomorphized visit
-    /// loop ([`crate::multi::MultiVisit::process_native`] — priority
-    /// ordering, yielding, tracing, counters, exactly as a single-kernel
-    /// run), and re-erase the outcome's leftover/remote operations.
-    /// Visit-granularity erasure is what keeps mixed runs near native
-    /// speed: the per-edge hot loop never crosses a virtual call, and
-    /// erasure costs two value conversions per operation lifetime.
+    /// Process one of this group's queries' lane within one partition visit:
+    /// downcast `state` and run the engine's monomorphized visit loop
+    /// (`PartitionVisit::process_lane` — priority ordering, yielding,
+    /// tracing, counters, exactly as a single-kernel run) directly on the
+    /// erased lane, de-erasing each operation as it is popped and erasing
+    /// each one the kernel emits. Visit-granularity dispatch is what keeps
+    /// mixed runs near native speed: the per-edge hot loop never crosses a
+    /// virtual call, and erasure costs two value conversions per operation
+    /// lifetime.
     fn process_visit_multi(
         &self,
-        visit: &crate::multi::MultiVisit<'_, '_>,
+        visit: &PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<crate::operation::Operation<P>>,
+        lane: &mut Lane<P>,
         state: &mut dyn Any,
-    ) -> crate::engine::VisitOutcome<P>;
+        remote: &mut RemoteScratch<P>,
+    ) -> LaneVisit;
 }
 
 /// The blanket erasure wrapper behind [`erase`].
@@ -231,11 +234,12 @@ where
 
     fn process_visit_multi(
         &self,
-        visit: &crate::multi::MultiVisit<'_, '_>,
+        visit: &PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<Operation<P>>,
+        lane: &mut Lane<P>,
         state: &mut dyn Any,
-    ) -> crate::engine::VisitOutcome<P> {
+        remote: &mut RemoteScratch<P>,
+    ) -> LaneVisit {
         let state = state.downcast_mut::<K::State>().unwrap_or_else(|| {
             panic!(
                 "multi-kernel run handed kernel {:?} a state that is not {}",
@@ -243,30 +247,7 @@ where
                 std::any::type_name::<K::State>(),
             )
         });
-        // De-erase lazily — the conversion fuses straight into the visit's
-        // priority-heap build, so the group costs one pass and no
-        // intermediate allocation — and run the identical monomorphized
-        // visit the single-kernel path uses…
-        let native = ops
-            .into_iter()
-            .map(|op| Operation::new(op.query, op.vertex, op.value.get::<K::Value>(), op.priority));
-        let outcome = visit.process_native(&self.0, query, native, state);
-        // …and re-erase only what leaves the visit.
-        crate::engine::VisitOutcome {
-            query: outcome.query,
-            leftover: outcome
-                .leftover
-                .into_iter()
-                .map(|op| Operation::new(op.query, op.vertex, P::new(op.value), op.priority))
-                .collect(),
-            remote: outcome
-                .remote
-                .into_iter()
-                .map(|(target, op)| {
-                    (target, Operation::new(op.query, op.vertex, P::new(op.value), op.priority))
-                })
-                .collect(),
-        }
+        visit.process_lane(&self.0, query, lane, state, remote, |value: P| value.get(), P::new)
     }
 }
 

@@ -5,34 +5,40 @@
 //! while at least one buffer has operations:
 //!     Pc <- ScheduleNextPart()          (inter-partition scheduling, §5.2)
 //!     IntraPartProcess(Pc):             (intra-partition processing, §4)
-//!         consolidate operations per query
-//!         parallel_for_each query q:
+//!         for each query q with a lane in Pc, in ascending query order:
+//!             merge q's arrivals into its resident heap
 //!             process q's operations sequentially in priority order,
 //!             yielding early per the yield policy (§5.1)
-//!         send operations to neighbour partitions in batches
+//!             send operations to neighbour partitions in batches
 //! ```
+//!
+//! Query-centric consolidation is structural: a partition's buffer keeps one
+//! resident lane per query ([`crate::buffer`]), so a visit finds each
+//! query's operations already together and a yield leaves them where they
+//! are. The serial loop here, the parallel [`crate::executor`], incremental
+//! restarts and heterogeneous [`crate::multi`] runs all drive the same visit
+//! primitive, `PartitionVisit::process_lane`.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, Edge, VertexId};
 use fg_metrics::{
-    CacheNumbers, Measurement, MemoryEstimate, Stopwatch, WorkCounters, WorkSnapshot,
+    CacheNumbers, Measurement, MemoryEstimate, Stopwatch, VisitWork, WorkCounters, WorkSnapshot,
 };
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, Histogram, RunProfile, TraceSink};
 
-use crate::buffer::{ConsolidationMethod, PartitionBuffer};
+use crate::buffer::{ConsolidationMethod, Lane, PartitionBuffer, RemoteScratch};
 use crate::kernel::{FppKernel, IncrementalKernel, KernelDriver};
 use crate::kernels::{BfsKernel, DfsKernel, PprKernel, RandomWalkKernel, SsspKernel};
-use crate::operation::{HeapEntry, Operation, Priority};
+use crate::operation::{Operation, Priority};
 use crate::pool::WorkerPool;
 use crate::sched::{Scheduler, SchedulingPolicy};
 use crate::yield_policy::YieldPolicy;
@@ -133,11 +139,16 @@ pub struct EngineConfig {
     /// Yielding policy (§5.1).
     pub yield_policy: YieldPolicy,
     /// Whether query-centric consolidation orders each query's operations by
-    /// the priority functor (disabled only for the "+buffer" ablation).
+    /// the priority functor (disabled only for the "+buffer" ablation, where
+    /// a query's lane is processed in arrival order).
     pub consolidate: bool,
-    /// Number of buckets per partition buffer (K of Appendix B.1).
+    /// Number of buckets per partition buffer (K of Appendix B.1). Buffers
+    /// are per-query lanes — the `K = |Q|` limit — so this no longer steers
+    /// or sizes anything. Kept because the repository's benchmark reads it.
     pub num_buckets: usize,
-    /// Consolidation method used when draining buffers.
+    /// Consolidation method of Appendix B.1. Lanes are grouped by
+    /// construction, so this no longer steers the engine either; kept for
+    /// the same reason.
     pub consolidation_method: ConsolidationMethod,
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
@@ -317,9 +328,8 @@ impl<S> ForkGraphRunResult<S> {
 
 /// The single-kernel [`KernelDriver`]: wraps one `&K` and ignores the query
 /// index. Every method is an inlined forward — a visit goes straight into
-/// the monomorphized [`ForkGraphEngine::process_query_visit`] — so `run`
-/// over a `SingleDriver` compiles to exactly the code the pre-driver
-/// pipeline produced; the driver seam costs the hot path nothing.
+/// the monomorphized [`PartitionVisit::process_lane`] with identity value
+/// conversions — so the driver seam costs the hot path nothing.
 pub(crate) struct SingleDriver<'k, K: FppKernel>(pub(crate) &'k K);
 
 impl<K: FppKernel> KernelDriver for SingleDriver<'_, K> {
@@ -337,39 +347,22 @@ impl<K: FppKernel> KernelDriver for SingleDriver<'_, K> {
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn process_visit(
         &self,
-        engine: &ForkGraphEngine<'_>,
-        graph: &CsrGraph,
-        partition: PartitionId,
+        visit: &PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<Operation<K::Value>>,
+        lane: &mut Lane<K::Value>,
         state: &mut K::State,
-        partition_edges: u64,
-        num_queries: usize,
-        tracer: &GraphAccessTracer,
-        counters: &WorkCounters,
-    ) -> VisitOutcome<K::Value> {
-        engine.process_query_visit(
-            self.0,
-            graph,
-            partition,
-            query,
-            ops,
-            state,
-            partition_edges,
-            num_queries,
-            tracer,
-            counters,
-        )
+        remote: &mut RemoteScratch<K::Value>,
+    ) -> LaneVisit {
+        visit.process_lane(self.0, query, lane, state, remote, |value| value, |value| value)
     }
 }
 
 /// The delta-restart [`KernelDriver`]: resumes a converged run from its
 /// previous per-query states, seeding each query with the operations its
 /// edge delta triggers instead of a fresh source op. The visit path is the
-/// same inlined forward to [`ForkGraphEngine::process_query_visit`] as
+/// same inlined forward to [`PartitionVisit::process_lane`] as
 /// [`SingleDriver`] — only *initialisation* differs, so an incremental run
 /// is byte-equivalent to a from-scratch run that happened to prune every
 /// already-settled vertex.
@@ -410,48 +403,185 @@ impl<K: IncrementalKernel> KernelDriver for IncrementalDriver<'_, K> {
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
     fn process_visit(
         &self,
-        engine: &ForkGraphEngine<'_>,
-        graph: &CsrGraph,
-        partition: PartitionId,
+        visit: &PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<Operation<K::Value>>,
+        lane: &mut Lane<K::Value>,
         state: &mut K::State,
-        partition_edges: u64,
-        num_queries: usize,
-        tracer: &GraphAccessTracer,
-        counters: &WorkCounters,
-    ) -> VisitOutcome<K::Value> {
-        engine.process_query_visit(
-            self.kernel,
-            graph,
-            partition,
-            query,
-            ops,
-            state,
-            partition_edges,
-            num_queries,
-            tracer,
-            counters,
-        )
+        remote: &mut RemoteScratch<K::Value>,
+    ) -> LaneVisit {
+        visit.process_lane(self.kernel, query, lane, state, remote, |value| value, |value| value)
     }
 }
 
-/// Outcome of one query's processing during one partition visit, as
-/// produced by the engine's internal `process_query_visit` loop: what did
-/// complete locally and where it must go next. Public because the erased
-/// multi-kernel visit hook ([`crate::dynkernel::DynKernel`]) returns it;
-/// everything else about visits stays engine-internal.
-pub struct VisitOutcome<V> {
-    /// The query this visit processed.
-    pub query: u32,
-    /// Operations yielded or left unprocessed; they return to the partition's
-    /// buffer.
-    pub leftover: Vec<Operation<V>>,
-    /// Operations targeting other partitions, sent in batches after the visit.
-    pub remote: Vec<(PartitionId, Operation<V>)>,
+/// What one query's share of one partition visit did to the lane it ran on,
+/// as the run pipeline needs to know it: the executors keep their
+/// operations-in-flight count and scheduling hints from these two numbers.
+/// (The work counters are flushed by the visit itself.) Public because the
+/// sealed multi-kernel visit hook ([`crate::dynkernel::MultiKernelHooks`])
+/// returns it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaneVisit {
+    /// Operations popped and executed.
+    pub consumed: u64,
+    /// Operations the visit emitted to its own partition: they went straight
+    /// onto the lane, never through a mailbox.
+    pub emitted_local: u64,
+}
+
+impl std::ops::AddAssign for LaneVisit {
+    fn add_assign(&mut self, other: LaneVisit) {
+        self.consumed += other.consumed;
+        self.emitted_local += other.emitted_local;
+    }
+}
+
+/// A count as a trace-event payload field, saturating.
+pub(crate) fn event_field(count: u64) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
+}
+
+/// One partition visit, as the code processing a query's lane sees it: an
+/// opaque handle bundling the engine and the visit's bookkeeping (partition,
+/// yield inputs, tracer, counters). The single-kernel drivers and — through
+/// the sealed [`crate::dynkernel::MultiKernelHooks`] — every group of a
+/// heterogeneous run hand their lanes to `process_lane`, the one
+/// monomorphized visit loop.
+#[derive(Clone, Copy)]
+pub struct PartitionVisit<'a, 'g> {
+    pub(crate) engine: &'a ForkGraphEngine<'g>,
+    pub(crate) partition: PartitionId,
+    /// `|E_P|` and `|Q|` of the `EdgeBudgetAuto` yield threshold.
+    pub(crate) partition_edges: u64,
+    pub(crate) num_queries: usize,
+    pub(crate) tracer: &'a GraphAccessTracer,
+    pub(crate) counters: &'a WorkCounters,
+}
+
+impl<'a, 'g> PartitionVisit<'a, 'g> {
+    pub(crate) fn new(
+        engine: &'a ForkGraphEngine<'g>,
+        partition: PartitionId,
+        num_queries: usize,
+        tracer: &'a GraphAccessTracer,
+        counters: &'a WorkCounters,
+    ) -> Self {
+        PartitionVisit {
+            engine,
+            partition,
+            partition_edges: engine.pg.partition(partition).num_edges() as u64,
+            num_queries,
+            tracer,
+            counters,
+        }
+    }
+
+    /// Process one query's lane within this partition visit — the visit
+    /// primitive every run mode shares.
+    ///
+    /// With consolidation the lane's arrivals are merged into its resident
+    /// heap and operations are popped in `(priority, vertex)` order; without
+    /// it, in arrival order. Before each pop the yield policy is asked about
+    /// the next operation's priority; a **yield just stops** — what the lane
+    /// still holds stays resident for the next visit. An operation `kernel`
+    /// emits is appended once to where it will be popped from: this lane if
+    /// its vertex lives in this partition, else the `remote` batch of its
+    /// target (which the caller delivers when the lane's visit returns).
+    ///
+    /// Lanes hold values of type `V`; `decode`/`encode` convert to and from
+    /// the kernel's own value per pop and per emit — the identity for
+    /// single-kernel runs, the inline erasure of
+    /// [`crate::operation::MultiValue8`]/[`crate::operation::MultiValue16`]
+    /// for heterogeneous ones. Work counters are accumulated in locals and
+    /// flushed once, on return.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn process_lane<K: FppKernel, V: Copy>(
+        &self,
+        kernel: &K,
+        query: u32,
+        lane: &mut Lane<V>,
+        state: &mut K::State,
+        remote: &mut RemoteScratch<V>,
+        decode: impl Fn(V) -> K::Value,
+        encode: impl Fn(K::Value) -> V,
+    ) -> LaneVisit {
+        let engine = self.engine;
+        let pg = engine.pg;
+        let partition = self.partition;
+        let tracer = self.tracer;
+        let ordered = engine.config.consolidate;
+        let mut checker =
+            engine.config.yield_policy.for_partition(self.partition_edges, self.num_queries);
+
+        // Adjacency for this visit: raw partitions borrow the monolithic CSR,
+        // compressed partitions stream-decode their varint payload per vertex.
+        let view = pg.adjacency_view(partition);
+        if view.is_compressed() {
+            engine.emit_trace(EventKind::PartitionDecode, query, partition, 0);
+        }
+
+        if ordered {
+            lane.merge_inbox();
+        }
+        let mut work = VisitWork::default();
+        let mut emitted_local = 0u64;
+        while let Some(next_priority) = lane.peek_priority(ordered) {
+            if checker.should_yield(next_priority) {
+                self.counters.add_yield();
+                engine.emit_trace(EventKind::Yield, query, partition, 0);
+                break;
+            }
+            let op = lane.pop(ordered).expect("peeked above");
+            let vertex = op.vertex;
+            let edges = kernel.process(
+                &view,
+                state,
+                vertex,
+                decode(op.value),
+                &mut |t, value, priority| {
+                    let new_op = Operation::new(query, t, encode(value), priority);
+                    let target_partition = pg.partition_of(t);
+                    if target_partition == partition {
+                        lane.push_local(ordered, new_op);
+                        emitted_local += 1;
+                    } else {
+                        remote.push(target_partition, new_op);
+                    }
+                    work.buffered += 1;
+                },
+            );
+            work.operations += 1;
+            work.edges += edges;
+            work.pruned += u64::from(edges == 0);
+            checker.record_edges(edges);
+
+            if tracer.is_enabled() {
+                if edges > 0 {
+                    // Compressed visits stream far fewer payload bytes per
+                    // vertex than the raw CSR slice, so they are charged the
+                    // (smaller) encoded byte range instead of the CSR lines.
+                    if let Some((start, end)) = view.decode_byte_range(vertex) {
+                        tracer.compressed_scan(partition as u64, vertex as u64, start, end);
+                    } else {
+                        let graph = pg.graph();
+                        tracer.adjacency_scan(
+                            graph.adjacency_offset(vertex),
+                            graph.out_degree(vertex),
+                        );
+                    }
+                    tracer.state_write(query as usize, vertex as u64);
+                    let ids: Vec<u64> = view.out_neighbors(vertex).map(|v| v as u64).collect();
+                    tracer.state_read_batch(query as usize, &ids);
+                } else {
+                    tracer.state_read(query as usize, vertex as u64);
+                }
+            }
+        }
+        lane.trim();
+        self.counters.add_visit(&work);
+        LaneVisit { consumed: work.operations, emitted_local }
+    }
 }
 
 /// The ForkGraph execution engine over an LLC-partitioned graph.
@@ -530,15 +660,6 @@ impl<'g> ForkGraphEngine<'g> {
         if let Some(trace) = &self.trace {
             trace.emit(kind, a, b, c);
         }
-    }
-
-    /// Whether a sink is attached *and currently recording*. Hot loops use
-    /// this to skip computing event payloads (not just the emit itself) for
-    /// detached or disabled sinks, keeping the disabled cost at one relaxed
-    /// load per site.
-    #[inline]
-    pub(crate) fn trace_active(&self) -> bool {
-        self.trace.as_ref().is_some_and(|trace| trace.is_enabled())
     }
 
     /// The engine configuration.
@@ -620,10 +741,14 @@ impl<'g> ForkGraphEngine<'g> {
         let profiling = self.config.profile;
         let mut visit_ops = Histogram::default();
 
+        // Everything a visit touches lives for the whole run: the lanes
+        // inside the buffers, the remote-routing scratch, the scheduler's
+        // candidate list. Nothing is built per visit or per yield.
         let mut buffers: Vec<PartitionBuffer<D::Value>> =
-            (0..num_partitions).map(|_| PartitionBuffer::new(self.config.num_buckets)).collect();
-        let states: Vec<Mutex<D::State>> =
-            (0..num_queries).map(|q| Mutex::new(driver.init_state(graph, q as u32))).collect();
+            (0..num_partitions).map(|_| PartitionBuffer::default()).collect();
+        let mut remote: RemoteScratch<D::Value> = RemoteScratch::new(num_partitions);
+        let mut states: Vec<D::State> =
+            (0..num_queries).map(|q| driver.init_state(graph, q as u32)).collect();
         let mut scheduler = Scheduler::new(self.config.scheduling);
 
         // InitBuffers(P, Q): seed every query (at its source, or from the
@@ -640,97 +765,62 @@ impl<'g> ForkGraphEngine<'g> {
         }
         let init_done = watch.elapsed();
 
-        // Main loop: schedule a partition, drain and process its buffer.
+        // Main loop: schedule a partition and visit its lanes, one query at a
+        // time in ascending query order.
         while let Some(p) = scheduler.next(&buffers) {
             counters.add_partition_visit();
-            let p_usize = p as usize;
-            let partition_edges = self.pg.partition(p).num_edges() as u64;
-
-            let groups: Vec<(u32, Vec<Operation<D::Value>>)> = if self.config.consolidate {
-                buffers[p_usize].drain_consolidated(self.config.consolidation_method)
-            } else {
-                group_preserving_order(buffers[p_usize].drain_unconsolidated())
-            };
-            if profiling || self.trace_active() {
-                let total_ops: u64 = groups.iter().map(|(_, ops)| ops.len() as u64).sum();
-                if profiling {
-                    visit_ops.record(total_ops);
-                }
-                self.emit_trace(
-                    EventKind::PartitionVisitBegin,
-                    p,
-                    total_ops.min(u32::MAX as u64) as u32,
-                    groups.len() as u32,
+            // The visit pops and pushes this partition's lanes while routing
+            // operations into the other partitions' buffers; taking the
+            // buffer out for the duration keeps the two borrows apart.
+            let mut buffer = std::mem::take(&mut buffers[p as usize]);
+            let lanes = buffer.begin_visit();
+            if profiling {
+                visit_ops.record(buffer.len() as u64);
+            }
+            self.emit_trace(
+                EventKind::PartitionVisitBegin,
+                p,
+                event_field(buffer.len() as u64),
+                lanes as u32,
+            );
+            let visit = PartitionVisit::new(self, p, num_queries, &tracer, &counters);
+            let mut done = LaneVisit::default();
+            for i in 0..lanes {
+                let (query, lane) = buffer.active_lane(i);
+                debug_assert!((query as usize) < num_queries);
+                done += driver.process_visit(
+                    &visit,
+                    query,
+                    lane,
+                    &mut states[query as usize],
+                    &mut remote,
                 );
-            }
-
-            // parallel_for_each query q in the partition's buffer.
-            let outcomes: Vec<VisitOutcome<D::Value>> = if groups.len() > 1 {
-                groups
-                    .into_par_iter()
-                    .map(|(q, ops)| {
-                        let mut state = states[q as usize].lock();
-                        driver.process_visit(
-                            self,
-                            graph,
-                            p,
-                            q,
-                            ops,
-                            &mut state,
-                            partition_edges,
-                            num_queries,
-                            &tracer,
-                            &counters,
-                        )
-                    })
-                    .collect()
-            } else {
-                groups
-                    .into_iter()
-                    .map(|(q, ops)| {
-                        let mut state = states[q as usize].lock();
-                        driver.process_visit(
-                            self,
-                            graph,
-                            p,
-                            q,
-                            ops,
-                            &mut state,
-                            partition_edges,
-                            num_queries,
-                            &tracer,
-                            &counters,
-                        )
-                    })
-                    .collect()
-            };
-
-            // Send operations to neighbour partitions in batches (Line 16) and
-            // return yielded operations to this partition's buffer.
-            for outcome in outcomes {
-                debug_assert!((outcome.query as usize) < num_queries);
-                for op in outcome.leftover {
-                    if buffers[p_usize].is_empty() {
-                        scheduler.stamp(&mut buffers[p_usize]);
+                // Send operations to neighbour partitions in batches (Line 16).
+                remote.flush(|target, batch| {
+                    let target = &mut buffers[target as usize];
+                    if target.is_empty() {
+                        scheduler.stamp(target);
                     }
-                    buffers[p_usize].push(op);
-                    counters.add_buffered(1);
-                }
-                for (target, op) in outcome.remote {
-                    let t = target as usize;
-                    if buffers[t].is_empty() {
-                        scheduler.stamp(&mut buffers[t]);
-                    }
-                    buffers[t].push(op);
-                    counters.add_buffered(1);
-                }
+                    target.push_batch(batch.drain(..));
+                });
             }
-            self.emit_trace(EventKind::PartitionVisitEnd, p, 0, 0);
+            buffer.end_visit();
+            if !buffer.is_empty() {
+                // Lanes that yielded stay resident; the partition goes to the
+                // back of the FIFO line like any that just became runnable.
+                scheduler.stamp(&mut buffer);
+            }
+            buffers[p as usize] = buffer;
+            self.emit_trace(
+                EventKind::PartitionVisitEnd,
+                p,
+                event_field(done.consumed),
+                event_field(done.emitted_local),
+            );
         }
         let main_done = watch.elapsed();
 
         counters.add_queries_completed(num_queries as u64);
-        let per_query: Vec<D::State> = states.into_iter().map(|m| m.into_inner()).collect();
         let measurement = self.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
         self.emit_trace(EventKind::RunEnd, num_queries as u32, 1, 1);
         let profile = profiling.then(|| {
@@ -749,7 +839,7 @@ impl<'g> ForkGraphEngine<'g> {
                 yields: work.yields,
             }
         });
-        ForkGraphRunResult { per_query, measurement, profile }
+        ForkGraphRunResult { per_query: states, measurement, profile }
     }
 
     /// Assemble the [`Measurement`] of one run; shared between the serial loop
@@ -776,7 +866,10 @@ impl<'g> ForkGraphEngine<'g> {
             memory: Some(MemoryEstimate {
                 graph_bytes: graph.total_size_bytes() as u64,
                 query_state_bytes: (num_queries * graph.num_vertices() * 8) as u64,
-                auxiliary_bytes: (num_partitions * self.config.num_buckets * 16) as u64,
+                // The one dense lane structure: each partition's
+                // `query → lane` table of `u32` slots (an upper bound — a
+                // table only grows to the highest query that reached it).
+                auxiliary_bytes: (num_partitions * num_queries * 4) as u64,
             }),
             storage: Some(fg_metrics::StorageNumbers {
                 compressed_partitions: self.pg.compressed_partitions() as u64,
@@ -786,116 +879,6 @@ impl<'g> ForkGraphEngine<'g> {
                 bytes_per_edge: self.pg.bytes_per_edge(),
             }),
         }
-    }
-
-    /// Process one query's consolidated operations within one partition visit.
-    /// The monomorphized intra-visit hot loop shared by the serial engine,
-    /// the parallel executor, and (via the erased per-visit hook
-    /// [`crate::dynkernel::DynKernel::process_visit_multi`]) heterogeneous
-    /// multi-kernel runs.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_query_visit<K: FppKernel>(
-        &self,
-        kernel: &K,
-        graph: &CsrGraph,
-        partition: PartitionId,
-        query: u32,
-        ops: impl IntoIterator<Item = Operation<K::Value>>,
-        state: &mut K::State,
-        partition_edges: u64,
-        num_queries: usize,
-        tracer: &GraphAccessTracer,
-        counters: &WorkCounters,
-    ) -> VisitOutcome<K::Value> {
-        let mut remote: Vec<(PartitionId, Operation<K::Value>)> = Vec::new();
-        let mut leftover: Vec<Operation<K::Value>> = Vec::new();
-        let mut checker = self.config.yield_policy.for_partition(partition_edges, num_queries);
-        let mut yielded = false;
-
-        // Adjacency for this visit: raw partitions borrow the monolithic CSR,
-        // compressed partitions stream-decode their varint payload per vertex.
-        let view = self.pg.adjacency_view(partition);
-        if view.is_compressed() {
-            self.emit_trace(EventKind::PartitionDecode, query, partition, 0);
-        }
-
-        // With consolidation the query's operations are processed in priority
-        // order (a per-query priority queue); without it, in arrival order.
-        let mut heap: std::collections::BinaryHeap<HeapEntry<K::Value>> =
-            std::collections::BinaryHeap::new();
-        let mut fifo: std::collections::VecDeque<Operation<K::Value>> =
-            std::collections::VecDeque::new();
-        if self.config.consolidate {
-            heap.extend(ops.into_iter().map(|op| HeapEntry { op }));
-        } else {
-            fifo.extend(ops);
-        }
-
-        loop {
-            let op =
-                if self.config.consolidate { heap.pop().map(|e| e.op) } else { fifo.pop_front() };
-            let Some(op) = op else { break };
-
-            if yielded {
-                leftover.push(op);
-                continue;
-            }
-            if checker.should_yield(op.priority) {
-                yielded = true;
-                counters.add_yield();
-                self.emit_trace(EventKind::Yield, query, partition, 0);
-                leftover.push(op);
-                continue;
-            }
-
-            let vertex = op.vertex;
-            let mut emitted_local = 0usize;
-            let edges =
-                kernel.process(&view, state, vertex, op.value, &mut |t, value, priority| {
-                    let new_op = Operation::new(query, t, value, priority);
-                    let target_partition = self.pg.partition_of(t);
-                    if target_partition == partition {
-                        if self.config.consolidate {
-                            heap.push(HeapEntry { op: new_op });
-                        } else {
-                            fifo.push_back(new_op);
-                        }
-                        emitted_local += 1;
-                    } else {
-                        remote.push((target_partition, new_op));
-                    }
-                });
-            counters.add_operations(1);
-            counters.add_edges(edges);
-            checker.record_edges(edges);
-            let _ = emitted_local;
-
-            if tracer.is_enabled() {
-                if edges > 0 {
-                    // Compressed visits stream far fewer payload bytes per
-                    // vertex than the raw CSR slice, so they are charged the
-                    // (smaller) encoded byte range instead of the CSR lines.
-                    if let Some((start, end)) = view.decode_byte_range(vertex) {
-                        tracer.compressed_scan(partition as u64, vertex as u64, start, end);
-                    } else {
-                        tracer.adjacency_scan(
-                            graph.adjacency_offset(vertex),
-                            graph.out_degree(vertex),
-                        );
-                    }
-                    tracer.state_write(query as usize, vertex as u64);
-                    let ids: Vec<u64> = view.out_neighbors(vertex).map(|v| v as u64).collect();
-                    tracer.state_read_batch(query as usize, &ids);
-                } else {
-                    tracer.state_read(query as usize, vertex as u64);
-                }
-            }
-            if edges == 0 {
-                counters.add_pruned(1);
-            }
-        }
-
-        VisitOutcome { query, leftover, remote }
     }
 
     /// Run a batch of queries of a *type-erased* kernel — the entry point
@@ -1071,21 +1054,6 @@ impl<'g> ForkGraphEngine<'g> {
     ) -> ForkGraphRunResult<crate::kernels::RwState> {
         self.run(&RandomWalkKernel::new(*config), sources)
     }
-}
-
-/// Group operations by query while preserving their arrival order within each
-/// query (used when consolidation ordering is disabled).
-pub(crate) fn group_preserving_order<V: Copy>(
-    ops: Vec<Operation<V>>,
-) -> Vec<(u32, Vec<Operation<V>>)> {
-    let mut groups: Vec<(u32, Vec<Operation<V>>)> = Vec::new();
-    for op in ops {
-        match groups.iter_mut().find(|(q, _)| *q == op.query) {
-            Some((_, list)) => list.push(op),
-            None => groups.push((op.query, vec![op])),
-        }
-    }
-    groups
 }
 
 #[cfg(test)]

@@ -8,10 +8,14 @@
 //!
 //! Architecture:
 //!
-//! * **Mailboxes** — every partition owns a lock-striped mailbox (one stripe
-//!   per worker, so concurrent senders never contend on a stripe). Remote
-//!   operations are posted to the target partition's mailbox instead of being
-//!   pushed into a shared buffer vector.
+//! * **Mailboxes and lanes** — every partition owns a lock-striped mailbox
+//!   (one stripe per worker, so concurrent senders never contend on a
+//!   stripe) and, beside it, the same per-query lanes the serial engine uses
+//!   ([`crate::buffer::PartitionBuffer`]). Remote operations are posted to
+//!   the target partition's mailbox in per-(query, visit) batches; the lanes
+//!   belong to whoever holds the partition's `Running` claim, who moves the
+//!   mailbox's arrivals into them at visit start. A query that yields leaves
+//!   its lane resident, exactly as in the serial loop.
 //! * **Runnable sets** — each worker has a local set of claimable partitions,
 //!   seeded by the [`fg_graph::partitioned::PartitionedGraph::worker_affinity`]
 //!   hints (footprint-balanced home assignment). Workers pick from their own
@@ -29,23 +33,26 @@
 //!   engine's intra-partition processing, so kernels remain atomic-free
 //!   sequential code.
 //! * **Termination** — an ops-in-flight counter tracks every operation from
-//!   the moment it is posted until the visit that drained it completes.
-//!   Leftover/remote operations are re-posted *before* the visit's drain is
-//!   subtracted, so the counter reaches zero exactly when every mailbox is
-//!   empty and no visit is in progress; the pool then quiesces.
+//!   the moment it is created until a visit has *consumed* it. Remote
+//!   operations are counted before they are posted, and a visit's own
+//!   balance (operations it pushed onto its lanes minus operations it
+//!   executed) is applied after its remote batches went out, so the counter
+//!   reaches zero exactly when every mailbox and every lane is empty and no
+//!   visit is in progress; the pool then quiesces.
 //!
 //! * **Worker threads** — a run's crew comes either from per-run scoped
 //!   spawns ([`crate::engine::ExecutorMode::Spawn`], PR 2's behaviour) or,
 //!   by default, from a persistent [`crate::pool::WorkerPool`] that parks
-//!   its threads between runs and recycles the per-run mailbox/queue/scratch
-//!   allocations ([`crate::engine::ExecutorMode::Pool`]). The run-local
+//!   its threads between runs and recycles the per-run mailbox/lane/queue/
+//!   scratch allocations ([`crate::engine::ExecutorMode::Pool`]). The run-local
 //!   state below is identical in both modes; only the thread lifetime and
 //!   allocation provenance differ.
 //!
-//! Inside a visit a worker processes its partition's query groups
-//! *sequentially* (no nested intra-partition parallelism): with many
-//! partitions in flight the crew is already saturated, and per-visit thread
-//! teams would only thrash the cache the partitioning fought to keep warm.
+//! Inside a visit a worker processes its partition's lanes *sequentially*
+//! in ascending query order, like the serial loop (no nested
+//! intra-partition parallelism): with many partitions in flight the crew is
+//! already saturated, and per-visit thread teams would only thrash the cache
+//! the partitioning fought to keep warm.
 //!
 //! The executor is generic over the run's internal `KernelDriver` seam
 //! (see `crate::kernel`):
@@ -54,7 +61,7 @@
 //! [`crate::dynkernel::DynKernel`] layer re-enter [`ForkGraphEngine::run`]
 //! with the concrete type, so they pay no per-operation erasure cost here),
 //! and for heterogeneous multi-kernel runs it is
-//! `MultiDriver` ([`crate::multi`]), whose mailboxes carry
+//! `MultiDriver` ([`crate::multi`]), whose mailboxes and lanes carry
 //! [`crate::operation::MultiValue8`]/[`crate::operation::MultiValue16`]
 //! payloads through this exact same code.
 //! The persistent pool's `TypeId`-keyed arena recycles mailboxes per value
@@ -77,12 +84,12 @@ use rand::SeedableRng;
 
 use fg_cachesim::GraphAccessTracer;
 use fg_graph::partition::PartitionId;
-use fg_graph::{CsrGraph, VertexId};
+use fg_graph::VertexId;
 use fg_metrics::{Stopwatch, WorkCounters, WorkerSnapshot};
 use fg_trace::{AtomicHistogram, EventKind, Histogram, PhaseTimes, RunProfile};
 
-use crate::buffer::PartitionBuffer;
-use crate::engine::{group_preserving_order, ForkGraphEngine, ForkGraphRunResult};
+use crate::buffer::{PartitionBuffer, RemoteScratch};
+use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
 use crate::kernel::KernelDriver;
 use crate::operation::{Operation, Priority};
 use crate::pool::{WorkerPool, WorkerSlot};
@@ -99,16 +106,21 @@ const DIRTY: u8 = 3;
 /// [`RunState::enqueue`]); the timeout is only a belt-and-braces rescan.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
-/// A partition's sharded, lock-striped mailbox: one stripe per worker, so
-/// concurrent senders append without contending with each other. `len`,
-/// `min_priority`, and `stamp` are scheduling *hints* (approximate under
-/// concurrent pushes — a stale minimum only makes the partition look more
-/// urgent); correctness never depends on them.
+/// A partition's sharded, lock-striped mailbox — one stripe per worker, so
+/// concurrent senders append without contending with each other — and,
+/// beside it, the partition's resident per-query lanes. `len`,
+/// `min_priority`, and `stamp` cover both (arrivals waiting in the stripes
+/// plus operations resident in the lanes) and are scheduling *hints*
+/// (approximate under concurrent pushes — a stale minimum only makes the
+/// partition look more urgent); correctness never depends on them.
 ///
 /// `pub(crate)` so the persistent [`crate::pool::WorkerPool`] can hold
-/// drained mailboxes in its recycle arena between runs.
+/// drained mailboxes, lanes included, in its recycle arena between runs.
 pub(crate) struct Mailbox<V> {
     stripes: Vec<Mutex<Vec<Operation<V>>>>,
+    /// The partition's lanes. Only the holder of the `Running` claim locks
+    /// this, once per visit; the mutex is what lets that be safe code.
+    lanes: Mutex<PartitionBuffer<V>>,
     len: AtomicUsize,
     min_priority: AtomicU64,
     stamp: AtomicU64,
@@ -119,6 +131,7 @@ impl<V: Copy> Mailbox<V> {
     pub(crate) fn new(num_stripes: usize) -> Self {
         Mailbox {
             stripes: (0..num_stripes.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: Mutex::new(PartitionBuffer::default()),
             len: AtomicUsize::new(0),
             min_priority: AtomicU64::new(Priority::MAX),
             stamp: AtomicU64::new(0),
@@ -127,44 +140,57 @@ impl<V: Copy> Mailbox<V> {
     }
 
     /// Reset a recycled mailbox for a fresh run: claim word back to `Idle`,
-    /// scheduling hints zeroed, stripes emptied (they already are after a
-    /// quiesced run; cleared defensively) and grown to `num_stripes` if the
-    /// new run has more workers than the mailbox has stripes. Keeping extra
-    /// stripes is fine — senders index stripes modulo the stripe count.
+    /// scheduling hints zeroed, stripes and lanes emptied (they already are
+    /// after a quiesced run; cleared defensively — and the lanes' query
+    /// assignment belongs to the previous run's queries either way) and the
+    /// stripes grown to `num_stripes` if the new run has more workers than
+    /// the mailbox has stripes. Keeping extra stripes is fine — senders
+    /// index stripes modulo the stripe count.
     pub(crate) fn reset_for(&mut self, num_stripes: usize) {
         for stripe in &mut self.stripes {
-            stripe.lock().clear();
+            stripe.get_mut().clear();
         }
         while self.stripes.len() < num_stripes.max(1) {
             self.stripes.push(Mutex::new(Vec::new()));
         }
+        self.lanes.get_mut().reset();
         *self.len.get_mut() = 0;
         *self.min_priority.get_mut() = Priority::MAX;
         *self.stamp.get_mut() = 0;
         *self.state.get_mut() = IDLE;
     }
 
-    fn push(&self, stripe: usize, op: Operation<V>) {
-        let priority = op.priority;
+    /// Append a batch (all of `ops`) to stripe `stripe`.
+    fn push_batch(&self, stripe: usize, ops: &mut Vec<Operation<V>>) {
+        let best = ops.iter().map(|op| op.priority).min().unwrap_or(Priority::MAX);
         // Count before publishing: a drain racing this push then sees `len`
         // as an overestimate (harmless hint skew) instead of underflowing
         // `fetch_sub` to ~usize::MAX, which would make the MaxOperations
         // policy chase a near-empty partition.
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.min_priority.fetch_min(priority, Ordering::Relaxed);
-        self.stripes[stripe % self.stripes.len()].lock().push(op);
+        self.len.fetch_add(ops.len(), Ordering::Relaxed);
+        self.min_priority.fetch_min(best, Ordering::Relaxed);
+        self.stripes[stripe % self.stripes.len()].lock().append(ops);
     }
 
-    /// Take every buffered operation. Pushes racing the drain land in either
-    /// this visit or (via the `Dirty` state) the next one.
-    fn drain(&self) -> Vec<Operation<V>> {
+    /// Move every arrival into `lanes`, one stripe at a time under that
+    /// stripe's lock (a lane push is a single tail write); returns how many
+    /// there were. Pushes racing the drain land in either this visit or (via
+    /// the `Dirty` state) the next one.
+    fn drain_into(&self, lanes: &mut PartitionBuffer<V>) -> usize {
         self.min_priority.store(Priority::MAX, Ordering::Relaxed);
-        let mut out = Vec::new();
+        let resident = lanes.len();
         for stripe in &self.stripes {
-            out.append(&mut stripe.lock());
+            lanes.push_batch(stripe.lock().drain(..));
         }
-        self.len.fetch_sub(out.len(), Ordering::Relaxed);
-        out
+        lanes.len() - resident
+    }
+
+    /// Fold a finished visit into the hints: the lanes gained `emitted_local`
+    /// operations that never passed through the stripes and lost `consumed`.
+    fn note_visit(&self, done: LaneVisit, lanes: &PartitionBuffer<V>) {
+        self.len.fetch_add(done.emitted_local as usize, Ordering::Relaxed);
+        self.len.fetch_sub(done.consumed as usize, Ordering::Relaxed);
+        self.min_priority.fetch_min(lanes.min_priority(), Ordering::Relaxed);
     }
 
     fn sched_key(&self) -> SchedKey {
@@ -182,7 +208,6 @@ impl<V: Copy> Mailbox<V> {
 struct RunState<'e, 'g, D: KernelDriver> {
     engine: &'e ForkGraphEngine<'g>,
     driver: &'e D,
-    graph: &'e CsrGraph,
     mailboxes: Vec<Mailbox<D::Value>>,
     states: Vec<Mutex<D::State>>,
     /// Per-worker runnable sets; a partition id appears in at most one set.
@@ -190,7 +215,8 @@ struct RunState<'e, 'g, D: KernelDriver> {
     /// Partition → home worker (footprint-balanced affinity hints).
     affinity: Vec<usize>,
     policy: SchedulingPolicy,
-    /// Operations posted but not yet consumed by a completed visit.
+    /// Operations created (posted to a mailbox or pushed onto a lane) but
+    /// not yet consumed by a completed visit.
     in_flight: AtomicI64,
     /// Total partitions currently in any runnable set (parking fast-path).
     runnable: AtomicUsize,
@@ -222,13 +248,13 @@ impl<D: KernelDriver> Drop for PanicReaper<'_, '_, '_, D> {
 }
 
 impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
-    /// Post `op` to partition `p`'s mailbox from worker `stripe` and make the
-    /// partition runnable. The in-flight increment happens *before* the op is
-    /// visible so the termination counter can never under-count.
-    fn post(&self, stripe: usize, p: usize, op: Operation<D::Value>) {
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.mailboxes[p].push(stripe, op);
-        self.counters.add_buffered(1);
+    /// Post a batch (all of `ops`) to partition `p`'s mailbox from worker
+    /// `stripe` and make the partition runnable. The in-flight increment
+    /// happens *before* the operations are visible so the termination
+    /// counter can never under-count.
+    fn post(&self, stripe: usize, p: usize, ops: &mut Vec<Operation<D::Value>>) {
+        self.in_flight.fetch_add(ops.len() as i64, Ordering::SeqCst);
+        self.mailboxes[p].push_batch(stripe, ops);
         self.make_runnable(p);
     }
 
@@ -309,82 +335,85 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
         None
     }
 
-    /// One partition visit: drain the mailbox, consolidate, process every
-    /// query group under its per-query lock, route outcomes, update the
-    /// termination counter, and run the `Running → Idle | Queued` epilogue.
-    /// `scratch` is the worker's reusable consolidation buffer (same
-    /// bucketing as the serial engine, without per-visit allocation).
+    /// One partition visit: move the mailbox's arrivals into the lanes,
+    /// process every active lane under its query's state lock, post the
+    /// remote batches, update the termination counter, and run the
+    /// `Running → Idle | Queued` epilogue. `remote` is the worker's reusable
+    /// routing scratch.
     fn visit(
         &self,
         w: usize,
         p: usize,
         stats: &mut WorkerSnapshot,
-        scratch: &mut PartitionBuffer<D::Value>,
+        remote: &mut RemoteScratch<D::Value>,
     ) {
         let mailbox = &self.mailboxes[p];
         mailbox.state.store(RUNNING, Ordering::Release);
-        let drained = mailbox.drain();
-        let drained_count = drained.len();
-        self.engine.emit_trace(EventKind::MailboxDrain, p as u32, drained_count as u32, w as u32);
+        let mut lanes = mailbox.lanes.lock();
+        let arrived = mailbox.drain_into(&mut lanes);
+        self.engine.emit_trace(EventKind::MailboxDrain, p as u32, arrived as u32, w as u32);
 
-        if drained_count > 0 {
+        let total = lanes.len();
+        if total > 0 {
             self.counters.add_partition_visit();
             stats.visits += 1;
-            stats.operations += drained_count as u64;
             if let Some(hist) = self.visit_hist {
-                hist.record(drained_count as u64);
+                hist.record(total as u64);
             }
-            let config = self.engine.config();
-            let groups: Vec<(u32, Vec<Operation<D::Value>>)> = if config.consolidate {
-                scratch.push_batch(drained);
-                scratch.drain_consolidated(config.consolidation_method)
-            } else {
-                group_preserving_order(drained)
-            };
+            let active = lanes.begin_visit();
             self.engine.emit_trace(
                 EventKind::PartitionVisitBegin,
                 p as u32,
-                drained_count as u32,
-                groups.len() as u32,
+                event_field(total as u64),
+                active as u32,
             );
-            let partition_id = p as PartitionId;
-            let partition_edges =
-                self.engine.partitioned_graph().partition(partition_id).num_edges() as u64;
-            for (q, ops) in groups {
-                let outcome = {
-                    let mut state = self.states[q as usize].lock();
-                    self.driver.process_visit(
-                        self.engine,
-                        self.graph,
-                        partition_id,
-                        q,
-                        ops,
-                        &mut state,
-                        partition_edges,
-                        self.num_queries,
-                        self.tracer,
-                        self.counters,
-                    )
+            let visit = PartitionVisit::new(
+                self.engine,
+                p as PartitionId,
+                self.num_queries,
+                self.tracer,
+                self.counters,
+            );
+            let mut done = LaneVisit::default();
+            for i in 0..active {
+                let (query, lane) = lanes.active_lane(i);
+                done += {
+                    let mut state = self.states[query as usize].lock();
+                    self.driver.process_visit(&visit, query, lane, &mut state, remote)
                 };
-                for op in outcome.leftover {
-                    self.post(w, p, op);
-                }
-                for (target, op) in outcome.remote {
-                    self.post(w, target as usize, op);
-                }
+                remote.flush(|target, batch| self.post(w, target as usize, batch));
             }
-            // The drained operations leave the system only now, after their
-            // successors were posted; a zero here is global quiescence.
-            if self.in_flight.fetch_sub(drained_count as i64, Ordering::SeqCst)
-                == drained_count as i64
-            {
+            lanes.end_visit();
+            stats.operations += done.consumed;
+            mailbox.note_visit(done, &lanes);
+            // The consumed operations leave the system only now, after their
+            // successors were posted (remote) or counted here (local); a zero
+            // is global quiescence.
+            let balance = done.emitted_local as i64 - done.consumed as i64;
+            if self.in_flight.fetch_add(balance, Ordering::SeqCst) + balance == 0 {
                 self.done.store(true, Ordering::SeqCst);
                 drop(self.idle_lock.lock());
                 self.idle_cv.notify_all();
             }
-            self.engine.emit_trace(EventKind::PartitionVisitEnd, p as u32, 0, 0);
+            self.engine.emit_trace(
+                EventKind::PartitionVisitEnd,
+                p as u32,
+                event_field(done.consumed),
+                event_field(done.emitted_local),
+            );
         }
+        let leftovers = !lanes.is_empty();
+        drop(lanes);
 
+        if leftovers {
+            // Lanes that yielded keep the partition runnable whether or not
+            // anything was posted meanwhile. Only this worker can leave
+            // `Running`/`Dirty`, and a poster that now finds `Queued` knows a
+            // wakeup is pending, so the partition is enqueued exactly once.
+            mailbox.state.store(QUEUED, Ordering::Release);
+            self.enqueue(p);
+            return;
+        }
         loop {
             match mailbox.state.compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
             {
@@ -404,22 +433,21 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
         }
     }
 
-    /// One worker's drive of the run to quiescence. `scratch` is the
-    /// worker's consolidation buffer: spawn mode builds one per run, pool
-    /// mode hands in the thread's recycled buffer from its
-    /// [`crate::pool::WorkerSlot`].
+    /// One worker's drive of the run to quiescence. `remote` is the worker's
+    /// routing scratch: spawn mode builds one per run, pool mode hands in
+    /// the thread's recycled one from its [`crate::pool::WorkerSlot`].
     fn worker_loop(
         &self,
         w: usize,
         seed: u64,
-        scratch: &mut PartitionBuffer<D::Value>,
+        remote: &mut RemoteScratch<D::Value>,
     ) -> WorkerSnapshot {
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
         let mut rng = SmallRng::seed_from_u64(seed);
         while !self.done.load(Ordering::SeqCst) {
             match self.claim(w, &mut rng, &mut stats) {
-                Some(p) => self.visit(w, p, &mut stats, scratch),
+                Some(p) => self.visit(w, p, &mut stats, remote),
                 None => {
                     stats.idle_waits += 1;
                     self.counters.add_idle_wait();
@@ -452,7 +480,7 @@ fn worker_seed(policy_seed: u64, w: usize) -> u64 {
 /// equivalent to the serial loop (see the module docs for the PPR caveat).
 ///
 /// With `pool = None` (spawn mode) the run spawns and joins scoped worker
-/// threads and builds its mailboxes/queues/scratch fresh — PR 2's behaviour,
+/// threads and builds its mailboxes/lanes/queues/scratch fresh — PR 2's behaviour,
 /// kept for the executor-mode test matrix and as the bench baseline. With a
 /// [`WorkerPool`] the run is dispatched onto the persistent crew and its
 /// per-run storage is recycled through the pool's arena.
@@ -491,7 +519,6 @@ pub(crate) fn run_parallel<D: KernelDriver>(
     let run: RunState<'_, '_, D> = RunState {
         engine,
         driver,
-        graph: pg.graph(),
         mailboxes,
         states: (0..num_queries)
             .map(|q| Mutex::new(driver.init_state(pg.graph(), q as u32)))
@@ -515,10 +542,13 @@ pub(crate) fn run_parallel<D: KernelDriver>(
     // InitBuffers(P, Q): seed every query (at its source, or from the
     // driver's delta frontier). The caller guarantees at least one seed
     // operation overall — a run that posts nothing would never quiesce.
+    let mut seed = Vec::with_capacity(1);
     for (q, &source) in sources.iter().enumerate() {
         driver.seed_ops(q as u32, source, &mut |vertex, value, priority| {
             let p = pg.partition_of(vertex) as usize;
-            run.post(0, p, Operation::new(q as u32, vertex, value, priority));
+            seed.push(Operation::new(q as u32, vertex, value, priority));
+            run.post(0, p, &mut seed);
+            counters.add_buffered(1);
         });
     }
     let init_done = watch.elapsed();
@@ -529,8 +559,8 @@ pub(crate) fn run_parallel<D: KernelDriver>(
             let run_ref = &run;
             let pool_counters = pool.counters();
             let job = |w: usize, slot: &mut WorkerSlot| {
-                let scratch = slot.scratch_buffer::<D::Value>(config.num_buckets, pool_counters);
-                let stats = run_ref.worker_loop(w, worker_seed(policy_seed, w), scratch);
+                let remote = slot.remote_scratch::<D::Value>(num_partitions, pool_counters);
+                let stats = run_ref.worker_loop(w, worker_seed(policy_seed, w), remote);
                 snapshots.lock().push(stats);
             };
             pool.dispatch(num_workers, &job);
@@ -542,9 +572,7 @@ pub(crate) fn run_parallel<D: KernelDriver>(
                     let run = &run;
                     let seed = worker_seed(policy_seed, w);
                     scope.spawn(move || {
-                        let mut scratch: PartitionBuffer<D::Value> =
-                            PartitionBuffer::new(run.engine.config().num_buckets);
-                        run.worker_loop(w, seed, &mut scratch)
+                        run.worker_loop(w, seed, &mut RemoteScratch::new(num_partitions))
                     })
                 })
                 .collect();
@@ -631,9 +659,11 @@ mod tests {
             assert_eq!(work.workers.len(), 3, "{mode:?}");
             let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
             assert_eq!(visits, work.partition_visits, "{mode:?}");
-            // Every posted (buffered) operation is drained by exactly one visit.
+            // Every executed operation is executed by exactly one worker, and
+            // a quiesced run has executed every operation it ever buffered.
             let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
-            assert_eq!(ops, work.operations_buffered, "{mode:?}");
+            assert_eq!(ops, work.operations_processed, "{mode:?}");
+            assert_eq!(work.operations_processed, work.operations_buffered, "{mode:?}");
         }
     }
 

@@ -53,6 +53,40 @@ pub trait FppKernel: Sync {
     /// the engine routes them to the right partition buffer. Returns the
     /// number of edges processed (0 when the operation was pruned), which
     /// feeds both the work counters and the yielding heuristics.
+    ///
+    /// # Who writes tentative state: the relax-time contract
+    ///
+    /// `state` belongs to the query and the engine hands it to one
+    /// `process` call at a time, so a kernel may write **any** vertex's entry
+    /// from here — including a neighbour in a partition that is not being
+    /// visited. Min-relaxation kernels should use that the way
+    /// `fg_seq::dijkstra` uses lazy deletion, and the built-in SSSP and BFS
+    /// kernels do:
+    ///
+    /// * **at relax time**, `if nd < state[t] { state[t] = nd; emit(t, nd, …) }`
+    ///   — the entry is being read for the comparison anyway, so the write
+    ///   costs no new cache miss, and an operation that is already dominated
+    ///   is never created, buffered or shipped;
+    /// * **at process time**, prune on `value > state[vertex]` (a better value
+    ///   was written after this operation was emitted, and *its* operation
+    ///   does the work) and otherwise expand. The entry is (re)written with
+    ///   `value` only for the benefit of operations that were not emitted by
+    ///   a relaxation — the source operation and
+    ///   [`IncrementalKernel::delta_seed`]s — which arrive unwritten.
+    ///
+    /// Equal values cannot be emitted twice under this contract: an emit
+    /// happens only when `nd` is *strictly* below the entry, and writes the
+    /// entry to `nd` in the same breath, so for every value a vertex's entry
+    /// ever holds exactly one operation exists, and `value == state[vertex]`
+    /// at process time identifies it. That is why the process-time prune is
+    /// strict (`>`), and why seeds must be strict improvements too (see
+    /// [`IncrementalKernel::delta_seed`]).
+    ///
+    /// The contract is the kernel's own business: the engine never looks
+    /// inside `state`, and kernels that write only at process time (prune on
+    /// `value >= state[vertex]`) remain correct — they just let dominated
+    /// operations travel. Accumulating kernels (PPR) have nothing to dominate
+    /// and ignore all of this.
     fn process(
         &self,
         graph: &AdjacencyView<'_>,
@@ -91,7 +125,13 @@ pub trait FppKernel: Sync {
 pub trait IncrementalKernel: FppKernel {
     /// The operation a changed edge `u → v` (new weight `w`) seeds at `v`,
     /// given the previous converged state: `Some((value, priority))`, or
-    /// `None` when the edge cannot improve anything (e.g. `u` unreached).
+    /// `None` when the edge cannot improve anything — `u` unreached, or the
+    /// value it offers `v` is not **strictly** better than `prev[v]`. The
+    /// kernel must make that comparison itself: under the relax-time
+    /// contract of [`FppKernel::process`] an operation whose value *equals*
+    /// the state entry is the live one and gets expanded, so a no-op delta
+    /// edge that seeded `prev[v]` again would re-relax `v`'s whole
+    /// neighbourhood for nothing.
     fn delta_seed(
         &self,
         prev: &Self::State,
@@ -102,30 +142,26 @@ pub trait IncrementalKernel: FppKernel {
 }
 
 /// What one engine run actually executes: the seam between the run pipeline
-/// (buffers, scheduling, executors) and the kernel code one partition visit
+/// (lanes, scheduling, executors) and the kernel code one partition visit
 /// drives.
 ///
 /// The pipeline used to be generic over [`FppKernel`] directly, which welds
 /// "one run" to "one kernel". A driver generalises the contract to "one run,
 /// one *value type*, per-**query** kernel dispatch", at **visit
-/// granularity**: the unit a driver executes is one query's whole
-/// consolidated operation group within one partition visit
-/// ([`KernelDriver::process_visit`]), not one operation. Visit granularity
-/// is what keeps heterogeneous runs fast — the erased payload of a mixed
-/// run is converted to the kernel's native operations once per visit, and
-/// the hot intra-visit loop (priority heap, yield checks, per-edge
-/// relaxation) always runs monomorphized, never behind a per-operation
-/// virtual call.
+/// granularity**: the unit a driver executes is one query's lane within one
+/// partition visit ([`KernelDriver::process_visit`]), not one operation.
+/// Visit granularity is what keeps heterogeneous runs fast — a mixed run
+/// crosses one virtual call per query-visit, and the hot intra-visit loop
+/// (lane pops, yield checks, per-edge relaxation) always runs monomorphized.
 ///
 /// * [`crate::engine::SingleDriver`] wraps one `&K` and ignores the query
-///   index — the monomorphized single-kernel run, compiled to exactly the
-///   code the pre-driver pipeline produced (inlined forwards to
-///   [`crate::engine::ForkGraphEngine::process_query_visit`]).
+///   index — the monomorphized single-kernel run (an inlined forward to
+///   [`crate::engine::PartitionVisit::process_lane`]).
 /// * [`crate::multi::MultiDriver`] maps each query to its group's
-///   type-erased [`crate::dynkernel::DynKernel`] and carries
-///   inline erased payloads ([`crate::operation::MultiValue8`] /
-///   [`crate::operation::MultiValue16`]) between visits — the
-///   heterogeneous multi-kernel run behind
+///   type-erased [`crate::dynkernel::DynKernel`]; its lanes hold inline
+///   erased payloads ([`crate::operation::MultiValue8`] /
+///   [`crate::operation::MultiValue16`]) that the same loop converts per pop
+///   and per emit — the heterogeneous multi-kernel run behind
 ///   [`crate::engine::ForkGraphEngine::run_multi`].
 ///
 /// `pub(crate)`: drivers are an engine-internal seam, not an extension
@@ -157,23 +193,15 @@ pub(crate) trait KernelDriver: Sync {
         emit(source, value, priority);
     }
 
-    /// Process query `query`'s consolidated operations within one partition
-    /// visit; see
-    /// [`crate::engine::ForkGraphEngine::process_query_visit`] for the visit
-    /// contract (ordering, yielding, and the returned leftover/remote
-    /// routing).
-    #[allow(clippy::too_many_arguments)]
+    /// Process query `query`'s lane within one partition visit; see
+    /// [`crate::engine::PartitionVisit::process_lane`] for the visit
+    /// contract (ordering, yielding, where emitted operations go).
     fn process_visit(
         &self,
-        engine: &crate::engine::ForkGraphEngine<'_>,
-        graph: &CsrGraph,
-        partition: fg_graph::partition::PartitionId,
+        visit: &crate::engine::PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<crate::operation::Operation<Self::Value>>,
+        lane: &mut crate::buffer::Lane<Self::Value>,
         state: &mut Self::State,
-        partition_edges: u64,
-        num_queries: usize,
-        tracer: &fg_cachesim::GraphAccessTracer,
-        counters: &fg_metrics::WorkCounters,
-    ) -> crate::engine::VisitOutcome<Self::Value>;
+        remote: &mut crate::buffer::RemoteScratch<Self::Value>,
+    ) -> crate::engine::LaneVisit;
 }

@@ -34,15 +34,17 @@ impl FppKernel for BfsKernel {
         value: Self::Value,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
-        if value >= state[vertex as usize] {
-            return 0;
+        // The relax-time contract of `FppKernel::process`, as in SSSP.
+        if value > state[vertex as usize] {
+            return 0; // a lower level was written since: pruned
         }
-        state[vertex as usize] = value;
+        state[vertex as usize] = value; // seeds arrive unwritten
+        let level = value + 1;
         let mut edges = 0u64;
         for t in graph.out_neighbors(vertex) {
             edges += 1;
-            let level = value + 1;
             if level < state[t as usize] {
+                state[t as usize] = level;
                 emit(t, level, level as Priority);
             }
         }
@@ -55,16 +57,18 @@ impl IncrementalKernel for BfsKernel {
         &self,
         prev: &Self::State,
         u: VertexId,
-        _v: VertexId,
+        v: VertexId,
         _w: Weight,
     ) -> Option<(Self::Value, Priority)> {
         // BFS ignores weights: a new edge u → v can only put v at
-        // level(u) + 1. Weight-only decreases seed dominated operations
-        // that the prune in `process` discards, keeping this exact.
-        (prev[u as usize] != u32::MAX).then(|| {
-            let level = prev[u as usize] + 1;
-            (level, level as Priority)
-        })
+        // level(u) + 1. An unreached u seeds nothing, and neither does an
+        // edge that does not lower v's level (every weight-only change).
+        let lu = prev[u as usize];
+        if lu == u32::MAX {
+            return None;
+        }
+        let level = lu + 1;
+        (level < prev[v as usize]).then_some((level, level as Priority))
     }
 }
 
@@ -93,14 +97,35 @@ mod tests {
 
     #[test]
     fn revisits_with_equal_or_worse_levels_are_pruned() {
+        // The relax-time contract: a *worse* level is pruned at process
+        // time; an *equal* one never gets that far, because the relaxation
+        // that would emit it finds the entry already written.
         let g = gen::path(4);
         let kernel = BfsKernel;
         let mut state = kernel.init_state(&g);
         let view = AdjacencyView::from_csr(&g);
+        let mut emitted = Vec::new();
+        assert!(kernel.process(&view, &mut state, 1, 1, &mut |t, l, _| emitted.push((t, l))) > 0);
+        assert_eq!(emitted, vec![(0, 2), (2, 2)]);
+        assert_eq!(state[2], 2, "the neighbour's level is written when the edge is relaxed");
+        emitted.clear();
+        kernel.process(&view, &mut state, 1, 1, &mut |t, l, _| emitted.push((t, l)));
+        assert!(emitted.is_empty(), "relaxing again offers an equal level: nothing is emitted");
         let mut sink = |_: VertexId, _: u32, _: Priority| {};
-        assert!(kernel.process(&view, &mut state, 1, 1, &mut sink) > 0);
-        assert_eq!(kernel.process(&view, &mut state, 1, 1, &mut sink), 0);
         assert_eq!(kernel.process(&view, &mut state, 1, 3, &mut sink), 0);
+        assert_eq!(kernel.process(&view, &mut state, 2, 5, &mut sink), 0);
         assert_eq!(state[1], 1);
+        assert_eq!(state[2], 2);
+    }
+
+    #[test]
+    fn delta_seeds_must_strictly_improve_the_target() {
+        let kernel = BfsKernel;
+        let prev: Vec<u32> = vec![0, 1, 2, u32::MAX];
+        assert_eq!(kernel.delta_seed(&prev, 0, 2, 9), Some((1, 1)));
+        assert_eq!(kernel.delta_seed(&prev, 1, 2, 9), None, "1 + 1 == 2 is a no-op edge");
+        assert_eq!(kernel.delta_seed(&prev, 2, 1, 9), None);
+        assert_eq!(kernel.delta_seed(&prev, 3, 0, 9), None, "unreached tail");
+        assert_eq!(kernel.delta_seed(&prev, 2, 3, 9), Some((3, 3)), "newly reached head");
     }
 }

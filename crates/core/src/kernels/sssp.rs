@@ -35,15 +35,19 @@ impl FppKernel for SsspKernel {
         value: Self::Value,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
-        if value >= state[vertex as usize] {
-            return 0; // stale or dominated operation: pruned
+        // The relax-time contract of `FppKernel::process`: tentative
+        // distances are written when an edge is relaxed, so an operation is
+        // live exactly while its value is still the entry's.
+        if value > state[vertex as usize] {
+            return 0; // a shorter path was written since: pruned
         }
-        state[vertex as usize] = value;
+        state[vertex as usize] = value; // seeds arrive unwritten
         let mut edges = 0u64;
         for (t, w) in graph.out_edges(vertex) {
             edges += 1;
             let nd = value + w as Dist;
             if nd < state[t as usize] {
+                state[t as usize] = nd;
                 emit(t, nd, nd);
             }
         }
@@ -56,15 +60,19 @@ impl IncrementalKernel for SsspKernel {
         &self,
         prev: &Self::State,
         u: VertexId,
-        _v: VertexId,
+        v: VertexId,
         w: Weight,
     ) -> Option<(Self::Value, Priority)> {
-        // A new/cheaper edge u → v relaxes v to dist(u) + w — the same
-        // operation `process` at u would emit. An unreached u seeds nothing.
-        (prev[u as usize] != INF_DIST).then(|| {
-            let nd = prev[u as usize] + w as Dist;
-            (nd, nd)
-        })
+        // A new/cheaper edge u → v relaxes v to dist(u) + w — the operation
+        // `process` at u would emit, under the same strict comparison. An
+        // unreached u, or an edge that does not shorten v's path, seeds
+        // nothing.
+        let du = prev[u as usize];
+        if du == INF_DIST {
+            return None;
+        }
+        let nd = du + w as Dist;
+        (nd < prev[v as usize]).then_some((nd, nd))
     }
 }
 
@@ -109,6 +117,40 @@ mod tests {
         // Re-processing the source with a worse value does nothing.
         assert_eq!(kernel.process(&view, &mut state, 0, 5, &mut sink), 0);
         assert_eq!(state[0], 0);
+    }
+
+    #[test]
+    fn tentative_distances_are_written_at_relax_time() {
+        // 0 - 1 - 2 with unit weights.
+        let g = gen::path(3).with_random_weights(1, 0);
+        let kernel = SsspKernel;
+        let mut state = kernel.init_state(&g);
+        let view = AdjacencyView::from_csr(&g);
+        let mut emitted = Vec::new();
+        kernel.process(&view, &mut state, 0, 0, &mut |t, val, _| emitted.push((t, val)));
+        // The relaxation wrote the neighbour's entry and emitted it once …
+        assert_eq!(emitted, vec![(1, 1)]);
+        assert_eq!(state[1], 1);
+        // … so relaxing the same edge again emits nothing (equal is not
+        // better), while the one emitted operation is live and expands.
+        emitted.clear();
+        kernel.process(&view, &mut state, 0, 0, &mut |t, val, _| emitted.push((t, val)));
+        assert!(emitted.is_empty(), "an equal value is never emitted twice");
+        assert!(kernel.process(&view, &mut state, 1, 1, &mut |_, _, _| {}) > 0);
+        // A worse operation for a written vertex is pruned on arrival.
+        assert_eq!(kernel.process(&view, &mut state, 1, 4, &mut |_, _, _| {}), 0);
+        assert_eq!(state[1], 1);
+    }
+
+    #[test]
+    fn delta_seeds_must_strictly_improve_the_target() {
+        let kernel = SsspKernel;
+        let prev: Vec<Dist> = vec![0, 4, 9, INF_DIST];
+        assert_eq!(kernel.delta_seed(&prev, 1, 2, 3), Some((7, 7)), "4 + 3 < 9");
+        assert_eq!(kernel.delta_seed(&prev, 1, 2, 5), None, "4 + 5 == 9 is a no-op edge");
+        assert_eq!(kernel.delta_seed(&prev, 1, 2, 6), None);
+        assert_eq!(kernel.delta_seed(&prev, 3, 2, 1), None, "unreached tail");
+        assert_eq!(kernel.delta_seed(&prev, 2, 3, 1), Some((10, 10)), "newly reached head");
     }
 
     #[test]

@@ -8,24 +8,26 @@
 //!
 //! 1. The graph is divided into LLC-sized partitions
 //!    ([`fg_graph::partitioned::PartitionedGraph`]).
-//! 2. Each partition owns a multi-bucket [`buffer::PartitionBuffer`] holding
-//!    the pending operations ⟨query, vertex, value⟩ of every query.
+//! 2. Each partition owns a [`buffer::PartitionBuffer`] holding the pending
+//!    operations ⟨query, vertex, value⟩ of every query, one resident
+//!    priority **lane** per query — the `K = |Q|` limit of the paper's
+//!    multi-bucket buffer, where query-centric consolidation is structural:
+//!    an operation is appended once to the lane it will be popped from.
 //! 3. The [`engine::ForkGraphEngine`] repeatedly asks the inter-partition
-//!    [`sched::Scheduler`] for the next partition, consolidates that
-//!    partition's buffered operations per query
-//!    ([`buffer::consolidate`]), and processes every query's operations with a
-//!    **sequential**, priority-ordered kernel ([`kernel::FppKernel`]) on a
-//!    dedicated thread — atomic-free, because a query's state is only ever
-//!    touched by one thread at a time.
+//!    [`sched::Scheduler`] for the next partition and processes every
+//!    query's lane there with a **sequential**, priority-ordered kernel
+//!    ([`kernel::FppKernel`]), one query after another — atomic-free,
+//!    because a query's state is only ever touched by one thread at a time.
 //! 4. A [`yield_policy::YieldPolicy`] early-terminates a query inside a
-//!    partition to avoid redundant work; operations that target other
-//!    partitions are sent to their buffers in batches when the partition visit
-//!    ends.
+//!    partition to avoid redundant work — the lane simply stays resident for
+//!    the next visit; operations that target other partitions are sent to
+//!    their lanes in batches when the query's visit ends.
 //! 5. With [`engine::EngineConfig::num_threads`] ` > 1`, the inter-partition
 //!    parallel [`executor`] processes **disjoint partitions concurrently**: a
 //!    worker crew claims runnable partitions (work-stealing when a worker's
 //!    own set drains), routes remote operations through sharded, lock-striped
-//!    mailboxes, and quiesces via an ops-in-flight counter. Serial mode stays
+//!    mailboxes into the claimed partition's lanes, and quiesces via an
+//!    ops-in-flight counter. Serial mode stays
 //!    the default for ablation parity. The crew's threads come from a
 //!    persistent [`pool::WorkerPool`] by default (spawned once, parked
 //!    between runs, per-run storage recycled); per-run scoped spawning
@@ -33,7 +35,7 @@
 //!
 //! 6. [`engine::ForkGraphEngine::run_multi`] generalises a run to a
 //!    **heterogeneous** set of kernel groups: mixed-kernel operations share
-//!    the partition buffers and mailboxes as inline type-erased
+//!    the partition lanes and mailboxes as inline type-erased
 //!    [`operation::MultiValue8`]/[`operation::MultiValue16`] payloads, so
 //!    concurrent cohorts of
 //!    *different* query types amortise one shared partition pass instead of

@@ -11,24 +11,23 @@
 //! * Queries are grouped by kernel; group `g`'s queries occupy a contiguous
 //!   range of the run's global query ids, so query-centric consolidation,
 //!   per-query state locks, and result demultiplexing need no new machinery.
-//! * Operations carry inline erased payloads *between* visits — the
-//!   group's concrete kernel value erased inline
-//!   ([`crate::operation::MultiValue8`] / [`crate::operation::MultiValue16`],
-//!   picked per run) (operations stay
-//!   `Copy`, so the existing [`crate::buffer::PartitionBuffer`]s, executor
-//!   mailboxes, and claim protocol carry mixed-kernel operations verbatim;
-//!   an operation's group is derived from its query id, never stored).
+//! * Operations carry inline erased payloads — the group's concrete kernel
+//!   value erased inline ([`crate::operation::MultiValue8`] /
+//!   [`crate::operation::MultiValue16`], picked per run). Operations stay
+//!   `Copy`, so the per-(partition, query) lanes of
+//!   [`crate::buffer::PartitionBuffer`], the executor mailboxes and the
+//!   claim protocol carry mixed-kernel operations verbatim (lanes order by
+//!   `(priority, vertex)` only and never look at the payload); an
+//!   operation's group is derived from its query id, never stored.
 //! * `MultiDriver` implements the engine's internal `KernelDriver` seam at
-//!   **visit granularity**: each query's
-//!   consolidated operation group is handed to its group's sealed
-//!   [`MultiKernelHooks`] in one virtual call
-//!   ([`MultiKernelHooks::process_visit_multi`]), which de-erases the group
-//!   once, runs the identical monomorphized intra-visit loop the
-//!   single-kernel path uses (native value types in the priority heap,
-//!   devirtualized per-edge processing), and re-erases only the
-//!   leftover/remote operations that leave the visit. Erasure cost is two
-//!   value conversions per operation *lifetime*, not a virtual call per
-//!   operation touch.
+//!   **visit granularity**: each query's lane is handed to its group's
+//!   sealed [`MultiKernelHooks`] in one virtual call
+//!   ([`MultiKernelHooks::process_visit_multi`]), which runs the identical
+//!   monomorphized visit loop the single-kernel path uses
+//!   (`PartitionVisit::process_lane` — devirtualized per-edge processing)
+//!   directly on the erased lane, converting a value when it is popped and
+//!   when it is emitted. Erasure cost is two value conversions per operation
+//!   *lifetime*, not a virtual call per operation touch.
 //!
 //! Scheduling sees the union of all groups. Priorities are kernel-specific
 //! (an SSSP distance and a BFS level are not commensurable), but priorities
@@ -47,17 +46,16 @@
 
 use std::any::Any;
 
-use fg_cachesim::GraphAccessTracer;
-use fg_graph::partition::PartitionId;
 use fg_graph::{CsrGraph, VertexId};
-use fg_metrics::{Measurement, WorkCounters, WorkSnapshot};
+use fg_metrics::{Measurement, WorkSnapshot};
 use fg_trace::{EventKind, RunProfile};
 
+use crate::buffer::{Lane, RemoteScratch};
 use crate::dynkernel::{DynKernel, ErasedState, MultiKernelHooks};
-use crate::engine::{ForkGraphEngine, VisitOutcome};
-use crate::kernel::{FppKernel, KernelDriver};
+use crate::engine::{ForkGraphEngine, LaneVisit, PartitionVisit};
+use crate::kernel::KernelDriver;
+use crate::operation::Priority;
 use crate::operation::{MultiValue16, MultiValue8, PayloadOps};
-use crate::operation::{Operation, Priority};
 
 /// Result of one heterogeneous [`ForkGraphEngine::run_multi`] run.
 #[derive(Clone, Debug)]
@@ -107,50 +105,6 @@ impl MultiRunResult {
     }
 }
 
-/// One partition visit of a heterogeneous run, as seen by a group's erased
-/// kernel ([`MultiKernelHooks::process_visit_multi`]): an opaque handle bundling
-/// the engine and the visit's bookkeeping (partition, yield inputs, tracer,
-/// counters). Erased kernels de-erase their operations and hand them to
-/// [`Self::process_native`] — the same monomorphized visit loop the
-/// single-kernel path runs.
-pub struct MultiVisit<'a, 'g> {
-    pub(crate) engine: &'a ForkGraphEngine<'g>,
-    pub(crate) graph: &'a CsrGraph,
-    pub(crate) partition: PartitionId,
-    pub(crate) partition_edges: u64,
-    pub(crate) num_queries: usize,
-    pub(crate) tracer: &'a GraphAccessTracer,
-    pub(crate) counters: &'a WorkCounters,
-}
-
-impl MultiVisit<'_, '_> {
-    /// Run the engine's monomorphized intra-visit loop (the same
-    /// `process_query_visit` the single-kernel path uses) over de-erased
-    /// operations:
-    /// identical ordering, yielding, tracing, and counter semantics as a
-    /// single-kernel run's visit.
-    pub fn process_native<K: FppKernel>(
-        &self,
-        kernel: &K,
-        query: u32,
-        ops: impl IntoIterator<Item = Operation<K::Value>>,
-        state: &mut K::State,
-    ) -> VisitOutcome<K::Value> {
-        self.engine.process_query_visit(
-            kernel,
-            self.graph,
-            self.partition,
-            query,
-            ops,
-            state,
-            self.partition_edges,
-            self.num_queries,
-            self.tracer,
-            self.counters,
-        )
-    }
-}
-
 /// The heterogeneous [`KernelDriver`] on payload width `P`: maps each
 /// global query id to its group's sealed [`MultiKernelHooks`] and shuttles
 /// erased payloads across the per-visit kernel boundary. See the
@@ -179,40 +133,23 @@ impl<P: PayloadOps> KernelDriver for MultiDriver<'_, P> {
 
     fn process_visit(
         &self,
-        engine: &ForkGraphEngine<'_>,
-        graph: &CsrGraph,
-        partition: PartitionId,
+        visit: &PartitionVisit<'_, '_>,
         query: u32,
-        ops: Vec<Operation<P>>,
+        lane: &mut Lane<P>,
         state: &mut Self::State,
-        partition_edges: u64,
-        num_queries: usize,
-        tracer: &GraphAccessTracer,
-        counters: &WorkCounters,
-    ) -> VisitOutcome<P> {
+        remote: &mut RemoteScratch<P>,
+    ) -> LaneVisit {
         let group = self.query_group[query as usize];
-        engine.emit_trace(EventKind::QueryGroupVisit, query, group as u32, partition);
+        visit.engine.emit_trace(EventKind::QueryGroupVisit, query, group as u32, visit.partition);
         // Yield budgets scale with `|Q|` (`EdgeBudgetAuto` is
         // `factor · |E_P| / |Q|`): give each group the budget of *its own*
         // cohort size, not the union's, so a query makes exactly the
         // per-visit progress it would make in a solo run of its cohort.
-        // Budgeting on the union was measured to double yield counts on the
-        // smoke workload — every yield recycles the query's remaining
-        // operations through another buffer/consolidation round, which is
-        // precisely the churn the shared pass exists to avoid. (For a
-        // single-group run this is the run's query count, keeping the
+        // (For a single-group run this is the run's query count, keeping the
         // single-group path byte-identical to `run_dyn`.)
-        let _ = num_queries;
-        let visit = MultiVisit {
-            engine,
-            graph,
-            partition,
-            partition_edges,
-            num_queries: self.group_sizes[group as usize] as usize,
-            tracer,
-            counters,
-        };
-        self.kernels[group as usize].process_visit_multi(&visit, query, ops, &mut **state)
+        let visit =
+            PartitionVisit { num_queries: self.group_sizes[group as usize] as usize, ..*visit };
+        self.kernels[group as usize].process_visit_multi(&visit, query, lane, &mut **state, remote)
     }
 }
 

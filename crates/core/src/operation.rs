@@ -188,8 +188,8 @@ define_payload!(
     /// run fine through the monomorphized single-kernel path, which has no
     /// size limit). The capacity is deliberately tight: a payload rides in
     /// **every** buffered operation of a mixed run, and measured mixed-run
-    /// throughput tracks operation size almost linearly (buffer pushes,
-    /// consolidation sorts, and mailbox drains are memcpy-bound).
+    /// throughput tracks operation size almost linearly (lane pushes, heap
+    /// sifts, and mailbox drains are memcpy-bound).
     MultiValue16,
     16
 );

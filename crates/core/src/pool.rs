@@ -18,10 +18,10 @@
 //!   the lifetime erasure of the job reference sound — the same contract
 //!   `std::thread::scope` provides, without the per-run thread churn.
 //! * **Per-run allocations are recycled**: partition mailboxes (with their
-//!   claim words) and per-worker runnable queues return to a type-keyed
-//!   arena after each run, and each worker keeps its consolidation scratch
-//!   [`PartitionBuffer`] across runs. Reuse vs rebuild is counted in
-//!   [`fg_metrics::PoolCounters`].
+//!   claim words and their resident per-query lanes) and per-worker runnable
+//!   queues return to a type-keyed arena after each run, and each worker
+//!   keeps its remote-routing [`RemoteScratch`] across runs. Reuse vs
+//!   rebuild is counted in [`fg_metrics::PoolCounters`].
 //!
 //! A pool is either owned lazily by a [`crate::ForkGraphEngine`] (created on
 //! the first pool-mode parallel run) or constructed once by a serving layer
@@ -44,7 +44,7 @@ use fg_graph::partition::PartitionId;
 use fg_metrics::{PoolCounters, PoolSnapshot};
 use fg_trace::{EventKind, TraceSink};
 
-use crate::buffer::PartitionBuffer;
+use crate::buffer::RemoteScratch;
 use crate::executor::Mailbox;
 
 /// A job dispatched onto the pool: invoked once per participating worker
@@ -68,39 +68,42 @@ pub fn crew_size(requested_workers: usize, num_partitions: usize) -> usize {
 pub(crate) type RunStorage<V> = (Vec<Mailbox<V>>, Vec<Mutex<Vec<PartitionId>>>);
 
 /// Thread-local state a pool worker keeps across runs: currently the
-/// consolidation scratch buffer, stored type-erased because consecutive runs
-/// may use kernels with different operation value types.
+/// remote-routing scratch, stored type-erased because consecutive runs may
+/// use kernels with different operation value types.
 #[derive(Default)]
 pub struct WorkerSlot {
     scratch: Option<Box<dyn Any + Send>>,
 }
 
 impl WorkerSlot {
-    /// The worker's scratch [`PartitionBuffer`] for a run with value type
-    /// `V` and `num_buckets` buckets — reused from the previous run when the
-    /// type and geometry match (and the buffer was left drained), rebuilt
-    /// otherwise. Reuse vs rebuild is recorded in `counters`.
-    pub(crate) fn scratch_buffer<V: Copy + Send + 'static>(
+    /// The worker's [`RemoteScratch`] for a run with value type `V` over
+    /// `num_partitions` partitions — reused from the previous run when the
+    /// type matches (emptied and resized to the new partition count),
+    /// rebuilt otherwise. Either way it starts the run with nothing staged:
+    /// this thread outlives a kernel panic, and what the failed visit had
+    /// staged must not leak into the next run. Reuse vs rebuild is recorded
+    /// in `counters`.
+    pub(crate) fn remote_scratch<V: Copy + Send + 'static>(
         &mut self,
-        num_buckets: usize,
+        num_partitions: usize,
         counters: &PoolCounters,
-    ) -> &mut PartitionBuffer<V> {
-        let reusable = self
-            .scratch
-            .as_ref()
-            .and_then(|b| b.downcast_ref::<PartitionBuffer<V>>())
-            .is_some_and(|b| b.num_buckets() == num_buckets && b.is_empty());
+    ) -> &mut RemoteScratch<V> {
+        let reusable =
+            self.scratch.as_ref().is_some_and(|scratch| scratch.is::<RemoteScratch<V>>());
         if reusable {
             counters.add_scratch_reused();
         } else {
             counters.add_scratch_rebuilt();
-            self.scratch = Some(Box::new(PartitionBuffer::<V>::new(num_buckets)));
+            self.scratch = Some(Box::new(RemoteScratch::<V>::new(num_partitions)));
         }
-        self.scratch
+        let scratch = self
+            .scratch
             .as_mut()
             .expect("scratch installed above")
-            .downcast_mut::<PartitionBuffer<V>>()
-            .expect("scratch type checked above")
+            .downcast_mut::<RemoteScratch<V>>()
+            .expect("scratch type checked above");
+        scratch.reset_for(num_partitions);
+        scratch
     }
 }
 
@@ -268,8 +271,8 @@ impl WorkerPool {
     /// Take per-run storage for `num_partitions` partitions and
     /// `num_workers` workers from the recycle arena, building whatever is
     /// missing. Mailboxes are matched by operation value type `V`; recycled
-    /// ones are reset (claim word to `Idle`, hints zeroed, stripes grown to
-    /// `num_workers`).
+    /// ones are reset (claim word to `Idle`, hints zeroed, lanes unassigned,
+    /// stripes grown to `num_workers`).
     pub(crate) fn take_run_storage<V: Copy + Send + 'static>(
         &self,
         num_partitions: usize,
@@ -479,16 +482,22 @@ mod tests {
     }
 
     #[test]
-    fn scratch_buffer_is_reused_when_type_and_geometry_match() {
+    fn remote_scratch_is_reused_when_the_value_type_matches() {
         let counters = PoolCounters::new();
         let mut slot = WorkerSlot::default();
-        let _ = slot.scratch_buffer::<u64>(8, &counters);
-        let _ = slot.scratch_buffer::<u64>(8, &counters);
+        // A reused scratch starts its run empty: what a visit staged before
+        // its kernel panicked (the thread and its slot outlive the panic)
+        // belongs to a run that failed.
+        let scratch = slot.remote_scratch::<u64>(8, &counters);
+        scratch.push(3, crate::operation::Operation::new(7, 1, 1u64, 1));
+        let scratch = slot.remote_scratch::<u64>(8, &counters);
+        scratch.flush(|_, _| panic!("a previous run's operations survived"));
         assert_eq!(counters.snapshot().scratch_reused, 1);
         assert_eq!(counters.snapshot().scratch_rebuilt, 1);
-        // Geometry change rebuilds; type change rebuilds.
-        let _ = slot.scratch_buffer::<u64>(16, &counters);
-        let _ = slot.scratch_buffer::<f64>(16, &counters);
-        assert_eq!(counters.snapshot().scratch_rebuilt, 3);
+        // A partition-count change resizes in place; a type change rebuilds.
+        let _ = slot.remote_scratch::<u64>(16, &counters);
+        assert_eq!(counters.snapshot().scratch_reused, 2);
+        let _ = slot.remote_scratch::<f64>(16, &counters);
+        assert_eq!(counters.snapshot().scratch_rebuilt, 2);
     }
 }

@@ -22,9 +22,10 @@ use crate::operation::Priority;
 
 /// A scheduler's view of one candidate partition's pending work: the metadata
 /// every policy of Table 4A needs to rank candidates. Produced by the serial
-/// engine's [`PartitionBuffer`] ([`PartitionBuffer::sched_key`]) and by the
-/// parallel executor's mailboxes, so both execution modes share one selection
-/// rule ([`select_by_policy`]).
+/// engine's [`PartitionBuffer`] ([`PartitionBuffer::sched_key`], kept exact
+/// from the lane tops) and by the parallel executor's mailboxes (arrivals
+/// plus resident lanes, as hints), so both execution modes share one
+/// selection rule ([`select_by_policy`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SchedKey {
     /// Number of pending operations.
@@ -33,13 +34,6 @@ pub struct SchedKey {
     pub priority: Priority,
     /// Tick at which the partition last became runnable (FIFO order).
     pub stamp: u64,
-}
-
-impl<V: Copy> PartitionBuffer<V> {
-    /// This buffer's scheduling metadata.
-    pub fn sched_key(&self) -> SchedKey {
-        SchedKey { len: self.len(), priority: self.min_priority(), stamp: self.fifo_stamp }
-    }
 }
 
 /// Apply `policy` to `num_candidates` candidate partitions (metadata for
@@ -121,8 +115,10 @@ pub struct Scheduler {
     policy: SchedulingPolicy,
     rng: SmallRng,
     /// Monotonically increasing stamp handed to buffers as they become
-    /// non-empty, so FIFO order can be recovered.
+    /// runnable, so FIFO order can be recovered.
     next_stamp: u64,
+    /// Candidate list of [`Self::next`], kept so a pick allocates nothing.
+    non_empty: Vec<usize>,
 }
 
 impl Scheduler {
@@ -132,7 +128,12 @@ impl Scheduler {
             SchedulingPolicy::Random { seed } => seed,
             _ => 0,
         };
-        Scheduler { policy, rng: SmallRng::seed_from_u64(seed), next_stamp: 1 }
+        Scheduler {
+            policy,
+            rng: SmallRng::seed_from_u64(seed),
+            next_stamp: 1,
+            non_empty: Vec::new(),
+        }
     }
 
     /// The policy in use.
@@ -140,8 +141,9 @@ impl Scheduler {
         self.policy
     }
 
-    /// Stamp a buffer that just transitioned from empty to non-empty
-    /// (used by the FIFO policy).
+    /// Stamp a buffer that just became runnable — it went from empty to
+    /// non-empty, or a visit ended with operations still resident, which
+    /// sends it to the back of the line (used by the FIFO policy).
     pub fn stamp<V: Copy>(&mut self, buffer: &mut PartitionBuffer<V>) {
         buffer.fifo_stamp = self.next_stamp;
         self.next_stamp += 1;
@@ -150,8 +152,9 @@ impl Scheduler {
     /// Select the next partition among those with non-empty buffers.
     /// Returns `None` when every buffer is empty (the FPP has converged).
     pub fn next<V: Copy>(&mut self, buffers: &[PartitionBuffer<V>]) -> Option<PartitionId> {
-        let non_empty: Vec<usize> =
-            buffers.iter().enumerate().filter(|(_, b)| !b.is_empty()).map(|(i, _)| i).collect();
+        self.non_empty.clear();
+        self.non_empty.extend((0..buffers.len()).filter(|&i| !buffers[i].is_empty()));
+        let non_empty = &self.non_empty;
         let pos = select_by_policy(self.policy, &mut self.rng, non_empty.len(), |i| {
             buffers[non_empty[i]].sched_key()
         })?;

@@ -223,6 +223,63 @@ fn zero_seed_incremental_run_short_circuits_under_parallel_executors() {
     }
 }
 
+/// A delta edge that offers its head exactly the value it already has
+/// (`dist(u) + w == dist(v)`) improves nothing. Under the relax-time
+/// contract an operation whose value *equals* the state entry is live, so
+/// such a seed would re-relax `v`'s neighbourhood for no change;
+/// `delta_seed` must refuse it, and the run must do no work at all.
+#[test]
+fn no_op_delta_edge_seeds_nothing_and_processes_no_edges() {
+    // A diamond with a tail: 0→1 (2), 0→2 (5), 1→3 (4), 2→3 (1), 3→4→5.
+    let mut b = GraphBuilder::new(8);
+    for (u, v, w) in [(0, 1, 2), (0, 2, 5), (1, 3, 4), (2, 3, 1), (3, 4, 1), (4, 5, 1)] {
+        b.add_edge(u, v, w);
+    }
+    let pg0 = Arc::new(PartitionedGraph::build_arc(
+        Arc::new(b.build()),
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 4),
+    ));
+    let sources = vec![0u32];
+    let engine0 = ForkGraphEngine::new(&pg0, EngineConfig::default());
+    let prev_sssp = engine0.run_sssp(&sources);
+    let prev_bfs = engine0.run_bfs(&sources);
+    assert_eq!(&prev_sssp.per_query[0][..6], &[0, 2, 5, 6, 7, 8]);
+    assert_eq!(&prev_bfs.per_query[0][..6], &[0, 1, 1, 2, 3, 4]);
+
+    // 1→2 with weight 3 reaches vertex 2 at 2 + 3 == 5, its distance already
+    // (and at level 1 + 1 == 2 > 1 for BFS): a no-op for both kernels.
+    let vg = VersionedGraph::new(Arc::clone(&pg0));
+    vg.insert_edge(1, 2, 3).unwrap();
+    let applied = vg.quiesce().unwrap();
+    assert!(applied.monotone);
+    assert_eq!(applied.seed_edges, vec![(1, 2, 3)]);
+
+    for (mode, workers) in EXECUTORS {
+        let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        let engine = ForkGraphEngine::new(&applied.graph, config);
+        let sssp =
+            engine.run_sssp_incremental(&sources, prev_sssp.per_query.clone(), &applied.seed_edges);
+        assert_eq!(sssp.per_query, prev_sssp.per_query, "{mode:?}");
+        assert_eq!(sssp.work().edges_processed, 0, "{mode:?}: a tie must not be re-relaxed");
+        assert_eq!(sssp.work().operations_buffered, 0, "{mode:?}");
+        let bfs =
+            engine.run_bfs_incremental(&sources, prev_bfs.per_query.clone(), &applied.seed_edges);
+        assert_eq!(bfs.per_query, prev_bfs.per_query, "{mode:?}");
+        assert_eq!(bfs.work().edges_processed, 0, "{mode:?}");
+    }
+
+    // The same edge one unit cheaper is a real improvement and does work.
+    let vg = VersionedGraph::new(Arc::clone(&pg0));
+    vg.insert_edge(1, 2, 2).unwrap();
+    let applied = vg.quiesce().unwrap();
+    let engine = ForkGraphEngine::new(&applied.graph, EngineConfig::default());
+    let sssp =
+        engine.run_sssp_incremental(&sources, prev_sssp.per_query.clone(), &applied.seed_edges);
+    assert_eq!(&sssp.per_query[0][..6], &[0, 2, 4, 5, 6, 7]);
+    assert!(sssp.work().edges_processed > 0);
+    assert_eq!(sssp.per_query, engine.run_sssp(&sources).per_query);
+}
+
 /// Accumulated monotone batches: apply several quiesce rounds in sequence,
 /// restarting incrementally from each round's result. Stale-but-dominated
 /// seeds must be pruned, keeping every round exact.

@@ -26,8 +26,11 @@ use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{CsrGraph, GraphBuilder};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine, SchedulingPolicy, WorkerPool};
+use fg_graph::{AdjacencyView, CsrGraph, Dist, GraphBuilder, VertexId};
+use forkgraph_core::kernels::SsspKernel;
+use forkgraph_core::{
+    EngineConfig, ExecutorMode, ForkGraphEngine, FppKernel, Priority, SchedulingPolicy, WorkerPool,
+};
 
 const CASES: u64 = 3;
 const RUNS_PER_POOL: usize = 10;
@@ -247,4 +250,96 @@ fn engine_owned_pool_persists_across_runs() {
     let pool = engine.worker_pool().expect("still attached");
     assert_eq!(pool.metrics().threads_spawned, spawned, "repeat runs spawned threads");
     assert_eq!(pool.metrics().dispatches, 6);
+}
+
+/// SSSP that can be armed to panic in the middle of a visit: the armed
+/// `process` call relaxes its vertex — staging operations for other
+/// partitions in its worker's routing scratch — and then unwinds before the
+/// visit can send them.
+struct FaultySssp {
+    /// `process` calls left before the panic; negative = disarmed.
+    fuse: std::sync::atomic::AtomicI64,
+}
+
+impl FppKernel for FaultySssp {
+    type Value = Dist;
+    type State = Vec<Dist>;
+
+    fn name(&self) -> &'static str {
+        "faulty-sssp"
+    }
+
+    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+        SsspKernel.init_state(graph)
+    }
+
+    fn source_op(&self, source: VertexId) -> (Self::Value, Priority) {
+        SsspKernel.source_op(source)
+    }
+
+    fn process(
+        &self,
+        graph: &AdjacencyView<'_>,
+        state: &mut Self::State,
+        vertex: VertexId,
+        value: Self::Value,
+        emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    ) -> u64 {
+        use std::sync::atomic::Ordering;
+        let edges = SsspKernel.process(graph, state, vertex, value, emit);
+        if edges > 0 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 0 {
+            panic!("faulty kernel: injected panic mid-visit");
+        }
+        edges
+    }
+}
+
+/// A kernel panic fails its run but must not poison the pool: the panicking
+/// worker thread survives with whatever its visit had staged, and the next
+/// runs through the same pool — same operation value type, other sources,
+/// fewer queries — must neither see those operations nor trip over them.
+#[test]
+fn a_kernel_panic_mid_visit_leaks_nothing_into_the_next_run() {
+    use std::sync::atomic::{AtomicI64, Ordering};
+
+    let mut rng = SmallRng::seed_from_u64(0xBAD_5EED);
+    let graph = arb_graph(&mut rng);
+    let pg = PartitionedGraph::build(
+        &graph,
+        PartitionConfig::with_partitions(PartitionMethod::Multilevel, 8),
+    );
+    let n = graph.num_vertices() as u32;
+    let kernel = FaultySssp { fuse: AtomicI64::new(-1) };
+    let config = EngineConfig::default().with_threads(2);
+
+    for fuse in [0i64, 3, 11, 40] {
+        let pool = Arc::new(WorkerPool::new(2));
+        let engine = ForkGraphEngine::with_pool(&pg, config, Arc::clone(&pool));
+        let failing: Vec<u32> = (0..6).map(|_| rng.gen_range(0..n)).collect();
+        kernel.fuse.store(fuse, Ordering::SeqCst);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run(&kernel, &failing);
+        }));
+        assert!(failed.is_err(), "fuse {fuse}: the armed run must fail");
+        assert!(kernel.fuse.load(Ordering::SeqCst) < 0, "fuse {fuse}: the panic fired");
+
+        // Disarmed now (the fuse only counts further down). Several clean
+        // runs, so that whichever worker panicked gets to route operations.
+        for run in 0..4 {
+            let sources: Vec<u32> = (0..2).map(|_| rng.gen_range(0..n)).collect();
+            let clean = engine.run(&kernel, &sources);
+            for (q, &source) in sources.iter().enumerate() {
+                assert_eq!(
+                    clean.per_query[q],
+                    fg_seq::dijkstra::dijkstra(&graph, source).dist,
+                    "fuse {fuse} run {run} query {q}: result after a failed run"
+                );
+            }
+            let work = clean.work();
+            assert_eq!(
+                work.operations_processed, work.operations_buffered,
+                "fuse {fuse} run {run}: every operation of this run, and only those"
+            );
+        }
+    }
 }

@@ -24,6 +24,10 @@ fn visit_order(events: &[TraceEvent]) -> Vec<u32> {
     events.iter().filter(|e| e.kind == EventKind::PartitionVisitBegin).map(|e| e.a).collect()
 }
 
+fn sum_of(events: &[TraceEvent], kind: EventKind, field: fn(&TraceEvent) -> u32) -> u64 {
+    events.iter().filter(|e| e.kind == kind).map(|e| field(e) as u64).sum()
+}
+
 #[test]
 fn serial_event_stream_reconstructs_the_exact_visit_order() {
     let pg = partitioned(8);
@@ -75,9 +79,20 @@ fn serial_event_stream_reconstructs_the_exact_visit_order() {
     }
     assert_eq!(open, None, "every visit span is closed");
 
-    // Yield events agree with the yield counter.
+    // Yield events agree with the yield counter — and there are yields to
+    // agree on, each of which left its lane resident instead of re-buffering.
+    let work = result_a.work();
     let yields = events_a.iter().filter(|e| e.kind == EventKind::Yield).count() as u64;
-    assert_eq!(yields, result_a.work().yields);
+    assert_eq!(yields, work.yields);
+    assert!(yields > 0, "the default policy yields on this workload");
+
+    // Visit spans account for every operation: what the Ends report as
+    // consumed is what was processed, what they report as emitted locally
+    // entered a lane without leaving the partition, and a quiesced run has
+    // processed everything that was ever buffered.
+    assert_eq!(sum_of(&events_a, EventKind::PartitionVisitEnd, |e| e.b), work.operations_processed);
+    assert!(sum_of(&events_a, EventKind::PartitionVisitEnd, |e| e.c) <= work.operations_buffered);
+    assert_eq!(work.operations_processed, work.operations_buffered);
 }
 
 #[test]
@@ -129,15 +144,51 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
     assert_eq!(claims, drains, "every claim drains exactly once");
     assert_eq!(steals, work.steals, "Steal events match the steal counter");
 
-    // Visits that drained operations are the counted partition visits, and
-    // the drained totals cover every buffered operation exactly once.
+    // Operations enter lanes exactly two ways: through a mailbox (seeds and
+    // remote emits — the drains) or straight from the visit that emitted
+    // them to its own partition (the Ends' `c`). Together that is every
+    // buffered operation, and the Ends' `b` is every processed one.
     let all: Vec<TraceEvent> = sink.merged_events().into_iter().map(|(_, e)| e).collect();
-    let nonempty_drains =
-        all.iter().filter(|e| e.kind == EventKind::MailboxDrain && e.b > 0).count() as u64;
-    assert_eq!(nonempty_drains, work.partition_visits);
-    let drained_ops: u64 =
-        all.iter().filter(|e| e.kind == EventKind::MailboxDrain).map(|e| e.b as u64).sum();
-    assert_eq!(drained_ops, work.operations_buffered);
+    let drained_ops = sum_of(&all, EventKind::MailboxDrain, |e| e.b);
+    let local_ops = sum_of(&all, EventKind::PartitionVisitEnd, |e| e.c);
+    assert_eq!(drained_ops + local_ops, work.operations_buffered);
+    assert_eq!(sum_of(&all, EventKind::PartitionVisitEnd, |e| e.b), work.operations_processed);
+    let begins = all.iter().filter(|e| e.kind == EventKind::PartitionVisitBegin).count() as u64;
+    assert_eq!(begins, work.partition_visits);
+
+    // Per partition, `PartitionVisitBegin.b` is what was resident when the
+    // previous visit ended plus what the drain just before it brought in. A
+    // partition's events are totally ordered (its claim is exclusive), and
+    // on one worker's ring Drain, Begin and End of a visit are consecutive.
+    let mut resident = vec![0u64; pg.num_partitions()];
+    let mut by_partition: Vec<Vec<TraceEvent>> = vec![Vec::new(); pg.num_partitions()];
+    for e in &all {
+        if matches!(
+            e.kind,
+            EventKind::MailboxDrain | EventKind::PartitionVisitBegin | EventKind::PartitionVisitEnd
+        ) {
+            by_partition[e.a as usize].push(*e);
+        }
+    }
+    for (p, events) in by_partition.iter().enumerate() {
+        let mut arrived = 0u64;
+        let mut open_total = 0u64;
+        for e in events {
+            match e.kind {
+                EventKind::MailboxDrain => arrived = e.b as u64,
+                EventKind::PartitionVisitBegin => {
+                    assert_eq!(e.b as u64, resident[p] + arrived, "partition {p}: Begin total");
+                    open_total = e.b as u64;
+                }
+                _ => {
+                    resident[p] = open_total - e.b as u64 + e.c as u64;
+                    arrived = 0;
+                }
+            }
+        }
+        // A spurious wakeup (nothing arrived, nothing resident) opens no visit.
+        assert_eq!(resident[p], 0, "partition {p}: the run quiesced with resident operations");
+    }
 
     // The run span and the pool dispatch are both on the stream.
     assert!(all.iter().any(|e| e.kind == EventKind::RunBegin && e.b == 3));
@@ -180,6 +231,22 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
         }
         // Profiles must not change results.
         assert_eq!(off.per_query, on.per_query, "{mode:?}");
+
+        // The histogram's samples are the visits' `PartitionVisitBegin.b` —
+        // operations resident + arrived when the visit began — in serial and
+        // pool mode alike.
+        let sink = TraceSink::new();
+        let traced = ForkGraphEngine::new(&pg, base.with_profile(true))
+            .with_trace_sink(Arc::clone(&sink))
+            .run_sssp(&sources);
+        let events: Vec<TraceEvent> = sink.merged_events().into_iter().map(|(_, e)| e).collect();
+        let profile = traced.profile.as_ref().expect("profile requested");
+        assert_eq!(
+            profile.visit_ops.sum(),
+            sum_of(&events, EventKind::PartitionVisitBegin, |e| e.b),
+            "{mode:?}"
+        );
+        assert_eq!(profile.visit_ops.count(), visit_order(&events).len() as u64, "{mode:?}");
     }
 }
 

@@ -39,16 +39,23 @@ impl WorkCounters {
         self.operations_processed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` operations appended to partition buffers.
+    /// Record `n` operations entering a partition buffer (see
+    /// [`WorkSnapshot::operations_buffered`]).
     #[inline]
     pub fn add_buffered(&self, n: u64) {
         self.operations_buffered.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` operations discarded by consolidation or priority pruning.
+    /// Record everything one query's share of one partition visit did, in one
+    /// go: the engine's visit loop accumulates a [`VisitWork`] in locals and
+    /// flushes it here once per (query, visit) instead of touching the shared
+    /// counters per operation.
     #[inline]
-    pub fn add_pruned(&self, n: u64) {
-        self.operations_pruned.fetch_add(n, Ordering::Relaxed);
+    pub fn add_visit(&self, work: &VisitWork) {
+        self.operations_processed.fetch_add(work.operations, Ordering::Relaxed);
+        self.edges_processed.fetch_add(work.edges, Ordering::Relaxed);
+        self.operations_pruned.fetch_add(work.pruned, Ordering::Relaxed);
+        self.operations_buffered.fetch_add(work.buffered, Ordering::Relaxed);
     }
 
     /// Record one scheduled partition visit.
@@ -105,6 +112,20 @@ impl WorkCounters {
     }
 }
 
+/// What one query's share of one partition visit did; see
+/// [`WorkCounters::add_visit`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VisitWork {
+    /// Operations executed.
+    pub operations: u64,
+    /// Edges relaxed/traversed.
+    pub edges: u64,
+    /// Executed operations that turned out stale or dominated (no edge work).
+    pub pruned: u64,
+    /// Operations emitted, each of which enters exactly one buffer.
+    pub buffered: u64,
+}
+
 /// Per-worker statistics of one parallel engine run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerSnapshot {
@@ -116,7 +137,7 @@ pub struct WorkerSnapshot {
     pub steals: u64,
     /// Times this worker parked because no partition was runnable.
     pub idle_waits: u64,
-    /// Operations this worker processed.
+    /// Operations this worker executed.
     pub operations: u64,
 }
 
@@ -130,9 +151,15 @@ pub struct WorkSnapshot {
     pub edges_processed: u64,
     /// Operations (⟨q, v, val⟩ triples) executed.
     pub operations_processed: u64,
-    /// Operations appended to partition buffers.
+    /// Operations that entered a partition buffer. For the ForkGraph engine
+    /// that is every operation entering a per-(partition, query) lane, once:
+    /// the seeds, and each emitted operation on arrival at its target —
+    /// another partition's lane or the emitting visit's own. A yield
+    /// re-buffers nothing (the lane stays resident), so this is also the
+    /// number of operations the run ever created.
     pub operations_buffered: u64,
-    /// Operations discarded before execution (consolidation / priority pruning).
+    /// Executed operations that did no edge work: stale or dominated by the
+    /// time they were popped (or, for accumulating kernels, below threshold).
     pub operations_pruned: u64,
     /// Partition visits scheduled by the inter-partition scheduler.
     pub partition_visits: u64,
@@ -186,15 +213,15 @@ mod tests {
         c.add_iteration();
         c.add_queries_completed(2);
         c.add_buffered(7);
-        c.add_pruned(1);
+        c.add_visit(&VisitWork { operations: 2, edges: 4, pruned: 1, buffered: 3 });
         let s = c.snapshot();
-        assert_eq!(s.edges_processed, 15);
-        assert_eq!(s.operations_processed, 3);
+        assert_eq!(s.edges_processed, 19);
+        assert_eq!(s.operations_processed, 5);
         assert_eq!(s.partition_visits, 1);
         assert_eq!(s.yields, 1);
         assert_eq!(s.iterations, 1);
         assert_eq!(s.queries_completed, 2);
-        assert_eq!(s.operations_buffered, 7);
+        assert_eq!(s.operations_buffered, 10);
         assert_eq!(s.operations_pruned, 1);
     }
 

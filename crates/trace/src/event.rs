@@ -26,12 +26,14 @@ pub enum EventKind {
     RunBegin = 1,
     /// The matching end of [`EventKind::RunBegin`] on the same thread.
     RunEnd = 2,
-    /// A partition visit started draining consolidated operations.
-    /// `a` = partition id, `b` = operations consolidated, `c` = query groups
-    /// with operations in this visit.
+    /// A partition visit started. `a` = partition id, `b` = operations in
+    /// the partition's lanes at that moment (resident since earlier visits
+    /// plus just arrived), `c` = queries with a non-empty lane.
     PartitionVisitBegin = 3,
     /// The matching end of [`EventKind::PartitionVisitBegin`].
-    /// `a` = partition id.
+    /// `a` = partition id, `b` = operations the visit consumed, `c` =
+    /// operations it emitted to its own partition (straight onto a lane).
+    /// `Begin.b − b + c` operations stay resident for the next visit.
     PartitionVisitEnd = 4,
     /// One query's consolidated group was processed inside a multi-kernel
     /// visit. `a` = query index, `b` = kernel group index, `c` = partition
@@ -47,9 +49,9 @@ pub enum EventKind {
     /// `a` = partition id, `b` = thief worker index, `c` = victim worker
     /// index.
     Steal = 8,
-    /// A claimed partition's mailbox was drained. `a` = partition id,
-    /// `b` = operations drained (0 = spurious wakeup, visit skipped),
-    /// `c` = worker index.
+    /// A claimed partition's mailbox was drained into its lanes.
+    /// `a` = partition id, `b` = operations that arrived (0 with nothing
+    /// resident either = spurious wakeup, visit skipped), `c` = worker index.
     MailboxDrain = 9,
     /// A worker parked. `a` = worker index, `b` = 1 for an in-run idle wait
     /// (no runnable partition), 0 for a pool worker parking between runs.
