@@ -17,6 +17,8 @@
 //! *aggregation* part, so the same application can run on top of the ForkGraph
 //! engine or any baseline GPS driver.
 
+#![forbid(unsafe_code)]
+
 pub mod bc;
 pub mod conductance;
 pub mod ll;

@@ -21,6 +21,8 @@
 //! These engines reproduce the *execution models* of the original C++ systems,
 //! which is what the paper's comparison targets; see DESIGN.md §5.
 
+#![forbid(unsafe_code)]
+
 pub mod atomic_free;
 pub mod engine;
 pub mod fpp;

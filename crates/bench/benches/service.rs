@@ -21,7 +21,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_service::{ForkGraphService, QuerySpec, ServiceConfig};
+use fg_service::{ForkGraphService, ServiceConfig};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -88,7 +88,7 @@ fn run_service(pg: &Arc<PartitionedGraph>, cache_capacity: usize) -> usize {
                 scope.spawn(move || {
                     let mut done = 0;
                     for source in sources(client, n) {
-                        let ticket = handle.submit(QuerySpec::Sssp { source }).unwrap();
+                        let ticket = handle.submit_sssp(source).unwrap();
                         ticket.wait().unwrap();
                         done += 1;
                     }

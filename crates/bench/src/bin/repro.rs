@@ -20,6 +20,8 @@
 //! report; `--compare` exits non-zero when any baseline metric regressed more
 //! than the tolerance (default 20%, override with `--tolerance 0.35`).
 
+#![forbid(unsafe_code)]
+
 use fg_bench::report::{compare, newest_history_entry, PerfReport};
 use fg_bench::{emit_report, experiments, smoke};
 

@@ -11,6 +11,8 @@
 //! comparisons (which system wins, by roughly what factor, where the trends
 //! cross) are what the harness reproduces.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;
 pub mod runner;

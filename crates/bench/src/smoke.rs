@@ -20,7 +20,7 @@ use fg_service::{ForkGraphService, Query, ServiceConfig};
 use forkgraph_core::kernel::FppKernel;
 use forkgraph_core::kernels::SsspKernel;
 use forkgraph_core::operation::Priority;
-use forkgraph_core::{erase, EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{erase, EngineConfig, ForkGraphEngine};
 
 use crate::report::PerfReport;
 
@@ -124,48 +124,22 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
         measure(&format!("parallel{workers}"), EngineConfig::default().with_threads(workers));
     }
 
-    // Small-batch pool-vs-spawn overhead: the fg-service hot path runs one
-    // engine run per micro-batch, so per-run setup cost dominates exactly
-    // when batches are small. Measure a ≤4-query SSSP batch through (a) the
-    // per-run spawn executor and (b) one engine with a warm persistent
-    // pool. Pool mode must not be slower than spawn mode — the pool's whole
-    // point is amortising the spawn/join + allocation cost this workload is
-    // dominated by.
+    // Small-batch overhead: the fg-service hot path runs one engine run per
+    // micro-batch, so per-run setup cost dominates exactly when batches are
+    // small. A ≤4-query SSSP batch through one engine with a warm
+    // persistent pool — dispatch plus recycled storage, no thread spawns.
     let small_sources: Vec<VertexId> = sources.iter().copied().take(4).collect();
-    let spawn_engine = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default().with_threads(2).with_executor(ExecutorMode::Spawn),
-    );
-    let small_spawn = best_qps(small_sources.len(), || {
-        spawn_engine.run_sssp(&small_sources);
-    });
-    let pool_engine = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default().with_threads(2).with_executor(ExecutorMode::Pool),
-    );
+    let pool_engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(2));
     pool_engine.run_sssp(&small_sources); // warm the pool (spawns its threads)
     let small_pool = best_qps(small_sources.len(), || {
         pool_engine.run_sssp(&small_sources);
     });
-    report.push("sssp_small4_spawn_qps", small_spawn);
     report.push("sssp_small4_pool_qps", small_pool);
-    report.push("small4_pool_vs_spawn", small_pool / small_spawn);
-    table.push_row([
-        "small-batch (4q, 2w) spawn".to_string(),
-        format!("{small_spawn:.1}"),
-        "-".to_string(),
-    ]);
     table.push_row([
         "small-batch (4q, 2w) pool".to_string(),
         format!("{small_pool:.1}"),
         "-".to_string(),
     ]);
-    if small_pool < small_spawn * 0.95 {
-        eprintln!(
-            "[smoke] WARNING: small-batch pool throughput {small_pool:.1} qps below spawn \
-             {small_spawn:.1} qps — the persistent pool is losing to per-run thread spawning"
-        );
-    }
 
     // Erasure-layer overhead: the open kernel registry dispatches through
     // `run_dyn` (one virtual call in, one Arc per query state out) instead
@@ -201,69 +175,15 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
     report.push("custom_khop_qps", khop_qps);
     table.push_row(["custom k-hop (erased)".to_string(), format!("{khop_qps:.1}"), "-".into()]);
 
-    // Cross-kernel pass sharing: two cohorts of different kernels (16 SSSP +
-    // 16 BFS queries) through ONE `run_multi` shared partition pass versus
-    // two back-to-back `run_dyn` sweeps. The ratio gates the multi-kernel
-    // refactor: the erased inline payload costs per operation, the
-    // shared pass saves per partition visit, and the bargain must not lose
-    // ≥ 5% even on a 1-core box (on cache-constrained hardware the shared
-    // pass additionally halves cold LLC traffic — see the mixed-run
-    // cachesim test).
-    let mixed_cohort = scale.queries.div_ceil(2).max(1);
-    let sssp_half: Vec<VertexId> = sources.iter().copied().take(mixed_cohort).collect();
-    let n = pg.graph().num_vertices() as u32;
-    let bfs_half: Vec<VertexId> = (0..mixed_cohort as u32).map(|i| (i * 509 + 13) % n).collect();
-    let erased_bfs = erase(forkgraph_core::kernels::BfsKernel);
-    let mixed_queries = sssp_half.len() + bfs_half.len();
-    // The two sides are *interleaved* (seq, mixed, seq, mixed, …) instead of
-    // measured as two adjacent best-of-N blocks: the ratio is the gated
-    // quantity, and block measurement lets slow clock drift (thermal /
-    // frequency scaling) bias it by several percent in either direction.
-    let mut best_sequential_secs = f64::INFINITY;
-    let mut best_mixed_secs = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = std::time::Instant::now();
-        direct_engine.run_dyn(&*erased_sssp, &sssp_half);
-        direct_engine.run_dyn(&*erased_bfs, &bfs_half);
-        best_sequential_secs = best_sequential_secs.min(start.elapsed().as_secs_f64());
-        let start = std::time::Instant::now();
-        direct_engine.run_multi(&[(&*erased_sssp, &sssp_half[..]), (&*erased_bfs, &bfs_half[..])]);
-        best_mixed_secs = best_mixed_secs.min(start.elapsed().as_secs_f64());
-    }
-    let sequential = mixed_queries as f64 / best_sequential_secs;
-    let mixed = mixed_queries as f64 / best_mixed_secs;
-    report.push("mixed2_qps", mixed);
-    report.push("mixed2_vs_sequential", mixed / sequential);
-    table.push_row([
-        format!("2-kernel sequential ({mixed_cohort}q+{mixed_cohort}q)"),
-        format!("{sequential:.1}"),
-        "-".to_string(),
-    ]);
-    table.push_row([
-        format!("2-kernel run_multi ({mixed_cohort}q+{mixed_cohort}q)"),
-        format!("{mixed:.1}"),
-        "-".to_string(),
-    ]);
-    if mixed < sequential * 0.95 {
-        eprintln!(
-            "[smoke] WARNING: mixed 2-kernel run {mixed:.1} qps is more than 5% below two \
-             sequential sweeps at {sequential:.1} qps — the shared-pass bargain is losing \
-             (gate: mixed2_vs_sequential >= 0.95)"
-        );
-    } else if mixed < sequential {
-        eprintln!(
-            "[smoke] note: mixed 2-kernel run {mixed:.1} qps trails two sequential sweeps at \
-             {sequential:.1} qps — within budget, but the shared pass should win on \
-             cache-constrained hardware"
-        );
-    }
-
     // Tracing-disabled overhead: the fg-trace promise is that an *attached
     // but disabled* sink costs one predicted branch per would-be event, so
     // services can keep a sink wired permanently and flip it on only when
     // debugging. Gate that promise: serial SSSP through an engine with a
-    // disabled sink versus one with no sink at all, interleaved (like the
-    // mixed-run pair above) so clock drift cannot bias the ratio.
+    // disabled sink versus one with no sink at all, interleaved (seq,
+    // traced, seq, traced, …) instead of measured as two adjacent best-of-N
+    // blocks: the ratio is the gated quantity, and block measurement lets
+    // slow clock drift (thermal / frequency scaling) bias it by several
+    // percent in either direction.
     let traced_sink = fg_trace::TraceSink::new();
     traced_sink.set_enabled(false);
     let traced_engine = ForkGraphEngine::new(&pg, EngineConfig::default())
@@ -493,7 +413,7 @@ pub fn run_smoke_at(scale: Scale) -> SmokeOutcome {
     // edge instead of 8, paid for with decode arithmetic per visit. The gate
     // holds that arithmetic to ≤10% of raw throughput
     // (compressed_vs_raw_qps >= 0.9); on cache-constrained hardware the
-    // smaller footprint wins outright (see the multi_cachesim study). Both
+    // smaller footprint wins outright. Both
     // stores come from ONE partition plan: the Multilevel partitioner's
     // tie-breaking is not deterministic across separate builds, and a
     // different membership would change the workload being compared.
@@ -721,14 +641,10 @@ mod tests {
                 );
             }
         }
-        assert!(outcome.report.get("sssp_small4_spawn_qps").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_small4_pool_qps").unwrap() > 0.0);
-        assert!(outcome.report.get("small4_pool_vs_spawn").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_dyn_qps").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_dyn_vs_direct").unwrap() > 0.0);
         assert!(outcome.report.get("custom_khop_qps").unwrap() > 0.0);
-        assert!(outcome.report.get("mixed2_qps").unwrap() > 0.0);
-        assert!(outcome.report.get("mixed2_vs_sequential").unwrap() > 0.0);
         assert!(outcome.report.get("sssp_traced_off_qps").unwrap() > 0.0);
         assert!(outcome.report.get("traced_off_vs_untraced").unwrap() > 0.0);
         assert!(outcome.report.get("delta_sssp_qps").unwrap() > 0.0);

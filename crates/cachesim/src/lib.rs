@@ -18,6 +18,8 @@
 //! A simple [`StallModel`] converts hit/miss counts into the memory-stall
 //! breakdown of Figure 13.
 
+#![forbid(unsafe_code)]
+
 pub mod address;
 pub mod cache;
 pub mod instrument;

@@ -4,7 +4,7 @@
 //! Appendix B.1 buckets a partition's buffer `K` ways so that query-centric
 //! consolidation only has to group `|Q| / K` queries per bucket. A
 //! [`PartitionBuffer`] is the `K = |Q|` limit of that design: every query
-//! with pending operations in the partition owns a [`Lane`], an operation is
+//! with pending operations in the partition owns a `Lane`, an operation is
 //! appended once to the lane it will be popped from, and grouping cost
 //! vanishes — the buffer *is* the per-query priority queue.
 //!
@@ -53,7 +53,7 @@ const RESIDENT_SLACK: usize = 32;
 /// "+buffer" ablation) the heap stays unused and the inbox is the whole lane,
 /// popped in arrival order.
 #[derive(Clone, Debug)]
-pub struct Lane<V> {
+pub(crate) struct Lane<V> {
     heap: BinaryHeap<HeapEntry<V>>,
     inbox: VecDeque<Operation<V>>,
     /// Lowest priority appended to the inbox since it was last empty.
@@ -163,7 +163,7 @@ impl<V: Copy> Lane<V> {
     }
 }
 
-/// The operation buffer attached to one graph partition: a [`Lane`] per query
+/// The operation buffer attached to one graph partition: a lane per query
 /// with pending operations here.
 ///
 /// Bookkeeping is `O(lanes + operations)`: a lane is created the first time
@@ -222,7 +222,7 @@ impl<V: Copy> PartitionBuffer<V> {
     /// Best (lowest) priority among the buffered operations, or
     /// `Priority::MAX` when empty — the partition priority used by the
     /// priority-based scheduler. Folded over arrivals as they are pushed and
-    /// recomputed from [`Lane::min_priority`] when a visit ends: exact with
+    /// recomputed from the lanes' minima when a visit ends: exact with
     /// ordered lanes, a lower bound in the unordered ablation.
     pub fn min_priority(&self) -> Priority {
         self.min_priority
@@ -348,7 +348,7 @@ impl<V: Copy> PartitionBuffer<V> {
 /// neighbour partitions in batches"), so a target's lane table — or its
 /// mailbox lock — is touched once per batch instead of once per operation.
 #[derive(Debug)]
-pub struct RemoteScratch<V> {
+pub(crate) struct RemoteScratch<V> {
     per_target: Vec<Vec<Operation<V>>>,
     /// Targets with a non-empty batch, in first-touch order.
     touched: Vec<PartitionId>,
@@ -367,8 +367,8 @@ impl<V: Copy> RemoteScratch<V> {
     /// discarding anything still staged. A completed visit leaves nothing
     /// behind, but a kernel that panicked mid-visit does — its worker (and
     /// this scratch) survive in a [`crate::pool::WorkerPool`], and the failed
-    /// run's operations, with its query ids and erased payloads, must never
-    /// be delivered into the next one. Every batch is cleared, not only the
+    /// run's operations, with its query ids, must never be delivered into
+    /// the next one. Every batch is cleared, not only the
     /// `touched` ones: a panic during [`Self::flush`] empties that list first.
     pub(crate) fn reset_for(&mut self, num_partitions: usize) {
         self.touched.clear();

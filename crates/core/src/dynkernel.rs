@@ -14,9 +14,10 @@
 //!   back the per-query states as [`ErasedState`]s.
 //! * [`erase`] wraps any concrete [`FppKernel`] into an `Arc<dyn DynKernel>`.
 //!   The wrapper calls [`ForkGraphEngine::run`] with the *concrete* kernel,
-//!   so the entire execution path — serial loop, spawn executor, persistent
-//!   [`pool::WorkerPool`](crate::pool::WorkerPool) with its `TypeId`-keyed
-//!   recycle arena — is the monomorphized code the direct API uses. Erasure
+//!   so the entire execution path — the serial loop, or the parallel
+//!   executor on its persistent [`pool::WorkerPool`](crate::pool::WorkerPool)
+//!   with the `TypeId`-keyed recycle arena — is the monomorphized code the
+//!   direct API uses. Erasure
 //!   happens only at the two edges of a run: one virtual call going in, one
 //!   `Arc::new` per query state coming out. Results are therefore
 //!   *byte-identical* to the direct generic path, and the overhead is
@@ -29,12 +30,10 @@
 use std::any::{Any, TypeId};
 use std::sync::Arc;
 
-use fg_graph::{CsrGraph, VertexId};
+use fg_graph::VertexId;
 
-use crate::buffer::{Lane, RemoteScratch};
-use crate::engine::{ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
+use crate::engine::{ForkGraphEngine, ForkGraphRunResult};
 use crate::kernel::FppKernel;
-use crate::operation::{ErasedPayload, MultiValue16, MultiValue8, PayloadOps, Priority};
 
 /// One query's type-erased final state, as produced by
 /// [`DynKernel::run_erased`]. Downcast it to the kernel's concrete
@@ -69,93 +68,14 @@ pub trait DynKernel: Send + Sync {
 
     /// Run one batch (one query per source) through `engine`, returning the
     /// per-query final states type-erased. Equivalent to
-    /// [`ForkGraphEngine::run`] with the concrete kernel — same executor
-    /// dispatch (serial / spawn / pool), same results — followed by one
+    /// [`ForkGraphEngine::run`] with the concrete kernel — same choice of
+    /// serial loop or worker pool, same results — followed by one
     /// `Arc::new` per state.
     fn run_erased(
         &self,
         engine: &ForkGraphEngine<'_>,
         sources: &[VertexId],
     ) -> ForkGraphRunResult<ErasedState>;
-
-    /// The kernel's heterogeneous-run hook objects, if it can join a
-    /// [`ForkGraphEngine::run_multi`] pass: `None` (the default, and the
-    /// only option for hand-written implementations — [`MultiKernelHooks`]
-    /// is sealed) keeps the kernel out of mixed runs, so serving layers run
-    /// it in its own single-kernel pass. [`erase`] returns `Some` whenever
-    /// the concrete [`FppKernel::Value`] fits the wide ([`MultiValue16`])
-    /// inline payload. A wrapper `DynKernel` that owns another erased
-    /// kernel may *delegate* by forwarding the whole [`MultiHooks`] bundle —
-    /// never by re-implementing individual hooks, which is exactly what the
-    /// seal exists to prevent (one hook object pairs every erased write
-    /// with the matching typed read).
-    fn multi(&self) -> Option<MultiHooks<'_>> {
-        None
-    }
-}
-
-/// A kernel's width-specific hook objects for heterogeneous runs, returned
-/// by [`DynKernel::multi`]. Opaque outside this crate: external code can
-/// only forward the bundle, which is what keeps the two widths' erased
-/// writes and reads paired per kernel.
-///
-/// [`ForkGraphEngine::run_multi`] drives a whole run on **one** payload
-/// width — [`MultiValue8`] when every group's kernel offers `narrow`
-/// (operations stay as small as native `u64`-valued ones), [`MultiValue16`]
-/// otherwise — so a run never pays for width it doesn't use.
-#[derive(Clone, Copy)]
-pub struct MultiHooks<'a> {
-    /// Present iff the kernel's value fits 8 bytes.
-    pub(crate) narrow: Option<&'a dyn MultiKernelHooks<MultiValue8>>,
-    /// Present for every multi-capable kernel (values ≤ 16 bytes).
-    pub(crate) wide: &'a dyn MultiKernelHooks<MultiValue16>,
-}
-
-/// Private supertrait sealing [`MultiKernelHooks`] to this crate.
-mod sealed {
-    pub trait SealedMultiHooks {}
-}
-
-/// One kernel group's hooks inside a heterogeneous
-/// [`ForkGraphEngine::run_multi`] pass on payload width `P`, obtained via
-/// [`DynKernel::multi`].
-///
-/// **Sealed** — implemented only by [`erase`]'s wrapper. The seal is the
-/// soundness argument for the payloads' unchecked (in release builds)
-/// inline erasure: every payload of a query group is written
-/// ([`Self::source_op_multi`], erasure of the operations a visit emits) and
-/// read (de-erasure of the operations [`Self::process_visit_multi`] pops) by
-/// one wrapper around one
-/// concrete [`FppKernel`], so the bytes always round-trip through the same
-/// `Value` type; external code can pass hook objects along but never
-/// interleave two kernels' erased values.
-pub trait MultiKernelHooks<P: ErasedPayload>: Send + Sync + sealed::SealedMultiHooks {
-    /// Allocate one query's initial state, boxed for the multi-run state
-    /// table. The concrete type behind the box is [`FppKernel::State`] (what
-    /// [`Self::process_visit_multi`] downcasts to, and what the run's
-    /// [`ErasedState`]s wrap on completion).
-    fn init_state_any(&self, graph: &CsrGraph) -> Box<dyn Any + Send + Sync>;
-
-    /// The erased operation seeding one of this group's queries at `source`.
-    fn source_op_multi(&self, source: VertexId) -> (P, Priority);
-
-    /// Process one of this group's queries' lane within one partition visit:
-    /// downcast `state` and run the engine's monomorphized visit loop
-    /// (`PartitionVisit::process_lane` — priority ordering, yielding,
-    /// tracing, counters, exactly as a single-kernel run) directly on the
-    /// erased lane, de-erasing each operation as it is popped and erasing
-    /// each one the kernel emits. Visit-granularity dispatch is what keeps
-    /// mixed runs near native speed: the per-edge hot loop never crosses a
-    /// virtual call, and erasure costs two value conversions per operation
-    /// lifetime.
-    fn process_visit_multi(
-        &self,
-        visit: &PartitionVisit<'_, '_>,
-        query: u32,
-        lane: &mut Lane<P>,
-        state: &mut dyn Any,
-        remote: &mut RemoteScratch<P>,
-    ) -> LaneVisit;
 }
 
 /// The blanket erasure wrapper behind [`erase`].
@@ -198,57 +118,6 @@ where
             profile,
         }
     }
-
-    fn multi(&self) -> Option<MultiHooks<'_>> {
-        MultiValue16::fits::<K::Value>().then(|| MultiHooks {
-            narrow: MultiValue8::fits::<K::Value>()
-                .then_some(self as &dyn MultiKernelHooks<MultiValue8>),
-            wide: self as &dyn MultiKernelHooks<MultiValue16>,
-        })
-    }
-}
-
-impl<K> sealed::SealedMultiHooks for ErasedFpp<K>
-where
-    K: FppKernel + Send + 'static,
-    K::State: Sync + 'static,
-{
-}
-
-// One generic impl serves both payload widths; `P::new` statically refuses
-// a width the value doesn't fit (unreachable behind `multi()`'s gating).
-impl<K, P> MultiKernelHooks<P> for ErasedFpp<K>
-where
-    K: FppKernel + Send + 'static,
-    K::State: Sync + 'static,
-    P: PayloadOps,
-{
-    fn init_state_any(&self, graph: &CsrGraph) -> Box<dyn Any + Send + Sync> {
-        Box::new(self.0.init_state(graph))
-    }
-
-    fn source_op_multi(&self, source: VertexId) -> (P, Priority) {
-        let (value, priority) = self.0.source_op(source);
-        (P::new(value), priority)
-    }
-
-    fn process_visit_multi(
-        &self,
-        visit: &PartitionVisit<'_, '_>,
-        query: u32,
-        lane: &mut Lane<P>,
-        state: &mut dyn Any,
-        remote: &mut RemoteScratch<P>,
-    ) -> LaneVisit {
-        let state = state.downcast_mut::<K::State>().unwrap_or_else(|| {
-            panic!(
-                "multi-kernel run handed kernel {:?} a state that is not {}",
-                self.0.name(),
-                std::any::type_name::<K::State>(),
-            )
-        });
-        visit.process_lane(&self.0, query, lane, state, remote, |value: P| value.get(), P::new)
-    }
 }
 
 /// Erase a concrete kernel into a shareable [`DynKernel`] handle.
@@ -272,13 +141,13 @@ mod tests {
     use fg_graph::partitioned::PartitionedGraph;
     use fg_graph::{gen, CsrGraph, Dist};
 
-    use crate::engine::{EngineConfig, ExecutorMode};
+    use crate::engine::EngineConfig;
     use crate::kernels::SsspKernel;
     use crate::operation::Priority;
 
     /// A kernel that exists only in this test module: hop counts capped at a
-    /// fixed radius. Monotone (min-relaxation on hop count), so every
-    /// executor mode reaches the same fixpoint byte-identically.
+    /// fixed radius. Monotone (min-relaxation on hop count), so the serial
+    /// loop and the pool reach the same fixpoint byte-identically.
     struct RadiusKernel {
         radius: u32,
     }
@@ -366,29 +235,21 @@ mod tests {
     }
 
     #[test]
-    fn custom_erased_kernel_is_identical_across_executor_modes() {
+    fn custom_erased_kernel_is_identical_on_the_serial_loop_and_the_pool() {
         let (_, pg) = partitioned(8);
         let sources = [0u32, 3, 77, 140];
         let kernel = erase(RadiusKernel { radius: 4 });
-        let serial =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial))
-                .run_dyn(&*kernel, &sources);
-        for mode in [ExecutorMode::Spawn, ExecutorMode::Pool] {
-            let config = EngineConfig::default().with_threads(3).with_executor(mode);
-            let engine = ForkGraphEngine::new(&pg, config);
-            let parallel = engine.run_dyn(&*kernel, &sources);
-            for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
-                assert_eq!(
-                    a.downcast_ref::<Vec<u32>>().unwrap(),
-                    b.downcast_ref::<Vec<u32>>().unwrap(),
-                    "{mode:?}"
-                );
-            }
-            if mode == ExecutorMode::Pool {
-                let pool = engine.worker_pool().expect("pool-mode run created a pool");
-                assert!(pool.metrics().dispatches >= 1, "custom kernel ran through the pool");
-            }
+        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+        let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(3));
+        let parallel = engine.run_dyn(&*kernel, &sources);
+        for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+            assert_eq!(
+                a.downcast_ref::<Vec<u32>>().unwrap(),
+                b.downcast_ref::<Vec<u32>>().unwrap()
+            );
         }
+        let pool = engine.worker_pool().expect("a parallel run created a pool");
+        assert!(pool.metrics().dispatches >= 1, "custom kernel ran through the pool");
     }
 
     #[test]

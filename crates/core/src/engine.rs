@@ -15,19 +15,18 @@
 //! Query-centric consolidation is structural: a partition's buffer keeps one
 //! resident lane per query ([`crate::buffer`]), so a visit finds each
 //! query's operations already together and a yield leaves them where they
-//! are. The serial loop here, the parallel [`crate::executor`], incremental
-//! restarts and heterogeneous [`crate::multi`] runs all drive the same visit
-//! primitive, `PartitionVisit::process_lane`.
+//! are. Every run is one kernel's pass, seeded either at its sources or from
+//! a delta frontier (`ForkGraphEngine::run_seeded`); the serial loop here and
+//! the parallel [`crate::executor`] drive the same visit primitive,
+//! `PartitionVisit::process_lane`.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{CsrGraph, Dist, Edge, VertexId};
+use fg_graph::{Dist, Edge, VertexId};
 use fg_metrics::{
     CacheNumbers, Measurement, MemoryEstimate, Stopwatch, VisitWork, WorkCounters, WorkSnapshot,
 };
@@ -35,10 +34,11 @@ use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, Histogram, RunProfile, TraceSink};
 
-use crate::buffer::{ConsolidationMethod, Lane, PartitionBuffer, RemoteScratch};
-use crate::kernel::{FppKernel, IncrementalKernel, KernelDriver};
+use crate::buffer::{Lane, PartitionBuffer, RemoteScratch};
+use crate::dynkernel::{DynKernel, ErasedState};
+use crate::kernel::{FppKernel, IncrementalKernel};
 use crate::kernels::{BfsKernel, DfsKernel, PprKernel, RandomWalkKernel, SsspKernel};
-use crate::operation::{Operation, Priority};
+use crate::operation::Operation;
 use crate::pool::WorkerPool;
 use crate::sched::{Scheduler, SchedulingPolicy};
 use crate::yield_policy::YieldPolicy;
@@ -80,57 +80,6 @@ impl AblationLevel {
     }
 }
 
-/// How a multi-threaded engine run gets its worker threads.
-///
-/// The default is resolved once per process from the `FORKGRAPH_EXECUTOR`
-/// environment variable (`serial` | `spawn` | `pool`, anything else or unset
-/// meaning `pool`) so CI can run the whole test suite under each mode; an
-/// explicit [`EngineConfig::with_executor`] always wins over the
-/// environment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecutorMode {
-    /// Force the paper's serial partition-at-a-time loop even when
-    /// `num_threads > 1` (the ablation/debug escape hatch).
-    Serial,
-    /// PR 2's behaviour: spawn and join scoped worker threads per run.
-    Spawn,
-    /// Dispatch runs onto a persistent [`crate::pool::WorkerPool`]; threads
-    /// are spawned once and per-run allocations are recycled.
-    Pool,
-}
-
-impl ExecutorMode {
-    /// The process-wide default mode, from `FORKGRAPH_EXECUTOR` (cached on
-    /// first use).
-    pub fn from_env() -> ExecutorMode {
-        static MODE: std::sync::OnceLock<ExecutorMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var("FORKGRAPH_EXECUTOR") {
-            Ok(value) => match value.as_str() {
-                "serial" => ExecutorMode::Serial,
-                "spawn" => ExecutorMode::Spawn,
-                "pool" => ExecutorMode::Pool,
-                other => {
-                    eprintln!(
-                        "[forkgraph] unknown FORKGRAPH_EXECUTOR value {other:?} \
-                         (expected serial|spawn|pool); defaulting to pool"
-                    );
-                    ExecutorMode::Pool
-                }
-            },
-            Err(_) => ExecutorMode::Pool,
-        })
-    }
-
-    /// Human-readable name (matches the accepted env-var values).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutorMode::Serial => "serial",
-            ExecutorMode::Spawn => "spawn",
-            ExecutorMode::Pool => "pool",
-        }
-    }
-}
-
 /// Configuration of a [`ForkGraphEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
@@ -143,24 +92,20 @@ pub struct EngineConfig {
     /// a query's lane is processed in arrival order).
     pub consolidate: bool,
     /// Number of buckets per partition buffer (K of Appendix B.1). Buffers
-    /// are per-query lanes — the `K = |Q|` limit — so this no longer steers
-    /// or sizes anything. Kept because the repository's benchmark reads it.
+    /// are per-query lanes — the `K = |Q|` limit — so this steers and sizes
+    /// nothing. It, [`PartitionBuffer::new`]'s argument,
+    /// [`crate::buffer::ConsolidationMethod`] and `drain_consolidated`'s
+    /// argument stay byte-compatible only because `fgbench/src/layers.rs`
+    /// reads them; they go with the `[benchmark]` PR of ROADMAP item (d).
     pub num_buckets: usize,
-    /// Consolidation method of Appendix B.1. Lanes are grouped by
-    /// construction, so this no longer steers the engine either; kept for
-    /// the same reason.
-    pub consolidation_method: ConsolidationMethod,
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
-    /// Worker threads for the inter-partition parallel executor
-    /// ([`crate::executor`]). `1` (the default) keeps the paper's serial
-    /// partition-at-a-time loop; values above one process disjoint partitions
-    /// concurrently. `0` means "one worker per available CPU".
+    /// Worker threads, and with them how a run is driven: `1` (the default)
+    /// is the paper's serial partition-at-a-time loop; above one, disjoint
+    /// partitions are processed concurrently by the inter-partition parallel
+    /// executor ([`crate::executor`]) on a persistent
+    /// [`WorkerPool`]. `0` means "one worker per available CPU".
     pub num_threads: usize,
-    /// How parallel runs get their worker threads. `None` (the default)
-    /// resolves to [`ExecutorMode::from_env`] — or to [`ExecutorMode::Pool`]
-    /// when a pool was attached with [`ForkGraphEngine::with_pool`].
-    pub executor: Option<ExecutorMode>,
     /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
     /// to each run result. Independent of event tracing — profiles are
     /// computed from counters the run keeps anyway, so they work with no
@@ -176,10 +121,8 @@ impl Default for EngineConfig {
             yield_policy: YieldPolicy::default(),
             consolidate: true,
             num_buckets: 64,
-            consolidation_method: ConsolidationMethod::Sort,
             cache: None,
             num_threads: 1,
-            executor: None,
             profile: false,
         }
     }
@@ -237,12 +180,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the executor mode, overriding the `FORKGRAPH_EXECUTOR` default.
-    pub fn with_executor(mut self, executor: ExecutorMode) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
     /// Attach a [`RunProfile`] to each run result (see
     /// [`EngineConfig::profile`]).
     pub fn with_profile(mut self, profile: bool) -> Self {
@@ -257,14 +194,6 @@ impl EngineConfig {
         } else {
             self.num_threads
         }
-    }
-
-    /// The executor mode this configuration resolves to: the explicit
-    /// setting if any, else the process-wide environment default. (An
-    /// engine with an attached pool additionally prefers `Pool` — see
-    /// [`ForkGraphEngine::run`].)
-    pub fn resolved_executor(&self) -> ExecutorMode {
-        self.executor.unwrap_or_else(ExecutorMode::from_env)
     }
 }
 
@@ -326,108 +255,29 @@ impl<S> ForkGraphRunResult<S> {
     }
 }
 
-/// The single-kernel [`KernelDriver`]: wraps one `&K` and ignores the query
-/// index. Every method is an inlined forward — a visit goes straight into
-/// the monomorphized [`PartitionVisit::process_lane`] with identity value
-/// conversions — so the driver seam costs the hot path nothing.
-pub(crate) struct SingleDriver<'k, K: FppKernel>(pub(crate) &'k K);
-
-impl<K: FppKernel> KernelDriver for SingleDriver<'_, K> {
-    type Value = K::Value;
-    type State = K::State;
-
-    #[inline]
-    fn init_state(&self, graph: &CsrGraph, _query: u32) -> K::State {
-        self.0.init_state(graph)
-    }
-
-    #[inline]
-    fn source_op(&self, _query: u32, source: VertexId) -> (K::Value, Priority) {
-        self.0.source_op(source)
-    }
-
-    #[inline]
-    fn process_visit(
-        &self,
-        visit: &PartitionVisit<'_, '_>,
-        query: u32,
-        lane: &mut Lane<K::Value>,
-        state: &mut K::State,
-        remote: &mut RemoteScratch<K::Value>,
-    ) -> LaneVisit {
-        visit.process_lane(self.0, query, lane, state, remote, |value| value, |value| value)
-    }
-}
-
-/// The delta-restart [`KernelDriver`]: resumes a converged run from its
-/// previous per-query states, seeding each query with the operations its
-/// edge delta triggers instead of a fresh source op. The visit path is the
-/// same inlined forward to [`PartitionVisit::process_lane`] as
-/// [`SingleDriver`] — only *initialisation* differs, so an incremental run
-/// is byte-equivalent to a from-scratch run that happened to prune every
-/// already-settled vertex.
-struct IncrementalDriver<'k, K: IncrementalKernel> {
-    kernel: &'k K,
-    /// Previous converged states, taken (once each) by `init_state`.
-    prev: Vec<Mutex<Option<K::State>>>,
-    /// Per-query delta-frontier seeds: `(vertex, value, priority)`.
-    seeds: Vec<Vec<(VertexId, K::Value, Priority)>>,
-}
-
-impl<K: IncrementalKernel> KernelDriver for IncrementalDriver<'_, K> {
-    type Value = K::Value;
-    type State = K::State;
-
-    fn init_state(&self, _graph: &CsrGraph, query: u32) -> K::State {
-        self.prev[query as usize]
-            .lock()
-            .take()
-            .expect("incremental run initialises each query's state exactly once")
-    }
-
-    #[inline]
-    fn source_op(&self, _query: u32, source: VertexId) -> (K::Value, Priority) {
-        // Unused: `seed_ops` is overridden. Kept total for trait hygiene.
-        self.kernel.source_op(source)
-    }
-
-    fn seed_ops(
-        &self,
-        query: u32,
-        _source: VertexId,
-        emit: &mut dyn FnMut(VertexId, K::Value, Priority),
-    ) {
-        for &(vertex, value, priority) in &self.seeds[query as usize] {
-            emit(vertex, value, priority);
-        }
-    }
-
-    #[inline]
-    fn process_visit(
-        &self,
-        visit: &PartitionVisit<'_, '_>,
-        query: u32,
-        lane: &mut Lane<K::Value>,
-        state: &mut K::State,
-        remote: &mut RemoteScratch<K::Value>,
-    ) -> LaneVisit {
-        visit.process_lane(self.kernel, query, lane, state, remote, |value| value, |value| value)
-    }
+/// Result of [`ForkGraphEngine::run_multi`]: several kernel cohorts run back
+/// to back on one engine.
+#[derive(Clone, Debug)]
+pub struct MultiRunResult {
+    /// `per_group[g][i]` is the erased state of group `g`'s `i`-th source,
+    /// exactly what [`ForkGraphEngine::run_dyn`] produces for that group.
+    pub per_group: Vec<Vec<ErasedState>>,
+    /// Summed wall time and merged work counters of the groups' passes
+    /// (cache, memory and storage numbers are per pass and left unset).
+    pub measurement: Measurement,
 }
 
 /// What one query's share of one partition visit did to the lane it ran on,
-/// as the run pipeline needs to know it: the executors keep their
+/// as the run pipeline needs to know it: the executor keeps its
 /// operations-in-flight count and scheduling hints from these two numbers.
-/// (The work counters are flushed by the visit itself.) Public because the
-/// sealed multi-kernel visit hook ([`crate::dynkernel::MultiKernelHooks`])
-/// returns it.
+/// (The work counters are flushed by the visit itself.)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneVisit {
+pub(crate) struct LaneVisit {
     /// Operations popped and executed.
-    pub consumed: u64,
+    pub(crate) consumed: u64,
     /// Operations the visit emitted to its own partition: they went straight
     /// onto the lane, never through a mailbox.
-    pub emitted_local: u64,
+    pub(crate) emitted_local: u64,
 }
 
 impl std::ops::AddAssign for LaneVisit {
@@ -442,21 +292,18 @@ pub(crate) fn event_field(count: u64) -> u32 {
     u32::try_from(count).unwrap_or(u32::MAX)
 }
 
-/// One partition visit, as the code processing a query's lane sees it: an
-/// opaque handle bundling the engine and the visit's bookkeeping (partition,
-/// yield inputs, tracer, counters). The single-kernel drivers and — through
-/// the sealed [`crate::dynkernel::MultiKernelHooks`] — every group of a
-/// heterogeneous run hand their lanes to `process_lane`, the one
-/// monomorphized visit loop.
-#[derive(Clone, Copy)]
-pub struct PartitionVisit<'a, 'g> {
-    pub(crate) engine: &'a ForkGraphEngine<'g>,
-    pub(crate) partition: PartitionId,
+/// One partition visit, as the code processing a query's lane sees it: the
+/// engine and the visit's bookkeeping (partition, yield inputs, tracer,
+/// counters). The serial loop and the executor's workers hand each active
+/// lane to `process_lane`, the one monomorphized visit loop.
+pub(crate) struct PartitionVisit<'a, 'g> {
+    engine: &'a ForkGraphEngine<'g>,
+    partition: PartitionId,
     /// `|E_P|` and `|Q|` of the `EdgeBudgetAuto` yield threshold.
-    pub(crate) partition_edges: u64,
-    pub(crate) num_queries: usize,
-    pub(crate) tracer: &'a GraphAccessTracer,
-    pub(crate) counters: &'a WorkCounters,
+    partition_edges: u64,
+    num_queries: usize,
+    tracer: &'a GraphAccessTracer,
+    counters: &'a WorkCounters,
 }
 
 impl<'a, 'g> PartitionVisit<'a, 'g> {
@@ -478,7 +325,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
     }
 
     /// Process one query's lane within this partition visit — the visit
-    /// primitive every run mode shares.
+    /// primitive the serial loop and the executor share.
     ///
     /// With consolidation the lane's arrivals are merged into its resident
     /// heap and operations are popped in `(priority, vertex)` order; without
@@ -488,23 +335,14 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
     /// emits is appended once to where it will be popped from: this lane if
     /// its vertex lives in this partition, else the `remote` batch of its
     /// target (which the caller delivers when the lane's visit returns).
-    ///
-    /// Lanes hold values of type `V`; `decode`/`encode` convert to and from
-    /// the kernel's own value per pop and per emit — the identity for
-    /// single-kernel runs, the inline erasure of
-    /// [`crate::operation::MultiValue8`]/[`crate::operation::MultiValue16`]
-    /// for heterogeneous ones. Work counters are accumulated in locals and
-    /// flushed once, on return.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn process_lane<K: FppKernel, V: Copy>(
+    /// Work counters are accumulated in locals and flushed once, on return.
+    pub(crate) fn process_lane<K: FppKernel>(
         &self,
         kernel: &K,
         query: u32,
-        lane: &mut Lane<V>,
+        lane: &mut Lane<K::Value>,
         state: &mut K::State,
-        remote: &mut RemoteScratch<V>,
-        decode: impl Fn(V) -> K::Value,
-        encode: impl Fn(K::Value) -> V,
+        remote: &mut RemoteScratch<K::Value>,
     ) -> LaneVisit {
         let engine = self.engine;
         let pg = engine.pg;
@@ -534,13 +372,9 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             }
             let op = lane.pop(ordered).expect("peeked above");
             let vertex = op.vertex;
-            let edges = kernel.process(
-                &view,
-                state,
-                vertex,
-                decode(op.value),
-                &mut |t, value, priority| {
-                    let new_op = Operation::new(query, t, encode(value), priority);
+            let edges =
+                kernel.process(&view, state, vertex, op.value, &mut |t, value, priority| {
+                    let new_op = Operation::new(query, t, value, priority);
                     let target_partition = pg.partition_of(t);
                     if target_partition == partition {
                         lane.push_local(ordered, new_op);
@@ -549,8 +383,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
                         remote.push(target_partition, new_op);
                     }
                     work.buffered += 1;
-                },
-            );
+                });
             work.operations += 1;
             work.edges += edges;
             work.pruned += u64::from(edges == 0);
@@ -588,9 +421,9 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
 pub struct ForkGraphEngine<'g> {
     pg: &'g PartitionedGraph,
     config: EngineConfig,
-    /// The persistent worker pool for pool-mode parallel runs: pre-filled by
+    /// The persistent worker pool for parallel runs: pre-filled by
     /// [`Self::with_pool`] (a crew shared across engines, e.g. fg-service's),
-    /// or lazily created — once — on the first pool-mode parallel run.
+    /// or lazily created — once — on the first parallel run.
     pool: OnceLock<Arc<WorkerPool>>,
     /// Structured-event sink; `None` (the default) costs one predictable
     /// branch per instrumentation site.
@@ -603,7 +436,7 @@ impl<'g> ForkGraphEngine<'g> {
         ForkGraphEngine { pg, config, pool: OnceLock::new(), trace: None }
     }
 
-    /// Create an engine that runs pool-mode parallel batches on an existing
+    /// Create an engine that runs parallel batches on an existing
     /// shared [`WorkerPool`] instead of lazily creating its own. This is how
     /// a serving layer amortises one thread crew across many short-lived
     /// engines (one per micro-batch) with varying worker counts.
@@ -667,7 +500,7 @@ impl<'g> ForkGraphEngine<'g> {
         &self.config
     }
 
-    /// The worker pool this engine dispatches pool-mode runs to, if one has
+    /// The worker pool this engine dispatches parallel runs to, if one has
     /// been attached or lazily created yet.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.get()
@@ -682,61 +515,75 @@ impl<'g> ForkGraphEngine<'g> {
     ///
     /// With `config.num_threads > 1` (and more than one partition) the batch
     /// is executed by the inter-partition parallel executor
-    /// ([`crate::executor`]); otherwise by the paper's serial
-    /// partition-at-a-time loop of the internal `run_driver` pipeline.
+    /// ([`crate::executor`]) on this engine's [`WorkerPool`]; otherwise by
+    /// the paper's serial partition-at-a-time loop.
     pub fn run<K: FppKernel>(
         &self,
         kernel: &K,
         sources: &[VertexId],
     ) -> ForkGraphRunResult<K::State> {
-        self.run_driver(&SingleDriver(kernel), sources)
+        // Started here so that allocating the states is inside the measured
+        // wall time, as it always was.
+        let watch = Stopwatch::start();
+        let graph = self.pg.graph();
+        let states = sources.iter().map(|_| kernel.init_state(graph)).collect();
+        let seeds = sources
+            .iter()
+            .enumerate()
+            .map(|(q, &source)| {
+                let (value, priority) = kernel.source_op(source);
+                Operation::new(q as u32, source, value, priority)
+            })
+            .collect();
+        self.run_seeded(kernel, states, seeds, watch)
     }
 
-    /// The run pipeline shared by every entry point: [`Self::run`] drives a
-    /// monomorphized [`SingleDriver`], [`Self::run_multi`] a heterogeneous
-    /// [`crate::multi::MultiDriver`]. Picks serial / spawn / pool execution
-    /// exactly as before the driver seam existed.
-    pub(crate) fn run_driver<D: KernelDriver>(
+    /// The one run pipeline: drive `kernel` from `seeds` — operations on
+    /// queries `0..states.len()` — until no operation is left, and return
+    /// the states. [`Self::run`] seeds each query with its source operation,
+    /// [`Self::run_incremental`] with its delta frontier.
+    ///
+    /// `num_threads` alone picks how the pass is driven: one thread (or one
+    /// partition) is the serial loop below, anything else the executor on
+    /// the worker pool. With no seeds the states are already the answer —
+    /// and a parallel run that posts nothing would never observe quiescence.
+    pub(crate) fn run_seeded<K: FppKernel>(
         &self,
-        driver: &D,
-        sources: &[VertexId],
-    ) -> ForkGraphRunResult<D::State> {
-        let workers = self.config.resolved_threads();
-        // Mode precedence: explicit config > attached pool > environment.
-        let mode = match self.config.executor {
-            Some(mode) => mode,
-            None if self.pool.get().is_some() => ExecutorMode::Pool,
-            None => ExecutorMode::from_env(),
-        };
-        if mode != ExecutorMode::Serial
-            && workers > 1
-            && self.pg.num_partitions() > 1
-            && !sources.is_empty()
-        {
-            let pool = match mode {
-                ExecutorMode::Pool => Some(self.pool.get_or_init(|| {
-                    let pool = Arc::new(WorkerPool::new(crate::pool::crew_size(
-                        workers,
-                        self.pg.num_partitions(),
-                    )));
-                    if let Some(trace) = &self.trace {
-                        pool.attach_trace(Arc::clone(trace));
-                    }
-                    pool
-                })),
-                _ => None,
-            };
-            return crate::executor::run_parallel(self, driver, sources, workers, pool);
-        }
-        let graph = self.pg.graph();
+        kernel: &K,
+        mut states: Vec<K::State>,
+        seeds: Vec<Operation<K::Value>>,
+        watch: Stopwatch,
+    ) -> ForkGraphRunResult<K::State> {
         let num_partitions = self.pg.num_partitions();
-        let num_queries = sources.len();
+        let num_queries = states.len();
+        if seeds.is_empty() {
+            let measurement = self.build_measurement(
+                Duration::ZERO,
+                &WorkCounters::new(),
+                &GraphAccessTracer::disabled(),
+                num_queries,
+            );
+            return ForkGraphRunResult { per_query: states, measurement, profile: None };
+        }
+        let workers = self.config.resolved_threads();
+        if workers > 1 && num_partitions > 1 {
+            let pool = self.pool.get_or_init(|| {
+                let pool =
+                    Arc::new(WorkerPool::new(crate::pool::crew_size(workers, num_partitions)));
+                if let Some(trace) = &self.trace {
+                    pool.attach_trace(Arc::clone(trace));
+                }
+                pool
+            });
+            return crate::executor::run_parallel(
+                self, kernel, states, seeds, workers, pool, watch,
+            );
+        }
         let tracer = match self.config.cache {
             Some(config) => GraphAccessTracer::new(config),
             None => GraphAccessTracer::disabled(),
         };
         let counters = WorkCounters::new();
-        let watch = Stopwatch::start();
         self.emit_trace(EventKind::RunBegin, num_queries as u32, 1, 1);
         let profiling = self.config.profile;
         let mut visit_ops = Histogram::default();
@@ -744,24 +591,19 @@ impl<'g> ForkGraphEngine<'g> {
         // Everything a visit touches lives for the whole run: the lanes
         // inside the buffers, the remote-routing scratch, the scheduler's
         // candidate list. Nothing is built per visit or per yield.
-        let mut buffers: Vec<PartitionBuffer<D::Value>> =
+        let mut buffers: Vec<PartitionBuffer<K::Value>> =
             (0..num_partitions).map(|_| PartitionBuffer::default()).collect();
-        let mut remote: RemoteScratch<D::Value> = RemoteScratch::new(num_partitions);
-        let mut states: Vec<D::State> =
-            (0..num_queries).map(|q| driver.init_state(graph, q as u32)).collect();
+        let mut remote: RemoteScratch<K::Value> = RemoteScratch::new(num_partitions);
         let mut scheduler = Scheduler::new(self.config.scheduling);
 
-        // InitBuffers(P, Q): seed every query (at its source, or from the
-        // driver's delta frontier).
-        for (q, &source) in sources.iter().enumerate() {
-            driver.seed_ops(q as u32, source, &mut |vertex, value, priority| {
-                let p = self.pg.partition_of(vertex) as usize;
-                if buffers[p].is_empty() {
-                    scheduler.stamp(&mut buffers[p]);
-                }
-                buffers[p].push(Operation::new(q as u32, vertex, value, priority));
-                counters.add_buffered(1);
-            });
+        // InitBuffers(P, Q).
+        for op in seeds {
+            let p = self.pg.partition_of(op.vertex) as usize;
+            if buffers[p].is_empty() {
+                scheduler.stamp(&mut buffers[p]);
+            }
+            buffers[p].push(op);
+            counters.add_buffered(1);
         }
         let init_done = watch.elapsed();
 
@@ -788,8 +630,8 @@ impl<'g> ForkGraphEngine<'g> {
             for i in 0..lanes {
                 let (query, lane) = buffer.active_lane(i);
                 debug_assert!((query as usize) < num_queries);
-                done += driver.process_visit(
-                    &visit,
+                done += visit.process_lane(
+                    kernel,
                     query,
                     lane,
                     &mut states[query as usize],
@@ -887,50 +729,36 @@ impl<'g> ForkGraphEngine<'g> {
     /// the identical execution path as the built-ins.
     ///
     /// This is [`Self::run`] behind one virtual call: the erasure wrapper
-    /// invokes `run` with its concrete kernel, so executor dispatch (serial
-    /// loop / spawned crew / persistent pool), scheduling, yielding, and the
-    /// pool's `TypeId`-keyed storage recycling all behave exactly as a
-    /// direct generic call would. Only the returned per-query states are
-    /// boxed ([`crate::dynkernel::ErasedState`]).
+    /// invokes `run` with its concrete kernel, so the choice of serial loop
+    /// or worker pool, scheduling, yielding, and the pool's `TypeId`-keyed
+    /// storage recycling all behave exactly as a direct generic call would.
+    /// Only the returned per-query states are boxed ([`ErasedState`]).
     pub fn run_dyn(
         &self,
-        kernel: &dyn crate::dynkernel::DynKernel,
+        kernel: &dyn DynKernel,
         sources: &[VertexId],
-    ) -> ForkGraphRunResult<crate::dynkernel::ErasedState> {
+    ) -> ForkGraphRunResult<ErasedState> {
         kernel.run_erased(self, sources)
     }
 
-    /// Run a **heterogeneous** batch — several kernel *groups*, each with its
-    /// own erased value and state types — through **one** partition pass, so
-    /// every group amortises the same LLC-resident partition sweeps. This is
-    /// the engine half of the paper's "share the pass across everything in
-    /// flight" ideal: an SSSP cohort and a PPR cohort waiting on the same
-    /// graph no longer pay one sweep each.
-    ///
-    /// Each `(kernel, sources)` pair contributes one query per source.
-    /// Execution is the standard internal `run_driver` pipeline over the
-    /// heterogeneous driver of [`crate::multi`]: mixed-kernel operations share partition
-    /// buffers and mailboxes as inline erased payloads
-    /// ([`crate::operation::MultiValue8`] / [`crate::operation::MultiValue16`],
-    /// picked per run by the narrowest width every group fits),
-    /// scheduling and yielding see the union of all groups, and each
-    /// partition visit dispatches every operation to its group's kernel. All
-    /// executor modes (serial / spawn / pool) work unchanged.
-    ///
-    /// A single-group call is semantically [`Self::run_dyn`] (byte-identical
-    /// results — property-tested in `tests/multi_equivalence.rs`), just
-    /// through the erased payload path; `run_dyn` remains the cheaper
-    /// monomorphized special case for one-kernel batches.
-    ///
-    /// # Panics
-    /// Panics if a group's kernel has an operation value too large for the
-    /// inline payload ([`crate::operation::MultiValue16::fits_layout`]) or if
-    /// more than `u16::MAX + 1` groups are passed.
-    pub fn run_multi(
-        &self,
-        groups: &[(&dyn crate::dynkernel::DynKernel, &[VertexId])],
-    ) -> crate::multi::MultiRunResult {
-        crate::multi::run_multi(self, groups)
+    /// Run several kernel cohorts on this engine's graph, **one pass per
+    /// kernel, back to back**: `per_group[g]` is exactly
+    /// `run_dyn(groups[g].0, groups[g].1).per_query`, and `measurement` is
+    /// the passes' summed wall time and merged work counters. Any
+    /// [`DynKernel`] is accepted. (A pass shared by all cohorts, on erased
+    /// operation values, used to live here; it was slower than this loop on
+    /// every workload of the repository's benchmark — see README, "Mixed
+    /// batches".)
+    pub fn run_multi(&self, groups: &[(&dyn DynKernel, &[VertexId])]) -> MultiRunResult {
+        let mut measurement = Measurement::new("ForkGraph", Duration::ZERO);
+        let mut per_group = Vec::with_capacity(groups.len());
+        for &(kernel, sources) in groups {
+            let pass = self.run_dyn(kernel, sources);
+            measurement.wall_time += pass.measurement.wall_time;
+            measurement.work = measurement.work.merge(&pass.measurement.work);
+            per_group.push(pass.per_query);
+        }
+        MultiRunResult { per_group, measurement }
     }
 
     /// Resume converged queries after a **monotone** edge delta (insertions
@@ -941,8 +769,9 @@ impl<'g> ForkGraphEngine<'g> {
     /// *post*-delta graph. Each query is re-seeded with one operation per
     /// delta edge that can still improve something
     /// ([`IncrementalKernel::delta_seed`]); the run then converges to the
-    /// exact post-delta fixpoint, byte-identical to a from-scratch run,
-    /// under every executor mode.
+    /// exact post-delta fixpoint, byte-identical to a from-scratch run, on
+    /// the serial loop and on the pool alike. When no delta edge can improve
+    /// any query, `prev` is already that fixpoint and is returned as is.
     ///
     /// Deletions and weight increases violate the precondition — callers
     /// must detect them (e.g. via `fg_graph::mutation::AppliedDeltas::
@@ -964,37 +793,15 @@ impl<'g> ForkGraphEngine<'g> {
             prev.len(),
             sources.len()
         );
-        let mut total = 0usize;
-        let seeds: Vec<Vec<(VertexId, K::Value, Priority)>> = prev
-            .iter()
-            .map(|state| {
-                let mut per_query = Vec::new();
-                for &(u, v, w) in delta {
-                    if let Some((value, priority)) = kernel.delta_seed(state, u, v, w) {
-                        per_query.push((v, value, priority));
-                        total += 1;
-                    }
+        let mut seeds = Vec::new();
+        for (q, state) in prev.iter().enumerate() {
+            for &(u, v, w) in delta {
+                if let Some((value, priority)) = kernel.delta_seed(state, u, v, w) {
+                    seeds.push(Operation::new(q as u32, v, value, priority));
                 }
-                per_query
-            })
-            .collect();
-        if total == 0 {
-            // No delta edge can improve any query: the previous states are
-            // already the post-delta fixpoint. Short-circuit — beyond being
-            // pointless, a parallel run that posts zero operations would
-            // never observe quiescence.
-            let counters = WorkCounters::new();
-            let tracer = GraphAccessTracer::disabled();
-            let measurement =
-                self.build_measurement(Duration::ZERO, &counters, &tracer, sources.len());
-            return ForkGraphRunResult { per_query: prev, measurement, profile: None };
+            }
         }
-        let driver = IncrementalDriver {
-            kernel,
-            prev: prev.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-            seeds,
-        };
-        self.run_driver(&driver, sources)
+        self.run_seeded(kernel, prev, seeds, Stopwatch::start())
     }
 
     // -- Convenience runners for the built-in kernels ------------------------
@@ -1060,7 +867,7 @@ impl<'g> ForkGraphEngine<'g> {
 mod tests {
     use super::*;
     use fg_graph::partition::{PartitionConfig, PartitionMethod};
-    use fg_graph::{datasets, gen};
+    use fg_graph::{datasets, gen, CsrGraph};
 
     fn partitioned(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
         PartitionedGraph::build(

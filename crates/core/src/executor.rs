@@ -40,13 +40,9 @@
 //!   reaches zero exactly when every mailbox and every lane is empty and no
 //!   visit is in progress; the pool then quiesces.
 //!
-//! * **Worker threads** — a run's crew comes either from per-run scoped
-//!   spawns ([`crate::engine::ExecutorMode::Spawn`], PR 2's behaviour) or,
-//!   by default, from a persistent [`crate::pool::WorkerPool`] that parks
-//!   its threads between runs and recycles the per-run mailbox/lane/queue/
-//!   scratch allocations ([`crate::engine::ExecutorMode::Pool`]). The run-local
-//!   state below is identical in both modes; only the thread lifetime and
-//!   allocation provenance differ.
+//! * **Worker threads** — a run's crew is dispatched onto a persistent
+//!   [`crate::pool::WorkerPool`] that parks its threads between runs and
+//!   recycles the per-run mailbox/lane/queue/scratch allocations.
 //!
 //! Inside a visit a worker processes its partition's lanes *sequentially*
 //! in ascending query order, like the serial loop (no nested
@@ -54,18 +50,11 @@
 //! already saturated, and per-visit thread teams would only thrash the cache
 //! the partitioning fought to keep warm.
 //!
-//! The executor is generic over the run's internal `KernelDriver` seam
-//! (see `crate::kernel`):
-//! for single-kernel runs that is the monomorphized
-//! `SingleDriver` (kernels arriving through the type-erased
-//! [`crate::dynkernel::DynKernel`] layer re-enter [`ForkGraphEngine::run`]
-//! with the concrete type, so they pay no per-operation erasure cost here),
-//! and for heterogeneous multi-kernel runs it is
-//! `MultiDriver` ([`crate::multi`]), whose mailboxes and lanes carry
-//! [`crate::operation::MultiValue8`]/[`crate::operation::MultiValue16`]
-//! payloads through this exact same code.
-//! The persistent pool's `TypeId`-keyed arena recycles mailboxes per value
-//! type — all multi runs of a payload width share one storage set.
+//! The executor is generic over the run's [`FppKernel`]; kernels arriving
+//! through the type-erased [`crate::dynkernel::DynKernel`] layer re-enter
+//! [`ForkGraphEngine::run`] with the concrete type, so they pay no
+//! per-operation erasure cost here. The pool's `TypeId`-keyed arena recycles
+//! mailboxes per operation value type.
 //!
 //! Result equivalence: SSSP and BFS relax monotonically to a unique fixpoint,
 //! so parallel execution is byte-identical to serial execution under every
@@ -84,13 +73,12 @@ use rand::SeedableRng;
 
 use fg_cachesim::GraphAccessTracer;
 use fg_graph::partition::PartitionId;
-use fg_graph::VertexId;
 use fg_metrics::{Stopwatch, WorkCounters, WorkerSnapshot};
 use fg_trace::{AtomicHistogram, EventKind, Histogram, PhaseTimes, RunProfile};
 
 use crate::buffer::{PartitionBuffer, RemoteScratch};
 use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
-use crate::kernel::KernelDriver;
+use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
 use crate::pool::{WorkerPool, WorkerSlot};
 use crate::sched::{select_by_policy, SchedKey, SchedulingPolicy};
@@ -203,13 +191,12 @@ impl<V: Copy> Mailbox<V> {
 }
 
 /// Shared state of one parallel run. (One instance per `run` call; the
-/// *threads* that drive it come either from per-run scoped spawns or from a
-/// persistent [`crate::pool::WorkerPool`] — see [`run_parallel`].)
-struct RunState<'e, 'g, D: KernelDriver> {
+/// *threads* that drive it are the [`WorkerPool`]'s — see [`run_parallel`].)
+struct RunState<'e, 'g, K: FppKernel> {
     engine: &'e ForkGraphEngine<'g>,
-    driver: &'e D,
-    mailboxes: Vec<Mailbox<D::Value>>,
-    states: Vec<Mutex<D::State>>,
+    kernel: &'e K,
+    mailboxes: Vec<Mailbox<K::Value>>,
+    states: Vec<Mutex<K::State>>,
     /// Per-worker runnable sets; a partition id appears in at most one set.
     queues: Vec<Mutex<Vec<PartitionId>>>,
     /// Partition → home worker (footprint-balanced affinity hints).
@@ -236,9 +223,9 @@ struct RunState<'e, 'g, D: KernelDriver> {
 
 /// Sets `done` and wakes every parked worker if its worker panics, so a
 /// kernel panic fails the run instead of deadlocking the worker crew.
-struct PanicReaper<'p, 'e, 'g, D: KernelDriver>(&'p RunState<'e, 'g, D>);
+struct PanicReaper<'p, 'e, 'g, K: FppKernel>(&'p RunState<'e, 'g, K>);
 
-impl<D: KernelDriver> Drop for PanicReaper<'_, '_, '_, D> {
+impl<K: FppKernel> Drop for PanicReaper<'_, '_, '_, K> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.0.done.store(true, Ordering::SeqCst);
@@ -247,12 +234,12 @@ impl<D: KernelDriver> Drop for PanicReaper<'_, '_, '_, D> {
     }
 }
 
-impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
+impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// Post a batch (all of `ops`) to partition `p`'s mailbox from worker
     /// `stripe` and make the partition runnable. The in-flight increment
     /// happens *before* the operations are visible so the termination
     /// counter can never under-count.
-    fn post(&self, stripe: usize, p: usize, ops: &mut Vec<Operation<D::Value>>) {
+    fn post(&self, stripe: usize, p: usize, ops: &mut Vec<Operation<K::Value>>) {
         self.in_flight.fetch_add(ops.len() as i64, Ordering::SeqCst);
         self.mailboxes[p].push_batch(stripe, ops);
         self.make_runnable(p);
@@ -345,7 +332,7 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
         w: usize,
         p: usize,
         stats: &mut WorkerSnapshot,
-        remote: &mut RemoteScratch<D::Value>,
+        remote: &mut RemoteScratch<K::Value>,
     ) {
         let mailbox = &self.mailboxes[p];
         mailbox.state.store(RUNNING, Ordering::Release);
@@ -379,7 +366,7 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
                 let (query, lane) = lanes.active_lane(i);
                 done += {
                     let mut state = self.states[query as usize].lock();
-                    self.driver.process_visit(&visit, query, lane, &mut state, remote)
+                    visit.process_lane(self.kernel, query, lane, &mut state, remote)
                 };
                 remote.flush(|target, batch| self.post(w, target as usize, batch));
             }
@@ -434,13 +421,13 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
     }
 
     /// One worker's drive of the run to quiescence. `remote` is the worker's
-    /// routing scratch: spawn mode builds one per run, pool mode hands in
-    /// the thread's recycled one from its [`crate::pool::WorkerSlot`].
+    /// routing scratch, the pool thread's recycled one from its
+    /// [`crate::pool::WorkerSlot`].
     fn worker_loop(
         &self,
         w: usize,
         seed: u64,
-        remote: &mut RemoteScratch<D::Value>,
+        remote: &mut RemoteScratch<K::Value>,
     ) -> WorkerSnapshot {
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
@@ -469,39 +456,36 @@ impl<'e, 'g, D: KernelDriver> RunState<'e, 'g, D> {
     }
 }
 
-/// Seed used by worker `w` for its scheduling RNG; identical in spawn and
-/// pool mode so the Random policy draws the same per-worker sequences.
+/// Seed used by worker `w` for its scheduling RNG.
 fn worker_seed(policy_seed: u64, w: usize) -> u64 {
     policy_seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Run `kernel` over `sources` with `num_workers` inter-partition workers.
-/// Called by [`ForkGraphEngine::run`] when `config.num_threads > 1`; result-
-/// equivalent to the serial loop (see the module docs for the PPR caveat).
-///
-/// With `pool = None` (spawn mode) the run spawns and joins scoped worker
-/// threads and builds its mailboxes/lanes/queues/scratch fresh — PR 2's behaviour,
-/// kept for the executor-mode test matrix and as the bench baseline. With a
-/// [`WorkerPool`] the run is dispatched onto the persistent crew and its
-/// per-run storage is recycled through the pool's arena.
-pub(crate) fn run_parallel<D: KernelDriver>(
+/// Drive `kernel` from `seeds` to quiescence with `num_workers`
+/// inter-partition workers dispatched onto `pool`, the run's storage recycled
+/// through the pool's arena. Called by `ForkGraphEngine::run_seeded` when
+/// `config.num_threads > 1`, with at least one seed — a run that posts
+/// nothing would never quiesce. Result-equivalent to the serial loop (see the
+/// module docs for the PPR caveat).
+pub(crate) fn run_parallel<K: FppKernel>(
     engine: &ForkGraphEngine<'_>,
-    driver: &D,
-    sources: &[VertexId],
+    kernel: &K,
+    states: Vec<K::State>,
+    seeds: Vec<Operation<K::Value>>,
     num_workers: usize,
-    pool: Option<&Arc<WorkerPool>>,
-) -> ForkGraphRunResult<D::State> {
+    pool: &Arc<WorkerPool>,
+    watch: Stopwatch,
+) -> ForkGraphRunResult<K::State> {
     let pg = engine.partitioned_graph();
     let config = *engine.config();
     let num_partitions = pg.num_partitions();
-    let num_queries = sources.len();
+    let num_queries = states.len();
     let num_workers = crate::pool::crew_size(num_workers, num_partitions);
     let tracer = match config.cache {
         Some(cache) => GraphAccessTracer::new(cache),
         None => GraphAccessTracer::disabled(),
     };
     let counters = WorkCounters::new();
-    let watch = Stopwatch::start();
     engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 1);
     let visit_hist = config.profile.then(AtomicHistogram::default);
 
@@ -509,20 +493,12 @@ pub(crate) fn run_parallel<D: KernelDriver>(
         SchedulingPolicy::Random { seed } => seed,
         _ => 0,
     };
-    let (mailboxes, queues) = match pool {
-        Some(pool) => pool.take_run_storage::<D::Value>(num_partitions, num_workers),
-        None => (
-            (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
-            (0..num_workers).map(|_| Mutex::new(Vec::new())).collect(),
-        ),
-    };
-    let run: RunState<'_, '_, D> = RunState {
+    let (mailboxes, queues) = pool.take_run_storage::<K::Value>(num_partitions, num_workers);
+    let run: RunState<'_, '_, K> = RunState {
         engine,
-        driver,
+        kernel,
         mailboxes,
-        states: (0..num_queries)
-            .map(|q| Mutex::new(driver.init_state(pg.graph(), q as u32)))
-            .collect(),
+        states: states.into_iter().map(Mutex::new).collect(),
         queues,
         affinity: pg.worker_affinity(num_workers),
         policy: config.scheduling,
@@ -539,56 +515,31 @@ pub(crate) fn run_parallel<D: KernelDriver>(
         visit_hist: visit_hist.as_ref(),
     };
 
-    // InitBuffers(P, Q): seed every query (at its source, or from the
-    // driver's delta frontier). The caller guarantees at least one seed
-    // operation overall — a run that posts nothing would never quiesce.
+    // InitBuffers(P, Q).
     let mut seed = Vec::with_capacity(1);
-    for (q, &source) in sources.iter().enumerate() {
-        driver.seed_ops(q as u32, source, &mut |vertex, value, priority| {
-            let p = pg.partition_of(vertex) as usize;
-            seed.push(Operation::new(q as u32, vertex, value, priority));
-            run.post(0, p, &mut seed);
-            counters.add_buffered(1);
-        });
+    for op in seeds {
+        seed.push(op);
+        run.post(0, pg.partition_of(op.vertex) as usize, &mut seed);
+        counters.add_buffered(1);
     }
     let init_done = watch.elapsed();
 
-    let mut worker_stats: Vec<WorkerSnapshot> = match pool {
-        Some(pool) => {
-            let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
-            let run_ref = &run;
-            let pool_counters = pool.counters();
-            let job = |w: usize, slot: &mut WorkerSlot| {
-                let remote = slot.remote_scratch::<D::Value>(num_partitions, pool_counters);
-                let stats = run_ref.worker_loop(w, worker_seed(policy_seed, w), remote);
-                snapshots.lock().push(stats);
-            };
-            pool.dispatch(num_workers, &job);
-            snapshots.into_inner()
-        }
-        None => std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_workers)
-                .map(|w| {
-                    let run = &run;
-                    let seed = worker_seed(policy_seed, w);
-                    scope.spawn(move || {
-                        run.worker_loop(w, seed, &mut RemoteScratch::new(num_partitions))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("executor worker panicked")).collect()
-        }),
-    };
+    let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
+    let pool_counters = pool.counters();
+    pool.dispatch(num_workers, &|w: usize, slot: &mut WorkerSlot| {
+        let remote = slot.remote_scratch::<K::Value>(num_partitions, pool_counters);
+        let stats = run.worker_loop(w, worker_seed(policy_seed, w), remote);
+        snapshots.lock().push(stats);
+    });
+    let mut worker_stats = snapshots.into_inner();
     worker_stats.sort_by_key(|s| s.worker);
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
     counters.add_queries_completed(num_queries as u64);
     let RunState { mailboxes, states, queues, .. } = run;
-    if let Some(pool) = pool {
-        pool.store_run_storage(mailboxes, queues);
-    }
-    let per_query: Vec<D::State> = states.into_iter().map(|m| m.into_inner()).collect();
+    pool.store_run_storage(mailboxes, queues);
+    let per_query: Vec<K::State> = states.into_iter().map(|m| m.into_inner()).collect();
     let mut measurement =
         engine.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
     measurement.work.workers = worker_stats;
@@ -649,22 +600,22 @@ mod tests {
 
     #[test]
     fn parallel_run_reports_per_worker_stats() {
-        // Pinned modes (not the env default): this test *requires* parallel
-        // execution, so it must hold on the serial leg of the CI matrix too.
-        for mode in [crate::ExecutorMode::Spawn, crate::ExecutorMode::Pool] {
-            let (_, pg) = partitioned(8);
-            let config = EngineConfig::default().with_threads(3).with_executor(mode);
-            let result = ForkGraphEngine::new(&pg, config).run_bfs(&[0, 5, 9, 100]);
-            let work = result.work();
-            assert_eq!(work.workers.len(), 3, "{mode:?}");
-            let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
-            assert_eq!(visits, work.partition_visits, "{mode:?}");
-            // Every executed operation is executed by exactly one worker, and
-            // a quiesced run has executed every operation it ever buffered.
-            let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
-            assert_eq!(ops, work.operations_processed, "{mode:?}");
-            assert_eq!(work.operations_processed, work.operations_buffered, "{mode:?}");
-        }
+        let (_, pg) = partitioned(8);
+        let config = EngineConfig::default().with_threads(3);
+        let result = ForkGraphEngine::new(&pg, config).run_bfs(&[0, 5, 9, 100]);
+        let work = result.work();
+        assert_eq!(work.workers.len(), 3);
+        let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
+        assert_eq!(visits, work.partition_visits);
+        // Every executed operation is executed by exactly one worker, and a
+        // quiesced run has executed every operation it ever buffered.
+        let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
+        assert_eq!(ops, work.operations_processed);
+        assert_eq!(work.operations_processed, work.operations_buffered);
+        // The serial loop is the oracle, and leaves no per-worker breakdown.
+        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&[0, 5, 9, 100]);
+        assert!(serial.work().workers.is_empty());
+        assert_eq!(serial.per_query, result.per_query);
     }
 
     #[test]

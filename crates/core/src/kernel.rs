@@ -140,68 +140,3 @@ pub trait IncrementalKernel: FppKernel {
         w: Weight,
     ) -> Option<(Self::Value, Priority)>;
 }
-
-/// What one engine run actually executes: the seam between the run pipeline
-/// (lanes, scheduling, executors) and the kernel code one partition visit
-/// drives.
-///
-/// The pipeline used to be generic over [`FppKernel`] directly, which welds
-/// "one run" to "one kernel". A driver generalises the contract to "one run,
-/// one *value type*, per-**query** kernel dispatch", at **visit
-/// granularity**: the unit a driver executes is one query's lane within one
-/// partition visit ([`KernelDriver::process_visit`]), not one operation.
-/// Visit granularity is what keeps heterogeneous runs fast — a mixed run
-/// crosses one virtual call per query-visit, and the hot intra-visit loop
-/// (lane pops, yield checks, per-edge relaxation) always runs monomorphized.
-///
-/// * [`crate::engine::SingleDriver`] wraps one `&K` and ignores the query
-///   index — the monomorphized single-kernel run (an inlined forward to
-///   [`crate::engine::PartitionVisit::process_lane`]).
-/// * [`crate::multi::MultiDriver`] maps each query to its group's
-///   type-erased [`crate::dynkernel::DynKernel`]; its lanes hold inline
-///   erased payloads ([`crate::operation::MultiValue8`] /
-///   [`crate::operation::MultiValue16`]) that the same loop converts per pop
-///   and per emit — the heterogeneous multi-kernel run behind
-///   [`crate::engine::ForkGraphEngine::run_multi`].
-///
-/// `pub(crate)`: drivers are an engine-internal seam, not an extension
-/// point — external code extends the system through [`FppKernel`] and
-/// [`crate::dynkernel::DynKernel`].
-pub(crate) trait KernelDriver: Sync {
-    /// Payload carried by this run's operations (all groups share it).
-    type Value: Copy + Send + Sync + 'static;
-    /// Per-query state; `per_query[q]` of the run result.
-    type State: Send;
-
-    /// Allocate query `query`'s initial state.
-    fn init_state(&self, graph: &CsrGraph, query: u32) -> Self::State;
-
-    /// The operation seeding `query` at its source vertex.
-    fn source_op(&self, query: u32, source: VertexId) -> (Self::Value, Priority);
-
-    /// Emit the operations that seed `query`. The default — one
-    /// [`source_op`](Self::source_op) at the source vertex — is the
-    /// from-scratch run; incremental drivers override this to seed from a
-    /// delta frontier instead (possibly many operations, possibly none).
-    fn seed_ops(
-        &self,
-        query: u32,
-        source: VertexId,
-        emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
-    ) {
-        let (value, priority) = self.source_op(query, source);
-        emit(source, value, priority);
-    }
-
-    /// Process query `query`'s lane within one partition visit; see
-    /// [`crate::engine::PartitionVisit::process_lane`] for the visit
-    /// contract (ordering, yielding, where emitted operations go).
-    fn process_visit(
-        &self,
-        visit: &crate::engine::PartitionVisit<'_, '_>,
-        query: u32,
-        lane: &mut crate::buffer::Lane<Self::Value>,
-        state: &mut Self::State,
-        remote: &mut crate::buffer::RemoteScratch<Self::Value>,
-    ) -> crate::engine::LaneVisit;
-}

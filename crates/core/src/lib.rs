@@ -22,24 +22,20 @@
 //!    partition to avoid redundant work — the lane simply stays resident for
 //!    the next visit; operations that target other partitions are sent to
 //!    their lanes in batches when the query's visit ends.
-//! 5. With [`engine::EngineConfig::num_threads`] ` > 1`, the inter-partition
-//!    parallel [`executor`] processes **disjoint partitions concurrently**: a
-//!    worker crew claims runnable partitions (work-stealing when a worker's
-//!    own set drains), routes remote operations through sharded, lock-striped
-//!    mailboxes into the claimed partition's lanes, and quiesces via an
-//!    ops-in-flight counter. Serial mode stays
-//!    the default for ablation parity. The crew's threads come from a
-//!    persistent [`pool::WorkerPool`] by default (spawned once, parked
-//!    between runs, per-run storage recycled); per-run scoped spawning
-//!    remains available as [`engine::ExecutorMode::Spawn`].
-//!
-//! 6. [`engine::ForkGraphEngine::run_multi`] generalises a run to a
-//!    **heterogeneous** set of kernel groups: mixed-kernel operations share
-//!    the partition lanes and mailboxes as inline type-erased
-//!    [`operation::MultiValue8`]/[`operation::MultiValue16`] payloads, so
-//!    concurrent cohorts of
-//!    *different* query types amortise one shared partition pass instead of
-//!    sweeping the graph once each ([`multi`]).
+//! 5. [`engine::EngineConfig::num_threads`] alone picks how a run is driven.
+//!    `1` (the default) is the serial loop above. Above one, the
+//!    inter-partition parallel [`executor`] processes **disjoint partitions
+//!    concurrently**: a worker crew claims runnable partitions
+//!    (work-stealing when a worker's own set drains), routes remote
+//!    operations through sharded, lock-striped mailboxes into the claimed
+//!    partition's lanes, and quiesces via an ops-in-flight counter. The
+//!    crew's threads belong to a persistent [`pool::WorkerPool`] (spawned
+//!    once, parked between runs, per-run storage recycled).
+//! 6. Every run is **one kernel's pass**: [`engine::ForkGraphEngine::run`]
+//!    seeds it at the sources,
+//!    [`engine::ForkGraphEngine::run_incremental`] from an edge delta, and
+//!    [`engine::ForkGraphEngine::run_multi`] runs several type-erased
+//!    kernel cohorts ([`dynkernel`]) back to back on the same graph.
 //!
 //! Built-in kernels cover the query types of the paper: SSSP, BFS, DFS, PPR,
 //! and random walks ([`kernels`]). Applications (BC, NCP, LL) live in the
@@ -51,24 +47,26 @@
 //! [`engine::EngineConfig::profile`] to get a per-run
 //! [`fg_trace::RunProfile`] on the result without any sink.
 
+#![deny(unsafe_code)]
+
 pub mod buffer;
 pub mod dynkernel;
 pub mod engine;
 pub mod executor;
 pub mod kernel;
 pub mod kernels;
-pub mod multi;
 pub mod operation;
 pub mod pool;
 pub mod sched;
 pub mod yield_policy;
 
 pub use buffer::PartitionBuffer;
-pub use dynkernel::{erase, DynKernel, ErasedState, MultiHooks, MultiKernelHooks};
-pub use engine::{AblationLevel, EngineConfig, ExecutorMode, ForkGraphEngine, ForkGraphRunResult};
+pub use dynkernel::{erase, DynKernel, ErasedState};
+pub use engine::{
+    AblationLevel, EngineConfig, ForkGraphEngine, ForkGraphRunResult, MultiRunResult,
+};
 pub use kernel::{FppKernel, IncrementalKernel};
-pub use multi::MultiRunResult;
-pub use operation::{ErasedPayload, MultiValue16, MultiValue8, Operation, Priority};
+pub use operation::{Operation, Priority};
 pub use pool::WorkerPool;
 pub use sched::{SchedKey, SchedulingPolicy};
 pub use yield_policy::YieldPolicy;

@@ -1,10 +1,9 @@
 //! A persistent worker pool for the inter-partition parallel executor.
 //!
-//! PR 2's executor spawned and joined scoped threads *per engine run* —
-//! fine for one-shot batch reproduction, but on the fg-service hot path
-//! (one run per micro-batch) the spawn/join cycle plus per-run
-//! mailbox/queue/scratch allocation is exactly the small-batch tail-latency
-//! cost the ROADMAP flags. A [`WorkerPool`] amortises both:
+//! The one way a parallel run gets its threads. Spawning and joining a crew
+//! per engine run, and allocating its mailboxes, queues and scratch afresh,
+//! is a small-batch tail-latency cost on the fg-service hot path (one run per
+//! micro-batch). A [`WorkerPool`] amortises both:
 //!
 //! * **Threads are spawned once** (plus on-demand growth when a run asks for
 //!   more workers than the pool has) and parked on a condvar between runs.
@@ -20,11 +19,11 @@
 //! * **Per-run allocations are recycled**: partition mailboxes (with their
 //!   claim words and their resident per-query lanes) and per-worker runnable
 //!   queues return to a type-keyed arena after each run, and each worker
-//!   keeps its remote-routing [`RemoteScratch`] across runs. Reuse vs
+//!   keeps its remote-routing scratch across runs. Reuse vs
 //!   rebuild is counted in [`fg_metrics::PoolCounters`].
 //!
 //! A pool is either owned lazily by a [`crate::ForkGraphEngine`] (created on
-//! the first pool-mode parallel run) or constructed once by a serving layer
+//! its first parallel run) or constructed once by a serving layer
 //! and shared across engines via `Arc<WorkerPool>`
 //! ([`crate::ForkGraphEngine::with_pool`]) — fg-service does the latter so
 //! every micro-batch reuses one crew regardless of its adaptive worker count.
@@ -232,8 +231,8 @@ impl WorkerPool {
 
     /// Run `job` on workers `0..active`, blocking until every one of them
     /// has executed it. Panics (after the run fully settles) if any worker's
-    /// job invocation panicked, mirroring the spawn-mode `join().expect(..)`
-    /// behaviour; the pool itself survives and stays dispatchable.
+    /// job invocation panicked, as joining a panicked scoped thread would;
+    /// the pool itself survives and stays dispatchable.
     pub(crate) fn dispatch(&self, active: usize, job: &(dyn Fn(usize, &mut WorkerSlot) + Sync)) {
         assert!(active > 0, "dispatch needs at least one worker");
         self.ensure_capacity(active);
@@ -244,6 +243,7 @@ impl WorkerPool {
         // `remaining == 0`, so the erased borrow strictly outlives every
         // use. This is the std::thread::scope contract without the per-run
         // thread spawn/join.
+        #[allow(unsafe_code)]
         let job: &'static Job = unsafe {
             std::mem::transmute::<&(dyn Fn(usize, &mut WorkerSlot) + Sync), &'static Job>(job)
         };

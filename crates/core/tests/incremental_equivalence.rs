@@ -4,7 +4,7 @@
 //! batch (insertions and weight decreases), resuming converged SSSP/BFS
 //! states from the delta frontier via `run_incremental` is **byte-identical**
 //! to a from-scratch run on the post-mutation graph — under the serial loop
-//! and the spawn/pool parallel executors alike. Non-monotone batches
+//! and the pooled parallel executor alike. Non-monotone batches
 //! (deletions, weight increases) are flagged by
 //! [`fg_graph::mutation::AppliedDeltas::monotone`] so callers take the
 //! full-re-run fallback; that classification and the fallback's correctness
@@ -21,13 +21,12 @@ use fg_graph::mutation::VersionedGraph;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, GraphBuilder, VertexId};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const CASES: u64 = 6;
 
-/// `(mode, workers)` sweeps covering all three executors.
-const EXECUTORS: [(ExecutorMode, usize); 3] =
-    [(ExecutorMode::Serial, 1), (ExecutorMode::Spawn, 4), (ExecutorMode::Pool, 4)];
+/// Worker counts: the serial loop, and the pool at two crew sizes.
+const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
     let n = rng.gen_range(60usize..200);
@@ -97,14 +96,14 @@ fn incremental_sssp_after_insertions_is_byte_identical_across_executors() {
         let scratch =
             ForkGraphEngine::new(&applied.graph, EngineConfig::default()).run_sssp(&sources);
 
-        for (mode, workers) in EXECUTORS {
-            let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        for workers in WORKERS {
+            let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
             let incremental =
                 engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
             assert_eq!(
                 incremental.per_query, scratch.per_query,
-                "case {case} executor {mode:?}×{workers}: incremental != from-scratch"
+                "case {case} workers={workers}: incremental != from-scratch"
             );
         }
 
@@ -135,15 +134,12 @@ fn incremental_bfs_after_insertions_is_byte_identical_across_executors() {
         let scratch =
             ForkGraphEngine::new(&applied.graph, EngineConfig::default()).run_bfs(&sources);
 
-        for (mode, workers) in EXECUTORS {
-            let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+        for workers in WORKERS {
+            let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
             let incremental =
                 engine.run_bfs_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
-            assert_eq!(
-                incremental.per_query, scratch.per_query,
-                "case {case} executor {mode:?}×{workers}"
-            );
+            assert_eq!(incremental.per_query, scratch.per_query, "case {case} workers={workers}");
         }
     }
 }
@@ -211,14 +207,14 @@ fn zero_seed_incremental_run_short_circuits_under_parallel_executors() {
     assert!(applied.monotone);
     assert_eq!(applied.seed_edges, vec![(11, 13, 2)]);
 
-    for (mode, workers) in EXECUTORS {
-        let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+    for workers in WORKERS {
+        let config = EngineConfig::default().with_threads(workers);
         let engine = ForkGraphEngine::new(&applied.graph, config);
         let incremental =
             engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
         assert_eq!(
             incremental.per_query, prev.per_query,
-            "executor {mode:?}×{workers}: unreachable delta must leave states untouched"
+            "workers={workers}: unreachable delta must leave states untouched"
         );
     }
 }
@@ -254,18 +250,22 @@ fn no_op_delta_edge_seeds_nothing_and_processes_no_edges() {
     assert!(applied.monotone);
     assert_eq!(applied.seed_edges, vec![(1, 2, 3)]);
 
-    for (mode, workers) in EXECUTORS {
-        let config = EngineConfig::default().with_executor(mode).with_threads(workers);
+    for workers in WORKERS {
+        let config = EngineConfig::default().with_threads(workers);
         let engine = ForkGraphEngine::new(&applied.graph, config);
         let sssp =
             engine.run_sssp_incremental(&sources, prev_sssp.per_query.clone(), &applied.seed_edges);
-        assert_eq!(sssp.per_query, prev_sssp.per_query, "{mode:?}");
-        assert_eq!(sssp.work().edges_processed, 0, "{mode:?}: a tie must not be re-relaxed");
-        assert_eq!(sssp.work().operations_buffered, 0, "{mode:?}");
+        assert_eq!(sssp.per_query, prev_sssp.per_query, "workers={workers}");
+        assert_eq!(
+            sssp.work().edges_processed,
+            0,
+            "workers={workers}: a tie must not be re-relaxed"
+        );
+        assert_eq!(sssp.work().operations_buffered, 0, "workers={workers}");
         let bfs =
             engine.run_bfs_incremental(&sources, prev_bfs.per_query.clone(), &applied.seed_edges);
-        assert_eq!(bfs.per_query, prev_bfs.per_query, "{mode:?}");
-        assert_eq!(bfs.work().edges_processed, 0, "{mode:?}");
+        assert_eq!(bfs.per_query, prev_bfs.per_query, "workers={workers}");
+        assert_eq!(bfs.work().edges_processed, 0, "workers={workers}");
     }
 
     // The same edge one unit cheaper is a real improvement and does work.
@@ -296,7 +296,7 @@ fn chained_monotone_batches_stay_exact() {
         log_monotone_batch(&mut rng, &vg);
         let applied = vg.quiesce().unwrap();
         assert!(applied.monotone);
-        let config = EngineConfig::default().with_executor(ExecutorMode::Pool).with_threads(4);
+        let config = EngineConfig::default().with_threads(4);
         let engine = ForkGraphEngine::new(&applied.graph, config);
         let incremental = engine.run_sssp_incremental(&sources, prev, &applied.seed_edges);
         let scratch =

@@ -1,86 +1,94 @@
-//! Acceptance tests for heterogeneous multi-kernel runs
-//! ([`ForkGraphEngine::run_multi`]): for random mixes of SSSP / BFS /
-//! random-walk / custom k-hop groups — across every executor mode and every
-//! Table 4A scheduling policy — one shared partition pass produces results
-//! **byte-identical** to running each kernel's cohort through its own
-//! [`ForkGraphEngine::run_dyn`] sweep. PPR participates under its documented
-//! epsilon/mass approximation contract (its lazy forward-push is
-//! non-confluent even between two serial solo schedules, so bitwise equality
-//! is unattainable by any execution strategy — see
-//! `tests/parallel_equivalence.rs`). The single-group `run_multi` path is
-//! also byte-identical to `run_dyn`, which pins the erased
-//! [`forkgraph_core::MultiValue8`]/[`forkgraph_core::MultiValue16`]
-//! pipeline to the monomorphized one.
+//! The [`ForkGraphEngine::run_multi`] contract: the groups of a mixed batch
+//! run **back to back, one pass per kernel**. So for every kernel shape —
+//! SSSP, BFS, PPR, random walks, and a kernel whose 40-byte operation value
+//! no inline payload ever fitted — `per_group[g]` is **byte-identical** to a
+//! solo [`ForkGraphEngine::run_dyn`] of that group on the same engine (PPR
+//! included: on the serial loop both sides execute the same deterministic
+//! operation sequence), and `measurement.work` is exactly the
+//! [`WorkSnapshot::merge`](fg_metrics::WorkSnapshot::merge) of the solo
+//! runs' counters.
 
+use std::fmt::Debug;
 use std::sync::Arc;
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{gen, Dist, VertexId};
+use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId};
+use fg_metrics::WorkSnapshot;
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::kernels::{
     BfsKernel, PprKernel, PprState, RandomWalkKernel, RwState, SsspKernel,
 };
 use forkgraph_core::{
-    erase, DynKernel, EngineConfig, ErasedState, ExecutorMode, ForkGraphEngine, SchedulingPolicy,
+    erase, DynKernel, EngineConfig, ErasedState, ForkGraphEngine, FppKernel, Priority,
 };
 
-#[path = "common/khop.rs"]
-mod khop;
-use khop::KHopKernel;
+/// BFS levels carried in a `[u64; 5]` operation value (level, then the path's
+/// last four vertices): wider than any payload the deleted shared pass could
+/// erase, so `run_multi` used to refuse it.
+struct WideValueBfs;
 
-/// The confluent kernel pool mixes are drawn from (PPR is tested separately
-/// under its approximation contract).
-#[derive(Clone, Copy, Debug)]
-enum TestKernel {
-    Sssp,
-    Bfs,
-    Rw,
-    KHop,
+impl FppKernel for WideValueBfs {
+    type Value = [u64; 5];
+    type State = Vec<u64>;
+
+    fn name(&self) -> &'static str {
+        "wide-bfs"
+    }
+
+    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+        vec![u64::MAX; graph.num_vertices()]
+    }
+
+    fn source_op(&self, source: VertexId) -> (Self::Value, Priority) {
+        ([0, source as u64, 0, 0, 0], 0)
+    }
+
+    fn process(
+        &self,
+        graph: &AdjacencyView<'_>,
+        state: &mut Self::State,
+        vertex: VertexId,
+        [level, a, b, c, _]: Self::Value,
+        emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    ) -> u64 {
+        if level >= state[vertex as usize] {
+            return 0;
+        }
+        state[vertex as usize] = level;
+        let mut edges = 0;
+        for t in graph.out_neighbors(vertex) {
+            edges += 1;
+            if level + 1 < state[t as usize] {
+                emit(t, [level + 1, t as u64, a, b, c], level + 1);
+            }
+        }
+        edges
+    }
 }
 
-const ALL_KERNELS: [TestKernel; 4] =
-    [TestKernel::Sssp, TestKernel::Bfs, TestKernel::Rw, TestKernel::KHop];
+fn assert_same<S: PartialEq + Debug + 'static>(a: &ErasedState, b: &ErasedState, context: &str) {
+    assert_eq!(a.downcast_ref::<S>().unwrap(), b.downcast_ref::<S>().unwrap(), "{context}");
+}
 
-impl TestKernel {
-    fn erased(&self) -> Arc<dyn DynKernel> {
-        match self {
-            TestKernel::Sssp => erase(SsspKernel),
-            TestKernel::Bfs => erase(BfsKernel),
-            TestKernel::Rw => erase(RandomWalkKernel::new(RandomWalkConfig {
-                num_walks: 3,
-                walk_length: 6,
-                restart_prob: 0.0,
-                seed: 11,
-            })),
-            TestKernel::KHop => erase(KHopKernel { k: 3 }),
-        }
-    }
+type Cohort = (Arc<dyn DynKernel>, Vec<VertexId>, fn(&ErasedState, &ErasedState, &str));
 
-    /// Byte-level equality of two erased states of this kernel.
-    fn assert_states_eq(&self, mixed: &ErasedState, solo: &ErasedState, context: &str) {
-        match self {
-            TestKernel::Sssp | TestKernel::KHop => assert_eq!(
-                mixed.downcast_ref::<Vec<Dist>>().unwrap(),
-                solo.downcast_ref::<Vec<Dist>>().unwrap(),
-                "{context}"
-            ),
-            TestKernel::Bfs => assert_eq!(
-                mixed.downcast_ref::<Vec<u32>>().unwrap(),
-                solo.downcast_ref::<Vec<u32>>().unwrap(),
-                "{context}"
-            ),
-            TestKernel::Rw => assert_eq!(
-                mixed.downcast_ref::<RwState>().unwrap(),
-                solo.downcast_ref::<RwState>().unwrap(),
-                "{context}"
-            ),
-        }
+/// One cohort per kernel shape. With `confluent_only`, PPR — whose lazy push
+/// is schedule-dependent — is left out.
+fn cohorts(confluent_only: bool) -> Vec<Cohort> {
+    let walks = RandomWalkConfig { num_walks: 3, walk_length: 6, restart_prob: 0.0, seed: 11 };
+    let ppr = PprConfig { epsilon: 1e-4, ..Default::default() };
+    let mut cohorts: Vec<Cohort> = vec![
+        (erase(SsspKernel), vec![0, 17, 140], assert_same::<Vec<Dist>>),
+        (erase(BfsKernel), vec![3, 99], assert_same::<Vec<u32>>),
+        (erase(RandomWalkKernel::new(walks)), vec![5, 42, 311], assert_same::<RwState>),
+        (erase(WideValueBfs), vec![9, 200], assert_same::<Vec<u64>>),
+    ];
+    if !confluent_only {
+        cohorts.push((erase(PprKernel::new(ppr)), vec![3, 42, 200], assert_same::<PprState>));
     }
+    cohorts
 }
 
 fn partitioned(parts: usize, seed: u64) -> PartitionedGraph {
@@ -91,162 +99,66 @@ fn partitioned(parts: usize, seed: u64) -> PartitionedGraph {
     )
 }
 
-fn engine_config(mode: ExecutorMode, policy: SchedulingPolicy) -> EngineConfig {
-    let threads = if mode == ExecutorMode::Serial { 1 } else { 3 };
-    EngineConfig::default().with_scheduling(policy).with_executor(mode).with_threads(threads)
+fn groups(cohorts: &[Cohort]) -> Vec<(&dyn DynKernel, &[VertexId])> {
+    cohorts.iter().map(|(kernel, sources, _)| (&**kernel, &sources[..])).collect()
 }
 
-/// Acceptance criterion: random heterogeneous mixes are byte-identical to
-/// per-kernel `run_dyn` sweeps across Serial/Spawn/Pool × all four policies.
-///
-/// The `run_dyn` oracle per group is computed **once** on a serial engine:
-/// for these confluent kernels `run_dyn` itself is schedule- and
-/// mode-independent (property-tested in `tests/parallel_equivalence.rs` and
-/// `tests/pool_reuse.rs`), so one oracle stands for every configuration —
-/// which keeps this sweep fast enough for the debug-mode CI matrix. The
-/// serial leg still cross-checks `run_dyn` per policy via the single-group
-/// test below.
 #[test]
-fn random_mixes_match_solo_runs_across_modes_and_policies() {
+fn every_group_is_its_solo_run_dyn_and_the_work_is_the_merge() {
     let pg = partitioned(7, 131);
-    let n = pg.graph().num_vertices() as u32;
-    let mut rng = SmallRng::seed_from_u64(0xF0CACC1A);
-    let oracle_engine =
-        ForkGraphEngine::new(&pg, engine_config(ExecutorMode::Serial, SchedulingPolicy::Priority));
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(1));
+    let cohorts = cohorts(false);
+    let mixed = engine.run_multi(&groups(&cohorts));
+    assert_eq!(mixed.per_group.len(), cohorts.len());
 
-    for round in 0..3 {
-        // 2–4 groups, duplicates allowed (two cohorts of the same kernel are
-        // still distinct groups with distinct state tables).
-        let num_groups = rng.gen_range(2..=4usize);
-        let mix: Vec<(TestKernel, Arc<dyn DynKernel>, Vec<VertexId>)> = (0..num_groups)
-            .map(|_| {
-                let which = ALL_KERNELS[rng.gen_range(0..ALL_KERNELS.len())];
-                let sources: Vec<VertexId> =
-                    (0..rng.gen_range(1..=4usize)).map(|_| rng.gen_range(0..n)).collect();
-                (which, which.erased(), sources)
-            })
-            .collect();
-        let oracles: Vec<Vec<ErasedState>> =
-            mix.iter().map(|(_, k, s)| oracle_engine.run_dyn(&**k, s).per_query).collect();
-
-        for mode in [ExecutorMode::Serial, ExecutorMode::Spawn, ExecutorMode::Pool] {
-            for policy in SchedulingPolicy::all() {
-                let engine = ForkGraphEngine::new(&pg, engine_config(mode, policy));
-                let groups: Vec<(&dyn DynKernel, &[VertexId])> =
-                    mix.iter().map(|(_, k, s)| (&**k, &s[..])).collect();
-                let mixed = engine.run_multi(&groups);
-                assert_eq!(mixed.num_groups(), mix.len());
-                for (g, (which, _, sources)) in mix.iter().enumerate() {
-                    assert_eq!(mixed.per_group[g].len(), sources.len());
-                    for (i, (mixed_state, solo_state)) in
-                        mixed.per_group[g].iter().zip(&oracles[g]).enumerate()
-                    {
-                        which.assert_states_eq(
-                            mixed_state,
-                            solo_state,
-                            &format!(
-                                "round {round} group {g} ({which:?}) query {i} {mode:?} \
-                                 {policy:?}"
-                            ),
-                        );
-                    }
-                }
-            }
+    let mut merged = WorkSnapshot::default();
+    for (g, (kernel, sources, assert_same)) in cohorts.iter().enumerate() {
+        let solo = engine.run_dyn(&**kernel, sources);
+        assert_eq!(mixed.per_group[g].len(), sources.len());
+        for (i, (a, b)) in mixed.per_group[g].iter().zip(&solo.per_query).enumerate() {
+            assert_same(a, b, &format!("group {g} ({}) query {i}", kernel.name()));
         }
+        merged = merged.merge(solo.work());
+    }
+    assert_eq!(mixed.measurement.work, merged);
+    assert_eq!(merged.queries_completed, 13);
+
+    // The wide-valued kernel computes what it claims to.
+    let levels = fg_seq::bfs::bfs(pg.graph(), 9).level;
+    let wide = mixed.per_group[3][0].downcast_ref::<Vec<u64>>().unwrap();
+    for (got, &want) in wide.iter().zip(&levels) {
+        assert_eq!(*got, if want == u32::MAX { u64::MAX } else { want as u64 });
     }
 }
 
-/// Acceptance criterion: single-group `run_multi` is byte-identical to
-/// `run_dyn` — the erased payload pipeline is faithful to the
-/// monomorphized path, not merely approximately equivalent.
 #[test]
-fn single_group_run_multi_is_byte_identical_to_run_dyn() {
+fn pooled_groups_match_the_serial_loop_for_confluent_kernels() {
     let pg = partitioned(6, 137);
-    let sources: Vec<VertexId> = vec![0, 9, 42, 311];
-    for which in ALL_KERNELS {
-        let kernel = which.erased();
-        // Full policy sweep on the cheap serial engine; the parallel modes
-        // pin one policy each (mode coverage is what they add — policy
-        // coverage comes from the serial sweep and the mixed sweep above).
-        let configs = [
-            (ExecutorMode::Serial, SchedulingPolicy::Priority),
-            (ExecutorMode::Serial, SchedulingPolicy::Fifo),
-            (ExecutorMode::Serial, SchedulingPolicy::MaxOperations),
-            (ExecutorMode::Serial, SchedulingPolicy::Random { seed: 7 }),
-            (ExecutorMode::Spawn, SchedulingPolicy::Priority),
-            (ExecutorMode::Pool, SchedulingPolicy::Fifo),
-        ];
-        for (mode, policy) in configs {
-            {
-                let engine = ForkGraphEngine::new(&pg, engine_config(mode, policy));
-                let multi = engine.run_multi(&[(&*kernel, &sources[..])]);
-                let solo = engine.run_dyn(&*kernel, &sources);
-                for (i, (a, b)) in multi.per_group[0].iter().zip(&solo.per_query).enumerate() {
-                    which.assert_states_eq(
-                        a,
-                        b,
-                        &format!("{which:?} query {i} {mode:?} {policy:?}"),
-                    );
-                }
-            }
+    let cohorts = cohorts(true);
+    let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_multi(&groups(&cohorts));
+    let pooled = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(3))
+        .run_multi(&groups(&cohorts));
+    for (g, (kernel, _, assert_same)) in cohorts.iter().enumerate() {
+        for (i, (a, b)) in pooled.per_group[g].iter().zip(&serial.per_group[g]).enumerate() {
+            assert_same(a, b, &format!("group {g} ({}) query {i}", kernel.name()));
         }
     }
+    // One dispatch per group: each pass is a run of its own.
+    assert_eq!(pooled.measurement.work.workers.len(), 3 * cohorts.len());
 }
 
-/// PPR through a *serial* single-group `run_multi` is byte-identical to
-/// serial `run_dyn` (same deterministic op sequence); mixed or parallel runs
-/// hold its epsilon/mass approximation contract instead.
 #[test]
-fn ppr_single_group_serial_is_byte_identical() {
-    let pg = partitioned(6, 139);
-    let config = PprConfig { epsilon: 1e-4, ..Default::default() };
-    let ppr = erase(PprKernel::new(config));
-    let seeds: Vec<VertexId> = vec![3, 42, 200];
-    let engine =
-        ForkGraphEngine::new(&pg, engine_config(ExecutorMode::Serial, SchedulingPolicy::Priority));
-    let multi = engine.run_multi(&[(&*ppr, &seeds[..])]);
-    let solo = engine.run_dyn(&*ppr, &seeds);
-    for (a, b) in multi.per_group[0].iter().zip(&solo.per_query) {
-        let a = a.downcast_ref::<PprState>().unwrap();
-        let b = b.downcast_ref::<PprState>().unwrap();
-        assert_eq!(a.estimate, b.estimate);
-        assert_eq!(a.residual, b.residual);
-    }
-}
+fn empty_and_single_group_edge_cases() {
+    let pg = partitioned(3, 139);
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
+    let empty = engine.run_multi(&[]);
+    assert!(empty.per_group.is_empty());
+    assert_eq!(empty.measurement.work, WorkSnapshot::default());
 
-/// PPR mixed with other kernels (and run under every executor mode) keeps
-/// the approximation contract: unit total mass and bounded L1 distance to
-/// the sequential forward-push reference.
-#[test]
-fn mixed_ppr_keeps_its_approximation_contract() {
-    let pg = partitioned(6, 149);
-    let g = pg.graph();
-    let config = PprConfig { epsilon: 1e-4, ..Default::default() };
-    let ppr = erase(PprKernel::new(config));
     let sssp = erase(SsspKernel);
-    let seeds: Vec<VertexId> = vec![3, 42];
-    let sssp_sources: Vec<VertexId> = vec![0, 17, 99];
-
-    for mode in [ExecutorMode::Serial, ExecutorMode::Spawn, ExecutorMode::Pool] {
-        let engine = ForkGraphEngine::new(&pg, engine_config(mode, SchedulingPolicy::Priority));
-        let mixed = engine.run_multi(&[(&*ppr, &seeds[..]), (&*sssp, &sssp_sources[..])]);
-
-        for (state, &seed) in mixed.per_group[0].iter().zip(seeds.iter()) {
-            let state = state.downcast_ref::<PprState>().unwrap();
-            assert!((state.total_mass() - 1.0).abs() < 1e-9, "{mode:?} seed {seed}");
-            let reference = fg_seq::ppr::ppr_push(g, seed, &config).dense(g.num_vertices());
-            let l1: f64 =
-                state.estimate.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).sum();
-            assert!(l1 < 0.08, "{mode:?} seed {seed}: l1 {l1}");
-        }
-        // The monotone co-tenant is still exact.
-        let solo = engine.run_dyn(&*sssp, &sssp_sources);
-        for (a, b) in mixed.per_group[1].iter().zip(&solo.per_query) {
-            assert_eq!(
-                a.downcast_ref::<Vec<Dist>>().unwrap(),
-                b.downcast_ref::<Vec<Dist>>().unwrap(),
-                "{mode:?}"
-            );
-        }
-    }
+    let with_empty_group = engine.run_multi(&[(&*sssp, &[][..]), (&*sssp, &[5u32][..])]);
+    assert!(with_empty_group.per_group[0].is_empty());
+    let solo = engine.run_dyn(&*sssp, &[5]);
+    assert_same::<Vec<Dist>>(&with_empty_group.per_group[1][0], &solo.per_query[0], "single");
+    assert_eq!(&with_empty_group.measurement.work, solo.work());
 }

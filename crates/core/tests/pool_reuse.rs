@@ -8,7 +8,7 @@
 //! N consecutive runs through ONE pool — mixing kernels, scheduling
 //! policies, worker counts (including growing past the pool's initial
 //! capacity), graphs, and partition counts between runs — and require every
-//! run to be byte-identical to a fresh-spawn run and to the serial engine
+//! run to be byte-identical to a run on a fresh pool and to the serial loop
 //! (for the schedule-invariant kernels; PPR is checked against its mass
 //! contract).
 //!
@@ -29,7 +29,7 @@ use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{AdjacencyView, CsrGraph, Dist, GraphBuilder, VertexId};
 use forkgraph_core::kernels::SsspKernel;
 use forkgraph_core::{
-    EngineConfig, ExecutorMode, ForkGraphEngine, FppKernel, Priority, SchedulingPolicy, WorkerPool,
+    EngineConfig, ForkGraphEngine, FppKernel, Priority, SchedulingPolicy, WorkerPool,
 };
 
 const CASES: u64 = 3;
@@ -62,9 +62,9 @@ fn arb_sources(rng: &mut SmallRng, graph: &CsrGraph, max: usize) -> Vec<u32> {
 }
 
 /// N consecutive mixed-kernel runs through one pool are byte-identical to
-/// fresh-spawn and serial execution, across all four scheduling policies.
+/// fresh-pool and serial execution, across all four scheduling policies.
 #[test]
-fn consecutive_pooled_runs_match_fresh_spawn_and_serial() {
+fn consecutive_pooled_runs_match_a_fresh_pool_and_serial() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x9001 + case);
         // One pool for the whole case, deliberately starting *below* the
@@ -85,12 +85,13 @@ fn consecutive_pooled_runs_match_fresh_spawn_and_serial() {
             let config = EngineConfig::default().with_scheduling(policy).with_threads(workers);
 
             let serial = ForkGraphEngine::new(pg, config.with_threads(1));
-            let spawn = ForkGraphEngine::new(pg, config.with_executor(ExecutorMode::Spawn));
+            // Its own lazily created pool: nothing recycled, nothing leaked.
+            let unshared = ForkGraphEngine::new(pg, config);
             let pooled = ForkGraphEngine::with_pool(pg, config, Arc::clone(&pool));
 
             if run % 2 == 0 {
                 let expected = serial.run_sssp(&sources);
-                let fresh = spawn.run_sssp(&sources);
+                let fresh = unshared.run_sssp(&sources);
                 let reused = pooled.run_sssp(&sources);
                 assert_eq!(
                     expected.per_query, reused.per_query,
@@ -98,11 +99,11 @@ fn consecutive_pooled_runs_match_fresh_spawn_and_serial() {
                 );
                 assert_eq!(
                     fresh.per_query, reused.per_query,
-                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs spawn"
+                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs fresh pool"
                 );
             } else {
                 let expected = serial.run_bfs(&sources);
-                let fresh = spawn.run_bfs(&sources);
+                let fresh = unshared.run_bfs(&sources);
                 let reused = pooled.run_bfs(&sources);
                 assert_eq!(
                     expected.per_query, reused.per_query,
@@ -110,7 +111,7 @@ fn consecutive_pooled_runs_match_fresh_spawn_and_serial() {
                 );
                 assert_eq!(
                     fresh.per_query, reused.per_query,
-                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs spawn"
+                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs fresh pool"
                 );
             }
         }
@@ -236,10 +237,7 @@ fn engine_owned_pool_persists_across_runs() {
     let graph = arb_graph(&mut rng);
     let pg = arb_partitioned(&mut rng, &graph);
     let sources = arb_sources(&mut rng, &graph, 4);
-    let engine = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default().with_threads(4).with_executor(ExecutorMode::Pool),
-    );
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4));
     assert!(engine.worker_pool().is_none(), "pool is created lazily");
     let first = engine.run_sssp(&sources);
     let spawned = engine.worker_pool().expect("created on first run").metrics().threads_spawned;

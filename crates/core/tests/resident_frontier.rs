@@ -6,8 +6,8 @@
 //!   contract of `parallel_equivalence.rs`, across
 //!   {`YieldPolicy::None`, `EdgeBudget{1}`, default, `ValueRange`} ×
 //!   all four `SchedulingPolicy`s × `consolidate` on/off ×
-//!   {Serial, Spawn, Pool with 2 and 3 workers} × {raw, compressed} ×
-//!   {`run`, `run_dyn`, `run_multi`, `run_incremental`}. `EdgeBudget{1}` is
+//!   {the serial loop, the pool with 2 and 3 workers} × {raw, compressed} ×
+//!   {`run`, `run_dyn`, `run_incremental`}. `EdgeBudget{1}` is
 //!   the adversarial corner: every lane yields after its first operation
 //!   with edges, so nearly every operation spends time resident between
 //!   visits.
@@ -30,7 +30,7 @@ use fg_graph::{CsrGraph, Dist, Edge, GraphBuilder, StorageConfig, VertexId};
 use fg_seq::ppr::PprConfig;
 use forkgraph_core::kernels::{BfsKernel, PprKernel, PprState, SsspKernel};
 use forkgraph_core::{
-    erase, EngineConfig, ExecutorMode, ForkGraphEngine, SchedulingPolicy, WorkerPool, YieldPolicy,
+    erase, EngineConfig, ForkGraphEngine, SchedulingPolicy, WorkerPool, YieldPolicy,
 };
 
 /// Counts this thread's allocations (`alloc` and `realloc` calls). Per
@@ -80,14 +80,9 @@ const YIELD_POLICIES: [YieldPolicy; 4] = [
     YieldPolicy::ValueRange { delta: 4 },
 ];
 
-/// `(mode, workers)`: the serial loop, per-run spawned crews, and the
-/// persistent pool at two crew sizes.
-const EXECUTORS: [(ExecutorMode, usize); 4] = [
-    (ExecutorMode::Serial, 1),
-    (ExecutorMode::Spawn, 2),
-    (ExecutorMode::Pool, 2),
-    (ExecutorMode::Pool, 3),
-];
+/// Worker counts: the serial loop (the oracle's shape), and the persistent
+/// pool at two crew sizes.
+const WORKERS: [usize; 3] = [1, 2, 3];
 
 fn arb_edges(rng: &mut SmallRng, n: usize, count: usize) -> Vec<Edge> {
     (0..count)
@@ -137,21 +132,20 @@ fn for_each_config(mut check: impl FnMut(&MatrixCell<'_>)) {
         for yield_policy in YIELD_POLICIES {
             for scheduling in SchedulingPolicy::all() {
                 for consolidate in [true, false] {
-                    for (mode, workers) in EXECUTORS {
+                    for workers in WORKERS {
                         let config = EngineConfig {
                             scheduling,
                             yield_policy,
                             consolidate,
                             ..EngineConfig::default()
                         }
-                        .with_executor(mode)
                         .with_threads(workers);
                         let label = format!(
-                            "{storage:?} {} {} consolidate={consolidate} {mode:?}×{workers}",
+                            "{storage:?} {} {} consolidate={consolidate} workers={workers}",
                             yield_policy.name(),
                             scheduling.name(),
                         );
-                        let pool = (mode == ExecutorMode::Pool).then(|| &pools[workers - 2]);
+                        let pool = (workers > 1).then(|| &pools[workers - 2]);
                         check(&MatrixCell { label, storage, config, pool });
                     }
                 }
@@ -169,7 +163,6 @@ fn sssp_and_bfs_are_byte_identical_to_fg_seq_across_the_whole_matrix() {
     let before = graph_of(n, &base_edges);
     let after = graph_of(n, &[base_edges.clone(), delta.clone()].concat());
     let sources: Vec<VertexId> = vec![0, 17, 63, 101, 139];
-    let (sssp_sources, bfs_sources) = sources.split_at(3);
 
     let dijkstra = |g: &CsrGraph, s: &[VertexId]| -> Vec<Vec<Dist>> {
         s.iter().map(|&s| fg_seq::dijkstra::dijkstra(g, s).dist).collect()
@@ -205,13 +198,9 @@ fn sssp_and_bfs_are_byte_identical_to_fg_seq_across_the_whole_matrix() {
             assert_eq!(state.downcast_ref::<Vec<Dist>>().unwrap(), expected, "{label}: run_dyn");
         }
 
-        // `run_multi`: both kernels through one pass, erased lanes.
-        let mixed = engine.run_multi(&[(&*erased_sssp, sssp_sources), (&*erased_bfs, bfs_sources)]);
-        for (state, expected) in mixed.per_group[0].iter().zip(&dist_before[..3]) {
-            assert_eq!(state.downcast_ref::<Vec<Dist>>().unwrap(), expected, "{label}: multi");
-        }
-        for (state, expected) in mixed.per_group[1].iter().zip(&level_before[3..]) {
-            assert_eq!(state.downcast_ref::<Vec<u32>>().unwrap(), expected, "{label}: multi");
+        let dyn_bfs = engine.run_dyn(&*erased_bfs, &sources);
+        for (state, expected) in dyn_bfs.per_query.iter().zip(&level_before) {
+            assert_eq!(state.downcast_ref::<Vec<u32>>().unwrap(), expected, "{label}: run_dyn");
         }
 
         // `run_incremental`: restart the converged pre-delta states on the
@@ -271,10 +260,6 @@ fn ppr_keeps_its_approximation_contract_across_the_whole_matrix() {
         let states: Vec<&PprState> =
             erased.per_query.iter().map(|s| s.downcast_ref::<PprState>().unwrap()).collect();
         check(label, "run_dyn", &states);
-        let mixed = engine.run_multi(&[(&*erased_ppr, &seeds[..])]);
-        let states: Vec<&PprState> =
-            mixed.per_group[0].iter().map(|s| s.downcast_ref::<PprState>().unwrap()).collect();
-        check(label, "run_multi", &states);
     });
 }
 
@@ -292,9 +277,7 @@ fn allocations_per_run_do_not_grow_with_the_number_of_yields() {
     );
     let sources: Vec<VertexId> = (0..8).map(|i| i * 251 % graph.num_vertices() as u32).collect();
     let measure = |yield_policy: YieldPolicy| {
-        let config = EngineConfig::default()
-            .with_yield_policy(yield_policy)
-            .with_executor(ExecutorMode::Serial);
+        let config = EngineConfig::default().with_yield_policy(yield_policy);
         let engine = ForkGraphEngine::new(&pg, config);
         let before = allocations_on_this_thread();
         let result = engine.run_sssp(&sources);

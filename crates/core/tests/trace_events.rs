@@ -1,15 +1,12 @@
 //! Trace-correctness tests: the event stream must agree with the
 //! scheduler's and the metrics layer's ground truth, not merely exist.
-//!
-//! Executor modes are pinned per test (never the `FORKGRAPH_EXECUTOR` env
-//! default) so each assertion holds on every leg of the CI matrix.
 
 use std::sync::Arc;
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_trace::{EventKind, TraceEvent, TraceSink};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn partitioned(parts: usize) -> PartitionedGraph {
     let g = fg_graph::gen::rmat(10, 6, 2024).with_random_weights(9, 2024);
@@ -32,7 +29,7 @@ fn sum_of(events: &[TraceEvent], kind: EventKind, field: fn(&TraceEvent) -> u32)
 fn serial_event_stream_reconstructs_the_exact_visit_order() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 13, 200, 777];
-    let config = EngineConfig::default().with_threads(1).with_executor(ExecutorMode::Serial);
+    let config = EngineConfig::default().with_threads(1);
 
     let run = |sink: &Arc<TraceSink>| {
         let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(sink));
@@ -100,7 +97,7 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 5, 9, 100, 321, 700];
     let sink = TraceSink::new();
-    let config = EngineConfig::default().with_threads(3).with_executor(ExecutorMode::Pool);
+    let config = EngineConfig::default().with_threads(3);
     let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(&sink));
     let result = engine.run_bfs(&sources);
     let work = result.work();
@@ -181,7 +178,9 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
                     open_total = e.b as u64;
                 }
                 _ => {
-                    resident[p] = open_total - e.b as u64 + e.c as u64;
+                    // Add before subtracting: a visit also consumes what it
+                    // emitted locally, so `b` can exceed the Begin total.
+                    resident[p] = open_total + e.c as u64 - e.b as u64;
                     arrived = 0;
                 }
             }
@@ -201,9 +200,9 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
     let pg = partitioned(6);
     let sources: Vec<u32> = vec![0, 42, 999];
 
-    for mode in [ExecutorMode::Serial, ExecutorMode::Pool] {
-        let threads = if mode == ExecutorMode::Serial { 1 } else { 3 };
-        let base = EngineConfig::default().with_threads(threads).with_executor(mode);
+    for threads in [1usize, 3] {
+        let mode = if threads == 1 { "serial" } else { "pool" };
+        let base = EngineConfig::default().with_threads(threads);
 
         let off = ForkGraphEngine::new(&pg, base).run_sssp(&sources);
         assert!(off.profile.is_none(), "{mode:?}: no profile unless requested");
@@ -216,12 +215,12 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
         assert_eq!(profile.visit_ops.count(), work.partition_visits, "{mode:?}");
         assert_eq!(profile.steals, work.steals, "{mode:?}");
         assert_eq!(profile.yields, work.yields, "{mode:?}");
-        assert_eq!(profile.workers as usize, if threads == 1 { 1 } else { threads }, "{mode:?}");
+        assert_eq!(profile.workers as usize, threads, "{mode:?}");
         assert!(
             profile.phases.total() <= on.measurement.wall_time,
             "{mode:?}: phases partition the measured wall time"
         );
-        if mode == ExecutorMode::Pool {
+        if threads > 1 {
             assert_eq!(
                 profile.steals_per_worker.count(),
                 work.workers.len() as u64,
@@ -248,34 +247,4 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
         );
         assert_eq!(profile.visit_ops.count(), visit_order(&events).len() as u64, "{mode:?}");
     }
-}
-
-#[test]
-fn multi_kernel_runs_carry_profiles_and_group_visit_events() {
-    let pg = partitioned(6);
-    let sink = TraceSink::new();
-    let config = EngineConfig::default()
-        .with_threads(1)
-        .with_executor(ExecutorMode::Serial)
-        .with_profile(true);
-    let engine = ForkGraphEngine::new(&pg, config).with_trace_sink(Arc::clone(&sink));
-
-    let sssp = forkgraph_core::erase(forkgraph_core::kernels::SsspKernel);
-    let bfs = forkgraph_core::erase(forkgraph_core::kernels::BfsKernel);
-    let sssp_sources: Vec<u32> = vec![0, 7];
-    let bfs_sources: Vec<u32> = vec![3, 11, 200];
-    let result = engine.run_multi(&[(&*sssp, &sssp_sources[..]), (&*bfs, &bfs_sources[..])]);
-
-    assert!(result.profile.is_some(), "multi runs propagate the profile");
-    let events: Vec<TraceEvent> = sink.merged_events().into_iter().map(|(_, e)| e).collect();
-    let group_visits: Vec<&TraceEvent> =
-        events.iter().filter(|e| e.kind == EventKind::QueryGroupVisit).collect();
-    assert!(!group_visits.is_empty(), "multi visits emit QueryGroupVisit");
-    // Both kernel groups appear, and group indices stay in range.
-    assert!(group_visits.iter().any(|e| e.b == 0));
-    assert!(group_visits.iter().any(|e| e.b == 1));
-    assert!(group_visits.iter().all(|e| e.b < 2));
-    // RunBegin advertises the union query count.
-    let begin = events.iter().find(|e| e.kind == EventKind::RunBegin).expect("run began");
-    assert_eq!(begin.a as usize, sssp_sources.len() + bfs_sources.len());
 }

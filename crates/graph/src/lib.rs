@@ -35,6 +35,8 @@
 //!   graphs of Table 2 in the paper.
 //! * [`stats`] — degree distributions and other summary statistics.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod csr;
 pub mod datasets;

@@ -12,7 +12,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 
 use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
@@ -22,6 +22,7 @@ use fg_graph::{Dist, VersionedGraph, Weight, INF_DIST};
 const N: usize = 64;
 /// Issue floor is >= 120 randomized steps.
 const STEPS: u64 = 160;
+const READERS: u64 = 3;
 
 /// Tiny deterministic xorshift so the test needs no RNG dependency.
 struct XorShift(u64);
@@ -86,16 +87,21 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
         Arc::new(RwLock::new(vec![snapshot_edges(&store.current())]));
     let stop = Arc::new(AtomicBool::new(false));
     let verified = Arc::new(AtomicU64::new(0));
+    // Each reader reports its first verified pin here and hangs up.
+    let (first_check_tx, first_check_rx) = mpsc::channel::<()>();
 
     std::thread::scope(|scope| {
-        for reader in 0..3u64 {
+        for reader in 0..READERS {
             let store = Arc::clone(&store);
             let history = Arc::clone(&history);
             let stop = Arc::clone(&stop);
             let verified = Arc::clone(&verified);
+            let mut first_check = Some(first_check_tx.clone());
             scope.spawn(move || {
                 let mut checks = 0u64;
-                while !stop.load(Ordering::Acquire) {
+                // Check, then test `stop`: a reader that is first scheduled
+                // after the writer's last step still verifies one pin.
+                loop {
                     let guard = store.pin();
                     let epoch = guard.epoch();
                     let expect = history.read().unwrap()[epoch as usize].clone();
@@ -114,10 +120,18 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
                     );
                     checks += 1;
                     drop(guard);
+                    if let Some(first_check) = first_check.take() {
+                        let _ = first_check.send(());
+                    }
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
                 verified.fetch_add(checks, Ordering::AcqRel);
             });
         }
+
+        drop(first_check_tx);
 
         // The writer: random mutation batches folded under the live readers.
         let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
@@ -152,10 +166,15 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
             store.advance().expect("a non-empty log must fold");
             assert_eq!(store.version(), step + 1, "one advance, one version");
         }
+        // On two cores the writer can finish every step before some reader
+        // has run at all, so it waits until each has verified a pin (or died
+        // in an assertion, which the scope reports) before stopping them.
+        let reported = first_check_rx.iter().count() as u64;
         stop.store(true, Ordering::Release);
+        assert_eq!(reported, READERS, "every reader verifies at least one pin");
     });
 
-    assert!(verified.load(Ordering::Acquire) > 0, "readers must have verified pins");
+    assert!(verified.load(Ordering::Acquire) >= READERS, "readers must have verified pins");
     assert_eq!(store.epochs().epochs_advanced(), STEPS);
     // With every guard dropped, nothing old stays pinned.
     assert_eq!(store.epochs().oldest_pinned_epoch_lag(), 0);

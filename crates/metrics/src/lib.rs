@@ -6,6 +6,8 @@
 //! processed) — so each engine run produces a [`Measurement`] bundling those
 //! quantities.
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod measurement;
 pub mod pool;

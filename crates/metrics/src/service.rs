@@ -34,13 +34,13 @@ pub struct BatchRecord {
     pub batch_size: u32,
     /// Engine worker threads chosen for the batch's run.
     pub workers: u32,
-    /// Identity of the kernel registration the batch ran — for a
-    /// multi-kernel run, the *first* (oldest) cohort's registration (`0`
-    /// when the serving layer predates kernel ids or did not report one).
+    /// Identity of the kernel registration the batch ran — for a mixed
+    /// batch, the *first* (oldest) cohort's registration (`0` when the
+    /// serving layer predates kernel ids or did not report one).
     pub kernel_id: u64,
-    /// Number of distinct kernel cohorts the run carried. `1` is a classic
-    /// single-kernel batch; `>= 2` means heterogeneous cohorts shared one
-    /// partition pass (`run_multi`) — the cross-kernel consolidation win.
+    /// Number of distinct kernel cohorts the batch carried. `1` is a
+    /// single-kernel batch; `>= 2` is a mixed batch, its cohorts run back
+    /// to back on one pinned epoch (`run_multi`).
     pub kernels_in_run: u32,
 }
 
@@ -70,7 +70,7 @@ pub struct ServiceCounters {
     pub max_queue_depth: AtomicU64,
     /// Largest worker count any dispatched batch ran with.
     pub max_batch_workers: AtomicU64,
-    /// Dispatched runs that consolidated ≥ 2 distinct kernel cohorts.
+    /// Dispatched batches that carried ≥ 2 distinct kernel cohorts.
     pub mixed_runs: AtomicU64,
     /// Edge mutations merged into the served graph at quiesce points.
     pub mutations_applied: AtomicU64,
@@ -281,8 +281,7 @@ pub struct ServiceSnapshot {
     pub max_batch_occupancy: u64,
     /// Largest engine worker count any batch ran with (adaptive sizing).
     pub max_batch_workers: u64,
-    /// Dispatched runs that carried ≥ 2 distinct kernel cohorts
-    /// (heterogeneous `run_multi` consolidation).
+    /// Dispatched batches that carried ≥ 2 distinct kernel cohorts.
     pub mixed_runs: u64,
     /// Edge mutations merged into the served graph at quiesce points.
     pub mutations_applied: u64,
@@ -321,10 +320,9 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Fraction of dispatched runs that consolidated ≥ 2 distinct kernel
-    /// cohorts into one shared partition pass, in `[0, 1]`. The
-    /// cross-kernel amortisation rate: `0.0` means every run was a classic
-    /// single-kernel batch.
+    /// Fraction of dispatched batches that carried ≥ 2 distinct kernel
+    /// cohorts, in `[0, 1]`: `0.0` means every batch was a single-kernel
+    /// batch.
     pub fn mixed_run_rate(&self) -> f64 {
         if self.batches_dispatched == 0 {
             0.0
@@ -384,7 +382,7 @@ impl fmt::Display for ServiceSnapshot {
         )?;
         writeln!(
             f,
-            "  mixed  : {} multi-kernel runs ({:.1}% of runs)",
+            "  mixed  : {} mixed batches ({:.1}% of batches)",
             self.mixed_runs,
             100.0 * self.mixed_run_rate()
         )?;

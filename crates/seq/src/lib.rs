@@ -22,6 +22,8 @@
 //! Every kernel reports the number of edges it processed so the evaluation can
 //! reproduce the paper's work-efficiency comparisons (Figure 10b).
 
+#![forbid(unsafe_code)]
+
 pub mod bellman_ford;
 pub mod bfs;
 pub mod delta_stepping;

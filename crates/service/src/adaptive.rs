@@ -60,9 +60,10 @@ pub fn effective_workers_weighted(
     effective_workers_mixed(&[(batch_size, weight)], num_partitions, max_workers)
 }
 
-/// Sizing for a **heterogeneous** run (`run_multi`): `groups` is one
-/// `(cohort size, kernel batch_weight)` pair per kernel cohort sharing the
-/// pass, and the offered load the base policy sees is the *sum* of
+/// Sizing for a **mixed batch** (`run_multi`): `groups` is one
+/// `(cohort size, kernel batch_weight)` pair per kernel cohort of the batch
+/// — the cohorts run back to back on one engine, so one crew size serves
+/// them all — and the offered load the base policy sees is the *sum* of
 /// `size × weight` over all of them — a mixed batch of 4 heavy (weight 2.0)
 /// and 8 light (weight 0.5) queries offers `4×2 + 8×0.5 = 12` load, not 12
 /// raw queries. A single-element slice is exactly

@@ -19,10 +19,10 @@
 //!                            │ insert                                      │ drains ALL ready
 //!                            │                                             │ BatchKey cohorts
 //!                            │                                             ▼
-//!                            │                               one engine pass per drain:
-//!                            │                               run_dyn   (1 cohort)
-//!                            └── demux per (cohort, source) ◀ run_multi (2..=max_kernels
-//!                                                                        per_run cohorts)
+//!                            │                               one pinned epoch per drain,
+//!                            │                               one engine pass per cohort
+//!                            └── demux per (cohort, source) ◀ (run_multi: ≤ max_kernels_
+//!                                                              per_run cohorts, back to back)
 //! ```
 //!
 //! * **Open kernels**: a query names a kernel *registered* in the service's
@@ -37,20 +37,16 @@
 //! * **Submission** ([`ServiceHandle::submit_query`]): clients build a
 //!   [`Query`] (`Query::kernel("ppr").source(v).param("epsilon", 1e-5)`)
 //!   and receive a [`Ticket`] they can block on, poll, or re-type with
-//!   [`Ticket::typed`] for a downcast-checked concrete result. The legacy
-//!   closed-enum API ([`QuerySpec`], [`ServiceHandle::submit`]) remains as
-//!   a thin shim with byte-identical results.
+//!   [`Ticket::typed`] for a downcast-checked concrete result.
 //! * **Micro-batching across kernels**: a dedicated batcher thread
 //!   accumulates submissions for [`ServiceConfig::batch_window`] (or until
 //!   [`ServiceConfig::max_batch_size`]), then drains **every ready cohort**
 //!   — up to [`ServiceConfig::max_kernels_per_run`] distinct batch keys —
-//!   into **one** engine pass: a lone cohort runs through
-//!   [`ForkGraphEngine::run_dyn`](forkgraph_core::ForkGraphEngine::run_dyn),
-//!   and heterogeneous cohorts share a single
+//!   into **one** batch: one pinned epoch, one engine, and
 //!   [`ForkGraphEngine::run_multi`](forkgraph_core::ForkGraphEngine::run_multi)
-//!   partition pass (an SSSP cohort and a PPR cohort waiting on the same
-//!   graph no longer pay one sweep each — the paper's amortisation, across
-//!   query types). Results demultiplex per `(cohort, source)` back to
+//!   runs the cohorts back to back, one homogeneous pass per kernel (the
+//!   paper's fork-processing pattern; any [`forkgraph_core::DynKernel`] can
+//!   ride a mixed batch). Results demultiplex per `(cohort, source)` back to
 //!   submitters. Cohorts and cache entries are keyed by
 //!   [`BatchKey`]/[`CacheKey`], derived from the *registration* (unique
 //!   [`KernelId`] + canonical [`QueryParams`]), so same-named or
@@ -70,6 +66,8 @@
 //!   rate, per-batch kernel/worker records, and p50/p99 latency via
 //!   [`fg_metrics::ServiceSnapshot`].
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 mod lru;
 pub mod params;
@@ -81,7 +79,7 @@ pub mod ticket;
 pub use adaptive::{effective_workers, effective_workers_mixed, effective_workers_weighted};
 pub use fg_graph::mutation::{EdgeMutation, MutationError};
 pub use params::{ParamError, ParamValue, QueryParams};
-pub use query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult, QuerySpec};
+pub use query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};
 pub use registry::{
     InstantiatedKernel, KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel,
 };

@@ -27,23 +27,17 @@
 //! built-ins, the named accessors — `as_*` returning `Option` and the
 //! `try_*`/`try_into_*` family returning a [`KernelMismatch`] that names the
 //! kernel that actually produced the result.
-//!
-//! The pre-registry enum API ([`QuerySpec`]) is kept as a thin shim: it
-//! converts to a [`Query`] at submit time and produces byte-identical
-//! results through the registry path.
 
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
 use fg_graph::{Dist, VertexId};
-use fg_seq::ppr::PprConfig;
-use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::kernels::{PprState, RwState};
 use forkgraph_core::ErasedState;
 
 use crate::params::{ParamValue, QueryParams};
-use crate::registry::{self, KernelId};
+use crate::registry::KernelId;
 
 /// One client query for the open-kernel API; see the [module docs](self).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -57,6 +51,15 @@ impl Query {
     /// Start building a query for the kernel registered under `name`.
     pub fn kernel(name: impl Into<String>) -> Self {
         Query { kernel: name.into(), source: None, params: QueryParams::new() }
+    }
+
+    /// A query from `source` whose parameters are already assembled (the
+    /// built-in config structs rendered by `registry::ppr_params` and
+    /// `registry::random_walk_params`, which is also what those kernels'
+    /// factories canonicalize to — so such a query keys like a hand-built
+    /// one).
+    pub(crate) fn with_params(name: &str, source: VertexId, params: QueryParams) -> Self {
+        Query { kernel: name.into(), source: Some(source), params }
     }
 
     /// Set the source vertex the query forks from. Required before submit.
@@ -296,179 +299,61 @@ impl fmt::Debug for QueryResult {
     }
 }
 
-/// The pre-registry query API: a closed enum over the four built-in
-/// kernels. Kept as a thin shim — [`Self::to_query`] converts to the open
-/// [`Query`] form and submissions flow through the registry, producing
-/// byte-identical results. Prefer [`Query`] for new code: it covers every
-/// registered kernel, not just these four.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum QuerySpec {
-    /// Single-source shortest paths from `source`.
-    Sssp {
-        /// The source vertex.
-        source: VertexId,
-    },
-    /// Breadth-first search levels from `source`.
-    Bfs {
-        /// The source vertex.
-        source: VertexId,
-    },
-    /// Personalized PageRank seeded at `seed`.
-    Ppr {
-        /// The seed vertex.
-        seed: VertexId,
-        /// Push-computation parameters.
-        config: PprConfig,
-    },
-    /// A batch of bounded random walks from `source`.
-    RandomWalk {
-        /// The source vertex.
-        source: VertexId,
-        /// Walk parameters.
-        config: RandomWalkConfig,
-    },
-}
-
-impl QuerySpec {
-    /// The vertex this query forks from.
-    pub fn source(&self) -> VertexId {
-        match *self {
-            QuerySpec::Sssp { source }
-            | QuerySpec::Bfs { source }
-            | QuerySpec::RandomWalk { source, .. } => source,
-            QuerySpec::Ppr { seed, .. } => seed,
-        }
-    }
-
-    /// The open-API form of this spec: the registered built-in kernel name
-    /// plus the config rendered as canonical parameters.
-    pub fn to_query(&self) -> Query {
-        match *self {
-            QuerySpec::Sssp { source } => Query::kernel("sssp").source(source),
-            QuerySpec::Bfs { source } => Query::kernel("bfs").source(source),
-            QuerySpec::Ppr { seed, config } => Query {
-                kernel: "ppr".to_string(),
-                source: Some(seed),
-                params: registry::ppr_params(&config),
-            },
-            QuerySpec::RandomWalk { source, config } => Query {
-                kernel: "random_walk".to_string(),
-                source: Some(source),
-                params: registry::random_walk_params(&config),
-            },
-        }
-    }
-
-    /// Batching key: queries with equal keys may share one engine run.
-    ///
-    /// Registry-derived (the *built-in* registration ids + canonical
-    /// params), so against a registry whose built-in names are unshadowed —
-    /// every [`KernelRegistry::with_builtins`](crate::KernelRegistry)
-    /// registry, i.e. any service not using
-    /// `register_kernel_replacing("sssp", …)` — a spec and the equivalent
-    /// [`Query`] produce the *same* key and the two APIs batch and cache
-    /// together. (A service that *has* shadowed a built-in name keys live
-    /// submissions by the replacement's id; this standalone method keeps
-    /// returning the built-in id, since it has no registry to consult.)
-    /// Float parameters are keyed by their bit patterns: exact-equality
-    /// grouping, which is what batchability requires (two PPR queries with
-    /// different epsilons must not share a run).
-    pub fn batch_key(&self) -> BatchKey {
-        let (kernel, params) = match *self {
-            QuerySpec::Sssp { .. } => (KernelId::SSSP, QueryParams::new()),
-            QuerySpec::Bfs { .. } => (KernelId::BFS, QueryParams::new()),
-            QuerySpec::Ppr { config, .. } => (KernelId::PPR, registry::ppr_params(&config)),
-            QuerySpec::RandomWalk { config, .. } => {
-                (KernelId::RANDOM_WALK, registry::random_walk_params(&config))
-            }
-        };
-        BatchKey { kernel, params }
-    }
-
-    /// Cache key identifying this exact query: batch key plus source.
-    pub fn cache_key(&self) -> CacheKey {
-        CacheKey { key: self.batch_key(), source: self.source() }
-    }
-
-    /// Human-readable kernel name (metrics/log labels).
-    pub fn kernel_name(&self) -> &'static str {
-        match self {
-            QuerySpec::Sssp { .. } => "sssp",
-            QuerySpec::Bfs { .. } => "bfs",
-            QuerySpec::Ppr { .. } => "ppr",
-            QuerySpec::RandomWalk { .. } => "random_walk",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry;
+    use fg_seq::ppr::PprConfig;
+    use fg_seq::random_walk::RandomWalkConfig;
+
+    /// The keys the service derives for `query` at submit time.
+    fn keys(query: &Query) -> (BatchKey, CacheKey) {
+        let registry = crate::KernelRegistry::with_builtins();
+        let resolved = registry.resolve(query.kernel_name(), query.params()).unwrap();
+        let key = BatchKey { kernel: resolved.id, params: resolved.params };
+        (key.clone(), CacheKey { key, source: query.source_vertex().unwrap() })
+    }
+
+    fn ppr(seed: VertexId, config: &PprConfig) -> Query {
+        Query::with_params("ppr", seed, registry::ppr_params(config))
+    }
 
     #[test]
     fn same_kernel_same_config_share_a_batch_key() {
-        let a = QuerySpec::Sssp { source: 1 };
-        let b = QuerySpec::Sssp { source: 2 };
-        assert_eq!(a.batch_key(), b.batch_key());
-        assert_ne!(a.cache_key(), b.cache_key());
+        let a = keys(&Query::kernel("sssp").source(1));
+        let b = keys(&Query::kernel("sssp").source(2));
+        assert_eq!(a.0, b.0);
+        assert_ne!(a.1, b.1);
     }
 
     #[test]
     fn different_kernels_do_not_share_a_batch_key() {
-        let a = QuerySpec::Sssp { source: 1 };
-        let b = QuerySpec::Bfs { source: 1 };
-        assert_ne!(a.batch_key(), b.batch_key());
+        let a = keys(&Query::kernel("sssp").source(1));
+        let b = keys(&Query::kernel("bfs").source(1));
+        assert_ne!(a.0, b.0);
     }
 
     #[test]
     fn ppr_config_differences_split_batches() {
         let base = PprConfig::default();
-        let a = QuerySpec::Ppr { seed: 1, config: base };
-        let b =
-            QuerySpec::Ppr { seed: 2, config: PprConfig { epsilon: base.epsilon * 2.0, ..base } };
-        let c = QuerySpec::Ppr { seed: 3, config: base };
-        assert_ne!(a.batch_key(), b.batch_key());
-        assert_eq!(a.batch_key(), c.batch_key());
+        let a = keys(&ppr(1, &base));
+        let b = keys(&ppr(2, &PprConfig { epsilon: base.epsilon * 2.0, ..base }));
+        let c = keys(&ppr(3, &base));
+        assert_ne!(a.0, b.0);
+        assert_eq!(a.0, c.0);
+        // A config-built query keys like a hand-built one, whether the
+        // defaults are omitted or spelled out.
+        assert_eq!(a.0, keys(&Query::kernel("ppr").source(5)).0);
+        assert_eq!(a.0, keys(&Query::kernel("ppr").source(5).param("alpha", base.alpha)).0);
     }
 
     #[test]
     fn random_walk_seed_is_part_of_the_key() {
         let base = RandomWalkConfig::default();
-        let a = QuerySpec::RandomWalk { source: 1, config: base };
-        let b = QuerySpec::RandomWalk {
-            source: 1,
-            config: RandomWalkConfig { seed: base.seed + 1, ..base },
+        let walk = |config: &RandomWalkConfig| {
+            keys(&Query::with_params("random_walk", 1, registry::random_walk_params(config)))
         };
-        assert_ne!(a.batch_key(), b.batch_key());
-    }
-
-    #[test]
-    fn source_accessor_covers_all_variants() {
-        assert_eq!(QuerySpec::Sssp { source: 7 }.source(), 7);
-        assert_eq!(QuerySpec::Bfs { source: 8 }.source(), 8);
-        assert_eq!(QuerySpec::Ppr { seed: 9, config: PprConfig::default() }.source(), 9);
-        assert_eq!(
-            QuerySpec::RandomWalk { source: 10, config: RandomWalkConfig::default() }.source(),
-            10
-        );
-    }
-
-    #[test]
-    fn spec_and_builder_query_share_keys() {
-        // The legacy enum and the open builder API must batch and cache
-        // together when they mean the same query.
-        let registry = crate::KernelRegistry::with_builtins();
-        let spec = QuerySpec::Ppr { seed: 5, config: PprConfig::default() };
-        let query = Query::kernel("ppr").source(5);
-        let resolved = registry.resolve(query.kernel_name(), query.params()).unwrap();
-        let builder_key = BatchKey { kernel: resolved.id, params: resolved.params };
-        assert_eq!(spec.batch_key(), builder_key);
-
-        // And an explicitly-specified default parameter canonicalizes to the
-        // same key as an omitted one.
-        let explicit = Query::kernel("ppr").source(5).param("alpha", PprConfig::default().alpha);
-        let resolved = registry.resolve(explicit.kernel_name(), explicit.params()).unwrap();
-        assert_eq!(spec.batch_key(), BatchKey { kernel: resolved.id, params: resolved.params });
+        assert_ne!(walk(&base).0, walk(&RandomWalkConfig { seed: base.seed + 1, ..base }).0);
     }
 
     #[test]

@@ -409,8 +409,8 @@ fn bfs_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
     Ok(InstantiatedKernel::new(erase(BfsKernel), QueryParams::new()))
 }
 
-/// Canonical params for a [`PprConfig`] (used by the factory and by the
-/// legacy [`crate::QuerySpec::Ppr`] shim, so both paths key identically).
+/// Canonical params for a [`PprConfig`] (used by the factory and by
+/// [`crate::ServiceHandle::submit_ppr`], so both paths key identically).
 pub(crate) fn ppr_params(config: &PprConfig) -> QueryParams {
     QueryParams::new()
         .with("alpha", config.alpha)
@@ -441,8 +441,8 @@ fn ppr_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
     Ok(InstantiatedKernel::new(erase(PprKernel::new(config)), ppr_params(&config)))
 }
 
-/// Canonical params for a [`RandomWalkConfig`] (shared with the legacy
-/// [`crate::QuerySpec::RandomWalk`] shim).
+/// Canonical params for a [`RandomWalkConfig`] (shared with
+/// [`crate::ServiceHandle::submit_random_walk`]).
 pub(crate) fn random_walk_params(config: &RandomWalkConfig) -> QueryParams {
     QueryParams::new()
         .with("num_walks", config.num_walks)

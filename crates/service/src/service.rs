@@ -5,14 +5,14 @@
 //! configured window (or until the batch-size cap), drains **every ready
 //! [`crate::query::BatchKey`] cohort** from the queue (up to
 //! [`ServiceConfig::max_kernels_per_run`] cohorts /
-//! [`ServiceConfig::max_batch_size`] total queries), runs them all as **one**
-//! type-erased engine run — [`ForkGraphEngine::run_dyn`] for a lone cohort,
-//! a heterogeneous [`ForkGraphEngine::run_multi`] shared partition pass when
-//! different kernels are waiting — and demultiplexes the per-`(cohort,
-//! source)` results back to the submitters' tickets. Because dispatch is
-//! erased, the batcher is kernel-agnostic: a kernel registered five minutes
-//! ago flows through micro-batching, the persistent worker pool, cross-kernel
-//! pass sharing, and the result cache exactly like the built-ins.
+//! [`ServiceConfig::max_batch_size`] total queries), runs them as **one**
+//! batch on one pinned epoch — [`ForkGraphEngine::run_multi`]: the cohorts
+//! back to back, one type-erased homogeneous pass per kernel — and
+//! demultiplexes the per-`(cohort, source)` results back to the submitters'
+//! tickets. Because dispatch is erased, the batcher is kernel-agnostic: a
+//! kernel registered five minutes ago flows through micro-batching, the
+//! persistent worker pool, mixed batches, and the result cache exactly like
+//! the built-ins.
 //!
 //! The submit path resolves each query against the service's
 //! [`KernelRegistry`] (typed errors for unknown kernels and bad
@@ -36,12 +36,14 @@ use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, TraceSink};
-use forkgraph_core::{EngineConfig, ErasedState, ExecutorMode, ForkGraphEngine, WorkerPool};
+use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, WorkerPool};
 
 use crate::adaptive;
 use crate::lru::LruCache;
-use crate::query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult, QuerySpec};
-use crate::registry::{KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel};
+use crate::query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};
+use crate::registry::{
+    self, KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel,
+};
 use crate::ticket::{Slot, Ticket};
 
 /// Tuning knobs of the serving layer.
@@ -58,14 +60,12 @@ pub struct ServiceConfig {
     pub max_queue_depth: usize,
     /// Capacity of the LRU result cache in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Maximum number of *distinct kernel cohorts* one dispatched run may
-    /// consolidate. With `1` the batcher drains exactly one
-    /// [`BatchKey`] cohort per engine run (the pre-multi-kernel behaviour);
-    /// above that, every ready cohort — up to this many, within
-    /// [`Self::max_batch_size`] total queries — shares a single
-    /// heterogeneous partition pass
-    /// ([`ForkGraphEngine::run_multi`]), so an SSSP cohort and a PPR cohort
-    /// waiting on the same graph no longer pay one sweep each.
+    /// Maximum number of *distinct kernel cohorts* one dispatched batch may
+    /// carry. With `1` the batcher drains exactly one [`BatchKey`] cohort
+    /// per batch; above that, every ready cohort — up to this many, within
+    /// [`Self::max_batch_size`] total queries — joins the batch and shares
+    /// its epoch pin, engine and crew size, the cohorts' passes running
+    /// back to back ([`ForkGraphEngine::run_multi`]).
     pub max_kernels_per_run: usize,
 }
 
@@ -328,20 +328,9 @@ impl ServiceHandle {
         Ok(Ticket::new(slot))
     }
 
-    /// Submit a legacy enum [`QuerySpec`] (thin shim over
-    /// [`Self::submit_query`]; results are byte-identical).
-    pub fn submit(&self, spec: QuerySpec) -> Result<Ticket, ServiceError> {
-        self.submit_query(spec.to_query())
-    }
-
-    /// Submit-and-wait convenience wrapper for the open API.
+    /// Submit-and-wait convenience wrapper.
     pub fn run_query(&self, query: Query) -> Result<Arc<QueryResult>, ServiceError> {
         self.submit_query(query)?.wait()
-    }
-
-    /// Submit-and-wait convenience wrapper for the legacy enum API.
-    pub fn query(&self, spec: QuerySpec) -> Result<Arc<QueryResult>, ServiceError> {
-        self.submit(spec)?.wait()
     }
 
     /// Submit an SSSP query from `source`.
@@ -356,7 +345,7 @@ impl ServiceHandle {
 
     /// Submit a PPR query seeded at `seed`.
     pub fn submit_ppr(&self, seed: VertexId, config: PprConfig) -> Result<Ticket, ServiceError> {
-        self.submit(QuerySpec::Ppr { seed, config })
+        self.submit_query(Query::with_params("ppr", seed, registry::ppr_params(&config)))
     }
 
     /// Submit a random-walk query from `source`.
@@ -365,7 +354,11 @@ impl ServiceHandle {
         source: VertexId,
         config: RandomWalkConfig,
     ) -> Result<Ticket, ServiceError> {
-        self.submit(QuerySpec::RandomWalk { source, config })
+        self.submit_query(Query::with_params(
+            "random_walk",
+            source,
+            registry::random_walk_params(&config),
+        ))
     }
 
     /// The kernel registry queries are resolved against. Register custom
@@ -601,19 +594,16 @@ impl ForkGraphService {
             trace,
         });
         let max_workers = engine_config.resolved_threads();
-        let pool = (max_workers > 1
-            && graph.num_partitions() > 1
-            && engine_config.resolved_executor() == ExecutorMode::Pool)
-            .then(|| {
-                let pool = Arc::new(WorkerPool::new(forkgraph_core::pool::crew_size(
-                    max_workers,
-                    graph.num_partitions(),
-                )));
-                if let Some(trace) = &shared.trace {
-                    pool.attach_trace(Arc::clone(trace));
-                }
-                pool
-            });
+        let pool = (max_workers > 1 && graph.num_partitions() > 1).then(|| {
+            let pool = Arc::new(WorkerPool::new(forkgraph_core::pool::crew_size(
+                max_workers,
+                graph.num_partitions(),
+            )));
+            if let Some(trace) = &shared.trace {
+                pool.attach_trace(Arc::clone(trace));
+            }
+            pool
+        });
         let worker_shared = Arc::clone(&shared);
         let worker_pool = pool.clone();
         let worker = std::thread::Builder::new()
@@ -823,18 +813,12 @@ fn batcher_loop(
             // Drain every *ready* cohort — each distinct batch key in
             // arrival order of its oldest member, up to
             // `max_kernels_per_run` cohorts and `max_batch_size` total
-            // queries — for one shared engine run. Queries that don't fit
-            // keep their queue position and lead the next batch. A kernel
-            // that cannot ride a multi-kernel pass (hand-written
-            // `DynKernel`, or an operation value exceeding the inline
-            // payload) can only run alone: it never joins (and is never
-            // joined by) another cohort. Single forward pass (O(queue ×
-            // cohorts), cohorts ≤ max_kernels_per_run) — the lock is held,
-            // so submitters are stalled while this runs.
+            // queries — for one batch. Queries that don't fit keep their
+            // queue position and lead the next batch. Single forward pass
+            // (O(queue × cohorts), cohorts ≤ max_kernels_per_run) — the lock
+            // is held, so submitters are stalled while this runs.
             let max_cohorts = shared.config.max_kernels_per_run.max(1);
-            let multi_capable = |p: &Pending| p.resolved.kernel.multi().is_some();
             let mut cohorts: Vec<(BatchKey, Vec<Pending>)> = Vec::new();
-            let mut mixable = true;
             let mut total = 0usize;
             let mut rest: VecDeque<Pending> = VecDeque::with_capacity(inner.queue.len());
             for pending in inner.queue.drain(..) {
@@ -846,12 +830,7 @@ fn batcher_loop(
                         total += 1;
                         continue;
                     }
-                    if cohorts.len() < max_cohorts
-                        && (cohorts.is_empty() || (mixable && multi_capable(&pending)))
-                    {
-                        if cohorts.is_empty() {
-                            mixable = multi_capable(&pending);
-                        }
+                    if cohorts.len() < max_cohorts {
                         cohorts.push((pending.batch_key.clone(), vec![pending]));
                         total += 1;
                         continue;
@@ -986,7 +965,7 @@ fn batcher_loop(
             }
         }
 
-        // Adaptive sizing: pick the worker count for *this* run from the
+        // Adaptive sizing: pick the worker count for *this* batch from the
         // summed per-cohort offered load (cohort size × its kernel's
         // declared weight; pure policy in `adaptive`) and the partition
         // count, then build a per-batch engine — cheap (two refs + a config
@@ -1005,9 +984,9 @@ fn batcher_loop(
             cohorts.len(),
         );
         let batch_config = engine_config.with_threads(workers);
-        // One pin per run: the guard keeps this epoch's snapshot alive for
-        // exactly the engine's lifetime, and the borrow ties the engine to
-        // it. A fold publishing the next epoch mid-run never touches the
+        // One pin per batch: the guard keeps this epoch's snapshot alive for
+        // exactly the engine's lifetime — every cohort of the batch reads
+        // the same epoch — and the borrow ties the engine to it. A fold publishing the next epoch mid-run never touches the
         // pinned storage; it is reclaimed when the guard drops below.
         let pin = shared.store.pin();
         let engine = match &pool {
@@ -1022,38 +1001,28 @@ fn batcher_loop(
         };
         shared.emit(EventKind::BatchBegin, batch_id, total as u32, cohorts.len() as u32);
 
-        // One consolidated, type-erased engine run for *all* drained
-        // cohorts — this is where concurrent requests turn into the paper's
+        // One type-erased engine pass per drained cohort, back to back —
+        // this is where concurrent requests turn into the paper's
         // fork-processing pattern, for built-in and registered kernels
-        // alike, and (with ≥ 2 cohorts) where different query types start
-        // sharing one partition pass. An engine panic must not wedge the
-        // service: contain it, fail the run's tickets, and keep serving
-        // (submit-time validation makes this unreachable for the known
-        // panic class of bad sources, but registered kernels are user
-        // code).
-        let kernels: Vec<Arc<dyn forkgraph_core::DynKernel>> =
-            cohorts.iter().map(|(_, members)| Arc::clone(&members[0].resolved.kernel)).collect();
+        // alike. An engine panic must not wedge the service: contain it,
+        // fail the batch's tickets, and keep serving (submit-time validation
+        // makes this unreachable for the known panic class of bad sources,
+        // but registered kernels are user code).
         let per_cohort_sources: Vec<Vec<VertexId>> =
             cohorts.iter().map(|(_, members)| members.iter().map(|p| p.source).collect()).collect();
+        let groups: Vec<(&dyn forkgraph_core::DynKernel, &[VertexId])> = cohorts
+            .iter()
+            .zip(&per_cohort_sources)
+            .map(|((_, members), sources)| (&*members[0].resolved.kernel, &sources[..]))
+            .collect();
         let per_cohort_states = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if kernels.len() == 1 {
-                // Single cohort: `run_dyn` is the monomorphized special case
-                // of the shared pass.
-                vec![engine.run_dyn(&*kernels[0], &per_cohort_sources[0]).per_query]
-            } else {
-                let groups: Vec<(&dyn forkgraph_core::DynKernel, &[VertexId])> = kernels
-                    .iter()
-                    .zip(&per_cohort_sources)
-                    .map(|(kernel, sources)| (&**kernel, &sources[..]))
-                    .collect();
-                engine.run_multi(&groups).per_group
-            }
+            engine.run_multi(&groups).per_group
         }));
         let per_cohort_states = match per_cohort_states {
             // `DynKernel` is an open trait: a hand-implemented `run_erased`
             // (bypassing `erase`) could return the wrong number of states.
             // Zipping short would strand the surplus submitters on tickets
-            // that never resolve, so a length mismatch fails the whole run
+            // that never resolve, so a length mismatch fails the whole batch
             // the same way a kernel panic does — and the batcher keeps
             // serving.
             Ok(states)

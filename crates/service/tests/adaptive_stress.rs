@@ -19,9 +19,10 @@ use std::time::Duration;
 use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
+use fg_graph::VertexId;
 use fg_service::adaptive::effective_workers;
-use fg_service::{ForkGraphService, QuerySpec, ServiceConfig, ServiceError};
-use forkgraph_core::{EngineConfig, ExecutorMode, ForkGraphEngine};
+use fg_service::{ForkGraphService, ServiceConfig, ServiceError};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const WORKER_CAP: usize = 8;
 const PARTITIONS: usize = 16;
@@ -51,9 +52,8 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     let n = pg.graph().num_vertices() as u32;
     let service = ForkGraphService::start(
         Arc::clone(&pg),
-        // Pin pool mode so the test is identical across the CI executor
-        // matrix; the cap (not the per-batch count) is what we configure.
-        EngineConfig::default().with_threads(WORKER_CAP).with_executor(ExecutorMode::Pool),
+        // The cap (not the per-batch count) is what we configure.
+        EngineConfig::default().with_threads(WORKER_CAP),
         ServiceConfig {
             batch_window: Duration::from_millis(2),
             max_batch_size: 64,
@@ -72,7 +72,7 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     // at once (forcing large same-key cohorts).
     const ROUNDS: usize = 4;
     const BURST: usize = 64;
-    let answers: Vec<(QuerySpec, fg_service::QueryResult)> = std::thread::scope(|scope| {
+    let answers: Vec<(VertexId, fg_service::QueryResult)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for s in 0..2usize {
             let handle = service.handle();
@@ -80,9 +80,8 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
                 let mut got = Vec::new();
                 for round in 0..ROUNDS {
                     let source = ((s * 131 + round * 17) as u32 + 1) % n;
-                    let spec = QuerySpec::Bfs { source };
-                    let result = handle.submit(spec).unwrap().wait().unwrap();
-                    got.push((spec, (*result).clone()));
+                    let result = handle.submit_bfs(source).unwrap().wait().unwrap();
+                    got.push((source, (*result).clone()));
                     // Give the batcher a beat so singleton batches stay
                     // singletons instead of riding a burst's window.
                     std::thread::sleep(Duration::from_millis(4));
@@ -95,17 +94,15 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
             handles.push(scope.spawn(move || {
                 let mut got = Vec::new();
                 for round in 0..ROUNDS {
-                    let specs: Vec<QuerySpec> = (0..BURST)
-                        .map(|i| QuerySpec::Sssp {
-                            source: ((s * 7919 + round * 613 + i * 37) as u32) % n,
-                        })
+                    let sources: Vec<VertexId> = (0..BURST)
+                        .map(|i| ((s * 7919 + round * 613 + i * 37) as u32) % n)
                         .collect();
-                    let tickets: Vec<_> = specs
+                    let tickets: Vec<_> = sources
                         .iter()
-                        .map(|&spec| handle.submit(spec).expect("queue is deep enough"))
+                        .map(|&source| handle.submit_sssp(source).expect("queue is deep enough"))
                         .collect();
-                    for (spec, ticket) in specs.into_iter().zip(tickets) {
-                        got.push((spec, (*ticket.wait().unwrap()).clone()));
+                    for (source, ticket) in sources.into_iter().zip(tickets) {
+                        got.push((source, (*ticket.wait().unwrap()).clone()));
                     }
                 }
                 got
@@ -120,15 +117,15 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
 
     // 1. Correctness: every answer equals a direct serial engine run.
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-    for (spec, result) in &answers {
-        match *spec {
-            QuerySpec::Sssp { source } => {
+    for &(source, ref result) in &answers {
+        match result.kernel_name() {
+            "sssp" => {
                 assert_eq!(result.as_sssp().unwrap(), &engine.run_sssp(&[source]).per_query[0]);
             }
-            QuerySpec::Bfs { source } => {
+            "bfs" => {
                 assert_eq!(result.as_bfs().unwrap(), &engine.run_bfs(&[source]).per_query[0]);
             }
-            _ => unreachable!("only sssp/bfs are generated"),
+            other => unreachable!("only sssp/bfs are submitted, got {other}"),
         }
     }
 
@@ -167,7 +164,7 @@ fn shutdown_with_inflight_dispatched_runs_neither_deadlocks_nor_leaks_threads() 
         let n = pg.graph().num_vertices() as u32;
         let service = ForkGraphService::start(
             Arc::clone(&pg),
-            EngineConfig::default().with_threads(WORKER_CAP).with_executor(ExecutorMode::Pool),
+            EngineConfig::default().with_threads(WORKER_CAP),
             ServiceConfig {
                 batch_window: Duration::from_millis(1),
                 max_batch_size: 64,
@@ -179,9 +176,8 @@ fn shutdown_with_inflight_dispatched_runs_neither_deadlocks_nor_leaks_threads() 
         let handle = service.handle();
         // Enqueue a deep backlog of large cohorts, then shut down while the
         // batcher has a dispatched run in flight on the pool.
-        let tickets: Vec<_> = (0..256u32)
-            .map(|i| handle.submit(QuerySpec::Sssp { source: (i * 193) % n }).unwrap())
-            .collect();
+        let tickets: Vec<_> =
+            (0..256u32).map(|i| handle.submit_sssp((i * 193) % n).unwrap()).collect();
         std::thread::sleep(Duration::from_millis(3));
         service.shutdown();
         // Every admitted ticket resolves: flushed result or typed shutdown

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, VertexId};
-use fg_service::{ForkGraphService, QueryResult, QuerySpec, ServiceConfig};
+use fg_service::{ForkGraphService, Query, QueryResult, ServiceConfig};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const TRIALS: u64 = 8;
@@ -42,8 +42,8 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
             max_batch_size: rng.gen_range(1usize..32),
             max_queue_depth: 4096, // property is about correctness, not shedding
             cache_capacity: if rng.gen_bool(0.5) { 256 } else { 0 },
-            // Exercise both the one-cohort-per-run path and heterogeneous
-            // multi-kernel runs under the same correctness property.
+            // Exercise both one-cohort batches and mixed batches under the
+            // same correctness property.
             max_kernels_per_run: rng.gen_range(1usize..5),
         };
         let service = ForkGraphService::start(Arc::clone(&pg), EngineConfig::default(), config);
@@ -51,35 +51,32 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
         let num_submitters = rng.gen_range(1usize..5);
         let queries_per_submitter = rng.gen_range(1usize..8);
         // Pre-generate each submitter's schedule so the RNG stays on this thread.
-        let schedules: Vec<Vec<(QuerySpec, u64)>> = (0..num_submitters)
+        let schedules: Vec<Vec<(Query, u64)>> = (0..num_submitters)
             .map(|_| {
                 (0..queries_per_submitter)
                     .map(|_| {
                         let source: VertexId = rng.gen_range(0u32..n as u32);
-                        let spec = if rng.gen_bool(0.5) {
-                            QuerySpec::Sssp { source }
-                        } else {
-                            QuerySpec::Bfs { source }
-                        };
-                        (spec, rng.gen_range(0u64..3)) // delay before submit, ms
+                        let kernel = if rng.gen_bool(0.5) { "sssp" } else { "bfs" };
+                        let query = Query::kernel(kernel).source(source);
+                        (query, rng.gen_range(0u64..3)) // delay before submit, ms
                     })
                     .collect()
             })
             .collect();
 
-        let outcomes: Vec<(QuerySpec, Arc<QueryResult>)> = std::thread::scope(|scope| {
+        let outcomes: Vec<(Query, Arc<QueryResult>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = schedules
                 .into_iter()
                 .map(|schedule| {
                     let handle = service.handle();
                     scope.spawn(move || {
                         let mut got = Vec::new();
-                        for (spec, delay_ms) in schedule {
+                        for (query, delay_ms) in schedule {
                             if delay_ms > 0 {
                                 std::thread::sleep(Duration::from_millis(delay_ms));
                             }
-                            let result = handle.submit(spec).unwrap().wait().unwrap();
-                            got.push((spec, result));
+                            let result = handle.run_query(query.clone()).unwrap();
+                            got.push((query, result));
                         }
                         got
                     })
@@ -92,9 +89,10 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
         service.shutdown();
 
         let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-        for (spec, result) in outcomes {
-            match spec {
-                QuerySpec::Sssp { source } => {
+        for (query, result) in outcomes {
+            let source = query.source_vertex().unwrap();
+            match query.kernel_name() {
+                "sssp" => {
                     let direct = engine.run_sssp(&[source]);
                     assert_eq!(
                         result.as_sssp().unwrap(),
@@ -102,7 +100,7 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
                         "trial {trial}: sssp from {source} diverged (metrics: {metrics:?})"
                     );
                 }
-                QuerySpec::Bfs { source } => {
+                "bfs" => {
                     let direct = engine.run_bfs(&[source]);
                     assert_eq!(
                         result.as_bfs().unwrap(),
@@ -110,7 +108,7 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
                         "trial {trial}: bfs from {source} diverged (metrics: {metrics:?})"
                     );
                 }
-                _ => unreachable!("only sssp/bfs are generated"),
+                other => unreachable!("only sssp/bfs are generated, got {other}"),
             }
         }
 

@@ -49,10 +49,10 @@ fn drain_rejects_new_submits_but_resolves_admitted_tickets() {
         Err(ServiceError::ShuttingDown) => {}
         other => panic!("draining submit should fail ShuttingDown, got {other:?}"),
     }
-    // The legacy enum API flows through the same gate.
-    match handle.submit(fg_service::QuerySpec::Bfs { source: 2 }) {
+    // The per-kernel convenience submitters flow through the same gate.
+    match handle.submit_bfs(2) {
         Err(ServiceError::ShuttingDown) => {}
-        other => panic!("draining enum submit should fail ShuttingDown, got {other:?}"),
+        other => panic!("draining submit_bfs should fail ShuttingDown, got {other:?}"),
     }
 
     // Everything admitted before the drain still resolves successfully.

@@ -1,8 +1,9 @@
-//! Service-level acceptance for heterogeneous multi-kernel runs: cohorts of
-//! *different* kernels waiting in the same batch window consolidate into
-//! **one** engine run (`BatchRecord::kernels_in_run >= 2`), every ticket
-//! still gets exactly the result a direct serial engine run would produce,
-//! and `max_kernels_per_run: 1` restores the one-cohort-per-run behaviour.
+//! Service-level acceptance for mixed batches: cohorts of *different*
+//! kernels waiting in the same batch window join **one** batch
+//! (`BatchRecord::kernels_in_run >= 2`; their passes run back to back on one
+//! pinned epoch), every ticket still gets exactly the result a direct serial
+//! engine run would produce, and `max_kernels_per_run: 1` restores the
+//! one-cohort-per-batch behaviour.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,8 +34,8 @@ fn consolidating_config() -> ServiceConfig {
     }
 }
 
-/// Acceptance criterion: two different-kernel cohorts share one run and all
-/// tickets match direct serial oracles.
+/// Acceptance criterion: two different-kernel cohorts share one batch and
+/// all tickets match direct serial oracles.
 #[test]
 fn different_kernel_cohorts_consolidate_into_one_run() {
     let pg = shared_graph(211);
@@ -83,8 +84,8 @@ fn different_kernel_cohorts_consolidate_into_one_run() {
     assert!(metrics.mixed_run_rate() > 0.0);
 }
 
-/// `max_kernels_per_run: 1` pins the pre-multi behaviour: every record is a
-/// single-kernel run and the mixed-run rate stays zero.
+/// `max_kernels_per_run: 1`: every record is a single-kernel batch and the
+/// mixed-run rate stays zero.
 #[test]
 fn max_kernels_per_run_one_disables_cross_kernel_consolidation() {
     let pg = shared_graph(223);
@@ -203,9 +204,8 @@ fn hop_table_oracle(graph: &CsrGraph, source: VertexId, k: u32) -> Vec<Dist> {
     dp
 }
 
-/// A runtime-registered custom kernel consolidates with a built-in cohort
-/// into one heterogeneous run — the open-registry and shared-pass features
-/// compose.
+/// A runtime-registered custom kernel joins a built-in cohort's batch — the
+/// open registry and mixed batches compose.
 #[test]
 fn registered_custom_kernel_shares_a_run_with_builtins() {
     let pg = shared_graph(227);

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, VertexId};
-use fg_service::{ForkGraphService, QuerySpec, ServiceConfig, ServiceError};
+use fg_service::{ForkGraphService, Query, ServiceConfig, ServiceError};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn parallel_graph(seed: u64, parts: usize) -> Arc<PartitionedGraph> {
@@ -51,7 +51,7 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
 
     const SUBMITTERS: usize = 6;
     const QUERIES: usize = 12;
-    let answers: Vec<(QuerySpec, fg_service::QueryResult)> = std::thread::scope(|scope| {
+    let answers: Vec<(Query, fg_service::QueryResult)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SUBMITTERS)
             .map(|s| {
                 let handle = service.handle();
@@ -60,13 +60,10 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
                     let mut got = Vec::new();
                     for _ in 0..QUERIES {
                         let source: VertexId = rng.gen_range(0..n);
-                        let spec = if rng.gen_bool(0.5) {
-                            QuerySpec::Sssp { source }
-                        } else {
-                            QuerySpec::Bfs { source }
-                        };
-                        let result = handle.submit(spec).unwrap().wait().unwrap();
-                        got.push((spec, (*result).clone()));
+                        let kernel = if rng.gen_bool(0.5) { "sssp" } else { "bfs" };
+                        let query = Query::kernel(kernel).source(source);
+                        let result = handle.run_query(query.clone()).unwrap();
+                        got.push((query, (*result).clone()));
                     }
                     got
                 })
@@ -85,15 +82,16 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
 
     // Oracle: the serial engine, one query at a time.
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-    for (spec, result) in answers {
-        match spec {
-            QuerySpec::Sssp { source } => {
+    for (query, result) in answers {
+        let source = query.source_vertex().unwrap();
+        match query.kernel_name() {
+            "sssp" => {
                 assert_eq!(result.as_sssp().unwrap(), &engine.run_sssp(&[source]).per_query[0]);
             }
-            QuerySpec::Bfs { source } => {
+            "bfs" => {
                 assert_eq!(result.as_bfs().unwrap(), &engine.run_bfs(&[source]).per_query[0]);
             }
-            _ => unreachable!("only sssp/bfs are generated"),
+            other => unreachable!("only sssp/bfs are generated, got {other}"),
         }
     }
 }
@@ -124,7 +122,7 @@ fn shutdown_under_racing_submitters_never_deadlocks_or_drops_tickets() {
                         let mut resolved = 0usize;
                         loop {
                             let source: VertexId = rng.gen_range(0..n);
-                            match handle.submit(QuerySpec::Bfs { source }) {
+                            match handle.submit_query(Query::kernel("bfs").source(source)) {
                                 Ok(ticket) => {
                                     // Every ticket must resolve even when the
                                     // service shuts down mid-flight.
@@ -161,8 +159,7 @@ fn dropping_a_parallel_service_with_queued_work_joins_cleanly() {
     let n = pg.graph().num_vertices() as u32;
     let service = ForkGraphService::with_parallel_defaults(Arc::clone(&pg), 3);
     let handle = service.handle();
-    let tickets: Vec<_> =
-        (0..24).map(|i| handle.submit(QuerySpec::Sssp { source: i % n }).unwrap()).collect();
+    let tickets: Vec<_> = (0..24).map(|i| handle.submit_sssp(i % n).unwrap()).collect();
     // Drop with work still queued: Drop flushes admitted queries, so every
     // ticket resolves to a result or ShuttingDown — nothing hangs.
     drop(service);

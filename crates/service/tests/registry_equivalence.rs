@@ -1,10 +1,10 @@
 //! Acceptance tests of the open-kernel redesign:
 //!
 //! 1. The four built-in kernels produce **byte-identical** results through
-//!    the new registry path (erased dispatch, `Query` builder, enum shim)
-//!    versus the pre-redesign direct engine path, in serial, spawn, and
-//!    pool executor modes. (PPR is the documented exception in *parallel*
-//!    modes: lazy forward-push is non-confluent even serially across
+//!    the registry path (erased dispatch, `Query` builder, the `submit_*`
+//!    conveniences) versus the direct engine path, on the serial loop and
+//!    on the worker pool. (PPR is the documented exception on the *pool*:
+//!    lazy forward-push is non-confluent even serially across
 //!    schedules, so there the contract is mass conservation + epsilon-scaled
 //!    L1 closeness, exactly as in `parallel_equivalence.rs`.)
 //! 2. A kernel defined **only in this test file** — not in any workspace
@@ -21,11 +21,11 @@ use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId, INF_DIST};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_service::{
-    ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, QuerySpec, ServiceConfig,
+    ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, ServiceConfig,
 };
 use forkgraph_core::kernel::FppKernel;
 use forkgraph_core::operation::Priority;
-use forkgraph_core::{erase, EngineConfig, ExecutorMode, ForkGraphEngine};
+use forkgraph_core::{erase, EngineConfig, ForkGraphEngine};
 
 fn shared_graph(seed: u64, partitions: usize) -> (CsrGraph, Arc<PartitionedGraph>) {
     let g = gen::erdos_renyi(300, 2200, seed).with_random_weights(8, seed);
@@ -36,11 +36,13 @@ fn shared_graph(seed: u64, partitions: usize) -> (CsrGraph, Arc<PartitionedGraph
     (g, pg)
 }
 
-/// Service-vs-direct equivalence of all four built-ins under one executor
-/// mode, driving both the enum shim and the builder API.
-fn builtin_equivalence_under(mode: ExecutorMode) {
+/// Service-vs-direct equivalence of all four built-ins with `threads` engine
+/// workers (1 = the serial loop, more = the pool), driving both the
+/// `submit_*` conveniences and the builder API.
+fn builtin_equivalence_under(threads: usize) {
+    let mode = format!("{threads} thread(s)");
     let (_, pg) = shared_graph(211, 6);
-    let engine_config = EngineConfig::default().with_threads(4).with_executor(mode);
+    let engine_config = EngineConfig::default().with_threads(threads);
     let service = ForkGraphService::start(
         Arc::clone(&pg),
         engine_config,
@@ -56,19 +58,19 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
     let rw_config = RandomWalkConfig { num_walks: 8, walk_length: 12, restart_prob: 0.0, seed: 5 };
 
     for source in [0u32, 17, 191] {
-        // SSSP: enum shim and builder must be byte-identical to the direct
-        // engine result (monotone kernel ⇒ schedule-independent).
-        let via_enum = handle.query(QuerySpec::Sssp { source }).unwrap();
+        // SSSP: byte-identical to the direct engine result (monotone kernel
+        // ⇒ schedule-independent), however it was submitted.
+        let via_submit = handle.submit_sssp(source).unwrap().wait().unwrap();
         let via_builder = handle.run_query(Query::kernel("sssp").source(source)).unwrap();
         let oracle = direct.run_sssp(&[source]);
-        assert_eq!(via_enum.try_sssp().unwrap(), &oracle.per_query[0], "{mode:?} sssp {source}");
+        assert_eq!(via_submit.try_sssp().unwrap(), &oracle.per_query[0], "{mode:?} sssp {source}");
         assert!(
-            Arc::ptr_eq(&via_enum, &via_builder),
-            "{mode:?}: builder query must hit the enum query's cache entry"
+            Arc::ptr_eq(&via_submit, &via_builder),
+            "{mode:?}: builder query must hit submit_sssp's cache entry"
         );
 
         // BFS.
-        let bfs = handle.query(QuerySpec::Bfs { source }).unwrap();
+        let bfs = handle.run_query(Query::kernel("bfs").source(source)).unwrap();
         assert_eq!(
             bfs.try_bfs().unwrap(),
             &direct.run_bfs(&[source]).per_query[0],
@@ -85,14 +87,21 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
             "{mode:?} random_walk {source}"
         );
 
-        // PPR: byte-identical only under the serial executor (one
-        // deterministic schedule on both sides); in parallel modes the
-        // kernel itself is non-confluent, so assert the ACL contract.
+        // PPR: byte-identical only on the serial loop (one deterministic
+        // schedule on both sides); on the pool the kernel itself is
+        // non-confluent, so assert the ACL contract. A config struct and
+        // the builder spelling of the same parameters key identically:
+        // the second submission is the first one's cache entry.
         let ppr = handle.submit_ppr(source, ppr_config).unwrap().wait().unwrap();
+        let spelled = Query::kernel("ppr").source(source).param("epsilon", ppr_config.epsilon);
+        assert!(
+            Arc::ptr_eq(&ppr, &handle.run_query(spelled).unwrap()),
+            "{mode:?}: submit_ppr and the builder must share one cache entry"
+        );
         let ppr_state = ppr.try_ppr().unwrap();
         let oracle_ppr = &direct.run_ppr(&[source], &ppr_config).per_query[0];
         assert!((ppr_state.total_mass() - 1.0).abs() < 1e-9, "{mode:?} ppr {source}");
-        if mode == ExecutorMode::Serial {
+        if threads == 1 {
             assert_eq!(ppr_state, oracle_ppr, "{mode:?} ppr {source}");
         } else {
             let l1: f64 = ppr_state
@@ -109,17 +118,12 @@ fn builtin_equivalence_under(mode: ExecutorMode) {
 
 #[test]
 fn builtins_are_equivalent_through_the_registry_serial() {
-    builtin_equivalence_under(ExecutorMode::Serial);
-}
-
-#[test]
-fn builtins_are_equivalent_through_the_registry_spawn() {
-    builtin_equivalence_under(ExecutorMode::Spawn);
+    builtin_equivalence_under(1);
 }
 
 #[test]
 fn builtins_are_equivalent_through_the_registry_pool() {
-    builtin_equivalence_under(ExecutorMode::Pool);
+    builtin_equivalence_under(4);
 }
 
 #[test]
@@ -251,9 +255,7 @@ fn khop_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> 
 #[test]
 fn custom_kernel_runs_through_batching_pool_and_cache() {
     let (g, pg) = shared_graph(227, 6);
-    // Pool mode pinned: this test *requires* the persistent WorkerPool, so
-    // it must hold on the serial and spawn legs of the CI matrix too.
-    let engine_config = EngineConfig::default().with_threads(4).with_executor(ExecutorMode::Pool);
+    let engine_config = EngineConfig::default().with_threads(4);
     let service = ForkGraphService::start(
         Arc::clone(&pg),
         engine_config,
@@ -310,7 +312,7 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
         metrics.max_batch_occupancy
     );
     // …ran on the shared persistent pool with an adaptively sized crew…
-    let pool = service.pool_metrics().expect("pool-mode service has a pool");
+    let pool = service.pool_metrics().expect("a parallel service has a pool");
     assert!(pool.dispatches >= 1, "custom kernel batches dispatched onto the WorkerPool");
     let records = service.batch_records();
     assert!(
@@ -335,23 +337,14 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
 }
 
 #[test]
-fn custom_kernel_is_byte_identical_across_modes_at_engine_level() {
+fn custom_kernel_is_byte_identical_on_the_serial_loop_and_the_pool() {
     let (_, pg) = shared_graph(229, 8);
     let kernel = erase(KHopKernel { k: 3 });
     let sources = [2u32, 90, 250];
-    let serial =
-        ForkGraphEngine::new(&pg, EngineConfig::default().with_executor(ExecutorMode::Serial))
-            .run_dyn(&*kernel, &sources);
-    for mode in [ExecutorMode::Spawn, ExecutorMode::Pool] {
-        let parallel =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4).with_executor(mode))
-                .run_dyn(&*kernel, &sources);
-        for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
-            assert_eq!(
-                a.downcast_ref::<Vec<Dist>>().unwrap(),
-                b.downcast_ref::<Vec<Dist>>().unwrap(),
-                "{mode:?}"
-            );
-        }
+    let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+    let parallel = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4))
+        .run_dyn(&*kernel, &sources);
+    for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+        assert_eq!(a.downcast_ref::<Vec<Dist>>().unwrap(), b.downcast_ref::<Vec<Dist>>().unwrap());
     }
 }

@@ -25,7 +25,7 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_service::{
     BatchKey, CacheKey, ForkGraphService, InstantiatedKernel, KernelRegistry, ParamError, Query,
-    QueryParams, QuerySpec, ServiceConfig,
+    QueryParams, ServiceConfig,
 };
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{erase, EngineConfig};
@@ -305,25 +305,4 @@ fn misbehaving_dyn_kernels_fail_the_cohort_instead_of_stranding_tickets() {
     // The batcher survived and keeps serving.
     assert!(handle.run_query(Query::kernel("sssp").source(1)).unwrap().try_sssp().is_ok());
     service.shutdown();
-}
-
-#[test]
-fn enum_shim_keys_match_registry_derived_keys() {
-    // The legacy QuerySpec keys are computed without a registry; they must
-    // agree exactly with what resolution produces, or the two submission
-    // APIs would split cohorts / double-cache.
-    let registry = KernelRegistry::with_builtins();
-    let specs = [
-        QuerySpec::Sssp { source: 3 },
-        QuerySpec::Bfs { source: 3 },
-        QuerySpec::Ppr { seed: 3, config: Default::default() },
-        QuerySpec::RandomWalk { source: 3, config: Default::default() },
-    ];
-    for spec in specs {
-        let query = spec.to_query();
-        let resolved = registry.resolve(query.kernel_name(), query.params()).unwrap();
-        let derived = BatchKey { kernel: resolved.id, params: resolved.params };
-        assert_eq!(spec.batch_key(), derived, "{spec:?}");
-        assert_eq!(spec.cache_key(), CacheKey { key: derived, source: 3 }, "{spec:?}");
-    }
 }

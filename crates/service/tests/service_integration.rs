@@ -9,7 +9,7 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, VertexId};
 use fg_seq::ppr::PprConfig;
-use fg_service::{ForkGraphService, Query, QueryResult, QuerySpec, ServiceConfig, ServiceError};
+use fg_service::{ForkGraphService, Query, QueryResult, ServiceConfig, ServiceError};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn shared_graph(seed: u64) -> Arc<PartitionedGraph> {
@@ -139,8 +139,8 @@ fn repeated_queries_hit_the_result_cache() {
     );
     let handle = service.handle();
 
-    let first = handle.query(QuerySpec::Sssp { source: 42 }).unwrap();
-    let second = handle.query(QuerySpec::Sssp { source: 42 }).unwrap();
+    let first = handle.run_query(Query::kernel("sssp").source(42)).unwrap();
+    let second = handle.run_query(Query::kernel("sssp").source(42)).unwrap();
     assert_eq!(first.try_sssp().unwrap(), second.try_sssp().unwrap());
     // The second answer is the same shared allocation, straight from cache.
     assert!(Arc::ptr_eq(&first, &second));
@@ -212,7 +212,7 @@ fn out_of_range_sources_are_rejected_and_do_not_wedge_the_service() {
     );
 
     // The service keeps serving valid queries afterwards.
-    let result = handle.query(QuerySpec::Bfs { source: 0 }).unwrap();
+    let result = handle.run_query(Query::kernel("bfs").source(0)).unwrap();
     assert!(result.as_bfs().is_some());
     service.shutdown();
 }
@@ -223,7 +223,7 @@ fn wrong_kernel_accessors_name_the_actual_kernel() {
     let service = ForkGraphService::with_defaults(Arc::clone(&pg));
     let handle = service.handle();
 
-    let result = handle.query(QuerySpec::Bfs { source: 4 }).unwrap();
+    let result = handle.run_query(Query::kernel("bfs").source(4)).unwrap();
     // Old-style accessor: silent None on kind mismatch.
     assert!(result.as_sssp().is_none());
     // Checked accessor: a typed error that says what the result actually is.
@@ -275,7 +275,7 @@ fn submissions_after_shutdown_are_refused() {
     let pg = shared_graph(89);
     let service = ForkGraphService::with_defaults(Arc::clone(&pg));
     let handle = service.handle();
-    handle.query(QuerySpec::Bfs { source: 0 }).unwrap();
+    handle.run_query(Query::kernel("bfs").source(0)).unwrap();
     service.shutdown();
     assert_eq!(handle.submit_bfs(1).unwrap_err(), ServiceError::ShuttingDown);
 }

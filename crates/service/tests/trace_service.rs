@@ -14,7 +14,7 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_service::{EdgeMutation, ForkGraphService, Query, ServiceConfig};
 use fg_trace::{chrome, EventKind, TraceSink};
-use forkgraph_core::{EngineConfig, ExecutorMode};
+use forkgraph_core::EngineConfig;
 
 const QUERIES: u32 = 32;
 const WORKERS: usize = 3;
@@ -42,9 +42,9 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
     let sink = TraceSink::new();
     let service = ForkGraphService::start_traced(
         Arc::clone(&pg),
-        // Pinned: the acceptance criterion is a service run over >= 2 engine
-        // worker threads, independent of the FORKGRAPH_EXECUTOR leg.
-        EngineConfig::default().with_threads(WORKERS).with_executor(ExecutorMode::Pool),
+        // The acceptance criterion is a service run over >= 2 engine worker
+        // threads.
+        EngineConfig::default().with_threads(WORKERS),
         ServiceConfig {
             batch_window: Duration::from_millis(1),
             max_batch_size: 64,

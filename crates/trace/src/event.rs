@@ -35,10 +35,8 @@ pub enum EventKind {
     /// operations it emitted to its own partition (straight onto a lane).
     /// `Begin.b − b + c` operations stay resident for the next visit.
     PartitionVisitEnd = 4,
-    /// One query's consolidated group was processed inside a multi-kernel
-    /// visit. `a` = query index, `b` = kernel group index, `c` = partition
-    /// id.
-    QueryGroupVisit = 5,
+    // Discriminant 5 is unassigned (it was the shared multi-kernel pass's
+    // per-query event) and decodes to `None`; kinds are never renumbered.
     /// A query yielded the partition under the engine's yield policy.
     /// `a` = query index, `b` = partition id.
     Yield = 6,
@@ -116,7 +114,6 @@ impl EventKind {
             2 => EventKind::RunEnd,
             3 => EventKind::PartitionVisitBegin,
             4 => EventKind::PartitionVisitEnd,
-            5 => EventKind::QueryGroupVisit,
             6 => EventKind::Yield,
             7 => EventKind::Claim,
             8 => EventKind::Steal,
@@ -146,7 +143,6 @@ impl EventKind {
         match self {
             EventKind::RunBegin | EventKind::RunEnd => "run",
             EventKind::PartitionVisitBegin | EventKind::PartitionVisitEnd => "partition_visit",
-            EventKind::QueryGroupVisit => "query_group_visit",
             EventKind::Yield => "yield",
             EventKind::Claim => "claim",
             EventKind::Steal => "steal",
@@ -239,7 +235,6 @@ mod tests {
             EventKind::RunEnd,
             EventKind::PartitionVisitBegin,
             EventKind::PartitionVisitEnd,
-            EventKind::QueryGroupVisit,
             EventKind::Yield,
             EventKind::Claim,
             EventKind::Steal,
@@ -268,6 +263,7 @@ mod tests {
     #[test]
     fn unknown_kinds_decode_to_none() {
         assert_eq!(EventKind::from_u16(0), None);
+        assert_eq!(EventKind::from_u16(5), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(26), None);
         assert_eq!(EventKind::from_u16(u16::MAX), None);
         assert_eq!(TraceEvent::decode([0, (26u64) << 32, 0]), None);

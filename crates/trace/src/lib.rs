@@ -40,6 +40,8 @@
 //!   snapshots, so an HTTP front door can serve `/metrics` by pasting one
 //!   string.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod expose;

@@ -73,13 +73,9 @@ fn main() {
                         } else {
                             rng.gen_range(0u32..n)
                         };
-                        // Mix the two submission APIs: the open builder
-                        // (`Query::kernel(..)`) and the legacy enum shim —
-                        // they resolve to the same registered kernels and
-                        // batch/cache together.
                         let query = match rng.gen_range(0u32..3) {
                             0 => Query::kernel("sssp").source(source),
-                            1 => QuerySpec::Bfs { source }.to_query(),
+                            1 => Query::kernel("bfs").source(source),
                             _ => Query::kernel("ppr").source(source).param("epsilon", 1e-5),
                         };
                         match handle.submit_query(query) {

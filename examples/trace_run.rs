@@ -44,7 +44,7 @@ fn main() {
     let sink = TraceSink::new();
     let service = ForkGraphService::start_traced(
         Arc::clone(&partitioned),
-        EngineConfig::default().with_threads(4).with_executor(ExecutorMode::Pool),
+        EngineConfig::default().with_threads(4),
         forkgraph::service::ServiceConfig {
             batch_window: Duration::from_millis(2),
             max_batch_size: 64,
@@ -58,7 +58,7 @@ fn main() {
     );
 
     // A burst of mixed-kernel queries; SSSP and BFS cohorts that wait
-    // together share one heterogeneous engine pass.
+    // together share one batch (one epoch pin, their passes back to back).
     let handle = service.handle();
     let n = graph.num_vertices() as u32;
     let tickets: Vec<Ticket> = (0..QUERIES)

@@ -29,6 +29,8 @@
 //! See the `examples/` directory for larger end-to-end applications
 //! (betweenness centrality, network community profiles, landmark labeling).
 
+#![forbid(unsafe_code)]
+
 pub use fg_apps as apps;
 pub use fg_baselines as baselines;
 pub use fg_cachesim as cachesim;
@@ -57,11 +59,11 @@ pub mod prelude {
     };
     pub use fg_service::{
         ForkGraphService, InstantiatedKernel, KernelRegistry, Query, QueryParams, QueryResult,
-        QuerySpec, ServiceConfig, ServiceError, Ticket,
+        ServiceConfig, ServiceError, Ticket,
     };
     pub use fg_trace::{EventKind, RunProfile, TraceSink};
     pub use forkgraph_core::dynkernel::{erase, DynKernel};
-    pub use forkgraph_core::engine::{EngineConfig, ExecutorMode, ForkGraphEngine};
+    pub use forkgraph_core::engine::{EngineConfig, ForkGraphEngine};
     pub use forkgraph_core::pool::WorkerPool;
     pub use forkgraph_core::sched::SchedulingPolicy;
     pub use forkgraph_core::yield_policy::YieldPolicy;

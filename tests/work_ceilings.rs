@@ -10,7 +10,7 @@
 //! created. Both are visible in counters that repeat exactly, so `cargo test
 //! -q` catches a return of either without timing anything.
 
-use forkgraph::core::{ExecutorMode, YieldPolicy};
+use forkgraph::core::YieldPolicy;
 use forkgraph::graph::gen;
 use forkgraph::graph::INF_DIST;
 use forkgraph::prelude::*;
@@ -36,9 +36,7 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
         sequential.iter().map(|r| r.dist.iter().filter(|&&d| d != INF_DIST).count() as u64).sum();
 
     for yield_policy in [YieldPolicy::default(), YieldPolicy::EdgeBudget { threshold: 1 }] {
-        let config = EngineConfig::default()
-            .with_yield_policy(yield_policy)
-            .with_executor(ExecutorMode::Serial);
+        let config = EngineConfig::default().with_yield_policy(yield_policy);
         let result = ForkGraphEngine::new(&pg, config).run_sssp(sources);
         let label = format!("{name} {}", yield_policy.name());
         for (got, expected) in result.per_query.iter().zip(&sequential) {
