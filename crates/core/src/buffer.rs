@@ -105,8 +105,10 @@ impl<V: Copy> Lane<V> {
     /// inbox's next use is some other partition's visit, arbitrarily far
     /// off, and what it carried now lives on the heap — so a grown inbox
     /// gives its buffer back rather than keeping a second copy of the lane's
-    /// peak capacity (measured on 32 PPR queries over 24 partitions: 15 MiB
-    /// of idle inbox capacity beside 25 MiB of heaps).
+    /// peak capacity (measured with `fgbench`, seeds 42–44: keeping it raises
+    /// `fpp-social-resident`'s peak RSS — 32 SSSP queries over 24 partitions
+    /// — from 32.6–33.4 to 35.9–38.8 MiB; `fpp-ppr-resident`, whose lanes hold
+    /// about one operation per push in flight, does not move).
     pub(crate) fn merge_inbox(&mut self) {
         self.heap.extend(self.inbox.drain(..).map(|op| HeapEntry { op }));
         self.inbox_min = Priority::MAX;

@@ -54,19 +54,25 @@ pub trait FppKernel: Sync {
     /// number of edges processed (0 when the operation was pruned), which
     /// feeds both the work counters and the yielding heuristics.
     ///
-    /// # Who writes tentative state: the relax-time contract
+    /// # Combine at emit time
     ///
     /// `state` belongs to the query and the engine hands it to one
     /// `process` call at a time, so a kernel may write **any** vertex's entry
     /// from here — including a neighbour in a partition that is not being
-    /// visited. Min-relaxation kernels should use that the way
-    /// `fg_seq::dijkstra` uses lazy deletion, and the built-in SSSP and BFS
-    /// kernels do:
+    /// visited. That makes the edge the one place where the paper's
+    /// consolidation ("operations on the same vertex are merged", §5.1) is
+    /// free: the target's entry is being read anyway, so a kernel combines the
+    /// value it would send into the entry and emits an operation only when
+    /// the entry changed in a way that needs one. The engine has no combine
+    /// hook of its own; a kernel that combines does it here, and the built-in
+    /// ones combine as follows.
+    ///
+    /// **Min-relaxation (SSSP, BFS)** — the way `fg_seq::dijkstra` uses lazy
+    /// deletion:
     ///
     /// * **at relax time**, `if nd < state[t] { state[t] = nd; emit(t, nd, …) }`
-    ///   — the entry is being read for the comparison anyway, so the write
-    ///   costs no new cache miss, and an operation that is already dominated
-    ///   is never created, buffered or shipped;
+    ///   — an operation that is already dominated is never created, buffered
+    ///   or shipped;
     /// * **at process time**, prune on `value > state[vertex]` (a better value
     ///   was written after this operation was emitted, and *its* operation
     ///   does the work) and otherwise expand. The entry is (re)written with
@@ -82,11 +88,23 @@ pub trait FppKernel: Sync {
     /// strict (`>`), and why seeds must be strict improvements too (see
     /// [`IncrementalKernel::delta_seed`]).
     ///
+    /// **Accumulation (PPR)** — the way `fg_seq::ppr::ppr_push` does it: a
+    /// push adds its share into `residual[t]` on the edge and emits a
+    /// massless operation only when that addition carries `residual[t]`
+    /// across `t`'s push threshold. A vertex therefore has a live operation
+    /// exactly while its residual is at or above the threshold, without an
+    /// `in_queue` flag, and every operation popped performs a push.
+    ///
+    /// **Opting out (random walk, DFS).** A random-walk operation is a walker
+    /// batch carrying its own RNG seed, so two batches at one vertex are not
+    /// one batch; a DFS operation's arrival order *is* the answer (the
+    /// discovery index). Both emit every operation and combine nothing.
+    ///
     /// The contract is the kernel's own business: the engine never looks
     /// inside `state`, and kernels that write only at process time (prune on
-    /// `value >= state[vertex]`) remain correct — they just let dominated
-    /// operations travel. Accumulating kernels (PPR) have nothing to dominate
-    /// and ignore all of this.
+    /// `value >= state[vertex]`, or add the carried value when popped) remain
+    /// correct — they just let operations travel that combining would have
+    /// merged away.
     fn process(
         &self,
         graph: &AdjacencyView<'_>,

@@ -1,10 +1,21 @@
 //! PPR kernel: push-based approximate personalized PageRank
 //! (Andersen–Chung–Lang), the query type behind the NCP application.
 //!
-//! An operation carries residual mass to add at a vertex; when the accumulated
-//! residual exceeds `epsilon * degree`, the vertex performs a (lazy) push and
-//! emits residual shares to its neighbours. The priority functor prefers larger
-//! residual shares (the "most effective value changes" of Section 5.2).
+//! A push at `v` keeps `alpha·r` as estimate, retains half of the rest as
+//! residual and adds the other half, split evenly, **straight into each
+//! out-neighbour's residual** — on the edge, as `fg_seq::ppr::ppr_push`
+//! does. That is the engine's combine-at-emit-time contract (see
+//! [`FppKernel::process`]) with addition as the combiner: an operation is
+//! emitted for a neighbour only when the share carries its residual across
+//! `epsilon · degree`, so a vertex has a live operation exactly while its
+//! residual is at or above its threshold, and every operation that is popped
+//! performs a push. Operations carry no mass (`0.0`) except the source
+//! operation's `1.0`. The priority functor prefers larger residuals (the
+//! "most effective value changes" of Section 5.2).
+//!
+//! [`PprConfig::max_pushes`] caps the pushes of one query, as in `fg-seq`:
+//! once it is reached, operations still in flight do nothing and the
+//! unpushed mass stays in `residual`.
 
 use fg_graph::{AdjacencyView, CsrGraph, VertexId};
 use fg_seq::ppr::PprConfig;
@@ -53,13 +64,12 @@ impl PprKernel {
         PprKernel { config }
     }
 
-    /// Priority functor: larger residual shares get smaller (better)
-    /// priorities.
-    pub fn priority_of(residual_share: f64) -> Priority {
-        if residual_share <= 0.0 {
+    /// Priority functor: larger residuals get smaller (better) priorities.
+    pub fn priority_of(residual: f64) -> Priority {
+        if residual <= 0.0 {
             return Priority::MAX;
         }
-        (1.0 / residual_share).min(1e15) as Priority
+        (1.0 / residual).min(1e15) as Priority
     }
 }
 
@@ -91,36 +101,41 @@ impl FppKernel for PprKernel {
         value: Self::Value,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
+        let epsilon = self.config.epsilon;
         let v = vertex as usize;
-        state.residual[v] += value;
+        state.residual[v] += value; // only the source operation carries mass
         let degree = graph.out_degree(vertex);
-        let deg = degree.max(1) as f64;
-        if state.residual[v] < self.config.epsilon * deg {
-            return 0; // below the push threshold: wait for more mass
+        let threshold = epsilon * degree.max(1) as f64;
+        let capped = self.config.max_pushes != 0 && state.pushes >= self.config.max_pushes;
+        if state.residual[v] < threshold || capped {
+            return 0; // below the push threshold, or out of pushes
         }
         let r = state.residual[v];
         state.estimate[v] += self.config.alpha * r;
         let push_mass = (1.0 - self.config.alpha) * r;
         state.residual[v] = push_mass / 2.0;
         state.pushes += 1;
-        let mut edges = 0u64;
         if degree == 0 {
             // Dangling vertex: the walk stays put; keep the mass as residual.
             state.residual[v] += push_mass / 2.0;
-        } else {
-            let share = push_mass / 2.0 / deg;
-            let priority = Self::priority_of(share);
-            for t in graph.out_neighbors(vertex) {
-                edges += 1;
-                emit(t, share, priority);
+        }
+        // Judged before the shares land, so a self-loop that carries `v`
+        // across its threshold is the one emit below, not a second one here.
+        let reschedule = state.residual[v] >= threshold;
+        let share = push_mass / 2.0 / degree.max(1) as f64;
+        for t in graph.out_neighbors(vertex) {
+            let before = state.residual[t as usize];
+            let after = before + share;
+            state.residual[t as usize] = after;
+            let target_threshold = epsilon * graph.out_degree(t).max(1) as f64;
+            if before < target_threshold && target_threshold <= after {
+                emit(t, 0.0, Self::priority_of(after));
             }
         }
-        // If the retained residual still exceeds the threshold, schedule
-        // another push of this vertex.
-        if state.residual[v] >= self.config.epsilon * deg {
+        if reschedule {
             emit(vertex, 0.0, Self::priority_of(state.residual[v]));
         }
-        edges
+        degree as u64
     }
 }
 
@@ -189,6 +204,48 @@ mod tests {
         assert_eq!(emitted, 0);
         assert!(state.residual[0] > 0.0);
         assert_eq!(state.estimate[0], 0.0);
+    }
+
+    #[test]
+    fn a_neighbour_is_emitted_once_per_threshold_crossing() {
+        // 0 → 2 and 1 → 2; vertex 2 has out-degree 1, so its threshold is ε.
+        let mut b = fg_graph::GraphBuilder::new(4);
+        b.add_edge(0, 2, 1);
+        b.add_edge(1, 2, 1);
+        b.add_edge(2, 3, 1);
+        let g = b.build();
+        let epsilon = 0.1;
+        let kernel = PprKernel::new(PprConfig { epsilon, ..Default::default() });
+        let mut state = kernel.init_state(&g);
+        let view = AdjacencyView::from_csr(&g);
+        state.residual[2] = epsilon * 0.99;
+        let mut emitted = Vec::new();
+        for source in [0, 1] {
+            // Each push reaches 2 with a share of 0.425 — both take it over ε.
+            kernel.process(&view, &mut state, source, 1.0, &mut |t, value, _| {
+                emitted.push((t, value))
+            });
+        }
+        assert_eq!(state.pushes, 2);
+        assert_eq!(emitted.iter().filter(|(t, _)| *t == 2).count(), 1, "{emitted:?}");
+        assert_eq!(emitted.iter().filter(|(t, _)| *t != 2).count(), 2, "two self-reschedules");
+        assert!(emitted.iter().all(|&(_, value)| value == 0.0), "operations carry no mass");
+        assert!((state.residual[2] - (epsilon * 0.99 + 2.0 * 0.425)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_self_loop_crossing_its_own_threshold_is_one_operation() {
+        let mut b = fg_graph::GraphBuilder::new(1).keep_self_loops(true);
+        b.add_edge(0, 0, 1);
+        let g = b.build();
+        let kernel = PprKernel::new(PprConfig { epsilon: 0.5, ..Default::default() });
+        let mut state = kernel.init_state(&g);
+        let view = AdjacencyView::from_csr(&g);
+        let mut emitted = 0;
+        // Retains 0.425 < ε, then the loop adds 0.425 more: one crossing.
+        kernel.process(&view, &mut state, 0, 1.0, &mut |_, _, _| emitted += 1);
+        assert_eq!(emitted, 1);
+        assert!((state.residual[0] - 0.85).abs() < 1e-12);
     }
 
     #[test]

@@ -231,15 +231,15 @@ fn ppr_keeps_its_approximation_contract_across_the_whole_matrix() {
     let ppr = PprConfig { epsilon: 1e-4, ..Default::default() };
     let oracle: Vec<Vec<f64>> =
         seeds.iter().map(|&s| fg_seq::ppr::ppr_push(&graph, s, &ppr).dense(n)).collect();
+    let threshold = |v: usize| ppr.epsilon * graph.out_degree(v as u32).max(1) as f64;
     // Quiescent residuals are below epsilon·deg everywhere, so two quiescent
     // push states differ by at most twice the sum of those thresholds.
-    let budget: f64 =
-        (0..n).map(|v| ppr.epsilon * graph.out_degree(v as u32).max(1) as f64).sum::<f64>() * 2.0;
+    let budget: f64 = (0..n).map(threshold).sum::<f64>() * 2.0;
     let erased_ppr = erase(PprKernel::new(ppr));
     let raw = partitioned(&graph, StorageConfig::Raw);
     let compressed = partitioned(&graph, StorageConfig::Compressed);
 
-    let check = |label: &str, api: &str, states: &[&PprState]| {
+    let check = |label: &str, api: &str, states: &[&PprState], operations: u64| {
         for (q, (state, expected)) in states.iter().zip(&oracle).enumerate() {
             assert!(
                 (state.total_mass() - 1.0).abs() < 1e-9,
@@ -248,18 +248,28 @@ fn ppr_keeps_its_approximation_contract_across_the_whole_matrix() {
             );
             let l1: f64 = state.estimate.iter().zip(expected).map(|(a, b)| (a - b).abs()).sum();
             assert!(l1 <= budget, "{label} {api} query {q}: l1 {l1} > budget {budget}");
+            let active = (0..n).find(|&v| state.residual[v] >= threshold(v));
+            assert_eq!(active, None, "{label} {api} query {q}: not quiescent");
         }
+        // Combine at emit time: an operation exists only for a threshold
+        // crossing (or a seed), and every one popped pushes.
+        let pushes: u64 = states.iter().map(|state| state.pushes).sum();
+        assert!(
+            operations <= pushes + seeds.len() as u64,
+            "{label} {api}: {operations} operations for {pushes} pushes"
+        );
     };
     for_each_config(|cell| {
         let label = &cell.label;
         let pg = if matches!(cell.storage, StorageConfig::Raw) { &raw } else { &compressed };
         let engine = cell.engine(pg);
         let direct = engine.run_ppr(&seeds, &ppr);
-        check(label, "run", &direct.per_query.iter().collect::<Vec<_>>());
+        let states: Vec<&PprState> = direct.per_query.iter().collect();
+        check(label, "run", &states, direct.work().operations_processed);
         let erased = engine.run_dyn(&*erased_ppr, &seeds);
         let states: Vec<&PprState> =
             erased.per_query.iter().map(|s| s.downcast_ref::<PprState>().unwrap()).collect();
-        check(label, "run_dyn", &states);
+        check(label, "run_dyn", &states, erased.work().operations_processed);
     });
 }
 

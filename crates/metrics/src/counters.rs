@@ -159,7 +159,8 @@ pub struct WorkSnapshot {
     /// number of operations the run ever created.
     pub operations_buffered: u64,
     /// Executed operations that did no edge work: stale or dominated by the
-    /// time they were popped (or, for accumulating kernels, below threshold).
+    /// time they were popped (or, for PPR, a seed below its threshold, an
+    /// operation past `max_pushes`, or a push at a dangling vertex).
     pub operations_pruned: u64,
     /// Partition visits scheduled by the inter-partition scheduler.
     pub partition_visits: u64,

@@ -9,11 +9,21 @@
 //! nothing, and with relax-time dominance a dominated operation is never
 //! created. Both are visible in counters that repeat exactly, so `cargo test
 //! -q` catches a return of either without timing anything.
+//!
+//! PPR had the same disease in its own form — one operation per out-edge per
+//! push, each added into the residual only when popped, ≈ 23 operations per
+//! push — until it combined at emit time like `fg_seq::ppr_push`: the share
+//! is added on the edge, and an operation exists only for a threshold
+//! crossing, so every operation is a push.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use forkgraph::core::YieldPolicy;
 use forkgraph::graph::gen;
 use forkgraph::graph::INF_DIST;
 use forkgraph::prelude::*;
+use forkgraph::seq::ppr::{ppr_push, PprConfig};
 
 /// Operations that entered a lane per vertex the batch reached: one per
 /// improvement of a tentative distance. `fg_seq::dijkstra` itself pushes
@@ -23,19 +33,27 @@ const BUFFERED_PER_REACHED_VERTEX: f64 = 3.0;
 /// re-relaxes a little across partition borders).
 const EDGES_OVER_SEQUENTIAL: f64 = 1.2;
 
-fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexId]) {
+fn chunked(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
     // Chunked partitioning: the layout, and with it every counter below, is
     // the same in every process.
-    let pg = PartitionedGraph::build(
+    PartitionedGraph::build(
         graph,
         PartitionConfig::with_partitions(PartitionMethod::Chunked, parts),
-    );
+    )
+}
+
+fn yield_policies() -> [YieldPolicy; 2] {
+    [YieldPolicy::default(), YieldPolicy::EdgeBudget { threshold: 1 }]
+}
+
+fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexId]) {
+    let pg = chunked(graph, parts);
     let sequential: Vec<_> = sources.iter().map(|&s| dijkstra(graph, s)).collect();
     let sequential_edges: u64 = sequential.iter().map(|r| r.edges_processed).sum();
     let reached: u64 =
         sequential.iter().map(|r| r.dist.iter().filter(|&&d| d != INF_DIST).count() as u64).sum();
 
-    for yield_policy in [YieldPolicy::default(), YieldPolicy::EdgeBudget { threshold: 1 }] {
+    for yield_policy in yield_policies() {
         let config = EngineConfig::default().with_yield_policy(yield_policy);
         let result = ForkGraphEngine::new(&pg, config).run_sssp(sources);
         let label = format!("{name} {}", yield_policy.name());
@@ -72,4 +90,85 @@ fn engine_bookkeeping_stays_within_exact_ceilings_of_the_sequential_loop() {
     let road = gen::grid2d(64, 64, 0.02, 7).with_random_weights(9, 7);
     let sources: Vec<VertexId> = (0..8).map(|i| i * 509 % road.num_vertices() as u32).collect();
     check_ceilings("grid", &road, 8, &sources);
+}
+
+fn check_ppr_ceilings(name: &str, graph: &CsrGraph, parts: usize, seeds: &[VertexId]) {
+    let pg = chunked(graph, parts);
+    let ppr = PprConfig { epsilon: 1e-4, ..Default::default() };
+    let sequential_edges: u64 =
+        seeds.iter().map(|&s| ppr_push(graph, s, &ppr).edges_processed).sum();
+    let threshold = |v: usize| ppr.epsilon * graph.out_degree(v as VertexId).max(1) as f64;
+
+    for yield_policy in yield_policies() {
+        let config = EngineConfig::default().with_yield_policy(yield_policy);
+        let result = ForkGraphEngine::new(&pg, config).run_ppr(seeds, &ppr);
+        let label = format!("{name} ppr {}", yield_policy.name());
+        for (q, state) in result.per_query.iter().enumerate() {
+            assert!((state.total_mass() - 1.0).abs() < 1e-9, "{label} query {q}: mass");
+            let active = (0..graph.num_vertices()).find(|&v| state.residual[v] >= threshold(v));
+            assert_eq!(active, None, "{label} query {q}: a vertex is still above its threshold");
+        }
+        let work = result.work();
+        assert_eq!(
+            work.operations_processed, work.operations_buffered,
+            "{label}: every operation enters a lane once and is executed once"
+        );
+        let pushes: u64 = result.per_query.iter().map(|state| state.pushes).sum();
+        assert!(
+            work.operations_processed <= pushes + seeds.len() as u64,
+            "{label}: {} operations for {pushes} pushes — is an operation emitted per edge \
+             instead of per threshold crossing?",
+            work.operations_processed
+        );
+        let edges = work.edges_processed as f64 / sequential_edges as f64;
+        assert!(
+            edges <= EDGES_OVER_SEQUENTIAL,
+            "{label}: {edges:.3}x the sequential edge work ({} vs {sequential_edges})",
+            work.edges_processed
+        );
+    }
+}
+
+#[test]
+fn ppr_runs_one_operation_per_push_within_the_sequential_edge_work() {
+    let social = gen::rmat(11, 8, 42);
+    let seeds: Vec<VertexId> = (0..16).map(|i| i * 127 % social.num_vertices() as u32).collect();
+    check_ppr_ceilings("rmat", &social, 16, &seeds);
+
+    let road = gen::grid2d(64, 64, 0.02, 7);
+    let seeds: Vec<VertexId> = (0..8).map(|i| i * 509 % road.num_vertices() as u32).collect();
+    check_ppr_ceilings("grid", &road, 8, &seeds);
+}
+
+/// `max_pushes` is the safety valve `fg-seq` and the baselines honour and the
+/// service keys cohorts by; the engine must honour it too, leaving the
+/// unpushed mass in `residual`.
+#[test]
+fn ppr_max_pushes_caps_the_engine_and_the_service() {
+    let graph = gen::rmat(10, 8, 3);
+    let pg = Arc::new(chunked(&graph, 6));
+    let seeds: Vec<VertexId> = vec![0, 17, 300];
+    let capped = PprConfig { epsilon: 1e-6, max_pushes: 10, ..Default::default() };
+    let check = |label: &str, pushes: u64, mass: f64| {
+        assert!(pushes <= capped.max_pushes, "{label}: {pushes} pushes");
+        assert!((mass - 1.0).abs() < 1e-9, "{label}: mass {mass}");
+    };
+
+    let direct = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &capped);
+    for (seed, state) in seeds.iter().zip(&direct.per_query) {
+        check(&format!("run_ppr {seed}"), state.pushes, state.total_mass());
+    }
+
+    let service = ForkGraphService::start(
+        Arc::clone(&pg),
+        EngineConfig::default(),
+        ServiceConfig { batch_window: Duration::from_millis(20), ..ServiceConfig::default() },
+    );
+    let handle = service.handle();
+    for &seed in &seeds {
+        let query = Query::kernel("ppr").source(seed).param("epsilon", capped.epsilon);
+        let result = handle.run_query(query.param("max_pushes", capped.max_pushes)).unwrap();
+        let state = result.try_ppr().unwrap();
+        check(&format!("service {seed}"), state.pushes, state.total_mass());
+    }
 }
