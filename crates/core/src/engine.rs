@@ -256,7 +256,7 @@ impl<S> ForkGraphRunResult<S> {
 }
 
 /// Result of [`ForkGraphEngine::run_multi`]: several kernel cohorts run back
-/// to back on one engine.
+/// to back on one engine. Kept only for `fgbench`, like `run_multi`.
 #[derive(Clone, Debug)]
 pub struct MultiRunResult {
     /// `per_group[g][i]` is the erased state of group `g`'s `i`-th source,
@@ -748,7 +748,9 @@ impl<'g> ForkGraphEngine<'g> {
     /// [`DynKernel`] is accepted. (A pass shared by all cohorts, on erased
     /// operation values, used to live here; it was slower than this loop on
     /// every workload of the repository's benchmark — see README, "Mixed
-    /// batches".)
+    /// batches".) `fg-service`'s batcher loops over `run_dyn` itself; this
+    /// and [`MultiRunResult`] stay only because `fgbench/src/layers.rs`
+    /// calls them, and go with the `[benchmark]` PR of ROADMAP item (d).
     pub fn run_multi(&self, groups: &[(&dyn DynKernel, &[VertexId])]) -> MultiRunResult {
         let mut measurement = Measurement::new("ForkGraph", Duration::ZERO);
         let mut per_group = Vec::with_capacity(groups.len());
@@ -814,26 +816,6 @@ impl<'g> ForkGraphEngine<'g> {
     /// Run BFS queries from every source; returns per-query level arrays.
     pub fn run_bfs(&self, sources: &[VertexId]) -> ForkGraphRunResult<Vec<u32>> {
         self.run(&BfsKernel, sources)
-    }
-
-    /// [`Self::run_incremental`] for the built-in SSSP kernel.
-    pub fn run_sssp_incremental(
-        &self,
-        sources: &[VertexId],
-        prev: Vec<Vec<Dist>>,
-        delta: &[Edge],
-    ) -> ForkGraphRunResult<Vec<Dist>> {
-        self.run_incremental(&SsspKernel, sources, prev, delta)
-    }
-
-    /// [`Self::run_incremental`] for the built-in BFS kernel.
-    pub fn run_bfs_incremental(
-        &self,
-        sources: &[VertexId],
-        prev: Vec<Vec<u32>>,
-        delta: &[Edge],
-    ) -> ForkGraphRunResult<Vec<u32>> {
-        self.run_incremental(&BfsKernel, sources, prev, delta)
     }
 
     /// Run PPR queries from every seed with the given parameters.

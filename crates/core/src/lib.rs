@@ -34,8 +34,10 @@
 //! 6. Every run is **one kernel's pass**: [`engine::ForkGraphEngine::run`]
 //!    seeds it at the sources,
 //!    [`engine::ForkGraphEngine::run_incremental`] from an edge delta, and
-//!    [`engine::ForkGraphEngine::run_multi`] runs several type-erased
-//!    kernel cohorts ([`dynkernel`]) back to back on the same graph.
+//!    [`engine::ForkGraphEngine::run_dyn`] behind a type-erased kernel
+//!    ([`dynkernel`]) — the one `fg-service`'s batcher loops over.
+//!    ([`engine::ForkGraphEngine::run_multi`], such a loop, is kept only for
+//!    `fgbench`.)
 //!
 //! Built-in kernels cover the query types of the paper: SSSP, BFS, DFS, PPR,
 //! and random walks ([`kernels`]). Applications (BC, NCP, LL) live in the

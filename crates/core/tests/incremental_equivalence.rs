@@ -21,6 +21,7 @@ use fg_graph::mutation::VersionedGraph;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, GraphBuilder, VertexId};
+use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const CASES: u64 = 6;
@@ -43,7 +44,7 @@ fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
 
 fn arb_partitioned(rng: &mut SmallRng, graph: CsrGraph) -> Arc<PartitionedGraph> {
     let parts = rng.gen_range(4usize..13);
-    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::BfsGrow]
+    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::Hash]
         [rng.gen_range(0usize..3)];
     Arc::new(PartitionedGraph::build_arc(
         Arc::new(graph),
@@ -90,7 +91,7 @@ fn incremental_sssp_after_insertions_is_byte_identical_across_executors() {
 
         let vg = VersionedGraph::new(Arc::clone(&pg0));
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(applied.monotone, "case {case}: insert/decrease batch must classify monotone");
 
         let scratch =
@@ -99,8 +100,12 @@ fn incremental_sssp_after_insertions_is_byte_identical_across_executors() {
         for workers in WORKERS {
             let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
-            let incremental =
-                engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
+            let incremental = engine.run_incremental(
+                &SsspKernel,
+                &sources,
+                prev.per_query.clone(),
+                &applied.seed_edges,
+            );
             assert_eq!(
                 incremental.per_query, scratch.per_query,
                 "case {case} workers={workers}: incremental != from-scratch"
@@ -128,7 +133,7 @@ fn incremental_bfs_after_insertions_is_byte_identical_across_executors() {
 
         let vg = VersionedGraph::new(Arc::clone(&pg0));
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(applied.monotone);
 
         let scratch =
@@ -137,8 +142,12 @@ fn incremental_bfs_after_insertions_is_byte_identical_across_executors() {
         for workers in WORKERS {
             let config = EngineConfig::default().with_threads(workers);
             let engine = ForkGraphEngine::new(&applied.graph, config);
-            let incremental =
-                engine.run_bfs_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
+            let incremental = engine.run_incremental(
+                &BfsKernel,
+                &sources,
+                prev.per_query.clone(),
+                &applied.seed_edges,
+            );
             assert_eq!(incremental.per_query, scratch.per_query, "case {case} workers={workers}");
         }
     }
@@ -168,7 +177,7 @@ fn deletions_classify_non_monotone_and_full_rerun_fallback_is_correct() {
         if u != v {
             let _ = vg.insert_edge(u, v, 3);
         }
-        let applied = vg.quiesce().expect("batch logged");
+        let applied = vg.advance().expect("batch logged");
         assert!(!applied.monotone, "case {case}: a deletion must force the fallback");
 
         // The fallback: a plain from-scratch run on the new snapshot.
@@ -203,15 +212,19 @@ fn zero_seed_incremental_run_short_circuits_under_parallel_executors() {
 
     let vg = VersionedGraph::new(Arc::clone(&pg0));
     vg.insert_edge(11, 13, 2).unwrap();
-    let applied = vg.quiesce().unwrap();
+    let applied = vg.advance().unwrap();
     assert!(applied.monotone);
     assert_eq!(applied.seed_edges, vec![(11, 13, 2)]);
 
     for workers in WORKERS {
         let config = EngineConfig::default().with_threads(workers);
         let engine = ForkGraphEngine::new(&applied.graph, config);
-        let incremental =
-            engine.run_sssp_incremental(&sources, prev.per_query.clone(), &applied.seed_edges);
+        let incremental = engine.run_incremental(
+            &SsspKernel,
+            &sources,
+            prev.per_query.clone(),
+            &applied.seed_edges,
+        );
         assert_eq!(
             incremental.per_query, prev.per_query,
             "workers={workers}: unreachable delta must leave states untouched"
@@ -246,15 +259,19 @@ fn no_op_delta_edge_seeds_nothing_and_processes_no_edges() {
     // (and at level 1 + 1 == 2 > 1 for BFS): a no-op for both kernels.
     let vg = VersionedGraph::new(Arc::clone(&pg0));
     vg.insert_edge(1, 2, 3).unwrap();
-    let applied = vg.quiesce().unwrap();
+    let applied = vg.advance().unwrap();
     assert!(applied.monotone);
     assert_eq!(applied.seed_edges, vec![(1, 2, 3)]);
 
     for workers in WORKERS {
         let config = EngineConfig::default().with_threads(workers);
         let engine = ForkGraphEngine::new(&applied.graph, config);
-        let sssp =
-            engine.run_sssp_incremental(&sources, prev_sssp.per_query.clone(), &applied.seed_edges);
+        let sssp = engine.run_incremental(
+            &SsspKernel,
+            &sources,
+            prev_sssp.per_query.clone(),
+            &applied.seed_edges,
+        );
         assert_eq!(sssp.per_query, prev_sssp.per_query, "workers={workers}");
         assert_eq!(
             sssp.work().edges_processed,
@@ -262,8 +279,12 @@ fn no_op_delta_edge_seeds_nothing_and_processes_no_edges() {
             "workers={workers}: a tie must not be re-relaxed"
         );
         assert_eq!(sssp.work().operations_buffered, 0, "workers={workers}");
-        let bfs =
-            engine.run_bfs_incremental(&sources, prev_bfs.per_query.clone(), &applied.seed_edges);
+        let bfs = engine.run_incremental(
+            &BfsKernel,
+            &sources,
+            prev_bfs.per_query.clone(),
+            &applied.seed_edges,
+        );
         assert_eq!(bfs.per_query, prev_bfs.per_query, "workers={workers}");
         assert_eq!(bfs.work().edges_processed, 0, "workers={workers}");
     }
@@ -271,10 +292,14 @@ fn no_op_delta_edge_seeds_nothing_and_processes_no_edges() {
     // The same edge one unit cheaper is a real improvement and does work.
     let vg = VersionedGraph::new(Arc::clone(&pg0));
     vg.insert_edge(1, 2, 2).unwrap();
-    let applied = vg.quiesce().unwrap();
+    let applied = vg.advance().unwrap();
     let engine = ForkGraphEngine::new(&applied.graph, EngineConfig::default());
-    let sssp =
-        engine.run_sssp_incremental(&sources, prev_sssp.per_query.clone(), &applied.seed_edges);
+    let sssp = engine.run_incremental(
+        &SsspKernel,
+        &sources,
+        prev_sssp.per_query.clone(),
+        &applied.seed_edges,
+    );
     assert_eq!(&sssp.per_query[0][..6], &[0, 2, 4, 5, 6, 7]);
     assert!(sssp.work().edges_processed > 0);
     assert_eq!(sssp.per_query, engine.run_sssp(&sources).per_query);
@@ -294,11 +319,11 @@ fn chained_monotone_batches_stay_exact() {
     let mut prev = ForkGraphEngine::new(&pg0, EngineConfig::default()).run_sssp(&sources).per_query;
     for round in 0..4 {
         log_monotone_batch(&mut rng, &vg);
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(applied.monotone);
         let config = EngineConfig::default().with_threads(4);
         let engine = ForkGraphEngine::new(&applied.graph, config);
-        let incremental = engine.run_sssp_incremental(&sources, prev, &applied.seed_edges);
+        let incremental = engine.run_incremental(&SsspKernel, &sources, prev, &applied.seed_edges);
         let scratch =
             ForkGraphEngine::new(&applied.graph, EngineConfig::default()).run_sssp(&sources);
         assert_eq!(incremental.per_query, scratch.per_query, "round {round}");

@@ -51,7 +51,7 @@ fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
 
 fn arb_partitioned(rng: &mut SmallRng, graph: &CsrGraph) -> PartitionedGraph {
     let parts = rng.gen_range(4usize..14);
-    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::BfsGrow]
+    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::Hash]
         [rng.gen_range(0usize..3)];
     PartitionedGraph::build(graph, PartitionConfig::with_partitions(method, parts))
 }

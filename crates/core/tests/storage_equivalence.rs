@@ -60,7 +60,7 @@ fn arb_sources(rng: &mut SmallRng, n: usize, max: usize) -> Vec<VertexId> {
 /// One graph, one plan, three stores differing only in storage policy.
 fn storage_triple(rng: &mut SmallRng, graph: CsrGraph) -> [Arc<PartitionedGraph>; 3] {
     let parts = rng.gen_range(4usize..13);
-    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::BfsGrow]
+    let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::Hash]
         [rng.gen_range(0usize..3)];
     let base = PartitionConfig::with_partitions(method, parts);
     let arc = Arc::new(graph);
@@ -223,7 +223,7 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
                 .map(|vg| {
                     let mut batch_rng = SmallRng::seed_from_u64(batch_seed);
                     log_mixed_batch(&mut batch_rng, vg);
-                    vg.quiesce().expect("batch logged").graph
+                    vg.advance().expect("batch logged").graph
                 })
                 .collect();
 

@@ -24,8 +24,7 @@
 //!   consumed prefix, bumps the version, and advances the
 //!   [`EpochTable`] — all under one short lock section.
 //!
-//! [`VersionedGraph::advance`] runs both halves back-to-back;
-//! [`VersionedGraph::quiesce`] is the same thing under its historical name.
+//! [`VersionedGraph::advance`] runs both halves back-to-back.
 //! The returned [`AppliedDeltas`] tells the caller everything it needs for
 //! cache invalidation and incremental restart:
 //!
@@ -316,18 +315,18 @@ impl VgInner {
 }
 
 /// The versioned storage seam: an atomically swappable graph snapshot plus a
-/// pending mutation log, merged at quiesce points.
+/// pending mutation log, merged at fold points.
 ///
 /// Thread-safe; writers and readers may call concurrently. Only one caller
-/// should drive [`quiesce`](Self::quiesce) (typically the batch loop that
-/// owns the quiesce points), but concurrent quiesce calls are merely
+/// should drive [`advance`](Self::advance) (typically the batch loop that
+/// owns the fold points), but concurrent advance calls are merely
 /// serialized, never incorrect.
 pub struct VersionedGraph {
     inner: Mutex<VgInner>,
     applied: Condvar,
     /// Serializes the (deliberately lock-free-in-the-middle) fold in
-    /// [`advance`](Self::advance) / [`quiesce`](Self::quiesce).
-    quiesce_gate: Mutex<()>,
+    /// [`advance`](Self::advance).
+    advance_gate: Mutex<()>,
     /// Snapshot epochs; epoch numbers coincide with graph versions.
     epochs: EpochTable,
 }
@@ -348,7 +347,7 @@ impl VersionedGraph {
                 pending_touched: vec![0u64; words],
             }),
             applied: Condvar::new(),
-            quiesce_gate: Mutex::new(()),
+            advance_gate: Mutex::new(()),
             epochs,
         }
     }
@@ -650,17 +649,9 @@ impl VersionedGraph {
     /// Prepare and publish in one call, serialized by the internal gate.
     /// Returns `None` when the log is empty.
     pub fn advance(&self) -> Option<AppliedDeltas> {
-        let _gate = self.quiesce_gate.lock().unwrap();
+        let _gate = self.advance_gate.lock().unwrap();
         let fold = self.prepare()?;
         Some(self.publish(fold))
-    }
-
-    /// Historical name for [`advance`](Self::advance), kept for callers that
-    /// still think in stop-the-world terms. No in-flight run ever observes a
-    /// half-applied batch either way: runs hold their pinned epoch's `Arc`
-    /// and simply see the pre-batch graph.
-    pub fn quiesce(&self) -> Option<AppliedDeltas> {
-        self.advance()
     }
 }
 
@@ -696,7 +687,7 @@ mod tests {
         let target = vg.insert_edge(1, 2, 7).unwrap();
         assert_eq!(target, 1);
         assert!(vg.has_pending());
-        let applied = vg.quiesce().expect("one pending mutation");
+        let applied = vg.advance().expect("one pending mutation");
         assert_eq!(applied.version, 1);
         assert_eq!(vg.version(), 1);
         assert!(applied.monotone);
@@ -706,7 +697,7 @@ mod tests {
         assert_eq!(g.graph().num_edges(), 2);
         assert_eq!(g.graph().out_edges(1).collect::<Vec<_>>(), vec![(2, 7)]);
         assert!(!vg.has_pending());
-        assert!(vg.quiesce().is_none());
+        assert!(vg.advance().is_none());
     }
 
     #[test]
@@ -715,7 +706,7 @@ mod tests {
         vg.insert_edge(0, 1, 3).unwrap(); // overwrite = decrease
         vg.delete_edge(2, 3).unwrap(); // delete missing = no-op
         vg.update_weight(4, 5, 9).unwrap(); // update missing = insert
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(applied.monotone, "no effective delete/increase in this batch");
         let mut seeds = applied.seed_edges.clone();
         seeds.sort_unstable();
@@ -731,13 +722,13 @@ mod tests {
         let base = pg(&[(0, 1, 5), (1, 2, 2)], 8, 2);
         let vg = VersionedGraph::new(Arc::clone(&base));
         vg.delete_edge(0, 1).unwrap();
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(!applied.monotone);
         assert_eq!(vg.current().graph().num_edges(), 1);
 
         let vg = VersionedGraph::new(base);
         vg.update_weight(1, 2, 10).unwrap(); // increase
-        assert!(!vg.quiesce().unwrap().monotone);
+        assert!(!vg.advance().unwrap().monotone);
     }
 
     #[test]
@@ -745,7 +736,7 @@ mod tests {
         let vg = VersionedGraph::new(pg(&[(0, 1, 5)], 8, 2));
         vg.delete_edge(0, 1).unwrap();
         vg.insert_edge(0, 1, 5).unwrap(); // restores the original weight
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(applied.monotone);
         assert!(applied.seed_edges.is_empty());
         assert!(applied.dirty_partitions.is_empty());
@@ -764,12 +755,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_preserved_across_quiesce() {
+    fn plan_is_preserved_across_advance() {
         let base = pg(&[(0, 1, 1), (4, 5, 1)], 8, 4);
         let plan_before = base.plan().clone();
         let vg = VersionedGraph::new(base);
         vg.insert_edge(1, 4, 2).unwrap();
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert_eq!(applied.graph.plan(), &plan_before);
         assert_eq!(applied.graph.num_partitions(), 4);
     }
@@ -789,7 +780,7 @@ mod tests {
         assert!(vg.pending_affects(4), "same-partition sources are always affected");
         assert!(!vg.pending_affects(6));
 
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert_eq!(applied.dirty_partitions, vec![2]);
         let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
         assert_eq!(affected, vec![true, true, true, false]);
@@ -803,7 +794,7 @@ mod tests {
         let vg = VersionedGraph::new(pg(&[(0, 2, 1)], 4, 2));
         vg.delete_edge(0, 2).unwrap();
         assert!(vg.pending_affects(0));
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(!applied.monotone);
         let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
         assert!(affected[0], "source partition of the deleted edge is affected");
@@ -818,7 +809,7 @@ mod tests {
         let base = pg(&[(0, 1, 1), (2, 3, 1), (4, 5, 1), (6, 7, 1)], 8, 4);
         let vg = VersionedGraph::new(Arc::clone(&base));
         vg.insert_edge(2, 5, 4).unwrap(); // source in partition 1
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert_eq!(applied.dirty_partitions, vec![1]);
         assert_eq!(applied.partitions_rematerialized, 1);
         assert_eq!(applied.partitions_shared, 3);
@@ -844,14 +835,14 @@ mod tests {
         let vg = VersionedGraph::new(Arc::clone(&base));
         vg.delete_edge(0, 1).unwrap();
         vg.insert_edge(0, 1, 5).unwrap();
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert_eq!(applied.version, 1, "net no-op still bumps the version");
         assert_eq!(applied.partitions_rematerialized, 0);
         assert_eq!(applied.partitions_shared, 4);
         assert!(Arc::ptr_eq(&applied.graph, &base), "whole snapshot shared");
 
         vg.delete_edge(4, 5).unwrap();
-        let applied = vg.quiesce().unwrap();
+        let applied = vg.advance().unwrap();
         assert!(!applied.monotone);
         assert_eq!(applied.dirty_partitions, vec![2]);
         assert!(!Arc::ptr_eq(applied.graph.store(2), base.store(2)));
@@ -890,7 +881,7 @@ mod tests {
         let guard = vg.pin();
         assert_eq!(guard.epoch(), 0);
         vg.insert_edge(1, 2, 1).unwrap();
-        vg.quiesce().unwrap();
+        vg.advance().unwrap();
         assert_eq!(vg.epochs().epochs_advanced(), 1);
         assert_eq!(vg.epochs().live_epochs(), 2, "epoch 0 pinned across the advance");
         assert_eq!(vg.epochs().oldest_pinned_epoch_lag(), 1);
@@ -904,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_version_blocks_until_quiesce() {
+    fn wait_for_version_blocks_until_advance() {
         let vg = Arc::new(VersionedGraph::new(pg(&[(0, 1, 1)], 4, 2)));
         let target = vg.insert_edge(1, 2, 1).unwrap();
         let waiter = {
@@ -915,7 +906,7 @@ mod tests {
             })
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        vg.quiesce().unwrap();
+        vg.advance().unwrap();
         assert_eq!(waiter.join().unwrap(), target);
     }
 }

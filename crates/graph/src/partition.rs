@@ -10,8 +10,6 @@
 //!   GridGraph-style partitioning in the partition-method comparison),
 //! * [`PartitionMethod::Chunked`] — contiguous vertex ranges balanced by edge
 //!   count (Gemini's lightweight partitioning),
-//! * [`PartitionMethod::BfsGrow`] — region growing from seeds, a cheap
-//!   locality-aware partitioner,
 //! * [`PartitionMethod::Multilevel`] — a METIS-like multilevel edge-cut
 //!   partitioner (heavy-edge-matching coarsening, region-growing initial
 //!   partitioning, greedy boundary refinement).
@@ -35,20 +33,17 @@ pub enum PartitionMethod {
     Hash,
     /// Contiguous vertex ranges balanced by out-degree sum (Gemini-style).
     Chunked,
-    /// BFS region growing from evenly spaced seeds.
-    BfsGrow,
     /// METIS-like multilevel edge-cut partitioning (default).
     Multilevel,
 }
 
 impl PartitionMethod {
     /// All methods, for sweeps in the evaluation harness.
-    pub fn all() -> [PartitionMethod; 5] {
+    pub fn all() -> [PartitionMethod; 4] {
         [
             PartitionMethod::Random,
             PartitionMethod::Hash,
             PartitionMethod::Chunked,
-            PartitionMethod::BfsGrow,
             PartitionMethod::Multilevel,
         ]
     }
@@ -59,7 +54,6 @@ impl PartitionMethod {
             PartitionMethod::Random => "random",
             PartitionMethod::Hash => "hash",
             PartitionMethod::Chunked => "chunked",
-            PartitionMethod::BfsGrow => "bfs-grow",
             PartitionMethod::Multilevel => "multilevel",
         }
     }
@@ -161,7 +155,6 @@ impl PartitionPlan {
             PartitionMethod::Random => random_partition(graph, k, config.seed),
             PartitionMethod::Hash => hash_partition(graph, k),
             PartitionMethod::Chunked => chunked_partition(graph, k),
-            PartitionMethod::BfsGrow => bfs_grow_partition(graph, k),
             PartitionMethod::Multilevel => multilevel_partition(graph, k, config.seed),
         };
         PartitionPlan { assignment, num_partitions: k }
@@ -247,46 +240,6 @@ fn chunked_partition(graph: &CsrGraph, k: usize) -> Vec<PartitionId> {
         if acc as f64 >= per_part && current + 1 < k {
             current += 1;
             acc = 0;
-        }
-    }
-    assignment
-}
-
-/// Grow regions from `k` evenly spaced seeds with a shared BFS frontier.
-fn bfs_grow_partition(graph: &CsrGraph, k: usize) -> Vec<PartitionId> {
-    let n = graph.num_vertices();
-    let mut assignment = vec![PartitionId::MAX; n];
-    if n == 0 {
-        return assignment;
-    }
-    let cap = n.div_ceil(k);
-    let mut sizes = vec![0usize; k];
-    let mut queue = std::collections::VecDeque::new();
-    for (p, size) in sizes.iter_mut().enumerate() {
-        let seed = (p * n / k) as VertexId;
-        if assignment[seed as usize] == PartitionId::MAX {
-            assignment[seed as usize] = p as PartitionId;
-            *size += 1;
-            queue.push_back(seed);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        let p = assignment[u as usize];
-        for &v in graph.out_neighbors(u) {
-            if assignment[v as usize] == PartitionId::MAX && sizes[p as usize] < cap {
-                assignment[v as usize] = p;
-                sizes[p as usize] += 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    // Unreached vertices (other components or full regions): round-robin to the
-    // least-loaded partitions.
-    for slot in assignment.iter_mut() {
-        if *slot == PartitionId::MAX {
-            let p = sizes.iter().enumerate().min_by_key(|&(_, s)| *s).map(|(i, _)| i).unwrap_or(0);
-            *slot = p as PartitionId;
-            sizes[p] += 1;
         }
     }
     assignment
@@ -626,21 +579,6 @@ mod tests {
             (mc as f64) < rc as f64 * 0.5,
             "multilevel cut {mc} should be far below random cut {rc}"
         );
-    }
-
-    #[test]
-    fn bfs_grow_beats_random_on_grid_cut() {
-        let g = gen::grid2d(50, 50, 0.0, 1);
-        let k = 10;
-        let random = PartitionPlan::compute(
-            &g,
-            &PartitionConfig::with_partitions(PartitionMethod::Random, k),
-        );
-        let grow = PartitionPlan::compute(
-            &g,
-            &PartitionConfig::with_partitions(PartitionMethod::BfsGrow, k),
-        );
-        assert!(grow.edge_cut(&g) < random.edge_cut(&g));
     }
 
     #[test]

@@ -38,9 +38,10 @@ pub struct BatchRecord {
     /// batch, the *first* (oldest) cohort's registration (`0` when the
     /// serving layer predates kernel ids or did not report one).
     pub kernel_id: u64,
-    /// Number of distinct kernel cohorts the batch carried. `1` is a
-    /// single-kernel batch; `>= 2` is a mixed batch, its cohorts run back
-    /// to back on one pinned epoch (`run_multi`).
+    /// Number of distinct kernel cohorts (batch keys) the batch carried —
+    /// not passes: a cohort whose resumed members run in a pass of their
+    /// own still counts once. `1` is a single-kernel batch; `>= 2` is a
+    /// mixed batch, its passes run back to back on one pinned epoch.
     pub kernels_in_run: u32,
 }
 
@@ -77,8 +78,8 @@ pub struct ServiceCounters {
     /// Cached results evicted because an applied mutation batch could reach
     /// them (mutation-aware invalidation, not capacity pressure).
     pub cache_invalidations: AtomicU64,
-    /// Engine runs that resumed from a delta frontier instead of running the
-    /// kernel from scratch.
+    /// Engine passes that resumed from a delta frontier instead of running
+    /// the kernel from scratch.
     pub incremental_runs: AtomicU64,
     /// Snapshot epochs published (one per non-empty mutation fold).
     pub epochs_advanced: AtomicU64,
@@ -287,7 +288,7 @@ pub struct ServiceSnapshot {
     pub mutations_applied: u64,
     /// Cached results evicted by mutation-aware invalidation.
     pub cache_invalidations: u64,
-    /// Engine runs resumed from a delta frontier instead of from scratch.
+    /// Engine passes resumed from a delta frontier instead of from scratch.
     pub incremental_runs: u64,
     /// Snapshot epochs published (one per non-empty mutation fold).
     pub epochs_advanced: u64,

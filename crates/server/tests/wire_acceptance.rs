@@ -255,7 +255,6 @@ fn saturation_sends_retry_after_and_the_connection_survives() {
             max_batch_size: 4,
             max_queue_depth: 4,
             cache_capacity: 0,
-            ..ServiceConfig::default()
         },
     );
     let server = start_server(service, ServerConfig::default());

@@ -40,36 +40,19 @@ pub fn effective_workers(batch_size: usize, num_partitions: usize, max_workers: 
     batch_size.div_ceil(QUERIES_PER_WORKER).clamp(1, max_workers.min(num_partitions))
 }
 
-/// Kernel-weighted [`effective_workers`] for a single-kernel batch.
-///
-/// `weight` is the cohort kernel's declared relative per-query work
-/// ([`forkgraph_core::FppKernel::batch_weight`], surfaced through
-/// [`forkgraph_core::DynKernel::batch_weight`]); it scales the batch size
-/// the base policy sees. A radius-bounded probe kernel with weight `0.5`
-/// needs twice the queries to justify the same crew; a heavy kernel with
-/// weight `2.0` reaches the cap at half the batch size. Non-finite or
-/// non-positive weights are treated as `1.0` (a registered kernel must
-/// never be able to break sizing), and the result obeys exactly the caps of
-/// the unweighted policy.
-pub fn effective_workers_weighted(
-    batch_size: usize,
-    num_partitions: usize,
-    max_workers: usize,
-    weight: f64,
-) -> usize {
-    effective_workers_mixed(&[(batch_size, weight)], num_partitions, max_workers)
-}
-
-/// Sizing for a **mixed batch** (`run_multi`): `groups` is one
-/// `(cohort size, kernel batch_weight)` pair per kernel cohort of the batch
-/// — the cohorts run back to back on one engine, so one crew size serves
-/// them all — and the offered load the base policy sees is the *sum* of
-/// `size × weight` over all of them — a mixed batch of 4 heavy (weight 2.0)
-/// and 8 light (weight 0.5) queries offers `4×2 + 8×0.5 = 12` load, not 12
-/// raw queries. A single-element slice is exactly
-/// [`effective_workers_weighted`]; weight sanitisation (non-finite /
-/// non-positive → `1.0`) applies per group, and the caps of the base policy
-/// are obeyed unchanged.
+/// Kernel-weighted [`effective_workers`] for one batch: `groups` is one
+/// `(pass size, kernel batch_weight)` pair per engine pass of the batch —
+/// the passes run back to back on one engine, so one crew size serves them
+/// all — and the offered load the base policy sees is the *sum* of
+/// `size × weight` over all of them. `weight` is the kernel's declared
+/// relative per-query work ([`forkgraph_core::FppKernel::batch_weight`],
+/// surfaced through [`forkgraph_core::DynKernel::batch_weight`]): a
+/// radius-bounded probe kernel with weight `0.5` needs twice the queries to
+/// justify the same crew, and a batch of 4 heavy (weight 2.0) and 8 light
+/// (weight 0.5) queries offers `4×2 + 8×0.5 = 12` load, not 12 raw queries.
+/// Non-finite or non-positive weights are treated as `1.0` per group (a
+/// registered kernel must never be able to break sizing), and the caps of
+/// the base policy are obeyed unchanged.
 pub fn effective_workers_mixed(
     groups: &[(usize, f64)],
     num_partitions: usize,
@@ -131,42 +114,33 @@ mod tests {
         // Weight 1 is exactly the base policy.
         for batch in 0..100 {
             assert_eq!(
-                effective_workers_weighted(batch, 24, 8, 1.0),
+                effective_workers_mixed(&[(batch, 1.0)], 24, 8),
                 effective_workers(batch, 24, 8)
             );
         }
         // A half-weight kernel needs twice the batch for the same crew…
-        assert_eq!(effective_workers_weighted(8, 24, 8, 0.5), effective_workers(4, 24, 8));
+        assert_eq!(effective_workers_mixed(&[(8, 0.5)], 24, 8), effective_workers(4, 24, 8));
         // …and a double-weight kernel reaches the cap at half the batch.
-        assert_eq!(effective_workers_weighted(4, 24, 8, 2.0), effective_workers(8, 24, 8));
+        assert_eq!(effective_workers_mixed(&[(4, 2.0)], 24, 8), effective_workers(8, 24, 8));
     }
 
     #[test]
     fn pathological_weights_fall_back_to_unweighted() {
         for weight in [0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
-                effective_workers_weighted(6, 24, 8, weight),
+                effective_workers_mixed(&[(6, weight)], 24, 8),
                 effective_workers(6, 24, 8),
                 "weight {weight}"
             );
         }
         // Huge-but-finite weights saturate at the caps instead of wrapping.
-        assert_eq!(effective_workers_weighted(6, 24, 8, 1e300), 8);
+        assert_eq!(effective_workers_mixed(&[(6, 1e300)], 24, 8), 8);
         // An empty batch stays serial regardless of weight.
-        assert_eq!(effective_workers_weighted(0, 24, 8, 100.0), 1);
+        assert_eq!(effective_workers_mixed(&[(0, 100.0)], 24, 8), 1);
     }
 
     #[test]
     fn mixed_sizing_sums_per_group_offered_load() {
-        // One group degenerates to the weighted single-kernel policy.
-        for batch in 0..50 {
-            for weight in [0.5, 1.0, 2.0] {
-                assert_eq!(
-                    effective_workers_mixed(&[(batch, weight)], 24, 8),
-                    effective_workers_weighted(batch, 24, 8, weight),
-                );
-            }
-        }
         // Two unit-weight cohorts offer the same load as one merged cohort.
         assert_eq!(
             effective_workers_mixed(&[(6, 1.0), (10, 1.0)], 24, 8),
@@ -180,12 +154,12 @@ mod tests {
         );
         assert!(
             effective_workers_mixed(&[(4, 2.0), (8, 0.5)], 24, 8)
-                > effective_workers_weighted(8, 24, 8, 0.5)
+                > effective_workers_mixed(&[(8, 0.5)], 24, 8)
         );
         // A lone heavy cohort joined by a light one can only grow the crew.
         assert!(
             effective_workers_mixed(&[(4, 2.0), (8, 0.5)], 24, 8)
-                >= effective_workers_weighted(4, 24, 8, 2.0)
+                >= effective_workers_mixed(&[(4, 2.0)], 24, 8)
         );
         // Per-group weight sanitisation: a NaN-weight group counts at 1.0
         // instead of poisoning the whole mix.

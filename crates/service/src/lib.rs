@@ -20,9 +20,9 @@
 //!                            │                                             │ BatchKey cohorts
 //!                            │                                             ▼
 //!                            │                               one pinned epoch per drain,
-//!                            │                               one engine pass per cohort
-//!                            └── demux per (cohort, source) ◀ (run_multi: ≤ max_kernels_
-//!                                                              per_run cohorts, back to back)
+//!                            │                               passes back to back: per cohort
+//!                            │                               resumed members, then the rest
+//!                            └── demux per (pass, source) ◀── (run_dyn or run_incremental)
 //! ```
 //!
 //! * **Open kernels**: a query names a kernel *registered* in the service's
@@ -41,15 +41,17 @@
 //! * **Micro-batching across kernels**: a dedicated batcher thread
 //!   accumulates submissions for [`ServiceConfig::batch_window`] (or until
 //!   [`ServiceConfig::max_batch_size`]), then drains **every ready cohort**
-//!   — up to [`ServiceConfig::max_kernels_per_run`] distinct batch keys —
-//!   into **one** batch: one pinned epoch, one engine, and
-//!   [`ForkGraphEngine::run_multi`](forkgraph_core::ForkGraphEngine::run_multi)
-//!   runs the cohorts back to back, one homogeneous pass per kernel (the
-//!   paper's fork-processing pattern; any [`forkgraph_core::DynKernel`] can
-//!   ride a mixed batch). Results demultiplex per `(cohort, source)` back to
-//!   submitters. Cohorts and cache entries are keyed by
-//!   [`BatchKey`]/[`CacheKey`], derived from the *registration* (unique
-//!   [`KernelId`] + canonical [`QueryParams`]), so same-named or
+//!   into **one** batch: one pinned epoch, one engine, and a loop over its
+//!   **passes**, back to back, one homogeneous type-erased pass per kernel
+//!   (the paper's fork-processing pattern; any [`forkgraph_core::DynKernel`]
+//!   can ride a mixed batch). A cohort's members whose cached result a
+//!   monotone edge delta evicted form a pass of their own, resumed from the
+//!   delta frontier with
+//!   [`ForkGraphEngine::run_incremental`](forkgraph_core::ForkGraphEngine::run_incremental)
+//!   ahead of the cohort's from-scratch pass. Results demultiplex per
+//!   `(pass, source)` back to submitters. Cohorts and cache entries are
+//!   keyed by [`BatchKey`]/[`CacheKey`], derived from the *registration*
+//!   (unique [`KernelId`] + canonical [`QueryParams`]), so same-named or
 //!   re-registered kernels can never alias. Observability:
 //!   [`fg_metrics::BatchRecord::kernels_in_run`] and
 //!   [`fg_metrics::ServiceSnapshot::mixed_run_rate`].
@@ -76,7 +78,7 @@ pub mod registry;
 pub mod service;
 pub mod ticket;
 
-pub use adaptive::{effective_workers, effective_workers_mixed, effective_workers_weighted};
+pub use adaptive::{effective_workers, effective_workers_mixed};
 pub use fg_graph::mutation::{EdgeMutation, MutationError};
 pub use params::{ParamError, ParamValue, QueryParams};
 pub use query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};

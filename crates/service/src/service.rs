@@ -4,12 +4,12 @@
 //! repeatedly: waits for pending submissions, lets a batch accumulate for the
 //! configured window (or until the batch-size cap), drains **every ready
 //! [`crate::query::BatchKey`] cohort** from the queue (up to
-//! [`ServiceConfig::max_kernels_per_run`] cohorts /
 //! [`ServiceConfig::max_batch_size`] total queries), runs them as **one**
-//! batch on one pinned epoch — [`ForkGraphEngine::run_multi`]: the cohorts
-//! back to back, one type-erased homogeneous pass per kernel — and
-//! demultiplexes the per-`(cohort, source)` results back to the submitters'
-//! tickets. Because dispatch is erased, the batcher is kernel-agnostic: a
+//! batch on one pinned epoch — a list of type-erased homogeneous passes run
+//! back to back, each cohort's members resuming from an edge delta in a
+//! pass of their own ahead of the rest — and demultiplexes the per-`(pass,
+//! source)` results back to the submitters' tickets. Because dispatch is
+//! erased, the batcher is kernel-agnostic: a
 //! kernel registered five minutes ago flows through micro-batching, the
 //! persistent worker pool, mixed batches, and the result cache exactly like
 //! the built-ins.
@@ -31,12 +31,13 @@ use parking_lot::{Condvar, Mutex};
 
 use fg_graph::mutation::{EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{Dist, Edge, VertexId, Weight};
+use fg_graph::{Edge, VertexId, Weight};
 use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, TraceSink};
-use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, WorkerPool};
+use forkgraph_core::kernels::{BfsKernel, SsspKernel};
+use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, IncrementalKernel, WorkerPool};
 
 use crate::adaptive;
 use crate::lru::LruCache;
@@ -60,13 +61,6 @@ pub struct ServiceConfig {
     pub max_queue_depth: usize,
     /// Capacity of the LRU result cache in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Maximum number of *distinct kernel cohorts* one dispatched batch may
-    /// carry. With `1` the batcher drains exactly one [`BatchKey`] cohort
-    /// per batch; above that, every ready cohort — up to this many, within
-    /// [`Self::max_batch_size`] total queries — joins the batch and shares
-    /// its epoch pin, engine and crew size, the cohorts' passes running
-    /// back to back ([`ForkGraphEngine::run_multi`]).
-    pub max_kernels_per_run: usize,
 }
 
 impl Default for ServiceConfig {
@@ -76,7 +70,6 @@ impl Default for ServiceConfig {
             max_batch_size: 64,
             max_queue_depth: 1024,
             cache_capacity: 1024,
-            max_kernels_per_run: 4,
         }
     }
 }
@@ -522,8 +515,8 @@ impl ForkGraphService {
     ///
     /// `engine_config.num_threads` is the *cap* on per-batch parallelism:
     /// the batcher sizes each micro-batch's worker count adaptively with
-    /// [`adaptive::effective_workers_weighted`] (a 2-query batch runs
-    /// serially, a 64-query batch uses the full cap, scaled by the cohort
+    /// [`adaptive::effective_workers_mixed`] (a 2-query batch runs
+    /// serially, a 64-query batch uses the full cap, scaled by each pass's
     /// kernel's declared weight) and dispatches parallel runs onto one
     /// persistent [`WorkerPool`] shared across all batches.
     pub fn start(
@@ -778,15 +771,15 @@ fn batcher_loop(
     // Delta-restart bookkeeping carried across quiesce points while every
     // applied batch stays monotone (insertions / weight decreases only):
     // `inc_seeds` accumulates the changed edges at their latest weights, and
-    // `inc_hints` holds the cached SSSP/BFS results those batches evicted —
-    // a re-query whose `CacheKey` matches resumes from its hint via
-    // `run_*_incremental(prev, delta)` instead of from scratch. A
-    // non-monotone batch (deletion / weight increase) clears both: its
-    // re-queries take the full-re-run fallback.
+    // `inc_hints` holds the cached results of resumable kernels ([`resume`])
+    // those batches evicted — a re-query whose `CacheKey` matches resumes
+    // from its hint instead of from scratch. A non-monotone batch (deletion
+    // / weight increase) clears both: its re-queries take the full-re-run
+    // fallback.
     let mut inc_seeds: HashMap<(VertexId, VertexId), Weight> = HashMap::new();
     let mut inc_hints: HashMap<CacheKey, Arc<QueryResult>> = HashMap::new();
     loop {
-        let mut cohorts = {
+        let cohorts = {
             let mut inner = shared.inner.lock();
 
             // Wait for work — queued queries, pending mutations, or shutdown.
@@ -810,35 +803,20 @@ fn batcher_loop(
                 }
             }
 
-            // Drain every *ready* cohort — each distinct batch key in
-            // arrival order of its oldest member, up to
-            // `max_kernels_per_run` cohorts and `max_batch_size` total
-            // queries — for one batch. Queries that don't fit keep their
-            // queue position and lead the next batch. Single forward pass
-            // (O(queue × cohorts), cohorts ≤ max_kernels_per_run) — the lock
-            // is held, so submitters are stalled while this runs.
-            let max_cohorts = shared.config.max_kernels_per_run.max(1);
-            let mut cohorts: Vec<(BatchKey, Vec<Pending>)> = Vec::new();
-            let mut total = 0usize;
-            let mut rest: VecDeque<Pending> = VecDeque::with_capacity(inner.queue.len());
-            for pending in inner.queue.drain(..) {
-                if total < shared.config.max_batch_size {
-                    if let Some((_, members)) =
-                        cohorts.iter_mut().find(|(key, _)| *key == pending.batch_key)
-                    {
-                        members.push(pending);
-                        total += 1;
-                        continue;
-                    }
-                    if cohorts.len() < max_cohorts {
-                        cohorts.push((pending.batch_key.clone(), vec![pending]));
-                        total += 1;
-                        continue;
-                    }
+            // Drain the oldest `max_batch_size` queries and group them into
+            // cohorts — one per distinct batch key, in arrival order of its
+            // oldest member — for one batch. Queries that don't fit keep
+            // their queue position and lead the next batch. O(batch ×
+            // cohorts) under the lock, so submitters are stalled while this
+            // runs.
+            let total = inner.queue.len().min(shared.config.max_batch_size);
+            let mut cohorts: Vec<Vec<Pending>> = Vec::new();
+            for pending in inner.queue.drain(..total) {
+                match cohorts.iter_mut().find(|members| members[0].batch_key == pending.batch_key) {
+                    Some(members) => members.push(pending),
+                    None => cohorts.push(vec![pending]),
                 }
-                rest.push_back(pending);
             }
-            inner.queue = rest;
             if total > 0 {
                 shared.counters.on_batch(total, inner.queue.len());
             }
@@ -880,11 +858,9 @@ fn batcher_loop(
                             return true;
                         }
                         evicted += 1;
-                        // Evicted monotone-kernel results become restart
-                        // hints instead of pure losses.
-                        if capture
-                            && (key.key.kernel == KernelId::SSSP || key.key.kernel == KernelId::BFS)
-                        {
+                        // Evicted results of resumable kernels become
+                        // restart hints instead of pure losses.
+                        if capture && resume(key.key.kernel).is_some() {
                             inc_hints.insert(key.clone(), Arc::clone(result));
                         }
                         false
@@ -912,82 +888,68 @@ fn batcher_loop(
             continue;
         }
 
-        // ---- Incremental restarts ----
-        // Peel off the cohort members whose exact `CacheKey` has a restart
-        // hint and resume them from the delta frontier; the remainder (and
-        // every non-SSSP/BFS cohort) takes the normal from-scratch path.
-        if !inc_hints.is_empty() {
-            for (key, members) in &mut cohorts {
-                if key.kernel != KernelId::SSSP && key.kernel != KernelId::BFS {
-                    continue;
-                }
-                let mut hinted = Vec::new();
-                let mut rest = Vec::with_capacity(members.len());
-                for pending in members.drain(..) {
-                    let cache_key =
-                        CacheKey { key: pending.batch_key.clone(), source: pending.source };
-                    match inc_hints.remove(&cache_key) {
-                        Some(hint) => hinted.push((pending, hint)),
-                        None => rest.push(pending),
+        // ---- Passes ----
+        // Each cohort contributes at most two passes: its members whose
+        // exact `CacheKey` holds a restart hint, resumed from the delta
+        // frontier, then the rest, from scratch. Only results of resumable
+        // kernels are ever captured, so a hint implies its kernel resumes.
+        let kernels_in_run = cohorts.len();
+        let mut passes: Vec<Pass> = Vec::with_capacity(kernels_in_run);
+        for members in cohorts {
+            let mut resumed = Pass { members: Vec::new(), hints: Vec::new() };
+            let mut fresh = Pass { members: Vec::with_capacity(members.len()), hints: Vec::new() };
+            for pending in members {
+                let cache_key = CacheKey { key: pending.batch_key.clone(), source: pending.source };
+                match inc_hints.remove(&cache_key) {
+                    Some(hint) => {
+                        resumed.members.push(pending);
+                        resumed.hints.push(hint);
                     }
-                }
-                *members = rest;
-                if !hinted.is_empty() {
-                    run_incremental_cohort(
-                        &shared,
-                        engine_config,
-                        &pool,
-                        num_partitions,
-                        max_workers,
-                        key.kernel,
-                        hinted,
-                        &inc_seeds,
-                    );
+                    None => fresh.members.push(pending),
                 }
             }
-            if inc_hints.is_empty() {
-                // Every hint was consumed; the accumulated delta has no
-                // remaining consumer.
-                inc_seeds.clear();
-            }
-            cohorts.retain(|(_, members)| !members.is_empty());
-            if cohorts.is_empty() {
-                continue;
-            }
+            passes.extend([resumed, fresh].into_iter().filter(|pass| !pass.members.is_empty()));
+        }
+        let delta: Vec<Edge> = if passes.iter().any(|pass| !pass.hints.is_empty()) {
+            inc_seeds.iter().map(|(&(u, v), &w)| (u, v, w)).collect()
+        } else {
+            Vec::new()
+        };
+        if inc_hints.is_empty() {
+            // No hint is left: the accumulated delta has no consumer.
+            inc_seeds.clear();
         }
 
         let batch_id = shared.next_trace_id();
         if shared.trace.is_some() {
-            for (_, members) in &cohorts {
-                for pending in members {
-                    shared.emit(EventKind::JoinBatch, pending.trace_id, batch_id, 0);
-                }
+            for pending in passes.iter().flat_map(|pass| &pass.members) {
+                shared.emit(EventKind::JoinBatch, pending.trace_id, batch_id, 0);
             }
         }
 
         // Adaptive sizing: pick the worker count for *this* batch from the
-        // summed per-cohort offered load (cohort size × its kernel's
-        // declared weight; pure policy in `adaptive`) and the partition
-        // count, then build a per-batch engine — cheap (two refs + a config
-        // copy) — that dispatches onto the shared persistent pool when
-        // parallel.
-        let total: usize = cohorts.iter().map(|(_, members)| members.len()).sum();
-        let loads: Vec<(usize, f64)> = cohorts
+        // summed per-pass offered load (pass size × its kernel's declared
+        // weight; pure policy in `adaptive`) and the partition count, then
+        // build a per-batch engine — cheap (two refs + a config copy) — that
+        // dispatches onto the shared persistent pool when parallel.
+        let total: usize = passes.iter().map(|pass| pass.members.len()).sum();
+        let loads: Vec<(usize, f64)> = passes
             .iter()
-            .map(|(_, members)| (members.len(), members[0].resolved.kernel.batch_weight()))
+            .map(|pass| (pass.members.len(), pass.members[0].resolved.kernel.batch_weight()))
             .collect();
         let workers = adaptive::effective_workers_mixed(&loads, num_partitions, max_workers);
         shared.counters.on_batch_workers(
             total,
             workers,
-            cohorts[0].1[0].resolved.id.as_u64(),
-            cohorts.len(),
+            passes[0].members[0].resolved.id.as_u64(),
+            kernels_in_run,
         );
         let batch_config = engine_config.with_threads(workers);
         // One pin per batch: the guard keeps this epoch's snapshot alive for
-        // exactly the engine's lifetime — every cohort of the batch reads
-        // the same epoch — and the borrow ties the engine to it. A fold publishing the next epoch mid-run never touches the
-        // pinned storage; it is reclaimed when the guard drops below.
+        // exactly the engine's lifetime — every pass of the batch reads the
+        // same epoch — and the borrow ties the engine to it. A fold
+        // publishing the next epoch mid-run never touches the pinned
+        // storage; it is reclaimed when the guard drops below.
         let pin = shared.store.pin();
         let engine = match &pool {
             Some(pool) if workers > 1 => {
@@ -999,26 +961,40 @@ fn batcher_loop(
             Some(sink) => engine.with_trace_sink(Arc::clone(sink)),
             None => engine,
         };
-        shared.emit(EventKind::BatchBegin, batch_id, total as u32, cohorts.len() as u32);
+        shared.emit(EventKind::BatchBegin, batch_id, total as u32, kernels_in_run as u32);
 
-        // One type-erased engine pass per drained cohort, back to back —
-        // this is where concurrent requests turn into the paper's
-        // fork-processing pattern, for built-in and registered kernels
-        // alike. An engine panic must not wedge the service: contain it,
-        // fail the batch's tickets, and keep serving (submit-time validation
-        // makes this unreachable for the known panic class of bad sources,
-        // but registered kernels are user code).
-        let per_cohort_sources: Vec<Vec<VertexId>> =
-            cohorts.iter().map(|(_, members)| members.iter().map(|p| p.source).collect()).collect();
-        let groups: Vec<(&dyn forkgraph_core::DynKernel, &[VertexId])> = cohorts
-            .iter()
-            .zip(&per_cohort_sources)
-            .map(|((_, members), sources)| (&*members[0].resolved.kernel, &sources[..]))
-            .collect();
-        let per_cohort_states = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run_multi(&groups).per_group
+        // The passes run back to back on one engine, one type-erased kernel
+        // call each — this is where concurrent requests turn into the
+        // paper's fork-processing pattern, for built-in and registered
+        // kernels alike. A hinted pass resumes (and runs from scratch if its
+        // hints do not fit the kernel). An
+        // engine panic must not wedge the service: contain it, fail the
+        // batch's tickets, and keep serving (submit-time validation makes
+        // this unreachable for the known panic class of bad sources, but
+        // registered kernels are user code).
+        let per_pass_states = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            passes
+                .iter()
+                .map(|pass| {
+                    let resolved = &pass.members[0].resolved;
+                    let sources: Vec<VertexId> = pass.members.iter().map(|p| p.source).collect();
+                    let resumed = match resume(resolved.id) {
+                        Some(resume) if !pass.hints.is_empty() => {
+                            resume(&engine, &sources, &pass.hints, &delta)
+                        }
+                        _ => None,
+                    };
+                    match resumed {
+                        Some(states) => {
+                            shared.counters.on_incremental_run();
+                            states
+                        }
+                        None => engine.run_dyn(&*resolved.kernel, &sources).per_query,
+                    }
+                })
+                .collect::<Vec<_>>()
         }));
-        let per_cohort_states = match per_cohort_states {
+        let per_pass_states = match per_pass_states {
             // `DynKernel` is an open trait: a hand-implemented `run_erased`
             // (bypassing `erase`) could return the wrong number of states.
             // Zipping short would strand the surplus submitters on tickets
@@ -1026,25 +1002,19 @@ fn batcher_loop(
             // the same way a kernel panic does — and the batcher keeps
             // serving.
             Ok(states)
-                if states.len() == cohorts.len()
-                    && states
-                        .iter()
-                        .zip(&cohorts)
-                        .all(|(s, (_, members))| s.len() == members.len()) =>
+                if states.iter().zip(&passes).all(|(s, pass)| s.len() == pass.members.len()) =>
             {
                 states
             }
             _ => {
                 shared.emit(EventKind::BatchEnd, batch_id, 0, 0);
-                for (_, members) in cohorts {
-                    for pending in members {
-                        // Emit before fulfil everywhere a ticket resolves: a
-                        // waiter woken by `fulfil` may snapshot the trace
-                        // immediately, and its Resolve event must already be
-                        // in the ring.
-                        shared.emit(EventKind::Resolve, pending.trace_id, batch_id, 0);
-                        pending.slot.fulfil(Err(ServiceError::EngineFailure));
-                    }
+                for pending in passes.into_iter().flat_map(|pass| pass.members) {
+                    // Emit before fulfil everywhere a ticket resolves: a
+                    // waiter woken by `fulfil` may snapshot the trace
+                    // immediately, and its Resolve event must already be in
+                    // the ring.
+                    shared.emit(EventKind::Resolve, pending.trace_id, batch_id, 0);
+                    pending.slot.fulfil(Err(ServiceError::EngineFailure));
                 }
                 continue;
             }
@@ -1052,8 +1022,8 @@ fn batcher_loop(
         shared.emit(EventKind::BatchEnd, batch_id, 0, 0);
 
         let now = Instant::now();
-        for ((_, members), states) in cohorts.into_iter().zip(per_cohort_states) {
-            let resolved = &members[0].resolved;
+        for (pass, states) in passes.into_iter().zip(per_pass_states) {
+            let resolved = &pass.members[0].resolved;
             let kernel_id = resolved.id;
             let kernel_name = Arc::clone(&resolved.name);
             let state_type = resolved.kernel.state_type_name();
@@ -1071,7 +1041,7 @@ fn batcher_loop(
             if cache.is_some() && shared.registry.id_of(&kernel_name) != Some(kernel_id) {
                 cache = None;
             }
-            for (pending, state) in members.into_iter().zip(states) {
+            for (pending, state) in pass.members.into_iter().zip(states) {
                 let result = Arc::new(QueryResult::new(
                     kernel_id,
                     Arc::clone(&kernel_name),
@@ -1099,110 +1069,46 @@ fn batcher_loop(
     }
 }
 
-/// Resume one cohort's hinted members from the delta frontier: typed
-/// [`ForkGraphEngine::run_sssp_incremental`] / `run_bfs_incremental` seeded
-/// by the accumulated monotone delta, previous states cloned from the
-/// members' evicted cache entries. Demultiplexes (and re-caches) results
-/// exactly like the from-scratch path; a panic fails only these tickets.
-#[allow(clippy::too_many_arguments)]
-fn run_incremental_cohort(
-    shared: &Shared,
-    engine_config: EngineConfig,
-    pool: &Option<Arc<WorkerPool>>,
-    num_partitions: usize,
-    max_workers: usize,
-    kernel: KernelId,
-    hinted: Vec<(Pending, Arc<QueryResult>)>,
-    seeds: &HashMap<(VertexId, VertexId), Weight>,
-) {
-    let delta: Vec<Edge> = seeds.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
-    let sources: Vec<VertexId> = hinted.iter().map(|(pending, _)| pending.source).collect();
-    let weight = hinted[0].0.resolved.kernel.batch_weight();
-    let workers =
-        adaptive::effective_workers_mixed(&[(sources.len(), weight)], num_partitions, max_workers);
-    let batch_config = engine_config.with_threads(workers);
-    // An incremental resume is a run like any other: one epoch pin for its
-    // duration.
-    let pin = shared.store.pin();
-    let engine = match pool {
-        Some(pool) if workers > 1 => {
-            ForkGraphEngine::for_snapshot_with_pool(&pin, batch_config, Arc::clone(pool))
-        }
-        _ => ForkGraphEngine::for_snapshot(&pin, batch_config),
-    };
-    let engine = match &shared.trace {
-        Some(sink) => engine.with_trace_sink(Arc::clone(sink)),
-        None => engine,
-    };
+/// One engine pass of a dispatched batch: members of one cohort, run by one
+/// engine call.
+struct Pass {
+    members: Vec<Pending>,
+    /// `hints[i]` is the evicted result `members[i]` resumes from; empty for
+    /// a from-scratch pass.
+    hints: Vec<Arc<QueryResult>>,
+}
 
-    // `(states, resumed)`: when a hint's stored state fails to downcast
-    // (defensive; a matching `CacheKey` implies the built-in state type) the
-    // whole cohort falls back to a from-scratch typed run — still correct.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if kernel == KernelId::SSSP {
-            let prev: Option<Vec<Vec<Dist>>> =
-                hinted.iter().map(|(_, hint)| hint.try_sssp().ok().cloned()).collect();
-            match prev {
-                Some(prev) => {
-                    let run = engine.run_sssp_incremental(&sources, prev, &delta);
-                    (erase_states(run.per_query), true)
-                }
-                None => (erase_states(engine.run_sssp(&sources).per_query), false),
-            }
-        } else {
-            let prev: Option<Vec<Vec<u32>>> =
-                hinted.iter().map(|(_, hint)| hint.try_bfs().ok().cloned()).collect();
-            match prev {
-                Some(prev) => {
-                    let run = engine.run_bfs_incremental(&sources, prev, &delta);
-                    (erase_states(run.per_query), true)
-                }
-                None => (erase_states(engine.run_bfs(&sources).per_query), false),
-            }
-        }
-    }));
+/// Resumes a pass from its hints after a monotone edge delta.
+type Resume =
+    fn(&ForkGraphEngine<'_>, &[VertexId], &[Arc<QueryResult>], &[Edge]) -> Option<Vec<ErasedState>>;
 
-    match outcome {
-        Ok((states, resumed)) if states.len() == hinted.len() => {
-            if resumed {
-                shared.counters.on_incremental_run();
-            }
-            let resolved = &hinted[0].0.resolved;
-            let kernel_id = resolved.id;
-            let kernel_name = Arc::clone(&resolved.name);
-            let state_type = resolved.kernel.state_type_name();
-            let now = Instant::now();
-            // Same registration-liveness rule as the from-scratch demux.
-            let mut cache = (shared.config.cache_capacity > 0).then(|| shared.cache.lock());
-            if cache.is_some() && shared.registry.id_of(&kernel_name) != Some(kernel_id) {
-                cache = None;
-            }
-            for ((pending, _), state) in hinted.into_iter().zip(states) {
-                let result = Arc::new(QueryResult::new(
-                    kernel_id,
-                    Arc::clone(&kernel_name),
-                    state_type,
-                    state,
-                ));
-                if let Some(cache) = cache.as_mut() {
-                    let cache_key = CacheKey { key: pending.batch_key, source: pending.source };
-                    cache.insert(cache_key, Arc::clone(&result));
-                }
-                shared.counters.record_latency(now.saturating_duration_since(pending.submitted_at));
-                shared.emit(EventKind::Resolve, pending.trace_id, 0, 0);
-                pending.slot.fulfil(Ok(result));
-            }
-        }
-        _ => {
-            for (pending, _) in hinted {
-                shared.emit(EventKind::Resolve, pending.trace_id, 0, 0);
-                pending.slot.fulfil(Err(ServiceError::EngineFailure));
-            }
-        }
+/// The registrations whose evicted results can be resumed, and how: the
+/// built-in SSSP and BFS kernels, through
+/// [`ForkGraphEngine::run_incremental`]. `None` for every other
+/// registration — hint capture asks this too, so no other result is ever
+/// kept as a hint.
+fn resume(kernel: KernelId) -> Option<Resume> {
+    match kernel {
+        KernelId::SSSP => Some(resume_with::<SsspKernel>),
+        KernelId::BFS => Some(resume_with::<BfsKernel>),
+        _ => None,
     }
 }
 
-/// Type-erase a typed run's per-query states for [`QueryResult::new`].
-fn erase_states<S: std::any::Any + Send + Sync>(states: Vec<S>) -> Vec<ErasedState> {
-    states.into_iter().map(|state| Arc::new(state) as ErasedState).collect()
+/// [`ForkGraphEngine::run_incremental`] with `K`, previous states cloned from
+/// the hints; `None` when a hint's state is not `K`'s (defensive: a matching
+/// `CacheKey` implies it), so the pass runs from scratch instead.
+fn resume_with<K: IncrementalKernel + Default>(
+    engine: &ForkGraphEngine<'_>,
+    sources: &[VertexId],
+    hints: &[Arc<QueryResult>],
+    delta: &[Edge],
+) -> Option<Vec<ErasedState>>
+where
+    K::State: Clone + Sync + 'static,
+{
+    let prev: Vec<K::State> =
+        hints.iter().map(|hint| hint.downcast_ref::<K::State>().cloned()).collect::<Option<_>>()?;
+    let run = engine.run_incremental(&K::default(), sources, prev, delta);
+    Some(run.per_query.into_iter().map(|state| Arc::new(state) as ErasedState).collect())
 }

@@ -42,9 +42,6 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
             max_batch_size: rng.gen_range(1usize..32),
             max_queue_depth: 4096, // property is about correctness, not shedding
             cache_capacity: if rng.gen_bool(0.5) { 256 } else { 0 },
-            // Exercise both one-cohort batches and mixed batches under the
-            // same correctness property.
-            max_kernels_per_run: rng.gen_range(1usize..5),
         };
         let service = ForkGraphService::start(Arc::clone(&pg), EngineConfig::default(), config);
 

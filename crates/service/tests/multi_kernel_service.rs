@@ -1,9 +1,8 @@
 //! Service-level acceptance for mixed batches: cohorts of *different*
 //! kernels waiting in the same batch window join **one** batch
 //! (`BatchRecord::kernels_in_run >= 2`; their passes run back to back on one
-//! pinned epoch), every ticket still gets exactly the result a direct serial
-//! engine run would produce, and `max_kernels_per_run: 1` restores the
-//! one-cohort-per-batch behaviour.
+//! pinned epoch) however many cohorts are ready, and every ticket still gets
+//! exactly the result a direct serial engine run would produce.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,6 +10,8 @@ use std::time::Duration;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId};
+use fg_seq::ppr::PprConfig;
+use fg_seq::random_walk::RandomWalkConfig;
 use fg_service::{
     ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, ServiceConfig,
 };
@@ -84,40 +85,37 @@ fn different_kernel_cohorts_consolidate_into_one_run() {
     assert!(metrics.mixed_run_rate() > 0.0);
 }
 
-/// `max_kernels_per_run: 1`: every record is a single-kernel batch and the
-/// mixed-run rate stays zero.
+/// Every ready cohort joins the batch — here five, PPR at two parameter
+/// sets among them — and each still gets exactly a direct run's answer.
 #[test]
-fn max_kernels_per_run_one_disables_cross_kernel_consolidation() {
+fn every_ready_cohort_joins_one_batch() {
     let pg = shared_graph(223);
-    let service = ForkGraphService::start(
-        Arc::clone(&pg),
-        EngineConfig::default(),
-        ServiceConfig { max_kernels_per_run: 1, ..consolidating_config() },
-    );
+    let service =
+        ForkGraphService::start(Arc::clone(&pg), EngineConfig::default(), consolidating_config());
     let handle = service.handle();
 
-    let tickets: Vec<_> = (0..3u32)
-        .flat_map(|i| {
-            [
-                handle.submit_query(Query::kernel("sssp").source(i * 31)).unwrap(),
-                handle.submit_query(Query::kernel("bfs").source(i * 17)).unwrap(),
-            ]
-        })
-        .collect();
-    for ticket in &tickets {
-        ticket.wait().unwrap();
-    }
+    let coarse = PprConfig { epsilon: 1e-4, ..PprConfig::default() };
+    let fine = PprConfig { epsilon: 1e-5, ..PprConfig::default() };
+    let sssp = handle.submit_sssp(31).unwrap();
+    let bfs = handle.submit_bfs(17).unwrap();
+    let ppr_coarse = handle.submit_ppr(62, coarse).unwrap();
+    let ppr_fine = handle.submit_ppr(62, fine).unwrap();
+    let walk = handle.submit_random_walk(93, RandomWalkConfig::default()).unwrap();
+
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
+    assert_eq!(sssp.wait().unwrap().as_sssp().unwrap(), &engine.run_sssp(&[31]).per_query[0]);
+    assert_eq!(bfs.wait().unwrap().as_bfs().unwrap(), &engine.run_bfs(&[17]).per_query[0]);
+    let ppr = |config| engine.run_ppr(&[62], &config).per_query.remove(0);
+    assert_eq!(ppr_coarse.wait().unwrap().as_ppr().unwrap(), &ppr(coarse));
+    assert_eq!(ppr_fine.wait().unwrap().as_ppr().unwrap(), &ppr(fine));
+    walk.wait().unwrap().as_random_walk().expect("random-walk state");
 
     let records = service.batch_records();
-    let metrics = service.metrics();
     service.shutdown();
-    assert!(!records.is_empty());
     assert!(
-        records.iter().all(|r| r.kernels_in_run == 1),
-        "no run may mix cohorts at max_kernels_per_run = 1: {records:?}"
+        records.iter().any(|r| r.kernels_in_run == 5 && r.batch_size == 5),
+        "all five cohorts should share one batch: {records:?}"
     );
-    assert_eq!(metrics.mixed_runs, 0);
-    assert_eq!(metrics.mixed_run_rate(), 0.0);
 }
 
 /// A kernel defined entirely in this test: per-hop bounded distances

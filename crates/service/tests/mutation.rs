@@ -3,7 +3,7 @@
 //! The contract: a query submitted after `mutate()` returns is answered on a
 //! graph version that contains that mutation — never from a stale cache
 //! entry, never by an engine run over the old snapshot. The batcher enforces
-//! it by quiescing the mutation log (fold + invalidate, atomically under the
+//! it by folding the mutation log (fold + invalidate, atomically under the
 //! cache lock) before every dispatch, and the submit fast path refuses cache
 //! hits for sources a pending mutation could reach.
 
@@ -89,6 +89,26 @@ fn monotone_requery_takes_the_incremental_path() {
     let metrics = service.metrics();
     assert_eq!(metrics.incremental_runs, 1, "deletion must take the full-re-run fallback");
     assert_eq!(metrics.mutations_applied, 2);
+    service.shutdown();
+}
+
+/// A resumed query rides the batch like any other: the batch that carries
+/// it writes a `BatchRecord`, so the records account for every batched
+/// query.
+#[test]
+fn resumed_requery_is_recorded_like_any_batch() {
+    let service = service_over(&[(0, 1, 10), (1, 2, 10), (2, 3, 10)], 4, 1);
+    let handle = service.handle();
+
+    assert_eq!(dist_to(&service, 0, 3), 30);
+    handle.insert_edge(1, 3, 2).unwrap();
+    handle.flush_mutations();
+    assert_eq!(dist_to(&service, 0, 3), 12);
+
+    let metrics = service.metrics();
+    let recorded: u64 = service.batch_records().iter().map(|r| u64::from(r.batch_size)).sum();
+    assert_eq!(metrics.incremental_runs, 1, "the re-query resumed");
+    assert_eq!(recorded, metrics.queries_batched, "{:?}", service.batch_records());
     service.shutdown();
 }
 

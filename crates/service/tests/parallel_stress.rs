@@ -45,7 +45,6 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
             max_batch_size: 32,
             max_queue_depth: 4096,
             cache_capacity: 0, // every query must traverse the parallel engine
-            ..ServiceConfig::default()
         },
     );
 
@@ -109,7 +108,6 @@ fn shutdown_under_racing_submitters_never_deadlocks_or_drops_tickets() {
                 max_batch_size: 16,
                 max_queue_depth: 256,
                 cache_capacity: 64,
-                ..ServiceConfig::default()
             },
         );
 

@@ -13,7 +13,7 @@ use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_service::{EdgeMutation, ForkGraphService, Query, ServiceConfig};
-use fg_trace::{chrome, EventKind, TraceSink};
+use fg_trace::{chrome, EventKind, TraceEvent, TraceSink};
 use forkgraph_core::EngineConfig;
 
 const QUERIES: u32 = 32;
@@ -28,6 +28,60 @@ struct Chain {
     join_batch: Option<u32>,
     resolve_nanos: Option<u64>,
     resolve_batch: Option<u32>,
+}
+
+/// A batch's `(BatchBegin, BatchEnd)` times and how many tickets joined it.
+type BatchSpan = (Option<u64>, Option<u64>, u32);
+
+/// Every ticket's chain, keyed by trace id, and every batch's span, keyed by
+/// batch id.
+fn chains_and_batches(events: &[TraceEvent]) -> (HashMap<u32, Chain>, HashMap<u32, BatchSpan>) {
+    let mut chains: HashMap<u32, Chain> = HashMap::new();
+    let mut batches: HashMap<u32, BatchSpan> = HashMap::new();
+    for e in events {
+        match e.kind {
+            EventKind::Submit => chains.entry(e.a).or_default().submit_nanos = Some(e.nanos),
+            EventKind::Enqueue => chains.entry(e.a).or_default().enqueue_nanos = Some(e.nanos),
+            EventKind::JoinBatch => {
+                let chain = chains.entry(e.a).or_default();
+                chain.join_nanos = Some(e.nanos);
+                chain.join_batch = Some(e.b);
+                batches.entry(e.b).or_default().2 += 1;
+            }
+            EventKind::Resolve => {
+                let chain = chains.entry(e.a).or_default();
+                chain.resolve_nanos = Some(e.nanos);
+                chain.resolve_batch = Some(e.b);
+            }
+            EventKind::BatchBegin => batches.entry(e.a).or_default().0 = Some(e.nanos),
+            EventKind::BatchEnd => batches.entry(e.a).or_default().1 = Some(e.nanos),
+            _ => {}
+        }
+    }
+    (chains, batches)
+}
+
+/// Ticket `tid`'s chain is Submit → Enqueue → JoinBatch → Resolve, causally
+/// ordered, resolved by the batch it joined, and that batch began and ended.
+fn assert_chain_in_a_batch(tid: u32, chain: &Chain, batches: &HashMap<u32, BatchSpan>) {
+    let submit = chain.submit_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Submit"));
+    let enqueue = chain.enqueue_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Enqueue"));
+    let join = chain.join_nanos.unwrap_or_else(|| panic!("ticket {tid}: no JoinBatch"));
+    let resolve = chain.resolve_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Resolve"));
+    assert!(
+        submit <= enqueue && enqueue <= join && join <= resolve,
+        "ticket {tid}: chain is causally ordered"
+    );
+    assert_eq!(
+        chain.join_batch, chain.resolve_batch,
+        "ticket {tid}: resolved by the batch it joined"
+    );
+    let batch = chain.join_batch.expect("joined a batch");
+    let (begin, end, joined) = batches[&batch];
+    let begin = begin.unwrap_or_else(|| panic!("batch {batch}: no BatchBegin"));
+    let end = end.unwrap_or_else(|| panic!("batch {batch}: no BatchEnd"));
+    assert!(join <= begin && begin <= end && resolve >= begin, "batch {batch} brackets its run");
+    assert!(joined > 0);
 }
 
 #[test]
@@ -52,7 +106,6 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
             // No result cache: every ticket must travel the full
             // Submit -> Enqueue -> JoinBatch -> Resolve chain.
             cache_capacity: 0,
-            max_kernels_per_run: 4,
         },
         Arc::clone(&sink),
     );
@@ -99,52 +152,14 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
 
     // --- Raw events: complete, ordered chains tied to real batches. ---
     let events: Vec<_> = sink.merged_events().into_iter().map(|(_, e)| e).collect();
-    let mut chains: HashMap<u32, Chain> = HashMap::new();
-    let mut batches: HashMap<u32, (Option<u64>, Option<u64>, u32)> = HashMap::new();
-    for e in &events {
-        match e.kind {
-            EventKind::Submit => chains.entry(e.a).or_default().submit_nanos = Some(e.nanos),
-            EventKind::Enqueue => chains.entry(e.a).or_default().enqueue_nanos = Some(e.nanos),
-            EventKind::JoinBatch => {
-                let chain = chains.entry(e.a).or_default();
-                chain.join_nanos = Some(e.nanos);
-                chain.join_batch = Some(e.b);
-                batches.entry(e.b).or_default().2 += 1;
-            }
-            EventKind::Resolve => {
-                let chain = chains.entry(e.a).or_default();
-                chain.resolve_nanos = Some(e.nanos);
-                chain.resolve_batch = Some(e.b);
-            }
-            EventKind::BatchBegin => batches.entry(e.a).or_default().0 = Some(e.nanos),
-            EventKind::BatchEnd => batches.entry(e.a).or_default().1 = Some(e.nanos),
-            EventKind::CacheHit => panic!("cache_capacity 0 must not produce cache hits"),
-            _ => {}
-        }
-    }
+    assert!(
+        !events.iter().any(|e| e.kind == EventKind::CacheHit),
+        "cache_capacity 0 must not produce cache hits"
+    );
+    let (chains, batches) = chains_and_batches(&events);
     assert_eq!(chains.len(), QUERIES as usize, "one chain per submitted ticket");
     for (tid, chain) in &chains {
-        let submit = chain.submit_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Submit"));
-        let enqueue = chain.enqueue_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Enqueue"));
-        let join = chain.join_nanos.unwrap_or_else(|| panic!("ticket {tid}: no JoinBatch"));
-        let resolve = chain.resolve_nanos.unwrap_or_else(|| panic!("ticket {tid}: no Resolve"));
-        assert!(
-            submit <= enqueue && enqueue <= join && join <= resolve,
-            "ticket {tid}: chain is causally ordered"
-        );
-        assert_eq!(
-            chain.join_batch, chain.resolve_batch,
-            "ticket {tid}: resolved by the batch it joined"
-        );
-        let batch = chain.join_batch.expect("joined a batch");
-        let (begin, end, joined) = batches[&batch];
-        let begin = begin.unwrap_or_else(|| panic!("batch {batch}: no BatchBegin"));
-        let end = end.unwrap_or_else(|| panic!("batch {batch}: no BatchEnd"));
-        assert!(
-            join <= begin && begin <= end && resolve >= begin,
-            "batch {batch} brackets its run"
-        );
-        assert!(joined > 0);
+        assert_chain_in_a_batch(*tid, chain, &batches);
     }
 
     // The engine runs inside the batches really were multi-worker: the batch
@@ -158,6 +173,46 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
     assert!(exposition.contains("fg_service_submitted_total 32"), "{exposition}");
     assert!(exposition.contains("fg_trace_events_retained"), "{exposition}");
     assert!(!exposition.contains("NaN"), "{exposition}");
+}
+
+/// A query resumed from an edge delta travels the same traced path as any
+/// other: its chain joins a batch that begins and ends, and its Resolve
+/// carries that batch's id.
+#[test]
+fn resumed_query_joins_and_resolves_in_a_traced_batch() {
+    let g = gen::rmat(9, 6, 23).with_random_weights(8, 23);
+    let pg = Arc::new(PartitionedGraph::build(
+        &g,
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 4),
+    ));
+    let sink = TraceSink::new();
+    let service = ForkGraphService::start_traced(
+        Arc::clone(&pg),
+        EngineConfig::default(),
+        ServiceConfig {
+            batch_window: Duration::from_millis(1),
+            cache_capacity: 16,
+            ..ServiceConfig::default()
+        },
+        Arc::clone(&sink),
+    );
+    let handle = service.handle();
+
+    let query = || Query::kernel("sssp").source(0);
+    handle.submit_query(query()).expect("submit").wait().expect("service answered");
+    let (u, v) = (1, (g.num_vertices() - 1) as u32);
+    handle.mutate(EdgeMutation::Insert { u, v, w: 1 }).expect("mutate");
+    handle.flush_mutations();
+    handle.submit_query(query()).expect("submit").wait().expect("service answered");
+    let metrics = handle.metrics();
+    service.shutdown();
+    assert_eq!(metrics.incremental_runs, 1, "the re-query resumed");
+
+    let events: Vec<_> = sink.merged_events().into_iter().map(|(_, e)| e).collect();
+    let resumed =
+        events.iter().filter(|e| e.kind == EventKind::Submit).nth(1).expect("two submissions").a;
+    let (chains, batches) = chains_and_batches(&events);
+    assert_chain_in_a_batch(resumed, &chains[&resumed], &batches);
 }
 
 /// The epoch lifecycle events the MVCC layer emits must reconcile exactly

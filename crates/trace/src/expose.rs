@@ -113,7 +113,7 @@ pub fn expose(
             &mut out,
             "fg_service_mixed_run_rate",
             "gauge",
-            "Fraction of runs that shared a pass across kernels, in [0, 1].",
+            "Fraction of batches that carried cohorts of several kernels, in [0, 1].",
             s.mixed_run_rate(),
         );
         metric(

@@ -164,7 +164,6 @@ fn main() {
             max_batch_size: 64,
             max_queue_depth: 256,
             cache_capacity: 256,
-            ..ServiceConfig::default()
         },
     );
     let handle = service.handle();

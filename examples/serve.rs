@@ -49,10 +49,6 @@ fn main() {
             max_batch_size: 64,
             max_queue_depth: 256,
             cache_capacity: 512,
-            // Let concurrently-waiting SSSP/BFS/PPR cohorts share one engine
-            // pass (`run_multi`) instead of sweeping the partitions once per
-            // kernel.
-            max_kernels_per_run: 4,
         },
     );
 

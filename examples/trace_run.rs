@@ -52,7 +52,6 @@ fn main() {
             // No result cache: every query reaches the engine so the trace
             // shows real batch/run spans for the whole workload.
             cache_capacity: 0,
-            max_kernels_per_run: 4,
         },
         Arc::clone(&sink),
     );

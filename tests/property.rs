@@ -48,7 +48,8 @@ fn partition_plans_cover_every_vertex_exactly_once() {
         let mut rng = SmallRng::seed_from_u64(0xB0B + case);
         let graph = arb_graph(&mut rng);
         let k = rng.gen_range(1usize..9);
-        let method = PartitionMethod::all()[rng.gen_range(0usize..5)];
+        let methods = PartitionMethod::all();
+        let method = methods[rng.gen_range(0..methods.len())];
         let plan = forkgraph::graph::partition::PartitionPlan::compute(
             &graph,
             &PartitionConfig::with_partitions(method, k),
@@ -106,7 +107,7 @@ fn forkgraph_bfs_levels_match_sequential_bfs() {
         let source = rng.gen_range(0u32..graph.num_vertices() as u32);
         let pg = PartitionedGraph::build(
             &graph,
-            PartitionConfig::with_partitions(PartitionMethod::BfsGrow, k),
+            PartitionConfig::with_partitions(PartitionMethod::Hash, k),
         );
         let fork = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&[source]);
         assert_eq!(
