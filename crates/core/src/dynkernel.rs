@@ -60,12 +60,6 @@ pub trait DynKernel: Send + Sync {
     /// Human-readable name of the state type, for downcast error messages.
     fn state_type_name(&self) -> &'static str;
 
-    /// Relative per-query work weight a serving layer should assume when
-    /// sizing a worker crew for a batch of these queries (the concrete
-    /// kernel's [`FppKernel::batch_weight`]). `1.0` is a built-in-style
-    /// traversal; lower values bias batches toward smaller crews.
-    fn batch_weight(&self) -> f64;
-
     /// Run one batch (one query per source) through `engine`, returning the
     /// per-query final states type-erased. Equivalent to
     /// [`ForkGraphEngine::run`] with the concrete kernel — same choice of
@@ -100,10 +94,6 @@ where
 
     fn state_type_name(&self) -> &'static str {
         std::any::type_name::<K::State>()
-    }
-
-    fn batch_weight(&self) -> f64 {
-        self.0.batch_weight()
     }
 
     fn run_erased(
@@ -192,10 +182,6 @@ mod tests {
             }
             edges
         }
-
-        fn batch_weight(&self) -> f64 {
-            0.5
-        }
     }
 
     fn partitioned(parts: usize) -> (CsrGraph, PartitionedGraph) {
@@ -223,15 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn erased_kernel_reports_its_types_and_weight() {
+    fn erased_kernel_reports_its_types() {
         let erased = erase(RadiusKernel { radius: 3 });
         assert_eq!(erased.name(), "radius");
         assert_eq!(erased.value_type(), TypeId::of::<u32>());
         assert_eq!(erased.state_type(), TypeId::of::<Vec<u32>>());
         assert!(erased.state_type_name().contains("Vec<u32>"));
-        assert!((erased.batch_weight() - 0.5).abs() < 1e-12);
-        // Built-ins keep the default weight.
-        assert!((erase(SsspKernel).batch_weight() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -214,45 +214,6 @@ impl<S> ForkGraphRunResult<S> {
     pub fn work(&self) -> &WorkSnapshot {
         &self.measurement.work
     }
-
-    /// Pair each query's final state with the source it was launched from.
-    ///
-    /// `sources` must be the slice that was passed to [`ForkGraphEngine::run`]
-    /// for this result (`per_query` is in source order). This is the
-    /// demultiplexing primitive used by `fg-service` to hand a consolidated
-    /// batch's per-query results back to individual submitters.
-    ///
-    /// # Panics
-    /// Panics if `sources.len() != self.per_query.len()`.
-    pub fn per_source<'a>(
-        &'a self,
-        sources: &'a [VertexId],
-    ) -> impl ExactSizeIterator<Item = (VertexId, &'a S)> + 'a {
-        assert_eq!(
-            sources.len(),
-            self.per_query.len(),
-            "per_source: {} sources for {} query results",
-            sources.len(),
-            self.per_query.len()
-        );
-        sources.iter().copied().zip(self.per_query.iter())
-    }
-
-    /// Consuming variant of [`Self::per_source`]: split the result into owned
-    /// `(source, state)` pairs, dropping the shared measurement.
-    ///
-    /// # Panics
-    /// Panics if `sources.len() != self.per_query.len()`.
-    pub fn into_per_source(self, sources: &[VertexId]) -> Vec<(VertexId, S)> {
-        assert_eq!(
-            sources.len(),
-            self.per_query.len(),
-            "into_per_source: {} sources for {} query results",
-            sources.len(),
-            self.per_query.len()
-        );
-        sources.iter().copied().zip(self.per_query).collect()
-    }
 }
 
 /// Result of [`ForkGraphEngine::run_multi`]: several kernel cohorts run back
@@ -448,24 +409,6 @@ impl<'g> ForkGraphEngine<'g> {
         let engine = ForkGraphEngine::new(pg, config);
         engine.pool.set(pool).expect("fresh OnceLock");
         engine
-    }
-
-    /// Create an engine over a pinned epoch snapshot. The borrow ties the
-    /// engine's lifetime to the guard's, so the type system proves the run
-    /// cannot outlive its pin — the MVCC contract ("a run reads exactly the
-    /// epoch it pinned") with no runtime check on the hot path.
-    pub fn for_snapshot(guard: &'g fg_graph::SnapshotGuard, config: EngineConfig) -> Self {
-        ForkGraphEngine::new(guard.graph(), config)
-    }
-
-    /// [`Self::for_snapshot`] with a shared worker pool, the combination the
-    /// serving layer's batcher uses for every dispatched run.
-    pub fn for_snapshot_with_pool(
-        guard: &'g fg_graph::SnapshotGuard,
-        config: EngineConfig,
-        pool: Arc<WorkerPool>,
-    ) -> Self {
-        ForkGraphEngine::with_pool(guard.graph(), config, pool)
     }
 
     /// Attach a structured-event [`TraceSink`]: every run through this
@@ -989,39 +932,6 @@ mod tests {
         assert!(cache.accesses > 0 && cache.misses > 0);
         assert!(result.measurement.memory.unwrap().total_bytes() > 0);
         assert_eq!(result.measurement.label, "ForkGraph");
-    }
-
-    #[test]
-    fn per_source_pairs_results_with_their_sources() {
-        let g = gen::erdos_renyi(200, 1200, 31).with_random_weights(8, 31);
-        let pg = partitioned(&g, 4);
-        let sources: Vec<VertexId> = vec![5, 0, 77];
-        let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-        let result = engine.run_sssp(&sources);
-
-        let paired: Vec<(VertexId, &Vec<Dist>)> = result.per_source(&sources).collect();
-        assert_eq!(paired.len(), sources.len());
-        for (i, &(source, dist)) in paired.iter().enumerate() {
-            assert_eq!(source, sources[i]);
-            assert_eq!(dist, &fg_seq::dijkstra::dijkstra(&g, source).dist);
-            assert_eq!(dist[source as usize], 0, "distance to self is zero");
-        }
-
-        let owned = result.into_per_source(&sources);
-        assert_eq!(owned.len(), sources.len());
-        for (i, (source, dist)) in owned.into_iter().enumerate() {
-            assert_eq!(source, sources[i]);
-            assert_eq!(dist, fg_seq::dijkstra::dijkstra(&g, source).dist);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "per_source")]
-    fn per_source_rejects_mismatched_source_slice() {
-        let g = gen::rmat(7, 5, 37);
-        let pg = partitioned(&g, 2);
-        let result = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&[0, 1]);
-        let _ = result.per_source(&[0]).count();
     }
 
     #[test]

@@ -113,18 +113,6 @@ pub trait FppKernel: Sync {
         value: Self::Value,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64;
-
-    /// Relative per-query work weight, used by serving layers to size the
-    /// worker crew for a micro-batch of these queries (see
-    /// `fg_service::adaptive`). The default `1.0` means "a built-in-style
-    /// graph traversal"; kernels whose queries do markedly less
-    /// parallelizable work (e.g. tightly radius-bounded probes) can return
-    /// less than one to bias their batches toward smaller crews, and heavy
-    /// kernels can return more than one. Purely advisory — correctness never
-    /// depends on it.
-    fn batch_weight(&self) -> f64 {
-        1.0
-    }
 }
 
 /// A kernel whose converged state can be *restarted* from an edge delta

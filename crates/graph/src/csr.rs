@@ -36,7 +36,6 @@ impl CsrGraph {
     pub fn from_sorted_edges(num_vertices: usize, edges: &[Edge], weighted: bool) -> Self {
         debug_assert!(edges.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
         let n = num_vertices;
-        let m = edges.len();
         let mut offsets = vec![0u64; n + 1];
         for &(u, _, _) in edges {
             offsets[u as usize + 1] += 1;
@@ -44,84 +43,62 @@ impl CsrGraph {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut targets = Vec::with_capacity(m);
-        let mut weights = if weighted { Some(Vec::with_capacity(m)) } else { None };
-        for &(_, v, w) in edges {
-            targets.push(v);
-            if let Some(ws) = weights.as_mut() {
-                ws.push(w);
-            }
-        }
-
-        // Build the transpose with counting sort on the target vertex.
-        let mut in_offsets = vec![0u64; n + 1];
-        for &(_, v, _) in edges {
-            in_offsets[v as usize + 1] += 1;
-        }
-        for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
-        }
-        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
-        let mut in_targets = vec![0 as VertexId; m];
-        let mut in_weights = if weighted { Some(vec![0 as Weight; m]) } else { None };
-        for &(u, v, w) in edges {
-            let pos = cursor[v as usize] as usize;
-            in_targets[pos] = u;
-            if let Some(ws) = in_weights.as_mut() {
-                ws[pos] = w;
-            }
-            cursor[v as usize] += 1;
-        }
-
-        CsrGraph { offsets, targets, weights, in_offsets, in_targets, in_weights }
+        let targets = edges.iter().map(|&(_, v, _)| v).collect();
+        let weights = weighted.then(|| edges.iter().map(|&(_, _, w)| w).collect());
+        Self::with_transpose(offsets, targets, weights)
     }
 
-    /// Build a graph from per-segment edge lists without a global sort.
-    ///
-    /// Each segment is a `(source, target, weight)` list in which every
-    /// source vertex's edges appear **contiguously and target-sorted**, and
-    /// every vertex's edges live in **exactly one** segment (the contract a
-    /// partition-major edge layout satisfies: each partition owns its
-    /// vertices' out-edges). Under that contract the result is byte-identical
-    /// to [`Self::from_sorted_edges`] over the concatenated, globally sorted
-    /// edge list — but assembly is a counting pass plus cursor placement,
-    /// `O(n + m)`, with no comparison sort and no per-edge partition lookup.
-    /// This is what makes epoch advancement pay only for *dirty* partitions:
-    /// clean segments are spliced in as-is.
-    pub fn from_edge_segments(num_vertices: usize, segments: &[&[Edge]], weighted: bool) -> Self {
-        let n = num_vertices;
-        let m: usize = segments.iter().map(|s| s.len()).sum();
-
-        let mut offsets = vec![0u64; n + 1];
-        for segment in segments {
-            for &(u, _, _) in *segment {
-                offsets[u as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
-        let mut targets = vec![0 as VertexId; m];
-        let mut weights = if weighted { Some(vec![0 as Weight; m]) } else { None };
-        for segment in segments {
-            for &(u, v, w) in *segment {
-                let pos = cursor[u as usize] as usize;
-                targets[pos] = v;
-                if let Some(ws) = weights.as_mut() {
-                    ws[pos] = w;
+    /// This graph with `changes` applied: each `(u, v, Some(w))` sets edge
+    /// `u → v` to weight `w`, inserting it if absent, and each
+    /// `(u, v, None)` removes it. `changes` must be sorted by `(u, v)` with
+    /// one entry per pair. Rows no change touches are copied as slices; the
+    /// result equals [`Self::from_sorted_edges`] over the changed edge set.
+    pub(crate) fn with_changes(&self, changes: &[(VertexId, VertexId, Option<Weight>)]) -> Self {
+        debug_assert!(changes.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let (n, capacity) = (self.num_vertices(), self.num_edges() + changes.len());
+        let mut out = OutAdjacency {
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(capacity),
+            weights: self.weights.as_ref().map(|_| Vec::with_capacity(capacity)),
+        };
+        out.offsets.push(0);
+        let mut next = 0usize;
+        // One group of changes per touched row, then the rows after the last.
+        for row in changes.chunk_by(|a, b| a.0 == b.0).map(Some).chain([None]) {
+            let u = row.map_or(n, |row| row[0].0 as usize);
+            let (start, base) = (self.offsets[next], out.targets.len() as u64);
+            out.copy(self, start as usize..self.offsets[u] as usize);
+            out.offsets.extend(self.offsets[next + 1..=u].iter().map(|&o| o - start + base));
+            let Some(row) = row else { break };
+            // Row `u` merged with its changes, both sorted by target.
+            let (mut i, end) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+            for &(_, v, after) in row {
+                let j = i + self.targets[i..end].partition_point(|&t| t < v);
+                out.copy(self, i..j);
+                i = if j < end && self.targets[j] == v { j + 1 } else { j };
+                if let Some(w) = after {
+                    out.targets.push(v);
+                    if let Some(ws) = out.weights.as_mut() {
+                        ws.push(w);
+                    }
                 }
-                cursor[u as usize] += 1;
             }
+            out.copy(self, i..end);
+            out.offsets.push(out.targets.len() as u64);
+            next = u + 1;
         }
-        debug_assert!((0..n).all(|v| {
-            let s = offsets[v] as usize;
-            let e = offsets[v + 1] as usize;
-            targets[s..e].windows(2).all(|w| w[0] < w[1])
-        }));
+        Self::with_transpose(out.offsets, out.targets, out.weights)
+    }
 
-        // Transpose from the assembled out-CSR in ascending source order, so
-        // in-adjacency ordering matches `from_sorted_edges` exactly.
+    /// Complete an out-adjacency with its transpose: a counting sort on the
+    /// target vertex, visiting sources in ascending order.
+    fn with_transpose(
+        offsets: Vec<u64>,
+        targets: Vec<VertexId>,
+        weights: Option<Vec<Weight>>,
+    ) -> Self {
+        let n = offsets.len() - 1;
+        let m = targets.len();
         let mut in_offsets = vec![0u64; n + 1];
         for &v in &targets {
             in_offsets[v as usize + 1] += 1;
@@ -129,20 +106,18 @@ impl CsrGraph {
         for i in 0..n {
             in_offsets[i + 1] += in_offsets[i];
         }
-        let mut in_cursor: Vec<u64> = in_offsets[..n].to_vec();
+        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
         let mut in_targets = vec![0 as VertexId; m];
-        let mut in_weights = if weighted { Some(vec![0 as Weight; m]) } else { None };
+        let mut in_weights = weights.as_ref().map(|_| vec![0 as Weight; m]);
         for u in 0..n {
-            let s = offsets[u] as usize;
-            let e = offsets[u + 1] as usize;
-            for i in s..e {
+            for i in offsets[u] as usize..offsets[u + 1] as usize {
                 let v = targets[i] as usize;
-                let pos = in_cursor[v] as usize;
+                let pos = cursor[v] as usize;
                 in_targets[pos] = u as VertexId;
                 if let (Some(iw), Some(w)) = (in_weights.as_mut(), weights.as_ref()) {
                     iw[pos] = w[i];
                 }
-                in_cursor[v] += 1;
+                cursor[v] += 1;
             }
         }
 
@@ -310,6 +285,23 @@ impl CsrGraph {
     }
 }
 
+/// The out-direction arrays of a CSR under construction.
+struct OutAdjacency {
+    offsets: Vec<u64>,
+    targets: Vec<VertexId>,
+    weights: Option<Vec<Weight>>,
+}
+
+impl OutAdjacency {
+    /// Append `graph`'s edges at CSR positions `range`.
+    fn copy(&mut self, graph: &CsrGraph, range: std::ops::Range<usize>) {
+        self.targets.extend_from_slice(&graph.targets[range.clone()]);
+        if let (Some(out), Some(w)) = (self.weights.as_mut(), graph.weights.as_ref()) {
+            out.extend_from_slice(&w[range]);
+        }
+    }
+}
+
 /// Deterministic hash of an unordered vertex pair and a seed; used to assign
 /// symmetric random edge weights.
 fn pair_hash(a: VertexId, b: VertexId, seed: u64) -> u64 {
@@ -425,30 +417,6 @@ mod tests {
             assert_eq!(g.in_degree(v), 0);
             assert!(g.out_neighbors(v).is_empty());
         }
-    }
-
-    /// `from_edge_segments` must reproduce `from_sorted_edges` exactly
-    /// (CsrGraph derives PartialEq, so this checks every array including the
-    /// transpose) when fed a partition-major segmentation of the same edges.
-    #[test]
-    fn segment_assembly_matches_sorted_construction() {
-        let edges: Vec<crate::Edge> =
-            vec![(0, 2, 5), (0, 3, 1), (1, 0, 2), (2, 1, 7), (2, 3, 3), (4, 0, 9), (4, 2, 4)];
-        let sorted = CsrGraph::from_sorted_edges(6, &edges, true);
-        // Partition {0,1} / {2} / {3,4,5}: vertex-contiguous segments in an
-        // order that is NOT globally source-sorted when concatenated.
-        let seg_a: Vec<crate::Edge> = vec![(2, 1, 7), (2, 3, 3)];
-        let seg_b: Vec<crate::Edge> = vec![(4, 0, 9), (4, 2, 4)];
-        let seg_c: Vec<crate::Edge> = vec![(0, 2, 5), (0, 3, 1), (1, 0, 2)];
-        let assembled = CsrGraph::from_edge_segments(6, &[&seg_a, &seg_b, &seg_c], true);
-        assert_eq!(assembled, sorted);
-
-        let unweighted = CsrGraph::from_sorted_edges(6, &edges, false);
-        let assembled = CsrGraph::from_edge_segments(6, &[&seg_c, &seg_a, &seg_b], false);
-        assert_eq!(assembled, unweighted);
-
-        let empty = CsrGraph::from_edge_segments(3, &[], true);
-        assert_eq!(empty, CsrGraph::from_sorted_edges(3, &[], true));
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //! * [`epoch`] — [`EpochTable`]/[`SnapshotGuard`], epoch-based snapshot
 //!   concurrency: runs pin the current epoch while writers fold the next;
 //!   old-epoch storage is reclaimed when its last pin drops.
-//! * [`payload`] — per-partition adjacency payloads: raw edge triples or
-//!   delta/varint-compressed bytes ([`StorageConfig`] policy), plus the
+//! * [`payload`] — per-partition adjacency: the CSR rows, or
+//!   delta/varint-compressed bytes beside them ([`StorageConfig`] policy),
+//!   plus the
 //!   [`AdjacencyView`] kernels read adjacency through.
 //! * [`datasets`] — a registry of scaled-down synthetic stand-ins for the eight
 //!   graphs of Table 2 in the paper.
@@ -53,7 +54,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use epoch::{EpochTable, SnapshotGuard};
 pub use mutation::{AppliedDeltas, EdgeMutation, MutationError, PreparedFold, VersionedGraph};
-pub use payload::{AdjacencyView, CompressedEdges, PartitionPayload, StorageConfig};
+pub use payload::{AdjacencyView, CompressedEdges, StorageConfig};
 
 /// Vertex identifier. Graphs in this workspace are bounded by `u32::MAX`
 /// vertices, which comfortably covers the scaled datasets and matches the

@@ -13,11 +13,12 @@
 //! * [`VersionedGraph::prepare`] copies a prefix of the log (without draining
 //!   it, so [`pending_affects`](VersionedGraph::pending_affects) keeps
 //!   forcing cache misses for affected sources while the fold is in flight)
-//!   and — entirely outside the locks — folds it into the next snapshot,
-//!   re-materializing **only dirty partitions**: every clean partition's
+//!   and — entirely outside the locks — folds it into the next snapshot: the
+//!   next CSR copies the old CSR's rows, merging the batch's final per-pair
+//!   edits into the rows they touch, and **only dirty partitions'** stores
+//!   are rebuilt from it; every clean partition's
 //!   [`Arc<PartitionStore>`](crate::partitioned::PartitionStore) is shared
-//!   with the previous epoch, and the monolithic CSR is re-assembled from the
-//!   store segments without a global sort. The
+//!   with the previous epoch. The
 //!   [`PartitionPlan`](crate::partition::PartitionPlan) is reused
 //!   (vertex count is immutable, so the old assignment stays valid).
 //! * [`VersionedGraph::publish`] atomically swaps the snapshot, drains the
@@ -454,8 +455,11 @@ impl VersionedGraph {
     /// sources away from the cache until [`publish`](Self::publish) lands
     /// the new version.
     ///
-    /// Only dirty partitions (those containing the source endpoint of an
-    /// effective change) are re-materialized; every clean partition's store
+    /// The next CSR is built from the current one plus the final state of
+    /// every pair the prefix touched — equal to
+    /// [`crate::CsrGraph::from_sorted_edges`] over the mutated edge set. Only dirty
+    /// partitions' stores (those containing the source endpoint of an
+    /// effective change) are rebuilt from it; every clean partition's store
     /// is `Arc`-shared with the current snapshot. A net-no-op prefix reuses
     /// the whole snapshot `Arc`.
     ///
@@ -495,10 +499,6 @@ impl VersionedGraph {
         let mut monotone = true;
         let mut seed_edges = Vec::new();
         let mut dirty = vec![false; old.num_partitions()];
-        // Effective changes grouped by the partition owning the source
-        // endpoint (the partition whose edge segment they land in).
-        type PartitionChanges = Vec<((VertexId, VertexId), Option<Weight>)>;
-        let mut changes: BTreeMap<PartitionId, PartitionChanges> = BTreeMap::new();
         for (&(u, v), &(before, after)) in &touched {
             match (before, after) {
                 (None, None) => continue,                                  // net no-op
@@ -507,9 +507,7 @@ impl VersionedGraph {
                 (Some(b), Some(a)) if a < b => seed_edges.push((u, v, a)), // decrease
                 _ => monotone = false, // deletion or weight increase
             }
-            let p = old.partition_of(u);
-            dirty[p as usize] = true;
-            changes.entry(p).or_default().push(((u, v), after));
+            dirty[old.partition_of(u) as usize] = true;
         }
         let dirty_partitions: Vec<PartitionId> =
             (0..old.num_partitions() as PartitionId).filter(|&p| dirty[p as usize]).collect();
@@ -520,54 +518,27 @@ impl VersionedGraph {
             // (the version still bumps at publish so waiters unblock).
             Arc::clone(&old)
         } else {
-            let weighted = csr.is_weighted();
+            let changes: Vec<(VertexId, VertexId, Option<Weight>)> =
+                touched.iter().map(|(&(u, v), &(_, after))| (u, v, after)).collect();
+            let next = Arc::new(csr.with_changes(&changes));
+            // A dirty store is rebuilt from the new CSR under the snapshot's
+            // storage policy (a dirty compressed partition is re-encoded); a
+            // clean one is Arc-shared untouched.
             let stores: Vec<Arc<PartitionStore>> = (0..parts as PartitionId)
                 .map(|p| {
-                    let old_store = old.store(p);
-                    match changes.get(&p) {
-                        None => Arc::clone(old_store),
-                        Some(edits) => {
-                            // `edge_segment` decodes compressed payloads
-                            // transiently; the rebuild below re-applies the
-                            // snapshot's storage policy, so a dirty
-                            // compressed partition is re-encoded and a clean
-                            // one stays Arc-shared untouched.
-                            let mut seg: BTreeMap<(VertexId, VertexId), Weight> = old_store
-                                .edge_segment()
-                                .iter()
-                                .map(|&(u, v, w)| ((u, v), w))
-                                .collect();
-                            for &(pair, after) in edits {
-                                match after {
-                                    Some(w) => {
-                                        seg.insert(pair, w);
-                                    }
-                                    None => {
-                                        seg.remove(&pair);
-                                    }
-                                }
-                            }
-                            let edges: Vec<Edge> =
-                                seg.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-                            Arc::new(PartitionStore::build(
-                                p,
-                                old_store.info.vertices.clone(),
-                                edges,
-                                weighted,
-                                old.plan(),
-                                old.config().storage,
-                            ))
-                        }
+                    if !dirty[p as usize] {
+                        return Arc::clone(old.store(p));
                     }
+                    Arc::new(PartitionStore::build(
+                        &next,
+                        p,
+                        old.partition(p).vertices.clone(),
+                        old.plan(),
+                        old.config().storage,
+                    ))
                 })
                 .collect();
-            Arc::new(PartitionedGraph::from_stores(
-                csr.num_vertices(),
-                weighted,
-                old.plan().clone(),
-                *old.config(),
-                stores,
-            ))
+            Arc::new(PartitionedGraph::from_stores(next, old.plan().clone(), *old.config(), stores))
         };
         let new_adj = quotient_adjacency(&graph);
 
@@ -659,11 +630,20 @@ impl VersionedGraph {
 mod tests {
     use super::*;
     use crate::partition::{PartitionConfig, PartitionMethod, PartitionPlan};
-    use crate::CsrGraph;
+    use crate::{CsrGraph, StorageConfig};
 
     /// Fixed even chunking: vertex `v` lands in partition `v / (n / parts)`,
     /// so tests can reason about the quotient graph exactly.
     fn pg(edges: &[Edge], n: usize, parts: usize) -> Arc<PartitionedGraph> {
+        pg_with(edges, n, parts, StorageConfig::Raw)
+    }
+
+    fn pg_with(
+        edges: &[Edge],
+        n: usize,
+        parts: usize,
+        storage: StorageConfig,
+    ) -> Arc<PartitionedGraph> {
         let mut sorted = edges.to_vec();
         sorted.sort_unstable();
         let csr = Arc::new(CsrGraph::from_sorted_edges(n, &sorted, true));
@@ -675,7 +655,7 @@ mod tests {
         Arc::new(PartitionedGraph::from_plan(
             csr,
             plan,
-            PartitionConfig::with_partitions(PartitionMethod::Chunked, parts),
+            PartitionConfig::with_partitions(PartitionMethod::Chunked, parts).with_storage(storage),
         ))
     }
 
@@ -800,31 +780,80 @@ mod tests {
         assert!(affected[0], "source partition of the deleted edge is affected");
     }
 
-    /// The acceptance Arc-identity test: a localized mutation
-    /// re-materializes exactly its dirty partition's store; every clean
-    /// partition is shared (`Arc::ptr_eq`) with the previous epoch.
+    /// The acceptance Arc-identity test: a localized batch re-materializes
+    /// exactly its dirty partition's store; every clean partition is shared
+    /// (`Arc::ptr_eq`) with the previous epoch under either storage policy,
+    /// and the fold equals a from-scratch build of the mutated edge set.
     #[test]
     fn localized_fold_shares_clean_partition_stores() {
-        // Chunked over 8 vertices / 4 partitions: {0,1} {2,3} {4,5} {6,7}.
-        let base = pg(&[(0, 1, 1), (2, 3, 1), (4, 5, 1), (6, 7, 1)], 8, 4);
-        let vg = VersionedGraph::new(Arc::clone(&base));
-        vg.insert_edge(2, 5, 4).unwrap(); // source in partition 1
-        let applied = vg.advance().unwrap();
-        assert_eq!(applied.dirty_partitions, vec![1]);
-        assert_eq!(applied.partitions_rematerialized, 1);
-        assert_eq!(applied.partitions_shared, 3);
-        let new = &applied.graph;
-        assert!(!Arc::ptr_eq(new.store(1), base.store(1)), "dirty store rebuilt");
-        for p in [0, 2, 3] {
-            assert!(Arc::ptr_eq(new.store(p), base.store(p)), "clean store {p} shared");
+        for storage in [StorageConfig::Raw, StorageConfig::Compressed] {
+            // Chunked over 8 vertices / 4 partitions: {0,1} {2,3} {4,5} {6,7}.
+            let base =
+                pg_with(&[(0, 1, 1), (2, 3, 1), (3, 0, 2), (4, 5, 1), (6, 7, 1)], 8, 4, storage);
+            let vg = VersionedGraph::new(Arc::clone(&base));
+            // Every source in partition 1: an insert, an increase, a delete.
+            vg.insert_edge(2, 5, 4).unwrap();
+            vg.update_weight(2, 3, 7).unwrap();
+            vg.delete_edge(3, 0).unwrap();
+            let applied = vg.advance().unwrap();
+            assert_eq!(applied.dirty_partitions, vec![1]);
+            assert_eq!(applied.partitions_rematerialized, 1);
+            assert_eq!(applied.partitions_shared, 3);
+            let new = &applied.graph;
+            assert!(!Arc::ptr_eq(new.store(1), base.store(1)), "dirty store rebuilt");
+            for p in [0, 2, 3] {
+                assert!(Arc::ptr_eq(new.store(p), base.store(p)), "{storage:?}: clean store {p}");
+            }
+            let mutated = [(0, 1, 1), (2, 3, 7), (2, 5, 4), (4, 5, 1), (6, 7, 1)];
+            assert_eq!(new.graph(), &CsrGraph::from_sorted_edges(8, &mutated, true));
+            let scratch = pg_with(&mutated, 8, 4, storage);
+            for p in 0..4 {
+                let (folded, built) = (new.store(p), scratch.store(p));
+                assert_eq!(folded.info, built.info, "{storage:?}: partition {p}");
+                assert_eq!(folded.quotient_row, built.quotient_row, "{storage:?}: row {p}");
+                assert_eq!(folded.compressed, built.compressed, "{storage:?}: payload {p}");
+            }
         }
-        // And the partial rebuild is equivalent to a from-scratch build.
-        let mut edges: Vec<Edge> = base.graph().edges().collect();
-        edges.push((2, 5, 4));
-        let scratch = pg(&edges, 8, 4);
-        assert_eq!(new.graph(), scratch.graph());
-        assert_eq!(new.store(1).edge_segment(), scratch.store(1).edge_segment());
-        assert_eq!(new.store(1).quotient_row, scratch.store(1).quotient_row);
+    }
+
+    /// Random batches of all three mutation kinds: every fold publishes the
+    /// CSR and stores a from-scratch build of the mutated edge set gives.
+    #[test]
+    fn folds_equal_scratch_builds_over_random_histories() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (n, parts) = (40usize, 5usize);
+        let start = crate::gen::erdos_renyi(n, 120, 3).with_random_weights(9, 3);
+        for storage in [StorageConfig::Raw, StorageConfig::Compressed] {
+            let mut rng = SmallRng::seed_from_u64(0xF01D);
+            let mut model: BTreeMap<(VertexId, VertexId), Weight> =
+                start.edges().map(|(u, v, w)| ((u, v), w)).collect();
+            let vg =
+                VersionedGraph::new(pg_with(&start.edges().collect::<Vec<_>>(), n, parts, storage));
+            for round in 0..20 {
+                for _ in 0..rng.gen_range(1usize..12) {
+                    let u: VertexId = rng.gen_range(0..n as VertexId);
+                    let v = (u + rng.gen_range(1..n as VertexId)) % n as VertexId;
+                    let w: Weight = rng.gen_range(1..10);
+                    match rng.gen_range(0u32..3) {
+                        0 => vg.insert_edge(u, v, w).map(|_| model.insert((u, v), w)),
+                        1 => vg.update_weight(u, v, w).map(|_| model.insert((u, v), w)),
+                        _ => vg.delete_edge(u, v).map(|_| model.remove(&(u, v))),
+                    }
+                    .unwrap();
+                }
+                let folded = vg.advance().unwrap().graph;
+                let edges: Vec<Edge> = model.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+                let scratch = pg_with(&edges, n, parts, storage);
+                assert_eq!(folded.graph(), scratch.graph(), "{storage:?} round {round}");
+                for p in 0..parts as PartitionId {
+                    let (a, b) = (folded.store(p), scratch.store(p));
+                    assert_eq!(a.info, b.info, "{storage:?} round {round} partition {p}");
+                    assert_eq!(a.quotient_row, b.quotient_row);
+                    assert_eq!(a.compressed, b.compressed);
+                }
+            }
+        }
     }
 
     /// Deletions rebuild the owning partition too, and a net-no-op batch

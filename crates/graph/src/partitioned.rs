@@ -5,25 +5,24 @@
 //! every partition, internal/cut edge counts, and byte footprints used to check
 //! that partitions actually fit the (simulated) last-level cache.
 //!
-//! Since the epoch-snapshot work, each partition's payload — metadata plus its
-//! vertices' out-edge segment — lives in an individually [`Arc`]-held
+//! The monolithic CSR is the graph's only raw adjacency: a partition's
+//! adjacency is its vertices' CSR rows. Each partition's metadata and
+//! quotient-graph row — plus, when its storage policy compresses it, a
+//! varint payload beside the CSR — live in an individually [`Arc`]-held
 //! [`PartitionStore`]. Two snapshots that differ in a few partitions *share*
-//! every untouched store: [`crate::mutation::VersionedGraph`] re-materialises
-//! only dirty partitions at an epoch advance and splices the clean stores (and
-//! a freshly assembled monolithic CSR, via [`CsrGraph::from_edge_segments`])
-//! into the next epoch. The engine's hot path still reads one monolithic CSR;
-//! the stores are the storage identity that makes partial rebuilds and
-//! per-partition reclamation possible.
+//! every untouched store: [`crate::mutation::VersionedGraph`] builds the next
+//! CSR from the old one plus the batch's edits, re-materialises only dirty
+//! partitions' stores from it, and splices the clean stores into the next
+//! epoch.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::partition::{PartitionConfig, PartitionId, PartitionPlan};
-use crate::payload::{AdjacencyView, CompressedEdges, PartitionPayload, StorageConfig};
-use crate::{CsrGraph, Edge, VertexId, Weight};
+use crate::payload::{AdjacencyView, CompressedEdges, StorageConfig};
+use crate::{CsrGraph, VertexId, Weight};
 
 /// Per-partition metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionInfo {
     /// Partition id (index into the store list).
     pub id: PartitionId,
@@ -50,20 +49,19 @@ impl PartitionInfo {
     }
 }
 
-/// One partition's independently shareable payload: metadata, the out-edge
-/// segment of its vertices (grouped by source, target-sorted — the
-/// [`CsrGraph::from_edge_segments`] contract), and its cached quotient-graph
-/// adjacency row. Snapshots hold these behind [`Arc`]s; a store untouched by a
-/// mutation batch is shared across epochs, and its memory is reclaimed only
-/// when the last snapshot referencing it is dropped.
+/// One partition's independently shareable store: metadata, its cached
+/// quotient-graph adjacency row and, when compressed, its varint payload.
+/// Snapshots hold these behind [`Arc`]s; a store untouched by a mutation
+/// batch is shared across epochs, and its memory is reclaimed only when the
+/// last snapshot referencing it is dropped.
 #[derive(Clone, Debug)]
 pub struct PartitionStore {
     /// Partition metadata (vertex membership, edge counts, footprint).
     pub info: PartitionInfo,
-    /// The partition's vertices' out-edges, source-grouped and target-sorted —
-    /// held raw or delta/varint-compressed per the build-time
-    /// [`StorageConfig`] policy.
-    pub payload: PartitionPayload,
+    /// The partition's vertices' out-edges delta/varint-encoded, when the
+    /// build-time [`StorageConfig`] policy compresses it; `None` means visits
+    /// read the vertices' CSR rows.
+    pub compressed: Option<CompressedEdges>,
     /// This partition's row of the quotient adjacency bitset (bit `q` set iff
     /// some edge of this partition targets partition `q`), in
     /// `plan.num_partitions.div_ceil(64).max(1)` words. Cached here so
@@ -73,16 +71,15 @@ pub struct PartitionStore {
 }
 
 impl PartitionStore {
-    /// Build one partition's store from its vertex list and edge segment,
-    /// computing the metadata and quotient row the plan implies, and choosing
-    /// the payload representation `storage` asks for. The policy is applied
+    /// Build one partition's store from its vertex list and their rows of
+    /// `graph`, computing the metadata and quotient row the plan implies, and
+    /// encoding a payload if `storage` asks for one. The policy is applied
     /// per store, so epoch-advance partial rebuilds re-encode exactly the
     /// dirty partitions.
-    pub fn build(
+    pub(crate) fn build(
+        graph: &CsrGraph,
         id: PartitionId,
         vertices: Vec<VertexId>,
-        edges: Vec<Edge>,
-        weighted: bool,
         plan: &PartitionPlan,
         storage: StorageConfig,
     ) -> Self {
@@ -90,25 +87,24 @@ impl PartitionStore {
         let mut internal = 0usize;
         let mut cut = 0usize;
         let mut quotient_row = vec![0u64; words];
-        for &(_, t, _) in &edges {
-            let pt = plan.partition_of(t);
-            quotient_row[pt as usize / 64] |= 1u64 << (pt as usize % 64);
-            if pt == id {
-                internal += 1;
-            } else {
-                cut += 1;
+        for &v in &vertices {
+            for &t in graph.out_neighbors(v) {
+                let pt = plan.partition_of(t);
+                quotient_row[pt as usize / 64] |= 1u64 << (pt as usize % 64);
+                if pt == id {
+                    internal += 1;
+                } else {
+                    cut += 1;
+                }
             }
         }
-        let raw_adjacency_bytes = raw_adjacency_bytes(edges.len(), vertices.len(), weighted);
-        let payload = if storage.wants_compression(raw_adjacency_bytes) {
-            PartitionPayload::Compressed(CompressedEdges::encode(&vertices, &edges, weighted))
-        } else {
-            PartitionPayload::Raw(edges)
-        };
-        let adjacency_bytes = match &payload {
-            PartitionPayload::Raw(_) => raw_adjacency_bytes,
-            PartitionPayload::Compressed(c) => c.payload_bytes(),
-        };
+        let raw_adjacency_bytes =
+            raw_adjacency_bytes(internal + cut, vertices.len(), graph.is_weighted());
+        let compressed = storage
+            .wants_compression(raw_adjacency_bytes)
+            .then(|| CompressedEdges::encode(graph, &vertices));
+        let adjacency_bytes =
+            compressed.as_ref().map_or(raw_adjacency_bytes, CompressedEdges::payload_bytes);
         // Vertex state: one distance/residual slot per vertex (8 bytes) as a
         // conservative per-query footprint estimate.
         let footprint_bytes = adjacency_bytes + vertices.len() * 8;
@@ -120,32 +116,20 @@ impl PartitionStore {
                 num_cut_edges: cut,
                 footprint_bytes,
             },
-            payload,
+            compressed,
             quotient_row,
-        }
-    }
-
-    /// The partition's edge segment as triples — borrowed for raw payloads,
-    /// transiently decoded for compressed ones. Epoch folds and monolithic
-    /// CSR assembly go through this; visits stream-decode via
-    /// [`PartitionedGraph::adjacency_view`] instead.
-    pub fn edge_segment(&self) -> Cow<'_, [Edge]> {
-        match &self.payload {
-            PartitionPayload::Raw(edges) => Cow::Borrowed(edges.as_slice()),
-            PartitionPayload::Compressed(c) => Cow::Owned(c.decode_edges(&self.info.vertices)),
         }
     }
 
     /// Whether this store holds its adjacency compressed.
     #[inline]
     pub fn is_compressed(&self) -> bool {
-        self.payload.is_compressed()
+        self.compressed.is_some()
     }
 }
 
-/// CSR-equivalent adjacency bytes of a raw-stored partition: targets +
-/// per-vertex offsets (+ weights) — the representation a raw visit actually
-/// streams through the monolithic CSR, and the baseline the compression
+/// Bytes of a partition's CSR rows: targets + per-vertex offsets
+/// (+ weights) — what a raw visit streams, and the baseline the compression
 /// metrics compare against.
 fn raw_adjacency_bytes(num_edges: usize, num_vertices: usize, weighted: bool) -> usize {
     let mut bytes =
@@ -187,22 +171,18 @@ impl PartitionedGraph {
         PartitionedGraph { graph, plan, stores, config }
     }
 
-    /// Assemble a snapshot from per-partition stores, reusing the stores'
-    /// `Arc`s (clean partitions keep sharing memory with the previous epoch)
-    /// and building the monolithic CSR from their edge segments without a
-    /// global sort. `stores[p]` must be partition `p`'s store under `plan`.
-    pub fn from_stores(
-        num_vertices: usize,
-        weighted: bool,
+    /// Assemble a snapshot from `graph` and per-partition stores built from
+    /// it, reusing the stores' `Arc`s (clean partitions keep sharing memory
+    /// with the previous epoch). `stores[p]` must be partition `p`'s store
+    /// under `plan`.
+    pub(crate) fn from_stores(
+        graph: Arc<CsrGraph>,
         plan: PartitionPlan,
         config: PartitionConfig,
         stores: Vec<Arc<PartitionStore>>,
     ) -> Self {
         debug_assert_eq!(stores.len(), plan.num_partitions);
         debug_assert!(stores.iter().enumerate().all(|(p, s)| s.info.id as usize == p));
-        let segments: Vec<Cow<'_, [Edge]>> = stores.iter().map(|s| s.edge_segment()).collect();
-        let refs: Vec<&[Edge]> = segments.iter().map(|c| c.as_ref()).collect();
-        let graph = Arc::new(CsrGraph::from_edge_segments(num_vertices, &refs, weighted));
         PartitionedGraph { graph, plan, stores, config }
     }
 
@@ -220,18 +200,7 @@ impl PartitionedGraph {
             .into_iter()
             .enumerate()
             .map(|(id, verts)| {
-                let mut edges = Vec::new();
-                for &v in &verts {
-                    edges.extend(graph.out_edges(v).map(|(t, w)| (v, t, w)));
-                }
-                Arc::new(PartitionStore::build(
-                    id as PartitionId,
-                    verts,
-                    edges,
-                    graph.is_weighted(),
-                    plan,
-                    storage,
-                ))
+                Arc::new(PartitionStore::build(graph, id as PartitionId, verts, plan, storage))
             })
             .collect()
     }
@@ -307,16 +276,14 @@ impl PartitionedGraph {
     }
 
     /// Adjacency read access for visits to partition `p`: raw partitions get
-    /// a plain CSR view (the pre-compression code path, byte for byte),
-    /// compressed partitions a streaming varint-decode view.
+    /// a plain CSR view, compressed partitions a streaming varint-decode
+    /// view.
     #[inline]
     pub fn adjacency_view(&self, p: PartitionId) -> AdjacencyView<'_> {
         let store = &self.stores[p as usize];
-        match &store.payload {
-            PartitionPayload::Raw(_) => AdjacencyView::from_csr(&self.graph),
-            PartitionPayload::Compressed(c) => {
-                AdjacencyView::compressed(&self.graph, &store.info.vertices, c)
-            }
+        match &store.compressed {
+            None => AdjacencyView::from_csr(&self.graph),
+            Some(c) => AdjacencyView::compressed(&self.graph, &store.info.vertices, c),
         }
     }
 
@@ -325,8 +292,8 @@ impl PartitionedGraph {
         self.stores.iter().filter(|s| s.is_compressed()).count()
     }
 
-    /// Total adjacency payload bytes of raw-stored partitions
-    /// (CSR-equivalent: targets + per-vertex offsets + weights).
+    /// Bytes of the CSR rows raw-stored partitions read (targets +
+    /// per-vertex offsets + weights).
     pub fn payload_bytes_raw(&self) -> usize {
         self.stores
             .iter()
@@ -340,15 +307,13 @@ impl PartitionedGraph {
     pub fn payload_bytes_compressed(&self) -> usize {
         self.stores
             .iter()
-            .filter_map(|s| match &s.payload {
-                PartitionPayload::Compressed(c) => Some(c.payload_bytes()),
-                PartitionPayload::Raw(_) => None,
-            })
+            .filter_map(|s| s.compressed.as_ref().map(CompressedEdges::payload_bytes))
             .sum()
     }
 
-    /// Mean adjacency bytes per directed edge across all partitions, under
-    /// each partition's actual representation.
+    /// Mean adjacency bytes a visit streams per directed edge, under each
+    /// partition's representation. Compressed payloads sit beside the CSR,
+    /// so this is not the resident size.
     pub fn bytes_per_edge(&self) -> f64 {
         if self.graph.num_edges() == 0 {
             return 0.0;
@@ -369,7 +334,7 @@ impl PartitionedGraph {
         1.0 - actual as f64 / raw_equiv as f64
     }
 
-    /// What `info`'s partition would occupy stored raw (CSR-equivalent).
+    /// Bytes of `info`'s partition's CSR rows.
     fn raw_equivalent_bytes(&self, info: &PartitionInfo) -> usize {
         raw_adjacency_bytes(info.num_edges(), info.num_vertices(), self.graph.is_weighted())
     }
@@ -469,31 +434,6 @@ mod tests {
             )
         });
         assert!(result.is_err());
-    }
-
-    /// Rebuilding from the collected stores must reproduce the original CSR
-    /// exactly — segment assembly is a reshuffle, never a re-interpretation.
-    #[test]
-    fn from_stores_round_trips_the_csr() {
-        let g = gen::rmat(9, 6, 4).into_weighted(8);
-        let pg = PartitionedGraph::build(
-            &g,
-            PartitionConfig::with_partitions(PartitionMethod::Multilevel, 5),
-        );
-        let stores: Vec<Arc<PartitionStore>> =
-            (0..pg.num_partitions()).map(|p| Arc::clone(pg.store(p as PartitionId))).collect();
-        let rebuilt = PartitionedGraph::from_stores(
-            g.num_vertices(),
-            g.is_weighted(),
-            pg.plan().clone(),
-            *pg.config(),
-            stores,
-        );
-        assert_eq!(rebuilt.graph(), pg.graph());
-        for p in 0..pg.num_partitions() as PartitionId {
-            assert!(Arc::ptr_eq(rebuilt.store(p), pg.store(p)));
-            assert_eq!(rebuilt.partition(p).num_edges(), pg.partition(p).num_edges());
-        }
     }
 
     /// The cached quotient rows must agree with a from-scratch edge scan.
@@ -597,30 +537,16 @@ mod tests {
             raw.bytes_per_edge()
         );
         assert!(comp.max_footprint_bytes() < raw.max_footprint_bytes());
-        // The stores decode back to identical edge segments.
+        // Every partition's view decodes to its vertices' CSR rows.
         for p in 0..raw.num_partitions() as PartitionId {
             assert!(comp.store(p).is_compressed());
-            assert_eq!(raw.store(p).edge_segment(), comp.store(p).edge_segment(), "part {p}");
+            let (raw_view, comp_view) = (raw.adjacency_view(p), comp.adjacency_view(p));
+            assert!(!raw_view.is_compressed() && comp_view.is_compressed());
+            for &v in &raw.partition(p).vertices {
+                assert!(raw_view.out_edges(v).eq(comp_view.out_edges(v)), "part {p} vertex {v}");
+            }
             assert_eq!(raw.store(p).quotient_row, comp.store(p).quotient_row, "row {p}");
         }
-    }
-
-    #[test]
-    fn from_stores_round_trips_compressed_payloads() {
-        let g = gen::rmat(9, 6, 4).into_weighted(8);
-        let config = PartitionConfig::with_partitions(PartitionMethod::Multilevel, 5)
-            .with_storage(StorageConfig::Compressed);
-        let pg = PartitionedGraph::build(&g, config);
-        let stores: Vec<Arc<PartitionStore>> =
-            (0..pg.num_partitions()).map(|p| Arc::clone(pg.store(p as PartitionId))).collect();
-        let rebuilt = PartitionedGraph::from_stores(
-            g.num_vertices(),
-            g.is_weighted(),
-            pg.plan().clone(),
-            *pg.config(),
-            stores,
-        );
-        assert_eq!(rebuilt.graph(), &g);
     }
 
     #[test]

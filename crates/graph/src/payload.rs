@@ -1,26 +1,28 @@
-//! Per-partition adjacency payload storage: raw CSR slices or delta/varint
-//! compressed bytes, behind one enum.
+//! Per-partition adjacency payloads: the partition's rows of the monolithic
+//! CSR, or delta/varint-compressed bytes beside them.
 //!
 //! The paper sizes partitions to the LLC so a fork-processing pass stays
 //! cache-resident; the same discipline extends one level down — fewer **bytes
-//! per edge** means more of each partition fits per cache line and more
-//! partitions fit in the LLC at once. This module gives every
-//! [`crate::partitioned::PartitionStore`] a choice of on-heap representation:
+//! per edge** streamed per visit means more of each partition fits per cache
+//! line and more partitions fit in the LLC at once. Every
+//! [`crate::partitioned::PartitionStore`] reads its adjacency one of two ways:
 //!
-//! * [`PartitionPayload::Raw`] — the edge triples exactly as before
-//!   (12 bytes/edge), zero decode cost.
-//! * [`PartitionPayload::Compressed`] — per-vertex adjacency encoded as
-//!   LEB128 varints: a degree prefix, then the sorted targets as deltas
-//!   (first target absolute, subsequent targets as strictly positive gaps),
-//!   with weights varint-interleaved when the graph is weighted. On the
-//!   power-law and lattice graphs in this workspace that lands at 2–4
-//!   bytes/edge.
+//! * **raw** — straight from its vertices' rows of the monolithic
+//!   [`CsrGraph`] (8 bytes/edge weighted, plus offsets), zero decode cost.
+//!   The store holds no second copy.
+//! * **compressed** — a [`CompressedEdges`] payload *beside* the CSR:
+//!   per-vertex adjacency encoded as LEB128 varints, a degree prefix, then
+//!   the sorted targets as deltas (first target absolute, subsequent targets
+//!   as strictly positive gaps), with weights varint-interleaved when the
+//!   graph is weighted. On the power-law and lattice graphs in this
+//!   workspace that lands at 2–4 bytes/edge streamed per visit; the CSR
+//!   rows stay resident too.
 //!
 //! Which representation a partition gets is policy-driven ([`StorageConfig`]
 //! on [`crate::partition::PartitionConfig`]), decided at store build time and
 //! preserved across epoch re-materialisation: a dirty-partition rebuild
-//! re-encodes only the dirty stores, clean compressed stores stay
-//! `Arc`-shared.
+//! re-encodes only the dirty stores from the new CSR, clean compressed stores
+//! stay `Arc`-shared.
 //!
 //! Kernels never materialise a compressed partition: they read adjacency
 //! through [`AdjacencyView`], whose iterators either borrow the monolithic
@@ -30,14 +32,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{CsrGraph, Edge, VertexId, Weight};
+use crate::{CsrGraph, VertexId, Weight};
 
 /// Per-partition storage policy, carried by
 /// [`crate::partition::PartitionConfig`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StorageConfig {
-    /// Keep every partition's edges as raw triples (the pre-compression
-    /// representation; zero decode cost).
+    /// Read every partition's adjacency from the CSR rows (zero decode
+    /// cost).
     #[default]
     Raw,
     /// Delta/varint-encode every partition.
@@ -119,26 +121,20 @@ pub struct CompressedEdges {
 }
 
 impl CompressedEdges {
-    /// Encode a partition's edge segment. `vertices` are the partition's
-    /// global vertex ids (ascending) and `edges` their out-edges grouped by
-    /// source in that order with targets sorted per source — the
-    /// [`CsrGraph::from_edge_segments`] contract every
-    /// [`crate::partitioned::PartitionStore`] already satisfies.
-    pub fn encode(vertices: &[VertexId], edges: &[Edge], weighted: bool) -> Self {
+    /// Encode the rows of `graph` that belong to `vertices` (a partition's
+    /// global vertex ids, ascending).
+    pub(crate) fn encode(graph: &CsrGraph, vertices: &[VertexId]) -> Self {
+        let weighted = graph.is_weighted();
         let mut offsets = Vec::with_capacity(vertices.len() + 1);
         let mut bytes = Vec::new();
+        let mut num_edges = 0usize;
         offsets.push(0u32);
-        let mut i = 0usize;
         for &v in vertices {
-            let start = i;
-            while i < edges.len() && edges[i].0 == v {
-                i += 1;
-            }
-            let segment = &edges[start..i];
-            write_varint(&mut bytes, segment.len() as u64);
+            let degree = graph.out_degree(v);
+            write_varint(&mut bytes, degree as u64);
+            num_edges += degree;
             let mut prev: VertexId = 0;
-            for &(_, t, w) in segment {
-                debug_assert!(prev <= t, "targets must be sorted per source");
+            for (t, w) in graph.out_edges(v) {
                 write_varint(&mut bytes, (t - prev) as u64);
                 if weighted {
                     write_varint(&mut bytes, w as u64);
@@ -147,9 +143,8 @@ impl CompressedEdges {
             }
             offsets.push(u32::try_from(bytes.len()).expect("partition payload exceeds 4 GiB"));
         }
-        debug_assert_eq!(i, edges.len(), "edges not grouped by the vertex list");
         bytes.shrink_to_fit();
-        CompressedEdges { offsets, bytes, num_edges: edges.len(), weighted }
+        CompressedEdges { offsets, bytes, num_edges, weighted }
     }
 
     /// Number of edges encoded.
@@ -198,20 +193,6 @@ impl CompressedEdges {
             weighted: self.weighted,
         }
     }
-
-    /// Decode the whole partition back to `(source, target, weight)` triples
-    /// in segment order. `vertices` must be the same list the payload was
-    /// encoded with. Used for epoch folds and monolithic CSR assembly; the
-    /// result is transient — visits stream-decode instead.
-    pub fn decode_edges(&self, vertices: &[VertexId]) -> Vec<Edge> {
-        let mut out = Vec::with_capacity(self.num_edges);
-        for (local, &v) in vertices.iter().enumerate() {
-            for (t, w) in self.out_edges(local) {
-                out.push((v, t, w));
-            }
-        }
-        out
-    }
 }
 
 /// Streaming decoder over one vertex's compressed adjacency run.
@@ -247,34 +228,6 @@ impl Iterator for CompressedOutEdges<'_> {
 }
 
 impl ExactSizeIterator for CompressedOutEdges<'_> {}
-
-/// One partition's edge storage: the representation an individual
-/// [`crate::partitioned::PartitionStore`] actually holds on the heap.
-#[derive(Clone, Debug)]
-pub enum PartitionPayload {
-    /// Edge triples exactly as collected (source-grouped, target-sorted).
-    Raw(Vec<Edge>),
-    /// Delta/varint-encoded adjacency; sources are implied by the store's
-    /// vertex list.
-    Compressed(CompressedEdges),
-}
-
-impl PartitionPayload {
-    /// Whether this payload is compressed.
-    #[inline]
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, PartitionPayload::Compressed(_))
-    }
-
-    /// Actual on-heap bytes of the payload (what the footprint accounting
-    /// reports).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            PartitionPayload::Raw(edges) => edges.len() * std::mem::size_of::<Edge>(),
-            PartitionPayload::Compressed(c) => c.payload_bytes(),
-        }
-    }
-}
 
 /// Read access to one partition's adjacency — the first argument of every
 /// [`fg-core` kernel's] `process` hook.
@@ -471,49 +424,37 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
-    fn partition_fixture(weighted: bool) -> (Vec<VertexId>, Vec<Edge>) {
+    /// A graph and a "partition" of every third vertex, exercising
+    /// non-contiguous ids.
+    fn partition_fixture(weighted: bool) -> (CsrGraph, Vec<VertexId>) {
         let g = if weighted { gen::rmat(8, 6, 5).into_weighted(8) } else { gen::rmat(8, 6, 5) };
-        // "Partition" = every third vertex, exercising non-contiguous ids.
-        let vertices: Vec<VertexId> =
-            (0..g.num_vertices() as VertexId).filter(|v| v % 3 == 1).collect();
-        let mut edges = Vec::new();
-        for &v in &vertices {
-            edges.extend(g.out_edges(v).map(|(t, w)| (v, t, w)));
-        }
-        (vertices, edges)
+        let vertices = (0..g.num_vertices() as VertexId).filter(|v| v % 3 == 1).collect();
+        (g, vertices)
     }
 
     #[test]
-    fn encode_decode_round_trips() {
+    fn encode_round_trips_the_csr_rows() {
         for weighted in [false, true] {
-            let (vertices, edges) = partition_fixture(weighted);
-            let c = CompressedEdges::encode(&vertices, &edges, weighted);
-            assert_eq!(c.num_edges(), edges.len());
-            assert_eq!(c.decode_edges(&vertices), edges, "weighted={weighted}");
-        }
-    }
-
-    #[test]
-    fn streaming_iterator_matches_segment() {
-        let (vertices, edges) = partition_fixture(true);
-        let c = CompressedEdges::encode(&vertices, &edges, true);
-        let mut cursor = 0usize;
-        for (local, &v) in vertices.iter().enumerate() {
-            let decoded: Vec<(VertexId, Weight)> = c.out_edges(local).collect();
-            assert_eq!(decoded.len(), c.degree(local));
-            for (t, w) in decoded {
-                assert_eq!(edges[cursor], (v, t, w));
-                cursor += 1;
+            let (g, vertices) = partition_fixture(weighted);
+            let c = CompressedEdges::encode(&g, &vertices);
+            assert_eq!(c.is_weighted(), weighted);
+            let mut edges = 0;
+            for (local, &v) in vertices.iter().enumerate() {
+                assert_eq!(c.degree(local), g.out_degree(v));
+                assert!(c.out_edges(local).eq(g.out_edges(v)), "weighted={weighted} vertex {v}");
+                edges += g.out_degree(v);
             }
+            assert_eq!(c.num_edges(), edges);
         }
-        assert_eq!(cursor, edges.len());
     }
 
     #[test]
     fn compression_beats_raw_bytes_on_real_graphs() {
-        let (vertices, edges) = partition_fixture(true);
-        let c = CompressedEdges::encode(&vertices, &edges, true);
-        let raw_bytes = edges.len() * std::mem::size_of::<Edge>();
+        let (g, vertices) = partition_fixture(true);
+        let c = CompressedEdges::encode(&g, &vertices);
+        // What the same rows occupy in the CSR: target + weight per edge,
+        // one offset per vertex.
+        let raw_bytes = c.num_edges() * 8 + vertices.len() * 8;
         assert!(
             c.payload_bytes() * 2 < raw_bytes,
             "compressed {} vs raw {raw_bytes}",
@@ -523,17 +464,18 @@ mod tests {
 
     #[test]
     fn empty_and_isolated_vertices_encode() {
-        let c = CompressedEdges::encode(&[], &[], false);
+        let mut b = crate::GraphBuilder::new(10);
+        b.add_edge(7, 1, 2);
+        b.add_edge(7, 4, 1);
+        let g = b.build();
+        let c = CompressedEdges::encode(&g, &[]);
         assert_eq!(c.num_edges(), 0);
-        assert!(c.decode_edges(&[]).is_empty());
         // Vertices with no out-edges get a lone zero-degree prefix.
-        let vertices = vec![3u32, 7, 9];
-        let edges: Vec<Edge> = vec![(7, 1, 2), (7, 4, 1)];
-        let c = CompressedEdges::encode(&vertices, &edges, true);
+        let c = CompressedEdges::encode(&g, &[3, 7, 9]);
         assert_eq!(c.degree(0), 0);
         assert_eq!(c.degree(1), 2);
         assert_eq!(c.degree(2), 0);
-        assert_eq!(c.decode_edges(&vertices), edges);
+        assert_eq!(c.out_edges(1).collect::<Vec<_>>(), vec![(1, 2), (4, 1)]);
     }
 
     #[test]
@@ -541,11 +483,7 @@ mod tests {
         let g = gen::rmat(8, 6, 5).into_weighted(8);
         let vertices: Vec<VertexId> =
             (0..g.num_vertices() as VertexId).filter(|v| v % 2 == 0).collect();
-        let mut edges = Vec::new();
-        for &v in &vertices {
-            edges.extend(g.out_edges(v).map(|(t, w)| (v, t, w)));
-        }
-        let c = CompressedEdges::encode(&vertices, &edges, true);
+        let c = CompressedEdges::encode(&g, &vertices);
         let raw = AdjacencyView::from_csr(&g);
         let comp = AdjacencyView::compressed(&g, &vertices, &c);
         assert!(!raw.is_compressed() && comp.is_compressed());

@@ -40,39 +40,6 @@ pub fn effective_workers(batch_size: usize, num_partitions: usize, max_workers: 
     batch_size.div_ceil(QUERIES_PER_WORKER).clamp(1, max_workers.min(num_partitions))
 }
 
-/// Kernel-weighted [`effective_workers`] for one batch: `groups` is one
-/// `(pass size, kernel batch_weight)` pair per engine pass of the batch —
-/// the passes run back to back on one engine, so one crew size serves them
-/// all — and the offered load the base policy sees is the *sum* of
-/// `size × weight` over all of them. `weight` is the kernel's declared
-/// relative per-query work ([`forkgraph_core::FppKernel::batch_weight`],
-/// surfaced through [`forkgraph_core::DynKernel::batch_weight`]): a
-/// radius-bounded probe kernel with weight `0.5` needs twice the queries to
-/// justify the same crew, and a batch of 4 heavy (weight 2.0) and 8 light
-/// (weight 0.5) queries offers `4×2 + 8×0.5 = 12` load, not 12 raw queries.
-/// Non-finite or non-positive weights are treated as `1.0` per group (a
-/// registered kernel must never be able to break sizing), and the caps of
-/// the base policy are obeyed unchanged.
-pub fn effective_workers_mixed(
-    groups: &[(usize, f64)],
-    num_partitions: usize,
-    max_workers: usize,
-) -> usize {
-    let total: usize = groups.iter().map(|&(size, _)| size).sum();
-    let offered: f64 = groups
-        .iter()
-        .map(|&(size, weight)| {
-            let weight = if weight.is_finite() && weight > 0.0 { weight } else { 1.0 };
-            size as f64 * weight
-        })
-        .sum();
-    // Ceil keeps any non-empty batch non-empty, so the degenerate-case
-    // handling stays entirely in the base policy.
-    let offered = offered.ceil();
-    let offered = if offered >= usize::MAX as f64 { usize::MAX } else { offered as usize };
-    effective_workers(offered.max(usize::from(total > 0)), num_partitions, max_workers)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,71 +74,6 @@ mod tests {
         assert_eq!(effective_workers(64, 24, 1), 1);
         assert_eq!(effective_workers(64, 24, 0), 1);
         assert_eq!(effective_workers(0, 24, 8), 1);
-    }
-
-    #[test]
-    fn weighted_sizing_scales_the_offered_load() {
-        // Weight 1 is exactly the base policy.
-        for batch in 0..100 {
-            assert_eq!(
-                effective_workers_mixed(&[(batch, 1.0)], 24, 8),
-                effective_workers(batch, 24, 8)
-            );
-        }
-        // A half-weight kernel needs twice the batch for the same crew…
-        assert_eq!(effective_workers_mixed(&[(8, 0.5)], 24, 8), effective_workers(4, 24, 8));
-        // …and a double-weight kernel reaches the cap at half the batch.
-        assert_eq!(effective_workers_mixed(&[(4, 2.0)], 24, 8), effective_workers(8, 24, 8));
-    }
-
-    #[test]
-    fn pathological_weights_fall_back_to_unweighted() {
-        for weight in [0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(
-                effective_workers_mixed(&[(6, weight)], 24, 8),
-                effective_workers(6, 24, 8),
-                "weight {weight}"
-            );
-        }
-        // Huge-but-finite weights saturate at the caps instead of wrapping.
-        assert_eq!(effective_workers_mixed(&[(6, 1e300)], 24, 8), 8);
-        // An empty batch stays serial regardless of weight.
-        assert_eq!(effective_workers_mixed(&[(0, 100.0)], 24, 8), 1);
-    }
-
-    #[test]
-    fn mixed_sizing_sums_per_group_offered_load() {
-        // Two unit-weight cohorts offer the same load as one merged cohort.
-        assert_eq!(
-            effective_workers_mixed(&[(6, 1.0), (10, 1.0)], 24, 8),
-            effective_workers(16, 24, 8)
-        );
-        // Heterogeneous weights: 4×2.0 + 8×0.5 = 12 offered load — more than
-        // the 8 light queries alone justify, less than 12 heavy ones would.
-        assert_eq!(
-            effective_workers_mixed(&[(4, 2.0), (8, 0.5)], 24, 8),
-            effective_workers(12, 24, 8)
-        );
-        assert!(
-            effective_workers_mixed(&[(4, 2.0), (8, 0.5)], 24, 8)
-                > effective_workers_mixed(&[(8, 0.5)], 24, 8)
-        );
-        // A lone heavy cohort joined by a light one can only grow the crew.
-        assert!(
-            effective_workers_mixed(&[(4, 2.0), (8, 0.5)], 24, 8)
-                >= effective_workers_mixed(&[(4, 2.0)], 24, 8)
-        );
-        // Per-group weight sanitisation: a NaN-weight group counts at 1.0
-        // instead of poisoning the whole mix.
-        assert_eq!(
-            effective_workers_mixed(&[(6, f64::NAN), (4, 2.0)], 24, 8),
-            effective_workers_mixed(&[(6, 1.0), (4, 2.0)], 24, 8)
-        );
-        // Degenerate mixes stay serial.
-        assert_eq!(effective_workers_mixed(&[], 24, 8), 1);
-        assert_eq!(effective_workers_mixed(&[(0, 1.0), (0, 2.0)], 24, 8), 1);
-        // Fractional loads round up: sub-query offered load still runs.
-        assert_eq!(effective_workers_mixed(&[(1, 0.25)], 24, 8), 1);
     }
 
     /// Property sweep: the policy never exceeds any cap, never returns 0,

@@ -78,7 +78,7 @@ pub mod registry;
 pub mod service;
 pub mod ticket;
 
-pub use adaptive::{effective_workers, effective_workers_mixed};
+pub use adaptive::effective_workers;
 pub use fg_graph::mutation::{EdgeMutation, MutationError};
 pub use params::{ParamError, ParamValue, QueryParams};
 pub use query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};

@@ -515,10 +515,9 @@ impl ForkGraphService {
     ///
     /// `engine_config.num_threads` is the *cap* on per-batch parallelism:
     /// the batcher sizes each micro-batch's worker count adaptively with
-    /// [`adaptive::effective_workers_mixed`] (a 2-query batch runs
-    /// serially, a 64-query batch uses the full cap, scaled by each pass's
-    /// kernel's declared weight) and dispatches parallel runs onto one
-    /// persistent [`WorkerPool`] shared across all batches.
+    /// [`adaptive::effective_workers`] (a 2-query batch runs serially, a
+    /// 64-query batch uses the full cap) and dispatches parallel runs onto
+    /// one persistent [`WorkerPool`] shared across all batches.
     pub fn start(
         graph: Arc<PartitionedGraph>,
         engine_config: EngineConfig,
@@ -927,17 +926,13 @@ fn batcher_loop(
             }
         }
 
-        // Adaptive sizing: pick the worker count for *this* batch from the
-        // summed per-pass offered load (pass size × its kernel's declared
-        // weight; pure policy in `adaptive`) and the partition count, then
-        // build a per-batch engine — cheap (two refs + a config copy) — that
-        // dispatches onto the shared persistent pool when parallel.
+        // Adaptive sizing: pick the worker count for *this* batch from its
+        // total size over every pass (pure policy in `adaptive`) and the
+        // partition count, then build a per-batch engine — cheap (two refs +
+        // a config copy) — that dispatches onto the shared persistent pool
+        // when parallel.
         let total: usize = passes.iter().map(|pass| pass.members.len()).sum();
-        let loads: Vec<(usize, f64)> = passes
-            .iter()
-            .map(|pass| (pass.members.len(), pass.members[0].resolved.kernel.batch_weight()))
-            .collect();
-        let workers = adaptive::effective_workers_mixed(&loads, num_partitions, max_workers);
+        let workers = adaptive::effective_workers(total, num_partitions, max_workers);
         shared.counters.on_batch_workers(
             total,
             workers,
@@ -953,9 +948,9 @@ fn batcher_loop(
         let pin = shared.store.pin();
         let engine = match &pool {
             Some(pool) if workers > 1 => {
-                ForkGraphEngine::for_snapshot_with_pool(&pin, batch_config, Arc::clone(pool))
+                ForkGraphEngine::with_pool(pin.graph(), batch_config, Arc::clone(pool))
             }
-            _ => ForkGraphEngine::for_snapshot(&pin, batch_config),
+            _ => ForkGraphEngine::new(pin.graph(), batch_config),
         };
         let engine = match &shared.trace {
             Some(sink) => engine.with_trace_sink(Arc::clone(sink)),

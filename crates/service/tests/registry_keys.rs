@@ -261,10 +261,6 @@ impl forkgraph_core::DynKernel for ShortChangedKernel {
         "Vec<u64>"
     }
 
-    fn batch_weight(&self) -> f64 {
-        1.0
-    }
-
     fn run_erased(
         &self,
         engine: &forkgraph_core::ForkGraphEngine<'_>,

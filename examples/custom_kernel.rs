@@ -111,12 +111,6 @@ impl FppKernel for KHopReachability {
         }
         edges
     }
-
-    /// K-hop probes touch a bounded neighbourhood, so batches need roughly
-    /// twice the queries of a full traversal to justify the same crew.
-    fn batch_weight(&self) -> f64 {
-        0.5
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ impl DynKernel for ReachKernel {
         std::any::type_name::<Reach>()
     }
 
-    fn batch_weight(&self) -> f64 {
-        1.0
-    }
-
     fn run_erased(
         &self,
         engine: &ForkGraphEngine<'_>,
