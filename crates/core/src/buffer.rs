@@ -365,19 +365,6 @@ impl<V: Copy> RemoteScratch<V> {
         }
     }
 
-    /// Make a recycled scratch fit a run over `num_partitions` partitions,
-    /// discarding anything still staged. A completed visit leaves nothing
-    /// behind, but a kernel that panicked mid-visit does — its worker (and
-    /// this scratch) survive in a [`crate::pool::WorkerPool`], and the failed
-    /// run's operations, with its query ids, must never be delivered into
-    /// the next one. Every batch is cleared, not only the
-    /// `touched` ones: a panic during [`Self::flush`] empties that list first.
-    pub(crate) fn reset_for(&mut self, num_partitions: usize) {
-        self.touched.clear();
-        self.per_target.iter_mut().for_each(Vec::clear);
-        self.per_target.resize_with(num_partitions, Vec::new);
-    }
-
     /// Stage `op` for partition `target`.
     #[inline]
     pub(crate) fn push(&mut self, target: PartitionId, op: Operation<V>) {
@@ -633,12 +620,6 @@ mod tests {
         scratch.flush(|target, batch| seen.push((target, batch.drain(..).count())));
         assert_eq!(seen, vec![(2, 2), (0, 1)]);
         scratch.flush(|_, _| panic!("flushed scratch is empty"));
-        scratch.reset_for(6);
-        scratch.push(5, op(0, 4, 4));
-        scratch.flush(|target, batch| {
-            assert_eq!(target, 5);
-            batch.clear();
-        });
     }
 
     #[test]
@@ -656,28 +637,5 @@ mod tests {
         assert_eq!(lane.min_priority(), u64::MAX);
         lane.push_local(false, op(0, 4, 25));
         assert_eq!(lane.min_priority(), 25);
-    }
-
-    #[test]
-    fn a_recycled_scratch_forgets_what_a_failed_visit_staged() {
-        // A visit that unwound between `push` and `flush`...
-        let mut scratch: RemoteScratch<u64> = RemoteScratch::new(4);
-        scratch.push(1, op(9, 1, 1));
-        scratch.push(3, op(9, 2, 2));
-        scratch.reset_for(4);
-        scratch.flush(|_, _| panic!("the failed run's operations were delivered"));
-        // ...or in the middle of a `flush`, which has already emptied
-        // `touched` while later batches are still full.
-        scratch.push(1, op(9, 1, 1));
-        scratch.push(3, op(9, 2, 2));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scratch.flush(|_, _| panic!("post failed"));
-        }));
-        assert!(unwound.is_err());
-        scratch.reset_for(2);
-        scratch.push(1, op(0, 5, 5));
-        let mut delivered = Vec::new();
-        scratch.flush(|target, batch| delivered.extend(batch.drain(..).map(|o| (target, o))));
-        assert_eq!(delivered, vec![(1, op(0, 5, 5))]);
     }
 }

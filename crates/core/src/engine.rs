@@ -527,7 +527,7 @@ impl<'g> ForkGraphEngine<'g> {
             None => GraphAccessTracer::disabled(),
         };
         let counters = WorkCounters::new();
-        self.emit_trace(EventKind::RunBegin, num_queries as u32, 1, 1);
+        self.emit_trace(EventKind::RunBegin, num_queries as u32, 1, 0);
         let profiling = self.config.profile;
         let mut visit_ops = Histogram::default();
 
@@ -607,7 +607,7 @@ impl<'g> ForkGraphEngine<'g> {
 
         counters.add_queries_completed(num_queries as u64);
         let measurement = self.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
-        self.emit_trace(EventKind::RunEnd, num_queries as u32, 1, 1);
+        self.emit_trace(EventKind::RunEnd, num_queries as u32, 1, 0);
         let profile = profiling.then(|| {
             let work = &measurement.work;
             RunProfile {

@@ -42,7 +42,8 @@
 //!
 //! * **Worker threads** — a run's crew is dispatched onto a persistent
 //!   [`crate::pool::WorkerPool`] that parks its threads between runs and
-//!   recycles the per-run mailbox/lane/queue/scratch allocations.
+//!   recycles the per-run mailbox/lane/queue allocations; each worker builds
+//!   its routing scratch afresh per run.
 //!
 //! Inside a visit a worker processes its partition's lanes *sequentially*
 //! in ascending query order, like the serial loop (no nested
@@ -80,7 +81,7 @@ use crate::buffer::{PartitionBuffer, RemoteScratch};
 use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
 use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
-use crate::pool::{WorkerPool, WorkerSlot};
+use crate::pool::WorkerPool;
 use crate::sched::{select_by_policy, SchedKey, SchedulingPolicy};
 
 /// Mailbox states of the claim protocol.
@@ -420,21 +421,15 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         }
     }
 
-    /// One worker's drive of the run to quiescence. `remote` is the worker's
-    /// routing scratch, the pool thread's recycled one from its
-    /// [`crate::pool::WorkerSlot`].
-    fn worker_loop(
-        &self,
-        w: usize,
-        seed: u64,
-        remote: &mut RemoteScratch<K::Value>,
-    ) -> WorkerSnapshot {
+    /// One worker's drive of the run to quiescence.
+    fn worker_loop(&self, w: usize, seed: u64) -> WorkerSnapshot {
+        let mut remote = RemoteScratch::new(self.mailboxes.len());
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
         let mut rng = SmallRng::seed_from_u64(seed);
         while !self.done.load(Ordering::SeqCst) {
             match self.claim(w, &mut rng, &mut stats) {
-                Some(p) => self.visit(w, p, &mut stats, remote),
+                Some(p) => self.visit(w, p, &mut stats, &mut remote),
                 None => {
                     stats.idle_waits += 1;
                     self.counters.add_idle_wait();
@@ -486,7 +481,7 @@ pub(crate) fn run_parallel<K: FppKernel>(
         None => GraphAccessTracer::disabled(),
     };
     let counters = WorkCounters::new();
-    engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 1);
+    engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 0);
     let visit_hist = config.profile.then(AtomicHistogram::default);
 
     let policy_seed = match config.scheduling {
@@ -525,10 +520,8 @@ pub(crate) fn run_parallel<K: FppKernel>(
     let init_done = watch.elapsed();
 
     let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
-    let pool_counters = pool.counters();
-    pool.dispatch(num_workers, &|w: usize, slot: &mut WorkerSlot| {
-        let remote = slot.remote_scratch::<K::Value>(num_partitions, pool_counters);
-        let stats = run.worker_loop(w, worker_seed(policy_seed, w), remote);
+    pool.dispatch(num_workers, &|w| {
+        let stats = run.worker_loop(w, worker_seed(policy_seed, w));
         snapshots.lock().push(stats);
     });
     let mut worker_stats = snapshots.into_inner();
@@ -543,7 +536,7 @@ pub(crate) fn run_parallel<K: FppKernel>(
     let mut measurement =
         engine.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
     measurement.work.workers = worker_stats;
-    engine.emit_trace(EventKind::RunEnd, num_queries as u32, num_workers as u32, 1);
+    engine.emit_trace(EventKind::RunEnd, num_queries as u32, num_workers as u32, 0);
     let profile = visit_hist.map(|hist| {
         let work = &measurement.work;
         let mut steals_per_worker = Histogram::default();

@@ -18,9 +18,10 @@
 //!   `std::thread::scope` provides, without the per-run thread churn.
 //! * **Per-run allocations are recycled**: partition mailboxes (with their
 //!   claim words and their resident per-query lanes) and per-worker runnable
-//!   queues return to a type-keyed arena after each run, and each worker
-//!   keeps its remote-routing scratch across runs. Reuse vs
-//!   rebuild is counted in [`fg_metrics::PoolCounters`].
+//!   queues return to a type-keyed arena after each run. Reuse vs rebuild is
+//!   counted in [`fg_metrics::PoolCounters`]. A worker's remote-routing
+//!   scratch is not: the job builds it per run, so nothing a failed run
+//!   staged can outlive it.
 //!
 //! A pool is either owned lazily by a [`crate::ForkGraphEngine`] (created on
 //! its first parallel run) or constructed once by a serving layer
@@ -43,12 +44,11 @@ use fg_graph::partition::PartitionId;
 use fg_metrics::{PoolCounters, PoolSnapshot};
 use fg_trace::{EventKind, TraceSink};
 
-use crate::buffer::RemoteScratch;
 use crate::executor::Mailbox;
 
 /// A job dispatched onto the pool: invoked once per participating worker
-/// with the worker's index and its persistent [`WorkerSlot`].
-type Job = dyn Fn(usize, &mut WorkerSlot) + Sync;
+/// with the worker's index.
+type Job = dyn Fn(usize) + Sync;
 
 /// The crew size a parallel run over `num_partitions` partitions actually
 /// uses when `requested_workers` are asked for: at least 2 (below that the
@@ -65,46 +65,6 @@ pub fn crew_size(requested_workers: usize, num_partitions: usize) -> usize {
 
 /// Per-run storage handed out by (and returned to) the recycle arena.
 pub(crate) type RunStorage<V> = (Vec<Mailbox<V>>, Vec<Mutex<Vec<PartitionId>>>);
-
-/// Thread-local state a pool worker keeps across runs: currently the
-/// remote-routing scratch, stored type-erased because consecutive runs may
-/// use kernels with different operation value types.
-#[derive(Default)]
-pub struct WorkerSlot {
-    scratch: Option<Box<dyn Any + Send>>,
-}
-
-impl WorkerSlot {
-    /// The worker's [`RemoteScratch`] for a run with value type `V` over
-    /// `num_partitions` partitions — reused from the previous run when the
-    /// type matches (emptied and resized to the new partition count),
-    /// rebuilt otherwise. Either way it starts the run with nothing staged:
-    /// this thread outlives a kernel panic, and what the failed visit had
-    /// staged must not leak into the next run. Reuse vs rebuild is recorded
-    /// in `counters`.
-    pub(crate) fn remote_scratch<V: Copy + Send + 'static>(
-        &mut self,
-        num_partitions: usize,
-        counters: &PoolCounters,
-    ) -> &mut RemoteScratch<V> {
-        let reusable =
-            self.scratch.as_ref().is_some_and(|scratch| scratch.is::<RemoteScratch<V>>());
-        if reusable {
-            counters.add_scratch_reused();
-        } else {
-            counters.add_scratch_rebuilt();
-            self.scratch = Some(Box::new(RemoteScratch::<V>::new(num_partitions)));
-        }
-        let scratch = self
-            .scratch
-            .as_mut()
-            .expect("scratch installed above")
-            .downcast_mut::<RemoteScratch<V>>()
-            .expect("scratch type checked above");
-        scratch.reset_for(num_partitions);
-        scratch
-    }
-}
 
 /// Recycled per-run allocations, keyed by operation value type so a pool
 /// serving mixed kernels keeps one storage set per type.
@@ -206,11 +166,6 @@ impl WorkerPool {
         let _ = self.shared.trace.set(sink);
     }
 
-    /// The live counters (for executor-internal accounting).
-    pub(crate) fn counters(&self) -> &PoolCounters {
-        &self.shared.counters
-    }
-
     /// Grow the pool to at least `workers` threads (no-op when already
     /// large enough). Shrinking is intentionally unsupported: parked
     /// threads cost almost nothing, and churning them would defeat the
@@ -233,7 +188,7 @@ impl WorkerPool {
     /// has executed it. Panics (after the run fully settles) if any worker's
     /// job invocation panicked, as joining a panicked scoped thread would;
     /// the pool itself survives and stays dispatchable.
-    pub(crate) fn dispatch(&self, active: usize, job: &(dyn Fn(usize, &mut WorkerSlot) + Sync)) {
+    pub(crate) fn dispatch(&self, active: usize, job: &(dyn Fn(usize) + Sync)) {
         assert!(active > 0, "dispatch needs at least one worker");
         self.ensure_capacity(active);
         let _one_run_at_a_time = self.dispatch_lock.lock();
@@ -244,9 +199,8 @@ impl WorkerPool {
         // use. This is the std::thread::scope contract without the per-run
         // thread spawn/join.
         #[allow(unsafe_code)]
-        let job: &'static Job = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize, &mut WorkerSlot) + Sync), &'static Job>(job)
-        };
+        let job: &'static Job =
+            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static Job>(job) };
         let mut state = self.shared.state.lock();
         debug_assert_eq!(state.remaining, 0, "dispatch while a run is in flight");
         state.job = Some(job);
@@ -353,7 +307,6 @@ impl std::fmt::Debug for WorkerPool {
 /// generation includes this worker, run the job once, hand the completion
 /// back, repeat until shutdown.
 fn worker_body(shared: Arc<PoolShared>, index: usize) {
-    let mut slot = WorkerSlot::default();
     let mut seen_generation = 0u64;
     loop {
         let job = {
@@ -384,8 +337,7 @@ fn worker_body(shared: Arc<PoolShared>, index: usize) {
         };
         // Contain job panics so a kernel panic fails that run (the
         // dispatcher re-raises) without killing the pool thread.
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(index, &mut slot)));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(index)));
         let mut state = shared.state.lock();
         if outcome.is_err() {
             state.panicked = true;
@@ -408,7 +360,7 @@ mod tests {
         assert_eq!(pool.capacity(), 4);
         let hits = AtomicUsize::new(0);
         let mask = Mutex::new(Vec::new());
-        pool.dispatch(3, &|w, _slot| {
+        pool.dispatch(3, &|w| {
             hits.fetch_add(1, Ordering::SeqCst);
             mask.lock().push(w);
         });
@@ -424,7 +376,7 @@ mod tests {
     fn repeated_dispatches_spawn_no_new_threads() {
         let pool = WorkerPool::new(2);
         for _ in 0..20 {
-            pool.dispatch(2, &|_, _| {});
+            pool.dispatch(2, &|_| {});
         }
         let m = pool.metrics();
         assert_eq!(m.threads_spawned, 2);
@@ -434,10 +386,10 @@ mod tests {
     #[test]
     fn dispatch_grows_the_pool_on_demand_once() {
         let pool = WorkerPool::new(2);
-        pool.dispatch(5, &|_, _| {});
+        pool.dispatch(5, &|_| {});
         assert_eq!(pool.capacity(), 5);
-        pool.dispatch(5, &|_, _| {});
-        pool.dispatch(3, &|_, _| {});
+        pool.dispatch(5, &|_| {});
+        pool.dispatch(3, &|_| {});
         assert_eq!(pool.metrics().threads_spawned, 5);
     }
 
@@ -445,7 +397,7 @@ mod tests {
     fn worker_panic_fails_the_dispatch_but_not_the_pool() {
         let pool = WorkerPool::new(3);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.dispatch(3, &|w, _| {
+            pool.dispatch(3, &|w| {
                 if w == 1 {
                     panic!("kernel bug");
                 }
@@ -454,7 +406,7 @@ mod tests {
         assert!(result.is_err());
         // The pool survives and serves the next run.
         let hits = AtomicUsize::new(0);
-        pool.dispatch(3, &|_, _| {
+        pool.dispatch(3, &|_| {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 3);
@@ -479,25 +431,5 @@ mod tests {
         let (mailboxes, _queues) = pool.take_run_storage::<f64>(4, 2);
         assert_eq!(mailboxes.len(), 4);
         assert_eq!(pool.metrics().mailboxes_rebuilt, 14);
-    }
-
-    #[test]
-    fn remote_scratch_is_reused_when_the_value_type_matches() {
-        let counters = PoolCounters::new();
-        let mut slot = WorkerSlot::default();
-        // A reused scratch starts its run empty: what a visit staged before
-        // its kernel panicked (the thread and its slot outlive the panic)
-        // belongs to a run that failed.
-        let scratch = slot.remote_scratch::<u64>(8, &counters);
-        scratch.push(3, crate::operation::Operation::new(7, 1, 1u64, 1));
-        let scratch = slot.remote_scratch::<u64>(8, &counters);
-        scratch.flush(|_, _| panic!("a previous run's operations survived"));
-        assert_eq!(counters.snapshot().scratch_reused, 1);
-        assert_eq!(counters.snapshot().scratch_rebuilt, 1);
-        // A partition-count change resizes in place; a type change rebuilds.
-        let _ = slot.remote_scratch::<u64>(16, &counters);
-        assert_eq!(counters.snapshot().scratch_reused, 2);
-        let _ = slot.remote_scratch::<f64>(16, &counters);
-        assert_eq!(counters.snapshot().scratch_rebuilt, 2);
     }
 }

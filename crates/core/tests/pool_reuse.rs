@@ -3,8 +3,8 @@
 //!
 //! Single-run equivalence (`parallel_equivalence.rs`) cannot catch stale
 //! state that one run leaks into the next — a mailbox claim word left
-//! `Queued`, a stripe holding an undrained operation, a scratch buffer with
-//! leftovers, a runnable queue entry surviving recycling. These tests drive
+//! `Queued`, a stripe holding an undrained operation, a runnable queue entry
+//! surviving recycling. These tests drive
 //! N consecutive runs through ONE pool — mixing kernels, scheduling
 //! policies, worker counts (including growing past the pool's initial
 //! capacity), graphs, and partition counts between runs — and require every
@@ -124,9 +124,7 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_serial() {
         );
         // Mailboxes recycle per value type, so SSSP runs reuse SSSP
         // mailboxes even though BFS runs (a different value type) are
-        // interleaved between them. Scratch reuse is asserted in the
-        // steady-state test below, where the kernel stays fixed — strict
-        // kernel alternation legitimately rebuilds the typed scratch.
+        // interleaved between them.
         assert!(
             metrics.mailboxes_reused > 0,
             "case {case}: consecutive runs should recycle mailboxes: {metrics:?}"
@@ -221,12 +219,11 @@ fn steady_state_runs_spawn_zero_new_threads() {
     let done = pool.metrics();
     assert_eq!(done.dispatches, warm.dispatches + 4 * 4 * 3 * 2);
     // Same value type and geometry throughout: after warm-up every run's
-    // mailboxes come from the arena and every worker keeps its scratch.
+    // mailboxes come from the arena.
     assert!(
         done.mailboxes_reused > done.mailboxes_rebuilt,
         "recycling should dominate in steady state: {done:?}"
     );
-    assert!(done.scratch_reused > 0, "fixed-kernel runs should reuse scratch: {done:?}");
 }
 
 /// An engine that lazily creates its own pool keeps it across runs — the
@@ -293,8 +290,8 @@ impl FppKernel for FaultySssp {
 }
 
 /// A kernel panic fails its run but must not poison the pool: the panicking
-/// worker thread survives with whatever its visit had staged, and the next
-/// runs through the same pool — same operation value type, other sources,
+/// worker thread survives the unwind, and the next runs through the same
+/// pool — same operation value type, other sources,
 /// fewer queries — must neither see those operations nor trip over them.
 #[test]
 fn a_kernel_panic_mid_visit_leaks_nothing_into_the_next_run() {

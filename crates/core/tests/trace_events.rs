@@ -248,3 +248,38 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
         assert_eq!(profile.visit_ops.count(), visit_order(&events).len() as u64, "{mode:?}");
     }
 }
+
+/// The Chrome export of a traced two-source SSSP run on a one-partition
+/// graph: both queries' lanes are active in the first visit.
+fn one_partition_export() -> String {
+    let pg = partitioned(1);
+    let sink = TraceSink::new();
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(1))
+        .with_trace_sink(Arc::clone(&sink));
+    engine.run_sssp(&[0, 13]);
+    fg_trace::chrome::export(&sink)
+}
+
+#[test]
+fn partition_visit_slices_label_their_active_lanes() {
+    let events = fg_trace::chrome::parse(&one_partition_export()).unwrap();
+    let visits: Vec<_> =
+        events.iter().filter(|e| e.name == "partition_visit" && e.ph == "B").collect();
+    assert!(!visits.is_empty());
+    assert_eq!(visits[0].arg_u64("lanes"), Some(2), "both sources' lanes are active");
+    assert!(visits.iter().all(|e| matches!(e.arg_u64("lanes"), Some(1 | 2))));
+    assert_eq!(visits[0].arg_u64("groups"), None);
+    let run = events.iter().find(|e| e.name == "run" && e.ph == "B").expect("a run slice");
+    assert_eq!(run.arg_u64("queries"), Some(2));
+    assert_eq!(run.arg_u64("groups"), None, "a run has no kernel groups");
+}
+
+#[test]
+fn every_prefix_of_an_export_fails_to_parse_without_panicking() {
+    let export = one_partition_export();
+    let export = export.trim_end();
+    assert!(fg_trace::chrome::parse(export).is_ok());
+    for end in (0..export.len()).filter(|&end| export.is_char_boundary(end)) {
+        assert!(fg_trace::chrome::parse(&export[..end]).is_err(), "a {end}-byte prefix parsed");
+    }
+}

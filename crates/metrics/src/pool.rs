@@ -5,8 +5,8 @@
 //! health is described by cross-run counters instead: how many OS threads
 //! were ever spawned (steady state must stop growing), how many runs were
 //! dispatched, how often workers parked/woke between runs, and how often the
-//! per-run allocations (partition mailboxes, per-worker scratch buffers) were
-//! recycled from the pool's arena versus rebuilt from scratch.
+//! partition mailboxes a run needs were recycled from the pool's arena versus
+//! built fresh.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,8 +23,6 @@ pub struct PoolCounters {
     unparks: AtomicU64,
     mailboxes_reused: AtomicU64,
     mailboxes_rebuilt: AtomicU64,
-    scratch_reused: AtomicU64,
-    scratch_rebuilt: AtomicU64,
 }
 
 impl PoolCounters {
@@ -69,18 +67,6 @@ impl PoolCounters {
         self.mailboxes_rebuilt.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one per-worker scratch buffer reused across runs.
-    #[inline]
-    pub fn add_scratch_reused(&self) {
-        self.scratch_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one per-worker scratch buffer (re)built for a run.
-    #[inline]
-    pub fn add_scratch_rebuilt(&self) {
-        self.scratch_rebuilt.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> PoolSnapshot {
         PoolSnapshot {
@@ -90,8 +76,6 @@ impl PoolCounters {
             unparks: self.unparks.load(Ordering::Relaxed),
             mailboxes_reused: self.mailboxes_reused.load(Ordering::Relaxed),
             mailboxes_rebuilt: self.mailboxes_rebuilt.load(Ordering::Relaxed),
-            scratch_reused: self.scratch_reused.load(Ordering::Relaxed),
-            scratch_rebuilt: self.scratch_rebuilt.load(Ordering::Relaxed),
         }
     }
 }
@@ -113,10 +97,6 @@ pub struct PoolSnapshot {
     /// Partition mailboxes built fresh (first run, value-type change, or
     /// partition-count growth).
     pub mailboxes_rebuilt: u64,
-    /// Per-worker scratch buffers reused across runs.
-    pub scratch_reused: u64,
-    /// Per-worker scratch buffers (re)built for a run.
-    pub scratch_rebuilt: u64,
 }
 
 impl PoolSnapshot {
@@ -128,17 +108,6 @@ impl PoolSnapshot {
             0.0
         } else {
             self.mailboxes_reused as f64 / total as f64
-        }
-    }
-
-    /// Fraction of per-worker scratch buffers reused across runs, in
-    /// `[0, 1]` (0 for an unused pool).
-    pub fn scratch_reuse_rate(&self) -> f64 {
-        let total = self.scratch_reused + self.scratch_rebuilt;
-        if total == 0 {
-            0.0
-        } else {
-            self.scratch_reused as f64 / total as f64
         }
     }
 }
@@ -154,13 +123,10 @@ impl fmt::Display for PoolSnapshot {
         )?;
         write!(
             f,
-            "  reuse: mailboxes {}/{} ({:.1}%), scratch {}/{} ({:.1}%)",
+            "  reuse: mailboxes {}/{} ({:.1}%)",
             self.mailboxes_reused,
             self.mailboxes_reused + self.mailboxes_rebuilt,
-            100.0 * self.mailbox_reuse_rate(),
-            self.scratch_reused,
-            self.scratch_reused + self.scratch_rebuilt,
-            100.0 * self.scratch_reuse_rate()
+            100.0 * self.mailbox_reuse_rate()
         )
     }
 }
@@ -179,8 +145,6 @@ mod tests {
         c.add_unpark();
         c.add_mailboxes_reused(10);
         c.add_mailboxes_rebuilt(2);
-        c.add_scratch_reused();
-        c.add_scratch_rebuilt();
         let s = c.snapshot();
         assert_eq!(s.threads_spawned, 4);
         assert_eq!(s.dispatches, 2);
@@ -188,8 +152,6 @@ mod tests {
         assert_eq!(s.unparks, 1);
         assert_eq!(s.mailboxes_reused, 10);
         assert_eq!(s.mailboxes_rebuilt, 2);
-        assert_eq!(s.scratch_reused, 1);
-        assert_eq!(s.scratch_rebuilt, 1);
         assert!((s.mailbox_reuse_rate() - 10.0 / 12.0).abs() < 1e-12);
     }
 
@@ -197,9 +159,7 @@ mod tests {
     fn empty_snapshot_reuse_rate_is_zero() {
         let s = PoolCounters::new().snapshot();
         assert_eq!(s.mailbox_reuse_rate(), 0.0);
-        assert_eq!(s.scratch_reuse_rate(), 0.0);
         assert!(!s.mailbox_reuse_rate().is_nan());
-        assert!(!s.scratch_reuse_rate().is_nan());
     }
 
     #[test]

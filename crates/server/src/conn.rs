@@ -73,7 +73,6 @@ fn error_code(err: &ServiceError) -> WireErrorCode {
         ServiceError::MissingSource { .. } => WireErrorCode::MissingSource,
         ServiceError::UnknownKernel { .. } => WireErrorCode::UnknownKernel,
         ServiceError::InvalidParams { .. } => WireErrorCode::InvalidParams,
-        ServiceError::ResultMismatch(_) => WireErrorCode::UnsupportedResult,
         ServiceError::EngineFailure => WireErrorCode::EngineFailure,
         ServiceError::InvalidMutation { .. } => WireErrorCode::InvalidMutation,
         // Shouldn't surface from a resolved ticket; keep it typed anyway.

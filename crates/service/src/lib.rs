@@ -13,7 +13,7 @@
 //! ```text
 //!  clients ──submit──▶ [registry resolve] ─▶ [admission] ─▶ pending queue ─┐
 //!     ▲                      │ typed errors     │ shed when full           │ batch window /
-//!     │ cache hit            │ memoized         ▼                          │ size budget
+//!     │ cache hit            │                  ▼                          │ size budget
 //!     └─────────────── [LRU result cache]                                  ▼
 //!                            ▲                                  [micro-batcher thread]
 //!                            │ insert                                      │ drains ALL ready
@@ -34,10 +34,12 @@
 //!   dispatch, and caching all work unchanged for kernels this crate has
 //!   never heard of, because dispatch is type-erased
 //!   ([`forkgraph_core::DynKernel`]).
-//! * **Submission** ([`ServiceHandle::submit_query`]): clients build a
-//!   [`Query`] (`Query::kernel("ppr").source(v).param("epsilon", 1e-5)`)
-//!   and receive a [`Ticket`] they can block on, poll, or re-type with
-//!   [`Ticket::typed`] for a downcast-checked concrete result.
+//! * **One way in, one way out**: clients build a [`Query`]
+//!   (`Query::kernel("ppr").source(v).param("epsilon", 1e-5)`), submit it
+//!   with [`ServiceHandle::submit_query`], block on (or poll) the returned
+//!   [`Ticket`], and read the kernel's state out of the [`QueryResult`]
+//!   with [`QueryResult::try_state`], whose error names the kernel that
+//!   actually produced the result.
 //! * **Micro-batching across kernels**: a dedicated batcher thread
 //!   accumulates submissions for [`ServiceConfig::batch_window`] (or until
 //!   [`ServiceConfig::max_batch_size`]), then drains **every ready cohort**
@@ -55,10 +57,9 @@
 //!   re-registered kernels can never alias. Observability:
 //!   [`fg_metrics::BatchRecord::kernels_in_run`] and
 //!   [`fg_metrics::ServiceSnapshot::mixed_run_rate`].
-//! * **Memoized resolution**: the registry caches `(registration, params) →
-//!   instantiated kernel`, so steady-state submits never re-run kernel
-//!   factories ([`KernelRegistry`] docs; replaced registrations are
-//!   evicted).
+//! * **Resolution**: every submit looks the kernel name up and runs its
+//!   factory, which validates the parameters and fills in defaults
+//!   ([`KernelRegistry`] docs: factories must be pure).
 //! * **Admission control**: the pending queue is bounded
 //!   ([`ServiceConfig::max_queue_depth`]); a saturated service sheds load
 //!   with [`ServiceError::Saturated`] instead of blocking submitters.

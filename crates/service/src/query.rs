@@ -22,18 +22,15 @@
 //!   key.
 //!
 //! A completed query yields a [`QueryResult`]: the kernel's final state,
-//! type-erased. Downcast it with the generic accessors
-//! ([`QueryResult::downcast_ref`], [`QueryResult::try_state`]) or, for the
-//! built-ins, the named accessors — `as_*` returning `Option` and the
-//! `try_*`/`try_into_*` family returning a [`KernelMismatch`] that names the
-//! kernel that actually produced the result.
+//! type-erased. Read it with [`QueryResult::try_state`], whose
+//! [`KernelMismatch`] names the kernel that actually produced the result, or
+//! probe it with [`QueryResult::downcast_ref`].
 
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
-use fg_graph::{Dist, VertexId};
-use forkgraph_core::kernels::{PprState, RwState};
+use fg_graph::VertexId;
 use forkgraph_core::ErasedState;
 
 use crate::params::{ParamValue, QueryParams};
@@ -51,15 +48,6 @@ impl Query {
     /// Start building a query for the kernel registered under `name`.
     pub fn kernel(name: impl Into<String>) -> Self {
         Query { kernel: name.into(), source: None, params: QueryParams::new() }
-    }
-
-    /// A query from `source` whose parameters are already assembled (the
-    /// built-in config structs rendered by `registry::ppr_params` and
-    /// `registry::random_walk_params`, which is also what those kernels'
-    /// factories canonicalize to — so such a query keys like a hand-built
-    /// one).
-    pub(crate) fn with_params(name: &str, source: VertexId, params: QueryParams) -> Self {
-        Query { kernel: name.into(), source: Some(source), params }
     }
 
     /// Set the source vertex the query forks from. Required before submit.
@@ -112,9 +100,8 @@ pub struct CacheKey {
 }
 
 /// A typed "this result belongs to a different kernel" error, returned by
-/// the checked accessors of [`QueryResult`] and by typed
-/// [`Ticket`](crate::Ticket) waits. Unlike the old `Option`-returning
-/// accessors, it names the kernel that actually produced the result.
+/// [`QueryResult::try_state`]. It names the kernel that actually produced
+/// the result.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelMismatch {
     /// The state type the caller asked for.
@@ -203,89 +190,12 @@ impl QueryResult {
         self.downcast_ref::<S>().ok_or_else(|| self.mismatch::<S>())
     }
 
-    /// Take shared ownership of the state as `Arc<S>`, with a
-    /// [`KernelMismatch`] naming the actual kernel on type mismatch.
-    pub fn try_into_state<S: Any + Send + Sync>(self) -> Result<Arc<S>, KernelMismatch> {
-        if self.downcast_ref::<S>().is_none() {
-            return Err(self.mismatch::<S>());
-        }
-        Ok(Arc::downcast(self.state).expect("checked by downcast_ref above"))
-    }
-
     fn mismatch<S: Any>(&self) -> KernelMismatch {
         KernelMismatch {
             expected: std::any::type_name::<S>(),
             kernel: self.kernel.to_string(),
             actual: self.state_type,
         }
-    }
-
-    // -- Built-in accessors (legacy shims + checked variants) ----------------
-
-    /// Distances from the source, if this is an SSSP result. Prefer
-    /// [`Self::try_sssp`], which reports *what* the result actually is
-    /// instead of silently returning `None`.
-    pub fn as_sssp(&self) -> Option<&Vec<Dist>> {
-        self.downcast_ref()
-    }
-
-    /// BFS levels from the source, if this is a BFS result. Prefer
-    /// [`Self::try_bfs`].
-    pub fn as_bfs(&self) -> Option<&Vec<u32>> {
-        self.downcast_ref()
-    }
-
-    /// Final PPR state, if this is a PPR result. Prefer [`Self::try_ppr`].
-    pub fn as_ppr(&self) -> Option<&PprState> {
-        self.downcast_ref()
-    }
-
-    /// Final random-walk state, if this is a random-walk result. Prefer
-    /// [`Self::try_random_walk`].
-    pub fn as_random_walk(&self) -> Option<&RwState> {
-        self.downcast_ref()
-    }
-
-    /// Distances from the source, or a [`KernelMismatch`] naming the kernel
-    /// that actually produced this result.
-    pub fn try_sssp(&self) -> Result<&Vec<Dist>, KernelMismatch> {
-        self.try_state()
-    }
-
-    /// BFS levels, or a [`KernelMismatch`] naming the actual kernel.
-    pub fn try_bfs(&self) -> Result<&Vec<u32>, KernelMismatch> {
-        self.try_state()
-    }
-
-    /// Final PPR state, or a [`KernelMismatch`] naming the actual kernel.
-    pub fn try_ppr(&self) -> Result<&PprState, KernelMismatch> {
-        self.try_state()
-    }
-
-    /// Final random-walk state, or a [`KernelMismatch`] naming the actual
-    /// kernel.
-    pub fn try_random_walk(&self) -> Result<&RwState, KernelMismatch> {
-        self.try_state()
-    }
-
-    /// Consume into shared SSSP distances, or a [`KernelMismatch`].
-    pub fn try_into_sssp(self) -> Result<Arc<Vec<Dist>>, KernelMismatch> {
-        self.try_into_state()
-    }
-
-    /// Consume into shared BFS levels, or a [`KernelMismatch`].
-    pub fn try_into_bfs(self) -> Result<Arc<Vec<u32>>, KernelMismatch> {
-        self.try_into_state()
-    }
-
-    /// Consume into a shared PPR state, or a [`KernelMismatch`].
-    pub fn try_into_ppr(self) -> Result<Arc<PprState>, KernelMismatch> {
-        self.try_into_state()
-    }
-
-    /// Consume into a shared random-walk state, or a [`KernelMismatch`].
-    pub fn try_into_random_walk(self) -> Result<Arc<RwState>, KernelMismatch> {
-        self.try_into_state()
     }
 }
 
@@ -302,7 +212,7 @@ impl fmt::Debug for QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry;
+    use fg_graph::Dist;
     use fg_seq::ppr::PprConfig;
     use fg_seq::random_walk::RandomWalkConfig;
 
@@ -315,7 +225,11 @@ mod tests {
     }
 
     fn ppr(seed: VertexId, config: &PprConfig) -> Query {
-        Query::with_params("ppr", seed, registry::ppr_params(config))
+        Query::kernel("ppr")
+            .source(seed)
+            .param("alpha", config.alpha)
+            .param("epsilon", config.epsilon)
+            .param("max_pushes", config.max_pushes)
     }
 
     #[test]
@@ -341,19 +255,18 @@ mod tests {
         let c = keys(&ppr(3, &base));
         assert_ne!(a.0, b.0);
         assert_eq!(a.0, c.0);
-        // A config-built query keys like a hand-built one, whether the
-        // defaults are omitted or spelled out.
+        // A fully spelled-out query keys like one that omits the defaults,
+        // or spells out only some of them.
         assert_eq!(a.0, keys(&Query::kernel("ppr").source(5)).0);
         assert_eq!(a.0, keys(&Query::kernel("ppr").source(5).param("alpha", base.alpha)).0);
     }
 
     #[test]
     fn random_walk_seed_is_part_of_the_key() {
-        let base = RandomWalkConfig::default();
-        let walk = |config: &RandomWalkConfig| {
-            keys(&Query::with_params("random_walk", 1, registry::random_walk_params(config)))
-        };
-        assert_ne!(walk(&base).0, walk(&RandomWalkConfig { seed: base.seed + 1, ..base }).0);
+        let seed = RandomWalkConfig::default().seed;
+        let walk = |seed: u64| keys(&Query::kernel("random_walk").source(1).param("seed", seed));
+        assert_ne!(walk(seed).0, walk(seed + 1).0);
+        assert_eq!(walk(seed).0, keys(&Query::kernel("random_walk").source(1)).0);
     }
 
     #[test]
@@ -370,15 +283,13 @@ mod tests {
     fn result_accessors_downcast_and_name_the_kernel_on_mismatch() {
         let result = QueryResult::from_state(KernelId::SSSP, "sssp", vec![0 as Dist, 7, 3]);
         assert_eq!(result.kernel_name(), "sssp");
-        assert_eq!(result.as_sssp().unwrap(), &vec![0 as Dist, 7, 3]);
-        assert!(result.as_bfs().is_none(), "old-style accessor: silent None");
-        let err = result.try_bfs().unwrap_err();
+        assert_eq!(result.try_state::<Vec<Dist>>().unwrap(), &vec![0 as Dist, 7, 3]);
+        assert!(result.downcast_ref::<Vec<u32>>().is_none());
+        let err = result.try_state::<Vec<u32>>().unwrap_err();
         assert_eq!(err.kernel, "sssp");
         assert!(err.actual.contains("Vec"), "{err}");
+        assert!(err.expected.contains("u32"), "{err}");
         let rendered = err.to_string();
         assert!(rendered.contains("sssp"), "error names the actual kernel: {rendered}");
-        let dist = result.clone().try_into_sssp().unwrap();
-        assert_eq!(dist[1], 7);
-        assert!(result.try_into_bfs().is_err());
     }
 }

@@ -24,39 +24,27 @@
 //!   registries' custom kernels can never alias each other's keys.
 //! * The [`KernelRegistry`] itself: a concurrent name → entry map,
 //!   pre-seeded with the four built-ins by [`KernelRegistry::with_builtins`]
-//!   (fixed ids, so built-in keys are stable across services and across the
-//!   legacy enum shims).
+//!   (fixed ids, so built-in keys are stable across services).
 //!
-//! Resolution is **memoized**: a bounded LRU memo maps `(KernelId, params)`
-//! to the instantiated kernel, keyed under both the parameters as submitted
-//! and the factory's canonical parameter set, so steady-state submit paths
-//! stop re-running factories entirely (heavyweight factories — say, ones
-//! precomputing per-kernel tables — become submit-path-safe). The memo makes
-//! the long-standing implicit contract explicit: **factories must be pure**
-//! (equal parameters ⇒ an equivalently-behaving kernel), which batching and
-//! caching already assumed when they let equal canonical keys share one
-//! cohort and one cache entry. [`KernelRegistry::register_or_replace`]
-//! evicts the replaced registration's memo entries.
+//! [`KernelRegistry::resolve`] looks the name up and runs its factory, once
+//! per submitted query, so a factory should be cheap. **Factories must be
+//! pure** (equal parameters ⇒ an equivalently-behaving kernel): batching and
+//! caching rely on it when they let queries with equal canonical keys share
+//! one cohort (which runs the first member's kernel) and one cache entry.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::kernels::{BfsKernel, PprKernel, RandomWalkKernel, SsspKernel};
 use forkgraph_core::{erase, DynKernel};
 
-use crate::lru::LruCache;
 use crate::params::{ParamError, QueryParams};
-
-/// Bound on memoized kernel instantiations (LRU-evicted beyond it). Each
-/// entry is an `Arc` + a canonical parameter set — small — so the bound
-/// exists to cap adversarial param-churn, not normal operation.
-const KERNEL_MEMO_CAPACITY: usize = 512;
 
 /// Identity of one kernel *registration*. Unique process-wide: built-ins use
 /// the fixed ids below, every other registration draws from a global
@@ -222,34 +210,16 @@ struct KernelEntry {
     factory: Arc<dyn KernelFactory>,
 }
 
-/// One memoized instantiation: the kernel plus the canonical parameter set
-/// the factory derived for it.
-#[derive(Clone)]
-struct MemoEntry {
-    kernel: Arc<dyn DynKernel>,
-    canonical: QueryParams,
-}
-
 /// The concurrent kernel registry; see the [module docs](self).
 pub struct KernelRegistry {
     entries: RwLock<HashMap<Arc<str>, KernelEntry>>,
-    /// `(registration, params) → instantiated kernel`: entries exist under
-    /// the parameters *as submitted* and under the factory's canonical set,
-    /// so both the common repeated-literal submit and a
-    /// differently-spelled-but-canonically-equal submit hit after one
-    /// factory run each. Keyed by [`KernelId`], so a replaced registration's
-    /// entries can never serve the name's new holder.
-    memo: Mutex<LruCache<(KernelId, QueryParams), MemoEntry>>,
 }
 
 impl KernelRegistry {
     /// An empty registry (no kernels, not even the built-ins). Useful for
     /// tests and for services that want a fully closed kernel set.
     pub fn empty() -> Self {
-        KernelRegistry {
-            entries: RwLock::new(HashMap::new()),
-            memo: Mutex::new(LruCache::new(KERNEL_MEMO_CAPACITY)),
-        }
+        KernelRegistry { entries: RwLock::new(HashMap::new()) }
     }
 
     /// A registry pre-seeded with the four built-in kernels under their
@@ -291,29 +261,19 @@ impl KernelRegistry {
     /// Returns the fresh id and the replaced registration's id (if any) —
     /// the caller can use the latter to invalidate cached results of the
     /// shadowed kernel (the keys alone already guarantee they will never be
-    /// *served* for the new kernel). The replaced registration's memoized
-    /// instantiations are evicted here.
+    /// *served* for the new kernel).
     pub fn register_or_replace(
         &self,
         name: &str,
         factory: impl KernelFactory + 'static,
     ) -> (KernelId, Option<KernelId>) {
-        let previous = {
-            let mut entries = self.entries.write();
-            let id = KernelId::next();
-            let name: Arc<str> = Arc::from(name);
-            let previous = entries
-                .insert(Arc::clone(&name), KernelEntry { id, name, factory: Arc::new(factory) })
-                .map(|entry| entry.id);
-            (id, previous)
-        };
-        if let Some(old_id) = previous.1 {
-            // Unreachable through `resolve` already (the name now maps to the
-            // new id), so this is capacity reclamation, like the result-cache
-            // eviction `register_kernel_replacing` performs.
-            self.memo.lock().retain(|(id, _), _| *id != old_id);
-        }
-        previous
+        let mut entries = self.entries.write();
+        let id = KernelId::next();
+        let name: Arc<str> = Arc::from(name);
+        let previous = entries
+            .insert(Arc::clone(&name), KernelEntry { id, name, factory: Arc::new(factory) })
+            .map(|entry| entry.id);
+        (id, previous)
     }
 
     /// Whether `name` is registered.
@@ -334,10 +294,8 @@ impl KernelRegistry {
         self.entries.read().get(name).map(|entry| entry.id)
     }
 
-    /// Resolve a query: look up `name`, consult the instantiation memo, and
-    /// only on a miss run the factory over `params`. Returns the executable,
-    /// keyable [`ResolvedKernel`]; repeated submissions of equal parameters
-    /// share one `Arc`'d kernel instance without re-entering the factory.
+    /// Resolve a query: look up `name` and run its factory over `params`.
+    /// Returns the executable, keyable [`ResolvedKernel`].
     pub fn resolve(
         &self,
         name: &str,
@@ -350,44 +308,16 @@ impl KernelRegistry {
                 .ok_or_else(|| RegistryError::UnknownKernel { name: name.to_string() })?;
             (entry.id, Arc::clone(&entry.name), Arc::clone(&entry.factory))
         };
-        let memo_key = (id, params.clone());
-        if let Some(entry) = self.memo.lock().get(&memo_key).cloned() {
-            return Ok(ResolvedKernel {
-                id,
-                name: entry_name,
-                kernel: entry.kernel,
-                params: entry.canonical,
-            });
-        }
-        // Factory runs outside every lock: factories are user code.
+        // Factory runs outside the lock: factories are user code.
         let instantiated = factory.instantiate(params).map_err(|e| {
             RegistryError::InvalidParams { kernel: name.to_string(), reason: e.reason }
         })?;
-        let entry =
-            MemoEntry { kernel: instantiated.kernel, canonical: instantiated.canonical_params };
-        {
-            // Two lock scopes around the factory call mean a concurrent
-            // resolve of the same params may also have instantiated; last
-            // insert wins, which is fine for pure factories (the entries are
-            // interchangeable). Don't memoize for a registration that was
-            // replaced while the factory ran: the entries could never be
-            // served again (the name now resolves to the new id) and would
-            // squat in the capacity `register_or_replace`'s eviction just
-            // reclaimed. The liveness check happens *under the memo lock*
-            // (which the replace path's eviction also takes, after updating
-            // the name map), so a concurrent replacement either lands before
-            // the check — we observe the new id and skip — or its eviction
-            // runs after our inserts and removes them; there is no window
-            // for dead-id entries to survive.
-            let mut memo = self.memo.lock();
-            if self.id_of(&entry_name) == Some(id) {
-                memo.insert((id, entry.canonical.clone()), entry.clone());
-                if entry.canonical != memo_key.1 {
-                    memo.insert(memo_key, entry.clone());
-                }
-            }
-        }
-        Ok(ResolvedKernel { id, name: entry_name, kernel: entry.kernel, params: entry.canonical })
+        Ok(ResolvedKernel {
+            id,
+            name: entry_name,
+            kernel: instantiated.kernel,
+            params: instantiated.canonical_params,
+        })
     }
 }
 
@@ -407,15 +337,6 @@ fn sssp_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> 
 fn bfs_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
     params.ensure_known(&[])?;
     Ok(InstantiatedKernel::new(erase(BfsKernel), QueryParams::new()))
-}
-
-/// Canonical params for a [`PprConfig`] (used by the factory and by
-/// [`crate::ServiceHandle::submit_ppr`], so both paths key identically).
-pub(crate) fn ppr_params(config: &PprConfig) -> QueryParams {
-    QueryParams::new()
-        .with("alpha", config.alpha)
-        .with("epsilon", config.epsilon)
-        .with("max_pushes", config.max_pushes)
 }
 
 fn ppr_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
@@ -438,17 +359,11 @@ fn ppr_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
             config.epsilon
         )));
     }
-    Ok(InstantiatedKernel::new(erase(PprKernel::new(config)), ppr_params(&config)))
-}
-
-/// Canonical params for a [`RandomWalkConfig`] (shared with
-/// [`crate::ServiceHandle::submit_random_walk`]).
-pub(crate) fn random_walk_params(config: &RandomWalkConfig) -> QueryParams {
-    QueryParams::new()
-        .with("num_walks", config.num_walks)
-        .with("walk_length", config.walk_length)
-        .with("restart_prob", config.restart_prob)
-        .with("seed", config.seed)
+    let canonical = QueryParams::new()
+        .with("alpha", config.alpha)
+        .with("epsilon", config.epsilon)
+        .with("max_pushes", config.max_pushes);
+    Ok(InstantiatedKernel::new(erase(PprKernel::new(config)), canonical))
 }
 
 fn random_walk_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
@@ -466,7 +381,12 @@ fn random_walk_factory(params: &QueryParams) -> Result<InstantiatedKernel, Param
             config.restart_prob
         )));
     }
-    Ok(InstantiatedKernel::new(erase(RandomWalkKernel::new(config)), random_walk_params(&config)))
+    let canonical = QueryParams::new()
+        .with("num_walks", config.num_walks)
+        .with("walk_length", config.walk_length)
+        .with("restart_prob", config.restart_prob)
+        .with("seed", config.seed);
+    Ok(InstantiatedKernel::new(erase(RandomWalkKernel::new(config)), canonical))
 }
 
 #[cfg(test)]
@@ -544,90 +464,5 @@ mod tests {
     fn names_are_sorted() {
         let registry = KernelRegistry::with_builtins();
         assert_eq!(registry.names(), vec!["bfs", "ppr", "random_walk", "sssp"]);
-    }
-
-    #[test]
-    fn resolve_memoizes_factory_instantiations() {
-        use std::sync::atomic::AtomicUsize;
-
-        let runs = Arc::new(AtomicUsize::new(0));
-        let registry = KernelRegistry::with_builtins();
-        let counter = Arc::clone(&runs);
-        registry
-            .register("counted", move |params: &QueryParams| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                params.ensure_known(&["alpha"])?;
-                let canonical = QueryParams::new().with("alpha", params.f64_or("alpha", 0.25)?);
-                Ok(InstantiatedKernel::new(erase(SsspKernel), canonical))
-            })
-            .unwrap();
-
-        // Same literal params over and over: one factory run, one shared
-        // kernel instance.
-        let first = registry.resolve("counted", &QueryParams::new()).unwrap();
-        let second = registry.resolve("counted", &QueryParams::new()).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "second resolve must hit the memo");
-        assert!(Arc::ptr_eq(&first.kernel, &second.kernel));
-        assert_eq!(first.params, second.params);
-
-        // A different spelling that canonicalizes to the same params hits the
-        // canonical entry the first resolve wrote — no factory run at all.
-        let explicit = QueryParams::new().with("alpha", 0.25);
-        let third = registry.resolve("counted", &explicit).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "canonical spelling hits the shared entry");
-        assert_eq!(third.params, first.params);
-        assert!(Arc::ptr_eq(&third.kernel, &first.kernel));
-
-        // Genuinely different params are a different instantiation.
-        let other = registry.resolve("counted", &QueryParams::new().with("alpha", 0.5)).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 2);
-        assert_ne!(other.params, first.params);
-    }
-
-    #[test]
-    fn register_or_replace_evicts_the_replaced_registrations_memo() {
-        use std::sync::atomic::AtomicUsize;
-
-        let runs = Arc::new(AtomicUsize::new(0));
-        let registry = KernelRegistry::with_builtins();
-        let make_factory = |counter: Arc<AtomicUsize>| {
-            move |params: &QueryParams| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                params.ensure_known(&[])?;
-                Ok(InstantiatedKernel::new(erase(SsspKernel), QueryParams::new()))
-            }
-        };
-        registry.register("swap", make_factory(Arc::clone(&runs))).unwrap();
-        let old = registry.resolve("swap", &QueryParams::new()).unwrap();
-        registry.resolve("swap", &QueryParams::new()).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-
-        let (new_id, replaced) =
-            registry.register_or_replace("swap", make_factory(Arc::clone(&runs)));
-        assert_eq!(replaced, Some(old.id));
-        // The replacement registration resolves through its own factory and
-        // its own memo entries — never the shadowed registration's.
-        let fresh = registry.resolve("swap", &QueryParams::new()).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 2, "new registration instantiates anew");
-        assert_eq!(fresh.id, new_id);
-        assert!(!Arc::ptr_eq(&fresh.kernel, &old.kernel));
-        registry.resolve("swap", &QueryParams::new()).unwrap();
-        assert_eq!(runs.load(Ordering::SeqCst), 2, "and is memoized thereafter");
-    }
-
-    #[test]
-    fn builtin_resolves_share_memoized_instances() {
-        let registry = KernelRegistry::with_builtins();
-        let a = registry.resolve("ppr", &QueryParams::new()).unwrap();
-        let b = registry
-            .resolve("ppr", &QueryParams::new().with("alpha", PprConfig::default().alpha))
-            .unwrap();
-        // The partial spelling is not the canonical set, so its first
-        // resolve runs the factory once; thereafter it is memoized.
-        let c = registry
-            .resolve("ppr", &QueryParams::new().with("alpha", PprConfig::default().alpha))
-            .unwrap();
-        assert!(Arc::ptr_eq(&b.kernel, &c.kernel));
-        assert_eq!(a.params, b.params);
     }
 }

@@ -33,18 +33,14 @@ use fg_graph::mutation::{EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Edge, VertexId, Weight};
 use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
-use fg_seq::ppr::PprConfig;
-use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, TraceSink};
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, IncrementalKernel, WorkerPool};
 
 use crate::adaptive;
 use crate::lru::LruCache;
-use crate::query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};
-use crate::registry::{
-    self, KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel,
-};
+use crate::query::{BatchKey, CacheKey, Query, QueryResult};
+use crate::registry::{KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel};
 use crate::ticket::{Slot, Ticket};
 
 /// Tuning knobs of the serving layer.
@@ -113,9 +109,6 @@ pub enum ServiceError {
         /// The factory's reason (names the offending parameter).
         reason: String,
     },
-    /// A typed [`Ticket`] asked for a state type this result's kernel does
-    /// not produce.
-    ResultMismatch(KernelMismatch),
     /// The engine panicked while running this query's batch. The batcher
     /// survives and keeps serving subsequent batches.
     EngineFailure,
@@ -146,7 +139,6 @@ impl fmt::Display for ServiceError {
             ServiceError::InvalidParams { kernel, reason } => {
                 write!(f, "invalid parameters for kernel {kernel:?}: {reason}")
             }
-            ServiceError::ResultMismatch(mismatch) => mismatch.fmt(f),
             ServiceError::EngineFailure => write!(f, "engine failed while executing the batch"),
             ServiceError::InvalidMutation { reason } => {
                 write!(f, "invalid mutation: {reason}")
@@ -156,12 +148,6 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<KernelMismatch> for ServiceError {
-    fn from(mismatch: KernelMismatch) -> Self {
-        ServiceError::ResultMismatch(mismatch)
-    }
-}
 
 impl From<RegistryError> for ServiceError {
     fn from(error: RegistryError) -> Self {
@@ -243,7 +229,7 @@ pub struct ServiceHandle {
 
 impl ServiceHandle {
     /// Submit an open-API [`Query`]. Returns a [`Ticket`] the caller can
-    /// block on (or re-type with [`Ticket::typed`]), or a typed error when
+    /// block on, or a typed error when
     /// the kernel is unknown, its parameters are invalid, the source is out
     /// of range, or the service is saturated / shutting down. Never blocks
     /// beyond two short critical sections.
@@ -321,39 +307,6 @@ impl ServiceHandle {
         Ok(Ticket::new(slot))
     }
 
-    /// Submit-and-wait convenience wrapper.
-    pub fn run_query(&self, query: Query) -> Result<Arc<QueryResult>, ServiceError> {
-        self.submit_query(query)?.wait()
-    }
-
-    /// Submit an SSSP query from `source`.
-    pub fn submit_sssp(&self, source: VertexId) -> Result<Ticket, ServiceError> {
-        self.submit_query(Query::kernel("sssp").source(source))
-    }
-
-    /// Submit a BFS query from `source`.
-    pub fn submit_bfs(&self, source: VertexId) -> Result<Ticket, ServiceError> {
-        self.submit_query(Query::kernel("bfs").source(source))
-    }
-
-    /// Submit a PPR query seeded at `seed`.
-    pub fn submit_ppr(&self, seed: VertexId, config: PprConfig) -> Result<Ticket, ServiceError> {
-        self.submit_query(Query::with_params("ppr", seed, registry::ppr_params(&config)))
-    }
-
-    /// Submit a random-walk query from `source`.
-    pub fn submit_random_walk(
-        &self,
-        source: VertexId,
-        config: RandomWalkConfig,
-    ) -> Result<Ticket, ServiceError> {
-        self.submit_query(Query::with_params(
-            "random_walk",
-            source,
-            registry::random_walk_params(&config),
-        ))
-    }
-
     /// The kernel registry queries are resolved against. Register custom
     /// kernels here (or with the [`Self::register_kernel`] convenience) and
     /// they are immediately servable — batching, admission control, pool
@@ -422,29 +375,12 @@ impl ServiceHandle {
         self.shared.counters.snapshot()
     }
 
-    /// Log an edge insertion (or weight rewrite of an existing edge).
-    /// Returns the graph version that will first contain it; the batch is
-    /// folded in at the batcher's next quiesce point. Use
-    /// [`Self::flush_mutations`] to wait for that version.
-    pub fn insert_edge(&self, u: VertexId, v: VertexId, w: Weight) -> Result<u64, ServiceError> {
-        self.mutate(EdgeMutation::Insert { u, v, w })
-    }
-
-    /// Log an edge deletion (a no-op at apply time if the edge is absent).
-    pub fn delete_edge(&self, u: VertexId, v: VertexId) -> Result<u64, ServiceError> {
-        self.mutate(EdgeMutation::Delete { u, v })
-    }
-
-    /// Log a weight update for the edge `u → v` (inserts it if absent).
-    pub fn update_weight(&self, u: VertexId, v: VertexId, w: Weight) -> Result<u64, ServiceError> {
-        self.mutate(EdgeMutation::UpdateWeight { u, v, w })
-    }
-
     /// Log one [`EdgeMutation`] against the served graph. Validated (typed
     /// error) and enqueued synchronously; applied — together with every
     /// other pending mutation, atomically — at the batcher's next quiesce
     /// point, between engine runs. Cached results a mutation could reach are
-    /// invalidated at that same point.
+    /// invalidated at that same point. Returns the graph version that will
+    /// first contain it; [`Self::flush_mutations`] waits for that version.
     pub fn mutate(&self, mutation: EdgeMutation) -> Result<u64, ServiceError> {
         {
             let inner = self.shared.inner.lock();
@@ -603,24 +539,6 @@ impl ForkGraphService {
             .spawn(move || batcher_loop(worker_shared, graph, engine_config, worker_pool))
             .expect("failed to spawn fg-service batcher thread");
         ForkGraphService { shared, worker: Some(worker), pool }
-    }
-
-    /// Start with default engine and service configurations.
-    pub fn with_defaults(graph: Arc<PartitionedGraph>) -> Self {
-        Self::start(graph, EngineConfig::default(), ServiceConfig::default())
-    }
-
-    /// Start with default configurations but serve batches through the
-    /// inter-partition parallel executor with up to `num_threads` workers
-    /// (`0` = one worker per available CPU). `num_threads` caps the
-    /// per-batch adaptive sizing; parallel batches share one persistent
-    /// [`WorkerPool`], so steady-state serving spawns no threads.
-    pub fn with_parallel_defaults(graph: Arc<PartitionedGraph>, num_threads: usize) -> Self {
-        Self::start(
-            graph,
-            EngineConfig::default().with_threads(num_threads),
-            ServiceConfig::default(),
-        )
     }
 
     /// A cloneable submission handle.

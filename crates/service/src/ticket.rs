@@ -3,27 +3,21 @@
 //! A [`Ticket`] is a one-shot future the caller can block on. The batcher
 //! thread fulfils it with a shared [`QueryResult`] (shared, because a cache
 //! hit and several waiters may all observe the same result object), or with
-//! a [`ServiceError`] if the service shuts down before the query runs.
-//!
-//! Tickets are typed: `Ticket` (= `Ticket<QueryResult>`) resolves to the
-//! erased result, while [`Ticket::typed`] re-types the handle to the
-//! kernel's concrete state so that [`wait`](Ticket::wait) performs the
-//! downcast — checked, with an error naming the actual kernel on mismatch:
+//! a [`ServiceError`] if the service shuts down before the query runs. Read
+//! the kernel's state out of the result with [`QueryResult::try_state`],
+//! which names the kernel that actually produced it on a type mismatch:
 //!
 //! ```no_run
-//! # use std::sync::Arc;
 //! # use fg_graph::Dist;
 //! # use fg_service::{ForkGraphService, Query};
-//! # fn demo(service: &ForkGraphService) -> Result<(), fg_service::ServiceError> {
+//! # fn demo(service: &ForkGraphService) -> Result<(), Box<dyn std::error::Error>> {
 //! let handle = service.handle();
-//! let ticket = handle.submit_query(Query::kernel("sssp").source(7))?.typed::<Vec<Dist>>();
-//! let distances: Arc<Vec<Dist>> = ticket.wait()?;
+//! let result = handle.submit_query(Query::kernel("sssp").source(7))?.wait()?;
+//! let distances: &Vec<Dist> = result.try_state()?;
 //! # let _ = distances; Ok(())
 //! # }
 //! ```
 
-use std::any::{Any, TypeId};
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -52,37 +46,20 @@ impl Slot {
     }
 }
 
-/// Convert a fulfilled result into the ticket's payload type: the shared
-/// [`QueryResult`] itself when `R = QueryResult` (no copy — cache hits stay
-/// pointer-shared), a checked state downcast otherwise.
-fn convert<R: Any + Send + Sync>(result: Arc<QueryResult>) -> Result<Arc<R>, ServiceError> {
-    if TypeId::of::<R>() == TypeId::of::<QueryResult>() {
-        let any: Arc<dyn Any + Send + Sync> = result;
-        return Ok(Arc::downcast(any).expect("R is QueryResult"));
-    }
-    match result.try_state::<R>() {
-        Ok(_) => Ok(Arc::downcast(Arc::clone(result.state())).expect("checked above")),
-        Err(mismatch) => Err(ServiceError::ResultMismatch(mismatch)),
-    }
-}
-
-/// A handle to one submitted query's eventual result, typed by the payload
-/// [`Self::wait`] yields (`QueryResult` by default; a concrete kernel state
-/// after [`Self::typed`]).
-pub struct Ticket<R: Any + Send + Sync = QueryResult> {
+/// A handle to one submitted query's eventual [`QueryResult`].
+pub struct Ticket {
     pub(crate) slot: Arc<Slot>,
-    _payload: PhantomData<fn() -> R>,
 }
 
-impl<R: Any + Send + Sync> std::fmt::Debug for Ticket<R> {
+impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ticket").field("ready", &self.is_ready()).finish()
     }
 }
 
-impl<R: Any + Send + Sync> Ticket<R> {
+impl Ticket {
     pub(crate) fn new(slot: Arc<Slot>) -> Self {
-        Ticket { slot, _payload: PhantomData }
+        Ticket { slot }
     }
 
     /// Ticket that is already fulfilled (cache-hit fast path).
@@ -92,32 +69,20 @@ impl<R: Any + Send + Sync> Ticket<R> {
         Ticket::new(slot)
     }
 
-    /// Re-type this ticket to yield the kernel's concrete state `S`.
-    /// Free — no synchronisation, no copy; the downcast happens (checked)
-    /// when the result is read.
-    pub fn typed<S: Any + Send + Sync>(self) -> Ticket<S> {
-        Ticket { slot: self.slot, _payload: PhantomData }
-    }
-
-    /// Forget the payload type, yielding the erased [`QueryResult`] again.
-    pub fn untyped(self) -> Ticket {
-        Ticket { slot: self.slot, _payload: PhantomData }
-    }
-
-    /// Block until the result is available. For a typed ticket the payload
-    /// is downcast-checked: a mismatch yields
-    /// [`ServiceError::ResultMismatch`] naming the kernel that actually
-    /// produced the result.
-    pub fn wait(&self) -> Result<Arc<R>, ServiceError> {
+    /// Block until the result is available.
+    pub fn wait(&self) -> Result<Arc<QueryResult>, ServiceError> {
         let mut state = self.slot.state.lock();
         while state.is_none() {
             self.slot.ready.wait(&mut state);
         }
-        state.as_ref().unwrap().clone().and_then(convert)
+        state.as_ref().unwrap().clone()
     }
 
     /// Block for at most `timeout`; `None` if the result is still pending.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<Arc<R>, ServiceError>> {
+    pub fn wait_timeout(
+        &self,
+        timeout: Duration,
+    ) -> Option<Result<Arc<QueryResult>, ServiceError>> {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.slot.state.lock();
         while state.is_none() {
@@ -127,12 +92,12 @@ impl<R: Any + Send + Sync> Ticket<R> {
             }
             self.slot.ready.wait_for(&mut state, remaining);
         }
-        Some(state.as_ref().unwrap().clone().and_then(convert))
+        state.clone()
     }
 
     /// Non-blocking probe.
-    pub fn try_result(&self) -> Option<Result<Arc<R>, ServiceError>> {
-        self.slot.state.lock().as_ref().map(|outcome| outcome.clone().and_then(convert))
+    pub fn try_result(&self) -> Option<Result<Arc<QueryResult>, ServiceError>> {
+        self.slot.state.lock().clone()
     }
 
     /// Whether the result is available without blocking.
@@ -150,28 +115,32 @@ mod tests {
         Arc::new(QueryResult::from_state(KernelId::BFS, "bfs", levels))
     }
 
+    fn levels(ticket: &Ticket) -> Vec<u32> {
+        ticket.wait().unwrap().try_state::<Vec<u32>>().unwrap().clone()
+    }
+
     #[test]
     fn ready_ticket_resolves_immediately() {
-        let t: Ticket = Ticket::ready(Ok(bfs_result(vec![0])));
+        let t = Ticket::ready(Ok(bfs_result(vec![0])));
         assert!(t.is_ready());
-        assert_eq!(t.wait().unwrap().as_bfs().unwrap(), &vec![0]);
+        assert_eq!(levels(&t), vec![0]);
     }
 
     #[test]
     fn wait_blocks_until_fulfilment() {
         let slot = Slot::new();
-        let ticket: Ticket = Ticket::new(Arc::clone(&slot));
+        let ticket = Ticket::new(Arc::clone(&slot));
         let fulfiller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             slot.fulfil(Ok(bfs_result(vec![1, 2])));
         });
-        assert_eq!(ticket.wait().unwrap().as_bfs().unwrap(), &vec![1, 2]);
+        assert_eq!(levels(&ticket), vec![1, 2]);
         fulfiller.join().unwrap();
     }
 
     #[test]
     fn wait_timeout_returns_none_while_pending() {
-        let ticket: Ticket = Ticket::new(Slot::new());
+        let ticket = Ticket::new(Slot::new());
         assert!(ticket.wait_timeout(Duration::from_millis(10)).is_none());
         assert!(!ticket.is_ready());
         assert!(ticket.try_result().is_none());
@@ -182,33 +151,8 @@ mod tests {
         let slot = Slot::new();
         slot.fulfil(Ok(bfs_result(vec![7])));
         slot.fulfil(Err(ServiceError::ShuttingDown));
-        let t: Ticket = Ticket::new(slot);
-        assert_eq!(t.wait().unwrap().as_bfs().unwrap(), &vec![7]);
-    }
-
-    #[test]
-    fn typed_ticket_downcasts_and_checks() {
-        let t: Ticket = Ticket::ready(Ok(bfs_result(vec![3, 4])));
-        // Correct type: the state arrives as a shared concrete value.
-        let levels: Arc<Vec<u32>> = t.typed::<Vec<u32>>().wait().unwrap();
-        assert_eq!(*levels, vec![3, 4]);
-
-        // Wrong type: a typed error naming the actual kernel, not a panic.
-        let t: Ticket = Ticket::ready(Ok(bfs_result(vec![3, 4])));
-        let err = t.typed::<Vec<fg_graph::Dist>>().wait().unwrap_err();
-        match err {
-            ServiceError::ResultMismatch(mismatch) => {
-                assert_eq!(mismatch.kernel, "bfs");
-            }
-            other => panic!("expected ResultMismatch, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn untyped_round_trip_preserves_the_slot() {
-        let t: Ticket = Ticket::ready(Ok(bfs_result(vec![9])));
-        let back = t.typed::<Vec<u32>>().untyped();
-        assert_eq!(back.wait().unwrap().as_bfs().unwrap(), &vec![9]);
+        let t = Ticket::new(slot);
+        assert_eq!(levels(&t), vec![7]);
     }
 
     #[test]
@@ -217,8 +161,8 @@ mod tests {
         // must not re-wrap it, or Arc::ptr_eq-based sharing tests (and
         // memory sharing itself) silently degrade.
         let shared = bfs_result(vec![1]);
-        let a: Ticket = Ticket::ready(Ok(Arc::clone(&shared)));
-        let b: Ticket = Ticket::ready(Ok(Arc::clone(&shared)));
+        let a = Ticket::ready(Ok(Arc::clone(&shared)));
+        let b = Ticket::ready(Ok(Arc::clone(&shared)));
         assert!(Arc::ptr_eq(&a.wait().unwrap(), &b.wait().unwrap()));
     }
 }

@@ -19,9 +19,9 @@ use std::time::Duration;
 use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::VertexId;
+use fg_graph::{Dist, VertexId};
 use fg_service::adaptive::effective_workers;
-use fg_service::{ForkGraphService, ServiceConfig, ServiceError};
+use fg_service::{ForkGraphService, Query, ServiceConfig, ServiceError};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 const WORKER_CAP: usize = 8;
@@ -79,7 +79,8 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
                 let mut got = Vec::new();
                 for round in 0..ROUNDS {
                     let source = ((s * 131 + round * 17) as u32 + 1) % n;
-                    let result = handle.submit_bfs(source).unwrap().wait().unwrap();
+                    let query = Query::kernel("bfs").source(source);
+                    let result = handle.submit_query(query).unwrap().wait().unwrap();
                     got.push((source, (*result).clone()));
                     std::thread::sleep(Duration::from_millis(4));
                 }
@@ -96,7 +97,10 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
                         .collect();
                     let tickets: Vec<_> = sources
                         .iter()
-                        .map(|&source| handle.submit_sssp(source).expect("queue is deep enough"))
+                        .map(|&source| {
+                            let query = Query::kernel("sssp").source(source);
+                            handle.submit_query(query).expect("queue is deep enough")
+                        })
                         .collect();
                     for (source, ticket) in sources.into_iter().zip(tickets) {
                         got.push((source, (*ticket.wait().unwrap()).clone()));
@@ -111,7 +115,8 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     // batch.
     let mut answers = answers;
     for source in [5, 77] {
-        let result = service.handle().submit_bfs(source).unwrap().wait().unwrap();
+        let query = Query::kernel("bfs").source(source);
+        let result = service.handle().submit_query(query).unwrap().wait().unwrap();
         answers.push((source, (*result).clone()));
     }
 
@@ -124,10 +129,12 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     for &(source, ref result) in &answers {
         match result.kernel_name() {
             "sssp" => {
-                assert_eq!(result.as_sssp().unwrap(), &engine.run_sssp(&[source]).per_query[0]);
+                let distances = result.try_state::<Vec<Dist>>().unwrap();
+                assert_eq!(distances, &engine.run_sssp(&[source]).per_query[0]);
             }
             "bfs" => {
-                assert_eq!(result.as_bfs().unwrap(), &engine.run_bfs(&[source]).per_query[0]);
+                let levels = result.try_state::<Vec<u32>>().unwrap();
+                assert_eq!(levels, &engine.run_bfs(&[source]).per_query[0]);
             }
             other => unreachable!("only sssp/bfs are submitted, got {other}"),
         }
@@ -179,8 +186,9 @@ fn shutdown_with_inflight_dispatched_runs_neither_deadlocks_nor_leaks_threads() 
         let handle = service.handle();
         // Enqueue a deep backlog of large cohorts, then shut down while the
         // batcher has a dispatched run in flight on the pool.
-        let tickets: Vec<_> =
-            (0..256u32).map(|i| handle.submit_sssp((i * 193) % n).unwrap()).collect();
+        let tickets: Vec<_> = (0..256u32)
+            .map(|i| handle.submit_query(Query::kernel("sssp").source((i * 193) % n)).unwrap())
+            .collect();
         std::thread::sleep(Duration::from_millis(3));
         service.shutdown();
         // Every admitted ticket resolves: flushed result or typed shutdown

@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{gen, VertexId};
+use fg_graph::{gen, Dist, VertexId};
 use fg_service::{ForkGraphService, Query, QueryResult, ServiceConfig};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
@@ -72,7 +72,8 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
                             if delay_ms > 0 {
                                 std::thread::sleep(Duration::from_millis(delay_ms));
                             }
-                            let result = handle.run_query(query.clone()).unwrap();
+                            let result =
+                                handle.submit_query(query.clone()).unwrap().wait().unwrap();
                             got.push((query, result));
                         }
                         got
@@ -92,7 +93,7 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
                 "sssp" => {
                     let direct = engine.run_sssp(&[source]);
                     assert_eq!(
-                        result.as_sssp().unwrap(),
+                        result.try_state::<Vec<Dist>>().unwrap(),
                         &direct.per_query[0],
                         "trial {trial}: sssp from {source} diverged (metrics: {metrics:?})"
                     );
@@ -100,7 +101,7 @@ fn service_results_equal_direct_engine_runs_under_random_interleavings() {
                 "bfs" => {
                     let direct = engine.run_bfs(&[source]);
                     assert_eq!(
-                        result.as_bfs().unwrap(),
+                        result.try_state::<Vec<u32>>().unwrap(),
                         &direct.per_query[0],
                         "trial {trial}: bfs from {source} diverged (metrics: {metrics:?})"
                     );

@@ -7,9 +7,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
+use fg_graph::{gen, Dist};
 use fg_service::{ForkGraphService, Query, ServiceConfig, ServiceError};
 use forkgraph_core::EngineConfig;
 
@@ -49,11 +49,6 @@ fn drain_rejects_new_submits_but_resolves_admitted_tickets() {
         Err(ServiceError::ShuttingDown) => {}
         other => panic!("draining submit should fail ShuttingDown, got {other:?}"),
     }
-    // The per-kernel convenience submitters flow through the same gate.
-    match handle.submit_bfs(2) {
-        Err(ServiceError::ShuttingDown) => {}
-        other => panic!("draining submit_bfs should fail ShuttingDown, got {other:?}"),
-    }
 
     // Everything admitted before the drain still resolves successfully.
     for (v, ticket) in admitted.iter().enumerate() {
@@ -61,7 +56,8 @@ fn drain_rejects_new_submits_but_resolves_admitted_tickets() {
             .wait_timeout(Duration::from_secs(10))
             .expect("admitted ticket resolves during drain")
             .expect("admitted ticket resolves Ok");
-        assert_eq!(result.try_sssp().expect("sssp result")[v], 0, "source distance is zero");
+        let distances = result.try_state::<Vec<Dist>>().expect("sssp result");
+        assert_eq!(distances[v], 0, "source distance is zero");
     }
 
     // Drain is idempotent, and shutdown after a drain is clean.
@@ -86,11 +82,12 @@ fn cache_hits_are_still_served_while_draining() {
     let service = ForkGraphService::start(graph, EngineConfig::default(), config);
     let handle = service.handle();
 
-    let warm = handle.run_query(Query::kernel("bfs").source(3)).expect("warmup query");
+    let query = || Query::kernel("bfs").source(3);
+    let warm = handle.submit_query(query()).unwrap().wait().expect("warmup query");
     service.begin_drain();
-    // The memoized result costs no engine work; serving it while connections
+    // The cached result costs no engine work; serving it while connections
     // wind down is deliberate (documented on `begin_drain`).
-    let hit = handle.run_query(Query::kernel("bfs").source(3)).expect("cache hit during drain");
+    let hit = handle.submit_query(query()).expect("cache hit during drain").wait().unwrap();
     assert!(Arc::ptr_eq(&warm, &hit), "drain-time answer is the cached result");
     // A cold query is still rejected.
     match handle.submit_query(Query::kernel("bfs").source(4)) {

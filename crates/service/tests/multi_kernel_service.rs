@@ -11,10 +11,10 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId};
 use fg_seq::ppr::PprConfig;
-use fg_seq::random_walk::RandomWalkConfig;
 use fg_service::{
     ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, ServiceConfig,
 };
+use forkgraph_core::kernels::{PprState, RwState};
 use forkgraph_core::{erase, EngineConfig, ForkGraphEngine, FppKernel};
 
 fn shared_graph(seed: u64) -> Arc<PartitionedGraph> {
@@ -59,7 +59,7 @@ fn different_kernel_cohorts_consolidate_into_one_run() {
     for (&source, ticket) in sssp_sources.iter().zip(&sssp_tickets) {
         let result = ticket.wait().unwrap();
         assert_eq!(
-            result.as_sssp().unwrap(),
+            result.try_state::<Vec<Dist>>().unwrap(),
             &engine.run_sssp(&[source]).per_query[0],
             "sssp source {source}"
         );
@@ -67,7 +67,7 @@ fn different_kernel_cohorts_consolidate_into_one_run() {
     for (&source, ticket) in bfs_sources.iter().zip(&bfs_tickets) {
         let result = ticket.wait().unwrap();
         assert_eq!(
-            result.as_bfs().unwrap(),
+            result.try_state::<Vec<u32>>().unwrap(),
             &engine.run_bfs(&[source]).per_query[0],
             "bfs source {source}"
         );
@@ -96,19 +96,24 @@ fn every_ready_cohort_joins_one_batch() {
 
     let coarse = PprConfig { epsilon: 1e-4, ..PprConfig::default() };
     let fine = PprConfig { epsilon: 1e-5, ..PprConfig::default() };
-    let sssp = handle.submit_sssp(31).unwrap();
-    let bfs = handle.submit_bfs(17).unwrap();
-    let ppr_coarse = handle.submit_ppr(62, coarse).unwrap();
-    let ppr_fine = handle.submit_ppr(62, fine).unwrap();
-    let walk = handle.submit_random_walk(93, RandomWalkConfig::default()).unwrap();
+    let submit = |query: Query| handle.submit_query(query).unwrap();
+    let ppr_query =
+        |config: &PprConfig| Query::kernel("ppr").source(62).param("epsilon", config.epsilon);
+    let sssp = submit(Query::kernel("sssp").source(31));
+    let bfs = submit(Query::kernel("bfs").source(17));
+    let ppr_coarse = submit(ppr_query(&coarse));
+    let ppr_fine = submit(ppr_query(&fine));
+    let walk = submit(Query::kernel("random_walk").source(93));
 
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-    assert_eq!(sssp.wait().unwrap().as_sssp().unwrap(), &engine.run_sssp(&[31]).per_query[0]);
-    assert_eq!(bfs.wait().unwrap().as_bfs().unwrap(), &engine.run_bfs(&[17]).per_query[0]);
+    let sssp = sssp.wait().unwrap();
+    assert_eq!(sssp.try_state::<Vec<Dist>>().unwrap(), &engine.run_sssp(&[31]).per_query[0]);
+    let bfs = bfs.wait().unwrap();
+    assert_eq!(bfs.try_state::<Vec<u32>>().unwrap(), &engine.run_bfs(&[17]).per_query[0]);
     let ppr = |config| engine.run_ppr(&[62], &config).per_query.remove(0);
-    assert_eq!(ppr_coarse.wait().unwrap().as_ppr().unwrap(), &ppr(coarse));
-    assert_eq!(ppr_fine.wait().unwrap().as_ppr().unwrap(), &ppr(fine));
-    walk.wait().unwrap().as_random_walk().expect("random-walk state");
+    assert_eq!(ppr_coarse.wait().unwrap().try_state::<PprState>().unwrap(), &ppr(coarse));
+    assert_eq!(ppr_fine.wait().unwrap().try_state::<PprState>().unwrap(), &ppr(fine));
+    walk.wait().unwrap().try_state::<RwState>().expect("random-walk state");
 
     let records = service.batch_records();
     service.shutdown();
@@ -243,7 +248,10 @@ fn registered_custom_kernel_shares_a_run_with_builtins() {
     }
     for (&source, ticket) in bfs_sources.iter().zip(&bfs_tickets) {
         let result = ticket.wait().unwrap();
-        assert_eq!(result.as_bfs().unwrap(), &engine.run_bfs(&[source]).per_query[0]);
+        assert_eq!(
+            result.try_state::<Vec<u32>>().unwrap(),
+            &engine.run_bfs(&[source]).per_query[0]
+        );
     }
 
     let records = service.batch_records();

@@ -18,7 +18,7 @@ use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, GraphBuilder, VertexId, Weight};
 use fg_service::service::{ForkGraphService, ServiceConfig, ServiceError};
-use fg_service::EdgeMutation;
+use fg_service::{EdgeMutation, Query};
 use forkgraph_core::EngineConfig;
 
 fn service_over(edges: &[(u32, u32, u32)], n: usize, threads: usize) -> ForkGraphService {
@@ -39,8 +39,9 @@ fn service_over(edges: &[(u32, u32, u32)], n: usize, threads: usize) -> ForkGrap
 }
 
 fn dist_to(service: &ForkGraphService, source: VertexId, target: VertexId) -> Dist {
-    let result = service.handle().submit_sssp(source).unwrap().wait().unwrap();
-    result.try_sssp().unwrap()[target as usize]
+    let query = Query::kernel("sssp").source(source);
+    let result = service.handle().submit_query(query).unwrap().wait().unwrap();
+    result.try_state::<Vec<Dist>>().unwrap()[target as usize]
 }
 
 /// The stale-read regression: query → cache fills → mutate an edge on the
@@ -57,7 +58,7 @@ fn requery_after_mutation_never_serves_stale_cache() {
     assert!(service.metrics().cache_hits >= 1);
 
     // Shortcut straight past the cached path.
-    handle.insert_edge(0, 3, 5).unwrap();
+    handle.mutate(EdgeMutation::Insert { u: 0, v: 3, w: 5 }).unwrap();
     assert_eq!(dist_to(&service, 0, 3), 5, "served a stale cached distance");
 
     // And the mutation-aware invalidation is observable.
@@ -76,7 +77,7 @@ fn monotone_requery_takes_the_incremental_path() {
     let handle = service.handle();
 
     assert_eq!(dist_to(&service, 0, 3), 30);
-    handle.insert_edge(1, 3, 2).unwrap();
+    handle.mutate(EdgeMutation::Insert { u: 1, v: 3, w: 2 }).unwrap();
     handle.flush_mutations();
     assert_eq!(dist_to(&service, 0, 3), 12);
     let metrics = service.metrics();
@@ -84,7 +85,7 @@ fn monotone_requery_takes_the_incremental_path() {
 
     // A deletion (non-monotone) drops the restart state; the re-query falls
     // back to a full run — and is still exact.
-    handle.delete_edge(1, 3).unwrap();
+    handle.mutate(EdgeMutation::Delete { u: 1, v: 3 }).unwrap();
     assert_eq!(dist_to(&service, 0, 3), 30);
     let metrics = service.metrics();
     assert_eq!(metrics.incremental_runs, 1, "deletion must take the full-re-run fallback");
@@ -101,7 +102,7 @@ fn resumed_requery_is_recorded_like_any_batch() {
     let handle = service.handle();
 
     assert_eq!(dist_to(&service, 0, 3), 30);
-    handle.insert_edge(1, 3, 2).unwrap();
+    handle.mutate(EdgeMutation::Insert { u: 1, v: 3, w: 2 }).unwrap();
     handle.flush_mutations();
     assert_eq!(dist_to(&service, 0, 3), 12);
 
@@ -116,11 +117,15 @@ fn resumed_requery_is_recorded_like_any_batch() {
 fn bfs_requery_after_insertion_is_exact() {
     let service = service_over(&[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)], 5, 1);
     let handle = service.handle();
-    let levels = handle.submit_bfs(0).unwrap().wait().unwrap().try_bfs().unwrap().clone();
+    let bfs = || {
+        let result = handle.submit_query(Query::kernel("bfs").source(0)).unwrap().wait().unwrap();
+        result.try_state::<Vec<u32>>().unwrap().clone()
+    };
+    let levels = bfs();
     assert_eq!(levels[4], 4);
-    handle.insert_edge(0, 3, 1).unwrap();
+    handle.mutate(EdgeMutation::Insert { u: 0, v: 3, w: 1 }).unwrap();
     handle.flush_mutations();
-    let levels = handle.submit_bfs(0).unwrap().wait().unwrap().try_bfs().unwrap().clone();
+    let levels = bfs();
     assert_eq!(levels[3], 1);
     assert_eq!(levels[4], 2);
     service.shutdown();
@@ -131,7 +136,10 @@ fn mutation_validation_and_lifecycle_errors_are_typed() {
     let service = service_over(&[(0, 1, 1)], 4, 1);
     let handle = service.handle();
 
-    assert!(matches!(handle.insert_edge(0, 99, 1), Err(ServiceError::InvalidMutation { .. })));
+    assert!(matches!(
+        handle.mutate(EdgeMutation::Insert { u: 0, v: 99, w: 1 }),
+        Err(ServiceError::InvalidMutation { .. })
+    ));
     assert!(matches!(
         handle.mutate(EdgeMutation::Insert { u: 2, v: 2, w: 1 }),
         Err(ServiceError::InvalidMutation { .. })
@@ -139,7 +147,10 @@ fn mutation_validation_and_lifecycle_errors_are_typed() {
     assert_eq!(handle.pending_mutations(), 0, "rejected mutations must not reach the log");
 
     handle.begin_drain();
-    assert!(matches!(handle.insert_edge(0, 2, 1), Err(ServiceError::ShuttingDown)));
+    assert!(matches!(
+        handle.mutate(EdgeMutation::Insert { u: 0, v: 2, w: 1 }),
+        Err(ServiceError::ShuttingDown)
+    ));
     service.shutdown();
 }
 
@@ -148,8 +159,8 @@ fn flush_waits_for_the_logged_batch_even_when_idle() {
     let service = service_over(&[(0, 1, 3), (1, 2, 3)], 4, 1);
     let handle = service.handle();
     assert_eq!(handle.graph_version(), 0);
-    handle.insert_edge(0, 2, 1).unwrap();
-    handle.update_weight(0, 1, 2).unwrap();
+    handle.mutate(EdgeMutation::Insert { u: 0, v: 2, w: 1 }).unwrap();
+    handle.mutate(EdgeMutation::UpdateWeight { u: 0, v: 1, w: 2 }).unwrap();
     let version = handle.flush_mutations();
     assert_eq!(version, 1, "one quiesce folds the whole pending batch");
     assert_eq!(handle.pending_mutations(), 0);
@@ -193,27 +204,28 @@ fn randomized_mutate_query_interleaving_matches_from_scratch_oracle() {
                 match rng.gen_range(0u8..3) {
                     0 => {
                         let w: Weight = rng.gen_range(1..12);
-                        handle.insert_edge(u, v, w).unwrap();
+                        handle.mutate(EdgeMutation::Insert { u, v, w }).unwrap();
                         mirror.insert((u, v), w);
                     }
                     1 => {
-                        handle.delete_edge(u, v).unwrap();
+                        handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
                         mirror.remove(&(u, v));
                     }
                     _ => {
                         let w: Weight = rng.gen_range(1..12);
-                        handle.update_weight(u, v, w).unwrap();
+                        handle.mutate(EdgeMutation::UpdateWeight { u, v, w }).unwrap();
                         mirror.insert((u, v), w);
                     }
                 }
             } else {
                 // Query: answered on a version ≥ every mutation logged above.
                 let source = rng.gen_range(0..N as u32);
-                let got = handle.submit_sssp(source).unwrap().wait().unwrap();
+                let query = Query::kernel("sssp").source(source);
+                let got = handle.submit_query(query).unwrap().wait().unwrap();
                 let edges: Vec<_> = mirror.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
                 let oracle = CsrGraph::from_sorted_edges(N, &edges, true);
                 assert_eq!(
-                    got.try_sssp().unwrap(),
+                    got.try_state::<Vec<Dist>>().unwrap(),
                     &fg_seq::dijkstra::dijkstra(&oracle, source).dist,
                     "threads={threads} step={step} source={source}: wrong or stale answer"
                 );

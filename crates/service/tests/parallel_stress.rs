@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{gen, VertexId};
+use fg_graph::{gen, Dist, VertexId};
 use fg_service::{ForkGraphService, Query, ServiceConfig, ServiceError};
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
@@ -61,7 +61,7 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
                         let source: VertexId = rng.gen_range(0..n);
                         let kernel = if rng.gen_bool(0.5) { "sssp" } else { "bfs" };
                         let query = Query::kernel(kernel).source(source);
-                        let result = handle.run_query(query.clone()).unwrap();
+                        let result = handle.submit_query(query.clone()).unwrap().wait().unwrap();
                         got.push((query, (*result).clone()));
                     }
                     got
@@ -85,10 +85,12 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
         let source = query.source_vertex().unwrap();
         match query.kernel_name() {
             "sssp" => {
-                assert_eq!(result.as_sssp().unwrap(), &engine.run_sssp(&[source]).per_query[0]);
+                let distances = result.try_state::<Vec<Dist>>().unwrap();
+                assert_eq!(distances, &engine.run_sssp(&[source]).per_query[0]);
             }
             "bfs" => {
-                assert_eq!(result.as_bfs().unwrap(), &engine.run_bfs(&[source]).per_query[0]);
+                let levels = result.try_state::<Vec<u32>>().unwrap();
+                assert_eq!(levels, &engine.run_bfs(&[source]).per_query[0]);
             }
             other => unreachable!("only sssp/bfs are generated, got {other}"),
         }
@@ -155,9 +157,15 @@ fn shutdown_under_racing_submitters_never_deadlocks_or_drops_tickets() {
 fn dropping_a_parallel_service_with_queued_work_joins_cleanly() {
     let pg = parallel_graph(7, 8);
     let n = pg.graph().num_vertices() as u32;
-    let service = ForkGraphService::with_parallel_defaults(Arc::clone(&pg), 3);
+    let service = ForkGraphService::start(
+        Arc::clone(&pg),
+        EngineConfig::default().with_threads(3),
+        ServiceConfig::default(),
+    );
     let handle = service.handle();
-    let tickets: Vec<_> = (0..24).map(|i| handle.submit_sssp(i % n).unwrap()).collect();
+    let tickets: Vec<_> = (0..24)
+        .map(|i| handle.submit_query(Query::kernel("sssp").source(i % n)).unwrap())
+        .collect();
     // Drop with work still queued: Drop flushes admitted queries, so every
     // ticket resolves to a result or ShuttingDown — nothing hangs.
     drop(service);

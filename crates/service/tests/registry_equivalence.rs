@@ -1,8 +1,8 @@
 //! Acceptance tests of the open-kernel redesign:
 //!
 //! 1. The four built-in kernels produce **byte-identical** results through
-//!    the registry path (erased dispatch, `Query` builder, the `submit_*`
-//!    conveniences) versus the direct engine path, on the serial loop and
+//!    the registry path (erased dispatch, `Query` builder, canonical
+//!    parameters) versus the direct engine path, on the serial loop and
 //!    on the worker pool. (PPR is the documented exception on the *pool*:
 //!    lazy forward-push is non-confluent even serially across
 //!    schedules, so there the contract is mass conservation + epsilon-scaled
@@ -21,9 +21,11 @@ use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId, INF_DIST};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_service::{
-    ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, ServiceConfig,
+    ForkGraphService, InstantiatedKernel, ParamError, Query, QueryParams, QueryResult,
+    ServiceConfig, ServiceError, ServiceHandle,
 };
 use forkgraph_core::kernel::FppKernel;
+use forkgraph_core::kernels::{PprState, RwState};
 use forkgraph_core::operation::Priority;
 use forkgraph_core::{erase, EngineConfig, ForkGraphEngine};
 
@@ -36,9 +38,12 @@ fn shared_graph(seed: u64, partitions: usize) -> (CsrGraph, Arc<PartitionedGraph
     (g, pg)
 }
 
+fn run(handle: &ServiceHandle, query: Query) -> Result<Arc<QueryResult>, ServiceError> {
+    handle.submit_query(query)?.wait()
+}
+
 /// Service-vs-direct equivalence of all four built-ins with `threads` engine
-/// workers (1 = the serial loop, more = the pool), driving both the
-/// `submit_*` conveniences and the builder API.
+/// workers (1 = the serial loop, more = the pool).
 fn builtin_equivalence_under(threads: usize) {
     let mode = format!("{threads} thread(s)");
     let (_, pg) = shared_graph(211, 6);
@@ -59,20 +64,18 @@ fn builtin_equivalence_under(threads: usize) {
 
     for source in [0u32, 17, 191] {
         // SSSP: byte-identical to the direct engine result (monotone kernel
-        // ⇒ schedule-independent), however it was submitted.
-        let via_submit = handle.submit_sssp(source).unwrap().wait().unwrap();
-        let via_builder = handle.run_query(Query::kernel("sssp").source(source)).unwrap();
-        let oracle = direct.run_sssp(&[source]);
-        assert_eq!(via_submit.try_sssp().unwrap(), &oracle.per_query[0], "{mode:?} sssp {source}");
-        assert!(
-            Arc::ptr_eq(&via_submit, &via_builder),
-            "{mode:?}: builder query must hit submit_sssp's cache entry"
+        // ⇒ schedule-independent).
+        let sssp = run(&handle, Query::kernel("sssp").source(source)).unwrap();
+        assert_eq!(
+            sssp.try_state::<Vec<Dist>>().unwrap(),
+            &direct.run_sssp(&[source]).per_query[0],
+            "{mode:?} sssp {source}"
         );
 
         // BFS.
-        let bfs = handle.run_query(Query::kernel("bfs").source(source)).unwrap();
+        let bfs = run(&handle, Query::kernel("bfs").source(source)).unwrap();
         assert_eq!(
-            bfs.try_bfs().unwrap(),
+            bfs.try_state::<Vec<u32>>().unwrap(),
             &direct.run_bfs(&[source]).per_query[0],
             "{mode:?} bfs {source}"
         );
@@ -80,25 +83,36 @@ fn builtin_equivalence_under(threads: usize) {
         // Random walks: deterministic seeds and purely additive visit
         // counts make the kernel confluent, so results are byte-identical
         // in every mode.
-        let rw = handle.submit_random_walk(source, rw_config).unwrap().wait().unwrap();
+        let walk = Query::kernel("random_walk")
+            .source(source)
+            .param("num_walks", rw_config.num_walks)
+            .param("walk_length", rw_config.walk_length)
+            .param("restart_prob", rw_config.restart_prob)
+            .param("seed", rw_config.seed);
+        let rw = run(&handle, walk).unwrap();
         assert_eq!(
-            rw.try_random_walk().unwrap(),
+            rw.try_state::<RwState>().unwrap(),
             &direct.run_random_walks(&[source], &rw_config).per_query[0],
             "{mode:?} random_walk {source}"
         );
 
         // PPR: byte-identical only on the serial loop (one deterministic
         // schedule on both sides); on the pool the kernel itself is
-        // non-confluent, so assert the ACL contract. A config struct and
-        // the builder spelling of the same parameters key identically:
-        // the second submission is the first one's cache entry.
-        let ppr = handle.submit_ppr(source, ppr_config).unwrap().wait().unwrap();
-        let spelled = Query::kernel("ppr").source(source).param("epsilon", ppr_config.epsilon);
+        // non-confluent, so assert the ACL contract. Omitting the defaults
+        // and spelling them out key identically: the second submission is
+        // the first one's cache entry.
+        let omitted = Query::kernel("ppr").source(source).param("epsilon", ppr_config.epsilon);
+        let ppr = run(&handle, omitted).unwrap();
+        let spelled_out = Query::kernel("ppr")
+            .source(source)
+            .param("alpha", ppr_config.alpha)
+            .param("epsilon", ppr_config.epsilon)
+            .param("max_pushes", ppr_config.max_pushes);
         assert!(
-            Arc::ptr_eq(&ppr, &handle.run_query(spelled).unwrap()),
-            "{mode:?}: submit_ppr and the builder must share one cache entry"
+            Arc::ptr_eq(&ppr, &run(&handle, spelled_out).unwrap()),
+            "{mode:?}: defaults omitted and spelled out must share one cache entry"
         );
-        let ppr_state = ppr.try_ppr().unwrap();
+        let ppr_state = ppr.try_state::<PprState>().unwrap();
         let oracle_ppr = &direct.run_ppr(&[source], &ppr_config).per_query[0];
         assert!((ppr_state.total_mass() - 1.0).abs() < 1e-9, "{mode:?} ppr {source}");
         if threads == 1 {
@@ -150,14 +164,14 @@ fn erased_builtins_match_direct_engine_runs_byte_for_byte() {
     for (erased, direct) in
         dyn_ppr.per_query.iter().zip(&engine.run_ppr(&sources, &ppr_config).per_query)
     {
-        assert_eq!(erased.downcast_ref::<forkgraph_core::kernels::PprState>().unwrap(), direct);
+        assert_eq!(erased.downcast_ref::<PprState>().unwrap(), direct);
     }
     let dyn_rw = engine
         .run_dyn(&*erase(forkgraph_core::kernels::RandomWalkKernel::new(rw_config)), &sources);
     for (erased, direct) in
         dyn_rw.per_query.iter().zip(&engine.run_random_walks(&sources, &rw_config).per_query)
     {
-        assert_eq!(erased.downcast_ref::<forkgraph_core::kernels::RwState>().unwrap(), direct);
+        assert_eq!(erased.downcast_ref::<RwState>().unwrap(), direct);
     }
 }
 
@@ -275,7 +289,7 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
     let k = 4u64;
     let sources: Vec<VertexId> = (0..16).map(|i| (i * 37) % g.num_vertices() as u32).collect();
     let barrier = Arc::new(Barrier::new(sources.len()));
-    let answers: Vec<(VertexId, Arc<Vec<Dist>>)> = std::thread::scope(|scope| {
+    let answers: Vec<(VertexId, Arc<QueryResult>)> = std::thread::scope(|scope| {
         let workers: Vec<_> = sources
             .iter()
             .map(|&source| {
@@ -283,11 +297,8 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let ticket = handle
-                        .submit_query(Query::kernel("khop").source(source).param("k", k))
-                        .unwrap()
-                        .typed::<Vec<Dist>>();
-                    (source, ticket.wait().unwrap())
+                    let query = Query::kernel("khop").source(source).param("k", k);
+                    (source, run(&handle, query).unwrap())
                 })
             })
             .collect();
@@ -296,7 +307,8 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
 
     // Results equal the direct serial oracle (k-hop DP), demuxed per source.
     let stride = k as usize + 1;
-    for (source, state) in &answers {
+    for (source, result) in &answers {
+        let state = result.try_state::<Vec<Dist>>().unwrap();
         let oracle = khop_oracle(&g, *source, k as u32);
         let served: Vec<Dist> =
             (0..g.num_vertices()).map(|v| state[v * stride + k as usize]).collect();
@@ -322,13 +334,12 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
     // …and populated the result cache: a repeat is served pointer-shared.
     let source = sources[0];
     let first = answers.iter().find(|(s, _)| *s == source).unwrap();
-    let again = handle.run_query(Query::kernel("khop").source(source).param("k", k)).unwrap();
+    let again = run(&handle, Query::kernel("khop").source(source).param("k", k)).unwrap();
     assert!(handle.metrics().cache_hits >= 1, "repeat hit the LRU cache");
-    let again_state: Arc<Vec<Dist>> = (*again).clone().try_into_state().unwrap();
-    assert!(Arc::ptr_eq(&again_state, &first.1), "cache hit shares the original state allocation");
+    assert!(Arc::ptr_eq(&again, &first.1), "cache hit shares the original result allocation");
 
     // Different k forms a different cohort/cache entry (no false sharing).
-    let other = handle.run_query(Query::kernel("khop").source(source).param("k", 1u64)).unwrap();
+    let other = run(&handle, Query::kernel("khop").source(source).param("k", 1u64)).unwrap();
     let other_state = other.try_state::<Vec<Dist>>().unwrap();
     let oracle1 = khop_oracle(&g, source, 1);
     let served1: Vec<Dist> = (0..g.num_vertices()).map(|v| other_state[v * 2 + 1]).collect();

@@ -20,12 +20,12 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
+use fg_graph::{gen, Dist};
 use fg_service::{
     BatchKey, CacheKey, ForkGraphService, InstantiatedKernel, KernelRegistry, ParamError, Query,
-    QueryParams, ServiceConfig,
+    QueryParams, QueryResult, ServiceConfig, ServiceError, ServiceHandle,
 };
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{erase, EngineConfig};
@@ -148,6 +148,10 @@ fn distinct_configs_never_collide_across_a_randomized_sweep() {
     }
 }
 
+fn run(handle: &ServiceHandle, query: Query) -> Result<Arc<QueryResult>, ServiceError> {
+    handle.submit_query(query)?.wait()
+}
+
 #[test]
 fn replaced_kernel_results_are_not_served_to_the_replacement() {
     // End-to-end: serve a "distance" kernel, cache a hot result, then
@@ -165,9 +169,12 @@ fn replaced_kernel_results_are_not_served_to_the_replacement() {
     handle.register_kernel("metric", sssp_like_factory).unwrap();
 
     let query = || Query::kernel("metric").source(9).param("k", 1u64);
-    let first = handle.run_query(query()).unwrap();
-    assert!(first.try_sssp().is_ok(), "first registration runs the SSSP-backed kernel");
-    let cached = handle.run_query(query()).unwrap();
+    let first = run(&handle, query()).unwrap();
+    assert!(
+        first.try_state::<Vec<Dist>>().is_ok(),
+        "first registration runs the SSSP-backed kernel"
+    );
+    let cached = run(&handle, query()).unwrap();
     assert!(Arc::ptr_eq(&first, &cached), "hot query served from cache");
     assert_eq!(handle.metrics().cache_hits, 1);
     let cached_before = handle.cached_results();
@@ -177,19 +184,19 @@ fn replaced_kernel_results_are_not_served_to_the_replacement() {
     handle.register_kernel_replacing("metric", bfs_like_factory);
     assert!(handle.cached_results() < cached_before, "shadowed entries evicted eagerly");
 
-    let after = handle.run_query(query()).unwrap();
+    let after = run(&handle, query()).unwrap();
     assert!(
         !Arc::ptr_eq(&first, &after),
         "replacement must not be served the shadowed kernel's cached result"
     );
-    assert!(after.try_bfs().is_ok(), "the replacement kernel actually ran");
+    assert!(after.try_state::<Vec<u32>>().is_ok(), "the replacement kernel actually ran");
     assert_eq!(
-        after.try_sssp().unwrap_err().kernel,
+        after.try_state::<Vec<Dist>>().unwrap_err().kernel,
         "metric",
         "mismatch error names the registered kernel"
     );
     // The hot path works for the new registration too.
-    let again = handle.run_query(query()).unwrap();
+    let again = run(&handle, query()).unwrap();
     assert!(Arc::ptr_eq(&after, &again));
     service.shutdown();
 }
@@ -223,7 +230,7 @@ fn in_flight_batches_of_a_replaced_kernel_do_not_repopulate_the_cache() {
     handle.register_kernel_replacing("metric", bfs_like_factory);
     let in_flight = ticket.wait().unwrap();
     assert!(
-        in_flight.try_sssp().is_ok(),
+        in_flight.try_state::<Vec<Dist>>().is_ok(),
         "in-flight query runs the registration it resolved at submit time"
     );
     assert_eq!(
@@ -233,8 +240,8 @@ fn in_flight_batches_of_a_replaced_kernel_do_not_repopulate_the_cache() {
     );
 
     // The same query now runs (and caches) the replacement kernel.
-    let after = handle.run_query(Query::kernel("metric").source(5)).unwrap();
-    assert!(after.try_bfs().is_ok());
+    let after = run(&handle, Query::kernel("metric").source(5)).unwrap();
+    assert!(after.try_state::<Vec<u32>>().is_ok());
     assert_eq!(handle.metrics().cache_hits, 0, "nothing stale to hit");
     assert_eq!(handle.cached_results(), 1);
     service.shutdown();
@@ -296,9 +303,10 @@ fn misbehaving_dyn_kernels_fail_the_cohort_instead_of_stranding_tickets() {
         })
         .unwrap();
 
-    let err = handle.run_query(Query::kernel("short-changed").source(1)).unwrap_err();
-    assert_eq!(err, fg_service::ServiceError::EngineFailure);
+    let err = run(&handle, Query::kernel("short-changed").source(1)).unwrap_err();
+    assert_eq!(err, ServiceError::EngineFailure);
     // The batcher survived and keeps serving.
-    assert!(handle.run_query(Query::kernel("sssp").source(1)).unwrap().try_sssp().is_ok());
+    let sssp = run(&handle, Query::kernel("sssp").source(1)).unwrap();
+    assert!(sssp.try_state::<Vec<Dist>>().is_ok());
     service.shutdown();
 }

@@ -7,9 +7,12 @@ use std::time::Duration;
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{gen, VertexId};
+use fg_graph::{gen, Dist, VertexId};
 use fg_seq::ppr::PprConfig;
-use fg_service::{ForkGraphService, Query, QueryResult, ServiceConfig, ServiceError};
+use fg_service::{
+    ForkGraphService, Query, QueryResult, ServiceConfig, ServiceError, ServiceHandle,
+};
+use forkgraph_core::kernels::PprState;
 use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn shared_graph(seed: u64) -> Arc<PartitionedGraph> {
@@ -18,6 +21,14 @@ fn shared_graph(seed: u64) -> Arc<PartitionedGraph> {
         &g,
         PartitionConfig::with_partitions(PartitionMethod::Multilevel, 6),
     ))
+}
+
+fn start_default(pg: &Arc<PartitionedGraph>) -> ForkGraphService {
+    ForkGraphService::start(Arc::clone(pg), EngineConfig::default(), ServiceConfig::default())
+}
+
+fn run(handle: &ServiceHandle, kernel: &str, source: VertexId) -> Arc<QueryResult> {
+    handle.submit_query(Query::kernel(kernel).source(source)).unwrap().wait().unwrap()
 }
 
 /// Acceptance check: ≥2 concurrent submitters execute in a single
@@ -49,7 +60,7 @@ fn concurrent_submitters_share_one_engine_run() {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     barrier.wait();
-                    let result = handle.submit_sssp(source).unwrap().wait().unwrap();
+                    let result = run(&handle, "sssp", source);
                     (source, result)
                 })
             })
@@ -71,7 +82,8 @@ fn concurrent_submitters_share_one_engine_run() {
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
     for (source, result) in results {
         let direct = engine.run_sssp(&[source]);
-        assert_eq!(result.as_sssp().unwrap(), &direct.per_query[0], "source {source}");
+        let distances = result.try_state::<Vec<Dist>>().unwrap();
+        assert_eq!(distances, &direct.per_query[0], "source {source}");
     }
     service.shutdown();
 }
@@ -101,7 +113,7 @@ fn saturated_queue_returns_backpressure_error() {
     // batch, so saturation is reached after at most queue_depth + batch
     // in-flight admissions; 64 attempts is far beyond that.
     for source in 0..64u32 {
-        match handle.submit_sssp(source) {
+        match handle.submit_query(Query::kernel("sssp").source(source)) {
             Ok(t) => tickets.push(t),
             Err(e) => {
                 rejected = Some(e);
@@ -138,9 +150,9 @@ fn repeated_queries_hit_the_result_cache() {
     );
     let handle = service.handle();
 
-    let first = handle.run_query(Query::kernel("sssp").source(42)).unwrap();
-    let second = handle.run_query(Query::kernel("sssp").source(42)).unwrap();
-    assert_eq!(first.try_sssp().unwrap(), second.try_sssp().unwrap());
+    let first = run(&handle, "sssp", 42);
+    let second = run(&handle, "sssp", 42);
+    assert_eq!(first.try_state::<Vec<Dist>>().unwrap(), second.try_state::<Vec<Dist>>().unwrap());
     // The second answer is the same shared allocation, straight from cache.
     assert!(Arc::ptr_eq(&first, &second));
 
@@ -149,11 +161,10 @@ fn repeated_queries_hit_the_result_cache() {
     assert_eq!(metrics.cache_misses, 1);
     assert!((metrics.cache_hit_rate() - 0.5).abs() < 1e-12);
 
-    // A different source is a miss, not a false hit. The builder API shares
-    // the cache with the enum shim, so this *would* hit if source matched.
-    let third = handle.run_query(Query::kernel("sssp").source(43)).unwrap();
+    // A different source is a miss, not a false hit.
+    let third = run(&handle, "sssp", 43);
     assert!(!Arc::ptr_eq(&first, &third));
-    assert_ne!(first.try_sssp().unwrap(), third.try_sssp().unwrap());
+    assert_ne!(first.try_state::<Vec<Dist>>().unwrap(), third.try_state::<Vec<Dist>>().unwrap());
     assert_eq!(handle.metrics().cache_misses, 2, "different source reaches the engine");
     service.shutdown();
 }
@@ -175,17 +186,19 @@ fn mixed_kernels_form_separate_cohorts_with_correct_results() {
     let handle = service.handle();
 
     let ppr_config = PprConfig { epsilon: 1e-5, ..PprConfig::default() };
-    let t_sssp = handle.submit_sssp(5).unwrap();
-    let t_bfs = handle.submit_bfs(6).unwrap();
-    let t_ppr = handle.submit_ppr(7, ppr_config).unwrap();
+    let t_sssp = handle.submit_query(Query::kernel("sssp").source(5)).unwrap();
+    let t_bfs = handle.submit_query(Query::kernel("bfs").source(6)).unwrap();
+    let ppr_query = Query::kernel("ppr").source(7).param("epsilon", ppr_config.epsilon);
+    let t_ppr = handle.submit_query(ppr_query).unwrap();
     let sssp = t_sssp.wait().unwrap();
     let bfs = t_bfs.wait().unwrap();
     let ppr = t_ppr.wait().unwrap();
 
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
-    assert_eq!(sssp.as_sssp().unwrap(), &engine.run_sssp(&[5]).per_query[0]);
-    assert_eq!(bfs.as_bfs().unwrap(), &engine.run_bfs(&[6]).per_query[0]);
-    assert_eq!(ppr.as_ppr().unwrap(), &engine.run_ppr(&[7], &ppr_config).per_query[0]);
+    assert_eq!(sssp.try_state::<Vec<Dist>>().unwrap(), &engine.run_sssp(&[5]).per_query[0]);
+    assert_eq!(bfs.try_state::<Vec<u32>>().unwrap(), &engine.run_bfs(&[6]).per_query[0]);
+    let direct_ppr = &engine.run_ppr(&[7], &ppr_config).per_query[0];
+    assert_eq!(ppr.try_state::<PprState>().unwrap(), direct_ppr);
 
     // Three cohorts were dispatched, whichever batches carried them.
     let cohorts: u32 = service.batch_records().iter().map(|r| r.kernels_in_run).sum();
@@ -197,54 +210,44 @@ fn mixed_kernels_form_separate_cohorts_with_correct_results() {
 fn out_of_range_sources_are_rejected_and_do_not_wedge_the_service() {
     let pg = shared_graph(101);
     let n = pg.graph().num_vertices();
-    let service = ForkGraphService::with_defaults(Arc::clone(&pg));
+    let service = start_default(&pg);
     let handle = service.handle();
 
     // Rejected synchronously with a typed error, never reaching the engine.
-    let err = handle.submit_sssp(n as VertexId).unwrap_err();
+    let err = handle.submit_query(Query::kernel("sssp").source(n as VertexId)).unwrap_err();
     assert_eq!(err, ServiceError::InvalidSource { source: n as VertexId, num_vertices: n });
     assert_eq!(
-        handle.submit_bfs(u32::MAX).unwrap_err(),
+        handle.submit_query(Query::kernel("bfs").source(u32::MAX)).unwrap_err(),
         ServiceError::InvalidSource { source: u32::MAX, num_vertices: n }
     );
 
     // The service keeps serving valid queries afterwards.
-    let result = handle.run_query(Query::kernel("bfs").source(0)).unwrap();
-    assert!(result.as_bfs().is_some());
+    assert!(run(&handle, "bfs", 0).try_state::<Vec<u32>>().is_ok());
     service.shutdown();
 }
 
 #[test]
 fn wrong_kernel_accessors_name_the_actual_kernel() {
     let pg = shared_graph(103);
-    let service = ForkGraphService::with_defaults(Arc::clone(&pg));
+    let service = start_default(&pg);
     let handle = service.handle();
 
-    let result = handle.run_query(Query::kernel("bfs").source(4)).unwrap();
-    // Old-style accessor: silent None on kind mismatch.
-    assert!(result.as_sssp().is_none());
-    // Checked accessor: a typed error that says what the result actually is.
-    let err = result.try_sssp().unwrap_err();
+    let result = run(&handle, "bfs", 4);
+    assert!(result.downcast_ref::<Vec<Dist>>().is_none());
+    // A typed error that says what the result actually is.
+    let err = result.try_state::<Vec<Dist>>().unwrap_err();
     assert_eq!(err.kernel, "bfs");
     assert!(err.to_string().contains("bfs"), "{err}");
-    assert!(result.try_bfs().is_ok());
-
-    // Typed tickets surface the same information through ServiceError.
-    let ticket = handle.submit_bfs(5).unwrap().typed::<Vec<fg_graph::Dist>>();
-    match ticket.wait().unwrap_err() {
-        ServiceError::ResultMismatch(mismatch) => assert_eq!(mismatch.kernel, "bfs"),
-        other => panic!("expected ResultMismatch, got {other:?}"),
-    }
-    // The correctly-typed wait on the same class of query succeeds.
-    let levels = handle.submit_bfs(5).unwrap().typed::<Vec<u32>>().wait().unwrap();
-    assert_eq!(levels[5], 0);
+    // The correctly-typed read of the same result succeeds.
+    let levels = result.try_state::<Vec<u32>>().unwrap();
+    assert_eq!(levels[4], 0);
     service.shutdown();
 }
 
 #[test]
 fn unknown_kernels_and_bad_params_fail_at_submit() {
     let pg = shared_graph(107);
-    let service = ForkGraphService::with_defaults(Arc::clone(&pg));
+    let service = start_default(&pg);
     let handle = service.handle();
 
     assert_eq!(
@@ -263,18 +266,19 @@ fn unknown_kernels_and_bad_params_fail_at_submit() {
         other => panic!("expected InvalidParams, got {other:?}"),
     }
     // The service keeps serving after rejections.
-    assert!(handle.run_query(Query::kernel("bfs").source(0)).unwrap().try_bfs().is_ok());
+    assert!(run(&handle, "bfs", 0).try_state::<Vec<u32>>().is_ok());
     service.shutdown();
 }
 
 #[test]
 fn submissions_after_shutdown_are_refused() {
     let pg = shared_graph(89);
-    let service = ForkGraphService::with_defaults(Arc::clone(&pg));
+    let service = start_default(&pg);
     let handle = service.handle();
-    handle.run_query(Query::kernel("bfs").source(0)).unwrap();
+    run(&handle, "bfs", 0);
     service.shutdown();
-    assert_eq!(handle.submit_bfs(1).unwrap_err(), ServiceError::ShuttingDown);
+    let err = handle.submit_query(Query::kernel("bfs").source(1)).unwrap_err();
+    assert_eq!(err, ServiceError::ShuttingDown);
 }
 
 #[test]
@@ -286,10 +290,10 @@ fn wait_timeout_observes_slow_batches_without_losing_results() {
         ServiceConfig { batch_window: Duration::from_millis(150), ..ServiceConfig::default() },
     );
     let handle = service.handle();
-    let ticket = handle.submit_bfs(9).unwrap();
+    let ticket = handle.submit_query(Query::kernel("bfs").source(9)).unwrap();
     // The batch window is still open: a tiny timeout expires first.
     assert!(ticket.wait_timeout(Duration::from_millis(1)).is_none());
     let result = ticket.wait().unwrap();
-    assert!(result.as_bfs().is_some());
+    assert!(result.try_state::<Vec<u32>>().is_ok());
     service.shutdown();
 }

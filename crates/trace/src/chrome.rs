@@ -134,11 +134,7 @@ pub fn export(sink: &TraceSink) -> String {
                         "B",
                         tid,
                         event.nanos,
-                        &[
-                            ("queries", event.a as u64),
-                            ("workers", event.b as u64),
-                            ("groups", event.c as u64),
-                        ],
+                        &[("queries", event.a as u64), ("workers", event.b as u64)],
                     ));
                 }
                 EventKind::PartitionVisitBegin => {
@@ -151,7 +147,7 @@ pub fn export(sink: &TraceSink) -> String {
                         &[
                             ("partition", event.a as u64),
                             ("ops", event.b as u64),
-                            ("groups", event.c as u64),
+                            ("lanes", event.c as u64),
                         ],
                     ));
                 }
@@ -331,48 +327,50 @@ fn string_field(text: &str, key: &str) -> Option<String> {
     None
 }
 
+/// Index of the bracket that closes the `{` or `[` at `text[0]`, skipping
+/// string literals; `None` when it is never closed or nesting goes negative.
+fn matching_close(text: &str) -> Option<usize> {
+    let mut depth = 0usize;
+    let mut in_string = false;
+    let mut escaped = false;
+    for (i, &c) in text.as_bytes().iter().enumerate() {
+        if in_string {
+            if escaped {
+                escaped = false;
+            } else if c == b'\\' {
+                escaped = true;
+            } else if c == b'"' {
+                in_string = false;
+            }
+            continue;
+        }
+        match c {
+            b'"' => in_string = true,
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => {
+                depth = depth.checked_sub(1)?;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Split the body of a JSON array into top-level `{...}` object slices,
 /// respecting nesting and string literals. Errors on structural damage.
 fn split_objects(body: &str) -> Result<Vec<&str>, String> {
     let mut objects = Vec::new();
-    let bytes = body.as_bytes();
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
+    while i < body.len() {
+        match body.as_bytes()[i] {
             b'{' => {
-                let start = i;
-                let mut depth = 0usize;
-                let mut in_string = false;
-                let mut escaped = false;
-                loop {
-                    if i >= bytes.len() {
-                        return Err("unterminated object in traceEvents".into());
-                    }
-                    let c = bytes[i];
-                    if in_string {
-                        if escaped {
-                            escaped = false;
-                        } else if c == b'\\' {
-                            escaped = true;
-                        } else if c == b'"' {
-                            in_string = false;
-                        }
-                    } else {
-                        match c {
-                            b'"' => in_string = true,
-                            b'{' => depth += 1,
-                            b'}' => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    objects.push(&body[start..=i]);
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    i += 1;
-                }
+                let end =
+                    i + matching_close(&body[i..]).ok_or("unterminated object in traceEvents")?;
+                objects.push(&body[i..=end]);
+                i = end;
             }
             b',' | b' ' | b'\t' | b'\n' | b'\r' => {}
             other => {
@@ -390,34 +388,7 @@ fn args_text(object: &str) -> String {
     let rest = &object[idx + "\"args\"".len()..];
     let Some(open) = rest.find('{') else { return String::new() };
     let body = &rest[open..];
-    let bytes = body.as_bytes();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &c) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return body[..=i].to_string();
-                }
-            }
-            _ => {}
-        }
-    }
-    String::new()
+    matching_close(body).map_or_else(String::new, |end| body[..=end].to_string())
 }
 
 /// Parse Chrome trace-event JSON (the dialect [`export`] emits: an object
@@ -431,9 +402,12 @@ pub fn parse(input: &str) -> Result<Vec<ChromeEvent>, String> {
     let idx = trimmed.find("\"traceEvents\"").ok_or("missing \"traceEvents\"")?;
     let rest = &trimmed[idx + "\"traceEvents\"".len()..];
     let rest = rest.trim_start().strip_prefix(':').ok_or("\"traceEvents\" not followed by ':'")?;
-    let rest = rest.trim_start().strip_prefix('[').ok_or("\"traceEvents\" is not an array")?;
-    let close = find_array_end(rest).ok_or("unterminated traceEvents array")?;
-    let body = &rest[..close];
+    let rest = rest.trim_start();
+    if !rest.starts_with('[') {
+        return Err("\"traceEvents\" is not an array".into());
+    }
+    let close = matching_close(rest).ok_or("unterminated traceEvents array")?;
+    let body = &rest[1..close];
 
     let mut events = Vec::new();
     for object in split_objects(body)? {
@@ -452,34 +426,6 @@ pub fn parse(input: &str) -> Result<Vec<ChromeEvent>, String> {
         events.push(ChromeEvent { name, ph, tid, ts, id, args: args_text(object) });
     }
     Ok(events)
-}
-
-/// Index of the `]` closing the array whose body starts at `rest[0]`.
-fn find_array_end(rest: &str) -> Option<usize> {
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &c) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == b'\\' {
-                escaped = true;
-            } else if c == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            b'"' => in_string = true,
-            b'[' | b'{' => depth += 1,
-            b']' if depth == 0 => return Some(i),
-            b']' | b'}' => depth = depth.checked_sub(1)?,
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -22,9 +22,10 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// An engine run started. `a` = number of queries, `b` = worker count
-    /// (1 for serial), `c` = number of kernel groups (1 for single-kernel).
+    /// (1 for serial); `c` is unused.
     RunBegin = 1,
-    /// The matching end of [`EventKind::RunBegin`] on the same thread.
+    /// The matching end of [`EventKind::RunBegin`] on the same thread, with
+    /// the same `a` and `b`.
     RunEnd = 2,
     /// A partition visit started. `a` = partition id, `b` = operations in
     /// the partition's lanes at that moment (resident since earlier visits

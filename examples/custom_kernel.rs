@@ -204,18 +204,15 @@ fn main() {
                         let tickets: Vec<_> = queries
                             .iter()
                             .map(|&(source, k)| {
-                                handle
-                                    .submit_query(
-                                        Query::kernel("khop").source(source).param("k", k),
-                                    )
-                                    .expect("khop is registered")
-                                    .typed::<Vec<Dist>>()
+                                let query = Query::kernel("khop").source(source).param("k", k);
+                                handle.submit_query(query).expect("khop is registered")
                             })
                             .collect();
                         for (&(source, k), ticket) in queries.iter().zip(tickets) {
-                            let state = ticket.wait().expect("service answered");
+                            let result = ticket.wait().expect("service answered");
+                            let state = result.try_state::<Vec<Dist>>().expect("khop state");
                             let kernel = KHopReachability { k: k as u32 };
-                            let served = kernel.within_budget(&state, graph_ref.num_vertices());
+                            let served = kernel.within_budget(state, graph_ref.num_vertices());
                             assert_eq!(
                                 served,
                                 oracle(graph_ref, source, k as u32),

@@ -5,7 +5,7 @@
 //! client threads issuing a skewed mix of SSSP/BFS/PPR queries (a Zipf-ish hot
 //! set, so the result cache has something to do). Prints the service metrics
 //! snapshot at the end: batch occupancy is the consolidation win, cache hit
-//! rate the memoization win.
+//! rate the result-cache win.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -17,6 +17,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use forkgraph::core::kernels::PprState;
+use forkgraph::graph::Dist;
 use forkgraph::prelude::*;
 
 const CLIENTS: usize = 4;
@@ -78,19 +80,19 @@ fn main() {
                             Ok(ticket) => {
                                 let result = ticket.wait().expect("service answered");
                                 // Touch the result so the work is observable;
-                                // the try_* accessors name the actual kernel
-                                // if we ever mismatch.
+                                // `try_state` names the actual kernel if we
+                                // ever mismatch.
                                 match result.kernel_name() {
                                     "sssp" => {
-                                        let d = result.try_sssp().expect("sssp result");
+                                        let d = result.try_state::<Vec<Dist>>().expect("sssp");
                                         assert_eq!(d[source as usize], 0);
                                     }
                                     "bfs" => {
-                                        let l = result.try_bfs().expect("bfs result");
+                                        let l = result.try_state::<Vec<u32>>().expect("bfs");
                                         assert_eq!(l[source as usize], 0);
                                     }
                                     "ppr" => {
-                                        let p = result.try_ppr().expect("ppr result");
+                                        let p = result.try_state::<PprState>().expect("ppr");
                                         assert!(p.total_mass() > 0.9);
                                     }
                                     other => panic!("unexpected kernel {other:?}"),

@@ -10,9 +10,9 @@ use std::any::TypeId;
 use std::sync::Arc;
 use std::time::Duration;
 
-use forkgraph::core::kernels::BfsKernel;
+use forkgraph::core::kernels::{BfsKernel, PprState};
 use forkgraph::core::{ErasedState, ForkGraphRunResult};
-use forkgraph::graph::gen;
+use forkgraph::graph::{gen, Dist};
 use forkgraph::prelude::*;
 use forkgraph::seq::ppr::PprConfig;
 
@@ -105,8 +105,13 @@ fn a_hand_written_kernel_shares_a_batch_with_three_builtin_cohorts() {
     let reach = submit("reach", &[5, 60]);
     let sssp = submit("sssp", &[3, 77, 150]);
     let bfs = submit("bfs", &[9, 42]);
-    let ppr: Vec<(VertexId, Ticket)> =
-        [11u32, 88].iter().map(|&s| (s, handle.submit_ppr(s, ppr_config).unwrap())).collect();
+    let ppr: Vec<(VertexId, Ticket)> = [11u32, 88]
+        .iter()
+        .map(|&s| {
+            let query = Query::kernel("ppr").source(s).param("epsilon", ppr_config.epsilon);
+            (s, handle.submit_query(query).unwrap())
+        })
+        .collect();
 
     for (source, ticket) in &reach {
         let result = ticket.wait().unwrap();
@@ -115,16 +120,20 @@ fn a_hand_written_kernel_shares_a_batch_with_three_builtin_cohorts() {
     }
     for (source, ticket) in &sssp {
         let result = ticket.wait().unwrap();
-        assert_eq!(result.try_sssp().unwrap(), &dijkstra(&graph, *source).dist, "sssp {source}");
+        assert_eq!(
+            result.try_state::<Vec<Dist>>().unwrap(),
+            &dijkstra(&graph, *source).dist,
+            "sssp {source}"
+        );
     }
     for (source, ticket) in &bfs {
         let result = ticket.wait().unwrap();
         let oracle = forkgraph::seq::bfs::bfs(&graph, *source).level;
-        assert_eq!(result.try_bfs().unwrap(), &oracle, "bfs {source}");
+        assert_eq!(result.try_state::<Vec<u32>>().unwrap(), &oracle, "bfs {source}");
     }
     for (seed, ticket) in &ppr {
         let result = ticket.wait().unwrap();
-        let state = result.try_ppr().unwrap();
+        let state = result.try_state::<PprState>().unwrap();
         assert!((state.total_mass() - 1.0).abs() < 1e-9, "ppr {seed}: mass");
         let oracle =
             forkgraph::seq::ppr::ppr_push(&graph, *seed, &ppr_config).dense(graph.num_vertices());

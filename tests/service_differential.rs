@@ -14,9 +14,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use forkgraph::core::EngineConfig;
-use forkgraph::graph::gen;
+use forkgraph::graph::{gen, Dist};
 use forkgraph::prelude::*;
-use forkgraph::service::{ServiceConfig, ServiceHandle};
+use forkgraph::service::{EdgeMutation, ServiceConfig, ServiceHandle};
 
 const SSSP_KEYS: [VertexId; 5] = [0, 3, 17, 64, 200];
 const BFS_KEYS: [VertexId; 5] = [1, 9, 33, 120, 255];
@@ -24,19 +24,22 @@ const BFS_KEYS: [VertexId; 5] = [1, 9, 33, 120, 255];
 /// Submit every hot key at once, so that they share batches, and hold each
 /// answer to `fg-seq` on the published snapshot.
 fn read_hot_keys(handle: &ServiceHandle, label: &str) {
-    let sssp: Vec<_> = SSSP_KEYS.iter().map(|&s| handle.submit_sssp(s).unwrap()).collect();
-    let bfs: Vec<_> = BFS_KEYS.iter().map(|&s| handle.submit_bfs(s).unwrap()).collect();
+    let submit = |kernel: &str, source: VertexId| {
+        handle.submit_query(Query::kernel(kernel).source(source)).unwrap()
+    };
+    let sssp: Vec<_> = SSSP_KEYS.iter().map(|&s| submit("sssp", s)).collect();
+    let bfs: Vec<_> = BFS_KEYS.iter().map(|&s| submit("bfs", s)).collect();
     let snapshot = handle.graph();
     let graph = snapshot.graph();
     for (&source, ticket) in SSSP_KEYS.iter().zip(sssp) {
         let got = ticket.wait().unwrap();
         let want = forkgraph::seq::dijkstra::dijkstra(graph, source).dist;
-        assert_eq!(got.try_sssp().unwrap(), &want, "{label}: sssp from {source}");
+        assert_eq!(got.try_state::<Vec<Dist>>().unwrap(), &want, "{label}: sssp from {source}");
     }
     for (&source, ticket) in BFS_KEYS.iter().zip(bfs) {
         let got = ticket.wait().unwrap();
         let want = forkgraph::seq::bfs::bfs(graph, source).level;
-        assert_eq!(got.try_bfs().unwrap(), &want, "{label}: bfs from {source}");
+        assert_eq!(got.try_state::<Vec<u32>>().unwrap(), &want, "{label}: bfs from {source}");
     }
 }
 
@@ -69,7 +72,7 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                 let snapshot = handle.graph();
                 for &u in SSSP_KEYS.iter().chain(&BFS_KEYS) {
                     if let Some(&v) = snapshot.graph().out_neighbors(u).first() {
-                        handle.delete_edge(u, v).unwrap();
+                        handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
                     }
                 }
             } else {
@@ -79,7 +82,7 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                     let u = rng.gen_range(0..n);
                     let v = rng.gen_range(0..n);
                     if u != v {
-                        handle.insert_edge(u, v, 1).unwrap();
+                        handle.mutate(EdgeMutation::Insert { u, v, w: 1 }).unwrap();
                     }
                 }
             }

@@ -19,6 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use forkgraph::core::kernels::PprState;
 use forkgraph::core::YieldPolicy;
 use forkgraph::graph::gen;
 use forkgraph::graph::INF_DIST;
@@ -167,8 +168,9 @@ fn ppr_max_pushes_caps_the_engine_and_the_service() {
     let handle = service.handle();
     for &seed in &seeds {
         let query = Query::kernel("ppr").source(seed).param("epsilon", capped.epsilon);
-        let result = handle.run_query(query.param("max_pushes", capped.max_pushes)).unwrap();
-        let state = result.try_ppr().unwrap();
+        let query = query.param("max_pushes", capped.max_pushes);
+        let result = handle.submit_query(query).unwrap().wait().unwrap();
+        let state = result.try_state::<PprState>().unwrap();
         check(&format!("service {seed}"), state.pushes, state.total_mass());
     }
 }
