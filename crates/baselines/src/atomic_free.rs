@@ -10,21 +10,21 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rayon::prelude::*;
-
 use fg_graph::{CsrGraph, Dist, VertexId, INF_DIST};
 use fg_metrics::WorkCounters;
+
+use crate::kernels::par_chunks;
 
 /// Topology-driven, atomic-free Bellman–Ford.
 ///
 /// Every round scans *all* vertices and relaxes their out-edges using plain
 /// (racy but monotone) writes through a relaxed-ordering view of the distance
-/// array; the algorithm iterates until a round changes nothing. Returns the
-/// distance vector.
+/// array, the vertices split over `threads`; the algorithm iterates until a
+/// round changes nothing. Returns the distance vector.
 pub fn atomic_free_sssp(
     graph: &CsrGraph,
     source: VertexId,
-    parallel: bool,
+    threads: usize,
     counters: &WorkCounters,
 ) -> Vec<Dist> {
     let n = graph.num_vertices();
@@ -37,6 +37,7 @@ pub fn atomic_free_sssp(
     // topology-driven algorithm tolerates.
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF_DIST)).collect();
     dist[source as usize].store(0, Ordering::Relaxed);
+    let vertices: Vec<VertexId> = (0..n as VertexId).collect();
 
     loop {
         counters.add_iteration();
@@ -57,12 +58,11 @@ pub fn atomic_free_sssp(
             }
             changed
         };
-        let changed = if parallel {
-            (0..n as VertexId).into_par_iter().map(relax_vertex).reduce(|| false, |a, b| a | b)
-        } else {
-            (0..n as VertexId).map(relax_vertex).fold(false, |a, b| a | b)
-        };
-        if !changed {
+        // `|`, not `||`: every vertex relaxes in every round.
+        let changed = par_chunks(&vertices, threads, |chunk| {
+            chunk.iter().fold(false, |changed, &u| relax_vertex(u) | changed)
+        });
+        if !changed.contains(&true) {
             break;
         }
     }
@@ -79,10 +79,10 @@ mod tests {
     fn atomic_free_matches_dijkstra_sequentially_and_in_parallel() {
         let g = gen::erdos_renyi(250, 2000, 9).with_random_weights(8, 9);
         let oracle = dijkstra(&g, 0).dist;
-        for parallel in [false, true] {
+        for threads in [1, 3] {
             let counters = WorkCounters::new();
-            let d = atomic_free_sssp(&g, 0, parallel, &counters);
-            assert_eq!(d, oracle, "parallel={parallel}");
+            let d = atomic_free_sssp(&g, 0, threads, &counters);
+            assert_eq!(d, oracle, "threads={threads}");
         }
     }
 
@@ -90,7 +90,7 @@ mod tests {
     fn atomic_free_processes_more_edges_than_dijkstra() {
         let g = gen::grid2d(22, 22, 0.0, 2).with_random_weights(6, 2);
         let counters = WorkCounters::new();
-        let _ = atomic_free_sssp(&g, 0, false, &counters);
+        let _ = atomic_free_sssp(&g, 0, 1, &counters);
         let d = dijkstra(&g, 0);
         assert!(
             counters.snapshot().edges_processed > 2 * d.edges_processed,
@@ -107,7 +107,7 @@ mod tests {
         b.add_edge(4, 5, 1);
         let g = b.build();
         let counters = WorkCounters::new();
-        let d = atomic_free_sssp(&g, 0, true, &counters);
+        let d = atomic_free_sssp(&g, 0, 3, &counters);
         assert_eq!(d[1], 3);
         assert_eq!(d[4], INF_DIST);
     }

@@ -10,10 +10,10 @@ pub struct QueryContext<'a> {
     /// Index of this query within the FPP batch (selects the synthetic
     /// address region of its vertex state).
     pub query_id: usize,
-    /// Whether the kernel may use intra-query parallelism (rayon). `false`
-    /// corresponds to the paper's `t = 1` inter-query scheme where each query
-    /// runs on a single thread.
-    pub parallel: bool,
+    /// Threads the kernel may spread one frontier step over. `1` runs every
+    /// step on the calling thread, as in the paper's `t = 1` inter-query
+    /// scheme.
+    pub threads: usize,
     /// LLC access tracer (may be disabled).
     pub tracer: &'a GraphAccessTracer,
     /// Shared work counters.
@@ -48,7 +48,7 @@ impl<'a> QueryContext<'a> {
 ///
 /// Each engine provides the three query kernels the paper's applications need
 /// (SSSP for BC/LL on weighted graphs, BFS for BC on unweighted graphs, PPR for
-/// NCP). Kernels must honour `ctx.parallel` and report work/accesses through
+/// NCP). Kernels must honour `ctx.threads` and report work/accesses through
 /// the context.
 pub trait GpsEngine: Sync + Send {
     /// Human-readable system name ("Ligra", "Gemini", "GraphIt").
@@ -82,8 +82,7 @@ mod tests {
         let g = gen::complete(8);
         let counters = WorkCounters::new();
         let tracer = GraphAccessTracer::new(CacheConfig::tiny(64 * 1024));
-        let ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
         ctx.record_scan(&g, 0);
         ctx.record_state_touch(0, g.out_neighbors(0));
         assert_eq!(counters.snapshot().edges_processed, 7);
@@ -95,8 +94,7 @@ mod tests {
         let g = gen::complete(5);
         let counters = WorkCounters::new();
         let tracer = GraphAccessTracer::disabled();
-        let ctx =
-            QueryContext { query_id: 3, parallel: true, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 3, threads: 2, tracer: &tracer, counters: &counters };
         ctx.record_scan(&g, 2);
         ctx.record_state_touch(2, g.out_neighbors(2));
         assert_eq!(counters.snapshot().edges_processed, 4);

@@ -4,8 +4,8 @@
 //! threading schemes compared in Table 1 / Figure 1:
 //!
 //! * [`ExecutionScheme::SingleThreaded`] — one query at a time, one thread,
-//! * [`ExecutionScheme::InterQuery`] — `t = 1`: every query on its own thread,
-//!   all queries concurrently (best-performing but cache-thrashing scheme),
+//! * [`ExecutionScheme::InterQuery`] — `t = 1`: every query on one thread,
+//!   `#cores` queries in flight (best-performing but cache-thrashing scheme),
 //! * [`ExecutionScheme::IntraQuery`] — `t = #cores`: queries one at a time,
 //!   each parallelised internally,
 //! * [`ExecutionScheme::Hybrid`] — `t` threads per query, `#cores / t` queries
@@ -14,14 +14,13 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use rayon::prelude::*;
-
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::{CsrGraph, Dist, VertexId};
 use fg_metrics::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch, WorkCounters};
 use fg_seq::ppr::PprConfig;
 
 use crate::engine::{GpsEngine, QueryContext};
+use crate::kernels::par_chunks;
 
 /// Threading scheme for a batch of FPP queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,7 +28,7 @@ pub enum ExecutionScheme {
     /// One query at a time on a single thread (the profiling baseline of
     /// Table 1).
     SingleThreaded,
-    /// `t = 1`: one thread per query, all queries in flight simultaneously.
+    /// `t = 1`: one thread per query, `#cores` queries in flight.
     InterQuery,
     /// `t = #cores`: one query at a time, parallelised internally.
     IntraQuery,
@@ -42,15 +41,32 @@ pub enum ExecutionScheme {
 }
 
 impl ExecutionScheme {
-    /// Short label used in measurement names, matching the paper's notation.
+    /// Short label used in measurement names, matching the paper's notation:
+    /// `t` is the number of threads each query runs on.
     pub fn label(&self) -> String {
         match self {
             ExecutionScheme::SingleThreaded => "single-threaded".to_string(),
-            ExecutionScheme::InterQuery => "t=1".to_string(),
-            ExecutionScheme::IntraQuery => format!("t={}", rayon::current_num_threads()),
-            ExecutionScheme::Hybrid { threads_per_query } => format!("t={threads_per_query}"),
+            _ => format!("t={}", self.threads().1),
         }
     }
+
+    /// How many queries run at once, and how many threads each query gets.
+    fn threads(&self) -> (usize, usize) {
+        match *self {
+            ExecutionScheme::SingleThreaded => (1, 1),
+            ExecutionScheme::InterQuery => (cores(), 1),
+            ExecutionScheme::IntraQuery => (1, cores()),
+            ExecutionScheme::Hybrid { threads_per_query } => {
+                let t = threads_per_query.max(1);
+                ((cores() / t).max(1), t)
+            }
+        }
+    }
+}
+
+/// Hardware threads available to this process.
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The kind of query launched from every source vertex.
@@ -157,8 +173,9 @@ impl<E: GpsEngine> FppDriver<E> {
         let counters = WorkCounters::new();
         let watch = Stopwatch::start();
 
-        let run_one = |(query_id, &source): (usize, &VertexId), parallel: bool| -> QueryOutput {
-            let ctx = QueryContext { query_id, parallel, tracer: &tracer, counters: &counters };
+        let (in_flight, threads) = scheme.threads();
+        let run_one = |query_id: usize, source: VertexId| -> QueryOutput {
+            let ctx = QueryContext { query_id, threads, tracer: &tracer, counters: &counters };
             let out = match kind {
                 QueryKind::Sssp => QueryOutput::Sssp(self.engine.sssp(&self.graph, source, &ctx)),
                 QueryKind::Bfs => QueryOutput::Bfs(self.engine.bfs(&self.graph, source, &ctx)),
@@ -170,31 +187,13 @@ impl<E: GpsEngine> FppDriver<E> {
             out
         };
 
-        let outputs: Vec<QueryOutput> = match scheme {
-            ExecutionScheme::SingleThreaded => {
-                sources.iter().enumerate().map(|item| run_one(item, false)).collect()
-            }
-            ExecutionScheme::InterQuery => {
-                sources.par_iter().enumerate().map(|item| run_one(item, false)).collect()
-            }
-            ExecutionScheme::IntraQuery => {
-                sources.iter().enumerate().map(|item| run_one(item, true)).collect()
-            }
-            ExecutionScheme::Hybrid { threads_per_query } => {
-                let t = threads_per_query.max(1);
-                let concurrent = (rayon::current_num_threads() / t).max(1);
-                let mut outputs: Vec<Option<QueryOutput>> = vec![None; sources.len()];
-                let indexed: Vec<(usize, &VertexId)> = sources.iter().enumerate().collect();
-                for wave in indexed.chunks(concurrent) {
-                    let wave_outputs: Vec<(usize, QueryOutput)> =
-                        wave.par_iter().map(|&(i, s)| (i, run_one((i, s), t > 1))).collect();
-                    for (i, o) in wave_outputs {
-                        outputs[i] = Some(o);
-                    }
-                }
-                outputs.into_iter().map(|o| o.expect("every query produced an output")).collect()
-            }
-        };
+        let queries: Vec<(usize, VertexId)> = sources.iter().copied().enumerate().collect();
+        let outputs: Vec<QueryOutput> = par_chunks(&queries, in_flight, |chunk| {
+            chunk.iter().map(|&(query_id, source)| run_one(query_id, source)).collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         let wall_time: Duration = watch.elapsed();
         let cache_stats = tracer.stats();
@@ -224,6 +223,7 @@ mod tests {
     use super::*;
     use crate::ligra::LigraEngine;
     use fg_graph::gen;
+    use std::sync::Mutex;
 
     fn graph() -> Arc<CsrGraph> {
         Arc::new(gen::rmat(8, 6, 1).with_random_weights(6, 1))
@@ -300,6 +300,51 @@ mod tests {
     fn scheme_labels() {
         assert_eq!(ExecutionScheme::SingleThreaded.label(), "single-threaded");
         assert_eq!(ExecutionScheme::InterQuery.label(), "t=1");
+        assert_eq!(ExecutionScheme::IntraQuery.label(), format!("t={}", cores()));
         assert_eq!(ExecutionScheme::Hybrid { threads_per_query: 4 }.label(), "t=4");
+    }
+
+    /// An engine that answers nothing and records the `threads` each query
+    /// is handed.
+    #[derive(Default)]
+    struct ThreadsProbe(Mutex<Vec<usize>>);
+
+    impl GpsEngine for ThreadsProbe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn sssp(&self, _: &CsrGraph, _: VertexId, ctx: &QueryContext<'_>) -> Vec<Dist> {
+            self.0.lock().unwrap().push(ctx.threads);
+            Vec::new()
+        }
+
+        fn bfs(&self, _: &CsrGraph, _: VertexId, _: &QueryContext<'_>) -> Vec<u32> {
+            unreachable!("the probe runs SSSP only")
+        }
+
+        fn ppr(
+            &self,
+            _: &CsrGraph,
+            _: VertexId,
+            _: &PprConfig,
+            _: &QueryContext<'_>,
+        ) -> Vec<(VertexId, f64)> {
+            unreachable!("the probe runs SSSP only")
+        }
+    }
+
+    #[test]
+    fn each_scheme_hands_its_queries_its_thread_count() {
+        for (scheme, threads) in [
+            (ExecutionScheme::SingleThreaded, 1),
+            (ExecutionScheme::InterQuery, 1),
+            (ExecutionScheme::IntraQuery, cores()),
+            (ExecutionScheme::Hybrid { threads_per_query: 3 }, 3),
+        ] {
+            let driver = FppDriver::new(ThreadsProbe::default(), graph());
+            driver.run(&QueryKind::Sssp, &[0, 1, 2, 3, 4], scheme);
+            assert_eq!(*driver.engine().0.lock().unwrap(), vec![threads; 5], "{scheme:?}");
+        }
     }
 }

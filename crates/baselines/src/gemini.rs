@@ -62,8 +62,7 @@ mod tests {
         let engine = GeminiEngine::new();
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        let ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
         assert_eq!(engine.sssp(&g, 2, &ctx), fg_seq::dijkstra::dijkstra(&g, 2).dist);
         assert_eq!(engine.bfs(&g, 2, &ctx), fg_seq::bfs::bfs(&g, 2).level);
         assert_eq!(engine.name(), "Gemini");
@@ -75,10 +74,8 @@ mod tests {
         let tracer = GraphAccessTracer::disabled();
         let gem = WorkCounters::new();
         let lig = WorkCounters::new();
-        let gem_ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &gem };
-        let lig_ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &lig };
+        let gem_ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &gem };
+        let lig_ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &lig };
         GeminiEngine::new().sssp(&g, 0, &gem_ctx);
         crate::ligra::LigraEngine::new().sssp(&g, 0, &lig_ctx);
         assert!(gem.snapshot().edges_processed > lig.snapshot().edges_processed);

@@ -37,11 +37,6 @@ impl GraphItEngine {
         Self::default()
     }
 
-    /// Create the engine with a segment sized for `llc_bytes` of vertex state.
-    pub fn with_llc_bytes(llc_bytes: usize) -> Self {
-        GraphItEngine { direction_divisor: 20, segment_vertices: (llc_bytes / 8).max(1024) }
-    }
-
     fn strategy(&self) -> IterationStrategy {
         IterationStrategy::DirectionOptimizing {
             divisor: self.direction_divisor,
@@ -87,8 +82,7 @@ mod tests {
         let engine = GraphItEngine::new();
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        let ctx =
-            QueryContext { query_id: 0, parallel: true, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 3, tracer: &tracer, counters: &counters };
         assert_eq!(engine.sssp(&g, 9, &ctx), fg_seq::dijkstra::dijkstra(&g, 9).dist);
         assert_eq!(engine.bfs(&g, 9, &ctx), fg_seq::bfs::bfs(&g, 9).level);
         assert_eq!(engine.name(), "GraphIt");
@@ -100,14 +94,7 @@ mod tests {
         let engine = GraphItEngine { direction_divisor: 2, segment_vertices: 16 };
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        let ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
         assert_eq!(engine.sssp(&g, 0, &ctx), fg_seq::dijkstra::dijkstra(&g, 0).dist);
-    }
-
-    #[test]
-    fn llc_sizing_helper() {
-        let e = GraphItEngine::with_llc_bytes(1 << 20);
-        assert_eq!(e.segment_vertices, (1 << 20) / 8);
     }
 }

@@ -11,8 +11,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use rayon::prelude::*;
-
 use fg_graph::{CsrGraph, Dist, VertexId, INF_DIST};
 use fg_seq::ppr::PprConfig;
 
@@ -28,6 +26,92 @@ pub enum IterationStrategy {
     DirectionOptimizing { divisor: usize, pull_segment: Option<usize> },
     /// Gemini: every iteration is a dense bulk-synchronous round.
     DenseAlways,
+}
+
+/// Run `f` over `items` split into `threads` contiguous chunks of
+/// `len.div_ceil(threads)` items, one scoped thread per chunk, and return the
+/// results in chunk order. With one thread, or at most one item, `f` runs
+/// once over all of `items` on the calling thread. A panicking chunk panics
+/// the caller.
+pub(crate) fn par_chunks<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    if threads <= 1 || items.len() <= 1 {
+        return vec![f(items)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(threads))
+            .map(|chunk| scope.spawn(move || f(chunk)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
+    })
+}
+
+/// Whether the next round pulls (dense) rather than pushes (sparse). Ligra's
+/// heuristic: pull when the frontier plus its out-edges exceed
+/// `|E| / divisor`.
+fn should_pull(graph: &CsrGraph, frontier: &[VertexId], strategy: IterationStrategy) -> bool {
+    match strategy {
+        IterationStrategy::DenseAlways => true,
+        IterationStrategy::DirectionOptimizing { divisor, .. } => {
+            let work =
+                frontier.len() + frontier.iter().map(|&v| graph.out_degree(v)).sum::<usize>();
+            work > graph.num_edges() / divisor.max(1)
+        }
+    }
+}
+
+/// One sparse round: `push(u, next)` for every frontier vertex, the frontier
+/// split over `threads`; returns the vertices pushed, in frontier order.
+fn push_round(
+    frontier: &[VertexId],
+    threads: usize,
+    push: impl Fn(VertexId, &mut Vec<VertexId>) + Sync,
+) -> Vec<VertexId> {
+    par_chunks(frontier, threads, |chunk| {
+        let mut next = Vec::new();
+        for &u in chunk {
+            push(u, &mut next);
+        }
+        next
+    })
+    .concat()
+}
+
+/// One dense round: `pull(v, in_frontier)` for every vertex, one destination
+/// segment at a time, each segment split over `threads`; returns the vertices
+/// for which `pull` reported a change, in id order.
+fn pull_round(
+    n: usize,
+    frontier: &[VertexId],
+    strategy: IterationStrategy,
+    threads: usize,
+    pull: impl Fn(VertexId, &[bool]) -> bool + Sync,
+) -> Vec<VertexId> {
+    let mut in_frontier = vec![false; n];
+    for &v in frontier {
+        in_frontier[v as usize] = true;
+    }
+    let segment = match strategy {
+        IterationStrategy::DirectionOptimizing { pull_segment: Some(segment), .. } => segment,
+        _ => n,
+    };
+    let vertices: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut next = Vec::new();
+    for segment in vertices.chunks(segment.max(1)) {
+        let found = par_chunks(segment, threads, |chunk| {
+            chunk.iter().copied().filter(|&v| pull(v, &in_frontier)).collect::<Vec<_>>()
+        });
+        next.extend(found.into_iter().flatten());
+    }
+    next
 }
 
 // ---------------------------------------------------------------------------
@@ -54,119 +138,51 @@ pub fn frontier_sssp(
 
     while !frontier.is_empty() {
         ctx.counters.add_iteration();
-        let dense = match strategy {
-            IterationStrategy::DenseAlways => true,
-            IterationStrategy::DirectionOptimizing { divisor, .. } => {
-                let work: usize =
-                    frontier.len() + frontier.iter().map(|&v| graph.out_degree(v)).sum::<usize>();
-                work > graph.num_edges() / divisor.max(1)
-            }
-        };
-        frontier = if dense {
-            let segment = match strategy {
-                IterationStrategy::DirectionOptimizing { pull_segment, .. } => pull_segment,
-                IterationStrategy::DenseAlways => None,
-            };
-            dense_sssp_round(graph, &dist, &frontier, ctx, segment)
+        frontier = if should_pull(graph, &frontier, strategy) {
+            pull_round(n, &frontier, strategy, ctx.threads, |v, in_frontier| {
+                let mut best = dist[v as usize].load(Ordering::Relaxed);
+                let mut improved = false;
+                let in_deg = graph.in_degree(v);
+                ctx.counters.add_edges(in_deg as u64);
+                if ctx.tracer.is_enabled() {
+                    ctx.tracer.adjacency_scan(graph.adjacency_offset(v), in_deg);
+                    let ids: Vec<u64> = graph.in_neighbors(v).iter().map(|&u| u as u64).collect();
+                    ctx.tracer.state_read_batch(ctx.query_id, &ids);
+                }
+                for (u, w) in graph.in_edges(v) {
+                    if in_frontier[u as usize] {
+                        let du = dist[u as usize].load(Ordering::Relaxed);
+                        if du != INF_DIST && du + (w as Dist) < best {
+                            best = du + w as Dist;
+                            improved = true;
+                        }
+                    }
+                }
+                if improved {
+                    dist[v as usize].fetch_min(best, Ordering::Relaxed);
+                }
+                improved
+            })
         } else {
-            push_sssp_round(graph, &dist, &frontier, ctx)
+            let in_next: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+            push_round(&frontier, ctx.threads, |u, next| {
+                let du = dist[u as usize].load(Ordering::Relaxed);
+                if du == INF_DIST {
+                    return;
+                }
+                ctx.record_scan(graph, u);
+                ctx.record_state_touch(u, graph.out_neighbors(u));
+                for (v, w) in graph.out_edges(u) {
+                    let nd = du + w as Dist;
+                    let prev = dist[v as usize].fetch_min(nd, Ordering::Relaxed);
+                    if nd < prev && !in_next[v as usize].swap(true, Ordering::Relaxed) {
+                        next.push(v);
+                    }
+                }
+            })
         };
     }
     dist.into_iter().map(|d| d.into_inner()).collect()
-}
-
-fn push_sssp_round(
-    graph: &CsrGraph,
-    dist: &[AtomicU64],
-    frontier: &[VertexId],
-    ctx: &QueryContext<'_>,
-) -> Vec<VertexId> {
-    let in_next: Vec<AtomicBool> =
-        (0..graph.num_vertices()).map(|_| AtomicBool::new(false)).collect();
-    let relax = |u: VertexId| -> Vec<VertexId> {
-        let mut discovered = Vec::new();
-        let du = dist[u as usize].load(Ordering::Relaxed);
-        if du == INF_DIST {
-            return discovered;
-        }
-        ctx.record_scan(graph, u);
-        ctx.record_state_touch(u, graph.out_neighbors(u));
-        for (v, w) in graph.out_edges(u) {
-            let nd = du + w as Dist;
-            let prev = dist[v as usize].fetch_min(nd, Ordering::Relaxed);
-            if nd < prev && !in_next[v as usize].swap(true, Ordering::Relaxed) {
-                discovered.push(v);
-            }
-        }
-        discovered
-    };
-    if ctx.parallel {
-        frontier.par_iter().map(|&u| relax(u)).reduce(Vec::new, |mut a, mut b| {
-            a.append(&mut b);
-            a
-        })
-    } else {
-        let mut next = Vec::new();
-        for &u in frontier {
-            next.append(&mut relax(u));
-        }
-        next
-    }
-}
-
-fn dense_sssp_round(
-    graph: &CsrGraph,
-    dist: &[AtomicU64],
-    frontier: &[VertexId],
-    ctx: &QueryContext<'_>,
-    segment: Option<usize>,
-) -> Vec<VertexId> {
-    let n = graph.num_vertices();
-    let mut in_frontier = vec![false; n];
-    for &v in frontier {
-        in_frontier[v as usize] = true;
-    }
-    let pull = |v: VertexId| -> Option<VertexId> {
-        let mut best = dist[v as usize].load(Ordering::Relaxed);
-        let mut improved = false;
-        let in_deg = graph.in_degree(v);
-        ctx.counters.add_edges(in_deg as u64);
-        if ctx.tracer.is_enabled() {
-            ctx.tracer.adjacency_scan(graph.adjacency_offset(v), in_deg);
-            let ids: Vec<u64> = graph.in_neighbors(v).iter().map(|&u| u as u64).collect();
-            ctx.tracer.state_read_batch(ctx.query_id, &ids);
-        }
-        for (u, w) in graph.in_edges(v) {
-            if in_frontier[u as usize] {
-                let du = dist[u as usize].load(Ordering::Relaxed);
-                if du != INF_DIST && du + (w as Dist) < best {
-                    best = du + w as Dist;
-                    improved = true;
-                }
-            }
-        }
-        if improved {
-            dist[v as usize].fetch_min(best, Ordering::Relaxed);
-            Some(v)
-        } else {
-            None
-        }
-    };
-    let segment = segment.unwrap_or(n).max(1);
-    let mut next = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + segment).min(n);
-        let range: Vec<VertexId> = (start as VertexId..end as VertexId).collect();
-        let mut found: Vec<VertexId> = if ctx.parallel {
-            range.par_iter().filter_map(|&v| pull(v)).collect()
-        } else {
-            range.iter().filter_map(|&v| pull(v)).collect()
-        };
-        next.append(&mut found);
-        start = end;
-    }
-    next
 }
 
 // ---------------------------------------------------------------------------
@@ -187,34 +203,14 @@ pub fn frontier_bfs(
     let level: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(u32::MAX)).collect();
     level[source as usize].store(0, Ordering::Relaxed);
     let mut frontier: Vec<VertexId> = vec![source];
-    let mut current_level = 0u32;
+    let mut next_level = 1u32;
 
     while !frontier.is_empty() {
         ctx.counters.add_iteration();
-        let dense = match strategy {
-            IterationStrategy::DenseAlways => true,
-            IterationStrategy::DirectionOptimizing { divisor, .. } => {
-                let work: usize =
-                    frontier.len() + frontier.iter().map(|&v| graph.out_degree(v)).sum::<usize>();
-                work > graph.num_edges() / divisor.max(1)
-            }
-        };
-        let next_level = current_level + 1;
-        frontier = if dense {
-            let mut in_frontier = vec![false; n];
-            for &v in &frontier {
-                in_frontier[v as usize] = true;
-            }
-            let segment = match strategy {
-                IterationStrategy::DirectionOptimizing { pull_segment, .. } => {
-                    pull_segment.unwrap_or(n)
-                }
-                IterationStrategy::DenseAlways => n,
-            }
-            .max(1);
-            let pull = |v: VertexId| -> Option<VertexId> {
+        frontier = if should_pull(graph, &frontier, strategy) {
+            pull_round(n, &frontier, strategy, ctx.threads, |v, in_frontier| {
                 if level[v as usize].load(Ordering::Relaxed) != u32::MAX {
-                    return None;
+                    return false;
                 }
                 let in_deg = graph.in_degree(v);
                 ctx.counters.add_edges(in_deg as u64);
@@ -225,31 +221,14 @@ pub fn frontier_bfs(
                     // per-neighbour state scan would over-count this path).
                     ctx.tracer.adjacency_scan(graph.adjacency_offset(v), in_deg);
                 }
-                for &u in graph.in_neighbors(v) {
-                    if in_frontier[u as usize] {
-                        level[v as usize].store(next_level, Ordering::Relaxed);
-                        return Some(v);
-                    }
+                let found = graph.in_neighbors(v).iter().any(|&u| in_frontier[u as usize]);
+                if found {
+                    level[v as usize].store(next_level, Ordering::Relaxed);
                 }
-                None
-            };
-            let mut next = Vec::new();
-            let mut start = 0usize;
-            while start < n {
-                let end = (start + segment).min(n);
-                let range: Vec<VertexId> = (start as VertexId..end as VertexId).collect();
-                let mut found: Vec<VertexId> = if ctx.parallel {
-                    range.par_iter().filter_map(|&v| pull(v)).collect()
-                } else {
-                    range.iter().filter_map(|&v| pull(v)).collect()
-                };
-                next.append(&mut found);
-                start = end;
-            }
-            next
+                found
+            })
         } else {
-            let explore = |u: VertexId| -> Vec<VertexId> {
-                let mut discovered = Vec::new();
+            push_round(&frontier, ctx.threads, |u, next| {
                 ctx.record_scan(graph, u);
                 ctx.record_state_touch(u, graph.out_neighbors(u));
                 for &v in graph.out_neighbors(u) {
@@ -262,25 +241,12 @@ pub fn frontier_bfs(
                         )
                         .is_ok()
                     {
-                        discovered.push(v);
+                        next.push(v);
                     }
                 }
-                discovered
-            };
-            if ctx.parallel {
-                frontier.par_iter().map(|&u| explore(u)).reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                })
-            } else {
-                let mut next = Vec::new();
-                for &u in &frontier {
-                    next.append(&mut explore(u));
-                }
-                next
-            }
+            })
         };
-        current_level = next_level;
+        next_level += 1;
     }
     level.into_iter().map(|l| l.into_inner()).collect()
 }
@@ -309,98 +275,74 @@ pub fn frontier_ppr(
     let mut estimate = vec![0.0f64; n];
     let mut residual = vec![0.0f64; n];
     residual[seed as usize] = 1.0;
+    let all: Vec<VertexId> = if dense_scan { (0..n as VertexId).collect() } else { Vec::new() };
     let mut frontier: Vec<VertexId> = vec![seed];
     let mut pushes = 0u64;
 
     loop {
         ctx.counters.add_iteration();
-        let active: Vec<VertexId> = if dense_scan {
-            let collect = |v: &VertexId| {
-                let v = *v;
-                let deg = graph.out_degree(v).max(1) as f64;
-                if residual[v as usize] >= config.epsilon * deg {
-                    Some(v)
-                } else {
-                    None
-                }
-            };
-            let all: Vec<VertexId> = (0..n as VertexId).collect();
+        let candidates = if dense_scan {
             // A dense scan reads every vertex's residual once per round.
             ctx.counters.add_edges(n as u64 / 8);
-            if ctx.parallel {
-                all.par_iter().filter_map(collect).collect()
-            } else {
-                all.iter().filter_map(collect).collect()
-            }
+            &all
         } else {
-            frontier
+            &frontier
+        };
+        let active = par_chunks(candidates, ctx.threads, |chunk| {
+            chunk
                 .iter()
                 .copied()
                 .filter(|&v| {
                     residual[v as usize] >= config.epsilon * graph.out_degree(v).max(1) as f64
                 })
-                .collect()
-        };
+                .collect::<Vec<_>>()
+        })
+        .concat();
         if active.is_empty() {
             break;
         }
 
         // Two-phase push so the parallel variant needs no atomics on floats:
-        // each task accumulates into a private delta vector, then the deltas
-        // are reduced and applied.
-        let push_one = |u: VertexId, delta: &mut Vec<f64>, next: &mut Vec<VertexId>| {
-            let r = residual[u as usize];
-            let deg = graph.out_degree(u).max(1) as f64;
-            ctx.record_scan(graph, u);
-            ctx.record_state_touch(u, graph.out_neighbors(u));
-            estimate_add(delta, u, config.alpha * r, n);
-            let push_mass = (1.0 - config.alpha) * r;
-            // Lazy variant: half stays on u, half spreads over the neighbours.
-            residual_add(delta, u, push_mass / 2.0 - r, n);
-            if graph.out_degree(u) == 0 {
-                residual_add(delta, u, push_mass / 2.0, n);
-            } else {
-                let share = push_mass / 2.0 / deg;
-                for &v in graph.out_neighbors(u) {
-                    residual_add(delta, v, share, n);
-                    next.push(v);
-                }
-            }
-            next.push(u);
-        };
-
-        let (delta, mut next): (Vec<f64>, Vec<VertexId>) = if ctx.parallel {
-            active
-                .par_iter()
-                .fold(
-                    || (vec![0.0f64; 2 * n], Vec::new()),
-                    |(mut delta, mut next), &u| {
-                        push_one(u, &mut delta, &mut next);
-                        (delta, next)
-                    },
-                )
-                .reduce(
-                    || (vec![0.0f64; 2 * n], Vec::new()),
-                    |(mut d1, mut n1), (d2, mut n2)| {
-                        for (a, b) in d1.iter_mut().zip(d2.iter()) {
-                            *a += b;
-                        }
-                        n1.append(&mut n2);
-                        (d1, n1)
-                    },
-                )
-        } else {
+        // each chunk accumulates into a private delta vector (estimate in the
+        // first half, residual in the second), then the deltas are summed and
+        // applied.
+        let push_chunk = |chunk: &[VertexId]| {
             let mut delta = vec![0.0f64; 2 * n];
             let mut next = Vec::new();
-            for &u in &active {
-                push_one(u, &mut delta, &mut next);
+            for &u in chunk {
+                let r = residual[u as usize];
+                let deg = graph.out_degree(u).max(1) as f64;
+                ctx.record_scan(graph, u);
+                ctx.record_state_touch(u, graph.out_neighbors(u));
+                delta[u as usize] += config.alpha * r;
+                let push_mass = (1.0 - config.alpha) * r;
+                // Lazy variant: half stays on u, half spreads over the neighbours.
+                delta[n + u as usize] += push_mass / 2.0 - r;
+                if graph.out_degree(u) == 0 {
+                    delta[n + u as usize] += push_mass / 2.0;
+                } else {
+                    let share = push_mass / 2.0 / deg;
+                    for &v in graph.out_neighbors(u) {
+                        delta[n + v as usize] += share;
+                        next.push(v);
+                    }
+                }
+                next.push(u);
             }
             (delta, next)
         };
+        let (delta, mut next) = par_chunks(&active, ctx.threads, push_chunk)
+            .into_iter()
+            .reduce(|(mut d1, mut n1), (d2, mut n2)| {
+                for (a, b) in d1.iter_mut().zip(&d2) {
+                    *a += b;
+                }
+                n1.append(&mut n2);
+                (d1, n1)
+            })
+            .expect("par_chunks returns at least one result");
         pushes += active.len() as u64;
 
-        // Apply the deltas: first half of the vector is estimate, second half
-        // residual.
         for v in 0..n {
             estimate[v] += delta[v];
             residual[v] += delta[n + v];
@@ -425,16 +367,6 @@ pub fn frontier_ppr(
         .collect()
 }
 
-#[inline]
-fn estimate_add(delta: &mut [f64], v: VertexId, x: f64, _n: usize) {
-    delta[v as usize] += x;
-}
-
-#[inline]
-fn residual_add(delta: &mut [f64], v: VertexId, x: f64, n: usize) {
-    delta[n + v as usize] += x;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,62 +378,68 @@ mod tests {
     fn ctx<'a>(
         tracer: &'a GraphAccessTracer,
         counters: &'a WorkCounters,
-        parallel: bool,
+        threads: usize,
     ) -> QueryContext<'a> {
-        QueryContext { query_id: 0, parallel, tracer, counters }
+        QueryContext { query_id: 0, threads, tracer, counters }
     }
 
     const LIGRA_STRATEGY: IterationStrategy =
         IterationStrategy::DirectionOptimizing { divisor: 20, pull_segment: None };
 
+    const STRATEGIES: [IterationStrategy; 3] = [
+        LIGRA_STRATEGY,
+        IterationStrategy::DenseAlways,
+        IterationStrategy::DirectionOptimizing { divisor: 20, pull_segment: Some(64) },
+    ];
+
     #[test]
-    fn sssp_matches_dijkstra_sequential_and_parallel() {
-        let g = gen::erdos_renyi(300, 2500, 1).with_random_weights(9, 1);
-        let oracle = dijkstra(&g, 0).dist;
-        let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        for parallel in [false, true] {
-            let d = frontier_sssp(&g, 0, &ctx(&tracer, &counters, parallel), LIGRA_STRATEGY);
-            assert_eq!(d, oracle, "parallel={parallel}");
+    fn par_chunks_keeps_input_order() {
+        let threads = 4;
+        for len in [0, 1, threads - 1, threads + 1] {
+            let items: Vec<usize> = (0..len).collect();
+            let parts = par_chunks(&items, threads, |chunk| chunk.to_vec());
+            assert_eq!(parts.concat(), items, "len {len}");
         }
     }
 
     #[test]
-    fn sssp_dense_always_matches_dijkstra() {
-        let g = gen::grid2d(20, 20, 0.02, 3).with_random_weights(7, 2);
-        let oracle = dijkstra(&g, 5).dist;
-        let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        let d =
-            frontier_sssp(&g, 5, &ctx(&tracer, &counters, false), IterationStrategy::DenseAlways);
-        assert_eq!(d, oracle);
+    fn par_chunks_spreads_work_over_threads() {
+        let ids = par_chunks(&[1, 2, 3, 4], 2, |_| std::thread::current().id());
+        assert_eq!(ids.len(), 2);
+        assert_ne!(ids[0], ids[1]);
     }
 
     #[test]
-    fn sssp_segmented_pull_matches_dijkstra() {
-        let g = gen::rmat(9, 6, 4).with_random_weights(5, 4);
-        let oracle = dijkstra(&g, 7).dist;
-        let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        let strategy =
-            IterationStrategy::DirectionOptimizing { divisor: 20, pull_segment: Some(64) };
-        let d = frontier_sssp(&g, 7, &ctx(&tracer, &counters, true), strategy);
-        assert_eq!(d, oracle);
+    fn par_chunks_propagates_a_panicking_chunk() {
+        let outcome = std::panic::catch_unwind(|| {
+            par_chunks(&[1, 2, 3, 4], 2, |chunk| {
+                assert!(!chunk.contains(&4), "chunk panicked");
+                chunk.len()
+            })
+        });
+        assert!(outcome.is_err());
     }
 
     #[test]
-    fn bfs_matches_sequential_bfs() {
-        let g = gen::rmat(9, 5, 2);
-        let oracle = bfs(&g, 3).level;
+    fn sssp_and_bfs_match_fg_seq_under_every_strategy_and_thread_count() {
+        let graphs = [
+            gen::rmat(9, 6, 4).with_random_weights(5, 4),
+            gen::grid2d(20, 20, 0.02, 3).with_random_weights(7, 2),
+        ];
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        for parallel in [false, true] {
-            let l = frontier_bfs(&g, 3, &ctx(&tracer, &counters, parallel), LIGRA_STRATEGY);
-            assert_eq!(l, oracle, "parallel={parallel}");
+        for (g, source) in graphs.iter().zip([7, 5]) {
+            let distances = dijkstra(g, source).dist;
+            let levels = bfs(g, source).level;
+            for strategy in STRATEGIES {
+                for threads in [1, 3] {
+                    let ctx = ctx(&tracer, &counters, threads);
+                    let case = format!("{strategy:?} threads={threads}");
+                    assert_eq!(frontier_sssp(g, source, &ctx, strategy), distances, "SSSP {case}");
+                    assert_eq!(frontier_bfs(g, source, &ctx, strategy), levels, "BFS {case}");
+                }
+            }
         }
-        let dense =
-            frontier_bfs(&g, 3, &ctx(&tracer, &counters, false), IterationStrategy::DenseAlways);
-        assert_eq!(dense, oracle);
     }
 
     #[test]
@@ -509,12 +447,12 @@ mod tests {
         let g = gen::grid2d(25, 25, 0.0, 1).with_random_weights(5, 1);
         let tracer = GraphAccessTracer::disabled();
         let ligra_counters = WorkCounters::new();
-        let _ = frontier_sssp(&g, 0, &ctx(&tracer, &ligra_counters, false), LIGRA_STRATEGY);
+        let _ = frontier_sssp(&g, 0, &ctx(&tracer, &ligra_counters, 1), LIGRA_STRATEGY);
         let gemini_counters = WorkCounters::new();
         let _ = frontier_sssp(
             &g,
             0,
-            &ctx(&tracer, &gemini_counters, false),
+            &ctx(&tracer, &gemini_counters, 1),
             IterationStrategy::DenseAlways,
         );
         assert!(
@@ -532,26 +470,34 @@ mod tests {
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
         let config = PprConfig { epsilon: 1e-5, ..Default::default() };
-        let est = frontier_ppr(&g, 1, &config, &ctx(&tracer, &counters, false), false);
+        let est = frontier_ppr(&g, 1, &config, &ctx(&tracer, &counters, 1), false);
         let mass: f64 = est.iter().map(|(_, p)| p).sum();
         assert!(mass > 0.0 && mass <= 1.0 + 1e-9, "mass {mass}");
     }
 
     #[test]
-    fn ppr_parallel_close_to_sequential_reference() {
+    fn ppr_is_close_to_fg_seq_and_thread_count_only_reorders_sums() {
         let g = gen::rmat(8, 6, 5);
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
         let config = PprConfig { epsilon: 1e-6, ..Default::default() };
         let reference = fg_seq::ppr::ppr_push(&g, 2, &config).dense(g.num_vertices());
-        for (parallel, dense_scan) in [(false, false), (true, false), (false, true)] {
-            let est = frontier_ppr(&g, 2, &config, &ctx(&tracer, &counters, parallel), dense_scan);
-            let mut dense = vec![0.0; g.num_vertices()];
-            for (v, p) in est {
-                dense[v as usize] = p;
-            }
-            let l1: f64 = dense.iter().zip(reference.iter()).map(|(a, b)| (a - b).abs()).sum();
-            assert!(l1 < 0.05, "parallel={parallel} dense={dense_scan} l1={l1}");
+        let l1 = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>();
+        for dense_scan in [false, true] {
+            let run = |threads| {
+                let est =
+                    frontier_ppr(&g, 2, &config, &ctx(&tracer, &counters, threads), dense_scan);
+                let mut dense = vec![0.0; g.num_vertices()];
+                for (v, p) in est {
+                    dense[v as usize] = p;
+                }
+                dense
+            };
+            let (serial, parallel) = (run(1), run(3));
+            let to_reference = l1(&serial, &reference);
+            assert!(to_reference < 0.05, "dense={dense_scan} l1 to fg-seq {to_reference}");
+            let drift = l1(&serial, &parallel);
+            assert!(drift <= 1e-9, "dense={dense_scan} serial vs parallel l1 {drift}");
         }
     }
 
@@ -561,7 +507,7 @@ mod tests {
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
         let config = PprConfig { epsilon: 1e-6, ..Default::default() };
-        let est = frontier_ppr(&g, 55, &config, &ctx(&tracer, &counters, true), false);
+        let est = frontier_ppr(&g, 55, &config, &ctx(&tracer, &counters, 3), false);
         let best = est.iter().max_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
         assert_eq!(best.0, 55);
     }

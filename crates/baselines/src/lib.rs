@@ -19,14 +19,13 @@
 //!   intra-query `t = cores`, or hybrid), with optional LLC simulation.
 //!
 //! These engines reproduce the *execution models* of the original C++ systems,
-//! which is what the paper's comparison targets; see DESIGN.md §5.
+//! which is what the paper's comparison targets, not their code.
 
 #![forbid(unsafe_code)]
 
 pub mod atomic_free;
 pub mod engine;
 pub mod fpp;
-pub mod frontier;
 pub mod gemini;
 pub mod graphit;
 pub mod kernels;

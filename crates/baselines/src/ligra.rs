@@ -72,8 +72,7 @@ mod tests {
         let engine = LigraEngine::new();
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        let ctx =
-            QueryContext { query_id: 0, parallel: true, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 3, tracer: &tracer, counters: &counters };
         assert_eq!(engine.sssp(&g, 0, &ctx), fg_seq::dijkstra::dijkstra(&g, 0).dist);
         assert_eq!(engine.bfs(&g, 0, &ctx), fg_seq::bfs::bfs(&g, 0).level);
         assert_eq!(engine.name(), "Ligra");
@@ -84,8 +83,7 @@ mod tests {
         let g = gen::grid2d(15, 15, 0.05, 2).with_random_weights(5, 2);
         let tracer = GraphAccessTracer::disabled();
         let counters = WorkCounters::new();
-        let ctx =
-            QueryContext { query_id: 0, parallel: false, tracer: &tracer, counters: &counters };
+        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
         let push_heavy = LigraEngine { direction_divisor: 1_000_000 }.sssp(&g, 0, &ctx);
         let pull_heavy = LigraEngine { direction_divisor: 1 }.sssp(&g, 0, &ctx);
         assert_eq!(push_heavy, pull_heavy);

@@ -1,8 +1,9 @@
 //! One function per table / figure of the paper's evaluation.
 //!
 //! Every function returns the Markdown tables that the `repro` binary prints
-//! and writes under `target/repro/`. Workloads are scaled down (see DESIGN.md
-//! §5/§6); each experiment states its scaled parameters in the table title.
+//! and writes under `target/repro/`. Workloads are scaled down (the dataset
+//! stand-ins of `fg_graph::datasets`); each experiment states its scaled
+//! parameters in the table title.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -919,9 +920,10 @@ pub fn atomic_free() -> Vec<Table> {
     ]);
     // Atomic-free topology-driven SSSP.
     let counters = WorkCounters::new();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let start = Instant::now();
     for &s in &srcs {
-        let _ = atomic_free_sssp(&graph, s, true, &counters);
+        let _ = atomic_free_sssp(&graph, s, cores, &counters);
     }
     let elapsed = start.elapsed().as_secs_f64();
     table.push_row([

@@ -1,7 +1,6 @@
 //! Set-associative LRU cache model.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Whether an access reads or writes the line. The distinction only matters for
@@ -15,7 +14,7 @@ pub enum AccessKind {
 }
 
 /// Geometry of the simulated cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -27,18 +26,9 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Simulated LLC scaled to the synthetic datasets (2 MiB, 64-byte lines,
-    /// 16-way). The paper's machine had a 13.75 MiB LLC; see DESIGN.md §5.
+    /// 16-way). The paper's Xeon W-2155 had a 13.75 MiB, 11-way LLC.
     pub fn scaled_llc() -> Self {
         CacheConfig { capacity_bytes: 2 * 1024 * 1024, line_bytes: 64, associativity: 16 }
-    }
-
-    /// The paper's Xeon W-2155 LLC (13.75 MiB, 64-byte lines, 11-way).
-    pub fn xeon_w2155_llc() -> Self {
-        CacheConfig {
-            capacity_bytes: 13 * 1024 * 1024 + 768 * 1024,
-            line_bytes: 64,
-            associativity: 11,
-        }
     }
 
     /// A tiny cache used in unit tests.
@@ -64,7 +54,7 @@ impl Default for CacheConfig {
 }
 
 /// Counters accumulated by the simulator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total accesses observed.
     pub accesses: u64,
@@ -249,7 +239,6 @@ mod tests {
         let c = CacheConfig { capacity_bytes: 64 * 1024, line_bytes: 64, associativity: 4 };
         assert_eq!(c.num_sets(), 256);
         assert_eq!(c.num_lines(), 1024);
-        assert!(CacheConfig::xeon_w2155_llc().num_lines() > CacheConfig::scaled_llc().num_lines());
     }
 
     #[test]

@@ -425,11 +425,6 @@ impl<'g> ForkGraphEngine<'g> {
         self
     }
 
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<TraceSink>> {
-        self.trace.as_ref()
-    }
-
     /// Emit one trace event — the `None` check *is* the disabled fast path.
     #[inline]
     pub(crate) fn emit_trace(&self, kind: EventKind, a: u32, b: u32, c: u32) {

@@ -11,11 +11,8 @@
 //! exists is held here too: on a graph larger than the simulated LLC it
 //! strictly reduces simulated misses.
 //!
-//! All stores in one comparison share a single [`PartitionPlan`]: the
-//! Multilevel partitioner's internal tie-breaking is not deterministic across
-//! separate `build` calls within one process, so comparing separately built
-//! stores would compare different partition memberships, not different
-//! storage formats.
+//! All stores in one comparison share a single [`PartitionPlan`], computed
+//! once, so they differ in storage format only.
 //!
 //! Hand-rolled seeded harness (no proptest in the build environment); a
 //! failure prints the case number, which reproduces the trial exactly.

@@ -79,19 +79,6 @@ impl GraphBuilder {
         self.edges.dedup_by_key(|&mut (u, v, _)| (u, v));
         CsrGraph::from_sorted_edges(self.num_vertices, &self.edges, self.weighted)
     }
-
-    /// Build from an existing edge list in one call.
-    pub fn from_edges(num_vertices: usize, edges: &[Edge], weighted: bool) -> CsrGraph {
-        let mut b = GraphBuilder::new(num_vertices);
-        for &(u, v, w) in edges {
-            if weighted {
-                b.add_edge(u, v, w);
-            } else {
-                b.add_unweighted_edge(u, v);
-            }
-        }
-        b.build()
-    }
 }
 
 #[cfg(test)]
@@ -157,17 +144,6 @@ mod tests {
         assert_eq!(g.num_edges(), 2);
         assert_eq!(g.out_edges(0).next(), Some((1, 7)));
         assert_eq!(g.out_edges(1).next(), Some((0, 7)));
-    }
-
-    #[test]
-    fn from_edges_matches_incremental_building() {
-        let edges = vec![(0, 1, 1), (1, 2, 2), (2, 0, 3)];
-        let g1 = GraphBuilder::from_edges(3, &edges, true);
-        let mut b = GraphBuilder::new(3);
-        for &(u, v, w) in &edges {
-            b.add_edge(u, v, w);
-        }
-        assert_eq!(g1, b.build());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! in-adjacency, plus optional per-edge weights. The layout mirrors Ligra's CSR
 //! storage that ForkGraph reuses in the paper.
 
-use crate::{Dist, Edge, VertexId, Weight};
+use crate::{Edge, VertexId, Weight};
 
 /// An immutable directed graph in CSR form.
 ///
@@ -275,14 +275,6 @@ impl CsrGraph {
     pub fn into_weighted(self, max_weight: Weight) -> CsrGraph {
         self.with_random_weights(max_weight, 0x5eed_f0cd)
     }
-
-    /// An upper bound on any finite shortest-path distance in this graph
-    /// (`|V| * max_weight`), useful for Δ-stepping bucket sizing.
-    pub fn max_distance_bound(&self) -> Dist {
-        let max_w =
-            self.weights.as_ref().and_then(|w| w.iter().max().copied()).unwrap_or(1) as Dist;
-        self.num_vertices() as Dist * max_w.max(1)
-    }
 }
 
 /// The out-direction arrays of a CSR under construction.
@@ -417,11 +409,5 @@ mod tests {
             assert_eq!(g.in_degree(v), 0);
             assert!(g.out_neighbors(v).is_empty());
         }
-    }
-
-    #[test]
-    fn max_distance_bound_upper_bounds_diameter() {
-        let g = diamond().with_random_weights(3, 7);
-        assert!(g.max_distance_bound() >= 3 * 2); // longest path has two edges
     }
 }

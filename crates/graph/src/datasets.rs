@@ -8,12 +8,10 @@
 //! preferential-attachment graph. Every dataset can be scaled with
 //! [`DatasetSpec::scaled`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::{gen, CsrGraph};
 
 /// Structural family of a dataset, mirroring the categories in Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphFamily {
     /// Road network: bounded degree, very large diameter (Ca, Us, Eu).
     Road,
@@ -26,7 +24,7 @@ pub enum GraphFamily {
 }
 
 /// A named synthetic dataset specification.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DatasetSpec {
     /// Short name used in the paper's tables ("Ca", "Lj", …).
     pub name: &'static str,
@@ -147,11 +145,6 @@ pub const TW: DatasetSpec = DatasetSpec {
 /// All eight datasets in Table 2 order.
 pub fn all() -> [DatasetSpec; 8] {
     [CA, US, EU, OR, WK, LJ, PT, TW]
-}
-
-/// The road networks (Ca, Us, Eu).
-pub fn road_networks() -> [DatasetSpec; 3] {
-    [CA, US, EU]
 }
 
 /// The social/web graphs used in the NCP experiments (Or, Wk, Lj, Pt, Tw).

@@ -16,7 +16,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::payload::StorageConfig;
 use crate::{CsrGraph, VertexId};
@@ -25,7 +24,7 @@ use crate::{CsrGraph, VertexId};
 pub type PartitionId = u32;
 
 /// The partitioning algorithm to use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionMethod {
     /// Uniform random assignment (used by the paper for large social graphs).
     Random,
@@ -60,7 +59,7 @@ impl PartitionMethod {
 }
 
 /// How many partitions to produce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionTarget {
     /// Produce exactly this many partitions.
     NumPartitions(usize),
@@ -71,7 +70,7 @@ pub enum PartitionTarget {
 
 /// Configuration handed to [`PartitionPlan::compute`] /
 /// [`crate::partitioned::PartitionedGraph::build`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionConfig {
     /// Partitioning algorithm.
     pub method: PartitionMethod,
@@ -81,7 +80,6 @@ pub struct PartitionConfig {
     pub seed: u64,
     /// Per-partition payload storage policy (raw, compressed, or adaptive by
     /// footprint). Defaults to [`StorageConfig::Raw`].
-    #[serde(default)]
     pub storage: StorageConfig,
 }
 
@@ -104,12 +102,6 @@ impl PartitionConfig {
             seed: 42,
             storage: StorageConfig::Raw,
         }
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Override the payload storage policy.
@@ -593,9 +585,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_random_are_deterministic_given_seed() {
+    fn hash_and_random_plans_are_deterministic() {
         let g = gen::erdos_renyi(200, 1000, 3);
-        let c = PartitionConfig::with_partitions(PartitionMethod::Random, 4).with_seed(7);
+        let c = PartitionConfig::with_partitions(PartitionMethod::Random, 4);
         assert_eq!(PartitionPlan::compute(&g, &c), PartitionPlan::compute(&g, &c));
         let h = PartitionConfig::with_partitions(PartitionMethod::Hash, 4);
         assert_eq!(PartitionPlan::compute(&g, &h), PartitionPlan::compute(&g, &h));

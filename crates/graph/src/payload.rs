@@ -30,13 +30,11 @@
 //! existed) or stream-decode the varint bytes in place (compressed
 //! partitions).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{CsrGraph, VertexId, Weight};
 
 /// Per-partition storage policy, carried by
 /// [`crate::partition::PartitionConfig`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StorageConfig {
     /// Read every partition's adjacency from the CSR rows (zero decode
     /// cost).

@@ -2,8 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Counters updated concurrently by engine worker threads.
 ///
 /// All counters use relaxed atomics: they are statistics, not synchronisation.
@@ -127,7 +125,7 @@ pub struct VisitWork {
 }
 
 /// Per-worker statistics of one parallel engine run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
     /// Worker index within the pool.
     pub worker: u32,
@@ -145,7 +143,7 @@ pub struct WorkerSnapshot {
 ///
 /// `workers` is populated only by the parallel executor (one entry per pool
 /// worker); serial runs leave it empty.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
     /// Edges relaxed/traversed.
     pub edges_processed: u64,

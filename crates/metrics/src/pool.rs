@@ -11,8 +11,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Live counters of a persistent worker pool. All relaxed atomics: they are
 /// statistics, not synchronisation.
 #[derive(Debug, Default)]
@@ -81,7 +79,7 @@ impl PoolCounters {
 }
 
 /// Immutable snapshot of [`PoolCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolSnapshot {
     /// OS worker threads ever spawned by the pool. Flat in steady state:
     /// repeated runs at or below the pool's capacity must not move this.

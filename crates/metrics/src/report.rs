@@ -1,10 +1,8 @@
 //! Minimal table formatting for the experiment reports emitted by the
 //! reproduction harness (`fg-bench`'s `repro` binary).
 
-use serde::{Deserialize, Serialize};
-
 /// A simple rectangular table rendered to GitHub-flavoured Markdown.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Table {
     /// Table title (rendered as a heading).
     pub title: String,
@@ -64,18 +62,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as comma-separated values (header row included).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with three significant decimals, trimming trailing noise —
@@ -115,13 +101,6 @@ mod tests {
         t.push_row(["1"]);
         let md = t.to_markdown();
         assert!(md.contains("| 1 |  |  |"));
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let mut t = Table::new("x", &["a", "b"]);
-        t.push_row(["1", "2"]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

@@ -23,11 +23,6 @@ impl BfsResult {
     pub fn num_reached(&self) -> usize {
         self.level.iter().filter(|&&l| l != u32::MAX).count()
     }
-
-    /// Maximum finite level (the eccentricity of the source).
-    pub fn max_level(&self) -> u32 {
-        self.level.iter().filter(|&&l| l != u32::MAX).max().copied().unwrap_or(0)
-    }
 }
 
 /// Run a sequential BFS from `source`.
@@ -63,7 +58,6 @@ mod tests {
         let g = gen::path(6);
         let r = bfs(&g, 0);
         assert_eq!(r.level, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(r.max_level(), 5);
         assert_eq!(r.num_reached(), 6);
     }
 

@@ -12,8 +12,6 @@
 //!   functor the paper reuses for SSSP/BC/LL),
 //! * [`mod@bellman_ford`] — used as an oracle in tests and for the Appendix E
 //!   atomic-free sanity check,
-//! * [`mod@delta_stepping`] — sequential Δ-stepping, the basis of yielding
-//!   heuristic 2,
 //! * [`mod@bfs`] / [`mod@dfs`] — unweighted traversals,
 //! * [`ppr`] — push-based personalized PageRank local clustering (Andersen–
 //!   Chung–Lang, as used by Shun et al. for NCP),
@@ -26,7 +24,6 @@
 
 pub mod bellman_ford;
 pub mod bfs;
-pub mod delta_stepping;
 pub mod dfs;
 pub mod dijkstra;
 pub mod ppr;
@@ -34,7 +31,6 @@ pub mod random_walk;
 
 pub use bellman_ford::bellman_ford;
 pub use bfs::{bfs, BfsResult};
-pub use delta_stepping::delta_stepping;
 pub use dfs::{dfs, DfsResult};
 pub use dijkstra::{dijkstra, SsspResult};
 pub use ppr::{ppr_push, PprConfig, PprResult};

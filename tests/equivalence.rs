@@ -17,6 +17,14 @@ fn road_graph() -> CsrGraph {
     forkgraph::graph::datasets::CA.generate_weighted(0.05)
 }
 
+/// Every threading scheme of Table 1 / Figure 1.
+const SCHEMES: [ExecutionScheme; 4] = [
+    ExecutionScheme::SingleThreaded,
+    ExecutionScheme::InterQuery,
+    ExecutionScheme::IntraQuery,
+    ExecutionScheme::Hybrid { threads_per_query: 2 },
+];
+
 fn partitioned(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
     PartitionedGraph::build(
         graph,
@@ -37,13 +45,20 @@ fn sssp_results_agree_across_all_engines() {
         let fork = ForkGraphEngine::new(&pg, EngineConfig::default()).run_sssp(&sources);
         assert_eq!(fork.per_query, oracle, "ForkGraph");
 
-        // Baselines under inter-query parallelism.
+        // Baselines under every threading scheme.
         macro_rules! check_engine {
             ($engine:expr, $name:literal) => {
                 let driver = FppDriver::new($engine, Arc::clone(&shared));
-                let result = driver.run(&QueryKind::Sssp, &sources, ExecutionScheme::InterQuery);
-                for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
-                    assert_eq!(out.as_sssp().unwrap(), expected.as_slice(), $name);
+                for scheme in SCHEMES {
+                    let result = driver.run(&QueryKind::Sssp, &sources, scheme);
+                    for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
+                        assert_eq!(
+                            out.as_sssp().unwrap(),
+                            expected.as_slice(),
+                            "{} {scheme:?}",
+                            $name
+                        );
+                    }
                 }
             };
         }
@@ -65,11 +80,11 @@ fn bfs_results_agree_across_all_engines() {
     let fork = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&sources);
     assert_eq!(fork.per_query, oracle);
 
-    for scheme in [ExecutionScheme::InterQuery, ExecutionScheme::IntraQuery] {
-        let driver = FppDriver::new(LigraEngine::new(), Arc::clone(&shared));
+    let driver = FppDriver::new(LigraEngine::new(), Arc::clone(&shared));
+    for scheme in SCHEMES {
         let result = driver.run(&QueryKind::Bfs, &sources, scheme);
         for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
-            assert_eq!(out.as_bfs().unwrap(), expected.as_slice());
+            assert_eq!(out.as_bfs().unwrap(), expected.as_slice(), "{scheme:?}");
         }
     }
 }
