@@ -16,7 +16,7 @@
 //! resident lane per query ([`crate::buffer`]), so a visit finds each
 //! query's operations already together and a yield leaves them where they
 //! are. Every run is one kernel's pass, seeded either at its sources or from
-//! a delta frontier (`ForkGraphEngine::run_seeded`); the serial loop here and
+//! an edge delta (`ForkGraphEngine::run_seeded`); the serial loop here and
 //! the parallel [`crate::executor`] drive the same visit primitive,
 //! `PartitionVisit::process_lane`.
 
@@ -24,9 +24,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
+use fg_graph::mutation::EdgeDelta;
 use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{Dist, Edge, VertexId};
+use fg_graph::{Dist, VertexId};
 use fg_metrics::{
     CacheNumbers, Measurement, MemoryEstimate, Stopwatch, VisitWork, WorkCounters, WorkSnapshot,
 };
@@ -479,7 +480,7 @@ impl<'g> ForkGraphEngine<'g> {
     /// The one run pipeline: drive `kernel` from `seeds` — operations on
     /// queries `0..states.len()` — until no operation is left, and return
     /// the states. [`Self::run`] seeds each query with its source operation,
-    /// [`Self::run_incremental`] with its delta frontier.
+    /// [`Self::run_incremental`] with its restart seeds.
     ///
     /// `num_threads` alone picks how the pass is driven: one thread (or one
     /// partition) is the serial loop below, anything else the executor on
@@ -701,21 +702,18 @@ impl<'g> ForkGraphEngine<'g> {
         MultiRunResult { per_group, measurement }
     }
 
-    /// Resume converged queries after a **monotone** edge delta (insertions
-    /// and weight decreases) instead of recomputing from scratch.
+    /// Resume converged queries after an edge delta instead of recomputing
+    /// them from scratch.
     ///
     /// `prev[q]` must be the converged state of a `kernel` run from
-    /// `sources[q]` on the pre-delta graph, and this engine must hold the
-    /// *post*-delta graph. Each query is re-seeded with one operation per
-    /// delta edge that can still improve something
-    /// ([`IncrementalKernel::delta_seed`]); the run then converges to the
-    /// exact post-delta fixpoint, byte-identical to a from-scratch run, on
-    /// the serial loop and on the pool alike. When no delta edge can improve
-    /// any query, `prev` is already that fixpoint and is returned as is.
-    ///
-    /// Deletions and weight increases violate the precondition — callers
-    /// must detect them (e.g. via `fg_graph::mutation::AppliedDeltas::
-    /// monotone`) and fall back to [`Self::run`].
+    /// `sources[q]` on an earlier graph, and this engine must hold that
+    /// graph changed by `delta` — insertions, deletions and weight changes
+    /// alike. Each query's state is reset where the delta may have
+    /// invalidated it and re-seeded ([`IncrementalKernel::restart_seeds`]);
+    /// the run then converges to the exact fixpoint on this engine's graph,
+    /// byte-identical to a from-scratch run, on the serial loop and on the
+    /// pool alike. When nothing was seeded, the reset states are already
+    /// that fixpoint and are returned as they are.
     ///
     /// # Panics
     /// Panics if `prev.len() != sources.len()`.
@@ -723,8 +721,8 @@ impl<'g> ForkGraphEngine<'g> {
         &self,
         kernel: &K,
         sources: &[VertexId],
-        prev: Vec<K::State>,
-        delta: &[Edge],
+        mut prev: Vec<K::State>,
+        delta: EdgeDelta<'_>,
     ) -> ForkGraphRunResult<K::State> {
         assert_eq!(
             prev.len(),
@@ -733,15 +731,18 @@ impl<'g> ForkGraphEngine<'g> {
             prev.len(),
             sources.len()
         );
+        let watch = Stopwatch::start();
         let mut seeds = Vec::new();
-        for (q, state) in prev.iter().enumerate() {
-            for &(u, v, w) in delta {
-                if let Some((value, priority)) = kernel.delta_seed(state, u, v, w) {
-                    seeds.push(Operation::new(q as u32, v, value, priority));
-                }
-            }
+        for (q, (state, &source)) in prev.iter_mut().zip(sources).enumerate() {
+            kernel.restart_seeds(
+                self.pg.graph(),
+                state,
+                source,
+                delta,
+                &mut |v, value, priority| seeds.push(Operation::new(q as u32, v, value, priority)),
+            );
         }
-        self.run_seeded(kernel, prev, seeds, Stopwatch::start())
+        self.run_seeded(kernel, prev, seeds, watch)
     }
 
     // -- Convenience runners for the built-in kernels ------------------------

@@ -19,7 +19,8 @@
 //! one interface — like `fg-service`'s kernel registry — use the object-safe
 //! erasure layer in [`crate::dynkernel`] instead.
 
-use fg_graph::{AdjacencyView, CsrGraph, VertexId, Weight};
+use fg_graph::mutation::EdgeDelta;
+use fg_graph::{AdjacencyView, CsrGraph, VertexId};
 
 use crate::operation::Priority;
 
@@ -76,17 +77,18 @@ pub trait FppKernel: Sync {
     /// * **at process time**, prune on `value > state[vertex]` (a better value
     ///   was written after this operation was emitted, and *its* operation
     ///   does the work) and otherwise expand. The entry is (re)written with
-    ///   `value` only for the benefit of operations that were not emitted by
-    ///   a relaxation — the source operation and
-    ///   [`IncrementalKernel::delta_seed`]s — which arrive unwritten.
+    ///   `value` only for the benefit of the one operation that was not
+    ///   emitted by a relaxation — the source operation, which arrives
+    ///   unwritten. ([`IncrementalKernel::restart_seeds`] writes its seeds,
+    ///   like a relaxation does.)
     ///
     /// Equal values cannot be emitted twice under this contract: an emit
     /// happens only when `nd` is *strictly* below the entry, and writes the
     /// entry to `nd` in the same breath, so for every value a vertex's entry
     /// ever holds exactly one operation exists, and `value == state[vertex]`
     /// at process time identifies it. That is why the process-time prune is
-    /// strict (`>`), and why seeds must be strict improvements too (see
-    /// [`IncrementalKernel::delta_seed`]).
+    /// strict (`>`), and why restart seeds must be strict improvements too
+    /// (see [`IncrementalKernel::restart_seeds`]).
     ///
     /// **Accumulation (PPR)** — the way `fg_seq::ppr::ppr_push` does it: a
     /// push adds its share into `residual[t]` on the edge and emits a
@@ -118,31 +120,32 @@ pub trait FppKernel: Sync {
 /// A kernel whose converged state can be *restarted* from an edge delta
 /// instead of recomputed from scratch.
 ///
-/// This is sound exactly for monotone relaxation kernels (SSSP, BFS): if
-/// `prev` is the fixpoint on graph `G` and `G'` adds edges or decreases
-/// weights, then re-seeding the run with one operation per changed edge —
-/// the relaxation that edge would now trigger — converges to the exact
-/// fixpoint on `G'`, byte-identical to a from-scratch run, because a
-/// monotone min-fixpoint is independent of relaxation order. Deletions and
-/// weight *increases* break the precondition (the old fixpoint may be too
-/// small); callers detect that case upstream (see
-/// `fg_graph::mutation::AppliedDeltas::monotone`) and fall back to a full
-/// re-run.
+/// The built-in SSSP and BFS kernels are min-fixpoints, and restart after
+/// any delta — insertions, deletions and weight changes in either direction
+/// — through one min-plus rule: entries the delta may have made too small
+/// (those whose old shortest path may have used a deleted or heavier edge)
+/// go back to ∞ and are re-offered from their in-edges; every other entry is
+/// still the length of a real path, and the run that follows lowers entries
+/// only, to the exact fixpoint on the new graph, byte-identical to a
+/// from-scratch run.
 pub trait IncrementalKernel: FppKernel {
-    /// The operation a changed edge `u → v` (new weight `w`) seeds at `v`,
-    /// given the previous converged state: `Some((value, priority))`, or
-    /// `None` when the edge cannot improve anything — `u` unreached, or the
-    /// value it offers `v` is not **strictly** better than `prev[v]`. The
-    /// kernel must make that comparison itself: under the relax-time
-    /// contract of [`FppKernel::process`] an operation whose value *equals*
-    /// the state entry is the live one and gets expanded, so a no-op delta
-    /// edge that seeded `prev[v]` again would re-relax `v`'s whole
-    /// neighbourhood for nothing.
-    fn delta_seed(
+    /// Turn `state` — the converged state of a run from `source` on an
+    /// earlier graph — into the start of a run on `graph`, which differs
+    /// from that earlier graph by `delta`: reset whatever the delta may have
+    /// invalidated, and hand `seed(vertex, value, priority)` the operations
+    /// to restart from.
+    ///
+    /// A seed must **strictly** lower its vertex's entry, and is written
+    /// into it: under the relax-time contract of [`FppKernel::process`] an
+    /// operation whose value *equals* the entry is the live one and gets
+    /// expanded, so a seed that offered an entry its own value again would
+    /// re-relax that vertex's neighbourhood for nothing.
+    fn restart_seeds(
         &self,
-        prev: &Self::State,
-        u: VertexId,
-        v: VertexId,
-        w: Weight,
-    ) -> Option<(Self::Value, Priority)>;
+        graph: &CsrGraph,
+        state: &mut Self::State,
+        source: VertexId,
+        delta: EdgeDelta<'_>,
+        seed: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    );
 }

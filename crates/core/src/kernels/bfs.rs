@@ -1,8 +1,10 @@
 //! BFS kernel: level-ordered traversal. The priority functor is the level
 //! (lowest level from the source first), as described in Section 4.2.
 
+use fg_graph::mutation::EdgeDelta;
 use fg_graph::{AdjacencyView, CsrGraph, VertexId, Weight};
 
+use super::restart::restart_min_plus;
 use crate::kernel::{FppKernel, IncrementalKernel};
 use crate::operation::Priority;
 
@@ -38,7 +40,7 @@ impl FppKernel for BfsKernel {
         if value > state[vertex as usize] {
             return 0; // a lower level was written since: pruned
         }
-        state[vertex as usize] = value; // seeds arrive unwritten
+        state[vertex as usize] = value; // the source operation arrives unwritten
         let level = value + 1;
         let mut edges = 0u64;
         for t in graph.out_neighbors(vertex) {
@@ -53,22 +55,17 @@ impl FppKernel for BfsKernel {
 }
 
 impl IncrementalKernel for BfsKernel {
-    fn delta_seed(
+    fn restart_seeds(
         &self,
-        prev: &Self::State,
-        u: VertexId,
-        v: VertexId,
-        _w: Weight,
-    ) -> Option<(Self::Value, Priority)> {
-        // BFS ignores weights: a new edge u → v can only put v at
-        // level(u) + 1. An unreached u seeds nothing, and neither does an
-        // edge that does not lower v's level (every weight-only change).
-        let lu = prev[u as usize];
-        if lu == u32::MAX {
-            return None;
-        }
-        let level = lu + 1;
-        (level < prev[v as usize]).then_some((level, level as Priority))
+        graph: &CsrGraph,
+        state: &mut Self::State,
+        source: VertexId,
+        delta: EdgeDelta<'_>,
+        seed: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    ) {
+        // BFS ignores weights: every edge offers its head level + 1.
+        let step = |level: u32, _: Weight| level + 1;
+        restart_min_plus(graph, state, source, delta, u32::MAX, step, seed);
     }
 }
 
@@ -119,13 +116,33 @@ mod tests {
     }
 
     #[test]
-    fn delta_seeds_must_strictly_improve_the_target() {
-        let kernel = BfsKernel;
-        let prev: Vec<u32> = vec![0, 1, 2, u32::MAX];
-        assert_eq!(kernel.delta_seed(&prev, 0, 2, 9), Some((1, 1)));
-        assert_eq!(kernel.delta_seed(&prev, 1, 2, 9), None, "1 + 1 == 2 is a no-op edge");
-        assert_eq!(kernel.delta_seed(&prev, 2, 1, 9), None);
-        assert_eq!(kernel.delta_seed(&prev, 3, 0, 9), None, "unreached tail");
-        assert_eq!(kernel.delta_seed(&prev, 2, 3, 9), Some((3, 3)), "newly reached head");
+    fn restart_seeds_must_strictly_improve_the_target() {
+        let g = gen::path(4);
+        let seeds_of = |u: VertexId, v: VertexId| {
+            let mut prev: Vec<u32> = vec![0, 1, 2, u32::MAX];
+            let mut seeds = Vec::new();
+            let delta = EdgeDelta { seeds: &[(u, v, 9)], raised: &[] };
+            BfsKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, l, p| seeds.push((t, l, p)));
+            seeds
+        };
+        assert_eq!(seeds_of(0, 2), vec![(2, 1, 1)]);
+        assert_eq!(seeds_of(1, 2), vec![], "1 + 1 == 2 is a no-op edge");
+        assert_eq!(seeds_of(2, 1), vec![]);
+        assert_eq!(seeds_of(3, 0), vec![], "unreached tail");
+        assert_eq!(seeds_of(2, 3), vec![(3, 3, 3)], "newly reached head");
+    }
+
+    /// A weight increase raises an edge, though a BFS level ignores weights:
+    /// its cone is reset and re-offered the same level at its boundary, for
+    /// the run to re-expand. Too large a cone costs work, not correctness.
+    #[test]
+    fn a_weight_increase_resets_its_cone_to_the_same_levels() {
+        let g = gen::path(3);
+        let mut levels: Vec<u32> = vec![0, 1, 2];
+        let delta = EdgeDelta { seeds: &[(0, 1, 5)], raised: &[(0, 1, 1)] };
+        let mut seeds = Vec::new();
+        BfsKernel.restart_seeds(&g, &mut levels, 0, delta, &mut |t, l, _| seeds.push((t, l)));
+        assert_eq!(seeds, vec![(1, 1)], "the cone {{1, 2}} is re-offered 1 at its boundary");
+        assert_eq!(levels, vec![0, 1, u32::MAX]);
     }
 }

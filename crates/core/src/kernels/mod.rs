@@ -4,6 +4,7 @@
 pub mod bfs;
 pub mod dfs;
 pub mod ppr;
+mod restart;
 pub mod rw;
 pub mod sssp;
 

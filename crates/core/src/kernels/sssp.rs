@@ -2,8 +2,10 @@
 //! operations. The priority functor is the tentative distance (shorter paths
 //! first), exactly the Dijkstra functor the paper reuses for BC and LL.
 
+use fg_graph::mutation::EdgeDelta;
 use fg_graph::{AdjacencyView, CsrGraph, Dist, VertexId, Weight, INF_DIST};
 
+use super::restart::restart_min_plus;
 use crate::kernel::{FppKernel, IncrementalKernel};
 use crate::operation::Priority;
 
@@ -41,7 +43,7 @@ impl FppKernel for SsspKernel {
         if value > state[vertex as usize] {
             return 0; // a shorter path was written since: pruned
         }
-        state[vertex as usize] = value; // seeds arrive unwritten
+        state[vertex as usize] = value; // the source operation arrives unwritten
         let mut edges = 0u64;
         for (t, w) in graph.out_edges(vertex) {
             edges += 1;
@@ -56,23 +58,16 @@ impl FppKernel for SsspKernel {
 }
 
 impl IncrementalKernel for SsspKernel {
-    fn delta_seed(
+    fn restart_seeds(
         &self,
-        prev: &Self::State,
-        u: VertexId,
-        v: VertexId,
-        w: Weight,
-    ) -> Option<(Self::Value, Priority)> {
-        // A new/cheaper edge u → v relaxes v to dist(u) + w — the operation
-        // `process` at u would emit, under the same strict comparison. An
-        // unreached u, or an edge that does not shorten v's path, seeds
-        // nothing.
-        let du = prev[u as usize];
-        if du == INF_DIST {
-            return None;
-        }
-        let nd = du + w as Dist;
-        (nd < prev[v as usize]).then_some((nd, nd))
+        graph: &CsrGraph,
+        state: &mut Self::State,
+        source: VertexId,
+        delta: EdgeDelta<'_>,
+        seed: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    ) {
+        let step = |d: Dist, w: Weight| d + w as Dist;
+        restart_min_plus(graph, state, source, delta, INF_DIST, step, seed);
     }
 }
 
@@ -143,14 +138,20 @@ mod tests {
     }
 
     #[test]
-    fn delta_seeds_must_strictly_improve_the_target() {
-        let kernel = SsspKernel;
-        let prev: Vec<Dist> = vec![0, 4, 9, INF_DIST];
-        assert_eq!(kernel.delta_seed(&prev, 1, 2, 3), Some((7, 7)), "4 + 3 < 9");
-        assert_eq!(kernel.delta_seed(&prev, 1, 2, 5), None, "4 + 5 == 9 is a no-op edge");
-        assert_eq!(kernel.delta_seed(&prev, 1, 2, 6), None);
-        assert_eq!(kernel.delta_seed(&prev, 3, 2, 1), None, "unreached tail");
-        assert_eq!(kernel.delta_seed(&prev, 2, 3, 1), Some((10, 10)), "newly reached head");
+    fn restart_seeds_must_strictly_improve_the_target() {
+        let g = gen::path(4).with_random_weights(1, 0);
+        let seeds_of = |u: VertexId, v: VertexId, w: Weight| {
+            let mut prev: Vec<Dist> = vec![0, 4, 9, INF_DIST];
+            let mut seeds = Vec::new();
+            let delta = EdgeDelta { seeds: &[(u, v, w)], raised: &[] };
+            SsspKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, d, p| seeds.push((t, d, p)));
+            seeds
+        };
+        assert_eq!(seeds_of(1, 2, 3), vec![(2, 7, 7)], "4 + 3 < 9");
+        assert_eq!(seeds_of(1, 2, 5), vec![], "4 + 5 == 9 is a no-op edge");
+        assert_eq!(seeds_of(1, 2, 6), vec![]);
+        assert_eq!(seeds_of(3, 2, 1), vec![], "unreached tail");
+        assert_eq!(seeds_of(2, 3, 1), vec![(3, 10, 10)], "newly reached head");
     }
 
     #[test]

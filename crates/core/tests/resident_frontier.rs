@@ -24,6 +24,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use fg_graph::mutation::EdgeDelta;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, Edge, GraphBuilder, StorageConfig, VertexId};
@@ -206,9 +207,10 @@ fn sssp_and_bfs_are_byte_identical_to_fg_seq_across_the_whole_matrix() {
         // `run_incremental`: restart the converged pre-delta states on the
         // post-delta graph from the delta frontier.
         let engine = cell.engine(pg_after);
-        let sssp = engine.run_incremental(&SsspKernel, &sources, dist_before.clone(), &delta);
+        let delta = EdgeDelta { seeds: &delta, raised: &[] };
+        let sssp = engine.run_incremental(&SsspKernel, &sources, dist_before.clone(), delta);
         assert_eq!(sssp.per_query, dist_after, "{label}: incremental sssp");
-        let bfs = engine.run_incremental(&BfsKernel, &sources, level_before.clone(), &delta);
+        let bfs = engine.run_incremental(&BfsKernel, &sources, level_before.clone(), delta);
         assert_eq!(bfs.per_query, level_after, "{label}: incremental bfs");
         // A quiesced run has executed everything it ever buffered: no lane
         // kept an operation, no yield re-buffered one.

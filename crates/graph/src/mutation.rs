@@ -29,10 +29,11 @@
 //! The returned [`AppliedDeltas`] tells the caller everything it needs for
 //! cache invalidation and incremental restart:
 //!
-//! * whether the batch was **monotone** — every effective change is a new
-//!   edge or a weight decrease, so monotone-relaxation kernels (SSSP/BFS)
-//!   can re-converge from the delta frontier instead of from scratch;
-//! * the effective `seed_edges` (final weights) for that restart;
+//! * the batch's net edge delta, in the two lists a min-plus restart
+//!   (SSSP/BFS) needs ([`AppliedDeltas::delta`]): `seed_edges`, every
+//!   changed edge that still exists, at its final weight, and
+//!   `raised_edges`, every deletion and weight increase, at the weight the
+//!   edge had before the batch;
 //! * a partition-granular [`PartitionReachability`] over-approximation of
 //!   which cached sources the batch can possibly affect.
 //!
@@ -207,6 +208,67 @@ fn quotient_adjacency(pg: &PartitionedGraph) -> Vec<u64> {
         .collect()
 }
 
+/// The edge changes between the graph a converged state was computed on and
+/// a later graph, as a restart reads them (see
+/// `forkgraph_core::ForkGraphEngine::run_incremental`). One fold's delta is
+/// [`AppliedDeltas::delta`]; several folds' accumulate in a [`DeltaWindow`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EdgeDelta<'a> {
+    /// Every changed edge that exists in the later graph, at its weight
+    /// there: insertions, decreases and increases alike.
+    pub seeds: &'a [Edge],
+    /// Every edge that was deleted or made heavier, at the smallest weight
+    /// it had since the earlier graph.
+    pub raised: &'a [Edge],
+}
+
+/// The deltas of consecutive folds, accumulated into one [`EdgeDelta`] from
+/// the graph before the first of them. A raised pair leaves the seeds and
+/// keeps the smallest weight it was raised from; then the fold's seed edges
+/// go in at their latest weight. The result is also a sound delta for a
+/// state converged at any later fold of the window: its extra seeds offer
+/// real paths, and its extra raised edges can only enlarge the cone.
+#[derive(Clone, Debug, Default)]
+pub struct DeltaWindow {
+    seeds: BTreeMap<(VertexId, VertexId), Weight>,
+    raised: BTreeMap<(VertexId, VertexId), Weight>,
+}
+
+impl DeltaWindow {
+    /// Add one fold's delta.
+    pub fn absorb(&mut self, applied: &AppliedDeltas) {
+        for &(u, v, before) in &applied.raised_edges {
+            self.seeds.remove(&(u, v));
+            self.raised.entry((u, v)).and_modify(|w| *w = before.min(*w)).or_insert(before);
+        }
+        for &(u, v, w) in &applied.seed_edges {
+            self.seeds.insert((u, v), w);
+        }
+    }
+
+    /// Seed and raised entries held.
+    pub fn len(&self) -> usize {
+        self.seeds.len() + self.raised.len()
+    }
+
+    /// Whether no fold changed anything since the window opened.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Close the window: the next fold opens a new one.
+    pub fn clear(&mut self) {
+        self.seeds.clear();
+        self.raised.clear();
+    }
+
+    /// The accumulated `(seeds, raised)` lists, for an [`EdgeDelta`].
+    pub fn edges(&self) -> (Vec<Edge>, Vec<Edge>) {
+        let list = |map: &BTreeMap<_, _>| map.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+        (list(&self.seeds), list(&self.raised))
+    }
+}
+
 /// One applied mutation batch: the new snapshot plus everything the caller
 /// needs for invalidation and incremental restart.
 pub struct AppliedDeltas {
@@ -216,14 +278,12 @@ pub struct AppliedDeltas {
     pub version: u64,
     /// How many logged mutations this batch merged.
     pub mutations: usize,
-    /// `true` iff every *effective* change was an edge insertion or a weight
-    /// decrease — the precondition for delta-frontier restart of monotone
-    /// relaxation kernels. Any deletion or weight increase clears it.
-    pub monotone: bool,
-    /// Effective inserted/decreased edges with their final weights: the
-    /// delta frontier seeds for an incremental re-run. Only meaningful when
-    /// [`monotone`](Self::monotone); populated regardless.
+    /// Every effectively changed edge that exists after the batch, at its
+    /// final weight: new edges and weight changes in either direction.
     pub seed_edges: Vec<Edge>,
+    /// Every effective deletion and weight increase, at the edge's weight
+    /// before the batch.
+    pub raised_edges: Vec<Edge>,
     /// Partitions containing the source endpoint of an effective change.
     pub dirty_partitions: Vec<PartitionId>,
     /// Reachability closure over the *union* of old and new quotient edges —
@@ -236,6 +296,14 @@ pub struct AppliedDeltas {
     pub partitions_shared: usize,
 }
 
+impl AppliedDeltas {
+    /// This batch's edge changes, as a restart from the previous snapshot
+    /// reads them.
+    pub fn delta(&self) -> EdgeDelta<'_> {
+        EdgeDelta { seeds: &self.seed_edges, raised: &self.raised_edges }
+    }
+}
+
 /// A mutation fold computed off the locks by [`VersionedGraph::prepare`],
 /// awaiting [`VersionedGraph::publish`]. Holding one does not block readers
 /// or writers; the consumed log prefix stays pending (and keeps poisoning
@@ -245,8 +313,8 @@ pub struct PreparedFold {
     base_version: u64,
     /// Length of the log prefix this fold consumed.
     consumed: usize,
-    monotone: bool,
     seed_edges: Vec<Edge>,
+    raised_edges: Vec<Edge>,
     dirty_partitions: Vec<PartitionId>,
     graph: Arc<PartitionedGraph>,
     new_adj: Vec<u64>,
@@ -496,16 +564,17 @@ impl VersionedGraph {
             };
         }
 
-        let mut monotone = true;
-        let mut seed_edges = Vec::new();
+        let (mut seed_edges, mut raised_edges) = (Vec::new(), Vec::new());
         let mut dirty = vec![false; old.num_partitions()];
         for (&(u, v), &(before, after)) in &touched {
-            match (before, after) {
-                (None, None) => continue,                                  // net no-op
-                (Some(b), Some(a)) if a == b => continue,                  // net no-op
-                (None, Some(a)) => seed_edges.push((u, v, a)),             // new edge
-                (Some(b), Some(a)) if a < b => seed_edges.push((u, v, a)), // decrease
-                _ => monotone = false, // deletion or weight increase
+            if before == after {
+                continue; // net no-op
+            }
+            if let Some(b) = before.filter(|&b| after.is_none_or(|a| a > b)) {
+                raised_edges.push((u, v, b)); // deletion or weight increase
+            }
+            if let Some(a) = after {
+                seed_edges.push((u, v, a));
             }
             dirty[old.partition_of(u) as usize] = true;
         }
@@ -552,8 +621,8 @@ impl VersionedGraph {
         Some(PreparedFold {
             base_version,
             consumed: batch.len(),
-            monotone,
             seed_edges,
+            raised_edges,
             dirty_partitions,
             graph,
             new_adj,
@@ -574,8 +643,8 @@ impl VersionedGraph {
         let PreparedFold {
             base_version,
             consumed,
-            monotone,
             seed_edges,
+            raised_edges,
             dirty_partitions,
             graph,
             new_adj,
@@ -608,8 +677,8 @@ impl VersionedGraph {
             graph,
             version,
             mutations: consumed,
-            monotone,
             seed_edges,
+            raised_edges,
             dirty_partitions,
             reach,
             partitions_rematerialized,
@@ -670,7 +739,7 @@ mod tests {
         let applied = vg.advance().expect("one pending mutation");
         assert_eq!(applied.version, 1);
         assert_eq!(vg.version(), 1);
-        assert!(applied.monotone);
+        assert!(applied.raised_edges.is_empty());
         assert_eq!(applied.seed_edges, vec![(1, 2, 7)]);
         assert_eq!(applied.mutations, 1);
         let g = vg.current();
@@ -687,7 +756,7 @@ mod tests {
         vg.delete_edge(2, 3).unwrap(); // delete missing = no-op
         vg.update_weight(4, 5, 9).unwrap(); // update missing = insert
         let applied = vg.advance().unwrap();
-        assert!(applied.monotone, "no effective delete/increase in this batch");
+        assert!(applied.raised_edges.is_empty(), "no effective delete/increase in this batch");
         let mut seeds = applied.seed_edges.clone();
         seeds.sort_unstable();
         assert_eq!(seeds, vec![(0, 1, 3), (4, 5, 9)]);
@@ -697,27 +766,56 @@ mod tests {
         assert_eq!(g.graph().out_neighbors(2), &[] as &[VertexId]);
     }
 
+    /// A deletion is raised at its old weight; an increase is raised at its
+    /// old weight and seeds at its new one; a delete and re-insert at a
+    /// lower weight in one batch nets to a decrease.
     #[test]
-    fn delete_and_increase_clear_monotone() {
-        let base = pg(&[(0, 1, 5), (1, 2, 2)], 8, 2);
+    fn deletes_and_increases_are_raised_at_their_old_weight() {
+        let base = pg(&[(0, 1, 5), (1, 2, 2), (2, 3, 4)], 8, 2);
         let vg = VersionedGraph::new(Arc::clone(&base));
         vg.delete_edge(0, 1).unwrap();
-        let applied = vg.advance().unwrap();
-        assert!(!applied.monotone);
-        assert_eq!(vg.current().graph().num_edges(), 1);
-
-        let vg = VersionedGraph::new(base);
         vg.update_weight(1, 2, 10).unwrap(); // increase
-        assert!(!vg.advance().unwrap().monotone);
+        vg.delete_edge(2, 3).unwrap();
+        vg.insert_edge(2, 3, 1).unwrap(); // net decrease
+        let applied = vg.advance().unwrap();
+        assert_eq!(applied.raised_edges, vec![(0, 1, 5), (1, 2, 2)]);
+        assert_eq!(applied.seed_edges, vec![(1, 2, 10), (2, 3, 1)]);
+        assert_eq!(applied.delta().raised, &applied.raised_edges[..]);
+        assert_eq!(vg.current().graph().num_edges(), 2);
+    }
+
+    /// A window keeps the smallest weight a pair was raised from, drops a
+    /// deleted pair from its seeds, and seeds a re-inserted one at its
+    /// latest weight.
+    #[test]
+    fn delta_windows_keep_the_smallest_raised_weight_and_the_latest_seed() {
+        let vg = VersionedGraph::new(pg(&[(0, 1, 5), (1, 2, 2)], 8, 2));
+        let mut window = DeltaWindow::default();
+        for mutation in [
+            EdgeMutation::UpdateWeight { u: 0, v: 1, w: 3 }, // decrease: seed
+            EdgeMutation::UpdateWeight { u: 0, v: 1, w: 9 }, // raised from 3
+            EdgeMutation::Delete { u: 0, v: 1 },             // raised from 9
+            EdgeMutation::Delete { u: 1, v: 2 },             // raised from 2
+            EdgeMutation::Insert { u: 1, v: 2, w: 4 },       // back, at 4
+        ] {
+            vg.log(mutation).unwrap();
+            window.absorb(&vg.advance().unwrap());
+        }
+        let (seeds, raised) = window.edges();
+        assert_eq!(seeds, vec![(1, 2, 4)]);
+        assert_eq!(raised, vec![(0, 1, 3), (1, 2, 2)]);
+        assert_eq!(window.len(), 3);
+        window.clear();
+        assert!(window.is_empty());
     }
 
     #[test]
-    fn net_noop_batch_is_monotone_with_no_seeds() {
+    fn net_noop_batch_has_no_delta() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 5)], 8, 2));
         vg.delete_edge(0, 1).unwrap();
         vg.insert_edge(0, 1, 5).unwrap(); // restores the original weight
         let applied = vg.advance().unwrap();
-        assert!(applied.monotone);
+        assert!(applied.raised_edges.is_empty());
         assert!(applied.seed_edges.is_empty());
         assert!(applied.dirty_partitions.is_empty());
         assert_eq!(applied.mutations, 2);
@@ -775,7 +873,7 @@ mod tests {
         vg.delete_edge(0, 2).unwrap();
         assert!(vg.pending_affects(0));
         let applied = vg.advance().unwrap();
-        assert!(!applied.monotone);
+        assert_eq!(applied.raised_edges, vec![(0, 2, 1)]);
         let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
         assert!(affected[0], "source partition of the deleted edge is affected");
     }
@@ -872,7 +970,7 @@ mod tests {
 
         vg.delete_edge(4, 5).unwrap();
         let applied = vg.advance().unwrap();
-        assert!(!applied.monotone);
+        assert_eq!(applied.raised_edges, vec![(4, 5, 1)]);
         assert_eq!(applied.dirty_partitions, vec![2]);
         assert!(!Arc::ptr_eq(applied.graph.store(2), base.store(2)));
         assert_eq!(applied.graph.graph().num_edges(), 1);

@@ -179,7 +179,7 @@ impl CompressedEdges {
 
     /// Stream-decode the `local`-th vertex's `(target, weight)` pairs.
     /// Unweighted payloads yield weight 1, mirroring [`CsrGraph::out_edges`].
-    #[inline]
+    #[inline(always)] // see `AdjacencyView::out_edges`
     pub fn out_edges(&self, local: usize) -> CompressedOutEdges<'_> {
         let mut pos = self.offsets[local] as usize;
         let degree = read_varint(&self.bytes, &mut pos) as usize;
@@ -206,7 +206,7 @@ pub struct CompressedOutEdges<'a> {
 impl Iterator for CompressedOutEdges<'_> {
     type Item = (VertexId, Weight);
 
-    #[inline]
+    #[inline(always)] // see `AdjacencyView::out_edges`
     fn next(&mut self) -> Option<(VertexId, Weight)> {
         if self.remaining == 0 {
             return None;
@@ -277,7 +277,7 @@ impl<'a> AdjacencyView<'a> {
 
     /// Local index of `v` within the compressed partition, if this view is
     /// compressed and `v` belongs to it.
-    #[inline]
+    #[inline(always)] // see `AdjacencyView::out_edges`
     fn local_of(&self, v: VertexId) -> Option<(usize, &'a CompressedEdges)> {
         let (vertices, payload) = self.compressed?;
         vertices.binary_search(&v).ok().map(|local| (local, payload))
@@ -294,7 +294,14 @@ impl<'a> AdjacencyView<'a> {
 
     /// Iterate `(target, weight)` pairs of `v`'s out-edges; unweighted graphs
     /// yield weight 1 (the [`CsrGraph::out_edges`] contract).
-    #[inline]
+    //
+    // This, the iterators' `next` and the decode steps under them are the
+    // inner loop of every kernel's `process`, and are forced inline: with a
+    // plain `#[inline]`, LLVM keeps them out of line whenever several
+    // kernels land in one codegen unit, and which do is up to rustc's
+    // partitioning — a split that merged the built-in kernels cost ~10 % on
+    // PPR and serving workloads.
+    #[inline(always)]
     pub fn out_edges(&self, v: VertexId) -> OutEdges<'a> {
         match self.local_of(v) {
             Some((local, payload)) => OutEdges::Compressed(payload.out_edges(local)),
@@ -356,7 +363,7 @@ pub enum OutEdges<'a> {
 impl Iterator for OutEdges<'_> {
     type Item = (VertexId, Weight);
 
-    #[inline]
+    #[inline(always)] // see `AdjacencyView::out_edges`
     fn next(&mut self) -> Option<(VertexId, Weight)> {
         match self {
             OutEdges::Raw { targets, weights, i } => {
@@ -390,7 +397,7 @@ pub struct OutNeighbors<'a>(OutEdges<'a>);
 impl Iterator for OutNeighbors<'_> {
     type Item = VertexId;
 
-    #[inline]
+    #[inline(always)] // see `AdjacencyView::out_edges`
     fn next(&mut self) -> Option<VertexId> {
         self.0.next().map(|(t, _)| t)
     }

@@ -76,8 +76,8 @@ pub struct ServiceCounters {
     /// Cached results evicted because an applied mutation batch could reach
     /// them (mutation-aware invalidation, not capacity pressure).
     pub cache_invalidations: AtomicU64,
-    /// Engine passes that resumed from a delta frontier instead of running
-    /// the kernel from scratch.
+    /// Engine passes that resumed from evicted results across an edge delta
+    /// instead of running the kernel from scratch.
     pub incremental_runs: AtomicU64,
     /// Snapshot epochs published (one per non-empty mutation fold).
     pub epochs_advanced: AtomicU64,
@@ -286,7 +286,7 @@ pub struct ServiceSnapshot {
     pub mutations_applied: u64,
     /// Cached results evicted by mutation-aware invalidation.
     pub cache_invalidations: u64,
-    /// Engine passes resumed from a delta frontier instead of from scratch.
+    /// Engine passes resumed from evicted results instead of from scratch.
     pub incremental_runs: u64,
     /// Snapshot epochs published (one per non-empty mutation fold).
     pub epochs_advanced: u64,

@@ -10,12 +10,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fg_graph::gen;
+use fg_graph::mutation::VersionedGraph;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_server::{ForkGraphServer, Request, Response, ServerConfig, WireClient, WirePayload};
-use fg_service::{ForkGraphService, ServiceConfig};
+use fg_service::{EdgeMutation, ForkGraphService, ServiceConfig};
 use fg_trace::TraceSink;
-use forkgraph_core::EngineConfig;
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 fn small_graph() -> Arc<PartitionedGraph> {
     let graph = gen::rmat(8, 8, 11).with_random_weights(9, 11);
@@ -97,13 +98,53 @@ fn metrics_expose_service_and_server_families_without_nan() {
     }
     assert!(!body.contains("NaN"), "exposition must never contain NaN:\n{body}");
     // The wire counters reflect the traffic we just generated.
-    let frames_in = body
-        .lines()
-        .find(|line| line.starts_with("fg_server_frames_in_total"))
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|value| value.parse::<u64>().ok())
-        .expect("frames_in value");
+    let frames_in = sample(&body, "fg_server_frames_in_total");
     assert!(frames_in >= 4, "four requests crossed the wire, got {frames_in}");
+    server.shutdown();
+}
+
+/// The value of the counter `name` in an exposition body.
+fn sample(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} sample in:\n{body}"))
+}
+
+/// A delete over the wire, then a re-query of the key it evicted: the
+/// re-query resumes from the evicted result, and `/metrics` says so.
+#[test]
+fn metrics_count_a_repaired_delete_as_an_incremental_run() {
+    let server = traced_server();
+    let addr = server.local_addr();
+    let mut client = WireClient::connect(addr).expect("connect wire");
+    let sssp_from_0 = |client: &mut WireClient, correlation| match client
+        .call(&Request::new(correlation, "sssp", 0), |_| {})
+        .expect("call")
+    {
+        Response::Result { payload: WirePayload::U64s(dist), .. } => dist,
+        other => panic!("expected sssp result, got {other:?}"),
+    };
+    let before = sssp_from_0(&mut client, 1);
+    // An out-edge on a shortest path, so the delete has a cone to repair.
+    let graph = small_graph();
+    let (v, _) = graph.graph().out_edges(0).find(|&(v, w)| before[v as usize] == w as u64).unwrap();
+    match client.mutate(EdgeMutation::Delete { u: 0, v }, |_| {}).expect("mutate") {
+        Response::Result { payload: WirePayload::Version(_), .. } => {}
+        other => panic!("expected a version ack, got {other:?}"),
+    }
+    let after = sssp_from_0(&mut client, 3);
+    let store = VersionedGraph::new(graph);
+    store.delete_edge(0, v).unwrap();
+    let mutated = store.advance().unwrap().graph;
+    let engine = ForkGraphEngine::new(&mutated, EngineConfig::default());
+    assert_eq!(after, engine.run_sssp(&[0]).per_query[0], "the resumed answer is exact");
+
+    let (status, body) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    assert_eq!(sample(&body, "fg_service_mutations_applied_total"), 1, "{body}");
+    assert!(sample(&body, "fg_service_cache_invalidations_total") >= 1, "{body}");
+    assert!(sample(&body, "fg_service_incremental_runs_total") >= 1, "{body}");
     server.shutdown();
 }
 

@@ -46,11 +46,14 @@
 //!   into **one** batch: one pinned epoch, one engine, and a loop over its
 //!   **passes**, back to back, one homogeneous type-erased pass per kernel
 //!   (the paper's fork-processing pattern; any [`forkgraph_core::DynKernel`]
-//!   can ride a mixed batch). A cohort's members whose cached result a
-//!   monotone edge delta evicted form a pass of their own, resumed from the
-//!   delta frontier with
+//!   can ride a mixed batch). A cohort's SSSP/BFS members whose cached
+//!   result a mutation fold evicted — by an insertion, a deletion or a
+//!   weight change — form a pass of their own, resumed from the evicted
+//!   result with
 //!   [`ForkGraphEngine::run_incremental`](forkgraph_core::ForkGraphEngine::run_incremental)
-//!   ahead of the cohort's from-scratch pass. Results demultiplex per
+//!   ahead of the cohort's from-scratch pass: the part of the old answer a
+//!   deletion or weight increase may have invalidated is reset and
+//!   re-seeded from its boundary, the rest stands. Results demultiplex per
 //!   `(pass, source)` back to submitters. Cohorts and cache entries are
 //!   keyed by [`BatchKey`]/[`CacheKey`], derived from the *registration*
 //!   (unique [`KernelId`] + canonical [`QueryParams`]), so same-named or

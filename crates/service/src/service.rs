@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use fg_graph::mutation::{EdgeMutation, VersionedGraph};
+use fg_graph::mutation::{DeltaWindow, EdgeDelta, EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{Edge, VertexId, Weight};
+use fg_graph::VertexId;
 use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
 use fg_trace::{EventKind, TraceSink};
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
@@ -670,9 +670,11 @@ fn sync_epoch_counters(counters: &ServiceCounters, store: &VersionedGraph) {
     );
 }
 
-/// Upper bound on retained incremental-restart hints; past it the batcher
-/// drops the delta-restart state entirely (correct, just slower) rather than
-/// letting an unbounded mutation/query churn grow it without limit.
+/// Upper bound on the incremental-restart state — retained hints and
+/// accumulated delta entries together; past it the batcher drops all of it
+/// (correct, just slower) rather than let an unbounded mutation/query churn
+/// grow it, and with it every resume, which reads each delta entry once per
+/// query, without limit.
 const INCREMENTAL_HINT_CAP: usize = 4096;
 
 /// The batcher thread body.
@@ -685,15 +687,13 @@ fn batcher_loop(
     let num_partitions = graph.num_partitions();
     drop(graph); // runs pin epoch snapshots; the start-time Arc is not needed
     let max_workers = engine_config.resolved_threads();
-    // Delta-restart bookkeeping carried across quiesce points while every
-    // applied batch stays monotone (insertions / weight decreases only):
-    // `inc_seeds` accumulates the changed edges at their latest weights, and
-    // `inc_hints` holds the cached results of resumable kernels ([`resume`])
-    // those batches evicted — a re-query whose `CacheKey` matches resumes
-    // from its hint instead of from scratch. A non-monotone batch (deletion
-    // / weight increase) clears both: its re-queries take the full-re-run
-    // fallback.
-    let mut inc_seeds: HashMap<(VertexId, VertexId), Weight> = HashMap::new();
+    // Delta-restart bookkeeping carried across quiesce points: `inc_delta`
+    // accumulates every fold's edge changes since the oldest live hint, and
+    // `inc_hints` holds the cached results of resumable kernels
+    // ([`resume`]) the folds evicted — a re-query whose `CacheKey` matches
+    // resumes from its hint instead of from scratch, whatever kind of change
+    // evicted it.
+    let mut inc_delta = DeltaWindow::default();
     let mut inc_hints: HashMap<CacheKey, Arc<QueryResult>> = HashMap::new();
     loop {
         let cohorts = {
@@ -768,7 +768,6 @@ fn batcher_loop(
                     // reachable (per-partition over-approximation).
                     let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
                     let snapshot = &applied.graph;
-                    let capture = applied.monotone;
                     let mut evicted = 0usize;
                     cache.retain(|key, result| {
                         if !affected[snapshot.partition_of(key.source) as usize] {
@@ -777,23 +776,16 @@ fn batcher_loop(
                         evicted += 1;
                         // Evicted results of resumable kernels become
                         // restart hints instead of pure losses.
-                        if capture && resume(key.key.kernel).is_some() {
+                        if resume(key.key.kernel).is_some() {
                             inc_hints.insert(key.clone(), Arc::clone(result));
                         }
                         false
                     });
                     shared.counters.on_cache_invalidations(evicted);
                 }
-                if applied.monotone {
-                    for &(u, v, w) in &applied.seed_edges {
-                        inc_seeds.insert((u, v), w);
-                    }
-                } else {
-                    inc_seeds.clear();
-                    inc_hints.clear();
-                }
-                if inc_hints.len() > INCREMENTAL_HINT_CAP {
-                    inc_seeds.clear();
+                inc_delta.absorb(&applied);
+                if inc_hints.len() + inc_delta.len() > INCREMENTAL_HINT_CAP {
+                    inc_delta.clear();
                     inc_hints.clear();
                 }
             }
@@ -807,9 +799,10 @@ fn batcher_loop(
 
         // ---- Passes ----
         // Each cohort contributes at most two passes: its members whose
-        // exact `CacheKey` holds a restart hint, resumed from the delta
-        // frontier, then the rest, from scratch. Only results of resumable
-        // kernels are ever captured, so a hint implies its kernel resumes.
+        // exact `CacheKey` holds a restart hint, resumed from it across the
+        // accumulated delta, then the rest, from scratch. Only results of
+        // resumable kernels are ever captured, so a hint implies its kernel
+        // resumes.
         let kernels_in_run = cohorts.len();
         let mut passes: Vec<Pass> = Vec::with_capacity(kernels_in_run);
         for members in cohorts {
@@ -827,14 +820,15 @@ fn batcher_loop(
             }
             passes.extend([resumed, fresh].into_iter().filter(|pass| !pass.members.is_empty()));
         }
-        let delta: Vec<Edge> = if passes.iter().any(|pass| !pass.hints.is_empty()) {
-            inc_seeds.iter().map(|(&(u, v), &w)| (u, v, w)).collect()
+        let (seeds, raised) = if passes.iter().any(|pass| !pass.hints.is_empty()) {
+            inc_delta.edges()
         } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
+        let delta = EdgeDelta { seeds: &seeds, raised: &raised };
         if inc_hints.is_empty() {
             // No hint is left: the accumulated delta has no consumer.
-            inc_seeds.clear();
+            inc_delta.clear();
         }
 
         let batch_id = shared.next_trace_id();
@@ -893,7 +887,7 @@ fn batcher_loop(
                     let sources: Vec<VertexId> = pass.members.iter().map(|p| p.source).collect();
                     let resumed = match resume(resolved.id) {
                         Some(resume) if !pass.hints.is_empty() => {
-                            resume(&engine, &sources, &pass.hints, &delta)
+                            resume(&engine, &sources, &pass.hints, delta)
                         }
                         _ => None,
                     };
@@ -991,9 +985,13 @@ struct Pass {
     hints: Vec<Arc<QueryResult>>,
 }
 
-/// Resumes a pass from its hints after a monotone edge delta.
-type Resume =
-    fn(&ForkGraphEngine<'_>, &[VertexId], &[Arc<QueryResult>], &[Edge]) -> Option<Vec<ErasedState>>;
+/// Resumes a pass from its hints after an edge delta.
+type Resume = fn(
+    &ForkGraphEngine<'_>,
+    &[VertexId],
+    &[Arc<QueryResult>],
+    EdgeDelta<'_>,
+) -> Option<Vec<ErasedState>>;
 
 /// The registrations whose evicted results can be resumed, and how: the
 /// built-in SSSP and BFS kernels, through
@@ -1015,7 +1013,7 @@ fn resume_with<K: IncrementalKernel + Default>(
     engine: &ForkGraphEngine<'_>,
     sources: &[VertexId],
     hints: &[Arc<QueryResult>],
-    delta: &[Edge],
+    delta: EdgeDelta<'_>,
 ) -> Option<Vec<ErasedState>>
 where
     K::State: Clone + Sync + 'static,

@@ -69,10 +69,10 @@ fn requery_after_mutation_never_serves_stale_cache() {
     service.shutdown();
 }
 
-/// Monotone mutations resume evicted SSSP results from the delta frontier:
-/// the re-query is both correct and counted as an incremental run.
+/// An insertion and then a deletion each resume the evicted SSSP result:
+/// both re-queries are exact and counted as incremental runs.
 #[test]
-fn monotone_requery_takes_the_incremental_path() {
+fn requeries_after_an_insert_and_after_a_delete_take_the_incremental_path() {
     let service = service_over(&[(0, 1, 10), (1, 2, 10), (2, 3, 10)], 4, 1);
     let handle = service.handle();
 
@@ -81,15 +81,54 @@ fn monotone_requery_takes_the_incremental_path() {
     handle.flush_mutations();
     assert_eq!(dist_to(&service, 0, 3), 12);
     let metrics = service.metrics();
-    assert_eq!(metrics.incremental_runs, 1, "monotone re-query should resume, not restart");
+    assert_eq!(metrics.incremental_runs, 1, "the re-query after an insert resumes");
 
-    // A deletion (non-monotone) drops the restart state; the re-query falls
-    // back to a full run — and is still exact.
+    // Deleting the shortcut resets 3, the vertex whose path crossed it, and
+    // re-offers it 30 through 2 → 3.
     handle.mutate(EdgeMutation::Delete { u: 1, v: 3 }).unwrap();
     assert_eq!(dist_to(&service, 0, 3), 30);
     let metrics = service.metrics();
-    assert_eq!(metrics.incremental_runs, 1, "deletion must take the full-re-run fallback");
+    assert_eq!(metrics.incremental_runs, 2, "the re-query after a delete resumes too");
     assert_eq!(metrics.mutations_applied, 2);
+    service.shutdown();
+}
+
+/// The restart state is bounded as a whole: an evicted key that is never
+/// re-queried must not keep every later-mutated edge. Past the cap the
+/// hints and the accumulated delta go together, and the key's re-query runs
+/// from scratch — exactly.
+#[test]
+fn the_accumulated_restart_delta_is_capped_with_the_hints() {
+    const N: u32 = 80;
+    let ring: Vec<(u32, u32, u32)> = (0..N).map(|v| (v, (v + 1) % N, 50)).collect();
+    let service = service_over(&ring, N as usize, 1);
+    let handle = service.handle();
+
+    // Cache the key, then evict it: it becomes a restart hint.
+    assert_eq!(dist_to(&service, 0, 40), 2000);
+    handle.mutate(EdgeMutation::Insert { u: 0, v: 40, w: 7 }).unwrap();
+    handle.flush_mutations();
+    // More distinct inserts than the cap, without re-querying the key.
+    let mut logged = 0;
+    'pairs: for u in 0..N {
+        for v in 0..N {
+            // Neither a ring edge nor the shortcut.
+            if u != v && (v + N - u) % N > 1 && (u, v) != (0, 40) {
+                handle.mutate(EdgeMutation::Insert { u, v, w: 1000 }).unwrap();
+                logged += 1;
+                if logged > 4200 {
+                    break 'pairs;
+                }
+            }
+        }
+    }
+    handle.flush_mutations();
+
+    let result = handle.submit_query(Query::kernel("sssp").source(0)).unwrap().wait().unwrap();
+    let expected = fg_seq::dijkstra::dijkstra(handle.graph().graph(), 0).dist;
+    assert_eq!(result.try_state::<Vec<Dist>>().unwrap(), &expected);
+    assert_eq!(expected[40], 7);
+    assert_eq!(service.metrics().incremental_runs, 0, "a capped window resumes nothing");
     service.shutdown();
 }
 

@@ -118,6 +118,27 @@ pub fn expose(
         );
         metric(
             &mut out,
+            "fg_service_mutations_applied_total",
+            "counter",
+            "Logged edge mutations folded into a published snapshot.",
+            s.mutations_applied as f64,
+        );
+        metric(
+            &mut out,
+            "fg_service_cache_invalidations_total",
+            "counter",
+            "Cached results evicted because a mutation fold could reach their source.",
+            s.cache_invalidations as f64,
+        );
+        metric(
+            &mut out,
+            "fg_service_incremental_runs_total",
+            "counter",
+            "Engine passes resumed from evicted results instead of run from scratch.",
+            s.incremental_runs as f64,
+        );
+        metric(
+            &mut out,
             "fg_service_epochs_advanced_total",
             "counter",
             "Snapshot epochs published (one per non-empty mutation fold).",
@@ -242,8 +263,15 @@ mod tests {
 
     #[test]
     fn exposition_has_help_type_and_sample_per_metric() {
-        let service =
-            ServiceSnapshot { submitted: 10, cache_hits: 3, cache_misses: 7, ..Default::default() };
+        let service = ServiceSnapshot {
+            submitted: 10,
+            cache_hits: 3,
+            cache_misses: 7,
+            mutations_applied: 4,
+            cache_invalidations: 2,
+            incremental_runs: 1,
+            ..Default::default()
+        };
         let pool = PoolSnapshot { threads_spawned: 4, dispatches: 9, ..Default::default() };
         let trace = TraceStats { threads: 2, retained: 100, dropped: 5, lane_capacity: 1024 };
         let text = expose(Some(&service), Some(&pool), Some(&trace));
@@ -257,6 +285,9 @@ mod tests {
         }
         assert!(text.contains("fg_service_submitted_total 10"), "{text}");
         assert!(text.contains("fg_service_cache_hit_rate 0.3"), "{text}");
+        assert!(text.contains("fg_service_mutations_applied_total 4"), "{text}");
+        assert!(text.contains("fg_service_cache_invalidations_total 2"), "{text}");
+        assert!(text.contains("fg_service_incremental_runs_total 1"), "{text}");
         assert!(text.contains("fg_service_epochs_advanced_total 0"), "{text}");
         assert!(text.contains("fg_service_oldest_pinned_epoch_lag 0"), "{text}");
         assert!(text.contains("fg_pool_dispatches_total 9"), "{text}");

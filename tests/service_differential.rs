@@ -1,11 +1,14 @@
 //! The service's batcher, held to `fg-seq` across a mutation history.
 //!
 //! A cache-on service answers SSSP and BFS hot keys after every round of
-//! edge mutations: several monotone rounds (their re-queries resume from
-//! the evicted results), then a delete round (its re-queries run from
-//! scratch), then one more monotone round. Every answer must equal
-//! `dijkstra` / `bfs` on the snapshot the service publishes, at one engine
-//! thread and at two.
+//! edge mutations: two monotone rounds, then three that raise edges — one
+//! that makes every hot source's out-edges heavier, one that deletes each
+//! hot source's first out-edge, and one that deletes an edge on each hot
+//! key's original shortest paths — then one more monotone round. Every
+//! re-query resumes from the result its round evicted, deletions and weight
+//! increases included, and every answer must equal `dijkstra` / `bfs` on
+//! the snapshot the service publishes: at one engine thread and at two,
+//! over raw and compressed partitions.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -14,7 +17,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use forkgraph::core::EngineConfig;
-use forkgraph::graph::{gen, Dist};
+use forkgraph::graph::{gen, Dist, StorageConfig, INF_DIST};
 use forkgraph::prelude::*;
 use forkgraph::service::{EdgeMutation, ServiceConfig, ServiceHandle};
 
@@ -43,56 +46,117 @@ fn read_hot_keys(handle: &ServiceHandle, label: &str) {
     }
 }
 
+/// One edge on the shortest paths of each hot key that reaches anything in
+/// `graph`: the tight in-edge of the reached vertex halfway down the key's
+/// distance order.
+fn shortest_path_edges(graph: &CsrGraph) -> Vec<(VertexId, VertexId)> {
+    // (distances, whether an edge counts 1 whatever its weight)
+    let sssp =
+        SSSP_KEYS.iter().map(|&s| (forkgraph::seq::dijkstra::dijkstra(graph, s).dist, false));
+    let bfs = BFS_KEYS.iter().map(|&s| {
+        let level = forkgraph::seq::bfs::bfs(graph, s).level;
+        (level.iter().map(|&l| if l == u32::MAX { INF_DIST } else { l as Dist }).collect(), true)
+    });
+    sssp.chain(bfs)
+        .filter_map(|(dist, unit): (Vec<Dist>, bool)| {
+            let d = |v: VertexId| dist[v as usize];
+            let mut reached: Vec<VertexId> =
+                (0..dist.len() as VertexId).filter(|&v| d(v) != INF_DIST && d(v) > 0).collect();
+            reached.sort_by_key(|&v| (d(v), v));
+            let v = *reached.get(reached.len() / 2)?;
+            let step = |w: Weight| if unit { 1 } else { w as Dist };
+            let (u, _) = graph
+                .in_edges(v)
+                .find(|&(u, w)| d(u) != INF_DIST && d(u) + step(w) == d(v))
+                .expect("a reached vertex has a tight in-edge");
+            Some((u, v))
+        })
+        .collect()
+}
+
 #[test]
 fn service_answers_match_fg_seq_across_a_mutation_history() {
-    for threads in [1, 2] {
-        let graph = gen::rmat(8, 6, 41).with_random_weights(8, 41);
-        let n = graph.num_vertices() as u32;
-        let pg = Arc::new(PartitionedGraph::build(
-            &graph,
-            PartitionConfig::with_partitions(PartitionMethod::Multilevel, 6),
-        ));
-        let service = ForkGraphService::start(
-            pg,
-            EngineConfig::default().with_threads(threads),
-            ServiceConfig {
-                batch_window: Duration::from_millis(1),
-                cache_capacity: 256,
-                ..ServiceConfig::default()
-            },
-        );
-        let handle = service.handle();
-        let mut rng = SmallRng::seed_from_u64(0xD1FF + threads as u64);
+    let graph = gen::rmat(8, 6, 41).with_random_weights(8, 41);
+    let n = graph.num_vertices() as u32;
+    let on_paths = shortest_path_edges(&graph);
+    assert!(on_paths.len() >= 6, "{on_paths:?}");
+    let hot_sources = || SSSP_KEYS.iter().chain(&BFS_KEYS).copied();
+    for storage in [StorageConfig::Raw, StorageConfig::Compressed] {
+        for threads in [1, 2] {
+            let pg = Arc::new(PartitionedGraph::build(
+                &graph,
+                PartitionConfig::with_partitions(PartitionMethod::Multilevel, 6)
+                    .with_storage(storage),
+            ));
+            let service = ForkGraphService::start(
+                pg,
+                EngineConfig::default().with_threads(threads),
+                ServiceConfig {
+                    batch_window: Duration::from_millis(1),
+                    cache_capacity: 256,
+                    ..ServiceConfig::default()
+                },
+            );
+            let handle = service.handle();
+            let mut rng = SmallRng::seed_from_u64(0xD1FF + threads as u64);
 
-        read_hot_keys(&handle, &format!("threads={threads} initial"));
-        for round in 0..5 {
-            let label = format!("threads={threads} round {round}");
-            if round == 3 {
-                // Non-monotone: drop the first out-edge of every hot source.
+            read_hot_keys(&handle, &format!("{storage:?} threads={threads} initial"));
+            for round in 0..6 {
+                let label = format!("{storage:?} threads={threads} round {round}");
                 let snapshot = handle.graph();
-                for &u in SSSP_KEYS.iter().chain(&BFS_KEYS) {
-                    if let Some(&v) = snapshot.graph().out_neighbors(u).first() {
-                        handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
+                let graph = snapshot.graph();
+                let raises = (2..=4).contains(&round);
+                match round {
+                    2 => {
+                        // Every hot source's out-edges get heavier.
+                        for u in hot_sources() {
+                            for (v, w) in graph.out_edges(u) {
+                                handle
+                                    .mutate(EdgeMutation::UpdateWeight { u, v, w: w + 3 })
+                                    .unwrap();
+                            }
+                        }
+                    }
+                    3 => {
+                        // Drop the first out-edge of every hot source.
+                        for u in hot_sources() {
+                            if let Some(&v) = graph.out_neighbors(u).first() {
+                                handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
+                            }
+                        }
+                    }
+                    4 => {
+                        // Drop an edge of each hot key's original shortest paths.
+                        for &(u, v) in &on_paths {
+                            handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
+                        }
+                    }
+                    _ => {
+                        // Monotone: weight 1 is the least there is, so each
+                        // insert is a new edge or a weight decrease.
+                        for _ in 0..6 {
+                            let u = rng.gen_range(0..n);
+                            let v = rng.gen_range(0..n);
+                            if u != v {
+                                handle.mutate(EdgeMutation::Insert { u, v, w: 1 }).unwrap();
+                            }
+                        }
                     }
                 }
-            } else {
-                // Monotone: weight 1 is the least there is, so each insert is
-                // a new edge or a weight decrease.
-                for _ in 0..6 {
-                    let u = rng.gen_range(0..n);
-                    let v = rng.gen_range(0..n);
-                    if u != v {
-                        handle.mutate(EdgeMutation::Insert { u, v, w: 1 }).unwrap();
-                    }
+                handle.flush_mutations();
+                let resumed = service.metrics().incremental_runs;
+                read_hot_keys(&handle, &label);
+                if raises {
+                    assert!(
+                        service.metrics().incremental_runs > resumed,
+                        "{label}: the re-queries after a raising round must resume"
+                    );
                 }
             }
-            handle.flush_mutations();
-            read_hot_keys(&handle, &label);
-        }
 
-        let metrics = service.metrics();
-        service.shutdown();
-        assert!(metrics.incremental_runs > 0, "threads={threads}: nothing resumed: {metrics:?}");
-        assert!(metrics.cache_invalidations > 0, "threads={threads}: {metrics:?}");
+            let metrics = service.metrics();
+            service.shutdown();
+            assert!(metrics.cache_invalidations > 0, "{storage:?} threads={threads}: {metrics:?}");
+        }
     }
 }

@@ -15,15 +15,21 @@
 //! push — until it combined at emit time like `fg_seq::ppr_push`: the share
 //! is added on the edge, and an operation exists only for a threshold
 //! crossing, so every operation is a push.
+//!
+//! Deletion repair is held the same way: a resumed run after a deletion
+//! does the same handful of operations on a 256 × 256 grid as on a 32 × 32
+//! one.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use forkgraph::core::kernels::PprState;
+use forkgraph::core::kernels::{BfsKernel, PprState, SsspKernel};
 use forkgraph::core::YieldPolicy;
 use forkgraph::graph::gen;
+use forkgraph::graph::mutation::VersionedGraph;
 use forkgraph::graph::INF_DIST;
 use forkgraph::prelude::*;
+use forkgraph::seq::bfs::bfs;
 use forkgraph::seq::ppr::{ppr_push, PprConfig};
 
 /// Operations that entered a lane per vertex the batch reached: one per
@@ -91,6 +97,50 @@ fn engine_bookkeeping_stays_within_exact_ceilings_of_the_sequential_loop() {
     let road = gen::grid2d(64, 64, 0.02, 7).with_random_weights(9, 7);
     let sources: Vec<VertexId> = (0..8).map(|i| i * 509 % road.num_vertices() as u32).collect();
     check_ceilings("grid", &road, 8, &sources);
+}
+
+/// Deletion repair resets only the cone of vertices whose shortest paths
+/// may have crossed a deleted edge, and re-seeds it from its boundary, so on
+/// a bounded-degree lattice its work does not depend on the graph's size —
+/// the shape of Berkholz, Keppeler and Schweikardt's bound for updates on
+/// bounded-degree inputs. The far corner of a unit-weight grid, seen from
+/// the near one, has two in-edges on shortest paths: deleting one is a tie
+/// its distance survives, deleting both strands it.
+#[test]
+fn deletion_repair_work_is_flat_in_n() {
+    let mut work_by_size = Vec::new();
+    for side in [32usize, 256] {
+        let graph = gen::grid2d(side, side, 0.0, 7);
+        let corner = (side * side - 1) as VertexId;
+        let into_corner = graph.in_neighbors(corner).to_vec();
+        assert_eq!(into_corner.len(), 2);
+        let pg = Arc::new(chunked(&graph, 8));
+        let (dist, level) = (dijkstra(&graph, 0).dist, bfs(&graph, 0).level);
+        let mut work = Vec::new();
+        for deleted in [&into_corner[..1], &into_corner[..]] {
+            let label = format!("{side}x{side} deleting {deleted:?} → {corner}");
+            let vg = VersionedGraph::new(Arc::clone(&pg));
+            for &u in deleted {
+                vg.delete_edge(u, corner).unwrap();
+            }
+            let applied = vg.advance().unwrap();
+            let after = applied.graph.graph();
+            let engine = ForkGraphEngine::new(&applied.graph, EngineConfig::default());
+            let sssp =
+                engine.run_incremental(&SsspKernel, &[0], vec![dist.clone()], applied.delta());
+            assert_eq!(sssp.per_query[0], dijkstra(after, 0).dist, "{label}: sssp");
+            let levels =
+                engine.run_incremental(&BfsKernel, &[0], vec![level.clone()], applied.delta());
+            assert_eq!(levels.per_query[0], bfs(after, 0).level, "{label}: bfs");
+            for (kernel, run) in [("sssp", sssp.work()), ("bfs", levels.work())] {
+                let counters = (run.edges_processed, run.operations_buffered);
+                assert!(counters.0 <= 4 && counters.1 <= 4, "{label}: {kernel} {counters:?}");
+                work.push(counters);
+            }
+        }
+        work_by_size.push(work);
+    }
+    assert_eq!(work_by_size[0], work_by_size[1], "repair work grew with the grid");
 }
 
 fn check_ppr_ceilings(name: &str, graph: &CsrGraph, parts: usize, seeds: &[VertexId]) {
