@@ -40,7 +40,7 @@ fn run_wire_smoke(args: &[String]) {
     });
     let outcome = wire::run_wire_smoke(wire::Scale::FULL, addr.as_deref());
     println!(
-        "wire smoke OK: {} warm-up responses match the serial oracle; {:.1} qps over {} \
+        "wire smoke OK: {} warm-up responses match the one-worker engine oracle; {:.1} qps over {} \
          pipelined connections",
         outcome.verified,
         outcome.wire_qps,

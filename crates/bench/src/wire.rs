@@ -1,6 +1,6 @@
 //! The `repro --wire-smoke` load generator: multi-connection, closed-loop
 //! clients driving a [`fg_server::ForkGraphServer`] over loopback TCP, with
-//! every warm-up response checked against a serial oracle.
+//! every warm-up response checked against a one-worker engine oracle.
 //!
 //! Two modes:
 //!
@@ -9,7 +9,7 @@
 //! * **External** (`--addr host:port`): drive an already-running server —
 //!   e.g. `examples/server.rs --listen` — which must be serving the same
 //!   deterministic smoke workload, because the generator verifies every
-//!   warm-up response against a locally rebuilt serial oracle.
+//!   warm-up response against a locally rebuilt one-worker engine oracle.
 //!
 //! The reported throughput moves with the host; the wire-over-in-process
 //! ratio is `fgbench`'s `server.wire_vs_inproc` row.
@@ -68,7 +68,7 @@ pub fn workload(scale: Scale) -> (PartitionedGraph, Vec<VertexId>) {
 
 /// Result of one wire-smoke run.
 pub struct WireSmokeOutcome {
-    /// Warm-up responses that matched the serial oracle (every query).
+    /// Warm-up responses that matched the oracle (every query).
     pub verified: usize,
     /// Best closed-loop sweep, in queries per second over the wire.
     pub wire_qps: f64,
@@ -169,7 +169,7 @@ pub fn run_wire_smoke(scale: Scale, addr: Option<&str>) -> WireSmokeOutcome {
         (None, None) => unreachable!(),
     };
 
-    // Serial oracle for verification (identical workload on both sides —
+    // One-worker engine oracle for verification (identical workload on both sides —
     // external servers must serve [`workload`] for this to hold).
     let oracle_engine = ForkGraphEngine::new(&pg, EngineConfig::default());
 
@@ -195,12 +195,12 @@ pub fn run_wire_smoke(scale: Scale, addr: Option<&str>) -> WireSmokeOutcome {
                 "sssp" => assert_eq!(
                     payload,
                     WirePayload::U64s(oracle_engine.run_sssp(&[*source]).per_query[0].clone()),
-                    "wire sssp({source}) diverged from the serial oracle"
+                    "wire sssp({source}) diverged from the one-worker engine oracle"
                 ),
                 _ => assert_eq!(
                     payload,
                     WirePayload::U32s(oracle_engine.run_bfs(&[*source]).per_query[0].clone()),
-                    "wire bfs({source}) diverged from the serial oracle"
+                    "wire bfs({source}) diverged from the one-worker engine oracle"
                 ),
             }
             verified += 1;

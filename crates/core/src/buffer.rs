@@ -15,9 +15,10 @@
 //! straight onto the heap. A **yield just stops**: whatever the heap still
 //! holds stays where it is for the next visit.
 //!
+//! A run's buffers live beside its executor mailboxes, one per partition.
 //! Lanes, the lane table and the active-lane list are reused for the whole
-//! run (and, inside executor mailboxes, across runs through the
-//! [`crate::pool::WorkerPool`] arena). A visit of small lanes allocates
+//! run (and across runs when the mailboxes come from a
+//! [`crate::pool::WorkerPool`]'s arena). A visit of small lanes allocates
 //! nothing; large ones grow and give back capacity with the usual amortised
 //! policy, so allocations are proportional to operations —
 //! never to yields — and the footprint follows the live operations.
@@ -27,7 +28,6 @@ use std::collections::{BinaryHeap, VecDeque};
 use fg_graph::partition::PartitionId;
 
 use crate::operation::{HeapEntry, Operation, Priority};
-use crate::sched::SchedKey;
 
 /// How a flat operation list is grouped by query in the Table 5
 /// micro-benchmark ([`consolidate`]); the two methods of Appendix B.1. The
@@ -41,9 +41,10 @@ pub enum ConsolidationMethod {
     Scan,
 }
 
-/// Capacity (in operations) a lane's containers may keep however little they
-/// hold: below this, giving memory back costs more than it saves.
-const RESIDENT_SLACK: usize = 32;
+/// Capacity (in operations) a lane's containers — and an executor mailbox's
+/// stripes — may keep however little they hold: below this, giving memory
+/// back costs more than it saves.
+pub(crate) const RESIDENT_SLACK: usize = 32;
 
 /// One query's pending operations in one partition: a resident priority heap
 /// plus an inbox of arrivals since the query's last visit here.
@@ -183,9 +184,6 @@ pub struct PartitionBuffer<V> {
     active: Vec<u32>,
     len: usize,
     min_priority: Priority,
-    /// First-in order stamp used by the FIFO scheduler: the engine tick at
-    /// which this buffer last became runnable.
-    pub fifo_stamp: u64,
 }
 
 impl<V> Default for PartitionBuffer<V> {
@@ -197,7 +195,6 @@ impl<V> Default for PartitionBuffer<V> {
             active: Vec::new(),
             len: 0,
             min_priority: Priority::MAX,
-            fifo_stamp: 0,
         }
     }
 }
@@ -228,11 +225,6 @@ impl<V: Copy> PartitionBuffer<V> {
     /// ordered lanes, a lower bound in the unordered ablation.
     pub fn min_priority(&self) -> Priority {
         self.min_priority
-    }
-
-    /// This buffer's scheduling metadata.
-    pub fn sched_key(&self) -> SchedKey {
-        SchedKey { len: self.len, priority: self.min_priority, stamp: self.fifo_stamp }
     }
 
     /// Number of queries with pending operations.
@@ -317,7 +309,6 @@ impl<V: Copy> PartitionBuffer<V> {
         self.active.clear();
         self.len = 0;
         self.min_priority = Priority::MAX;
-        self.fifo_stamp = 0;
     }
 
     /// Remove and return all buffered operations grouped by query, the
@@ -439,8 +430,6 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.min_priority(), 10);
         assert_eq!(b.active_lanes(), 3);
-        let key = b.sched_key();
-        assert_eq!((key.len, key.priority), (3, 10));
     }
 
     #[test]

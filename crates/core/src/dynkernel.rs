@@ -14,9 +14,9 @@
 //!   back the per-query states as [`ErasedState`]s.
 //! * [`erase`] wraps any concrete [`FppKernel`] into an `Arc<dyn DynKernel>`.
 //!   The wrapper calls [`ForkGraphEngine::run`] with the *concrete* kernel,
-//!   so the entire execution path — the serial loop, or the parallel
-//!   executor on its persistent [`pool::WorkerPool`](crate::pool::WorkerPool)
-//!   with the `TypeId`-keyed recycle arena — is the monomorphized code the
+//!   so the entire execution path — the executor, on the calling thread or
+//!   on its persistent [`pool::WorkerPool`](crate::pool::WorkerPool) with
+//!   the `TypeId`-keyed recycle arena — is the monomorphized code the
 //!   direct API uses. Erasure
 //!   happens only at the two edges of a run: one virtual call going in, one
 //!   `Arc::new` per query state coming out. Results are therefore
@@ -62,9 +62,8 @@ pub trait DynKernel: Send + Sync {
 
     /// Run one batch (one query per source) through `engine`, returning the
     /// per-query final states type-erased. Equivalent to
-    /// [`ForkGraphEngine::run`] with the concrete kernel — same choice of
-    /// serial loop or worker pool, same results — followed by one
-    /// `Arc::new` per state.
+    /// [`ForkGraphEngine::run`] with the concrete kernel — same worker
+    /// count, same results — followed by one `Arc::new` per state.
     fn run_erased(
         &self,
         engine: &ForkGraphEngine<'_>,
@@ -136,8 +135,8 @@ mod tests {
     use crate::operation::Priority;
 
     /// A kernel that exists only in this test module: hop counts capped at a
-    /// fixed radius. Monotone (min-relaxation on hop count), so the serial
-    /// loop and the pool reach the same fixpoint byte-identically.
+    /// fixed radius. Monotone (min-relaxation on hop count), so one worker
+    /// and a crew on the pool reach the same fixpoint byte-identically.
     struct RadiusKernel {
         radius: u32,
     }
@@ -218,20 +217,21 @@ mod tests {
     }
 
     #[test]
-    fn custom_erased_kernel_is_identical_on_the_serial_loop_and_the_pool() {
+    fn custom_erased_kernel_is_identical_on_one_worker_and_the_pool() {
         let (_, pg) = partitioned(8);
         let sources = [0u32, 3, 77, 140];
         let kernel = erase(RadiusKernel { radius: 4 });
-        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+        let one_worker =
+            ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
         let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(3));
-        let parallel = engine.run_dyn(&*kernel, &sources);
-        for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+        let crew = engine.run_dyn(&*kernel, &sources);
+        for (a, b) in one_worker.per_query.iter().zip(&crew.per_query) {
             assert_eq!(
                 a.downcast_ref::<Vec<u32>>().unwrap(),
                 b.downcast_ref::<Vec<u32>>().unwrap()
             );
         }
-        let pool = engine.worker_pool().expect("a parallel run created a pool");
+        let pool = engine.worker_pool().expect("a crew's run created a pool");
         assert!(pool.metrics().dispatches >= 1, "custom kernel ran through the pool");
     }
 

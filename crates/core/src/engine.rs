@@ -16,8 +16,9 @@
 //! resident lane per query ([`crate::buffer`]), so a visit finds each
 //! query's operations already together and a yield leaves them where they
 //! are. Every run is one kernel's pass, seeded either at its sources or from
-//! an edge delta (`ForkGraphEngine::run_seeded`); the serial loop here and
-//! the parallel [`crate::executor`] drive the same visit primitive,
+//! an edge delta (`ForkGraphEngine::run_seeded`), and driven by the
+//! [`crate::executor`] — on the calling thread with one worker, on the
+//! engine's [`WorkerPool`] with more — through one visit primitive,
 //! `PartitionVisit::process_lane`.
 
 use std::sync::{Arc, OnceLock};
@@ -33,15 +34,15 @@ use fg_metrics::{
 };
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
-use fg_trace::{EventKind, Histogram, RunProfile, TraceSink};
+use fg_trace::{EventKind, RunProfile, TraceSink};
 
-use crate::buffer::{Lane, PartitionBuffer, RemoteScratch};
+use crate::buffer::{Lane, RemoteScratch};
 use crate::dynkernel::{DynKernel, ErasedState};
 use crate::kernel::{FppKernel, IncrementalKernel};
 use crate::kernels::{BfsKernel, DfsKernel, PprKernel, RandomWalkKernel, SsspKernel};
 use crate::operation::Operation;
 use crate::pool::WorkerPool;
-use crate::sched::{Scheduler, SchedulingPolicy};
+use crate::sched::SchedulingPolicy;
 use crate::yield_policy::YieldPolicy;
 
 /// Cumulative optimisation levels used in the ablation study (Figure 11).
@@ -94,17 +95,17 @@ pub struct EngineConfig {
     pub consolidate: bool,
     /// Number of buckets per partition buffer (K of Appendix B.1). Buffers
     /// are per-query lanes — the `K = |Q|` limit — so this steers and sizes
-    /// nothing. It, [`PartitionBuffer::new`]'s argument,
+    /// nothing. It, [`crate::buffer::PartitionBuffer::new`]'s argument,
     /// [`crate::buffer::ConsolidationMethod`] and `drain_consolidated`'s
     /// argument stay byte-compatible only because `fgbench/src/layers.rs`
     /// reads them; they go with the `[benchmark]` PR of ROADMAP item (d).
     pub num_buckets: usize,
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
-    /// Worker threads, and with them how a run is driven: `1` (the default)
-    /// is the paper's serial partition-at-a-time loop; above one, disjoint
-    /// partitions are processed concurrently by the inter-partition parallel
-    /// executor ([`crate::executor`]) on a persistent
+    /// Worker threads of a run's crew (at most one per partition). Every
+    /// run is the executor's ([`crate::executor`]) partition-at-a-time loop:
+    /// `1` (the default) runs it on the calling thread; above one, disjoint
+    /// partitions are processed concurrently by a crew on a persistent
     /// [`WorkerPool`]. `0` means "one worker per available CPU".
     pub num_threads: usize,
     /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
@@ -174,8 +175,8 @@ impl EngineConfig {
         self
     }
 
-    /// Set the worker-thread count of the parallel executor (`1` = serial,
-    /// `0` = one worker per available CPU).
+    /// Set the worker-thread count of a run's crew (`1` = the calling
+    /// thread, `0` = one worker per available CPU).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
@@ -256,8 +257,8 @@ pub(crate) fn event_field(count: u64) -> u32 {
 
 /// One partition visit, as the code processing a query's lane sees it: the
 /// engine and the visit's bookkeeping (partition, yield inputs, tracer,
-/// counters). The serial loop and the executor's workers hand each active
-/// lane to `process_lane`, the one monomorphized visit loop.
+/// counters). The executor's workers hand each active lane to
+/// `process_lane`, the one monomorphized visit loop.
 pub(crate) struct PartitionVisit<'a, 'g> {
     engine: &'a ForkGraphEngine<'g>,
     partition: PartitionId,
@@ -286,8 +287,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         }
     }
 
-    /// Process one query's lane within this partition visit — the visit
-    /// primitive the serial loop and the executor share.
+    /// Process one query's lane within this partition visit.
     ///
     /// With consolidation the lane's arrivals are merged into its resident
     /// heap and operations are popped in `(priority, vertex)` order; without
@@ -296,7 +296,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
     /// still holds stays resident for the next visit. An operation `kernel`
     /// emits is appended once to where it will be popped from: this lane if
     /// its vertex lives in this partition, else the `remote` batch of its
-    /// target (which the caller delivers when the lane's visit returns).
+    /// target (which the caller delivers when the partition visit ends).
     /// Work counters are accumulated in locals and flushed once, on return.
     pub(crate) fn process_lane<K: FppKernel>(
         &self,
@@ -383,9 +383,10 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
 pub struct ForkGraphEngine<'g> {
     pg: &'g PartitionedGraph,
     config: EngineConfig,
-    /// The persistent worker pool for parallel runs: pre-filled by
-    /// [`Self::with_pool`] (a crew shared across engines, e.g. fg-service's),
-    /// or lazily created — once — on the first parallel run.
+    /// The persistent worker pool for runs with more than one worker:
+    /// pre-filled by [`Self::with_pool`] (a crew shared across engines, e.g.
+    /// fg-service's), or lazily created — once — on the first such run.
+    /// One-worker runs recycle their storage through it when it exists.
     pool: OnceLock<Arc<WorkerPool>>,
     /// Structured-event sink; `None` (the default) costs one predictable
     /// branch per instrumentation site.
@@ -398,7 +399,7 @@ impl<'g> ForkGraphEngine<'g> {
         ForkGraphEngine { pg, config, pool: OnceLock::new(), trace: None }
     }
 
-    /// Create an engine that runs parallel batches on an existing
+    /// Create an engine that runs its crews on an existing
     /// shared [`WorkerPool`] instead of lazily creating its own. This is how
     /// a serving layer amortises one thread crew across many short-lived
     /// engines (one per micro-batch) with varying worker counts.
@@ -439,7 +440,7 @@ impl<'g> ForkGraphEngine<'g> {
         &self.config
     }
 
-    /// The worker pool this engine dispatches parallel runs to, if one has
+    /// The worker pool this engine dispatches crews to, if one has
     /// been attached or lazily created yet.
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.get()
@@ -452,10 +453,11 @@ impl<'g> ForkGraphEngine<'g> {
 
     /// Run a batch of queries of kernel `K`, one from each source vertex.
     ///
-    /// With `config.num_threads > 1` (and more than one partition) the batch
-    /// is executed by the inter-partition parallel executor
-    /// ([`crate::executor`]) on this engine's [`WorkerPool`]; otherwise by
-    /// the paper's serial partition-at-a-time loop.
+    /// The batch is the executor's ([`crate::executor`]) partition-at-a-time
+    /// pass: with `config.num_threads > 1` (and more than one partition) a
+    /// crew processes disjoint partitions concurrently on this engine's
+    /// [`WorkerPool`]; otherwise one worker runs the same loop on this
+    /// thread.
     pub fn run<K: FppKernel>(
         &self,
         kernel: &K,
@@ -477,154 +479,40 @@ impl<'g> ForkGraphEngine<'g> {
         self.run_seeded(kernel, states, seeds, watch)
     }
 
-    /// The one run pipeline: drive `kernel` from `seeds` — operations on
-    /// queries `0..states.len()` — until no operation is left, and return
-    /// the states. [`Self::run`] seeds each query with its source operation,
+    /// Every run's way in: drive `kernel` from `seeds` — operations on
+    /// queries `0..states.len()` — until no operation is left, and return the
+    /// states. [`Self::run`] seeds each query with its source operation,
     /// [`Self::run_incremental`] with its restart seeds.
     ///
-    /// `num_threads` alone picks how the pass is driven: one thread (or one
-    /// partition) is the serial loop below, anything else the executor on
-    /// the worker pool. With no seeds the states are already the answer —
-    /// and a parallel run that posts nothing would never observe quiescence.
+    /// The pass is the executor's, whatever the worker count: a crew of
+    /// `num_threads` workers (at most one per partition) runs on this
+    /// engine's [`WorkerPool`], created here on the first such run, and one
+    /// worker runs on this thread, recycling storage through the pool only
+    /// if one is attached.
     pub(crate) fn run_seeded<K: FppKernel>(
         &self,
         kernel: &K,
-        mut states: Vec<K::State>,
+        states: Vec<K::State>,
         seeds: Vec<Operation<K::Value>>,
         watch: Stopwatch,
     ) -> ForkGraphRunResult<K::State> {
-        let num_partitions = self.pg.num_partitions();
-        let num_queries = states.len();
-        if seeds.is_empty() {
-            let measurement = self.build_measurement(
-                Duration::ZERO,
-                &WorkCounters::new(),
-                &GraphAccessTracer::disabled(),
-                num_queries,
-            );
-            return ForkGraphRunResult { per_query: states, measurement, profile: None };
-        }
-        let workers = self.config.resolved_threads();
-        if workers > 1 && num_partitions > 1 {
-            let pool = self.pool.get_or_init(|| {
-                let pool =
-                    Arc::new(WorkerPool::new(crate::pool::crew_size(workers, num_partitions)));
+        let workers =
+            crate::pool::crew_size(self.config.resolved_threads(), self.pg.num_partitions());
+        let pool = if workers > 1 {
+            Some(self.pool.get_or_init(|| {
+                let pool = Arc::new(WorkerPool::new(workers));
                 if let Some(trace) = &self.trace {
                     pool.attach_trace(Arc::clone(trace));
                 }
                 pool
-            });
-            return crate::executor::run_parallel(
-                self, kernel, states, seeds, workers, pool, watch,
-            );
-        }
-        let tracer = match self.config.cache {
-            Some(config) => GraphAccessTracer::new(config),
-            None => GraphAccessTracer::disabled(),
+            }))
+        } else {
+            self.pool.get()
         };
-        let counters = WorkCounters::new();
-        self.emit_trace(EventKind::RunBegin, num_queries as u32, 1, 0);
-        let profiling = self.config.profile;
-        let mut visit_ops = Histogram::default();
-
-        // Everything a visit touches lives for the whole run: the lanes
-        // inside the buffers, the remote-routing scratch, the scheduler's
-        // candidate list. Nothing is built per visit or per yield.
-        let mut buffers: Vec<PartitionBuffer<K::Value>> =
-            (0..num_partitions).map(|_| PartitionBuffer::default()).collect();
-        let mut remote: RemoteScratch<K::Value> = RemoteScratch::new(num_partitions);
-        let mut scheduler = Scheduler::new(self.config.scheduling);
-
-        // InitBuffers(P, Q).
-        for op in seeds {
-            let p = self.pg.partition_of(op.vertex) as usize;
-            if buffers[p].is_empty() {
-                scheduler.stamp(&mut buffers[p]);
-            }
-            buffers[p].push(op);
-            counters.add_buffered(1);
-        }
-        let init_done = watch.elapsed();
-
-        // Main loop: schedule a partition and visit its lanes, one query at a
-        // time in ascending query order.
-        while let Some(p) = scheduler.next(&buffers) {
-            counters.add_partition_visit();
-            // The visit pops and pushes this partition's lanes while routing
-            // operations into the other partitions' buffers; taking the
-            // buffer out for the duration keeps the two borrows apart.
-            let mut buffer = std::mem::take(&mut buffers[p as usize]);
-            let lanes = buffer.begin_visit();
-            if profiling {
-                visit_ops.record(buffer.len() as u64);
-            }
-            self.emit_trace(
-                EventKind::PartitionVisitBegin,
-                p,
-                event_field(buffer.len() as u64),
-                lanes as u32,
-            );
-            let visit = PartitionVisit::new(self, p, num_queries, &tracer, &counters);
-            let mut done = LaneVisit::default();
-            for i in 0..lanes {
-                let (query, lane) = buffer.active_lane(i);
-                debug_assert!((query as usize) < num_queries);
-                done += visit.process_lane(
-                    kernel,
-                    query,
-                    lane,
-                    &mut states[query as usize],
-                    &mut remote,
-                );
-                // Send operations to neighbour partitions in batches (Line 16).
-                remote.flush(|target, batch| {
-                    let target = &mut buffers[target as usize];
-                    if target.is_empty() {
-                        scheduler.stamp(target);
-                    }
-                    target.push_batch(batch.drain(..));
-                });
-            }
-            buffer.end_visit();
-            if !buffer.is_empty() {
-                // Lanes that yielded stay resident; the partition goes to the
-                // back of the FIFO line like any that just became runnable.
-                scheduler.stamp(&mut buffer);
-            }
-            buffers[p as usize] = buffer;
-            self.emit_trace(
-                EventKind::PartitionVisitEnd,
-                p,
-                event_field(done.consumed),
-                event_field(done.emitted_local),
-            );
-        }
-        let main_done = watch.elapsed();
-
-        counters.add_queries_completed(num_queries as u64);
-        let measurement = self.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
-        self.emit_trace(EventKind::RunEnd, num_queries as u32, 1, 0);
-        let profile = profiling.then(|| {
-            let work = &measurement.work;
-            RunProfile {
-                phases: fg_trace::PhaseTimes {
-                    init: init_done,
-                    processing: main_done.saturating_sub(init_done),
-                    finalize: measurement.wall_time.saturating_sub(main_done),
-                },
-                workers: 1,
-                partition_visits: work.partition_visits,
-                visit_ops,
-                steals_per_worker: Histogram::default(),
-                steals: work.steals,
-                yields: work.yields,
-            }
-        });
-        ForkGraphRunResult { per_query: states, measurement, profile }
+        crate::executor::run(self, kernel, states, seeds, workers, pool.map(Arc::as_ref), watch)
     }
 
-    /// Assemble the [`Measurement`] of one run; shared between the serial loop
-    /// and the parallel executor.
+    /// Assemble the [`Measurement`] of one run.
     pub(crate) fn build_measurement(
         &self,
         wall_time: Duration,
@@ -668,9 +556,9 @@ impl<'g> ForkGraphEngine<'g> {
     /// the identical execution path as the built-ins.
     ///
     /// This is [`Self::run`] behind one virtual call: the erasure wrapper
-    /// invokes `run` with its concrete kernel, so the choice of serial loop
-    /// or worker pool, scheduling, yielding, and the pool's `TypeId`-keyed
-    /// storage recycling all behave exactly as a direct generic call would.
+    /// invokes `run` with its concrete kernel, so the worker count,
+    /// scheduling, yielding, and the pool's `TypeId`-keyed storage recycling
+    /// all behave exactly as a direct generic call would.
     /// Only the returned per-query states are boxed ([`ErasedState`]).
     pub fn run_dyn(
         &self,
@@ -711,9 +599,10 @@ impl<'g> ForkGraphEngine<'g> {
     /// alike. Each query's state is reset where the delta may have
     /// invalidated it and re-seeded ([`IncrementalKernel::restart_seeds`]);
     /// the run then converges to the exact fixpoint on this engine's graph,
-    /// byte-identical to a from-scratch run, on the serial loop and on the
-    /// pool alike. When nothing was seeded, the reset states are already
-    /// that fixpoint and are returned as they are.
+    /// byte-identical to a from-scratch run, at every worker count. When
+    /// nothing was seeded, the reset states are already that fixpoint: the
+    /// run starts quiesced and returns them as they are, with the wall time
+    /// of the restart (and a profile, if asked for) like any other run.
     ///
     /// # Panics
     /// Panics if `prev.len() != sources.len()`.
@@ -916,6 +805,28 @@ mod tests {
         let result = engine.run_sssp(&sources);
         assert_eq!(result.per_query[0], fg_seq::dijkstra::dijkstra(&g, 0).dist);
         assert_eq!(result.work().partition_visits, 1, "one partition, one visit");
+    }
+
+    #[test]
+    fn a_run_with_nothing_seeded_is_timed_and_profiled() {
+        let g = gen::rmat(8, 5, 31).with_random_weights(6, 31);
+        let pg = partitioned(&g, 4);
+        let sources = [0, 9];
+        let prev: Vec<Vec<Dist>> =
+            sources.iter().map(|&s| fg_seq::dijkstra::dijkstra(&g, s).dist).collect();
+        for threads in [1, 2] {
+            let config = EngineConfig::default().with_threads(threads).with_profile(true);
+            let engine = ForkGraphEngine::new(&pg, config);
+            // An empty delta seeds nothing: the states are already the answer.
+            let result =
+                engine.run_incremental(&SsspKernel, &sources, prev.clone(), EdgeDelta::default());
+            assert_eq!(result.per_query, prev);
+            let profile = result.profile.as_ref().expect("a profile was asked for");
+            assert_eq!(profile.partition_visits, 0);
+            assert_eq!(profile.workers as usize, threads);
+            assert_eq!(result.work().operations_processed, 0);
+            assert!(result.measurement.wall_time > Duration::ZERO, "{threads} workers");
+        }
     }
 
     #[test]

@@ -1,26 +1,29 @@
-//! Inter-partition parallel executor: a worker pool over disjoint partitions.
+//! The run driver: Algorithm 2 on a crew of workers over disjoint partitions.
 //!
-//! The serial engine ([`crate::engine::ForkGraphEngine::run`]) visits one
-//! LLC-sized partition at a time. This module adds the orthogonal axis of
-//! parallelism the paper's cache-sized partitions motivate: *disjoint
-//! partitions are processed concurrently*, each worker keeping its current
-//! partition resident in its share of the LLC.
+//! Every engine run comes here, whatever its worker count. A run with one
+//! worker (`num_threads == 1`, or a graph of one partition) runs the worker
+//! loop on the calling thread — the paper's partition-at-a-time loop, picking
+//! one LLC-sized partition after another. With more, the crew is dispatched
+//! onto a persistent [`crate::pool::WorkerPool`] and *disjoint partitions are
+//! processed concurrently*, each worker keeping its current partition
+//! resident in its share of the LLC. Nothing else differs: one claim, one
+//! visit and one post path serve both.
 //!
 //! Architecture:
 //!
 //! * **Mailboxes and lanes** — every partition owns a lock-striped mailbox
 //!   (one stripe per worker, so concurrent senders never contend on a
-//!   stripe) and, beside it, the same per-query lanes the serial engine uses
+//!   stripe) and, beside it, its per-query lanes
 //!   ([`crate::buffer::PartitionBuffer`]). Remote operations are posted to
-//!   the target partition's mailbox in per-(query, visit) batches; the lanes
-//!   belong to whoever holds the partition's `Running` claim, who moves the
-//!   mailbox's arrivals into them at visit start. A query that yields leaves
-//!   its lane resident, exactly as in the serial loop.
+//!   the target partition's mailbox in one batch per target per visit; the
+//!   lanes belong to whoever holds the partition's `Running` claim, who
+//!   moves the mailbox's arrivals into them at visit start. A query that
+//!   yields leaves its lane resident for the partition's next visit.
 //! * **Runnable sets** — each worker has a local set of claimable partitions,
 //!   seeded by the [`fg_graph::partitioned::PartitionedGraph::worker_affinity`]
 //!   hints (footprint-balanced home assignment). Workers pick from their own
-//!   set with the configured [`SchedulingPolicy`] (the same Table 4A rule as
-//!   the serial scheduler, via [`crate::sched::select_by_policy`]) and
+//!   set with the configured [`SchedulingPolicy`] (Table 4A; ties go by
+//!   partition id, so a one-worker run's visit order repeats exactly) and
 //!   **steal** from other workers' sets when their own drains.
 //! * **Claim protocol** — a partition's mailbox carries an atomic state
 //!   (`Idle → Queued → Running → Dirty`): posting to an idle partition
@@ -28,9 +31,8 @@
 //!   so the owning worker re-enqueues it when the visit ends. A partition is
 //!   therefore never in two runnable sets, and a query's visit to a partition
 //!   stays exclusive.
-//! * **Per-query state** stays single-writer: a worker locks
-//!   `states[q]` for the duration of `q`'s visit, exactly like the serial
-//!   engine's intra-partition processing, so kernels remain atomic-free
+//! * **Per-query state** stays single-writer: a worker locks `states[q]`
+//!   for the duration of `q`'s visit, so kernels remain atomic-free
 //!   sequential code.
 //! * **Termination** — an ops-in-flight counter tracks every operation from
 //!   the moment it is created until a visit has *consumed* it. Remote
@@ -38,18 +40,18 @@
 //!   balance (operations it pushed onto its lanes minus operations it
 //!   executed) is applied after its remote batches went out, so the counter
 //!   reaches zero exactly when every mailbox and every lane is empty and no
-//!   visit is in progress; the pool then quiesces.
-//!
-//! * **Worker threads** — a run's crew is dispatched onto a persistent
-//!   [`crate::pool::WorkerPool`] that parks its threads between runs and
-//!   recycles the per-run mailbox/lane/queue allocations; each worker builds
-//!   its routing scratch afresh per run.
+//!   visit is in progress; the crew then quiesces. A run with no seeds
+//!   starts quiesced.
+//! * **Storage** — a run takes its mailboxes, lanes and runnable sets from
+//!   the engine's pool's recycle arena when a pool is attached, and builds
+//!   them afresh otherwise; each worker builds its routing scratch afresh
+//!   per run.
 //!
 //! Inside a visit a worker processes its partition's lanes *sequentially*
-//! in ascending query order, like the serial loop (no nested
-//! intra-partition parallelism): with many partitions in flight the crew is
-//! already saturated, and per-visit thread teams would only thrash the cache
-//! the partitioning fought to keep warm.
+//! in ascending query order (no nested intra-partition parallelism): with
+//! many partitions in flight the crew is already saturated, and per-visit
+//! thread teams would only thrash the cache the partitioning fought to keep
+//! warm.
 //!
 //! The executor is generic over the run's [`FppKernel`]; kernels arriving
 //! through the type-erased [`crate::dynkernel::DynKernel`] layer re-enter
@@ -58,14 +60,14 @@
 //! mailboxes per operation value type.
 //!
 //! Result equivalence: SSSP and BFS relax monotonically to a unique fixpoint,
-//! so parallel execution is byte-identical to serial execution under every
-//! scheduling policy (property-tested in `tests/parallel_equivalence.rs`).
-//! PPR's lazy forward-push is *not* confluent — its quiescent state depends on
-//! operation grouping even serially (two serial policies already differ) — so
-//! equivalence there is the ACL approximation guarantee, not bitwise equality.
+//! so every worker count and scheduling policy lands on the same states as
+//! `fg-seq`'s Dijkstra and BFS (property-tested in
+//! `tests/parallel_equivalence.rs`). PPR's lazy forward-push is *not*
+//! confluent — its quiescent state depends on operation grouping even on one
+//! worker (two policies already differ) — so equivalence there is the ACL
+//! approximation guarantee, not bitwise equality.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -77,7 +79,7 @@ use fg_graph::partition::PartitionId;
 use fg_metrics::{Stopwatch, WorkCounters, WorkerSnapshot};
 use fg_trace::{AtomicHistogram, EventKind, Histogram, PhaseTimes, RunProfile};
 
-use crate::buffer::{PartitionBuffer, RemoteScratch};
+use crate::buffer::{PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
 use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
 use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
@@ -164,12 +166,19 @@ impl<V: Copy> Mailbox<V> {
     /// Move every arrival into `lanes`, one stripe at a time under that
     /// stripe's lock (a lane push is a single tail write); returns how many
     /// there were. Pushes racing the drain land in either this visit or (via
-    /// the `Dirty` state) the next one.
+    /// the `Dirty` state) the next one. What a stripe carried now lives in
+    /// the lanes, so a grown stripe gives its buffer back, as a merged lane
+    /// inbox does, rather than hold a second copy of the partition's peak
+    /// arrivals until its next visit.
     fn drain_into(&self, lanes: &mut PartitionBuffer<V>) -> usize {
         self.min_priority.store(Priority::MAX, Ordering::Relaxed);
         let resident = lanes.len();
         for stripe in &self.stripes {
-            lanes.push_batch(stripe.lock().drain(..));
+            let mut stripe = stripe.lock();
+            lanes.push_batch(stripe.drain(..));
+            if stripe.capacity() > RESIDENT_SLACK {
+                *stripe = Vec::new();
+            }
         }
         lanes.len() - resident
     }
@@ -182,8 +191,9 @@ impl<V: Copy> Mailbox<V> {
         self.min_priority.fetch_min(lanes.min_priority(), Ordering::Relaxed);
     }
 
-    fn sched_key(&self) -> SchedKey {
+    fn sched_key(&self, partition: PartitionId) -> SchedKey {
         SchedKey {
+            partition,
             len: self.len.load(Ordering::Relaxed),
             priority: self.min_priority.load(Ordering::Relaxed),
             stamp: self.stamp.load(Ordering::Relaxed),
@@ -191,8 +201,8 @@ impl<V: Copy> Mailbox<V> {
     }
 }
 
-/// Shared state of one parallel run. (One instance per `run` call; the
-/// *threads* that drive it are the [`WorkerPool`]'s — see [`run_parallel`].)
+/// Shared state of one run. (One instance per [`run`] call; the *threads*
+/// that drive it are the caller's, or the [`WorkerPool`]'s for a crew.)
 struct RunState<'e, 'g, K: FppKernel> {
     engine: &'e ForkGraphEngine<'g>,
     kernel: &'e K,
@@ -298,7 +308,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     fn pop_queue(&self, qi: usize, rng: &mut SmallRng) -> Option<usize> {
         let mut queue = self.queues[qi].lock();
         let pos = select_by_policy(self.policy, rng, queue.len(), |i| {
-            self.mailboxes[queue[i] as usize].sched_key()
+            self.mailboxes[queue[i] as usize].sched_key(queue[i])
         })?;
         let p = queue.swap_remove(pos) as usize;
         self.runnable.fetch_sub(1, Ordering::SeqCst);
@@ -325,9 +335,9 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
 
     /// One partition visit: move the mailbox's arrivals into the lanes,
     /// process every active lane under its query's state lock, post the
-    /// remote batches, update the termination counter, and run the
-    /// `Running → Idle | Queued` epilogue. `remote` is the worker's reusable
-    /// routing scratch.
+    /// remote batches once the last lane is done, update the termination
+    /// counter, and run the `Running → Idle | Queued` epilogue. `remote` is
+    /// the worker's reusable routing scratch.
     fn visit(
         &self,
         w: usize,
@@ -365,12 +375,15 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             let mut done = LaneVisit::default();
             for i in 0..active {
                 let (query, lane) = lanes.active_lane(i);
-                done += {
-                    let mut state = self.states[query as usize].lock();
-                    visit.process_lane(self.kernel, query, lane, &mut state, remote)
-                };
-                remote.flush(|target, batch| self.post(w, target as usize, batch));
+                let mut state = self.states[query as usize].lock();
+                done += visit.process_lane(self.kernel, query, lane, &mut state, remote);
             }
+            // Send operations to neighbour partitions in batches (Line 16),
+            // one per target for the whole visit: a target's lanes are per
+            // query and untouched until its own visit, so sending after the
+            // last lane instead of after each one changes no lane's contents
+            // or order, and pays each target's post cost once.
+            remote.flush(|target, batch| self.post(w, target as usize, batch));
             lanes.end_visit();
             stats.operations += done.consumed;
             mailbox.note_visit(done, &lanes);
@@ -456,26 +469,25 @@ fn worker_seed(policy_seed: u64, w: usize) -> u64 {
     policy_seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Drive `kernel` from `seeds` to quiescence with `num_workers`
-/// inter-partition workers dispatched onto `pool`, the run's storage recycled
-/// through the pool's arena. Called by `ForkGraphEngine::run_seeded` when
-/// `config.num_threads > 1`, with at least one seed — a run that posts
-/// nothing would never quiesce. Result-equivalent to the serial loop (see the
-/// module docs for the PPR caveat).
-pub(crate) fn run_parallel<K: FppKernel>(
+/// Drive `kernel` from `seeds` — operations on queries `0..states.len()` —
+/// to quiescence with `num_workers` inter-partition workers, and return the
+/// states, measurement and profile: the one run pipeline behind every
+/// [`ForkGraphEngine`] run. One worker runs the worker loop on the calling
+/// thread; a crew is dispatched onto `pool`. Storage comes from `pool`'s
+/// recycle arena when there is a pool, and is built afresh otherwise.
+pub(crate) fn run<K: FppKernel>(
     engine: &ForkGraphEngine<'_>,
     kernel: &K,
     states: Vec<K::State>,
     seeds: Vec<Operation<K::Value>>,
     num_workers: usize,
-    pool: &Arc<WorkerPool>,
+    pool: Option<&WorkerPool>,
     watch: Stopwatch,
 ) -> ForkGraphRunResult<K::State> {
     let pg = engine.partitioned_graph();
     let config = *engine.config();
     let num_partitions = pg.num_partitions();
     let num_queries = states.len();
-    let num_workers = crate::pool::crew_size(num_workers, num_partitions);
     let tracer = match config.cache {
         Some(cache) => GraphAccessTracer::new(cache),
         None => GraphAccessTracer::disabled(),
@@ -488,7 +500,13 @@ pub(crate) fn run_parallel<K: FppKernel>(
         SchedulingPolicy::Random { seed } => seed,
         _ => 0,
     };
-    let (mailboxes, queues) = pool.take_run_storage::<K::Value>(num_partitions, num_workers);
+    let (mailboxes, queues) = match pool {
+        Some(pool) => pool.take_run_storage::<K::Value>(num_partitions, num_workers),
+        None => (
+            (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
+            (0..num_workers).map(|_| Mutex::new(Vec::new())).collect(),
+        ),
+    };
     let run: RunState<'_, '_, K> = RunState {
         engine,
         kernel,
@@ -500,7 +518,8 @@ pub(crate) fn run_parallel<K: FppKernel>(
         in_flight: AtomicI64::new(0),
         runnable: AtomicUsize::new(0),
         parked: AtomicUsize::new(0),
-        done: AtomicBool::new(false),
+        // With nothing seeded the states are already the answer.
+        done: AtomicBool::new(seeds.is_empty()),
         idle_lock: Mutex::new(()),
         idle_cv: Condvar::new(),
         next_stamp: AtomicU64::new(0),
@@ -519,19 +538,27 @@ pub(crate) fn run_parallel<K: FppKernel>(
     }
     let init_done = watch.elapsed();
 
-    let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
-    pool.dispatch(num_workers, &|w| {
-        let stats = run.worker_loop(w, worker_seed(policy_seed, w));
-        snapshots.lock().push(stats);
-    });
-    let mut worker_stats = snapshots.into_inner();
-    worker_stats.sort_by_key(|s| s.worker);
+    let worker_stats = if num_workers == 1 {
+        vec![run.worker_loop(0, worker_seed(policy_seed, 0))]
+    } else {
+        let pool = pool.expect("a crew of more than one worker runs on a pool");
+        let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
+        pool.dispatch(num_workers, &|w| {
+            let stats = run.worker_loop(w, worker_seed(policy_seed, w));
+            snapshots.lock().push(stats);
+        });
+        let mut worker_stats = snapshots.into_inner();
+        worker_stats.sort_by_key(|s| s.worker);
+        worker_stats
+    };
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
     counters.add_queries_completed(num_queries as u64);
     let RunState { mailboxes, states, queues, .. } = run;
-    pool.store_run_storage(mailboxes, queues);
+    if let Some(pool) = pool {
+        pool.store_run_storage(mailboxes, queues);
+    }
     let per_query: Vec<K::State> = states.into_iter().map(|m| m.into_inner()).collect();
     let mut measurement =
         engine.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
@@ -579,36 +606,40 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sssp_matches_serial_and_dijkstra() {
+    fn every_worker_count_matches_dijkstra() {
         let (g, pg) = partitioned(12);
         let sources: Vec<u32> = vec![0, 17, 301, 555];
-        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_sssp(&sources);
-        let parallel =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4)).run_sssp(&sources);
-        assert_eq!(serial.per_query, parallel.per_query);
         let oracle: Vec<Vec<Dist>> =
             sources.iter().map(|&s| fg_seq::dijkstra::dijkstra(&g, s).dist).collect();
-        assert_eq!(parallel.per_query, oracle);
+        for threads in [1, 4] {
+            let config = EngineConfig::default().with_threads(threads);
+            let result = ForkGraphEngine::new(&pg, config).run_sssp(&sources);
+            assert_eq!(result.per_query, oracle, "{threads} workers");
+        }
     }
 
     #[test]
-    fn parallel_run_reports_per_worker_stats() {
+    fn every_run_reports_per_worker_stats() {
         let (_, pg) = partitioned(8);
-        let config = EngineConfig::default().with_threads(3);
-        let result = ForkGraphEngine::new(&pg, config).run_bfs(&[0, 5, 9, 100]);
-        let work = result.work();
-        assert_eq!(work.workers.len(), 3);
-        let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
-        assert_eq!(visits, work.partition_visits);
-        // Every executed operation is executed by exactly one worker, and a
-        // quiesced run has executed every operation it ever buffered.
-        let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
-        assert_eq!(ops, work.operations_processed);
-        assert_eq!(work.operations_processed, work.operations_buffered);
-        // The serial loop is the oracle, and leaves no per-worker breakdown.
-        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&[0, 5, 9, 100]);
-        assert!(serial.work().workers.is_empty());
-        assert_eq!(serial.per_query, result.per_query);
+        let sources = [0, 5, 9, 100];
+        let one_worker = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&sources);
+        for threads in [1, 3] {
+            let config = EngineConfig::default().with_threads(threads);
+            let result = ForkGraphEngine::new(&pg, config).run_bfs(&sources);
+            let work = result.work();
+            assert_eq!(work.workers.len(), threads);
+            let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
+            assert_eq!(visits, work.partition_visits);
+            // Every executed operation is executed by exactly one worker, and
+            // a quiesced run has executed every operation it ever buffered.
+            let ops: u64 = work.workers.iter().map(|w| w.operations).sum();
+            assert_eq!(ops, work.operations_processed);
+            assert_eq!(work.operations_processed, work.operations_buffered);
+            assert_eq!(result.per_query, one_worker.per_query);
+        }
+        // One worker has no one to steal from and never waits.
+        let work = one_worker.work();
+        assert_eq!((work.steals, work.idle_waits), (0, 0));
     }
 
     #[test]
@@ -618,16 +649,18 @@ mod tests {
     }
 
     #[test]
-    fn single_partition_falls_back_to_serial() {
+    fn single_partition_runs_one_worker() {
         let g = gen::rmat(8, 5, 3).with_random_weights(6, 3);
         let pg = PartitionedGraph::build(
             &g,
             PartitionConfig::with_partitions(PartitionMethod::Multilevel, 1),
         );
-        let result =
-            ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(8)).run_sssp(&[0, 2]);
-        // Serial fallback leaves no per-worker breakdown.
-        assert!(result.work().workers.is_empty());
+        let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(8));
+        let result = engine.run_sssp(&[0, 2]);
+        // A crew is capped at one worker per partition, and one worker runs
+        // on the calling thread: no pool is created for it.
+        assert_eq!(result.work().workers.len(), 1);
+        assert!(engine.worker_pool().is_none());
         assert_eq!(result.per_query[0], fg_seq::dijkstra::dijkstra(&g, 0).dist);
     }
 

@@ -13,24 +13,26 @@
 //!    priority **lane** per query — the `K = |Q|` limit of the paper's
 //!    multi-bucket buffer, where query-centric consolidation is structural:
 //!    an operation is appended once to the lane it will be popped from.
-//! 3. The [`engine::ForkGraphEngine`] repeatedly asks the inter-partition
-//!    [`sched::Scheduler`] for the next partition and processes every
+//! 3. Every [`engine::ForkGraphEngine`] run is driven by the [`executor`]:
+//!    a worker repeatedly picks the next runnable partition by the
+//!    inter-partition [`sched::SchedulingPolicy`] and processes every
 //!    query's lane there with a **sequential**, priority-ordered kernel
 //!    ([`kernel::FppKernel`]), one query after another — atomic-free,
 //!    because a query's state is only ever touched by one thread at a time.
 //! 4. A [`yield_policy::YieldPolicy`] early-terminates a query inside a
 //!    partition to avoid redundant work — the lane simply stays resident for
 //!    the next visit; operations that target other partitions are sent to
-//!    their lanes in batches when the query's visit ends.
-//! 5. [`engine::EngineConfig::num_threads`] alone picks how a run is driven.
-//!    `1` (the default) is the serial loop above. Above one, the
-//!    inter-partition parallel [`executor`] processes **disjoint partitions
-//!    concurrently**: a worker crew claims runnable partitions
-//!    (work-stealing when a worker's own set drains), routes remote
-//!    operations through sharded, lock-striped mailboxes into the claimed
-//!    partition's lanes, and quiesces via an ops-in-flight counter. The
-//!    crew's threads belong to a persistent [`pool::WorkerPool`] (spawned
-//!    once, parked between runs, per-run storage recycled).
+//!    their partitions' mailboxes in batches, one per target, when the
+//!    partition visit ends.
+//! 5. [`engine::EngineConfig::num_threads`] sets only the worker count.
+//!    `1` (the default) runs the worker loop on the calling thread. Above
+//!    one, a crew processes **disjoint partitions concurrently**: workers
+//!    claim runnable partitions (work-stealing when a worker's own set
+//!    drains), route remote operations through sharded, lock-striped
+//!    mailboxes into the claimed partition's lanes, and quiesce via an
+//!    ops-in-flight counter. The crew's threads belong to a persistent
+//!    [`pool::WorkerPool`] (spawned once, parked between runs, per-run
+//!    storage recycled).
 //! 6. Every run is **one kernel's pass**: [`engine::ForkGraphEngine::run`]
 //!    seeds it at the sources,
 //!    [`engine::ForkGraphEngine::run_incremental`] from an edge delta, and
@@ -70,5 +72,5 @@ pub use engine::{
 pub use kernel::{FppKernel, IncrementalKernel};
 pub use operation::{Operation, Priority};
 pub use pool::WorkerPool;
-pub use sched::{SchedKey, SchedulingPolicy};
+pub use sched::SchedulingPolicy;
 pub use yield_policy::YieldPolicy;

@@ -1,6 +1,6 @@
-//! A persistent worker pool for the inter-partition parallel executor.
+//! A persistent worker pool for the executor's crews.
 //!
-//! The one way a parallel run gets its threads. Spawning and joining a crew
+//! The one way a run with more than one worker gets its threads. Spawning and joining a crew
 //! per engine run, and allocating its mailboxes, queues and scratch afresh,
 //! is a small-batch tail-latency cost on the fg-service hot path (one run per
 //! micro-batch). A [`WorkerPool`] amortises both:
@@ -18,13 +18,14 @@
 //!   `std::thread::scope` provides, without the per-run thread churn.
 //! * **Per-run allocations are recycled**: partition mailboxes (with their
 //!   claim words and their resident per-query lanes) and per-worker runnable
-//!   queues return to a type-keyed arena after each run. Reuse vs rebuild is
+//!   queues return to a type-keyed arena after each run — one-worker runs of
+//!   an engine the pool is attached to included. Reuse vs rebuild is
 //!   counted in [`fg_metrics::PoolCounters`]. A worker's remote-routing
 //!   scratch is not: the job builds it per run, so nothing a failed run
 //!   staged can outlive it.
 //!
 //! A pool is either owned lazily by a [`crate::ForkGraphEngine`] (created on
-//! its first parallel run) or constructed once by a serving layer
+//! its first run with more than one worker) or constructed once by a serving layer
 //! and shared across engines via `Arc<WorkerPool>`
 //! ([`crate::ForkGraphEngine::with_pool`]) — fg-service does the latter so
 //! every micro-batch reuses one crew regardless of its adaptive worker count.
@@ -50,17 +51,18 @@ use crate::executor::Mailbox;
 /// with the worker's index.
 type Job = dyn Fn(usize) + Sync;
 
-/// The crew size a parallel run over `num_partitions` partitions actually
-/// uses when `requested_workers` are asked for: at least 2 (below that the
-/// engine runs serially), at most one worker per partition.
+/// The crew size a run over `num_partitions` partitions actually uses when
+/// `requested_workers` are asked for: at least one, at most one worker per
+/// partition. A crew of one runs on the calling thread; a larger one is
+/// dispatched onto a pool.
 ///
-/// The single sizing rule shared by the executor's dispatch, the engine's
-/// lazy pool creation, and fg-service's pool construction — pre-sized pools
-/// stay in lockstep with what runs dispatch only because all three use this
-/// one function (a drifted copy would either grow threads on the hot path,
-/// breaking the zero-spawn steady state, or park dead surplus).
+/// The single sizing rule shared by the engine's runs (and its lazy pool
+/// creation) and fg-service's pool construction — pre-sized pools stay in
+/// lockstep with what runs dispatch only because both use this one function
+/// (a drifted copy would either grow threads on the hot path, breaking the
+/// zero-spawn steady state, or park dead surplus).
 pub fn crew_size(requested_workers: usize, num_partitions: usize) -> usize {
-    requested_workers.clamp(2, num_partitions.max(2))
+    requested_workers.clamp(1, num_partitions.max(1))
 }
 
 /// Per-run storage handed out by (and returned to) the recycle arena.

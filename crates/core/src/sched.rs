@@ -1,51 +1,51 @@
 //! Inter-partition scheduling (Section 5.2 of the paper).
 //!
-//! When a partition visit finishes, the scheduler picks the next partition with
-//! a non-empty buffer. Four policies are provided, matching Table 4A:
+//! When a worker of the executor ([`crate::executor`]) finishes a partition
+//! visit, it picks the next partition among the runnable ones. Four policies
+//! are provided, matching Table 4A:
 //!
-//! * [`SchedulingPolicy::Random`] — an arbitrary non-empty partition,
+//! * [`SchedulingPolicy::Random`] — an arbitrary runnable partition,
 //! * [`SchedulingPolicy::MaxOperations`] — the partition with the most
 //!   buffered operations (GraphM-style; cache friendly but work inefficient),
-//! * [`SchedulingPolicy::Fifo`] — partitions in the order their buffers became
-//!   non-empty (the default when no priority functor is supplied),
+//! * [`SchedulingPolicy::Fifo`] — partitions in the order they became
+//!   runnable (the default when no priority functor is supplied),
 //! * [`SchedulingPolicy::Priority`] — the partition whose best buffered
 //!   operation has the highest priority (lowest value), the paper's default.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use fg_graph::partition::PartitionId;
 
-use crate::buffer::PartitionBuffer;
 use crate::operation::Priority;
 
 /// A scheduler's view of one candidate partition's pending work: the metadata
-/// every policy of Table 4A needs to rank candidates. Produced by the serial
-/// engine's [`PartitionBuffer`] ([`PartitionBuffer::sched_key`], kept exact
-/// from the lane tops) and by the parallel executor's mailboxes (arrivals
-/// plus resident lanes, as hints), so both execution modes share one
-/// selection rule ([`select_by_policy`]).
+/// every policy of Table 4A needs to rank candidates, as the executor's
+/// mailboxes keep it (arrivals plus resident lanes).
 #[derive(Clone, Copy, Debug)]
-pub struct SchedKey {
+pub(crate) struct SchedKey {
+    /// The candidate partition; ties between equal keys go by its id.
+    pub(crate) partition: PartitionId,
     /// Number of pending operations.
-    pub len: usize,
+    pub(crate) len: usize,
     /// Best (lowest) pending priority, `Priority::MAX` when unknown/empty.
-    pub priority: Priority,
+    pub(crate) priority: Priority,
     /// Tick at which the partition last became runnable (FIFO order).
-    pub stamp: u64,
+    pub(crate) stamp: u64,
 }
 
 /// Apply `policy` to `num_candidates` candidate partitions (metadata for
 /// position `i` resolved through `key_of(i)`), returning the winning
 /// *position* in `0..num_candidates`, or `None` when there are no candidates.
 ///
-/// Positional (rather than slice-based) so callers holding a lock over their
-/// candidate list — the executor picks from a mutex-guarded runnable set —
-/// can select without copying the list out first.
+/// Positional (rather than slice-based) so that the executor can select from
+/// a mutex-guarded runnable set without copying the list out first.
 ///
-/// This is the single selection rule of Table 4A, shared by the serial
-/// [`Scheduler`] and every worker of the parallel executor.
-pub fn select_by_policy(
+/// Ties do not depend on where a candidate sits in the set: among equal
+/// priorities the lowest partition id wins, among equal lengths the highest
+/// (FIFO stamps are unique). So a one-worker run visits partitions in the
+/// same order in every process.
+pub(crate) fn select_by_policy(
     policy: SchedulingPolicy,
     rng: &mut SmallRng,
     num_candidates: usize,
@@ -54,17 +54,22 @@ pub fn select_by_policy(
     if num_candidates == 0 {
         return None;
     }
+    let candidates = 0..num_candidates;
     let pos = match policy {
         SchedulingPolicy::Random { .. } => rng.gen_range(0..num_candidates),
-        SchedulingPolicy::MaxOperations => {
-            (0..num_candidates).max_by_key(|&i| key_of(i).len).expect("non-empty")
-        }
-        SchedulingPolicy::Fifo => {
-            (0..num_candidates).min_by_key(|&i| key_of(i).stamp).expect("non-empty")
-        }
-        SchedulingPolicy::Priority => {
-            (0..num_candidates).min_by_key(|&i| key_of(i).priority).expect("non-empty")
-        }
+        SchedulingPolicy::MaxOperations => candidates
+            .max_by_key(|&i| {
+                let key = key_of(i);
+                (key.len, key.partition)
+            })
+            .expect("non-empty"),
+        SchedulingPolicy::Fifo => candidates.min_by_key(|&i| key_of(i).stamp).expect("non-empty"),
+        SchedulingPolicy::Priority => candidates
+            .min_by_key(|&i| {
+                let key = key_of(i);
+                (key.priority, key.partition)
+            })
+            .expect("non-empty"),
     };
     Some(pos)
 }
@@ -72,14 +77,14 @@ pub fn select_by_policy(
 /// Inter-partition scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
-    /// Pick an arbitrary non-empty partition.
+    /// Pick an arbitrary runnable partition.
     Random {
         /// RNG seed, for reproducibility.
         seed: u64,
     },
     /// Pick the partition with the most buffered operations.
     MaxOperations,
-    /// Pick partitions in the order their buffers became non-empty.
+    /// Pick partitions in the order they became runnable.
     Fifo,
     /// Pick the partition with the best (lowest) buffered priority.
     #[default]
@@ -108,141 +113,18 @@ impl SchedulingPolicy {
     }
 }
 
-/// Scheduler state: picks the next partition to process.
-#[derive(Debug)]
-pub struct Scheduler {
-    policy: SchedulingPolicy,
-    rng: SmallRng,
-    /// Monotonically increasing stamp handed to buffers as they become
-    /// runnable, so FIFO order can be recovered.
-    next_stamp: u64,
-    /// Candidate list of [`Self::next`], kept so a pick allocates nothing.
-    non_empty: Vec<usize>,
-}
-
-impl Scheduler {
-    /// Create a scheduler with the given policy.
-    pub fn new(policy: SchedulingPolicy) -> Self {
-        let seed = match policy {
-            SchedulingPolicy::Random { seed } => seed,
-            _ => 0,
-        };
-        Scheduler {
-            policy,
-            rng: SmallRng::seed_from_u64(seed),
-            next_stamp: 1,
-            non_empty: Vec::new(),
-        }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> SchedulingPolicy {
-        self.policy
-    }
-
-    /// Stamp a buffer that just became runnable — it went from empty to
-    /// non-empty, or a visit ended with operations still resident, which
-    /// sends it to the back of the line (used by the FIFO policy).
-    pub fn stamp<V: Copy>(&mut self, buffer: &mut PartitionBuffer<V>) {
-        buffer.fifo_stamp = self.next_stamp;
-        self.next_stamp += 1;
-    }
-
-    /// Select the next partition among those with non-empty buffers.
-    /// Returns `None` when every buffer is empty (the FPP has converged).
-    pub fn next<V: Copy>(&mut self, buffers: &[PartitionBuffer<V>]) -> Option<PartitionId> {
-        self.non_empty.clear();
-        self.non_empty.extend((0..buffers.len()).filter(|&i| !buffers[i].is_empty()));
-        let non_empty = &self.non_empty;
-        let pos = select_by_policy(self.policy, &mut self.rng, non_empty.len(), |i| {
-            buffers[non_empty[i]].sched_key()
-        })?;
-        Some(non_empty[pos] as PartitionId)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operation::Operation;
+    use rand::SeedableRng;
 
-    fn buffer_with(ops: &[(u32, u64)]) -> PartitionBuffer<u64> {
-        let mut b = PartitionBuffer::new(4);
-        for &(q, p) in ops {
-            b.push(Operation::new(q, q, p, p));
-        }
-        b
-    }
-
-    #[test]
-    fn returns_none_when_all_buffers_empty() {
-        let buffers: Vec<PartitionBuffer<u64>> =
-            vec![PartitionBuffer::new(2), PartitionBuffer::new(2)];
-        let mut s = Scheduler::new(SchedulingPolicy::Priority);
-        assert_eq!(s.next(&buffers), None);
-    }
-
-    #[test]
-    fn priority_picks_partition_with_best_operation() {
-        let buffers = vec![
-            buffer_with(&[(0, 50), (1, 40)]),
-            buffer_with(&[(0, 5)]),
-            buffer_with(&[(2, 20), (3, 90)]),
-        ];
-        let mut s = Scheduler::new(SchedulingPolicy::Priority);
-        assert_eq!(s.next(&buffers), Some(1));
-    }
-
-    #[test]
-    fn max_operations_picks_largest_buffer() {
-        let buffers = vec![
-            buffer_with(&[(0, 1)]),
-            buffer_with(&[(0, 99), (1, 99), (2, 99)]),
-            PartitionBuffer::new(2),
-        ];
-        let mut s = Scheduler::new(SchedulingPolicy::MaxOperations);
-        assert_eq!(s.next(&buffers), Some(1));
-    }
-
-    #[test]
-    fn fifo_respects_stamp_order() {
-        let mut s = Scheduler::new(SchedulingPolicy::Fifo);
-        let mut b0 = buffer_with(&[(0, 9)]);
-        let mut b1 = buffer_with(&[(0, 1)]);
-        // b1 became non-empty first.
-        s.stamp(&mut b1);
-        s.stamp(&mut b0);
-        let buffers = vec![b0, b1];
-        assert_eq!(s.next(&buffers), Some(1));
-    }
-
-    #[test]
-    fn random_is_deterministic_given_seed_and_always_valid() {
-        let buffers = vec![
-            buffer_with(&[(0, 1)]),
-            PartitionBuffer::new(2),
-            buffer_with(&[(1, 2)]),
-            buffer_with(&[(2, 3)]),
-        ];
-        let picks_a: Vec<_> = {
-            let mut s = Scheduler::new(SchedulingPolicy::Random { seed: 11 });
-            (0..20).map(|_| s.next(&buffers).unwrap()).collect()
-        };
-        let picks_b: Vec<_> = {
-            let mut s = Scheduler::new(SchedulingPolicy::Random { seed: 11 });
-            (0..20).map(|_| s.next(&buffers).unwrap()).collect()
-        };
-        assert_eq!(picks_a, picks_b);
-        assert!(picks_a.iter().all(|&p| p != 1), "never picks an empty partition");
+    fn key(partition: PartitionId, len: usize, priority: Priority, stamp: u64) -> SchedKey {
+        SchedKey { partition, len, priority, stamp }
     }
 
     #[test]
     fn select_by_policy_matches_metadata_semantics() {
-        let keys = [
-            SchedKey { len: 3, priority: 50, stamp: 9 },
-            SchedKey { len: 1, priority: 5, stamp: 2 },
-            SchedKey { len: 7, priority: 20, stamp: 4 },
-        ];
+        let keys = [key(0, 3, 50, 9), key(1, 1, 5, 2), key(2, 7, 20, 4)];
         let key_of = |i: usize| keys[i];
         let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(
@@ -261,10 +143,37 @@ mod tests {
     }
 
     #[test]
+    fn ties_go_by_partition_id_not_by_position() {
+        // Candidates sit in a runnable set in no particular order; neither
+        // the first nor the last tied position is the right pick.
+        let keys = [key(5, 4, 10, 1), key(9, 4, 10, 2), key(2, 4, 10, 3), key(3, 1, 30, 4)];
+        let key_of = |i: usize| keys[i];
+        let mut rng = SmallRng::seed_from_u64(1);
+        let pick = |policy, rng: &mut SmallRng| {
+            select_by_policy(policy, rng, keys.len(), key_of).map(|pos| keys[pos].partition)
+        };
+        assert_eq!(pick(SchedulingPolicy::Priority, &mut rng), Some(2), "lowest id");
+        assert_eq!(pick(SchedulingPolicy::MaxOperations, &mut rng), Some(9), "highest id");
+        assert_eq!(pick(SchedulingPolicy::Fifo, &mut rng), Some(5), "earliest stamp");
+    }
+
+    #[test]
+    fn random_is_deterministic_given_seed() {
+        let keys = [key(0, 1, 1, 1), key(2, 1, 2, 2), key(3, 1, 3, 3)];
+        let picks = |seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let policy = SchedulingPolicy::Random { seed };
+            (0..20)
+                .map(|_| select_by_policy(policy, &mut rng, keys.len(), |i| keys[i]).unwrap())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(picks(11), picks(11));
+    }
+
+    #[test]
     fn policy_metadata() {
         assert_eq!(SchedulingPolicy::all().len(), 4);
         assert_eq!(SchedulingPolicy::Priority.name(), "priority");
         assert_eq!(SchedulingPolicy::default(), SchedulingPolicy::Priority);
-        assert_eq!(Scheduler::new(SchedulingPolicy::Fifo).policy(), SchedulingPolicy::Fifo);
     }
 }

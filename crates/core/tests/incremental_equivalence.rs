@@ -4,7 +4,7 @@
 //! weight increases and decreases, chained over several folds — resuming
 //! converged SSSP/BFS states with `run_incremental` is **byte-identical** to
 //! a from-scratch `run` on the post-mutation graph, and both equal `fg-seq`,
-//! under the serial loop and the pooled parallel executor alike. A delta
+//! on one worker and on a crew on the pool alike. A delta
 //! that spans several folds is accumulated in a `DeltaWindow`, as
 //! `fg-service`'s batcher accumulates it, and states captured at its first
 //! fold and at its latest one must both resume exactly.
@@ -27,7 +27,7 @@ use forkgraph_core::{EngineConfig, ForkGraphEngine, IncrementalKernel};
 
 const CASES: u64 = 6;
 
-/// Worker counts: the serial loop, and the pool at two crew sizes.
+/// Worker counts: one worker, and the pool at two crew sizes.
 const WORKERS: [usize; 3] = [1, 2, 4];
 
 fn arb_graph(rng: &mut SmallRng) -> CsrGraph {

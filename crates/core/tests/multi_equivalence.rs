@@ -3,7 +3,7 @@
 //! SSSP, BFS, PPR, random walks, and a kernel whose 40-byte operation value
 //! no inline payload ever fitted — `per_group[g]` is **byte-identical** to a
 //! solo [`ForkGraphEngine::run_dyn`] of that group on the same engine (PPR
-//! included: on the serial loop both sides execute the same deterministic
+//! included: on one worker both sides execute the same deterministic
 //! operation sequence), and `measurement.work` is exactly the
 //! [`WorkSnapshot::merge`](fg_metrics::WorkSnapshot::merge) of the solo
 //! runs' counters.
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{gen, AdjacencyView, CsrGraph, Dist, VertexId};
-use fg_metrics::WorkSnapshot;
+use fg_metrics::{WorkSnapshot, WorkerSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::kernels::{
@@ -132,14 +132,15 @@ fn every_group_is_its_solo_run_dyn_and_the_work_is_the_merge() {
 }
 
 #[test]
-fn pooled_groups_match_the_serial_loop_for_confluent_kernels() {
+fn pooled_groups_match_one_worker_for_confluent_kernels() {
     let pg = partitioned(6, 137);
     let cohorts = cohorts(true);
-    let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_multi(&groups(&cohorts));
+    let one_worker =
+        ForkGraphEngine::new(&pg, EngineConfig::default()).run_multi(&groups(&cohorts));
     let pooled = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(3))
         .run_multi(&groups(&cohorts));
     for (g, (kernel, _, assert_same)) in cohorts.iter().enumerate() {
-        for (i, (a, b)) in pooled.per_group[g].iter().zip(&serial.per_group[g]).enumerate() {
+        for (i, (a, b)) in pooled.per_group[g].iter().zip(&one_worker.per_group[g]).enumerate() {
             assert_same(a, b, &format!("group {g} ({}) query {i}", kernel.name()));
         }
     }
@@ -160,5 +161,8 @@ fn empty_and_single_group_edge_cases() {
     assert!(with_empty_group.per_group[0].is_empty());
     let solo = engine.run_dyn(&*sssp, &[5]);
     assert_same::<Vec<Dist>>(&with_empty_group.per_group[1][0], &solo.per_query[0], "single");
-    assert_eq!(&with_empty_group.measurement.work, solo.work());
+    // The empty group's pass did nothing; it reports only its idle worker.
+    let mut work = with_empty_group.measurement.work.clone();
+    assert_eq!(work.workers.remove(0), WorkerSnapshot::default());
+    assert_eq!(&work, solo.work());
 }

@@ -1,19 +1,20 @@
-//! Equivalence property tests for the inter-partition parallel executor.
+//! Equivalence property tests for the executor at every worker count.
 //!
-//! On seeded random graphs, parallel execution (2/4/8 workers, all four
-//! scheduling policies) must produce **byte-identical** per-query results to
-//! the serial engine for SSSP and BFS: both kernels relax monotonically to a
-//! unique fixpoint, so any schedule that runs to quiescence lands on exactly
-//! the same integer state.
+//! On seeded random graphs, every worker count (1/2/4/8, one worker running
+//! on the calling thread and the rest on the pool) under all four
+//! scheduling policies must produce **byte-identical** per-query results to
+//! `fg-seq`'s Dijkstra and BFS: both kernels relax monotonically to a unique
+//! fixpoint, so any schedule that runs to quiescence lands on exactly the
+//! same integer state as the sequential oracle.
 //!
 //! PPR is checked separately and deliberately *not* bitwise: the ACL lazy
 //! forward-push is non-confluent — the quiescent `(estimate, residual)` pair
-//! depends on how operations group into visits, so even two *serial*
+//! depends on how operations group into visits, so even two *one-worker*
 //! scheduling policies disagree in the last ulps (asserted below as
-//! `serial_ppr_is_itself_schedule_dependent`, which documents why). What every
-//! schedule must preserve is the approximation contract: exact mass
+//! `one_worker_ppr_is_itself_schedule_dependent`, which documents why). What
+//! every schedule must preserve is the approximation contract: exact mass
 //! conservation and estimates within the epsilon-scaled error bound of the
-//! serial result.
+//! one-worker result.
 //!
 //! Hand-rolled seeded harness (no proptest in the build environment); a
 //! failure prints the case number, which reproduces the trial exactly.
@@ -23,12 +24,16 @@ use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{CsrGraph, GraphBuilder};
+use fg_graph::{CsrGraph, Dist, GraphBuilder};
+use fg_seq::bfs::bfs;
+use fg_seq::dijkstra::dijkstra;
 use fg_seq::ppr::PprConfig;
 use forkgraph_core::{EngineConfig, ForkGraphEngine, SchedulingPolicy};
 
 const CASES: u64 = 6;
-const WORKER_COUNTS: [usize; 3] = [2, 4, 8];
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// The crews the PPR check compares against the one-worker result.
+const CREWS: [usize; 3] = [2, 4, 8];
 
 /// A random weighted graph over `60..240` vertices with `2n..6n` edges.
 fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
@@ -57,20 +62,20 @@ fn arb_sources(rng: &mut SmallRng, graph: &CsrGraph, max: usize) -> Vec<u32> {
 }
 
 #[test]
-fn parallel_sssp_is_byte_identical_to_serial_for_all_policies_and_worker_counts() {
+fn sssp_equals_dijkstra_for_all_policies_and_worker_counts() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x55_5F + case);
         let graph = arb_graph(&mut rng);
         let pg = arb_partitioned(&mut rng, &graph);
         let sources = arb_sources(&mut rng, &graph, 6);
+        let oracle: Vec<Vec<Dist>> = sources.iter().map(|&s| dijkstra(&graph, s).dist).collect();
         for policy in SchedulingPolicy::all() {
             let config = EngineConfig::default().with_scheduling(policy);
-            let serial = ForkGraphEngine::new(&pg, config).run_sssp(&sources);
             for workers in WORKER_COUNTS {
-                let parallel =
+                let result =
                     ForkGraphEngine::new(&pg, config.with_threads(workers)).run_sssp(&sources);
                 assert_eq!(
-                    serial.per_query, parallel.per_query,
+                    result.per_query, oracle,
                     "case {case} policy {policy:?} workers {workers}"
                 );
             }
@@ -79,20 +84,20 @@ fn parallel_sssp_is_byte_identical_to_serial_for_all_policies_and_worker_counts(
 }
 
 #[test]
-fn parallel_bfs_is_byte_identical_to_serial_for_all_policies_and_worker_counts() {
+fn bfs_equals_sequential_bfs_for_all_policies_and_worker_counts() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xBF5 + case);
         let graph = arb_graph(&mut rng);
         let pg = arb_partitioned(&mut rng, &graph);
         let sources = arb_sources(&mut rng, &graph, 6);
+        let oracle: Vec<Vec<u32>> = sources.iter().map(|&s| bfs(&graph, s).level).collect();
         for policy in SchedulingPolicy::all() {
             let config = EngineConfig::default().with_scheduling(policy);
-            let serial = ForkGraphEngine::new(&pg, config).run_bfs(&sources);
             for workers in WORKER_COUNTS {
-                let parallel =
+                let result =
                     ForkGraphEngine::new(&pg, config.with_threads(workers)).run_bfs(&sources);
                 assert_eq!(
-                    serial.per_query, parallel.per_query,
+                    result.per_query, oracle,
                     "case {case} policy {policy:?} workers {workers}"
                 );
             }
@@ -115,18 +120,18 @@ fn arb_small_graph(rng: &mut SmallRng) -> CsrGraph {
 }
 
 #[test]
-fn parallel_ppr_preserves_mass_and_matches_serial_within_epsilon_bound() {
+fn crew_ppr_preserves_mass_and_matches_one_worker_within_epsilon_bound() {
     let ppr = PprConfig { epsilon: 1e-4, ..Default::default() };
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x99_12 + case);
         let graph = arb_small_graph(&mut rng);
         let pg = arb_partitioned(&mut rng, &graph);
         let seeds = arb_sources(&mut rng, &graph, 3);
-        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &ppr);
-        for workers in WORKER_COUNTS {
-            let parallel = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(workers))
+        let one_worker = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &ppr);
+        for workers in CREWS {
+            let crew = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(workers))
                 .run_ppr(&seeds, &ppr);
-            for (q, (a, b)) in serial.per_query.iter().zip(parallel.per_query.iter()).enumerate() {
+            for (q, (a, b)) in one_worker.per_query.iter().zip(crew.per_query.iter()).enumerate() {
                 assert!(
                     (b.total_mass() - 1.0).abs() < 1e-9,
                     "case {case} workers {workers} query {q}: mass {}",
@@ -150,11 +155,11 @@ fn parallel_ppr_preserves_mass_and_matches_serial_within_epsilon_bound() {
     }
 }
 
-/// Documents why the PPR check above is not bitwise: the serial engine itself
+/// Documents why the PPR check above is not bitwise: one worker alone
 /// produces schedule-dependent PPR states — lazy forward-push is not
 /// confluent, independent of any parallelism.
 #[test]
-fn serial_ppr_is_itself_schedule_dependent() {
+fn one_worker_ppr_is_itself_schedule_dependent() {
     let mut rng = SmallRng::seed_from_u64(0xD0C);
     let mut found_difference = false;
     for _ in 0..8 {
@@ -175,6 +180,6 @@ fn serial_ppr_is_itself_schedule_dependent() {
     }
     assert!(
         found_difference,
-        "serial PPR became schedule-invariant; the parallel PPR check can be tightened to bitwise"
+        "one-worker PPR became schedule-invariant; the crew PPR check can be tightened to bitwise"
     );
 }

@@ -8,7 +8,7 @@
 //! N consecutive runs through ONE pool — mixing kernels, scheduling
 //! policies, worker counts (including growing past the pool's initial
 //! capacity), graphs, and partition counts between runs — and require every
-//! run to be byte-identical to a run on a fresh pool and to the serial loop
+//! run to be byte-identical to a run on a fresh pool and to a one-worker run
 //! (for the schedule-invariant kernels; PPR is checked against its mass
 //! contract).
 //!
@@ -62,9 +62,9 @@ fn arb_sources(rng: &mut SmallRng, graph: &CsrGraph, max: usize) -> Vec<u32> {
 }
 
 /// N consecutive mixed-kernel runs through one pool are byte-identical to
-/// fresh-pool and serial execution, across all four scheduling policies.
+/// fresh-pool and one-worker execution, across all four scheduling policies.
 #[test]
-fn consecutive_pooled_runs_match_a_fresh_pool_and_serial() {
+fn consecutive_pooled_runs_match_a_fresh_pool_and_one_worker() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0x9001 + case);
         // One pool for the whole case, deliberately starting *below* the
@@ -84,30 +84,30 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_serial() {
             let workers = WORKER_COUNTS[rng.gen_range(0usize..WORKER_COUNTS.len())];
             let config = EngineConfig::default().with_scheduling(policy).with_threads(workers);
 
-            let serial = ForkGraphEngine::new(pg, config.with_threads(1));
+            let one_worker = ForkGraphEngine::new(pg, config.with_threads(1));
             // Its own lazily created pool: nothing recycled, nothing leaked.
             let unshared = ForkGraphEngine::new(pg, config);
             let pooled = ForkGraphEngine::with_pool(pg, config, Arc::clone(&pool));
 
             if run % 2 == 0 {
-                let expected = serial.run_sssp(&sources);
+                let expected = one_worker.run_sssp(&sources);
                 let fresh = unshared.run_sssp(&sources);
                 let reused = pooled.run_sssp(&sources);
                 assert_eq!(
                     expected.per_query, reused.per_query,
-                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs serial"
+                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs one worker"
                 );
                 assert_eq!(
                     fresh.per_query, reused.per_query,
                     "case {case} run {run} policy {policy:?} workers {workers}: pool vs fresh pool"
                 );
             } else {
-                let expected = serial.run_bfs(&sources);
+                let expected = one_worker.run_bfs(&sources);
                 let fresh = unshared.run_bfs(&sources);
                 let reused = pooled.run_bfs(&sources);
                 assert_eq!(
                     expected.per_query, reused.per_query,
-                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs serial"
+                    "case {case} run {run} policy {policy:?} workers {workers}: pool vs one worker"
                 );
                 assert_eq!(
                     fresh.per_query, reused.per_query,
@@ -133,9 +133,9 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_serial() {
 }
 
 /// PPR across consecutive pooled runs: not bitwise (lazy forward-push is
-/// non-confluent even serially — see `parallel_equivalence.rs`), but every
+/// non-confluent even on one worker — see `parallel_equivalence.rs`), but every
 /// run must preserve exact mass and stay within the epsilon-scaled bound of
-/// the serial result — including the later runs that reuse recycled
+/// the one-worker result — including the later runs that reuse recycled
 /// storage, where stale f64 residual operations would surface.
 #[test]
 fn consecutive_pooled_ppr_runs_preserve_the_approximation_contract() {
@@ -157,7 +157,7 @@ fn consecutive_pooled_ppr_runs_preserve_the_approximation_contract() {
 
     for run in 0..6 {
         let seeds = arb_sources(&mut rng, &graph, 3);
-        let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &ppr);
+        let one_worker = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &ppr);
         let engine = ForkGraphEngine::with_pool(
             &pg,
             EngineConfig::default().with_threads(4),
@@ -168,7 +168,7 @@ fn consecutive_pooled_ppr_runs_preserve_the_approximation_contract() {
             .map(|v| ppr.epsilon * graph.out_degree(v as u32).max(1) as f64)
             .sum::<f64>()
             * 2.0;
-        for (q, (a, b)) in serial.per_query.iter().zip(pooled.per_query.iter()).enumerate() {
+        for (q, (a, b)) in one_worker.per_query.iter().zip(pooled.per_query.iter()).enumerate() {
             assert!(
                 (b.total_mass() - 1.0).abs() < 1e-9,
                 "run {run} query {q}: mass {}",

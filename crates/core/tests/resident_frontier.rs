@@ -6,7 +6,7 @@
 //!   contract of `parallel_equivalence.rs`, across
 //!   {`YieldPolicy::None`, `EdgeBudget{1}`, default, `ValueRange`} ×
 //!   all four `SchedulingPolicy`s × `consolidate` on/off ×
-//!   {the serial loop, the pool with 2 and 3 workers} × {raw, compressed} ×
+//!   {one worker, the pool with 2 and 3 workers} × {raw, compressed} ×
 //!   {`run`, `run_dyn`, `run_incremental`}. `EdgeBudget{1}` is
 //!   the adversarial corner: every lane yields after its first operation
 //!   with edges, so nearly every operation spends time resident between
@@ -81,7 +81,7 @@ const YIELD_POLICIES: [YieldPolicy; 4] = [
     YieldPolicy::ValueRange { delta: 4 },
 ];
 
-/// Worker counts: the serial loop (the oracle's shape), and the persistent
+/// Worker counts: one worker on the calling thread, and the persistent
 /// pool at two crew sizes.
 const WORKERS: [usize; 3] = [1, 2, 3];
 

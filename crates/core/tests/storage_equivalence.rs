@@ -4,7 +4,7 @@
 //! **byte-identical** whether a partition's adjacency is stored raw (CSR
 //! slices), compressed (delta/varint payloads decoded on visit), or chosen
 //! adaptively per partition — for SSSP, BFS, and erased (`run_dyn`) random
-//! walks, on the serial loop and the pool, and across dynamic-graph mutation batches
+//! walks, on one worker and on the pool, and across dynamic-graph mutation batches
 //! with epoch advances (dirty-partition re-encodes included). The storage
 //! policy itself must survive epoch re-materialisation: a store built
 //! compressed stays compressed after a fold. And the reason compression
@@ -31,7 +31,7 @@ use forkgraph_core::{erase, EngineConfig, ForkGraphEngine, SchedulingPolicy};
 
 const CASES: u64 = 5;
 
-/// Worker counts: the serial loop plus the persistent pool.
+/// Worker counts: one worker plus the persistent pool.
 const WORKERS: [usize; 2] = [1, 4];
 
 /// Adaptive threshold giving a raw/compressed mix on the generated graphs.
@@ -175,7 +175,7 @@ fn compressed_storage_strictly_reduces_simulated_misses() {
     let n = raw.graph().num_vertices() as u32;
     let sources: Vec<VertexId> = (0..4u32).map(|i| (i * 193 + 5) % n).collect();
 
-    // ~256 KiB simulated LLC, deterministic serial FIFO schedule.
+    // ~256 KiB simulated LLC, deterministic one-worker FIFO schedule.
     let config = EngineConfig::default().with_scheduling(SchedulingPolicy::Fifo).with_cache(
         fg_cachesim::CacheConfig { capacity_bytes: 256 * 1024, line_bytes: 64, associativity: 16 },
     );

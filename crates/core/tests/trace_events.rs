@@ -16,7 +16,7 @@ fn partitioned(parts: usize) -> PartitionedGraph {
     )
 }
 
-/// The partition-visit order a serial run's event stream reconstructs.
+/// The partition-visit order a one-worker run's event stream reconstructs.
 fn visit_order(events: &[TraceEvent]) -> Vec<u32> {
     events.iter().filter(|e| e.kind == EventKind::PartitionVisitBegin).map(|e| e.a).collect()
 }
@@ -26,7 +26,7 @@ fn sum_of(events: &[TraceEvent], kind: EventKind, field: fn(&TraceEvent) -> u32)
 }
 
 #[test]
-fn serial_event_stream_reconstructs_the_exact_visit_order() {
+fn one_worker_event_stream_reconstructs_the_exact_visit_order() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 13, 200, 777];
     let config = EngineConfig::default().with_threads(1);
@@ -40,13 +40,13 @@ fn serial_event_stream_reconstructs_the_exact_visit_order() {
     let sink_b = TraceSink::new();
     let result_b = run(&sink_b);
 
-    // Serial scheduling is deterministic: two identical runs visit the same
+    // One worker's schedule is deterministic: two identical runs visit the same
     // partitions in the same order, and the event stream captures exactly
     // that order — one Begin per counted visit, same sequence both times.
     let events_a: Vec<TraceEvent> = sink_a.merged_events().into_iter().map(|(_, e)| e).collect();
     let events_b: Vec<TraceEvent> = sink_b.merged_events().into_iter().map(|(_, e)| e).collect();
     let order_a = visit_order(&events_a);
-    assert_eq!(order_a, visit_order(&events_b), "serial visit order is deterministic");
+    assert_eq!(order_a, visit_order(&events_b), "one-worker visit order is deterministic");
     assert_eq!(
         order_a.len() as u64,
         result_a.work().partition_visits,
@@ -54,7 +54,7 @@ fn serial_event_stream_reconstructs_the_exact_visit_order() {
     );
     assert_eq!(result_a.per_query, result_b.per_query);
 
-    // Begin/End bracket correctly: serial visits never nest, and each End
+    // Begin/End bracket correctly: one worker's visits never nest, and each End
     // names the partition its Begin opened.
     let mut open: Option<u32> = None;
     let mut run_open = false;
@@ -64,7 +64,7 @@ fn serial_event_stream_reconstructs_the_exact_visit_order() {
             EventKind::RunEnd => run_open = false,
             EventKind::PartitionVisitBegin => {
                 assert!(run_open, "visit outside the run span");
-                assert_eq!(open, None, "serial visits must not nest");
+                assert_eq!(open, None, "one worker's visits must not nest");
                 open = Some(e.a);
             }
             EventKind::PartitionVisitEnd => {
@@ -201,7 +201,7 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
     let sources: Vec<u32> = vec![0, 42, 999];
 
     for threads in [1usize, 3] {
-        let mode = if threads == 1 { "serial" } else { "pool" };
+        let mode = if threads == 1 { "one worker" } else { "pool" };
         let base = EngineConfig::default().with_threads(threads);
 
         let off = ForkGraphEngine::new(&pg, base).run_sssp(&sources);
@@ -220,20 +220,19 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
             profile.phases.total() <= on.measurement.wall_time,
             "{mode:?}: phases partition the measured wall time"
         );
-        if threads > 1 {
-            assert_eq!(
-                profile.steals_per_worker.count(),
-                work.workers.len() as u64,
-                "one steal sample per worker"
-            );
-            assert_eq!(profile.steals_per_worker.sum(), work.steals);
-        }
+        assert_eq!(work.workers.len(), threads, "{mode:?}");
+        assert_eq!(
+            profile.steals_per_worker.count(),
+            work.workers.len() as u64,
+            "{mode:?}: one steal sample per worker"
+        );
+        assert_eq!(profile.steals_per_worker.sum(), work.steals, "{mode:?}");
         // Profiles must not change results.
         assert_eq!(off.per_query, on.per_query, "{mode:?}");
 
         // The histogram's samples are the visits' `PartitionVisitBegin.b` —
-        // operations resident + arrived when the visit began — in serial and
-        // pool mode alike.
+        // operations resident + arrived when the visit began — on one worker
+        // and on the pool alike.
         let sink = TraceSink::new();
         let traced = ForkGraphEngine::new(&pg, base.with_profile(true))
             .with_trace_sink(Arc::clone(&sink))

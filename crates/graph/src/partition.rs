@@ -5,7 +5,6 @@
 //! graphs with METIS for road/citation/web graphs and falls back to random
 //! partitioning for large social networks. This module provides:
 //!
-//! * [`PartitionMethod::Random`] — uniform random vertex assignment,
 //! * [`PartitionMethod::Hash`] — deterministic hash assignment (stands in for
 //!   GridGraph-style partitioning in the partition-method comparison),
 //! * [`PartitionMethod::Chunked`] — contiguous vertex ranges balanced by edge
@@ -26,8 +25,6 @@ pub type PartitionId = u32;
 /// The partitioning algorithm to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PartitionMethod {
-    /// Uniform random assignment (used by the paper for large social graphs).
-    Random,
     /// Deterministic hash of the vertex id.
     Hash,
     /// Contiguous vertex ranges balanced by out-degree sum (Gemini-style).
@@ -38,19 +35,13 @@ pub enum PartitionMethod {
 
 impl PartitionMethod {
     /// All methods, for sweeps in the evaluation harness.
-    pub fn all() -> [PartitionMethod; 4] {
-        [
-            PartitionMethod::Random,
-            PartitionMethod::Hash,
-            PartitionMethod::Chunked,
-            PartitionMethod::Multilevel,
-        ]
+    pub fn all() -> [PartitionMethod; 3] {
+        [PartitionMethod::Hash, PartitionMethod::Chunked, PartitionMethod::Multilevel]
     }
 
     /// Short human-readable name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
-            PartitionMethod::Random => "random",
             PartitionMethod::Hash => "hash",
             PartitionMethod::Chunked => "chunked",
             PartitionMethod::Multilevel => "multilevel",
@@ -76,7 +67,7 @@ pub struct PartitionConfig {
     pub method: PartitionMethod,
     /// Partition-count target.
     pub target: PartitionTarget,
-    /// Seed for the randomised methods.
+    /// Seed of the multilevel partitioner's matching and region-growing order.
     pub seed: u64,
     /// Per-partition payload storage policy (raw, compressed, or adaptive by
     /// footprint). Defaults to [`StorageConfig::Raw`].
@@ -144,7 +135,6 @@ impl PartitionPlan {
     pub fn compute(graph: &CsrGraph, config: &PartitionConfig) -> PartitionPlan {
         let k = config.resolve_num_partitions(graph).min(graph.num_vertices().max(1));
         let assignment = match config.method {
-            PartitionMethod::Random => random_partition(graph, k, config.seed),
             PartitionMethod::Hash => hash_partition(graph, k),
             PartitionMethod::Chunked => chunked_partition(graph, k),
             PartitionMethod::Multilevel => multilevel_partition(graph, k, config.seed),
@@ -199,11 +189,6 @@ impl PartitionPlan {
         self.assignment.len() == graph.num_vertices()
             && self.assignment.iter().all(|&p| (p as usize) < self.num_partitions)
     }
-}
-
-fn random_partition(graph: &CsrGraph, k: usize, seed: u64) -> Vec<PartitionId> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..graph.num_vertices()).map(|_| rng.gen_range(0..k) as PartitionId).collect()
 }
 
 fn hash_partition(graph: &CsrGraph, k: usize) -> Vec<PartitionId> {
@@ -553,23 +538,21 @@ mod tests {
     }
 
     #[test]
-    fn multilevel_beats_random_on_grid_cut() {
+    fn multilevel_beats_hash_on_grid_cut() {
         let g = gen::grid2d(60, 60, 0.0, 1);
         let k = 9;
-        let random = PartitionPlan::compute(
-            &g,
-            &PartitionConfig::with_partitions(PartitionMethod::Random, k),
-        );
+        let hash =
+            PartitionPlan::compute(&g, &PartitionConfig::with_partitions(PartitionMethod::Hash, k));
         let multi = PartitionPlan::compute(
             &g,
             &PartitionConfig::with_partitions(PartitionMethod::Multilevel, k),
         );
         check_plan(&g, &multi);
-        let rc = random.edge_cut(&g);
+        let hc = hash.edge_cut(&g);
         let mc = multi.edge_cut(&g);
         assert!(
-            (mc as f64) < rc as f64 * 0.5,
-            "multilevel cut {mc} should be far below random cut {rc}"
+            (mc as f64) < hc as f64 * 0.5,
+            "multilevel cut {mc} should be far below hash cut {hc}"
         );
     }
 
@@ -585,10 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn hash_and_random_plans_are_deterministic() {
+    fn hash_plans_are_deterministic() {
         let g = gen::erdos_renyi(200, 1000, 3);
-        let c = PartitionConfig::with_partitions(PartitionMethod::Random, 4);
-        assert_eq!(PartitionPlan::compute(&g, &c), PartitionPlan::compute(&g, &c));
         let h = PartitionConfig::with_partitions(PartitionMethod::Hash, 4);
         assert_eq!(PartitionPlan::compute(&g, &h), PartitionPlan::compute(&g, &h));
     }
@@ -607,10 +588,8 @@ mod tests {
     #[test]
     fn edge_cut_zero_for_single_partition() {
         let g = gen::rmat(7, 4, 1);
-        let plan = PartitionPlan::compute(
-            &g,
-            &PartitionConfig::with_partitions(PartitionMethod::Random, 1),
-        );
+        let plan =
+            PartitionPlan::compute(&g, &PartitionConfig::with_partitions(PartitionMethod::Hash, 1));
         assert_eq!(plan.edge_cut(&g), 0);
     }
 

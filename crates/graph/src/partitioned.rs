@@ -418,7 +418,7 @@ mod tests {
             PartitionedGraph::from_plan(
                 Arc::new(g.clone()),
                 plan,
-                PartitionConfig::with_partitions(PartitionMethod::Random, 1),
+                PartitionConfig::with_partitions(PartitionMethod::Hash, 1),
             )
         });
         assert!(result.is_err());

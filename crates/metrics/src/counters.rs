@@ -124,7 +124,7 @@ pub struct VisitWork {
     pub buffered: u64,
 }
 
-/// Per-worker statistics of one parallel engine run.
+/// Per-worker statistics of one engine run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
     /// Worker index within the pool.
@@ -141,8 +141,8 @@ pub struct WorkerSnapshot {
 
 /// A point-in-time copy of [`WorkCounters`].
 ///
-/// `workers` is populated only by the parallel executor (one entry per pool
-/// worker); serial runs leave it empty.
+/// For a ForkGraph engine run `workers` holds one entry per worker of the
+/// run, one-worker runs included; baselines leave it empty.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
     /// Edges relaxed/traversed.
@@ -168,11 +168,12 @@ pub struct WorkSnapshot {
     pub iterations: u64,
     /// Queries completed.
     pub queries_completed: u64,
-    /// Partitions claimed from another worker's runnable set (parallel mode).
+    /// Partitions claimed from another worker's runnable set.
     pub steals: u64,
-    /// Worker park events with no runnable partition (parallel mode).
+    /// Worker park events with no runnable partition.
     pub idle_waits: u64,
-    /// Per-worker breakdown (parallel mode; empty for serial runs).
+    /// Per-worker breakdown (one entry per engine worker; empty for the
+    /// baselines).
     pub workers: Vec<WorkerSnapshot>,
 }
 

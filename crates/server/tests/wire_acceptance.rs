@@ -3,7 +3,7 @@
 //!
 //! 1. N concurrent connections, each **pipelining** a mix of SSSP, BFS, and
 //!    a custom registered kernel, get results **byte-identical** to a direct
-//!    serial oracle — the wire adds no semantics.
+//!    one-worker engine oracle — the wire adds no semantics.
 //! 2. Saturation produces retry-after frames and the connection survives to
 //!    resubmit successfully.
 //! 3. Graceful shutdown answers every admitted correlation ID before the
@@ -137,7 +137,7 @@ fn start_server(service: ForkGraphService, config: ServerConfig) -> ForkGraphSer
 }
 
 #[test]
-fn pipelined_mixed_queries_are_byte_identical_to_the_serial_oracle() {
+fn pipelined_mixed_queries_are_byte_identical_to_the_one_worker_oracle() {
     let (g, pg) = graphs(331);
     let service = ForkGraphService::start(
         Arc::clone(&pg),
@@ -152,7 +152,7 @@ fn pipelined_mixed_queries_are_byte_identical_to_the_serial_oracle() {
     let server = start_server(service, ServerConfig::default());
     let addr = server.local_addr();
 
-    // The serial in-process oracle.
+    // The one-worker in-process oracle.
     let direct = ForkGraphEngine::new(&pg, EngineConfig::default());
     let k = 4u64;
 

@@ -28,11 +28,11 @@ pub const QUERIES_PER_WORKER: usize = 2;
 ///   persistent pool's steady-state capacity) or than `num_partitions`
 ///   (the executor cannot use more);
 /// * scale with offered load at [`QUERIES_PER_WORKER`] queries per worker,
-///   so a 1–2 query batch runs serially (a parallel run would be pure
+///   so a 1–2 query batch runs on one worker (a crew would be pure
 ///   dispatch overhead) and batches grow their crew linearly until they hit
 ///   a cap;
 /// * degenerate cases (`max_workers <= 1`, fewer than 2 partitions, empty
-///   batch) run serially.
+///   batch) run on one worker.
 pub fn effective_workers(batch_size: usize, num_partitions: usize, max_workers: usize) -> usize {
     if max_workers <= 1 || num_partitions < 2 || batch_size == 0 {
         return 1;
@@ -45,7 +45,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_batches_run_serially() {
+    fn small_batches_run_on_one_worker() {
         assert_eq!(effective_workers(1, 24, 8), 1);
         assert_eq!(effective_workers(2, 24, 8), 1);
     }
@@ -70,7 +70,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_configs_are_serial() {
+    fn degenerate_configs_run_on_one_worker() {
         assert_eq!(effective_workers(64, 24, 1), 1);
         assert_eq!(effective_workers(64, 24, 0), 1);
         assert_eq!(effective_workers(0, 24, 8), 1);

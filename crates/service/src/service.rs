@@ -438,7 +438,7 @@ pub struct ForkGraphService {
     shared: Arc<Shared>,
     worker: Option<JoinHandle<()>>,
     /// The persistent engine worker pool batches are dispatched onto (absent
-    /// for serial configurations). Shared with the batcher; the last `Arc`
+    /// for one-worker configurations). Shared with the batcher; the last `Arc`
     /// drop — during [`Self::shutdown`]/`Drop` — joins the pool threads, so
     /// a shut-down service leaves no threads behind.
     pool: Option<Arc<WorkerPool>>,
@@ -451,8 +451,8 @@ impl ForkGraphService {
     ///
     /// `engine_config.num_threads` is the *cap* on per-batch parallelism:
     /// the batcher sizes each micro-batch's worker count adaptively with
-    /// [`adaptive::effective_workers`] (a 2-query batch runs serially, a
-    /// 64-query batch uses the full cap) and dispatches parallel runs onto
+    /// [`adaptive::effective_workers`] (a 2-query batch runs on one worker,
+    /// a 64-query batch uses the full cap) and dispatches crews onto
     /// one persistent [`WorkerPool`] shared across all batches.
     pub fn start(
         graph: Arc<PartitionedGraph>,
@@ -558,7 +558,7 @@ impl ForkGraphService {
     }
 
     /// Lifetime metrics of the persistent engine worker pool, or `None` for
-    /// serial configurations.
+    /// one-worker configurations.
     pub fn pool_metrics(&self) -> Option<PoolSnapshot> {
         self.pool.as_ref().map(|pool| pool.metrics())
     }

@@ -4,11 +4,11 @@
 //! service whose engine cap is 8 workers. Three properties:
 //!
 //! 1. **Correctness under burstiness**: every answer matches a direct
-//!    serial single-query engine run.
+//!    one-worker single-query engine run.
 //! 2. **The sizing policy is actually applied**: every dispatched batch's
 //!    recorded worker count equals
 //!    [`fg_service::adaptive::effective_workers`] for its size, singleton
-//!    batches ran serially, and large batches fanned out.
+//!    batches ran on one worker, and large batches fanned out.
 //! 3. **Shutdown with in-flight dispatched runs** neither deadlocks nor
 //!    leaks pool threads — the process thread count returns to its
 //!    pre-service baseline (Linux-only assertion).
@@ -124,7 +124,7 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
     let pool_metrics = service.pool_metrics().expect("parallel service has a pool");
     service.shutdown();
 
-    // 1. Correctness: every answer equals a direct serial engine run.
+    // 1. Correctness: every answer equals a direct one-worker engine run.
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
     for &(source, ref result) in &answers {
         match result.kernel_name() {
@@ -150,11 +150,11 @@ fn bursty_cohorts_get_correct_results_and_policy_sized_batches() {
             record.batch_size
         );
     }
-    // Burstiness actually produced both regimes: serial singletons and
+    // Burstiness actually produced both regimes: one-worker singletons and
     // fanned-out large cohorts (a 64-query batch must use the full cap).
     assert!(
         records.iter().any(|r| r.batch_size <= 2 && r.workers == 1),
-        "no small batch ran serially: {records:?}"
+        "no small batch ran on one worker: {records:?}"
     );
     assert!(
         records.iter().any(|r| r.batch_size >= 16 && r.workers as usize == WORKER_CAP),

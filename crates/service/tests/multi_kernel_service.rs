@@ -2,7 +2,7 @@
 //! kernels waiting in the same batch window join **one** batch
 //! (`BatchRecord::kernels_in_run >= 2`; their passes run back to back on one
 //! pinned epoch) however many cohorts are ready, and every ticket still gets
-//! exactly the result a direct serial engine run would produce.
+//! exactly the result a direct one-worker engine run would produce.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,7 +36,7 @@ fn consolidating_config() -> ServiceConfig {
 }
 
 /// Acceptance check: two different-kernel cohorts share one batch and
-/// all tickets match direct serial oracles.
+/// all tickets match direct one-worker oracles.
 #[test]
 fn different_kernel_cohorts_consolidate_into_one_run() {
     let pg = shared_graph(211);

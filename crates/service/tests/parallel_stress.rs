@@ -1,12 +1,12 @@
 //! Stress test: concurrent fg-service submitters over the **inter-partition
 //! parallel engine**.
 //!
-//! Proves two things the serial-engine property test cannot:
+//! Proves two things the one-worker property test cannot:
 //!
 //! 1. **Batching equivalence survives parallel execution** — with the batcher
 //!    serving every micro-batch through a multi-worker
 //!    `ForkGraphEngine` (`EngineConfig::num_threads > 1`), every answer is
-//!    still byte-identical to a direct serial single-query run (SSSP/BFS are
+//!    still byte-identical to a direct one-worker single-query run (SSSP/BFS are
 //!    schedule-invariant, so consolidation *and* parallel execution must both
 //!    be invisible to clients).
 //! 2. **Shutdown never deadlocks** — services are shut down while submitters
@@ -34,7 +34,7 @@ fn parallel_graph(seed: u64, parts: usize) -> Arc<PartitionedGraph> {
 }
 
 #[test]
-fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
+fn concurrent_submitters_over_parallel_engine_match_direct_one_worker_runs() {
     let pg = parallel_graph(41, 16);
     let n = pg.graph().num_vertices() as u32;
     let service = ForkGraphService::start(
@@ -79,7 +79,7 @@ fn concurrent_submitters_over_parallel_engine_match_direct_serial_runs() {
         "stress load should consolidate concurrent queries into shared batches"
     );
 
-    // Oracle: the serial engine, one query at a time.
+    // Oracle: a one-worker engine, one query at a time.
     let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
     for (query, result) in answers {
         let source = query.source_vertex().unwrap();

@@ -2,15 +2,15 @@
 //!
 //! 1. The four built-in kernels produce **byte-identical** results through
 //!    the registry path (erased dispatch, `Query` builder, canonical
-//!    parameters) versus the direct engine path, on the serial loop and
-//!    on the worker pool. (PPR is the documented exception on the *pool*:
-//!    lazy forward-push is non-confluent even serially across
+//!    parameters) versus the direct engine path, on one worker and on
+//!    the worker pool. (PPR is the documented exception on the *pool*:
+//!    lazy forward-push is non-confluent even on one worker across
 //!    schedules, so there the contract is mass conservation + epsilon-scaled
 //!    L1 closeness, exactly as in `parallel_equivalence.rs`.)
 //! 2. A kernel defined **only in this test file** — not in any workspace
 //!    `src/` — runs end-to-end through service micro-batching, the shared
 //!    persistent `WorkerPool`, and the LRU result cache, with results equal
-//!    to a direct serial oracle.
+//!    to a direct one-worker oracle.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -43,7 +43,7 @@ fn run(handle: &ServiceHandle, query: Query) -> Result<Arc<QueryResult>, Service
 }
 
 /// Service-vs-direct equivalence of all four built-ins with `threads` engine
-/// workers (1 = the serial loop, more = the pool).
+/// workers (1 = the calling thread, more = the pool).
 fn builtin_equivalence_under(threads: usize) {
     let mode = format!("{threads} thread(s)");
     let (_, pg) = shared_graph(211, 6);
@@ -58,7 +58,7 @@ fn builtin_equivalence_under(threads: usize) {
         },
     );
     let handle = service.handle();
-    let direct = ForkGraphEngine::new(&pg, EngineConfig::default()); // serial oracle
+    let direct = ForkGraphEngine::new(&pg, EngineConfig::default()); // one-worker oracle
     let ppr_config = PprConfig { epsilon: 1e-5, ..PprConfig::default() };
     let rw_config = RandomWalkConfig { num_walks: 8, walk_length: 12, restart_prob: 0.0, seed: 5 };
 
@@ -96,7 +96,7 @@ fn builtin_equivalence_under(threads: usize) {
             "{mode:?} random_walk {source}"
         );
 
-        // PPR: byte-identical only on the serial loop (one deterministic
+        // PPR: byte-identical only on one worker (one deterministic
         // schedule on both sides); on the pool the kernel itself is
         // non-confluent, so assert the ACL contract. Omitting the defaults
         // and spelling them out key identically: the second submission is
@@ -131,7 +131,7 @@ fn builtin_equivalence_under(threads: usize) {
 }
 
 #[test]
-fn builtins_are_equivalent_through_the_registry_serial() {
+fn builtins_are_equivalent_through_the_registry_on_one_worker() {
     builtin_equivalence_under(1);
 }
 
@@ -181,7 +181,8 @@ fn erased_builtins_match_direct_engine_runs_byte_for_byte() {
 
 /// `state[v * (k+1) + h]` = best weighted distance to `v` over paths of at
 /// most `h` edges. Min-relaxations on a finite lattice ⇒ one fixpoint
-/// regardless of schedule, so parallel results are byte-identical to serial.
+/// regardless of schedule, so a crew's results are byte-identical to one
+/// worker's.
 struct KHopKernel {
     k: u32,
 }
@@ -305,7 +306,7 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
         workers.into_iter().map(|w| w.join().unwrap()).collect()
     });
 
-    // Results equal the direct serial oracle (k-hop DP), demuxed per source.
+    // Results equal the direct one-worker oracle (k-hop DP), demuxed per source.
     let stride = k as usize + 1;
     for (source, result) in &answers {
         let state = result.try_state::<Vec<Dist>>().unwrap();
@@ -348,14 +349,14 @@ fn custom_kernel_runs_through_batching_pool_and_cache() {
 }
 
 #[test]
-fn custom_kernel_is_byte_identical_on_the_serial_loop_and_the_pool() {
+fn custom_kernel_is_byte_identical_on_one_worker_and_the_pool() {
     let (_, pg) = shared_graph(229, 8);
     let kernel = erase(KHopKernel { k: 3 });
     let sources = [2u32, 90, 250];
-    let serial = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
-    let parallel = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4))
+    let one_worker = ForkGraphEngine::new(&pg, EngineConfig::default()).run_dyn(&*kernel, &sources);
+    let crew = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(4))
         .run_dyn(&*kernel, &sources);
-    for (a, b) in serial.per_query.iter().zip(&parallel.per_query) {
+    for (a, b) in one_worker.per_query.iter().zip(&crew.per_query) {
         assert_eq!(a.downcast_ref::<Vec<Dist>>().unwrap(), b.downcast_ref::<Vec<Dist>>().unwrap());
     }
 }

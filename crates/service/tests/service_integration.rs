@@ -178,7 +178,7 @@ fn mixed_kernels_form_separate_cohorts_with_correct_results() {
         ServiceConfig {
             batch_window: Duration::from_millis(50),
             // Every kernel gets its own engine pass, mixed batch or not, so
-            // even PPR matches a direct serial run byte-for-byte.
+            // even PPR matches a direct one-worker run byte-for-byte.
             cache_capacity: 0,
             ..ServiceConfig::default()
         },

@@ -22,7 +22,7 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// An engine run started. `a` = number of queries, `b` = worker count
-    /// (1 for serial); `c` is unused.
+    /// (1 for a run on the calling thread); `c` is unused.
     RunBegin = 1,
     /// The matching end of [`EventKind::RunBegin`] on the same thread, with
     /// the same `a` and `b`.
@@ -41,8 +41,9 @@ pub enum EventKind {
     /// A query yielded the partition under the engine's yield policy.
     /// `a` = query index, `b` = partition id.
     Yield = 6,
-    /// A parallel worker claimed a runnable partition. `a` = partition id,
-    /// `b` = worker index.
+    /// A worker claimed a runnable partition from its own set — every
+    /// visit of a one-worker run starts here. `a` = partition id, `b` =
+    /// worker index.
     Claim = 7,
     /// The claim was stolen from another worker's runnable set.
     /// `a` = partition id, `b` = thief worker index, `c` = victim worker

@@ -138,7 +138,7 @@ impl AtomicHistogram {
 pub struct PhaseTimes {
     /// Setup: state/buffer allocation and source seeding.
     pub init: Duration,
-    /// The partition-at-a-time main loop (or the parallel crew's run).
+    /// The partition-at-a-time main loop, on one worker or a crew.
     pub processing: Duration,
     /// Teardown: storage recycling, measurement assembly.
     pub finalize: Duration,
@@ -157,14 +157,14 @@ impl PhaseTimes {
 pub struct RunProfile {
     /// Per-phase wall times.
     pub phases: PhaseTimes,
-    /// Worker threads that executed the run (1 = serial).
+    /// Worker threads that executed the run (1 = the calling thread).
     pub workers: u32,
     /// Partition visits that drained at least one operation.
     pub partition_visits: u64,
     /// Operations consolidated per partition visit.
     pub visit_ops: Histogram,
-    /// Partition claims stolen from another worker's runnable set, per
-    /// worker (empty for serial runs).
+    /// Partition claims stolen from another worker's runnable set, one
+    /// sample per worker (a one-worker run's is 0).
     pub steals_per_worker: Histogram,
     /// Total steals across workers.
     pub steals: u64,

@@ -44,7 +44,7 @@ const HOT_SET: u32 = 6;
 /// Per-query state: `state[v * (k+1) + h]` is the best weighted distance to
 /// `v` over paths of at most `h` edges. Entries only ever decrease
 /// (min-relaxation on a finite lattice), so the fixpoint — and therefore the
-/// result — is identical under serial and pooled execution.
+/// result — is identical on one worker and on the pool.
 struct KHopReachability {
     k: u32,
 }

@@ -5,7 +5,7 @@
 //! * **Demo** (default): start a traced service + [`ForkGraphServer`] on an
 //!   ephemeral loopback port, drive it with four concurrent pipelining
 //!   [`WireClient`] connections (mixed SSSP/BFS), verify every wire response
-//!   against a direct serial oracle, scrape `/metrics` and `/healthz` over
+//!   against a direct one-worker engine oracle, scrape `/metrics` and `/healthz` over
 //!   plain HTTP on the *same* port, dump the Chrome trace, and shut down
 //!   gracefully. Exits non-zero on any mismatch — CI runs this.
 //!
@@ -85,7 +85,7 @@ fn demo() {
     let addr = server.local_addr();
     println!("listening on {addr} (binary protocol + HTTP on one port)\n");
 
-    // The serial oracle every wire response is checked against.
+    // The one-worker engine oracle every wire response is checked against.
     let oracle = ForkGraphEngine::new(&partitioned, EngineConfig::default());
     let n = graph.num_vertices() as u32;
 

@@ -102,6 +102,6 @@ fn main() {
     let sources: Vec<u32> = (0..32u32).map(|i| (i * 131) % n).collect();
     let result = engine.run_sssp(&sources);
     let profile = result.profile.as_ref().expect("profile requested");
-    println!("\n=== serial RunProfile ({} queries) ===", sources.len());
+    println!("\n=== one-worker RunProfile ({} queries) ===", sources.len());
     println!("{profile}");
 }

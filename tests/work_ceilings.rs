@@ -86,6 +86,23 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
             work.edges_processed
         );
     }
+
+    // Every run is the executor's, one worker included: each reports one
+    // entry per worker, and the entries account for all of the run's work.
+    for threads in [1, 2] {
+        let config = EngineConfig::default().with_threads(threads);
+        let result = ForkGraphEngine::new(&pg, config).run_sssp(sources);
+        let label = format!("{name} {threads} workers");
+        for (got, expected) in result.per_query.iter().zip(&sequential) {
+            assert_eq!(got, &expected.dist, "{label}");
+        }
+        let work = result.work();
+        assert_eq!(work.workers.len(), threads, "{label}: one entry per worker");
+        let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
+        assert_eq!(visits, work.partition_visits, "{label}: visits");
+        let operations: u64 = work.workers.iter().map(|w| w.operations).sum();
+        assert_eq!(operations, work.operations_processed, "{label}: operations");
+    }
 }
 
 #[test]
