@@ -149,7 +149,7 @@ mod tests {
             "radius"
         }
 
-        fn init_state(&self, graph: &CsrGraph) -> Self::State {
+        fn init_state(&self, graph: &CsrGraph, _source: fg_graph::VertexId) -> Self::State {
             vec![u32::MAX; graph.num_vertices()]
         }
 
@@ -163,6 +163,7 @@ mod tests {
             state: &mut Self::State,
             vertex: fg_graph::VertexId,
             value: Self::Value,
+            _priority: Priority,
             emit: &mut dyn FnMut(fg_graph::VertexId, Self::Value, Priority),
         ) -> u64 {
             if value >= state[vertex as usize] {

@@ -334,8 +334,13 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             }
             let op = lane.pop(ordered).expect("peeked above");
             let vertex = op.vertex;
-            let edges =
-                kernel.process(&view, state, vertex, op.value, &mut |t, value, priority| {
+            let edges = kernel.process(
+                &view,
+                state,
+                vertex,
+                op.value,
+                op.priority,
+                &mut |t, value, priority| {
                     let new_op = Operation::new(query, t, value, priority);
                     let target_partition = pg.partition_of(t);
                     if target_partition == partition {
@@ -345,7 +350,8 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
                         remote.push(target_partition, new_op);
                     }
                     work.buffered += 1;
-                });
+                },
+            );
             work.operations += 1;
             work.edges += edges;
             work.pruned += u64::from(edges == 0);
@@ -467,7 +473,7 @@ impl<'g> ForkGraphEngine<'g> {
         // wall time, as it always was.
         let watch = Stopwatch::start();
         let graph = self.pg.graph();
-        let states = sources.iter().map(|_| kernel.init_state(graph)).collect();
+        let states = sources.iter().map(|&source| kernel.init_state(graph, source)).collect();
         let seeds = sources
             .iter()
             .enumerate()

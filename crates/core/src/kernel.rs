@@ -3,9 +3,10 @@
 //! A kernel defines, for one query type (SSSP, BFS, PPR, …):
 //!
 //! * the per-query dense **state** (e.g. the distance array),
-//! * the **value** carried by an operation ⟨query, vertex, value⟩,
-//! * the **priority functor** mapping values to scheduling priorities (lower
-//!   priority values are processed first — shorter distances, higher
+//! * the **value** carried by an operation ⟨query, vertex, value⟩ — only
+//!   what its priority does not already hold,
+//! * the **priority functor** mapping operations to scheduling priorities
+//!   (lower priority values are processed first — shorter distances, higher
 //!   residuals),
 //! * the sequential **processing** of one operation against the state, which
 //!   may emit new operations to neighbouring vertices.
@@ -26,9 +27,16 @@ use crate::operation::Priority;
 
 /// A fork-processing-pattern query kernel.
 pub trait FppKernel: Sync {
-    /// Payload carried by this kernel's operations. (`'static` so per-run
-    /// executor storage for the value type can be recycled through the
-    /// type-erased arena of a persistent [`crate::pool::WorkerPool`].)
+    /// Payload carried by this kernel's operations beside their priority:
+    /// only what neither the priority nor the state already holds. The
+    /// built-in SSSP, BFS and PPR kernels carry `()` — a distance or level
+    /// *is* the priority, and PPR's mass lives in `residual` — so their
+    /// operations are 16 bytes (`query`, `vertex`, `priority`) on every copy
+    /// a remote operation makes: routing scratch, mailbox stripe, lane
+    /// inbox, lane heap. DFS carries `()` too; a random walk carries its
+    /// walker batch. (`'static` so per-run executor storage for the value
+    /// type can be recycled through the type-erased arena of a persistent
+    /// [`crate::pool::WorkerPool`].)
     type Value: Copy + Send + Sync + 'static;
     /// Per-query state; the final state is the query's result.
     type State: Send;
@@ -36,14 +44,18 @@ pub trait FppKernel: Sync {
     /// Query-type name ("sssp", "ppr", …).
     fn name(&self) -> &'static str;
 
-    /// Allocate the initial per-query state.
-    fn init_state(&self, graph: &CsrGraph) -> Self::State;
+    /// Allocate the initial state of a query from `source`, with the
+    /// source's own entry already written (SSSP: distance 0; BFS: level 0;
+    /// PPR: residual 1.0), so that the source operation arrives like any
+    /// other: its entry written before it exists.
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State;
 
     /// The operation that seeds a query at its source vertex:
     /// `(value, priority)`.
     fn source_op(&self, source: VertexId) -> (Self::Value, Priority);
 
-    /// Process one operation at `vertex` carrying `value` against `state`.
+    /// Process one operation at `vertex` carrying `value` and popped at
+    /// `priority` against `state`.
     ///
     /// Adjacency is read through `graph`, an [`AdjacencyView`] over the visit's
     /// partition: raw partitions borrow the monolithic CSR slices, compressed
@@ -69,33 +81,35 @@ pub trait FppKernel: Sync {
     /// ones combine as follows.
     ///
     /// **Min-relaxation (SSSP, BFS)** — the way `fg_seq::dijkstra` uses lazy
-    /// deletion:
+    /// deletion, with the tentative distance (level) as the priority and no
+    /// value beside it:
     ///
-    /// * **at relax time**, `if nd < state[t] { state[t] = nd; emit(t, nd, …) }`
+    /// * **at relax time**, `if nd < state[t] { state[t] = nd; emit(t, (), nd) }`
     ///   — an operation that is already dominated is never created, buffered
     ///   or shipped;
-    /// * **at process time**, prune on `value > state[vertex]` (a better value
-    ///   was written after this operation was emitted, and *its* operation
-    ///   does the work) and otherwise expand. The entry is (re)written with
-    ///   `value` only for the benefit of the one operation that was not
-    ///   emitted by a relaxation — the source operation, which arrives
-    ///   unwritten. ([`IncrementalKernel::restart_seeds`] writes its seeds,
-    ///   like a relaxation does.)
+    /// * **at process time**, prune on `priority > state[vertex]` (a better
+    ///   value was written after this operation was emitted, and *its*
+    ///   operation does the work) and otherwise expand from `priority`.
+    ///   Every operation's entry is written before the operation exists: a
+    ///   relaxation writes it as it emits, [`Self::init_state`] writes the
+    ///   source's, and [`IncrementalKernel::restart_seeds`] writes its seeds.
     ///
     /// Equal values cannot be emitted twice under this contract: an emit
     /// happens only when `nd` is *strictly* below the entry, and writes the
     /// entry to `nd` in the same breath, so for every value a vertex's entry
-    /// ever holds exactly one operation exists, and `value == state[vertex]`
-    /// at process time identifies it. That is why the process-time prune is
-    /// strict (`>`), and why restart seeds must be strict improvements too
-    /// (see [`IncrementalKernel::restart_seeds`]).
+    /// ever holds exactly one operation exists, and `priority ==
+    /// state[vertex]` at process time identifies it. That is why the
+    /// process-time prune is strict (`>`), and why restart seeds must be
+    /// strict improvements too (see [`IncrementalKernel::restart_seeds`]).
     ///
     /// **Accumulation (PPR)** — the way `fg_seq::ppr::ppr_push` does it: a
     /// push adds its share into `residual[t]` on the edge and emits a
-    /// massless operation only when that addition carries `residual[t]`
-    /// across `t`'s push threshold. A vertex therefore has a live operation
-    /// exactly while its residual is at or above the threshold, without an
-    /// `in_queue` flag, and every operation popped performs a push.
+    /// massless `()` operation only when that addition carries
+    /// `residual[t]` across `t`'s push threshold; the source's unit of mass
+    /// is in its residual from [`Self::init_state`] on. A vertex therefore
+    /// has a live operation exactly while its residual is at or above the
+    /// threshold, without an `in_queue` flag, and every operation popped
+    /// performs a push.
     ///
     /// **Opting out (random walk, DFS).** A random-walk operation is a walker
     /// batch carrying its own RNG seed, so two batches at one vertex are not
@@ -113,6 +127,7 @@ pub trait FppKernel: Sync {
         state: &mut Self::State,
         vertex: VertexId,
         value: Self::Value,
+        priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64;
 }
@@ -137,7 +152,7 @@ pub trait IncrementalKernel: FppKernel {
     ///
     /// A seed must **strictly** lower its vertex's entry, and is written
     /// into it: under the relax-time contract of [`FppKernel::process`] an
-    /// operation whose value *equals* the entry is the live one and gets
+    /// operation whose priority *equals* the entry is the live one and gets
     /// expanded, so a seed that offered an entry its own value again would
     /// re-relax that vertex's neighbourhood for nothing.
     fn restart_seeds(

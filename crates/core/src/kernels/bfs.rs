@@ -2,7 +2,7 @@
 //! (lowest level from the source first), as described in Section 4.2.
 
 use fg_graph::mutation::EdgeDelta;
-use fg_graph::{AdjacencyView, CsrGraph, VertexId, Weight};
+use fg_graph::{AdjacencyView, CsrGraph, Edge, VertexId, Weight};
 
 use super::restart::restart_min_plus;
 use crate::kernel::{FppKernel, IncrementalKernel};
@@ -13,19 +13,21 @@ use crate::operation::Priority;
 pub struct BfsKernel;
 
 impl FppKernel for BfsKernel {
-    type Value = u32;
+    type Value = ();
     type State = Vec<u32>;
 
     fn name(&self) -> &'static str {
         "bfs"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
-        vec![u32::MAX; graph.num_vertices()]
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
+        let mut level = vec![u32::MAX; graph.num_vertices()];
+        level[source as usize] = 0;
+        level
     }
 
     fn source_op(&self, _source: VertexId) -> (Self::Value, Priority) {
-        (0, 0)
+        ((), 0)
     }
 
     fn process(
@@ -33,21 +35,23 @@ impl FppKernel for BfsKernel {
         graph: &AdjacencyView<'_>,
         state: &mut Self::State,
         vertex: VertexId,
-        value: Self::Value,
+        _value: Self::Value,
+        priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
-        // The relax-time contract of `FppKernel::process`, as in SSSP.
-        if value > state[vertex as usize] {
+        // The relax-time contract of `FppKernel::process`, as in SSSP: the
+        // priority is the level.
+        let level = priority as u32;
+        if level > state[vertex as usize] {
             return 0; // a lower level was written since: pruned
         }
-        state[vertex as usize] = value; // the source operation arrives unwritten
-        let level = value + 1;
+        let next = level + 1;
         let mut edges = 0u64;
         for t in graph.out_neighbors(vertex) {
             edges += 1;
-            if level < state[t as usize] {
-                state[t as usize] = level;
-                emit(t, level, level as Priority);
+            if next < state[t as usize] {
+                state[t as usize] = next;
+                emit(t, (), next as Priority);
             }
         }
         edges
@@ -63,6 +67,15 @@ impl IncrementalKernel for BfsKernel {
         delta: EdgeDelta<'_>,
         seed: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) {
+        // A hop count never depends on a weight: of the raised pairs, only
+        // the edges `graph` no longer has can have carried a level.
+        let deleted: Vec<Edge> = delta
+            .raised
+            .iter()
+            .copied()
+            .filter(|&(u, v, _)| graph.out_neighbors(u).binary_search(&v).is_err())
+            .collect();
+        let delta = EdgeDelta { raised: &deleted, ..delta };
         // BFS ignores weights: every edge offers its head level + 1.
         let step = |level: u32, _: Weight| level + 1;
         restart_min_plus(graph, state, source, delta, u32::MAX, step, seed);
@@ -80,13 +93,13 @@ mod tests {
         use std::collections::BinaryHeap;
         let g = gen::rmat(8, 5, 2);
         let kernel = BfsKernel;
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 4);
         let view = AdjacencyView::from_csr(&g);
         let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u64, 4u32, 0u32)));
-        while let Some(Reverse((_, vertex, value))) = heap.pop() {
-            kernel.process(&view, &mut state, vertex, value, &mut |t, val, pri| {
-                heap.push(Reverse((pri, t, val)));
+        heap.push(Reverse((0u64, 4u32)));
+        while let Some(Reverse((priority, vertex))) = heap.pop() {
+            kernel.process(&view, &mut state, vertex, (), priority, &mut |t, (), pri| {
+                heap.push(Reverse((pri, t)));
             });
         }
         assert_eq!(state, fg_seq::bfs::bfs(&g, 4).level);
@@ -99,18 +112,21 @@ mod tests {
         // that would emit it finds the entry already written.
         let g = gen::path(4);
         let kernel = BfsKernel;
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
+        state[1] = 1;
         let view = AdjacencyView::from_csr(&g);
         let mut emitted = Vec::new();
-        assert!(kernel.process(&view, &mut state, 1, 1, &mut |t, l, _| emitted.push((t, l))) > 0);
-        assert_eq!(emitted, vec![(0, 2), (2, 2)]);
+        assert!(
+            kernel.process(&view, &mut state, 1, (), 1, &mut |t, (), l| emitted.push((t, l))) > 0
+        );
+        assert_eq!(emitted, vec![(2, 2)], "the source's entry is written: 0 < 2");
         assert_eq!(state[2], 2, "the neighbour's level is written when the edge is relaxed");
         emitted.clear();
-        kernel.process(&view, &mut state, 1, 1, &mut |t, l, _| emitted.push((t, l)));
+        kernel.process(&view, &mut state, 1, (), 1, &mut |t, (), l| emitted.push((t, l)));
         assert!(emitted.is_empty(), "relaxing again offers an equal level: nothing is emitted");
-        let mut sink = |_: VertexId, _: u32, _: Priority| {};
-        assert_eq!(kernel.process(&view, &mut state, 1, 3, &mut sink), 0);
-        assert_eq!(kernel.process(&view, &mut state, 2, 5, &mut sink), 0);
+        let mut sink = |_: VertexId, (): (), _: Priority| {};
+        assert_eq!(kernel.process(&view, &mut state, 1, (), 3, &mut sink), 0);
+        assert_eq!(kernel.process(&view, &mut state, 2, (), 5, &mut sink), 0);
         assert_eq!(state[1], 1);
         assert_eq!(state[2], 2);
     }
@@ -122,27 +138,27 @@ mod tests {
             let mut prev: Vec<u32> = vec![0, 1, 2, u32::MAX];
             let mut seeds = Vec::new();
             let delta = EdgeDelta { seeds: &[(u, v, 9)], raised: &[] };
-            BfsKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, l, p| seeds.push((t, l, p)));
+            BfsKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, (), p| seeds.push((t, p)));
             seeds
         };
-        assert_eq!(seeds_of(0, 2), vec![(2, 1, 1)]);
+        assert_eq!(seeds_of(0, 2), vec![(2, 1)]);
         assert_eq!(seeds_of(1, 2), vec![], "1 + 1 == 2 is a no-op edge");
         assert_eq!(seeds_of(2, 1), vec![]);
         assert_eq!(seeds_of(3, 0), vec![], "unreached tail");
-        assert_eq!(seeds_of(2, 3), vec![(3, 3, 3)], "newly reached head");
+        assert_eq!(seeds_of(2, 3), vec![(3, 3)], "newly reached head");
     }
 
-    /// A weight increase raises an edge, though a BFS level ignores weights:
-    /// its cone is reset and re-offered the same level at its boundary, for
-    /// the run to re-expand. Too large a cone costs work, not correctness.
+    /// A weight increase raises an edge, but a BFS level ignores weights:
+    /// the edge still carries every level it did, so nothing is reset or
+    /// re-offered.
     #[test]
-    fn a_weight_increase_resets_its_cone_to_the_same_levels() {
+    fn a_weight_increase_on_a_tight_edge_resets_and_seeds_nothing() {
         let g = gen::path(3);
         let mut levels: Vec<u32> = vec![0, 1, 2];
         let delta = EdgeDelta { seeds: &[(0, 1, 5)], raised: &[(0, 1, 1)] };
         let mut seeds = Vec::new();
-        BfsKernel.restart_seeds(&g, &mut levels, 0, delta, &mut |t, l, _| seeds.push((t, l)));
-        assert_eq!(seeds, vec![(1, 1)], "the cone {{1, 2}} is re-offered 1 at its boundary");
-        assert_eq!(levels, vec![0, 1, u32::MAX]);
+        BfsKernel.restart_seeds(&g, &mut levels, 0, delta, &mut |t, (), l| seeds.push((t, l)));
+        assert_eq!(seeds, vec![]);
+        assert_eq!(levels, vec![0, 1, 2]);
     }
 }

@@ -34,7 +34,7 @@ impl FppKernel for DfsKernel {
         "dfs"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         DfsState { order: vec![u32::MAX; graph.num_vertices()], discovered: 0 }
     }
 
@@ -48,6 +48,7 @@ impl FppKernel for DfsKernel {
         state: &mut Self::State,
         vertex: VertexId,
         _value: Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         if state.order[vertex as usize] != u32::MAX {
@@ -79,14 +80,14 @@ mod tests {
 
         use crate::operation::{HeapEntry, Operation};
         let kernel = DfsKernel;
-        let mut state = kernel.init_state(graph);
+        let mut state = kernel.init_state(graph, source);
         let view = AdjacencyView::from_csr(graph);
         let mut heap = BinaryHeap::new();
         let (v0, p0) = kernel.source_op(source);
         heap.push(HeapEntry { op: Operation::new(0, source, v0, p0) });
         while let Some(entry) = heap.pop() {
-            let _: () = entry.op.value;
-            kernel.process(&view, &mut state, entry.op.vertex, (), &mut |t, val, pri| {
+            let Operation { vertex, value, priority, .. } = entry.op;
+            kernel.process(&view, &mut state, vertex, value, priority, &mut |t, val, pri| {
                 heap.push(HeapEntry { op: Operation::new(0, t, val, pri) });
             });
         }

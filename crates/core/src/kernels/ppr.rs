@@ -9,9 +9,11 @@
 //! emitted for a neighbour only when the share carries its residual across
 //! `epsilon · degree`, so a vertex has a live operation exactly while its
 //! residual is at or above its threshold, and every operation that is popped
-//! performs a push. Operations carry no mass (`0.0`) except the source
-//! operation's `1.0`. The priority functor prefers larger residuals (the
-//! "most effective value changes" of Section 5.2).
+//! performs a push. Operations carry no value (`()`): the source's unit of
+//! mass is written into its residual by `init_state`, and every other
+//! operation's mass is already in its target's residual when it is emitted.
+//! The priority functor prefers larger residuals (the "most effective value
+//! changes" of Section 5.2).
 //!
 //! [`PprConfig::max_pushes`] caps the pushes of one query, as in `fg-seq`:
 //! once it is reached, operations still in flight do nothing and the
@@ -74,23 +76,21 @@ impl PprKernel {
 }
 
 impl FppKernel for PprKernel {
-    type Value = f64;
+    type Value = ();
     type State = PprState;
 
     fn name(&self) -> &'static str {
         "ppr"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
-        PprState {
-            estimate: vec![0.0; graph.num_vertices()],
-            residual: vec![0.0; graph.num_vertices()],
-            pushes: 0,
-        }
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
+        let mut residual = vec![0.0; graph.num_vertices()];
+        residual[source as usize] = 1.0;
+        PprState { estimate: vec![0.0; graph.num_vertices()], residual, pushes: 0 }
     }
 
     fn source_op(&self, _source: VertexId) -> (Self::Value, Priority) {
-        (1.0, Self::priority_of(1.0))
+        ((), Self::priority_of(1.0))
     }
 
     fn process(
@@ -98,12 +98,12 @@ impl FppKernel for PprKernel {
         graph: &AdjacencyView<'_>,
         state: &mut Self::State,
         vertex: VertexId,
-        value: Self::Value,
+        _value: Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         let epsilon = self.config.epsilon;
         let v = vertex as usize;
-        state.residual[v] += value; // only the source operation carries mass
         let degree = graph.out_degree(vertex);
         let threshold = epsilon * degree.max(1) as f64;
         let capped = self.config.max_pushes != 0 && state.pushes >= self.config.max_pushes;
@@ -129,11 +129,11 @@ impl FppKernel for PprKernel {
             state.residual[t as usize] = after;
             let target_threshold = epsilon * graph.out_degree(t).max(1) as f64;
             if before < target_threshold && target_threshold <= after {
-                emit(t, 0.0, Self::priority_of(after));
+                emit(t, (), Self::priority_of(after));
             }
         }
         if reschedule {
-            emit(vertex, 0.0, Self::priority_of(state.residual[v]));
+            emit(vertex, (), Self::priority_of(state.residual[v]));
         }
         degree as u64
     }
@@ -148,21 +148,28 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let kernel = PprKernel::new(config);
-        let mut state = kernel.init_state(graph);
+        let mut state = kernel.init_state(graph, seed);
         let view = AdjacencyView::from_csr(graph);
-        let mut heap: BinaryHeap<Reverse<(Priority, VertexId, u64)>> = BinaryHeap::new();
-        let mut payloads: Vec<f64> = Vec::new();
-        let (v0, p0) = kernel.source_op(seed);
-        payloads.push(v0);
-        heap.push(Reverse((p0, seed, 0)));
-        while let Some(Reverse((_, vertex, idx))) = heap.pop() {
-            let value = payloads[idx as usize];
-            kernel.process(&view, &mut state, vertex, value, &mut |t, val, pri| {
-                payloads.push(val);
-                heap.push(Reverse((pri, t, payloads.len() as u64 - 1)));
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((kernel.source_op(seed).1, seed)));
+        while let Some(Reverse((priority, vertex))) = heap.pop() {
+            kernel.process(&view, &mut state, vertex, (), priority, &mut |t, (), pri| {
+                heap.push(Reverse((pri, t)));
             });
         }
         state
+    }
+
+    /// Process one operation at `vertex`, collecting what it emits.
+    fn push_at(
+        kernel: &PprKernel,
+        view: &AdjacencyView<'_>,
+        state: &mut PprState,
+        vertex: VertexId,
+        emitted: &mut Vec<VertexId>,
+    ) -> u64 {
+        let priority = PprKernel::priority_of(state.residual[vertex as usize]);
+        kernel.process(view, state, vertex, (), priority, &mut |t, (), _| emitted.push(t))
     }
 
     #[test]
@@ -196,13 +203,13 @@ mod tests {
     fn sub_threshold_operations_do_no_work() {
         let g = gen::complete(10);
         let kernel = PprKernel::new(PprConfig { epsilon: 0.1, ..Default::default() });
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
+        state.residual[0] = 1e-6;
         let view = AdjacencyView::from_csr(&g);
-        let mut emitted = 0usize;
-        let edges = kernel.process(&view, &mut state, 0, 1e-6, &mut |_, _, _| emitted += 1);
-        assert_eq!(edges, 0);
-        assert_eq!(emitted, 0);
-        assert!(state.residual[0] > 0.0);
+        let mut emitted = Vec::new();
+        assert_eq!(push_at(&kernel, &view, &mut state, 0, &mut emitted), 0);
+        assert!(emitted.is_empty());
+        assert_eq!(state.residual[0], 1e-6);
         assert_eq!(state.estimate[0], 0.0);
     }
 
@@ -216,20 +223,18 @@ mod tests {
         let g = b.build();
         let epsilon = 0.1;
         let kernel = PprKernel::new(PprConfig { epsilon, ..Default::default() });
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
+        state.residual[1] = 1.0;
         let view = AdjacencyView::from_csr(&g);
         state.residual[2] = epsilon * 0.99;
         let mut emitted = Vec::new();
         for source in [0, 1] {
             // Each push reaches 2 with a share of 0.425 — both take it over ε.
-            kernel.process(&view, &mut state, source, 1.0, &mut |t, value, _| {
-                emitted.push((t, value))
-            });
+            push_at(&kernel, &view, &mut state, source, &mut emitted);
         }
         assert_eq!(state.pushes, 2);
-        assert_eq!(emitted.iter().filter(|(t, _)| *t == 2).count(), 1, "{emitted:?}");
-        assert_eq!(emitted.iter().filter(|(t, _)| *t != 2).count(), 2, "two self-reschedules");
-        assert!(emitted.iter().all(|&(_, value)| value == 0.0), "operations carry no mass");
+        assert_eq!(emitted.iter().filter(|&&t| t == 2).count(), 1, "{emitted:?}");
+        assert_eq!(emitted.iter().filter(|&&t| t != 2).count(), 2, "two self-reschedules");
         assert!((state.residual[2] - (epsilon * 0.99 + 2.0 * 0.425)).abs() < 1e-12);
     }
 
@@ -239,12 +244,12 @@ mod tests {
         b.add_edge(0, 0, 1);
         let g = b.build();
         let kernel = PprKernel::new(PprConfig { epsilon: 0.5, ..Default::default() });
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
         let view = AdjacencyView::from_csr(&g);
-        let mut emitted = 0;
+        let mut emitted = Vec::new();
         // Retains 0.425 < ε, then the loop adds 0.425 more: one crossing.
-        kernel.process(&view, &mut state, 0, 1.0, &mut |_, _, _| emitted += 1);
-        assert_eq!(emitted, 1);
+        push_at(&kernel, &view, &mut state, 0, &mut emitted);
+        assert_eq!(emitted, vec![0]);
         assert!((state.residual[0] - 0.85).abs() < 1e-12);
     }
 

@@ -15,7 +15,7 @@
 //!    against the reset state.
 //!
 //! An offer that strictly lowers its vertex's entry is written into it and
-//! becomes an operation.
+//! becomes an operation whose priority is that entry; it carries no value.
 //!
 //! Why the result is exact. A vertex outside the cone keeps an old shortest
 //! path that avoids every raised edge — each of its tight in-edges would
@@ -42,7 +42,7 @@ pub(crate) fn restart_min_plus<T: Copy + Ord + Into<Priority>>(
     delta: EdgeDelta<'_>,
     inf: T,
     step: impl Fn(T, Weight) -> T,
-    seed: &mut dyn FnMut(VertexId, T, Priority),
+    seed: &mut dyn FnMut(VertexId, (), Priority),
 ) {
     // The cone, each vertex with its entry before the reset. Roots are all
     // tested against the untouched state before any of them is reset.
@@ -83,7 +83,7 @@ pub(crate) fn restart_min_plus<T: Copy + Ord + Into<Priority>>(
     for (v, value) in offers {
         if value < state[v as usize] {
             state[v as usize] = value;
-            seed(v, value, value.into());
+            seed(v, (), value.into());
         }
     }
 }
@@ -109,9 +109,8 @@ mod tests {
     ) -> Vec<(VertexId, Dist)> {
         let mut seeds = Vec::new();
         let step = |d: Dist, w: Weight| d + w as Dist;
-        restart_min_plus(g, state, source, delta, INF_DIST, step, &mut |v, d, p| {
-            assert_eq!(d, p);
-            seeds.push((v, d));
+        restart_min_plus(g, state, source, delta, INF_DIST, step, &mut |v, (), d| {
+            seeds.push((v, d))
         });
         seeds
     }

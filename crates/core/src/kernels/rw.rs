@@ -66,7 +66,7 @@ impl FppKernel for RandomWalkKernel {
         "random-walk"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         RwState { visits: vec![0; graph.num_vertices()] }
     }
 
@@ -87,6 +87,7 @@ impl FppKernel for RandomWalkKernel {
         state: &mut Self::State,
         vertex: VertexId,
         value: Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         state.visits[vertex as usize] += value.walkers as u64;
@@ -140,21 +141,16 @@ mod tests {
 
         use crate::operation::{HeapEntry, Operation};
         let kernel = RandomWalkKernel::new(config);
-        let mut state = kernel.init_state(graph);
+        let mut state = kernel.init_state(graph, source);
         let view = AdjacencyView::from_csr(graph);
         let mut heap = BinaryHeap::new();
         let (v0, p0) = kernel.source_op(source);
         heap.push(HeapEntry { op: Operation::new(0, source, v0, p0) });
         while let Some(entry) = heap.pop() {
-            kernel.process(
-                &view,
-                &mut state,
-                entry.op.vertex,
-                entry.op.value,
-                &mut |t, val, pri| {
-                    heap.push(HeapEntry { op: Operation::new(0, t, val, pri) });
-                },
-            );
+            let Operation { vertex, value, priority, .. } = entry.op;
+            kernel.process(&view, &mut state, vertex, value, priority, &mut |t, val, pri| {
+                heap.push(HeapEntry { op: Operation::new(0, t, val, pri) });
+            });
         }
         state
     }

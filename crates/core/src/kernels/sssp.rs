@@ -14,19 +14,21 @@ use crate::operation::Priority;
 pub struct SsspKernel;
 
 impl FppKernel for SsspKernel {
-    type Value = Dist;
+    type Value = ();
     type State = Vec<Dist>;
 
     fn name(&self) -> &'static str {
         "sssp"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
-        vec![INF_DIST; graph.num_vertices()]
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
+        let mut dist = vec![INF_DIST; graph.num_vertices()];
+        dist[source as usize] = 0;
+        dist
     }
 
     fn source_op(&self, _source: VertexId) -> (Self::Value, Priority) {
-        (0, 0)
+        ((), 0)
     }
 
     fn process(
@@ -34,23 +36,24 @@ impl FppKernel for SsspKernel {
         graph: &AdjacencyView<'_>,
         state: &mut Self::State,
         vertex: VertexId,
-        value: Self::Value,
+        _value: Self::Value,
+        priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         // The relax-time contract of `FppKernel::process`: tentative
         // distances are written when an edge is relaxed, so an operation is
-        // live exactly while its value is still the entry's.
-        if value > state[vertex as usize] {
+        // live exactly while its priority — its distance — is the entry's.
+        let dist: Dist = priority;
+        if dist > state[vertex as usize] {
             return 0; // a shorter path was written since: pruned
         }
-        state[vertex as usize] = value; // the source operation arrives unwritten
         let mut edges = 0u64;
         for (t, w) in graph.out_edges(vertex) {
             edges += 1;
-            let nd = value + w as Dist;
+            let nd = dist + w as Dist;
             if nd < state[t as usize] {
                 state[t as usize] = nd;
-                emit(t, nd, nd);
+                emit(t, (), nd);
             }
         }
         edges
@@ -82,14 +85,13 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let kernel = SsspKernel;
-        let mut state = kernel.init_state(graph);
+        let mut state = kernel.init_state(graph, source);
         let view = AdjacencyView::from_csr(graph);
         let mut heap = BinaryHeap::new();
-        let (v0, p0) = kernel.source_op(source);
-        heap.push(Reverse((p0, source, v0)));
-        while let Some(Reverse((_, vertex, value))) = heap.pop() {
-            kernel.process(&view, &mut state, vertex, value, &mut |t, val, pri| {
-                heap.push(Reverse((pri, t, val)));
+        heap.push(Reverse((kernel.source_op(source).1, source)));
+        while let Some(Reverse((priority, vertex))) = heap.pop() {
+            kernel.process(&view, &mut state, vertex, (), priority, &mut |t, (), pri| {
+                heap.push(Reverse((pri, t)));
             });
         }
         state
@@ -105,12 +107,12 @@ mod tests {
     fn stale_operations_are_pruned_without_work() {
         let g = gen::path(5).with_random_weights(1, 0);
         let kernel = SsspKernel;
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
         let view = AdjacencyView::from_csr(&g);
-        let mut sink = |_: VertexId, _: Dist, _: Priority| {};
-        assert!(kernel.process(&view, &mut state, 0, 0, &mut sink) > 0);
-        // Re-processing the source with a worse value does nothing.
-        assert_eq!(kernel.process(&view, &mut state, 0, 5, &mut sink), 0);
+        let mut sink = |_: VertexId, (): (), _: Priority| {};
+        assert!(kernel.process(&view, &mut state, 0, (), 0, &mut sink) > 0);
+        // Re-processing the source at a worse priority does nothing.
+        assert_eq!(kernel.process(&view, &mut state, 0, (), 5, &mut sink), 0);
         assert_eq!(state[0], 0);
     }
 
@@ -119,21 +121,21 @@ mod tests {
         // 0 - 1 - 2 with unit weights.
         let g = gen::path(3).with_random_weights(1, 0);
         let kernel = SsspKernel;
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
         let view = AdjacencyView::from_csr(&g);
         let mut emitted = Vec::new();
-        kernel.process(&view, &mut state, 0, 0, &mut |t, val, _| emitted.push((t, val)));
+        kernel.process(&view, &mut state, 0, (), 0, &mut |t, (), pri| emitted.push((t, pri)));
         // The relaxation wrote the neighbour's entry and emitted it once …
         assert_eq!(emitted, vec![(1, 1)]);
         assert_eq!(state[1], 1);
         // … so relaxing the same edge again emits nothing (equal is not
         // better), while the one emitted operation is live and expands.
         emitted.clear();
-        kernel.process(&view, &mut state, 0, 0, &mut |t, val, _| emitted.push((t, val)));
+        kernel.process(&view, &mut state, 0, (), 0, &mut |t, (), pri| emitted.push((t, pri)));
         assert!(emitted.is_empty(), "an equal value is never emitted twice");
-        assert!(kernel.process(&view, &mut state, 1, 1, &mut |_, _, _| {}) > 0);
+        assert!(kernel.process(&view, &mut state, 1, (), 1, &mut |_, (), _| {}) > 0);
         // A worse operation for a written vertex is pruned on arrival.
-        assert_eq!(kernel.process(&view, &mut state, 1, 4, &mut |_, _, _| {}), 0);
+        assert_eq!(kernel.process(&view, &mut state, 1, (), 4, &mut |_, (), _| {}), 0);
         assert_eq!(state[1], 1);
     }
 
@@ -144,27 +146,27 @@ mod tests {
             let mut prev: Vec<Dist> = vec![0, 4, 9, INF_DIST];
             let mut seeds = Vec::new();
             let delta = EdgeDelta { seeds: &[(u, v, w)], raised: &[] };
-            SsspKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, d, p| seeds.push((t, d, p)));
+            SsspKernel.restart_seeds(&g, &mut prev, 0, delta, &mut |t, (), p| seeds.push((t, p)));
             seeds
         };
-        assert_eq!(seeds_of(1, 2, 3), vec![(2, 7, 7)], "4 + 3 < 9");
+        assert_eq!(seeds_of(1, 2, 3), vec![(2, 7)], "4 + 3 < 9");
         assert_eq!(seeds_of(1, 2, 5), vec![], "4 + 5 == 9 is a no-op edge");
         assert_eq!(seeds_of(1, 2, 6), vec![]);
         assert_eq!(seeds_of(3, 2, 1), vec![], "unreached tail");
-        assert_eq!(seeds_of(2, 3, 1), vec![(3, 10, 10)], "newly reached head");
+        assert_eq!(seeds_of(2, 3, 1), vec![(3, 10)], "newly reached head");
     }
 
     #[test]
-    fn emitted_priorities_equal_tentative_distances() {
+    fn emitted_priorities_are_the_written_tentative_distances() {
         let g = gen::complete(4).with_random_weights(5, 1);
         let kernel = SsspKernel;
-        let mut state = kernel.init_state(&g);
+        let mut state = kernel.init_state(&g, 0);
         let view = AdjacencyView::from_csr(&g);
         let mut emitted = Vec::new();
-        kernel.process(&view, &mut state, 0, 0, &mut |t, val, pri| emitted.push((t, val, pri)));
+        kernel.process(&view, &mut state, 0, (), 0, &mut |t, (), pri| emitted.push((t, pri)));
         assert!(!emitted.is_empty());
-        for (_, val, pri) in emitted {
-            assert_eq!(val, pri);
+        for (t, pri) in emitted {
+            assert_eq!(state[t as usize], pri);
         }
     }
 }

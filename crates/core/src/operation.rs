@@ -9,18 +9,26 @@ pub type Priority = u64;
 
 /// An operation of an FPP query: "apply `value` at `vertex` on behalf of
 /// `query`".
+///
+/// With a `()` value — SSSP, BFS, PPR and DFS, whose priority or state holds
+/// everything an operation needs — the `u32` pair and the `u64` priority
+/// fill exactly 16 bytes; a `u32` or `u64` value beside them pads to 24.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Operation<V> {
     /// Index of the query within the FPP batch.
     pub query: u32,
     /// Target vertex (global id).
     pub vertex: VertexId,
-    /// Kernel-specific payload (tentative distance, residual mass, …).
+    /// Kernel-specific payload beside the priority (a walker batch, a
+    /// custom kernel's value; `()` for the built-in traversals).
     pub value: V,
-    /// Scheduling priority derived from `value` by the kernel's priority
-    /// functor; lower values are processed first.
+    /// Scheduling priority given by the kernel's priority functor (for
+    /// SSSP and BFS the tentative distance or level itself); lower values
+    /// are processed first.
     pub priority: Priority,
 }
+
+const _: () = assert!(std::mem::size_of::<Operation<()>>() == 16);
 
 impl<V> Operation<V> {
     /// Create an operation.

@@ -37,7 +37,7 @@ impl FppKernel for WideValueBfs {
         "wide-bfs"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         vec![u64::MAX; graph.num_vertices()]
     }
 
@@ -51,6 +51,7 @@ impl FppKernel for WideValueBfs {
         state: &mut Self::State,
         vertex: VertexId,
         [level, a, b, c, _]: Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         if level >= state[vertex as usize] {

@@ -257,15 +257,15 @@ struct FaultySssp {
 }
 
 impl FppKernel for FaultySssp {
-    type Value = Dist;
+    type Value = ();
     type State = Vec<Dist>;
 
     fn name(&self) -> &'static str {
         "faulty-sssp"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
-        SsspKernel.init_state(graph)
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
+        SsspKernel.init_state(graph, source)
     }
 
     fn source_op(&self, source: VertexId) -> (Self::Value, Priority) {
@@ -278,10 +278,11 @@ impl FppKernel for FaultySssp {
         state: &mut Self::State,
         vertex: VertexId,
         value: Self::Value,
+        priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         use std::sync::atomic::Ordering;
-        let edges = SsspKernel.process(graph, state, vertex, value, emit);
+        let edges = SsspKernel.process(graph, state, vertex, value, priority, emit);
         if edges > 0 && self.fuse.fetch_sub(1, Ordering::SeqCst) == 0 {
             panic!("faulty kernel: injected panic mid-visit");
         }

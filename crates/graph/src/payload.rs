@@ -162,13 +162,6 @@ impl CompressedEdges {
         self.bytes.len() + self.offsets.len() * std::mem::size_of::<u32>()
     }
 
-    /// Decoded out-degree of the partition's `local`-th vertex.
-    #[inline]
-    pub fn degree(&self, local: usize) -> usize {
-        let mut pos = self.offsets[local] as usize;
-        read_varint(&self.bytes, &mut pos) as usize
-    }
-
     /// Byte range (within this payload) occupied by the `local`-th vertex's
     /// run — what a decode-on-visit actually touches, used by the cache
     /// simulator to model compressed adjacency scans.
@@ -235,9 +228,10 @@ impl ExactSizeIterator for CompressedOutEdges<'_> {}
 /// For raw partitions (and for unpartitioned unit-test graphs via
 /// [`AdjacencyView::from_csr`]) every accessor forwards to the monolithic
 /// [`CsrGraph`] slices, so the pre-compression code path is unchanged. For
-/// compressed partitions the accessors stream-decode the varint payload in
-/// place; vertices outside the view's partition fall back to the CSR, so a
-/// view is always total over the graph.
+/// compressed partitions the edge accessors stream-decode the varint payload
+/// in place (the degree is read from the CSR offsets either way); vertices
+/// outside the view's partition fall back to the CSR, so a view is always
+/// total over the graph.
 #[derive(Clone, Copy, Debug)]
 pub struct AdjacencyView<'a> {
     graph: &'a CsrGraph,
@@ -283,13 +277,12 @@ impl<'a> AdjacencyView<'a> {
         vertices.binary_search(&v).ok().map(|local| (local, payload))
     }
 
-    /// Out-degree of `v`.
-    #[inline]
+    /// Out-degree of `v`: two CSR offsets, which every storage mode keeps,
+    /// so a compressed view pays neither the partition lookup nor a decode
+    /// (PPR asks once per neighbour of every push).
+    #[inline(always)] // see `AdjacencyView::out_edges`
     pub fn out_degree(&self, v: VertexId) -> usize {
-        match self.local_of(v) {
-            Some((local, payload)) => payload.degree(local),
-            None => self.graph.out_degree(v),
-        }
+        self.graph.out_degree(v)
     }
 
     /// Iterate `(target, weight)` pairs of `v`'s out-edges; unweighted graphs
@@ -445,7 +438,7 @@ mod tests {
             assert_eq!(c.is_weighted(), weighted);
             let mut edges = 0;
             for (local, &v) in vertices.iter().enumerate() {
-                assert_eq!(c.degree(local), g.out_degree(v));
+                assert_eq!(c.out_edges(local).len(), g.out_degree(v));
                 assert!(c.out_edges(local).eq(g.out_edges(v)), "weighted={weighted} vertex {v}");
                 edges += g.out_degree(v);
             }
@@ -477,9 +470,9 @@ mod tests {
         assert_eq!(c.num_edges(), 0);
         // Vertices with no out-edges get a lone zero-degree prefix.
         let c = CompressedEdges::encode(&g, &[3, 7, 9]);
-        assert_eq!(c.degree(0), 0);
-        assert_eq!(c.degree(1), 2);
-        assert_eq!(c.degree(2), 0);
+        assert_eq!(c.out_edges(0).len(), 0);
+        assert_eq!(c.out_edges(1).len(), 2);
+        assert_eq!(c.out_edges(2).len(), 0);
         assert_eq!(c.out_edges(1).collect::<Vec<_>>(), vec![(1, 2), (4, 1)]);
     }
 

@@ -52,7 +52,7 @@ impl FppKernel for HopCapKernel {
         "hopcap-test"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         vec![INF_DIST; graph.num_vertices() * (self.k as usize + 1)]
     }
 
@@ -66,6 +66,7 @@ impl FppKernel for HopCapKernel {
         state: &mut Self::State,
         vertex: VertexId,
         (dist, hops): Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         let stride = self.k as usize + 1;

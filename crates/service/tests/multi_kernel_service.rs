@@ -139,7 +139,7 @@ impl FppKernel for HopTableKernel {
         "hop-limit"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         vec![Dist::MAX; graph.num_vertices() * (self.k as usize + 1)]
     }
 
@@ -153,6 +153,7 @@ impl FppKernel for HopTableKernel {
         state: &mut Self::State,
         vertex: VertexId,
         (dist, hops): Self::Value,
+        _priority: forkgraph_core::Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, forkgraph_core::Priority),
     ) -> u64 {
         let stride = self.k as usize + 1;

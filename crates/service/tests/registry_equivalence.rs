@@ -195,7 +195,7 @@ impl FppKernel for KHopKernel {
         "khop-test"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         vec![INF_DIST; graph.num_vertices() * (self.k as usize + 1)]
     }
 
@@ -209,6 +209,7 @@ impl FppKernel for KHopKernel {
         state: &mut Self::State,
         vertex: VertexId,
         (dist, hops): Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         let stride = self.k as usize + 1;

@@ -61,7 +61,13 @@ impl KHopReachability {
 }
 
 impl FppKernel for KHopReachability {
-    /// `(distance so far, hops used)` — a `Copy` payload, like the built-ins.
+    /// `(distance so far, hops used)`, a `Copy` payload. The built-in SSSP,
+    /// BFS and PPR kernels carry `()`: their priority (or their state)
+    /// already holds what an operation needs, which keeps every operation
+    /// at 16 bytes. Here the priority is the distance too, but the hop
+    /// count cannot be derived from it, so the value carries both (a
+    /// 32-byte operation; reading the distance from `process`'s `priority`
+    /// and carrying only `hops` would make it 24).
     type Value = (Dist, u32);
     type State = Vec<Dist>;
 
@@ -69,7 +75,10 @@ impl FppKernel for KHopReachability {
         "khop"
     }
 
-    fn init_state(&self, graph: &CsrGraph) -> Self::State {
+    /// Leaves the source's entries to its operation, which the `>=` prune in
+    /// `process` lets through. (The built-ins write the source's entry here,
+    /// which is what lets their operations carry no value.)
+    fn init_state(&self, graph: &CsrGraph, _source: VertexId) -> Self::State {
         vec![INF_DIST; graph.num_vertices() * self.stride()]
     }
 
@@ -83,6 +92,7 @@ impl FppKernel for KHopReachability {
         state: &mut Self::State,
         vertex: VertexId,
         (dist, hops): Self::Value,
+        _priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
         let stride = self.stride();

@@ -19,12 +19,16 @@
 //! Deletion repair is held the same way: a resumed run after a deletion
 //! does the same handful of operations on a 256 × 256 grid as on a 32 × 32
 //! one.
+//!
+//! So is the size of the operation every one of those counts copies: 16
+//! bytes for SSSP, BFS and PPR, whose priority — or state — already holds
+//! what a value would carry.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use forkgraph::core::kernels::{BfsKernel, PprState, SsspKernel};
-use forkgraph::core::YieldPolicy;
+use forkgraph::core::kernels::{BfsKernel, PprKernel, PprState, SsspKernel};
+use forkgraph::core::{FppKernel, Operation, YieldPolicy};
 use forkgraph::graph::gen;
 use forkgraph::graph::mutation::VersionedGraph;
 use forkgraph::graph::INF_DIST;
@@ -240,4 +244,34 @@ fn ppr_max_pushes_caps_the_engine_and_the_service() {
         let state = result.try_state::<PprState>().unwrap();
         check(&format!("service {seed}"), state.pushes, state.total_mass());
     }
+}
+
+/// A remote operation is copied four times (routing scratch, mailbox stripe,
+/// lane inbox, lane heap), each copy an `Operation<K::Value>`. The traversal
+/// kernels carry no value beside the priority, which needs the source's
+/// entry to be written by `init_state` rather than by its operation.
+#[test]
+fn traversal_operations_are_16_bytes_and_init_state_writes_the_source() {
+    fn operation_bytes<K: FppKernel>(_: &K) -> usize {
+        std::mem::size_of::<Operation<K::Value>>()
+    }
+    assert_eq!(operation_bytes(&SsspKernel), 16, "SSSP");
+    assert_eq!(operation_bytes(&BfsKernel), 16, "BFS");
+    assert_eq!(operation_bytes(&PprKernel::default()), 16, "PPR");
+
+    let graph = gen::rmat(6, 4, 1).with_random_weights(9, 1);
+    let source: VertexId = 5;
+    let only_source = |v: usize| v == source as usize;
+    let dist = SsspKernel.init_state(&graph, source);
+    assert!(dist.iter().enumerate().all(|(v, &d)| d == if only_source(v) { 0 } else { INF_DIST }));
+    let level = BfsKernel.init_state(&graph, source);
+    assert!(level.iter().enumerate().all(|(v, &l)| l == if only_source(v) { 0 } else { u32::MAX }));
+    let ppr = PprKernel::default().init_state(&graph, source);
+    assert!(ppr
+        .residual
+        .iter()
+        .enumerate()
+        .all(|(v, &r)| r == if only_source(v) { 1.0 } else { 0.0 }));
+    assert!(ppr.estimate.iter().all(|&p| p == 0.0));
+    assert_eq!(ppr.pushes, 0);
 }
