@@ -1,5 +1,5 @@
 //! `repro` — regenerate the paper's tables and figures at laptop scale, and
-//! drive the CI server-smoke and trace checks.
+//! drive the CI trace check.
 //!
 //! Usage:
 //!
@@ -7,7 +7,6 @@
 //! cargo run --release -p fg-bench --bin repro -- list
 //! cargo run --release -p fg-bench --bin repro -- table1 figure9
 //! cargo run --release -p fg-bench --bin repro -- all
-//! cargo run --release -p fg-bench --bin repro -- --wire-smoke --addr 127.0.0.1:7071
 //! cargo run --release -p fg-bench --bin repro -- --validate-trace trace.json
 //! ```
 //!
@@ -16,36 +15,15 @@
 
 #![forbid(unsafe_code)]
 
-use fg_bench::{emit_report, experiments, wire};
+use fg_bench::{emit_report, experiments};
 
 fn usage(registry: &[experiments::Experiment]) {
     eprintln!("usage: repro [list | all | <experiment>...]");
-    eprintln!("       repro --wire-smoke [--addr <host:port>]");
     eprintln!("       repro --validate-trace <trace.json>");
     eprintln!("experiments:");
     for (name, _) in registry {
         eprintln!("  {name}");
     }
-}
-
-/// `--wire-smoke [--addr HOST:PORT]`: drive a server (self-hosted unless
-/// `--addr` points at one) with the multi-connection closed-loop load
-/// generator, which oracle-checks every warm-up response.
-fn run_wire_smoke(args: &[String]) {
-    let addr = args.iter().position(|a| a == "--addr").map(|pos| {
-        args.get(pos + 1).cloned().unwrap_or_else(|| {
-            eprintln!("--addr requires host:port");
-            std::process::exit(1);
-        })
-    });
-    let outcome = wire::run_wire_smoke(wire::Scale::FULL, addr.as_deref());
-    println!(
-        "wire smoke OK: {} warm-up responses match the one-worker engine oracle; {:.1} qps over {} \
-         pipelined connections",
-        outcome.verified,
-        outcome.wire_qps,
-        wire::WIRE_CLIENTS
-    );
 }
 
 /// `--validate-trace PATH`: the CI observability gate. Parses an exported
@@ -86,10 +64,6 @@ fn main() {
 
     if args.iter().any(|a| a == "--validate-trace") {
         run_validate_trace(&args);
-        return;
-    }
-    if args.iter().any(|a| a == "--wire-smoke") {
-        run_wire_smoke(&args);
         return;
     }
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "help") {

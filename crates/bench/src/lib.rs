@@ -3,8 +3,7 @@
 //! The paper-reproduction harness that regenerates every table and figure of
 //! the paper's evaluation at laptop scale. The `repro` binary dispatches to
 //! the experiment functions in [`experiments`]; each returns Markdown tables
-//! that are printed and written under `target/repro/`. [`wire`] is the
-//! oracle-checked loopback load generator behind CI's server-smoke job.
+//! that are printed and written under `target/repro/`.
 //!
 //! Workloads are scaled-down versions of the paper's: smaller synthetic
 //! graphs, fewer queries, and a proportionally smaller simulated LLC.
@@ -17,7 +16,6 @@
 
 pub mod experiments;
 pub mod runner;
-pub mod wire;
 
 use std::io::Write;
 use std::path::PathBuf;

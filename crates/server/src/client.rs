@@ -1,6 +1,6 @@
 //! A blocking wire client: the reference implementation of the protocol's
-//! peer side, used by the examples, the acceptance tests, and the fg-bench
-//! load generator.
+//! peer side, used by the examples, the acceptance tests, and `fgbench`'s
+//! serving workloads.
 //!
 //! The client supports **pipelining**: [`send`](WireClient::send) many
 //! requests (each under its own correlation ID), then [`recv`](WireClient::recv)

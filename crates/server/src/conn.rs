@@ -3,10 +3,11 @@
 //!
 //! The reader deserializes frames straight into [`Query`] builder calls and
 //! submits them through the shared [`ServiceHandle`] — the same admission
-//! control local callers face. Admitted queries park as `(correlation,
-//! ticket)` pairs in the outbox; the writer resolves them **in completion
-//! order**, not submission order, so a pipelined connection gets cache hits
-//! back while cold queries are still batching.
+//! control local callers face. Each admitted query's ticket pushes its
+//! `(correlation, outcome)` onto the outbox the moment it is fulfilled
+//! ([`Ticket::on_ready`]), so the writer answers **in completion order**,
+//! not submission order: a pipelined connection gets cache hits back while
+//! cold queries are still batching.
 //!
 //! Saturation ([`ServiceError::Saturated`]) is answered with a retry-after
 //! frame and the connection stays open: backpressure sheds *queries*, never
@@ -18,9 +19,8 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use fg_service::{ServiceError, Ticket};
+use fg_service::{QueryResult, ServiceError};
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::FrameReadError;
@@ -31,23 +31,19 @@ use crate::protocol::{
 };
 use crate::server::ServerCore;
 
-/// How long the writer parks on the oldest in-flight ticket before rescanning
-/// the whole set for out-of-order completions.
-const RESCAN_INTERVAL: Duration = Duration::from_millis(2);
-
 /// Work queued for the writer thread.
 enum Outgoing {
-    /// A response that needs no waiting (errors, retry-afters, cache hits
-    /// the reader chose not to special-case).
+    /// A response built by the reader (errors, retry-afters, mutation acks).
     Ready(Response),
-    /// An admitted query: resolve the ticket, then encode whatever it says.
-    Pending { correlation: u32, ticket: Ticket },
-    /// The reader is done; drain everything above, then hang up.
+    /// An admitted query's outcome, pushed by its ticket when fulfilled.
+    /// Encoding (which copies the whole state) is left to the writer.
+    Resolved { correlation: u32, outcome: Result<Arc<QueryResult>, ServiceError> },
+    /// The reader is done; hang up once every admitted query is answered.
     Finish,
 }
 
-/// Reader → writer handoff: a mutex-guarded queue plus a condvar so the
-/// writer can sleep when nothing is queued *and* nothing is in flight.
+/// Reader/tickets → writer handoff: a mutex-guarded queue plus a condvar the
+/// writer sleeps on while the queue is empty.
 struct Outbox {
     queue: Mutex<VecDeque<Outgoing>>,
     ready: Condvar,
@@ -96,7 +92,7 @@ pub(crate) fn run_binary_connection(core: Arc<ServerCore>, stream: TcpStream) {
 
     let outbox = Arc::new(Outbox::new());
     // Queries admitted but not yet answered on this connection; incremented
-    // by the reader on admission, decremented by the writer on resolution.
+    // by the reader on admission, decremented by the writer as it answers.
     let inflight = Arc::new(AtomicUsize::new(0));
     let writer_core = Arc::clone(&core);
     let writer_outbox = Arc::clone(&outbox);
@@ -112,7 +108,12 @@ pub(crate) fn run_binary_connection(core: Arc<ServerCore>, stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn reader_loop(core: &ServerCore, outbox: &Outbox, inflight: &AtomicUsize, stream: &TcpStream) {
+fn reader_loop(
+    core: &ServerCore,
+    outbox: &Arc<Outbox>,
+    inflight: &AtomicUsize,
+    stream: &TcpStream,
+) {
     let max_len = core.config.max_frame_len;
     let idle_timeout = core.config.idle_timeout;
     let read_deadline = core.config.read_deadline;
@@ -218,7 +219,12 @@ fn reader_loop(core: &ServerCore, outbox: &Outbox, inflight: &AtomicUsize, strea
         match core.handle.submit_query(request.to_query()) {
             Ok(ticket) => {
                 inflight.fetch_add(1, Ordering::AcqRel);
-                outbox.push(Outgoing::Pending { correlation, ticket });
+                // Runs here for a cache hit, else on the batcher thread
+                // under its cache lock: push and return, nothing more.
+                let outbox = Arc::clone(outbox);
+                ticket.on_ready(move |outcome| {
+                    outbox.push(Outgoing::Resolved { correlation, outcome })
+                });
             }
             Err(ServiceError::Saturated { queue_depth, capacity }) => {
                 core.stats.retry_afters.fetch_add(1, Ordering::Relaxed);
@@ -247,7 +253,6 @@ fn writer_loop(
     stream: TcpStream,
 ) {
     let mut writer = BufWriter::new(stream);
-    let mut inflight: VecDeque<(u32, Ticket)> = VecDeque::new();
     let mut finishing = false;
 
     loop {
@@ -255,60 +260,36 @@ fn writer_loop(
         // encoding or writing).
         let drained: Vec<Outgoing> = {
             let mut queue = outbox.queue.lock();
-            if queue.is_empty() && inflight.is_empty() && !finishing {
-                outbox.ready.wait_for(&mut queue, Duration::from_millis(50));
+            while queue.is_empty() {
+                outbox.ready.wait(&mut queue);
             }
             queue.drain(..).collect()
         };
 
-        let mut wrote = false;
         for item in drained {
-            match item {
-                Outgoing::Ready(response) => {
-                    if !emit(&core, &mut writer, &response) {
-                        return;
-                    }
-                    wrote = true;
-                }
-                Outgoing::Pending { correlation, ticket } => {
-                    inflight.push_back((correlation, ticket))
-                }
-                Outgoing::Finish => finishing = true,
-            }
-        }
-
-        // Flush completions in whatever order they became ready.
-        let mut still_waiting = VecDeque::with_capacity(inflight.len());
-        for (correlation, ticket) in inflight.drain(..) {
-            match ticket.try_result() {
-                Some(outcome) => {
+            let response = match item {
+                Outgoing::Ready(response) => response,
+                Outgoing::Resolved { correlation, outcome } => {
                     inflight_count.fetch_sub(1, Ordering::AcqRel);
-                    if !emit(&core, &mut writer, &resolve(&core, correlation, outcome)) {
-                        return;
-                    }
-                    wrote = true;
+                    resolve(&core, correlation, outcome)
                 }
-                None => still_waiting.push_back((correlation, ticket)),
+                Outgoing::Finish => {
+                    finishing = true;
+                    continue;
+                }
+            };
+            if !emit(&core, &mut writer, &response) {
+                return;
             }
         }
-        inflight = still_waiting;
-
-        if wrote && writer.flush().is_err() {
+        if writer.flush().is_err() {
             return;
         }
 
-        if finishing && inflight.is_empty() {
-            // Everything admitted on this connection has been answered.
-            let _ = writer.flush();
+        // Every admission was counted before its ticket could push, so a
+        // zero count after `Finish` means everything admitted is answered.
+        if finishing && inflight_count.load(Ordering::Acquire) == 0 {
             return;
-        }
-
-        if !wrote && !inflight.is_empty() {
-            // Nothing was ready: park briefly on the oldest ticket. A newer
-            // ticket may finish first (cache hit overtaking a cold run) —
-            // the bounded timeout caps how stale the rescan can be.
-            let (_, oldest) = &inflight[0];
-            let _ = oldest.wait_timeout(RESCAN_INTERVAL);
         }
     }
 }
@@ -317,7 +298,7 @@ fn writer_loop(
 fn resolve(
     core: &ServerCore,
     correlation: u32,
-    outcome: Result<Arc<fg_service::QueryResult>, ServiceError>,
+    outcome: Result<Arc<QueryResult>, ServiceError>,
 ) -> Response {
     match outcome {
         Ok(result) => match WirePayload::from_result(&result) {

@@ -169,7 +169,7 @@ pub(crate) fn metrics_body(core: &ServerCore) -> String {
         ),
     ];
     for (name, help, value) in families {
-        body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+        fg_trace::expose::metric(&mut body, name, "counter", help, value as f64);
     }
     body
 }

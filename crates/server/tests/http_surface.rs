@@ -97,6 +97,17 @@ fn metrics_expose_service_and_server_families_without_nan() {
         assert!(body.contains(family), "missing family {family} in:\n{body}");
     }
     assert!(!body.contains("NaN"), "exposition must never contain NaN:\n{body}");
+    // One line format for every family, the server's own included: each
+    // sample line follows its own TYPE line.
+    let lines: Vec<&str> = body.lines().collect();
+    for (i, line) in lines.iter().enumerate().filter(|(_, l)| !l.starts_with('#')) {
+        let name = line.split(' ').next().unwrap();
+        let previous = if i > 0 { lines[i - 1] } else { "" };
+        assert!(
+            previous.starts_with(&format!("# TYPE {name} ")),
+            "sample {line:?} does not follow its TYPE line (got {previous:?})"
+        );
+    }
     // The wire counters reflect the traffic we just generated.
     let frames_in = sample(&body, "fg_server_frames_in_total");
     assert!(frames_in >= 4, "four requests crossed the wire, got {frames_in}");

@@ -13,8 +13,10 @@ use fg_metrics::{PoolSnapshot, ServiceSnapshot};
 
 use crate::sink::TraceStats;
 
-/// Append one metric: HELP/TYPE headers plus the sample line.
-fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
+/// Append one metric: HELP/TYPE headers plus the sample line. Families
+/// rendered outside [`expose`] (a front door's own counters) use it too, so
+/// a `/metrics` body has one line format.
+pub fn metric(out: &mut String, name: &str, kind: &str, help: &str, value: f64) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
     if value.fract() == 0.0 && value.abs() < 1e15 {

@@ -1,18 +1,20 @@
-//! `server` — the network front door, end to end over loopback TCP.
+//! `server` — the network front door, end to end over loopback TCP, and the
+//! repository's serving check: CI runs it with every other example.
 //!
-//! Two modes:
+//! Two modes, one server (the same graph, service and configuration):
 //!
 //! * **Demo** (default): start a traced service + [`ForkGraphServer`] on an
 //!   ephemeral loopback port, drive it with four concurrent pipelining
 //!   [`WireClient`] connections (mixed SSSP/BFS), verify every wire response
-//!   against a direct one-worker engine oracle, scrape `/metrics` and `/healthz` over
-//!   plain HTTP on the *same* port, dump the Chrome trace, and shut down
-//!   gracefully. Exits non-zero on any mismatch — CI runs this.
+//!   against a direct one-worker engine oracle, check the HTTP surface on
+//!   the *same* port — `/healthz`; `/metrics` (status line,
+//!   `Content-Length`, no `NaN`, every service and server family, and a
+//!   non-zero `fg_pool_dispatches_total`: the wire load ran on the worker
+//!   pool); `/trace` (parseable Chrome JSON with spans) — and shut down
+//!   gracefully. Exits non-zero on any mismatch.
 //!
-//! * **Listen** (`--listen [host:port]`, default `127.0.0.1:7071`): serve the
-//!   deterministic `fg_bench::wire::workload` graph until killed, for
-//!   external load generators (`repro --wire-smoke --addr host:port`) and
-//!   manual poking:
+//! * **Listen** (`--listen [host:port]`, default `127.0.0.1:7071`): serve
+//!   until killed, for manual poking:
 //!
 //! ```text
 //! cargo run --release --example server                      # self-checking demo
@@ -32,6 +34,20 @@ use forkgraph::trace::TraceSink;
 const CLIENTS: usize = 4;
 const QUERIES_PER_CLIENT: u32 = 16;
 
+/// The `/metrics` families a scrape must carry: the service's own, including
+/// the mutation and repair counters, and the front door's wire counters.
+const REQUIRED_FAMILIES: [&str; 9] = [
+    "fg_service_submitted_total",
+    "fg_service_admitted_total",
+    "fg_service_mutations_applied_total",
+    "fg_service_cache_invalidations_total",
+    "fg_service_incremental_runs_total",
+    "fg_service_queue_depth",
+    "fg_server_connections_accepted_total",
+    "fg_server_frames_in_total",
+    "fg_server_frames_out_total",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(pos) = args.iter().position(|a| a == "--listen") {
@@ -42,26 +58,8 @@ fn main() {
     }
 }
 
-/// Long-running mode: serve the smoke workload (traced, so `/trace` works
-/// against the live server) until killed.
-fn listen(addr: &str) {
-    let server = fg_bench::wire::start_smoke_server(fg_bench::wire::Scale::FULL, addr)
-        .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
-    println!("serving smoke workload on {}", server.local_addr());
-    println!("  binary protocol : connect + magic FGW1 (see fg_server::WireClient)");
-    println!(
-        "  observability   : curl http://{}/metrics (and /healthz, /trace)",
-        server.local_addr()
-    );
-    // Daemon mode, killed externally (CI kills the whole process).
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
-}
-
-/// Self-checking demo: four pipelining clients, oracle-verified, plus the
-/// HTTP surface, then a graceful shutdown.
-fn demo() {
+/// Build the demo graph and serve it, traced (so `/trace` works), on `addr`.
+fn start(addr: &str) -> (Arc<PartitionedGraph>, ForkGraphServer) {
     let graph = forkgraph::graph::gen::rmat(12, 8, 42).with_random_weights(8, 42);
     let partitioned = Arc::new(PartitionedGraph::build(
         &graph,
@@ -73,21 +71,43 @@ fn demo() {
         graph.num_edges(),
         partitioned.num_partitions()
     );
-
-    let sink = TraceSink::new();
     let service = ForkGraphService::start_traced(
         Arc::clone(&partitioned),
         EngineConfig::default().with_threads(4),
         ServiceConfig { batch_window: Duration::from_millis(3), ..ServiceConfig::default() },
-        Arc::clone(&sink),
+        TraceSink::new(),
     );
-    let server = ForkGraphServer::start(service, ServerConfig::default()).expect("bind loopback");
+    let server = ForkGraphServer::start(
+        service,
+        ServerConfig { addr: addr.to_string(), ..ServerConfig::default() },
+    )
+    .unwrap_or_else(|e| panic!("cannot bind {addr}: {e}"));
+    println!("listening on {} (binary protocol + HTTP on one port)\n", server.local_addr());
+    (partitioned, server)
+}
+
+/// Long-running mode: serve until killed.
+fn listen(addr: &str) {
+    let (_, server) = start(addr);
+    println!("  binary protocol : connect + magic FGW1 (see fg_server::WireClient)");
+    println!(
+        "  observability   : curl http://{}/metrics (and /healthz, /trace)",
+        server.local_addr()
+    );
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+/// Self-checking demo: four pipelining clients, oracle-verified, plus the
+/// HTTP surface, then a graceful shutdown.
+fn demo() {
+    let (partitioned, server) = start("127.0.0.1:0");
     let addr = server.local_addr();
-    println!("listening on {addr} (binary protocol + HTTP on one port)\n");
 
     // The one-worker engine oracle every wire response is checked against.
     let oracle = ForkGraphEngine::new(&partitioned, EngineConfig::default());
-    let n = graph.num_vertices() as u32;
+    let n = partitioned.graph().num_vertices() as u32;
 
     // --- Four concurrent pipelining connections. --------------------------
     let verified: usize = std::thread::scope(|scope| {
@@ -148,7 +168,7 @@ fn demo() {
         workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
     println!(
-        "verified {verified}/{} wire responses against the serial oracle",
+        "verified {verified}/{} wire responses against the one-worker engine oracle",
         CLIENTS * QUERIES_PER_CLIENT as usize
     );
     assert_eq!(verified, CLIENTS * QUERIES_PER_CLIENT as usize);
@@ -156,38 +176,48 @@ fn demo() {
     // --- The HTTP dialect on the same port. -------------------------------
     let health = http_get(addr, "/healthz");
     assert!(health.contains("ok"), "healthz: {health}");
+
     let metrics = http_get(addr, "/metrics");
-    for family in ["fg_service_admitted_total", "fg_server_frames_out_total"] {
-        assert!(metrics.contains(family), "missing {family}");
-    }
-    let interesting: Vec<&str> = metrics
-        .lines()
-        .filter(|l| {
-            !l.starts_with('#')
-                && (l.starts_with("fg_service_admitted")
-                    || l.starts_with("fg_service_batches")
-                    || l.starts_with("fg_server_"))
-        })
-        .collect();
+    assert!(!metrics.contains("NaN"), "/metrics contains NaN:\n{metrics}");
     println!("\n/metrics (excerpt):");
-    for line in interesting {
-        println!("  {line}");
+    let sample = |family: &str| -> f64 {
+        let value = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(family)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("/metrics is missing family {family}"));
+        println!("  {family} {value}");
+        value.parse().expect("numeric sample")
+    };
+    for family in REQUIRED_FAMILIES {
+        sample(family);
     }
+    assert!(sample("fg_pool_dispatches_total") > 0.0, "the wire load never ran on the worker pool");
 
     let trace = http_get(addr, "/trace");
     let events = forkgraph::trace::chrome::parse(&trace).expect("valid Chrome trace");
-    println!("\n/trace: {} events (load it in chrome://tracing)", events.len());
+    let spans = events.iter().filter(|e| e.ph == "B").count();
+    assert!(spans > 0, "/trace holds no spans ({} events)", events.len());
+    println!("\n/trace: {} events, {spans} spans (load it in chrome://tracing)", events.len());
 
     // --- Graceful shutdown drains connections and the service. ------------
     server.shutdown();
     println!("\nserver drained and shut down cleanly");
 }
 
-/// Minimal HTTP GET returning the response body.
+/// Minimal HTTP GET: asserts a `200 OK` whose `Content-Length` matches the
+/// body, and returns the body.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect http");
     write!(stream, "GET {path} HTTP/1.1\r\nHost: fg\r\nConnection: close\r\n\r\n").expect("write");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read");
-    raw.split("\r\n\r\n").nth(1).unwrap_or("").to_string()
+    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or_else(|| panic!("{path}: no body"));
+    assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{path}: {head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("{path}: no Content-Length in {head}"));
+    assert_eq!(length, body.len(), "{path}: Content-Length disagrees with the body");
+    body.to_string()
 }
