@@ -5,9 +5,9 @@
 //! converged SSSP/BFS states with `run_incremental` is **byte-identical** to
 //! a from-scratch `run` on the post-mutation graph, and both equal `fg-seq`,
 //! on one worker and on a crew on the pool alike. A delta
-//! that spans several folds is accumulated in a `DeltaWindow`, as
-//! `fg-service`'s batcher accumulates it, and states captured at its first
-//! fold and at its latest one must both resume exactly.
+//! that spans several folds is the store's `delta_since`, as `fg-service`'s
+//! batcher reads it, and states captured before its first fold and at its
+//! latest one must both resume exactly.
 //!
 //! Hand-rolled seeded harness (no proptest in the build environment); a
 //! failure prints the case number, which reproduces the trial exactly.
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use fg_graph::mutation::{DeltaWindow, EdgeDelta, VersionedGraph};
+use fg_graph::mutation::{EdgeDelta, VersionedGraph};
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, Edge, GraphBuilder, VertexId, Weight, INF_DIST};
@@ -140,13 +140,12 @@ fn log_mixed_batch(rng: &mut SmallRng, vg: &VersionedGraph, sources: &[VertexId]
 }
 
 /// `run` on `pg` must equal `oracle`, and so must `run_incremental` from
-/// every one of `starts` across `delta`, on every worker count.
+/// every one of `starts` across its delta, on every worker count.
 fn check_restarts<K>(
     kernel: &K,
     pg: &PartitionedGraph,
     sources: &[VertexId],
-    starts: &[(&str, &Vec<K::State>)],
-    delta: EdgeDelta<'_>,
+    starts: &[(&str, &Vec<K::State>, EdgeDelta<'_>)],
     oracle: &[K::State],
     label: &str,
 ) where
@@ -157,7 +156,7 @@ fn check_restarts<K>(
     assert_eq!(scratch.per_query, oracle, "{label}: run != fg-seq");
     for workers in WORKERS {
         let engine = ForkGraphEngine::new(pg, EngineConfig::default().with_threads(workers));
-        for &(start, prev) in starts {
+        for &(start, prev, delta) in starts {
             let resumed = engine.run_incremental(kernel, sources, prev.clone(), delta);
             assert_eq!(
                 resumed.per_query, oracle,
@@ -170,9 +169,10 @@ fn check_restarts<K>(
 }
 
 /// The property: chained folds of every kind of change, each resumed from
-/// the states captured before the first fold (across the whole accumulated
-/// window) and from the previous fold's states (across the same window,
-/// which then holds changes those states already saw).
+/// the states captured before the first fold, across `delta_since(0)`; from
+/// the previous fold's states across the same delta, which then holds
+/// changes those states already saw; and from the previous fold's states
+/// across `delta_since` their own version.
 #[test]
 fn restarts_across_chained_deltas_of_every_kind_equal_run_and_fg_seq() {
     for case in 0..CASES {
@@ -183,21 +183,29 @@ fn restarts_across_chained_deltas_of_every_kind_equal_run_and_fg_seq() {
         let vg = VersionedGraph::new(Arc::clone(&pg0));
         let first = (dijkstra(pg0.graph(), &sources), bfs(pg0.graph(), &sources));
         let mut latest = first.clone();
-        let mut window = DeltaWindow::default();
         for fold in 0..4 {
             log_mixed_batch(&mut rng, &vg, &sources);
             let applied = vg.advance().expect("batch logged");
             assert!(!applied.raised_edges.is_empty(), "case {case} fold {fold}: nothing raised");
-            window.absorb(&applied);
-            let (seeds, raised) = window.edges();
-            let delta = EdgeDelta { seeds: &seeds, raised: &raised };
+            let (seeds, raised) = vg.delta_since(0).expect("the log reaches back to 0");
+            let all = EdgeDelta { seeds: &seeds, raised: &raised };
+            let (seeds, raised) = vg.delta_since(applied.version - 1).expect("the last fold");
+            let last = EdgeDelta { seeds: &seeds, raised: &raised };
             let now =
                 (dijkstra(applied.graph.graph(), &sources), bfs(applied.graph.graph(), &sources));
             let label = format!("case {case} fold {fold}");
-            let starts = [("first", &first.0), ("latest", &latest.0)];
-            check_restarts(&SsspKernel, &applied.graph, &sources, &starts, delta, &now.0, &label);
-            let starts = [("first", &first.1), ("latest", &latest.1)];
-            check_restarts(&BfsKernel, &applied.graph, &sources, &starts, delta, &now.1, &label);
+            let starts = [
+                ("first", &first.0, all),
+                ("latest, whole log", &latest.0, all),
+                ("latest", &latest.0, last),
+            ];
+            check_restarts(&SsspKernel, &applied.graph, &sources, &starts, &now.0, &label);
+            let starts = [
+                ("first", &first.1, all),
+                ("latest, whole log", &latest.1, all),
+                ("latest", &latest.1, last),
+            ];
+            check_restarts(&BfsKernel, &applied.graph, &sources, &starts, &now.1, &label);
             latest = now;
         }
     }
@@ -218,8 +226,8 @@ fn restart_after(
     let applied = vg.advance().expect("batch logged");
     let now = (dijkstra(applied.graph.graph(), sources), bfs(applied.graph.graph(), sources));
     let pg = &applied.graph;
-    check_restarts(&SsspKernel, pg, sources, &[("pre", &prev.0)], applied.delta(), &now.0, label);
-    check_restarts(&BfsKernel, pg, sources, &[("pre", &prev.1)], applied.delta(), &now.1, label);
+    check_restarts(&SsspKernel, pg, sources, &[("pre", &prev.0, applied.delta())], &now.0, label);
+    check_restarts(&BfsKernel, pg, sources, &[("pre", &prev.1, applied.delta())], &now.1, label);
     now
 }
 

@@ -22,9 +22,10 @@
 //!   partitioner standing in for METIS.
 //! * [`partitioned`] — [`partitioned::PartitionedGraph`], the LLC-sized
 //!   partitioned representation consumed by the ForkGraph engine.
-//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam: pending
-//!   delta logs folded into fresh snapshots (dirty partitions only), with
-//!   partition-granular reachability summaries for cache invalidation.
+//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam: a pending
+//!   log folded into fresh snapshots (dirty partitions only), which answers
+//!   whether an answer computed at a version is still fresh
+//!   (partition-granular reachability) and the edge delta since it.
 //! * [`epoch`] — [`EpochTable`]/[`SnapshotGuard`], epoch-based snapshot
 //!   concurrency: runs pin the current epoch while writers fold the next;
 //!   old-epoch storage is reclaimed when its last pin drops.
@@ -53,7 +54,7 @@ pub mod stats;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use epoch::{EpochTable, SnapshotGuard};
-pub use mutation::{AppliedDeltas, EdgeMutation, MutationError, PreparedFold, VersionedGraph};
+pub use mutation::{AppliedDeltas, EdgeMutation, MutationError, VersionedGraph};
 pub use payload::{AdjacencyView, CompressedEdges, StorageConfig};
 
 /// Vertex identifier. Graphs in this workspace are bounded by `u32::MAX`

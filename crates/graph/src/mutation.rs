@@ -4,38 +4,41 @@
 //! [`Arc<PartitionedGraph>`]; this module is the seam that lets the graph
 //! *change* without any in-flight run observing a half-applied batch.
 //!
-//! [`VersionedGraph`] pairs the current snapshot with a pending delta log of
+//! [`VersionedGraph`] pairs the current snapshot with a pending log of
 //! [`EdgeMutation`]s. Writers append to the log at any time; readers pin the
 //! current epoch via [`VersionedGraph::pin`] and keep that snapshot for the
-//! length of one run. Applying a batch is split into two halves so folds can
-//! overlap in-flight reads:
+//! length of one run. [`VersionedGraph::advance`] folds the whole pending
+//! log into the next snapshot in two private halves, so a fold overlaps
+//! in-flight reads:
 //!
-//! * [`VersionedGraph::prepare`] copies a prefix of the log (without draining
-//!   it, so [`pending_affects`](VersionedGraph::pending_affects) keeps
-//!   forcing cache misses for affected sources while the fold is in flight)
-//!   and — entirely outside the locks — folds it into the next snapshot: the
-//!   next CSR copies the old CSR's rows, merging the batch's final per-pair
-//!   edits into the rows they touch, and **only dirty partitions'** stores
-//!   are rebuilt from it; every clean partition's
+//! * `prepare` copies the log (without draining it, so
+//!   [`changed_since`](VersionedGraph::changed_since) keeps reporting the
+//!   sources it can reach while the fold is in flight) and — entirely
+//!   outside the locks — folds it into the next snapshot: the next CSR
+//!   copies the old CSR's rows, merging the batch's final per-pair edits
+//!   into the rows they touch, and **only dirty partitions'** stores are
+//!   rebuilt from it; every clean partition's
 //!   [`Arc<PartitionStore>`](crate::partitioned::PartitionStore) is shared
 //!   with the previous epoch. The
 //!   [`PartitionPlan`](crate::partition::PartitionPlan) is reused
 //!   (vertex count is immutable, so the old assignment stays valid).
-//! * [`VersionedGraph::publish`] atomically swaps the snapshot, drains the
-//!   consumed prefix, bumps the version, and advances the
-//!   [`EpochTable`] — all under one short lock section.
+//! * `publish` atomically swaps the snapshot, drains the consumed prefix,
+//!   bumps the version, records which partitions the fold could reach and
+//!   its edge changes, and advances the [`EpochTable`] — all under one
+//!   short lock section.
 //!
-//! [`VersionedGraph::advance`] runs both halves back-to-back.
-//! The returned [`AppliedDeltas`] tells the caller everything it needs for
-//! cache invalidation and incremental restart:
+//! The store then answers the two questions a cache of answers asks, each
+//! in one lock section:
 //!
-//! * the batch's net edge delta, in the two lists a min-plus restart
-//!   (SSSP/BFS) needs ([`AppliedDeltas::delta`]): `seed_edges`, every
-//!   changed edge that still exists, at its final weight, and
-//!   `raised_edges`, every deletion and weight increase, at the weight the
-//!   edge had before the batch;
-//! * a partition-granular [`PartitionReachability`] over-approximation of
-//!   which cached sources the batch can possibly affect.
+//! * [`changed_since(version, source)`](VersionedGraph::changed_since) — can
+//!   a fold after `version`, or a pending mutation, have changed the answer
+//!   from `source`?
+//! * [`delta_since(version)`](VersionedGraph::delta_since) — the edge changes
+//!   since `version`, in the two lists a min-plus restart (SSSP/BFS) reads:
+//!   every changed edge that still exists, at its latest weight, and every
+//!   deleted or heavier edge, at the smallest weight it had. The fold log
+//!   behind it holds at most 4 096 edges (`FOLD_LOG_EDGES`); a version older
+//!   than the log gets `None`.
 //!
 //! Reachability is computed on the partition quotient graph (partition `p`
 //! has an arc to `q` iff some edge crosses from `p` to `q`), closed
@@ -44,7 +47,7 @@
 //! `reaches(part(s), part(u))` over the *union* of old and new quotient
 //! edges over-approximates that for inserts and deletes alike.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::epoch::{EpochTable, SnapshotGuard};
@@ -130,10 +133,14 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
+/// Seed plus raised edges the fold log keeps. A cached answer older than the
+/// log re-runs from scratch instead of resuming across an ever longer delta,
+/// which every resume reads once per query.
+const FOLD_LOG_EDGES: usize = 4096;
+
 /// Reflexive-transitive closure of the partition quotient graph, stored as
 /// one bitset row per source partition.
-#[derive(Clone, Debug)]
-pub struct PartitionReachability {
+struct PartitionReachability {
     num_partitions: usize,
     words_per_row: usize,
     rows: Vec<u64>,
@@ -162,22 +169,10 @@ impl PartitionReachability {
         PartitionReachability { num_partitions, words_per_row: words, rows }
     }
 
-    /// Number of partitions this closure covers.
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-
-    /// Can partition `from` reach partition `to` (reflexively)?
-    pub fn reaches(&self, from: PartitionId, to: PartitionId) -> bool {
-        let (from, to) = (from as usize, to as usize);
-        debug_assert!(from < self.num_partitions && to < self.num_partitions);
-        self.rows[from * self.words_per_row + to / 64] >> (to % 64) & 1 == 1
-    }
-
     /// Partitions that can reach *any* partition in `dirty` — i.e. the set
     /// of source partitions whose cached results a batch touching `dirty`
     /// could possibly change. Returned as a dense membership vector.
-    pub fn partitions_reaching(&self, dirty: &[PartitionId]) -> Vec<bool> {
+    fn partitions_reaching(&self, dirty: &[PartitionId]) -> Vec<bool> {
         let words = self.words_per_row;
         let mut mask = vec![0u64; words];
         for &d in dirty {
@@ -211,7 +206,8 @@ fn quotient_adjacency(pg: &PartitionedGraph) -> Vec<u64> {
 /// The edge changes between the graph a converged state was computed on and
 /// a later graph, as a restart reads them (see
 /// `forkgraph_core::ForkGraphEngine::run_incremental`). One fold's delta is
-/// [`AppliedDeltas::delta`]; several folds' accumulate in a [`DeltaWindow`].
+/// [`AppliedDeltas::delta`]; several folds' is
+/// [`VersionedGraph::delta_since`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EdgeDelta<'a> {
     /// Every changed edge that exists in the later graph, at its weight
@@ -222,55 +218,7 @@ pub struct EdgeDelta<'a> {
     pub raised: &'a [Edge],
 }
 
-/// The deltas of consecutive folds, accumulated into one [`EdgeDelta`] from
-/// the graph before the first of them. A raised pair leaves the seeds and
-/// keeps the smallest weight it was raised from; then the fold's seed edges
-/// go in at their latest weight. The result is also a sound delta for a
-/// state converged at any later fold of the window: its extra seeds offer
-/// real paths, and its extra raised edges can only enlarge the cone.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaWindow {
-    seeds: BTreeMap<(VertexId, VertexId), Weight>,
-    raised: BTreeMap<(VertexId, VertexId), Weight>,
-}
-
-impl DeltaWindow {
-    /// Add one fold's delta.
-    pub fn absorb(&mut self, applied: &AppliedDeltas) {
-        for &(u, v, before) in &applied.raised_edges {
-            self.seeds.remove(&(u, v));
-            self.raised.entry((u, v)).and_modify(|w| *w = before.min(*w)).or_insert(before);
-        }
-        for &(u, v, w) in &applied.seed_edges {
-            self.seeds.insert((u, v), w);
-        }
-    }
-
-    /// Seed and raised entries held.
-    pub fn len(&self) -> usize {
-        self.seeds.len() + self.raised.len()
-    }
-
-    /// Whether no fold changed anything since the window opened.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Close the window: the next fold opens a new one.
-    pub fn clear(&mut self) {
-        self.seeds.clear();
-        self.raised.clear();
-    }
-
-    /// The accumulated `(seeds, raised)` lists, for an [`EdgeDelta`].
-    pub fn edges(&self) -> (Vec<Edge>, Vec<Edge>) {
-        let list = |map: &BTreeMap<_, _>| map.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
-        (list(&self.seeds), list(&self.raised))
-    }
-}
-
-/// One applied mutation batch: the new snapshot plus everything the caller
-/// needs for invalidation and incremental restart.
+/// One applied mutation batch: the new snapshot and its edge changes.
 pub struct AppliedDeltas {
     /// The post-merge snapshot (same plan, new CSR).
     pub graph: Arc<PartitionedGraph>,
@@ -286,9 +234,6 @@ pub struct AppliedDeltas {
     pub raised_edges: Vec<Edge>,
     /// Partitions containing the source endpoint of an effective change.
     pub dirty_partitions: Vec<PartitionId>,
-    /// Reachability closure over the *union* of old and new quotient edges —
-    /// safe for deciding which cached sources the batch might affect.
-    pub reach: PartitionReachability,
     /// Partitions whose stores were rebuilt for this batch (== the dirty
     /// count).
     pub partitions_rematerialized: usize,
@@ -306,9 +251,9 @@ impl AppliedDeltas {
 
 /// A mutation fold computed off the locks by [`VersionedGraph::prepare`],
 /// awaiting [`VersionedGraph::publish`]. Holding one does not block readers
-/// or writers; the consumed log prefix stays pending (and keeps poisoning
-/// the cache-freshness check) until publish.
-pub struct PreparedFold {
+/// or writers; the consumed log prefix stays pending (and keeps answering
+/// [`VersionedGraph::changed_since`]) until publish.
+struct PreparedFold {
     /// Version the fold was computed against; publish asserts it still holds.
     base_version: u64,
     /// Length of the log prefix this fold consumed.
@@ -318,33 +263,25 @@ pub struct PreparedFold {
     dirty_partitions: Vec<PartitionId>,
     graph: Arc<PartitionedGraph>,
     new_adj: Vec<u64>,
-    reach: PartitionReachability,
+    /// Per partition, whether the fold can change an answer from a source
+    /// there (closure over the *union* of old and new quotient edges).
+    reached: Vec<bool>,
     partitions_rematerialized: usize,
     partitions_shared: usize,
-}
-
-impl PreparedFold {
-    /// Mutations this fold will drain at publish.
-    pub fn mutations(&self) -> usize {
-        self.consumed
-    }
-
-    /// Dirty partitions re-materialized by this fold.
-    pub fn dirty_partitions(&self) -> &[PartitionId] {
-        &self.dirty_partitions
-    }
-
-    /// Version the fold was computed against (publish makes it
-    /// `base_version() + 1`).
-    pub fn base_version(&self) -> u64 {
-        self.base_version
-    }
 }
 
 struct VgInner {
     current: Arc<PartitionedGraph>,
     version: u64,
     pending: Vec<EdgeMutation>,
+    /// Per partition, the version of the latest fold that could reach a
+    /// source there.
+    last_reached: Vec<u64>,
+    /// `(version, seed_edges, raised_edges)` of recent folds that changed an
+    /// edge, oldest first, at most [`FOLD_LOG_EDGES`] edges in all.
+    fold_log: VecDeque<(u64, Vec<Edge>, Vec<Edge>)>,
+    /// The fold log holds every fold after this version.
+    fold_log_since: u64,
     /// Quotient adjacency of `current` (cached so per-mutation reachability
     /// updates don't rescan the edge list).
     adj: Vec<u64>,
@@ -404,16 +341,19 @@ impl VersionedGraph {
     /// Wrap `graph` as version 0 with an empty mutation log.
     pub fn new(graph: Arc<PartitionedGraph>) -> Self {
         let adj = quotient_adjacency(&graph);
-        let words = graph.num_partitions().div_ceil(64).max(1);
+        let parts = graph.num_partitions();
         let epochs = EpochTable::new(Arc::clone(&graph));
         VersionedGraph {
             inner: Mutex::new(VgInner {
                 current: graph,
                 version: 0,
                 pending: Vec::new(),
+                last_reached: vec![0; parts],
+                fold_log: VecDeque::new(),
+                fold_log_since: 0,
                 adj,
                 pending_reach: None,
-                pending_touched: vec![0u64; words],
+                pending_touched: vec![0u64; parts.div_ceil(64).max(1)],
             }),
             applied: Condvar::new(),
             advance_gate: Mutex::new(()),
@@ -455,18 +395,48 @@ impl VersionedGraph {
         !self.inner.lock().unwrap().pending.is_empty()
     }
 
-    /// Could *any* pending mutation affect results computed from `source`?
-    /// Over-approximate (partition-granular, union reachability); `false`
-    /// means a cached result for `source` is definitely still fresh.
-    pub fn pending_affects(&self, source: VertexId) -> bool {
+    /// Could a fold published after `version`, or a pending mutation, have
+    /// changed results computed from `source`? Over-approximate
+    /// (partition-granular, union reachability); `false` means an answer
+    /// computed at `version` is definitely still fresh. One lock section, so
+    /// the answer is atomic with publication: a mutation logged before the
+    /// call is seen either pending or folded.
+    pub fn changed_since(&self, version: u64, source: VertexId) -> bool {
         let inner = self.inner.lock().unwrap();
-        match &inner.pending_reach {
-            None => false,
-            Some(reach) => {
-                let ps = inner.current.partition_of(source);
-                reach.row_intersects(ps, &inner.pending_touched)
+        let part = inner.current.partition_of(source);
+        inner.last_reached[part as usize] > version
+            || inner
+                .pending_reach
+                .as_ref()
+                .is_some_and(|reach| reach.row_intersects(part, &inner.pending_touched))
+    }
+
+    /// The edge changes of every fold after `version`, as one
+    /// `(seeds, raised)` pair for an [`EdgeDelta`]; `None` once the fold log
+    /// no longer reaches back to `version`. Folds are absorbed oldest first:
+    /// a raised pair leaves the seeds and keeps the smallest weight it was
+    /// raised from, then the fold's seed edges go in at their latest weight.
+    /// The result is also a sound delta for a state converged at any later
+    /// version: its extra seeds offer real paths, and its extra raised edges
+    /// can only enlarge the cone.
+    pub fn delta_since(&self, version: u64) -> Option<(Vec<Edge>, Vec<Edge>)> {
+        let inner = self.inner.lock().unwrap();
+        if version < inner.fold_log_since {
+            return None;
+        }
+        let mut seeds = BTreeMap::new();
+        let mut raised: BTreeMap<(VertexId, VertexId), Weight> = BTreeMap::new();
+        for (_, fold_seeds, fold_raised) in inner.fold_log.iter().filter(|fold| fold.0 > version) {
+            for &(u, v, before) in fold_raised {
+                seeds.remove(&(u, v));
+                raised.entry((u, v)).and_modify(|w| *w = before.min(*w)).or_insert(before);
+            }
+            for &(u, v, w) in fold_seeds {
+                seeds.insert((u, v), w);
             }
         }
+        let list = |map: BTreeMap<_, _>| map.into_iter().map(|((u, v), w)| (u, v, w)).collect();
+        Some((list(seeds), list(raised)))
     }
 
     /// Log `insert_edge(u, v, w)`. Returns the version that will first
@@ -519,9 +489,8 @@ impl VersionedGraph {
     /// is empty. The fold runs entirely outside the locks, so readers keep
     /// pinning and querying the current epoch while it materializes — and
     /// because the prefix stays pending,
-    /// [`pending_affects`](Self::pending_affects) keeps steering affected
-    /// sources away from the cache until [`publish`](Self::publish) lands
-    /// the new version.
+    /// [`changed_since`](Self::changed_since) keeps reporting affected
+    /// sources until [`publish`](Self::publish) lands the new version.
     ///
     /// The next CSR is built from the current one plus the final state of
     /// every pair the prefix touched — equal to
@@ -533,9 +502,8 @@ impl VersionedGraph {
     ///
     /// Contract: a single fold driver. Two overlapping prepares would both
     /// fold from the same base version, and the second publish panics on its
-    /// stale base. Use [`advance`](Self::advance) when serialization via the
-    /// internal gate is wanted.
-    pub fn prepare(&self) -> Option<PreparedFold> {
+    /// stale base; [`advance`](Self::advance) serializes them on its gate.
+    fn prepare(&self) -> Option<PreparedFold> {
         let (old, batch, base_version) = {
             let inner = self.inner.lock().unwrap();
             if inner.pending.is_empty() {
@@ -615,7 +583,8 @@ impl VersionedGraph {
         // deleted edge" and "can reach the inserted edge".
         let old_adj = quotient_adjacency(&old);
         let union: Vec<u64> = old_adj.iter().zip(&new_adj).map(|(a, b)| a | b).collect();
-        let reach = PartitionReachability::close(parts, &union);
+        let reached =
+            PartitionReachability::close(parts, &union).partitions_reaching(&dirty_partitions);
 
         let rematerialized = dirty_partitions.len();
         Some(PreparedFold {
@@ -626,20 +595,21 @@ impl VersionedGraph {
             dirty_partitions,
             graph,
             new_adj,
-            reach,
+            reached,
             partitions_rematerialized: rematerialized,
             partitions_shared: parts - rematerialized,
         })
     }
 
     /// Swap in a [`prepare`](Self::prepare)d fold: drain the consumed log
-    /// prefix, publish the new snapshot and version, advance the epoch
-    /// table, and wake [`wait_for_version`](Self::wait_for_version) waiters.
-    /// One short lock section; never materializes anything.
+    /// prefix, publish the new snapshot and version, stamp the partitions the
+    /// fold can reach and log its edge changes, advance the epoch table, and
+    /// wake [`wait_for_version`](Self::wait_for_version) waiters. One short
+    /// lock section; never materializes anything.
     ///
     /// Panics if the snapshot version moved since the fold was prepared
     /// (two concurrent fold drivers — see [`prepare`](Self::prepare)).
-    pub fn publish(&self, fold: PreparedFold) -> AppliedDeltas {
+    fn publish(&self, fold: PreparedFold) -> AppliedDeltas {
         let PreparedFold {
             base_version,
             consumed,
@@ -648,7 +618,7 @@ impl VersionedGraph {
             dirty_partitions,
             graph,
             new_adj,
-            reach,
+            reached,
             partitions_rematerialized,
             partitions_shared,
         } = fold;
@@ -661,6 +631,19 @@ impl VersionedGraph {
             inner.pending.drain(..consumed);
             inner.current = Arc::clone(&graph);
             inner.version += 1;
+            let version = inner.version;
+            for (stamp, _) in inner.last_reached.iter_mut().zip(&reached).filter(|(_, &hit)| hit) {
+                *stamp = version;
+            }
+            if !seed_edges.is_empty() || !raised_edges.is_empty() {
+                inner.fold_log.push_back((version, seed_edges.clone(), raised_edges.clone()));
+                let mut logged: usize = inner.fold_log.iter().map(|f| f.1.len() + f.2.len()).sum();
+                while logged > FOLD_LOG_EDGES {
+                    let (oldest, seeds, raised) = inner.fold_log.pop_front().expect("edges logged");
+                    logged -= seeds.len() + raised.len();
+                    inner.fold_log_since = oldest;
+                }
+            }
             inner.adj = new_adj;
             inner.refresh_pending_reach();
             self.epochs.advance(
@@ -680,7 +663,6 @@ impl VersionedGraph {
             seed_edges,
             raised_edges,
             dirty_partitions,
-            reach,
             partitions_rematerialized,
             partitions_shared,
         }
@@ -784,13 +766,13 @@ mod tests {
         assert_eq!(vg.current().graph().num_edges(), 2);
     }
 
-    /// A window keeps the smallest weight a pair was raised from, drops a
-    /// deleted pair from its seeds, and seeds a re-inserted one at its
-    /// latest weight.
+    /// A delta across several folds keeps the smallest weight a pair was
+    /// raised from, drops a deleted pair from its seeds, and seeds a
+    /// re-inserted one at its latest weight; it holds exactly the folds after
+    /// the version asked for.
     #[test]
-    fn delta_windows_keep_the_smallest_raised_weight_and_the_latest_seed() {
+    fn delta_since_keeps_the_smallest_raised_weight_and_the_latest_seed() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 5), (1, 2, 2)], 8, 2));
-        let mut window = DeltaWindow::default();
         for mutation in [
             EdgeMutation::UpdateWeight { u: 0, v: 1, w: 3 }, // decrease: seed
             EdgeMutation::UpdateWeight { u: 0, v: 1, w: 9 }, // raised from 3
@@ -799,14 +781,77 @@ mod tests {
             EdgeMutation::Insert { u: 1, v: 2, w: 4 },       // back, at 4
         ] {
             vg.log(mutation).unwrap();
-            window.absorb(&vg.advance().unwrap());
+            vg.advance().unwrap();
         }
-        let (seeds, raised) = window.edges();
-        assert_eq!(seeds, vec![(1, 2, 4)]);
-        assert_eq!(raised, vec![(0, 1, 3), (1, 2, 2)]);
-        assert_eq!(window.len(), 3);
-        window.clear();
-        assert!(window.is_empty());
+        assert_eq!(vg.delta_since(0), Some((vec![(1, 2, 4)], vec![(0, 1, 3), (1, 2, 2)])));
+        // The suffix after version 2: the delete of 0 → 1 (from 9), then 1 → 2.
+        assert_eq!(vg.delta_since(2), Some((vec![(1, 2, 4)], vec![(0, 1, 9), (1, 2, 2)])));
+        assert_eq!(vg.delta_since(4), Some((vec![(1, 2, 4)], vec![])));
+        assert_eq!(vg.delta_since(5), Some((vec![], vec![])), "nothing after the current version");
+    }
+
+    /// The fold log keeps at most `FOLD_LOG_EDGES` edges: a version whose
+    /// folds were trimmed gets `None`, a later one its exact suffix.
+    #[test]
+    fn delta_since_is_none_once_the_fold_log_is_trimmed() {
+        let n = 200;
+        let vg = VersionedGraph::new(pg(&[], n, 2));
+        // Three folds of 1 500 new edges each: the third pushes out the first.
+        let mut edges = (0..n as VertexId)
+            .flat_map(|u| (0..n as VertexId).filter(move |&v| v != u).map(move |v| (u, v)));
+        for _ in 0..3 {
+            for (u, v) in edges.by_ref().take(1500) {
+                vg.insert_edge(u, v, 1).unwrap();
+            }
+            vg.advance().unwrap();
+        }
+        assert_eq!(vg.delta_since(0), None, "the first fold left the log");
+        let (seeds, raised) = vg.delta_since(1).expect("folds 2 and 3 are logged");
+        assert_eq!((seeds.len(), raised.len()), (3000, 0));
+        assert_eq!(vg.delta_since(2).unwrap().0.len(), 1500);
+    }
+
+    /// A single fold larger than the log's bound empties it: only the
+    /// current version still has a delta (an empty one).
+    #[test]
+    fn a_fold_larger_than_the_log_bound_empties_it() {
+        let n = 100;
+        let vg = VersionedGraph::new(pg(&[], n, 2));
+        vg.insert_edge(0, 1, 1).unwrap();
+        vg.advance().unwrap();
+        for (u, v) in (0..n as VertexId)
+            .flat_map(|u| (0..n as VertexId).filter(move |&v| v != u).map(move |v| (u, v)))
+            .take(FOLD_LOG_EDGES + 1)
+        {
+            vg.insert_edge(u, v, 2).unwrap();
+        }
+        vg.advance().unwrap();
+        assert_eq!(vg.delta_since(0), None);
+        assert_eq!(vg.delta_since(1), None, "the oversized fold itself is not logged");
+        assert_eq!(vg.delta_since(2), Some((vec![], vec![])));
+    }
+
+    /// An answer stays fresh across a fold that cannot reach its source's
+    /// partition, and is stale while a mutation that can is pending and
+    /// after it folds.
+    #[test]
+    fn changed_since_follows_reachability_across_folds() {
+        // Chunked over 8 vertices / 4 partitions: {0,1} {2,3} {4,5} {6,7};
+        // the only arc between partitions is 0 → 2.
+        let vg = VersionedGraph::new(pg(&[(0, 2, 1)], 8, 4));
+        vg.insert_edge(6, 7, 1).unwrap(); // only partition 3 reaches it
+        assert!(vg.changed_since(0, 6), "pending, reaching");
+        assert!(!vg.changed_since(0, 0), "pending, not reaching");
+        vg.advance().unwrap();
+        assert!(vg.changed_since(0, 7), "folded, reaching");
+        assert!(!vg.changed_since(1, 7), "an answer at the fold's version is fresh");
+        for source in [0, 2, 4] {
+            assert!(!vg.changed_since(0, source), "a fold that cannot reach {source}");
+        }
+        vg.insert_edge(2, 3, 1).unwrap(); // partition 1, reached from 0 too
+        vg.advance().unwrap();
+        assert!(vg.changed_since(1, 0) && vg.changed_since(1, 3));
+        assert!(!vg.changed_since(1, 4) && !vg.changed_since(1, 6));
     }
 
     #[test]
@@ -853,16 +898,16 @@ mod tests {
 
         // Pending check: sources in partitions 0, 1, 2 can reach partition 2;
         // partition 3 cannot.
-        assert!(vg.pending_affects(0));
-        assert!(vg.pending_affects(2));
-        assert!(vg.pending_affects(4), "same-partition sources are always affected");
-        assert!(!vg.pending_affects(6));
+        assert!(vg.changed_since(0, 0));
+        assert!(vg.changed_since(0, 2));
+        assert!(vg.changed_since(0, 4), "same-partition sources are always affected");
+        assert!(!vg.changed_since(0, 6));
 
         let applied = vg.advance().unwrap();
         assert_eq!(applied.dirty_partitions, vec![2]);
-        let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
+        let affected: Vec<bool> = [0, 2, 4, 6].iter().map(|&s| vg.changed_since(0, s)).collect();
         assert_eq!(affected, vec![true, true, true, false]);
-        assert!(!vg.pending_affects(0), "log drained, nothing pending");
+        assert!(!vg.changed_since(1, 0), "log drained, nothing pending");
     }
 
     #[test]
@@ -871,11 +916,10 @@ mod tests {
         // reachability must still say partition 0 is affected.
         let vg = VersionedGraph::new(pg(&[(0, 2, 1)], 4, 2));
         vg.delete_edge(0, 2).unwrap();
-        assert!(vg.pending_affects(0));
+        assert!(vg.changed_since(0, 0));
         let applied = vg.advance().unwrap();
         assert_eq!(applied.raised_edges, vec![(0, 2, 1)]);
-        let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
-        assert!(affected[0], "source partition of the deleted edge is affected");
+        assert!(vg.changed_since(0, 0), "source partition of the deleted edge is affected");
     }
 
     /// The acceptance Arc-identity test: a localized batch re-materializes
@@ -976,19 +1020,20 @@ mod tests {
         assert_eq!(applied.graph.graph().num_edges(), 1);
     }
 
-    /// prepare() leaves the log pending (cache-freshness checks keep firing)
+    /// prepare() leaves the log pending (the freshness check keeps firing)
     /// until publish() drains exactly the consumed prefix.
     #[test]
     fn prepare_keeps_log_pending_until_publish() {
         let vg = VersionedGraph::new(pg(&[(0, 2, 1)], 8, 4));
         vg.insert_edge(2, 4, 3).unwrap();
         let fold = vg.prepare().expect("one pending mutation");
-        assert_eq!(fold.mutations(), 1);
-        assert_eq!(fold.base_version(), 0);
-        assert_eq!(fold.dirty_partitions(), &[1]);
-        // Mid-fold: still pending, still poisoning affected sources.
+        assert_eq!(fold.consumed, 1);
+        assert_eq!(fold.base_version, 0);
+        assert_eq!(fold.dirty_partitions, &[1]);
+        // Mid-fold: still pending, still stale for affected sources.
         assert!(vg.has_pending());
-        assert!(vg.pending_affects(0), "source reaching the edit stays poisoned mid-fold");
+        assert!(vg.changed_since(0, 0), "source reaching the edit stays stale mid-fold");
+        assert!(!vg.changed_since(0, 6));
         assert_eq!(vg.version(), 0);
         // A mutation logged mid-fold survives the publish drain.
         vg.insert_edge(6, 7, 1).unwrap();
@@ -996,7 +1041,8 @@ mod tests {
         assert_eq!(applied.version, 1);
         assert_eq!(applied.mutations, 1);
         assert_eq!(vg.pending_mutations(), 1, "mid-fold log entry still pending");
-        assert!(vg.pending_affects(6));
+        assert!(vg.changed_since(1, 6));
+        assert!(vg.changed_since(0, 0) && !vg.changed_since(1, 0), "published, stamped");
         let applied = vg.advance().unwrap();
         assert_eq!(applied.version, 2);
         assert!(!vg.has_pending());

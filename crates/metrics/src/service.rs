@@ -73,10 +73,10 @@ pub struct ServiceCounters {
     pub mixed_runs: AtomicU64,
     /// Edge mutations merged into the served graph at quiesce points.
     pub mutations_applied: AtomicU64,
-    /// Cached results evicted because an applied mutation batch could reach
-    /// them (mutation-aware invalidation, not capacity pressure).
+    /// Cached answers found stale at lookup: a mutation since the graph
+    /// version they were computed at could reach their source.
     pub cache_invalidations: AtomicU64,
-    /// Engine passes that resumed from evicted results across an edge delta
+    /// Engine passes that resumed from cached answers across an edge delta
     /// instead of running the kernel from scratch.
     pub incremental_runs: AtomicU64,
     /// Snapshot epochs published (one per non-empty mutation fold).
@@ -178,7 +178,7 @@ impl ServiceCounters {
         self.mutations_applied.fetch_add(count as u64, Ordering::Relaxed);
     }
 
-    /// Record `count` cached results evicted by mutation-aware invalidation.
+    /// Record `count` cached answers found stale at lookup.
     pub fn on_cache_invalidations(&self, count: usize) {
         self.cache_invalidations.fetch_add(count as u64, Ordering::Relaxed);
     }
@@ -284,9 +284,9 @@ pub struct ServiceSnapshot {
     pub mixed_runs: u64,
     /// Edge mutations merged into the served graph at quiesce points.
     pub mutations_applied: u64,
-    /// Cached results evicted by mutation-aware invalidation.
+    /// Cached answers found stale at lookup.
     pub cache_invalidations: u64,
-    /// Engine passes resumed from evicted results instead of from scratch.
+    /// Engine passes resumed from cached answers instead of from scratch.
     pub incremental_runs: u64,
     /// Snapshot epochs published (one per non-empty mutation fold).
     pub epochs_advanced: u64,

@@ -122,8 +122,8 @@ fn sample(body: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name} sample in:\n{body}"))
 }
 
-/// A delete over the wire, then a re-query of the key it evicted: the
-/// re-query resumes from the evicted result, and `/metrics` says so.
+/// A delete over the wire, then a re-query of the key it made stale: the
+/// re-query resumes from the stale cached answer, and `/metrics` says so.
 #[test]
 fn metrics_count_a_repaired_delete_as_an_incremental_run() {
     let server = traced_server();

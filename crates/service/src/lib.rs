@@ -46,10 +46,12 @@
 //!   into **one** batch: one pinned epoch, one engine, and a loop over its
 //!   **passes**, back to back, one homogeneous type-erased pass per kernel
 //!   (the paper's fork-processing pattern; any [`forkgraph_core::DynKernel`]
-//!   can ride a mixed batch). A cohort's SSSP/BFS members whose cached
-//!   result a mutation fold evicted — by an insertion, a deletion or a
-//!   weight change — form a pass of their own, resumed from the evicted
-//!   result with
+//!   can ride a mixed batch). A cohort's SSSP/BFS members whose key has a
+//!   cached answer — found stale after an insertion, a deletion or a weight
+//!   change — form a pass of their own, resumed from that answer across the
+//!   edge changes since its graph version
+//!   ([`VersionedGraph::delta_since`](fg_graph::VersionedGraph::delta_since))
+//!   with
 //!   [`ForkGraphEngine::run_incremental`](forkgraph_core::ForkGraphEngine::run_incremental)
 //!   ahead of the cohort's from-scratch pass: the part of the old answer a
 //!   deletion or weight increase may have invalidated is reset and
@@ -67,7 +69,10 @@
 //!   ([`ServiceConfig::max_queue_depth`]); a saturated service sheds load
 //!   with [`ServiceError::Saturated`] instead of blocking submitters.
 //! * **Result caching**: an LRU cache keyed by (registration, canonical
-//!   params, source) short-circuits repeated hot queries.
+//!   params, source) short-circuits repeated hot queries. Each entry
+//!   carries the graph version it was computed at; a lookup hits only if
+//!   no mutation since could reach its source
+//!   ([`VersionedGraph::changed_since`](fg_graph::VersionedGraph::changed_since)).
 //! * **Observability**: queue depth, shed count, batch occupancy, cache hit
 //!   rate, per-batch kernel/worker records, and p50/p99 latency via
 //!   [`fg_metrics::ServiceSnapshot`].

@@ -21,7 +21,7 @@
 //! — and fronted by an LRU result cache so repeated hot queries never reach
 //! the engine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use fg_graph::mutation::{DeltaWindow, EdgeDelta, EdgeMutation, VersionedGraph};
+use fg_graph::mutation::{EdgeDelta, EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::VertexId;
+use fg_graph::{Edge, VertexId};
 use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
 use fg_trace::{EventKind, TraceSink};
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
@@ -191,7 +191,10 @@ struct Shared {
     /// Signalled on every submission and on shutdown; the batcher waits here.
     work_ready: Condvar,
     counters: Arc<ServiceCounters>,
-    cache: Mutex<LruCache<CacheKey, Arc<QueryResult>>>,
+    /// Answers with the graph version they were computed at. An entry stays
+    /// until the LRU evicts it: the store says at lookup whether it is still
+    /// fresh, and a stale one is the restart hint of its key's next run.
+    cache: Mutex<LruCache<CacheKey, (u64, Arc<QueryResult>)>>,
     registry: Arc<KernelRegistry>,
     config: ServiceConfig,
     /// The versioned graph store: mutations are logged here and folded into
@@ -252,29 +255,24 @@ impl ServiceHandle {
         let trace_id = shared.next_trace_id();
         shared.emit(EventKind::Submit, trace_id, resolved.id.as_u64() as u32, source);
 
-        // Fast path: answer repeated hot queries from the LRU cache. A
-        // pending mutation that can reach `source` (per-partition
-        // over-approximation) makes any cached entry suspect, so such hits
-        // are treated as misses and queued behind the quiesce point. The
-        // pending check runs *under the cache lock*, which the batcher also
-        // holds across quiesce-and-invalidate: a submission either observes
-        // the pending log (miss), or runs after the purge (miss) — a stale
-        // hit has no window.
+        // Fast path: answer repeated hot queries from the LRU cache. An entry
+        // hits only if no fold since its version, and no pending mutation,
+        // can reach `source` (per-partition over-approximation). The store
+        // answers that in one lock section with publication, so a mutation
+        // acknowledged before this call is seen either pending or folded — a
+        // stale hit has no window. A stale entry stays: the batcher resumes
+        // this key's run from it.
         if shared.config.cache_capacity > 0 {
             let cache_key = CacheKey { key: batch_key.clone(), source };
-            let hit = {
-                let mut cache = shared.cache.lock();
-                if shared.store.pending_affects(source) {
-                    None
-                } else {
-                    cache.get(&cache_key).cloned()
+            let entry = shared.cache.lock().get(&cache_key).cloned();
+            if let Some((version, result)) = entry {
+                if !shared.store.changed_since(version, source) {
+                    shared.counters.on_cache_hit();
+                    shared.counters.record_latency(Duration::ZERO);
+                    shared.emit(EventKind::CacheHit, trace_id, resolved.id.as_u64() as u32, 0);
+                    return Ok(Ticket::ready(Ok(result)));
                 }
-            };
-            if let Some(result) = hit {
-                shared.counters.on_cache_hit();
-                shared.counters.record_latency(Duration::ZERO);
-                shared.emit(EventKind::CacheHit, trace_id, resolved.id.as_u64() as u32, 0);
-                return Ok(Ticket::ready(Ok(result)));
+                shared.counters.on_cache_invalidations(1);
             }
         }
 
@@ -378,21 +376,23 @@ impl ServiceHandle {
     /// Log one [`EdgeMutation`] against the served graph. Validated (typed
     /// error) and enqueued synchronously; applied — together with every
     /// other pending mutation, atomically — at the batcher's next quiesce
-    /// point, between engine runs. Cached results a mutation could reach are
-    /// invalidated at that same point. Returns the graph version that will
+    /// point, between engine runs. From the moment it is logged, no cached
+    /// result it could reach is served. Returns the graph version that will
     /// first contain it; [`Self::flush_mutations`] waits for that version.
+    /// Every acknowledged mutation lands, even one acknowledged just before
+    /// [`ForkGraphService::shutdown`]: the batcher folds the log before it
+    /// exits.
     pub fn mutate(&self, mutation: EdgeMutation) -> Result<u64, ServiceError> {
-        {
+        let version = {
+            // Logged under `inner`, so the batcher's last look at the log
+            // before it exits cannot miss an acknowledged mutation.
             let inner = self.shared.inner.lock();
             if inner.shutdown || inner.draining {
                 return Err(ServiceError::ShuttingDown);
             }
+            self.shared.store.log(mutation)
         }
-        let version = self
-            .shared
-            .store
-            .log(mutation)
-            .map_err(|error| ServiceError::InvalidMutation { reason: error.to_string() })?;
+        .map_err(|error| ServiceError::InvalidMutation { reason: error.to_string() })?;
         // Wake the batcher: a pending mutation is work even when no queries
         // are queued (an idle service must still fold the batch in).
         self.shared.work_ready.notify_all();
@@ -416,8 +416,8 @@ impl ServiceHandle {
 
     /// Block until every mutation logged before this call has been folded
     /// into a published snapshot; returns the version reached. Works during
-    /// drain (drain stops admission, not the batcher); call before
-    /// `shutdown` if logged mutations must land.
+    /// drain (drain stops admission, not the batcher) and after shutdown,
+    /// which folds the log before the batcher exits.
     pub fn flush_mutations(&self) -> u64 {
         loop {
             let version = self.shared.store.version();
@@ -670,13 +670,6 @@ fn sync_epoch_counters(counters: &ServiceCounters, store: &VersionedGraph) {
     );
 }
 
-/// Upper bound on the incremental-restart state — retained hints and
-/// accumulated delta entries together; past it the batcher drops all of it
-/// (correct, just slower) rather than let an unbounded mutation/query churn
-/// grow it, and with it every resume, which reads each delta entry once per
-/// query, without limit.
-const INCREMENTAL_HINT_CAP: usize = 4096;
-
 /// The batcher thread body.
 fn batcher_loop(
     shared: Arc<Shared>,
@@ -687,14 +680,6 @@ fn batcher_loop(
     let num_partitions = graph.num_partitions();
     drop(graph); // runs pin epoch snapshots; the start-time Arc is not needed
     let max_workers = engine_config.resolved_threads();
-    // Delta-restart bookkeeping carried across quiesce points: `inc_delta`
-    // accumulates every fold's edge changes since the oldest live hint, and
-    // `inc_hints` holds the cached results of resumable kernels
-    // ([`resume`]) the folds evicted — a re-query whose `CacheKey` matches
-    // resumes from its hint instead of from scratch, whatever kind of change
-    // evicted it.
-    let mut inc_delta = DeltaWindow::default();
-    let mut inc_hints: HashMap<CacheKey, Arc<QueryResult>> = HashMap::new();
     loop {
         let cohorts = {
             let mut inner = shared.inner.lock();
@@ -703,7 +688,9 @@ fn batcher_loop(
             while inner.queue.is_empty() && !inner.shutdown && !shared.store.has_pending() {
                 shared.work_ready.wait(&mut inner);
             }
-            if inner.queue.is_empty() && inner.shutdown {
+            // Exit only once the log is folded too: `mutate` logs under
+            // `inner`, so nothing acknowledged can arrive after this check.
+            if inner.queue.is_empty() && inner.shutdown && !shared.store.has_pending() {
                 break;
             }
 
@@ -741,54 +728,19 @@ fn batcher_loop(
         };
 
         // ---- Fold point ----
-        // Fold the pending mutation log into the next epoch's snapshot.
-        // `prepare` materializes dirty partitions entirely outside the locks
-        // — reads stay pinned on the current epoch and the submit fast path
-        // keeps admitting (a source the fold can reach misses the cache via
-        // `pending_affects`, because the log prefix is *not* drained until
-        // publish). Only the cheap `publish` swap runs under the cache lock,
-        // keeping invalidation atomic with publication: a submission either
-        // observes the still-pending log (miss) or runs after the purge
-        // (miss) — a stale hit has no window, same invariant as PR 8's
-        // quiesce-under-the-lock, without blocking admission on the rebuild.
-        if shared.store.has_pending() {
-            if let Some(fold) = shared.store.prepare() {
-                shared.emit(
-                    EventKind::DeltaFold,
-                    fold.mutations() as u32,
-                    fold.dirty_partitions().len() as u32,
-                    fold.base_version() as u32,
-                );
-                let mut cache = shared.cache.lock();
-                let applied = shared.store.publish(fold);
-                shared.counters.on_mutations_applied(applied.mutations);
-                if !applied.dirty_partitions.is_empty() {
-                    // Evict exactly the keys this batch could reach: sources
-                    // in partitions from which some dirty partition is
-                    // reachable (per-partition over-approximation).
-                    let affected = applied.reach.partitions_reaching(&applied.dirty_partitions);
-                    let snapshot = &applied.graph;
-                    let mut evicted = 0usize;
-                    cache.retain(|key, result| {
-                        if !affected[snapshot.partition_of(key.source) as usize] {
-                            return true;
-                        }
-                        evicted += 1;
-                        // Evicted results of resumable kernels become
-                        // restart hints instead of pure losses.
-                        if resume(key.key.kernel).is_some() {
-                            inc_hints.insert(key.clone(), Arc::clone(result));
-                        }
-                        false
-                    });
-                    shared.counters.on_cache_invalidations(evicted);
-                }
-                inc_delta.absorb(&applied);
-                if inc_hints.len() + inc_delta.len() > INCREMENTAL_HINT_CAP {
-                    inc_delta.clear();
-                    inc_hints.clear();
-                }
-            }
+        // Fold the pending mutation log into the next epoch's snapshot. The
+        // store materializes dirty partitions outside its lock — reads stay
+        // pinned on the current epoch and the submit fast path keeps
+        // admitting — and the fold touches no cache entry: staleness is
+        // checked where an entry is read.
+        if let Some(applied) = shared.store.advance() {
+            shared.emit(
+                EventKind::DeltaFold,
+                applied.mutations as u32,
+                applied.dirty_partitions.len() as u32,
+                (applied.version - 1) as u32,
+            );
+            shared.counters.on_mutations_applied(applied.mutations);
             sync_epoch_counters(&shared.counters, &shared.store);
         }
 
@@ -798,37 +750,37 @@ fn batcher_loop(
         }
 
         // ---- Passes ----
-        // Each cohort contributes at most two passes: its members whose
-        // exact `CacheKey` holds a restart hint, resumed from it across the
-        // accumulated delta, then the rest, from scratch. Only results of
-        // resumable kernels are ever captured, so a hint implies its kernel
-        // resumes.
+        // Each cohort contributes at most two passes: its members whose key
+        // has a cached answer, if the kernel resumes ([`resume`]), resumed
+        // from it across the edge changes since the oldest of those answers;
+        // then the rest, from scratch. An answer at the current version
+        // resumes across an empty delta, which runs nothing.
         let kernels_in_run = cohorts.len();
         let mut passes: Vec<Pass> = Vec::with_capacity(kernels_in_run);
         for members in cohorts {
-            let mut resumed = Pass { members: Vec::new(), hints: Vec::new() };
-            let mut fresh = Pass { members: Vec::with_capacity(members.len()), hints: Vec::new() };
-            for pending in members {
-                let cache_key = CacheKey { key: pending.batch_key.clone(), source: pending.source };
-                match inc_hints.remove(&cache_key) {
-                    Some(hint) => {
+            let hints: Vec<Option<(u64, Arc<QueryResult>)>> = match resume(members[0].resolved.id) {
+                Some(_) => {
+                    let mut cache = shared.cache.lock();
+                    let key = |p: &Pending| CacheKey { key: p.batch_key.clone(), source: p.source };
+                    members.iter().map(|p| cache.get(&key(p)).cloned()).collect()
+                }
+                None => vec![None; members.len()],
+            };
+            let oldest = hints.iter().flatten().map(|&(version, _)| version).min();
+            // A hint older than the fold log re-runs from scratch.
+            let delta = oldest.and_then(|version| shared.store.delta_since(version));
+            let (mut resumed, mut fresh) = (Pass::default(), Pass::default());
+            for (pending, hint) in members.into_iter().zip(hints) {
+                match hint.filter(|_| delta.is_some()) {
+                    Some((_, hint)) => {
                         resumed.members.push(pending);
                         resumed.hints.push(hint);
                     }
                     None => fresh.members.push(pending),
                 }
             }
+            resumed.delta = delta.unwrap_or_default();
             passes.extend([resumed, fresh].into_iter().filter(|pass| !pass.members.is_empty()));
-        }
-        let (seeds, raised) = if passes.iter().any(|pass| !pass.hints.is_empty()) {
-            inc_delta.edges()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let delta = EdgeDelta { seeds: &seeds, raised: &raised };
-        if inc_hints.is_empty() {
-            // No hint is left: the accumulated delta has no consumer.
-            inc_delta.clear();
         }
 
         let batch_id = shared.next_trace_id();
@@ -858,6 +810,7 @@ fn batcher_loop(
         // publishing the next epoch mid-run never touches the pinned
         // storage; it is reclaimed when the guard drops below.
         let pin = shared.store.pin();
+        let epoch = pin.epoch();
         let engine = match &pool {
             Some(pool) if workers > 1 => {
                 ForkGraphEngine::with_pool(pin.graph(), batch_config, Arc::clone(pool))
@@ -874,8 +827,8 @@ fn batcher_loop(
         // call each — this is where concurrent requests turn into the
         // paper's fork-processing pattern, for built-in and registered
         // kernels alike. A hinted pass resumes (and runs from scratch if its
-        // hints do not fit the kernel). An
-        // engine panic must not wedge the service: contain it, fail the
+        // hints do not fit the kernel). An engine panic must not wedge the
+        // service: contain it, fail the
         // batch's tickets, and keep serving (submit-time validation makes
         // this unreachable for the known panic class of bad sources, but
         // registered kernels are user code).
@@ -887,7 +840,8 @@ fn batcher_loop(
                     let sources: Vec<VertexId> = pass.members.iter().map(|p| p.source).collect();
                     let resumed = match resume(resolved.id) {
                         Some(resume) if !pass.hints.is_empty() => {
-                            resume(&engine, &sources, &pass.hints, delta)
+                            let (seeds, raised) = &pass.delta;
+                            resume(&engine, &sources, &pass.hints, EdgeDelta { seeds, raised })
                         }
                         _ => None,
                     };
@@ -957,7 +911,7 @@ fn batcher_loop(
                 ));
                 if let Some(cache) = cache.as_mut() {
                     let cache_key = CacheKey { key: pending.batch_key, source: pending.source };
-                    cache.insert(cache_key, Arc::clone(&result));
+                    cache.insert(cache_key, (epoch, Arc::clone(&result)));
                 }
                 shared.counters.record_latency(now.saturating_duration_since(pending.submitted_at));
                 shared.emit(EventKind::Resolve, pending.trace_id, batch_id, 0);
@@ -978,11 +932,14 @@ fn batcher_loop(
 
 /// One engine pass of a dispatched batch: members of one cohort, run by one
 /// engine call.
+#[derive(Default)]
 struct Pass {
     members: Vec<Pending>,
-    /// `hints[i]` is the evicted result `members[i]` resumes from; empty for
+    /// `hints[i]` is the cached answer `members[i]` resumes from; empty for
     /// a from-scratch pass.
     hints: Vec<Arc<QueryResult>>,
+    /// The `(seeds, raised)` edge changes since the oldest hint's version.
+    delta: (Vec<Edge>, Vec<Edge>),
 }
 
 /// Resumes a pass from its hints after an edge delta.
@@ -993,11 +950,10 @@ type Resume = fn(
     EdgeDelta<'_>,
 ) -> Option<Vec<ErasedState>>;
 
-/// The registrations whose evicted results can be resumed, and how: the
+/// The registrations whose cached answers can be resumed, and how: the
 /// built-in SSSP and BFS kernels, through
 /// [`ForkGraphEngine::run_incremental`]. `None` for every other
-/// registration — hint capture asks this too, so no other result is ever
-/// kept as a hint.
+/// registration, whose queued members always run from scratch.
 fn resume(kernel: KernelId) -> Option<Resume> {
     match kernel {
         KernelId::SSSP => Some(resume_with::<SsspKernel>),

@@ -3,9 +3,10 @@
 //! The contract: a query submitted after `mutate()` returns is answered on a
 //! graph version that contains that mutation — never from a stale cache
 //! entry, never by an engine run over the old snapshot. The batcher enforces
-//! it by folding the mutation log (fold + invalidate, atomically under the
-//! cache lock) before every dispatch, and the submit fast path refuses cache
-//! hits for sources a pending mutation could reach.
+//! it by folding the mutation log before every dispatch, and the submit fast
+//! path serves a cached answer only if no mutation since its graph version,
+//! folded or pending, could reach its source; a stale answer is the restart
+//! hint of the key's next run.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -69,8 +70,8 @@ fn requery_after_mutation_never_serves_stale_cache() {
     service.shutdown();
 }
 
-/// An insertion and then a deletion each resume the evicted SSSP result:
-/// both re-queries are exact and counted as incremental runs.
+/// An insertion and then a deletion each resume the stale cached SSSP
+/// answer: both re-queries are exact and counted as incremental runs.
 #[test]
 fn requeries_after_an_insert_and_after_a_delete_take_the_incremental_path() {
     let service = service_over(&[(0, 1, 10), (1, 2, 10), (2, 3, 10)], 4, 1);
@@ -93,18 +94,17 @@ fn requeries_after_an_insert_and_after_a_delete_take_the_incremental_path() {
     service.shutdown();
 }
 
-/// The restart state is bounded as a whole: an evicted key that is never
-/// re-queried must not keep every later-mutated edge. Past the cap the
-/// hints and the accumulated delta go together, and the key's re-query runs
-/// from scratch — exactly.
+/// The restart delta is bounded: the fold log keeps 4 096 edges, so a key
+/// whose cached answer is older than the log — never re-queried while more
+/// edges than that changed — re-runs from scratch, exactly.
 #[test]
-fn the_accumulated_restart_delta_is_capped_with_the_hints() {
+fn a_hint_older_than_the_fold_log_reruns_from_scratch() {
     const N: u32 = 80;
     let ring: Vec<(u32, u32, u32)> = (0..N).map(|v| (v, (v + 1) % N, 50)).collect();
     let service = service_over(&ring, N as usize, 1);
     let handle = service.handle();
 
-    // Cache the key, then evict it: it becomes a restart hint.
+    // Cache the key, then make it stale: it becomes a restart hint.
     assert_eq!(dist_to(&service, 0, 40), 2000);
     handle.mutate(EdgeMutation::Insert { u: 0, v: 40, w: 7 }).unwrap();
     handle.flush_mutations();
@@ -128,7 +128,7 @@ fn the_accumulated_restart_delta_is_capped_with_the_hints() {
     let expected = fg_seq::dijkstra::dijkstra(handle.graph().graph(), 0).dist;
     assert_eq!(result.try_state::<Vec<Dist>>().unwrap(), &expected);
     assert_eq!(expected[40], 7);
-    assert_eq!(service.metrics().incremental_runs, 0, "a capped window resumes nothing");
+    assert_eq!(service.metrics().incremental_runs, 0, "a hint older than the log resumes nothing");
     service.shutdown();
 }
 

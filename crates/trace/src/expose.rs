@@ -129,14 +129,14 @@ pub fn expose(
             &mut out,
             "fg_service_cache_invalidations_total",
             "counter",
-            "Cached results evicted because a mutation fold could reach their source.",
+            "Cached answers found stale at lookup: a mutation since could reach their source.",
             s.cache_invalidations as f64,
         );
         metric(
             &mut out,
             "fg_service_incremental_runs_total",
             "counter",
-            "Engine passes resumed from evicted results instead of run from scratch.",
+            "Engine passes resumed from cached answers instead of run from scratch.",
             s.incremental_runs as f64,
         );
         metric(

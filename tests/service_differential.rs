@@ -4,11 +4,15 @@
 //! edge mutations: two monotone rounds, then three that raise edges — one
 //! that makes every hot source's out-edges heavier, one that deletes each
 //! hot source's first out-edge, and one that deletes an edge on each hot
-//! key's original shortest paths — then one more monotone round. Every
-//! re-query resumes from the result its round evicted, deletions and weight
-//! increases included, and every answer must equal `dijkstra` / `bfs` on
-//! the snapshot the service publishes: at one engine thread and at two,
-//! over raw and compressed partitions.
+//! key's original shortest paths — then one more monotone round. A fold
+//! touches no cache entry: every re-query finds its key's answer stale and
+//! resumes from it, deletions and weight increases included, and every
+//! answer must equal `dijkstra` / `bfs` on the snapshot the service
+//! publishes: at one engine thread and at two, over raw and compressed
+//! partitions. A last test holds the batcher in a gated run while shutdown
+//! begins, and the mutations acknowledged meanwhile must still land.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use forkgraph::core::EngineConfig;
 use forkgraph::graph::{gen, Dist, StorageConfig, INF_DIST};
 use forkgraph::prelude::*;
-use forkgraph::service::{EdgeMutation, ServiceConfig, ServiceHandle};
+use forkgraph::service::{EdgeMutation, ServiceConfig, ServiceError, ServiceHandle};
 
 const SSSP_KEYS: [VertexId; 5] = [0, 3, 17, 64, 200];
 const BFS_KEYS: [VertexId; 5] = [1, 9, 33, 120, 255];
@@ -106,6 +110,7 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                 let snapshot = handle.graph();
                 let graph = snapshot.graph();
                 let raises = (2..=4).contains(&round);
+                let cached = handle.cached_results();
                 match round {
                     2 => {
                         // Every hot source's out-edges get heavier.
@@ -144,6 +149,7 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                     }
                 }
                 handle.flush_mutations();
+                assert_eq!(handle.cached_results(), cached, "{label}: a fold evicted answers");
                 let resumed = service.metrics().incremental_runs;
                 read_hot_keys(&handle, &label);
                 if raises {
@@ -159,4 +165,43 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
             assert!(metrics.cache_invalidations > 0, "{storage:?} threads={threads}: {metrics:?}");
         }
     }
+}
+
+/// A mutation acknowledged while the batcher is held in a run and shutdown
+/// is under way still lands: the batcher folds the log before it exits, and
+/// `flush_mutations` returns.
+#[test]
+fn mutations_acknowledged_before_shutdown_are_folded() {
+    let graph = gen::rmat(8, 6, 41).with_random_weights(8, 41);
+    let pg = Arc::new(PartitionedGraph::build(
+        &graph,
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 4),
+    ));
+    let service = ForkGraphService::start(pg, EngineConfig::default(), ServiceConfig::default());
+    let handle = service.handle();
+    let gate = common::register_gated_bfs(&handle);
+    let gated = handle.submit_query(Query::kernel("gated_bfs").source(0)).unwrap();
+    gate.wait_for_a_run();
+
+    let mutation = EdgeMutation::Insert { u: 0, v: graph.num_vertices() as VertexId - 1, w: 1 };
+    let mut acknowledged = handle.mutate(mutation).unwrap();
+    let stopping = std::thread::spawn(move || service.shutdown());
+    // Shutdown has begun once `mutate` refuses.
+    loop {
+        match handle.mutate(mutation) {
+            Ok(version) => acknowledged = version,
+            Err(error) => {
+                assert_eq!(error, ServiceError::ShuttingDown);
+                break;
+            }
+        }
+    }
+    assert!(!gate.is_open(), "the batcher was held in the gated run throughout");
+    gate.open();
+    stopping.join().unwrap();
+
+    assert!(gated.wait().is_ok(), "the admitted query is answered");
+    assert_eq!(handle.graph_version(), acknowledged, "the last acknowledged mutation landed");
+    assert_eq!(handle.pending_mutations(), 0);
+    assert_eq!(handle.flush_mutations(), acknowledged);
 }

@@ -1,79 +1,13 @@
 //! On one pipelined connection a cache hit overtakes a cold run: the wire
 //! answers in completion order, not submission order.
 
-use std::sync::{Arc, Condvar, Mutex};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
-use forkgraph::core::kernel::FppKernel;
-use forkgraph::core::kernels::BfsKernel;
-use forkgraph::core::operation::Priority;
-use forkgraph::graph::{gen, AdjacencyView};
+use forkgraph::graph::gen;
 use forkgraph::prelude::*;
-
-/// How long a closed gate holds a run before opening itself, so that a
-/// writer that fails to overtake fails this test instead of hanging it.
-const WATCHDOG: Duration = Duration::from_secs(30);
-
-#[derive(Default)]
-struct Gate {
-    open: Mutex<bool>,
-    opened: Condvar,
-}
-
-impl Gate {
-    fn wait(&self) {
-        let open = self.open.lock().unwrap();
-        let (mut open, timeout) =
-            self.opened.wait_timeout_while(open, WATCHDOG, |open| !*open).unwrap();
-        if timeout.timed_out() {
-            *open = true;
-        }
-    }
-
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.opened.notify_all();
-    }
-
-    fn is_open(&self) -> bool {
-        *self.open.lock().unwrap()
-    }
-}
-
-/// BFS whose every operation waits for the gate first.
-struct GatedBfs {
-    gate: Arc<Gate>,
-}
-
-impl FppKernel for GatedBfs {
-    type Value = ();
-    type State = Vec<u32>;
-
-    fn name(&self) -> &'static str {
-        "gated_bfs"
-    }
-
-    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
-        BfsKernel.init_state(graph, source)
-    }
-
-    fn source_op(&self, source: VertexId) -> ((), Priority) {
-        BfsKernel.source_op(source)
-    }
-
-    fn process(
-        &self,
-        graph: &AdjacencyView<'_>,
-        state: &mut Self::State,
-        vertex: VertexId,
-        value: (),
-        priority: Priority,
-        emit: &mut dyn FnMut(VertexId, (), Priority),
-    ) -> u64 {
-        self.gate.wait();
-        BfsKernel.process(graph, state, vertex, value, priority, emit)
-    }
-}
 
 #[test]
 fn a_cache_hit_overtakes_a_cold_run_on_one_connection() {
@@ -87,16 +21,7 @@ fn a_cache_hit_overtakes_a_cold_run_on_one_connection() {
         EngineConfig::default(),
         ServiceConfig { batch_window: Duration::from_millis(1), ..ServiceConfig::default() },
     );
-    let gate = Arc::new(Gate::default());
-    let kernel_gate = Arc::clone(&gate);
-    service
-        .handle()
-        .register_kernel("gated_bfs", move |params: &QueryParams| {
-            params.ensure_known(&[])?;
-            let kernel = GatedBfs { gate: Arc::clone(&kernel_gate) };
-            Ok(InstantiatedKernel::new(erase(kernel), QueryParams::new()))
-        })
-        .unwrap();
+    let gate = common::register_gated_bfs(&service.handle());
 
     // Warm one SSSP key in-process, so the wire query for it is a cache hit.
     let warm = 3;
