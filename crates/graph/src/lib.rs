@@ -22,13 +22,13 @@
 //!   partitioner standing in for METIS.
 //! * [`partitioned`] — [`partitioned::PartitionedGraph`], the LLC-sized
 //!   partitioned representation consumed by the ForkGraph engine.
-//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam: a pending
-//!   log folded into fresh snapshots (dirty partitions only), which answers
-//!   whether an answer computed at a version is still fresh
-//!   (partition-granular reachability) and the edge delta since it.
-//! * [`epoch`] — [`EpochTable`]/[`SnapshotGuard`], epoch-based snapshot
-//!   concurrency: runs pin the current epoch while writers fold the next;
-//!   old-epoch storage is reclaimed when its last pin drops.
+//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam and the one
+//!   owner of the published snapshots: a pending log folded into fresh
+//!   snapshots (dirty partitions only); runs pin the current epoch with a
+//!   [`SnapshotGuard`] while the next is folded, and a retired epoch's
+//!   storage is reclaimed when its last pin drops. It answers whether an
+//!   answer computed at a version is still fresh (partition-granular
+//!   reachability) and the edge delta since it.
 //! * [`payload`] — per-partition adjacency: the CSR rows, or
 //!   delta/varint-compressed bytes beside them ([`StorageConfig`] policy),
 //!   plus the
@@ -42,7 +42,6 @@
 pub mod builder;
 pub mod csr;
 pub mod datasets;
-pub mod epoch;
 pub mod gen;
 pub mod io;
 pub mod mutation;
@@ -53,8 +52,9 @@ pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use epoch::{EpochTable, SnapshotGuard};
-pub use mutation::{AppliedDeltas, EdgeMutation, MutationError, VersionedGraph};
+pub use mutation::{
+    AppliedDeltas, EdgeMutation, EpochStats, MutationError, SnapshotGuard, VersionedGraph,
+};
 pub use payload::{AdjacencyView, CompressedEdges, StorageConfig};
 
 /// Vertex identifier. Graphs in this workspace are bounded by `u32::MAX`

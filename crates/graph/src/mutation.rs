@@ -1,15 +1,29 @@
-//! Versioned graph storage with edge mutations.
+//! Versioned graph storage with edge mutations and epoch snapshots.
 //!
 //! The engine and everything above it consume an immutable
 //! [`Arc<PartitionedGraph>`]; this module is the seam that lets the graph
 //! *change* without any in-flight run observing a half-applied batch.
 //!
-//! [`VersionedGraph`] pairs the current snapshot with a pending log of
-//! [`EdgeMutation`]s. Writers append to the log at any time; readers pin the
-//! current epoch via [`VersionedGraph::pin`] and keep that snapshot for the
-//! length of one run. [`VersionedGraph::advance`] folds the whole pending
-//! log into the next snapshot in two private halves, so a fold overlaps
-//! in-flight reads:
+//! [`VersionedGraph`] is the one owner of the published snapshots. Each
+//! published version is an *epoch*: version `N`'s snapshot plus the count of
+//! runs pinning it. Writers append [`EdgeMutation`]s to a pending log at any
+//! time; a reader pins the current epoch with [`VersionedGraph::pin`] and
+//! keeps that snapshot, through the RAII [`SnapshotGuard`], for the length of
+//! one run. Only the current epoch can be pinned. An older one lingers while
+//! its pins last and is reclaimed when the last one drops, or at the fold
+//! that retires it if nothing pinned it:
+//!
+//! ```text
+//!   fold publishes N ──► current (pins come and go) ──► fold publishes N+1
+//!                                                            │ retires N
+//!                       pins == 0 at retire? ── yes ──► reclaimed at once
+//!                                  │ no
+//!                                  ▼
+//!                       last SnapshotGuard drop ──────► reclaimed
+//! ```
+//!
+//! [`VersionedGraph::advance`] folds the whole pending log into the next
+//! snapshot in two private halves, so a fold overlaps in-flight reads:
 //!
 //! * `prepare` copies the log (without draining it, so
 //!   [`changed_since`](VersionedGraph::changed_since) keeps reporting the
@@ -22,10 +36,10 @@
 //!   with the previous epoch. The
 //!   [`PartitionPlan`](crate::partition::PartitionPlan) is reused
 //!   (vertex count is immutable, so the old assignment stays valid).
-//! * `publish` atomically swaps the snapshot, drains the consumed prefix,
-//!   bumps the version, records which partitions the fold could reach and
-//!   its edge changes, and advances the [`EpochTable`] — all under one
-//!   short lock section.
+//! * `publish` atomically drains the consumed prefix, publishes the next
+//!   epoch (retiring the current one), records which partitions the fold
+//!   could reach and its edge changes, and adds it to the running totals of
+//!   [`EpochStats`] — all under one short lock section.
 //!
 //! The store then answers the two questions a cache of answers asks, each
 //! in one lock section:
@@ -48,9 +62,10 @@
 //! edges over-approximates that for inserts and deletes alike.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use crate::epoch::{EpochTable, SnapshotGuard};
+use fg_trace::{EventKind, TraceSink};
+
 use crate::partition::PartitionId;
 use crate::partitioned::{PartitionStore, PartitionedGraph};
 use crate::{Edge, VertexId, Weight};
@@ -137,6 +152,8 @@ impl std::error::Error for MutationError {}
 /// log re-runs from scratch instead of resuming across an ever longer delta,
 /// which every resume reads once per query.
 const FOLD_LOG_EDGES: usize = 4096;
+
+const POISONED: &str = "a panic while holding the store's lock";
 
 /// Reflexive-transitive closure of the partition quotient graph, stored as
 /// one bitset row per source partition.
@@ -270,9 +287,51 @@ struct PreparedFold {
     partitions_shared: usize,
 }
 
-struct VgInner {
-    current: Arc<PartitionedGraph>,
+/// Fold and snapshot figures of a [`VersionedGraph`], read in one lock
+/// section by [`VersionedGraph::epoch_stats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EpochStats {
+    /// Epochs published since construction: the current version.
+    pub epochs_advanced: u64,
+    /// Logged mutations the folds merged.
+    pub mutations_applied: u64,
+    /// Dirty partitions re-materialized across all folds.
+    pub partitions_rematerialized: u64,
+    /// Clean partitions `Arc`-shared with the previous epoch across all folds.
+    pub partitions_shared: u64,
+    /// Retired snapshots whose storage has been released, at the fold that
+    /// retired them or at their last unpin.
+    pub snapshots_reclaimed: u64,
+    /// Current version minus the oldest version still pinned; 0 when every
+    /// pin reads the current snapshot.
+    pub oldest_pinned_epoch_lag: u64,
+    /// Snapshots held: the current one plus every retired one still pinned.
+    pub live_epochs: usize,
+}
+
+/// The running totals behind [`EpochStats`]; the rest of it is read off the
+/// live epochs.
+#[derive(Default)]
+struct FoldTotals {
+    mutations_applied: u64,
+    partitions_rematerialized: u64,
+    partitions_shared: u64,
+    snapshots_reclaimed: u64,
+}
+
+/// One published snapshot and the number of runs pinning it.
+struct Epoch {
     version: u64,
+    graph: Arc<PartitionedGraph>,
+    pins: usize,
+}
+
+struct VgInner {
+    /// Published snapshots still alive, oldest first. The last is the current
+    /// one, the only one [`VersionedGraph::pin`] hands out; an older one
+    /// stays until its last pin drops.
+    epochs: Vec<Epoch>,
+    totals: FoldTotals,
     pending: Vec<EdgeMutation>,
     /// Per partition, the version of the latest fold that could reach a
     /// source there.
@@ -282,8 +341,8 @@ struct VgInner {
     fold_log: VecDeque<(u64, Vec<Edge>, Vec<Edge>)>,
     /// The fold log holds every fold after this version.
     fold_log_since: u64,
-    /// Quotient adjacency of `current` (cached so per-mutation reachability
-    /// updates don't rescan the edge list).
+    /// Quotient adjacency of the current snapshot (cached so per-mutation
+    /// reachability updates don't rescan the edge list).
     adj: Vec<u64>,
     /// Closure over `adj` ∪ pending endpoints' quotient arcs — the
     /// over-approximation used to answer "could a pending mutation affect
@@ -294,12 +353,18 @@ struct VgInner {
 }
 
 impl VgInner {
+    /// The current epoch: the last published.
+    fn head(&self) -> &Epoch {
+        self.epochs.last().expect("the current epoch is never reclaimed")
+    }
+
     fn words(&self) -> usize {
-        self.current.num_partitions().div_ceil(64).max(1)
+        self.head().graph.num_partitions().div_ceil(64).max(1)
     }
 
     fn refresh_pending_reach(&mut self) {
-        let parts = self.current.num_partitions();
+        let current = &self.head().graph;
+        let parts = current.num_partitions();
         let words = self.words();
         if self.pending.is_empty() {
             self.pending_reach = None;
@@ -310,8 +375,8 @@ impl VgInner {
         let mut touched = vec![0u64; words];
         for m in &self.pending {
             let (u, v) = m.endpoints();
-            let pu = self.current.partition_of(u) as usize;
-            let pv = self.current.partition_of(v) as usize;
+            let pu = current.partition_of(u) as usize;
+            let pv = current.partition_of(v) as usize;
             adj[pu * words + pv / 64] |= 1u64 << (pv % 64);
             touched[pu / 64] |= 1u64 << (pu % 64);
         }
@@ -320,8 +385,8 @@ impl VgInner {
     }
 }
 
-/// The versioned storage seam: an atomically swappable graph snapshot plus a
-/// pending mutation log, merged at fold points.
+/// The versioned storage seam: the published snapshots plus a pending
+/// mutation log, merged at fold points.
 ///
 /// Thread-safe; writers and readers may call concurrently. Only one caller
 /// should drive [`advance`](Self::advance) (typically the batch loop that
@@ -333,8 +398,9 @@ pub struct VersionedGraph {
     /// Serializes the (deliberately lock-free-in-the-middle) fold in
     /// [`advance`](Self::advance).
     advance_gate: Mutex<()>,
-    /// Snapshot epochs; epoch numbers coincide with graph versions.
-    epochs: EpochTable,
+    /// Receives `EpochPin`/`EpochUnpin`/`EpochAdvance`/`DeltaFold` events
+    /// when set.
+    trace: Option<Arc<TraceSink>>,
 }
 
 impl VersionedGraph {
@@ -342,11 +408,10 @@ impl VersionedGraph {
     pub fn new(graph: Arc<PartitionedGraph>) -> Self {
         let adj = quotient_adjacency(&graph);
         let parts = graph.num_partitions();
-        let epochs = EpochTable::new(Arc::clone(&graph));
         VersionedGraph {
             inner: Mutex::new(VgInner {
-                current: graph,
-                version: 0,
+                epochs: vec![Epoch { version: 0, graph, pins: 0 }],
+                totals: FoldTotals::default(),
                 pending: Vec::new(),
                 last_reached: vec![0; parts],
                 fold_log: VecDeque::new(),
@@ -357,42 +422,80 @@ impl VersionedGraph {
             }),
             applied: Condvar::new(),
             advance_gate: Mutex::new(()),
-            epochs,
+            trace: None,
+        }
+    }
+
+    /// Route epoch and fold events (`EpochPin`/`EpochUnpin`/`EpochAdvance`/
+    /// `DeltaFold`) to `sink`.
+    pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
+        self.trace = Some(sink);
+        self
+    }
+
+    fn lock(&self) -> MutexGuard<'_, VgInner> {
+        self.inner.lock().expect(POISONED)
+    }
+
+    fn emit(&self, kind: EventKind, a: u32, b: u32, c: u32) {
+        if let Some(sink) = &self.trace {
+            sink.emit(kind, a, b, c);
         }
     }
 
     /// The current snapshot. Runs resolved against it stay valid for their
     /// lifetime; publish swaps the pointer, it never mutates the pointee.
     pub fn current(&self) -> Arc<PartitionedGraph> {
-        Arc::clone(&self.inner.lock().unwrap().current)
+        Arc::clone(&self.lock().head().graph)
     }
 
     /// Pin the current epoch's snapshot for one engine run. The guard's
-    /// epoch number equals the graph version it snapshots; old-epoch storage
-    /// is reclaimed when the last guard on it drops.
-    pub fn pin(&self) -> SnapshotGuard {
-        self.epochs.pin()
+    /// epoch number equals the graph version it snapshots; a retired
+    /// epoch's storage is reclaimed when the last guard on it drops.
+    pub fn pin(&self) -> SnapshotGuard<'_> {
+        let (epoch, graph, pins) = {
+            let mut inner = self.lock();
+            let head = inner.epochs.last_mut().expect("the current epoch is never reclaimed");
+            head.pins += 1;
+            (head.version, Arc::clone(&head.graph), head.pins)
+        };
+        self.emit(EventKind::EpochPin, epoch as u32, pins as u32, 0);
+        SnapshotGuard { store: self, epoch, graph }
     }
 
-    /// The epoch table (for trace attachment and epoch statistics).
-    pub fn epochs(&self) -> &EpochTable {
-        &self.epochs
+    /// The fold and snapshot figures, consistent with one another: the
+    /// running totals of every fold, and the pins and retired snapshots of
+    /// this moment.
+    pub fn epoch_stats(&self) -> EpochStats {
+        let inner = self.lock();
+        let version = inner.head().version;
+        let oldest_pinned = inner.epochs.iter().find(|e| e.pins > 0).map_or(version, |e| e.version);
+        let totals = &inner.totals;
+        EpochStats {
+            epochs_advanced: version,
+            mutations_applied: totals.mutations_applied,
+            partitions_rematerialized: totals.partitions_rematerialized,
+            partitions_shared: totals.partitions_shared,
+            snapshots_reclaimed: totals.snapshots_reclaimed,
+            oldest_pinned_epoch_lag: version - oldest_pinned,
+            live_epochs: inner.epochs.len(),
+        }
     }
 
     /// Version of the current snapshot (0 at construction, +1 per applied
     /// batch).
     pub fn version(&self) -> u64 {
-        self.inner.lock().unwrap().version
+        self.lock().head().version
     }
 
     /// Number of logged-but-unapplied mutations.
     pub fn pending_mutations(&self) -> usize {
-        self.inner.lock().unwrap().pending.len()
+        self.lock().pending.len()
     }
 
     /// Is there anything waiting for the next quiesce point?
     pub fn has_pending(&self) -> bool {
-        !self.inner.lock().unwrap().pending.is_empty()
+        !self.lock().pending.is_empty()
     }
 
     /// Could a fold published after `version`, or a pending mutation, have
@@ -402,8 +505,8 @@ impl VersionedGraph {
     /// the answer is atomic with publication: a mutation logged before the
     /// call is seen either pending or folded.
     pub fn changed_since(&self, version: u64, source: VertexId) -> bool {
-        let inner = self.inner.lock().unwrap();
-        let part = inner.current.partition_of(source);
+        let inner = self.lock();
+        let part = inner.head().graph.partition_of(source);
         inner.last_reached[part as usize] > version
             || inner
                 .pending_reach
@@ -420,7 +523,7 @@ impl VersionedGraph {
     /// version: its extra seeds offer real paths, and its extra raised edges
     /// can only enlarge the cone.
     pub fn delta_since(&self, version: u64) -> Option<(Vec<Edge>, Vec<Edge>)> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         if version < inner.fold_log_since {
             return None;
         }
@@ -459,8 +562,8 @@ impl VersionedGraph {
 
     /// Validate and append one mutation to the pending log.
     pub fn log(&self, mutation: EdgeMutation) -> Result<u64, MutationError> {
-        let mut inner = self.inner.lock().unwrap();
-        let n = inner.current.graph().num_vertices();
+        let mut inner = self.lock();
+        let n = inner.head().graph.graph().num_vertices();
         let (u, v) = mutation.endpoints();
         for endpoint in [u, v] {
             if endpoint as usize >= n {
@@ -472,15 +575,15 @@ impl VersionedGraph {
         }
         inner.pending.push(mutation);
         inner.refresh_pending_reach();
-        Ok(inner.version + 1)
+        Ok(inner.head().version + 1)
     }
 
     /// Block until the snapshot version reaches `version` (i.e. every
     /// mutation logged before the corresponding call has been applied).
     pub fn wait_for_version(&self, version: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        while inner.version < version {
-            inner = self.applied.wait(inner).unwrap();
+        let mut inner = self.lock();
+        while inner.head().version < version {
+            inner = self.applied.wait(inner).expect(POISONED);
         }
     }
 
@@ -505,11 +608,12 @@ impl VersionedGraph {
     /// stale base; [`advance`](Self::advance) serializes them on its gate.
     fn prepare(&self) -> Option<PreparedFold> {
         let (old, batch, base_version) = {
-            let inner = self.inner.lock().unwrap();
+            let inner = self.lock();
             if inner.pending.is_empty() {
                 return None;
             }
-            (Arc::clone(&inner.current), inner.pending.clone(), inner.version)
+            let head = inner.head();
+            (Arc::clone(&head.graph), inner.pending.clone(), head.version)
         };
 
         // Replay the prefix to a net effect per touched endpoint pair.
@@ -602,10 +706,11 @@ impl VersionedGraph {
     }
 
     /// Swap in a [`prepare`](Self::prepare)d fold: drain the consumed log
-    /// prefix, publish the new snapshot and version, stamp the partitions the
-    /// fold can reach and log its edge changes, advance the epoch table, and
-    /// wake [`wait_for_version`](Self::wait_for_version) waiters. One short
-    /// lock section; never materializes anything.
+    /// prefix, publish the new snapshot as the next epoch (reclaiming the
+    /// retired one at once if nothing pins it), stamp the partitions the fold
+    /// can reach and log its edge changes, count it, and wake
+    /// [`wait_for_version`](Self::wait_for_version) waiters. One short lock
+    /// section; never materializes anything.
     ///
     /// Panics if the snapshot version moved since the fold was prepared
     /// (two concurrent fold drivers — see [`prepare`](Self::prepare)).
@@ -622,16 +727,26 @@ impl VersionedGraph {
             partitions_rematerialized,
             partitions_shared,
         } = fold;
-        let version = {
-            let mut inner = self.inner.lock().unwrap();
+        let version = base_version + 1;
+        {
+            let mut guard = self.lock();
+            let inner = &mut *guard;
             assert_eq!(
-                inner.version, base_version,
+                inner.head().version,
+                base_version,
                 "PreparedFold published against a stale base (concurrent fold drivers?)"
             );
             inner.pending.drain(..consumed);
-            inner.current = Arc::clone(&graph);
-            inner.version += 1;
-            let version = inner.version;
+            if inner.head().pins == 0 {
+                // Nobody reads the retired epoch: its storage goes now (the
+                // clean partitions live on in the new epoch's stores).
+                inner.epochs.pop();
+                inner.totals.snapshots_reclaimed += 1;
+            }
+            inner.epochs.push(Epoch { version, graph: Arc::clone(&graph), pins: 0 });
+            inner.totals.mutations_applied += consumed as u64;
+            inner.totals.partitions_rematerialized += partitions_rematerialized as u64;
+            inner.totals.partitions_shared += partitions_shared as u64;
             for (stamp, _) in inner.last_reached.iter_mut().zip(&reached).filter(|(_, &hit)| hit) {
                 *stamp = version;
             }
@@ -646,15 +761,12 @@ impl VersionedGraph {
             }
             inner.adj = new_adj;
             inner.refresh_pending_reach();
-            self.epochs.advance(
-                Arc::clone(&graph),
-                inner.version,
-                partitions_rematerialized,
-                partitions_shared,
-            );
             self.applied.notify_all();
-            inner.version
-        };
+        }
+        let (remat, shared) = (partitions_rematerialized as u32, partitions_shared as u32);
+        self.emit(EventKind::EpochAdvance, version as u32, remat, shared);
+        let dirty = dirty_partitions.len() as u32;
+        self.emit(EventKind::DeltaFold, consumed as u32, dirty, base_version as u32);
 
         AppliedDeltas {
             graph,
@@ -671,9 +783,62 @@ impl VersionedGraph {
     /// Prepare and publish in one call, serialized by the internal gate.
     /// Returns `None` when the log is empty.
     pub fn advance(&self) -> Option<AppliedDeltas> {
-        let _gate = self.advance_gate.lock().unwrap();
+        let _gate = self.advance_gate.lock().expect(POISONED);
         let fold = self.prepare()?;
         Some(self.publish(fold))
+    }
+}
+
+/// RAII pin on one epoch's snapshot, from [`VersionedGraph::pin`]. Holding
+/// the guard keeps that epoch's [`PartitionedGraph`] (and every partition
+/// store it references) alive; dropping the last guard on a retired epoch
+/// releases the store's reference so the storage can be reclaimed.
+pub struct SnapshotGuard<'a> {
+    store: &'a VersionedGraph,
+    epoch: u64,
+    graph: Arc<PartitionedGraph>,
+}
+
+impl SnapshotGuard<'_> {
+    /// The pinned epoch number (equal to the graph version it snapshots).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The pinned snapshot. The reference cannot outlive the guard, so an
+    /// engine borrowing it is type-checked against the pin's lifetime.
+    pub fn graph(&self) -> &PartitionedGraph {
+        &self.graph
+    }
+}
+
+impl Drop for SnapshotGuard<'_> {
+    fn drop(&mut self) {
+        let (pins_left, reclaimed) = {
+            // Drop must not panic: a store poisoned by an earlier panic
+            // keeps the pin.
+            let Ok(mut inner) = self.store.inner.lock() else { return };
+            let idx = inner
+                .epochs
+                .iter()
+                .position(|e| e.version == self.epoch)
+                .expect("pinned epoch present until last guard drops");
+            inner.epochs[idx].pins -= 1;
+            let pins_left = inner.epochs[idx].pins;
+            // A retired epoch — any but the last — goes with its last pin.
+            let reclaimed = pins_left == 0 && idx + 1 < inner.epochs.len();
+            if reclaimed {
+                inner.epochs.remove(idx);
+                inner.totals.snapshots_reclaimed += 1;
+            }
+            (pins_left, reclaimed)
+        };
+        self.store.emit(
+            EventKind::EpochUnpin,
+            self.epoch as u32,
+            pins_left as u32,
+            reclaimed as u32,
+        );
     }
 }
 
@@ -1048,23 +1213,120 @@ mod tests {
         assert!(!vg.has_pending());
     }
 
+    /// Two folds prepared from one base: the first publishes, the second
+    /// would publish a version that already exists and panics.
+    #[test]
+    #[should_panic(expected = "stale base")]
+    fn publishing_a_fold_from_a_stale_base_panics() {
+        let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
+        vg.insert_edge(1, 2, 1).unwrap();
+        let (first, second) = (vg.prepare().unwrap(), vg.prepare().unwrap());
+        assert_eq!((first.base_version, second.base_version), (0, 0));
+        vg.publish(first);
+        vg.publish(second);
+    }
+
+    /// Log one new edge out of vertex `u` and fold it.
+    fn fold_one(vg: &VersionedGraph, u: VertexId) {
+        vg.insert_edge(u, u + 1, 1).unwrap();
+        vg.advance().unwrap();
+    }
+
     #[test]
     fn epochs_track_versions_and_reclaim_on_unpin() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
         let guard = vg.pin();
         assert_eq!(guard.epoch(), 0);
-        vg.insert_edge(1, 2, 1).unwrap();
-        vg.advance().unwrap();
-        assert_eq!(vg.epochs().epochs_advanced(), 1);
-        assert_eq!(vg.epochs().live_epochs(), 2, "epoch 0 pinned across the advance");
-        assert_eq!(vg.epochs().oldest_pinned_epoch_lag(), 1);
+        fold_one(&vg, 1);
+        let stats = vg.epoch_stats();
+        assert_eq!(stats.epochs_advanced, 1);
+        assert_eq!(stats.live_epochs, 2, "epoch 0 pinned across the advance");
+        assert_eq!(stats.oldest_pinned_epoch_lag, 1);
         let fresh = vg.pin();
         assert_eq!(fresh.epoch(), vg.version());
+        assert!(!std::ptr::eq(guard.graph(), fresh.graph()), "the old pin reads its own snapshot");
         assert_eq!(guard.graph().graph().num_edges(), 1, "pinned snapshot is immutable");
         assert_eq!(fresh.graph().graph().num_edges(), 2);
         drop(guard);
-        assert_eq!(vg.epochs().live_epochs(), 1);
-        assert_eq!(vg.epochs().snapshots_reclaimed(), 1);
+        let stats = vg.epoch_stats();
+        assert_eq!((stats.live_epochs, stats.snapshots_reclaimed), (1, 1));
+        assert_eq!(stats.oldest_pinned_epoch_lag, 0, "the remaining pin reads the current epoch");
+    }
+
+    /// A retired epoch outlives any number of folds while pinned, and its
+    /// storage is freed by the last unpin.
+    #[test]
+    fn a_retired_epoch_is_reclaimed_at_its_last_unpin() {
+        let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
+        let old = vg.pin();
+        let weak = Arc::downgrade(&vg.current());
+        fold_one(&vg, 1);
+        fold_one(&vg, 2);
+        let stats = vg.epoch_stats();
+        assert_eq!(stats.live_epochs, 2, "epoch 0 and the current one");
+        assert_eq!(stats.snapshots_reclaimed, 1, "epoch 1 went unpinned at the second fold");
+        assert_eq!(stats.oldest_pinned_epoch_lag, 2);
+        drop(old);
+        assert!(weak.upgrade().is_none(), "epoch 0 storage freed at its last unpin");
+        assert_eq!(vg.epoch_stats().snapshots_reclaimed, 2);
+    }
+
+    /// Nothing pins an epoch: the fold that retires it reclaims it, and the
+    /// totals count the fold's mutations and partitions.
+    #[test]
+    fn an_unpinned_epoch_is_reclaimed_at_the_fold_that_retires_it() {
+        let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 4));
+        vg.insert_edge(2, 3, 1).unwrap();
+        vg.insert_edge(2, 4, 1).unwrap();
+        vg.advance().unwrap();
+        let expected = EpochStats {
+            epochs_advanced: 1,
+            mutations_applied: 2,
+            partitions_rematerialized: 1,
+            partitions_shared: 3,
+            snapshots_reclaimed: 1,
+            oldest_pinned_epoch_lag: 0,
+            live_epochs: 1,
+        };
+        assert_eq!(vg.epoch_stats(), expected);
+    }
+
+    /// A traced store reports each pin, fold and unpin with its payload: the
+    /// epoch and pin counts, the fold's rebuilt and shared partitions, its
+    /// mutations and dirty partitions over its base version.
+    #[test]
+    fn a_traced_store_emits_its_epoch_and_fold_events() {
+        let sink = TraceSink::new();
+        let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 4)).with_trace(Arc::clone(&sink));
+        let guard = vg.pin();
+        vg.insert_edge(2, 3, 1).unwrap();
+        vg.insert_edge(2, 5, 1).unwrap();
+        vg.advance().unwrap();
+        drop(guard);
+        let events: Vec<_> =
+            sink.merged_events().into_iter().map(|(_, e)| (e.kind, e.a, e.b, e.c)).collect();
+        assert_eq!(
+            events,
+            vec![
+                (EventKind::EpochPin, 0, 1, 0),
+                (EventKind::EpochAdvance, 1, 1, 3),
+                (EventKind::DeltaFold, 2, 1, 0),
+                (EventKind::EpochUnpin, 0, 0, 1),
+            ]
+        );
+    }
+
+    /// Two pins on one epoch keep it alive until both drop, in either order.
+    #[test]
+    fn pins_nest_and_release_in_any_order() {
+        let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
+        let (a, b) = (vg.pin(), vg.pin());
+        fold_one(&vg, 1);
+        drop(a);
+        assert_eq!(vg.epoch_stats().live_epochs, 2, "the second pin keeps epoch 0 alive");
+        drop(b);
+        assert_eq!(vg.epoch_stats().live_epochs, 1);
+        assert_eq!(vg.epoch_stats().snapshots_reclaimed, 1);
     }
 
     #[test]

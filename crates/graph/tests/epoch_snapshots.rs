@@ -175,9 +175,10 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
     });
 
     assert!(verified.load(Ordering::Acquire) >= READERS, "readers must have verified pins");
-    assert_eq!(store.epochs().epochs_advanced(), STEPS);
+    let stats = store.epoch_stats();
+    assert_eq!(stats.epochs_advanced, STEPS);
     // With every guard dropped, nothing old stays pinned.
-    assert_eq!(store.epochs().oldest_pinned_epoch_lag(), 0);
+    assert_eq!((stats.oldest_pinned_epoch_lag, stats.live_epochs), (0, 1));
 }
 
 #[test]
@@ -190,18 +191,19 @@ fn retired_snapshots_reclaim_once_the_last_reader_unpins() {
     let store = VersionedGraph::new(pg);
 
     let guard = store.pin();
-    let weak = Arc::downgrade(&guard.graph_arc());
+    let weak = Arc::downgrade(&store.current());
     for i in 0..5u32 {
         store.insert_edge(i, i + 8, 3).unwrap();
         store.advance().unwrap();
     }
     assert!(weak.upgrade().is_some(), "a pinned epoch survives any number of advances");
-    assert_eq!(store.epochs().oldest_pinned_epoch_lag(), 5);
+    let stats = store.epoch_stats();
+    assert_eq!(stats.oldest_pinned_epoch_lag, 5);
     // Versions 1..4 were retired unpinned: reclaimed at the advance that
     // superseded them, without waiting for anyone.
-    assert!(store.epochs().snapshots_reclaimed() >= 4, "unpinned epochs reclaim eagerly");
+    assert_eq!(stats.snapshots_reclaimed, 4, "unpinned epochs reclaim eagerly");
 
     drop(guard);
     assert!(weak.upgrade().is_none(), "the last unpin frees the retired snapshot");
-    assert_eq!(store.epochs().oldest_pinned_epoch_lag(), 0);
+    assert_eq!(store.epoch_stats().oldest_pinned_epoch_lag, 0);
 }

@@ -71,26 +71,12 @@ pub struct ServiceCounters {
     pub max_batch_workers: AtomicU64,
     /// Dispatched batches that carried ≥ 2 distinct kernel cohorts.
     pub mixed_runs: AtomicU64,
-    /// Edge mutations merged into the served graph at quiesce points.
-    pub mutations_applied: AtomicU64,
     /// Cached answers found stale at lookup: a mutation since the graph
     /// version they were computed at could reach their source.
     pub cache_invalidations: AtomicU64,
     /// Engine passes that resumed from cached answers across an edge delta
     /// instead of running the kernel from scratch.
     pub incremental_runs: AtomicU64,
-    /// Snapshot epochs published (one per non-empty mutation fold).
-    pub epochs_advanced: AtomicU64,
-    /// Dirty partitions re-materialized across all epoch advances.
-    pub partitions_rematerialized: AtomicU64,
-    /// Clean partitions `Arc`-shared with the previous epoch across all
-    /// advances (the partial-rebuild win).
-    pub partitions_shared: AtomicU64,
-    /// Retired epoch snapshots whose storage has been reclaimed.
-    pub snapshots_reclaimed: AtomicU64,
-    /// Current epoch minus the oldest epoch still pinned by an in-flight run
-    /// (a gauge: 0 when every reader is on the newest snapshot).
-    pub oldest_pinned_epoch_lag: AtomicU64,
     latencies: Mutex<Vec<Duration>>,
     latency_count: AtomicU64,
     /// Ring of recent per-batch sizing decisions (bounded).
@@ -172,12 +158,6 @@ impl ServiceCounters {
         self.batch_records.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
-    /// Record a quiesce point that merged `count` edge mutations into the
-    /// served graph.
-    pub fn on_mutations_applied(&self, count: usize) {
-        self.mutations_applied.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
     /// Record `count` cached answers found stale at lookup.
     pub fn on_cache_invalidations(&self, count: usize) {
         self.cache_invalidations.fetch_add(count as u64, Ordering::Relaxed);
@@ -187,25 +167,6 @@ impl ServiceCounters {
     /// recomputing from scratch.
     pub fn on_incremental_run(&self) {
         self.incremental_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sync the epoch counters from the epoch table's own statistics (the
-    /// table is the source of truth; the service mirrors it so one snapshot
-    /// carries everything). All five values are cumulative totals except
-    /// `lag`, which is a point-in-time gauge.
-    pub fn sync_epoch_stats(
-        &self,
-        advanced: u64,
-        rematerialized: u64,
-        shared: u64,
-        reclaimed: u64,
-        lag: u64,
-    ) {
-        self.epochs_advanced.store(advanced, Ordering::Relaxed);
-        self.partitions_rematerialized.store(rematerialized, Ordering::Relaxed);
-        self.partitions_shared.store(shared, Ordering::Relaxed);
-        self.snapshots_reclaimed.store(reclaimed, Ordering::Relaxed);
-        self.oldest_pinned_epoch_lag.store(lag, Ordering::Relaxed);
     }
 
     /// Record one query's end-to-end (submit → result available) latency.
@@ -223,7 +184,9 @@ impl ServiceCounters {
         }
     }
 
-    /// Consistent point-in-time snapshot of every counter.
+    /// Point-in-time snapshot of every counter. The graph-store fields of
+    /// [`ServiceSnapshot`] (mutations applied and the epoch figures) are left
+    /// zero: the store owns them, and the service fills them in from it.
     pub fn snapshot(&self) -> ServiceSnapshot {
         let samples = {
             let guard = self.latencies.lock().unwrap_or_else(|p| p.into_inner());
@@ -250,24 +213,21 @@ impl ServiceCounters {
             max_batch_occupancy: self.max_batch_occupancy.load(Ordering::Relaxed),
             max_batch_workers: self.max_batch_workers.load(Ordering::Relaxed),
             mixed_runs: self.mixed_runs.load(Ordering::Relaxed),
-            mutations_applied: self.mutations_applied.load(Ordering::Relaxed),
             cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
             incremental_runs: self.incremental_runs.load(Ordering::Relaxed),
-            epochs_advanced: self.epochs_advanced.load(Ordering::Relaxed),
-            partitions_rematerialized: self.partitions_rematerialized.load(Ordering::Relaxed),
-            partitions_shared: self.partitions_shared.load(Ordering::Relaxed),
-            snapshots_reclaimed: self.snapshots_reclaimed.load(Ordering::Relaxed),
-            oldest_pinned_epoch_lag: self.oldest_pinned_epoch_lag.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             latency_p50: percentile(0.50),
             latency_p99: percentile(0.99),
             latency_samples: samples.len() as u64,
+            ..ServiceSnapshot::default()
         }
     }
 }
 
-/// Immutable snapshot of [`ServiceCounters`].
+/// Immutable snapshot of a service's metrics: its [`ServiceCounters`] plus
+/// the figures its graph store keeps (`mutations_applied` and the epoch
+/// fields).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     pub submitted: u64,
@@ -441,35 +401,33 @@ mod tests {
     #[test]
     fn mutation_counters_accumulate() {
         let c = ServiceCounters::new();
-        c.on_mutations_applied(3);
-        c.on_mutations_applied(2);
         c.on_cache_invalidations(7);
         c.on_incremental_run();
         let s = c.snapshot();
-        assert_eq!(s.mutations_applied, 5);
         assert_eq!(s.cache_invalidations, 7);
         assert_eq!(s.incremental_runs, 1);
+        assert_eq!(s.mutations_applied, 0, "the graph store counts folds, not the counters");
         let text = format!("{s}");
-        assert!(text.contains("5 mutations applied"), "{text}");
+        assert!(text.contains("7 invalidations, 1 incremental runs"), "{text}");
     }
 
     #[test]
-    fn epoch_stats_sync_and_rate() {
-        let c = ServiceCounters::new();
-        c.sync_epoch_stats(4, 6, 10, 3, 1);
-        let s = c.snapshot();
-        assert_eq!(s.epochs_advanced, 4);
-        assert_eq!(s.partitions_rematerialized, 6);
-        assert_eq!(s.partitions_shared, 10);
-        assert_eq!(s.snapshots_reclaimed, 3);
-        assert_eq!(s.oldest_pinned_epoch_lag, 1);
+    fn epoch_fields_render_with_their_dirty_rate() {
+        let s = ServiceSnapshot {
+            mutations_applied: 5,
+            epochs_advanced: 4,
+            partitions_rematerialized: 6,
+            partitions_shared: 10,
+            snapshots_reclaimed: 3,
+            oldest_pinned_epoch_lag: 1,
+            ..Default::default()
+        };
         assert!((s.dirty_rematerialize_frac() - 6.0 / 16.0).abs() < 1e-12);
         let text = format!("{s}");
+        assert!(text.contains("5 mutations applied"), "{text}");
         assert!(text.contains("4 advanced"), "{text}");
         assert!(text.contains("37.5% dirty"), "{text}");
-        // Sync is a mirror, not an accumulator: re-syncing overwrites.
-        c.sync_epoch_stats(5, 7, 13, 3, 0);
-        assert_eq!(c.snapshot().epochs_advanced, 5);
+        assert!(text.contains("3 reclaimed, pin lag 1"), "{text}");
     }
 
     #[test]

@@ -190,7 +190,7 @@ struct Shared {
     inner: Mutex<Inner>,
     /// Signalled on every submission and on shutdown; the batcher waits here.
     work_ready: Condvar,
-    counters: Arc<ServiceCounters>,
+    counters: ServiceCounters,
     /// Answers with the graph version they were computed at. An entry stays
     /// until the LRU evicts it: the store says at lookup whether it is still
     /// fresh, and a stale one is the restart hint of its key's next run.
@@ -199,8 +199,10 @@ struct Shared {
     config: ServiceConfig,
     /// The versioned graph store: mutations are logged here and folded into
     /// a fresh [`PartitionedGraph`] snapshot at the batcher's quiesce points,
-    /// so no in-flight engine run ever observes a half-applied batch.
-    store: Arc<VersionedGraph>,
+    /// so no in-flight engine run ever observes a half-applied batch. It owns
+    /// the epochs runs pin and counts its own folds; [`Shared::metrics`]
+    /// reads those figures from it.
+    store: VersionedGraph,
     /// Vertex count of the served graph, for submit-time source validation
     /// (mutations never add vertices, so this stays valid across versions).
     num_vertices: usize,
@@ -221,6 +223,21 @@ impl Shared {
     /// Mint a flow correlation id, or 0 when untraced.
     fn next_trace_id(&self) -> u32 {
         self.trace.as_ref().map_or(0, |trace| trace.next_id())
+    }
+
+    /// The service counters, with the fold and epoch figures read from the
+    /// store that owns them.
+    fn metrics(&self) -> ServiceSnapshot {
+        let epochs = self.store.epoch_stats();
+        ServiceSnapshot {
+            mutations_applied: epochs.mutations_applied,
+            epochs_advanced: epochs.epochs_advanced,
+            partitions_rematerialized: epochs.partitions_rematerialized,
+            partitions_shared: epochs.partitions_shared,
+            snapshots_reclaimed: epochs.snapshots_reclaimed,
+            oldest_pinned_epoch_lag: epochs.oldest_pinned_epoch_lag,
+            ..self.counters.snapshot()
+        }
     }
 }
 
@@ -367,10 +384,11 @@ impl ServiceHandle {
         self.shared.inner.lock().draining
     }
 
-    /// Point-in-time service metrics.
+    /// Point-in-time service metrics. The fold and epoch figures come from
+    /// the graph store in one read, so they are current the moment a fold is
+    /// published (a [`Self::flush_mutations`] that returned is counted).
     pub fn metrics(&self) -> ServiceSnapshot {
-        sync_epoch_counters(&self.shared.counters, &self.shared.store);
-        self.shared.counters.snapshot()
+        self.shared.metrics()
     }
 
     /// Log one [`EdgeMutation`] against the served graph. Validated (typed
@@ -504,16 +522,16 @@ impl ForkGraphService {
         registry: Arc<KernelRegistry>,
         trace: Option<Arc<TraceSink>>,
     ) -> Self {
-        let store = Arc::new(VersionedGraph::new(Arc::clone(&graph)));
+        let mut store = VersionedGraph::new(Arc::clone(&graph));
         if let Some(sink) = &trace {
-            // Epoch pin/unpin/advance events land in the same stream as the
+            // Epoch and fold events land in the same stream as the
             // submit/batch/resolve flow.
-            store.epochs().attach_trace(Arc::clone(sink));
+            store = store.with_trace(Arc::clone(sink));
         }
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner { queue: VecDeque::new(), shutdown: false, draining: false }),
             work_ready: Condvar::new(),
-            counters: Arc::new(ServiceCounters::new()),
+            counters: ServiceCounters::new(),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             registry,
             config,
@@ -551,10 +569,9 @@ impl ForkGraphService {
         &self.shared.registry
     }
 
-    /// Point-in-time service metrics.
+    /// Point-in-time service metrics; see [`ServiceHandle::metrics`].
     pub fn metrics(&self) -> ServiceSnapshot {
-        sync_epoch_counters(&self.shared.counters, &self.shared.store);
-        self.shared.counters.snapshot()
+        self.shared.metrics()
     }
 
     /// Lifetime metrics of the persistent engine worker pool, or `None` for
@@ -576,9 +593,8 @@ impl ForkGraphService {
     pub fn trace_handle(&self) -> Option<TraceHandle> {
         self.shared.trace.as_ref().map(|sink| TraceHandle {
             sink: Arc::clone(sink),
-            counters: Arc::clone(&self.shared.counters),
+            shared: Arc::clone(&self.shared),
             pool: self.pool.clone(),
-            store: Arc::clone(&self.shared.store),
         })
     }
 
@@ -620,15 +636,16 @@ impl Drop for ForkGraphService {
 }
 
 /// A traced service's observability surface, detached from the service's
-/// lifetime (cloneable snapshots of the sink, counters, and pool). Obtained
-/// from [`ForkGraphService::trace_handle`]; stays valid — serving its last
-/// recorded state — after the service shuts down.
+/// lifetime. Obtained from [`ForkGraphService::trace_handle`]; stays valid —
+/// serving its last recorded state — after the service shuts down. It holds
+/// the sink, the pool and the service's whole shared state (counters, graph
+/// store, queue and answer cache), so a handle kept past shutdown keeps that
+/// memory alive too.
 #[derive(Clone)]
 pub struct TraceHandle {
     sink: Arc<TraceSink>,
-    counters: Arc<ServiceCounters>,
+    shared: Arc<Shared>,
     pool: Option<Arc<WorkerPool>>,
-    store: Arc<VersionedGraph>,
 }
 
 impl TraceHandle {
@@ -647,27 +664,11 @@ impl TraceHandle {
     /// exposition format ([`fn@fg_trace::expose`]) — a complete `/metrics`
     /// response body.
     pub fn exposition(&self) -> String {
-        sync_epoch_counters(&self.counters, &self.store);
-        let service = self.counters.snapshot();
+        let service = self.shared.metrics();
         let pool = self.pool.as_ref().map(|pool| pool.metrics());
         let stats = self.sink.stats();
         fg_trace::expose(Some(&service), pool.as_ref(), Some(&stats))
     }
-}
-
-/// Mirror the epoch table's statistics into the service counters so one
-/// [`ServiceSnapshot`] carries them. The table is the source of truth;
-/// callers sync lazily (after each fold, and at metric-read time so the
-/// pin-lag gauge and reclamation count stay fresh between folds).
-fn sync_epoch_counters(counters: &ServiceCounters, store: &VersionedGraph) {
-    let epochs = store.epochs();
-    counters.sync_epoch_stats(
-        epochs.epochs_advanced(),
-        epochs.partitions_rematerialized(),
-        epochs.partitions_shared(),
-        epochs.snapshots_reclaimed(),
-        epochs.oldest_pinned_epoch_lag(),
-    );
 }
 
 /// The batcher thread body.
@@ -731,18 +732,9 @@ fn batcher_loop(
         // Fold the pending mutation log into the next epoch's snapshot. The
         // store materializes dirty partitions outside its lock — reads stay
         // pinned on the current epoch and the submit fast path keeps
-        // admitting — and the fold touches no cache entry: staleness is
-        // checked where an entry is read.
-        if let Some(applied) = shared.store.advance() {
-            shared.emit(
-                EventKind::DeltaFold,
-                applied.mutations as u32,
-                applied.dirty_partitions.len() as u32,
-                (applied.version - 1) as u32,
-            );
-            shared.counters.on_mutations_applied(applied.mutations);
-            sync_epoch_counters(&shared.counters, &shared.store);
-        }
+        // admitting — counts and traces the fold itself, and touches no
+        // cache entry: staleness is checked where an entry is read.
+        shared.store.advance();
 
         // Mutation-only wakeup: nothing to dispatch.
         if cohorts.is_empty() {

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
@@ -215,10 +215,11 @@ fn resumed_query_joins_and_resolves_in_a_traced_batch() {
     assert_chain_in_a_batch(resumed, &chains[&resumed], &batches);
 }
 
-/// The epoch lifecycle events the MVCC layer emits must reconcile exactly
-/// with the epoch counters the service exposes: every pin released, one
+/// The epoch lifecycle events the graph store emits must reconcile exactly
+/// with the epoch figures the service reads from it: every pin released, one
 /// advance per published epoch, one fold event per advance, and per-advance
-/// rematerialized/shared payloads summing to the counter totals.
+/// rematerialized/shared payloads and per-fold mutation counts summing to
+/// the store's totals.
 #[test]
 fn epoch_trace_events_reconcile_with_epoch_counters() {
     let g = gen::rmat(9, 6, 17).with_random_weights(8, 17);
@@ -241,8 +242,8 @@ fn epoch_trace_events_reconcile_with_epoch_counters() {
     );
     let handle = service.handle();
 
-    // Four mutate → query rounds; each must eventually fold into a new epoch.
-    let mut advanced = 0u64;
+    // Four mutate → query rounds. The batcher folds before it dispatches, so
+    // each answer arrives after its round's epoch is published and counted.
     for round in 0..4u32 {
         handle.mutate(EdgeMutation::Insert { u: round, v: (round + 7) % n, w: 3 }).expect("mutate");
         handle
@@ -250,16 +251,7 @@ fn epoch_trace_events_reconcile_with_epoch_counters() {
             .expect("submit")
             .wait()
             .expect("service answered");
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let m = handle.metrics();
-            if m.epochs_advanced > advanced {
-                advanced = m.epochs_advanced;
-                break;
-            }
-            assert!(Instant::now() < deadline, "round {round}: the mutation never folded");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        assert_eq!(handle.metrics().epochs_advanced, u64::from(round) + 1, "round {round}");
     }
 
     let metrics = handle.metrics();
@@ -280,16 +272,19 @@ fn epoch_trace_events_reconcile_with_epoch_counters() {
     assert_eq!(pins, unpins, "every pin must be released");
     assert_eq!(advances, metrics.epochs_advanced, "one EpochAdvance per published epoch");
     assert_eq!(folds, advances, "one DeltaFold per advance");
-    assert!(metrics.epochs_advanced >= 4, "each round folded at least once");
+    assert_eq!(metrics.epochs_advanced, 4, "each round folded once");
 
-    // Per-advance payloads (b = rematerialized, c = shared) sum to the
-    // counters the service mirrors from the epoch table.
-    let (remat, shared) = events
-        .iter()
-        .filter(|e| e.kind == EventKind::EpochAdvance)
-        .fold((0u64, 0u64), |(r, s), e| (r + e.b as u64, s + e.c as u64));
+    // Per-advance payloads (b = rematerialized, c = shared) and per-fold
+    // mutation counts (a) sum to the totals the service reads from its store.
+    let sum = |kind: EventKind, field: fn(&TraceEvent) -> u32| -> u64 {
+        events.iter().filter(|e| e.kind == kind).map(|e| field(e) as u64).sum()
+    };
+    let remat = sum(EventKind::EpochAdvance, |e| e.b);
+    let shared = sum(EventKind::EpochAdvance, |e| e.c);
     assert_eq!(remat, metrics.partitions_rematerialized);
     assert_eq!(shared, metrics.partitions_shared);
+    assert_eq!(sum(EventKind::DeltaFold, |e| e.a), metrics.mutations_applied);
+    assert_eq!(metrics.mutations_applied, 4, "one mutation per round");
     assert!(remat >= advances, "every advance rebuilt at least one dirty partition");
     assert!(shared > 0, "single-edge folds must share clean partitions");
 

@@ -9,11 +9,14 @@
 //! resumes from it, deletions and weight increases included, and every
 //! answer must equal `dijkstra` / `bfs` on the snapshot the service
 //! publishes: at one engine thread and at two, over raw and compressed
-//! partitions. A last test holds the batcher in a gated run while shutdown
-//! begins, and the mutations acknowledged meanwhile must still land.
+//! partitions. The service's fold figures are read from the graph store,
+//! so once a flush returns they count every acknowledged mutation. A last
+//! test holds the batcher in a gated run while shutdown begins, and the
+//! mutations acknowledged meanwhile must still land.
 
 mod common;
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -105,6 +108,11 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
             let mut rng = SmallRng::seed_from_u64(0xD1FF + threads as u64);
 
             read_hot_keys(&handle, &format!("{storage:?} threads={threads} initial"));
+            let acknowledged = Cell::new(0);
+            let mutate = |mutation| {
+                handle.mutate(mutation).unwrap();
+                acknowledged.set(acknowledged.get() + 1);
+            };
             for round in 0..6 {
                 let label = format!("{storage:?} threads={threads} round {round}");
                 let snapshot = handle.graph();
@@ -116,9 +124,7 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                         // Every hot source's out-edges get heavier.
                         for u in hot_sources() {
                             for (v, w) in graph.out_edges(u) {
-                                handle
-                                    .mutate(EdgeMutation::UpdateWeight { u, v, w: w + 3 })
-                                    .unwrap();
+                                mutate(EdgeMutation::UpdateWeight { u, v, w: w + 3 });
                             }
                         }
                     }
@@ -126,14 +132,14 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                         // Drop the first out-edge of every hot source.
                         for u in hot_sources() {
                             if let Some(&v) = graph.out_neighbors(u).first() {
-                                handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
+                                mutate(EdgeMutation::Delete { u, v });
                             }
                         }
                     }
                     4 => {
                         // Drop an edge of each hot key's original shortest paths.
                         for &(u, v) in &on_paths {
-                            handle.mutate(EdgeMutation::Delete { u, v }).unwrap();
+                            mutate(EdgeMutation::Delete { u, v });
                         }
                     }
                     _ => {
@@ -143,14 +149,19 @@ fn service_answers_match_fg_seq_across_a_mutation_history() {
                             let u = rng.gen_range(0..n);
                             let v = rng.gen_range(0..n);
                             if u != v {
-                                handle.mutate(EdgeMutation::Insert { u, v, w: 1 }).unwrap();
+                                mutate(EdgeMutation::Insert { u, v, w: 1 });
                             }
                         }
                     }
                 }
-                handle.flush_mutations();
+                let version = handle.flush_mutations();
                 assert_eq!(handle.cached_results(), cached, "{label}: a fold evicted answers");
-                let resumed = service.metrics().incremental_runs;
+                // The fold figures are the store's own, so they are current
+                // the moment the fold is published.
+                let metrics = service.metrics();
+                assert_eq!(metrics.mutations_applied, acknowledged.get(), "{label}: {metrics:?}");
+                assert_eq!(metrics.epochs_advanced, version, "{label}: {metrics:?}");
+                let resumed = metrics.incremental_runs;
                 read_hot_keys(&handle, &label);
                 if raises {
                     assert!(
