@@ -8,10 +8,10 @@
 //! cannot be generic over every kernel its clients might register. This
 //! module closes the gap with an erasure layer:
 //!
-//! * [`DynKernel`] is the object-safe view of a kernel: a name, the
-//!   [`TypeId`]s of its value/state types (diagnostics and arena keying),
-//!   and [`DynKernel::run_erased`] — run a batch through an engine and hand
-//!   back the per-query states as [`ErasedState`]s.
+//! * [`DynKernel`] is the object-safe view of a kernel: a name, its state
+//!   type's name (for downcast errors), and [`DynKernel::run_erased`] — run
+//!   a batch through an engine and hand back the per-query states as
+//!   [`ErasedState`]s.
 //! * [`erase`] wraps any concrete [`FppKernel`] into an `Arc<dyn DynKernel>`.
 //!   The wrapper calls [`ForkGraphEngine::run`] with the *concrete* kernel,
 //!   so the entire execution path — the executor, on the calling thread or
@@ -27,7 +27,7 @@
 //! `Arc<dyn DynKernel>`s, so micro-batching, admission control, and result
 //! caching work for kernels the service crates have never heard of.
 
-use std::any::{Any, TypeId};
+use std::any::Any;
 use std::sync::Arc;
 
 use fg_graph::VertexId;
@@ -46,16 +46,6 @@ pub type ErasedState = Arc<dyn Any + Send + Sync>;
 pub trait DynKernel: Send + Sync {
     /// Kernel name (the concrete kernel's [`FppKernel::name`]).
     fn name(&self) -> &str;
-
-    /// [`TypeId`] of the concrete [`FppKernel::Value`]. A persistent
-    /// [`WorkerPool`](crate::pool::WorkerPool) keys its mailbox recycle
-    /// arena by this, so two erased kernels sharing a value type also share
-    /// recycled per-run storage.
-    fn value_type(&self) -> TypeId;
-
-    /// [`TypeId`] of the concrete [`FppKernel::State`] behind the
-    /// [`ErasedState`]s this kernel produces.
-    fn state_type(&self) -> TypeId;
 
     /// Human-readable name of the state type, for downcast error messages.
     fn state_type_name(&self) -> &'static str;
@@ -81,14 +71,6 @@ where
 {
     fn name(&self) -> &str {
         self.0.name()
-    }
-
-    fn value_type(&self) -> TypeId {
-        TypeId::of::<K::Value>()
-    }
-
-    fn state_type(&self) -> TypeId {
-        TypeId::of::<K::State>()
     }
 
     fn state_type_name(&self) -> &'static str {
@@ -212,8 +194,6 @@ mod tests {
     fn erased_kernel_reports_its_types() {
         let erased = erase(RadiusKernel { radius: 3 });
         assert_eq!(erased.name(), "radius");
-        assert_eq!(erased.value_type(), TypeId::of::<u32>());
-        assert_eq!(erased.state_type(), TypeId::of::<Vec<u32>>());
         assert!(erased.state_type_name().contains("Vec<u32>"));
     }
 

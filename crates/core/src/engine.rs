@@ -30,7 +30,7 @@ use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Dist, VertexId};
 use fg_metrics::{
-    CacheNumbers, Measurement, MemoryEstimate, Stopwatch, VisitWork, WorkCounters, WorkSnapshot,
+    CacheNumbers, Measurement, MemoryEstimate, Stopwatch, WorkSnapshot, WorkerSnapshot,
 };
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
@@ -98,7 +98,7 @@ pub struct EngineConfig {
     /// nothing. It, [`crate::buffer::PartitionBuffer::new`]'s argument,
     /// [`crate::buffer::ConsolidationMethod`] and `drain_consolidated`'s
     /// argument stay byte-compatible only because `fgbench/src/layers.rs`
-    /// reads them; they go with the `[benchmark]` PR of ROADMAP item (d).
+    /// reads them; they go with benchmark PR A (see ROADMAP).
     pub num_buckets: usize,
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
@@ -110,9 +110,9 @@ pub struct EngineConfig {
     pub num_threads: usize,
     /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
     /// to each run result. Independent of event tracing — profiles are
-    /// computed from counters the run keeps anyway, so they work with no
-    /// [`TraceSink`] attached. Off by default: the histogram updates cost a
-    /// few relaxed atomic ops per partition visit.
+    /// computed from the workers' own tallies, so they work with no
+    /// [`TraceSink`] attached. Off by default: each worker then also records
+    /// every partition visit's size in a histogram of its own.
     pub profile: bool,
 }
 
@@ -230,35 +230,15 @@ pub struct MultiRunResult {
     pub measurement: Measurement,
 }
 
-/// What one query's share of one partition visit did to the lane it ran on,
-/// as the run pipeline needs to know it: the executor keeps its
-/// operations-in-flight count and scheduling hints from these two numbers.
-/// (The work counters are flushed by the visit itself.)
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct LaneVisit {
-    /// Operations popped and executed.
-    pub(crate) consumed: u64,
-    /// Operations the visit emitted to its own partition: they went straight
-    /// onto the lane, never through a mailbox.
-    pub(crate) emitted_local: u64,
-}
-
-impl std::ops::AddAssign for LaneVisit {
-    fn add_assign(&mut self, other: LaneVisit) {
-        self.consumed += other.consumed;
-        self.emitted_local += other.emitted_local;
-    }
-}
-
 /// A count as a trace-event payload field, saturating.
 pub(crate) fn event_field(count: u64) -> u32 {
     u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 /// One partition visit, as the code processing a query's lane sees it: the
-/// engine and the visit's bookkeeping (partition, yield inputs, tracer,
-/// counters). The executor's workers hand each active lane to
-/// `process_lane`, the one monomorphized visit loop.
+/// engine and the visit's bookkeeping (partition, yield inputs, tracer).
+/// The executor's workers hand each active lane to `process_lane`, the one
+/// monomorphized visit loop.
 pub(crate) struct PartitionVisit<'a, 'g> {
     engine: &'a ForkGraphEngine<'g>,
     partition: PartitionId,
@@ -266,7 +246,6 @@ pub(crate) struct PartitionVisit<'a, 'g> {
     partition_edges: u64,
     num_queries: usize,
     tracer: &'a GraphAccessTracer,
-    counters: &'a WorkCounters,
 }
 
 impl<'a, 'g> PartitionVisit<'a, 'g> {
@@ -275,7 +254,6 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         partition: PartitionId,
         num_queries: usize,
         tracer: &'a GraphAccessTracer,
-        counters: &'a WorkCounters,
     ) -> Self {
         PartitionVisit {
             engine,
@@ -283,7 +261,6 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             partition_edges: engine.pg.partition(partition).num_edges() as u64,
             num_queries,
             tracer,
-            counters,
         }
     }
 
@@ -297,7 +274,9 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
     /// emits is appended once to where it will be popped from: this lane if
     /// its vertex lives in this partition, else the `remote` batch of its
     /// target (which the caller delivers when the partition visit ends).
-    /// Work counters are accumulated in locals and flushed once, on return.
+    /// The work is counted into the calling worker's own `stats`; the
+    /// return value is the number of operations pushed onto this lane,
+    /// which never pass through a mailbox.
     pub(crate) fn process_lane<K: FppKernel>(
         &self,
         kernel: &K,
@@ -305,7 +284,8 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         lane: &mut Lane<K::Value>,
         state: &mut K::State,
         remote: &mut RemoteScratch<K::Value>,
-    ) -> LaneVisit {
+        stats: &mut WorkerSnapshot,
+    ) -> u64 {
         let engine = self.engine;
         let pg = engine.pg;
         let partition = self.partition;
@@ -324,11 +304,10 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         if ordered {
             lane.merge_inbox();
         }
-        let mut work = VisitWork::default();
         let mut emitted_local = 0u64;
         while let Some(next_priority) = lane.peek_priority(ordered) {
             if checker.should_yield(next_priority) {
-                self.counters.add_yield();
+                stats.yields += 1;
                 engine.emit_trace(EventKind::Yield, query, partition, 0);
                 break;
             }
@@ -349,12 +328,12 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
                     } else {
                         remote.push(target_partition, new_op);
                     }
-                    work.buffered += 1;
+                    stats.emitted += 1;
                 },
             );
-            work.operations += 1;
-            work.edges += edges;
-            work.pruned += u64::from(edges == 0);
+            stats.operations += 1;
+            stats.edges += edges;
+            stats.pruned += u64::from(edges == 0);
             checker.record_edges(edges);
 
             if tracer.is_enabled() {
@@ -380,8 +359,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             }
         }
         lane.trim();
-        self.counters.add_visit(&work);
-        LaneVisit { consumed: work.operations, emitted_local }
+        emitted_local
     }
 }
 
@@ -522,7 +500,7 @@ impl<'g> ForkGraphEngine<'g> {
     pub(crate) fn build_measurement(
         &self,
         wall_time: Duration,
-        counters: &WorkCounters,
+        work: WorkSnapshot,
         tracer: &GraphAccessTracer,
         num_queries: usize,
     ) -> Measurement {
@@ -532,7 +510,7 @@ impl<'g> ForkGraphEngine<'g> {
         Measurement {
             label: "ForkGraph".to_string(),
             wall_time,
-            work: counters.snapshot(),
+            work,
             cache: self.config.cache.map(|_| CacheNumbers {
                 accesses: cache_stats.accesses,
                 loads: cache_stats.loads,
@@ -583,7 +561,7 @@ impl<'g> ForkGraphEngine<'g> {
     /// every workload of the repository's benchmark — see README, "Mixed
     /// batches".) `fg-service`'s batcher loops over `run_dyn` itself; this
     /// and [`MultiRunResult`] stay only because `fgbench/src/layers.rs`
-    /// calls them, and go with the `[benchmark]` PR of ROADMAP item (d).
+    /// calls them, and go with benchmark PR A (see ROADMAP).
     pub fn run_multi(&self, groups: &[(&dyn DynKernel, &[VertexId])]) -> MultiRunResult {
         let mut measurement = Measurement::new("ForkGraph", Duration::ZERO);
         let mut per_group = Vec::with_capacity(groups.len());

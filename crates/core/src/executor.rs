@@ -76,11 +76,11 @@ use rand::SeedableRng;
 
 use fg_cachesim::GraphAccessTracer;
 use fg_graph::partition::PartitionId;
-use fg_metrics::{Stopwatch, WorkCounters, WorkerSnapshot};
-use fg_trace::{AtomicHistogram, EventKind, Histogram, PhaseTimes, RunProfile};
+use fg_metrics::{Stopwatch, WorkSnapshot, WorkerSnapshot};
+use fg_trace::{EventKind, Histogram, PhaseTimes, RunProfile};
 
 use crate::buffer::{PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
-use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, LaneVisit, PartitionVisit};
+use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, PartitionVisit};
 use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
 use crate::pool::WorkerPool;
@@ -185,9 +185,9 @@ impl<V: Copy> Mailbox<V> {
 
     /// Fold a finished visit into the hints: the lanes gained `emitted_local`
     /// operations that never passed through the stripes and lost `consumed`.
-    fn note_visit(&self, done: LaneVisit, lanes: &PartitionBuffer<V>) {
-        self.len.fetch_add(done.emitted_local as usize, Ordering::Relaxed);
-        self.len.fetch_sub(done.consumed as usize, Ordering::Relaxed);
+    fn note_visit(&self, emitted_local: u64, consumed: u64, lanes: &PartitionBuffer<V>) {
+        self.len.fetch_add(emitted_local as usize, Ordering::Relaxed);
+        self.len.fetch_sub(consumed as usize, Ordering::Relaxed);
         self.min_priority.fetch_min(lanes.min_priority(), Ordering::Relaxed);
     }
 
@@ -225,11 +225,8 @@ struct RunState<'e, 'g, K: FppKernel> {
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
     next_stamp: AtomicU64,
-    counters: &'e WorkCounters,
     tracer: &'e GraphAccessTracer,
     num_queries: usize,
-    /// Operations-per-visit histogram, present when the run is profiling.
-    visit_hist: Option<&'e AtomicHistogram>,
 }
 
 /// Sets `done` and wakes every parked worker if its worker panics, so a
@@ -325,7 +322,6 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             let victim = (w + offset) % self.queues.len();
             if let Some(p) = self.pop_queue(victim, rng) {
                 stats.steals += 1;
-                self.counters.add_steal();
                 self.engine.emit_trace(EventKind::Steal, p as u32, w as u32, victim as u32);
                 return Some(p);
             }
@@ -336,13 +332,16 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// One partition visit: move the mailbox's arrivals into the lanes,
     /// process every active lane under its query's state lock, post the
     /// remote batches once the last lane is done, update the termination
-    /// counter, and run the `Running → Idle | Queued` epilogue. `remote` is
-    /// the worker's reusable routing scratch.
+    /// counter, and run the `Running → Idle | Queued` epilogue. The visit is
+    /// counted into the worker's own `stats` and, when the run is profiling,
+    /// its size into `visit_ops`; `remote` is the worker's reusable routing
+    /// scratch.
     fn visit(
         &self,
         w: usize,
         p: usize,
         stats: &mut WorkerSnapshot,
+        visit_ops: &mut Histogram,
         remote: &mut RemoteScratch<K::Value>,
     ) {
         let mailbox = &self.mailboxes[p];
@@ -353,10 +352,9 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
 
         let total = lanes.len();
         if total > 0 {
-            self.counters.add_partition_visit();
             stats.visits += 1;
-            if let Some(hist) = self.visit_hist {
-                hist.record(total as u64);
+            if self.engine.config().profile {
+                visit_ops.record(total as u64);
             }
             let active = lanes.begin_visit();
             self.engine.emit_trace(
@@ -365,19 +363,17 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                 event_field(total as u64),
                 active as u32,
             );
-            let visit = PartitionVisit::new(
-                self.engine,
-                p as PartitionId,
-                self.num_queries,
-                self.tracer,
-                self.counters,
-            );
-            let mut done = LaneVisit::default();
+            let visit =
+                PartitionVisit::new(self.engine, p as PartitionId, self.num_queries, self.tracer);
+            let executed_before = stats.operations;
+            let mut emitted_local = 0;
             for i in 0..active {
                 let (query, lane) = lanes.active_lane(i);
                 let mut state = self.states[query as usize].lock();
-                done += visit.process_lane(self.kernel, query, lane, &mut state, remote);
+                emitted_local +=
+                    visit.process_lane(self.kernel, query, lane, &mut state, remote, stats);
             }
+            let consumed = stats.operations - executed_before;
             // Send operations to neighbour partitions in batches (Line 16),
             // one per target for the whole visit: a target's lanes are per
             // query and untouched until its own visit, so sending after the
@@ -385,12 +381,11 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             // or order, and pays each target's post cost once.
             remote.flush(|target, batch| self.post(w, target as usize, batch));
             lanes.end_visit();
-            stats.operations += done.consumed;
-            mailbox.note_visit(done, &lanes);
+            mailbox.note_visit(emitted_local, consumed, &lanes);
             // The consumed operations leave the system only now, after their
             // successors were posted (remote) or counted here (local); a zero
             // is global quiescence.
-            let balance = done.emitted_local as i64 - done.consumed as i64;
+            let balance = emitted_local as i64 - consumed as i64;
             if self.in_flight.fetch_add(balance, Ordering::SeqCst) + balance == 0 {
                 self.done.store(true, Ordering::SeqCst);
                 drop(self.idle_lock.lock());
@@ -399,8 +394,8 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             self.engine.emit_trace(
                 EventKind::PartitionVisitEnd,
                 p as u32,
-                event_field(done.consumed),
-                event_field(done.emitted_local),
+                event_field(consumed),
+                event_field(emitted_local),
             );
         }
         let leftovers = !lanes.is_empty();
@@ -434,18 +429,19 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         }
     }
 
-    /// One worker's drive of the run to quiescence.
-    fn worker_loop(&self, w: usize, seed: u64) -> WorkerSnapshot {
+    /// One worker's drive of the run to quiescence; returns the worker's
+    /// tally and its visit sizes (empty unless the run is profiling).
+    fn worker_loop(&self, w: usize, seed: u64) -> (WorkerSnapshot, Histogram) {
         let mut remote = RemoteScratch::new(self.mailboxes.len());
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
+        let mut visit_ops = Histogram::default();
         let mut rng = SmallRng::seed_from_u64(seed);
         while !self.done.load(Ordering::SeqCst) {
             match self.claim(w, &mut rng, &mut stats) {
-                Some(p) => self.visit(w, p, &mut stats, &mut remote),
+                Some(p) => self.visit(w, p, &mut stats, &mut visit_ops, &mut remote),
                 None => {
                     stats.idle_waits += 1;
-                    self.counters.add_idle_wait();
                     let mut guard = self.idle_lock.lock();
                     self.parked.fetch_add(1, Ordering::SeqCst);
                     if self.done.load(Ordering::SeqCst) || self.runnable.load(Ordering::SeqCst) > 0
@@ -460,7 +456,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                 }
             }
         }
-        stats
+        (stats, visit_ops)
     }
 }
 
@@ -492,9 +488,7 @@ pub(crate) fn run<K: FppKernel>(
         Some(cache) => GraphAccessTracer::new(cache),
         None => GraphAccessTracer::disabled(),
     };
-    let counters = WorkCounters::new();
     engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 0);
-    let visit_hist = config.profile.then(AtomicHistogram::default);
 
     let policy_seed = match config.scheduling {
         SchedulingPolicy::Random { seed } => seed,
@@ -523,48 +517,48 @@ pub(crate) fn run<K: FppKernel>(
         idle_lock: Mutex::new(()),
         idle_cv: Condvar::new(),
         next_stamp: AtomicU64::new(0),
-        counters: &counters,
         tracer: &tracer,
         num_queries,
-        visit_hist: visit_hist.as_ref(),
     };
 
     // InitBuffers(P, Q).
+    let num_seeds = seeds.len() as u64;
     let mut seed = Vec::with_capacity(1);
     for op in seeds {
         seed.push(op);
         run.post(0, pg.partition_of(op.vertex) as usize, &mut seed);
-        counters.add_buffered(1);
     }
     let init_done = watch.elapsed();
 
-    let worker_stats = if num_workers == 1 {
+    let mut tallies = if num_workers == 1 {
         vec![run.worker_loop(0, worker_seed(policy_seed, 0))]
     } else {
         let pool = pool.expect("a crew of more than one worker runs on a pool");
-        let snapshots: Mutex<Vec<WorkerSnapshot>> = Mutex::new(Vec::with_capacity(num_workers));
+        let tallies = Mutex::new(Vec::with_capacity(num_workers));
         pool.dispatch(num_workers, &|w| {
-            let stats = run.worker_loop(w, worker_seed(policy_seed, w));
-            snapshots.lock().push(stats);
+            let tally = run.worker_loop(w, worker_seed(policy_seed, w));
+            tallies.lock().push(tally);
         });
-        let mut worker_stats = snapshots.into_inner();
-        worker_stats.sort_by_key(|s| s.worker);
-        worker_stats
+        tallies.into_inner()
     };
+    tallies.sort_by_key(|(stats, _)| stats.worker);
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
-    counters.add_queries_completed(num_queries as u64);
     let RunState { mailboxes, states, queues, .. } = run;
     if let Some(pool) = pool {
         pool.store_run_storage(mailboxes, queues);
     }
     let per_query: Vec<K::State> = states.into_iter().map(|m| m.into_inner()).collect();
-    let mut measurement =
-        engine.build_measurement(watch.elapsed(), &counters, &tracer, num_queries);
-    measurement.work.workers = worker_stats;
+    let mut visit_ops = Histogram::default();
+    for (_, worker_visits) in &tallies {
+        visit_ops.merge(worker_visits);
+    }
+    let workers = tallies.into_iter().map(|(stats, _)| stats).collect();
+    let work = WorkSnapshot::from_workers(workers, num_seeds, num_queries as u64);
+    let measurement = engine.build_measurement(watch.elapsed(), work, &tracer, num_queries);
     engine.emit_trace(EventKind::RunEnd, num_queries as u32, num_workers as u32, 0);
-    let profile = visit_hist.map(|hist| {
+    let profile = config.profile.then(|| {
         let work = &measurement.work;
         let mut steals_per_worker = Histogram::default();
         for ws in &work.workers {
@@ -578,7 +572,7 @@ pub(crate) fn run<K: FppKernel>(
             },
             workers: num_workers as u32,
             partition_visits: work.partition_visits,
-            visit_ops: hist.snapshot(),
+            visit_ops,
             steals_per_worker,
             steals: work.steals,
             yields: work.yields,

@@ -279,7 +279,6 @@ struct PreparedFold {
     raised_edges: Vec<Edge>,
     dirty_partitions: Vec<PartitionId>,
     graph: Arc<PartitionedGraph>,
-    new_adj: Vec<u64>,
     /// Per partition, whether the fold can change an answer from a source
     /// there (closure over the *union* of old and new quotient edges).
     reached: Vec<bool>,
@@ -341,12 +340,10 @@ struct VgInner {
     fold_log: VecDeque<(u64, Vec<Edge>, Vec<Edge>)>,
     /// The fold log holds every fold after this version.
     fold_log_since: u64,
-    /// Quotient adjacency of the current snapshot (cached so per-mutation
-    /// reachability updates don't rescan the edge list).
-    adj: Vec<u64>,
-    /// Closure over `adj` ∪ pending endpoints' quotient arcs — the
-    /// over-approximation used to answer "could a pending mutation affect
-    /// source s?" before the batch is applied.
+    /// Closure over the current snapshot's quotient adjacency ∪ pending
+    /// endpoints' quotient arcs — the over-approximation used to answer
+    /// "could a pending mutation affect source s?" before the batch is
+    /// applied.
     pending_reach: Option<PartitionReachability>,
     /// Bitset of partitions containing a pending mutation's source endpoint.
     pending_touched: Vec<u64>,
@@ -371,7 +368,7 @@ impl VgInner {
             self.pending_touched = vec![0u64; words];
             return;
         }
-        let mut adj = self.adj.clone();
+        let mut adj = quotient_adjacency(current);
         let mut touched = vec![0u64; words];
         for m in &self.pending {
             let (u, v) = m.endpoints();
@@ -406,7 +403,6 @@ pub struct VersionedGraph {
 impl VersionedGraph {
     /// Wrap `graph` as version 0 with an empty mutation log.
     pub fn new(graph: Arc<PartitionedGraph>) -> Self {
-        let adj = quotient_adjacency(&graph);
         let parts = graph.num_partitions();
         VersionedGraph {
             inner: Mutex::new(VgInner {
@@ -416,7 +412,6 @@ impl VersionedGraph {
                 last_reached: vec![0; parts],
                 fold_log: VecDeque::new(),
                 fold_log_since: 0,
-                adj,
                 pending_reach: None,
                 pending_touched: vec![0u64; parts.div_ceil(64).max(1)],
             }),
@@ -681,12 +676,13 @@ impl VersionedGraph {
                 .collect();
             Arc::new(PartitionedGraph::from_stores(next, old.plan().clone(), *old.config(), stores))
         };
-        let new_adj = quotient_adjacency(&graph);
 
         // Union closure: old ∪ new quotient arcs cover both "could reach the
         // deleted edge" and "can reach the inserted edge".
-        let old_adj = quotient_adjacency(&old);
-        let union: Vec<u64> = old_adj.iter().zip(&new_adj).map(|(a, b)| a | b).collect();
+        let mut union = quotient_adjacency(&old);
+        for (arcs, next_arcs) in union.iter_mut().zip(quotient_adjacency(&graph)) {
+            *arcs |= next_arcs;
+        }
         let reached =
             PartitionReachability::close(parts, &union).partitions_reaching(&dirty_partitions);
 
@@ -698,7 +694,6 @@ impl VersionedGraph {
             raised_edges,
             dirty_partitions,
             graph,
-            new_adj,
             reached,
             partitions_rematerialized: rematerialized,
             partitions_shared: parts - rematerialized,
@@ -722,7 +717,6 @@ impl VersionedGraph {
             raised_edges,
             dirty_partitions,
             graph,
-            new_adj,
             reached,
             partitions_rematerialized,
             partitions_shared,
@@ -759,7 +753,6 @@ impl VersionedGraph {
                     inner.fold_log_since = oldest;
                 }
             }
-            inner.adj = new_adj;
             inner.refresh_pending_reach();
             self.applied.notify_all();
         }

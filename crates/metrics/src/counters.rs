@@ -1,22 +1,20 @@
-//! Thread-safe work counters.
+//! Work counters: the baselines' shared atomics and the per-worker tallies
+//! an engine run sums.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters updated concurrently by engine worker threads.
+/// Counters updated concurrently by the baselines' query threads.
 ///
 /// All counters use relaxed atomics: they are statistics, not synchronisation.
+/// The ForkGraph engine does not use them: each of its workers tallies its
+/// own [`WorkerSnapshot`], and a run's totals are their sum
+/// ([`WorkSnapshot::from_workers`]).
 #[derive(Debug, Default)]
 pub struct WorkCounters {
     edges_processed: AtomicU64,
     operations_processed: AtomicU64,
-    operations_buffered: AtomicU64,
-    operations_pruned: AtomicU64,
-    partition_visits: AtomicU64,
-    yields: AtomicU64,
     iterations: AtomicU64,
     queries_completed: AtomicU64,
-    steals: AtomicU64,
-    idle_waits: AtomicU64,
 }
 
 impl WorkCounters {
@@ -37,38 +35,7 @@ impl WorkCounters {
         self.operations_processed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` operations entering a partition buffer (see
-    /// [`WorkSnapshot::operations_buffered`]).
-    #[inline]
-    pub fn add_buffered(&self, n: u64) {
-        self.operations_buffered.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record everything one query's share of one partition visit did, in one
-    /// go: the engine's visit loop accumulates a [`VisitWork`] in locals and
-    /// flushes it here once per (query, visit) instead of touching the shared
-    /// counters per operation.
-    #[inline]
-    pub fn add_visit(&self, work: &VisitWork) {
-        self.operations_processed.fetch_add(work.operations, Ordering::Relaxed);
-        self.edges_processed.fetch_add(work.edges, Ordering::Relaxed);
-        self.operations_pruned.fetch_add(work.pruned, Ordering::Relaxed);
-        self.operations_buffered.fetch_add(work.buffered, Ordering::Relaxed);
-    }
-
-    /// Record one scheduled partition visit.
-    #[inline]
-    pub fn add_partition_visit(&self) {
-        self.partition_visits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one yield (early termination of a query inside a partition).
-    #[inline]
-    pub fn add_yield(&self) {
-        self.yields.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one engine iteration (frontier step or partition drain).
+    /// Record one iteration (a frontier step).
     #[inline]
     pub fn add_iteration(&self) {
         self.iterations.fetch_add(1, Ordering::Relaxed);
@@ -80,51 +47,21 @@ impl WorkCounters {
         self.queries_completed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record one partition stolen from another worker's runnable set.
-    #[inline]
-    pub fn add_steal(&self) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one idle wait (a worker parked with no runnable partition).
-    #[inline]
-    pub fn add_idle_wait(&self) {
-        self.idle_waits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Take a consistent-enough snapshot of the counters.
     pub fn snapshot(&self) -> WorkSnapshot {
         WorkSnapshot {
             edges_processed: self.edges_processed.load(Ordering::Relaxed),
             operations_processed: self.operations_processed.load(Ordering::Relaxed),
-            operations_buffered: self.operations_buffered.load(Ordering::Relaxed),
-            operations_pruned: self.operations_pruned.load(Ordering::Relaxed),
-            partition_visits: self.partition_visits.load(Ordering::Relaxed),
-            yields: self.yields.load(Ordering::Relaxed),
             iterations: self.iterations.load(Ordering::Relaxed),
             queries_completed: self.queries_completed.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            idle_waits: self.idle_waits.load(Ordering::Relaxed),
-            workers: Vec::new(),
+            ..WorkSnapshot::default()
         }
     }
 }
 
-/// What one query's share of one partition visit did; see
-/// [`WorkCounters::add_visit`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VisitWork {
-    /// Operations executed.
-    pub operations: u64,
-    /// Edges relaxed/traversed.
-    pub edges: u64,
-    /// Executed operations that turned out stale or dominated (no edge work).
-    pub pruned: u64,
-    /// Operations emitted, each of which enters exactly one buffer.
-    pub buffered: u64,
-}
-
-/// Per-worker statistics of one engine run.
+/// One engine worker's own tally of a run. The worker is its only writer,
+/// so every field is a plain integer; [`WorkSnapshot::from_workers`] sums
+/// them into the run's totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerSnapshot {
     /// Worker index within the pool.
@@ -137,12 +74,23 @@ pub struct WorkerSnapshot {
     pub idle_waits: u64,
     /// Operations this worker executed.
     pub operations: u64,
+    /// Edges this worker's operations relaxed/traversed.
+    pub edges: u64,
+    /// Operations this worker executed that did no edge work.
+    pub pruned: u64,
+    /// Operations this worker's operations emitted, each of which enters
+    /// exactly one lane.
+    pub emitted: u64,
+    /// Yields this worker's lanes took.
+    pub yields: u64,
 }
 
-/// A point-in-time copy of [`WorkCounters`].
+/// The work totals of one run.
 ///
-/// For a ForkGraph engine run `workers` holds one entry per worker of the
-/// run, one-worker runs included; baselines leave it empty.
+/// For a ForkGraph engine run they are the sum of its workers' tallies and
+/// `workers` holds one entry per worker of the run, one-worker runs
+/// included ([`Self::from_workers`]); for a baseline they are a
+/// [`WorkCounters::snapshot`] and `workers` is empty.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
     /// Edges relaxed/traversed.
@@ -178,6 +126,26 @@ pub struct WorkSnapshot {
 }
 
 impl WorkSnapshot {
+    /// The totals of an engine run: the sum of its `workers`' tallies, with
+    /// `seeds` operations buffered before any worker ran and `queries`
+    /// queries completed.
+    pub fn from_workers(workers: Vec<WorkerSnapshot>, seeds: u64, queries: u64) -> WorkSnapshot {
+        let sum = |field: fn(&WorkerSnapshot) -> u64| workers.iter().map(field).sum::<u64>();
+        WorkSnapshot {
+            edges_processed: sum(|w| w.edges),
+            operations_processed: sum(|w| w.operations),
+            operations_buffered: seeds + sum(|w| w.emitted),
+            operations_pruned: sum(|w| w.pruned),
+            partition_visits: sum(|w| w.visits),
+            yields: sum(|w| w.yields),
+            iterations: 0,
+            queries_completed: queries,
+            steals: sum(|w| w.steals),
+            idle_waits: sum(|w| w.idle_waits),
+            workers,
+        }
+    }
+
     /// Element-wise sum of two snapshots (per-worker breakdowns concatenate).
     pub fn merge(&self, other: &WorkSnapshot) -> WorkSnapshot {
         let mut workers = self.workers.clone();
@@ -208,21 +176,39 @@ mod tests {
         c.add_edges(10);
         c.add_edges(5);
         c.add_operations(3);
-        c.add_partition_visit();
-        c.add_yield();
         c.add_iteration();
         c.add_queries_completed(2);
-        c.add_buffered(7);
-        c.add_visit(&VisitWork { operations: 2, edges: 4, pruned: 1, buffered: 3 });
         let s = c.snapshot();
-        assert_eq!(s.edges_processed, 19);
-        assert_eq!(s.operations_processed, 5);
-        assert_eq!(s.partition_visits, 1);
-        assert_eq!(s.yields, 1);
+        assert_eq!(s.edges_processed, 15);
+        assert_eq!(s.operations_processed, 3);
         assert_eq!(s.iterations, 1);
         assert_eq!(s.queries_completed, 2);
-        assert_eq!(s.operations_buffered, 10);
-        assert_eq!(s.operations_pruned, 1);
+    }
+
+    #[test]
+    fn worker_tallies_sum_to_the_run_totals() {
+        let a = WorkerSnapshot {
+            worker: 0,
+            visits: 2,
+            operations: 5,
+            edges: 9,
+            emitted: 4,
+            ..Default::default()
+        };
+        let b = WorkerSnapshot {
+            worker: 1,
+            steals: 1,
+            pruned: 2,
+            yields: 3,
+            idle_waits: 1,
+            ..Default::default()
+        };
+        let s = WorkSnapshot::from_workers(vec![a, b], 3, 2);
+        assert_eq!((s.edges_processed, s.operations_processed), (9, 5));
+        assert_eq!((s.operations_buffered, s.operations_pruned), (7, 2));
+        assert_eq!((s.partition_visits, s.yields, s.steals, s.idle_waits), (2, 3, 1, 1));
+        assert_eq!((s.iterations, s.queries_completed), (0, 2));
+        assert_eq!(s.workers, vec![a, b]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub mod pool;
 pub mod report;
 pub mod service;
 
-pub use counters::{VisitWork, WorkCounters, WorkSnapshot, WorkerSnapshot};
+pub use counters::{WorkCounters, WorkSnapshot, WorkerSnapshot};
 pub use measurement::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch, StorageNumbers};
 pub use pool::{PoolCounters, PoolSnapshot};
 pub use report::Table;

@@ -1,6 +1,6 @@
 //! Lifetime counters for a persistent executor worker pool.
 //!
-//! [`crate::WorkCounters`] measure *one* engine run; a persistent worker
+//! A [`crate::WorkSnapshot`] measures *one* engine run; a persistent worker
 //! pool (`forkgraph_core::WorkerPool`) lives across many runs, so its
 //! health is described by cross-run counters instead: how many OS threads
 //! were ever spawned (steady state must stop growing), how many runs were

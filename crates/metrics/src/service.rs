@@ -1,6 +1,6 @@
 //! Service-level metrics for the `fg-service` query-serving layer.
 //!
-//! The engine-side [`crate::WorkCounters`] measure one batch run; the serving
+//! The engine-side [`crate::WorkSnapshot`] measures one batch run; the serving
 //! layer needs cross-batch operational metrics instead: queue depth,
 //! admission/shed counts, batch occupancy (how many queries each consolidated
 //! engine run carried — the quantity the paper's batching thesis is about),

@@ -1,13 +1,14 @@
 //! Per-connection plumbing: one reader thread + one writer thread, joined by
 //! an outbox queue, multiplexing ticket resolutions back over the socket.
 //!
-//! The reader deserializes frames straight into [`Query`] builder calls and
-//! submits them through the shared [`ServiceHandle`] — the same admission
-//! control local callers face. Each admitted query's ticket pushes its
-//! `(correlation, outcome)` onto the outbox the moment it is fulfilled
-//! ([`Ticket::on_ready`]), so the writer answers **in completion order**,
-//! not submission order: a pipelined connection gets cache hits back while
-//! cold queries are still batching.
+//! The reader deserializes frames straight into [`fg_service::Query`]
+//! builder calls and submits them through the shared
+//! [`fg_service::ServiceHandle`] — the same admission control local callers
+//! face. Each admitted query's ticket pushes its `(correlation, outcome)`
+//! onto the outbox the moment it is fulfilled
+//! ([`fg_service::Ticket::on_ready`]), so the writer answers **in
+//! completion order**, not submission order: a pipelined connection gets
+//! cache hits back while cold queries are still batching.
 //!
 //! Saturation ([`ServiceError::Saturated`]) is answered with a retry-after
 //! frame and the connection stays open: backpressure sheds *queries*, never

@@ -2,7 +2,7 @@
 //! on one port.
 //!
 //! Each accepted socket is *sniffed*: a peer that opens with the 4-byte
-//! [`MAGIC`](crate::protocol::MAGIC) speaks the binary query protocol and
+//! [`MAGIC`] speaks the binary query protocol and
 //! gets a reader/writer thread pair ([`crate::conn`]); anything else is
 //! treated as an HTTP/1.1 scraper and answered by [`crate::http`]. One
 //! listener therefore serves queries, `/metrics`, `/healthz`, and `/trace`.

@@ -437,13 +437,16 @@ impl ServiceHandle {
     /// drain (drain stops admission, not the batcher) and after shutdown,
     /// which folds the log before the batcher exits.
     pub fn flush_mutations(&self) -> u64 {
+        let store = &self.shared.store;
         loop {
-            let version = self.shared.store.version();
-            if !self.shared.store.has_pending() {
-                return version;
+            let version = store.version();
+            if !store.has_pending() {
+                // Read again: a fold published between the two reads holds
+                // mutations the first read's version does not.
+                return store.version();
             }
             self.shared.work_ready.notify_all();
-            self.shared.store.wait_for_version(version + 1);
+            store.wait_for_version(version + 1);
         }
     }
 }

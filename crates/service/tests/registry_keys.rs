@@ -256,14 +256,6 @@ impl forkgraph_core::DynKernel for ShortChangedKernel {
         "short-changed"
     }
 
-    fn value_type(&self) -> std::any::TypeId {
-        std::any::TypeId::of::<u64>()
-    }
-
-    fn state_type(&self) -> std::any::TypeId {
-        std::any::TypeId::of::<Vec<u64>>()
-    }
-
     fn state_type_name(&self) -> &'static str {
         "Vec<u64>"
     }

@@ -50,5 +50,5 @@ pub mod sink;
 
 pub use event::{EventKind, TraceEvent};
 pub use expose::expose;
-pub use profile::{AtomicHistogram, Histogram, PhaseTimes, RunProfile};
+pub use profile::{Histogram, PhaseTimes, RunProfile};
 pub use sink::{ThreadEvents, TraceSink, TraceStats};

@@ -1,14 +1,14 @@
 //! Per-run profile summaries: phase wall times and work-shape histograms.
 //!
 //! A [`RunProfile`] is attached to engine run results when
-//! `EngineConfig::profile` is set. It is computed from cheap counters the
-//! run maintains anyway (phase stopwatch marks, one histogram record per
-//! partition visit) — **not** from the trace event stream — so profiles
+//! `EngineConfig::profile` is set. It is computed from what the run keeps
+//! anyway (phase stopwatch marks, the workers' own tallies) plus one plain
+//! [`Histogram`] per worker, recorded once per partition visit and merged
+//! when the run ends — **not** from the trace event stream — so profiles
 //! work with no [`TraceSink`](crate::TraceSink) attached and cost nothing
 //! when the flag is off.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `i` holds
@@ -49,6 +49,16 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
+    }
+
+    /// Add every sample of `other`, as if each had been recorded here.
+    pub fn merge(&mut self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
     }
 
     /// Number of samples.
@@ -96,40 +106,6 @@ impl fmt::Display for Histogram {
             }
         }
         Ok(())
-    }
-}
-
-/// A [`Histogram`] writable concurrently from many threads (relaxed
-/// atomics — per-run totals, not a synchronisation point).
-#[derive(Debug, Default)]
-pub struct AtomicHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// Record one sample.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
-    }
-
-    /// Materialise the current totals.
-    pub fn snapshot(&self) -> Histogram {
-        let mut h = Histogram {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            ..Histogram::default()
-        };
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            h.buckets[i] = bucket.load(Ordering::Relaxed);
-        }
-        h
     }
 }
 
@@ -235,25 +211,19 @@ mod tests {
     }
 
     #[test]
-    fn atomic_histogram_matches_serial_equivalent() {
-        let atomic = AtomicHistogram::default();
+    fn merging_a_split_stream_equals_recording_it_serially() {
+        let mut merged = Histogram::default();
         let mut serial = Histogram::default();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let atomic = &atomic;
-                scope.spawn(move || {
-                    for v in 0..64 {
-                        atomic.record(t * 64 + v);
-                    }
-                });
-            }
-        });
         for t in 0..4u64 {
+            let mut part = Histogram::default();
             for v in 0..64 {
+                part.record(t * 64 + v);
                 serial.record(t * 64 + v);
             }
+            merged.merge(&part);
         }
-        assert_eq!(atomic.snapshot(), serial);
+        merged.merge(&Histogram::default());
+        assert_eq!(merged, serial);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! cohorts shared one erased-payload pass, such a kernel could only ever run
 //! alone: submitted first, as here, it kept the whole batch to itself.)
 
-use std::any::TypeId;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,14 +35,6 @@ struct ReachKernel;
 impl DynKernel for ReachKernel {
     fn name(&self) -> &str {
         "reach"
-    }
-
-    fn value_type(&self) -> TypeId {
-        TypeId::of::<u32>()
-    }
-
-    fn state_type(&self) -> TypeId {
-        TypeId::of::<Reach>()
     }
 
     fn state_type_name(&self) -> &'static str {

@@ -32,6 +32,7 @@ use forkgraph::core::{FppKernel, Operation, YieldPolicy};
 use forkgraph::graph::gen;
 use forkgraph::graph::mutation::VersionedGraph;
 use forkgraph::graph::INF_DIST;
+use forkgraph::metrics::WorkerSnapshot;
 use forkgraph::prelude::*;
 use forkgraph::seq::bfs::bfs;
 use forkgraph::seq::ppr::{ppr_push, PprConfig};
@@ -92,7 +93,8 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
     }
 
     // Every run is the executor's, one worker included: each reports one
-    // entry per worker, and the entries account for all of the run's work.
+    // entry per worker, each worker counts only its own work, and the
+    // entries sum to the run's totals.
     for threads in [1, 2] {
         let config = EngineConfig::default().with_threads(threads);
         let result = ForkGraphEngine::new(&pg, config).run_sssp(sources);
@@ -102,10 +104,39 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
         }
         let work = result.work();
         assert_eq!(work.workers.len(), threads, "{label}: one entry per worker");
-        let visits: u64 = work.workers.iter().map(|w| w.visits).sum();
-        assert_eq!(visits, work.partition_visits, "{label}: visits");
-        let operations: u64 = work.workers.iter().map(|w| w.operations).sum();
-        assert_eq!(operations, work.operations_processed, "{label}: operations");
+        let sum = |field: fn(&WorkerSnapshot) -> u64| work.workers.iter().map(field).sum::<u64>();
+        let totals = [
+            ("edges", sum(|w| w.edges), work.edges_processed),
+            ("pruned", sum(|w| w.pruned), work.operations_pruned),
+            ("yields", sum(|w| w.yields), work.yields),
+            ("visits", sum(|w| w.visits), work.partition_visits),
+            ("steals", sum(|w| w.steals), work.steals),
+            ("idle waits", sum(|w| w.idle_waits), work.idle_waits),
+            ("operations", sum(|w| w.operations), work.operations_processed),
+            (
+                "seeds + emitted",
+                sources.len() as u64 + sum(|w| w.emitted),
+                work.operations_buffered,
+            ),
+        ];
+        for (field, summed, total) in totals {
+            assert_eq!(summed, total, "{label}: {field}");
+        }
+        if threads == 1 {
+            let only = &work.workers[0];
+            assert_eq!(
+                [only.edges, only.pruned, only.yields, only.visits, only.operations],
+                [
+                    work.edges_processed,
+                    work.operations_pruned,
+                    work.yields,
+                    work.partition_visits,
+                    work.operations_processed,
+                ],
+                "{label}: the one worker's tally is the run's"
+            );
+            assert_eq!((only.steals, only.idle_waits), (0, 0), "{label}: no one to steal from");
+        }
     }
 }
 
