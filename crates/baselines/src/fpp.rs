@@ -212,7 +212,6 @@ impl<E: GpsEngine> FppDriver<E> {
                 query_state_bytes: output_bytes as u64,
                 auxiliary_bytes: (self.graph.num_vertices() * 8) as u64,
             }),
-            storage: None,
         };
         FppResult { outputs, measurement }
     }

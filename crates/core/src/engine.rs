@@ -226,7 +226,7 @@ pub struct MultiRunResult {
     /// exactly what [`ForkGraphEngine::run_dyn`] produces for that group.
     pub per_group: Vec<Vec<ErasedState>>,
     /// Summed wall time and merged work counters of the groups' passes
-    /// (cache, memory and storage numbers are per pass and left unset).
+    /// (cache and memory numbers are per pass and left unset).
     pub measurement: Measurement,
 }
 
@@ -524,13 +524,6 @@ impl<'g> ForkGraphEngine<'g> {
                 // table only grows to the highest query that reached it).
                 auxiliary_bytes: (num_partitions * num_queries * 4) as u64,
             }),
-            storage: Some(fg_metrics::StorageNumbers {
-                compressed_partitions: self.pg.compressed_partitions() as u64,
-                total_partitions: num_partitions as u64,
-                payload_bytes_raw: self.pg.payload_bytes_raw() as u64,
-                payload_bytes_compressed: self.pg.payload_bytes_compressed() as u64,
-                bytes_per_edge: self.pg.bytes_per_edge(),
-            }),
         }
     }
 
@@ -805,9 +798,9 @@ mod tests {
             let result =
                 engine.run_incremental(&SsspKernel, &sources, prev.clone(), EdgeDelta::default());
             assert_eq!(result.per_query, prev);
-            let profile = result.profile.as_ref().expect("a profile was asked for");
-            assert_eq!(profile.partition_visits, 0);
-            assert_eq!(profile.workers as usize, threads);
+            assert!(result.profile.is_some(), "a profile was asked for");
+            assert_eq!(result.work().partition_visits, 0);
+            assert_eq!(result.work().workers.len(), threads);
             assert_eq!(result.work().operations_processed, 0);
             assert!(result.measurement.wall_time > Duration::ZERO, "{threads} workers");
         }

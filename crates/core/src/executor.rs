@@ -558,25 +558,13 @@ pub(crate) fn run<K: FppKernel>(
     let work = WorkSnapshot::from_workers(workers, num_seeds, num_queries as u64);
     let measurement = engine.build_measurement(watch.elapsed(), work, &tracer, num_queries);
     engine.emit_trace(EventKind::RunEnd, num_queries as u32, num_workers as u32, 0);
-    let profile = config.profile.then(|| {
-        let work = &measurement.work;
-        let mut steals_per_worker = Histogram::default();
-        for ws in &work.workers {
-            steals_per_worker.record(ws.steals);
-        }
-        RunProfile {
-            phases: PhaseTimes {
-                init: init_done,
-                processing: main_done.saturating_sub(init_done),
-                finalize: measurement.wall_time.saturating_sub(main_done),
-            },
-            workers: num_workers as u32,
-            partition_visits: work.partition_visits,
-            visit_ops,
-            steals_per_worker,
-            steals: work.steals,
-            yields: work.yields,
-        }
+    let profile = config.profile.then(|| RunProfile {
+        phases: PhaseTimes {
+            init: init_done,
+            processing: main_done.saturating_sub(init_done),
+            finalize: measurement.wall_time.saturating_sub(main_done),
+        },
+        visit_ops,
     });
     ForkGraphRunResult { per_query, measurement, profile }
 }

@@ -20,7 +20,7 @@
 //!   claim words and their resident per-query lanes) and per-worker runnable
 //!   queues return to a type-keyed arena after each run — one-worker runs of
 //!   an engine the pool is attached to included. Reuse vs rebuild is
-//!   counted in [`fg_metrics::PoolCounters`]. A worker's remote-routing
+//!   counted in the arena, under its lock. A worker's remote-routing
 //!   scratch is not: the job builds it per run, so nothing a failed run
 //!   staged can outlive it.
 //!
@@ -42,7 +42,7 @@ use std::thread::JoinHandle;
 use parking_lot::{Condvar, Mutex};
 
 use fg_graph::partition::PartitionId;
-use fg_metrics::{PoolCounters, PoolSnapshot};
+use fg_metrics::PoolSnapshot;
 use fg_trace::{EventKind, TraceSink};
 
 use crate::executor::Mailbox;
@@ -76,11 +76,16 @@ struct RecycleArena {
     queues: Vec<Mutex<Vec<PartitionId>>>,
     /// `TypeId::of::<V>() → Vec<Mailbox<V>>` (boxed for type erasure).
     mailboxes_by_type: HashMap<TypeId, Box<dyn Any + Send>>,
+    /// Partition mailboxes handed out from the arena, over the pool's life.
+    mailboxes_reused: u64,
+    /// Partition mailboxes built fresh, over the pool's life.
+    mailboxes_rebuilt: u64,
 }
 
 /// Dispatch protocol state, guarded by one mutex.
 struct DispatchState {
-    /// Bumped once per dispatched run; workers run each generation once.
+    /// Bumped once per dispatched run; workers run each generation once. It
+    /// is also the pool's dispatch count.
     generation: u64,
     /// Workers `0..active` participate in the current generation.
     active: usize,
@@ -93,6 +98,10 @@ struct DispatchState {
     panicked: bool,
     /// Set once, by [`WorkerPool::drop`]; workers exit their idle loop.
     shutdown: bool,
+    /// Times a worker parked between runs, over the pool's life.
+    parks: u64,
+    /// Times a worker woke from parking, over the pool's life.
+    unparks: u64,
 }
 
 struct PoolShared {
@@ -101,7 +110,6 @@ struct PoolShared {
     work_cv: Condvar,
     /// The dispatcher parks here until `remaining` hits zero.
     done_cv: Condvar,
-    counters: PoolCounters,
     recycle: Mutex<RecycleArena>,
     /// Optional trace sink; set once, first writer wins (a pool shared by
     /// several traced engines keeps the first sink attached).
@@ -137,10 +145,11 @@ impl WorkerPool {
                 job: None,
                 panicked: false,
                 shutdown: false,
+                parks: 0,
+                unparks: 0,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            counters: PoolCounters::new(),
             recycle: Mutex::new(RecycleArena::default()),
             trace: OnceLock::new(),
         });
@@ -155,9 +164,24 @@ impl WorkerPool {
         self.threads.lock().len()
     }
 
-    /// Lifetime counters: dispatches, park/unpark, reuse vs rebuild.
+    /// Lifetime figures: threads, dispatches, park/unpark, reuse vs rebuild.
+    /// The pool never retires a thread, so its capacity is the number it
+    /// ever spawned.
     pub fn metrics(&self) -> PoolSnapshot {
-        self.shared.counters.snapshot()
+        let threads_spawned = self.capacity() as u64;
+        let (dispatches, parks, unparks) = {
+            let state = self.shared.state.lock();
+            (state.generation, state.parks, state.unparks)
+        };
+        let arena = self.shared.recycle.lock();
+        PoolSnapshot {
+            threads_spawned,
+            dispatches,
+            parks,
+            unparks,
+            mailboxes_reused: arena.mailboxes_reused,
+            mailboxes_rebuilt: arena.mailboxes_rebuilt,
+        }
     }
 
     /// Attach a trace sink: dispatch epochs, storage recycling, and worker
@@ -182,7 +206,6 @@ impl WorkerPool {
                 .spawn(move || worker_body(shared, index))
                 .expect("failed to spawn fg-pool worker thread");
             threads.push(handle);
-            self.shared.counters.add_threads_spawned(1);
         }
     }
 
@@ -210,7 +233,6 @@ impl WorkerPool {
         state.remaining = active;
         state.generation += 1;
         state.panicked = false;
-        self.shared.counters.add_dispatch();
         self.shared.emit(EventKind::PoolDispatch, state.generation as u32, active as u32, 0);
         self.shared.work_cv.notify_all();
         while state.remaining > 0 {
@@ -242,8 +264,8 @@ impl WorkerPool {
             .map(|boxed| *boxed)
             .unwrap_or_default();
         let reused = mailboxes.len().min(num_partitions) as u64;
-        self.shared.counters.add_mailboxes_reused(reused);
-        self.shared.counters.add_mailboxes_rebuilt(num_partitions as u64 - reused);
+        arena.mailboxes_reused += reused;
+        arena.mailboxes_rebuilt += num_partitions as u64 - reused;
         self.shared.emit(
             EventKind::StorageRecycle,
             reused as u32,
@@ -330,10 +352,10 @@ fn worker_body(shared: Arc<PoolShared>, index: usize) {
                 if state.shutdown {
                     return;
                 }
-                shared.counters.add_park();
+                state.parks += 1;
                 shared.emit(EventKind::Park, index as u32, 0, 0);
                 shared.work_cv.wait(&mut state);
-                shared.counters.add_unpark();
+                state.unparks += 1;
                 shared.emit(EventKind::Unpark, index as u32, 0, 0);
             }
         };
@@ -393,6 +415,29 @@ mod tests {
         pool.dispatch(5, &|_| {});
         pool.dispatch(3, &|_| {});
         assert_eq!(pool.metrics().threads_spawned, 5);
+        assert_eq!(pool.metrics().threads_spawned, pool.capacity() as u64);
+        assert_eq!(pool.metrics().dispatches, 3);
+    }
+
+    #[test]
+    fn parked_workers_unpark_for_a_dispatch() {
+        let pool = WorkerPool::new(2);
+        // A worker counts a park before it waits and an unpark after, under
+        // the state lock: `parks - unparks` is the number waiting now.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let parked = || {
+            let m = pool.metrics();
+            m.parks - m.unparks
+        };
+        while parked() < 2 {
+            assert!(std::time::Instant::now() < deadline, "workers never parked");
+            std::thread::yield_now();
+        }
+        let before = pool.metrics();
+        pool.dispatch(2, &|_| {});
+        let after = pool.metrics();
+        assert!(after.unparks >= before.unparks + 2, "{before:?} -> {after:?}");
+        assert_eq!(after.dispatches, 1);
     }
 
     #[test]

@@ -162,8 +162,8 @@ fn erased_random_walks_are_byte_identical_across_storage_modes() {
 /// On a graph whose adjacency dwarfs the simulated LLC, compressed partition
 /// storage **strictly reduces** simulated misses — each visit streams the
 /// (much smaller) encoded byte range instead of the raw CSR lines — while
-/// producing byte-identical results, and the storage numbers flow through
-/// the measurement.
+/// producing byte-identical results, and the two stores report their
+/// storage numbers.
 #[test]
 fn compressed_storage_strictly_reduces_simulated_misses() {
     let graph = Arc::new(fg_graph::gen::rmat(11, 12, 53).with_random_weights(8, 53));
@@ -190,12 +190,10 @@ fn compressed_storage_strictly_reduces_simulated_misses() {
         "compressed storage must reduce simulated misses: {comp_misses} vs {raw_misses} raw"
     );
 
-    let storage = comp_run.measurement.storage.expect("partition store attached");
-    assert_eq!((storage.compressed_partitions, storage.total_partitions), (8, 8));
-    assert!(storage.payload_bytes_compressed > 0);
-    let raw_storage = raw_run.measurement.storage.expect("partition store attached");
-    assert_eq!(raw_storage.compressed_partitions, 0);
-    assert!(storage.bytes_per_edge < raw_storage.bytes_per_edge);
+    assert_eq!((compressed.compressed_partitions(), compressed.num_partitions()), (8, 8));
+    assert!(compressed.payload_bytes_compressed() > 0);
+    assert_eq!(raw.compressed_partitions(), 0);
+    assert!(compressed.bytes_per_edge() < raw.bytes_per_edge());
 }
 
 #[test]

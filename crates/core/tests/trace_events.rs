@@ -211,22 +211,12 @@ fn profile_is_attached_iff_requested_and_matches_the_counters() {
         let on = ForkGraphEngine::new(&pg, base.with_profile(true)).run_sssp(&sources);
         let profile = on.profile.as_ref().expect("profile requested");
         let work = on.work();
-        assert_eq!(profile.partition_visits, work.partition_visits, "{mode:?}");
         assert_eq!(profile.visit_ops.count(), work.partition_visits, "{mode:?}");
-        assert_eq!(profile.steals, work.steals, "{mode:?}");
-        assert_eq!(profile.yields, work.yields, "{mode:?}");
-        assert_eq!(profile.workers as usize, threads, "{mode:?}");
         assert!(
             profile.phases.total() <= on.measurement.wall_time,
             "{mode:?}: phases partition the measured wall time"
         );
         assert_eq!(work.workers.len(), threads, "{mode:?}");
-        assert_eq!(
-            profile.steals_per_worker.count(),
-            work.workers.len() as u64,
-            "{mode:?}: one steal sample per worker"
-        );
-        assert_eq!(profile.steals_per_worker.sum(), work.steals, "{mode:?}");
         // Profiles must not change results.
         assert_eq!(off.per_query, on.per_query, "{mode:?}");
 

@@ -15,7 +15,7 @@ pub mod report;
 pub mod service;
 
 pub use counters::{WorkCounters, WorkSnapshot, WorkerSnapshot};
-pub use measurement::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch, StorageNumbers};
-pub use pool::{PoolCounters, PoolSnapshot};
+pub use measurement::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch};
+pub use pool::PoolSnapshot;
 pub use report::Table;
-pub use service::{BatchRecord, ServiceCounters, ServiceSnapshot};
+pub use service::{BatchRecord, LatencyReservoir, ServiceSnapshot};

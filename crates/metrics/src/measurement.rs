@@ -45,23 +45,6 @@ impl MemoryEstimate {
     }
 }
 
-/// Partition-storage numbers of one run: how many partitions hold compressed
-/// (delta/varint) adjacency payloads and what the stored bytes amount to,
-/// relative to the raw CSR-equivalent encoding.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StorageNumbers {
-    /// Partitions stored as compressed delta/varint payloads.
-    pub compressed_partitions: u64,
-    /// Total partitions in the store.
-    pub total_partitions: u64,
-    /// Adjacency bytes of raw-stored partitions (CSR-equivalent form).
-    pub payload_bytes_raw: u64,
-    /// Encoded adjacency bytes of compressed partitions.
-    pub payload_bytes_compressed: u64,
-    /// Mean stored adjacency bytes per edge across all partitions.
-    pub bytes_per_edge: f64,
-}
-
 /// One engine run's results.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Measurement {
@@ -75,8 +58,6 @@ pub struct Measurement {
     pub cache: Option<CacheNumbers>,
     /// Approximate memory consumption.
     pub memory: Option<MemoryEstimate>,
-    /// Partition-storage numbers (engines with a partition store only).
-    pub storage: Option<StorageNumbers>,
 }
 
 impl Measurement {

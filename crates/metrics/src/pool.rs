@@ -1,84 +1,18 @@
-//! Lifetime counters for a persistent executor worker pool.
+//! Lifetime figures of a persistent executor worker pool.
 //!
 //! A [`crate::WorkSnapshot`] measures *one* engine run; a persistent worker
 //! pool (`forkgraph_core::WorkerPool`) lives across many runs, so its
-//! health is described by cross-run counters instead: how many OS threads
+//! health is described by cross-run figures instead: how many OS threads
 //! were ever spawned (steady state must stop growing), how many runs were
 //! dispatched, how often workers parked/woke between runs, and how often the
 //! partition mailboxes a run needs were recycled from the pool's arena versus
-//! built fresh.
+//! built fresh. The pool keeps each figure next to the state it describes,
+//! under the lock that state already has, and reads them out as a
+//! [`PoolSnapshot`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters of a persistent worker pool. All relaxed atomics: they are
-/// statistics, not synchronisation.
-#[derive(Debug, Default)]
-pub struct PoolCounters {
-    threads_spawned: AtomicU64,
-    dispatches: AtomicU64,
-    parks: AtomicU64,
-    unparks: AtomicU64,
-    mailboxes_reused: AtomicU64,
-    mailboxes_rebuilt: AtomicU64,
-}
-
-impl PoolCounters {
-    /// Create zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` OS worker threads spawned (pool creation or growth).
-    #[inline]
-    pub fn add_threads_spawned(&self, n: u64) {
-        self.threads_spawned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one run dispatched onto the pool.
-    #[inline]
-    pub fn add_dispatch(&self) {
-        self.dispatches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one worker parking between runs.
-    #[inline]
-    pub fn add_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one worker waking up for a dispatched run.
-    #[inline]
-    pub fn add_unpark(&self) {
-        self.unparks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` partition mailboxes recycled from the pool arena.
-    #[inline]
-    pub fn add_mailboxes_reused(&self, n: u64) {
-        self.mailboxes_reused.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` partition mailboxes built fresh for a run.
-    #[inline]
-    pub fn add_mailboxes_rebuilt(&self, n: u64) {
-        self.mailboxes_rebuilt.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            dispatches: self.dispatches.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            unparks: self.unparks.load(Ordering::Relaxed),
-            mailboxes_reused: self.mailboxes_reused.load(Ordering::Relaxed),
-            mailboxes_rebuilt: self.mailboxes_rebuilt.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Immutable snapshot of [`PoolCounters`].
+/// Point-in-time figures of a persistent worker pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolSnapshot {
     /// OS worker threads ever spawned by the pool. Flat in steady state:
@@ -134,28 +68,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
-        let c = PoolCounters::new();
-        c.add_threads_spawned(4);
-        c.add_dispatch();
-        c.add_dispatch();
-        c.add_park();
-        c.add_unpark();
-        c.add_mailboxes_reused(10);
-        c.add_mailboxes_rebuilt(2);
-        let s = c.snapshot();
-        assert_eq!(s.threads_spawned, 4);
-        assert_eq!(s.dispatches, 2);
-        assert_eq!(s.parks, 1);
-        assert_eq!(s.unparks, 1);
-        assert_eq!(s.mailboxes_reused, 10);
-        assert_eq!(s.mailboxes_rebuilt, 2);
-        assert!((s.mailbox_reuse_rate() - 10.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_snapshot_reuse_rate_is_zero() {
-        let s = PoolCounters::new().snapshot();
+        let s = PoolSnapshot::default();
         assert_eq!(s.mailbox_reuse_rate(), 0.0);
         assert!(!s.mailbox_reuse_rate().is_nan());
     }
@@ -176,20 +90,5 @@ mod tests {
         let text = format!("{populated}");
         assert!(text.contains("4 threads spawned"), "{text}");
         assert!(text.contains("mailboxes 10/12 (83.3%)"), "{text}");
-    }
-
-    #[test]
-    fn counters_are_thread_safe() {
-        let c = PoolCounters::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..500 {
-                        c.add_dispatch();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().dispatches, 2000);
     }
 }

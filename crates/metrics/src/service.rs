@@ -6,21 +6,17 @@
 //! engine run carried — the quantity the paper's batching thesis is about),
 //! result-cache hit rate, and end-to-end submit→result latency percentiles.
 //!
-//! All counters are lock-free atomics so the submit path stays cheap; the
-//! latency recorder keeps a bounded reservoir behind a mutex taken once per
-//! completed query.
+//! The service counts these itself, in plain fields under the queue lock it
+//! already takes for the work being counted; this module holds the shapes it
+//! reports them in and the bounded [`LatencyReservoir`] the percentiles come
+//! from.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Maximum number of latency samples retained; beyond this the recorder
 /// overwrites pseudo-randomly (bounded-memory reservoir).
 const LATENCY_RESERVOIR: usize = 4096;
-
-/// Maximum number of per-batch sizing records retained (bounded ring).
-const BATCH_RECORD_RING: usize = 1024;
 
 /// One dispatched batch's sizing decision: how many queries the batch
 /// carried and how many engine workers the adaptive policy chose for it.
@@ -43,189 +39,47 @@ pub struct BatchRecord {
     pub kernels_in_run: u32,
 }
 
-/// Live counters of a running service. Shared between the submit path, the
-/// batcher thread, and observers via `Arc`.
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    /// Queries offered to `submit` (admitted + rejected).
-    pub submitted: AtomicU64,
-    /// Queries accepted into the pending queue.
-    pub admitted: AtomicU64,
-    /// Queries refused with a backpressure error (queue saturated).
-    pub rejected: AtomicU64,
-    /// Queries answered straight from the result cache.
-    pub cache_hits: AtomicU64,
-    /// Queries that missed the result cache (went to the engine).
-    pub cache_misses: AtomicU64,
-    /// Consolidated engine runs dispatched.
-    pub batches_dispatched: AtomicU64,
-    /// Total queries carried by dispatched batches.
-    pub queries_batched: AtomicU64,
-    /// Largest single-batch occupancy observed.
-    pub max_batch_occupancy: AtomicU64,
-    /// Current pending-queue depth.
-    pub queue_depth: AtomicU64,
-    /// High-water mark of the pending queue.
-    pub max_queue_depth: AtomicU64,
-    /// Largest worker count any dispatched batch ran with.
-    pub max_batch_workers: AtomicU64,
-    /// Dispatched batches that carried ≥ 2 distinct kernel cohorts.
-    pub mixed_runs: AtomicU64,
-    /// Cached answers found stale at lookup: a mutation since the graph
-    /// version they were computed at could reach their source.
-    pub cache_invalidations: AtomicU64,
-    /// Engine passes that resumed from cached answers across an edge delta
-    /// instead of running the kernel from scratch.
-    pub incremental_runs: AtomicU64,
-    latencies: Mutex<Vec<Duration>>,
-    latency_count: AtomicU64,
-    /// Ring of recent per-batch sizing decisions (bounded).
-    batch_records: Mutex<Vec<BatchRecord>>,
-    batch_record_count: AtomicU64,
+/// A bounded reservoir of submit→result latencies. It has no lock of its
+/// own: its owner keeps it under the lock it counts under.
+#[derive(Clone, Debug, Default)]
+pub struct LatencyReservoir {
+    samples: Vec<Duration>,
+    recorded: usize,
 }
 
-impl ServiceCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one admitted submission and the resulting queue depth.
-    pub fn on_admit(&self, depth_after: usize) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.store(depth_after as u64, Ordering::Relaxed);
-        self.max_queue_depth.fetch_max(depth_after as u64, Ordering::Relaxed);
-    }
-
-    /// Record one submission shed by admission control.
-    pub fn on_reject(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cache hit (the query never enters the queue).
-    pub fn on_cache_hit(&self) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cache miss for an admitted query.
-    pub fn on_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a dispatched batch of `occupancy` queries, and the queue depth
-    /// left behind.
-    pub fn on_batch(&self, occupancy: usize, depth_after: usize) {
-        self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
-        self.queries_batched.fetch_add(occupancy as u64, Ordering::Relaxed);
-        self.max_batch_occupancy.fetch_max(occupancy as u64, Ordering::Relaxed);
-        self.queue_depth.store(depth_after as u64, Ordering::Relaxed);
-    }
-
-    /// Record the worker count the adaptive sizing policy chose for one
-    /// dispatched run of `batch_size` queries across `kernels_in_run`
-    /// cohorts, led by kernel `kernel_id`.
-    pub fn on_batch_workers(
-        &self,
-        batch_size: usize,
-        workers: usize,
-        kernel_id: u64,
-        kernels_in_run: usize,
-    ) {
-        self.max_batch_workers.fetch_max(workers as u64, Ordering::Relaxed);
-        if kernels_in_run >= 2 {
-            self.mixed_runs.fetch_add(1, Ordering::Relaxed);
-        }
-        let record = BatchRecord {
-            batch_size: batch_size as u32,
-            workers: workers as u32,
-            kernel_id,
-            kernels_in_run: kernels_in_run as u32,
-        };
-        let n = self.batch_record_count.fetch_add(1, Ordering::Relaxed) as usize;
-        let mut ring = self.batch_records.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() < BATCH_RECORD_RING {
-            ring.push(record);
-        } else {
-            ring[n % BATCH_RECORD_RING] = record;
-        }
-    }
-
-    /// The retained per-batch sizing records (bounded ring; oldest entries
-    /// are overwritten once `BATCH_RECORD_RING` batches have been seen).
-    pub fn batch_records(&self) -> Vec<BatchRecord> {
-        self.batch_records.lock().unwrap_or_else(|p| p.into_inner()).clone()
-    }
-
-    /// Record `count` cached answers found stale at lookup.
-    pub fn on_cache_invalidations(&self, count: usize) {
-        self.cache_invalidations.fetch_add(count as u64, Ordering::Relaxed);
-    }
-
-    /// Record one engine run that restarted from a delta frontier instead of
-    /// recomputing from scratch.
-    pub fn on_incremental_run(&self) {
-        self.incremental_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
+impl LatencyReservoir {
     /// Record one query's end-to-end (submit → result available) latency.
-    pub fn record_latency(&self, latency: Duration) {
-        let n = self.latency_count.fetch_add(1, Ordering::Relaxed) as usize;
-        let mut samples = self.latencies.lock().unwrap_or_else(|p| p.into_inner());
-        if samples.len() < LATENCY_RESERVOIR {
-            samples.push(latency);
+    pub fn record(&mut self, latency: Duration) {
+        let n = self.recorded;
+        self.recorded = n.wrapping_add(1);
+        if self.samples.len() < LATENCY_RESERVOIR {
+            self.samples.push(latency);
         } else {
             // Cheap deterministic "random" slot: low bits of a Weyl sequence
             // over the sample index keep the reservoir representative enough
             // for p50/p99 without an RNG dependency.
             let slot = (n.wrapping_mul(0x9E37_79B9)) % LATENCY_RESERVOIR;
-            samples[slot] = latency;
+            self.samples[slot] = latency;
         }
     }
 
-    /// Point-in-time snapshot of every counter. The graph-store fields of
-    /// [`ServiceSnapshot`] (mutations applied and the epoch figures) are left
-    /// zero: the store owns them, and the service fills them in from it.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        let samples = {
-            let guard = self.latencies.lock().unwrap_or_else(|p| p.into_inner());
-            let mut s: Vec<Duration> = guard.clone();
-            s.sort_unstable();
-            s
-        };
+    /// `(p50, p99, samples retained)`; zero durations when empty. Consumes
+    /// the reservoir to sort it: an owner under a lock clones it out first.
+    pub fn percentiles(self) -> (Duration, Duration, u64) {
+        let mut samples = self.samples;
+        samples.sort_unstable();
         let percentile = |p: f64| -> Duration {
             if samples.is_empty() {
                 Duration::ZERO
             } else {
-                let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-                samples[idx]
+                samples[((samples.len() - 1) as f64 * p).round() as usize]
             }
         };
-        ServiceSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            queries_batched: self.queries_batched.load(Ordering::Relaxed),
-            max_batch_occupancy: self.max_batch_occupancy.load(Ordering::Relaxed),
-            max_batch_workers: self.max_batch_workers.load(Ordering::Relaxed),
-            mixed_runs: self.mixed_runs.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            incremental_runs: self.incremental_runs.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            latency_p50: percentile(0.50),
-            latency_p99: percentile(0.99),
-            latency_samples: samples.len() as u64,
-            ..ServiceSnapshot::default()
-        }
+        (percentile(0.50), percentile(0.99), samples.len() as u64)
     }
 }
 
-/// Immutable snapshot of a service's metrics: its [`ServiceCounters`] plus
+/// Immutable snapshot of a service's metrics: the service's own counts plus
 /// the figures its graph store keeps (`mutations_applied` and the epoch
 /// fields).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -374,44 +228,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
-        let c = ServiceCounters::new();
-        c.on_cache_hit();
-        c.on_admit(1);
-        c.on_cache_miss();
-        c.on_admit(2);
-        c.on_cache_miss();
-        c.on_reject();
-        c.on_batch(2, 0);
-        let s = c.snapshot();
-        assert_eq!(s.submitted, 4);
-        assert_eq!(s.admitted, 2);
-        assert_eq!(s.rejected, 1);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_misses, 2);
-        assert_eq!(s.batches_dispatched, 1);
-        assert_eq!(s.queries_batched, 2);
-        assert_eq!(s.max_batch_occupancy, 2);
-        assert_eq!(s.max_queue_depth, 2);
-        assert_eq!(s.queue_depth, 0);
-        assert!((s.mean_batch_occupancy() - 2.0).abs() < 1e-12);
-        assert!((s.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mutation_counters_accumulate() {
-        let c = ServiceCounters::new();
-        c.on_cache_invalidations(7);
-        c.on_incremental_run();
-        let s = c.snapshot();
-        assert_eq!(s.cache_invalidations, 7);
-        assert_eq!(s.incremental_runs, 1);
-        assert_eq!(s.mutations_applied, 0, "the graph store counts folds, not the counters");
-        let text = format!("{s}");
-        assert!(text.contains("7 invalidations, 1 incremental runs"), "{text}");
-    }
-
-    #[test]
     fn epoch_fields_render_with_their_dirty_rate() {
         let s = ServiceSnapshot {
             mutations_applied: 5,
@@ -432,78 +248,44 @@ mod tests {
 
     #[test]
     fn latency_percentiles_are_ordered() {
-        let c = ServiceCounters::new();
+        let mut r = LatencyReservoir::default();
         for ms in 1..=100u64 {
-            c.record_latency(Duration::from_millis(ms));
+            r.record(Duration::from_millis(ms));
         }
-        let s = c.snapshot();
-        assert_eq!(s.latency_samples, 100);
-        assert!(s.latency_p50 >= Duration::from_millis(45));
-        assert!(s.latency_p50 <= Duration::from_millis(55));
-        assert!(s.latency_p99 >= s.latency_p50);
-        assert!(s.latency_p99 >= Duration::from_millis(95));
+        let (p50, p99, samples) = r.percentiles();
+        assert_eq!(samples, 100);
+        assert!(p50 >= Duration::from_millis(45));
+        assert!(p50 <= Duration::from_millis(55));
+        assert!(p99 >= p50);
+        assert!(p99 >= Duration::from_millis(95));
     }
 
     #[test]
     fn latency_reservoir_is_bounded() {
-        let c = ServiceCounters::new();
+        let mut r = LatencyReservoir::default();
         for i in 0..10_000u64 {
-            c.record_latency(Duration::from_micros(i));
+            r.record(Duration::from_micros(i));
         }
-        let s = c.snapshot();
-        assert!(s.latency_samples <= LATENCY_RESERVOIR as u64);
-        assert!(s.latency_p99 >= s.latency_p50);
+        let (p50, p99, samples) = r.percentiles();
+        assert_eq!(samples, LATENCY_RESERVOIR as u64);
+        assert!(p99 >= p50);
     }
 
     #[test]
-    fn batch_records_are_retained_and_bounded() {
-        let c = ServiceCounters::new();
-        c.on_batch_workers(2, 1, 1, 1);
-        c.on_batch_workers(64, 8, 17, 3);
-        let records = c.batch_records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[0],
-            BatchRecord { batch_size: 2, workers: 1, kernel_id: 1, kernels_in_run: 1 }
-        );
-        assert_eq!(
-            records[1],
-            BatchRecord { batch_size: 64, workers: 8, kernel_id: 17, kernels_in_run: 3 }
-        );
-        assert_eq!(c.snapshot().max_batch_workers, 8);
-        for _ in 0..2 * BATCH_RECORD_RING {
-            c.on_batch_workers(4, 2, 1, 1);
-        }
-        assert_eq!(c.batch_records().len(), BATCH_RECORD_RING);
-    }
-
-    #[test]
-    fn mixed_run_rate_counts_multi_cohort_runs() {
-        let c = ServiceCounters::new();
-        assert_eq!(c.snapshot().mixed_run_rate(), 0.0, "no runs yet");
-        c.on_batch(3, 0);
-        c.on_batch_workers(3, 2, 1, 1);
-        c.on_batch(5, 0);
-        c.on_batch_workers(5, 2, 1, 2);
-        c.on_batch(6, 0);
-        c.on_batch_workers(6, 4, 9, 3);
-        let s = c.snapshot();
-        assert_eq!(s.mixed_runs, 2);
-        assert_eq!(s.batches_dispatched, 3);
+    fn mixed_run_rate_is_multi_cohort_runs_over_batches() {
+        let s = ServiceSnapshot { mixed_runs: 2, batches_dispatched: 3, ..Default::default() };
         assert!((s.mixed_run_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert!(format!("{s}").contains("2 mixed batches (66.7% of batches)"), "{s}");
     }
 
     #[test]
-    fn empty_snapshot_is_zero() {
-        let s = ServiceCounters::new().snapshot();
-        assert_eq!(s.latency_p50, Duration::ZERO);
+    fn empty_reservoir_is_zero() {
+        assert_eq!(LatencyReservoir::default().percentiles(), (Duration::ZERO, Duration::ZERO, 0));
+        let s = ServiceSnapshot::default();
         assert_eq!(s.mean_batch_occupancy(), 0.0);
         assert_eq!(s.cache_hit_rate(), 0.0);
     }
 
-    /// Pins the zero-denominator contract of every rate accessor: a
-    /// fresh/idle service must report clean zeros, never NaN (NaN poisons
-    /// comparisons, JSON serialisation, and the Prometheus exposition).
     #[test]
     fn rate_accessors_return_zero_not_nan_on_zero_denominators() {
         let s = ServiceSnapshot::default();

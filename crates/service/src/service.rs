@@ -32,7 +32,7 @@ use parking_lot::{Condvar, Mutex};
 use fg_graph::mutation::{EdgeDelta, EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Edge, VertexId};
-use fg_metrics::{BatchRecord, PoolSnapshot, ServiceCounters, ServiceSnapshot};
+use fg_metrics::{BatchRecord, LatencyReservoir, PoolSnapshot, ServiceSnapshot};
 use fg_trace::{EventKind, TraceSink};
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, IncrementalKernel, WorkerPool};
@@ -162,6 +162,9 @@ impl From<RegistryError> for ServiceError {
     }
 }
 
+/// Maximum number of per-batch sizing records retained (bounded ring).
+const BATCH_RECORD_RING: usize = 1024;
+
 /// One admitted query, resolved and keyed, waiting in the pending queue.
 struct Pending {
     resolved: ResolvedKernel,
@@ -184,13 +187,20 @@ struct Inner {
     /// the batcher — a front door can stop admitting, let every in-flight
     /// ticket resolve, and only then tear the service down.
     draining: bool,
+    /// The service's counts, each taken under this lock. The `submitted`,
+    /// queue-depth, latency and graph-store fields stay zero:
+    /// [`Shared::metrics`] fills them in.
+    counts: ServiceSnapshot,
+    /// Submit→result latency of every answered query, cache hits included.
+    latencies: LatencyReservoir,
+    /// The last [`BATCH_RECORD_RING`] batches' sizing decisions, oldest first.
+    batch_records: VecDeque<BatchRecord>,
 }
 
 struct Shared {
     inner: Mutex<Inner>,
     /// Signalled on every submission and on shutdown; the batcher waits here.
     work_ready: Condvar,
-    counters: ServiceCounters,
     /// Answers with the graph version they were computed at. An entry stays
     /// until the LRU evicts it: the store says at lookup whether it is still
     /// fresh, and a stale one is the restart hint of its key's next run.
@@ -225,18 +235,28 @@ impl Shared {
         self.trace.as_ref().map_or(0, |trace| trace.next_id())
     }
 
-    /// The service counters, with the fold and epoch figures read from the
-    /// store that owns them.
+    /// The service's counts and queue depth, with the fold and epoch figures
+    /// read from the store that owns them.
     fn metrics(&self) -> ServiceSnapshot {
         let epochs = self.store.epoch_stats();
+        let (counts, latencies, queue_depth) = {
+            let inner = self.inner.lock();
+            (inner.counts, inner.latencies.clone(), inner.queue.len() as u64)
+        };
+        let (latency_p50, latency_p99, latency_samples) = latencies.percentiles();
         ServiceSnapshot {
+            submitted: counts.admitted + counts.rejected + counts.cache_hits,
+            queue_depth,
+            latency_p50,
+            latency_p99,
+            latency_samples,
             mutations_applied: epochs.mutations_applied,
             epochs_advanced: epochs.epochs_advanced,
             partitions_rematerialized: epochs.partitions_rematerialized,
             partitions_shared: epochs.partitions_shared,
             snapshots_reclaimed: epochs.snapshots_reclaimed,
             oldest_pinned_epoch_lag: epochs.oldest_pinned_epoch_lag,
-            ..self.counters.snapshot()
+            ..counts
         }
     }
 }
@@ -278,35 +298,42 @@ impl ServiceHandle {
         // answers that in one lock section with publication, so a mutation
         // acknowledged before this call is seen either pending or folded — a
         // stale hit has no window. A stale entry stays: the batcher resumes
-        // this key's run from it.
+        // this key's run from it. The three locks (cache, store, queue) are
+        // taken one after another, never nested.
+        let mut stale = false;
         if shared.config.cache_capacity > 0 {
             let cache_key = CacheKey { key: batch_key.clone(), source };
             let entry = shared.cache.lock().get(&cache_key).cloned();
             if let Some((version, result)) = entry {
                 if !shared.store.changed_since(version, source) {
-                    shared.counters.on_cache_hit();
-                    shared.counters.record_latency(Duration::ZERO);
+                    let mut inner = shared.inner.lock();
+                    inner.counts.cache_hits += 1;
+                    inner.latencies.record(Duration::ZERO);
+                    drop(inner);
                     shared.emit(EventKind::CacheHit, trace_id, resolved.id.as_u64() as u32, 0);
                     return Ok(Ticket::ready(Ok(result)));
                 }
-                shared.counters.on_cache_invalidations(1);
+                stale = true;
             }
         }
 
         let mut inner = shared.inner.lock();
+        inner.counts.cache_invalidations += u64::from(stale);
         if inner.shutdown || inner.draining {
             return Err(ServiceError::ShuttingDown);
         }
         let depth = inner.queue.len();
         if depth >= shared.config.max_queue_depth {
-            shared.counters.on_reject();
+            inner.counts.rejected += 1;
             return Err(ServiceError::Saturated {
                 queue_depth: depth,
                 capacity: shared.config.max_queue_depth,
             });
         }
-        shared.counters.on_cache_miss();
-        shared.counters.on_admit(depth + 1);
+        let counts = &mut inner.counts;
+        counts.cache_misses += 1;
+        counts.admitted += 1;
+        counts.max_queue_depth = counts.max_queue_depth.max(depth as u64 + 1);
         shared.emit(EventKind::Enqueue, trace_id, (depth + 1) as u32, 0);
         let slot = Slot::new();
         inner.queue.push_back(Pending {
@@ -532,9 +559,15 @@ impl ForkGraphService {
             store = store.with_trace(Arc::clone(sink));
         }
         let shared = Arc::new(Shared {
-            inner: Mutex::new(Inner { queue: VecDeque::new(), shutdown: false, draining: false }),
+            inner: Mutex::new(Inner {
+                queue: VecDeque::new(),
+                shutdown: false,
+                draining: false,
+                counts: ServiceSnapshot::default(),
+                latencies: LatencyReservoir::default(),
+                batch_records: VecDeque::with_capacity(BATCH_RECORD_RING),
+            }),
             work_ready: Condvar::new(),
-            counters: ServiceCounters::new(),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             registry,
             config,
@@ -587,7 +620,7 @@ impl ForkGraphService {
     /// each dispatched batch carried, the worker count the adaptive policy
     /// chose for it, and the kernel registration it ran.
     pub fn batch_records(&self) -> Vec<BatchRecord> {
-        self.shared.counters.batch_records()
+        self.shared.inner.lock().batch_records.iter().copied().collect()
     }
 
     /// The service's observability surface: the trace sink plus ready-made
@@ -641,7 +674,7 @@ impl Drop for ForkGraphService {
 /// A traced service's observability surface, detached from the service's
 /// lifetime. Obtained from [`ForkGraphService::trace_handle`]; stays valid —
 /// serving its last recorded state — after the service shuts down. It holds
-/// the sink, the pool and the service's whole shared state (counters, graph
+/// the sink, the pool and the service's whole shared state (counts, graph
 /// store, queue and answer cache), so a handle kept past shutdown keeps that
 /// memory alive too.
 #[derive(Clone)]
@@ -726,7 +759,10 @@ fn batcher_loop(
                 }
             }
             if total > 0 {
-                shared.counters.on_batch(total, inner.queue.len());
+                let counts = &mut inner.counts;
+                counts.batches_dispatched += 1;
+                counts.queries_batched += total as u64;
+                counts.max_batch_occupancy = counts.max_batch_occupancy.max(total as u64);
             }
             cohorts
         };
@@ -792,12 +828,21 @@ fn batcher_loop(
         // when parallel.
         let total: usize = passes.iter().map(|pass| pass.members.len()).sum();
         let workers = adaptive::effective_workers(total, num_partitions, max_workers);
-        shared.counters.on_batch_workers(
-            total,
-            workers,
-            passes[0].members[0].resolved.id.as_u64(),
-            kernels_in_run,
-        );
+        let record = BatchRecord {
+            batch_size: total as u32,
+            workers: workers as u32,
+            kernel_id: passes[0].members[0].resolved.id.as_u64(),
+            kernels_in_run: kernels_in_run as u32,
+        };
+        {
+            let mut inner = shared.inner.lock();
+            inner.counts.max_batch_workers = inner.counts.max_batch_workers.max(workers as u64);
+            inner.counts.mixed_runs += u64::from(kernels_in_run >= 2);
+            if inner.batch_records.len() == BATCH_RECORD_RING {
+                inner.batch_records.pop_front();
+            }
+            inner.batch_records.push_back(record);
+        }
         let batch_config = engine_config.with_threads(workers);
         // One pin per batch: the guard keeps this epoch's snapshot alive for
         // exactly the engine's lifetime — every pass of the batch reads the
@@ -827,6 +872,7 @@ fn batcher_loop(
         // batch's tickets, and keep serving (submit-time validation makes
         // this unreachable for the known panic class of bad sources, but
         // registered kernels are user code).
+        let mut incremental_runs = 0;
         let per_pass_states = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             passes
                 .iter()
@@ -842,7 +888,7 @@ fn batcher_loop(
                     };
                     match resumed {
                         Some(states) => {
-                            shared.counters.on_incremental_run();
+                            incremental_runs += 1;
                             states
                         }
                         None => engine.run_dyn(&*resolved.kernel, &sources).per_query,
@@ -877,7 +923,11 @@ fn batcher_loop(
         };
         shared.emit(EventKind::BatchEnd, batch_id, 0, 0);
 
+        // Cache every answer, count the batch, then fulfil with no lock held:
+        // a waiter woken by `fulfil` sees its own query counted, and an
+        // `on_ready` callback may call straight back into the service.
         let now = Instant::now();
+        let mut answered = Vec::with_capacity(total);
         for (pass, states) in passes.into_iter().zip(per_pass_states) {
             let resolved = &pass.members[0].resolved;
             let kernel_id = resolved.id;
@@ -908,10 +958,19 @@ fn batcher_loop(
                     let cache_key = CacheKey { key: pending.batch_key, source: pending.source };
                     cache.insert(cache_key, (epoch, Arc::clone(&result)));
                 }
-                shared.counters.record_latency(now.saturating_duration_since(pending.submitted_at));
-                shared.emit(EventKind::Resolve, pending.trace_id, batch_id, 0);
-                pending.slot.fulfil(Ok(result));
+                answered.push((pending.slot, pending.trace_id, pending.submitted_at, result));
             }
+        }
+        {
+            let mut inner = shared.inner.lock();
+            inner.counts.incremental_runs += incremental_runs;
+            for &(_, _, submitted_at, _) in &answered {
+                inner.latencies.record(now.saturating_duration_since(submitted_at));
+            }
+        }
+        for (slot, trace_id, _, result) in answered {
+            shared.emit(EventKind::Resolve, trace_id, batch_id, 0);
+            slot.fulfil(Ok(result));
         }
     }
 

@@ -128,9 +128,9 @@ impl Ticket {
     /// Run `f` with the outcome exactly once, instead of blocking for it. A
     /// ready ticket runs `f` at once, on the calling thread; a pending one
     /// runs it on the thread that fulfils it, outside the slot lock. The
-    /// batcher fulfils tickets while it holds the result-cache lock, so `f`
-    /// must not call back into the service: hand the outcome to another
-    /// thread and return.
+    /// batcher fulfils tickets holding no service lock, so `f` may submit
+    /// a follow-up query; it runs on the batcher thread, so it should be
+    /// short.
     pub fn on_ready(self, f: impl FnOnce(Result<Arc<QueryResult>, ServiceError>) + Send + 'static) {
         let mut state = self.slot.state.lock();
         match state.outcome.clone() {

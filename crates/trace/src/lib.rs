@@ -29,9 +29,9 @@
 //!
 //! On top of the raw stream:
 //!
-//! * [`RunProfile`] — a per-run summary (per-phase wall time, visit/steal
-//!   histograms) attached to engine run results when
-//!   `EngineConfig::profile` is set; computed from counters, not from the
+//! * [`RunProfile`] — a per-run summary (per-phase wall time, operations
+//!   per visit) attached to engine run results when
+//!   `EngineConfig::profile` is set; computed by the workers, not from the
 //!   event stream, so it works without a sink.
 //! * [`chrome::export`] — Chrome trace-event JSON (`chrome://tracing` /
 //!   Perfetto) with named per-thread tracks and flow arrows connecting each

@@ -1,12 +1,11 @@
 //! Per-run profile summaries: phase wall times and work-shape histograms.
 //!
 //! A [`RunProfile`] is attached to engine run results when
-//! `EngineConfig::profile` is set. It is computed from what the run keeps
-//! anyway (phase stopwatch marks, the workers' own tallies) plus one plain
-//! [`Histogram`] per worker, recorded once per partition visit and merged
-//! when the run ends — **not** from the trace event stream — so profiles
-//! work with no [`TraceSink`](crate::TraceSink) attached and cost nothing
-//! when the flag is off.
+//! `EngineConfig::profile` is set. It is computed from the run's phase
+//! stopwatch marks plus one plain [`Histogram`] per worker, recorded once
+//! per partition visit and merged when the run ends — **not** from the trace
+//! event stream — so profiles work with no [`TraceSink`](crate::TraceSink)
+//! attached and cost nothing when the flag is off.
 
 use std::fmt;
 use std::time::Duration;
@@ -127,48 +126,26 @@ impl PhaseTimes {
     }
 }
 
-/// A per-run profile: where one engine run spent its time and how the work
-/// was shaped.
+/// A per-run profile: where one engine run spent its time and how big its
+/// partition visits were. The run's counts (visits, steals, yields, workers)
+/// are in its `WorkSnapshot`.
 #[derive(Clone, Debug, Default)]
 pub struct RunProfile {
     /// Per-phase wall times.
     pub phases: PhaseTimes,
-    /// Worker threads that executed the run (1 = the calling thread).
-    pub workers: u32,
-    /// Partition visits that drained at least one operation.
-    pub partition_visits: u64,
     /// Operations consolidated per partition visit.
     pub visit_ops: Histogram,
-    /// Partition claims stolen from another worker's runnable set, one
-    /// sample per worker (a one-worker run's is 0).
-    pub steals_per_worker: Histogram,
-    /// Total steals across workers.
-    pub steals: u64,
-    /// Queries that yielded a partition under the yield policy.
-    pub yields: u64,
 }
 
 impl fmt::Display for RunProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "run profile ({} worker{}): total {:.3?}",
-            self.workers,
-            if self.workers == 1 { "" } else { "s" },
-            self.phases.total()
-        )?;
+        writeln!(f, "run profile: total {:.3?}", self.phases.total())?;
         writeln!(
             f,
             "  phases     : init {:.3?}, processing {:.3?}, finalize {:.3?}",
             self.phases.init, self.phases.processing, self.phases.finalize
         )?;
-        writeln!(f, "  visits     : {} (ops/visit {})", self.partition_visits, self.visit_ops)?;
-        write!(f, "  steals     : {}", self.steals)?;
-        if self.steals_per_worker.count() > 0 {
-            write!(f, " (per worker {})", self.steals_per_worker)?;
-        }
-        writeln!(f)?;
-        write!(f, "  yields     : {}", self.yields)
+        write!(f, "  ops/visit  : {}", self.visit_ops)
     }
 }
 
@@ -228,18 +205,14 @@ mod tests {
 
     #[test]
     fn profile_display_is_one_screen() {
-        let mut profile = RunProfile { workers: 2, partition_visits: 12, ..Default::default() };
+        let mut profile = RunProfile::default();
         profile.phases.processing = Duration::from_millis(5);
         for ops in [1, 10, 100] {
             profile.visit_ops.record(ops);
         }
-        profile.steals = 3;
-        profile.steals_per_worker.record(1);
-        profile.steals_per_worker.record(2);
         let text = format!("{profile}");
-        assert!(text.contains("2 workers"), "{text}");
-        assert!(text.contains("visits     : 12"), "{text}");
-        assert!(text.contains("steals     : 3"), "{text}");
-        assert!(text.lines().count() <= 6, "{text}");
+        assert!(text.contains("processing 5.000ms"), "{text}");
+        assert!(text.contains("ops/visit  : n=3"), "{text}");
+        assert!(text.lines().count() <= 3, "{text}");
     }
 }

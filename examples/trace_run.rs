@@ -7,12 +7,12 @@
 //!
 //! 1. writes the recorded event stream as Chrome trace-event JSON to
 //!    `trace.json` (load it in `chrome://tracing` or
-//!    <https://ui.perfetto.dev>), validating that it parses first;
+//!    <https://ui.perfetto.dev>), validating that it parses and has spans;
 //! 2. prints the Prometheus-style text exposition
 //!    ([`fg_trace::expose`] via [`TraceHandle::exposition`]);
 //! 3. runs one profiled engine batch directly
 //!    ([`EngineConfig::with_profile`]) and prints its
-//!    [`RunProfile`] — phase wall times and work-shape histograms.
+//!    [`RunProfile`] — phase wall times and operations per visit.
 //!
 //! ```text
 //! cargo run --release --example trace_run
@@ -77,10 +77,13 @@ fn main() {
 
     let trace_handle: TraceHandle = service.trace_handle().expect("service was started traced");
 
-    // Export the event stream as Chrome trace-event JSON and self-validate:
-    // the same parser the CI gate uses must accept what we wrote.
+    // Export the event stream as Chrome trace-event JSON and self-validate
+    // with the structural parser: a malformed export, one chrome://tracing
+    // or Perfetto would reject, or one without spans fails the example.
     let json = trace_handle.chrome_trace();
     let events = trace::chrome::parse(&json).expect("exported trace parses");
+    assert!(!events.is_empty(), "the exported trace has events");
+    assert!(events.iter().any(|e| e.ph == "B"), "the exported trace has spans");
     std::fs::write("trace.json", &json).expect("write trace.json");
     let stats = trace_handle.sink().stats();
     println!(
