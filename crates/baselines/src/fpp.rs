@@ -1,22 +1,20 @@
 //! Fork-processing-pattern driver for the baseline engines.
 //!
 //! Runs a batch of homogeneous queries (Algorithm 1 of the paper) under the
-//! threading schemes compared in Table 1 / Figure 1:
+//! threading schemes of the paper's Table 1:
 //!
 //! * [`ExecutionScheme::SingleThreaded`] — one query at a time, one thread,
 //! * [`ExecutionScheme::InterQuery`] — `t = 1`: every query on one thread,
 //!   `#cores` queries in flight (best-performing but cache-thrashing scheme),
 //! * [`ExecutionScheme::IntraQuery`] — `t = #cores`: queries one at a time,
-//!   each parallelised internally,
-//! * [`ExecutionScheme::Hybrid`] — `t` threads per query, `#cores / t` queries
-//!   in flight.
+//!   each parallelised internally.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::{CsrGraph, Dist, VertexId};
-use fg_metrics::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch, WorkCounters};
+use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkCounters};
 use fg_seq::ppr::PprConfig;
 
 use crate::engine::{GpsEngine, QueryContext};
@@ -32,12 +30,6 @@ pub enum ExecutionScheme {
     InterQuery,
     /// `t = #cores`: one query at a time, parallelised internally.
     IntraQuery,
-    /// `t = threads_per_query`: `#cores / t` queries in flight, each using
-    /// intra-query parallelism.
-    Hybrid {
-        /// Number of threads dedicated to each query.
-        threads_per_query: usize,
-    },
 }
 
 impl ExecutionScheme {
@@ -56,10 +48,6 @@ impl ExecutionScheme {
             ExecutionScheme::SingleThreaded => (1, 1),
             ExecutionScheme::InterQuery => (cores(), 1),
             ExecutionScheme::IntraQuery => (1, cores()),
-            ExecutionScheme::Hybrid { threads_per_query } => {
-                let t = threads_per_query.max(1);
-                ((cores() / t).max(1), t)
-            }
         }
     }
 }
@@ -115,15 +103,6 @@ impl QueryOutput {
             _ => None,
         }
     }
-
-    /// Approximate heap size of this output in bytes.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            QueryOutput::Sssp(d) => d.len() * 8,
-            QueryOutput::Bfs(l) => l.len() * 4,
-            QueryOutput::Ppr(p) => p.len() * 16,
-        }
-    }
 }
 
 /// Result of running an FPP batch.
@@ -131,7 +110,7 @@ impl QueryOutput {
 pub struct FppResult {
     /// Per-query outputs, in source order.
     pub outputs: Vec<QueryOutput>,
-    /// Timing, work, cache, and memory measurement of the whole batch.
+    /// Timing, work, and cache measurement of the whole batch.
     pub measurement: Measurement,
 }
 
@@ -197,7 +176,6 @@ impl<E: GpsEngine> FppDriver<E> {
 
         let wall_time: Duration = watch.elapsed();
         let cache_stats = tracer.stats();
-        let output_bytes: usize = outputs.iter().map(|o| o.size_bytes()).sum();
         let measurement = Measurement {
             label: format!("{} ({})", self.engine.name(), scheme.label()),
             wall_time,
@@ -206,11 +184,6 @@ impl<E: GpsEngine> FppDriver<E> {
                 accesses: cache_stats.accesses,
                 loads: cache_stats.loads,
                 misses: cache_stats.misses,
-            }),
-            memory: Some(MemoryEstimate {
-                graph_bytes: self.graph.total_size_bytes() as u64,
-                query_state_bytes: output_bytes as u64,
-                auxiliary_bytes: (self.graph.num_vertices() * 8) as u64,
             }),
         };
         FppResult { outputs, measurement }
@@ -239,7 +212,6 @@ mod tests {
             ExecutionScheme::SingleThreaded,
             ExecutionScheme::InterQuery,
             ExecutionScheme::IntraQuery,
-            ExecutionScheme::Hybrid { threads_per_query: 2 },
         ] {
             let result = driver.run(&QueryKind::Sssp, &sources, scheme);
             assert_eq!(result.outputs.len(), sources.len());
@@ -263,7 +235,6 @@ mod tests {
             ExecutionScheme::InterQuery,
         );
         assert!(ppr.outputs[1].as_ppr().is_some());
-        assert!(ppr.outputs[1].size_bytes() > 0);
     }
 
     #[test]
@@ -276,7 +247,6 @@ mod tests {
         assert!(cache.accesses > 0);
         assert!(cache.misses > 0);
         assert!(cache.miss_ratio() > 0.0);
-        assert!(result.measurement.memory.unwrap().total_bytes() > 0);
     }
 
     #[test]
@@ -300,7 +270,6 @@ mod tests {
         assert_eq!(ExecutionScheme::SingleThreaded.label(), "single-threaded");
         assert_eq!(ExecutionScheme::InterQuery.label(), "t=1");
         assert_eq!(ExecutionScheme::IntraQuery.label(), format!("t={}", cores()));
-        assert_eq!(ExecutionScheme::Hybrid { threads_per_query: 4 }.label(), "t=4");
     }
 
     /// An engine that answers nothing and records the `threads` each query
@@ -339,7 +308,6 @@ mod tests {
             (ExecutionScheme::SingleThreaded, 1),
             (ExecutionScheme::InterQuery, 1),
             (ExecutionScheme::IntraQuery, cores()),
-            (ExecutionScheme::Hybrid { threads_per_query: 3 }, 3),
         ] {
             let driver = FppDriver::new(ThreadsProbe::default(), graph());
             driver.run(&QueryKind::Sssp, &[0, 1, 2, 3, 4], scheme);

@@ -2,8 +2,7 @@
 //!
 //! Reimplementations of the three baseline graph processing systems (GPSs) the
 //! paper compares against, plus the fork-processing-pattern (FPP) driver that
-//! runs a batch of queries under the different threading schemes of Table 1 /
-//! Figure 1:
+//! runs a batch of queries under the threading schemes of the paper's Table 1:
 //!
 //! * [`ligra::LigraEngine`] — frontier-based edgeMap/vertexMap processing with
 //!   push/pull direction switching (Ligra's execution model),
@@ -15,8 +14,8 @@
 //! * [`atomic_free`] — the topology-driven, atomic-free Bellman–Ford SSSP of
 //!   Appendix E, used as a sanity check,
 //! * [`fpp::FppDriver`] — runs `|Q|` independent queries under a chosen
-//!   [`fpp::ExecutionScheme`] (single-threaded, inter-query `t = 1`,
-//!   intra-query `t = cores`, or hybrid), with optional LLC simulation.
+//!   [`fpp::ExecutionScheme`] (single-threaded, inter-query `t = 1`, or
+//!   intra-query `t = cores`), with optional LLC simulation.
 //!
 //! These engines reproduce the *execution models* of the original C++ systems,
 //! which is what the paper's comparison targets, not their code.

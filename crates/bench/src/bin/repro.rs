@@ -1,18 +1,22 @@
-//! `repro` — regenerate the paper's tables and figures at laptop scale.
+//! `repro` — check the paper's claims on exact counts.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p fg-bench --bin repro -- list
-//! cargo run --release -p fg-bench --bin repro -- table1 figure9
+//! cargo run --release -p fg-bench --bin repro -- figure8 figure10
 //! cargo run --release -p fg-bench --bin repro -- all
 //! ```
 //!
-//! Each experiment prints its Markdown tables and writes them under
-//! `target/repro/<name>.md`. Performance is measured by `fgbench/`, not here.
+//! Each experiment prints its Markdown tables and its claim rows, and writes
+//! them under `target/repro/<name>.md`. `all` runs every experiment, prints
+//! the whole claim table, and compares it with the one in README: it prints
+//! the rows on which the two differ and exits 1 if any do. A deliberate
+//! verdict change updates README's table.
 
 #![forbid(unsafe_code)]
 
+use fg_bench::claims::{self, claim_table};
 use fg_bench::{emit_report, experiments};
 
 fn usage(registry: &[experiments::Experiment]) {
@@ -39,7 +43,8 @@ fn main() {
         return;
     }
 
-    let selected: Vec<&fg_bench::experiments::Experiment> = if args.iter().any(|a| a == "all") {
+    let all = args.iter().any(|a| a == "all");
+    let selected: Vec<&experiments::Experiment> = if all {
         registry.iter().collect()
     } else {
         let mut chosen = Vec::new();
@@ -55,11 +60,33 @@ fn main() {
         chosen
     };
 
+    let mut every_claim = Vec::new();
     for (name, run) in selected {
         eprintln!("[repro] running {name} ...");
-        let start = std::time::Instant::now();
-        let tables = run();
-        eprintln!("[repro] {name} finished in {:.1?}", start.elapsed());
-        emit_report(name, &tables);
+        let mut report = run();
+        if !all {
+            report.tables.push(claim_table(&report.claims));
+        }
+        emit_report(name, &report.tables);
+        every_claim.extend(report.claims);
     }
+    if !all {
+        return;
+    }
+
+    let printed = claim_table(&every_claim).to_markdown();
+    println!("{printed}");
+    let Some(section) = claims::readme_section(claims::README) else {
+        eprintln!("README has no claim section between {} and {}", claims::BEGIN, claims::END);
+        std::process::exit(1);
+    };
+    let differences = claims::diff(section, &printed);
+    if !differences.is_empty() {
+        eprintln!("the claim table differs from README's (- README, + this run):");
+        for line in differences {
+            eprintln!("{line}");
+        }
+        std::process::exit(1);
+    }
+    eprintln!("[repro] the claim table matches README");
 }

@@ -1,51 +1,53 @@
-//! One function per table / figure of the paper's evaluation.
+//! The experiments of the claim ledger, one per comparison of the paper's
+//! evaluation that exact counts can check.
 //!
-//! Every function returns the Markdown tables that the `repro` binary prints
-//! and writes under `target/repro/`. Workloads are scaled down (the dataset
-//! stand-ins of `fg_graph::datasets`); each experiment states its scaled
-//! parameters in the table title.
+//! Each function returns its tables and its [`Claim`]s as a [`Report`].
+//! Every input except Figure 8's worked example is a dataset stand-in of
+//! `fg_graph::datasets` at a scale that cuts it into at least
+//! [`MIN_PARTITIONS`](crate::claims::MIN_PARTITIONS) partitions of
+//! [`repro_llc`]; each claim's verdict checks that
+//! count, so an input that shrinks below it reads `not checked`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use fg_baselines::atomic_free::atomic_free_sssp;
-use fg_baselines::fpp::ExecutionScheme;
-use fg_cachesim::StallModel;
-use fg_graph::datasets::{self, DatasetSpec};
+use fg_baselines::fpp::QueryKind;
+use fg_graph::datasets;
 use fg_graph::partition::{PartitionConfig, PartitionMethod, PartitionPlan};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, VertexId};
-use fg_metrics::report::fmt_f64;
 use fg_metrics::{Measurement, Table, WorkCounters};
 use fg_seq::ppr::PprConfig;
-use forkgraph_core::buffer::{consolidate, ConsolidationMethod};
-use forkgraph_core::{
-    AblationLevel, EngineConfig, ForkGraphEngine, Operation, SchedulingPolicy, YieldPolicy,
-};
+use fg_seq::random_walk::RandomWalkConfig;
+use forkgraph_core::{AblationLevel, EngineConfig, ForkGraphEngine, SchedulingPolicy, YieldPolicy};
 
+use crate::claims::{Claim, Report, Verdict};
 use crate::runner::{
-    forkgraph_ppr_config, forkgraph_sssp_config, run_baseline, run_forkgraph, scaled_llc, System,
-    Workload,
+    forkgraph_config, forkgraph_ppr_config, llc_partitions, repro_llc, run_baseline, run_forkgraph,
+    System, Workload,
 };
 
-// Scales used throughout; small enough that `repro all` finishes in minutes.
-const ROAD_SCALE: f64 = 0.05;
-const SOCIAL_SCALE: f64 = 0.08;
+// The stand-ins, at scales that cut each into at least MIN_PARTITIONS
+// partitions of `repro_llc()`. The count is in each claim's evidence.
 
-fn scale_for(spec: &DatasetSpec) -> f64 {
-    if spec.is_road() {
-        ROAD_SCALE
-    } else {
-        SOCIAL_SCALE
-    }
+fn ca() -> CsrGraph {
+    datasets::CA.generate_weighted(1.0)
 }
 
-fn weighted(spec: &DatasetSpec) -> CsrGraph {
-    spec.generate_weighted(scale_for(spec))
+fn us() -> CsrGraph {
+    datasets::US.generate_weighted(0.4)
 }
 
-fn unweighted(spec: &DatasetSpec) -> CsrGraph {
-    spec.scaled(scale_for(spec))
+fn lj() -> CsrGraph {
+    datasets::LJ.scaled(0.25)
+}
+
+fn tw() -> CsrGraph {
+    datasets::TW.scaled(0.125)
+}
+
+fn wk() -> CsrGraph {
+    datasets::WK.scaled(0.5).with_random_weights(10, 3)
 }
 
 fn sources(graph: &CsrGraph, count: usize, seed: u64) -> Vec<VertexId> {
@@ -56,97 +58,19 @@ fn ppr_config() -> PprConfig {
     PprConfig { epsilon: 1e-4, ..Default::default() }
 }
 
-fn secs(m: &Measurement) -> String {
-    fmt_f64(m.seconds())
-}
-
-// ---------------------------------------------------------------------------
-// Table 1 & Figure 1: profiling the baselines on an NCP-style PPR batch
-// ---------------------------------------------------------------------------
-
-/// Table 1: profiling of a PPR batch on the LiveJournal stand-in for the three
-/// baselines under single-threaded, intra-query (t = cores), and inter-query
-/// (t = 1) schemes — edges processed (instruction proxy), simulated LLC loads,
-/// miss ratio, and runtime.
-pub fn table1() -> Vec<Table> {
-    let graph = Arc::new(unweighted(&datasets::LJ));
-    let workload = Workload::ppr(sources(&graph, 32, 1), ppr_config());
-    let llc = scaled_llc();
-    let mut table = Table::new(
-        format!(
-            "Table 1 — profiling {} PPR queries on Lj-scaled ({} vertices, {} edges)",
-            workload.sources.len(),
-            graph.num_vertices(),
-            graph.num_edges()
-        ),
-        &["system", "scheme", "edges processed", "LLC loads", "LLC miss ratio", "runtime (s)"],
-    );
-    for system in System::baselines() {
-        for scheme in [
-            ExecutionScheme::SingleThreaded,
-            ExecutionScheme::IntraQuery,
-            ExecutionScheme::InterQuery,
-        ] {
-            let m = run_baseline(system, &graph, &workload, scheme, Some(llc));
-            let cache = m.cache.unwrap();
-            table.push_row([
-                system.name().to_string(),
-                scheme.label(),
-                m.work.edges_processed.to_string(),
-                cache.loads.to_string(),
-                format!("{:.1}%", cache.miss_ratio() * 100.0),
-                secs(&m),
-            ]);
-        }
-    }
-    vec![table]
-}
-
-/// Figure 1: normalised execution time and normalised LLC misses as the number
-/// of threads per query varies (t = cores, 2, 1).
-pub fn figure1() -> Vec<Table> {
-    let graph = Arc::new(unweighted(&datasets::LJ));
-    let workload = Workload::ppr(sources(&graph, 32, 1), ppr_config());
-    let llc = scaled_llc();
-    let schemes = [
-        ("t=cores", ExecutionScheme::IntraQuery),
-        ("t=2", ExecutionScheme::Hybrid { threads_per_query: 2 }),
-        ("t=1", ExecutionScheme::InterQuery),
-    ];
-    let mut time_table = Table::new(
-        "Figure 1a — normalised execution time vs threads per query (lower is better)",
-        &["system", "t=cores", "t=2", "t=1"],
-    );
-    let mut miss_table = Table::new(
-        "Figure 1b — normalised #LLC misses vs threads per query",
-        &["system", "t=cores", "t=2", "t=1"],
-    );
-    for system in System::baselines() {
-        let runs: Vec<Measurement> = schemes
-            .iter()
-            .map(|(_, scheme)| run_baseline(system, &graph, &workload, *scheme, Some(llc)))
-            .collect();
-        let base_time = runs[0].seconds().max(1e-9);
-        let base_miss = runs[0].cache.unwrap().misses.max(1) as f64;
-        time_table.push_row(
-            std::iter::once(system.name().to_string())
-                .chain(runs.iter().map(|m| fmt_f64(m.seconds() / base_time))),
-        );
-        miss_table.push_row(
-            std::iter::once(system.name().to_string())
-                .chain(runs.iter().map(|m| fmt_f64(m.cache.unwrap().misses as f64 / base_miss))),
-        );
-    }
-    vec![time_table, miss_table]
+/// `name count, name count, …`: the exact numbers of a claim's evidence.
+fn listing<'a>(counts: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    counts.into_iter().map(|(name, count)| format!("{name} {count}")).collect::<Vec<_>>().join(", ")
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8: scheduling-policy worked example
 // ---------------------------------------------------------------------------
 
-/// Figure 8: number of operations processed under the four scheduling methods
-/// for a small multi-source SSSP workload on a road-like graph.
-pub fn figure8() -> Vec<Table> {
+/// Figure 8: operations processed under the four scheduling methods for two
+/// SSSP queries on a small road-like graph in four partitions, the paper's
+/// worked example. Priority scheduling should process the fewest.
+pub fn figure8() -> Report {
     let graph = datasets::CA.generate_weighted(0.02);
     let pg = PartitionedGraph::build(
         &graph,
@@ -154,838 +78,386 @@ pub fn figure8() -> Vec<Table> {
     );
     let srcs = sources(&graph, 2, 8);
     let mut table = Table::new(
-        "Figure 8 — operations processed under different scheduling methods (2 SSSP queries)",
+        "Figure 8 — operations processed under different scheduling methods (2 SSSP queries, one worker)",
         &["scheduling", "operations processed", "partition visits"],
     );
+    let mut ops = Vec::new();
     for policy in SchedulingPolicy::all() {
-        let config =
-            EngineConfig::default().with_scheduling(policy).with_yield_policy(YieldPolicy::None);
-        let result = ForkGraphEngine::new(&pg, config).run_sssp(&srcs);
+        let config = EngineConfig::default()
+            .with_threads(1)
+            .with_scheduling(policy)
+            .with_yield_policy(YieldPolicy::None);
+        let work = ForkGraphEngine::new(&pg, config).run_sssp(&srcs).measurement.work;
         table.push_row([
             policy.name().to_string(),
-            result.work().operations_processed.to_string(),
-            result.work().partition_visits.to_string(),
+            work.operations_processed.to_string(),
+            work.partition_visits.to_string(),
         ]);
+        ops.push((policy.name(), work.operations_processed));
     }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Figure 9: overall performance on BC / NCP / LL
-// ---------------------------------------------------------------------------
-
-fn normalised_table(label: &str) -> Table {
-    Table::new(
-        label,
-        &[
-            "graph",
-            "Ligra (t=1)",
-            "Gemini (t=1)",
-            "GraphIt",
-            "ForkGraph",
-            "ForkGraph speedup vs best GPS",
-        ],
-    )
-}
-
-/// Figure 9: overall execution time of BC, NCP, and LL, normalised to
-/// Ligra (t = 1), for the four systems.
-pub fn figure9() -> Vec<Table> {
-    let mut tables = Vec::new();
-
-    // (a) BC on all eight graphs: a batch of SSSPs from sampled sources.
-    {
-        let mut table =
-            normalised_table("Figure 9a — BC (normalised to Ligra t=1, lower is better)");
-        for spec in datasets::all() {
-            let graph = Arc::new(weighted(&spec));
-            let workload = Workload::sssp(sources(&graph, 8, 9));
-            let ligra =
-                run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let gemini =
-                run_baseline(System::Gemini, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let graphit =
-                run_baseline(System::GraphIt, &graph, &workload, ExecutionScheme::IntraQuery, None);
-            let fork = run_forkgraph(
-                &graph,
-                &workload,
-                scaled_llc().capacity_bytes,
-                forkgraph_sssp_config(),
-                None,
-            );
-            let base = ligra.seconds().max(1e-9);
-            let best_gps = ligra.seconds().min(gemini.seconds()).min(graphit.seconds());
-            table.push_row([
-                spec.name.to_string(),
-                "1.00".to_string(),
-                fmt_f64(gemini.seconds() / base),
-                fmt_f64(graphit.seconds() / base),
-                fmt_f64(fork.seconds() / base),
-                format!("{}x", fmt_f64(best_gps / fork.seconds().max(1e-9))),
-            ]);
-        }
-        tables.push(table);
-    }
-
-    // (b) NCP on the five social/web graphs: a batch of PPRs.
-    {
-        let mut table = normalised_table("Figure 9b — NCP (normalised to Ligra t=1)");
-        for spec in datasets::ncp_graphs() {
-            let graph = Arc::new(unweighted(&spec));
-            let workload = Workload::ppr(sources(&graph, 16, 11), ppr_config());
-            let ligra =
-                run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let gemini =
-                run_baseline(System::Gemini, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let graphit =
-                run_baseline(System::GraphIt, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let fork = run_forkgraph(
-                &graph,
-                &workload,
-                scaled_llc().capacity_bytes,
-                forkgraph_ppr_config(),
-                None,
-            );
-            let base = ligra.seconds().max(1e-9);
-            let best_gps = ligra.seconds().min(gemini.seconds()).min(graphit.seconds());
-            table.push_row([
-                spec.name.to_string(),
-                "1.00".to_string(),
-                fmt_f64(gemini.seconds() / base),
-                fmt_f64(graphit.seconds() / base),
-                fmt_f64(fork.seconds() / base),
-                format!("{}x", fmt_f64(best_gps / fork.seconds().max(1e-9))),
-            ]);
-        }
-        tables.push(table);
-    }
-
-    // (c) LL on the road networks + Wk/Pt: a batch of SSSPs from landmarks.
-    {
-        let mut table = normalised_table("Figure 9c — LL (normalised to Ligra t=1)");
-        for spec in [datasets::CA, datasets::US, datasets::EU, datasets::WK, datasets::PT] {
-            let graph = Arc::new(weighted(&spec));
-            let workload = Workload::sssp(sources(&graph, 16, 13));
-            let ligra =
-                run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let gemini =
-                run_baseline(System::Gemini, &graph, &workload, ExecutionScheme::InterQuery, None);
-            let graphit =
-                run_baseline(System::GraphIt, &graph, &workload, ExecutionScheme::IntraQuery, None);
-            let fork = run_forkgraph(
-                &graph,
-                &workload,
-                scaled_llc().capacity_bytes,
-                forkgraph_sssp_config(),
-                None,
-            );
-            let base = ligra.seconds().max(1e-9);
-            let best_gps = ligra.seconds().min(gemini.seconds()).min(graphit.seconds());
-            table.push_row([
-                spec.name.to_string(),
-                "1.00".to_string(),
-                fmt_f64(gemini.seconds() / base),
-                fmt_f64(graphit.seconds() / base),
-                fmt_f64(fork.seconds() / base),
-                format!("{}x", fmt_f64(best_gps / fork.seconds().max(1e-9))),
-            ]);
-        }
-        tables.push(table);
-    }
-    tables
-}
-
-// ---------------------------------------------------------------------------
-// Table 3: NCP execution time and memory consumption
-// ---------------------------------------------------------------------------
-
-/// Table 3: NCP execution time (A) and memory consumption (B) per system and
-/// dataset.
-pub fn table3() -> Vec<Table> {
-    let mut time_table = Table::new(
-        "Table 3A — NCP execution time (seconds, scaled workload)",
-        &["system", "Or", "Wk", "Lj", "Pt", "Tw"],
-    );
-    let mut mem_table = Table::new(
-        "Table 3B — memory consumption (MiB, scaled workload)",
-        &["system", "Or", "Wk", "Lj", "Pt", "Tw"],
-    );
-    let specs = datasets::ncp_graphs();
-    let graphs: Vec<Arc<CsrGraph>> = specs.iter().map(|s| Arc::new(unweighted(s))).collect();
-    let workloads: Vec<Workload> =
-        graphs.iter().map(|g| Workload::ppr(sources(g, 16, 17), ppr_config())).collect();
-
-    let mut rows: Vec<(String, Vec<Measurement>)> = Vec::new();
-    for system in System::baselines() {
-        for (label, scheme) in
-            [("t=cores", ExecutionScheme::IntraQuery), ("t=1", ExecutionScheme::InterQuery)]
-        {
-            let runs: Vec<Measurement> = graphs
-                .iter()
-                .zip(workloads.iter())
-                .map(|(g, w)| run_baseline(system, g, w, scheme, None))
-                .collect();
-            rows.push((format!("{} ({label})", system.name()), runs));
-        }
-    }
-    let fork_runs: Vec<Measurement> = graphs
+    let priority = ops
         .iter()
-        .zip(workloads.iter())
-        .map(|(g, w)| {
-            run_forkgraph(g, w, scaled_llc().capacity_bytes, forkgraph_ppr_config(), None)
-        })
-        .collect();
-    rows.push(("ForkGraph".to_string(), fork_runs));
-
-    for (label, runs) in &rows {
-        time_table.push_row(std::iter::once(label.clone()).chain(runs.iter().map(secs)));
-        mem_table.push_row(std::iter::once(label.clone()).chain(runs.iter().map(|m| {
-            fmt_f64(m.memory.map(|mem| mem.total_bytes() as f64 / (1024.0 * 1024.0)).unwrap_or(0.0))
-        })));
-    }
-    vec![time_table, mem_table]
+        .find(|(name, _)| *name == SchedulingPolicy::Priority.name())
+        .expect("priority is one of the policies")
+        .1;
+    let claim = Claim {
+        id: "figure8".to_string(),
+        reference: "Fig. 8",
+        statement: "priority scheduling processes no more operations than fifo, max-operations or \
+                    random (2 SSSP on Ca@0.02, 4 multilevel partitions)"
+            .to_string(),
+        evidence: listing(ops.iter().copied()),
+        verdict: Verdict::of(ops.iter().all(|&(_, count)| priority <= count)),
+    };
+    Report { tables: vec![table], claims: vec![claim] }
 }
 
 // ---------------------------------------------------------------------------
-// Figure 10: LLC misses and edges processed
+// Figures 10 and 11: LL on road graphs, NCP on social graphs
 // ---------------------------------------------------------------------------
 
-/// Figure 10: simulated LLC misses (a) and edges processed (b) for LL on road
-/// graphs and NCP on social graphs, across all systems plus the sequential
-/// algorithm.
-pub fn figure10() -> Vec<Table> {
-    let llc = scaled_llc();
-    let cases: Vec<(String, Arc<CsrGraph>, Workload, EngineConfig)> = vec![
-        {
-            let g = Arc::new(datasets::CA.generate_weighted(ROAD_SCALE));
-            let w = Workload::sssp(sources(&g, 8, 21));
-            ("LL on Ca".to_string(), g, w, forkgraph_sssp_config())
-        },
-        {
-            let g = Arc::new(datasets::US.generate_weighted(0.03));
-            let w = Workload::sssp(sources(&g, 8, 22));
-            ("LL on Us".to_string(), g, w, forkgraph_sssp_config())
-        },
-        {
-            let g = Arc::new(datasets::LJ.scaled(0.06));
-            let w = Workload::ppr(sources(&g, 8, 23), ppr_config());
-            ("NCP on Lj".to_string(), g, w, forkgraph_ppr_config())
-        },
-        {
-            let g = Arc::new(datasets::TW.scaled(0.04));
-            let w = Workload::ppr(sources(&g, 8, 24), ppr_config());
-            ("NCP on Tw".to_string(), g, w, forkgraph_ppr_config())
-        },
-    ];
+/// One application on one stand-in.
+struct Case {
+    /// Claim-id suffix, e.g. `"ll-ca"`.
+    id: &'static str,
+    /// Row label, e.g. `"LL on Ca"`.
+    label: &'static str,
+    graph: Arc<CsrGraph>,
+    workload: Workload,
+}
+
+/// Figures 10 and 11's four cases: LL (a batch of SSSPs) on the two road
+/// stand-ins, NCP (a batch of PPRs) on two social ones.
+fn cases() -> Vec<Case> {
+    let sssp = |id, label, graph: CsrGraph, seed| {
+        let workload = Workload::sssp(sources(&graph, 8, seed));
+        Case { id, label, graph: Arc::new(graph), workload }
+    };
+    let ppr = |id, label, graph: CsrGraph, seed| {
+        let workload = Workload::ppr(sources(&graph, 8, seed), ppr_config());
+        Case { id, label, graph: Arc::new(graph), workload }
+    };
+    vec![
+        sssp("ll-ca", "LL on Ca", ca(), 21),
+        sssp("ll-us", "LL on Us", us(), 22),
+        ppr("ncp-lj", "NCP on Lj", lj(), 23),
+        ppr("ncp-tw", "NCP on Tw", tw(), 24),
+    ]
+}
+
+/// The edges the best sequential algorithm processes for `case`'s queries.
+fn sequential_edges(case: &Case) -> u64 {
+    let graph = &case.graph;
+    case.workload
+        .sources
+        .iter()
+        .map(|&s| match &case.workload.kind {
+            QueryKind::Sssp => fg_seq::dijkstra::dijkstra(graph, s).edges_processed,
+            QueryKind::Bfs => fg_seq::bfs::bfs(graph, s).edges_processed,
+            QueryKind::Ppr(c) => fg_seq::ppr::ppr_push(graph, s, c).edges_processed,
+        })
+        .sum()
+}
+
+/// Figure 10: simulated LLC misses (a) and edges processed (b) of ForkGraph
+/// against each GPS baseline, plus the sequential algorithm's edges. Every
+/// run is single-threaded and simulates [`repro_llc`].
+pub fn figure10() -> Report {
+    let llc = repro_llc();
+    let headers =
+        ["workload", "partitions", "Ligra", "Gemini", "GraphIt", "ForkGraph", "Sequential"];
     let mut miss_table = Table::new(
-        "Figure 10a — simulated #LLC misses",
-        &[
-            "workload",
-            "Ligra (t=cores)",
-            "Ligra (t=1)",
-            "Gemini (t=1)",
-            "GraphIt (t=1)",
-            "ForkGraph",
-            "Sequential",
-        ],
+        "Figure 10a — simulated LLC misses (single-threaded baselines, one-worker ForkGraph)",
+        &headers[..6],
     );
-    let mut work_table = Table::new(
-        "Figure 10b — #edges processed",
-        &[
-            "workload",
-            "Ligra (t=cores)",
-            "Ligra (t=1)",
-            "Gemini (t=1)",
-            "GraphIt (t=1)",
-            "ForkGraph",
-            "Sequential",
-        ],
-    );
-    for (label, graph, workload, fork_config) in cases {
-        let runs = [
-            run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::IntraQuery, Some(llc)),
-            run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, Some(llc)),
-            run_baseline(System::Gemini, &graph, &workload, ExecutionScheme::InterQuery, Some(llc)),
-            run_baseline(
-                System::GraphIt,
-                &graph,
-                &workload,
-                ExecutionScheme::InterQuery,
-                Some(llc),
-            ),
-            run_forkgraph(&graph, &workload, llc.capacity_bytes, fork_config, Some(llc)),
-        ];
-        // Sequential baseline: the best sequential algorithm per query.
-        let seq_edges: u64 = workload
-            .sources
+    let mut edge_table = Table::new("Figure 10b — edges processed", &headers);
+    let mut miss_claims = Vec::new();
+    let mut edge_claims = Vec::new();
+    for case in cases() {
+        let k = llc_partitions(&case.graph);
+        let runs: Vec<(&str, Measurement)> = System::baselines()
             .iter()
-            .map(|&s| match &workload.kind {
-                fg_baselines::fpp::QueryKind::Sssp => {
-                    fg_seq::dijkstra::dijkstra(&graph, s).edges_processed
-                }
-                fg_baselines::fpp::QueryKind::Bfs => fg_seq::bfs::bfs(&graph, s).edges_processed,
-                fg_baselines::fpp::QueryKind::Ppr(c) => {
-                    fg_seq::ppr::ppr_push(&graph, s, c).edges_processed
-                }
-            })
-            .sum();
-        miss_table.push_row(
-            std::iter::once(label.clone())
-                .chain(runs.iter().map(|m| m.cache.unwrap().misses.to_string()))
-                .chain(std::iter::once("—".to_string())),
-        );
-        work_table.push_row(
-            std::iter::once(label)
-                .chain(runs.iter().map(|m| m.work.edges_processed.to_string()))
-                .chain(std::iter::once(seq_edges.to_string())),
-        );
-    }
-    vec![miss_table, work_table]
-}
-
-// ---------------------------------------------------------------------------
-// Figure 11: cumulative optimisation ablation
-// ---------------------------------------------------------------------------
-
-/// Figure 11: speedups over Ligra (t = cores) as the ForkGraph optimisations
-/// are enabled cumulatively (+buffer, +consolidation, +priority scheduling,
-/// +yielding).
-pub fn figure11() -> Vec<Table> {
-    let cases: Vec<(String, Arc<CsrGraph>, Workload)> = vec![
-        {
-            let g = Arc::new(datasets::CA.generate_weighted(ROAD_SCALE));
-            let w = Workload::sssp(sources(&g, 8, 31));
-            ("LL on Ca".to_string(), g, w)
-        },
-        {
-            let g = Arc::new(datasets::US.generate_weighted(0.03));
-            let w = Workload::sssp(sources(&g, 8, 32));
-            ("LL on Us".to_string(), g, w)
-        },
-        {
-            let g = Arc::new(datasets::LJ.scaled(0.06));
-            let w = Workload::ppr(sources(&g, 8, 33), ppr_config());
-            ("NCP on Lj".to_string(), g, w)
-        },
-        {
-            let g = Arc::new(datasets::TW.scaled(0.04));
-            let w = Workload::ppr(sources(&g, 8, 34), ppr_config());
-            ("NCP on Tw".to_string(), g, w)
-        },
-    ];
-    let mut table = Table::new(
-        "Figure 11 — speedups over Ligra (t=cores) with cumulative optimisations",
-        &["workload", "+buffer", "+consolidation", "+priority scheduling", "+yielding"],
-    );
-    for (label, graph, workload) in cases {
-        let baseline =
-            run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::IntraQuery, None);
-        let mut cells = vec![label];
-        for level in AblationLevel::all() {
-            let mut config = EngineConfig::for_ablation(level);
-            if matches!(workload.kind, fg_baselines::fpp::QueryKind::Ppr(_))
-                && level == AblationLevel::Full
-            {
-                config = config.with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor: 100.0 });
-            }
-            let m = run_forkgraph(&graph, &workload, scaled_llc().capacity_bytes, config, None);
-            cells.push(format!("{}x", fmt_f64(baseline.seconds() / m.seconds().max(1e-9))));
-        }
-        table.push_row(cells);
-    }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Table 4: scheduling and yielding parameter sweeps
-// ---------------------------------------------------------------------------
-
-fn bc_on_us() -> (Arc<CsrGraph>, Workload) {
-    let g = Arc::new(datasets::US.generate_weighted(0.03));
-    let w = Workload::sssp(sources(&g, 16, 41));
-    (g, w)
-}
-
-/// Table 4A: impact of the priority functor / scheduling policy on BC.
-pub fn table4a() -> Vec<Table> {
-    let (graph, workload) = bc_on_us();
-    let mut table = Table::new(
-        "Table 4A — impact of inter-partition scheduling (BC on Us-scaled, yielding enabled)",
-        &["priority functor", "execution time (s)", "edges processed"],
-    );
-    for policy in SchedulingPolicy::all() {
-        let config = EngineConfig::default().with_scheduling(policy);
-        let m = run_forkgraph(&graph, &workload, scaled_llc().capacity_bytes, config, None);
-        table.push_row([
-            match policy {
-                SchedulingPolicy::Priority => "Shortest".to_string(),
-                other => other.name().to_string(),
-            },
-            secs(&m),
-            m.work.edges_processed.to_string(),
-        ]);
-    }
-    vec![table]
-}
-
-/// Table 4B: yielding heuristic 1 (edge budget) threshold sweep.
-pub fn table4b() -> Vec<Table> {
-    let (graph, workload) = bc_on_us();
-    let mut table = Table::new(
-        "Table 4B — yielding heuristic 1 (edge budget, multiples of mu = |E_P|/|Q|)",
-        &["threshold", "execution time (s)", "edges processed", "yields"],
-    );
-    let factors = [("0.25mu", 0.25), ("0.5mu", 0.5), ("mu", 1.0), ("2mu", 2.0), ("4mu", 4.0)];
-    for (label, factor) in factors {
-        let config =
-            EngineConfig::default().with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor });
-        let m = run_forkgraph(&graph, &workload, scaled_llc().capacity_bytes, config, None);
-        table.push_row([
-            label.to_string(),
-            secs(&m),
-            m.work.edges_processed.to_string(),
-            m.work.yields.to_string(),
-        ]);
-    }
-    let none = run_forkgraph(
-        &graph,
-        &workload,
-        scaled_llc().capacity_bytes,
-        EngineConfig::default().with_yield_policy(YieldPolicy::None),
-        None,
-    );
-    table.push_row([
-        "No yielding".to_string(),
-        secs(&none),
-        none.work.edges_processed.to_string(),
-        "0".to_string(),
-    ]);
-    vec![table]
-}
-
-/// Table 4C: yielding heuristic 2 (value range, multiples of Δ) sweep.
-pub fn table4c() -> Vec<Table> {
-    let (graph, workload) = bc_on_us();
-    // Base Δ: a few multiples of the maximum edge weight, in the spirit of
-    // Δ-stepping's tuning on road networks.
-    let base_delta: u64 = 16;
-    let mut table = Table::new(
-        "Table 4C — yielding heuristic 2 (value range, multiples of delta)",
-        &["threshold", "execution time (s)", "edges processed", "yields"],
-    );
-    for (label, mult) in
-        [("0.25delta", 0.25), ("0.5delta", 0.5), ("delta", 1.0), ("2delta", 2.0), ("4delta", 4.0)]
-    {
-        let delta = ((base_delta as f64) * mult).ceil() as u64;
-        let config = EngineConfig::default().with_yield_policy(YieldPolicy::ValueRange { delta });
-        let m = run_forkgraph(&graph, &workload, scaled_llc().capacity_bytes, config, None);
-        table.push_row([
-            label.to_string(),
-            secs(&m),
-            m.work.edges_processed.to_string(),
-            m.work.yields.to_string(),
-        ]);
-    }
-    let none = run_forkgraph(
-        &graph,
-        &workload,
-        scaled_llc().capacity_bytes,
-        EngineConfig::default().with_yield_policy(YieldPolicy::None),
-        None,
-    );
-    table.push_row([
-        "No yielding".to_string(),
-        secs(&none),
-        none.work.edges_processed.to_string(),
-        "0".to_string(),
-    ]);
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Table 5: consolidation complexity
-// ---------------------------------------------------------------------------
-
-/// Table 5: time to consolidate a buffer of R operations by sorting vs
-/// scanning, with a single buffer vs K buckets.
-pub fn table5() -> Vec<Table> {
-    let num_ops = 200_000usize;
-    let num_queries = 256usize;
-    let ops: Vec<Operation<u64>> = (0..num_ops)
-        .map(|i| {
-            let q = ((i * 2654435761) % num_queries) as u32;
-            Operation::new(q, i as u32, i as u64, (i as u64 * 37) % 1000)
-        })
-        .collect();
-    let mut table = Table::new(
-        format!("Table 5 — consolidation of {num_ops} operations over {num_queries} queries (milliseconds)"),
-        &["method", "single buffer", "K=16 buckets", "K=|Q| buckets"],
-    );
-    let time_it = |method: ConsolidationMethod, buckets: usize| -> f64 {
-        // Split operations into buckets by query id, then consolidate each
-        // bucket independently, as the multi-bucket buffer does.
-        let start = Instant::now();
-        let mut grouped = 0usize;
-        if buckets <= 1 {
-            grouped += consolidate(&ops, num_queries, method).len();
-        } else {
-            let mut parts: Vec<Vec<Operation<u64>>> = vec![Vec::new(); buckets];
-            for op in &ops {
-                parts[(op.query as usize) % buckets].push(*op);
-            }
-            for part in &parts {
-                grouped += consolidate(part, num_queries, method).len();
-            }
-        }
-        assert!(grouped >= num_queries.min(num_ops));
-        start.elapsed().as_secs_f64() * 1e3
-    };
-    for (label, method) in
-        [("Sort", ConsolidationMethod::Sort), ("Scan", ConsolidationMethod::Scan)]
-    {
-        table.push_row([
-            label.to_string(),
-            fmt_f64(time_it(method, 1)),
-            fmt_f64(time_it(method, 16)),
-            fmt_f64(time_it(method, num_queries)),
-        ]);
-    }
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Figure 13: memory stall breakdown
-// ---------------------------------------------------------------------------
-
-/// Figure 13: fraction of memory-unit time stalled, per system, on the NCP
-/// workload (derived from the simulated cache counters and the stall model).
-pub fn figure13() -> Vec<Table> {
-    let graph = Arc::new(datasets::LJ.scaled(0.06));
-    let workload = Workload::ppr(sources(&graph, 16, 51), ppr_config());
-    let llc = scaled_llc();
-    let model = StallModel::default();
-    let mut table = Table::new(
-        "Figure 13 — memory-unit stall breakdown (NCP on Lj-scaled)",
-        &["system", "LLC miss ratio", "stalled fraction of memory time"],
-    );
-    let mut push = |label: String, m: &Measurement| {
-        let cache = m.cache.unwrap();
-        let stats = fg_cachesim::CacheStats {
-            accesses: cache.accesses,
-            hits: cache.accesses - cache.misses,
-            misses: cache.misses,
-            loads: cache.loads,
-            stores: cache.accesses - cache.loads,
+            .map(|&s| (s.name(), run_baseline(s, &case.graph, &case.workload, Some(llc))))
+            .chain([(
+                "ForkGraph",
+                run_forkgraph(
+                    &case.graph,
+                    &case.workload,
+                    forkgraph_config(&case.workload),
+                    Some(llc),
+                ),
+            )])
+            .collect();
+        let misses: Vec<(&str, u64)> = runs
+            .iter()
+            .map(|(name, m)| (*name, m.cache.expect("an instrumented run").misses))
+            .collect();
+        let edges: Vec<(&str, u64)> =
+            runs.iter().map(|(name, m)| (*name, m.work.edges_processed)).collect();
+        let cells = |counts: &[(&str, u64)]| {
+            [case.label.to_string(), k.to_string()]
+                .into_iter()
+                .chain(counts.iter().map(|(_, count)| count.to_string()))
+                .collect::<Vec<_>>()
         };
-        let breakdown = model.breakdown(&stats);
-        table.push_row([
-            label,
-            format!("{:.1}%", cache.miss_ratio() * 100.0),
-            format!("{:.1}%", breakdown.stalled_fraction() * 100.0),
-        ]);
-    };
-    for system in System::baselines() {
-        for (label, scheme) in
-            [("t=cores", ExecutionScheme::IntraQuery), ("t=1", ExecutionScheme::InterQuery)]
-        {
-            let m = run_baseline(system, &graph, &workload, scheme, Some(llc));
-            push(format!("{} ({label})", system.name()), &m);
-        }
+        miss_table.push_row(cells(&misses));
+        edge_table.push_row(cells(&edges).into_iter().chain([sequential_edges(&case).to_string()]));
+        // ForkGraph is the last run; it must be below every baseline.
+        let below_each = |counts: &[(&str, u64)]| {
+            let (baselines, fork) = counts.split_at(counts.len() - 1);
+            baselines.iter().all(|&(_, count)| fork[0].1 < count)
+        };
+        miss_claims.push(Claim {
+            id: format!("figure10a-{}", case.id),
+            reference: "Fig. 10a",
+            statement: format!(
+                "ForkGraph's simulated LLC misses are below each GPS baseline's ({})",
+                case.label
+            ),
+            evidence: format!("k={k}: {}", listing(misses.iter().copied())),
+            verdict: Verdict::on_partitions(k, below_each(&misses)),
+        });
+        edge_claims.push(Claim {
+            id: format!("figure10b-{}", case.id),
+            reference: "Fig. 10b",
+            statement: format!(
+                "ForkGraph processes fewer edges than each GPS baseline ({})",
+                case.label
+            ),
+            evidence: format!("k={k}: {}", listing(edges.iter().copied())),
+            verdict: Verdict::on_partitions(k, below_each(&edges)),
+        });
     }
-    let fork =
-        run_forkgraph(&graph, &workload, llc.capacity_bytes, forkgraph_ppr_config(), Some(llc));
-    push("ForkGraph".to_string(), &fork);
-    vec![table]
+    miss_claims.extend(edge_claims);
+    Report { tables: vec![miss_table, edge_table], claims: miss_claims }
 }
 
-// ---------------------------------------------------------------------------
-// Figure 14: thread scalability
-// ---------------------------------------------------------------------------
-
-/// Figure 14's columns: the PPR engine configuration at 1..=`max_threads`
-/// workers, one column each.
-fn figure14_configs(max_threads: usize) -> Vec<EngineConfig> {
-    (1..=max_threads).map(|threads| forkgraph_ppr_config().with_threads(threads)).collect()
-}
-
-/// Figure 14: ForkGraph speedup as the number of worker threads grows.
-pub fn figure14() -> Vec<Table> {
-    let specs = [datasets::OR, datasets::LJ, datasets::PT];
-    let max_threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-    let configs = figure14_configs(max_threads);
-    let mut headers: Vec<String> = vec!["graph".to_string()];
-    headers.extend(configs.iter().map(|c| format!("{} thread(s)", c.num_threads)));
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+/// Figure 11, on work: edges ForkGraph processes as its optimisations are
+/// enabled cumulatively (+buffer, +consolidation, +priority scheduling,
+/// +yielding). Each level should process no more edges than the one before.
+pub fn figure11() -> Report {
+    let levels = AblationLevel::all();
+    let mut headers = vec!["workload", "partitions"];
+    headers.extend(levels.iter().map(|level| level.label()));
     let mut table = Table::new(
-        "Figure 14 — ForkGraph speedup vs number of threads (NCP workload)",
-        &header_refs,
+        "Figure 11 — edges processed with cumulative optimisations (one worker)",
+        &headers,
     );
-    let ppr = ppr_config();
-    for spec in specs {
-        let graph = unweighted(&spec);
-        let srcs = sources(&graph, 16, 61);
-        // One layout per graph: the columns differ only in worker count.
-        let pg = PartitionedGraph::build(
-            &graph,
-            PartitionConfig::llc_sized(scaled_llc().capacity_bytes),
-        );
-        let times: Vec<f64> = configs
+    let mut claims = Vec::new();
+    for case in cases() {
+        let k = llc_partitions(&case.graph);
+        let edges: Vec<(&str, u64)> = levels
             .iter()
-            .map(|&config| {
-                ForkGraphEngine::new(&pg, config).run_ppr(&srcs, &ppr).measurement.seconds()
+            .map(|&level| {
+                let mut config = EngineConfig::for_ablation(level);
+                if matches!(case.workload.kind, QueryKind::Ppr(_)) && level == AblationLevel::Full {
+                    config = config.with_yield_policy(forkgraph_ppr_config().yield_policy);
+                }
+                let m = run_forkgraph(&case.graph, &case.workload, config, None);
+                (level.label(), m.work.edges_processed)
             })
             .collect();
-        let base = times[0].max(1e-9);
         table.push_row(
-            std::iter::once(spec.name.to_string())
-                .chain(times.iter().map(|t| format!("{}x", fmt_f64(base / t.max(1e-9))))),
+            [case.label.to_string(), k.to_string()]
+                .into_iter()
+                .chain(edges.iter().map(|(_, count)| count.to_string())),
         );
+        claims.push(Claim {
+            id: format!("figure11-{}", case.id),
+            reference: "Fig. 11",
+            statement: format!(
+                "each cumulative optimisation processes no more edges than the level before it ({})",
+                case.label
+            ),
+            evidence: format!("k={k}: {}", listing(edges.iter().copied())),
+            verdict: Verdict::on_partitions(k, edges.windows(2).all(|w| w[1].1 <= w[0].1)),
+        });
     }
-    vec![table]
+    Report { tables: vec![table], claims }
 }
 
 // ---------------------------------------------------------------------------
-// Figure 15: throughput vs number of queries
+// Figure 15: sharing partition loads among more queries
 // ---------------------------------------------------------------------------
 
-/// Figure 15: normalised throughput (queries per second, relative to a single
-/// query) as the number of FPP queries grows, for five query types.
-pub fn figure15() -> Vec<Table> {
+/// Figure 15's premise: partition visits per query fall as the number of
+/// queries grows, for five query types. Each shared visit serves every query
+/// with work in that partition, which is where the paper's throughput gain
+/// comes from.
+pub fn figure15() -> Report {
     let counts = [1usize, 4, 16, 64];
-    let mut headers: Vec<String> = vec!["query type".to_string()];
+    let mut headers = vec!["query type".to_string(), "partitions".to_string()];
     headers.extend(counts.iter().map(|c| format!("|Q|={c}")));
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut table =
-        Table::new("Figure 15 — normalised throughput vs number of queries", &header_refs);
-
-    let social = datasets::LJ.scaled(0.06);
-    let road = datasets::US.generate_weighted(0.03);
-    let pg_social =
-        PartitionedGraph::build(&social, PartitionConfig::llc_sized(scaled_llc().capacity_bytes));
-    let pg_road =
-        PartitionedGraph::build(&road, PartitionConfig::llc_sized(scaled_llc().capacity_bytes));
-
-    let mut run_series = |label: &str, run: &mut dyn FnMut(&[VertexId]) -> f64| {
-        let graph_n =
-            if label.contains("Us") { road.num_vertices() } else { social.num_vertices() };
-        let mut throughputs = Vec::new();
-        for &count in &counts {
-            let srcs: Vec<VertexId> = fg_apps::sample_sources(graph_n, count, 71);
-            let secs = run(&srcs).max(1e-9);
-            throughputs.push(count as f64 / secs);
-        }
-        let base = throughputs[0].max(1e-9);
-        table.push_row(
-            std::iter::once(label.to_string()).chain(throughputs.iter().map(|t| fmt_f64(t / base))),
-        );
-    };
-
-    let ppr = ppr_config();
-    run_series("PPR on Lj", &mut |srcs| {
-        ForkGraphEngine::new(&pg_social, forkgraph_ppr_config())
-            .run_ppr(srcs, &ppr)
-            .measurement
-            .seconds()
-    });
-    run_series("DFS on Lj", &mut |srcs| {
-        ForkGraphEngine::new(&pg_social, forkgraph_sssp_config())
-            .run_dfs(srcs)
-            .measurement
-            .seconds()
-    });
-    run_series("RW on Us", &mut |srcs| {
-        let config = fg_seq::random_walk::RandomWalkConfig {
-            num_walks: 8,
-            walk_length: 32,
-            restart_prob: 0.0,
-            seed: 5,
-        };
-        ForkGraphEngine::new(&pg_road, forkgraph_sssp_config())
-            .run_random_walks(srcs, &config)
-            .measurement
-            .seconds()
-    });
-    run_series("SSSP on Us", &mut |srcs| {
-        ForkGraphEngine::new(&pg_road, forkgraph_sssp_config()).run_sssp(srcs).measurement.seconds()
-    });
-    run_series("BFS on Lj", &mut |srcs| {
-        ForkGraphEngine::new(&pg_social, forkgraph_sssp_config())
-            .run_bfs(srcs)
-            .measurement
-            .seconds()
-    });
-    vec![table]
-}
-
-// ---------------------------------------------------------------------------
-// Figure 16: partition size sweep
-// ---------------------------------------------------------------------------
-
-/// Figure 16: execution time of ForkGraph with partition sizes of ¼×, ½×, 1×,
-/// 2×, and 4× the simulated LLC, normalised to the 1× setting.
-pub fn figure16() -> Vec<Table> {
-    let llc_bytes = scaled_llc().capacity_bytes;
-    let cases: Vec<(String, CsrGraph, Workload, EngineConfig)> = vec![
-        {
-            let g = datasets::CA.generate_weighted(ROAD_SCALE);
-            let w = Workload::sssp(sources(&g, 8, 81));
-            ("LL on Ca".to_string(), g, w, forkgraph_sssp_config())
-        },
-        {
-            let g = datasets::US.generate_weighted(0.03);
-            let w = Workload::sssp(sources(&g, 8, 82));
-            ("LL on Us".to_string(), g, w, forkgraph_sssp_config())
-        },
-        {
-            let g = datasets::LJ.scaled(0.06);
-            let w = Workload::ppr(sources(&g, 8, 83), ppr_config());
-            ("NCP on Lj".to_string(), g, w, forkgraph_ppr_config())
-        },
-        {
-            let g = datasets::TW.scaled(0.04);
-            let w = Workload::ppr(sources(&g, 8, 84), ppr_config());
-            ("NCP on Tw".to_string(), g, w, forkgraph_ppr_config())
-        },
-    ];
     let mut table = Table::new(
-        "Figure 16 — normalised execution time vs partition size (1.0 = LLC-sized)",
-        &["workload", "1/4 LLC", "1/2 LLC", "LLC", "2x LLC", "4x LLC"],
+        "Figure 15 — partition visits (per query) vs number of queries (one worker)",
+        &header_refs,
     );
-    for (label, graph, workload, config) in cases {
-        let times: Vec<f64> = [0.25, 0.5, 1.0, 2.0, 4.0]
+
+    let social = lj();
+    let road = us();
+    let llc = repro_llc().capacity_bytes;
+    let pg_social = PartitionedGraph::build(&social, PartitionConfig::llc_sized(llc));
+    let pg_road = PartitionedGraph::build(&road, PartitionConfig::llc_sized(llc));
+    let walks = RandomWalkConfig { num_walks: 8, walk_length: 32, restart_prob: 0.0, seed: 5 };
+    let ppr = ppr_config();
+    let one_worker = EngineConfig::default().with_threads(1);
+
+    type Run<'a> = Box<dyn Fn(&[VertexId]) -> Measurement + 'a>;
+    let series: [(&str, &str, &PartitionedGraph, Run); 5] = [
+        ("ppr-lj", "PPR on Lj", &pg_social, {
+            let engine = ForkGraphEngine::new(&pg_social, forkgraph_ppr_config().with_threads(1));
+            Box::new(move |srcs| engine.run_ppr(srcs, &ppr).measurement)
+        }),
+        ("dfs-lj", "DFS on Lj", &pg_social, {
+            let engine = ForkGraphEngine::new(&pg_social, one_worker);
+            Box::new(move |srcs| engine.run_dfs(srcs).measurement)
+        }),
+        ("rw-us", "RW on Us", &pg_road, {
+            let engine = ForkGraphEngine::new(&pg_road, one_worker);
+            Box::new(move |srcs| engine.run_random_walks(srcs, &walks).measurement)
+        }),
+        ("sssp-us", "SSSP on Us", &pg_road, {
+            let engine = ForkGraphEngine::new(&pg_road, one_worker);
+            Box::new(move |srcs| engine.run_sssp(srcs).measurement)
+        }),
+        ("bfs-lj", "BFS on Lj", &pg_social, {
+            let engine = ForkGraphEngine::new(&pg_social, one_worker);
+            Box::new(move |srcs| engine.run_bfs(srcs).measurement)
+        }),
+    ];
+
+    let mut claims = Vec::new();
+    for (id, label, pg, run) in series {
+        let k = pg.num_partitions();
+        let visits: Vec<u64> = counts
             .iter()
-            .map(|factor| {
-                let bytes = ((llc_bytes as f64) * factor) as usize;
-                run_forkgraph(&graph, &workload, bytes.max(4096), config, None).seconds()
+            .map(|&count| {
+                let srcs = sources(pg.graph(), count, 71);
+                run(&srcs).work.partition_visits
             })
             .collect();
-        let base = times[2].max(1e-9);
-        table.push_row(std::iter::once(label).chain(times.iter().map(|t| fmt_f64(t / base))));
+        let per_query: Vec<String> = visits
+            .iter()
+            .zip(counts)
+            .map(|(&v, q)| format!("{:.2}", v as f64 / q as f64))
+            .collect();
+        table.push_row(
+            [label.to_string(), k.to_string()]
+                .into_iter()
+                .chain(visits.iter().zip(&per_query).map(|(v, pq)| format!("{v} ({pq})"))),
+        );
+        // visits[i] / q[i] < visits[i - 1] / q[i - 1], compared exactly.
+        let falls = (1..counts.len())
+            .all(|i| visits[i] * (counts[i - 1] as u64) < visits[i - 1] * (counts[i] as u64));
+        claims.push(Claim {
+            id: format!("figure15-{id}"),
+            reference: "Fig. 15",
+            statement: format!(
+                "partition visits per query fall as |Q| goes 1 → 4 → 16 → 64 ({label})"
+            ),
+            evidence: format!("k={k}: {}", per_query.join(" → ")),
+            verdict: Verdict::on_partitions(k, falls),
+        });
     }
-    vec![table]
+    Report { tables: vec![table], claims }
 }
 
 // ---------------------------------------------------------------------------
-// §C.3: partitioning methods, and Appendix E: atomic-free sanity check
+// §C.3: partitioning methods, and Appendix E: atomic-free SSSP
 // ---------------------------------------------------------------------------
 
-/// Partition-method comparison (§C.3): execution time and edge cut of
-/// ForkGraph under different partitioners.
-pub fn partition_methods() -> Vec<Table> {
-    let graph = datasets::CA.generate_weighted(ROAD_SCALE);
-    let shared = Arc::new(graph.clone());
-    let workload = Workload::sssp(sources(&graph, 8, 91));
-    let llc_bytes = scaled_llc().capacity_bytes;
-    let k = PartitionConfig::llc_sized(llc_bytes).resolve_num_partitions(&graph);
+/// Partition-method comparison (§C.3): the edge cut of each partitioner at
+/// the LLC-sized partition count. Multilevel should cut the fewest edges.
+pub fn partition_methods() -> Report {
+    let graph = ca();
+    let k = llc_partitions(&graph);
     let mut table = Table::new(
-        "Partition methods (LL on Ca-scaled)",
-        &["method", "edge cut", "cut ratio", "execution time (s)", "edges processed"],
+        format!("Partition methods — edge cut on Ca at k={k}"),
+        &["method", "edge cut", "cut ratio"],
     );
+    let mut cuts = Vec::new();
     for method in PartitionMethod::all() {
-        let config = PartitionConfig::with_partitions(method, k);
-        let plan = PartitionPlan::compute(&graph, &config);
+        let plan = PartitionPlan::compute(&graph, &PartitionConfig::with_partitions(method, k));
         let cut = plan.edge_cut(&graph);
-        let pg = PartitionedGraph::from_plan(Arc::clone(&shared), plan, config);
-        let engine = ForkGraphEngine::new(&pg, forkgraph_sssp_config());
-        let start = Instant::now();
-        let result = engine.run_sssp(&workload.sources);
-        let elapsed = start.elapsed().as_secs_f64();
         table.push_row([
             method.name().to_string(),
             cut.to_string(),
             format!("{:.1}%", cut as f64 / graph.num_edges() as f64 * 100.0),
-            fmt_f64(elapsed),
-            result.work().edges_processed.to_string(),
         ]);
+        cuts.push((method, cut));
     }
-    vec![table]
+    let cut_of = |m: PartitionMethod| {
+        cuts.iter().find(|(method, _)| *method == m).expect("every method was run").1
+    };
+    let multilevel = cut_of(PartitionMethod::Multilevel);
+    let claim = Claim {
+        id: "partition_methods".to_string(),
+        reference: "§C.3",
+        statement: "multilevel partitioning cuts fewer edges than chunked and hash (Ca)"
+            .to_string(),
+        evidence: format!(
+            "k={k}: {}",
+            listing(cuts.iter().map(|(method, cut)| (method.name(), *cut as u64)))
+        ),
+        verdict: Verdict::on_partitions(
+            k,
+            multilevel < cut_of(PartitionMethod::Chunked)
+                && multilevel < cut_of(PartitionMethod::Hash),
+        ),
+    };
+    Report { tables: vec![table], claims: vec![claim] }
 }
 
-/// Appendix E: atomic-free (topology-driven) SSSP sanity check against the
-/// frontier-based Ligra SSSP and the sequential Dijkstra baseline.
-pub fn atomic_free() -> Vec<Table> {
-    let graph = Arc::new(datasets::WK.scaled(SOCIAL_SCALE).with_random_weights(10, 3));
+/// Appendix E: the atomic-free, topology-driven SSSP (one thread) against
+/// Ligra's frontier SSSP and sequential Dijkstra. Scanning every vertex each
+/// round, the atomic-free version should process more edges than Ligra's.
+pub fn atomic_free() -> Report {
+    let graph = Arc::new(wk());
+    let k = llc_partitions(&graph);
     let srcs = sources(&graph, 8, 95);
-    let mut table = Table::new(
-        "Appendix E — atomic-free SSSP sanity check",
-        &["implementation", "execution time (s)", "edges processed"],
-    );
-    // Atomic-based frontier SSSP (Ligra).
-    let workload = Workload::sssp(srcs.clone());
-    let ligra = run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, None);
-    table.push_row([
-        "Ligra frontier (atomic, t=1)".to_string(),
-        secs(&ligra),
-        ligra.work.edges_processed.to_string(),
-    ]);
-    // Atomic-free topology-driven SSSP.
+    let ligra = run_baseline(System::Ligra, &graph, &Workload::sssp(srcs.clone()), None);
     let counters = WorkCounters::new();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let start = Instant::now();
     for &s in &srcs {
-        let _ = atomic_free_sssp(&graph, s, cores, &counters);
+        let _ = atomic_free_sssp(&graph, s, 1, &counters);
     }
-    let elapsed = start.elapsed().as_secs_f64();
-    table.push_row([
-        "Atomic-free Bellman-Ford (topology-driven)".to_string(),
-        fmt_f64(elapsed),
-        counters.snapshot().edges_processed.to_string(),
-    ]);
-    // Sequential Dijkstra.
-    let start = Instant::now();
-    let seq_edges: u64 =
-        srcs.iter().map(|&s| fg_seq::dijkstra::dijkstra(&graph, s).edges_processed).sum();
-    table.push_row([
-        "Sequential Dijkstra".to_string(),
-        fmt_f64(start.elapsed().as_secs_f64()),
-        seq_edges.to_string(),
-    ]);
-    vec![table]
-}
-
-/// Table 2 counterpart: the scaled dataset registry actually used by the
-/// harness.
-pub fn table2() -> Vec<Table> {
+    let edges = [
+        ("Ligra frontier", ligra.work.edges_processed),
+        ("atomic-free", counters.snapshot().edges_processed),
+        (
+            "Dijkstra",
+            srcs.iter().map(|&s| fg_seq::dijkstra::dijkstra(&graph, s).edges_processed).sum(),
+        ),
+    ];
     let mut table = Table::new(
-        "Table 2 — scaled synthetic stand-ins for the paper's datasets",
-        &["graph", "family", "|V|", "|E|", "avg degree", "size (MiB)"],
+        format!("Appendix E — atomic-free SSSP sanity check (8 SSSP on Wk, k={k})"),
+        &["implementation", "edges processed"],
     );
-    for spec in datasets::all() {
-        let g = unweighted(&spec);
-        table.push_row([
-            spec.name.to_string(),
-            format!("{:?}", spec.family),
-            g.num_vertices().to_string(),
-            g.num_edges().to_string(),
-            fmt_f64(g.avg_degree()),
-            fmt_f64(g.size_bytes() as f64 / (1024.0 * 1024.0)),
-        ]);
+    for (name, count) in edges {
+        table.push_row([name.to_string(), count.to_string()]);
     }
-    vec![table]
+    let claim = Claim {
+        id: "atomic_free".to_string(),
+        reference: "App. E",
+        statement: "the atomic-free topology-driven SSSP processes more edges than Ligra's \
+                    frontier SSSP (8 SSSP on Wk, one thread)"
+            .to_string(),
+        evidence: format!("k={k}: {}", listing(edges)),
+        verdict: Verdict::on_partitions(k, edges[1].1 > edges[0].1),
+    };
+    Report { tables: vec![table], claims: vec![claim] }
 }
 
-/// A named paper-reproduction experiment.
-pub type Experiment = (&'static str, fn() -> Vec<Table>);
+/// A named experiment.
+pub type Experiment = (&'static str, fn() -> Report);
 
 /// All experiments with their canonical names, in paper order.
 pub fn all_experiments() -> Vec<Experiment> {
     vec![
-        ("table1", table1),
-        ("figure1", figure1),
-        ("table2", table2),
         ("figure8", figure8),
-        ("figure9", figure9),
-        ("table3", table3),
         ("figure10", figure10),
         ("figure11", figure11),
-        ("table4a", table4a),
-        ("table4b", table4b),
-        ("table4c", table4c),
-        ("table5", table5),
-        ("figure13", figure13),
-        ("figure14", figure14),
         ("figure15", figure15),
-        ("figure16", figure16),
         ("partition_methods", partition_methods),
         ("atomic_free", atomic_free),
     ]
@@ -994,35 +466,27 @@ pub fn all_experiments() -> Vec<Experiment> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::{claim_table, data_rows, readme_section, README};
 
     #[test]
-    fn experiment_registry_is_complete_and_named_uniquely() {
-        let experiments = all_experiments();
-        assert_eq!(experiments.len(), 18);
-        let mut names: Vec<&str> = experiments.iter().map(|(n, _)| *n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 18);
+    fn experiment_registry_is_named_uniquely() {
+        let names: Vec<&str> = all_experiments().iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            ["figure8", "figure10", "figure11", "figure15", "partition_methods", "atomic_free"]
+        );
     }
 
     #[test]
-    fn figure14_column_t_runs_t_worker_threads() {
-        for (column, config) in figure14_configs(4).iter().enumerate() {
-            assert_eq!(config.num_threads, column + 1);
-            assert_eq!(config.yield_policy, forkgraph_ppr_config().yield_policy);
-        }
-    }
-
-    #[test]
-    fn fast_experiments_produce_tables() {
-        // Exercise the cheapest experiments end-to-end; the expensive ones are
-        // covered by the repro binary run recorded in EXPERIMENTS.md.
-        for (name, f) in
-            [("figure8", figure8 as fn() -> Vec<Table>), ("table5", table5), ("table2", table2)]
-        {
-            let tables = f();
-            assert!(!tables.is_empty(), "{name}");
-            assert!(tables.iter().all(|t| t.num_rows() > 0), "{name}");
+    fn figure8_and_partition_methods_claims_match_readme() {
+        let section = readme_section(README).expect("README has a claim section");
+        let readme_rows: Vec<&str> = data_rows(section).collect();
+        for report in [figure8(), partition_methods()] {
+            assert!(report.tables.iter().all(|t| t.num_rows() > 0));
+            let md = claim_table(&report.claims).to_markdown();
+            for row in data_rows(&md) {
+                assert!(readme_rows.contains(&row), "README's claim table lacks\n{row}");
+            }
         }
     }
 }

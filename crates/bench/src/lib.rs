@@ -1,19 +1,20 @@
 //! # fg-bench
 //!
-//! The paper-reproduction harness that regenerates every table and figure of
-//! the paper's evaluation at laptop scale. The `repro` binary dispatches to
-//! the experiment functions in [`experiments`]; each returns Markdown tables
-//! that are printed and written under `target/repro/`.
+//! The paper's claim ledger. Each experiment in [`experiments`] states one of
+//! the paper's comparisons as a [`claims::Claim`] on exact counts and
+//! returns it with the tables its evidence comes from. The `repro` binary
+//! prints them; `repro all` also checks the claim table against README's and
+//! fails on any difference (see [`claims`]).
 //!
-//! Workloads are scaled-down versions of the paper's: smaller synthetic
-//! graphs, fewer queries, and a proportionally smaller simulated LLC.
-//! Absolute numbers therefore differ from the paper; the comparisons (which
-//! system wins, by roughly what factor, where the trends cross) are what the
-//! harness reproduces. Performance is measured and gated by the `fgbench/`
-//! package, not here.
+//! The inputs are scaled-down stand-ins for the paper's datasets, cut into
+//! partitions of one small simulated LLC ([`runner::repro_llc`]). Absolute
+//! numbers therefore differ from the paper; the comparisons are what the
+//! ledger checks. A comparison that no exact count can check — anything read
+//! off wall time — is not here: speed is measured by the `fgbench/` package.
 
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod experiments;
 pub mod runner;
 

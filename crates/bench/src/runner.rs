@@ -1,5 +1,7 @@
-//! Shared experiment runner: executes one (system, scheme, application,
-//! dataset) combination and returns its [`Measurement`].
+//! Shared experiment runner: executes one (system, application, dataset)
+//! combination the way a claim may read it — the baselines one query at a
+//! time on one thread, ForkGraph on one worker — and returns its
+//! [`Measurement`].
 
 use std::sync::Arc;
 
@@ -13,13 +15,22 @@ use fg_metrics::Measurement;
 use fg_seq::ppr::PprConfig;
 use forkgraph_core::{EngineConfig, ForkGraphEngine, YieldPolicy};
 
-/// The simulated LLC used throughout the harness (scaled from the paper's
-/// 13.75 MiB to match the scaled datasets).
-pub fn scaled_llc() -> CacheConfig {
-    CacheConfig { capacity_bytes: 256 * 1024, line_bytes: 64, associativity: 16 }
+/// The one simulated LLC of `repro`: 32 KiB, 64-byte lines, 16-way. It
+/// sizes ForkGraph's partitions and is the cache every instrumented run
+/// simulates. It is far smaller than the paper's 13.75 MiB because the
+/// simulator costs tens of nanoseconds per access: the stand-ins stay small
+/// enough to simulate in seconds, and a 32 KiB cache still cuts each of them
+/// into at least [`crate::claims::MIN_PARTITIONS`] partitions.
+pub fn repro_llc() -> CacheConfig {
+    CacheConfig { capacity_bytes: 32 * 1024, line_bytes: 64, associativity: 16 }
 }
 
-/// The systems compared in the evaluation.
+/// How many partitions of [`repro_llc`] `graph` is cut into.
+pub fn llc_partitions(graph: &CsrGraph) -> usize {
+    PartitionConfig::llc_sized(repro_llc().capacity_bytes).resolve_num_partitions(graph)
+}
+
+/// The baseline systems compared in the evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum System {
     /// Ligra-like engine.
@@ -28,8 +39,6 @@ pub enum System {
     Gemini,
     /// GraphIt-like engine.
     GraphIt,
-    /// ForkGraph.
-    ForkGraph,
 }
 
 impl System {
@@ -38,18 +47,12 @@ impl System {
         [System::Ligra, System::Gemini, System::GraphIt]
     }
 
-    /// All four systems.
-    pub fn all() -> [System; 4] {
-        [System::Ligra, System::Gemini, System::GraphIt, System::ForkGraph]
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
             System::Ligra => "Ligra",
             System::Gemini => "Gemini",
             System::GraphIt => "GraphIt",
-            System::ForkGraph => "ForkGraph",
         }
     }
 }
@@ -69,55 +72,50 @@ impl Workload {
         Workload { kind: QueryKind::Sssp, sources }
     }
 
-    /// A BFS workload.
-    pub fn bfs(sources: Vec<VertexId>) -> Self {
-        Workload { kind: QueryKind::Bfs, sources }
-    }
-
     /// A PPR workload (used by NCP).
     pub fn ppr(sources: Vec<VertexId>, config: PprConfig) -> Self {
         Workload { kind: QueryKind::Ppr(config), sources }
     }
 }
 
-/// Run `workload` on a baseline system under `scheme`.
+/// Run `workload` on a baseline system, one query at a time on one thread
+/// ([`ExecutionScheme::SingleThreaded`]), so its work and cache counts are
+/// exact.
 pub fn run_baseline(
     system: System,
     graph: &Arc<CsrGraph>,
     workload: &Workload,
-    scheme: ExecutionScheme,
     cache: Option<CacheConfig>,
 ) -> Measurement {
     fn drive<E: GpsEngine>(
         engine: E,
         graph: &Arc<CsrGraph>,
         workload: &Workload,
-        scheme: ExecutionScheme,
         cache: Option<CacheConfig>,
     ) -> Measurement {
         let mut driver = FppDriver::new(engine, Arc::clone(graph));
         if let Some(c) = cache {
             driver = driver.with_cache(c);
         }
-        driver.run(&workload.kind, &workload.sources, scheme).measurement
+        driver.run(&workload.kind, &workload.sources, ExecutionScheme::SingleThreaded).measurement
     }
     match system {
-        System::Ligra => drive(LigraEngine::new(), graph, workload, scheme, cache),
-        System::Gemini => drive(GeminiEngine::new(), graph, workload, scheme, cache),
-        System::GraphIt => drive(GraphItEngine::new(), graph, workload, scheme, cache),
-        System::ForkGraph => panic!("use run_forkgraph for ForkGraph"),
+        System::Ligra => drive(LigraEngine::new(), graph, workload, cache),
+        System::Gemini => drive(GeminiEngine::new(), graph, workload, cache),
+        System::GraphIt => drive(GraphItEngine::new(), graph, workload, cache),
     }
 }
 
-/// Run `workload` on ForkGraph over `llc_bytes`-sized partitions.
+/// Run `workload` on ForkGraph with one worker over [`repro_llc`]-sized
+/// partitions.
 pub fn run_forkgraph(
     graph: &CsrGraph,
     workload: &Workload,
-    llc_bytes: usize,
-    mut config: EngineConfig,
+    config: EngineConfig,
     cache: Option<CacheConfig>,
 ) -> Measurement {
-    let pg = PartitionedGraph::build(graph, PartitionConfig::llc_sized(llc_bytes));
+    let pg = PartitionedGraph::build(graph, PartitionConfig::llc_sized(repro_llc().capacity_bytes));
+    let mut config = config.with_threads(1);
     if let Some(c) = cache {
         config = config.with_cache(c);
     }
@@ -135,9 +133,13 @@ pub fn forkgraph_ppr_config() -> EngineConfig {
     EngineConfig::default().with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor: 100.0 })
 }
 
-/// The ForkGraph engine configuration used for SSSP/BFS workloads (BC, LL).
-pub fn forkgraph_sssp_config() -> EngineConfig {
-    EngineConfig::default()
+/// The ForkGraph engine configuration used for the workload's kind: the
+/// default for SSSP/BFS (BC, LL), [`forkgraph_ppr_config`] for PPR (NCP).
+pub fn forkgraph_config(workload: &Workload) -> EngineConfig {
+    match workload.kind {
+        QueryKind::Ppr(_) => forkgraph_ppr_config(),
+        QueryKind::Sssp | QueryKind::Bfs => EngineConfig::default(),
+    }
 }
 
 #[cfg(test)]
@@ -149,41 +151,30 @@ mod tests {
     fn baseline_and_forkgraph_runners_produce_measurements() {
         let graph = Arc::new(gen::rmat(8, 5, 1).with_random_weights(6, 1));
         let workload = Workload::sssp(vec![0, 3, 9]);
-        let base =
-            run_baseline(System::Ligra, &graph, &workload, ExecutionScheme::InterQuery, None);
+        let base = run_baseline(System::Ligra, &graph, &workload, None);
         assert!(base.work.edges_processed > 0);
-        let fork = run_forkgraph(&graph, &workload, 64 * 1024, forkgraph_sssp_config(), None);
+        assert_eq!(base.label, "Ligra (single-threaded)");
+        let fork = run_forkgraph(&graph, &workload, forkgraph_config(&workload), None);
         assert!(fork.work.edges_processed > 0);
+        assert_eq!(fork.work.workers.len(), 1);
         assert_eq!(fork.label, "ForkGraph");
     }
 
     #[test]
     fn cache_instrumented_runs_report_cache_numbers() {
-        let graph = Arc::new(gen::rmat(8, 5, 2));
-        let workload = Workload::bfs(vec![0, 1, 2, 3]);
-        let llc = scaled_llc();
-        let base = run_baseline(
-            System::GraphIt,
-            &graph,
-            &workload,
-            ExecutionScheme::InterQuery,
-            Some(llc),
-        );
+        let graph = Arc::new(gen::rmat(8, 5, 2).with_random_weights(6, 2));
+        let workload = Workload::sssp(vec![0, 1, 2, 3]);
+        let llc = repro_llc();
+        let base = run_baseline(System::GraphIt, &graph, &workload, Some(llc));
         assert!(base.cache.unwrap().misses > 0);
-        let fork = run_forkgraph(
-            &graph,
-            &workload,
-            llc.capacity_bytes,
-            forkgraph_sssp_config(),
-            Some(llc),
-        );
+        let fork = run_forkgraph(&graph, &workload, EngineConfig::default(), Some(llc));
         assert!(fork.cache.unwrap().accesses > 0);
     }
 
     #[test]
-    fn system_metadata() {
-        assert_eq!(System::all().len(), 4);
-        assert_eq!(System::baselines().len(), 3);
-        assert_eq!(System::ForkGraph.name(), "ForkGraph");
+    fn partition_count_is_the_graph_size_over_the_llc() {
+        let graph = gen::rmat(10, 8, 3);
+        let llc = repro_llc().capacity_bytes;
+        assert_eq!(llc_partitions(&graph), graph.size_bytes().div_ceil(llc));
     }
 }

@@ -25,8 +25,10 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Simulated LLC scaled to the synthetic datasets (2 MiB, 64-byte lines,
-    /// 16-way). The paper's Xeon W-2155 had a 13.75 MiB, 11-way LLC.
+    /// A 2 MiB simulated LLC with 64-byte lines, 16-way: the default
+    /// geometry, and the cache `fgbench`'s `cachesim.*` rows simulate. The
+    /// paper's Xeon W-2155 had a 13.75 MiB, 11-way LLC; `fg-bench`'s `repro`
+    /// simulates a smaller one of its own (`repro_llc`).
     pub fn scaled_llc() -> Self {
         CacheConfig { capacity_bytes: 2 * 1024 * 1024, line_bytes: 64, associativity: 16 }
     }

@@ -14,21 +14,16 @@
 //! relative number of LLC misses between coordinated (ForkGraph) and
 //! uncoordinated (t = 1 inter-query parallelism) access patterns — without
 //! requiring the original hardware.
-//!
-//! A simple [`StallModel`] converts hit/miss counts into the memory-stall
-//! breakdown of Figure 13.
 
 #![forbid(unsafe_code)]
 
 pub mod address;
 pub mod cache;
 pub mod instrument;
-pub mod stall;
 
 pub use address::{AddressSpace, Region};
 pub use cache::{AccessKind, CacheConfig, CacheSim, CacheStats, SharedCacheSim};
 pub use instrument::GraphAccessTracer;
-pub use stall::{StallBreakdown, StallModel};
 
 #[cfg(test)]
 mod tests {

@@ -39,10 +39,10 @@ use fg_graph::partition::PartitionId;
 
 use crate::operation::{HeapEntry, Operation, Priority};
 
-/// How a flat operation list is grouped by query in the Table 5
-/// micro-benchmark ([`consolidate`]); the two methods of Appendix B.1. The
-/// engine itself no longer groups anything — lanes are grouped by
-/// construction — so [`PartitionBuffer::drain_consolidated`] accepts either.
+/// How a flat operation list is grouped by query: the two methods of
+/// Appendix B.1. The engine itself no longer groups anything — lanes are
+/// grouped by construction — so [`PartitionBuffer::drain_consolidated`]
+/// accepts either.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConsolidationMethod {
     /// Sort the bucket by query id (`O(R log R)` per bucket).
@@ -387,40 +387,6 @@ impl<V: Copy> RemoteScratch<V> {
     }
 }
 
-/// Group a flat operation list by query using the given method; exposed for
-/// the consolidation micro-benchmark (Table 5).
-pub fn consolidate<V: Copy>(
-    ops: &[Operation<V>],
-    num_queries: usize,
-    method: ConsolidationMethod,
-) -> Vec<(u32, Vec<Operation<V>>)> {
-    match method {
-        ConsolidationMethod::Sort => {
-            let mut sorted: Vec<Operation<V>> = ops.to_vec();
-            sorted.sort_by_key(|op| op.query);
-            let mut groups: Vec<(u32, Vec<Operation<V>>)> = Vec::new();
-            for op in sorted {
-                match groups.last_mut() {
-                    Some((q, list)) if *q == op.query => list.push(op),
-                    _ => groups.push((op.query, vec![op])),
-                }
-            }
-            groups
-        }
-        ConsolidationMethod::Scan => {
-            let mut groups = Vec::new();
-            for q in 0..num_queries as u32 {
-                let list: Vec<Operation<V>> =
-                    ops.iter().filter(|op| op.query == q).copied().collect();
-                if !list.is_empty() {
-                    groups.push((q, list));
-                }
-            }
-            groups
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,22 +424,6 @@ mod tests {
             let total: usize = groups.iter().map(|(_, ops)| ops.len()).sum();
             assert_eq!(total, 5);
         }
-    }
-
-    #[test]
-    fn sort_and_scan_produce_the_same_grouping() {
-        let ops: Vec<Operation<u64>> =
-            (0..200).map(|i| op(i % 7, i, (i as u64 * 37) % 100)).collect();
-        let mut by_sort = consolidate(&ops, 7, ConsolidationMethod::Sort);
-        let mut by_scan = consolidate(&ops, 7, ConsolidationMethod::Scan);
-        let normalize = |groups: &mut Vec<(u32, Vec<Operation<u64>>)>| {
-            for (_, list) in groups.iter_mut() {
-                list.sort_by_key(|o| (o.vertex, o.priority));
-            }
-        };
-        normalize(&mut by_sort);
-        normalize(&mut by_scan);
-        assert_eq!(by_sort, by_scan);
     }
 
     /// Run one visit of every active lane, popping up to `budget` operations

@@ -29,9 +29,7 @@ use fg_graph::mutation::EdgeDelta;
 use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Dist, VertexId};
-use fg_metrics::{
-    CacheNumbers, Measurement, MemoryEstimate, Stopwatch, WorkSnapshot, WorkerSnapshot,
-};
+use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkSnapshot, WorkerSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, RunProfile, TraceSink};
@@ -502,10 +500,7 @@ impl<'g> ForkGraphEngine<'g> {
         wall_time: Duration,
         work: WorkSnapshot,
         tracer: &GraphAccessTracer,
-        num_queries: usize,
     ) -> Measurement {
-        let graph = self.pg.graph();
-        let num_partitions = self.pg.num_partitions();
         let cache_stats = tracer.stats();
         Measurement {
             label: "ForkGraph".to_string(),
@@ -515,14 +510,6 @@ impl<'g> ForkGraphEngine<'g> {
                 accesses: cache_stats.accesses,
                 loads: cache_stats.loads,
                 misses: cache_stats.misses,
-            }),
-            memory: Some(MemoryEstimate {
-                graph_bytes: graph.total_size_bytes() as u64,
-                query_state_bytes: (num_queries * graph.num_vertices() * 8) as u64,
-                // The one dense lane structure: each partition's
-                // `query → lane` table of `u32` slots (an upper bound — a
-                // table only grows to the highest query that reached it).
-                auxiliary_bytes: (num_partitions * num_queries * 4) as u64,
             }),
         }
     }
@@ -807,14 +794,13 @@ mod tests {
     }
 
     #[test]
-    fn measurement_contains_cache_and_memory_when_enabled() {
+    fn measurement_contains_cache_numbers_when_enabled() {
         let g = gen::rmat(8, 5, 29).with_random_weights(6, 29);
         let pg = partitioned(&g, 4);
         let config = EngineConfig::default().with_cache(fg_cachesim::CacheConfig::tiny(64 * 1024));
         let result = ForkGraphEngine::new(&pg, config).run_sssp(&[0, 1, 2]);
         let cache = result.measurement.cache.unwrap();
         assert!(cache.accesses > 0 && cache.misses > 0);
-        assert!(result.measurement.memory.unwrap().total_bytes() > 0);
         assert_eq!(result.measurement.label, "ForkGraph");
     }
 

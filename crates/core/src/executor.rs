@@ -556,7 +556,7 @@ pub(crate) fn run<K: FppKernel>(
     }
     let workers = tallies.into_iter().map(|(stats, _)| stats).collect();
     let work = WorkSnapshot::from_workers(workers, num_seeds, num_queries as u64);
-    let measurement = engine.build_measurement(watch.elapsed(), work, &tracer, num_queries);
+    let measurement = engine.build_measurement(watch.elapsed(), work, &tracer);
     engine.emit_trace(EventKind::RunEnd, num_queries as u32, num_workers as u32, 0);
     let profile = config.profile.then(|| RunProfile {
         phases: PhaseTimes {

@@ -92,7 +92,7 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
-    /// All policies, for the Table 4A sweep.
+    /// All policies, in the order Figure 8 compares them.
     pub fn all() -> [SchedulingPolicy; 4] {
         [
             SchedulingPolicy::Random { seed: 7 },

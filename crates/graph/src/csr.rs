@@ -244,14 +244,6 @@ impl CsrGraph {
         bytes
     }
 
-    /// Total size including the transpose, i.e. what is actually resident.
-    pub fn total_size_bytes(&self) -> usize {
-        self.size_bytes()
-            + self.in_offsets.len() * std::mem::size_of::<u64>()
-            + self.in_targets.len() * std::mem::size_of::<VertexId>()
-            + self.in_weights.as_ref().map_or(0, |w| w.len() * std::mem::size_of::<Weight>())
-    }
-
     /// Return a copy of this graph with uniformly random integer weights in
     /// `[1, max_weight]`, seeded deterministically from `seed`.
     pub fn with_random_weights(&self, max_weight: Weight, seed: u64) -> CsrGraph {
@@ -389,7 +381,6 @@ mod tests {
         }
         let big = b.build();
         assert!(big.size_bytes() > small.size_bytes());
-        assert!(big.total_size_bytes() >= big.size_bytes());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl DatasetSpec {
         let max_w = (g.num_vertices() as f64).log2().ceil().max(2.0) as u32;
         g.with_random_weights(max_w, self.seed ^ 0xdead_beef)
     }
-
-    /// Whether the family is a road network (high diameter).
-    pub fn is_road(&self) -> bool {
-        self.family == GraphFamily::Road
-    }
 }
 
 /// California road network stand-in (1.9 M vertices in the paper).
@@ -145,11 +140,6 @@ pub const TW: DatasetSpec = DatasetSpec {
 /// All eight datasets in Table 2 order.
 pub fn all() -> [DatasetSpec; 8] {
     [CA, US, EU, OR, WK, LJ, PT, TW]
-}
-
-/// The social/web graphs used in the NCP experiments (Or, Wk, Lj, Pt, Tw).
-pub fn ncp_graphs() -> [DatasetSpec; 5] {
-    [OR, WK, LJ, PT, TW]
 }
 
 /// Look a dataset up by its short name (case-insensitive).

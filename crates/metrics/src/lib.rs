@@ -15,7 +15,7 @@ pub mod report;
 pub mod service;
 
 pub use counters::{WorkCounters, WorkSnapshot, WorkerSnapshot};
-pub use measurement::{CacheNumbers, Measurement, MemoryEstimate, Stopwatch};
+pub use measurement::{CacheNumbers, Measurement, Stopwatch};
 pub use pool::PoolSnapshot;
 pub use report::Table;
 pub use service::{BatchRecord, LatencyReservoir, ServiceSnapshot};

@@ -1,4 +1,4 @@
-//! Measurements bundling time, work, cache behaviour, and memory.
+//! Measurements bundling time, work, and cache behaviour.
 
 use std::time::Duration;
 
@@ -27,24 +27,6 @@ impl CacheNumbers {
     }
 }
 
-/// Approximate memory consumption of an engine run, reproducing Table 3B.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoryEstimate {
-    /// Bytes of graph storage (CSR, including the transpose if built).
-    pub graph_bytes: u64,
-    /// Bytes of per-query result/state arrays.
-    pub query_state_bytes: u64,
-    /// Bytes of auxiliary structures (buffers, frontiers, schedulers).
-    pub auxiliary_bytes: u64,
-}
-
-impl MemoryEstimate {
-    /// Total estimated bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.graph_bytes + self.query_state_bytes + self.auxiliary_bytes
-    }
-}
-
 /// One engine run's results.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Measurement {
@@ -56,19 +38,12 @@ pub struct Measurement {
     pub work: WorkSnapshot,
     /// Simulated cache counters (if the run was instrumented).
     pub cache: Option<CacheNumbers>,
-    /// Approximate memory consumption.
-    pub memory: Option<MemoryEstimate>,
 }
 
 impl Measurement {
     /// Create a measurement with just a label and a wall time.
     pub fn new(label: impl Into<String>, wall_time: Duration) -> Self {
         Measurement { label: label.into(), wall_time, ..Default::default() }
-    }
-
-    /// Wall time in seconds as a float.
-    pub fn seconds(&self) -> f64 {
-        self.wall_time.as_secs_f64()
     }
 }
 
@@ -105,16 +80,6 @@ mod tests {
         let c = CacheNumbers { accesses: 10, loads: 8, misses: 4 };
         assert!((c.miss_ratio() - 0.4).abs() < 1e-12);
         assert_eq!(CacheNumbers::default().miss_ratio(), 0.0);
-    }
-
-    #[test]
-    fn memory_estimate_totals() {
-        let m = MemoryEstimate {
-            graph_bytes: 1 << 30,
-            query_state_bytes: 1 << 29,
-            auxiliary_bytes: 1 << 29,
-        };
-        assert_eq!(m.total_bytes(), 2 << 30);
     }
 
     #[test]

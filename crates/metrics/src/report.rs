@@ -36,16 +36,17 @@ impl Table {
         self.rows.len()
     }
 
-    /// Render as GitHub-flavoured Markdown.
+    /// Render as GitHub-flavoured Markdown. A `|` in the title, a header or
+    /// a cell is escaped as `\|`, so it cannot split a column.
     pub fn to_markdown(&self) -> String {
         let cols = self.headers.len().max(1);
         let mut out = String::new();
         if !self.title.is_empty() {
-            out.push_str(&format!("### {}\n\n", self.title));
+            out.push_str(&format!("### {}\n\n", escape(&self.title)));
         }
         out.push('|');
         for h in &self.headers {
-            out.push_str(&format!(" {h} |"));
+            out.push_str(&format!(" {} |", escape(h)));
         }
         out.push_str("\n|");
         for _ in 0..cols {
@@ -56,7 +57,7 @@ impl Table {
             out.push('|');
             for c in 0..cols {
                 let cell = row.get(c).map(String::as_str).unwrap_or("");
-                out.push_str(&format!(" {cell} |"));
+                out.push_str(&format!(" {} |", escape(cell)));
             }
             out.push('\n');
         }
@@ -64,18 +65,8 @@ impl Table {
     }
 }
 
-/// Format a float with three significant decimals, trimming trailing noise —
-/// good enough for the report tables.
-pub fn fmt_f64(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 100.0 {
-        format!("{x:.0}")
-    } else if x.abs() >= 1.0 {
-        format!("{x:.2}")
-    } else {
-        format!("{x:.4}")
-    }
+fn escape(text: &str) -> String {
+    text.replace('|', "\\|")
 }
 
 #[cfg(test)]
@@ -104,10 +95,17 @@ mod tests {
     }
 
     #[test]
-    fn float_formatting() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(1234.7), "1235");
-        assert_eq!(fmt_f64(12.345), "12.35");
-        assert_eq!(fmt_f64(0.01234), "0.0123");
+    fn pipes_are_escaped_in_title_headers_and_cells() {
+        let mut t = Table::new("|Q| sweep", &["|V|", "|Q|=1"]);
+        t.push_row(["a|b", "2"]);
+        let md = t.to_markdown();
+        assert!(md.contains("### \\|Q\\| sweep"));
+        assert!(md.contains("| \\|V\\| | \\|Q\\|=1 |"));
+        assert!(md.contains("| a\\|b | 2 |"));
+        // Each line keeps one column per header: three unescaped pipes for
+        // two columns.
+        for line in md.lines().filter(|l| l.starts_with('|')) {
+            assert_eq!(line.replace("\\|", "").matches('|').count(), 3, "{line}");
+        }
     }
 }

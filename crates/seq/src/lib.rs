@@ -17,8 +17,9 @@
 //!   Chung–Lang, as used by Shun et al. for NCP),
 //! * [`random_walk`] — bounded random walks.
 //!
-//! Every kernel reports the number of edges it processed so the evaluation can
-//! reproduce the paper's work-efficiency comparisons (Figure 10b).
+//! Every kernel reports the number of edges it processed: the work ceilings
+//! of the tests and `repro`'s Figure 10b and Appendix E tables compare the
+//! engines' edge counts against it.
 
 #![forbid(unsafe_code)]
 

@@ -17,13 +17,9 @@ fn road_graph() -> CsrGraph {
     forkgraph::graph::datasets::CA.generate_weighted(0.05)
 }
 
-/// Every threading scheme of Table 1 / Figure 1.
-const SCHEMES: [ExecutionScheme; 4] = [
-    ExecutionScheme::SingleThreaded,
-    ExecutionScheme::InterQuery,
-    ExecutionScheme::IntraQuery,
-    ExecutionScheme::Hybrid { threads_per_query: 2 },
-];
+/// Every threading scheme of Table 1.
+const SCHEMES: [ExecutionScheme; 3] =
+    [ExecutionScheme::SingleThreaded, ExecutionScheme::InterQuery, ExecutionScheme::IntraQuery];
 
 fn partitioned(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
     PartitionedGraph::build(
