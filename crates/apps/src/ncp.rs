@@ -141,7 +141,7 @@ impl NetworkCommunityProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fg_baselines::GraphItEngine;
+    use fg_baselines::LigraEngine;
     use fg_graph::partition::{PartitionConfig, PartitionMethod};
     use fg_graph::{gen, GraphBuilder};
     use std::sync::Arc;
@@ -187,8 +187,8 @@ mod tests {
             PartitionConfig::with_partitions(PartitionMethod::Multilevel, 4),
         );
         let fork = ncp.run_forkgraph(&pg, ncp.engine_config());
-        let driver = FppDriver::new(GraphItEngine::new(), Arc::new(g.clone()));
-        let base = ncp.run_baseline(&driver, ExecutionScheme::IntraQuery, &g);
+        let driver = FppDriver::new(LigraEngine::new(), Arc::new(g.clone()));
+        let base = ncp.run_baseline(&driver, ExecutionScheme::InterQuery, &g);
         assert_eq!(fork.seeds, base.seeds);
         assert!((fork.best_conductance() - base.best_conductance()).abs() < 0.1);
     }

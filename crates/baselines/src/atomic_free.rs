@@ -1,72 +1,52 @@
-//! Atomic-free, topology-driven SSSP (Appendix E sanity check).
+//! The atomic-free, topology-driven SSSP (Appendix E sanity check).
 //!
-//! Multiple threads update distances without synchronisation; lost updates are
+//! Threads update distances without synchronisation; lost updates are
 //! recovered in later rounds thanks to the monotonicity of shortest-path
-//! relaxation (Nasre et al., "Atomic-free irregular computations on GPUs").
+//! relaxation (Nasre, Burtscher and Pingali, GPGPU 2013).
 //! The paper implements this on top of Ligra's Bellman–Ford as a sanity check
 //! and finds it a few times *slower* than the atomic-based version on
-//! multi-cores because of redundant updates; this module reproduces that
-//! comparison.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! multi-cores because of redundant updates. This module runs it on one
+//! thread, where the redundant work shows as edge counts: every round scans
+//! every reached vertex, changed or not.
 
 use fg_graph::{CsrGraph, Dist, VertexId, INF_DIST};
-use fg_metrics::WorkCounters;
+use fg_metrics::WorkSnapshot;
 
-use crate::kernels::par_chunks;
-
-/// Topology-driven, atomic-free Bellman–Ford.
+/// Topology-driven Bellman–Ford.
 ///
-/// Every round scans *all* vertices and relaxes their out-edges using plain
-/// (racy but monotone) writes through a relaxed-ordering view of the distance
-/// array, the vertices split over `threads`; the algorithm iterates until a
-/// round changes nothing. Returns the distance vector.
-pub fn atomic_free_sssp(
-    graph: &CsrGraph,
-    source: VertexId,
-    threads: usize,
-    counters: &WorkCounters,
-) -> Vec<Dist> {
+/// Every round scans *all* vertices in id order and relaxes the out-edges of
+/// each reached one; the algorithm iterates until a round changes nothing.
+/// Adds its rounds and edges to `work` and returns the distance vector.
+pub fn atomic_free_sssp(graph: &CsrGraph, source: VertexId, work: &mut WorkSnapshot) -> Vec<Dist> {
     let n = graph.num_vertices();
     if n == 0 {
         return Vec::new();
     }
-    // The distances are stored in atomics but accessed with plain
-    // load/store (no compare-and-swap, no fetch_min): concurrent writers may
-    // overwrite each other, which is exactly the lost-update behaviour the
-    // topology-driven algorithm tolerates.
-    let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(INF_DIST)).collect();
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let vertices: Vec<VertexId> = (0..n as VertexId).collect();
+    let mut dist = vec![INF_DIST; n];
+    dist[source as usize] = 0;
 
     loop {
-        counters.add_iteration();
-        let relax_vertex = |u: VertexId| -> bool {
-            let du = dist[u as usize].load(Ordering::Relaxed);
+        work.iterations += 1;
+        let mut changed = false;
+        for u in 0..n {
+            let du = dist[u];
             if du == INF_DIST {
-                return false;
+                continue;
             }
-            let mut changed = false;
-            counters.add_edges(graph.out_degree(u) as u64);
-            for (v, w) in graph.out_edges(u) {
+            work.edges_processed += graph.out_degree(u as VertexId) as u64;
+            for (v, w) in graph.out_edges(u as VertexId) {
                 let nd = du + w as Dist;
-                if nd < dist[v as usize].load(Ordering::Relaxed) {
-                    // Plain store: may lose races, fixed in a later round.
-                    dist[v as usize].store(nd, Ordering::Relaxed);
+                if nd < dist[v as usize] {
+                    dist[v as usize] = nd;
                     changed = true;
                 }
             }
-            changed
-        };
-        // `|`, not `||`: every vertex relaxes in every round.
-        let changed = par_chunks(&vertices, threads, |chunk| {
-            chunk.iter().fold(false, |changed, &u| relax_vertex(u) | changed)
-        });
-        if !changed.contains(&true) {
+        }
+        if !changed {
             break;
         }
     }
-    dist.into_iter().map(|d| d.into_inner()).collect()
+    dist
 }
 
 #[cfg(test)]
@@ -76,26 +56,22 @@ mod tests {
     use fg_seq::dijkstra::dijkstra;
 
     #[test]
-    fn atomic_free_matches_dijkstra_sequentially_and_in_parallel() {
+    fn atomic_free_matches_dijkstra() {
         let g = gen::erdos_renyi(250, 2000, 9).with_random_weights(8, 9);
-        let oracle = dijkstra(&g, 0).dist;
-        for threads in [1, 3] {
-            let counters = WorkCounters::new();
-            let d = atomic_free_sssp(&g, 0, threads, &counters);
-            assert_eq!(d, oracle, "threads={threads}");
-        }
+        let d = atomic_free_sssp(&g, 0, &mut WorkSnapshot::default());
+        assert_eq!(d, dijkstra(&g, 0).dist);
     }
 
     #[test]
     fn atomic_free_processes_more_edges_than_dijkstra() {
         let g = gen::grid2d(22, 22, 0.0, 2).with_random_weights(6, 2);
-        let counters = WorkCounters::new();
-        let _ = atomic_free_sssp(&g, 0, 1, &counters);
+        let mut work = WorkSnapshot::default();
+        let _ = atomic_free_sssp(&g, 0, &mut work);
         let d = dijkstra(&g, 0);
         assert!(
-            counters.snapshot().edges_processed > 2 * d.edges_processed,
+            work.edges_processed > 2 * d.edges_processed,
             "atomic-free {} vs dijkstra {}",
-            counters.snapshot().edges_processed,
+            work.edges_processed,
             d.edges_processed
         );
     }
@@ -106,8 +82,7 @@ mod tests {
         b.add_edge(0, 1, 3);
         b.add_edge(4, 5, 1);
         let g = b.build();
-        let counters = WorkCounters::new();
-        let d = atomic_free_sssp(&g, 0, 3, &counters);
+        let d = atomic_free_sssp(&g, 0, &mut WorkSnapshot::default());
         assert_eq!(d[1], 3);
         assert_eq!(d[4], INF_DIST);
     }

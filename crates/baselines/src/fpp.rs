@@ -1,20 +1,20 @@
 //! Fork-processing-pattern driver for the baseline engines.
 //!
 //! Runs a batch of homogeneous queries (Algorithm 1 of the paper) under the
-//! threading schemes of the paper's Table 1:
+//! threading schemes of the paper's Table 1. Each query runs on one thread
+//! from start to finish and keeps its own work tally; the batch's work is
+//! their sum, so both schemes report the same work counts.
 //!
 //! * [`ExecutionScheme::SingleThreaded`] — one query at a time, one thread,
 //! * [`ExecutionScheme::InterQuery`] — `t = 1`: every query on one thread,
-//!   `#cores` queries in flight (best-performing but cache-thrashing scheme),
-//! * [`ExecutionScheme::IntraQuery`] — `t = #cores`: queries one at a time,
-//!   each parallelised internally.
+//!   `#cores` queries in flight (best-performing but cache-thrashing scheme).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::{CsrGraph, Dist, VertexId};
-use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkCounters};
+use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkSnapshot};
 use fg_seq::ppr::PprConfig;
 
 use crate::engine::{GpsEngine, QueryContext};
@@ -28,33 +28,27 @@ pub enum ExecutionScheme {
     SingleThreaded,
     /// `t = 1`: one thread per query, `#cores` queries in flight.
     InterQuery,
-    /// `t = #cores`: one query at a time, parallelised internally.
-    IntraQuery,
 }
 
 impl ExecutionScheme {
     /// Short label used in measurement names, matching the paper's notation:
     /// `t` is the number of threads each query runs on.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            ExecutionScheme::SingleThreaded => "single-threaded".to_string(),
-            _ => format!("t={}", self.threads().1),
+            ExecutionScheme::SingleThreaded => "single-threaded",
+            ExecutionScheme::InterQuery => "t=1",
         }
     }
 
-    /// How many queries run at once, and how many threads each query gets.
-    fn threads(&self) -> (usize, usize) {
-        match *self {
-            ExecutionScheme::SingleThreaded => (1, 1),
-            ExecutionScheme::InterQuery => (cores(), 1),
-            ExecutionScheme::IntraQuery => (1, cores()),
+    /// How many queries run at once.
+    fn in_flight(&self) -> usize {
+        match self {
+            ExecutionScheme::SingleThreaded => 1,
+            ExecutionScheme::InterQuery => {
+                std::thread::available_parallelism().map_or(1, |n| n.get())
+            }
         }
     }
-}
-
-/// Hardware threads available to this process.
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// The kind of query launched from every source vertex.
@@ -133,11 +127,6 @@ impl<E: GpsEngine> FppDriver<E> {
         self
     }
 
-    /// The wrapped engine.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
     /// Run `sources.len()` queries of the given kind under `scheme`.
     pub fn run(
         &self,
@@ -149,37 +138,41 @@ impl<E: GpsEngine> FppDriver<E> {
             Some(config) => GraphAccessTracer::new(config),
             None => GraphAccessTracer::disabled(),
         };
-        let counters = WorkCounters::new();
         let watch = Stopwatch::start();
 
-        let (in_flight, threads) = scheme.threads();
-        let run_one = |query_id: usize, source: VertexId| -> QueryOutput {
-            let ctx = QueryContext { query_id, threads, tracer: &tracer, counters: &counters };
+        let run_one = |query_id: usize, source: VertexId| -> (QueryOutput, WorkSnapshot) {
+            let mut ctx = QueryContext::new(query_id, &tracer);
             let out = match kind {
-                QueryKind::Sssp => QueryOutput::Sssp(self.engine.sssp(&self.graph, source, &ctx)),
-                QueryKind::Bfs => QueryOutput::Bfs(self.engine.bfs(&self.graph, source, &ctx)),
+                QueryKind::Sssp => {
+                    QueryOutput::Sssp(self.engine.sssp(&self.graph, source, &mut ctx))
+                }
+                QueryKind::Bfs => QueryOutput::Bfs(self.engine.bfs(&self.graph, source, &mut ctx)),
                 QueryKind::Ppr(config) => {
-                    QueryOutput::Ppr(self.engine.ppr(&self.graph, source, config, &ctx))
+                    QueryOutput::Ppr(self.engine.ppr(&self.graph, source, config, &mut ctx))
                 }
             };
-            counters.add_queries_completed(1);
-            out
+            ctx.work.queries_completed += 1;
+            (out, ctx.work)
         };
 
         let queries: Vec<(usize, VertexId)> = sources.iter().copied().enumerate().collect();
-        let outputs: Vec<QueryOutput> = par_chunks(&queries, in_flight, |chunk| {
-            chunk.iter().map(|&(query_id, source)| run_one(query_id, source)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let (outputs, tallies): (Vec<QueryOutput>, Vec<WorkSnapshot>) =
+            par_chunks(&queries, scheme.in_flight(), |chunk| {
+                chunk
+                    .iter()
+                    .map(|&(query_id, source)| run_one(query_id, source))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .unzip();
 
         let wall_time: Duration = watch.elapsed();
         let cache_stats = tracer.stats();
         let measurement = Measurement {
             label: format!("{} ({})", self.engine.name(), scheme.label()),
             wall_time,
-            work: counters.snapshot(),
+            work: tallies.iter().fold(WorkSnapshot::default(), |sum, tally| sum.merge(tally)),
             cache: self.cache_config.map(|_| CacheNumbers {
                 accesses: cache_stats.accesses,
                 loads: cache_stats.loads,
@@ -195,7 +188,6 @@ mod tests {
     use super::*;
     use crate::ligra::LigraEngine;
     use fg_graph::gen;
-    use std::sync::Mutex;
 
     fn graph() -> Arc<CsrGraph> {
         Arc::new(gen::rmat(8, 6, 1).with_random_weights(6, 1))
@@ -208,11 +200,7 @@ mod tests {
         let driver = FppDriver::new(LigraEngine::new(), Arc::clone(&g));
         let reference: Vec<Vec<Dist>> =
             sources.iter().map(|&s| fg_seq::dijkstra::dijkstra(&g, s).dist).collect();
-        for scheme in [
-            ExecutionScheme::SingleThreaded,
-            ExecutionScheme::InterQuery,
-            ExecutionScheme::IntraQuery,
-        ] {
+        for scheme in [ExecutionScheme::SingleThreaded, ExecutionScheme::InterQuery] {
             let result = driver.run(&QueryKind::Sssp, &sources, scheme);
             assert_eq!(result.outputs.len(), sources.len());
             for (out, expected) in result.outputs.iter().zip(reference.iter()) {
@@ -269,49 +257,5 @@ mod tests {
     fn scheme_labels() {
         assert_eq!(ExecutionScheme::SingleThreaded.label(), "single-threaded");
         assert_eq!(ExecutionScheme::InterQuery.label(), "t=1");
-        assert_eq!(ExecutionScheme::IntraQuery.label(), format!("t={}", cores()));
-    }
-
-    /// An engine that answers nothing and records the `threads` each query
-    /// is handed.
-    #[derive(Default)]
-    struct ThreadsProbe(Mutex<Vec<usize>>);
-
-    impl GpsEngine for ThreadsProbe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-
-        fn sssp(&self, _: &CsrGraph, _: VertexId, ctx: &QueryContext<'_>) -> Vec<Dist> {
-            self.0.lock().unwrap().push(ctx.threads);
-            Vec::new()
-        }
-
-        fn bfs(&self, _: &CsrGraph, _: VertexId, _: &QueryContext<'_>) -> Vec<u32> {
-            unreachable!("the probe runs SSSP only")
-        }
-
-        fn ppr(
-            &self,
-            _: &CsrGraph,
-            _: VertexId,
-            _: &PprConfig,
-            _: &QueryContext<'_>,
-        ) -> Vec<(VertexId, f64)> {
-            unreachable!("the probe runs SSSP only")
-        }
-    }
-
-    #[test]
-    fn each_scheme_hands_its_queries_its_thread_count() {
-        for (scheme, threads) in [
-            (ExecutionScheme::SingleThreaded, 1),
-            (ExecutionScheme::InterQuery, 1),
-            (ExecutionScheme::IntraQuery, cores()),
-        ] {
-            let driver = FppDriver::new(ThreadsProbe::default(), graph());
-            driver.run(&QueryKind::Sssp, &[0, 1, 2, 3, 4], scheme);
-            assert_eq!(*driver.engine().0.lock().unwrap(), vec![threads; 5], "{scheme:?}");
-        }
     }
 }

@@ -30,11 +30,11 @@ impl GpsEngine for GeminiEngine {
         "Gemini"
     }
 
-    fn sssp(&self, graph: &CsrGraph, source: VertexId, ctx: &QueryContext<'_>) -> Vec<Dist> {
+    fn sssp(&self, graph: &CsrGraph, source: VertexId, ctx: &mut QueryContext<'_>) -> Vec<Dist> {
         frontier_sssp(graph, source, ctx, IterationStrategy::DenseAlways)
     }
 
-    fn bfs(&self, graph: &CsrGraph, source: VertexId, ctx: &QueryContext<'_>) -> Vec<u32> {
+    fn bfs(&self, graph: &CsrGraph, source: VertexId, ctx: &mut QueryContext<'_>) -> Vec<u32> {
         frontier_bfs(graph, source, ctx, IterationStrategy::DenseAlways)
     }
 
@@ -43,7 +43,7 @@ impl GpsEngine for GeminiEngine {
         graph: &CsrGraph,
         seed: VertexId,
         config: &PprConfig,
-        ctx: &QueryContext<'_>,
+        ctx: &mut QueryContext<'_>,
     ) -> Vec<(VertexId, f64)> {
         frontier_ppr(graph, seed, config, ctx, true)
     }
@@ -54,17 +54,15 @@ mod tests {
     use super::*;
     use fg_cachesim::GraphAccessTracer;
     use fg_graph::gen;
-    use fg_metrics::WorkCounters;
 
     #[test]
     fn gemini_results_match_sequential_oracles() {
         let g = gen::erdos_renyi(200, 1500, 4).with_random_weights(6, 4);
         let engine = GeminiEngine::new();
         let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
-        assert_eq!(engine.sssp(&g, 2, &ctx), fg_seq::dijkstra::dijkstra(&g, 2).dist);
-        assert_eq!(engine.bfs(&g, 2, &ctx), fg_seq::bfs::bfs(&g, 2).level);
+        let mut ctx = QueryContext::new(0, &tracer);
+        assert_eq!(engine.sssp(&g, 2, &mut ctx), fg_seq::dijkstra::dijkstra(&g, 2).dist);
+        assert_eq!(engine.bfs(&g, 2, &mut ctx), fg_seq::bfs::bfs(&g, 2).level);
         assert_eq!(engine.name(), "Gemini");
     }
 
@@ -72,13 +70,11 @@ mod tests {
     fn gemini_does_more_work_than_ligra_on_road_graphs() {
         let g = gen::grid2d(20, 20, 0.0, 1).with_random_weights(5, 1);
         let tracer = GraphAccessTracer::disabled();
-        let gem = WorkCounters::new();
-        let lig = WorkCounters::new();
-        let gem_ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &gem };
-        let lig_ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &lig };
-        GeminiEngine::new().sssp(&g, 0, &gem_ctx);
-        crate::ligra::LigraEngine::new().sssp(&g, 0, &lig_ctx);
-        assert!(gem.snapshot().edges_processed > lig.snapshot().edges_processed);
-        assert!(gem.snapshot().iterations >= lig.snapshot().iterations);
+        let mut gem = QueryContext::new(0, &tracer);
+        let mut lig = QueryContext::new(0, &tracer);
+        GeminiEngine::new().sssp(&g, 0, &mut gem);
+        crate::ligra::LigraEngine::new().sssp(&g, 0, &mut lig);
+        assert!(gem.work.edges_processed > lig.work.edges_processed);
+        assert!(gem.work.iterations >= lig.work.iterations);
     }
 }

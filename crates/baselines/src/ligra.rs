@@ -28,10 +28,7 @@ impl LigraEngine {
     }
 
     fn strategy(&self) -> IterationStrategy {
-        IterationStrategy::DirectionOptimizing {
-            divisor: self.direction_divisor,
-            pull_segment: None,
-        }
+        IterationStrategy::DirectionOptimizing { divisor: self.direction_divisor }
     }
 }
 
@@ -40,11 +37,11 @@ impl GpsEngine for LigraEngine {
         "Ligra"
     }
 
-    fn sssp(&self, graph: &CsrGraph, source: VertexId, ctx: &QueryContext<'_>) -> Vec<Dist> {
+    fn sssp(&self, graph: &CsrGraph, source: VertexId, ctx: &mut QueryContext<'_>) -> Vec<Dist> {
         frontier_sssp(graph, source, ctx, self.strategy())
     }
 
-    fn bfs(&self, graph: &CsrGraph, source: VertexId, ctx: &QueryContext<'_>) -> Vec<u32> {
+    fn bfs(&self, graph: &CsrGraph, source: VertexId, ctx: &mut QueryContext<'_>) -> Vec<u32> {
         frontier_bfs(graph, source, ctx, self.strategy())
     }
 
@@ -53,7 +50,7 @@ impl GpsEngine for LigraEngine {
         graph: &CsrGraph,
         seed: VertexId,
         config: &PprConfig,
-        ctx: &QueryContext<'_>,
+        ctx: &mut QueryContext<'_>,
     ) -> Vec<(VertexId, f64)> {
         frontier_ppr(graph, seed, config, ctx, false)
     }
@@ -64,17 +61,15 @@ mod tests {
     use super::*;
     use fg_cachesim::GraphAccessTracer;
     use fg_graph::gen;
-    use fg_metrics::WorkCounters;
 
     #[test]
     fn ligra_sssp_and_bfs_match_sequential_oracles() {
         let g = gen::rmat(9, 6, 1).with_random_weights(7, 1);
         let engine = LigraEngine::new();
         let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        let ctx = QueryContext { query_id: 0, threads: 3, tracer: &tracer, counters: &counters };
-        assert_eq!(engine.sssp(&g, 0, &ctx), fg_seq::dijkstra::dijkstra(&g, 0).dist);
-        assert_eq!(engine.bfs(&g, 0, &ctx), fg_seq::bfs::bfs(&g, 0).level);
+        let mut ctx = QueryContext::new(0, &tracer);
+        assert_eq!(engine.sssp(&g, 0, &mut ctx), fg_seq::dijkstra::dijkstra(&g, 0).dist);
+        assert_eq!(engine.bfs(&g, 0, &mut ctx), fg_seq::bfs::bfs(&g, 0).level);
         assert_eq!(engine.name(), "Ligra");
     }
 
@@ -82,10 +77,9 @@ mod tests {
     fn direction_divisor_affects_iteration_strategy_not_results() {
         let g = gen::grid2d(15, 15, 0.05, 2).with_random_weights(5, 2);
         let tracer = GraphAccessTracer::disabled();
-        let counters = WorkCounters::new();
-        let ctx = QueryContext { query_id: 0, threads: 1, tracer: &tracer, counters: &counters };
-        let push_heavy = LigraEngine { direction_divisor: 1_000_000 }.sssp(&g, 0, &ctx);
-        let pull_heavy = LigraEngine { direction_divisor: 1 }.sssp(&g, 0, &ctx);
+        let mut ctx = QueryContext::new(0, &tracer);
+        let push_heavy = LigraEngine { direction_divisor: 1_000_000 }.sssp(&g, 0, &mut ctx);
+        let pull_heavy = LigraEngine { direction_divisor: 1 }.sssp(&g, 0, &mut ctx);
         assert_eq!(push_heavy, pull_heavy);
     }
 }

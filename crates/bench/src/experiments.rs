@@ -16,7 +16,7 @@ use fg_graph::datasets;
 use fg_graph::partition::{PartitionConfig, PartitionMethod, PartitionPlan};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, VertexId};
-use fg_metrics::{Measurement, Table, WorkCounters};
+use fg_metrics::{Measurement, Table, WorkSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::{AblationLevel, EngineConfig, ForkGraphEngine, SchedulingPolicy, YieldPolicy};
@@ -164,11 +164,10 @@ fn sequential_edges(case: &Case) -> u64 {
 /// run is single-threaded and simulates [`repro_llc`].
 pub fn figure10() -> Report {
     let llc = repro_llc();
-    let headers =
-        ["workload", "partitions", "Ligra", "Gemini", "GraphIt", "ForkGraph", "Sequential"];
+    let headers = ["workload", "partitions", "Ligra", "Gemini", "ForkGraph", "Sequential"];
     let mut miss_table = Table::new(
         "Figure 10a — simulated LLC misses (single-threaded baselines, one-worker ForkGraph)",
-        &headers[..6],
+        &headers[..5],
     );
     let mut edge_table = Table::new("Figure 10b — edges processed", &headers);
     let mut miss_claims = Vec::new();
@@ -417,13 +416,13 @@ pub fn atomic_free() -> Report {
     let k = llc_partitions(&graph);
     let srcs = sources(&graph, 8, 95);
     let ligra = run_baseline(System::Ligra, &graph, &Workload::sssp(srcs.clone()), None);
-    let counters = WorkCounters::new();
+    let mut atomic_free = WorkSnapshot::default();
     for &s in &srcs {
-        let _ = atomic_free_sssp(&graph, s, 1, &counters);
+        let _ = atomic_free_sssp(&graph, s, &mut atomic_free);
     }
     let edges = [
         ("Ligra frontier", ligra.work.edges_processed),
-        ("atomic-free", counters.snapshot().edges_processed),
+        ("atomic-free", atomic_free.edges_processed),
         (
             "Dijkstra",
             srcs.iter().map(|&s| fg_seq::dijkstra::dijkstra(&graph, s).edges_processed).sum(),

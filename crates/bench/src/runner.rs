@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use fg_baselines::fpp::{ExecutionScheme, FppDriver, QueryKind};
-use fg_baselines::{GeminiEngine, GpsEngine, GraphItEngine, LigraEngine};
+use fg_baselines::{GeminiEngine, GpsEngine, LigraEngine};
 use fg_cachesim::CacheConfig;
 use fg_graph::partition::PartitionConfig;
 use fg_graph::partitioned::PartitionedGraph;
@@ -37,14 +37,12 @@ pub enum System {
     Ligra,
     /// Gemini-like engine.
     Gemini,
-    /// GraphIt-like engine.
-    GraphIt,
 }
 
 impl System {
-    /// The three baseline systems.
-    pub fn baselines() -> [System; 3] {
-        [System::Ligra, System::Gemini, System::GraphIt]
+    /// The baseline systems.
+    pub fn baselines() -> [System; 2] {
+        [System::Ligra, System::Gemini]
     }
 
     /// Display name.
@@ -52,7 +50,6 @@ impl System {
         match self {
             System::Ligra => "Ligra",
             System::Gemini => "Gemini",
-            System::GraphIt => "GraphIt",
         }
     }
 }
@@ -102,7 +99,6 @@ pub fn run_baseline(
     match system {
         System::Ligra => drive(LigraEngine::new(), graph, workload, cache),
         System::Gemini => drive(GeminiEngine::new(), graph, workload, cache),
-        System::GraphIt => drive(GraphItEngine::new(), graph, workload, cache),
     }
 }
 
@@ -165,7 +161,7 @@ mod tests {
         let graph = Arc::new(gen::rmat(8, 5, 2).with_random_weights(6, 2));
         let workload = Workload::sssp(vec![0, 1, 2, 3]);
         let llc = repro_llc();
-        let base = run_baseline(System::GraphIt, &graph, &workload, Some(llc));
+        let base = run_baseline(System::Gemini, &graph, &workload, Some(llc));
         assert!(base.cache.unwrap().misses > 0);
         let fork = run_forkgraph(&graph, &workload, EngineConfig::default(), Some(llc));
         assert!(fork.cache.unwrap().accesses > 0);

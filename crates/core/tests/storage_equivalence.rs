@@ -1,10 +1,9 @@
 //! Equivalence properties for compressed partition storage.
 //!
-//! The contract under test (ISSUE 10 acceptance): kernel results are
-//! **byte-identical** whether a partition's adjacency is stored raw (CSR
-//! slices), compressed (delta/varint payloads decoded on visit), or chosen
-//! adaptively per partition — for SSSP, BFS, and erased (`run_dyn`) random
-//! walks, on one worker and on the pool, and across dynamic-graph mutation batches
+//! The contract under test: kernel results are **byte-identical** whether a
+//! partition's adjacency is stored raw (CSR slices) or compressed
+//! (delta/varint payloads decoded on visit) — for SSSP, BFS, and erased
+//! (`run_dyn`) random walks, on one worker and on the pool, and across dynamic-graph mutation batches
 //! with epoch advances (dirty-partition re-encodes included). The storage
 //! policy itself must survive epoch re-materialisation: a store built
 //! compressed stays compressed after a fold. And the reason compression
@@ -34,9 +33,6 @@ const CASES: u64 = 5;
 /// Worker counts: one worker plus the persistent pool.
 const WORKERS: [usize; 2] = [1, 4];
 
-/// Adaptive threshold giving a raw/compressed mix on the generated graphs.
-const ADAPTIVE_MIN_BYTES: usize = 800;
-
 fn arb_graph(rng: &mut SmallRng) -> CsrGraph {
     let n = rng.gen_range(60usize..200);
     let num_edges = rng.gen_range(2 * n..5 * n);
@@ -54,20 +50,15 @@ fn arb_sources(rng: &mut SmallRng, n: usize, max: usize) -> Vec<VertexId> {
     (0..rng.gen_range(2usize..=max)).map(|_| rng.gen_range(0..n as u32)).collect()
 }
 
-/// One graph, one plan, three stores differing only in storage policy.
-fn storage_triple(rng: &mut SmallRng, graph: CsrGraph) -> [Arc<PartitionedGraph>; 3] {
+/// One graph, one plan, two stores differing only in storage policy.
+fn storage_pair(rng: &mut SmallRng, graph: CsrGraph) -> [Arc<PartitionedGraph>; 2] {
     let parts = rng.gen_range(4usize..13);
     let method = [PartitionMethod::Multilevel, PartitionMethod::Chunked, PartitionMethod::Hash]
         [rng.gen_range(0usize..3)];
     let base = PartitionConfig::with_partitions(method, parts);
     let arc = Arc::new(graph);
     let plan = PartitionPlan::compute(&arc, &base);
-    [
-        StorageConfig::Raw,
-        StorageConfig::Compressed,
-        StorageConfig::Adaptive { min_bytes: ADAPTIVE_MIN_BYTES },
-    ]
-    .map(|storage| {
+    [StorageConfig::Raw, StorageConfig::Compressed].map(|storage| {
         Arc::new(PartitionedGraph::from_plan(
             Arc::clone(&arc),
             plan.clone(),
@@ -98,7 +89,7 @@ fn sssp_and_bfs_are_byte_identical_across_storage_modes_and_executors() {
         let mut rng = SmallRng::seed_from_u64(0x570A + case);
         let graph = arb_graph(&mut rng);
         let sources = arb_sources(&mut rng, graph.num_vertices(), 5);
-        let [raw, compressed, adaptive] = storage_triple(&mut rng, graph);
+        let [raw, compressed] = storage_pair(&mut rng, graph);
         assert_eq!(compressed.compressed_partitions(), compressed.num_partitions());
         assert_eq!(raw.compressed_partitions(), 0);
 
@@ -106,19 +97,17 @@ fn sssp_and_bfs_are_byte_identical_across_storage_modes_and_executors() {
             let config = EngineConfig::default().with_threads(workers);
             let baseline_sssp = ForkGraphEngine::new(&raw, config).run_sssp(&sources).per_query;
             let baseline_bfs = ForkGraphEngine::new(&raw, config).run_bfs(&sources).per_query;
-            for (label, pg) in [("compressed", &compressed), ("adaptive", &adaptive)] {
-                let engine = ForkGraphEngine::new(pg, config);
-                assert_eq!(
-                    engine.run_sssp(&sources).per_query,
-                    baseline_sssp,
-                    "case {case} {label} sssp workers={workers}"
-                );
-                assert_eq!(
-                    engine.run_bfs(&sources).per_query,
-                    baseline_bfs,
-                    "case {case} {label} bfs workers={workers}"
-                );
-            }
+            let engine = ForkGraphEngine::new(&compressed, config);
+            assert_eq!(
+                engine.run_sssp(&sources).per_query,
+                baseline_sssp,
+                "case {case} sssp workers={workers}"
+            );
+            assert_eq!(
+                engine.run_bfs(&sources).per_query,
+                baseline_bfs,
+                "case {case} bfs workers={workers}"
+            );
             // The shared fixpoint is the true one.
             assert_eq!(
                 baseline_sssp[0],
@@ -135,7 +124,7 @@ fn erased_random_walks_are_byte_identical_across_storage_modes() {
         let mut rng = SmallRng::seed_from_u64(0x570B + case);
         let graph = arb_graph(&mut rng);
         let sources = arb_sources(&mut rng, graph.num_vertices(), 3);
-        let [raw, compressed, adaptive] = storage_triple(&mut rng, graph);
+        let [raw, compressed] = storage_pair(&mut rng, graph);
 
         let walks = erase(RandomWalkKernel::new(RandomWalkConfig {
             num_walks: 3,
@@ -146,15 +135,12 @@ fn erased_random_walks_are_byte_identical_across_storage_modes() {
         let run = |pg: &Arc<PartitionedGraph>| {
             ForkGraphEngine::new(pg, EngineConfig::default()).run_dyn(&*walks, &sources).per_query
         };
-        let baseline = run(&raw);
-        for (label, pg) in [("compressed", &compressed), ("adaptive", &adaptive)] {
-            for (q, (a, b)) in run(pg).iter().zip(&baseline).enumerate() {
-                assert_eq!(
-                    a.downcast_ref::<RwState>().unwrap(),
-                    b.downcast_ref::<RwState>().unwrap(),
-                    "case {case} {label} query {q}"
-                );
-            }
+        for (q, (a, b)) in run(&compressed).iter().zip(&run(&raw)).enumerate() {
+            assert_eq!(
+                a.downcast_ref::<RwState>().unwrap(),
+                b.downcast_ref::<RwState>().unwrap(),
+                "case {case} query {q}"
+            );
         }
     }
 }
@@ -202,16 +188,14 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
         let mut rng = SmallRng::seed_from_u64(0x570C + case);
         let graph = arb_graph(&mut rng);
         let sources = arb_sources(&mut rng, graph.num_vertices(), 4);
-        let [raw, compressed, adaptive] = storage_triple(&mut rng, graph);
+        let [raw, compressed] = storage_pair(&mut rng, graph);
 
-        let versioned: Vec<VersionedGraph> = [&raw, &compressed, &adaptive]
-            .into_iter()
-            .map(|pg| VersionedGraph::new(Arc::clone(pg)))
-            .collect();
+        let versioned: Vec<VersionedGraph> =
+            [&raw, &compressed].into_iter().map(|pg| VersionedGraph::new(Arc::clone(pg))).collect();
 
         for round in 0..3 {
             // The identical batch against each store: fork one RNG per store
-            // so all three log the same mutations.
+            // so both log the same mutations.
             let batch_seed = rng.gen::<u64>();
             let snapshots: Vec<Arc<PartitionedGraph>> = versioned
                 .iter()
@@ -233,13 +217,12 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
 
             let baseline =
                 ForkGraphEngine::new(&snapshots[0], EngineConfig::default()).run_sssp(&sources);
-            for (label, pg) in [("compressed", &snapshots[1]), ("adaptive", &snapshots[2])] {
-                let got = ForkGraphEngine::new(pg, EngineConfig::default()).run_sssp(&sources);
-                assert_eq!(
-                    got.per_query, baseline.per_query,
-                    "case {case} round {round} {label}: post-mutation results diverged"
-                );
-            }
+            let got =
+                ForkGraphEngine::new(&snapshots[1], EngineConfig::default()).run_sssp(&sources);
+            assert_eq!(
+                got.per_query, baseline.per_query,
+                "case {case} round {round}: post-mutation results diverged"
+            );
             assert_eq!(
                 baseline.per_query[0],
                 fg_seq::dijkstra::dijkstra(snapshots[0].graph(), sources[0]).dist,
@@ -247,23 +230,4 @@ fn storage_modes_agree_after_mutation_batches_and_epoch_advances() {
             );
         }
     }
-}
-
-/// The adaptive sweep actually exercises both payload kinds somewhere in the
-/// deterministic case set — otherwise the "adaptive" rows above would be
-/// silently testing a single mode.
-#[test]
-fn adaptive_sweep_covers_both_payload_kinds() {
-    let mut compressed_seen = 0usize;
-    let mut raw_seen = 0usize;
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0x570A + case);
-        let graph = arb_graph(&mut rng);
-        let _ = arb_sources(&mut rng, graph.num_vertices(), 5);
-        let [_, _, adaptive] = storage_triple(&mut rng, graph);
-        compressed_seen += adaptive.compressed_partitions();
-        raw_seen += adaptive.num_partitions() - adaptive.compressed_partitions();
-    }
-    assert!(compressed_seen > 0, "adaptive threshold never compressed a partition");
-    assert!(raw_seen > 0, "adaptive threshold compressed everything");
 }

@@ -69,8 +69,8 @@ pub struct PartitionConfig {
     pub target: PartitionTarget,
     /// Seed of the multilevel partitioner's matching and region-growing order.
     pub seed: u64,
-    /// Per-partition payload storage policy (raw, compressed, or adaptive by
-    /// footprint). Defaults to [`StorageConfig::Raw`].
+    /// Per-partition payload storage policy (raw or compressed). Defaults to
+    /// [`StorageConfig::Raw`].
     pub storage: StorageConfig,
 }
 

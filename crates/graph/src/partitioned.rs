@@ -100,9 +100,8 @@ impl PartitionStore {
         }
         let raw_adjacency_bytes =
             raw_adjacency_bytes(internal + cut, vertices.len(), graph.is_weighted());
-        let compressed = storage
-            .wants_compression(raw_adjacency_bytes)
-            .then(|| CompressedEdges::encode(graph, &vertices));
+        let compressed =
+            storage.wants_compression().then(|| CompressedEdges::encode(graph, &vertices));
         let adjacency_bytes =
             compressed.as_ref().map_or(raw_adjacency_bytes, CompressedEdges::payload_bytes);
         // Vertex state: one distance/residual slot per vertex (8 bytes) as a
@@ -537,41 +536,6 @@ mod tests {
                 assert!(raw_view.out_edges(v).eq(comp_view.out_edges(v)), "part {p} vertex {v}");
             }
             assert_eq!(raw.store(p).quotient_row, comp.store(p).quotient_row, "row {p}");
-        }
-    }
-
-    #[test]
-    fn adaptive_storage_compresses_only_large_partitions() {
-        let g = gen::rmat(10, 6, 9).into_weighted(8);
-        let base = PartitionConfig::with_partitions(PartitionMethod::Multilevel, 8);
-        let plan = crate::partition::PartitionPlan::compute(&g, &base);
-        let arc = Arc::new(g.clone());
-        let raw = PartitionedGraph::from_plan(Arc::clone(&arc), plan.clone(), base);
-        // Raw adjacency bytes per partition = footprint minus the 8-byte
-        // per-vertex state estimate; threshold at the median splits the set.
-        let mut adj: Vec<usize> =
-            raw.partitions().map(|p| p.footprint_bytes - p.num_vertices() * 8).collect();
-        adj.sort_unstable();
-        let threshold = adj[adj.len() / 2];
-        let adaptive = PartitionedGraph::from_plan(
-            arc,
-            plan,
-            base.with_storage(StorageConfig::Adaptive { min_bytes: threshold }),
-        );
-        let compressed = adaptive.compressed_partitions();
-        assert!(compressed > 0, "some partition clears the median threshold");
-        assert!(compressed < adaptive.num_partitions(), "some partition stays raw");
-        assert!(adaptive.payload_bytes_raw() > 0 && adaptive.payload_bytes_compressed() > 0);
-        for (p, info) in adaptive.partitions().enumerate() {
-            let raw_info = raw.partition(p as PartitionId);
-            let raw_adj = raw_info.footprint_bytes - raw_info.num_vertices() * 8;
-            assert_eq!(
-                adaptive.store(p as PartitionId).is_compressed(),
-                raw_adj >= threshold,
-                "partition {p} ({} raw bytes)",
-                raw_adj
-            );
-            assert_eq!(info.num_edges(), raw_info.num_edges());
         }
     }
 }

@@ -42,24 +42,12 @@ pub enum StorageConfig {
     Raw,
     /// Delta/varint-encode every partition.
     Compressed,
-    /// Compress a partition only when its raw adjacency footprint is at
-    /// least `min_bytes`; tiny partitions stay raw so their visits pay no
-    /// decode cost for a handful of cache lines saved.
-    Adaptive {
-        /// Raw-footprint threshold (bytes) at which a partition is encoded.
-        min_bytes: usize,
-    },
 }
 
 impl StorageConfig {
-    /// Whether a partition whose raw adjacency occupies `raw_bytes` should be
-    /// stored compressed under this policy.
-    pub fn wants_compression(&self, raw_bytes: usize) -> bool {
-        match *self {
-            StorageConfig::Raw => false,
-            StorageConfig::Compressed => true,
-            StorageConfig::Adaptive { min_bytes } => raw_bytes >= min_bytes,
-        }
+    /// Whether a partition is stored compressed under this policy.
+    pub fn wants_compression(&self) -> bool {
+        *self == StorageConfig::Compressed
     }
 }
 
@@ -504,11 +492,8 @@ mod tests {
 
     #[test]
     fn storage_config_policy() {
-        assert!(!StorageConfig::Raw.wants_compression(usize::MAX));
-        assert!(StorageConfig::Compressed.wants_compression(0));
-        let adaptive = StorageConfig::Adaptive { min_bytes: 1024 };
-        assert!(!adaptive.wants_compression(1023));
-        assert!(adaptive.wants_compression(1024));
+        assert!(!StorageConfig::Raw.wants_compression());
+        assert!(StorageConfig::Compressed.wants_compression());
         assert_eq!(StorageConfig::default(), StorageConfig::Raw);
     }
 }

@@ -1,63 +1,5 @@
-//! Work counters: the baselines' shared atomics and the per-worker tallies
-//! an engine run sums.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counters updated concurrently by the baselines' query threads.
-///
-/// All counters use relaxed atomics: they are statistics, not synchronisation.
-/// The ForkGraph engine does not use them: each of its workers tallies its
-/// own [`WorkerSnapshot`], and a run's totals are their sum
-/// ([`WorkSnapshot::from_workers`]).
-#[derive(Debug, Default)]
-pub struct WorkCounters {
-    edges_processed: AtomicU64,
-    operations_processed: AtomicU64,
-    iterations: AtomicU64,
-    queries_completed: AtomicU64,
-}
-
-impl WorkCounters {
-    /// Create zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `n` relaxed/processed edges.
-    #[inline]
-    pub fn add_edges(&self, n: u64) {
-        self.edges_processed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` executed operations (the ⟨q, v, val⟩ triples of the paper).
-    #[inline]
-    pub fn add_operations(&self, n: u64) {
-        self.operations_processed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one iteration (a frontier step).
-    #[inline]
-    pub fn add_iteration(&self) {
-        self.iterations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` completed queries.
-    #[inline]
-    pub fn add_queries_completed(&self, n: u64) {
-        self.queries_completed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Take a consistent-enough snapshot of the counters.
-    pub fn snapshot(&self) -> WorkSnapshot {
-        WorkSnapshot {
-            edges_processed: self.edges_processed.load(Ordering::Relaxed),
-            operations_processed: self.operations_processed.load(Ordering::Relaxed),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            queries_completed: self.queries_completed.load(Ordering::Relaxed),
-            ..WorkSnapshot::default()
-        }
-    }
-}
+//! Work tallies: the per-worker tallies an engine run sums, and the totals
+//! of one run.
 
 /// One engine worker's own tally of a run. The worker is its only writer,
 /// so every field is a plain integer; [`WorkSnapshot::from_workers`] sums
@@ -89,8 +31,9 @@ pub struct WorkerSnapshot {
 ///
 /// For a ForkGraph engine run they are the sum of its workers' tallies and
 /// `workers` holds one entry per worker of the run, one-worker runs
-/// included ([`Self::from_workers`]); for a baseline they are a
-/// [`WorkCounters::snapshot`] and `workers` is empty.
+/// included ([`Self::from_workers`]). For a baseline they are the sum of
+/// its queries' own tallies, each kept by the one thread that ran the query,
+/// and `workers` is empty.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkSnapshot {
     /// Edges relaxed/traversed.
@@ -171,21 +114,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let c = WorkCounters::new();
-        c.add_edges(10);
-        c.add_edges(5);
-        c.add_operations(3);
-        c.add_iteration();
-        c.add_queries_completed(2);
-        let s = c.snapshot();
-        assert_eq!(s.edges_processed, 15);
-        assert_eq!(s.operations_processed, 3);
-        assert_eq!(s.iterations, 1);
-        assert_eq!(s.queries_completed, 2);
-    }
-
-    #[test]
     fn worker_tallies_sum_to_the_run_totals() {
         let a = WorkerSnapshot {
             worker: 0,
@@ -209,21 +137,6 @@ mod tests {
         assert_eq!((s.partition_visits, s.yields, s.steals, s.idle_waits), (2, 3, 1, 1));
         assert_eq!((s.iterations, s.queries_completed), (0, 2));
         assert_eq!(s.workers, vec![a, b]);
-    }
-
-    #[test]
-    fn counters_are_thread_safe() {
-        let c = WorkCounters::new();
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        c.add_edges(1);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.snapshot().edges_processed, 8000);
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub mod pool;
 pub mod report;
 pub mod service;
 
-pub use counters::{WorkCounters, WorkSnapshot, WorkerSnapshot};
+pub use counters::{WorkSnapshot, WorkerSnapshot};
 pub use measurement::{CacheNumbers, Measurement, Stopwatch};
 pub use pool::PoolSnapshot;
 pub use report::Table;

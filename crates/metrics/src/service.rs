@@ -14,8 +14,8 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Maximum number of latency samples retained; beyond this the recorder
-/// overwrites pseudo-randomly (bounded-memory reservoir).
+/// Maximum number of latency samples retained; beyond this each sample
+/// overwrites the oldest.
 const LATENCY_RESERVOIR: usize = 4096;
 
 /// One dispatched batch's sizing decision: how many queries the batch
@@ -39,8 +39,9 @@ pub struct BatchRecord {
     pub kernels_in_run: u32,
 }
 
-/// A bounded reservoir of submit→result latencies. It has no lock of its
-/// own: its owner keeps it under the lock it counts under.
+/// The submit→result latencies of the last 4 096 answered queries, kept in a
+/// ring. It has no lock of its own: its owner keeps it under the lock it
+/// counts under.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyReservoir {
     samples: Vec<Duration>,
@@ -50,17 +51,12 @@ pub struct LatencyReservoir {
 impl LatencyReservoir {
     /// Record one query's end-to-end (submit → result available) latency.
     pub fn record(&mut self, latency: Duration) {
-        let n = self.recorded;
-        self.recorded = n.wrapping_add(1);
         if self.samples.len() < LATENCY_RESERVOIR {
             self.samples.push(latency);
         } else {
-            // Cheap deterministic "random" slot: low bits of a Weyl sequence
-            // over the sample index keep the reservoir representative enough
-            // for p50/p99 without an RNG dependency.
-            let slot = (n.wrapping_mul(0x9E37_79B9)) % LATENCY_RESERVOIR;
-            self.samples[slot] = latency;
+            self.samples[self.recorded % LATENCY_RESERVOIR] = latency;
         }
+        self.recorded = self.recorded.wrapping_add(1);
     }
 
     /// `(p50, p99, samples retained)`; zero durations when empty. Consumes
@@ -115,9 +111,10 @@ pub struct ServiceSnapshot {
     pub oldest_pinned_epoch_lag: u64,
     pub queue_depth: u64,
     pub max_queue_depth: u64,
-    /// Median submit→result latency over the retained reservoir.
+    /// Median submit→result latency over the last 4 096 answered queries.
     pub latency_p50: Duration,
-    /// 99th-percentile submit→result latency over the retained reservoir.
+    /// 99th-percentile submit→result latency over the last 4 096 answered
+    /// queries.
     pub latency_p99: Duration,
     /// Number of latency samples the percentiles are computed from.
     pub latency_samples: u64,
@@ -269,6 +266,19 @@ mod tests {
         let (p50, p99, samples) = r.percentiles();
         assert_eq!(samples, LATENCY_RESERVOIR as u64);
         assert!(p99 >= p50);
+    }
+
+    #[test]
+    fn latency_reservoir_keeps_the_last_samples() {
+        let mut r = LatencyReservoir::default();
+        for ms in 1..=5_000u64 {
+            r.record(Duration::from_millis(ms));
+        }
+        assert_eq!(r.samples.iter().min(), Some(&Duration::from_millis(905)));
+        let (p50, p99, samples) = r.percentiles();
+        assert_eq!(samples, 4096);
+        assert_eq!(p50, Duration::from_millis(905 + 2048));
+        assert_eq!(p99, Duration::from_millis(905 + 4054));
     }
 
     #[test]

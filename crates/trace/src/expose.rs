@@ -185,14 +185,14 @@ pub fn expose(
             &mut out,
             "fg_service_latency_p50_seconds",
             "gauge",
-            "Median submit-to-result latency.",
+            "Median submit-to-result latency over the last 4 096 answered queries.",
             s.latency_p50.as_secs_f64(),
         );
         metric(
             &mut out,
             "fg_service_latency_p99_seconds",
             "gauge",
-            "99th-percentile submit-to-result latency.",
+            "99th-percentile submit-to-result latency over the last 4 096 answered queries.",
             s.latency_p99.as_secs_f64(),
         );
     }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use forkgraph::baselines::fpp::QueryKind;
-use forkgraph::baselines::{FppDriver, GraphItEngine, LigraEngine};
+use forkgraph::baselines::{FppDriver, GeminiEngine, LigraEngine};
 use forkgraph::prelude::*;
 
 fn main() {
@@ -33,8 +33,8 @@ fn main() {
             ),
         ),
         (
-            "GraphIt (t=1)",
-            FppDriver::new(GraphItEngine::new(), Arc::clone(&shared)).with_cache(llc).run(
+            "Gemini (t=1)",
+            FppDriver::new(GeminiEngine::new(), Arc::clone(&shared)).with_cache(llc).run(
                 &QueryKind::Bfs,
                 &sources,
                 ExecutionScheme::InterQuery,

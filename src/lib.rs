@@ -52,7 +52,6 @@ pub mod prelude {
     pub use fg_graph::partition::{PartitionConfig, PartitionMethod};
     pub use fg_graph::partitioned::PartitionedGraph;
     pub use fg_graph::{CsrGraph, GraphBuilder, VertexId, Weight};
-    pub use fg_metrics::WorkCounters;
     pub use fg_seq::dijkstra::dijkstra;
     pub use fg_server::{
         ForkGraphServer, Request, Response, ServerConfig, WireClient, WirePayload,

@@ -1,11 +1,11 @@
-//! Cross-crate integration tests: every engine (ForkGraph and the three
-//! baseline GPS reimplementations) must produce identical (or, for PPR,
-//! ε-close) results on the same FPP batches.
+//! Cross-crate integration tests: every engine (ForkGraph and the baseline
+//! GPS reimplementations) must produce identical (or, for PPR, ε-close)
+//! results on the same FPP batches.
 
 use std::sync::Arc;
 
-use forkgraph::baselines::fpp::{ExecutionScheme, FppDriver, QueryKind};
-use forkgraph::baselines::{GeminiEngine, GraphItEngine, LigraEngine};
+use forkgraph::baselines::fpp::{ExecutionScheme, FppDriver, FppResult, QueryKind};
+use forkgraph::baselines::{GeminiEngine, GpsEngine, LigraEngine};
 use forkgraph::prelude::*;
 use forkgraph::seq::ppr::PprConfig;
 
@@ -18,8 +18,31 @@ fn road_graph() -> CsrGraph {
 }
 
 /// Every threading scheme of Table 1.
-const SCHEMES: [ExecutionScheme; 3] =
-    [ExecutionScheme::SingleThreaded, ExecutionScheme::InterQuery, ExecutionScheme::IntraQuery];
+const SCHEMES: [ExecutionScheme; 2] =
+    [ExecutionScheme::SingleThreaded, ExecutionScheme::InterQuery];
+
+/// `engine`'s batch of `kind` queries from `sources` under every scheme.
+/// Each query keeps its own work tally, so spreading the queries over
+/// threads must not move a count: every scheme reports the same work.
+fn under_every_scheme<E: GpsEngine>(
+    engine: E,
+    graph: &Arc<CsrGraph>,
+    kind: &QueryKind,
+    sources: &[VertexId],
+) -> Vec<(ExecutionScheme, FppResult)> {
+    let driver = FppDriver::new(engine, Arc::clone(graph));
+    let runs: Vec<_> = SCHEMES.iter().map(|&s| (s, driver.run(kind, sources, s))).collect();
+    let counts = |result: &FppResult| {
+        let work = &result.measurement.work;
+        (work.edges_processed, work.operations_processed, work.iterations, work.queries_completed)
+    };
+    let single = counts(&runs[0].1);
+    assert_eq!(single.3, sources.len() as u64, "{}", runs[0].1.measurement.label);
+    for (_, result) in &runs[1..] {
+        assert_eq!(counts(result), single, "{}", result.measurement.label);
+    }
+    runs
+}
 
 fn partitioned(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
     PartitionedGraph::build(
@@ -42,25 +65,16 @@ fn sssp_results_agree_across_all_engines() {
         assert_eq!(fork.per_query, oracle, "ForkGraph");
 
         // Baselines under every threading scheme.
-        macro_rules! check_engine {
-            ($engine:expr, $name:literal) => {
-                let driver = FppDriver::new($engine, Arc::clone(&shared));
-                for scheme in SCHEMES {
-                    let result = driver.run(&QueryKind::Sssp, &sources, scheme);
-                    for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
-                        assert_eq!(
-                            out.as_sssp().unwrap(),
-                            expected.as_slice(),
-                            "{} {scheme:?}",
-                            $name
-                        );
-                    }
-                }
-            };
+        let baselines = [
+            under_every_scheme(LigraEngine::new(), &shared, &QueryKind::Sssp, &sources),
+            under_every_scheme(GeminiEngine::new(), &shared, &QueryKind::Sssp, &sources),
+        ];
+        for (scheme, result) in baselines.iter().flatten() {
+            for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
+                let label = &result.measurement.label;
+                assert_eq!(out.as_sssp().unwrap(), expected.as_slice(), "{label} {scheme:?}");
+            }
         }
-        check_engine!(LigraEngine::new(), "Ligra");
-        check_engine!(GeminiEngine::new(), "Gemini");
-        check_engine!(GraphItEngine::new(), "GraphIt");
     }
 }
 
@@ -76,11 +90,14 @@ fn bfs_results_agree_across_all_engines() {
     let fork = ForkGraphEngine::new(&pg, EngineConfig::default()).run_bfs(&sources);
     assert_eq!(fork.per_query, oracle);
 
-    let driver = FppDriver::new(LigraEngine::new(), Arc::clone(&shared));
-    for scheme in SCHEMES {
-        let result = driver.run(&QueryKind::Bfs, &sources, scheme);
+    let baselines = [
+        under_every_scheme(LigraEngine::new(), &shared, &QueryKind::Bfs, &sources),
+        under_every_scheme(GeminiEngine::new(), &shared, &QueryKind::Bfs, &sources),
+    ];
+    for (scheme, result) in baselines.iter().flatten() {
         for (out, expected) in result.outputs.iter().zip(oracle.iter()) {
-            assert_eq!(out.as_bfs().unwrap(), expected.as_slice(), "{scheme:?}");
+            let label = &result.measurement.label;
+            assert_eq!(out.as_bfs().unwrap(), expected.as_slice(), "{label} {scheme:?}");
         }
     }
 }
@@ -112,14 +129,19 @@ fn ppr_results_are_epsilon_close_across_engines() {
         check_close(&state.estimate, expected, "ForkGraph");
     }
 
-    let driver = FppDriver::new(GraphItEngine::new(), Arc::clone(&shared));
-    let result = driver.run(&QueryKind::Ppr(config), &seeds, ExecutionScheme::InterQuery);
-    for (out, expected) in result.outputs.iter().zip(reference.iter()) {
-        let mut dense = vec![0.0; graph.num_vertices()];
-        for &(v, p) in out.as_ppr().unwrap() {
-            dense[v as usize] = p;
+    let kind = QueryKind::Ppr(config);
+    let baselines = [
+        under_every_scheme(LigraEngine::new(), &shared, &kind, &seeds),
+        under_every_scheme(GeminiEngine::new(), &shared, &kind, &seeds),
+    ];
+    for (scheme, result) in baselines.iter().flatten() {
+        for (out, expected) in result.outputs.iter().zip(reference.iter()) {
+            let mut dense = vec![0.0; graph.num_vertices()];
+            for &(v, p) in out.as_ppr().unwrap() {
+                dense[v as usize] = p;
+            }
+            check_close(&dense, expected, &format!("{} {scheme:?}", result.measurement.label));
         }
-        check_close(&dense, expected, "GraphIt");
     }
 }
 
