@@ -139,16 +139,6 @@ impl<V: Copy> Lane<V> {
         }
     }
 
-    /// Priority of the operation [`Self::pop`] would return.
-    #[inline]
-    pub(crate) fn peek_priority(&self, ordered: bool) -> Option<Priority> {
-        if ordered {
-            self.heap.peek().map(|entry| entry.op.priority)
-        } else {
-            self.inbox.front().map(|op| op.priority)
-        }
-    }
-
     /// Remove the next operation: best `(priority, vertex)` of an ordered
     /// lane (its inbox merged), oldest arrival otherwise.
     #[inline]
@@ -529,7 +519,6 @@ mod tests {
             lane.push_local(ordered, op(0, 2, 10));
             assert_eq!(lane.len(), 2);
             assert_eq!(lane.min_priority(), 10);
-            assert_eq!(lane.peek_priority(ordered), Some(if ordered { 10 } else { 30 }));
             assert_eq!(lane.pop(ordered).unwrap().vertex, if ordered { 2 } else { 1 });
         }
     }

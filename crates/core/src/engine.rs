@@ -234,15 +234,15 @@ pub(crate) fn event_field(count: u64) -> u32 {
 }
 
 /// One partition visit, as the code processing a query's lane sees it: the
-/// engine and the visit's bookkeeping (partition, yield inputs, tracer).
+/// engine and the visit's bookkeeping (partition, edge budget, tracer).
 /// The executor's workers hand each active lane to `process_lane`, the one
 /// monomorphized visit loop.
 pub(crate) struct PartitionVisit<'a, 'g> {
     engine: &'a ForkGraphEngine<'g>,
     partition: PartitionId,
-    /// `|E_P|` and `|Q|` of the `EdgeBudgetAuto` yield threshold.
-    partition_edges: u64,
-    num_queries: usize,
+    /// Edges each lane may process before it yields
+    /// ([`YieldPolicy::edge_budget`] of this partition and run).
+    edge_budget: u64,
     tracer: &'a GraphAccessTracer,
 }
 
@@ -253,25 +253,22 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         num_queries: usize,
         tracer: &'a GraphAccessTracer,
     ) -> Self {
-        PartitionVisit {
-            engine,
-            partition,
-            partition_edges: engine.pg.partition(partition).num_edges() as u64,
-            num_queries,
-            tracer,
-        }
+        let partition_edges = engine.pg.partition(partition).num_edges() as u64;
+        let edge_budget = engine.config.yield_policy.edge_budget(partition_edges, num_queries);
+        PartitionVisit { engine, partition, edge_budget, tracer }
     }
 
     /// Process one query's lane within this partition visit.
     ///
     /// With consolidation the lane's arrivals are merged into its resident
     /// heap and operations are popped in `(priority, vertex)` order; without
-    /// it, in arrival order. Before each pop the yield policy is asked about
-    /// the next operation's priority; a **yield just stops** — what the lane
-    /// still holds stays resident for the next visit. An operation `kernel`
-    /// emits is appended once to where it will be popped from: this lane if
-    /// its vertex lives in this partition, else the `remote` batch of its
-    /// target (which the caller delivers when the partition visit ends).
+    /// it, in arrival order. Once the lane has processed more edges than the
+    /// visit's budget it yields instead of popping again; a **yield just
+    /// stops** — what the lane still holds stays resident for the next
+    /// visit. An operation `kernel` emits is appended once to where it will
+    /// be popped from: this lane if its vertex lives in this partition, else
+    /// the `remote` batch of its target (which the caller delivers when the
+    /// partition visit ends).
     /// The work is counted into the calling worker's own `stats`; the
     /// return value is the number of operations pushed onto this lane,
     /// which never pass through a mailbox.
@@ -289,8 +286,6 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
         let partition = self.partition;
         let tracer = self.tracer;
         let ordered = engine.config.consolidate;
-        let mut checker =
-            engine.config.yield_policy.for_partition(self.partition_edges, self.num_queries);
 
         // Adjacency for this visit: raw partitions borrow the monolithic CSR,
         // compressed partitions stream-decode their varint payload per vertex.
@@ -303,13 +298,8 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             lane.merge_inbox();
         }
         let mut emitted_local = 0u64;
-        while let Some(next_priority) = lane.peek_priority(ordered) {
-            if checker.should_yield(next_priority) {
-                stats.yields += 1;
-                engine.emit_trace(EventKind::Yield, query, partition, 0);
-                break;
-            }
-            let op = lane.pop(ordered).expect("peeked above");
+        let mut edges_this_visit = 0u64;
+        while let Some(op) = lane.pop(ordered) {
             let vertex = op.vertex;
             let edges = kernel.process(
                 &view,
@@ -332,7 +322,7 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             stats.operations += 1;
             stats.edges += edges;
             stats.pruned += u64::from(edges == 0);
-            checker.record_edges(edges);
+            edges_this_visit += edges;
 
             if tracer.is_enabled() {
                 if edges > 0 {
@@ -354,6 +344,11 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
                 } else {
                     tracer.state_read(query as usize, vertex as u64);
                 }
+            }
+            if edges_this_visit > self.edge_budget && !lane.is_empty() {
+                stats.yields += 1;
+                engine.emit_trace(EventKind::Yield, query, partition, 0);
+                break;
             }
         }
         lane.trim();
@@ -670,20 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn sssp_with_value_range_yielding_is_exact() {
-        let g = datasets::CA.generate_weighted(0.05);
-        let pg = partitioned(&g, 8);
-        let sources: Vec<VertexId> = vec![1, 50, 500];
-        let oracle: Vec<Vec<Dist>> =
-            sources.iter().map(|&s| fg_seq::dijkstra::dijkstra(&g, s).dist).collect();
-        let config =
-            EngineConfig::default().with_yield_policy(YieldPolicy::ValueRange { delta: 8 });
-        let result = ForkGraphEngine::new(&pg, config).run_sssp(&sources);
-        assert_eq!(result.per_query, oracle);
-        assert!(result.work().yields > 0, "value-range yielding should trigger on a road graph");
-    }
-
-    #[test]
     fn bfs_matches_sequential_bfs() {
         let g = gen::rmat(9, 6, 13);
         let pg = partitioned(&g, 5);
@@ -758,6 +739,47 @@ mod tests {
             with_yield.work().edges_processed,
             no_yield.work().edges_processed
         );
+    }
+
+    #[test]
+    fn a_lane_yields_once_its_edges_pass_the_visit_budget() {
+        // The directed path 0 → 1 → … → 7 (unit weights), chunked by out-degree
+        // into P0 = {0..=3} (|E_P| = 4, the cut edge 3 → 4 included) and
+        // P1 = {4..=7} (|E_P| = 3); one SSSP query from 0, so |Q| = 1.
+        let mut builder = fg_graph::GraphBuilder::new(8);
+        for v in 0..7 {
+            builder.add_edge(v, v + 1, 1);
+        }
+        let g = builder.build();
+        let pg = PartitionedGraph::build(
+            &g,
+            PartitionConfig::with_partitions(PartitionMethod::Chunked, 2),
+        );
+        assert_eq!(pg.partition(0).num_edges(), 4);
+        assert_eq!(pg.partition(1).num_edges(), 3);
+        let run = |factor| {
+            let config =
+                EngineConfig::default().with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor });
+            ForkGraphEngine::new(&pg, config).run_sssp(&[0])
+        };
+
+        // Budget 1: P0 pops 0 and 1 (2 edges > 1, yield), then 2 and 3 (the
+        // lane is empty, no yield); P1 pops 4 and 5 (yield), then 6 and 7.
+        // Four visits, two yields, every edge once.
+        let tight = run(0.0);
+        assert_eq!(tight.per_query[0], fg_seq::dijkstra::dijkstra(&g, 0).dist);
+        assert_eq!(tight.work().partition_visits, 4);
+        assert_eq!(tight.work().yields, 2);
+        assert_eq!(tight.work().edges_processed, 7);
+
+        // Budget |E_P| (4, then 3): P1's lane has processed exactly 3 edges
+        // when vertex 7 is next, which is not more than the budget, so each
+        // partition is visited once.
+        let exact = run(1.0);
+        assert_eq!(exact.per_query, tight.per_query);
+        assert_eq!(exact.work().partition_visits, 2);
+        assert_eq!(exact.work().yields, 0);
+        assert_eq!(exact.work().edges_processed, 7);
     }
 
     #[test]

@@ -460,9 +460,13 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     }
 }
 
+/// Seed of every run's scheduling RNGs; only [`SchedulingPolicy::Random`]
+/// draws from them.
+const RANDOM_SEED: u64 = 7;
+
 /// Seed used by worker `w` for its scheduling RNG.
-fn worker_seed(policy_seed: u64, w: usize) -> u64 {
-    policy_seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+fn worker_seed(w: usize) -> u64 {
+    RANDOM_SEED ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Drive `kernel` from `seeds` — operations on queries `0..states.len()` —
@@ -490,10 +494,6 @@ pub(crate) fn run<K: FppKernel>(
     };
     engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 0);
 
-    let policy_seed = match config.scheduling {
-        SchedulingPolicy::Random { seed } => seed,
-        _ => 0,
-    };
     let (mailboxes, queues) = match pool {
         Some(pool) => pool.take_run_storage::<K::Value>(num_partitions, num_workers),
         None => (
@@ -531,12 +531,12 @@ pub(crate) fn run<K: FppKernel>(
     let init_done = watch.elapsed();
 
     let mut tallies = if num_workers == 1 {
-        vec![run.worker_loop(0, worker_seed(policy_seed, 0))]
+        vec![run.worker_loop(0, worker_seed(0))]
     } else {
         let pool = pool.expect("a crew of more than one worker runs on a pool");
         let tallies = Mutex::new(Vec::with_capacity(num_workers));
         pool.dispatch(num_workers, &|w| {
-            let tally = run.worker_loop(w, worker_seed(policy_seed, w));
+            let tally = run.worker_loop(w, worker_seed(w));
             tallies.lock().push(tally);
         });
         tallies.into_inner()

@@ -56,7 +56,7 @@ pub(crate) fn select_by_policy(
     }
     let candidates = 0..num_candidates;
     let pos = match policy {
-        SchedulingPolicy::Random { .. } => rng.gen_range(0..num_candidates),
+        SchedulingPolicy::Random => rng.gen_range(0..num_candidates),
         SchedulingPolicy::MaxOperations => candidates
             .max_by_key(|&i| {
                 let key = key_of(i);
@@ -77,11 +77,10 @@ pub(crate) fn select_by_policy(
 /// Inter-partition scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
-    /// Pick an arbitrary runnable partition.
-    Random {
-        /// RNG seed, for reproducibility.
-        seed: u64,
-    },
+    /// Pick an arbitrary runnable partition: each worker draws from its own
+    /// RNG, seeded from a fixed constant and its index, so a one-worker run
+    /// picks the same partitions in every process.
+    Random,
     /// Pick the partition with the most buffered operations.
     MaxOperations,
     /// Pick partitions in the order they became runnable.
@@ -95,7 +94,7 @@ impl SchedulingPolicy {
     /// All policies, in the order Figure 8 compares them.
     pub fn all() -> [SchedulingPolicy; 4] {
         [
-            SchedulingPolicy::Random { seed: 7 },
+            SchedulingPolicy::Random,
             SchedulingPolicy::MaxOperations,
             SchedulingPolicy::Fifo,
             SchedulingPolicy::Priority,
@@ -105,7 +104,7 @@ impl SchedulingPolicy {
     /// Human-readable name.
     pub fn name(&self) -> &'static str {
         match self {
-            SchedulingPolicy::Random { .. } => "random",
+            SchedulingPolicy::Random => "random",
             SchedulingPolicy::MaxOperations => "max-operations",
             SchedulingPolicy::Fifo => "fifo",
             SchedulingPolicy::Priority => "priority",
@@ -136,8 +135,7 @@ mod tests {
             Some(2)
         );
         assert_eq!(select_by_policy(SchedulingPolicy::Fifo, &mut rng, keys.len(), key_of), Some(1));
-        let pick =
-            select_by_policy(SchedulingPolicy::Random { seed: 3 }, &mut rng, keys.len(), key_of);
+        let pick = select_by_policy(SchedulingPolicy::Random, &mut rng, keys.len(), key_of);
         assert!(pick.is_some_and(|p| p < keys.len()));
         assert_eq!(select_by_policy(SchedulingPolicy::Priority, &mut rng, 0, key_of), None);
     }
@@ -162,9 +160,11 @@ mod tests {
         let keys = [key(0, 1, 1, 1), key(2, 1, 2, 2), key(3, 1, 3, 3)];
         let picks = |seed| {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let policy = SchedulingPolicy::Random { seed };
             (0..20)
-                .map(|_| select_by_policy(policy, &mut rng, keys.len(), |i| keys[i]).unwrap())
+                .map(|_| {
+                    select_by_policy(SchedulingPolicy::Random, &mut rng, keys.len(), |i| keys[i])
+                        .unwrap()
+                })
                 .collect::<Vec<_>>()
         };
         assert_eq!(picks(11), picks(11));

@@ -4,13 +4,13 @@
 //!
 //! * SSSP and BFS must be **byte-identical** to `fg-seq`, and PPR within the
 //!   contract of `parallel_equivalence.rs`, across
-//!   {`YieldPolicy::None`, `EdgeBudget{1}`, default, `ValueRange`} ×
+//!   {`YieldPolicy::None`, a one-edge budget, default} ×
 //!   all four `SchedulingPolicy`s × `consolidate` on/off ×
 //!   {one worker, the pool with 2 and 3 workers} × {raw, compressed} ×
-//!   {`run`, `run_dyn`, `run_incremental`}. `EdgeBudget{1}` is
-//!   the adversarial corner: every lane yields after its first operation
-//!   with edges, so nearly every operation spends time resident between
-//!   visits.
+//!   {`run`, `run_dyn`, `run_incremental`}. The one-edge budget
+//!   (`EdgeBudgetAuto { factor: 0.0 }`) is the adversarial corner: every
+//!   lane yields after its first operation with edges, so nearly every
+//!   operation spends time resident between visits.
 //! * Allocations per run must not grow with the number of yields: a yield
 //!   stops, it does not rebuild anything.
 //!
@@ -74,12 +74,12 @@ fn allocations_on_this_thread() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-const YIELD_POLICIES: [YieldPolicy; 4] = [
-    YieldPolicy::None,
-    YieldPolicy::EdgeBudget { threshold: 1 },
-    YieldPolicy::EdgeBudgetAuto { factor: 2.0 },
-    YieldPolicy::ValueRange { delta: 4 },
-];
+/// A budget of one edge per visit: `factor · |E_P| / |Q|` rounds up to at
+/// least one edge.
+const ONE_EDGE: YieldPolicy = YieldPolicy::EdgeBudgetAuto { factor: 0.0 };
+
+const YIELD_POLICIES: [YieldPolicy; 3] =
+    [YieldPolicy::None, ONE_EDGE, YieldPolicy::EdgeBudgetAuto { factor: 2.0 }];
 
 /// Worker counts: one worker on the calling thread, and the persistent
 /// pool at two crew sizes.
@@ -142,8 +142,8 @@ fn for_each_config(mut check: impl FnMut(&MatrixCell<'_>)) {
                         }
                         .with_threads(workers);
                         let label = format!(
-                            "{storage:?} {} {} consolidate={consolidate} workers={workers}",
-                            yield_policy.name(),
+                            "{storage:?} {yield_policy:?} {} consolidate={consolidate} \
+                             workers={workers}",
                             scheduling.name(),
                         );
                         let pool = (workers > 1).then(|| &pools[workers - 2]);
@@ -297,11 +297,11 @@ fn allocations_per_run_do_not_grow_with_the_number_of_yields() {
         (allocations, result)
     };
     let (quiet_allocations, quiet) = measure(YieldPolicy::None);
-    let (busy_allocations, busy) = measure(YieldPolicy::EdgeBudget { threshold: 1 });
+    let (busy_allocations, busy) = measure(ONE_EDGE);
     assert_eq!(quiet.per_query, busy.per_query);
     assert_eq!(quiet.work().yields, 0);
     let yields = busy.work().yields;
-    assert!(yields > 1_000, "EdgeBudget{{1}} should yield constantly, got {yields}");
+    assert!(yields > 1_000, "a one-edge budget should yield constantly, got {yields}");
     assert!(
         busy.work().partition_visits > 10 * quiet.work().partition_visits,
         "and visit far more often: {} vs {}",

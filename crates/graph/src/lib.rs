@@ -17,9 +17,9 @@
 //!   for uniform random graphs).
 //! * [`io`] — plain edge-list (SNAP), DIMACS `.gr`, and METIS format readers
 //!   and writers so that the original datasets can be dropped in.
-//! * [`partition`] — graph partitioners: random, contiguous chunking
-//!   (Gemini-style), 2D grid (GridGraph-style), and a multilevel edge-cut
-//!   partitioner standing in for METIS.
+//! * [`partition`] — graph partitioners: hash, contiguous chunking
+//!   (Gemini-style), and a multilevel edge-cut partitioner standing in for
+//!   METIS.
 //! * [`partitioned`] — [`partitioned::PartitionedGraph`], the LLC-sized
 //!   partitioned representation consumed by the ForkGraph engine.
 //! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam and the one
@@ -35,7 +35,6 @@
 //!   [`AdjacencyView`] kernels read adjacency through.
 //! * [`datasets`] — a registry of scaled-down synthetic stand-ins for the eight
 //!   graphs of Table 2 in the paper.
-//! * [`stats`] — degree distributions and other summary statistics.
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +47,6 @@ pub mod mutation;
 pub mod partition;
 pub mod partitioned;
 pub mod payload;
-pub mod stats;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;

@@ -29,8 +29,7 @@ pub struct BatchRecord {
     /// Engine worker threads chosen for the batch's run.
     pub workers: u32,
     /// Identity of the kernel registration the batch ran — for a mixed
-    /// batch, the *first* (oldest) cohort's registration (`0` when the
-    /// serving layer predates kernel ids or did not report one).
+    /// batch, the *first* (oldest) cohort's registration.
     pub kernel_id: u64,
     /// Number of distinct kernel cohorts (batch keys) the batch carried —
     /// not passes: a cohort whose resumed members run in a pass of their

@@ -325,8 +325,23 @@ fn resolve(
     }
 }
 
-/// Encode and write one frame; `false` means the socket is gone.
+/// Encode and write one frame; `false` means the socket is gone. A response
+/// whose encoding exceeds `max_frame_len` goes out as an `UnsupportedResult`
+/// error for its correlation instead: a peer with the same cap would refuse
+/// the frame.
 fn emit(core: &ServerCore, writer: &mut impl Write, response: &Response) -> bool {
     core.stats.frames_out.fetch_add(1, Ordering::Relaxed);
-    write_frame(writer, &encode_response(response)).is_ok()
+    let mut body = encode_response(response);
+    let cap = core.config.max_frame_len;
+    if body.len() > cap {
+        body = encode_response(&Response::Error {
+            correlation: response.correlation(),
+            code: WireErrorCode::UnsupportedResult,
+            message: format!(
+                "the encoded result is {} bytes, over the frame cap of {cap} bytes",
+                body.len()
+            ),
+        });
+    }
+    write_frame(writer, &body).is_ok()
 }

@@ -185,7 +185,9 @@ pub enum WireErrorCode {
     InvalidParams = 5,
     /// The engine failed while running the query's batch.
     EngineFailure = 6,
-    /// The kernel ran but its state type has no wire encoding.
+    /// The kernel ran but its state has no wire encoding: its type has
+    /// none, or its encoding exceeds the server's `max_frame_len` (the
+    /// message names the encoded size and the cap).
     UnsupportedResult = 7,
     /// The peer sent a frame this side could not decode (correlation `0`
     /// when the ID itself was unreadable).

@@ -41,8 +41,11 @@ pub struct ServerConfig {
     /// Address to bind. Port `0` picks an ephemeral port — read it back via
     /// [`ForkGraphServer::local_addr`].
     pub addr: String,
-    /// Per-frame body cap (both directions). Oversized frames are discarded
-    /// and answered with a typed error; the connection survives.
+    /// Per-frame body cap (both directions). Oversized request frames are
+    /// discarded and answered with a typed error; a result whose encoding
+    /// exceeds the cap is answered with
+    /// [`WireErrorCode::UnsupportedResult`](crate::WireErrorCode::UnsupportedResult)
+    /// for its correlation. Either way the connection survives.
     pub max_frame_len: usize,
     /// Backoff hint carried by retry-after frames when admission control
     /// sheds a query.

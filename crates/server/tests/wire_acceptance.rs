@@ -10,6 +10,8 @@
 //!    sockets close.
 //! 4. Garbage, oversized, and reserved-correlation frames produce typed
 //!    error frames without desynchronising or killing the connection.
+//! 5. A result whose frame would exceed the server's cap is answered with a
+//!    typed error for its correlation, and the connection keeps serving.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -406,6 +408,32 @@ fn malformed_frames_get_typed_errors_and_never_desync_the_stream() {
             assert_eq!(dist[0], 0, "source distance is zero");
         }
         other => panic!("healthy query after abuse should succeed, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn results_over_the_frame_cap_get_a_typed_error_and_the_connection_survives() {
+    // 300 vertices: an SSSP answer is 300 u64s (about 2.4 KB), a BFS answer
+    // 300 u32s (about 1.2 KB); the cap sits between them.
+    let (_, pg) = graphs(347);
+    let service = ForkGraphService::start(pg, EngineConfig::default(), ServiceConfig::default());
+    let server =
+        start_server(service, ServerConfig { max_frame_len: 2048, ..ServerConfig::default() });
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    match client.call(&Request::new(1, "sssp", 0), |_| {}).expect("call") {
+        Response::Error { correlation: 1, code: WireErrorCode::UnsupportedResult, message } => {
+            assert!(message.contains("2048"), "the error names the cap: {message}");
+        }
+        other => panic!("an SSSP answer over the cap should be a typed error, got {other:?}"),
+    }
+    match client.call(&Request::new(2, "bfs", 0), |_| {}).expect("call") {
+        Response::Result { correlation: 2, payload: WirePayload::U32s(levels) } => {
+            assert_eq!(levels.len(), 300);
+            assert_eq!(levels[0], 0, "source level is zero");
+        }
+        other => panic!("a BFS answer under the cap should arrive, got {other:?}"),
     }
     server.shutdown();
 }

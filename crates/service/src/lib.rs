@@ -58,8 +58,8 @@
 //!   re-seeded from its boundary, the rest stands. Results demultiplex per
 //!   `(pass, source)` back to submitters. Cohorts and cache entries are
 //!   keyed by [`BatchKey`]/[`CacheKey`], derived from the *registration*
-//!   (unique [`KernelId`] + canonical [`QueryParams`]), so same-named or
-//!   re-registered kernels can never alias. Observability:
+//!   (unique [`KernelId`] + canonical [`QueryParams`]), so same-named
+//!   kernels of different registries can never alias. Observability:
 //!   [`fg_metrics::BatchRecord::kernels_in_run`] and
 //!   [`fg_metrics::ServiceSnapshot::mixed_run_rate`].
 //! * **Resolution**: every submit looks the kernel name up and runs its

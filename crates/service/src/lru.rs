@@ -34,20 +34,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Drop every entry for which `keep` returns `false`, preserving the
-    /// recency stamps of the survivors.
-    ///
-    /// This is the targeted-invalidation primitive: when a kernel
-    /// registration is replaced, the serving layer evicts the shadowed
-    /// registration's entries eagerly instead of letting them squat in the
-    /// capacity budget until normal eviction cycles them out. (Key hygiene
-    /// alone already guarantees stale entries can never be *served* — the
-    /// new registration has a new id — so this is purely a capacity
-    /// reclamation.)
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        self.map.retain(|key, (value, _)| keep(key, value));
-    }
-
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;
@@ -105,23 +91,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&"a"), Some(&10));
         assert_eq!(cache.get(&"b"), Some(&2));
-    }
-
-    #[test]
-    fn retain_drops_only_the_filtered_entries_and_keeps_recency() {
-        let mut cache = LruCache::new(3);
-        cache.insert("old-a", 1);
-        cache.insert("old-b", 2);
-        cache.insert("new-c", 3);
-        cache.retain(|k, _| !k.starts_with("old"));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(&"old-a"), None);
-        assert_eq!(cache.get(&"new-c"), Some(&3));
-        // Freed capacity is reusable without evicting the survivor.
-        cache.insert("d", 4);
-        cache.insert("e", 5);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.get(&"new-c"), Some(&3));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   keys run the same kernel with identical configuration, so the
 //!   micro-batcher may consolidate them into one engine run. Because the id
 //!   is minted per registration, kernels with colliding *names* (e.g. a
-//!   re-registered `"ppr"`) can never share a cohort.
+//!   `"khop"` in each of two registries) can never share a cohort.
 //! * [`CacheKey`] — batch key + source: one exact query, the LRU cache's
 //!   key.
 //!

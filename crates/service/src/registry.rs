@@ -18,10 +18,9 @@
 //!   explicit-default `alpha=0.15` query share one cohort and one cache
 //!   entry.
 //! * A [`KernelId`] is minted per *registration*, not per name, from a
-//!   process-global counter. Keys embed the id, so re-registering a name
-//!   ([`KernelRegistry::register_or_replace`]) can never serve stale cached
-//!   results from the kernel that previously held the name, and two
-//!   registries' custom kernels can never alias each other's keys.
+//!   process-global counter. Keys embed the id, so two registries' custom
+//!   kernels can never alias each other's keys. A name is registered once:
+//!   [`KernelRegistry::register`] refuses a name that is already taken.
 //! * The [`KernelRegistry`] itself: a concurrent name → entry map,
 //!   pre-seeded with the four built-ins by [`KernelRegistry::with_builtins`]
 //!   (fixed ids, so built-in keys are stable across services).
@@ -49,8 +48,8 @@ use crate::params::{ParamError, QueryParams};
 /// Identity of one kernel *registration*. Unique process-wide: built-ins use
 /// the fixed ids below, every other registration draws from a global
 /// counter. Batch and cache keys embed this id (never the name), which is
-/// what makes key collisions between same-named or re-registered kernels
-/// impossible by construction.
+/// what makes key collisions between same-named kernels of different
+/// registries impossible by construction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelId(u64);
 
@@ -162,11 +161,7 @@ impl fmt::Display for RegistryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RegistryError::DuplicateName { name } => {
-                write!(
-                    f,
-                    "kernel {name:?} is already registered \
-                     (use register_or_replace to shadow it)"
-                )
+                write!(f, "kernel {name:?} is already registered")
             }
             RegistryError::UnknownKernel { name } => {
                 write!(f, "no kernel registered under {name:?}")
@@ -216,9 +211,8 @@ pub struct KernelRegistry {
 }
 
 impl KernelRegistry {
-    /// An empty registry (no kernels, not even the built-ins). Useful for
-    /// tests and for services that want a fully closed kernel set.
-    pub fn empty() -> Self {
+    /// An empty registry (no kernels, not even the built-ins).
+    fn empty() -> Self {
         KernelRegistry { entries: RwLock::new(HashMap::new()) }
     }
 
@@ -257,25 +251,6 @@ impl KernelRegistry {
         Ok(id)
     }
 
-    /// Register `factory` under `name`, replacing any existing registration.
-    /// Returns the fresh id and the replaced registration's id (if any) —
-    /// the caller can use the latter to invalidate cached results of the
-    /// shadowed kernel (the keys alone already guarantee they will never be
-    /// *served* for the new kernel).
-    pub fn register_or_replace(
-        &self,
-        name: &str,
-        factory: impl KernelFactory + 'static,
-    ) -> (KernelId, Option<KernelId>) {
-        let mut entries = self.entries.write();
-        let id = KernelId::next();
-        let name: Arc<str> = Arc::from(name);
-        let previous = entries
-            .insert(Arc::clone(&name), KernelEntry { id, name, factory: Arc::new(factory) })
-            .map(|entry| entry.id);
-        (id, previous)
-    }
-
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
         self.entries.read().contains_key(name)
@@ -287,11 +262,6 @@ impl KernelRegistry {
             self.entries.read().keys().map(|name| name.to_string()).collect();
         names.sort();
         names
-    }
-
-    /// The id currently registered under `name`, if any.
-    pub fn id_of(&self, name: &str) -> Option<KernelId> {
-        self.entries.read().get(name).map(|entry| entry.id)
     }
 
     /// Resolve a query: look up `name` and run its factory over `params`.
@@ -375,6 +345,14 @@ fn random_walk_factory(params: &QueryParams) -> Result<InstantiatedKernel, Param
         restart_prob: params.f64_or("restart_prob", defaults.restart_prob)?,
         seed: params.u64_or("seed", defaults.seed)?,
     };
+    for (name, value) in [("num_walks", config.num_walks), ("walk_length", config.walk_length)] {
+        if value > u32::MAX as usize {
+            return Err(ParamError::new(format!(
+                "parameter \"{name}\" must be at most {}, got {value}",
+                u32::MAX
+            )));
+        }
+    }
     if !(0.0..=1.0).contains(&config.restart_prob) {
         return Err(ParamError::new(format!(
             "parameter \"restart_prob\" must be in [0, 1], got {}",
@@ -401,10 +379,11 @@ mod tests {
     #[test]
     fn builtins_resolve_with_fixed_ids_and_canonical_defaults() {
         let registry = KernelRegistry::with_builtins();
-        assert_eq!(registry.id_of("sssp"), Some(KernelId::SSSP));
-        assert_eq!(registry.id_of("bfs"), Some(KernelId::BFS));
-        assert_eq!(registry.id_of("ppr"), Some(KernelId::PPR));
-        assert_eq!(registry.id_of("random_walk"), Some(KernelId::RANDOM_WALK));
+        let id_of = |name| registry.resolve(name, &QueryParams::new()).unwrap().id;
+        assert_eq!(id_of("sssp"), KernelId::SSSP);
+        assert_eq!(id_of("bfs"), KernelId::BFS);
+        assert_eq!(id_of("ppr"), KernelId::PPR);
+        assert_eq!(id_of("random_walk"), KernelId::RANDOM_WALK);
 
         // Omitted PPR params canonicalize to the defaults, so an explicit
         // default and an empty param set are the same key.
@@ -434,10 +413,22 @@ mod tests {
         }
         let err = registry.resolve("ppr", &QueryParams::new().with("alpha", 1.5)).unwrap_err();
         assert!(matches!(err, RegistryError::InvalidParams { .. }), "{err:?}");
+        // The random-walk kernel counts walks and steps in `u32`: a larger
+        // value is refused, not truncated under a key that names it.
+        for name in ["num_walks", "walk_length"] {
+            let params = QueryParams::new().with(name, 1usize << 32);
+            match registry.resolve("random_walk", &params).unwrap_err() {
+                RegistryError::InvalidParams { kernel, reason } => {
+                    assert_eq!(kernel, "random_walk");
+                    assert!(reason.contains(name), "{reason}");
+                }
+                other => panic!("expected InvalidParams, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn register_refuses_duplicates_and_replace_mints_a_fresh_id() {
+    fn register_refuses_a_taken_name() {
         let registry = KernelRegistry::with_builtins();
         let id = registry.register("custom", noop_factory).unwrap();
         assert!(id > KernelId::RANDOM_WALK, "custom ids live above the built-in range");
@@ -445,10 +436,7 @@ mod tests {
             registry.register("custom", noop_factory).unwrap_err(),
             RegistryError::DuplicateName { name: "custom".to_string() }
         );
-        let (new_id, replaced) = registry.register_or_replace("custom", noop_factory);
-        assert_eq!(replaced, Some(id));
-        assert_ne!(new_id, id, "replacement is a new registration identity");
-        assert_eq!(registry.id_of("custom"), Some(new_id));
+        assert_eq!(registry.resolve("custom", &QueryParams::new()).unwrap().id, id);
     }
 
     #[test]

@@ -205,7 +205,7 @@ struct Shared {
     /// until the LRU evicts it: the store says at lookup whether it is still
     /// fresh, and a stale one is the restart hint of its key's next run.
     cache: Mutex<LruCache<CacheKey, (u64, Arc<QueryResult>)>>,
-    registry: Arc<KernelRegistry>,
+    registry: KernelRegistry,
     config: ServiceConfig,
     /// The versioned graph store: mutations are logged here and folded into
     /// a fresh [`PartitionedGraph`] snapshot at the batcher's quiesce points,
@@ -353,7 +353,7 @@ impl ServiceHandle {
     /// kernels here (or with the [`Self::register_kernel`] convenience) and
     /// they are immediately servable — batching, admission control, pool
     /// dispatch, and caching included.
-    pub fn registry(&self) -> &Arc<KernelRegistry> {
+    pub fn registry(&self) -> &KernelRegistry {
         &self.shared.registry
     }
 
@@ -365,25 +365,6 @@ impl ServiceHandle {
         factory: impl KernelFactory + 'static,
     ) -> Result<KernelId, RegistryError> {
         self.shared.registry.register(name, factory)
-    }
-
-    /// Register a kernel factory under `name`, replacing any existing
-    /// registration *and* eagerly evicting the replaced registration's
-    /// cached results (they could never be served for the new kernel — keys
-    /// embed the registration id — but they would squat in the cache's
-    /// capacity budget until normal eviction cycled them out).
-    pub fn register_kernel_replacing(
-        &self,
-        name: &str,
-        factory: impl KernelFactory + 'static,
-    ) -> KernelId {
-        let (id, replaced) = self.shared.registry.register_or_replace(name, factory);
-        if let Some(old_id) = replaced {
-            if self.shared.config.cache_capacity > 0 {
-                self.shared.cache.lock().retain(|key, _| key.key.kernel != old_id);
-            }
-        }
-        id
     }
 
     /// Number of results currently held by the LRU cache (observability for
@@ -494,8 +475,8 @@ pub struct ForkGraphService {
 
 impl ForkGraphService {
     /// Start the service over `graph` with the given engine and service
-    /// configurations and its own built-ins-only registry (use
-    /// [`Self::start_with_registry`] to share or pre-populate one).
+    /// configurations and its own registry, holding the built-ins (register
+    /// custom kernels through [`ServiceHandle::register_kernel`]).
     ///
     /// `engine_config.num_threads` is the *cap* on per-batch parallelism:
     /// the batcher sizes each micro-batch's worker count adaptively with
@@ -507,23 +488,7 @@ impl ForkGraphService {
         engine_config: EngineConfig,
         config: ServiceConfig,
     ) -> Self {
-        Self::start_with_registry(
-            graph,
-            engine_config,
-            config,
-            Arc::new(KernelRegistry::with_builtins()),
-        )
-    }
-
-    /// Start the service with an explicit kernel registry (e.g. one already
-    /// holding custom kernels, or one shared by several services).
-    pub fn start_with_registry(
-        graph: Arc<PartitionedGraph>,
-        engine_config: EngineConfig,
-        config: ServiceConfig,
-        registry: Arc<KernelRegistry>,
-    ) -> Self {
-        Self::start_inner(graph, engine_config, config, registry, None)
+        Self::start_inner(graph, engine_config, config, None)
     }
 
     /// Start the service with event tracing: every submit, batch formation,
@@ -536,20 +501,13 @@ impl ForkGraphService {
         config: ServiceConfig,
         sink: Arc<TraceSink>,
     ) -> Self {
-        Self::start_inner(
-            graph,
-            engine_config,
-            config,
-            Arc::new(KernelRegistry::with_builtins()),
-            Some(sink),
-        )
+        Self::start_inner(graph, engine_config, config, Some(sink))
     }
 
     fn start_inner(
         graph: Arc<PartitionedGraph>,
         engine_config: EngineConfig,
         config: ServiceConfig,
-        registry: Arc<KernelRegistry>,
         trace: Option<Arc<TraceSink>>,
     ) -> Self {
         let mut store = VersionedGraph::new(Arc::clone(&graph));
@@ -569,7 +527,7 @@ impl ForkGraphService {
             }),
             work_ready: Condvar::new(),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            registry,
+            registry: KernelRegistry::with_builtins(),
             config,
             store,
             num_vertices: graph.graph().num_vertices(),
@@ -601,7 +559,7 @@ impl ForkGraphService {
     }
 
     /// The kernel registry queries are resolved against.
-    pub fn registry(&self) -> &Arc<KernelRegistry> {
+    pub fn registry(&self) -> &KernelRegistry {
         &self.shared.registry
     }
 
@@ -933,20 +891,7 @@ fn batcher_loop(
             let kernel_id = resolved.id;
             let kernel_name = Arc::clone(&resolved.name);
             let state_type = resolved.kernel.state_type_name();
-            // Don't cache results of a registration that was replaced while
-            // this batch was queued/running: the entries could never be
-            // served again (future resolves yield the new id) and would only
-            // squat in the capacity budget `register_kernel_replacing` just
-            // reclaimed. The liveness check happens *under the cache lock*
-            // (which the replace path's eviction also takes), so a
-            // concurrent replacement either lands before the check — we
-            // observe the new id and skip caching — or its eviction runs
-            // after our inserts and removes them; there is no window for
-            // dead-id entries to survive.
             let mut cache = (shared.config.cache_capacity > 0).then(|| shared.cache.lock());
-            if cache.is_some() && shared.registry.id_of(&kernel_name) != Some(kernel_id) {
-                cache = None;
-            }
             for (pending, state) in pass.members.into_iter().zip(states) {
                 let result = Arc::new(QueryResult::new(
                     kernel_id,

@@ -4,14 +4,11 @@
 //! params)`; these tests pin the properties that make that keying safe for
 //! an *open* kernel set:
 //!
-//! * two *different registrations* — even under colliding (identical) names,
-//!   via `register_or_replace` shadowing or sibling registries — never share
-//!   a `BatchKey` or `CacheKey`;
+//! * two *different registrations* — even under colliding (identical) names
+//!   in sibling registries — never share a `BatchKey` or `CacheKey`;
 //! * two *different configurations* of one kernel never share keys, no
 //!   matter how adversarially the parameter values are chosen (bit-level
-//!   float distinctions, integer-vs-float types, swapped name/value pairs);
-//! * and the service end-to-end never serves a shadowed kernel's cached
-//!   result for its replacement.
+//!   float distinctions, integer-vs-float types, swapped name/value pairs).
 //!
 //! Companion to `batching_equivalence.rs`, which checks that queries that
 //! *should* share cohorts produce correct consolidated results; this file
@@ -73,16 +70,6 @@ fn same_name_different_registration_never_shares_keys() {
         CacheKey { key: key_b, source: 7 },
         "cache keys inherit the separation"
     );
-
-    // Shadowing within one registry is also a fresh identity.
-    let registry = KernelRegistry::with_builtins();
-    registry.register("khop", sssp_like_factory).unwrap();
-    let before = key_for(&registry, "khop", &params);
-    let (new_id, replaced) = registry.register_or_replace("khop", bfs_like_factory);
-    assert!(replaced.is_some());
-    let after = key_for(&registry, "khop", &params);
-    assert_ne!(before, after, "replacement must not inherit the shadowed kernel's keys");
-    assert_eq!(after.kernel, new_id);
 }
 
 #[test]
@@ -150,101 +137,6 @@ fn distinct_configs_never_collide_across_a_randomized_sweep() {
 
 fn run(handle: &ServiceHandle, query: Query) -> Result<Arc<QueryResult>, ServiceError> {
     handle.submit_query(query)?.wait()
-}
-
-#[test]
-fn replaced_kernel_results_are_not_served_to_the_replacement() {
-    // End-to-end: serve a "distance" kernel, cache a hot result, then
-    // replace the registration under the same name with a kernel computing
-    // something else. The hot query must re-run (the old cached result can
-    // not satisfy the new key) and the old cache entries are purged eagerly.
-    let g = gen::erdos_renyi(250, 1800, 17).with_random_weights(8, 17);
-    let pg = Arc::new(PartitionedGraph::build(
-        &g,
-        PartitionConfig::with_partitions(PartitionMethod::Multilevel, 4),
-    ));
-    let service =
-        ForkGraphService::start(Arc::clone(&pg), EngineConfig::default(), ServiceConfig::default());
-    let handle = service.handle();
-    handle.register_kernel("metric", sssp_like_factory).unwrap();
-
-    let query = || Query::kernel("metric").source(9).param("k", 1u64);
-    let first = run(&handle, query()).unwrap();
-    assert!(
-        first.try_state::<Vec<Dist>>().is_ok(),
-        "first registration runs the SSSP-backed kernel"
-    );
-    let cached = run(&handle, query()).unwrap();
-    assert!(Arc::ptr_eq(&first, &cached), "hot query served from cache");
-    assert_eq!(handle.metrics().cache_hits, 1);
-    let cached_before = handle.cached_results();
-    assert!(cached_before >= 1);
-
-    // Shadow "metric" with a BFS-backed kernel. Same name, same params.
-    handle.register_kernel_replacing("metric", bfs_like_factory);
-    assert!(handle.cached_results() < cached_before, "shadowed entries evicted eagerly");
-
-    let after = run(&handle, query()).unwrap();
-    assert!(
-        !Arc::ptr_eq(&first, &after),
-        "replacement must not be served the shadowed kernel's cached result"
-    );
-    assert!(after.try_state::<Vec<u32>>().is_ok(), "the replacement kernel actually ran");
-    assert_eq!(
-        after.try_state::<Vec<Dist>>().unwrap_err().kernel,
-        "metric",
-        "mismatch error names the registered kernel"
-    );
-    // The hot path works for the new registration too.
-    let again = run(&handle, query()).unwrap();
-    assert!(Arc::ptr_eq(&after, &again));
-    service.shutdown();
-}
-
-#[test]
-fn in_flight_batches_of_a_replaced_kernel_do_not_repopulate_the_cache() {
-    // A query can be queued (batch window open) when its registration is
-    // replaced. The submitter must still get the kernel it resolved at
-    // submit time, but the result must NOT be cached: its key embeds the
-    // dead id, so the entry could never be served again and would only
-    // squat in the capacity `register_kernel_replacing` just reclaimed.
-    let g = gen::erdos_renyi(200, 1400, 19).with_random_weights(8, 19);
-    let pg = Arc::new(PartitionedGraph::build(
-        &g,
-        PartitionConfig::with_partitions(PartitionMethod::Multilevel, 4),
-    ));
-    let service = ForkGraphService::start(
-        Arc::clone(&pg),
-        EngineConfig::default(),
-        ServiceConfig {
-            // Long window: the replacement below lands while the query is
-            // still queued.
-            batch_window: std::time::Duration::from_millis(300),
-            ..ServiceConfig::default()
-        },
-    );
-    let handle = service.handle();
-    handle.register_kernel("metric", sssp_like_factory).unwrap();
-
-    let ticket = handle.submit_query(Query::kernel("metric").source(5)).unwrap();
-    handle.register_kernel_replacing("metric", bfs_like_factory);
-    let in_flight = ticket.wait().unwrap();
-    assert!(
-        in_flight.try_state::<Vec<Dist>>().is_ok(),
-        "in-flight query runs the registration it resolved at submit time"
-    );
-    assert_eq!(
-        handle.cached_results(),
-        0,
-        "a de-registered kernel's batch must not repopulate the cache"
-    );
-
-    // The same query now runs (and caches) the replacement kernel.
-    let after = run(&handle, Query::kernel("metric").source(5)).unwrap();
-    assert!(after.try_state::<Vec<u32>>().is_ok());
-    assert_eq!(handle.metrics().cache_hits, 0, "nothing stale to hit");
-    assert_eq!(handle.cached_results(), 1);
-    service.shutdown();
 }
 
 /// A hand-written (non-`erase`) `DynKernel` that violates the contract by

@@ -11,12 +11,10 @@
 //! The design is hand-rolled for the vendored-deps world (no `tracing`, no
 //! `tokio`):
 //!
-//! * **One branch when disabled.** Instrumented code holds an
+//! * **One branch when untraced.** Instrumented code holds an
 //!   `Option<Arc<TraceSink>>`; the no-sink path costs a single
-//!   predictable-branch load. A sink that is attached but
-//!   [disabled](TraceSink::set_enabled) costs one additional relaxed atomic
-//!   load per site. `fgbench`'s `trace.overhead_frac` row measures the
-//!   enabled sink; the disabled-sink cost currently has no row.
+//!   predictable-branch load. `fgbench`'s `trace.overhead_frac` row
+//!   measures what an attached sink costs.
 //! * **Per-thread lock-free ring buffers.** Each emitting thread owns a
 //!   lane: a single-producer ring of 3-word event records written with
 //!   relaxed atomic stores and published with one release store of the

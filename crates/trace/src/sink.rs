@@ -4,12 +4,10 @@
 //! ## Hot-path cost model
 //!
 //! Instrumented code holds an `Option<Arc<TraceSink>>` — the *untraced*
-//! path is one `None` check. With a sink attached but
-//! [disabled](TraceSink::set_enabled), each site additionally pays one
-//! relaxed atomic load and a predictable branch. Only when *enabled* does an
-//! emit read the monotonic clock (once), look up the calling thread's lane
-//! (a thread-local cache, lock-free after first use), and store three
-//! relaxed `u64` words plus one release cursor store.
+//! path is one `None` check. With a sink attached, every emit reads the
+//! monotonic clock (once), looks up the calling thread's lane (a
+//! thread-local cache, lock-free after first use), and stores three relaxed
+//! `u64` words plus one release cursor store.
 //!
 //! ## Ring semantics
 //!
@@ -25,7 +23,7 @@
 //! consistent stream.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -143,16 +141,13 @@ pub struct TraceStats {
 /// Create one with [`TraceSink::new`], attach it to an engine
 /// (`ForkGraphEngine::with_trace_sink`) or service
 /// (`ForkGraphService::start_traced`), and read the stream back with
-/// [`events`](Self::events) or [`crate::chrome::export`]. The sink starts
-/// **enabled**; [`set_enabled`](Self::set_enabled) toggles recording at
-/// runtime without detaching (the attached-but-disabled cost is one relaxed
-/// load per site).
+/// [`events`](Self::events) or [`crate::chrome::export`]. An attached sink
+/// records every event emitted onto it.
 pub struct TraceSink {
     /// Process-unique id; thread-local lane caches key on it.
     id: u64,
     /// Timestamp origin for every event in this sink.
     epoch: Instant,
-    enabled: AtomicBool,
     /// Per-lane ring capacity in events (power of two).
     lane_capacity: usize,
     lanes: Mutex<Vec<Arc<Lane>>>,
@@ -164,7 +159,6 @@ impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("TraceSink")
-            .field("enabled", &self.is_enabled())
             .field("threads", &stats.threads)
             .field("retained", &stats.retained)
             .field("dropped", &stats.dropped)
@@ -173,34 +167,22 @@ impl std::fmt::Debug for TraceSink {
 }
 
 impl TraceSink {
-    /// A new, enabled sink with the default per-thread capacity
+    /// A new sink with the default per-thread capacity
     /// ([`DEFAULT_LANE_CAPACITY`] events).
     pub fn new() -> Arc<TraceSink> {
         TraceSink::with_capacity(DEFAULT_LANE_CAPACITY)
     }
 
-    /// A new, enabled sink retaining up to `lane_capacity` events per
+    /// A new sink retaining up to `lane_capacity` events per
     /// thread (rounded up to a power of two, minimum 2).
     pub fn with_capacity(lane_capacity: usize) -> Arc<TraceSink> {
         Arc::new(TraceSink {
             id: NEXT_SINK_ID.fetch_add(1, Ordering::Relaxed),
             epoch: Instant::now(),
-            enabled: AtomicBool::new(true),
             lane_capacity: lane_capacity.max(2).next_power_of_two(),
             lanes: Mutex::new(Vec::new()),
             next_id: AtomicU32::new(1),
         })
-    }
-
-    /// Toggle recording. Disabling does not discard recorded events.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether [`emit`](Self::emit) currently records.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Mint a process-wide correlation id (ticket ids, batch ids). Starts
@@ -209,20 +191,9 @@ impl TraceSink {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Record one event on the calling thread's lane. A no-op (one relaxed
-    /// load, one predictable branch) while disabled.
-    #[inline]
+    /// Record one event on the calling thread's lane: one clock read, one
+    /// lane lookup, one ring write.
     pub fn emit(&self, kind: EventKind, a: u32, b: u32, c: u32) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        self.record(kind, a, b, c);
-    }
-
-    /// The enabled emit path: one clock read, one lane lookup, one ring
-    /// write. Out of line so the disabled fast path stays tiny at every
-    /// instrumentation site.
-    fn record(&self, kind: EventKind, a: u32, b: u32, c: u32) {
         let nanos = self.epoch.elapsed().as_nanos() as u64;
         let words = TraceEvent { nanos, kind, a, b, c }.encode();
         LANE_CACHE.with(|cache| {
@@ -322,18 +293,6 @@ mod tests {
         assert_eq!(events[1].b, 100);
         assert!(events.windows(2).all(|w| w[0].nanos <= w[1].nanos), "monotonic timestamps");
         assert_eq!(streams[0].dropped, 0);
-    }
-
-    #[test]
-    fn disabled_sink_records_nothing() {
-        let sink = TraceSink::new();
-        sink.set_enabled(false);
-        assert!(!sink.is_enabled());
-        sink.emit(EventKind::Claim, 1, 2, 3);
-        assert!(sink.events().is_empty(), "no lane is even registered");
-        sink.set_enabled(true);
-        sink.emit(EventKind::Claim, 1, 2, 3);
-        assert_eq!(sink.events()[0].events.len(), 1);
     }
 
     #[test]

@@ -55,7 +55,9 @@ fn chunked(graph: &CsrGraph, parts: usize) -> PartitionedGraph {
 }
 
 fn yield_policies() -> [YieldPolicy; 2] {
-    [YieldPolicy::default(), YieldPolicy::EdgeBudget { threshold: 1 }]
+    // The default, and a budget of one edge per visit (`factor · |E_P| /
+    // |Q|` rounds up to at least one edge).
+    [YieldPolicy::default(), YieldPolicy::EdgeBudgetAuto { factor: 0.0 }]
 }
 
 fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexId]) {
@@ -68,7 +70,7 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
     for yield_policy in yield_policies() {
         let config = EngineConfig::default().with_yield_policy(yield_policy);
         let result = ForkGraphEngine::new(&pg, config).run_sssp(sources);
-        let label = format!("{name} {}", yield_policy.name());
+        let label = format!("{name} {yield_policy:?}");
         for (got, expected) in result.per_query.iter().zip(&sequential) {
             assert_eq!(got, &expected.dist, "{label}");
         }
@@ -205,7 +207,7 @@ fn check_ppr_ceilings(name: &str, graph: &CsrGraph, parts: usize, seeds: &[Verte
     for yield_policy in yield_policies() {
         let config = EngineConfig::default().with_yield_policy(yield_policy);
         let result = ForkGraphEngine::new(&pg, config).run_ppr(seeds, &ppr);
-        let label = format!("{name} ppr {}", yield_policy.name());
+        let label = format!("{name} ppr {yield_policy:?}");
         for (q, state) in result.per_query.iter().enumerate() {
             assert!((state.total_mass() - 1.0).abs() < 1e-9, "{label} query {q}: mass");
             let active = (0..graph.num_vertices()).find(|&v| state.residual[v] >= threshold(v));
