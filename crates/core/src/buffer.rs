@@ -8,22 +8,27 @@
 //! appended once to the lane it will be popped from, and grouping cost
 //! vanishes — the buffer *is* the per-query priority queue.
 //!
-//! A lane is a resident heap plus an append-only inbox. Operations arriving
-//! from other partitions wait in the target's mailbox stripes
-//! ([`crate::executor`]) until the partition's own claimant empties them
-//! onto its lanes' inboxes at the start of its visit; the visit then merges
-//! each inbox into its heap in one `extend` and pops; operations a visit
-//! emits to its own partition go straight onto the heap. A **yield just
-//! stops**: whatever the heap still holds stays where it is for the next
-//! visit.
+//! A lane holds a query's pending operations in three places, by where they
+//! came from. Operations arriving from other partitions wait in the target's
+//! mailbox stripes ([`crate::executor`]) until the partition's own claimant
+//! empties them onto its lanes' inboxes at the start of its visit; the visit
+//! then consolidates each inbox with **one sort** and merges it into the
+//! lane's **sorted run** of earlier arrivals. Operations a visit emits to its
+//! own partition go onto the lane's **heap**. Popping takes the lower of the
+//! heap's top and the run's back by `(priority, vertex)` — the order one heap
+//! of both would give. A **yield just stops**: whatever the heap and the run
+//! still hold stays where it is for the next visit, and a lane with nothing
+//! newly arrived merges nothing.
 //!
 //! The inbox is not there to spare a cold partition heap traffic — the
 //! drain and the merge both happen in the visit, with the partition about
-//! to be resident. It stays because pushing arrivals straight onto the heap
-//! bought nothing: on `fgbench`'s `fpp-social-resident` (2-core Xeon, seed
-//! 42, 10 alternating pairs) batch time was within noise either way, and
-//! without the inbox single-query latency rose 5 % (p50 and p90) and peak
-//! RSS 2.4 %.
+//! to be resident. Pushing arrivals straight onto the heap bought nothing:
+//! on `fgbench`'s `fpp-social-resident` (2-core Xeon, seed 42, 10
+//! alternating pairs) batch time was within noise either way, and without
+//! the inbox single-query latency rose 5 % (p50 and p90) and peak RSS 2.4 %.
+//! Either way every arrival paid a heap sift on the way in and another on
+//! the way out. The sorted run pays neither: a visit's arrivals cost one
+//! sort and one linear merge, and popping one is `Vec::pop`.
 //!
 //! A run's buffers live beside its executor mailboxes, one per partition.
 //! Lanes, the lane table and the active-lane list are reused for the whole
@@ -33,6 +38,7 @@
 //! policy, so allocations are proportional to operations —
 //! never to yields — and the footprint follows the live operations.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use fg_graph::partition::PartitionId;
@@ -56,16 +62,22 @@ pub enum ConsolidationMethod {
 /// back costs more than it saves.
 pub(crate) const RESIDENT_SLACK: usize = 32;
 
-/// One query's pending operations in one partition: a resident priority heap
-/// plus an inbox of arrivals since the query's last visit here.
+/// One query's pending operations in one partition: a heap of what the
+/// lane's own visits pushed, a sorted run of merged arrivals, and an inbox of
+/// arrivals since the query's last visit here.
 ///
 /// With query-centric consolidation on, a visit first merges the inbox into
-/// the heap and then pops in `(priority, vertex)` order. With it off (the
-/// "+buffer" ablation) the heap stays unused and the inbox is the whole lane,
-/// popped in arrival order.
+/// the run and then pops in `(priority, vertex)` order from whichever of the
+/// heap and the run holds the lower next operation — the order one heap of
+/// both would give. With it off (the "+buffer" ablation) the heap and the run
+/// stay unused and the inbox is the whole lane, popped in arrival order.
 #[derive(Clone, Debug)]
 pub(crate) struct Lane<V> {
+    /// Operations the lane's own visits emitted to its partition.
     heap: BinaryHeap<HeapEntry<V>>,
+    /// Merged arrivals, sorted descending by `(priority, vertex)`: the next
+    /// one is at the back.
+    run: Vec<Operation<V>>,
     inbox: VecDeque<Operation<V>>,
     /// Lowest priority appended to the inbox since it was last empty.
     inbox_min: Priority,
@@ -73,19 +85,30 @@ pub(crate) struct Lane<V> {
 
 impl<V> Default for Lane<V> {
     fn default() -> Self {
-        Lane { heap: BinaryHeap::new(), inbox: VecDeque::new(), inbox_min: Priority::MAX }
+        Lane {
+            heap: BinaryHeap::new(),
+            run: Vec::new(),
+            inbox: VecDeque::new(),
+            inbox_min: Priority::MAX,
+        }
     }
+}
+
+/// The order a lane pops in: `(priority, vertex)`, lowest first.
+#[inline]
+fn key<V>(op: &Operation<V>) -> (Priority, u32) {
+    (op.priority, op.vertex)
 }
 
 impl<V: Copy> Lane<V> {
     /// Pending operations (resident + arrived).
     pub fn len(&self) -> usize {
-        self.heap.len() + self.inbox.len()
+        self.heap.len() + self.run.len() + self.inbox.len()
     }
 
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.inbox.is_empty()
+        self.heap.is_empty() && self.run.is_empty() && self.inbox.is_empty()
     }
 
     /// Best (lowest) pending priority, `Priority::MAX` when empty; `O(1)`.
@@ -94,8 +117,9 @@ impl<V: Copy> Lane<V> {
     /// — a lane that looks a little more urgent than it is — until the inbox
     /// next runs empty.
     pub fn min_priority(&self) -> Priority {
-        let resident = self.heap.peek().map_or(Priority::MAX, |entry| entry.op.priority);
-        resident.min(self.inbox_min)
+        let local = self.heap.peek().map_or(Priority::MAX, |entry| entry.op.priority);
+        let merged = self.run.last().map_or(Priority::MAX, |op| op.priority);
+        local.min(merged).min(self.inbox_min)
     }
 
     /// Append an arrival to the inbox.
@@ -108,34 +132,47 @@ impl<V: Copy> Lane<V> {
     /// Drop everything pending, keeping the allocations.
     fn clear(&mut self) {
         self.heap.clear();
+        self.run.clear();
         self.inbox.clear();
         self.inbox_min = Priority::MAX;
     }
 
-    /// Visit start of an ordered lane: move the arrivals onto the heap. The
-    /// inbox's next use is some other partition's visit, arbitrarily far
-    /// off, and what it carried now lives on the heap — so a grown inbox
-    /// gives its buffer back rather than keeping a second copy of the lane's
-    /// peak capacity (measured with `fgbench`, seeds 42–44: keeping it raises
-    /// `fpp-social-resident`'s peak RSS — 32 SSSP queries over 24 partitions
-    /// — from 32.6–33.4 to 35.9–38.8 MiB; `fpp-ppr-resident`, whose lanes hold
-    /// about one operation per push in flight, does not move).
+    /// Visit start of an ordered lane: consolidate the arrivals with one
+    /// sort and merge them into the run from the back — no per-operation
+    /// sift, and no allocation once the run has grown to the lane's size. An
+    /// empty inbox costs nothing. The inbox's next use is some other
+    /// partition's visit, arbitrarily far off, and what it carried now lives
+    /// in the run — so a grown inbox gives its buffer back rather than
+    /// keeping a second copy of the lane's peak capacity (measured with
+    /// `fgbench`, seeds 42–44: keeping it raises `fpp-social-resident`'s peak
+    /// RSS — 32 SSSP queries over 24 partitions — from 32.6–33.4 to 35.9–38.8
+    /// MiB; `fpp-ppr-resident`, whose lanes hold about one operation per push
+    /// in flight, does not move).
     pub(crate) fn merge_inbox(&mut self) {
-        self.heap.extend(self.inbox.drain(..).map(|op| HeapEntry { op }));
+        if self.inbox.is_empty() {
+            return;
+        }
+        let arrivals = self.inbox.make_contiguous();
+        arrivals.sort_unstable_by_key(|op| Reverse(key(op)));
+        merge_descending(&mut self.run, arrivals);
+        self.inbox.clear();
         self.inbox_min = Priority::MAX;
         if self.inbox.capacity() > RESIDENT_SLACK {
             self.inbox = VecDeque::new();
         }
     }
 
-    /// Visit end: a heap that has shrunk to under a quarter of its capacity
-    /// gives half of it back — the usual amortised-constant policy, so
-    /// allocations stay proportional to operations, never to yields, while a
-    /// run's footprint follows its live operations instead of the sum of
-    /// every lane's historical peak.
+    /// Visit end: a heap or run that has shrunk to under a quarter of its
+    /// capacity gives half of it back — the usual amortised-constant policy,
+    /// so allocations stay proportional to operations, never to yields,
+    /// while a run's footprint follows its live operations instead of the
+    /// sum of every lane's historical peak.
     pub(crate) fn trim(&mut self) {
         if self.heap.capacity() > 4 * self.heap.len() + RESIDENT_SLACK {
             self.heap.shrink_to(2 * self.heap.len());
+        }
+        if self.run.capacity() > 4 * self.run.len() + RESIDENT_SLACK {
+            self.run.shrink_to(2 * self.run.len());
         }
     }
 
@@ -144,7 +181,16 @@ impl<V: Copy> Lane<V> {
     #[inline]
     pub(crate) fn pop(&mut self, ordered: bool) -> Option<Operation<V>> {
         if ordered {
-            self.heap.pop().map(|entry| entry.op)
+            let from_run = match (self.heap.peek(), self.run.last()) {
+                (Some(local), Some(merged)) => key(merged) < key(&local.op),
+                (None, merged) => merged.is_some(),
+                (Some(_), None) => false,
+            };
+            if from_run {
+                self.run.pop()
+            } else {
+                self.heap.pop().map(|entry| entry.op)
+            }
         } else {
             let op = self.inbox.pop_front();
             if self.inbox.is_empty() {
@@ -162,6 +208,27 @@ impl<V: Copy> Lane<V> {
             self.heap.push(HeapEntry { op });
         } else {
             self.push_inbox(op);
+        }
+    }
+}
+
+/// Merge `arrivals` into `run`, both sorted descending by `(priority,
+/// vertex)`, in place: grow `run` by the arrivals, then fill it from the back
+/// with the lower of the two sequences' last elements. Only the run's entries
+/// below the highest arrival move.
+fn merge_descending<V: Copy>(run: &mut Vec<Operation<V>>, arrivals: &[Operation<V>]) {
+    let mut i = run.len();
+    run.extend_from_slice(arrivals);
+    let mut j = arrivals.len();
+    let mut k = run.len();
+    while j > 0 {
+        k -= 1;
+        if i > 0 && key(&run[i - 1]) < key(&arrivals[j - 1]) {
+            run[k] = run[i - 1];
+            i -= 1;
+        } else {
+            run[k] = arrivals[j - 1];
+            j -= 1;
         }
     }
 }
@@ -313,9 +380,9 @@ impl<V: Copy> PartitionBuffer<V> {
 
     /// Remove and return all buffered operations grouped by query, the
     /// groups sorted by query id — the lanes, emptied. Within a group the
-    /// resident operations come first, then the arrivals in arrival order
-    /// (the kernel applies its own priority ordering). Lanes are grouped by
-    /// construction, so `method` has nothing left to choose.
+    /// resident operations (heap, then run) come first, then the arrivals in
+    /// arrival order (the kernel applies its own priority ordering). Lanes
+    /// are grouped by construction, so `method` has nothing left to choose.
     pub fn drain_consolidated(
         &mut self,
         _method: ConsolidationMethod,
@@ -326,6 +393,7 @@ impl<V: Copy> PartitionBuffer<V> {
             let (query, lane) = self.active_lane(i);
             let mut ops: Vec<Operation<V>> = Vec::with_capacity(lane.len());
             ops.extend(lane.heap.drain().map(|entry| entry.op));
+            ops.append(&mut lane.run);
             ops.extend(lane.inbox.drain(..));
             lane.inbox_min = Priority::MAX;
             groups.push((query, ops));
@@ -489,26 +557,29 @@ mod tests {
     fn grown_lanes_give_capacity_back() {
         let mut lane: Lane<u64> = Lane::default();
         for i in 0..1000 {
-            lane.push_inbox(op(0, i, i as u64));
+            lane.push_inbox(op(0, i, 2 * i as u64));
+            lane.push_local(true, op(0, i, 2 * i as u64 + 1));
         }
         lane.merge_inbox();
-        assert_eq!(lane.len(), 1000);
+        assert_eq!(lane.len(), 2000);
         assert!(lane.inbox.capacity() <= RESIDENT_SLACK, "a merged inbox releases its buffer");
-        // A yield with most of the lane still resident keeps the heap as is.
-        for _ in 0..100 {
+        // A yield with most of the lane still resident keeps the heap and the
+        // run as they are.
+        for _ in 0..200 {
             lane.pop(true);
         }
-        let grown = lane.heap.capacity();
+        let (heap, run) = (lane.heap.capacity(), lane.run.capacity());
         lane.trim();
-        assert_eq!(lane.heap.capacity(), grown);
+        assert_eq!((lane.heap.capacity(), lane.run.capacity()), (heap, run));
         // Once the lane has mostly drained, half the slack goes back.
-        while lane.len() > 50 {
+        while lane.len() > 100 {
             lane.pop(true);
         }
         lane.trim();
-        assert!(lane.heap.capacity() < grown / 4);
-        assert!(lane.heap.capacity() >= lane.len());
-        assert_eq!(lane.pop(true).unwrap().priority, 950);
+        assert!(lane.heap.capacity() < heap / 4, "the heap gives capacity back");
+        assert!(lane.run.capacity() < run / 4, "the run gives capacity back");
+        assert!(lane.heap.capacity() >= lane.heap.len() && lane.run.capacity() >= lane.run.len());
+        assert_eq!(lane.pop(true).unwrap().priority, 1900);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!     Pc <- ScheduleNextPart()          (inter-partition scheduling, §5.2)
 //!     IntraPartProcess(Pc):             (intra-partition processing, §4)
 //!         for each query q with a lane in Pc, in ascending query order:
-//!             merge q's arrivals into its resident heap
+//!             sort q's new arrivals and merge them into its resident run
 //!             process q's operations sequentially in priority order,
 //!             yielding early per the yield policy (§5.1)
 //!             send operations to neighbour partitions in batches
@@ -260,9 +260,10 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
 
     /// Process one query's lane within this partition visit.
     ///
-    /// With consolidation the lane's arrivals are merged into its resident
-    /// heap and operations are popped in `(priority, vertex)` order; without
-    /// it, in arrival order. Once the lane has processed more edges than the
+    /// With consolidation the lane's new arrivals are sorted and merged into
+    /// its resident run, and operations are popped in `(priority, vertex)`
+    /// order from the run and the heap of the lane's own pushes; without it,
+    /// in arrival order. Once the lane has processed more edges than the
     /// visit's budget it yields instead of popping again; a **yield just
     /// stops** — what the lane still holds stays resident for the next
     /// visit. An operation `kernel` emits is appended once to where it will
