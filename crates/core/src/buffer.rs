@@ -137,36 +137,41 @@ impl<V: Copy> Lane<V> {
         self.inbox_min = Priority::MAX;
     }
 
-    /// Visit start of an ordered lane: consolidate the arrivals with one
-    /// sort and merge them into the run from the back — no per-operation
-    /// sift, and no allocation once the run has grown to the lane's size. An
-    /// empty inbox costs nothing. The inbox's next use is some other
-    /// partition's visit, arbitrarily far off, and what it carried now lives
-    /// in the run — so a grown inbox gives its buffer back rather than
+    /// Visit start of an ordered lane: drop the arrivals `is_dead` already
+    /// condemns, consolidate the survivors with one sort and merge them into
+    /// the run from the back — no per-operation sift, and no allocation once
+    /// the run has grown to the lane's size. Returns how many arrivals were
+    /// dropped. An empty inbox costs nothing. The inbox's next use is some
+    /// other partition's visit, arbitrarily far off, and what it carried now
+    /// lives in the run — so a grown inbox gives its buffer back rather than
     /// keeping a second copy of the lane's peak capacity (measured with
     /// `fgbench`, seeds 42–44: keeping it raises `fpp-social-resident`'s peak
     /// RSS — 32 SSSP queries over 24 partitions — from 32.6–33.4 to 35.9–38.8
     /// MiB; `fpp-ppr-resident`, whose lanes hold about one operation per push
     /// in flight, does not move).
-    pub(crate) fn merge_inbox(&mut self) {
+    pub(crate) fn merge_inbox(&mut self, mut is_dead: impl FnMut(&Operation<V>) -> bool) -> u64 {
         if self.inbox.is_empty() {
-            return;
+            return 0;
         }
-        let arrivals = self.inbox.make_contiguous();
-        arrivals.sort_unstable_by_key(|op| Reverse(key(op)));
-        merge_descending(&mut self.run, arrivals);
+        let arrived = self.inbox.len();
+        self.inbox.retain(|op| !is_dead(op));
+        let dropped = (arrived - self.inbox.len()) as u64;
+        let survivors = self.inbox.make_contiguous();
+        survivors.sort_unstable_by_key(|op| Reverse(key(op)));
+        merge_descending(&mut self.run, survivors);
         self.inbox.clear();
         self.inbox_min = Priority::MAX;
         if self.inbox.capacity() > RESIDENT_SLACK {
             self.inbox = VecDeque::new();
         }
+        dropped
     }
 
     /// Visit end: a heap or run that has shrunk to under a quarter of its
     /// capacity gives half of it back — the usual amortised-constant policy,
     /// so allocations stay proportional to operations, never to yields,
-    /// while a run's footprint follows its live operations instead of the
-    /// sum of every lane's historical peak.
+    /// while an engine run's footprint follows its live operations instead
+    /// of the sum of every lane's historical peak.
     pub(crate) fn trim(&mut self) {
         if self.heap.capacity() > 4 * self.heap.len() + RESIDENT_SLACK {
             self.heap.shrink_to(2 * self.heap.len());
@@ -183,8 +188,8 @@ impl<V: Copy> Lane<V> {
         if ordered {
             let from_run = match (self.heap.peek(), self.run.last()) {
                 (Some(local), Some(merged)) => key(merged) < key(&local.op),
-                (None, merged) => merged.is_some(),
-                (Some(_), None) => false,
+                (None, Some(_)) => true,
+                (_, None) => false,
             };
             if from_run {
                 self.run.pop()
@@ -491,7 +496,7 @@ mod tests {
         for i in 0..b.begin_visit() {
             let (_, lane) = b.active_lane(i);
             if ordered {
-                lane.merge_inbox();
+                lane.merge_inbox(|_| false);
             }
             for _ in 0..budget {
                 match lane.pop(ordered) {
@@ -560,7 +565,7 @@ mod tests {
             lane.push_inbox(op(0, i, 2 * i as u64));
             lane.push_local(true, op(0, i, 2 * i as u64 + 1));
         }
-        lane.merge_inbox();
+        lane.merge_inbox(|_| false);
         assert_eq!(lane.len(), 2000);
         assert!(lane.inbox.capacity() <= RESIDENT_SLACK, "a merged inbox releases its buffer");
         // A yield with most of the lane still resident keeps the heap and the
@@ -580,6 +585,120 @@ mod tests {
         assert!(lane.run.capacity() < run / 4, "the run gives capacity back");
         assert!(lane.heap.capacity() >= lane.heap.len() && lane.run.capacity() >= lane.run.len());
         assert_eq!(lane.pop(true).unwrap().priority, 1900);
+    }
+
+    /// The reference a lane must match: one heap of everything pushed,
+    /// from which the arrivals a merge dropped are skipped.
+    struct Reference {
+        heap: BinaryHeap<HeapEntry<u64>>,
+        dropped: Vec<u64>,
+    }
+
+    impl Reference {
+        fn skip_dropped(&mut self) {
+            while let Some(top) = self.heap.peek() {
+                let Some(at) = self.dropped.iter().position(|&id| id == top.op.value) else {
+                    break;
+                };
+                self.dropped.swap_remove(at);
+                self.heap.pop();
+            }
+        }
+
+        fn pop(&mut self) -> Option<Operation<u64>> {
+            self.skip_dropped();
+            self.heap.pop().map(|entry| entry.op)
+        }
+
+        fn min_priority(&mut self) -> Priority {
+            self.skip_dropped();
+            self.heap.peek().map_or(Priority::MAX, |entry| entry.op.priority)
+        }
+    }
+
+    /// Seeded interleavings of arrivals, merges, local pushes and partial
+    /// drains (yields): an ordered lane pops the `(priority, vertex)`
+    /// sequence of one `BinaryHeap<HeapEntry>` holding every operation, less
+    /// the arrivals a merge found dead. Liveness follows min-relaxation —
+    /// an operation is dead once its vertex's entry falls below its
+    /// priority, and entries only fall — so a dropped arrival would have been
+    /// pruned when popped.
+    #[test]
+    fn lane_pops_in_the_order_of_one_heap_under_any_interleaving() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut dropped_in_all_cases = 0;
+        for case in 0..300 {
+            let drop_dead = case % 2 == 1;
+            let mut lane: Lane<u64> = Lane::default();
+            let mut reference = Reference { heap: BinaryHeap::new(), dropped: Vec::new() };
+            let mut entry = [Priority::MAX; 8];
+            // Operation values are unique ids, so a dropped arrival can be
+            // told from a live one with the same `(priority, vertex)`.
+            let mut next_id = 0u64;
+            let mut new_op = |rng: &mut SmallRng, entry: &mut [Priority; 8]| {
+                let vertex = rng.gen_range(0u32..8);
+                let priority = rng.gen_range(0u64..24);
+                entry[vertex as usize] = entry[vertex as usize].min(priority);
+                next_id += 1;
+                Operation::new(0, vertex, next_id, priority)
+            };
+            for _visit in 0..rng.gen_range(1usize..12) {
+                // Between visits: arrivals, and entries falling elsewhere.
+                for _ in 0..rng.gen_range(0usize..10) {
+                    let op = new_op(&mut rng, &mut entry);
+                    lane.push_inbox(op);
+                    reference.heap.push(HeapEntry { op });
+                }
+                for _ in 0..rng.gen_range(0usize..3) {
+                    let vertex = rng.gen_range(0usize..8);
+                    entry[vertex] = entry[vertex].min(rng.gen_range(0u64..24));
+                }
+                // Visit start.
+                let mut condemned = Vec::new();
+                let dropped = lane.merge_inbox(|op| {
+                    let dead = drop_dead && op.priority > entry[op.vertex as usize];
+                    if dead {
+                        condemned.push(op.value);
+                    }
+                    dead
+                });
+                assert_eq!(dropped, condemned.len() as u64, "case {case}: the merge's count");
+                dropped_in_all_cases += dropped;
+                reference.dropped.extend(&condemned);
+                // The visit: pops with local pushes between them, stopped
+                // early (a yield) or run until the lane is empty.
+                let budget = if rng.gen_bool(0.5) { rng.gen_range(0usize..6) } else { usize::MAX };
+                let mut popped = 0;
+                while popped < budget {
+                    if rng.gen_bool(0.5) {
+                        let op = new_op(&mut rng, &mut entry);
+                        lane.push_local(true, op);
+                        reference.heap.push(HeapEntry { op });
+                    }
+                    let (got, want) = (lane.pop(true), reference.pop());
+                    assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
+                    let Some(got) = got else { break };
+                    assert!(!condemned.contains(&got.value), "case {case}: a dead arrival popped");
+                    popped += 1;
+                }
+                lane.trim();
+                assert_eq!(lane.min_priority(), reference.min_priority(), "case {case}");
+            }
+            // Drain what the last yield left.
+            lane.merge_inbox(|_| false);
+            loop {
+                let (got, want) = (lane.pop(true), reference.pop());
+                assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
+                if got.is_none() {
+                    break;
+                }
+            }
+            assert!(lane.is_empty());
+        }
+        assert!(dropped_in_all_cases > 100, "the cases drop dead arrivals");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!     Pc <- ScheduleNextPart()          (inter-partition scheduling, §5.2)
 //!     IntraPartProcess(Pc):             (intra-partition processing, §4)
 //!         for each query q with a lane in Pc, in ascending query order:
-//!             sort q's new arrivals and merge them into its resident run
+//!             drop q's dead arrivals, sort the rest and merge them into
+//!             its resident run
 //!             process q's operations sequentially in priority order,
 //!             yielding early per the yield policy (§5.1)
 //!             send operations to neighbour partitions in batches
@@ -260,16 +261,17 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
 
     /// Process one query's lane within this partition visit.
     ///
-    /// With consolidation the lane's new arrivals are sorted and merged into
-    /// its resident run, and operations are popped in `(priority, vertex)`
-    /// order from the run and the heap of the lane's own pushes; without it,
-    /// in arrival order. Once the lane has processed more edges than the
-    /// visit's budget it yields instead of popping again; a **yield just
-    /// stops** — what the lane still holds stays resident for the next
-    /// visit. An operation `kernel` emits is appended once to where it will
-    /// be popped from: this lane if its vertex lives in this partition, else
-    /// the `remote` batch of its target (which the caller delivers when the
-    /// partition visit ends).
+    /// With consolidation the lane's new arrivals are checked against the
+    /// query's state ([`FppKernel::is_dead`]), the dead ones dropped and the
+    /// rest sorted and merged into its resident run, and operations are
+    /// popped in `(priority, vertex)` order from the run and the heap of the
+    /// lane's own pushes; without it, in arrival order. Once the lane has
+    /// processed more edges than the visit's budget it yields instead of
+    /// popping again; a **yield just stops** — what the lane still holds
+    /// stays resident for the next visit. An operation `kernel` emits is
+    /// appended once to where it will be popped from: this lane if its
+    /// vertex lives in this partition, else the `remote` batch of its target
+    /// (which the caller delivers when the partition visit ends).
     /// The work is counted into the calling worker's own `stats`; the
     /// return value is the number of operations pushed onto this lane,
     /// which never pass through a mailbox.
@@ -295,8 +297,18 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
             engine.emit_trace(EventKind::PartitionDecode, query, partition, 0);
         }
 
+        stats.lane_visits += 1;
         if ordered {
-            lane.merge_inbox();
+            // An arrival the kernel already knows is dead is executed here,
+            // as a pruned operation, instead of being sorted in and popped.
+            // The check reads the arrival's state entry, so the cache model
+            // is charged one state read per arrival checked.
+            let dead = lane.merge_inbox(|op| {
+                tracer.state_read(query as usize, op.vertex as u64);
+                kernel.is_dead(state, op.vertex, op.priority)
+            });
+            stats.operations += dead;
+            stats.pruned += dead;
         }
         let mut emitted_local = 0u64;
         let mut edges_this_visit = 0u64;

@@ -89,7 +89,10 @@ pub trait FppKernel: Sync {
     ///   or shipped;
     /// * **at process time**, prune on `priority > state[vertex]` (a better
     ///   value was written after this operation was emitted, and *its*
-    ///   operation does the work) and otherwise expand from `priority`.
+    ///   operation does the work) and otherwise expand from `priority`. That
+    ///   test is the kernel's [`Self::is_dead`], so the engine also drops a
+    ///   dominated arrival when it merges a lane's inbox, before it is ever
+    ///   popped.
     ///   Every operation's entry is written before the operation exists: a
     ///   relaxation writes it as it emits, [`Self::init_state`] writes the
     ///   source's, and [`IncrementalKernel::restart_seeds`] writes its seeds.
@@ -130,6 +133,28 @@ pub trait FppKernel: Sync {
         priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64;
+
+    /// True if an operation at `vertex` with `priority` is already known to
+    /// be dead: [`Self::process`] would prune it — return 0, emit nothing
+    /// and leave `state` as it is. The engine asks this of every arrival
+    /// when it merges a lane's inbox at visit start and drops the dead ones
+    /// there, counting each as an executed, pruned operation, exactly as if
+    /// it had been popped.
+    ///
+    /// The answer must be **stable**: once it is true for an operation, it
+    /// stays true for the rest of the run, since a dropped operation is never
+    /// asked again. Min-relaxation meets this — `priority > state[vertex]`
+    /// can only become true, because entries only fall during a run
+    /// ([`IncrementalKernel::restart_seeds`] resets entries before the run
+    /// starts). A kernel that prunes this way should call `is_dead` from
+    /// `process` for its prune, so the rule is written once.
+    ///
+    /// The default is `false`: nothing is dropped early, and every operation
+    /// reaches `process`.
+    fn is_dead(&self, state: &Self::State, vertex: VertexId, priority: Priority) -> bool {
+        let _ = (state, vertex, priority);
+        false
+    }
 }
 
 /// A kernel whose converged state can be *restarted* from an edge delta

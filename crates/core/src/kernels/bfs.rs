@@ -39,13 +39,10 @@ impl FppKernel for BfsKernel {
         priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
-        // The relax-time contract of `FppKernel::process`, as in SSSP: the
-        // priority is the level.
-        let level = priority as u32;
-        if level > state[vertex as usize] {
+        if self.is_dead(state, vertex, priority) {
             return 0; // a lower level was written since: pruned
         }
-        let next = level + 1;
+        let next = priority as u32 + 1;
         let mut edges = 0u64;
         for t in graph.out_neighbors(vertex) {
             edges += 1;
@@ -55,6 +52,12 @@ impl FppKernel for BfsKernel {
             }
         }
         edges
+    }
+
+    fn is_dead(&self, state: &Self::State, vertex: VertexId, priority: Priority) -> bool {
+        // The relax-time contract of `FppKernel::process`, as in SSSP: the
+        // priority is the level.
+        priority > Priority::from(state[vertex as usize])
     }
 }
 
@@ -125,6 +128,7 @@ mod tests {
         kernel.process(&view, &mut state, 1, (), 1, &mut |t, (), l| emitted.push((t, l)));
         assert!(emitted.is_empty(), "relaxing again offers an equal level: nothing is emitted");
         let mut sink = |_: VertexId, (): (), _: Priority| {};
+        assert!(kernel.is_dead(&state, 1, 3) && !kernel.is_dead(&state, 1, 1));
         assert_eq!(kernel.process(&view, &mut state, 1, (), 3, &mut sink), 0);
         assert_eq!(kernel.process(&view, &mut state, 2, (), 5, &mut sink), 0);
         assert_eq!(state[1], 1);

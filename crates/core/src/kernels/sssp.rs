@@ -40,13 +40,10 @@ impl FppKernel for SsspKernel {
         priority: Priority,
         emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
     ) -> u64 {
-        // The relax-time contract of `FppKernel::process`: tentative
-        // distances are written when an edge is relaxed, so an operation is
-        // live exactly while its priority — its distance — is the entry's.
-        let dist: Dist = priority;
-        if dist > state[vertex as usize] {
+        if self.is_dead(state, vertex, priority) {
             return 0; // a shorter path was written since: pruned
         }
+        let dist: Dist = priority;
         let mut edges = 0u64;
         for (t, w) in graph.out_edges(vertex) {
             edges += 1;
@@ -57,6 +54,13 @@ impl FppKernel for SsspKernel {
             }
         }
         edges
+    }
+
+    fn is_dead(&self, state: &Self::State, vertex: VertexId, priority: Priority) -> bool {
+        // The relax-time contract of `FppKernel::process`: tentative
+        // distances are written when an edge is relaxed, so an operation is
+        // live exactly while its priority — its distance — is the entry's.
+        priority > state[vertex as usize]
     }
 }
 
@@ -111,7 +115,9 @@ mod tests {
         let view = AdjacencyView::from_csr(&g);
         let mut sink = |_: VertexId, (): (), _: Priority| {};
         assert!(kernel.process(&view, &mut state, 0, (), 0, &mut sink) > 0);
-        // Re-processing the source at a worse priority does nothing.
+        // Re-processing the source at a worse priority does nothing, and
+        // `is_dead` says so before it is popped.
+        assert!(kernel.is_dead(&state, 0, 5) && !kernel.is_dead(&state, 0, 0));
         assert_eq!(kernel.process(&view, &mut state, 0, (), 5, &mut sink), 0);
         assert_eq!(state[0], 0);
     }

@@ -18,13 +18,17 @@ pub struct WorkerSnapshot {
     pub operations: u64,
     /// Edges this worker's operations relaxed/traversed.
     pub edges: u64,
-    /// Operations this worker executed that did no edge work.
+    /// Operations this worker executed that did no edge work, arrivals a
+    /// lane found dead when it merged them at visit start included.
     pub pruned: u64,
     /// Operations this worker's operations emitted, each of which enters
     /// exactly one lane.
     pub emitted: u64,
     /// Yields this worker's lanes took.
     pub yields: u64,
+    /// Lanes this worker processed, summed over its visits: one per query
+    /// with operations in a visited partition.
+    pub lane_visits: u64,
 }
 
 /// The work totals of one run.
@@ -48,8 +52,9 @@ pub struct WorkSnapshot {
     /// number of operations the run ever created.
     pub operations_buffered: u64,
     /// Executed operations that did no edge work: stale or dominated by the
-    /// time they were popped (or, for PPR, a seed below its threshold, an
-    /// operation past `max_pushes`, or a push at a dangling vertex).
+    /// time they were popped or merged into a lane (or, for PPR, a seed
+    /// below its threshold, an operation past `max_pushes`, or a push at a
+    /// dangling vertex).
     pub operations_pruned: u64,
     /// Partition visits scheduled by the inter-partition scheduler.
     pub partition_visits: u64,

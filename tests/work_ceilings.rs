@@ -124,6 +124,16 @@ fn check_ceilings(name: &str, graph: &CsrGraph, parts: usize, sources: &[VertexI
         for (field, summed, total) in totals {
             assert_eq!(summed, total, "{label}: {field}");
         }
+        // A visit processes each of its partition's active lanes once: at
+        // least one lane, at most one per query. A yield ends a lane visit.
+        let lane_visits = sum(|w| w.lane_visits);
+        let visits = work.partition_visits;
+        assert!(
+            visits <= lane_visits && lane_visits <= visits * sources.len() as u64,
+            "{label}: {lane_visits} lane visits over {visits} visits of {} queries",
+            sources.len()
+        );
+        assert!(work.yields <= lane_visits, "{label}: {} yields", work.yields);
         if threads == 1 {
             let only = &work.workers[0];
             assert_eq!(
