@@ -76,14 +76,6 @@ impl NetworkCommunityProfile {
         self
     }
 
-    /// The engine configuration the paper uses for NCP: yielding heuristic 1
-    /// with a large threshold (100 µ, Section 6.4) because PPR operations are
-    /// cheap and numerous, plus priority-based scheduling on residuals.
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig::default()
-            .with_yield_policy(forkgraph_core::YieldPolicy::EdgeBudgetAuto { factor: 100.0 })
-    }
-
     /// The PPR seed vertices for `graph`.
     pub fn seeds(&self, graph: &CsrGraph) -> Vec<VertexId> {
         let count = ((graph.num_vertices() as f64 * self.seed_fraction).ceil() as usize)
@@ -111,7 +103,10 @@ impl NetworkCommunityProfile {
             .collect()
     }
 
-    /// Run on the ForkGraph engine.
+    /// Run on the ForkGraph engine. The default configuration is the paper's
+    /// for NCP: §6.4 raises the yield budget to 100 µ because PPR operations
+    /// are cheap and cannot be dominated, and the engine goes further — a
+    /// kernel that cannot prune never yields ([`forkgraph_core::FppKernel::PRUNES`]).
     pub fn run_forkgraph(&self, pg: &PartitionedGraph, config: EngineConfig) -> NcpResult {
         let seeds = self.seeds(pg.graph());
         let engine = ForkGraphEngine::new(pg, config);
@@ -172,7 +167,7 @@ mod tests {
             &g,
             PartitionConfig::with_partitions(PartitionMethod::Multilevel, 4),
         );
-        let result = ncp.run_forkgraph(&pg, ncp.engine_config());
+        let result = ncp.run_forkgraph(&pg, EngineConfig::default());
         assert!(!result.profile.is_empty());
         // The 8-vertex cliques are excellent communities.
         assert!(result.best_conductance() < 0.1, "best {}", result.best_conductance());
@@ -186,7 +181,7 @@ mod tests {
             &g,
             PartitionConfig::with_partitions(PartitionMethod::Multilevel, 4),
         );
-        let fork = ncp.run_forkgraph(&pg, ncp.engine_config());
+        let fork = ncp.run_forkgraph(&pg, EngineConfig::default());
         let driver = FppDriver::new(LigraEngine::new(), Arc::new(g.clone()));
         let base = ncp.run_baseline(&driver, ExecutionScheme::InterQuery, &g);
         assert_eq!(fork.seeds, base.seeds);

@@ -22,10 +22,7 @@ use fg_seq::random_walk::RandomWalkConfig;
 use forkgraph_core::{AblationLevel, EngineConfig, ForkGraphEngine, SchedulingPolicy, YieldPolicy};
 
 use crate::claims::{Claim, Report, Verdict};
-use crate::runner::{
-    forkgraph_config, forkgraph_ppr_config, llc_partitions, repro_llc, run_baseline, run_forkgraph,
-    System, Workload,
-};
+use crate::runner::{llc_partitions, repro_llc, run_baseline, run_forkgraph, System, Workload};
 
 // The stand-ins, at scales that cut each into at least MIN_PARTITIONS
 // partitions of `repro_llc()`. The count is in each claim's evidence.
@@ -179,12 +176,7 @@ pub fn figure10() -> Report {
             .map(|&s| (s.name(), run_baseline(s, &case.graph, &case.workload, Some(llc))))
             .chain([(
                 "ForkGraph",
-                run_forkgraph(
-                    &case.graph,
-                    &case.workload,
-                    forkgraph_config(&case.workload),
-                    Some(llc),
-                ),
+                run_forkgraph(&case.graph, &case.workload, EngineConfig::default(), Some(llc)),
             )])
             .collect();
         let misses: Vec<(&str, u64)> = runs
@@ -248,10 +240,7 @@ pub fn figure11() -> Report {
         let edges: Vec<(&str, u64)> = levels
             .iter()
             .map(|&level| {
-                let mut config = EngineConfig::for_ablation(level);
-                if matches!(case.workload.kind, QueryKind::Ppr(_)) && level == AblationLevel::Full {
-                    config = config.with_yield_policy(forkgraph_ppr_config().yield_policy);
-                }
+                let config = EngineConfig::for_ablation(level);
                 let m = run_forkgraph(&case.graph, &case.workload, config, None);
                 (level.label(), m.work.edges_processed)
             })
@@ -305,7 +294,7 @@ pub fn figure15() -> Report {
     type Run<'a> = Box<dyn Fn(&[VertexId]) -> Measurement + 'a>;
     let series: [(&str, &str, &PartitionedGraph, Run); 5] = [
         ("ppr-lj", "PPR on Lj", &pg_social, {
-            let engine = ForkGraphEngine::new(&pg_social, forkgraph_ppr_config().with_threads(1));
+            let engine = ForkGraphEngine::new(&pg_social, one_worker);
             Box::new(move |srcs| engine.run_ppr(srcs, &ppr).measurement)
         }),
         ("dfs-lj", "DFS on Lj", &pg_social, {

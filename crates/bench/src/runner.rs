@@ -13,7 +13,7 @@ use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, VertexId};
 use fg_metrics::Measurement;
 use fg_seq::ppr::PprConfig;
-use forkgraph_core::{EngineConfig, ForkGraphEngine, YieldPolicy};
+use forkgraph_core::{EngineConfig, ForkGraphEngine};
 
 /// The one simulated LLC of `repro`: 32 KiB, 64-byte lines, 16-way. It
 /// sizes ForkGraph's partitions and is the cache every instrumented run
@@ -103,7 +103,9 @@ pub fn run_baseline(
 }
 
 /// Run `workload` on ForkGraph with one worker over [`repro_llc`]-sized
-/// partitions.
+/// partitions. `EngineConfig::default()` serves every query kind: the 100 µ
+/// yield budget §6.4 gives PPR is moot, since PPR cannot prune and so never
+/// yields ([`forkgraph_core::FppKernel::PRUNES`]).
 pub fn run_forkgraph(
     graph: &CsrGraph,
     workload: &Workload,
@@ -123,21 +125,6 @@ pub fn run_forkgraph(
     }
 }
 
-/// The ForkGraph engine configuration used for PPR/NCP workloads (yielding
-/// heuristic 1 with a 100µ budget, Section 6.4 of the paper).
-pub fn forkgraph_ppr_config() -> EngineConfig {
-    EngineConfig::default().with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor: 100.0 })
-}
-
-/// The ForkGraph engine configuration used for the workload's kind: the
-/// default for SSSP/BFS (BC, LL), [`forkgraph_ppr_config`] for PPR (NCP).
-pub fn forkgraph_config(workload: &Workload) -> EngineConfig {
-    match workload.kind {
-        QueryKind::Ppr(_) => forkgraph_ppr_config(),
-        QueryKind::Sssp | QueryKind::Bfs => EngineConfig::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +137,7 @@ mod tests {
         let base = run_baseline(System::Ligra, &graph, &workload, None);
         assert!(base.work.edges_processed > 0);
         assert_eq!(base.label, "Ligra (single-threaded)");
-        let fork = run_forkgraph(&graph, &workload, forkgraph_config(&workload), None);
+        let fork = run_forkgraph(&graph, &workload, EngineConfig::default(), None);
         assert!(fork.work.edges_processed > 0);
         assert_eq!(fork.work.workers.len(), 1);
         assert_eq!(fork.label, "ForkGraph");

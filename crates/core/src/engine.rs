@@ -242,20 +242,22 @@ pub(crate) struct PartitionVisit<'a, 'g> {
     engine: &'a ForkGraphEngine<'g>,
     partition: PartitionId,
     /// Edges each lane may process before it yields
-    /// ([`YieldPolicy::edge_budget`] of this partition and run).
+    /// ([`YieldPolicy::visit_budget`] of this partition and run).
     edge_budget: u64,
     tracer: &'a GraphAccessTracer,
 }
 
 impl<'a, 'g> PartitionVisit<'a, 'g> {
-    pub(crate) fn new(
+    /// The visit of `partition` by a run of `num_queries` queries of kernel
+    /// type `K`.
+    pub(crate) fn new<K: FppKernel>(
         engine: &'a ForkGraphEngine<'g>,
         partition: PartitionId,
         num_queries: usize,
         tracer: &'a GraphAccessTracer,
     ) -> Self {
-        let partition_edges = engine.pg.partition(partition).num_edges() as u64;
-        let edge_budget = engine.config.yield_policy.edge_budget(partition_edges, num_queries);
+        let edge_budget =
+            engine.config.yield_policy.visit_budget::<K>(engine.pg, partition, num_queries);
         PartitionVisit { engine, partition, edge_budget, tracer }
     }
 
@@ -274,7 +276,8 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
     /// (which the caller delivers when the partition visit ends).
     /// The work is counted into the calling worker's own `stats`; the
     /// return value is the number of operations pushed onto this lane,
-    /// which never pass through a mailbox.
+    /// which never pass through a mailbox. Only a kernel that prunes
+    /// ([`FppKernel::PRUNES`]) has its arrivals checked or yields.
     pub(crate) fn process_lane<K: FppKernel>(
         &self,
         kernel: &K,
@@ -299,13 +302,16 @@ impl<'a, 'g> PartitionVisit<'a, 'g> {
 
         stats.lane_visits += 1;
         if ordered {
-            // An arrival the kernel already knows is dead is executed here,
-            // as a pruned operation, instead of being sorted in and popped.
-            // The check reads the arrival's state entry, so the cache model
-            // is charged one state read per arrival checked.
+            // An arrival a pruning kernel already knows is dead is executed
+            // here, as a pruned operation, instead of being sorted in and
+            // popped. The check reads the arrival's state entry, so the cache
+            // model is charged one state read per arrival checked; other
+            // kernels merge with no check and no read.
             let dead = lane.merge_inbox(|op| {
-                tracer.state_read(query as usize, op.vertex as u64);
-                kernel.is_dead(state, op.vertex, op.priority)
+                K::PRUNES && {
+                    tracer.state_read(query as usize, op.vertex as u64);
+                    kernel.is_dead(state, op.vertex, op.priority)
+                }
             });
             stats.operations += dead;
             stats.pruned += dead;
@@ -785,10 +791,18 @@ mod tests {
         assert_eq!(tight.work().yields, 2);
         assert_eq!(tight.work().edges_processed, 7);
 
-        // Budget |E_P| (4, then 3): P1's lane has processed exactly 3 edges
-        // when vertex 7 is next, which is not more than the budget, so each
-        // partition is visited once.
-        let exact = run(1.0);
+        // Factor 1.0 divides by |Q| floored at 8: ceil(4 / 8) = ceil(3 / 8) =
+        // 1, the same budget of one edge, so the same four visits and two
+        // yields (unfloored, the budgets would be 4 and 3: two visits).
+        let floored = run(1.0);
+        assert_eq!(floored.per_query, tight.per_query);
+        assert_eq!(floored.work().partition_visits, 4);
+        assert_eq!(floored.work().yields, 2);
+
+        // Factor 8.0 gives budget |E_P| (8 · 4 / 8 = 4, then 3): P1's lane
+        // has processed exactly 3 edges when vertex 7 is next, which is not
+        // more than the budget, so each partition is visited once.
+        let exact = run(8.0);
         assert_eq!(exact.per_query, tight.per_query);
         assert_eq!(exact.work().partition_visits, 2);
         assert_eq!(exact.work().yields, 0);

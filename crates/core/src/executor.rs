@@ -363,8 +363,12 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                 event_field(total as u64),
                 active as u32,
             );
-            let visit =
-                PartitionVisit::new(self.engine, p as PartitionId, self.num_queries, self.tracer);
+            let visit = PartitionVisit::new::<K>(
+                self.engine,
+                p as PartitionId,
+                self.num_queries,
+                self.tracer,
+            );
             let executed_before = stats.operations;
             let mut emitted_local = 0;
             for i in 0..active {

@@ -15,6 +15,8 @@ pub struct BfsKernel;
 impl FppKernel for BfsKernel {
     type Value = ();
     type State = Vec<u32>;
+    // Min-relaxation: a shorter arrival dominates, see `is_dead`.
+    const PRUNES: bool = true;
 
     fn name(&self) -> &'static str {
         "bfs"

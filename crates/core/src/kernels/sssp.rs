@@ -16,6 +16,8 @@ pub struct SsspKernel;
 impl FppKernel for SsspKernel {
     type Value = ();
     type State = Vec<Dist>;
+    // Min-relaxation: a shorter arrival dominates, see `is_dead`.
+    const PRUNES: bool = true;
 
     fn name(&self) -> &'static str {
         "sssp"

@@ -9,8 +9,9 @@
 //!   {one worker, the pool with 2 and 3 workers} × {raw, compressed} ×
 //!   {`run`, `run_dyn`, `run_incremental`}. The one-edge budget
 //!   (`EdgeBudgetAuto { factor: 0.0 }`) is the adversarial corner: every
-//!   lane yields after its first operation with edges, so nearly every
-//!   operation spends time resident between visits.
+//!   SSSP or BFS lane yields after its first operation with edges, so nearly
+//!   every operation spends time resident between visits. PPR cannot prune,
+//!   so it never yields, and its three yield cells run alike.
 //! * Allocations per run must not grow with the number of yields: a yield
 //!   stops, it does not rebuild anything.
 //!

@@ -19,7 +19,7 @@ fn main() {
     // the scaled graph still yields a meaningful profile).
     let app = NetworkCommunityProfile::new(0.005, 11)
         .with_ppr(PprConfig { epsilon: 1e-4, ..Default::default() });
-    let result = app.run_forkgraph(&partitioned, app.engine_config());
+    let result = app.run_forkgraph(&partitioned, EngineConfig::default());
 
     println!(
         "{} PPR seeds processed in {:.2?} ({} operations, {} partition visits)",

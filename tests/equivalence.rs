@@ -119,12 +119,7 @@ fn ppr_results_are_epsilon_close_across_engines() {
     };
 
     let pg = partitioned(&graph, 6);
-    let fork = ForkGraphEngine::new(
-        &pg,
-        EngineConfig::default()
-            .with_yield_policy(forkgraph::core::YieldPolicy::EdgeBudgetAuto { factor: 100.0 }),
-    )
-    .run_ppr(&seeds, &config);
+    let fork = ForkGraphEngine::new(&pg, EngineConfig::default()).run_ppr(&seeds, &config);
     for (state, expected) in fork.per_query.iter().zip(reference.iter()) {
         check_close(&state.estimate, expected, "ForkGraph");
     }
@@ -227,7 +222,7 @@ fn applications_run_end_to_end_on_forkgraph() {
     assert_eq!(ll.index.distances.len(), 8);
 
     let ncp_app = NetworkCommunityProfile::new(0.002, 3);
-    let ncp = ncp_app.run_forkgraph(&pg, ncp_app.engine_config());
+    let ncp = ncp_app.run_forkgraph(&pg, EngineConfig::default());
     assert!(!ncp.profile.is_empty());
     assert!(ncp.best_conductance() <= 1.0);
 }

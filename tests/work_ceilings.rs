@@ -36,6 +36,7 @@ use forkgraph::metrics::WorkerSnapshot;
 use forkgraph::prelude::*;
 use forkgraph::seq::bfs::bfs;
 use forkgraph::seq::ppr::{ppr_push, PprConfig};
+use forkgraph::seq::random_walk::RandomWalkConfig;
 
 /// Operations that entered a lane per vertex the batch reached: one per
 /// improvement of a tentative distance. `fg_seq::dijkstra` itself pushes
@@ -161,6 +162,66 @@ fn engine_bookkeeping_stays_within_exact_ceilings_of_the_sequential_loop() {
     let road = gen::grid2d(64, 64, 0.02, 7).with_random_weights(9, 7);
     let sources: Vec<VertexId> = (0..8).map(|i| i * 509 % road.num_vertices() as u32).collect();
     check_ceilings("grid", &road, 8, &sources);
+}
+
+/// One SSSP query on a high-diameter lattice runs far ahead of the arrivals
+/// that would prune its work unless it yields; with |Q| floored at 8 in the
+/// edge budget, a lone query yields after a quarter of its partition and
+/// stays near the sequential edge work (1.06× and 1.04× here, against 1.37×
+/// and 1.43× when a lone query's budget was twice its partition).
+#[test]
+fn a_lone_sssp_query_on_a_lattice_stays_near_the_sequential_edge_work() {
+    const LONE_QUERY_EDGES_OVER_SEQUENTIAL: f64 = 1.10;
+    let road = gen::grid2d(64, 64, 0.02, 5).with_random_weights(9, 5);
+    let pg = chunked(&road, 8);
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
+    for source in [0, 2055] {
+        let sequential = dijkstra(&road, source);
+        let result = engine.run_sssp(&[source]);
+        assert_eq!(result.per_query[0], sequential.dist, "source {source}");
+        let edges = result.work().edges_processed as f64 / sequential.edges_processed as f64;
+        assert!(
+            edges <= LONE_QUERY_EDGES_OVER_SEQUENTIAL,
+            "source {source}: {edges:.3}x the sequential edge work ({} vs {})",
+            result.work().edges_processed,
+            sequential.edges_processed
+        );
+    }
+}
+
+/// On one partition nothing can arrive from another, so a yield would only
+/// re-visit the same partition: the whole batch is one visit.
+#[test]
+fn a_one_partition_graph_is_one_visit_and_never_yields() {
+    let social = gen::rmat(11, 8, 42).with_random_weights(9, 42);
+    let sources: Vec<VertexId> = (0..32).map(|i| i * 61 % social.num_vertices() as u32).collect();
+    let result =
+        ForkGraphEngine::new(&chunked(&social, 1), EngineConfig::default()).run_sssp(&sources);
+    for (got, &source) in result.per_query.iter().zip(&sources) {
+        assert_eq!(got, &dijkstra(&social, source).dist, "source {source}");
+    }
+    assert_eq!((result.work().partition_visits, result.work().yields), (1, 0));
+}
+
+/// Only a kernel whose operations can be dominated gains from a yield, so
+/// only those yield, even at a budget of one edge per visit.
+#[test]
+fn only_pruning_kernels_yield() {
+    let graph = gen::rmat(10, 8, 3).with_random_weights(9, 3);
+    let pg = chunked(&graph, 8);
+    let seeds: Vec<VertexId> = vec![0, 17, 300, 511];
+    let config =
+        EngineConfig::default().with_yield_policy(YieldPolicy::EdgeBudgetAuto { factor: 0.0 });
+    let engine = ForkGraphEngine::new(&pg, config);
+    let ppr = PprConfig { epsilon: 1e-4, ..Default::default() };
+    let walks = RandomWalkConfig { num_walks: 8, walk_length: 32, restart_prob: 0.0, seed: 5 };
+    let never = [
+        ("ppr", engine.run_ppr(&seeds, &ppr).work().yields),
+        ("dfs", engine.run_dfs(&seeds).work().yields),
+        ("random walk", engine.run_random_walks(&seeds, &walks).work().yields),
+    ];
+    assert_eq!(never, [("ppr", 0), ("dfs", 0), ("random walk", 0)]);
+    assert!(engine.run_sssp(&seeds).work().yields > 0, "sssp at a one-edge budget");
 }
 
 /// Deletion repair resets only the cone of vertices whose shortest paths
