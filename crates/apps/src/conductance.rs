@@ -71,11 +71,6 @@ pub fn sweep_cut(graph: &CsrGraph, estimates: &[(VertexId, f64)]) -> Vec<(usize,
     profile
 }
 
-/// Minimum conductance over all sweep prefixes; `(best_size, best_phi)`.
-pub fn best_sweep(graph: &CsrGraph, estimates: &[(VertexId, f64)]) -> Option<(usize, f64)> {
-    sweep_cut(graph, estimates).into_iter().min_by(|a, b| a.1.total_cmp(&b.1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,12 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn best_sweep_recovers_the_planted_cluster() {
+    fn the_sweep_minimum_recovers_the_planted_cluster() {
         let g = two_cliques();
         // PPR-like estimates concentrated on the first clique.
         let estimates: Vec<(u32, f64)> =
             vec![(0, 0.4), (1, 0.2), (2, 0.15), (3, 0.1), (4, 0.08), (5, 0.02), (6, 0.01)];
-        let (size, phi) = best_sweep(&g, &estimates).unwrap();
+        let (size, phi) =
+            sweep_cut(&g, &estimates).into_iter().min_by(|a, b| a.1.total_cmp(&b.1)).unwrap();
         assert_eq!(size, 5, "the best cluster is the 5-vertex clique");
         assert!(phi < 0.1);
     }
@@ -153,6 +149,5 @@ mod tests {
     fn empty_estimates_produce_empty_profile() {
         let g = gen::path(4);
         assert!(sweep_cut(&g, &[]).is_empty());
-        assert!(best_sweep(&g, &[]).is_none());
     }
 }

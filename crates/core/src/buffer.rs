@@ -254,8 +254,6 @@ pub struct PartitionBuffer<V> {
     lane_of: Vec<u32>,
     /// Queries whose lane is non-empty (between visits: exactly those).
     active: Vec<u32>,
-    len: usize,
-    min_priority: Priority,
 }
 
 impl<V> Default for PartitionBuffer<V> {
@@ -265,8 +263,6 @@ impl<V> Default for PartitionBuffer<V> {
             lanes_in_use: 0,
             lane_of: Vec::new(),
             active: Vec::new(),
-            len: 0,
-            min_priority: Priority::MAX,
         }
     }
 }
@@ -280,28 +276,31 @@ impl<V: Copy> PartitionBuffer<V> {
         Self::default()
     }
 
-    /// Number of buffered operations.
+    /// `query`'s lane; the query must have one.
+    fn lane(&self, query: u32) -> &Lane<V> {
+        &self.lanes[self.lane_of[query as usize] as usize - 1]
+    }
+
+    /// Number of buffered operations, summed over the active lanes.
     pub fn len(&self) -> usize {
-        self.len
+        self.active.iter().map(|&query| self.lane(query).len()).sum()
     }
 
     /// True if no operation is buffered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.active.is_empty()
     }
 
     /// Best (lowest) priority among the buffered operations, or
     /// `Priority::MAX` when empty — the partition priority used by the
-    /// priority-based scheduler. Folded over arrivals as they are pushed and
-    /// recomputed from the lanes' minima when a visit ends: exact with
-    /// ordered lanes, a lower bound in the unordered ablation.
+    /// priority-based scheduler, the least of the active lanes' minima:
+    /// exact with ordered lanes, a lower bound in the unordered ablation.
     pub fn min_priority(&self) -> Priority {
-        self.min_priority
-    }
-
-    /// Number of queries with pending operations.
-    pub fn active_lanes(&self) -> usize {
-        self.active.len()
+        self.active
+            .iter()
+            .map(|&query| self.lane(query).min_priority())
+            .min()
+            .unwrap_or(Priority::MAX)
     }
 
     /// Index of `query`'s lane, creating the lane on first contact.
@@ -328,8 +327,6 @@ impl<V: Copy> PartitionBuffer<V> {
             self.active.push(op.query);
         }
         lane.push_inbox(op);
-        self.len += 1;
-        self.min_priority = self.min_priority.min(op.priority);
     }
 
     /// Append a batch of operations.
@@ -354,19 +351,10 @@ impl<V: Copy> PartitionBuffer<V> {
     }
 
     /// End a visit: lanes were popped and pushed behind this buffer's back,
-    /// so retire the emptied ones and recompute the scheduling metadata from
-    /// what the lanes still hold.
+    /// so retire the emptied ones.
     pub(crate) fn end_visit(&mut self) {
         let (lanes, lane_of) = (&self.lanes, &self.lane_of);
-        let lane = |query: u32| &lanes[lane_of[query as usize] as usize - 1];
-        self.active.retain(|&query| !lane(query).is_empty());
-        self.len = self.active.iter().map(|&query| lane(query).len()).sum();
-        self.min_priority = self
-            .active
-            .iter()
-            .map(|&query| lane(query).min_priority())
-            .min()
-            .unwrap_or(Priority::MAX);
+        self.active.retain(|&query| !lanes[lane_of[query as usize] as usize - 1].is_empty());
     }
 
     /// Forget every operation and the query → lane assignment (the next
@@ -379,8 +367,6 @@ impl<V: Copy> PartitionBuffer<V> {
         self.lanes_in_use = 0;
         self.lane_of.clear();
         self.active.clear();
-        self.len = 0;
-        self.min_priority = Priority::MAX;
     }
 
     /// Remove and return all buffered operations grouped by query, the
@@ -468,7 +454,7 @@ mod tests {
         b.push(op(2, 3, 20));
         assert_eq!(b.len(), 3);
         assert_eq!(b.min_priority(), 10);
-        assert_eq!(b.active_lanes(), 3);
+        assert_eq!(b.active.len(), 3);
     }
 
     #[test]
@@ -517,7 +503,7 @@ mod tests {
             visit(&mut b, true, usize::MAX).iter().map(|o| (o.query, o.priority)).collect();
         assert_eq!(order, vec![(1, 20), (1, 60), (3, 10), (3, 40)]);
         assert!(b.is_empty());
-        assert_eq!(b.active_lanes(), 0);
+        assert!(b.active.is_empty());
     }
 
     #[test]
@@ -537,7 +523,7 @@ mod tests {
             let first = visit(&mut b, ordered, 1);
             assert_eq!(first.len(), 2);
             assert_eq!(b.len(), 2, "ordered={ordered}: query 0 keeps two operations resident");
-            assert_eq!(b.active_lanes(), 1, "ordered={ordered}: query 4's lane was retired");
+            assert_eq!(b.active.len(), 1, "ordered={ordered}: query 4's lane was retired");
             let expected_min = if ordered { 50 } else { 20 };
             assert_eq!(b.min_priority(), expected_min, "ordered={ordered}");
             // O(1): the lane answers from its heap top and running inbox
@@ -726,7 +712,7 @@ mod tests {
         reused.push_batch([op(9, 1, 1), op(3, 2, 2), op(9, 4, 8)]);
         reused.reset();
         assert!(reused.is_empty());
-        assert_eq!(reused.active_lanes(), 0);
+        assert!(reused.active.is_empty());
         assert_eq!(reused.min_priority(), u64::MAX);
         reused.push_batch(input);
         assert_eq!(reused.drain_consolidated(ConsolidationMethod::Sort), expected);

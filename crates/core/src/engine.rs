@@ -19,23 +19,21 @@
 //! are. Every run is one kernel's pass, seeded either at its sources or from
 //! an edge delta (`ForkGraphEngine::run_seeded`), and driven by the
 //! [`crate::executor`] — on the calling thread with one worker, on the
-//! engine's [`WorkerPool`] with more — through one visit primitive,
-//! `PartitionVisit::process_lane`.
+//! engine's [`WorkerPool`] with more — whose partition visit is the loop
+//! above.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use fg_cachesim::{CacheConfig, GraphAccessTracer};
 use fg_graph::mutation::EdgeDelta;
-use fg_graph::partition::PartitionId;
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Dist, VertexId};
-use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkSnapshot, WorkerSnapshot};
+use fg_metrics::{CacheNumbers, Measurement, Stopwatch, WorkSnapshot};
 use fg_seq::ppr::PprConfig;
 use fg_seq::random_walk::RandomWalkConfig;
 use fg_trace::{EventKind, RunProfile, TraceSink};
 
-use crate::buffer::{Lane, RemoteScratch};
 use crate::dynkernel::{DynKernel, ErasedState};
 use crate::kernel::{FppKernel, IncrementalKernel};
 use crate::kernels::{BfsKernel, DfsKernel, PprKernel, RandomWalkKernel, SsspKernel};
@@ -101,11 +99,11 @@ pub struct EngineConfig {
     pub num_buckets: usize,
     /// Simulated LLC geometry; `None` disables cache simulation.
     pub cache: Option<CacheConfig>,
-    /// Worker threads of a run's crew (at most one per partition). Every
-    /// run is the executor's ([`crate::executor`]) partition-at-a-time loop:
-    /// `1` (the default) runs it on the calling thread; above one, disjoint
-    /// partitions are processed concurrently by a crew on a persistent
-    /// [`WorkerPool`]. `0` means "one worker per available CPU".
+    /// Worker threads of a run's crew (at most one per partition, at least
+    /// one). Every run is the executor's ([`crate::executor`])
+    /// partition-at-a-time loop: `1` (the default) runs it on the calling
+    /// thread; above one, disjoint partitions are processed concurrently by
+    /// a crew on a persistent [`WorkerPool`].
     pub num_threads: usize,
     /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
     /// to each run result. Independent of event tracing — profiles are
@@ -175,7 +173,7 @@ impl EngineConfig {
     }
 
     /// Set the worker-thread count of a run's crew (`1` = the calling
-    /// thread, `0` = one worker per available CPU).
+    /// thread; see [`EngineConfig::num_threads`]).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
@@ -186,15 +184,6 @@ impl EngineConfig {
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self
-    }
-
-    /// Worker threads this configuration resolves to on this machine.
-    pub fn resolved_threads(&self) -> usize {
-        if self.num_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            self.num_threads
-        }
     }
 }
 
@@ -227,152 +216,6 @@ pub struct MultiRunResult {
     /// Summed wall time and merged work counters of the groups' passes
     /// (cache and memory numbers are per pass and left unset).
     pub measurement: Measurement,
-}
-
-/// A count as a trace-event payload field, saturating.
-pub(crate) fn event_field(count: u64) -> u32 {
-    u32::try_from(count).unwrap_or(u32::MAX)
-}
-
-/// One partition visit, as the code processing a query's lane sees it: the
-/// engine and the visit's bookkeeping (partition, edge budget, tracer).
-/// The executor's workers hand each active lane to `process_lane`, the one
-/// monomorphized visit loop.
-pub(crate) struct PartitionVisit<'a, 'g> {
-    engine: &'a ForkGraphEngine<'g>,
-    partition: PartitionId,
-    /// Edges each lane may process before it yields
-    /// ([`YieldPolicy::visit_budget`] of this partition and run).
-    edge_budget: u64,
-    tracer: &'a GraphAccessTracer,
-}
-
-impl<'a, 'g> PartitionVisit<'a, 'g> {
-    /// The visit of `partition` by a run of `num_queries` queries of kernel
-    /// type `K`.
-    pub(crate) fn new<K: FppKernel>(
-        engine: &'a ForkGraphEngine<'g>,
-        partition: PartitionId,
-        num_queries: usize,
-        tracer: &'a GraphAccessTracer,
-    ) -> Self {
-        let edge_budget =
-            engine.config.yield_policy.visit_budget::<K>(engine.pg, partition, num_queries);
-        PartitionVisit { engine, partition, edge_budget, tracer }
-    }
-
-    /// Process one query's lane within this partition visit.
-    ///
-    /// With consolidation the lane's new arrivals are checked against the
-    /// query's state ([`FppKernel::is_dead`]), the dead ones dropped and the
-    /// rest sorted and merged into its resident run, and operations are
-    /// popped in `(priority, vertex)` order from the run and the heap of the
-    /// lane's own pushes; without it, in arrival order. Once the lane has
-    /// processed more edges than the visit's budget it yields instead of
-    /// popping again; a **yield just stops** — what the lane still holds
-    /// stays resident for the next visit. An operation `kernel` emits is
-    /// appended once to where it will be popped from: this lane if its
-    /// vertex lives in this partition, else the `remote` batch of its target
-    /// (which the caller delivers when the partition visit ends).
-    /// The work is counted into the calling worker's own `stats`; the
-    /// return value is the number of operations pushed onto this lane,
-    /// which never pass through a mailbox. Only a kernel that prunes
-    /// ([`FppKernel::PRUNES`]) has its arrivals checked or yields.
-    pub(crate) fn process_lane<K: FppKernel>(
-        &self,
-        kernel: &K,
-        query: u32,
-        lane: &mut Lane<K::Value>,
-        state: &mut K::State,
-        remote: &mut RemoteScratch<K::Value>,
-        stats: &mut WorkerSnapshot,
-    ) -> u64 {
-        let engine = self.engine;
-        let pg = engine.pg;
-        let partition = self.partition;
-        let tracer = self.tracer;
-        let ordered = engine.config.consolidate;
-
-        // Adjacency for this visit: raw partitions borrow the monolithic CSR,
-        // compressed partitions stream-decode their varint payload per vertex.
-        let view = pg.adjacency_view(partition);
-        if view.is_compressed() {
-            engine.emit_trace(EventKind::PartitionDecode, query, partition, 0);
-        }
-
-        stats.lane_visits += 1;
-        if ordered {
-            // An arrival a pruning kernel already knows is dead is executed
-            // here, as a pruned operation, instead of being sorted in and
-            // popped. The check reads the arrival's state entry, so the cache
-            // model is charged one state read per arrival checked; other
-            // kernels merge with no check and no read.
-            let dead = lane.merge_inbox(|op| {
-                K::PRUNES && {
-                    tracer.state_read(query as usize, op.vertex as u64);
-                    kernel.is_dead(state, op.vertex, op.priority)
-                }
-            });
-            stats.operations += dead;
-            stats.pruned += dead;
-        }
-        let mut emitted_local = 0u64;
-        let mut edges_this_visit = 0u64;
-        while let Some(op) = lane.pop(ordered) {
-            let vertex = op.vertex;
-            let edges = kernel.process(
-                &view,
-                state,
-                vertex,
-                op.value,
-                op.priority,
-                &mut |t, value, priority| {
-                    let new_op = Operation::new(query, t, value, priority);
-                    let target_partition = pg.partition_of(t);
-                    if target_partition == partition {
-                        lane.push_local(ordered, new_op);
-                        emitted_local += 1;
-                    } else {
-                        remote.push(target_partition, new_op);
-                    }
-                    stats.emitted += 1;
-                },
-            );
-            stats.operations += 1;
-            stats.edges += edges;
-            stats.pruned += u64::from(edges == 0);
-            edges_this_visit += edges;
-
-            if tracer.is_enabled() {
-                if edges > 0 {
-                    // Compressed visits stream far fewer payload bytes per
-                    // vertex than the raw CSR slice, so they are charged the
-                    // (smaller) encoded byte range instead of the CSR lines.
-                    if let Some((start, end)) = view.decode_byte_range(vertex) {
-                        tracer.compressed_scan(partition as u64, vertex as u64, start, end);
-                    } else {
-                        let graph = pg.graph();
-                        tracer.adjacency_scan(
-                            graph.adjacency_offset(vertex),
-                            graph.out_degree(vertex),
-                        );
-                    }
-                    tracer.state_write(query as usize, vertex as u64);
-                    let ids: Vec<u64> = view.out_neighbors(vertex).map(|v| v as u64).collect();
-                    tracer.state_read_batch(query as usize, &ids);
-                } else {
-                    tracer.state_read(query as usize, vertex as u64);
-                }
-            }
-            if edges_this_visit > self.edge_budget && !lane.is_empty() {
-                stats.yields += 1;
-                engine.emit_trace(EventKind::Yield, query, partition, 0);
-                break;
-            }
-        }
-        lane.trim();
-        emitted_local
-    }
 }
 
 /// The ForkGraph execution engine over an LLC-partitioned graph.
@@ -492,8 +335,7 @@ impl<'g> ForkGraphEngine<'g> {
         seeds: Vec<Operation<K::Value>>,
         watch: Stopwatch,
     ) -> ForkGraphRunResult<K::State> {
-        let workers =
-            crate::pool::crew_size(self.config.resolved_threads(), self.pg.num_partitions());
+        let workers = crate::pool::crew_size(self.config.num_threads, self.pg.num_partitions());
         let pool = if workers > 1 {
             Some(self.pool.get_or_init(|| {
                 let pool = Arc::new(WorkerPool::new(workers));

@@ -47,11 +47,15 @@
 //!   them afresh otherwise; each worker builds its routing scratch afresh
 //!   per run.
 //!
-//! Inside a visit a worker processes its partition's lanes *sequentially*
-//! in ascending query order (no nested intra-partition parallelism): with
-//! many partitions in flight the crew is already saturated, and per-visit
-//! thread teams would only thrash the cache the partitioning fought to keep
-//! warm.
+//! A visit (`RunState::visit`) is the whole of Algorithm 2's
+//! `IntraPartProcess`: it moves the mailbox's arrivals into the lanes,
+//! computes the visit's edge budget once ([`crate::YieldPolicy`]), runs each
+//! active lane through `RunState::process_lane` and posts the remote batches
+//! when the last lane is done. A worker processes its partition's lanes
+//! *sequentially* in ascending query order (no nested intra-partition
+//! parallelism): with many partitions in flight the crew is already
+//! saturated, and per-visit thread teams would only thrash the cache the
+//! partitioning fought to keep warm.
 //!
 //! The executor is generic over the run's [`FppKernel`]; kernels arriving
 //! through the type-erased [`crate::dynkernel::DynKernel`] layer re-enter
@@ -79,8 +83,8 @@ use fg_graph::partition::PartitionId;
 use fg_metrics::{Stopwatch, WorkSnapshot, WorkerSnapshot};
 use fg_trace::{EventKind, Histogram, PhaseTimes, RunProfile};
 
-use crate::buffer::{PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
-use crate::engine::{event_field, ForkGraphEngine, ForkGraphRunResult, PartitionVisit};
+use crate::buffer::{Lane, PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
+use crate::engine::{ForkGraphEngine, ForkGraphRunResult};
 use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
 use crate::pool::WorkerPool;
@@ -96,6 +100,11 @@ const DIRTY: u8 = 3;
 /// Enqueues notify through `idle_lock`, which makes wakeups race-free (see
 /// [`RunState::enqueue`]); the timeout is only a belt-and-braces rescan.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
+
+/// A count as a trace-event payload field, saturating.
+fn event_field(count: u64) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
+}
 
 /// A partition's sharded, lock-striped mailbox — one stripe per worker, so
 /// concurrent senders append without contending with each other — and,
@@ -170,17 +179,18 @@ impl<V: Copy> Mailbox<V> {
     /// the lanes, so a grown stripe gives its buffer back, as a merged lane
     /// inbox does, rather than hold a second copy of the partition's peak
     /// arrivals until its next visit.
-    fn drain_into(&self, lanes: &mut PartitionBuffer<V>) -> usize {
+    fn drain_into(&self, lanes: &mut PartitionBuffer<V>) -> u64 {
         self.min_priority.store(Priority::MAX, Ordering::Relaxed);
-        let resident = lanes.len();
+        let mut moved = 0;
         for stripe in &self.stripes {
             let mut stripe = stripe.lock();
+            moved += stripe.len() as u64;
             lanes.push_batch(stripe.drain(..));
             if stripe.capacity() > RESIDENT_SLACK {
                 *stripe = Vec::new();
             }
         }
-        lanes.len() - resident
+        moved
     }
 
     /// Fold a finished visit into the hints: the lanes gained `emitted_local`
@@ -348,7 +358,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         mailbox.state.store(RUNNING, Ordering::Release);
         let mut lanes = mailbox.lanes.lock();
         let arrived = mailbox.drain_into(&mut lanes);
-        self.engine.emit_trace(EventKind::MailboxDrain, p as u32, arrived as u32, w as u32);
+        self.engine.emit_trace(EventKind::MailboxDrain, p as u32, event_field(arrived), w as u32);
 
         let total = lanes.len();
         if total > 0 {
@@ -361,21 +371,20 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                 EventKind::PartitionVisitBegin,
                 p as u32,
                 event_field(total as u64),
-                active as u32,
+                event_field(active as u64),
             );
-            let visit = PartitionVisit::new::<K>(
-                self.engine,
-                p as PartitionId,
+            let partition = p as PartitionId;
+            let edge_budget = self.engine.config().yield_policy.visit_budget::<K>(
+                self.engine.partitioned_graph(),
+                partition,
                 self.num_queries,
-                self.tracer,
             );
             let executed_before = stats.operations;
             let mut emitted_local = 0;
             for i in 0..active {
                 let (query, lane) = lanes.active_lane(i);
-                let mut state = self.states[query as usize].lock();
                 emitted_local +=
-                    visit.process_lane(self.kernel, query, lane, &mut state, remote, stats);
+                    self.process_lane(partition, edge_budget, query, lane, remote, stats);
             }
             let consumed = stats.operations - executed_before;
             // Send operations to neighbour partitions in batches (Line 16),
@@ -431,6 +440,119 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                 Err(other) => unreachable!("mailbox in state {other} during visit epilogue"),
             }
         }
+    }
+
+    /// Process `query`'s lane within the visit of `partition`.
+    ///
+    /// With consolidation the lane's new arrivals are checked against the
+    /// query's state ([`FppKernel::is_dead`]), the dead ones dropped and the
+    /// rest sorted and merged into its resident run, and operations are
+    /// popped in `(priority, vertex)` order from the run and the heap of the
+    /// lane's own pushes; without it, in arrival order. Once the lane has
+    /// processed more edges than `edge_budget` it yields instead of popping
+    /// again; a **yield just stops** — what the lane still holds stays
+    /// resident for the next visit. An operation the kernel emits is
+    /// appended once to where it will be popped from: this lane if its
+    /// vertex lives in this partition, else the `remote` batch of its target
+    /// (which [`Self::visit`] posts when the last lane is done). The work is
+    /// counted into the worker's own `stats`; the return value is the number
+    /// of operations pushed onto this lane, which never pass through a
+    /// mailbox. Only a kernel that prunes ([`FppKernel::PRUNES`]) has its
+    /// arrivals checked or yields.
+    fn process_lane(
+        &self,
+        partition: PartitionId,
+        edge_budget: u64,
+        query: u32,
+        lane: &mut Lane<K::Value>,
+        remote: &mut RemoteScratch<K::Value>,
+        stats: &mut WorkerSnapshot,
+    ) -> u64 {
+        let (engine, kernel, tracer) = (self.engine, self.kernel, self.tracer);
+        let pg = engine.partitioned_graph();
+        let ordered = engine.config().consolidate;
+        let mut state = self.states[query as usize].lock();
+        let state = &mut *state;
+
+        // Adjacency for this visit: raw partitions borrow the monolithic CSR,
+        // compressed partitions stream-decode their varint payload per vertex.
+        let view = pg.adjacency_view(partition);
+        if view.is_compressed() {
+            engine.emit_trace(EventKind::PartitionDecode, query, partition, 0);
+        }
+
+        stats.lane_visits += 1;
+        if ordered {
+            // An arrival a pruning kernel already knows is dead is executed
+            // here, as a pruned operation, instead of being sorted in and
+            // popped. The check reads the arrival's state entry, so the cache
+            // model is charged one state read per arrival checked; other
+            // kernels merge with no check and no read.
+            let dead = lane.merge_inbox(|op| {
+                K::PRUNES && {
+                    tracer.state_read(query as usize, op.vertex as u64);
+                    kernel.is_dead(state, op.vertex, op.priority)
+                }
+            });
+            stats.operations += dead;
+            stats.pruned += dead;
+        }
+        let mut emitted_local = 0u64;
+        let mut edges_this_visit = 0u64;
+        while let Some(op) = lane.pop(ordered) {
+            let vertex = op.vertex;
+            let edges = kernel.process(
+                &view,
+                state,
+                vertex,
+                op.value,
+                op.priority,
+                &mut |t, value, priority| {
+                    let new_op = Operation::new(query, t, value, priority);
+                    let target_partition = pg.partition_of(t);
+                    if target_partition == partition {
+                        lane.push_local(ordered, new_op);
+                        emitted_local += 1;
+                    } else {
+                        remote.push(target_partition, new_op);
+                    }
+                    stats.emitted += 1;
+                },
+            );
+            stats.operations += 1;
+            stats.edges += edges;
+            stats.pruned += u64::from(edges == 0);
+            edges_this_visit += edges;
+
+            if tracer.is_enabled() {
+                if edges > 0 {
+                    // Compressed visits stream far fewer payload bytes per
+                    // vertex than the raw CSR slice, so they are charged the
+                    // (smaller) encoded byte range instead of the CSR lines.
+                    if let Some((start, end)) = view.decode_byte_range(vertex) {
+                        tracer.compressed_scan(partition as u64, vertex as u64, start, end);
+                    } else {
+                        let graph = pg.graph();
+                        tracer.adjacency_scan(
+                            graph.adjacency_offset(vertex),
+                            graph.out_degree(vertex),
+                        );
+                    }
+                    tracer.state_write(query as usize, vertex as u64);
+                    let ids: Vec<u64> = view.out_neighbors(vertex).map(|v| v as u64).collect();
+                    tracer.state_read_batch(query as usize, &ids);
+                } else {
+                    tracer.state_read(query as usize, vertex as u64);
+                }
+            }
+            if edges_this_visit > edge_budget && !lane.is_empty() {
+                stats.yields += 1;
+                engine.emit_trace(EventKind::Yield, query, partition, 0);
+                break;
+            }
+        }
+        lane.trim();
+        emitted_local
     }
 
     /// One worker's drive of the run to quiescence; returns the worker's
@@ -626,12 +748,6 @@ mod tests {
         // One worker has no one to steal from and never waits.
         let work = one_worker.work();
         assert_eq!((work.steals, work.idle_waits), (0, 0));
-    }
-
-    #[test]
-    fn zero_threads_resolves_to_available_parallelism() {
-        let config = EngineConfig::default().with_threads(0);
-        assert!(config.resolved_threads() >= 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub trait FppKernel: Sync {
     /// *is* the priority, and PPR's mass lives in `residual` — so their
     /// operations are 16 bytes (`query`, `vertex`, `priority`) on every copy
     /// a remote operation makes: routing scratch, mailbox stripe, lane
-    /// inbox, lane heap. DFS carries `()` too; a random walk carries its
+    /// inbox, the lane's sorted run. DFS carries `()` too; a random walk carries its
     /// walker batch. (`'static` so per-run executor storage for the value
     /// type can be recycled through the type-erased arena of a persistent
     /// [`crate::pool::WorkerPool`].)

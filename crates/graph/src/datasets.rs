@@ -142,11 +142,6 @@ pub fn all() -> [DatasetSpec; 8] {
     [CA, US, EU, OR, WK, LJ, PT, TW]
 }
 
-/// Look a dataset up by its short name (case-insensitive).
-pub fn by_name(name: &str) -> Option<DatasetSpec> {
-    all().into_iter().find(|d| d.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +154,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 8);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(by_name("lj").unwrap().name, "Lj");
-        assert_eq!(by_name("TW").unwrap().name, "Tw");
-        assert!(by_name("nope").is_none());
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! graph version (tag `6`) that will first contain the mutation, or a typed
 //! error ([`WireErrorCode::InvalidMutation`]).
 //!
-//! Parameter values mirror [`ParamValue`] exactly (tags: bool `0`, u64 `1`,
-//! i64 `2`, f64-bits `3`, str `4`), so anything expressible through
-//! `Query::param` is expressible on the wire — including parameters of
-//! kernels registered after the server started.
+//! Parameter values mirror [`ParamValue`] exactly (tags: u64 `1`, i64 `2`,
+//! f64-bits `3`), so anything expressible through `Query::param` is
+//! expressible on the wire — including parameters of kernels registered
+//! after the server started. Result payloads carry tags `1`, `2` and `4`–`6`
+//! ([`WirePayload`]). Param tags `0` and `4` and payload tag `3` are
+//! unassigned, and the decoder rejects them like any other unknown tag.
 //!
 //! Correlation IDs are chosen by the client; `0` is reserved for
 //! connection-level errors (a frame so broken the server could not read the
@@ -110,7 +112,7 @@ pub enum ClientFrame {
 
 /// A query result's state, encoded for transport. Covers every built-in
 /// kernel state plus the common custom-kernel shapes (`Vec` of fixed-width
-/// numbers); a registered kernel whose state downcasts to none of these is
+/// integers); a registered kernel whose state downcasts to none of these is
 /// answered with [`WireErrorCode::UnsupportedResult`] instead of a panic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WirePayload {
@@ -118,8 +120,6 @@ pub enum WirePayload {
     U32s(Vec<u32>),
     /// `Vec<u64>` states (SSSP distances — `Dist = u64` — and friends). Tag `2`.
     U64s(Vec<u64>),
-    /// `Vec<f64>` states. Tag `3`.
-    F64s(Vec<f64>),
     /// PPR state (estimates + residuals + push count). Tag `4`.
     Ppr {
         /// Dense PPR estimates.
@@ -148,9 +148,6 @@ impl WirePayload {
         }
         if let Some(v) = result.downcast_ref::<Vec<u64>>() {
             return Some(WirePayload::U64s(v.clone()));
-        }
-        if let Some(v) = result.downcast_ref::<Vec<f64>>() {
-            return Some(WirePayload::F64s(v.clone()));
         }
         if let Some(p) = result.downcast_ref::<PprState>() {
             return Some(WirePayload::Ppr {
@@ -276,10 +273,6 @@ fn put_str32(out: &mut Vec<u8>, s: &str) {
 
 fn put_param(out: &mut Vec<u8>, value: &ParamValue) {
     match value {
-        ParamValue::Bool(v) => {
-            out.push(0);
-            out.push(*v as u8);
-        }
         ParamValue::U64(v) => {
             out.push(1);
             out.extend_from_slice(&v.to_le_bytes());
@@ -291,10 +284,6 @@ fn put_param(out: &mut Vec<u8>, value: &ParamValue) {
         ParamValue::F64(v) => {
             out.push(3);
             out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        ParamValue::Str(v) => {
-            out.push(4);
-            put_str32(out, v);
         }
     }
 }
@@ -367,10 +356,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
                 WirePayload::U64s(v) => {
                     out.push(2);
                     put_u64s(&mut out, v);
-                }
-                WirePayload::F64s(v) => {
-                    out.push(3);
-                    put_f64s(&mut out, v);
                 }
                 WirePayload::Ppr { estimate, residual, pushes } => {
                     out.push(4);
@@ -560,11 +545,9 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
     for _ in 0..count {
         let name = cursor.str16("param name")?;
         let value = match cursor.u8("param tag")? {
-            0 => ParamValue::Bool(cursor.u8("bool param")? != 0),
             1 => ParamValue::U64(cursor.u64("u64 param")?),
             2 => ParamValue::I64(cursor.u64("i64 param")? as i64),
             3 => ParamValue::F64(f64::from_bits(cursor.u64("f64 param")?)),
-            4 => ParamValue::Str(cursor.str32("str param")?),
             other => return Err(ProtocolError::UnknownParamTag(other)),
         };
         params.push((name, value));
@@ -583,7 +566,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
             let payload = match cursor.u8("payload tag")? {
                 1 => WirePayload::U32s(cursor.u32s("u32 payload")?),
                 2 => WirePayload::U64s(cursor.u64s("u64 payload")?),
-                3 => WirePayload::F64s(cursor.f64s("f64 payload")?),
                 4 => WirePayload::Ppr {
                     estimate: cursor.f64s("ppr estimates")?,
                     residual: cursor.f64s("ppr residuals")?,
@@ -624,9 +606,7 @@ mod tests {
         let request = Request::new(7, "ppr", 42)
             .param("epsilon", 1e-5)
             .param("cap", 10u64)
-            .param("offset", -3i64)
-            .param("exact", true)
-            .param("label", "hot");
+            .param("offset", -3i64);
         let back = decode_request(&encode_request(&request)).unwrap();
         assert_eq!(back, request);
         // And it deserializes straight into the in-process builder.
@@ -634,7 +614,7 @@ mod tests {
         assert_eq!(query.kernel_name(), "ppr");
         assert_eq!(query.source_vertex(), Some(42));
         assert_eq!(query.params().get("epsilon"), Some(&ParamValue::F64(1e-5)));
-        assert_eq!(query.params().get("label"), Some(&ParamValue::Str("hot".into())));
+        assert_eq!(query.params().get("offset"), Some(&ParamValue::I64(-3)));
     }
 
     #[test]
@@ -642,7 +622,6 @@ mod tests {
         let cases = [
             Response::Result { correlation: 1, payload: WirePayload::U32s(vec![0, 1, u32::MAX]) },
             Response::Result { correlation: 2, payload: WirePayload::U64s(vec![u64::MAX, 0]) },
-            Response::Result { correlation: 3, payload: WirePayload::F64s(vec![0.5, f64::NAN]) },
             Response::Result {
                 correlation: 4,
                 payload: WirePayload::Ppr {
@@ -665,21 +644,26 @@ mod tests {
             },
         ];
         for case in cases {
-            let back = decode_response(&encode_response(&case)).unwrap();
-            // NaN-carrying payloads compare by bits below; everything else
-            // by value.
-            match (&back, &case) {
-                (
-                    Response::Result { payload: WirePayload::F64s(a), .. },
-                    Response::Result { payload: WirePayload::F64s(b), .. },
-                ) => {
-                    let a: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                    let b: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b);
-                }
-                _ => assert_eq!(back, case),
-            }
+            assert_eq!(decode_response(&encode_response(&case)).unwrap(), case);
         }
+    }
+
+    #[test]
+    fn retired_tags_are_unknown_tags() {
+        // Param tags 0 and 4 and payload tag 3 are unassigned.
+        for tag in [0u8, 4] {
+            let mut body = encode_request(&Request::new(1, "sssp", 0).param("x", 1u64));
+            let at = body.len() - 9; // the tag byte in front of the u64
+            body[at] = tag;
+            assert!(
+                matches!(decode_request(&body), Err(ProtocolError::UnknownParamTag(t)) if t == tag),
+                "param tag {tag}"
+            );
+        }
+        let payload = WirePayload::U64s(vec![7]);
+        let mut body = encode_response(&Response::Result { correlation: 1, payload });
+        body[5] = 3; // the payload tag after kind and correlation
+        assert!(matches!(decode_response(&body), Err(ProtocolError::UnknownPayloadTag(3))));
     }
 
     #[test]

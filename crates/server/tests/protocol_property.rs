@@ -38,13 +38,11 @@ fn arb_string(rng: &mut SmallRng, max_len: usize) -> String {
 }
 
 fn arb_param(rng: &mut SmallRng) -> ParamValue {
-    match rng.gen_range(0u32..5) {
-        0 => ParamValue::Bool(rng.gen_range(0u32..2) == 1),
-        1 => ParamValue::U64(rng.gen_range(0u64..u64::MAX)),
-        2 => ParamValue::I64(rng.gen_range(0u64..u64::MAX) as i64),
+    match rng.gen_range(0u32..3) {
+        0 => ParamValue::U64(rng.gen_range(0u64..u64::MAX)),
+        1 => ParamValue::I64(rng.gen_range(0u64..u64::MAX) as i64),
         // Arbitrary bit patterns (incl. NaNs): the codec is bit-exact.
-        3 => ParamValue::F64(f64::from_bits(rng.gen_range(0u64..u64::MAX))),
-        _ => ParamValue::Str(arb_string(rng, 24)),
+        _ => ParamValue::F64(f64::from_bits(rng.gen_range(0u64..u64::MAX))),
     }
 }
 
@@ -66,7 +64,7 @@ fn arb_u64s(rng: &mut SmallRng, max: usize) -> Vec<u64> {
 
 fn arb_response(rng: &mut SmallRng) -> Response {
     let correlation = rng.gen_range(0u32..u32::MAX);
-    match rng.gen_range(0u32..7) {
+    match rng.gen_range(0u32..6) {
         0 => Response::Result {
             correlation,
             payload: WirePayload::U32s(
@@ -76,20 +74,16 @@ fn arb_response(rng: &mut SmallRng) -> Response {
         1 => Response::Result { correlation, payload: WirePayload::U64s(arb_u64s(rng, 40)) },
         2 => Response::Result {
             correlation,
-            payload: WirePayload::F64s(arb_u64s(rng, 40).into_iter().map(f64::from_bits).collect()),
-        },
-        3 => Response::Result {
-            correlation,
             payload: WirePayload::Ppr {
                 estimate: arb_u64s(rng, 30).into_iter().map(f64::from_bits).collect(),
                 residual: arb_u64s(rng, 30).into_iter().map(f64::from_bits).collect(),
                 pushes: rng.gen_range(0u64..u64::MAX),
             },
         },
-        4 => {
+        3 => {
             Response::Result { correlation, payload: WirePayload::Rw { visits: arb_u64s(rng, 40) } }
         }
-        5 => Response::Error {
+        4 => Response::Error {
             correlation,
             code: [
                 WireErrorCode::ShuttingDown,

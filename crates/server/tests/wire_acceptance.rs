@@ -21,6 +21,7 @@ use fg_graph::gen;
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{AdjacencyView, CsrGraph, Dist, VertexId, INF_DIST};
+use fg_server::protocol::encode_request;
 use fg_server::{
     ForkGraphServer, Request, Response, ServerConfig, WireClient, WireErrorCode, WirePayload,
 };
@@ -408,6 +409,37 @@ fn malformed_frames_get_typed_errors_and_never_desync_the_stream() {
             assert_eq!(dist[0], 0, "source distance is zero");
         }
         other => panic!("healthy query after abuse should succeed, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn retired_param_tags_get_a_typed_error_and_the_connection_stays_open() {
+    let (_, pg) = graphs(341);
+    let service = ForkGraphService::start(pg, EngineConfig::default(), ServiceConfig::default());
+    let server = start_server(service, ServerConfig::default());
+    let mut client = WireClient::connect(server.local_addr()).expect("connect");
+
+    // Param tags 0 and 4 are unassigned: the frame is malformed, not the
+    // query, so the answer is connection-level.
+    for tag in [0u8, 4] {
+        let mut body = encode_request(&Request::new(80, "sssp", 0).param("x", 1u64));
+        let at = body.len() - 9; // the tag byte in front of the u64
+        body[at] = tag;
+        client.send_raw_frame(&body).expect("send");
+        client.flush().expect("flush");
+        match client.recv().expect("recv") {
+            Response::Error { correlation: 0, code: WireErrorCode::Protocol, message } => {
+                assert!(message.contains("unknown parameter tag"), "tag {tag}: {message}");
+            }
+            other => panic!("param tag {tag} should be a protocol error, got {other:?}"),
+        }
+    }
+    match client.call(&Request::new(81, "sssp", 0), |_| {}).expect("call") {
+        Response::Result { correlation: 81, payload: WirePayload::U64s(dist) } => {
+            assert_eq!(dist[0], 0, "source distance is zero");
+        }
+        other => panic!("the connection should still answer, got {other:?}"),
     }
     server.shutdown();
 }

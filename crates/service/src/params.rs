@@ -26,27 +26,21 @@ use std::hash::{Hash, Hasher};
 /// are different keys (callers pick the type the kernel documents).
 #[derive(Clone, Debug)]
 pub enum ParamValue {
-    /// Boolean flag.
-    Bool(bool),
     /// Unsigned integer (counts, caps, seeds).
     U64(u64),
     /// Signed integer.
     I64(i64),
     /// Floating-point value; equality and hashing use the bit pattern.
     F64(f64),
-    /// String value (labels, variant selectors).
-    Str(String),
 }
 
 impl ParamValue {
     /// Short name of the variant's type, for error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
-            ParamValue::Bool(_) => "bool",
             ParamValue::U64(_) => "u64",
             ParamValue::I64(_) => "i64",
             ParamValue::F64(_) => "f64",
-            ParamValue::Str(_) => "str",
         }
     }
 }
@@ -54,14 +48,12 @@ impl ParamValue {
 impl PartialEq for ParamValue {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (ParamValue::Bool(a), ParamValue::Bool(b)) => a == b,
             (ParamValue::U64(a), ParamValue::U64(b)) => a == b,
             (ParamValue::I64(a), ParamValue::I64(b)) => a == b,
             // Bit-pattern equality: distinguishes -0.0 from 0.0 and makes
             // NaN == NaN, which is what key semantics (not arithmetic
             // semantics) require.
             (ParamValue::F64(a), ParamValue::F64(b)) => a.to_bits() == b.to_bits(),
-            (ParamValue::Str(a), ParamValue::Str(b)) => a == b,
             _ => false,
         }
     }
@@ -74,11 +66,9 @@ impl Hash for ParamValue {
         // Tag with the discriminant so U64(1) and I64(1) hash apart.
         std::mem::discriminant(self).hash(state);
         match self {
-            ParamValue::Bool(v) => v.hash(state),
             ParamValue::U64(v) => v.hash(state),
             ParamValue::I64(v) => v.hash(state),
             ParamValue::F64(v) => v.to_bits().hash(state),
-            ParamValue::Str(v) => v.hash(state),
         }
     }
 }
@@ -86,20 +76,13 @@ impl Hash for ParamValue {
 impl fmt::Display for ParamValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ParamValue::Bool(v) => write!(f, "{v}"),
             ParamValue::U64(v) => write!(f, "{v}"),
             ParamValue::I64(v) => write!(f, "{v}"),
             ParamValue::F64(v) => write!(f, "{v}"),
-            ParamValue::Str(v) => write!(f, "{v:?}"),
         }
     }
 }
 
-impl From<bool> for ParamValue {
-    fn from(v: bool) -> Self {
-        ParamValue::Bool(v)
-    }
-}
 impl From<u64> for ParamValue {
     fn from(v: u64) -> Self {
         ParamValue::U64(v)
@@ -133,16 +116,6 @@ impl From<f64> for ParamValue {
 impl From<f32> for ParamValue {
     fn from(v: f32) -> Self {
         ParamValue::F64(v as f64)
-    }
-}
-impl From<&str> for ParamValue {
-    fn from(v: &str) -> Self {
-        ParamValue::Str(v.to_string())
-    }
-}
-impl From<String> for ParamValue {
-    fn from(v: String) -> Self {
-        ParamValue::Str(v)
     }
 }
 
@@ -222,18 +195,14 @@ impl QueryParams {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// `name` as an `f64`, or `default` when absent. Integer values are
-    /// accepted and widened; other types are a typed error.
-    pub fn f64_or(&self, name: &str, default: f64) -> Result<f64, ParamError> {
+    /// `name` as an `f64`, or `default` when absent. Every value is a
+    /// number: integers are widened.
+    pub fn f64_or(&self, name: &str, default: f64) -> f64 {
         match self.get(name) {
-            None => Ok(default),
-            Some(ParamValue::F64(v)) => Ok(*v),
-            Some(ParamValue::U64(v)) => Ok(*v as f64),
-            Some(ParamValue::I64(v)) => Ok(*v as f64),
-            Some(other) => Err(ParamError::new(format!(
-                "parameter {name:?} must be a number, got {} ({other})",
-                other.type_name()
-            ))),
+            None => default,
+            Some(ParamValue::F64(v)) => *v,
+            Some(ParamValue::U64(v)) => *v as f64,
+            Some(ParamValue::I64(v)) => *v as f64,
         }
     }
 
@@ -257,18 +226,6 @@ impl QueryParams {
         usize::try_from(v).map_err(|_| {
             ParamError::new(format!("parameter {name:?} value {v} does not fit in usize"))
         })
-    }
-
-    /// `name` as a `bool`, or `default` when absent.
-    pub fn bool_or(&self, name: &str, default: bool) -> Result<bool, ParamError> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(ParamValue::Bool(v)) => Ok(*v),
-            Some(other) => Err(ParamError::new(format!(
-                "parameter {name:?} must be a bool, got {} ({other})",
-                other.type_name()
-            ))),
-        }
     }
 
     /// Reject any parameter whose name is not in `known` — the factory-side
@@ -347,16 +304,16 @@ mod tests {
 
     #[test]
     fn typed_getters_default_widen_and_reject() {
-        let p = QueryParams::new().with("alpha", 0.5).with("cap", 10u64).with("flag", true);
-        assert_eq!(p.f64_or("alpha", 0.15).unwrap(), 0.5);
-        assert_eq!(p.f64_or("missing", 0.15).unwrap(), 0.15);
-        assert_eq!(p.f64_or("cap", 0.0).unwrap(), 10.0, "integers widen to f64");
+        let p = QueryParams::new().with("alpha", 0.5).with("cap", 10u64).with("offset", -2i64);
+        assert_eq!(p.f64_or("alpha", 0.15), 0.5);
+        assert_eq!(p.f64_or("missing", 0.15), 0.15);
+        assert_eq!(p.f64_or("cap", 0.0), 10.0, "integers widen to f64");
+        assert_eq!(p.f64_or("offset", 0.0), -2.0);
         assert_eq!(p.u64_or("cap", 0).unwrap(), 10);
-        assert!(p.bool_or("flag", false).unwrap());
         let err = p.u64_or("alpha", 0).unwrap_err();
         assert!(err.reason.contains("alpha"), "{err}");
-        let err = p.bool_or("cap", false).unwrap_err();
-        assert!(err.reason.contains("cap"), "{err}");
+        let err = p.u64_or("offset", 0).unwrap_err();
+        assert!(err.reason.contains("offset"), "{err}");
     }
 
     #[test]

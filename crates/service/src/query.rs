@@ -271,11 +271,11 @@ mod tests {
 
     #[test]
     fn query_builder_accumulates_source_and_params() {
-        let q = Query::kernel("khop").source(3).param("k", 4u64).param("weighted", true);
+        let q = Query::kernel("khop").source(3).param("k", 4u64).param("decay", 0.5);
         assert_eq!(q.kernel_name(), "khop");
         assert_eq!(q.source_vertex(), Some(3));
         assert_eq!(q.params().get("k"), Some(&ParamValue::U64(4)));
-        assert_eq!(q.params().get("weighted"), Some(&ParamValue::Bool(true)));
+        assert_eq!(q.params().get("decay"), Some(&ParamValue::F64(0.5)));
         assert_eq!(Query::kernel("khop").source_vertex(), None);
     }
 

@@ -313,8 +313,8 @@ fn ppr_factory(params: &QueryParams) -> Result<InstantiatedKernel, ParamError> {
     params.ensure_known(&["alpha", "epsilon", "max_pushes"])?;
     let defaults = PprConfig::default();
     let config = PprConfig {
-        alpha: params.f64_or("alpha", defaults.alpha)?,
-        epsilon: params.f64_or("epsilon", defaults.epsilon)?,
+        alpha: params.f64_or("alpha", defaults.alpha),
+        epsilon: params.f64_or("epsilon", defaults.epsilon),
         max_pushes: params.u64_or("max_pushes", defaults.max_pushes)?,
     };
     if !(config.alpha > 0.0 && config.alpha < 1.0) {
@@ -342,7 +342,7 @@ fn random_walk_factory(params: &QueryParams) -> Result<InstantiatedKernel, Param
     let config = RandomWalkConfig {
         num_walks: params.usize_or("num_walks", defaults.num_walks)?,
         walk_length: params.usize_or("walk_length", defaults.walk_length)?,
-        restart_prob: params.f64_or("restart_prob", defaults.restart_prob)?,
+        restart_prob: params.f64_or("restart_prob", defaults.restart_prob),
         seed: params.u64_or("seed", defaults.seed)?,
     };
     for (name, value) in [("num_walks", config.num_walks), ("walk_length", config.walk_length)] {

@@ -533,7 +533,7 @@ impl ForkGraphService {
             num_vertices: graph.graph().num_vertices(),
             trace,
         });
-        let max_workers = engine_config.resolved_threads();
+        let max_workers = engine_config.num_threads;
         let pool = (max_workers > 1 && graph.num_partitions() > 1).then(|| {
             let pool = Arc::new(WorkerPool::new(forkgraph_core::pool::crew_size(
                 max_workers,
@@ -674,7 +674,7 @@ fn batcher_loop(
 ) {
     let num_partitions = graph.num_partitions();
     drop(graph); // runs pin epoch snapshots; the start-time Arc is not needed
-    let max_workers = engine_config.resolved_threads();
+    let max_workers = engine_config.num_threads;
     loop {
         let cohorts = {
             let mut inner = shared.inner.lock();

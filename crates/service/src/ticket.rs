@@ -115,11 +115,6 @@ impl Ticket {
         state.outcome.clone()
     }
 
-    /// Non-blocking probe.
-    pub fn try_result(&self) -> Option<Result<Arc<QueryResult>, ServiceError>> {
-        self.slot.state.lock().outcome.clone()
-    }
-
     /// Whether the result is available without blocking.
     pub fn is_ready(&self) -> bool {
         self.slot.state.lock().outcome.is_some()
@@ -180,7 +175,6 @@ mod tests {
         let ticket = Ticket::new(Slot::new());
         assert!(ticket.wait_timeout(Duration::from_millis(10)).is_none());
         assert!(!ticket.is_ready());
-        assert!(ticket.try_result().is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use forkgraph::core::{FppKernel, Operation, YieldPolicy};
 use forkgraph::graph::gen;
 use forkgraph::graph::mutation::VersionedGraph;
 use forkgraph::graph::INF_DIST;
-use forkgraph::metrics::WorkerSnapshot;
+use forkgraph::metrics::{WorkSnapshot, WorkerSnapshot};
 use forkgraph::prelude::*;
 use forkgraph::seq::bfs::bfs;
 use forkgraph::seq::ppr::{ppr_push, PprConfig};
@@ -351,7 +351,7 @@ fn ppr_max_pushes_caps_the_engine_and_the_service() {
 }
 
 /// A remote operation is copied four times (routing scratch, mailbox stripe,
-/// lane inbox, lane heap), each copy an `Operation<K::Value>`. The traversal
+/// lane inbox, the lane's sorted run), each copy an `Operation<K::Value>`. The traversal
 /// kernels carry no value beside the priority, which needs the source's
 /// entry to be written by `init_state` rather than by its operation.
 #[test]
@@ -378,4 +378,37 @@ fn traversal_operations_are_16_bytes_and_init_state_writes_the_source() {
         .all(|(v, &r)| r == if only_source(v) { 1.0 } else { 0.0 }));
     assert!(ppr.estimate.iter().all(|&p| p == 0.0));
     assert_eq!(ppr.pushes, 0);
+}
+
+/// Exact counters of one yielding batch on one worker, so that a change to
+/// the partition visit that reorders lanes, yields elsewhere or drops an
+/// arrival it should have kept shows here and not only in the benchmark's
+/// determinism digests.
+#[test]
+fn a_yielding_batch_repeats_its_exact_counters() {
+    let social = gen::rmat(11, 8, 42).with_random_weights(9, 42);
+    let n = social.num_vertices() as u32;
+    let sources: Vec<VertexId> = (0..32).map(|i| (i * 61) % n).collect();
+    let pg = chunked(&social, 8);
+    let engine = ForkGraphEngine::new(&pg, EngineConfig::default());
+    let counters = |work: &WorkSnapshot| {
+        [
+            work.edges_processed,
+            work.operations_processed,
+            work.operations_buffered,
+            work.operations_pruned,
+            work.partition_visits,
+            work.yields,
+            work.workers.iter().map(|w| w.lane_visits).sum(),
+        ]
+    };
+
+    let sssp = engine.run_sssp(&sources);
+    for (got, &source) in sssp.per_query.iter().zip(&sources) {
+        assert_eq!(got, &dijkstra(&social, source).dist, "source {source}");
+    }
+    assert_eq!(counters(sssp.work()), [590_218, 70_625, 70_625, 36_316, 146, 2_355, 2_652], "sssp");
+
+    let ppr = engine.run(&PprKernel::default(), &sources[..4]);
+    assert_eq!(counters(ppr.work()), [2_435_267, 103_696, 103_696, 86, 234, 0, 662], "ppr");
 }
