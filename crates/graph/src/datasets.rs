@@ -2,25 +2,22 @@
 //!
 //! The paper evaluates on eight real-world graphs ranging from 1.9 M to 61.6 M
 //! vertices. This registry generates structurally similar graphs at a size that
-//! runs in seconds on a laptop: road networks become 2D lattices (bounded
-//! degree, huge diameter), social/web networks become RMAT graphs (skewed
-//! degrees, small diameter), and the citation network becomes a
-//! preferential-attachment graph. Every dataset can be scaled with
-//! [`DatasetSpec::scaled`].
+//! runs in seconds on a laptop, for the six of them the workspace runs: road
+//! networks become 2D lattices (bounded degree, huge diameter), social/web
+//! networks become RMAT graphs (skewed degrees, small diameter). Every dataset
+//! can be scaled with [`DatasetSpec::scaled`].
 
 use crate::{gen, CsrGraph};
 
 /// Structural family of a dataset, mirroring the categories in Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GraphFamily {
-    /// Road network: bounded degree, very large diameter (Ca, Us, Eu).
+    /// Road network: bounded degree, very large diameter (Ca, Us).
     Road,
     /// Social network: power-law degrees, small diameter (Or, Lj, Tw).
     Social,
     /// Hyperlink / web graph (Wk).
     Web,
-    /// Citation network: sparse power-law (Pt).
-    Citation,
 }
 
 /// A named synthetic dataset specification.
@@ -57,9 +54,6 @@ impl DatasetSpec {
                 let scale_log = (n as f64).log2().ceil() as u32;
                 gen::rmat(scale_log, (self.avg_degree / 2).max(1), self.seed)
             }
-            GraphFamily::Citation => {
-                gen::preferential_attachment(n, (self.avg_degree / 2).max(1), self.seed)
-            }
         }
     }
 
@@ -88,14 +82,6 @@ pub const US: DatasetSpec = DatasetSpec {
     avg_degree: 3,
     seed: 102,
 };
-/// Europe road network stand-in (50.9 M vertices in the paper).
-pub const EU: DatasetSpec = DatasetSpec {
-    name: "Eu",
-    family: GraphFamily::Road,
-    base_vertices: 65_536,
-    avg_degree: 3,
-    seed: 103,
-};
 /// Orkut social network stand-in (3.1 M vertices, avg degree 38).
 pub const OR: DatasetSpec = DatasetSpec {
     name: "Or",
@@ -120,14 +106,6 @@ pub const LJ: DatasetSpec = DatasetSpec {
     avg_degree: 18,
     seed: 106,
 };
-/// Patents citation network stand-in (16.5 M vertices, avg degree 2).
-pub const PT: DatasetSpec = DatasetSpec {
-    name: "Pt",
-    family: GraphFamily::Citation,
-    base_vertices: 40_000,
-    avg_degree: 2,
-    seed: 107,
-};
 /// Twitter social network stand-in (61.6 M vertices, avg degree 23.8).
 pub const TW: DatasetSpec = DatasetSpec {
     name: "Tw",
@@ -137,24 +115,9 @@ pub const TW: DatasetSpec = DatasetSpec {
     seed: 108,
 };
 
-/// All eight datasets in Table 2 order.
-pub fn all() -> [DatasetSpec; 8] {
-    [CA, US, EU, OR, WK, LJ, PT, TW]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_contains_eight_datasets_with_unique_names() {
-        let specs = all();
-        assert_eq!(specs.len(), 8);
-        let mut names: Vec<_> = specs.iter().map(|d| d.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 8);
-    }
 
     #[test]
     fn road_graphs_have_bounded_degree() {

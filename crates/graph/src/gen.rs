@@ -3,7 +3,8 @@
 //! The paper evaluates on eight real-world graphs (road networks, social
 //! networks, a hyperlink network, and a citation network). Those datasets are
 //! multi-gigabyte downloads, so the reproduction substitutes generators that
-//! match the *structural properties* the experiments depend on:
+//! match the *structural properties* the experiments depend on (no generator
+//! stands in for the citation network, which no experiment here runs):
 //!
 //! * [`rmat`] — recursive-matrix / Kronecker generator producing skewed,
 //!   power-law degree distributions with low diameter (stands in for Orkut,
@@ -11,8 +12,6 @@
 //! * [`grid2d`] — 2D lattice with small random perturbations: bounded degree,
 //!   very large diameter (stands in for the California / USA / Europe road
 //!   networks).
-//! * [`preferential_attachment`] — Barabási–Albert-style generator (stands in
-//!   for the Patents citation network).
 //! * [`erdos_renyi`] — uniform random graph, used by tests and microbenches.
 //!
 //! All generators are deterministic given a seed.
@@ -88,37 +87,6 @@ pub fn grid2d(rows: usize, cols: usize, extra_edge_prob: f64, seed: u64) -> CsrG
                     builder.add_unweighted_edge(s, t);
                     builder.add_unweighted_edge(t, s);
                 }
-            }
-        }
-    }
-    builder.build()
-}
-
-/// Generate a preferential-attachment graph: each new vertex attaches to
-/// `edges_per_vertex` existing vertices chosen proportionally to their current
-/// degree. Produces a power-law tail with low average degree, matching the
-/// Patents citation graph (average degree 2.0 in Table 2).
-pub fn preferential_attachment(
-    num_vertices: usize,
-    edges_per_vertex: usize,
-    seed: u64,
-) -> CsrGraph {
-    assert!(num_vertices >= 2, "need at least two vertices");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(num_vertices);
-    // `endpoints` holds one entry per edge endpoint, so sampling uniformly from
-    // it is sampling proportionally to degree.
-    let mut endpoints: Vec<VertexId> = vec![0, 1];
-    builder.add_unweighted_edge(0, 1);
-    builder.add_unweighted_edge(1, 0);
-    for v in 2..num_vertices as VertexId {
-        for _ in 0..edges_per_vertex.max(1) {
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if t != v {
-                builder.add_unweighted_edge(v, t);
-                builder.add_unweighted_edge(t, v);
-                endpoints.push(v);
-                endpoints.push(t);
             }
         }
     }
@@ -222,16 +190,6 @@ mod tests {
         let plain = grid2d(20, 20, 0.0, 7);
         let shortcuts = grid2d(20, 20, 0.2, 7);
         assert!(shortcuts.num_edges() > plain.num_edges());
-    }
-
-    #[test]
-    fn preferential_attachment_degrees() {
-        let g = preferential_attachment(500, 2, 11);
-        assert_eq!(g.num_vertices(), 500);
-        assert!(g.avg_degree() >= 1.5 && g.avg_degree() <= 8.0, "avg degree {}", g.avg_degree());
-        // Earliest vertices should accumulate the largest degrees.
-        let max_degree = (0..500u32).map(|v| g.out_degree(v)).max().unwrap();
-        assert!(max_degree > 10);
     }
 
     #[test]

@@ -13,10 +13,8 @@
 //!   symmetrisation.
 //! * [`gen`] — synthetic graph generators that substitute for the real-world
 //!   datasets of the paper (RMAT/power-law for social networks, 2D lattices for
-//!   road networks, preferential attachment for citation networks, Erdős–Rényi
-//!   for uniform random graphs).
-//! * [`io`] — plain edge-list (SNAP), DIMACS `.gr`, and METIS format readers
-//!   and writers so that the original datasets can be dropped in.
+//!   road networks, Erdős–Rényi for uniform random graphs). The paper's own
+//!   datasets are not in the repository, and nothing reads graph files.
 //! * [`partition`] — graph partitioners: hash, contiguous chunking
 //!   (Gemini-style), and a multilevel edge-cut partitioner standing in for
 //!   METIS.
@@ -33,7 +31,7 @@
 //!   delta/varint-compressed bytes beside them ([`StorageConfig`] policy),
 //!   plus the
 //!   [`AdjacencyView`] kernels read adjacency through.
-//! * [`datasets`] — a registry of scaled-down synthetic stand-ins for the eight
+//! * [`datasets`] — scaled-down synthetic stand-ins for six of the eight
 //!   graphs of Table 2 in the paper.
 
 #![forbid(unsafe_code)]
@@ -42,7 +40,6 @@ pub mod builder;
 pub mod csr;
 pub mod datasets;
 pub mod gen;
-pub mod io;
 pub mod mutation;
 pub mod partition;
 pub mod partitioned;

@@ -9,12 +9,14 @@
 #![forbid(unsafe_code)]
 
 pub mod counters;
+pub mod family;
 pub mod measurement;
 pub mod pool;
 pub mod report;
 pub mod service;
 
 pub use counters::{WorkSnapshot, WorkerSnapshot};
+pub use family::Family;
 pub use measurement::{CacheNumbers, Measurement, Stopwatch};
 pub use pool::PoolSnapshot;
 pub use report::Table;

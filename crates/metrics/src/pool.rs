@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use crate::family::{self, Family};
+
 /// Point-in-time figures of a persistent worker pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolSnapshot {
@@ -42,24 +44,44 @@ impl PoolSnapshot {
             self.mailboxes_reused as f64 / total as f64
         }
     }
+
+    /// One metric family per field, in field order.
+    pub fn families(&self) -> Vec<Family> {
+        vec![
+            Family::counter(
+                "fg_pool_threads_spawned_total",
+                "OS worker threads ever spawned by the pool.",
+                self.threads_spawned,
+            ),
+            Family::counter(
+                "fg_pool_dispatches_total",
+                "Engine runs dispatched onto the pool.",
+                self.dispatches,
+            ),
+            Family::counter("fg_pool_parks_total", "Worker park events between runs.", self.parks),
+            Family::counter(
+                "fg_pool_unparks_total",
+                "Worker wake events for dispatched runs.",
+                self.unparks,
+            ),
+            Family::counter(
+                "fg_pool_mailboxes_reused_total",
+                "Per-run partition mailboxes recycled from the arena.",
+                self.mailboxes_reused,
+            ),
+            Family::counter(
+                "fg_pool_mailboxes_rebuilt_total",
+                "Per-run partition mailboxes built fresh.",
+                self.mailboxes_rebuilt,
+            ),
+        ]
+    }
 }
 
 impl fmt::Display for PoolSnapshot {
-    /// A compact, human-readable pool health summary (what `examples/serve`
-    /// prints). Zero-denominator-safe for an unused pool.
+    /// The families as a Markdown table (what `examples/serve` prints).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "pool: {} threads spawned, {} dispatches, {} parks / {} unparks",
-            self.threads_spawned, self.dispatches, self.parks, self.unparks
-        )?;
-        write!(
-            f,
-            "  reuse: mailboxes {}/{} ({:.1}%)",
-            self.mailboxes_reused,
-            self.mailboxes_reused + self.mailboxes_rebuilt,
-            100.0 * self.mailbox_reuse_rate()
-        )
+        f.write_str(&family::table("pool", &self.families()).to_markdown())
     }
 }
 
@@ -78,7 +100,7 @@ mod tests {
     fn display_is_compact_and_nan_free_when_empty() {
         let text = format!("{}", PoolSnapshot::default());
         assert!(!text.contains("NaN"), "{text}");
-        assert!(text.lines().count() <= 2, "{text}");
+        assert_eq!(text.lines().count(), 4 + 6, "{text}");
 
         let populated = PoolSnapshot {
             threads_spawned: 4,
@@ -88,7 +110,8 @@ mod tests {
             ..Default::default()
         };
         let text = format!("{populated}");
-        assert!(text.contains("4 threads spawned"), "{text}");
-        assert!(text.contains("mailboxes 10/12 (83.3%)"), "{text}");
+        assert!(text.contains("| fg_pool_threads_spawned_total | 4 |"), "{text}");
+        assert!(text.contains("| fg_pool_mailboxes_reused_total | 10 |"), "{text}");
+        assert!(text.contains("| fg_pool_mailboxes_rebuilt_total | 2 |"), "{text}");
     }
 }

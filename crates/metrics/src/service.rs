@@ -14,6 +14,8 @@
 use std::fmt;
 use std::time::Duration;
 
+use crate::family::{self, Family};
+
 /// Maximum number of latency samples retained; beyond this each sample
 /// overwrites the oldest.
 const LATENCY_RESERVOIR: usize = 4096;
@@ -120,15 +122,6 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Mean queries per dispatched batch (the consolidation win).
-    pub fn mean_batch_occupancy(&self) -> f64 {
-        if self.batches_dispatched == 0 {
-            0.0
-        } else {
-            self.queries_batched as f64 / self.batches_dispatched as f64
-        }
-    }
-
     /// Fraction of dispatched batches that carried ≥ 2 distinct kernel
     /// cohorts, in `[0, 1]`: `0.0` means every batch was a single-kernel
     /// batch.
@@ -150,72 +143,132 @@ impl ServiceSnapshot {
         }
     }
 
-    /// Fraction of partition slots re-materialized (vs `Arc`-shared) across
-    /// all epoch advances, in `[0, 1]`. `1.0` would mean every advance
-    /// rebuilt every partition — the old full-quiesce behaviour; localized
-    /// mutation workloads should sit well below it. Zero-denominator-safe.
-    pub fn dirty_rematerialize_frac(&self) -> f64 {
-        let total = self.partitions_rematerialized + self.partitions_shared;
-        if total == 0 {
-            0.0
-        } else {
-            self.partitions_rematerialized as f64 / total as f64
-        }
+    /// One metric family per field, in field order.
+    pub fn families(&self) -> Vec<Family> {
+        vec![
+            Family::counter(
+                "fg_service_submitted_total",
+                "Queries offered to submit (admitted + rejected + cache hits).",
+                self.submitted,
+            ),
+            Family::counter(
+                "fg_service_admitted_total",
+                "Queries accepted into the pending queue.",
+                self.admitted,
+            ),
+            Family::counter(
+                "fg_service_rejected_total",
+                "Queries shed by admission control.",
+                self.rejected,
+            ),
+            Family::counter(
+                "fg_service_cache_hits_total",
+                "Queries answered from the result cache.",
+                self.cache_hits,
+            ),
+            Family::counter(
+                "fg_service_cache_misses_total",
+                "Queries that missed the result cache.",
+                self.cache_misses,
+            ),
+            Family::counter(
+                "fg_service_batches_dispatched_total",
+                "Consolidated engine runs dispatched.",
+                self.batches_dispatched,
+            ),
+            Family::counter(
+                "fg_service_queries_batched_total",
+                "Queries carried by dispatched batches.",
+                self.queries_batched,
+            ),
+            Family::gauge(
+                "fg_service_max_batch_occupancy",
+                "Most queries one dispatched batch carried.",
+                self.max_batch_occupancy as f64,
+            ),
+            Family::gauge(
+                "fg_service_max_batch_workers",
+                "Largest engine worker count any batch ran with.",
+                self.max_batch_workers as f64,
+            ),
+            Family::counter(
+                "fg_service_mixed_runs_total",
+                "Dispatched runs that consolidated >= 2 kernel cohorts.",
+                self.mixed_runs,
+            ),
+            Family::counter(
+                "fg_service_mutations_applied_total",
+                "Logged edge mutations folded into a published snapshot.",
+                self.mutations_applied,
+            ),
+            Family::counter(
+                "fg_service_cache_invalidations_total",
+                "Cached answers found stale at lookup: a mutation since could reach their source.",
+                self.cache_invalidations,
+            ),
+            Family::counter(
+                "fg_service_incremental_runs_total",
+                "Engine passes resumed from cached answers instead of run from scratch.",
+                self.incremental_runs,
+            ),
+            Family::counter(
+                "fg_service_epochs_advanced_total",
+                "Snapshot epochs published (one per non-empty mutation fold).",
+                self.epochs_advanced,
+            ),
+            Family::counter(
+                "fg_service_partitions_rematerialized_total",
+                "Dirty partitions re-materialized across epoch advances.",
+                self.partitions_rematerialized,
+            ),
+            Family::counter(
+                "fg_service_partitions_shared_total",
+                "Clean partitions Arc-shared with the previous epoch across advances.",
+                self.partitions_shared,
+            ),
+            Family::counter(
+                "fg_service_snapshots_reclaimed_total",
+                "Retired epoch snapshots whose storage was reclaimed.",
+                self.snapshots_reclaimed,
+            ),
+            Family::gauge(
+                "fg_service_oldest_pinned_epoch_lag",
+                "Current epoch minus the oldest epoch still pinned by a run.",
+                self.oldest_pinned_epoch_lag as f64,
+            ),
+            Family::gauge(
+                "fg_service_queue_depth",
+                "Current pending-queue depth.",
+                self.queue_depth as f64,
+            ),
+            Family::gauge(
+                "fg_service_max_queue_depth",
+                "Deepest the pending queue has been.",
+                self.max_queue_depth as f64,
+            ),
+            Family::gauge(
+                "fg_service_latency_p50_seconds",
+                "Median submit-to-result latency over the last 4 096 answered queries.",
+                self.latency_p50.as_secs_f64(),
+            ),
+            Family::gauge(
+                "fg_service_latency_p99_seconds",
+                "99th-percentile submit-to-result latency over the last 4 096 answered queries.",
+                self.latency_p99.as_secs_f64(),
+            ),
+            Family::gauge(
+                "fg_service_latency_samples",
+                "Answered queries the latency percentiles are computed from.",
+                self.latency_samples as f64,
+            ),
+        ]
     }
 }
 
 impl fmt::Display for ServiceSnapshot {
-    /// A compact, human-readable operational summary (what `examples/serve`
-    /// prints). One screen; every rate is zero-denominator-safe.
+    /// The families as a Markdown table (what `examples/serve` prints).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "service: {} submitted ({} admitted, {} rejected), queue {} (max {})",
-            self.submitted, self.admitted, self.rejected, self.queue_depth, self.max_queue_depth
-        )?;
-        writeln!(
-            f,
-            "  cache  : {} hits / {} misses ({:.1}% hit rate)",
-            self.cache_hits,
-            self.cache_misses,
-            100.0 * self.cache_hit_rate()
-        )?;
-        writeln!(
-            f,
-            "  batches: {} runs, {} queries (mean {:.1}/batch, max {}, workers <= {})",
-            self.batches_dispatched,
-            self.queries_batched,
-            self.mean_batch_occupancy(),
-            self.max_batch_occupancy,
-            self.max_batch_workers
-        )?;
-        writeln!(
-            f,
-            "  mixed  : {} mixed batches ({:.1}% of batches)",
-            self.mixed_runs,
-            100.0 * self.mixed_run_rate()
-        )?;
-        writeln!(
-            f,
-            "  dynamic: {} mutations applied, {} invalidations, {} incremental runs",
-            self.mutations_applied, self.cache_invalidations, self.incremental_runs
-        )?;
-        writeln!(
-            f,
-            "  epochs : {} advanced ({} rematerialized / {} shared, {:.1}% dirty), \
-             {} reclaimed, pin lag {}",
-            self.epochs_advanced,
-            self.partitions_rematerialized,
-            self.partitions_shared,
-            100.0 * self.dirty_rematerialize_frac(),
-            self.snapshots_reclaimed,
-            self.oldest_pinned_epoch_lag
-        )?;
-        write!(
-            f,
-            "  latency: p50 {:.3?}, p99 {:.3?} ({} samples)",
-            self.latency_p50, self.latency_p99, self.latency_samples
-        )
+        f.write_str(&family::table("service", &self.families()).to_markdown())
     }
 }
 
@@ -224,7 +277,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn epoch_fields_render_with_their_dirty_rate() {
+    fn epoch_fields_render_as_table_rows() {
         let s = ServiceSnapshot {
             mutations_applied: 5,
             epochs_advanced: 4,
@@ -234,12 +287,13 @@ mod tests {
             oldest_pinned_epoch_lag: 1,
             ..Default::default()
         };
-        assert!((s.dirty_rematerialize_frac() - 6.0 / 16.0).abs() < 1e-12);
         let text = format!("{s}");
-        assert!(text.contains("5 mutations applied"), "{text}");
-        assert!(text.contains("4 advanced"), "{text}");
-        assert!(text.contains("37.5% dirty"), "{text}");
-        assert!(text.contains("3 reclaimed, pin lag 1"), "{text}");
+        assert!(text.contains("| fg_service_mutations_applied_total | 5 |"), "{text}");
+        assert!(text.contains("| fg_service_epochs_advanced_total | 4 |"), "{text}");
+        assert!(text.contains("| fg_service_partitions_rematerialized_total | 6 |"), "{text}");
+        assert!(text.contains("| fg_service_partitions_shared_total | 10 |"), "{text}");
+        assert!(text.contains("| fg_service_snapshots_reclaimed_total | 3 |"), "{text}");
+        assert!(text.contains("| fg_service_oldest_pinned_epoch_lag | 1 |"), "{text}");
     }
 
     #[test]
@@ -284,26 +338,18 @@ mod tests {
     fn mixed_run_rate_is_multi_cohort_runs_over_batches() {
         let s = ServiceSnapshot { mixed_runs: 2, batches_dispatched: 3, ..Default::default() };
         assert!((s.mixed_run_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(format!("{s}").contains("2 mixed batches (66.7% of batches)"), "{s}");
     }
 
     #[test]
     fn empty_reservoir_is_zero() {
         assert_eq!(LatencyReservoir::default().percentiles(), (Duration::ZERO, Duration::ZERO, 0));
-        let s = ServiceSnapshot::default();
-        assert_eq!(s.mean_batch_occupancy(), 0.0);
-        assert_eq!(s.cache_hit_rate(), 0.0);
+        assert_eq!(ServiceSnapshot::default().cache_hit_rate(), 0.0);
     }
 
     #[test]
     fn rate_accessors_return_zero_not_nan_on_zero_denominators() {
         let s = ServiceSnapshot::default();
-        for rate in [
-            s.mean_batch_occupancy(),
-            s.mixed_run_rate(),
-            s.cache_hit_rate(),
-            s.dirty_rematerialize_frac(),
-        ] {
+        for rate in [s.mixed_run_rate(), s.cache_hit_rate()] {
             assert!(!rate.is_nan());
             assert_eq!(rate, 0.0);
         }
@@ -312,7 +358,6 @@ mod tests {
         // hand-built snapshots) must not divide by zero.
         let s = ServiceSnapshot { mixed_runs: 3, cache_hits: 5, ..Default::default() };
         assert_eq!(s.mixed_run_rate(), 0.0);
-        assert_eq!(s.mean_batch_occupancy(), 0.0);
         assert!((s.cache_hit_rate() - 1.0).abs() < 1e-12, "hits with no misses is a 100% rate");
     }
 
@@ -320,24 +365,21 @@ mod tests {
     fn display_is_compact_and_nan_free_when_empty() {
         let text = format!("{}", ServiceSnapshot::default());
         assert!(!text.contains("NaN"), "{text}");
-        assert!(text.lines().count() <= 7, "{text}");
-        assert!(text.contains("0 submitted"), "{text}");
-        assert!(text.contains("pin lag 0"), "{text}");
+        // Title, blank line, header, rule, then one row per family.
+        assert_eq!(text.lines().count(), 4 + 23, "{text}");
+        assert!(text.contains("| fg_service_submitted_total | 0 |"), "{text}");
 
         let populated = ServiceSnapshot {
             submitted: 10,
             admitted: 8,
-            rejected: 2,
-            cache_hits: 4,
-            cache_misses: 4,
-            batches_dispatched: 2,
-            queries_batched: 8,
-            mixed_runs: 1,
+            max_batch_occupancy: 6,
+            latency_p50: Duration::from_micros(1500),
             ..Default::default()
         };
         let text = format!("{populated}");
-        assert!(text.contains("10 submitted (8 admitted, 2 rejected)"), "{text}");
-        assert!(text.contains("50.0% hit rate"), "{text}");
-        assert!(text.contains("mean 4.0/batch"), "{text}");
+        assert!(text.contains("| fg_service_submitted_total | 10 |"), "{text}");
+        assert!(text.contains("| fg_service_admitted_total | 8 |"), "{text}");
+        assert!(text.contains("| fg_service_max_batch_occupancy | 6 |"), "{text}");
+        assert!(text.contains("| fg_service_latency_p50_seconds | 0.0015 |"), "{text}");
     }
 }

@@ -12,6 +12,8 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 
+use fg_metrics::family;
+
 use crate::server::ServerCore;
 
 /// Cap on request line + headers; a scraper needs far less.
@@ -97,8 +99,8 @@ fn respond(core: &ServerCore, head: &[u8]) -> Vec<u8> {
             render(200, "text/plain; charset=utf-8", &format!("{status}\n"))
         }
         "/metrics" => render(200, "text/plain; version=0.0.4", &metrics_body(core)),
-        "/trace" => match core.service.trace_handle() {
-            Some(trace) => render(200, "application/json", &trace.chrome_trace()),
+        "/trace" => match core.service.chrome_trace() {
+            Some(json) => render(200, "application/json", &json),
             None => render(
                 404,
                 "text/plain; charset=utf-8",
@@ -113,64 +115,11 @@ fn respond(core: &ServerCore, head: &[u8]) -> Vec<u8> {
     }
 }
 
-/// The `/metrics` body: the service/pool/trace families the tracing layer
-/// already knows how to render, plus this server's own `fg_server_*` wire
-/// counters.
+/// The `/metrics` body: the service's exposition, then this server's own
+/// `fg_server_*` wire counters.
 pub(crate) fn metrics_body(core: &ServerCore) -> String {
-    let mut body = match core.service.trace_handle() {
-        Some(trace) => trace.exposition(),
-        None => {
-            let snapshot = core.handle.metrics();
-            let pool = core.service.pool_metrics();
-            fg_trace::expose(Some(&snapshot), pool.as_ref(), None)
-        }
-    };
-    let stats = &core.stats;
-    let families: [(&str, &str, u64); 8] = [
-        (
-            "fg_server_connections_accepted_total",
-            "Connections accepted by the front door listener",
-            stats.connections_accepted.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_connections_rejected_total",
-            "Connections shed at accept time by the concurrency cap",
-            stats.connections_rejected.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_frames_in_total",
-            "Binary request frames read off the wire",
-            stats.frames_in.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_frames_out_total",
-            "Binary response frames written to the wire",
-            stats.frames_out.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_protocol_errors_total",
-            "Malformed frames answered with a typed error",
-            stats.protocol_errors.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_retry_after_total",
-            "Queries shed with a retry-after frame under saturation",
-            stats.retry_afters.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_http_requests_total",
-            "HTTP requests served on the shared listener",
-            stats.http_requests.load(Ordering::Relaxed),
-        ),
-        (
-            "fg_server_connections_timed_out_total",
-            "Connections reaped by the idle timeout or mid-frame read deadline",
-            stats.connections_timed_out.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, value) in families {
-        fg_trace::expose::metric(&mut body, name, "counter", help, value as f64);
-    }
+    let mut body = core.service.exposition();
+    family::expose(&mut body, &core.stats.families());
     body
 }
 

@@ -26,6 +26,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use fg_metrics::Family;
 use fg_service::{ForkGraphService, ServiceHandle};
 use parking_lot::Mutex;
 
@@ -116,6 +117,57 @@ pub(crate) struct ServerStats {
     pub(crate) retry_afters: AtomicU64,
     pub(crate) http_requests: AtomicU64,
     pub(crate) connections_timed_out: AtomicU64,
+}
+
+impl ServerStats {
+    /// One metric family per field, in field order.
+    pub(crate) fn families(&self) -> Vec<Family> {
+        let counter = |name, help, value: &AtomicU64| {
+            Family::counter(name, help, value.load(Ordering::Relaxed))
+        };
+        vec![
+            counter(
+                "fg_server_connections_accepted_total",
+                "Connections accepted by the front door listener",
+                &self.connections_accepted,
+            ),
+            counter(
+                "fg_server_connections_rejected_total",
+                "Connections shed at accept time by the concurrency cap",
+                &self.connections_rejected,
+            ),
+            counter(
+                "fg_server_frames_in_total",
+                "Binary request frames read off the wire",
+                &self.frames_in,
+            ),
+            counter(
+                "fg_server_frames_out_total",
+                "Binary response frames written to the wire",
+                &self.frames_out,
+            ),
+            counter(
+                "fg_server_protocol_errors_total",
+                "Malformed frames answered with a typed error",
+                &self.protocol_errors,
+            ),
+            counter(
+                "fg_server_retry_after_total",
+                "Queries shed with a retry-after frame under saturation",
+                &self.retry_afters,
+            ),
+            counter(
+                "fg_server_http_requests_total",
+                "HTTP requests served on the shared listener",
+                &self.http_requests,
+            ),
+            counter(
+                "fg_server_connections_timed_out_total",
+                "Connections reaped by the idle timeout or mid-frame read deadline",
+                &self.connections_timed_out,
+            ),
+        ]
+    }
 }
 
 /// State shared by the accept loop and every connection thread.
@@ -362,7 +414,80 @@ fn spawn_connection(core: &Arc<ServerCore>, stream: TcpStream) {
 
 #[cfg(test)]
 mod tests {
+    use fg_metrics::{family, PoolSnapshot, ServiceSnapshot};
+    use fg_trace::TraceStats;
+
     use super::*;
+
+    /// Every field of the service, pool, trace sink and server figures
+    /// reaches `/metrics` as exactly one sample, under a name no other
+    /// family uses. Each field holds a distinct value; a field with no
+    /// family, or with two, changes how often its value is sampled.
+    #[test]
+    fn every_field_reaches_metrics_exactly_once() {
+        let service = ServiceSnapshot {
+            submitted: 1,
+            admitted: 2,
+            rejected: 3,
+            cache_hits: 4,
+            cache_misses: 5,
+            batches_dispatched: 6,
+            queries_batched: 7,
+            max_batch_occupancy: 8,
+            max_batch_workers: 9,
+            mixed_runs: 10,
+            mutations_applied: 11,
+            cache_invalidations: 12,
+            incremental_runs: 13,
+            epochs_advanced: 14,
+            partitions_rematerialized: 15,
+            partitions_shared: 16,
+            snapshots_reclaimed: 17,
+            oldest_pinned_epoch_lag: 18,
+            queue_depth: 19,
+            max_queue_depth: 20,
+            latency_p50: Duration::from_secs(21),
+            latency_p99: Duration::from_secs(22),
+            latency_samples: 23,
+        };
+        let pool = PoolSnapshot {
+            threads_spawned: 24,
+            dispatches: 25,
+            parks: 26,
+            unparks: 27,
+            mailboxes_reused: 28,
+            mailboxes_rebuilt: 29,
+        };
+        let trace = TraceStats { threads: 30, retained: 31, dropped: 32, lane_capacity: 33 };
+        let server = ServerStats {
+            connections_accepted: AtomicU64::new(34),
+            connections_rejected: AtomicU64::new(35),
+            frames_in: AtomicU64::new(36),
+            frames_out: AtomicU64::new(37),
+            protocol_errors: AtomicU64::new(38),
+            retry_afters: AtomicU64::new(39),
+            http_requests: AtomicU64::new(40),
+            connections_timed_out: AtomicU64::new(41),
+        };
+        let mut body = String::new();
+        for families in [service.families(), pool.families(), trace.families(), server.families()] {
+            family::expose(&mut body, &families);
+        }
+        let samples: Vec<(&str, &str)> = body
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| line.split_once(' ').expect("name and value"))
+            .collect();
+        assert_eq!(samples.len(), 41, "{body}");
+        for value in 1..=41 {
+            let carriers = samples.iter().filter(|(_, v)| *v == value.to_string()).count();
+            assert_eq!(carriers, 1, "value {value} is sampled {carriers} times in:\n{body}");
+        }
+        let mut names: Vec<&str> = samples.iter().map(|(name, _)| *name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), samples.len(), "a family name is used twice in:\n{body}");
+    }
 
     #[test]
     fn sniff_timeout_is_the_tighter_of_the_two_guards() {

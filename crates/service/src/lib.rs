@@ -97,5 +97,5 @@ pub use query::{BatchKey, CacheKey, KernelMismatch, Query, QueryResult};
 pub use registry::{
     InstantiatedKernel, KernelFactory, KernelId, KernelRegistry, RegistryError, ResolvedKernel,
 };
-pub use service::{ForkGraphService, ServiceConfig, ServiceError, ServiceHandle, TraceHandle};
+pub use service::{ForkGraphService, ServiceConfig, ServiceError, ServiceHandle};
 pub use ticket::Ticket;

@@ -32,7 +32,7 @@ use parking_lot::{Condvar, Mutex};
 use fg_graph::mutation::{EdgeDelta, EdgeMutation, VersionedGraph};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{Edge, VertexId};
-use fg_metrics::{BatchRecord, LatencyReservoir, PoolSnapshot, ServiceSnapshot};
+use fg_metrics::{family, BatchRecord, LatencyReservoir, PoolSnapshot, ServiceSnapshot};
 use fg_trace::{EventKind, TraceSink};
 use forkgraph_core::kernels::{BfsKernel, SsspKernel};
 use forkgraph_core::{EngineConfig, ErasedState, ForkGraphEngine, IncrementalKernel, WorkerPool};
@@ -494,7 +494,7 @@ impl ForkGraphService {
     /// Start the service with event tracing: every submit, batch formation,
     /// engine run, and ticket resolution is recorded into `sink`, alongside
     /// the engine/executor/pool events of each dispatched run. Read the
-    /// stream back through [`Self::trace_handle`].
+    /// stream back through [`Self::chrome_trace`] or the sink itself.
     pub fn start_traced(
         graph: Arc<PartitionedGraph>,
         engine_config: EngineConfig,
@@ -581,15 +581,26 @@ impl ForkGraphService {
         self.shared.inner.lock().batch_records.iter().copied().collect()
     }
 
-    /// The service's observability surface: the trace sink plus ready-made
-    /// Chrome-trace and Prometheus-exposition renderings over it. `None`
+    /// The `/metrics` body: the service's metric families, then the pool's
+    /// and the trace sink's when the service has them, in the Prometheus
+    /// text format ([`fg_metrics::family::expose`]).
+    pub fn exposition(&self) -> String {
+        let mut out = String::new();
+        family::expose(&mut out, &self.metrics().families());
+        if let Some(pool) = self.pool_metrics() {
+            family::expose(&mut out, &pool.families());
+        }
+        if let Some(sink) = &self.shared.trace {
+            family::expose(&mut out, &sink.stats().families());
+        }
+        out
+    }
+
+    /// The recorded events as Chrome trace-event JSON, loadable in
+    /// `chrome://tracing` or Perfetto ([`fg_trace::chrome::export`]). `None`
     /// unless the service was started with [`Self::start_traced`].
-    pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.shared.trace.as_ref().map(|sink| TraceHandle {
-            sink: Arc::clone(sink),
-            shared: Arc::clone(&self.shared),
-            pool: self.pool.clone(),
-        })
+    pub fn chrome_trace(&self) -> Option<String> {
+        self.shared.trace.as_deref().map(fg_trace::chrome::export)
     }
 
     /// Stop admitting new queries while the batcher keeps serving the
@@ -626,42 +637,6 @@ impl ForkGraphService {
 impl Drop for ForkGraphService {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// A traced service's observability surface, detached from the service's
-/// lifetime. Obtained from [`ForkGraphService::trace_handle`]; stays valid —
-/// serving its last recorded state — after the service shuts down. It holds
-/// the sink, the pool and the service's whole shared state (counts, graph
-/// store, queue and answer cache), so a handle kept past shutdown keeps that
-/// memory alive too.
-#[derive(Clone)]
-pub struct TraceHandle {
-    sink: Arc<TraceSink>,
-    shared: Arc<Shared>,
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl TraceHandle {
-    /// The underlying event sink (for direct event access or enable/disable).
-    pub fn sink(&self) -> &Arc<TraceSink> {
-        &self.sink
-    }
-
-    /// Render the recorded events as Chrome trace-event JSON, loadable in
-    /// `chrome://tracing` or Perfetto ([`fg_trace::chrome::export`]).
-    pub fn chrome_trace(&self) -> String {
-        fg_trace::chrome::export(&self.sink)
-    }
-
-    /// Render the current service/pool/trace metrics in the Prometheus text
-    /// exposition format ([`fn@fg_trace::expose`]) — a complete `/metrics`
-    /// response body.
-    pub fn exposition(&self) -> String {
-        let service = self.shared.metrics();
-        let pool = self.pool.as_ref().map(|pool| pool.metrics());
-        let stats = self.sink.stats();
-        fg_trace::expose(Some(&service), pool.as_ref(), Some(&stats))
     }
 }
 

@@ -126,9 +126,8 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
         ticket.wait().expect("service answered");
     }
 
-    let trace_handle = service.trace_handle().expect("started traced");
-    let json = trace_handle.chrome_trace();
-    let exposition = trace_handle.exposition();
+    let json = service.chrome_trace().expect("started traced");
+    let exposition = service.exposition();
     service.shutdown();
 
     // --- Chrome trace: parses, and every finished flow is connected. ---
@@ -171,8 +170,28 @@ fn traced_service_run_produces_connected_chrome_trace_and_event_chains() {
 
     // --- Exposition mirrors the same run. ---
     assert!(exposition.contains("fg_service_submitted_total 32"), "{exposition}");
+    assert!(exposition.contains("fg_pool_dispatches_total"), "{exposition}");
     assert!(exposition.contains("fg_trace_events_retained"), "{exposition}");
     assert!(!exposition.contains("NaN"), "{exposition}");
+}
+
+/// A service with no pool and no trace sink exposes its own families only,
+/// and has no Chrome trace to give.
+#[test]
+fn absent_subsystems_are_omitted() {
+    let g = gen::rmat(8, 4, 3);
+    let pg = Arc::new(PartitionedGraph::build(
+        &g,
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 2),
+    ));
+    let service = ForkGraphService::start(pg, EngineConfig::default(), ServiceConfig::default());
+    let exposition = service.exposition();
+    assert!(service.chrome_trace().is_none());
+    service.shutdown();
+
+    assert!(exposition.contains("\nfg_service_submitted_total 0\n"), "{exposition}");
+    assert!(!exposition.contains("fg_pool_"), "{exposition}");
+    assert!(!exposition.contains("fg_trace_"), "{exposition}");
 }
 
 /// A query resumed from an edge delta travels the same traced path as any
@@ -255,8 +274,7 @@ fn epoch_trace_events_reconcile_with_epoch_counters() {
     }
 
     let metrics = handle.metrics();
-    let trace_handle = service.trace_handle().expect("started traced");
-    let json = trace_handle.chrome_trace();
+    let json = service.chrome_trace().expect("started traced");
     // Shutdown first: the batcher exits and drops any pins it still holds,
     // so the pin/unpin ledger below must balance exactly.
     service.shutdown();

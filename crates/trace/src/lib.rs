@@ -13,8 +13,10 @@
 //!
 //! * **One branch when untraced.** Instrumented code holds an
 //!   `Option<Arc<TraceSink>>`; the no-sink path costs a single
-//!   predictable-branch load. `fgbench`'s `trace.overhead_frac` row
-//!   measures what an attached sink costs.
+//!   predictable-branch load. What an attached sink costs is not
+//!   resolved: `fgbench`'s `trace.overhead_frac` row read 0.018, 0.112,
+//!   0.284 and −0.120 in four traced runs of one session, a spread wider
+//!   than the cost it was meant to gate.
 //! * **Per-thread lock-free ring buffers.** Each emitting thread owns a
 //!   lane: a single-producer ring of 3-word event records written with
 //!   relaxed atomic stores and published with one release store of the
@@ -34,19 +36,17 @@
 //! * [`chrome::export`] — Chrome trace-event JSON (`chrome://tracing` /
 //!   Perfetto) with named per-thread tracks and flow arrows connecting each
 //!   service ticket's submit → batch → run → resolve spans across threads.
-//! * [`fn@expose`] — Prometheus-style text exposition of service/pool/trace
-//!   snapshots, so an HTTP front door can serve `/metrics` by pasting one
-//!   string.
+//! * [`TraceStats::families`] — the sink's figures as metric families
+//!   ([`fg_metrics::family`]), which a service's `/metrics` body carries
+//!   after its own.
 
 #![forbid(unsafe_code)]
 
 pub mod chrome;
 pub mod event;
-pub mod expose;
 pub mod profile;
 pub mod sink;
 
 pub use event::{EventKind, TraceEvent};
-pub use expose::expose;
 pub use profile::{Histogram, PhaseTimes, RunProfile};
 pub use sink::{ThreadEvents, TraceSink, TraceStats};

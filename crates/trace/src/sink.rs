@@ -28,6 +28,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
 
+use fg_metrics::Family;
+
 use crate::event::{EventKind, TraceEvent};
 
 /// Words per event record in the ring.
@@ -134,6 +136,34 @@ pub struct TraceStats {
     pub dropped: u64,
     /// Per-lane ring capacity in events.
     pub lane_capacity: u64,
+}
+
+impl TraceStats {
+    /// One metric family per field, in field order.
+    pub fn families(&self) -> Vec<Family> {
+        vec![
+            Family::gauge(
+                "fg_trace_threads",
+                "Threads that have registered a trace lane.",
+                self.threads as f64,
+            ),
+            Family::gauge(
+                "fg_trace_events_retained",
+                "Trace events currently retained across lanes.",
+                self.retained as f64,
+            ),
+            Family::counter(
+                "fg_trace_events_dropped_total",
+                "Trace events lost to ring wrap-around.",
+                self.dropped,
+            ),
+            Family::gauge(
+                "fg_trace_lane_capacity",
+                "Per-lane ring capacity in events.",
+                self.lane_capacity as f64,
+            ),
+        ]
+    }
 }
 
 /// Shared handle to a set of per-thread event rings.

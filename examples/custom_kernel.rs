@@ -246,9 +246,8 @@ fn main() {
     println!("\n=== custom kernel served and oracle-checked ({checked} queries) ===");
     println!("batches dispatched   : {}", m.batches_dispatched);
     println!(
-        "batch occupancy      : mean {:.2}, max {}",
-        m.mean_batch_occupancy(),
-        m.max_batch_occupancy
+        "batch occupancy      : {} queries batched, max {}",
+        m.queries_batched, m.max_batch_occupancy
     );
     println!(
         "result cache         : {:.0}% hit rate ({} hits, {} misses)",

@@ -3,9 +3,9 @@
 //! Builds an RMAT graph, partitions it into LLC-sized pieces, starts an
 //! always-on [`ForkGraphService`], and drives it with a handful of closed-loop
 //! client threads issuing a skewed mix of SSSP/BFS/PPR queries (a Zipf-ish hot
-//! set, so the result cache has something to do). Prints the service metrics
-//! snapshot at the end: batch occupancy is the consolidation win, cache hit
-//! rate the result-cache win.
+//! set, so the result cache has something to do). Prints the service and pool
+//! metric families at the end: queries batched per batch dispatched is the
+//! consolidation win, cache hits against misses the result-cache win.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -129,7 +129,7 @@ fn main() {
         answered as f64 / elapsed.as_secs_f64()
     );
     // The snapshots render themselves: `Display` on `ServiceSnapshot` /
-    // `PoolSnapshot` is the one operational summary every tool shares.
+    // `PoolSnapshot` is a table of the same families `/metrics` exposes.
     println!("{m}");
     if let Some(p) = pool {
         println!("{p}");

@@ -8,9 +8,9 @@
 //!   [`WireClient`] connections (mixed SSSP/BFS), verify every wire response
 //!   against a direct one-worker engine oracle, check the HTTP surface on
 //!   the *same* port — `/healthz`; `/metrics` (status line,
-//!   `Content-Length`, no `NaN`, every service and server family, and a
-//!   non-zero `fg_pool_dispatches_total`: the wire load ran on the worker
-//!   pool); `/trace` (parseable Chrome JSON with spans) — and shut down
+//!   `Content-Length`, no `NaN`, every service, pool, trace and server
+//!   family, and a non-zero `fg_pool_dispatches_total`: the wire load ran
+//!   on the worker pool); `/trace` (parseable Chrome JSON with spans) — and shut down
 //!   gracefully. Exits non-zero on any mismatch.
 //!
 //! * **Listen** (`--listen [host:port]`, default `127.0.0.1:7071`): serve
@@ -28,24 +28,24 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use forkgraph::metrics::{PoolSnapshot, ServiceSnapshot};
 use forkgraph::prelude::*;
-use forkgraph::trace::TraceSink;
+use forkgraph::trace::{TraceSink, TraceStats};
 
 const CLIENTS: usize = 4;
 const QUERIES_PER_CLIENT: u32 = 16;
 
-/// The `/metrics` families a scrape must carry: the service's own, including
-/// the mutation and repair counters, and the front door's wire counters.
-const REQUIRED_FAMILIES: [&str; 9] = [
-    "fg_service_submitted_total",
-    "fg_service_admitted_total",
-    "fg_service_mutations_applied_total",
-    "fg_service_cache_invalidations_total",
-    "fg_service_incremental_runs_total",
-    "fg_service_queue_depth",
+/// The front door's own `/metrics` families; the service, pool and trace
+/// families come from their snapshots' `families()`.
+const SERVER_FAMILIES: [&str; 8] = [
     "fg_server_connections_accepted_total",
+    "fg_server_connections_rejected_total",
     "fg_server_frames_in_total",
     "fg_server_frames_out_total",
+    "fg_server_protocol_errors_total",
+    "fg_server_retry_after_total",
+    "fg_server_http_requests_total",
+    "fg_server_connections_timed_out_total",
 ];
 
 fn main() {
@@ -188,7 +188,15 @@ fn demo() {
         println!("  {family} {value}");
         value.parse().expect("numeric sample")
     };
-    for family in REQUIRED_FAMILIES {
+    let snapshot_families = [
+        ServiceSnapshot::default().families(),
+        PoolSnapshot::default().families(),
+        TraceStats::default().families(),
+    ];
+    for family in snapshot_families.iter().flatten().map(|family| family.name) {
+        sample(family);
+    }
+    for family in SERVER_FAMILIES {
         sample(family);
     }
     assert!(sample("fg_pool_dispatches_total") > 0.0, "the wire load never ran on the worker pool");

@@ -8,8 +8,9 @@
 //! 1. writes the recorded event stream as Chrome trace-event JSON to
 //!    `trace.json` (load it in `chrome://tracing` or
 //!    <https://ui.perfetto.dev>), validating that it parses and has spans;
-//! 2. prints the Prometheus-style text exposition
-//!    ([`fg_trace::expose`] via [`TraceHandle::exposition`]);
+//! 2. prints the `/metrics` body ([`ForkGraphService::exposition`]): the
+//!    service's, the pool's and the sink's metric families in the
+//!    Prometheus text format;
 //! 3. runs one profiled engine batch directly
 //!    ([`EngineConfig::with_profile`]) and prints its
 //!    [`RunProfile`] — phase wall times and operations per visit.
@@ -22,7 +23,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use forkgraph::prelude::*;
-use forkgraph::service::TraceHandle;
 use forkgraph::trace;
 
 const QUERIES: usize = 48;
@@ -75,17 +75,15 @@ fn main() {
         ticket.wait().expect("service answered");
     }
 
-    let trace_handle: TraceHandle = service.trace_handle().expect("service was started traced");
-
     // Export the event stream as Chrome trace-event JSON and self-validate
     // with the structural parser: a malformed export, one chrome://tracing
     // or Perfetto would reject, or one without spans fails the example.
-    let json = trace_handle.chrome_trace();
+    let json = service.chrome_trace().expect("service was started traced");
     let events = trace::chrome::parse(&json).expect("exported trace parses");
     assert!(!events.is_empty(), "the exported trace has events");
     assert!(events.iter().any(|e| e.ph == "B"), "the exported trace has spans");
     std::fs::write("trace.json", &json).expect("write trace.json");
-    let stats = trace_handle.sink().stats();
+    let stats = sink.stats();
     println!(
         "\ntrace.json: {} chrome events from {} events on {} threads ({} dropped)",
         events.len(),
@@ -96,7 +94,7 @@ fn main() {
     println!("load it in chrome://tracing or https://ui.perfetto.dev");
 
     println!("\n=== /metrics exposition ===");
-    print!("{}", trace_handle.exposition());
+    print!("{}", service.exposition());
     service.shutdown();
 
     // Per-run profiles come from the engine itself — no service, and no
