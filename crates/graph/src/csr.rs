@@ -5,6 +5,8 @@
 //! in-adjacency, plus optional per-edge weights. The layout mirrors Ligra's CSR
 //! storage that ForkGraph reuses in the paper.
 
+use std::ops::Range;
+
 use crate::{Edge, VertexId, Weight};
 
 /// An immutable directed graph in CSR form.
@@ -13,19 +15,11 @@ use crate::{Edge, VertexId, Weight};
 /// (see [`crate::GraphBuilder::symmetrize`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CsrGraph {
-    /// `offsets[v]..offsets[v+1]` indexes `targets`/`weights` for vertex `v`.
-    offsets: Vec<u64>,
-    /// Flattened out-neighbour lists.
-    targets: Vec<VertexId>,
-    /// Optional per-edge weights, parallel to `targets`.
-    weights: Option<Vec<Weight>>,
-    /// Transpose offsets (in-edges), always present.
-    in_offsets: Vec<u64>,
-    /// Transpose targets: `in_targets[in_offsets[v]..]` are the *sources* of
-    /// edges pointing at `v`.
-    in_targets: Vec<VertexId>,
-    /// Weights parallel to `in_targets` (present iff `weights` is).
-    in_weights: Option<Vec<Weight>>,
+    /// Out-edges: row `u` lists the targets of `u`'s edges.
+    out: Adjacency,
+    /// The transpose (in-edges), always present: row `v` lists the *sources*
+    /// of edges pointing at `v`, with weights iff `out` has them.
+    incoming: Adjacency,
 }
 
 impl CsrGraph {
@@ -45,101 +39,70 @@ impl CsrGraph {
         }
         let targets = edges.iter().map(|&(_, v, _)| v).collect();
         let weights = weighted.then(|| edges.iter().map(|&(_, _, w)| w).collect());
-        Self::with_transpose(offsets, targets, weights)
+        Self::with_transpose(Adjacency { offsets, targets, weights })
     }
 
     /// This graph with `changes` applied: each `(u, v, Some(w))` sets edge
     /// `u → v` to weight `w`, inserting it if absent, and each
     /// `(u, v, None)` removes it. `changes` must be sorted by `(u, v)` with
-    /// one entry per pair. Rows no change touches are copied as slices; the
+    /// one entry per pair. Both directions are merged from this graph's: the
+    /// out-rows with `changes`, the in-rows with the same list flipped to
+    /// `(v, u)` and sorted. Rows no change touches are copied as slices, so
+    /// a fold costs one copy of each direction plus the touched rows. The
     /// result equals [`Self::from_sorted_edges`] over the changed edge set.
     pub(crate) fn with_changes(&self, changes: &[(VertexId, VertexId, Option<Weight>)]) -> Self {
         debug_assert!(changes.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        let (n, capacity) = (self.num_vertices(), self.num_edges() + changes.len());
-        let mut out = OutAdjacency {
-            offsets: Vec::with_capacity(n + 1),
-            targets: Vec::with_capacity(capacity),
-            weights: self.weights.as_ref().map(|_| Vec::with_capacity(capacity)),
-        };
-        out.offsets.push(0);
-        let mut next = 0usize;
-        // One group of changes per touched row, then the rows after the last.
-        for row in changes.chunk_by(|a, b| a.0 == b.0).map(Some).chain([None]) {
-            let u = row.map_or(n, |row| row[0].0 as usize);
-            let (start, base) = (self.offsets[next], out.targets.len() as u64);
-            out.copy(self, start as usize..self.offsets[u] as usize);
-            out.offsets.extend(self.offsets[next + 1..=u].iter().map(|&o| o - start + base));
-            let Some(row) = row else { break };
-            // Row `u` merged with its changes, both sorted by target.
-            let (mut i, end) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for &(_, v, after) in row {
-                let j = i + self.targets[i..end].partition_point(|&t| t < v);
-                out.copy(self, i..j);
-                i = if j < end && self.targets[j] == v { j + 1 } else { j };
-                if let Some(w) = after {
-                    out.targets.push(v);
-                    if let Some(ws) = out.weights.as_mut() {
-                        ws.push(w);
-                    }
-                }
-            }
-            out.copy(self, i..end);
-            out.offsets.push(out.targets.len() as u64);
-            next = u + 1;
-        }
-        Self::with_transpose(out.offsets, out.targets, out.weights)
+        let mut flipped: Vec<_> = changes.iter().map(|&(u, v, w)| (v, u, w)).collect();
+        flipped.sort_unstable_by_key(|&(v, u, _)| (v, u));
+        CsrGraph { out: self.out.merged(changes), incoming: self.incoming.merged(&flipped) }
     }
 
     /// Complete an out-adjacency with its transpose: a counting sort on the
-    /// target vertex, visiting sources in ascending order.
-    fn with_transpose(
-        offsets: Vec<u64>,
-        targets: Vec<VertexId>,
-        weights: Option<Vec<Weight>>,
-    ) -> Self {
-        let n = offsets.len() - 1;
-        let m = targets.len();
-        let mut in_offsets = vec![0u64; n + 1];
-        for &v in &targets {
-            in_offsets[v as usize + 1] += 1;
+    /// target vertex, visiting sources in ascending order. Its only caller is
+    /// [`Self::from_sorted_edges`]; a fold merges both directions instead.
+    fn with_transpose(out: Adjacency) -> Self {
+        let n = out.offsets.len() - 1;
+        let m = out.targets.len();
+        let mut offsets = vec![0u64; n + 1];
+        for &v in &out.targets {
+            offsets[v as usize + 1] += 1;
         }
         for i in 0..n {
-            in_offsets[i + 1] += in_offsets[i];
+            offsets[i + 1] += offsets[i];
         }
-        let mut cursor: Vec<u64> = in_offsets[..n].to_vec();
-        let mut in_targets = vec![0 as VertexId; m];
-        let mut in_weights = weights.as_ref().map(|_| vec![0 as Weight; m]);
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        let mut targets = vec![0 as VertexId; m];
+        let mut weights = out.weights.as_ref().map(|_| vec![0 as Weight; m]);
         for u in 0..n {
-            for i in offsets[u] as usize..offsets[u + 1] as usize {
-                let v = targets[i] as usize;
+            for i in out.offsets[u] as usize..out.offsets[u + 1] as usize {
+                let v = out.targets[i] as usize;
                 let pos = cursor[v] as usize;
-                in_targets[pos] = u as VertexId;
-                if let (Some(iw), Some(w)) = (in_weights.as_mut(), weights.as_ref()) {
+                targets[pos] = u as VertexId;
+                if let (Some(iw), Some(w)) = (weights.as_mut(), out.weights.as_ref()) {
                     iw[pos] = w[i];
                 }
                 cursor[v] += 1;
             }
         }
-
-        CsrGraph { offsets, targets, weights, in_offsets, in_targets, in_weights }
+        CsrGraph { out, incoming: Adjacency { offsets, targets, weights } }
     }
 
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.offsets.len() - 1
+        self.out.offsets.len() - 1
     }
 
     /// Number of directed edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.targets.len()
+        self.out.targets.len()
     }
 
     /// Whether per-edge weights are stored.
     #[inline]
     pub fn is_weighted(&self) -> bool {
-        self.weights.is_some()
+        self.out.weights.is_some()
     }
 
     /// Average out-degree.
@@ -154,38 +117,38 @@ impl CsrGraph {
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
-        (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
+        (self.out.offsets[v as usize + 1] - self.out.offsets[v as usize]) as usize
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        (self.in_offsets[v as usize + 1] - self.in_offsets[v as usize]) as usize
+        (self.incoming.offsets[v as usize + 1] - self.incoming.offsets[v as usize]) as usize
     }
 
     /// Out-neighbours of `v`.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let s = self.offsets[v as usize] as usize;
-        let e = self.offsets[v as usize + 1] as usize;
-        &self.targets[s..e]
+        let s = self.out.offsets[v as usize] as usize;
+        let e = self.out.offsets[v as usize + 1] as usize;
+        &self.out.targets[s..e]
     }
 
     /// In-neighbours of `v` (sources of edges pointing at `v`).
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let s = self.in_offsets[v as usize] as usize;
-        let e = self.in_offsets[v as usize + 1] as usize;
-        &self.in_targets[s..e]
+        let s = self.incoming.offsets[v as usize] as usize;
+        let e = self.incoming.offsets[v as usize + 1] as usize;
+        &self.incoming.targets[s..e]
     }
 
     /// Weights parallel to [`Self::out_neighbors`]; all-ones slice equivalent if
     /// the graph is unweighted (returns `None` in that case).
     #[inline]
     pub fn out_weights(&self, v: VertexId) -> Option<&[Weight]> {
-        self.weights.as_ref().map(|w| {
-            let s = self.offsets[v as usize] as usize;
-            let e = self.offsets[v as usize + 1] as usize;
+        self.out.weights.as_ref().map(|w| {
+            let s = self.out.offsets[v as usize] as usize;
+            let e = self.out.offsets[v as usize + 1] as usize;
             &w[s..e]
         })
     }
@@ -193,9 +156,9 @@ impl CsrGraph {
     /// Weights parallel to [`Self::in_neighbors`].
     #[inline]
     pub fn in_weights(&self, v: VertexId) -> Option<&[Weight]> {
-        self.in_weights.as_ref().map(|w| {
-            let s = self.in_offsets[v as usize] as usize;
-            let e = self.in_offsets[v as usize + 1] as usize;
+        self.incoming.weights.as_ref().map(|w| {
+            let s = self.incoming.offsets[v as usize] as usize;
+            let e = self.incoming.offsets[v as usize + 1] as usize;
             &w[s..e]
         })
     }
@@ -203,19 +166,19 @@ impl CsrGraph {
     /// Iterate `(target, weight)` pairs of `v`'s out-edges. Unweighted graphs
     /// yield weight 1 for every edge.
     pub fn out_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let s = self.offsets[v as usize] as usize;
-        let e = self.offsets[v as usize + 1] as usize;
-        let targets = &self.targets[s..e];
-        let weights = self.weights.as_ref().map(|w| &w[s..e]);
+        let s = self.out.offsets[v as usize] as usize;
+        let e = self.out.offsets[v as usize + 1] as usize;
+        let targets = &self.out.targets[s..e];
+        let weights = self.out.weights.as_ref().map(|w| &w[s..e]);
         (0..targets.len()).map(move |i| (targets[i], weights.map_or(1, |w| w[i])))
     }
 
     /// Iterate `(source, weight)` pairs of `v`'s in-edges.
     pub fn in_edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
-        let s = self.in_offsets[v as usize] as usize;
-        let e = self.in_offsets[v as usize + 1] as usize;
-        let sources = &self.in_targets[s..e];
-        let weights = self.in_weights.as_ref().map(|w| &w[s..e]);
+        let s = self.incoming.offsets[v as usize] as usize;
+        let e = self.incoming.offsets[v as usize + 1] as usize;
+        let sources = &self.incoming.targets[s..e];
+        let weights = self.incoming.weights.as_ref().map(|w| &w[s..e]);
         (0..sources.len()).map(move |i| (sources[i], weights.map_or(1, |w| w[i])))
     }
 
@@ -223,7 +186,7 @@ impl CsrGraph {
     /// Used by the cache simulator to derive synthetic addresses.
     #[inline]
     pub fn adjacency_offset(&self, v: VertexId) -> u64 {
-        self.offsets[v as usize]
+        self.out.offsets[v as usize]
     }
 
     /// Iterate all edges as `(u, v, w)` triples.
@@ -236,9 +199,9 @@ impl CsrGraph {
     /// adjacency + weights, out-direction only — the quantity the paper divides
     /// by the LLC size to pick `|P|`).
     pub fn size_bytes(&self) -> usize {
-        let mut bytes = self.offsets.len() * std::mem::size_of::<u64>()
-            + self.targets.len() * std::mem::size_of::<VertexId>();
-        if let Some(w) = &self.weights {
+        let mut bytes = self.out.offsets.len() * std::mem::size_of::<u64>()
+            + self.out.targets.len() * std::mem::size_of::<VertexId>();
+        if let Some(w) = &self.out.weights {
             bytes += w.len() * std::mem::size_of::<Weight>();
         }
         bytes
@@ -269,18 +232,61 @@ impl CsrGraph {
     }
 }
 
-/// The out-direction arrays of a CSR under construction.
-struct OutAdjacency {
+/// One direction of a CSR: `offsets[v]..offsets[v + 1]` indexes `targets`
+/// and, when present, the parallel `weights` of row `v`. Every row is sorted
+/// by target.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Adjacency {
     offsets: Vec<u64>,
     targets: Vec<VertexId>,
     weights: Option<Vec<Weight>>,
 }
 
-impl OutAdjacency {
-    /// Append `graph`'s edges at CSR positions `range`.
-    fn copy(&mut self, graph: &CsrGraph, range: std::ops::Range<usize>) {
-        self.targets.extend_from_slice(&graph.targets[range.clone()]);
-        if let (Some(out), Some(w)) = (self.weights.as_mut(), graph.weights.as_ref()) {
+impl Adjacency {
+    /// This adjacency with `changes` merged in: `(row, target, Some(w))`
+    /// sets the entry, `(row, target, None)` removes it. `changes` must be
+    /// sorted by `(row, target)` with one entry per pair. Each touched row is
+    /// merged with its changes; the rows between are copied as slices.
+    fn merged(&self, changes: &[(VertexId, VertexId, Option<Weight>)]) -> Adjacency {
+        let (n, capacity) = (self.offsets.len() - 1, self.targets.len() + changes.len());
+        let mut out = Adjacency {
+            offsets: Vec::with_capacity(n + 1),
+            targets: Vec::with_capacity(capacity),
+            weights: self.weights.as_ref().map(|_| Vec::with_capacity(capacity)),
+        };
+        out.offsets.push(0);
+        let mut next = 0usize;
+        // One group of changes per touched row, then the rows after the last.
+        for row in changes.chunk_by(|a, b| a.0 == b.0).map(Some).chain([None]) {
+            let u = row.map_or(n, |row| row[0].0 as usize);
+            let (start, base) = (self.offsets[next], out.targets.len() as u64);
+            out.copy(self, start as usize..self.offsets[u] as usize);
+            out.offsets.extend(self.offsets[next + 1..=u].iter().map(|&o| o - start + base));
+            let Some(row) = row else { break };
+            // Row `u` merged with its changes, both sorted by target.
+            let (mut i, end) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
+            for &(_, v, after) in row {
+                let j = i + self.targets[i..end].partition_point(|&t| t < v);
+                out.copy(self, i..j);
+                i = if j < end && self.targets[j] == v { j + 1 } else { j };
+                if let Some(w) = after {
+                    out.targets.push(v);
+                    if let Some(ws) = out.weights.as_mut() {
+                        ws.push(w);
+                    }
+                }
+            }
+            out.copy(self, i..end);
+            out.offsets.push(out.targets.len() as u64);
+            next = u + 1;
+        }
+        out
+    }
+
+    /// Append `from`'s entries at positions `range`.
+    fn copy(&mut self, from: &Adjacency, range: Range<usize>) {
+        self.targets.extend_from_slice(&from.targets[range.clone()]);
+        if let (Some(out), Some(w)) = (self.weights.as_mut(), from.weights.as_ref()) {
             out.extend_from_slice(&w[range]);
         }
     }
@@ -301,6 +307,8 @@ fn pair_hash(a: VertexId, b: VertexId, seed: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::GraphBuilder;
 
@@ -390,6 +398,96 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.avg_degree(), 0.0);
         assert_eq!(g.edges().count(), 0);
+    }
+
+    /// Apply `round` to `g` and to `model`, and check the fold against a
+    /// scratch build of the model, both directions included.
+    fn fold_and_check(
+        g: &CsrGraph,
+        model: &mut BTreeMap<(VertexId, VertexId), Weight>,
+        round: &BTreeMap<(VertexId, VertexId), Option<Weight>>,
+        context: &str,
+    ) -> CsrGraph {
+        for (&pair, &after) in round {
+            match after {
+                Some(w) => model.insert(pair, w),
+                None => model.remove(&pair),
+            };
+        }
+        let changes: Vec<_> = round.iter().map(|(&(u, v), &after)| (u, v, after)).collect();
+        let folded = g.with_changes(&changes);
+        let edges: Vec<Edge> = model.iter().map(|(&(u, v), &w)| (u, v, w)).collect();
+        let scratch = CsrGraph::from_sorted_edges(g.num_vertices(), &edges, g.is_weighted());
+        assert_eq!(folded, scratch, "{context}");
+        folded
+    }
+
+    #[test]
+    fn with_changes_equals_a_scratch_build() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let n = 64usize;
+        let last = n as VertexId - 1;
+        for weighted in [true, false] {
+            for seed in 0..4u64 {
+                let mut g = crate::gen::erdos_renyi(n, 300, seed);
+                if weighted {
+                    g = g.with_random_weights(9, seed);
+                }
+                let mut model: BTreeMap<(VertexId, VertexId), Weight> =
+                    g.edges().map(|(u, v, w)| ((u, v), w)).collect();
+                let mut rng = SmallRng::seed_from_u64(seed);
+                for r in 0..20 {
+                    let mut round = BTreeMap::new();
+                    for _ in 0..rng.gen_range(1usize..=16) {
+                        let w: Weight = rng.gen_range(1..10);
+                        let present = *model.keys().nth(rng.gen_range(0..model.len())).unwrap();
+                        match rng.gen_range(0u32..3) {
+                            0 => loop {
+                                let u = rng.gen_range(0..n as VertexId);
+                                let v = rng.gen_range(0..n as VertexId);
+                                if u != v && !model.contains_key(&(u, v)) {
+                                    round.insert((u, v), Some(w));
+                                    break;
+                                }
+                            },
+                            1 => {
+                                round.insert(present, Some(w));
+                            }
+                            _ => {
+                                round.insert(present, None);
+                            }
+                        }
+                    }
+                    let context = format!("weighted {weighted} seed {seed} round {r}");
+                    g = fold_and_check(&g, &mut model, &round, &context);
+                }
+
+                // Three sources change edges into one target: one deleted,
+                // one updated, one inserted.
+                let t = (0..n as VertexId).max_by_key(|&v| g.in_degree(v)).unwrap();
+                let sources = g.in_neighbors(t);
+                let fresh = (0..n as VertexId).find(|&u| u != t && !sources.contains(&u)).unwrap();
+                let round = BTreeMap::from([
+                    ((sources[0], t), None),
+                    ((sources[1], t), Some(7)),
+                    ((fresh, t), Some(3)),
+                ]);
+                g = fold_and_check(&g, &mut model, &round, &format!("into {t}, seed {seed}"));
+
+                // Vertex `last` keeps one in-edge, from 0, then loses it;
+                // vertices 0 and `last` are touched in both directions.
+                let mut round: BTreeMap<_, _> =
+                    g.in_neighbors(last).iter().map(|&u| ((u, last), None)).collect();
+                round.insert((0, last), Some(5));
+                round.insert((last, 0), Some(2));
+                g = fold_and_check(&g, &mut model, &round, &format!("only in-edge, seed {seed}"));
+                assert_eq!(g.in_neighbors(last), &[0]);
+                let round = BTreeMap::from([((0, last), None), ((last, 0), None)]);
+                g = fold_and_check(&g, &mut model, &round, &format!("last in-edge, seed {seed}"));
+                assert_eq!(g.in_degree(last), 0);
+            }
+        }
     }
 
     #[test]

@@ -144,7 +144,8 @@ fn raw_adjacency_bytes(num_edges: usize, num_vertices: usize, weighted: bool) ->
 #[derive(Clone, Debug)]
 pub struct PartitionedGraph {
     graph: Arc<CsrGraph>,
-    plan: PartitionPlan,
+    /// Shared by every epoch folded from this one: a fold never re-plans.
+    plan: Arc<PartitionPlan>,
     stores: Vec<Arc<PartitionStore>>,
     config: PartitionConfig,
 }
@@ -160,29 +161,29 @@ impl PartitionedGraph {
     pub fn build_arc(graph: Arc<CsrGraph>, config: PartitionConfig) -> PartitionedGraph {
         let plan = PartitionPlan::compute(&graph, &config);
         let stores = Self::collect_stores(&graph, &plan, config.storage);
-        PartitionedGraph { graph, plan, stores, config }
+        PartitionedGraph { graph, plan: Arc::new(plan), stores, config }
     }
 
     /// Build from a precomputed plan (used by the partition-method sweeps).
     pub fn from_plan(graph: Arc<CsrGraph>, plan: PartitionPlan, config: PartitionConfig) -> Self {
         assert!(plan.validate(&graph), "partition plan does not cover the graph");
         let stores = Self::collect_stores(&graph, &plan, config.storage);
-        PartitionedGraph { graph, plan, stores, config }
+        PartitionedGraph { graph, plan: Arc::new(plan), stores, config }
     }
 
-    /// Assemble a snapshot from `graph` and per-partition stores built from
-    /// it, reusing the stores' `Arc`s (clean partitions keep sharing memory
-    /// with the previous epoch). `stores[p]` must be partition `p`'s store
-    /// under `plan`.
-    pub(crate) fn from_stores(
+    /// This snapshot's plan and config over `graph`, with per-partition
+    /// stores built from it, reusing the stores' `Arc`s (clean partitions
+    /// keep sharing memory with the previous epoch) and the plan's (a fold
+    /// clones a pointer, not the `n`-entry assignment). `stores[p]` must be
+    /// partition `p`'s store under the plan.
+    pub(crate) fn with_stores(
+        &self,
         graph: Arc<CsrGraph>,
-        plan: PartitionPlan,
-        config: PartitionConfig,
         stores: Vec<Arc<PartitionStore>>,
     ) -> Self {
-        debug_assert_eq!(stores.len(), plan.num_partitions);
+        debug_assert_eq!(stores.len(), self.plan.num_partitions);
         debug_assert!(stores.iter().enumerate().all(|(p, s)| s.info.id as usize == p));
-        PartitionedGraph { graph, plan, stores, config }
+        PartitionedGraph { graph, plan: Arc::clone(&self.plan), stores, config: self.config }
     }
 
     fn collect_stores(
