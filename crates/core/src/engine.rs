@@ -105,8 +105,8 @@ pub struct EngineConfig {
     /// thread; above one, disjoint partitions are processed concurrently by
     /// a crew on a persistent [`WorkerPool`].
     pub num_threads: usize,
-    /// Attach a [`RunProfile`] (per-phase wall time, visit/steal histograms)
-    /// to each run result. Independent of event tracing — profiles are
+    /// Attach a [`RunProfile`] (per-phase wall time, a histogram of visit
+    /// sizes) to each run result. Independent of event tracing — profiles are
     /// computed from the workers' own tallies, so they work with no
     /// [`TraceSink`] attached. Off by default: each worker then also records
     /// every partition visit's size in a histogram of its own.
@@ -194,7 +194,7 @@ pub struct ForkGraphRunResult<S> {
     pub per_query: Vec<S>,
     /// Timing, work, cache, and memory measurement of the batch.
     pub measurement: Measurement,
-    /// Per-run profile (phase wall times, visit/steal histograms); present
+    /// Per-run profile (phase wall times, a histogram of visit sizes); present
     /// iff [`EngineConfig::profile`] was set.
     pub profile: Option<RunProfile>,
 }
@@ -253,8 +253,8 @@ impl<'g> ForkGraphEngine<'g> {
     }
 
     /// Attach a structured-event [`TraceSink`]: every run through this
-    /// engine emits schedule-level events (run/visit spans, claims, steals,
-    /// drains, yields) onto the sink's per-thread rings. The sink is also
+    /// engine emits schedule-level events (run/visit spans, claims, drains,
+    /// parks, yields) onto the sink's per-thread rings. The sink is also
     /// attached to the engine's worker pool (current or lazily created
     /// later) so pool-side events — dispatches, storage recycling,
     /// park/unpark — land in the same stream.

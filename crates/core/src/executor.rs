@@ -19,18 +19,18 @@
 //!   lanes belong to whoever holds the partition's `Running` claim, who
 //!   moves the mailbox's arrivals into them at visit start. A query that
 //!   yields leaves its lane resident for the partition's next visit.
-//! * **Runnable sets** — each worker has a local set of claimable partitions,
-//!   seeded by the [`fg_graph::partitioned::PartitionedGraph::worker_affinity`]
-//!   hints (footprint-balanced home assignment). Workers pick from their own
-//!   set with the configured [`SchedulingPolicy`] (Table 4A; ties go by
-//!   partition id, so a one-worker run's visit order repeats exactly) and
-//!   **steal** from other workers' sets when their own drains.
+//! * **Runnable set** — the run has one set of claimable partitions behind
+//!   one mutex, and every claim picks from all of it with the configured
+//!   [`SchedulingPolicy`] — Algorithm 2's `ScheduleNextPart` (§5.2, Table
+//!   4A; ties go by partition id, so a one-worker run's visit order repeats
+//!   exactly). A worker that finds the set empty waits on one condvar until
+//!   a partition is enqueued or the run ends.
 //! * **Claim protocol** — a partition's mailbox carries an atomic state
 //!   (`Idle → Queued → Running → Dirty`): posting to an idle partition
 //!   enqueues it exactly once; posting to a running partition marks it dirty
 //!   so the owning worker re-enqueues it when the visit ends. A partition is
-//!   therefore never in two runnable sets, and a query's visit to a partition
-//!   stays exclusive.
+//!   therefore never in the runnable set twice, and a query's visit to a
+//!   partition stays exclusive.
 //! * **Per-query state** stays single-writer: a worker locks `states[q]`
 //!   for the duration of `q`'s visit, so kernels remain atomic-free
 //!   sequential code.
@@ -42,10 +42,9 @@
 //!   reaches zero exactly when every mailbox and every lane is empty and no
 //!   visit is in progress; the crew then quiesces. A run with no seeds
 //!   starts quiesced.
-//! * **Storage** — a run takes its mailboxes, lanes and runnable sets from
-//!   the engine's pool's recycle arena when a pool is attached, and builds
-//!   them afresh otherwise; each worker builds its routing scratch afresh
-//!   per run.
+//! * **Storage** — a run takes its mailboxes and lanes from the engine's
+//!   pool's recycle arena when a pool is attached, and builds them afresh
+//!   otherwise; each worker builds its routing scratch afresh per run.
 //!
 //! A visit (`RunState::visit`) is the whole of Algorithm 2's
 //! `IntraPartProcess`: it moves the mailbox's arrivals into the lanes,
@@ -71,8 +70,7 @@
 //! worker (two policies already differ) — so equivalence there is the ACL
 //! approximation guarantee, not bitwise equality.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
@@ -95,11 +93,6 @@ const IDLE: u8 = 0;
 const QUEUED: u8 = 1;
 const RUNNING: u8 = 2;
 const DIRTY: u8 = 3;
-
-/// How long an idle worker parks before rescanning every runnable set.
-/// Enqueues notify through `idle_lock`, which makes wakeups race-free (see
-/// [`RunState::enqueue`]); the timeout is only a belt-and-braces rescan.
-const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// A count as a trace-event payload field, saturating.
 fn event_field(count: u64) -> u32 {
@@ -211,6 +204,19 @@ impl<V: Copy> Mailbox<V> {
     }
 }
 
+/// The run's one runnable set and the workers waiting for it to fill.
+struct Runnable {
+    /// Claimable partitions; a partition id appears at most once.
+    partitions: Vec<PartitionId>,
+    /// Workers waiting on [`RunState::wakeup`].
+    waiting: usize,
+    /// Set once, by [`RunState::finish`]: no worker claims again.
+    done: bool,
+    /// What [`SchedulingPolicy::Random`] draws from, seeded with
+    /// [`RANDOM_SEED`].
+    rng: SmallRng,
+}
+
 /// Shared state of one run. (One instance per [`run`] call; the *threads*
 /// that drive it are the caller's, or the [`WorkerPool`]'s for a crew.)
 struct RunState<'e, 'g, K: FppKernel> {
@@ -218,36 +224,27 @@ struct RunState<'e, 'g, K: FppKernel> {
     kernel: &'e K,
     mailboxes: Vec<Mailbox<K::Value>>,
     states: Vec<Mutex<K::State>>,
-    /// Per-worker runnable sets; a partition id appears in at most one set.
-    queues: Vec<Mutex<Vec<PartitionId>>>,
-    /// Partition → home worker (footprint-balanced affinity hints).
-    affinity: Vec<usize>,
+    runnable: Mutex<Runnable>,
+    /// Notified when a partition is enqueued while a worker waits, and when
+    /// the run ends.
+    wakeup: Condvar,
     policy: SchedulingPolicy,
     /// Operations created (posted to a mailbox or pushed onto a lane) but
     /// not yet consumed by a completed visit.
     in_flight: AtomicI64,
-    /// Total partitions currently in any runnable set (parking fast-path).
-    runnable: AtomicUsize,
-    /// Workers currently parked (or committed to park) on `idle_cv`; lets the
-    /// enqueue hot path skip the lock+notify when everyone is busy.
-    parked: AtomicUsize,
-    done: AtomicBool,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
     next_stamp: AtomicU64,
     tracer: &'e GraphAccessTracer,
     num_queries: usize,
 }
 
-/// Sets `done` and wakes every parked worker if its worker panics, so a
-/// kernel panic fails the run instead of deadlocking the worker crew.
+/// Ends the run if its worker panics, so a kernel panic fails the run
+/// instead of leaving the rest of the crew waiting.
 struct PanicReaper<'p, 'e, 'g, K: FppKernel>(&'p RunState<'e, 'g, K>);
 
 impl<K: FppKernel> Drop for PanicReaper<'_, '_, '_, K> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.done.store(true, Ordering::SeqCst);
-            self.0.idle_cv.notify_all();
+            self.0.finish();
         }
     }
 }
@@ -296,47 +293,47 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         self.mailboxes[p]
             .stamp
             .store(self.next_stamp.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
-        self.queues[self.affinity[p]].lock().push(p as PartitionId);
-        self.runnable.fetch_add(1, Ordering::SeqCst);
-        // SeqCst pairing with the park path (which bumps `parked` *before*
-        // re-checking `runnable` under `idle_lock`): if we read `parked == 0`
-        // here, the parking worker's runnable-check is ordered after our
-        // increment and it will not park; otherwise we take `idle_lock`
-        // before notifying, so the worker is either pre-check (sees
-        // `runnable > 0`) or inside `wait_for` (receives the notify). Either
-        // way no handoff waits out the park timeout.
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            drop(self.idle_lock.lock());
-            self.idle_cv.notify_all();
+        let mut runnable = self.runnable.lock();
+        runnable.partitions.push(p as PartitionId);
+        // A waiter checked the set under this lock before it waited, so it
+        // is inside `wait` now and receives the notify.
+        if runnable.waiting > 0 {
+            self.wakeup.notify_one();
         }
     }
 
-    /// Pop one partition from runnable set `qi` using the scheduling policy.
-    fn pop_queue(&self, qi: usize, rng: &mut SmallRng) -> Option<usize> {
-        let mut queue = self.queues[qi].lock();
-        let pos = select_by_policy(self.policy, rng, queue.len(), |i| {
-            self.mailboxes[queue[i] as usize].sched_key(queue[i])
-        })?;
-        let p = queue.swap_remove(pos) as usize;
-        self.runnable.fetch_sub(1, Ordering::SeqCst);
-        Some(p)
-    }
-
-    /// Claim the next partition: own runnable set first, then steal.
-    fn claim(&self, w: usize, rng: &mut SmallRng, stats: &mut WorkerSnapshot) -> Option<usize> {
-        if let Some(p) = self.pop_queue(w, rng) {
-            self.engine.emit_trace(EventKind::Claim, p as u32, w as u32, 0);
-            return Some(p);
-        }
-        for offset in 1..self.queues.len() {
-            let victim = (w + offset) % self.queues.len();
-            if let Some(p) = self.pop_queue(victim, rng) {
-                stats.steals += 1;
-                self.engine.emit_trace(EventKind::Steal, p as u32, w as u32, victim as u32);
+    /// Claim the next partition: the policy's pick among every runnable
+    /// one, waiting while there is none. `None` once the run is done.
+    fn claim(&self, w: usize, stats: &mut WorkerSnapshot) -> Option<usize> {
+        let mut runnable = self.runnable.lock();
+        loop {
+            if runnable.done {
+                return None;
+            }
+            let Runnable { partitions, rng, .. } = &mut *runnable;
+            let pick = select_by_policy(self.policy, rng, partitions.len(), |i| {
+                self.mailboxes[partitions[i] as usize].sched_key(partitions[i])
+            });
+            if let Some(pos) = pick {
+                let p = partitions.swap_remove(pos) as usize;
+                drop(runnable);
+                self.engine.emit_trace(EventKind::Claim, p as u32, w as u32, 0);
                 return Some(p);
             }
+            stats.idle_waits += 1;
+            runnable.waiting += 1;
+            self.engine.emit_trace(EventKind::Park, w as u32, 1, 0);
+            self.wakeup.wait(&mut runnable);
+            self.engine.emit_trace(EventKind::Unpark, w as u32, 1, 0);
+            runnable.waiting -= 1;
         }
-        None
+    }
+
+    /// End the run: set `done` and wake every waiting worker. Called by the
+    /// visit that brings `in_flight` to zero and by [`PanicReaper`].
+    fn finish(&self) {
+        self.runnable.lock().done = true;
+        self.wakeup.notify_all();
     }
 
     /// One partition visit: move the mailbox's arrivals into the lanes,
@@ -400,9 +397,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             // is global quiescence.
             let balance = emitted_local as i64 - consumed as i64;
             if self.in_flight.fetch_add(balance, Ordering::SeqCst) + balance == 0 {
-                self.done.store(true, Ordering::SeqCst);
-                drop(self.idle_lock.lock());
-                self.idle_cv.notify_all();
+                self.finish();
             }
             self.engine.emit_trace(
                 EventKind::PartitionVisitEnd,
@@ -557,43 +552,21 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
 
     /// One worker's drive of the run to quiescence; returns the worker's
     /// tally and its visit sizes (empty unless the run is profiling).
-    fn worker_loop(&self, w: usize, seed: u64) -> (WorkerSnapshot, Histogram) {
+    fn worker_loop(&self, w: usize) -> (WorkerSnapshot, Histogram) {
         let mut remote = RemoteScratch::new(self.mailboxes.len());
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
         let mut visit_ops = Histogram::default();
-        let mut rng = SmallRng::seed_from_u64(seed);
-        while !self.done.load(Ordering::SeqCst) {
-            match self.claim(w, &mut rng, &mut stats) {
-                Some(p) => self.visit(w, p, &mut stats, &mut visit_ops, &mut remote),
-                None => {
-                    stats.idle_waits += 1;
-                    let mut guard = self.idle_lock.lock();
-                    self.parked.fetch_add(1, Ordering::SeqCst);
-                    if self.done.load(Ordering::SeqCst) || self.runnable.load(Ordering::SeqCst) > 0
-                    {
-                        self.parked.fetch_sub(1, Ordering::SeqCst);
-                        continue;
-                    }
-                    self.engine.emit_trace(EventKind::Park, w as u32, 1, 0);
-                    let _ = self.idle_cv.wait_for(&mut guard, PARK_TIMEOUT);
-                    self.engine.emit_trace(EventKind::Unpark, w as u32, 1, 0);
-                    self.parked.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
+        while let Some(p) = self.claim(w, &mut stats) {
+            self.visit(w, p, &mut stats, &mut visit_ops, &mut remote);
         }
         (stats, visit_ops)
     }
 }
 
-/// Seed of every run's scheduling RNGs; only [`SchedulingPolicy::Random`]
-/// draws from them.
+/// Seed of every run's scheduling RNG; only [`SchedulingPolicy::Random`]
+/// draws from it.
 const RANDOM_SEED: u64 = 7;
-
-/// Seed used by worker `w` for its scheduling RNG.
-fn worker_seed(w: usize) -> u64 {
-    RANDOM_SEED ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
 
 /// Drive `kernel` from `seeds` — operations on queries `0..states.len()` —
 /// to quiescence with `num_workers` inter-partition workers, and return the
@@ -620,28 +593,25 @@ pub(crate) fn run<K: FppKernel>(
     };
     engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 0);
 
-    let (mailboxes, queues) = match pool {
+    let mailboxes = match pool {
         Some(pool) => pool.take_run_storage::<K::Value>(num_partitions, num_workers),
-        None => (
-            (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
-            (0..num_workers).map(|_| Mutex::new(Vec::new())).collect(),
-        ),
+        None => (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
     };
     let run: RunState<'_, '_, K> = RunState {
         engine,
         kernel,
         mailboxes,
         states: states.into_iter().map(Mutex::new).collect(),
-        queues,
-        affinity: pg.worker_affinity(num_workers),
+        runnable: Mutex::new(Runnable {
+            partitions: Vec::new(),
+            waiting: 0,
+            // With nothing seeded the states are already the answer.
+            done: seeds.is_empty(),
+            rng: SmallRng::seed_from_u64(RANDOM_SEED),
+        }),
+        wakeup: Condvar::new(),
         policy: config.scheduling,
         in_flight: AtomicI64::new(0),
-        runnable: AtomicUsize::new(0),
-        parked: AtomicUsize::new(0),
-        // With nothing seeded the states are already the answer.
-        done: AtomicBool::new(seeds.is_empty()),
-        idle_lock: Mutex::new(()),
-        idle_cv: Condvar::new(),
         next_stamp: AtomicU64::new(0),
         tracer: &tracer,
         num_queries,
@@ -657,12 +627,12 @@ pub(crate) fn run<K: FppKernel>(
     let init_done = watch.elapsed();
 
     let mut tallies = if num_workers == 1 {
-        vec![run.worker_loop(0, worker_seed(0))]
+        vec![run.worker_loop(0)]
     } else {
         let pool = pool.expect("a crew of more than one worker runs on a pool");
         let tallies = Mutex::new(Vec::with_capacity(num_workers));
         pool.dispatch(num_workers, &|w| {
-            let tally = run.worker_loop(w, worker_seed(w));
+            let tally = run.worker_loop(w);
             tallies.lock().push(tally);
         });
         tallies.into_inner()
@@ -671,9 +641,9 @@ pub(crate) fn run<K: FppKernel>(
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
-    let RunState { mailboxes, states, queues, .. } = run;
+    let RunState { mailboxes, states, .. } = run;
     if let Some(pool) = pool {
-        pool.store_run_storage(mailboxes, queues);
+        pool.store_run_storage(mailboxes);
     }
     let per_query: Vec<K::State> = states.into_iter().map(|m| m.into_inner()).collect();
     let mut visit_ops = Histogram::default();
@@ -745,9 +715,8 @@ mod tests {
             assert_eq!(work.operations_processed, work.operations_buffered);
             assert_eq!(result.per_query, one_worker.per_query);
         }
-        // One worker has no one to steal from and never waits.
-        let work = one_worker.work();
-        assert_eq!((work.steals, work.idle_waits), (0, 0));
+        // One worker never waits.
+        assert_eq!(one_worker.work().idle_waits, 0);
     }
 
     #[test]

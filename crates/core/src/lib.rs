@@ -27,8 +27,8 @@
 //! 5. [`engine::EngineConfig::num_threads`] sets only the worker count.
 //!    `1` (the default) runs the worker loop on the calling thread. Above
 //!    one, a crew processes **disjoint partitions concurrently**: workers
-//!    claim runnable partitions (work-stealing when a worker's own set
-//!    drains), route remote operations through sharded, lock-striped
+//!    claim partitions from the run's one runnable set by the scheduling
+//!    policy, route remote operations through sharded, lock-striped
 //!    mailboxes into the claimed partition's lanes, and quiesce via an
 //!    ops-in-flight counter. The crew's threads belong to a persistent
 //!    [`pool::WorkerPool`] (spawned once, parked between runs, per-run
@@ -47,7 +47,7 @@
 //!
 //! Every layer is instrumented for the `fg-trace` event subsystem: attach a
 //! [`fg_trace::TraceSink`] with [`engine::ForkGraphEngine::with_trace_sink`]
-//! to record run/visit/claim/steal/park events, or set
+//! to record run/visit/claim/park events, or set
 //! [`engine::EngineConfig::profile`] to get a per-run
 //! [`fg_trace::RunProfile`] on the result without any sink.
 

@@ -1,7 +1,7 @@
 //! A persistent worker pool for the executor's crews.
 //!
 //! The one way a run with more than one worker gets its threads. Spawning and joining a crew
-//! per engine run, and allocating its mailboxes, queues and scratch afresh,
+//! per engine run, and allocating its mailboxes and scratch afresh,
 //! is a small-batch tail-latency cost on the fg-service hot path (one run per
 //! micro-batch). A [`WorkerPool`] amortises both:
 //!
@@ -17,9 +17,9 @@
 //!   the lifetime erasure of the job reference sound — the same contract
 //!   `std::thread::scope` provides, without the per-run thread churn.
 //! * **Per-run allocations are recycled**: partition mailboxes (with their
-//!   claim words and their resident per-query lanes) and per-worker runnable
-//!   queues return to a type-keyed arena after each run — one-worker runs of
-//!   an engine the pool is attached to included. Reuse vs rebuild is
+//!   claim words and their resident per-query lanes) return to a type-keyed
+//!   arena after each run — one-worker runs of an engine the pool is
+//!   attached to included. Reuse vs rebuild is
 //!   counted in the arena, under its lock. A worker's remote-routing
 //!   scratch is not: the job builds it per run, so nothing a failed run
 //!   staged can outlive it.
@@ -41,7 +41,6 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use fg_graph::partition::PartitionId;
 use fg_metrics::PoolSnapshot;
 use fg_trace::{EventKind, TraceSink};
 
@@ -66,14 +65,12 @@ pub fn crew_size(requested_workers: usize, num_partitions: usize) -> usize {
 }
 
 /// Per-run storage handed out by (and returned to) the recycle arena.
-pub(crate) type RunStorage<V> = (Vec<Mailbox<V>>, Vec<Mutex<Vec<PartitionId>>>);
+pub(crate) type RunStorage<V> = Vec<Mailbox<V>>;
 
 /// Recycled per-run allocations, keyed by operation value type so a pool
 /// serving mixed kernels keeps one storage set per type.
 #[derive(Default)]
 struct RecycleArena {
-    /// Per-worker runnable queues (value-type independent).
-    queues: Vec<Mutex<Vec<PartitionId>>>,
     /// `TypeId::of::<V>() → Vec<Mailbox<V>>` (boxed for type erasure).
     mailboxes_by_type: HashMap<TypeId, Box<dyn Any + Send>>,
     /// Partition mailboxes handed out from the arena, over the pool's life.
@@ -246,7 +243,7 @@ impl WorkerPool {
         }
     }
 
-    /// Take per-run storage for `num_partitions` partitions and
+    /// Take the mailboxes of a run over `num_partitions` partitions with
     /// `num_workers` workers from the recycle arena, building whatever is
     /// missing. Mailboxes are matched by operation value type `V`; recycled
     /// ones are reset (claim word to `Idle`, hints zeroed, lanes unassigned,
@@ -279,28 +276,13 @@ impl WorkerPool {
         while mailboxes.len() < num_partitions {
             mailboxes.push(Mailbox::new(num_workers));
         }
-
-        let mut queues = std::mem::take(&mut arena.queues);
-        queues.truncate(num_workers);
-        for queue in &mut queues {
-            queue.lock().clear();
-        }
-        while queues.len() < num_workers {
-            queues.push(Mutex::new(Vec::new()));
-        }
-        (mailboxes, queues)
+        mailboxes
     }
 
     /// Return a completed run's storage to the arena for the next run.
     /// (Not called when a run panics — the next run then rebuilds fresh.)
-    pub(crate) fn store_run_storage<V: Copy + Send + 'static>(
-        &self,
-        mailboxes: Vec<Mailbox<V>>,
-        queues: Vec<Mutex<Vec<PartitionId>>>,
-    ) {
-        let mut arena = self.shared.recycle.lock();
-        arena.mailboxes_by_type.insert(TypeId::of::<V>(), Box::new(mailboxes));
-        arena.queues = queues;
+    pub(crate) fn store_run_storage<V: Copy + Send + 'static>(&self, mailboxes: RunStorage<V>) {
+        self.shared.recycle.lock().mailboxes_by_type.insert(TypeId::of::<V>(), Box::new(mailboxes));
     }
 }
 
@@ -462,20 +444,18 @@ mod tests {
     #[test]
     fn run_storage_is_recycled_per_value_type() {
         let pool = WorkerPool::new(1);
-        let (mailboxes, queues) = pool.take_run_storage::<u64>(8, 2);
+        let mailboxes = pool.take_run_storage::<u64>(8, 2);
         assert_eq!(mailboxes.len(), 8);
-        assert_eq!(queues.len(), 2);
         assert_eq!(pool.metrics().mailboxes_rebuilt, 8);
-        pool.store_run_storage(mailboxes, queues);
+        pool.store_run_storage(mailboxes);
         // Same type: recycled. Larger partition count: partial rebuild.
-        let (mailboxes, queues) = pool.take_run_storage::<u64>(10, 4);
+        let mailboxes = pool.take_run_storage::<u64>(10, 4);
         assert_eq!(mailboxes.len(), 10);
-        assert_eq!(queues.len(), 4);
         assert_eq!(pool.metrics().mailboxes_reused, 8);
         assert_eq!(pool.metrics().mailboxes_rebuilt, 10);
-        pool.store_run_storage(mailboxes, queues);
+        pool.store_run_storage(mailboxes);
         // Different value type: nothing to recycle.
-        let (mailboxes, _queues) = pool.take_run_storage::<f64>(4, 2);
+        let mailboxes = pool.take_run_storage::<f64>(4, 2);
         assert_eq!(mailboxes.len(), 4);
         assert_eq!(pool.metrics().mailboxes_rebuilt, 14);
     }

@@ -77,9 +77,9 @@ pub(crate) fn select_by_policy(
 /// Inter-partition scheduling policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SchedulingPolicy {
-    /// Pick an arbitrary runnable partition: each worker draws from its own
-    /// RNG, seeded from a fixed constant and its index, so a one-worker run
-    /// picks the same partitions in every process.
+    /// Pick an arbitrary runnable partition, drawn from the run's one RNG
+    /// (seeded from a fixed constant), so a one-worker run picks the same
+    /// partitions in every process.
     Random,
     /// Pick the partition with the most buffered operations.
     MaxOperations,

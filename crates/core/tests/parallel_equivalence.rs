@@ -19,6 +19,9 @@
 //! Hand-rolled seeded harness (no proptest in the build environment); a
 //! failure prints the case number, which reproduces the trial exactly.
 
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,4 +185,45 @@ fn one_worker_ppr_is_itself_schedule_dependent() {
         found_difference,
         "one-worker PPR became schedule-invariant; the crew PPR check can be tightened to bitwise"
     );
+}
+
+/// On a directed path with one source at most one partition is runnable at
+/// any time, so all but one worker of a crew wait on the runnable set's
+/// condvar, and every handoff between partitions is a wakeup. A waiting
+/// worker has no timeout to fall back on, so a lost wakeup hangs the run:
+/// the runs go on a helper thread, and the test fails if they have not
+/// finished within 30 s.
+#[test]
+fn crews_on_a_path_never_lose_a_wakeup() {
+    const RUNS: usize = 200;
+    let mut b = GraphBuilder::new(64);
+    for v in 1..64u32 {
+        b.add_edge(v - 1, v, 1 + v % 3);
+    }
+    let graph = b.build();
+    let oracle = dijkstra(&graph, 0).dist;
+    let pg = PartitionedGraph::build(
+        &graph,
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 8),
+    );
+    let (finished, wait_for_finish) = channel::<()>();
+    let helper = std::thread::spawn(move || {
+        // Dropped, disconnecting the channel, when the runs end or panic.
+        let _finished = finished;
+        [2, 4].map(|workers| {
+            let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(workers));
+            (0..RUNS)
+                .map(|run| {
+                    let result = engine.run_sssp(&[0]);
+                    assert_eq!(result.per_query[0], oracle, "{workers} workers, run {run}");
+                    result.work().idle_waits
+                })
+                .sum::<u64>()
+        })
+    });
+    if let Err(RecvTimeoutError::Timeout) = wait_for_finish.recv_timeout(Duration::from_secs(30)) {
+        panic!("a crew lost a wakeup: {RUNS} runs took over 30 s");
+    }
+    let idle_waits = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+    assert!(idle_waits[1] > 0, "4 workers on one runnable partition never waited: {idle_waits:?}");
 }

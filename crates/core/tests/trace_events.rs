@@ -93,7 +93,7 @@ fn one_worker_event_stream_reconstructs_the_exact_visit_order() {
 }
 
 #[test]
-fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
+fn pool_run_events_pair_claims_with_drains_and_match_idle_waits() {
     let pg = partitioned(8);
     let sources: Vec<u32> = vec![0, 5, 9, 100, 321, 700];
     let sink = TraceSink::new();
@@ -107,12 +107,12 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
     let lanes = sink.events();
     let mut claims = 0u64;
     let mut drains = 0u64;
-    let mut steals = 0u64;
+    let mut idle_parks = 0u64;
     for lane in &lanes {
         let mut pending_claim: Option<u32> = None;
         for e in &lane.events {
             match e.kind {
-                EventKind::Claim | EventKind::Steal => {
+                EventKind::Claim => {
                     assert_eq!(
                         pending_claim, None,
                         "worker claimed {} before draining its previous claim",
@@ -120,9 +120,6 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
                     );
                     pending_claim = Some(e.a);
                     claims += 1;
-                    if e.kind == EventKind::Steal {
-                        steals += 1;
-                    }
                 }
                 EventKind::MailboxDrain => {
                     assert_eq!(
@@ -133,13 +130,15 @@ fn pool_run_events_pair_claims_with_drains_and_match_steal_counts() {
                     pending_claim = None;
                     drains += 1;
                 }
+                // `b == 0` is a pool worker parking between runs.
+                EventKind::Park if e.b == 1 => idle_parks += 1,
                 _ => {}
             }
         }
         assert_eq!(pending_claim, None, "every claim on a lane is drained");
     }
     assert_eq!(claims, drains, "every claim drains exactly once");
-    assert_eq!(steals, work.steals, "Steal events match the steal counter");
+    assert_eq!(idle_parks, work.idle_waits, "in-run Park events match the idle-wait counter");
 
     // Operations enter lanes exactly two ways: through a mailbox (seeds and
     // remote emits — the drains) or straight from the visit that emitted

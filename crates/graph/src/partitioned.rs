@@ -326,30 +326,6 @@ impl PartitionedGraph {
     fn raw_equivalent_bytes(&self, info: &PartitionInfo) -> usize {
         raw_adjacency_bytes(info.num_edges(), info.num_vertices(), self.graph.is_weighted())
     }
-
-    /// Partition → worker affinity hints for an inter-partition parallel
-    /// executor with `num_workers` workers.
-    ///
-    /// Returns one worker index per partition. Partitions are assigned with
-    /// the longest-processing-time greedy heuristic on their byte footprints:
-    /// each partition (largest footprint first) goes to the worker whose
-    /// assigned footprint is currently smallest. This balances each worker's
-    /// resident bytes so every worker's *home* partitions together stay close
-    /// to its share of the LLC, which is what makes inter-partition
-    /// parallelism compose with the paper's cache-sized partitioning.
-    pub fn worker_affinity(&self, num_workers: usize) -> Vec<usize> {
-        let num_workers = num_workers.max(1);
-        let mut order: Vec<usize> = (0..self.stores.len()).collect();
-        order.sort_by_key(|&p| std::cmp::Reverse(self.stores[p].info.footprint_bytes));
-        let mut load = vec![0usize; num_workers];
-        let mut affinity = vec![0usize; self.stores.len()];
-        for p in order {
-            let w = (0..num_workers).min_by_key(|&w| (load[w], w)).expect("num_workers >= 1");
-            affinity[p] = w;
-            load[w] += self.stores[p].info.footprint_bytes.max(1);
-        }
-        affinity
-    }
 }
 
 #[cfg(test)]
@@ -441,49 +417,6 @@ mod tests {
         for (p, row) in expected.iter().enumerate() {
             assert_eq!(&pg.store(p as PartitionId).quotient_row, row, "row {p}");
         }
-    }
-
-    #[test]
-    fn worker_affinity_covers_all_workers_and_balances_footprint() {
-        let g = gen::rmat(10, 6, 9);
-        let pg = PartitionedGraph::build(
-            &g,
-            PartitionConfig::with_partitions(PartitionMethod::Multilevel, 16),
-        );
-        for workers in [1usize, 2, 4, 8] {
-            let affinity = pg.worker_affinity(workers);
-            assert_eq!(affinity.len(), pg.num_partitions());
-            assert!(affinity.iter().all(|&w| w < workers));
-            let mut load = vec![0usize; workers];
-            for (p, &w) in affinity.iter().enumerate() {
-                load[w] += pg.partition(p as PartitionId).footprint_bytes;
-            }
-            if workers > 1 {
-                let used = load.iter().filter(|&&l| l > 0).count();
-                assert_eq!(used, workers, "every worker gets home partitions");
-                let max = *load.iter().max().unwrap() as f64;
-                let min = *load.iter().min().unwrap() as f64;
-                assert!(max / min.max(1.0) < 3.0, "load imbalance {max} vs {min}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_affinity_with_more_workers_than_partitions() {
-        let g = gen::path(30);
-        let pg = PartitionedGraph::build(
-            &g,
-            PartitionConfig::with_partitions(PartitionMethod::Chunked, 3),
-        );
-        let affinity = pg.worker_affinity(8);
-        assert_eq!(affinity.len(), 3);
-        // Three partitions spread over three distinct workers.
-        let mut workers: Vec<usize> = affinity.clone();
-        workers.sort_unstable();
-        workers.dedup();
-        assert_eq!(workers.len(), 3);
-        // Degenerate worker count clamps to one worker.
-        assert!(pg.worker_affinity(0).iter().all(|&w| w == 0));
     }
 
     #[test]

@@ -10,8 +10,6 @@ pub struct WorkerSnapshot {
     pub worker: u32,
     /// Partition visits this worker performed.
     pub visits: u64,
-    /// Partitions this worker stole from another worker's runnable set.
-    pub steals: u64,
     /// Times this worker parked because no partition was runnable.
     pub idle_waits: u64,
     /// Operations this worker executed.
@@ -64,7 +62,10 @@ pub struct WorkSnapshot {
     pub iterations: u64,
     /// Queries completed.
     pub queries_completed: u64,
-    /// Partitions claimed from another worker's runnable set.
+    /// Always 0: a crew's workers claim from one shared runnable set, so
+    /// nothing is stolen. Kept only because `fgbench/src/layers.rs` reads it
+    /// for its `core.executor.steals` row; it goes with that row in
+    /// benchmark PR A (see ROADMAP), as `EngineConfig::num_buckets` does.
     pub steals: u64,
     /// Worker park events with no runnable partition.
     pub idle_waits: u64,
@@ -88,7 +89,7 @@ impl WorkSnapshot {
             yields: sum(|w| w.yields),
             iterations: 0,
             queries_completed: queries,
-            steals: sum(|w| w.steals),
+            steals: 0,
             idle_waits: sum(|w| w.idle_waits),
             workers,
         }
@@ -128,18 +129,12 @@ mod tests {
             emitted: 4,
             ..Default::default()
         };
-        let b = WorkerSnapshot {
-            worker: 1,
-            steals: 1,
-            pruned: 2,
-            yields: 3,
-            idle_waits: 1,
-            ..Default::default()
-        };
+        let b =
+            WorkerSnapshot { worker: 1, pruned: 2, yields: 3, idle_waits: 1, ..Default::default() };
         let s = WorkSnapshot::from_workers(vec![a, b], 3, 2);
         assert_eq!((s.edges_processed, s.operations_processed), (9, 5));
         assert_eq!((s.operations_buffered, s.operations_pruned), (7, 2));
-        assert_eq!((s.partition_visits, s.yields, s.steals, s.idle_waits), (2, 3, 1, 1));
+        assert_eq!((s.partition_visits, s.yields, s.steals, s.idle_waits), (2, 3, 0, 1));
         assert_eq!((s.iterations, s.queries_completed), (0, 2));
         assert_eq!(s.workers, vec![a, b]);
     }

@@ -17,7 +17,7 @@
 /// and each query contributes roughly one active frontier partition at a
 /// time near the start of a run; two queries per worker keeps every worker
 /// claiming without splitting the partition stream so thin that workers
-/// mostly steal and park.
+/// mostly wait for a runnable partition.
 pub const QUERIES_PER_WORKER: usize = 2;
 
 /// The engine worker count to use for one micro-batch.

@@ -7,7 +7,7 @@
 //! * Span pairs ([`EventKind::RunBegin`]/`RunEnd`,
 //!   `PartitionVisitBegin`/`End`, `BatchBegin`/`End`) become `B`/`E`
 //!   duration slices.
-//! * Point events (claims, steals, drains, parks, yields, …) become `i`
+//! * Point events (claims, drains, parks, yields, …) become `i`
 //!   thread-scoped instants.
 //! * Each service ticket's life is stitched across threads with flow
 //!   arrows: `Submit` starts a flow (`ph:"s"`), `JoinBatch` steps it onto

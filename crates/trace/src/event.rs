@@ -41,14 +41,12 @@ pub enum EventKind {
     /// A query yielded the partition under the engine's yield policy.
     /// `a` = query index, `b` = partition id.
     Yield = 6,
-    /// A worker claimed a runnable partition from its own set — every
-    /// visit of a one-worker run starts here. `a` = partition id, `b` =
-    /// worker index.
+    /// A worker claimed a partition from the run's runnable set — every
+    /// visit starts here. `a` = partition id, `b` = worker index.
     Claim = 7,
-    /// The claim was stolen from another worker's runnable set.
-    /// `a` = partition id, `b` = thief worker index, `c` = victim worker
-    /// index.
-    Steal = 8,
+    // Discriminant 8 is unassigned (it was the claim stolen from another
+    // worker's runnable set, when each worker had one) and decodes to
+    // `None`.
     /// A claimed partition's mailbox was drained into its lanes.
     /// `a` = partition id, `b` = operations that arrived (0 with nothing
     /// resident either = spurious wakeup, visit skipped), `c` = worker index.
@@ -118,7 +116,6 @@ impl EventKind {
             4 => EventKind::PartitionVisitEnd,
             6 => EventKind::Yield,
             7 => EventKind::Claim,
-            8 => EventKind::Steal,
             9 => EventKind::MailboxDrain,
             10 => EventKind::Park,
             11 => EventKind::Unpark,
@@ -147,7 +144,6 @@ impl EventKind {
             EventKind::PartitionVisitBegin | EventKind::PartitionVisitEnd => "partition_visit",
             EventKind::Yield => "yield",
             EventKind::Claim => "claim",
-            EventKind::Steal => "steal",
             EventKind::MailboxDrain => "mailbox_drain",
             EventKind::Park => "park",
             EventKind::Unpark => "unpark",
@@ -215,7 +211,7 @@ mod tests {
     fn encode_decode_round_trips() {
         let e = TraceEvent {
             nanos: 0xDEAD_BEEF_CAFE,
-            kind: EventKind::Steal,
+            kind: EventKind::Claim,
             a: u32::MAX,
             b: 7,
             c: 0x8000_0001,
@@ -239,7 +235,6 @@ mod tests {
             EventKind::PartitionVisitEnd,
             EventKind::Yield,
             EventKind::Claim,
-            EventKind::Steal,
             EventKind::MailboxDrain,
             EventKind::Park,
             EventKind::Unpark,
@@ -266,6 +261,7 @@ mod tests {
     fn unknown_kinds_decode_to_none() {
         assert_eq!(EventKind::from_u16(0), None);
         assert_eq!(EventKind::from_u16(5), None, "retired, never reassigned");
+        assert_eq!(EventKind::from_u16(8), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(26), None);
         assert_eq!(EventKind::from_u16(u16::MAX), None);
         assert_eq!(TraceEvent::decode([0, (26u64) << 32, 0]), None);

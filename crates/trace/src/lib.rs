@@ -4,8 +4,8 @@
 //!
 //! The engine's aggregate counters ([`fg_metrics`]) say *how much* work a run
 //! did; this crate records *where the time went* — the schedule itself, as a
-//! stream of compact fixed-size events (partition visits, mailbox drains,
-//! steals, parks, batch formation, ticket resolution), cheap enough to leave
+//! stream of compact fixed-size events (partition visits, claims, mailbox
+//! drains, parks, batch formation, ticket resolution), cheap enough to leave
 //! compiled into release builds.
 //!
 //! The design is hand-rolled for the vendored-deps world (no `tracing`, no

@@ -127,8 +127,8 @@ impl PhaseTimes {
 }
 
 /// A per-run profile: where one engine run spent its time and how big its
-/// partition visits were. The run's counts (visits, steals, yields, workers)
-/// are in its `WorkSnapshot`.
+/// partition visits were. The run's counts (visits, yields, idle waits,
+/// workers) are in its `WorkSnapshot`.
 #[derive(Clone, Debug, Default)]
 pub struct RunProfile {
     /// Per-phase wall times.

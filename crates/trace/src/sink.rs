@@ -352,7 +352,7 @@ mod tests {
             .name("fg-test-worker".into())
             .spawn(move || {
                 clone.emit(EventKind::Claim, 5, 0, 0);
-                clone.emit(EventKind::Steal, 5, 0, 1);
+                clone.emit(EventKind::MailboxDrain, 5, 0, 1);
             })
             .unwrap()
             .join()

@@ -39,7 +39,7 @@ fn main() {
     );
 
     // A traced service: every submit, batch formation, engine run (with its
-    // partition visits, claims, steals, parks), and ticket resolution lands
+    // partition visits, claims, parks), and ticket resolution lands
     // in this sink's per-thread ring buffers.
     let sink = TraceSink::new();
     let service = ForkGraphService::start_traced(
