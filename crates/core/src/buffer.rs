@@ -30,13 +30,12 @@
 //! the way out. The sorted run pays neither: a visit's arrivals cost one
 //! sort and one linear merge, and popping one is `Vec::pop`.
 //!
-//! A run's buffers live beside its executor mailboxes, one per partition.
-//! Lanes, the lane table and the active-lane list are reused for the whole
-//! run (and across runs when the mailboxes come from a
-//! [`crate::pool::WorkerPool`]'s arena). A visit of small lanes allocates
-//! nothing; large ones grow and give back capacity with the usual amortised
-//! policy, so allocations are proportional to operations —
-//! never to yields — and the footprint follows the live operations.
+//! A run's buffers live beside its executor mailboxes, one per partition,
+//! and are built and dropped with the run. Lanes, the lane table and the
+//! active-lane list are reused for the whole run. A visit of small lanes
+//! allocates nothing; large ones grow and give back capacity with the usual
+//! amortised policy, so allocations are proportional to operations — never
+//! to yields — and the footprint follows the live operations.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -127,14 +126,6 @@ impl<V: Copy> Lane<V> {
     fn push_inbox(&mut self, op: Operation<V>) {
         self.inbox_min = self.inbox_min.min(op.priority);
         self.inbox.push_back(op);
-    }
-
-    /// Drop everything pending, keeping the allocations.
-    fn clear(&mut self) {
-        self.heap.clear();
-        self.run.clear();
-        self.inbox.clear();
-        self.inbox_min = Priority::MAX;
     }
 
     /// Visit start of an ordered lane: drop the arrivals `is_dead` already
@@ -246,10 +237,8 @@ fn merge_descending<V: Copy>(run: &mut Vec<Operation<V>>, arrivals: &[Operation<
 /// only dense structure is the `query → lane` table of `u32` slots.
 #[derive(Clone, Debug)]
 pub struct PartitionBuffer<V> {
-    /// Lane storage; the first `lanes_in_use` belong to this run's queries,
-    /// the rest are empty lanes a recycled buffer carried over.
+    /// Lane storage, one per query that has reached the partition.
     lanes: Vec<Lane<V>>,
-    lanes_in_use: usize,
     /// `query → lane index + 1`, `0` = the query has no lane here yet.
     lane_of: Vec<u32>,
     /// Queries whose lane is non-empty (between visits: exactly those).
@@ -258,12 +247,7 @@ pub struct PartitionBuffer<V> {
 
 impl<V> Default for PartitionBuffer<V> {
     fn default() -> Self {
-        PartitionBuffer {
-            lanes: Vec::new(),
-            lanes_in_use: 0,
-            lane_of: Vec::new(),
-            active: Vec::new(),
-        }
+        PartitionBuffer { lanes: Vec::new(), lane_of: Vec::new(), active: Vec::new() }
     }
 }
 
@@ -310,11 +294,8 @@ impl<V: Copy> PartitionBuffer<V> {
             self.lane_of.resize(q + 1, 0);
         }
         if self.lane_of[q] == 0 {
-            if self.lanes_in_use == self.lanes.len() {
-                self.lanes.push(Lane::default());
-            }
-            self.lanes_in_use += 1;
-            self.lane_of[q] = self.lanes_in_use as u32;
+            self.lanes.push(Lane::default());
+            self.lane_of[q] = self.lanes.len() as u32;
         }
         self.lane_of[q] as usize - 1
     }
@@ -355,18 +336,6 @@ impl<V: Copy> PartitionBuffer<V> {
     pub(crate) fn end_visit(&mut self) {
         let (lanes, lane_of) = (&self.lanes, &self.lane_of);
         self.active.retain(|&query| !lanes[lane_of[query as usize] as usize - 1].is_empty());
-    }
-
-    /// Forget every operation and the query → lane assignment (the next
-    /// run's query ids mean something else), keeping the allocations: how a
-    /// recycled buffer starts its next run.
-    pub(crate) fn reset(&mut self) {
-        for lane in &mut self.lanes[..self.lanes_in_use] {
-            lane.clear();
-        }
-        self.lanes_in_use = 0;
-        self.lane_of.clear();
-        self.active.clear();
     }
 
     /// Remove and return all buffered operations grouped by query, the
@@ -697,25 +666,6 @@ mod tests {
             assert_eq!(lane.min_priority(), 10);
             assert_eq!(lane.pop(ordered).unwrap().vertex, if ordered { 2 } else { 1 });
         }
-    }
-
-    #[test]
-    fn reset_buffer_behaves_like_a_fresh_one() {
-        // Executor mailboxes recycle their buffers across runs, whose query
-        // ids mean different things: a reset must drop the lane assignment.
-        let input = [op(1, 10, 5), op(0, 11, 2), op(1, 12, 7)];
-        let mut fresh = PartitionBuffer::new(4);
-        fresh.push_batch(input);
-        let expected = fresh.drain_consolidated(ConsolidationMethod::Sort);
-
-        let mut reused = PartitionBuffer::new(4);
-        reused.push_batch([op(9, 1, 1), op(3, 2, 2), op(9, 4, 8)]);
-        reused.reset();
-        assert!(reused.is_empty());
-        assert!(reused.active.is_empty());
-        assert_eq!(reused.min_priority(), u64::MAX);
-        reused.push_batch(input);
-        assert_eq!(reused.drain_consolidated(ConsolidationMethod::Sort), expected);
     }
 
     #[test]

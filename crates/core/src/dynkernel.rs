@@ -15,9 +15,8 @@
 //! * [`erase`] wraps any concrete [`FppKernel`] into an `Arc<dyn DynKernel>`.
 //!   The wrapper calls [`ForkGraphEngine::run`] with the *concrete* kernel,
 //!   so the entire execution path — the executor, on the calling thread or
-//!   on its persistent [`pool::WorkerPool`](crate::pool::WorkerPool) with
-//!   the `TypeId`-keyed recycle arena — is the monomorphized code the
-//!   direct API uses. Erasure
+//!   on its persistent [`pool::WorkerPool`](crate::pool::WorkerPool) — is
+//!   the monomorphized code the direct API uses. Erasure
 //!   happens only at the two edges of a run: one virtual call going in, one
 //!   `Arc::new` per query state coming out. Results are therefore
 //!   *byte-identical* to the direct generic path, and the overhead is

@@ -225,7 +225,7 @@ pub struct ForkGraphEngine<'g> {
     /// The persistent worker pool for runs with more than one worker:
     /// pre-filled by [`Self::with_pool`] (a crew shared across engines, e.g.
     /// fg-service's), or lazily created — once — on the first such run.
-    /// One-worker runs recycle their storage through it when it exists.
+    /// One-worker runs never touch it.
     pool: OnceLock<Arc<WorkerPool>>,
     /// Structured-event sink; `None` (the default) costs one predictable
     /// branch per instrumentation site.
@@ -256,8 +256,8 @@ impl<'g> ForkGraphEngine<'g> {
     /// engine emits schedule-level events (run/visit spans, claims, drains,
     /// parks, yields) onto the sink's per-thread rings. The sink is also
     /// attached to the engine's worker pool (current or lazily created
-    /// later) so pool-side events — dispatches, storage recycling,
-    /// park/unpark — land in the same stream.
+    /// later) so pool-side events — dispatches, park/unpark — land in the
+    /// same stream.
     pub fn with_trace_sink(mut self, sink: Arc<TraceSink>) -> Self {
         if let Some(pool) = self.pool.get() {
             pool.attach_trace(Arc::clone(&sink));
@@ -326,8 +326,7 @@ impl<'g> ForkGraphEngine<'g> {
     /// The pass is the executor's, whatever the worker count: a crew of
     /// `num_threads` workers (at most one per partition) runs on this
     /// engine's [`WorkerPool`], created here on the first such run, and one
-    /// worker runs on this thread, recycling storage through the pool only
-    /// if one is attached.
+    /// worker runs on this thread without it.
     pub(crate) fn run_seeded<K: FppKernel>(
         &self,
         kernel: &K,
@@ -336,17 +335,15 @@ impl<'g> ForkGraphEngine<'g> {
         watch: Stopwatch,
     ) -> ForkGraphRunResult<K::State> {
         let workers = crate::pool::crew_size(self.config.num_threads, self.pg.num_partitions());
-        let pool = if workers > 1 {
-            Some(self.pool.get_or_init(|| {
+        let pool = (workers > 1).then(|| {
+            self.pool.get_or_init(|| {
                 let pool = Arc::new(WorkerPool::new(workers));
                 if let Some(trace) = &self.trace {
                     pool.attach_trace(Arc::clone(trace));
                 }
                 pool
-            }))
-        } else {
-            self.pool.get()
-        };
+            })
+        });
         crate::executor::run(self, kernel, states, seeds, workers, pool.map(Arc::as_ref), watch)
     }
 
@@ -377,8 +374,8 @@ impl<'g> ForkGraphEngine<'g> {
     ///
     /// This is [`Self::run`] behind one virtual call: the erasure wrapper
     /// invokes `run` with its concrete kernel, so the worker count,
-    /// scheduling, yielding, and the pool's `TypeId`-keyed storage recycling
-    /// all behave exactly as a direct generic call would.
+    /// scheduling and yielding all behave exactly as a direct generic call
+    /// would.
     /// Only the returned per-query states are boxed ([`ErasedState`]).
     pub fn run_dyn(
         &self,

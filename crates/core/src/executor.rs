@@ -42,9 +42,9 @@
 //!   reaches zero exactly when every mailbox and every lane is empty and no
 //!   visit is in progress; the crew then quiesces. A run with no seeds
 //!   starts quiesced.
-//! * **Storage** — a run takes its mailboxes and lanes from the engine's
-//!   pool's recycle arena when a pool is attached, and builds them afresh
-//!   otherwise; each worker builds its routing scratch afresh per run.
+//! * **Storage** — a run builds its mailboxes and lanes (one stripe per
+//!   worker) and each worker its routing scratch, and all of it is dropped
+//!   when the run ends: the pool lends threads only.
 //!
 //! A visit (`RunState::visit`) is the whole of Algorithm 2's
 //! `IntraPartProcess`: it moves the mailbox's arrivals into the lanes,
@@ -59,8 +59,7 @@
 //! The executor is generic over the run's [`FppKernel`]; kernels arriving
 //! through the type-erased [`crate::dynkernel::DynKernel`] layer re-enter
 //! [`ForkGraphEngine::run`] with the concrete type, so they pay no
-//! per-operation erasure cost here. The pool's `TypeId`-keyed arena recycles
-//! mailboxes per operation value type.
+//! per-operation erasure cost here.
 //!
 //! Result equivalence: SSSP and BFS relax monotonically to a unique fixpoint,
 //! so every worker count and scheduling policy lands on the same states as
@@ -106,10 +105,7 @@ fn event_field(count: u64) -> u32 {
 /// plus operations resident in the lanes) and are scheduling *hints*
 /// (approximate under concurrent pushes — a stale minimum only makes the
 /// partition look more urgent); correctness never depends on them.
-///
-/// `pub(crate)` so the persistent [`crate::pool::WorkerPool`] can hold
-/// drained mailboxes, lanes included, in its recycle arena between runs.
-pub(crate) struct Mailbox<V> {
+struct Mailbox<V> {
     stripes: Vec<Mutex<Vec<Operation<V>>>>,
     /// The partition's lanes. Only the holder of the `Running` claim locks
     /// this, once per visit; the mutex is what lets that be safe code.
@@ -121,36 +117,15 @@ pub(crate) struct Mailbox<V> {
 }
 
 impl<V: Copy> Mailbox<V> {
-    pub(crate) fn new(num_stripes: usize) -> Self {
+    fn new(num_stripes: usize) -> Self {
         Mailbox {
-            stripes: (0..num_stripes.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
+            stripes: (0..num_stripes).map(|_| Mutex::new(Vec::new())).collect(),
             lanes: Mutex::new(PartitionBuffer::default()),
             len: AtomicUsize::new(0),
             min_priority: AtomicU64::new(Priority::MAX),
             stamp: AtomicU64::new(0),
             state: AtomicU8::new(IDLE),
         }
-    }
-
-    /// Reset a recycled mailbox for a fresh run: claim word back to `Idle`,
-    /// scheduling hints zeroed, stripes and lanes emptied (they already are
-    /// after a quiesced run; cleared defensively — and the lanes' query
-    /// assignment belongs to the previous run's queries either way) and the
-    /// stripes grown to `num_stripes` if the new run has more workers than
-    /// the mailbox has stripes. Keeping extra stripes is fine — senders
-    /// index stripes modulo the stripe count.
-    pub(crate) fn reset_for(&mut self, num_stripes: usize) {
-        for stripe in &mut self.stripes {
-            stripe.get_mut().clear();
-        }
-        while self.stripes.len() < num_stripes.max(1) {
-            self.stripes.push(Mutex::new(Vec::new()));
-        }
-        self.lanes.get_mut().reset();
-        *self.len.get_mut() = 0;
-        *self.min_priority.get_mut() = Priority::MAX;
-        *self.stamp.get_mut() = 0;
-        *self.state.get_mut() = IDLE;
     }
 
     /// Append a batch (all of `ops`) to stripe `stripe`.
@@ -162,7 +137,7 @@ impl<V: Copy> Mailbox<V> {
         // policy chase a near-empty partition.
         self.len.fetch_add(ops.len(), Ordering::Relaxed);
         self.min_priority.fetch_min(best, Ordering::Relaxed);
-        self.stripes[stripe % self.stripes.len()].lock().append(ops);
+        self.stripes[stripe].lock().append(ops);
     }
 
     /// Move every arrival into `lanes`, one stripe at a time under that
@@ -572,8 +547,8 @@ const RANDOM_SEED: u64 = 7;
 /// to quiescence with `num_workers` inter-partition workers, and return the
 /// states, measurement and profile: the one run pipeline behind every
 /// [`ForkGraphEngine`] run. One worker runs the worker loop on the calling
-/// thread; a crew is dispatched onto `pool`. Storage comes from `pool`'s
-/// recycle arena when there is a pool, and is built afresh otherwise.
+/// thread; a crew is dispatched onto `pool`. The run's storage is built
+/// here and dropped on return.
 pub(crate) fn run<K: FppKernel>(
     engine: &ForkGraphEngine<'_>,
     kernel: &K,
@@ -593,14 +568,10 @@ pub(crate) fn run<K: FppKernel>(
     };
     engine.emit_trace(EventKind::RunBegin, num_queries as u32, num_workers as u32, 0);
 
-    let mailboxes = match pool {
-        Some(pool) => pool.take_run_storage::<K::Value>(num_partitions, num_workers),
-        None => (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
-    };
     let run: RunState<'_, '_, K> = RunState {
         engine,
         kernel,
-        mailboxes,
+        mailboxes: (0..num_partitions).map(|_| Mailbox::new(num_workers)).collect(),
         states: states.into_iter().map(Mutex::new).collect(),
         runnable: Mutex::new(Runnable {
             partitions: Vec::new(),
@@ -641,11 +612,7 @@ pub(crate) fn run<K: FppKernel>(
     let main_done = watch.elapsed();
 
     debug_assert_eq!(run.in_flight.load(Ordering::SeqCst), 0, "run quiesced with ops in flight");
-    let RunState { mailboxes, states, .. } = run;
-    if let Some(pool) = pool {
-        pool.store_run_storage(mailboxes);
-    }
-    let per_query: Vec<K::State> = states.into_iter().map(|m| m.into_inner()).collect();
+    let per_query: Vec<K::State> = run.states.into_iter().map(|m| m.into_inner()).collect();
     let mut visit_ops = Histogram::default();
     for (_, worker_visits) in &tallies {
         visit_ops.merge(worker_visits);

@@ -33,11 +33,9 @@ pub trait FppKernel: Sync {
     /// *is* the priority, and PPR's mass lives in `residual` — so their
     /// operations are 16 bytes (`query`, `vertex`, `priority`) on every copy
     /// a remote operation makes: routing scratch, mailbox stripe, lane
-    /// inbox, the lane's sorted run. DFS carries `()` too; a random walk carries its
-    /// walker batch. (`'static` so per-run executor storage for the value
-    /// type can be recycled through the type-erased arena of a persistent
-    /// [`crate::pool::WorkerPool`].)
-    type Value: Copy + Send + Sync + 'static;
+    /// inbox, the lane's sorted run. DFS carries `()` too; a random walk
+    /// carries its walker batch.
+    type Value: Copy + Send + Sync;
     /// Per-query state; the final state is the query's result.
     type State: Send;
 

@@ -31,8 +31,8 @@
 //!    policy, route remote operations through sharded, lock-striped
 //!    mailboxes into the claimed partition's lanes, and quiesce via an
 //!    ops-in-flight counter. The crew's threads belong to a persistent
-//!    [`pool::WorkerPool`] (spawned once, parked between runs, per-run
-//!    storage recycled).
+//!    [`pool::WorkerPool`] (spawned once, parked between runs); each run
+//!    builds its own mailboxes and lanes.
 //! 6. Every run is **one kernel's pass**: [`engine::ForkGraphEngine::run`]
 //!    seeds it at the sources,
 //!    [`engine::ForkGraphEngine::run_incremental`] from an edge delta, and

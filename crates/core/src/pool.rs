@@ -1,9 +1,9 @@
 //! A persistent worker pool for the executor's crews.
 //!
-//! The one way a run with more than one worker gets its threads. Spawning and joining a crew
-//! per engine run, and allocating its mailboxes and scratch afresh,
-//! is a small-batch tail-latency cost on the fg-service hot path (one run per
-//! micro-batch). A [`WorkerPool`] amortises both:
+//! The one way a run with more than one worker gets its threads. Spawning and
+//! joining a crew per engine run is a small-batch tail-latency cost on the
+//! fg-service hot path (one run per micro-batch). A [`WorkerPool`] amortises
+//! it:
 //!
 //! * **Threads are spawned once** (plus on-demand growth when a run asks for
 //!   more workers than the pool has) and parked on a condvar between runs.
@@ -16,13 +16,10 @@
 //!   participating worker has finished. The blocking handshake is what makes
 //!   the lifetime erasure of the job reference sound — the same contract
 //!   `std::thread::scope` provides, without the per-run thread churn.
-//! * **Per-run allocations are recycled**: partition mailboxes (with their
-//!   claim words and their resident per-query lanes) return to a type-keyed
-//!   arena after each run — one-worker runs of an engine the pool is
-//!   attached to included. Reuse vs rebuild is
-//!   counted in the arena, under its lock. A worker's remote-routing
-//!   scratch is not: the job builds it per run, so nothing a failed run
-//!   staged can outlive it.
+//!
+//! The pool holds threads only: a run's mailboxes, lanes and routing scratch
+//! are built by the run ([`crate::executor`]) and dropped when it ends, so
+//! nothing one run leaves behind can reach the next.
 //!
 //! A pool is either owned lazily by a [`crate::ForkGraphEngine`] (created on
 //! its first run with more than one worker) or constructed once by a serving layer
@@ -34,8 +31,6 @@
 //! workers stay parked), which is what makes fg-service's per-batch adaptive
 //! sizing viable.
 
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
@@ -43,8 +38,6 @@ use parking_lot::{Condvar, Mutex};
 
 use fg_metrics::PoolSnapshot;
 use fg_trace::{EventKind, TraceSink};
-
-use crate::executor::Mailbox;
 
 /// A job dispatched onto the pool: invoked once per participating worker
 /// with the worker's index.
@@ -62,21 +55,6 @@ type Job = dyn Fn(usize) + Sync;
 /// zero-spawn steady state, or park dead surplus).
 pub fn crew_size(requested_workers: usize, num_partitions: usize) -> usize {
     requested_workers.clamp(1, num_partitions.max(1))
-}
-
-/// Per-run storage handed out by (and returned to) the recycle arena.
-pub(crate) type RunStorage<V> = Vec<Mailbox<V>>;
-
-/// Recycled per-run allocations, keyed by operation value type so a pool
-/// serving mixed kernels keeps one storage set per type.
-#[derive(Default)]
-struct RecycleArena {
-    /// `TypeId::of::<V>() → Vec<Mailbox<V>>` (boxed for type erasure).
-    mailboxes_by_type: HashMap<TypeId, Box<dyn Any + Send>>,
-    /// Partition mailboxes handed out from the arena, over the pool's life.
-    mailboxes_reused: u64,
-    /// Partition mailboxes built fresh, over the pool's life.
-    mailboxes_rebuilt: u64,
 }
 
 /// Dispatch protocol state, guarded by one mutex.
@@ -107,7 +85,6 @@ struct PoolShared {
     work_cv: Condvar,
     /// The dispatcher parks here until `remaining` hits zero.
     done_cv: Condvar,
-    recycle: Mutex<RecycleArena>,
     /// Optional trace sink; set once, first writer wins (a pool shared by
     /// several traced engines keeps the first sink attached).
     trace: OnceLock<Arc<TraceSink>>,
@@ -147,7 +124,6 @@ impl WorkerPool {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            recycle: Mutex::new(RecycleArena::default()),
             trace: OnceLock::new(),
         });
         let pool =
@@ -161,30 +137,23 @@ impl WorkerPool {
         self.threads.lock().len()
     }
 
-    /// Lifetime figures: threads, dispatches, park/unpark, reuse vs rebuild.
-    /// The pool never retires a thread, so its capacity is the number it
-    /// ever spawned.
+    /// Lifetime figures: threads, dispatches, park/unpark. The pool never
+    /// retires a thread, so its capacity is the number it ever spawned.
     pub fn metrics(&self) -> PoolSnapshot {
         let threads_spawned = self.capacity() as u64;
-        let (dispatches, parks, unparks) = {
-            let state = self.shared.state.lock();
-            (state.generation, state.parks, state.unparks)
-        };
-        let arena = self.shared.recycle.lock();
+        let state = self.shared.state.lock();
         PoolSnapshot {
             threads_spawned,
-            dispatches,
-            parks,
-            unparks,
-            mailboxes_reused: arena.mailboxes_reused,
-            mailboxes_rebuilt: arena.mailboxes_rebuilt,
+            dispatches: state.generation,
+            parks: state.parks,
+            unparks: state.unparks,
         }
     }
 
-    /// Attach a trace sink: dispatch epochs, storage recycling, and worker
-    /// park/unpark become trace events. Set-once; later calls on an
-    /// already-traced pool are ignored (first sink wins), so engines sharing
-    /// a pool cannot silently re-route each other's events mid-run.
+    /// Attach a trace sink: dispatch epochs and worker park/unpark become
+    /// trace events. Set-once; later calls on an already-traced pool are
+    /// ignored (first sink wins), so engines sharing a pool cannot silently
+    /// re-route each other's events mid-run.
     pub fn attach_trace(&self, sink: Arc<TraceSink>) {
         let _ = self.shared.trace.set(sink);
     }
@@ -241,48 +210,6 @@ impl WorkerPool {
         if panicked {
             panic!("executor worker panicked");
         }
-    }
-
-    /// Take the mailboxes of a run over `num_partitions` partitions with
-    /// `num_workers` workers from the recycle arena, building whatever is
-    /// missing. Mailboxes are matched by operation value type `V`; recycled
-    /// ones are reset (claim word to `Idle`, hints zeroed, lanes unassigned,
-    /// stripes grown to `num_workers`).
-    pub(crate) fn take_run_storage<V: Copy + Send + 'static>(
-        &self,
-        num_partitions: usize,
-        num_workers: usize,
-    ) -> RunStorage<V> {
-        let mut arena = self.shared.recycle.lock();
-        let mut mailboxes: Vec<Mailbox<V>> = arena
-            .mailboxes_by_type
-            .remove(&TypeId::of::<V>())
-            .and_then(|boxed| boxed.downcast::<Vec<Mailbox<V>>>().ok())
-            .map(|boxed| *boxed)
-            .unwrap_or_default();
-        let reused = mailboxes.len().min(num_partitions) as u64;
-        arena.mailboxes_reused += reused;
-        arena.mailboxes_rebuilt += num_partitions as u64 - reused;
-        self.shared.emit(
-            EventKind::StorageRecycle,
-            reused as u32,
-            (num_partitions as u64 - reused) as u32,
-            num_workers as u32,
-        );
-        mailboxes.truncate(num_partitions);
-        for mailbox in &mut mailboxes {
-            mailbox.reset_for(num_workers);
-        }
-        while mailboxes.len() < num_partitions {
-            mailboxes.push(Mailbox::new(num_workers));
-        }
-        mailboxes
-    }
-
-    /// Return a completed run's storage to the arena for the next run.
-    /// (Not called when a run panics — the next run then rebuilds fresh.)
-    pub(crate) fn store_run_storage<V: Copy + Send + 'static>(&self, mailboxes: RunStorage<V>) {
-        self.shared.recycle.lock().mailboxes_by_type.insert(TypeId::of::<V>(), Box::new(mailboxes));
     }
 }
 
@@ -439,24 +366,5 @@ mod tests {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn run_storage_is_recycled_per_value_type() {
-        let pool = WorkerPool::new(1);
-        let mailboxes = pool.take_run_storage::<u64>(8, 2);
-        assert_eq!(mailboxes.len(), 8);
-        assert_eq!(pool.metrics().mailboxes_rebuilt, 8);
-        pool.store_run_storage(mailboxes);
-        // Same type: recycled. Larger partition count: partial rebuild.
-        let mailboxes = pool.take_run_storage::<u64>(10, 4);
-        assert_eq!(mailboxes.len(), 10);
-        assert_eq!(pool.metrics().mailboxes_reused, 8);
-        assert_eq!(pool.metrics().mailboxes_rebuilt, 10);
-        pool.store_run_storage(mailboxes);
-        // Different value type: nothing to recycle.
-        let mailboxes = pool.take_run_storage::<f64>(4, 2);
-        assert_eq!(mailboxes.len(), 4);
-        assert_eq!(pool.metrics().mailboxes_rebuilt, 14);
     }
 }

@@ -1,20 +1,17 @@
-//! Pool-reuse property tests: the persistent [`WorkerPool`] must be
-//! invisible to results across *consecutive* runs.
+//! Pool-reuse property tests: no state leaks across *consecutive* runs on
+//! one persistent [`WorkerPool`], and steady-state runs spawn no threads.
 //!
-//! Single-run equivalence (`parallel_equivalence.rs`) cannot catch stale
-//! state that one run leaks into the next — a mailbox claim word left
-//! `Queued`, a stripe holding an undrained operation, a runnable queue entry
-//! surviving recycling. These tests drive
-//! N consecutive runs through ONE pool — mixing kernels, scheduling
-//! policies, worker counts (including growing past the pool's initial
-//! capacity), graphs, and partition counts between runs — and require every
-//! run to be byte-identical to a run on a fresh pool and to a one-worker run
-//! (for the schedule-invariant kernels; PPR is checked against its mass
-//! contract).
+//! Single-run equivalence (`parallel_equivalence.rs`) cannot catch state
+//! that one run leaves behind for the next — in a pool thread, in the
+//! dispatch handshake, or after a panicking run. These tests drive N
+//! consecutive runs through ONE pool — mixing kernels, scheduling policies,
+//! worker counts (including growing past the pool's initial capacity),
+//! graphs, and partition counts between runs — and require every run to be
+//! byte-identical to a run on a fresh pool and to a one-worker run (for the
+//! schedule-invariant kernels; PPR is checked against its mass contract).
 //!
 //! Also asserts the pool's core lifecycle guarantee: steady-state runs
-//! spawn **zero** new threads, and per-run storage is recycled rather than
-//! rebuilt.
+//! spawn **zero** new threads.
 //!
 //! Hand-rolled seeded harness (no proptest in the build environment); a
 //! failure prints the case/run number, which reproduces the trial exactly.
@@ -70,8 +67,8 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_one_worker() {
         // One pool for the whole case, deliberately starting *below* the
         // largest worker count so mid-sequence growth is exercised too.
         let pool = Arc::new(WorkerPool::new(2));
-        // Two graphs the runs alternate between: recycled mailboxes must
-        // survive partition-count changes.
+        // Two graphs the runs alternate between, so consecutive runs differ
+        // in partition count too.
         let graph_a = arb_graph(&mut rng);
         let pg_a = arb_partitioned(&mut rng, &graph_a);
         let graph_b = arb_graph(&mut rng);
@@ -85,7 +82,7 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_one_worker() {
             let config = EngineConfig::default().with_scheduling(policy).with_threads(workers);
 
             let one_worker = ForkGraphEngine::new(pg, config.with_threads(1));
-            // Its own lazily created pool: nothing recycled, nothing leaked.
+            // Its own lazily created pool: no earlier run on it.
             let unshared = ForkGraphEngine::new(pg, config);
             let pooled = ForkGraphEngine::with_pool(pg, config, Arc::clone(&pool));
 
@@ -122,21 +119,14 @@ fn consecutive_pooled_runs_match_a_fresh_pool_and_one_worker() {
             metrics.threads_spawned <= 8,
             "case {case}: pool grew past the largest requested crew: {metrics:?}"
         );
-        // Mailboxes recycle per value type, so SSSP runs reuse SSSP
-        // mailboxes even though BFS runs (a different value type) are
-        // interleaved between them.
-        assert!(
-            metrics.mailboxes_reused > 0,
-            "case {case}: consecutive runs should recycle mailboxes: {metrics:?}"
-        );
     }
 }
 
 /// PPR across consecutive pooled runs: not bitwise (lazy forward-push is
 /// non-confluent even on one worker — see `parallel_equivalence.rs`), but every
 /// run must preserve exact mass and stay within the epsilon-scaled bound of
-/// the one-worker result — including the later runs that reuse recycled
-/// storage, where stale f64 residual operations would surface.
+/// the one-worker result — including the later runs on the same pool,
+/// where residual operations a previous run left behind would surface.
 #[test]
 fn consecutive_pooled_ppr_runs_preserve_the_approximation_contract() {
     use fg_seq::ppr::PprConfig;
@@ -218,12 +208,6 @@ fn steady_state_runs_spawn_zero_new_threads() {
     }
     let done = pool.metrics();
     assert_eq!(done.dispatches, warm.dispatches + 4 * 4 * 3 * 2);
-    // Same value type and geometry throughout: after warm-up every run's
-    // mailboxes come from the arena.
-    assert!(
-        done.mailboxes_reused > done.mailboxes_rebuilt,
-        "recycling should dominate in steady state: {done:?}"
-    );
 }
 
 /// An engine that lazily creates its own pool keeps it across runs — the

@@ -126,7 +126,7 @@ impl MatrixCell<'_> {
 }
 
 /// Every engine configuration of the matrix. Pool engines share one
-/// persistent pool per crew size, so recycled mailboxes and lanes cross
+/// persistent pool per crew size, so consecutive runs on one pool cross
 /// configurations, value types and graphs as the sweep goes.
 fn for_each_config(mut check: impl FnMut(&MatrixCell<'_>)) {
     let pools = [Arc::new(WorkerPool::new(2)), Arc::new(WorkerPool::new(3))];

@@ -77,7 +77,7 @@ mod tests {
         expose(&mut text, &service.families());
         expose(&mut text, &pool.families());
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3 * (23 + 6), "{text}");
+        assert_eq!(lines.len(), 3 * (23 + 4), "{text}");
         for header in lines.chunks(3) {
             let name = header[2].split(' ').next().unwrap();
             assert!(header[0].starts_with(&format!("# HELP {name} ")), "{text}");
@@ -100,6 +100,6 @@ mod tests {
         expose(&mut text, &PoolSnapshot::default().families());
         assert!(!text.contains("NaN"), "{text}");
         assert!(text.contains("\nfg_service_latency_p99_seconds 0\n"), "{text}");
-        assert!(text.contains("\nfg_pool_mailboxes_reused_total 0\n"), "{text}");
+        assert!(text.contains("\nfg_pool_unparks_total 0\n"), "{text}");
     }
 }

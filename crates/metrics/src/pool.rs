@@ -4,11 +4,9 @@
 //! pool (`forkgraph_core::WorkerPool`) lives across many runs, so its
 //! health is described by cross-run figures instead: how many OS threads
 //! were ever spawned (steady state must stop growing), how many runs were
-//! dispatched, how often workers parked/woke between runs, and how often the
-//! partition mailboxes a run needs were recycled from the pool's arena versus
-//! built fresh. The pool keeps each figure next to the state it describes,
-//! under the lock that state already has, and reads them out as a
-//! [`PoolSnapshot`].
+//! dispatched, and how often workers parked/woke between runs. The pool
+//! keeps each figure next to the state it describes, under the lock that
+//! state already has, and reads them out as a [`PoolSnapshot`].
 
 use std::fmt;
 
@@ -26,23 +24,15 @@ pub struct PoolSnapshot {
     pub parks: u64,
     /// Worker wake events for a dispatched run.
     pub unparks: u64,
-    /// Partition mailboxes recycled from the pool arena.
-    pub mailboxes_reused: u64,
-    /// Partition mailboxes built fresh (first run, value-type change, or
-    /// partition-count growth).
-    pub mailboxes_rebuilt: u64,
 }
 
 impl PoolSnapshot {
-    /// Fraction of per-run mailbox allocations served from the recycle arena,
-    /// in `[0, 1]` (0 for an unused pool).
+    /// Always `0.0`: every run builds its mailboxes and drops them when it
+    /// ends, so the pool reuses none. Kept only because
+    /// `fgbench/src/layers.rs` reads it for `core.pool.mailbox_reuse_rate`;
+    /// it goes with benchmark PR A (see ROADMAP).
     pub fn mailbox_reuse_rate(&self) -> f64 {
-        let total = self.mailboxes_reused + self.mailboxes_rebuilt;
-        if total == 0 {
-            0.0
-        } else {
-            self.mailboxes_reused as f64 / total as f64
-        }
+        0.0
     }
 
     /// One metric family per field, in field order.
@@ -63,16 +53,6 @@ impl PoolSnapshot {
                 "fg_pool_unparks_total",
                 "Worker wake events for dispatched runs.",
                 self.unparks,
-            ),
-            Family::counter(
-                "fg_pool_mailboxes_reused_total",
-                "Per-run partition mailboxes recycled from the arena.",
-                self.mailboxes_reused,
-            ),
-            Family::counter(
-                "fg_pool_mailboxes_rebuilt_total",
-                "Per-run partition mailboxes built fresh.",
-                self.mailboxes_rebuilt,
             ),
         ]
     }
@@ -100,18 +80,12 @@ mod tests {
     fn display_is_compact_and_nan_free_when_empty() {
         let text = format!("{}", PoolSnapshot::default());
         assert!(!text.contains("NaN"), "{text}");
-        assert_eq!(text.lines().count(), 4 + 6, "{text}");
+        assert_eq!(text.lines().count(), 4 + 4, "{text}");
 
-        let populated = PoolSnapshot {
-            threads_spawned: 4,
-            dispatches: 9,
-            mailboxes_reused: 10,
-            mailboxes_rebuilt: 2,
-            ..Default::default()
-        };
+        let populated = PoolSnapshot { threads_spawned: 4, dispatches: 9, parks: 10, unparks: 2 };
         let text = format!("{populated}");
         assert!(text.contains("| fg_pool_threads_spawned_total | 4 |"), "{text}");
-        assert!(text.contains("| fg_pool_mailboxes_reused_total | 10 |"), "{text}");
-        assert!(text.contains("| fg_pool_mailboxes_rebuilt_total | 2 |"), "{text}");
+        assert!(text.contains("| fg_pool_parks_total | 10 |"), "{text}");
+        assert!(text.contains("| fg_pool_unparks_total | 2 |"), "{text}");
     }
 }

@@ -450,24 +450,17 @@ mod tests {
             latency_p99: Duration::from_secs(22),
             latency_samples: 23,
         };
-        let pool = PoolSnapshot {
-            threads_spawned: 24,
-            dispatches: 25,
-            parks: 26,
-            unparks: 27,
-            mailboxes_reused: 28,
-            mailboxes_rebuilt: 29,
-        };
-        let trace = TraceStats { threads: 30, retained: 31, dropped: 32, lane_capacity: 33 };
+        let pool = PoolSnapshot { threads_spawned: 24, dispatches: 25, parks: 26, unparks: 27 };
+        let trace = TraceStats { threads: 28, retained: 29, dropped: 30, lane_capacity: 31 };
         let server = ServerStats {
-            connections_accepted: AtomicU64::new(34),
-            connections_rejected: AtomicU64::new(35),
-            frames_in: AtomicU64::new(36),
-            frames_out: AtomicU64::new(37),
-            protocol_errors: AtomicU64::new(38),
-            retry_afters: AtomicU64::new(39),
-            http_requests: AtomicU64::new(40),
-            connections_timed_out: AtomicU64::new(41),
+            connections_accepted: AtomicU64::new(32),
+            connections_rejected: AtomicU64::new(33),
+            frames_in: AtomicU64::new(34),
+            frames_out: AtomicU64::new(35),
+            protocol_errors: AtomicU64::new(36),
+            retry_afters: AtomicU64::new(37),
+            http_requests: AtomicU64::new(38),
+            connections_timed_out: AtomicU64::new(39),
         };
         let mut body = String::new();
         for families in [service.families(), pool.families(), trace.families(), server.families()] {
@@ -478,8 +471,8 @@ mod tests {
             .filter(|line| !line.starts_with('#'))
             .map(|line| line.split_once(' ').expect("name and value"))
             .collect();
-        assert_eq!(samples.len(), 41, "{body}");
-        for value in 1..=41 {
+        assert_eq!(samples.len(), 39, "{body}");
+        for value in 1..=39 {
             let carriers = samples.iter().filter(|(_, v)| *v == value.to_string()).count();
             assert_eq!(carriers, 1, "value {value} is sampled {carriers} times in:\n{body}");
         }

@@ -60,10 +60,9 @@ pub enum EventKind {
     /// The persistent pool dispatched a run to its crew. `a` = dispatch
     /// generation (low 32 bits), `b` = active workers.
     PoolDispatch = 12,
-    /// Per-run executor storage was fetched from the pool's recycle arena.
-    /// `a` = mailboxes reused, `b` = mailboxes rebuilt, `c` = worker count
-    /// of the run.
-    StorageRecycle = 13,
+    // Discriminant 13 is unassigned (it was the fetch of a run's storage
+    // from the pool's recycle arena, when the pool kept one) and decodes to
+    // `None`.
     /// A query entered the service. `a` = ticket id, `b` = kernel id,
     /// `c` = source vertex.
     Submit = 14,
@@ -120,7 +119,6 @@ impl EventKind {
             10 => EventKind::Park,
             11 => EventKind::Unpark,
             12 => EventKind::PoolDispatch,
-            13 => EventKind::StorageRecycle,
             14 => EventKind::Submit,
             15 => EventKind::CacheHit,
             16 => EventKind::Enqueue,
@@ -148,7 +146,6 @@ impl EventKind {
             EventKind::Park => "park",
             EventKind::Unpark => "unpark",
             EventKind::PoolDispatch => "pool_dispatch",
-            EventKind::StorageRecycle => "storage_recycle",
             EventKind::Submit => "submit",
             EventKind::CacheHit => "cache_hit",
             EventKind::Enqueue => "enqueue",
@@ -239,7 +236,6 @@ mod tests {
             EventKind::Park,
             EventKind::Unpark,
             EventKind::PoolDispatch,
-            EventKind::StorageRecycle,
             EventKind::Submit,
             EventKind::CacheHit,
             EventKind::Enqueue,
@@ -262,6 +258,7 @@ mod tests {
         assert_eq!(EventKind::from_u16(0), None);
         assert_eq!(EventKind::from_u16(5), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(8), None, "retired, never reassigned");
+        assert_eq!(EventKind::from_u16(13), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(26), None);
         assert_eq!(EventKind::from_u16(u16::MAX), None);
         assert_eq!(TraceEvent::decode([0, (26u64) << 32, 0]), None);

@@ -115,7 +115,8 @@ pub struct PhaseTimes {
     pub init: Duration,
     /// The partition-at-a-time main loop, on one worker or a crew.
     pub processing: Duration,
-    /// Teardown: storage recycling, measurement assembly.
+    /// Teardown: collecting the per-query states and worker tallies,
+    /// measurement assembly.
     pub finalize: Duration,
 }
 

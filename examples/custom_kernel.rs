@@ -264,10 +264,8 @@ fn main() {
     );
     if let Some(p) = pool {
         println!(
-            "worker pool          : {} threads spawned, {} dispatches, {:.0}% mailbox reuse",
-            p.threads_spawned,
-            p.dispatches,
-            p.mailbox_reuse_rate() * 100.0
+            "worker pool          : {} threads spawned, {} dispatches",
+            p.threads_spawned, p.dispatches
         );
     }
     println!("\nall {checked} served results matched the serial k-hop oracle ✓");
