@@ -25,8 +25,8 @@
 //!   snapshots (dirty partitions only); runs pin the current epoch with a
 //!   [`SnapshotGuard`] while the next is folded, and a retired epoch's
 //!   storage is reclaimed when its last pin drops. It answers whether an
-//!   answer computed at a version is still fresh (partition-granular
-//!   reachability) and the edge delta since it.
+//!   answer computed at a version is still fresh (no fold since changed an
+//!   edge, no mutation pending) and the edge delta since it.
 //! * [`payload`] — per-partition adjacency: the CSR rows, or
 //!   delta/varint-compressed bytes beside them ([`StorageConfig`] policy),
 //!   plus the

@@ -6,14 +6,13 @@
 //! that partitions actually fit the (simulated) last-level cache.
 //!
 //! The monolithic CSR is the graph's only raw adjacency: a partition's
-//! adjacency is its vertices' CSR rows. Each partition's metadata and
-//! quotient-graph row — plus, when its storage policy compresses it, a
-//! varint payload beside the CSR — live in an individually [`Arc`]-held
-//! [`PartitionStore`]. Two snapshots that differ in a few partitions *share*
-//! every untouched store: [`crate::mutation::VersionedGraph`] builds the next
-//! CSR from the old one plus the batch's edits, re-materialises only dirty
-//! partitions' stores from it, and splices the clean stores into the next
-//! epoch.
+//! adjacency is its vertices' CSR rows. Each partition's metadata — plus,
+//! when its storage policy compresses it, a varint payload beside the CSR —
+//! lives in an individually [`Arc`]-held [`PartitionStore`]. Two snapshots
+//! that differ in a few partitions *share* every untouched store:
+//! [`crate::mutation::VersionedGraph`] builds the next CSR from the old one
+//! plus the batch's edits, re-materialises only dirty partitions' stores
+//! from it, and splices the clean stores into the next epoch.
 
 use std::sync::Arc;
 
@@ -49,11 +48,11 @@ impl PartitionInfo {
     }
 }
 
-/// One partition's independently shareable store: metadata, its cached
-/// quotient-graph adjacency row and, when compressed, its varint payload.
-/// Snapshots hold these behind [`Arc`]s; a store untouched by a mutation
-/// batch is shared across epochs, and its memory is reclaimed only when the
-/// last snapshot referencing it is dropped.
+/// One partition's independently shareable store: metadata and, when
+/// compressed, its varint payload. Snapshots hold these behind [`Arc`]s; a
+/// store untouched by a mutation batch is shared across epochs, and its
+/// memory is reclaimed only when the last snapshot referencing it is
+/// dropped.
 #[derive(Clone, Debug)]
 pub struct PartitionStore {
     /// Partition metadata (vertex membership, edge counts, footprint).
@@ -62,20 +61,13 @@ pub struct PartitionStore {
     /// build-time [`StorageConfig`] policy compresses it; `None` means visits
     /// read the vertices' CSR rows.
     pub compressed: Option<CompressedEdges>,
-    /// This partition's row of the quotient adjacency bitset (bit `q` set iff
-    /// some edge of this partition targets partition `q`), in
-    /// `plan.num_partitions.div_ceil(64).max(1)` words. Cached here so
-    /// reachability refreshes after a partial rebuild cost `O(dirty edges)`,
-    /// not an `O(m)` rescan.
-    pub quotient_row: Vec<u64>,
 }
 
 impl PartitionStore {
     /// Build one partition's store from its vertex list and their rows of
-    /// `graph`, computing the metadata and quotient row the plan implies, and
-    /// encoding a payload if `storage` asks for one. The policy is applied
-    /// per store, so epoch-advance partial rebuilds re-encode exactly the
-    /// dirty partitions.
+    /// `graph`, computing the metadata the plan implies, and encoding a
+    /// payload if `storage` asks for one. The policy is applied per store, so
+    /// epoch-advance partial rebuilds re-encode exactly the dirty partitions.
     pub(crate) fn build(
         graph: &CsrGraph,
         id: PartitionId,
@@ -83,15 +75,11 @@ impl PartitionStore {
         plan: &PartitionPlan,
         storage: StorageConfig,
     ) -> Self {
-        let words = plan.num_partitions.div_ceil(64).max(1);
         let mut internal = 0usize;
         let mut cut = 0usize;
-        let mut quotient_row = vec![0u64; words];
         for &v in &vertices {
             for &t in graph.out_neighbors(v) {
-                let pt = plan.partition_of(t);
-                quotient_row[pt as usize / 64] |= 1u64 << (pt as usize % 64);
-                if pt == id {
+                if plan.partition_of(t) == id {
                     internal += 1;
                 } else {
                     cut += 1;
@@ -116,7 +104,6 @@ impl PartitionStore {
                 footprint_bytes,
             },
             compressed,
-            quotient_row,
         }
     }
 
@@ -400,25 +387,6 @@ mod tests {
         assert!(result.is_err());
     }
 
-    /// The cached quotient rows must agree with a from-scratch edge scan.
-    #[test]
-    fn quotient_rows_match_edge_scan() {
-        let g = gen::rmat(8, 5, 11);
-        let pg = PartitionedGraph::build(
-            &g,
-            PartitionConfig::with_partitions(PartitionMethod::Chunked, 7),
-        );
-        let words = pg.num_partitions().div_ceil(64).max(1);
-        let mut expected = vec![vec![0u64; words]; pg.num_partitions()];
-        for (u, v, _) in g.edges() {
-            let (pu, pv) = (pg.partition_of(u) as usize, pg.partition_of(v) as usize);
-            expected[pu][pv / 64] |= 1u64 << (pv % 64);
-        }
-        for (p, row) in expected.iter().enumerate() {
-            assert_eq!(&pg.store(p as PartitionId).quotient_row, row, "row {p}");
-        }
-    }
-
     #[test]
     fn single_partition_graph() {
         let g = gen::path(20);
@@ -469,7 +437,6 @@ mod tests {
             for &v in &raw.partition(p).vertices {
                 assert!(raw_view.out_edges(v).eq(comp_view.out_edges(v)), "part {p} vertex {v}");
             }
-            assert_eq!(raw.store(p).quotient_row, comp.store(p).quotient_row, "row {p}");
         }
     }
 }

@@ -203,7 +203,7 @@ impl ServiceSnapshot {
             ),
             Family::counter(
                 "fg_service_cache_invalidations_total",
-                "Cached answers found stale at lookup: a mutation since could reach their source.",
+                "Cached answers found stale at lookup: an edge changed since, or a mutation is pending.",
                 self.cache_invalidations,
             ),
             Family::counter(

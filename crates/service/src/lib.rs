@@ -71,7 +71,7 @@
 //! * **Result caching**: an LRU cache keyed by (registration, canonical
 //!   params, source) short-circuits repeated hot queries. Each entry
 //!   carries the graph version it was computed at; a lookup hits only if
-//!   no mutation since could reach its source
+//!   no fold since changed an edge and no mutation is pending
 //!   ([`VersionedGraph::changed_since`](fg_graph::VersionedGraph::changed_since)).
 //! * **Observability**: queue depth, shed count, batch occupancy, cache hit
 //!   rate, per-batch kernel/worker records, and p50/p99 latency via

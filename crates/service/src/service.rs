@@ -293,19 +293,19 @@ impl ServiceHandle {
         shared.emit(EventKind::Submit, trace_id, resolved.id.as_u64() as u32, source);
 
         // Fast path: answer repeated hot queries from the LRU cache. An entry
-        // hits only if no fold since its version, and no pending mutation,
-        // can reach `source` (per-partition over-approximation). The store
-        // answers that in one lock section with publication, so a mutation
-        // acknowledged before this call is seen either pending or folded — a
-        // stale hit has no window. A stale entry stays: the batcher resumes
-        // this key's run from it. The three locks (cache, store, queue) are
-        // taken one after another, never nested.
+        // hits only if no fold since its version changed an edge and no
+        // mutation is pending, whatever its source. The store answers that
+        // in one lock section with publication, so a mutation acknowledged
+        // before this call is seen either pending or folded — a stale hit
+        // has no window. A stale entry stays: the batcher resumes this key's
+        // run from it. The three locks (cache, store, queue) are taken one
+        // after another, never nested.
         let mut stale = false;
         if shared.config.cache_capacity > 0 {
             let cache_key = CacheKey { key: batch_key.clone(), source };
             let entry = shared.cache.lock().get(&cache_key).cloned();
             if let Some((version, result)) = entry {
-                if !shared.store.changed_since(version, source) {
+                if !shared.store.changed_since(version) {
                     let mut inner = shared.inner.lock();
                     inner.counts.cache_hits += 1;
                     inner.latencies.record(Duration::ZERO);

@@ -1,12 +1,12 @@
-//! Service-level dynamic-graph guarantees (ISSUE 8).
+//! Service-level dynamic-graph guarantees.
 //!
 //! The contract: a query submitted after `mutate()` returns is answered on a
 //! graph version that contains that mutation — never from a stale cache
 //! entry, never by an engine run over the old snapshot. The batcher enforces
 //! it by folding the mutation log before every dispatch, and the submit fast
-//! path serves a cached answer only if no mutation since its graph version,
-//! folded or pending, could reach its source; a stale answer is the restart
-//! hint of the key's next run.
+//! path serves a cached answer only if no fold since its graph version
+//! changed an edge and no mutation is pending, whatever its source; a stale
+//! answer is the restart hint of the key's next run.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use std::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use fg_graph::partition::{PartitionConfig, PartitionMethod};
+use fg_graph::partition::{PartitionConfig, PartitionId, PartitionMethod, PartitionPlan};
 use fg_graph::partitioned::PartitionedGraph;
 use fg_graph::{CsrGraph, Dist, GraphBuilder, VertexId, Weight};
 use fg_service::service::{ForkGraphService, ServiceConfig, ServiceError};
@@ -31,6 +31,10 @@ fn service_over(edges: &[(u32, u32, u32)], n: usize, threads: usize) -> ForkGrap
         Arc::new(b.build()),
         PartitionConfig::with_partitions(PartitionMethod::Chunked, 4),
     ));
+    serve(pg, threads)
+}
+
+fn serve(pg: Arc<PartitionedGraph>, threads: usize) -> ForkGraphService {
     let config = ServiceConfig {
         batch_window: Duration::from_micros(200),
         cache_capacity: 256,
@@ -67,6 +71,46 @@ fn requery_after_mutation_never_serves_stale_cache() {
     assert_eq!(metrics.mutations_applied, 1);
     assert!(metrics.cache_invalidations >= 1);
     assert_eq!(handle.graph_version(), 1);
+    service.shutdown();
+}
+
+/// Staleness does not depend on the source: an edge changed in a component
+/// the source cannot reach, held in a partition of its own, still makes the
+/// cached answer stale. The re-query resumes from it across a delta that
+/// seeds nothing and gives the same distances.
+#[test]
+fn a_mutation_the_source_cannot_reach_makes_its_answer_stale() {
+    // Two paths, 0 → 1 → 2 → 3 and 4 → 5 → 6 → 7, one per partition: no edge
+    // joins the partitions.
+    let edges = [(0, 1, 2), (1, 2, 2), (2, 3, 2), (4, 5, 3), (5, 6, 3), (6, 7, 3)];
+    let csr = Arc::new(CsrGraph::from_sorted_edges(8, &edges, true));
+    let plan = PartitionPlan {
+        assignment: (0..8).map(|v| (v / 4) as PartitionId).collect(),
+        num_partitions: 2,
+    };
+    let pg = Arc::new(PartitionedGraph::from_plan(
+        csr,
+        plan,
+        PartitionConfig::with_partitions(PartitionMethod::Chunked, 2),
+    ));
+    let service = serve(pg, 1);
+    let handle = service.handle();
+    let sssp = || {
+        let result = handle.submit_query(Query::kernel("sssp").source(0)).unwrap().wait().unwrap();
+        result.try_state::<Vec<Dist>>().unwrap().clone()
+    };
+
+    let first = sssp();
+    let before = service.metrics();
+    handle.mutate(EdgeMutation::Insert { u: 4, v: 7, w: 1 }).unwrap();
+    handle.flush_mutations();
+    let again = sssp();
+    let after = service.metrics();
+    assert_eq!(after.cache_hits, before.cache_hits, "{after:?}");
+    assert_eq!(after.cache_invalidations, before.cache_invalidations + 1, "{after:?}");
+    assert_eq!(after.incremental_runs, before.incremental_runs + 1, "{after:?}");
+    assert_eq!(again, first);
+    assert_eq!(again, fg_seq::dijkstra::dijkstra(handle.graph().graph(), 0).dist);
     service.shutdown();
 }
 

@@ -1,9 +1,9 @@
 //! What a partitioned graph keeps alive beyond its CSR.
 //!
 //! The monolithic CSR is the only raw adjacency: a raw partition's store
-//! holds its metadata (the vertex list, edge counts, the quotient row) and
-//! reads its adjacency from the CSR rows. Building one must therefore cost
-//! `O(n)` bytes on top of the shared `Arc<CsrGraph>`, never `O(m)`; a store
+//! holds its metadata (the vertex list and edge counts) and reads its
+//! adjacency from the CSR rows. Building one must therefore cost `O(n)`
+//! bytes on top of the shared `Arc<CsrGraph>`, never `O(m)`; a store
 //! that kept its out-edges a second time (12 bytes per edge as triples) fails
 //! here by that much. A compressed store adds exactly its varint payload.
 

@@ -1,7 +1,7 @@
 //! The service counts each query where it handles it, under the queue lock:
 //! a waiter woken by its ticket already finds itself counted, a repeat is a
-//! cache hit, a repeat after a mutation that reaches its source is a stale
-//! lookup, and the batch-record ring stops growing at 1 024 entries.
+//! cache hit, a repeat after a mutation is a stale lookup, and the
+//! batch-record ring stops growing at 1 024 entries.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +39,7 @@ fn every_query_is_counted_before_its_ticket_resolves() {
     let m = service.metrics();
     assert_eq!((m.admitted, m.cache_hits, m.latency_samples), (1, 1, 2), "{m:?}");
 
-    // An edge out of the source reaches it: the cached answer is stale.
+    // A new edge makes the cached answer stale.
     handle.mutate(EdgeMutation::Insert { u: 0, v: 1, w: 1 }).unwrap();
     answer(&handle, 0);
     let m = service.metrics();
