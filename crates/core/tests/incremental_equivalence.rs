@@ -78,7 +78,7 @@ fn bfs(graph: &CsrGraph, sources: &[VertexId]) -> Vec<Vec<u32>> {
 
 /// Log a random batch of insertions and weight *decreases* only.
 fn log_monotone_batch(rng: &mut SmallRng, vg: &VersionedGraph) {
-    let pg = vg.current();
+    let (_, pg) = vg.snapshot();
     let n = pg.graph().num_vertices() as u32;
     let existing: std::collections::HashMap<(u32, u32), u32> =
         pg.graph().edges().map(|(u, v, w)| ((u, v), w)).collect();
@@ -103,7 +103,7 @@ fn log_monotone_batch(rng: &mut SmallRng, vg: &VersionedGraph) {
 /// source's own out-edges, weight increases and decreases (down to zero),
 /// and one edge deleted and re-inserted within the batch.
 fn log_mixed_batch(rng: &mut SmallRng, vg: &VersionedGraph, sources: &[VertexId]) {
-    let pg = vg.current();
+    let (_, pg) = vg.snapshot();
     let graph = pg.graph();
     let n = graph.num_vertices() as u32;
     let edges: Vec<Edge> = graph.edges().collect();

@@ -27,11 +27,12 @@ use rand::{Rng, SeedableRng};
 
 use fg_graph::partition::{PartitionConfig, PartitionMethod};
 use fg_graph::partitioned::PartitionedGraph;
-use fg_graph::{CsrGraph, Dist, GraphBuilder};
+use fg_graph::{AdjacencyView, CsrGraph, Dist, GraphBuilder, VertexId};
 use fg_seq::bfs::bfs;
 use fg_seq::dijkstra::dijkstra;
 use fg_seq::ppr::PprConfig;
-use forkgraph_core::{EngineConfig, ForkGraphEngine, SchedulingPolicy};
+use forkgraph_core::kernels::SsspKernel;
+use forkgraph_core::{EngineConfig, ForkGraphEngine, FppKernel, Priority, SchedulingPolicy};
 
 const CASES: u64 = 6;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -187,15 +188,56 @@ fn one_worker_ppr_is_itself_schedule_dependent() {
     );
 }
 
+/// SSSP that sleeps 20 µs per operation, so a crew's run outlasts the time
+/// its workers take to be scheduled even when other tests hold every core.
+struct SlowSssp;
+
+impl FppKernel for SlowSssp {
+    type Value = ();
+    type State = Vec<Dist>;
+    const PRUNES: bool = <SsspKernel as FppKernel>::PRUNES;
+
+    fn name(&self) -> &'static str {
+        "slow-sssp"
+    }
+
+    fn init_state(&self, graph: &CsrGraph, source: VertexId) -> Self::State {
+        SsspKernel.init_state(graph, source)
+    }
+
+    fn source_op(&self, source: VertexId) -> (Self::Value, Priority) {
+        SsspKernel.source_op(source)
+    }
+
+    fn process(
+        &self,
+        graph: &AdjacencyView<'_>,
+        state: &mut Self::State,
+        vertex: VertexId,
+        value: Self::Value,
+        priority: Priority,
+        emit: &mut dyn FnMut(VertexId, Self::Value, Priority),
+    ) -> u64 {
+        std::thread::sleep(Duration::from_micros(20));
+        SsspKernel.process(graph, state, vertex, value, priority, emit)
+    }
+
+    fn is_dead(&self, state: &Self::State, vertex: VertexId, priority: Priority) -> bool {
+        SsspKernel.is_dead(state, vertex, priority)
+    }
+}
+
 /// On a directed path with one source at most one partition is runnable at
 /// any time, so all but one worker of a crew wait on the runnable set's
 /// condvar, and every handoff between partitions is a wakeup. A waiting
 /// worker has no timeout to fall back on, so a lost wakeup hangs the run:
 /// the runs go on a helper thread, and the test fails if they have not
-/// finished within 30 s.
+/// finished within 30 s. The kernel sleeps in `process`, so the claimed
+/// partition holds its worker long enough for the others to reach the
+/// condvar: every crew waits.
 #[test]
 fn crews_on_a_path_never_lose_a_wakeup() {
-    const RUNS: usize = 200;
+    const RUNS: usize = 20;
     let mut b = GraphBuilder::new(64);
     for v in 1..64u32 {
         b.add_edge(v - 1, v, 1 + v % 3);
@@ -214,7 +256,7 @@ fn crews_on_a_path_never_lose_a_wakeup() {
             let engine = ForkGraphEngine::new(&pg, EngineConfig::default().with_threads(workers));
             (0..RUNS)
                 .map(|run| {
-                    let result = engine.run_sssp(&[0]);
+                    let result = engine.run(&SlowSssp, &[0]);
                     assert_eq!(result.per_query[0], oracle, "{workers} workers, run {run}");
                     result.work().idle_waits
                 })
@@ -225,5 +267,8 @@ fn crews_on_a_path_never_lose_a_wakeup() {
         panic!("a crew lost a wakeup: {RUNS} runs took over 30 s");
     }
     let idle_waits = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-    assert!(idle_waits[1] > 0, "4 workers on one runnable partition never waited: {idle_waits:?}");
+    assert!(
+        idle_waits.iter().all(|&w| w > 0),
+        "a crew on one runnable partition never waited: {idle_waits:?}"
+    );
 }

@@ -70,7 +70,7 @@ fn storage_pair(rng: &mut SmallRng, graph: CsrGraph) -> [Arc<PartitionedGraph>; 
 /// A mixed batch: insertions, weight changes, and one deletion (results are
 /// compared from scratch per store, so monotonicity is irrelevant here).
 fn log_mixed_batch(rng: &mut SmallRng, vg: &VersionedGraph) {
-    let n = vg.current().graph().num_vertices() as u32;
+    let n = vg.snapshot().1.graph().num_vertices() as u32;
     for _ in 0..6 {
         let u = rng.gen_range(0..n);
         let v = rng.gen_range(0..n);
@@ -78,7 +78,7 @@ fn log_mixed_batch(rng: &mut SmallRng, vg: &VersionedGraph) {
             vg.insert_edge(u, v, rng.gen_range(1u32..16)).unwrap();
         }
     }
-    if let Some((u, v, _)) = vg.current().graph().edges().nth(3) {
+    if let Some((u, v, _)) = vg.snapshot().1.graph().edges().nth(3) {
         let _ = vg.delete_edge(u, v);
     }
 }

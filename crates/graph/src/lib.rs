@@ -20,13 +20,13 @@
 //!   METIS.
 //! * [`partitioned`] — [`partitioned::PartitionedGraph`], the LLC-sized
 //!   partitioned representation consumed by the ForkGraph engine.
-//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam and the one
-//!   owner of the published snapshots: a pending log folded into fresh
-//!   snapshots (dirty partitions only); runs pin the current epoch with a
-//!   [`SnapshotGuard`] while the next is folded, and a retired epoch's
-//!   storage is reclaimed when its last pin drops. It answers whether an
-//!   answer computed at a version is still fresh (no fold since changed an
-//!   edge, no mutation pending) and the edge delta since it.
+//! * [`mutation`] — [`VersionedGraph`], the edge-mutation seam that
+//!   publishes the snapshots: a pending log folded into fresh snapshots
+//!   (dirty partitions only); a run holds the current epoch's `Arc` while
+//!   the next is folded, and a retired epoch's storage goes when its last
+//!   `Arc` drops. It answers whether an answer computed at a version is
+//!   still fresh (no fold since changed an edge, no mutation pending) and
+//!   the edge delta since it.
 //! * [`payload`] — per-partition adjacency: the CSR rows, or
 //!   delta/varint-compressed bytes beside them ([`StorageConfig`] policy),
 //!   plus the
@@ -47,9 +47,7 @@ pub mod payload;
 
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use mutation::{
-    AppliedDeltas, EdgeMutation, EpochStats, MutationError, SnapshotGuard, VersionedGraph,
-};
+pub use mutation::{AppliedDeltas, EdgeMutation, EpochStats, MutationError, VersionedGraph};
 pub use payload::{AdjacencyView, CompressedEdges, StorageConfig};
 
 /// Vertex identifier. Graphs in this workspace are bounded by `u32::MAX`

@@ -4,23 +4,11 @@
 //! [`Arc<PartitionedGraph>`]; this module is the seam that lets the graph
 //! *change* without any in-flight run observing a half-applied batch.
 //!
-//! [`VersionedGraph`] is the one owner of the published snapshots. Each
-//! published version is an *epoch*: version `N`'s snapshot plus the count of
-//! runs pinning it. Writers append [`EdgeMutation`]s to a pending log at any
-//! time; a reader pins the current epoch with [`VersionedGraph::pin`] and
-//! keeps that snapshot, through the RAII [`SnapshotGuard`], for the length of
-//! one run. Only the current epoch can be pinned. An older one lingers while
-//! its pins last and is reclaimed when the last one drops, or at the fold
-//! that retires it if nothing pinned it:
-//!
-//! ```text
-//!   fold publishes N ──► current (pins come and go) ──► fold publishes N+1
-//!                                                            │ retires N
-//!                       pins == 0 at retire? ── yes ──► reclaimed at once
-//!                                  │ no
-//!                                  ▼
-//!                       last SnapshotGuard drop ──────► reclaimed
-//! ```
+//! [`VersionedGraph`] publishes the snapshots. Each published version is an
+//! *epoch*. Writers append [`EdgeMutation`]s to a pending log at any time; a
+//! reader takes the current epoch with [`VersionedGraph::snapshot`] and holds
+//! its `Arc` for the length of one run. A retired epoch's storage goes when
+//! its last `Arc` drops.
 //!
 //! [`VersionedGraph::advance`] folds the whole pending log into the next
 //! snapshot in two private halves, so a fold overlaps in-flight reads:
@@ -55,7 +43,8 @@
 //!   than the log gets `None`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::mem;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use fg_trace::{EventKind, TraceSink};
 
@@ -223,38 +212,31 @@ pub struct EpochStats {
     pub partitions_rematerialized: u64,
     /// Clean partitions `Arc`-shared with the previous epoch across all folds.
     pub partitions_shared: u64,
-    /// Retired snapshots whose storage has been released, at the fold that
-    /// retired them or at their last unpin.
+    /// Retired snapshots no reader still holds.
     pub snapshots_reclaimed: u64,
-    /// Current version minus the oldest version still pinned; 0 when every
-    /// pin reads the current snapshot.
+    /// Current version minus the oldest retired version a reader still
+    /// holds; 0 when no reader holds a retired snapshot.
     pub oldest_pinned_epoch_lag: u64,
-    /// Snapshots held: the current one plus every retired one still pinned.
+    /// Snapshots alive: the current one plus every retired one a reader
+    /// still holds.
     pub live_epochs: usize,
 }
 
 /// The running totals behind [`EpochStats`]; the rest of it is read off the
-/// live epochs.
+/// retired snapshots.
 #[derive(Default)]
 struct FoldTotals {
     mutations_applied: u64,
     partitions_rematerialized: u64,
     partitions_shared: u64,
-    snapshots_reclaimed: u64,
-}
-
-/// One published snapshot and the number of runs pinning it.
-struct Epoch {
-    version: u64,
-    graph: Arc<PartitionedGraph>,
-    pins: usize,
 }
 
 struct VgInner {
-    /// Published snapshots still alive, oldest first. The last is the current
-    /// one, the only one [`VersionedGraph::pin`] hands out; an older one
-    /// stays until its last pin drops.
-    epochs: Vec<Epoch>,
+    /// The current version and its snapshot.
+    version: u64,
+    graph: Arc<PartitionedGraph>,
+    /// Retired snapshots a reader may still hold, oldest first.
+    retired: Vec<(u64, Weak<PartitionedGraph>)>,
     totals: FoldTotals,
     pending: Vec<EdgeMutation>,
     /// Version of the latest fold that changed an edge.
@@ -264,13 +246,6 @@ struct VgInner {
     fold_log: VecDeque<(u64, Vec<Edge>, Vec<Edge>)>,
     /// The fold log holds every fold after this version.
     fold_log_since: u64,
-}
-
-impl VgInner {
-    /// The current epoch: the last published.
-    fn head(&self) -> &Epoch {
-        self.epochs.last().expect("the current epoch is never reclaimed")
-    }
 }
 
 /// The versioned storage seam: the published snapshots plus a pending
@@ -286,8 +261,7 @@ pub struct VersionedGraph {
     /// Serializes the (deliberately lock-free-in-the-middle) fold in
     /// [`advance`](Self::advance).
     advance_gate: Mutex<()>,
-    /// Receives `EpochPin`/`EpochUnpin`/`EpochAdvance`/`DeltaFold` events
-    /// when set.
+    /// Receives `EpochAdvance`/`DeltaFold` events when set.
     trace: Option<Arc<TraceSink>>,
 }
 
@@ -296,7 +270,9 @@ impl VersionedGraph {
     pub fn new(graph: Arc<PartitionedGraph>) -> Self {
         VersionedGraph {
             inner: Mutex::new(VgInner {
-                epochs: vec![Epoch { version: 0, graph, pins: 0 }],
+                version: 0,
+                graph,
+                retired: Vec::new(),
                 totals: FoldTotals::default(),
                 pending: Vec::new(),
                 last_changed: 0,
@@ -309,8 +285,7 @@ impl VersionedGraph {
         }
     }
 
-    /// Route epoch and fold events (`EpochPin`/`EpochUnpin`/`EpochAdvance`/
-    /// `DeltaFold`) to `sink`.
+    /// Route epoch and fold events (`EpochAdvance`/`DeltaFold`) to `sink`.
     pub fn with_trace(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = Some(sink);
         self
@@ -326,49 +301,39 @@ impl VersionedGraph {
         }
     }
 
-    /// The current snapshot. Runs resolved against it stay valid for their
-    /// lifetime; publish swaps the pointer, it never mutates the pointee.
-    pub fn current(&self) -> Arc<PartitionedGraph> {
-        Arc::clone(&self.lock().head().graph)
-    }
-
-    /// Pin the current epoch's snapshot for one engine run. The guard's
-    /// epoch number equals the graph version it snapshots; a retired
-    /// epoch's storage is reclaimed when the last guard on it drops.
-    pub fn pin(&self) -> SnapshotGuard<'_> {
-        let (epoch, graph, pins) = {
-            let mut inner = self.lock();
-            let head = inner.epochs.last_mut().expect("the current epoch is never reclaimed");
-            head.pins += 1;
-            (head.version, Arc::clone(&head.graph), head.pins)
-        };
-        self.emit(EventKind::EpochPin, epoch as u32, pins as u32, 0);
-        SnapshotGuard { store: self, epoch, graph }
+    /// The current epoch: its version and its snapshot. A run holds the
+    /// `Arc` for as long as it runs; publish swaps the pointer, it never
+    /// mutates the pointee, and a retired snapshot's storage goes when its
+    /// last `Arc` drops.
+    pub fn snapshot(&self) -> (u64, Arc<PartitionedGraph>) {
+        let inner = self.lock();
+        (inner.version, Arc::clone(&inner.graph))
     }
 
     /// The fold and snapshot figures, consistent with one another: the
-    /// running totals of every fold, and the pins and retired snapshots of
-    /// this moment.
+    /// running totals of every fold, and the retired snapshots readers hold
+    /// at this moment. Each fold bumps the version and adds at most one held
+    /// snapshot, so `snapshots_reclaimed` never decreases.
     pub fn epoch_stats(&self) -> EpochStats {
         let inner = self.lock();
-        let version = inner.head().version;
-        let oldest_pinned = inner.epochs.iter().find(|e| e.pins > 0).map_or(version, |e| e.version);
+        let held: Vec<u64> =
+            inner.retired.iter().filter(|(_, weak)| weak.strong_count() > 0).map(|e| e.0).collect();
         let totals = &inner.totals;
         EpochStats {
-            epochs_advanced: version,
+            epochs_advanced: inner.version,
             mutations_applied: totals.mutations_applied,
             partitions_rematerialized: totals.partitions_rematerialized,
             partitions_shared: totals.partitions_shared,
-            snapshots_reclaimed: totals.snapshots_reclaimed,
-            oldest_pinned_epoch_lag: version - oldest_pinned,
-            live_epochs: inner.epochs.len(),
+            snapshots_reclaimed: inner.version - held.len() as u64,
+            oldest_pinned_epoch_lag: held.first().map_or(0, |&oldest| inner.version - oldest),
+            live_epochs: held.len() + 1,
         }
     }
 
     /// Version of the current snapshot (0 at construction, +1 per applied
     /// batch).
     pub fn version(&self) -> u64 {
-        self.lock().head().version
+        self.lock().version
     }
 
     /// Number of logged-but-unapplied mutations.
@@ -440,7 +405,7 @@ impl VersionedGraph {
     /// Validate and append one mutation to the pending log.
     pub fn log(&self, mutation: EdgeMutation) -> Result<u64, MutationError> {
         let mut inner = self.lock();
-        let n = inner.head().graph.graph().num_vertices();
+        let n = inner.graph.graph().num_vertices();
         let (u, v) = mutation.endpoints();
         for endpoint in [u, v] {
             if endpoint as usize >= n {
@@ -451,14 +416,14 @@ impl VersionedGraph {
             return Err(MutationError::SelfLoop { vertex: u });
         }
         inner.pending.push(mutation);
-        Ok(inner.head().version + 1)
+        Ok(inner.version + 1)
     }
 
     /// Block until the snapshot version reaches `version` (i.e. every
     /// mutation logged before the corresponding call has been applied).
     pub fn wait_for_version(&self, version: u64) {
         let mut inner = self.lock();
-        while inner.head().version < version {
+        while inner.version < version {
             inner = self.applied.wait(inner).expect(POISONED);
         }
     }
@@ -466,7 +431,7 @@ impl VersionedGraph {
     /// Fold a prefix of the pending log into the next snapshot **without
     /// draining the log or swapping anything**. Returns `None` when the log
     /// is empty. The fold runs entirely outside the locks, so readers keep
-    /// pinning and querying the current epoch while it materializes — and
+    /// taking and querying the current epoch while it materializes — and
     /// because the prefix stays pending,
     /// [`changed_since`](Self::changed_since) keeps reporting every cached
     /// answer stale until [`publish`](Self::publish) lands the new version.
@@ -491,8 +456,7 @@ impl VersionedGraph {
             if inner.pending.is_empty() {
                 return None;
             }
-            let head = inner.head();
-            (Arc::clone(&head.graph), inner.pending.clone(), head.version)
+            (Arc::clone(&inner.graph), inner.pending.clone(), inner.version)
         };
 
         // Replay the prefix to a net effect per touched endpoint pair.
@@ -577,11 +541,10 @@ impl VersionedGraph {
     }
 
     /// Swap in a [`prepare`](Self::prepare)d fold: drain the consumed log
-    /// prefix, publish the new snapshot as the next epoch (reclaiming the
-    /// retired one at once if nothing pins it), record its version if it
-    /// changed an edge and log those changes, count it, and wake
-    /// [`wait_for_version`](Self::wait_for_version) waiters. One short lock
-    /// section; never materializes anything.
+    /// prefix, publish the new snapshot as the next epoch (retiring the
+    /// current one), record its version if it changed an edge and log those
+    /// changes, count it, and wake [`wait_for_version`](Self::wait_for_version)
+    /// waiters. One short lock section; never materializes anything.
     ///
     /// Panics if the snapshot version moved since the fold was prepared
     /// (two concurrent fold drivers — see [`prepare`](Self::prepare)).
@@ -601,18 +564,17 @@ impl VersionedGraph {
             let mut guard = self.lock();
             let inner = &mut *guard;
             assert_eq!(
-                inner.head().version,
-                base_version,
+                inner.version, base_version,
                 "PreparedFold published against a stale base (concurrent fold drivers?)"
             );
             inner.pending.drain(..consumed);
-            if inner.head().pins == 0 {
-                // Nobody reads the retired epoch: its storage goes now (the
-                // clean partitions live on in the new epoch's stores).
-                inner.epochs.pop();
-                inner.totals.snapshots_reclaimed += 1;
+            inner.version = version;
+            let old = mem::replace(&mut inner.graph, Arc::clone(&graph));
+            inner.retired.retain(|(_, weak)| weak.strong_count() > 0);
+            // A net-no-op fold republishes the same snapshot: nothing retires.
+            if !Arc::ptr_eq(&old, &graph) {
+                inner.retired.push((base_version, Arc::downgrade(&old)));
             }
-            inner.epochs.push(Epoch { version, graph: Arc::clone(&graph), pins: 0 });
             inner.totals.mutations_applied += consumed as u64;
             inner.totals.partitions_rematerialized += partitions_rematerialized as u64;
             inner.totals.partitions_shared += partitions_shared as u64;
@@ -651,59 +613,6 @@ impl VersionedGraph {
         let _gate = self.advance_gate.lock().expect(POISONED);
         let fold = self.prepare()?;
         Some(self.publish(fold))
-    }
-}
-
-/// RAII pin on one epoch's snapshot, from [`VersionedGraph::pin`]. Holding
-/// the guard keeps that epoch's [`PartitionedGraph`] (and every partition
-/// store it references) alive; dropping the last guard on a retired epoch
-/// releases the store's reference so the storage can be reclaimed.
-pub struct SnapshotGuard<'a> {
-    store: &'a VersionedGraph,
-    epoch: u64,
-    graph: Arc<PartitionedGraph>,
-}
-
-impl SnapshotGuard<'_> {
-    /// The pinned epoch number (equal to the graph version it snapshots).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The pinned snapshot. The reference cannot outlive the guard, so an
-    /// engine borrowing it is type-checked against the pin's lifetime.
-    pub fn graph(&self) -> &PartitionedGraph {
-        &self.graph
-    }
-}
-
-impl Drop for SnapshotGuard<'_> {
-    fn drop(&mut self) {
-        let (pins_left, reclaimed) = {
-            // Drop must not panic: a store poisoned by an earlier panic
-            // keeps the pin.
-            let Ok(mut inner) = self.store.inner.lock() else { return };
-            let idx = inner
-                .epochs
-                .iter()
-                .position(|e| e.version == self.epoch)
-                .expect("pinned epoch present until last guard drops");
-            inner.epochs[idx].pins -= 1;
-            let pins_left = inner.epochs[idx].pins;
-            // A retired epoch — any but the last — goes with its last pin.
-            let reclaimed = pins_left == 0 && idx + 1 < inner.epochs.len();
-            if reclaimed {
-                inner.epochs.remove(idx);
-                inner.totals.snapshots_reclaimed += 1;
-            }
-            (pins_left, reclaimed)
-        };
-        self.store.emit(
-            EventKind::EpochUnpin,
-            self.epoch as u32,
-            pins_left as u32,
-            reclaimed as u32,
-        );
     }
 }
 
@@ -754,7 +663,7 @@ mod tests {
         assert!(applied.raised_edges.is_empty());
         assert_eq!(applied.seed_edges, vec![(1, 2, 7)]);
         assert_eq!(applied.mutations, 1);
-        let g = vg.current();
+        let (_, g) = vg.snapshot();
         assert_eq!(g.graph().num_edges(), 2);
         assert_eq!(g.graph().out_edges(1).collect::<Vec<_>>(), vec![(2, 7)]);
         assert!(!vg.has_pending());
@@ -772,7 +681,7 @@ mod tests {
         let mut seeds = applied.seed_edges.clone();
         seeds.sort_unstable();
         assert_eq!(seeds, vec![(0, 1, 3), (4, 5, 9)]);
-        let g = vg.current();
+        let (_, g) = vg.snapshot();
         assert_eq!(g.graph().out_edges(0).collect::<Vec<_>>(), vec![(1, 3)]);
         assert_eq!(g.graph().out_edges(4).collect::<Vec<_>>(), vec![(5, 9)]);
         assert_eq!(g.graph().out_neighbors(2), &[] as &[VertexId]);
@@ -793,7 +702,7 @@ mod tests {
         assert_eq!(applied.raised_edges, vec![(0, 1, 5), (1, 2, 2)]);
         assert_eq!(applied.seed_edges, vec![(1, 2, 10), (2, 3, 1)]);
         assert_eq!(applied.delta().raised, &applied.raised_edges[..]);
-        assert_eq!(vg.current().graph().num_edges(), 2);
+        assert_eq!(vg.snapshot().1.graph().num_edges(), 2);
     }
 
     /// A delta across several folds keeps the smallest weight a pair was
@@ -997,11 +906,13 @@ mod tests {
     }
 
     /// Deletions rebuild the owning partition too, and a net-no-op batch
-    /// shares the entire snapshot.
+    /// shares the entire snapshot, so a reader holding it holds the current
+    /// epoch: nothing retires.
     #[test]
     fn fold_reuse_extends_to_whole_snapshot_on_net_noop() {
         let base = pg(&[(0, 1, 5), (4, 5, 1)], 8, 4);
         let vg = VersionedGraph::new(Arc::clone(&base));
+        let held = vg.snapshot();
         vg.delete_edge(0, 1).unwrap();
         vg.insert_edge(0, 1, 5).unwrap();
         let applied = vg.advance().unwrap();
@@ -1009,6 +920,11 @@ mod tests {
         assert_eq!(applied.partitions_rematerialized, 0);
         assert_eq!(applied.partitions_shared, 4);
         assert!(Arc::ptr_eq(&applied.graph, &base), "whole snapshot shared");
+        let stats = vg.epoch_stats();
+        assert_eq!(stats.live_epochs, 1, "the held snapshot is the current one");
+        assert_eq!(stats.oldest_pinned_epoch_lag, 0);
+        assert_eq!(stats.snapshots_reclaimed, 1);
+        drop(held);
 
         vg.delete_edge(4, 5).unwrap();
         let applied = vg.advance().unwrap();
@@ -1067,43 +983,43 @@ mod tests {
     #[test]
     fn epochs_track_versions_and_reclaim_on_unpin() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
-        let guard = vg.pin();
-        assert_eq!(guard.epoch(), 0);
+        let (epoch, old) = vg.snapshot();
+        assert_eq!(epoch, 0);
         fold_one(&vg, 1);
         let stats = vg.epoch_stats();
         assert_eq!(stats.epochs_advanced, 1);
-        assert_eq!(stats.live_epochs, 2, "epoch 0 pinned across the advance");
+        assert_eq!(stats.live_epochs, 2, "epoch 0 held across the advance");
         assert_eq!(stats.oldest_pinned_epoch_lag, 1);
-        let fresh = vg.pin();
-        assert_eq!(fresh.epoch(), vg.version());
-        assert!(!std::ptr::eq(guard.graph(), fresh.graph()), "the old pin reads its own snapshot");
-        assert_eq!(guard.graph().graph().num_edges(), 1, "pinned snapshot is immutable");
-        assert_eq!(fresh.graph().graph().num_edges(), 2);
-        drop(guard);
+        let (epoch, fresh) = vg.snapshot();
+        assert_eq!(epoch, vg.version());
+        assert!(!Arc::ptr_eq(&old, &fresh), "the old holder reads its own snapshot");
+        assert_eq!(old.graph().num_edges(), 1, "a held snapshot is immutable");
+        assert_eq!(fresh.graph().num_edges(), 2);
+        drop(old);
         let stats = vg.epoch_stats();
         assert_eq!((stats.live_epochs, stats.snapshots_reclaimed), (1, 1));
-        assert_eq!(stats.oldest_pinned_epoch_lag, 0, "the remaining pin reads the current epoch");
+        assert_eq!(stats.oldest_pinned_epoch_lag, 0, "the other holder reads the current epoch");
     }
 
-    /// A retired epoch outlives any number of folds while pinned, and its
-    /// storage is freed by the last unpin.
+    /// A retired epoch outlives any number of folds while held, and its
+    /// storage is freed when the last `Arc` drops.
     #[test]
     fn a_retired_epoch_is_reclaimed_at_its_last_unpin() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
-        let old = vg.pin();
-        let weak = Arc::downgrade(&vg.current());
+        let (_, old) = vg.snapshot();
+        let weak = Arc::downgrade(&old);
         fold_one(&vg, 1);
         fold_one(&vg, 2);
         let stats = vg.epoch_stats();
         assert_eq!(stats.live_epochs, 2, "epoch 0 and the current one");
-        assert_eq!(stats.snapshots_reclaimed, 1, "epoch 1 went unpinned at the second fold");
+        assert_eq!(stats.snapshots_reclaimed, 1, "epoch 1 went unheld at the second fold");
         assert_eq!(stats.oldest_pinned_epoch_lag, 2);
         drop(old);
-        assert!(weak.upgrade().is_none(), "epoch 0 storage freed at its last unpin");
+        assert!(weak.upgrade().is_none(), "epoch 0 storage freed with its last Arc");
         assert_eq!(vg.epoch_stats().snapshots_reclaimed, 2);
     }
 
-    /// Nothing pins an epoch: the fold that retires it reclaims it, and the
+    /// Nothing holds an epoch: the fold that retires it reclaims it, and the
     /// totals count the fold's mutations and partitions.
     #[test]
     fn an_unpinned_epoch_is_reclaimed_at_the_fold_that_retires_it() {
@@ -1123,39 +1039,33 @@ mod tests {
         assert_eq!(vg.epoch_stats(), expected);
     }
 
-    /// A traced store reports each pin, fold and unpin with its payload: the
-    /// epoch and pin counts, the fold's rebuilt and shared partitions, its
-    /// mutations and dirty partitions over its base version.
+    /// A traced store reports each fold with its payload: the new epoch, the
+    /// fold's rebuilt and shared partitions, its mutations and dirty
+    /// partitions over its base version.
     #[test]
     fn a_traced_store_emits_its_epoch_and_fold_events() {
         let sink = TraceSink::new();
         let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 4)).with_trace(Arc::clone(&sink));
-        let guard = vg.pin();
         vg.insert_edge(2, 3, 1).unwrap();
         vg.insert_edge(2, 5, 1).unwrap();
         vg.advance().unwrap();
-        drop(guard);
         let events: Vec<_> =
             sink.merged_events().into_iter().map(|(_, e)| (e.kind, e.a, e.b, e.c)).collect();
         assert_eq!(
             events,
-            vec![
-                (EventKind::EpochPin, 0, 1, 0),
-                (EventKind::EpochAdvance, 1, 1, 3),
-                (EventKind::DeltaFold, 2, 1, 0),
-                (EventKind::EpochUnpin, 0, 0, 1),
-            ]
+            vec![(EventKind::EpochAdvance, 1, 1, 3), (EventKind::DeltaFold, 2, 1, 0)]
         );
     }
 
-    /// Two pins on one epoch keep it alive until both drop, in either order.
+    /// Two holders of one epoch keep it alive until both drop, in either
+    /// order.
     #[test]
     fn pins_nest_and_release_in_any_order() {
         let vg = VersionedGraph::new(pg(&[(0, 1, 1)], 8, 2));
-        let (a, b) = (vg.pin(), vg.pin());
+        let (a, b) = (vg.snapshot(), vg.snapshot());
         fold_one(&vg, 1);
         drop(a);
-        assert_eq!(vg.epoch_stats().live_epochs, 2, "the second pin keeps epoch 0 alive");
+        assert_eq!(vg.epoch_stats().live_epochs, 2, "the second holder keeps epoch 0 alive");
         drop(b);
         assert_eq!(vg.epoch_stats().live_epochs, 1);
         assert_eq!(vg.epoch_stats().snapshots_reclaimed, 1);

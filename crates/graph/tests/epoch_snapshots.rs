@@ -1,13 +1,14 @@
-//! Snapshot-isolation property test: readers pinned on epoch N keep seeing
-//! **exactly** epoch N — edge-for-edge and shortest-path-for-shortest-path —
-//! while a writer concurrently folds epoch N+1, N+2, … under them.
+//! Snapshot lifetime: readers holding epoch N's `Arc` keep seeing **exactly**
+//! epoch N — edge-for-edge and shortest-path-for-shortest-path — while a
+//! writer concurrently folds epoch N+1, N+2, … under them, and a retired
+//! snapshot's storage goes when its last `Arc` drops.
 //!
 //! The oracle is a mirror history: before publishing version V the writer
-//! appends the full edge map of V to a shared log. Every reader pin then has
-//! a ground truth to diff against: the pinned snapshot's materialized edges
-//! must equal `history[epoch]`, and a from-scratch Dijkstra over the pinned
-//! CSR must equal Dijkstra over the mirror map. Any torn fold, premature
-//! reclamation, or version skew shows up as a mismatch.
+//! appends the full edge map of V to a shared log. Every snapshot a reader
+//! takes then has a ground truth to diff against: its materialized edges
+//! must equal `history[epoch]`, and a from-scratch Dijkstra over its CSR must
+//! equal Dijkstra over the mirror map. Any torn fold, premature reclamation,
+//! or version skew shows up as a mismatch.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -82,12 +83,13 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
     ));
     let store = Arc::new(VersionedGraph::new(pg));
     // history[v] = the exact edge map of version v. Pushed *before* version
-    // v publishes, so any pinnable epoch already has its ground truth.
+    // v publishes, so any epoch a reader can take already has its ground
+    // truth.
     let history: Arc<RwLock<Vec<EdgeMap>>> =
-        Arc::new(RwLock::new(vec![snapshot_edges(&store.current())]));
+        Arc::new(RwLock::new(vec![snapshot_edges(&store.snapshot().1)]));
     let stop = Arc::new(AtomicBool::new(false));
     let verified = Arc::new(AtomicU64::new(0));
-    // Each reader reports its first verified pin here and hangs up.
+    // Each reader reports its first verified snapshot here and hangs up.
     let (first_check_tx, first_check_rx) = mpsc::channel::<()>();
 
     std::thread::scope(|scope| {
@@ -100,15 +102,14 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
             scope.spawn(move || {
                 let mut checks = 0u64;
                 // Check, then test `stop`: a reader that is first scheduled
-                // after the writer's last step still verifies one pin.
+                // after the writer's last step still verifies one snapshot.
                 loop {
-                    let guard = store.pin();
-                    let epoch = guard.epoch();
+                    let (epoch, graph) = store.snapshot();
                     let expect = history.read().unwrap()[epoch as usize].clone();
-                    let seen = snapshot_edges(guard.graph());
+                    let seen = snapshot_edges(&graph);
                     assert_eq!(seen, expect, "reader {reader}: edges diverged at epoch {epoch}");
                     let source = ((epoch + reader * 17) % N as u64) as u32;
-                    let csr = guard.graph().graph();
+                    let csr = graph.graph();
                     let via_snapshot =
                         dijkstra(N, source, |v| csr.out_edges(v).collect::<Vec<_>>());
                     let via_mirror = dijkstra(N, source, |v| {
@@ -119,7 +120,7 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
                         "reader {reader}: dijkstra diverged at epoch {epoch} source {source}"
                     );
                     checks += 1;
-                    drop(guard);
+                    drop(graph);
                     if let Some(first_check) = first_check.take() {
                         let _ = first_check.send(());
                     }
@@ -167,17 +168,17 @@ fn concurrent_readers_always_see_their_pinned_epoch() {
             assert_eq!(store.version(), step + 1, "one advance, one version");
         }
         // On two cores the writer can finish every step before some reader
-        // has run at all, so it waits until each has verified a pin (or died
+        // has run at all, so it waits until each has verified one (or died
         // in an assertion, which the scope reports) before stopping them.
         let reported = first_check_rx.iter().count() as u64;
         stop.store(true, Ordering::Release);
-        assert_eq!(reported, READERS, "every reader verifies at least one pin");
+        assert_eq!(reported, READERS, "every reader verifies at least one snapshot");
     });
 
-    assert!(verified.load(Ordering::Acquire) >= READERS, "readers must have verified pins");
+    assert!(verified.load(Ordering::Acquire) >= READERS, "readers must have verified snapshots");
     let stats = store.epoch_stats();
     assert_eq!(stats.epochs_advanced, STEPS);
-    // With every guard dropped, nothing old stays pinned.
+    // With every reader's `Arc` dropped, no retired snapshot stays alive.
     assert_eq!((stats.oldest_pinned_epoch_lag, stats.live_epochs), (0, 1));
 }
 
@@ -190,20 +191,20 @@ fn retired_snapshots_reclaim_once_the_last_reader_unpins() {
     ));
     let store = VersionedGraph::new(pg);
 
-    let guard = store.pin();
-    let weak = Arc::downgrade(&store.current());
+    let (_, old) = store.snapshot();
+    let weak = Arc::downgrade(&old);
     for i in 0..5u32 {
         store.insert_edge(i, i + 8, 3).unwrap();
         store.advance().unwrap();
     }
-    assert!(weak.upgrade().is_some(), "a pinned epoch survives any number of advances");
+    assert!(weak.upgrade().is_some(), "a held epoch survives any number of advances");
     let stats = store.epoch_stats();
     assert_eq!(stats.oldest_pinned_epoch_lag, 5);
-    // Versions 1..4 were retired unpinned: reclaimed at the advance that
+    // Versions 1..4 were retired unheld: reclaimed at the advance that
     // superseded them, without waiting for anyone.
-    assert_eq!(stats.snapshots_reclaimed, 4, "unpinned epochs reclaim eagerly");
+    assert_eq!(stats.snapshots_reclaimed, 4, "unheld epochs reclaim eagerly");
 
-    drop(guard);
-    assert!(weak.upgrade().is_none(), "the last unpin frees the retired snapshot");
+    drop(old);
+    assert!(weak.upgrade().is_none(), "the last Arc frees the retired snapshot");
     assert_eq!(store.epoch_stats().oldest_pinned_epoch_lag, 0);
 }

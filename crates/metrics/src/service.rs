@@ -106,9 +106,10 @@ pub struct ServiceSnapshot {
     /// Clean partitions `Arc`-shared with the previous epoch across all
     /// advances.
     pub partitions_shared: u64,
-    /// Retired epoch snapshots whose storage has been reclaimed.
+    /// Retired epoch snapshots no reader still holds.
     pub snapshots_reclaimed: u64,
-    /// Current epoch minus the oldest epoch still pinned (gauge).
+    /// Current epoch minus the oldest retired epoch a reader still holds
+    /// (gauge).
     pub oldest_pinned_epoch_lag: u64,
     pub queue_depth: u64,
     pub max_queue_depth: u64,
@@ -228,12 +229,12 @@ impl ServiceSnapshot {
             ),
             Family::counter(
                 "fg_service_snapshots_reclaimed_total",
-                "Retired epoch snapshots whose storage was reclaimed.",
+                "Retired epoch snapshots no reader still holds.",
                 self.snapshots_reclaimed,
             ),
             Family::gauge(
                 "fg_service_oldest_pinned_epoch_lag",
-                "Current epoch minus the oldest epoch still pinned by a run.",
+                "Current epoch minus the oldest retired epoch a reader still holds.",
                 self.oldest_pinned_epoch_lag as f64,
             ),
             Family::gauge(

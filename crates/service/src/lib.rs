@@ -77,7 +77,8 @@
 //!   rate, per-batch kernel/worker records, and p50/p99 latency via
 //!   [`fg_metrics::ServiceSnapshot`]. Its fold and epoch figures (mutations
 //!   applied, epochs published, partitions rebuilt and shared, snapshots
-//!   reclaimed, pin lag) are read from the graph store that owns them
+//!   reclaimed, the lag of the oldest held epoch) are read from the graph
+//!   store that owns them
 //!   ([`VersionedGraph::epoch_stats`](fg_graph::VersionedGraph::epoch_stats)).
 
 #![forbid(unsafe_code)]

@@ -209,9 +209,9 @@ struct Shared {
     config: ServiceConfig,
     /// The versioned graph store: mutations are logged here and folded into
     /// a fresh [`PartitionedGraph`] snapshot at the batcher's quiesce points,
-    /// so no in-flight engine run ever observes a half-applied batch. It owns
-    /// the epochs runs pin and counts its own folds; [`Shared::metrics`]
-    /// reads those figures from it.
+    /// so no in-flight engine run ever observes a half-applied batch. It
+    /// publishes the snapshots runs hold and counts its own folds;
+    /// [`Shared::metrics`] reads those figures from it.
     store: VersionedGraph,
     /// Vertex count of the served graph, for submit-time source validation
     /// (mutations never add vertices, so this stays valid across versions).
@@ -437,7 +437,7 @@ impl ServiceHandle {
 
     /// The current graph snapshot (the store's latest published version).
     pub fn graph(&self) -> Arc<PartitionedGraph> {
-        self.shared.store.current()
+        self.shared.store.snapshot().1
     }
 
     /// Block until every mutation logged before this call has been folded
@@ -648,7 +648,7 @@ fn batcher_loop(
     pool: Option<Arc<WorkerPool>>,
 ) {
     let num_partitions = graph.num_partitions();
-    drop(graph); // runs pin epoch snapshots; the start-time Arc is not needed
+    drop(graph); // runs take the store's snapshot; the start-time Arc is not needed
     let max_workers = engine_config.num_threads;
     loop {
         let cohorts = {
@@ -703,9 +703,9 @@ fn batcher_loop(
         // ---- Fold point ----
         // Fold the pending mutation log into the next epoch's snapshot. The
         // store materializes dirty partitions outside its lock — reads stay
-        // pinned on the current epoch and the submit fast path keeps
-        // admitting — counts and traces the fold itself, and touches no
-        // cache entry: staleness is checked where an entry is read.
+        // on the current epoch and the submit fast path keeps admitting —
+        // counts and traces the fold itself, and touches no cache entry:
+        // staleness is checked where an entry is read.
         shared.store.advance();
 
         // Mutation-only wakeup: nothing to dispatch.
@@ -777,18 +777,17 @@ fn batcher_loop(
             inner.batch_records.push_back(record);
         }
         let batch_config = engine_config.with_threads(workers);
-        // One pin per batch: the guard keeps this epoch's snapshot alive for
-        // exactly the engine's lifetime — every pass of the batch reads the
-        // same epoch — and the borrow ties the engine to it. A fold
-        // publishing the next epoch mid-run never touches the pinned
-        // storage; it is reclaimed when the guard drops below.
-        let pin = shared.store.pin();
-        let epoch = pin.epoch();
+        // One snapshot per batch: this `Arc` keeps the epoch alive for the
+        // engine's lifetime — every pass of the batch reads the same epoch —
+        // and the borrow ties the engine to it. A fold publishing the next
+        // epoch mid-run never touches this storage; it goes when the last
+        // `Arc` on it drops.
+        let (epoch, graph) = shared.store.snapshot();
         let engine = match &pool {
             Some(pool) if workers > 1 => {
-                ForkGraphEngine::with_pool(pin.graph(), batch_config, Arc::clone(pool))
+                ForkGraphEngine::with_pool(&graph, batch_config, Arc::clone(pool))
             }
-            _ => ForkGraphEngine::new(pin.graph(), batch_config),
+            _ => ForkGraphEngine::new(&graph, batch_config),
         };
         let engine = match &shared.trace {
             Some(sink) => engine.with_trace_sink(Arc::clone(sink)),

@@ -195,15 +195,6 @@ pub fn export(sink: &TraceSink) -> String {
                     w.push(phase_event(name, "i", tid, event.nanos, &[("ticket", event.a as u64)]));
                     w.push(flow_event("f", tid, event.nanos, event.a as u64));
                 }
-                EventKind::EpochPin | EventKind::EpochUnpin => {
-                    w.push(phase_event(
-                        name,
-                        "i",
-                        tid,
-                        event.nanos,
-                        &[("epoch", event.a as u64), ("pins", event.b as u64)],
-                    ));
-                }
                 EventKind::EpochAdvance => {
                     w.push(phase_event(
                         name,

@@ -83,21 +83,16 @@ pub enum EventKind {
     /// A ticket was fulfilled (result, engine failure, or shutdown flush).
     /// `a` = ticket id, `b` = batch id (0 for a shutdown flush).
     Resolve = 20,
-    /// A reader pinned an epoch snapshot for the duration of one engine run.
-    /// `a` = epoch (low 32 bits), `b` = pin count on that epoch after the
-    /// pin.
-    EpochPin = 21,
-    /// The matching unpin when the reader's snapshot guard dropped. `a` = epoch
-    /// (low 32 bits), `b` = pin count remaining, `c` = 1 if the drop
-    /// reclaimed a retired snapshot's storage.
-    EpochUnpin = 22,
+    // Discriminants 21 and 22 are unassigned (they were a reader's pin and
+    // unpin of an epoch snapshot, when the graph store counted pins) and
+    // decode to `None`.
     /// A new epoch was published by the writer. `a` = new epoch (low 32
     /// bits), `b` = partitions re-materialized, `c` = partitions shared with
     /// the previous epoch.
     EpochAdvance = 23,
     /// The writer folded a pending mutation log prefix into dirty-partition
-    /// deltas (off the lock, concurrent with pinned readers). `a` = mutations
-    /// folded, `b` = dirty partitions, `c` = base epoch (low 32 bits).
+    /// deltas (off the lock, concurrent with readers). `a` = mutations folded,
+    /// `b` = dirty partitions, `c` = base epoch (low 32 bits).
     DeltaFold = 24,
     /// A partition visit streamed a **compressed** (delta/varint) adjacency
     /// payload instead of raw CSR slices. `a` = query id, `b` = partition id.
@@ -126,8 +121,6 @@ impl EventKind {
             18 => EventKind::BatchEnd,
             19 => EventKind::JoinBatch,
             20 => EventKind::Resolve,
-            21 => EventKind::EpochPin,
-            22 => EventKind::EpochUnpin,
             23 => EventKind::EpochAdvance,
             24 => EventKind::DeltaFold,
             25 => EventKind::PartitionDecode,
@@ -152,8 +145,6 @@ impl EventKind {
             EventKind::BatchBegin | EventKind::BatchEnd => "batch",
             EventKind::JoinBatch => "join_batch",
             EventKind::Resolve => "resolve",
-            EventKind::EpochPin => "epoch_pin",
-            EventKind::EpochUnpin => "epoch_unpin",
             EventKind::EpochAdvance => "epoch_advance",
             EventKind::DeltaFold => "delta_fold",
             EventKind::PartitionDecode => "partition_decode",
@@ -243,8 +234,6 @@ mod tests {
             EventKind::BatchEnd,
             EventKind::JoinBatch,
             EventKind::Resolve,
-            EventKind::EpochPin,
-            EventKind::EpochUnpin,
             EventKind::EpochAdvance,
             EventKind::DeltaFold,
             EventKind::PartitionDecode,
@@ -259,6 +248,8 @@ mod tests {
         assert_eq!(EventKind::from_u16(5), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(8), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(13), None, "retired, never reassigned");
+        assert_eq!(EventKind::from_u16(21), None, "retired, never reassigned");
+        assert_eq!(EventKind::from_u16(22), None, "retired, never reassigned");
         assert_eq!(EventKind::from_u16(26), None);
         assert_eq!(EventKind::from_u16(u16::MAX), None);
         assert_eq!(TraceEvent::decode([0, (26u64) << 32, 0]), None);

@@ -57,7 +57,7 @@ fn main() {
     );
 
     // A burst of mixed-kernel queries; SSSP and BFS cohorts that wait
-    // together share one batch (one epoch pin, their passes back to back).
+    // together share one batch (one epoch snapshot, their passes back to back).
     let handle = service.handle();
     let n = graph.num_vertices() as u32;
     let tickets: Vec<Ticket> = (0..QUERIES)
