@@ -8,27 +8,34 @@
 //! appended once to the lane it will be popped from, and grouping cost
 //! vanishes — the buffer *is* the per-query priority queue.
 //!
-//! A lane holds a query's pending operations in three places, by where they
-//! came from. Operations arriving from other partitions wait in the target's
-//! mailbox stripes ([`crate::executor`]) until the partition's own claimant
-//! empties them onto its lanes' inboxes at the start of its visit; the visit
-//! then consolidates each inbox with **one sort** and merges it into the
-//! lane's **sorted run** of earlier arrivals. Operations a visit emits to its
-//! own partition go onto the lane's **heap**. Popping takes the lower of the
-//! heap's top and the run's back by `(priority, vertex)` — the order one heap
-//! of both would give. A **yield just stops**: whatever the heap and the run
-//! still hold stays where it is for the next visit, and a lane with nothing
-//! newly arrived merges nothing.
+//! Between its turns a lane holds a query's pending operations in two places.
+//! Operations arriving from other partitions wait in the target's mailbox
+//! stripes ([`crate::executor`]) until the partition's own claimant empties
+//! them onto its lanes' inboxes at the start of its visit; the lane's turn
+//! then consolidates its **inbox** with **one sort** and merges it into the
+//! lane's **sorted run** of earlier arrivals and leftovers. Operations a turn
+//! emits to its own partition go onto the worker's `LocalQueue`, a bucket
+//! ring with a heap for what falls outside it, which one worker reuses for
+//! every lane it runs. Popping takes the lower of the queue's next operation
+//! and the run's back by `(priority, vertex)` — the order one heap of both
+//! would give. When the turn ends, by draining or by a yield, the queue's
+//! leftovers merge into the run, so a **yield just stops**: what the lane
+//! holds stays where it is for the next visit, and a lane with nothing newly
+//! arrived merges nothing.
 //!
 //! The inbox is not there to spare a cold partition heap traffic — the
 //! drain and the merge both happen in the visit, with the partition about
-//! to be resident. Pushing arrivals straight onto the heap bought nothing:
+//! to be resident. Pushing arrivals straight onto a heap bought nothing:
 //! on `fgbench`'s `fpp-social-resident` (2-core Xeon, seed 42, 10
 //! alternating pairs) batch time was within noise either way, and without
 //! the inbox single-query latency rose 5 % (p50 and p90) and peak RSS 2.4 %.
 //! Either way every arrival paid a heap sift on the way in and another on
 //! the way out. The sorted run pays neither: a visit's arrivals cost one
-//! sort and one linear merge, and popping one is `Vec::pop`.
+//! sort and one linear merge, and popping one is `Vec::pop`. The queue does
+//! the same for a turn's own pushes: on `fpp-road-spill`, where most emits
+//! stay in their partition, `BinaryHeap::pop` on a per-lane heap of
+//! thousands of entries was 55 % of engine samples in a profile of the
+//! batch before a bucket ring took it over.
 //!
 //! A run's buffers live beside its executor mailboxes, one per partition,
 //! and are built and dropped with the run. Lanes, the lane table and the
@@ -61,21 +68,21 @@ pub enum ConsolidationMethod {
 /// back costs more than it saves.
 pub(crate) const RESIDENT_SLACK: usize = 32;
 
-/// One query's pending operations in one partition: a heap of what the
-/// lane's own visits pushed, a sorted run of merged arrivals, and an inbox of
-/// arrivals since the query's last visit here.
+/// One query's pending operations in one partition between its turns: a
+/// sorted run of what earlier turns left and an inbox of arrivals since the
+/// query's last turn here.
 ///
-/// With query-centric consolidation on, a visit first merges the inbox into
-/// the run and then pops in `(priority, vertex)` order from whichever of the
-/// heap and the run holds the lower next operation — the order one heap of
-/// both would give. With it off (the "+buffer" ablation) the heap and the run
-/// stay unused and the inbox is the whole lane, popped in arrival order.
+/// With query-centric consolidation on, a turn first merges the inbox into
+/// the run, then pops in `(priority, vertex)` order from whichever of the run
+/// and the worker's [`LocalQueue`] — where the turn's own pushes go — holds
+/// the lower next operation, the order one heap of both would give; when the
+/// turn ends the queue's leftovers are merged into the run. With it off (the
+/// "+buffer" ablation) the run and the queue stay unused and the inbox is the
+/// whole lane, popped in arrival order.
 #[derive(Clone, Debug)]
 pub(crate) struct Lane<V> {
-    /// Operations the lane's own visits emitted to its partition.
-    heap: BinaryHeap<HeapEntry<V>>,
-    /// Merged arrivals, sorted descending by `(priority, vertex)`: the next
-    /// one is at the back.
+    /// Merged arrivals and earlier turns' leftovers, sorted descending by
+    /// `(priority, vertex)`: the next one is at the back.
     run: Vec<Operation<V>>,
     inbox: VecDeque<Operation<V>>,
     /// Lowest priority appended to the inbox since it was last empty.
@@ -84,12 +91,7 @@ pub(crate) struct Lane<V> {
 
 impl<V> Default for Lane<V> {
     fn default() -> Self {
-        Lane {
-            heap: BinaryHeap::new(),
-            run: Vec::new(),
-            inbox: VecDeque::new(),
-            inbox_min: Priority::MAX,
-        }
+        Lane { run: Vec::new(), inbox: VecDeque::new(), inbox_min: Priority::MAX }
     }
 }
 
@@ -102,12 +104,12 @@ fn key<V>(op: &Operation<V>) -> (Priority, u32) {
 impl<V: Copy> Lane<V> {
     /// Pending operations (resident + arrived).
     pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len() + self.inbox.len()
+        self.run.len() + self.inbox.len()
     }
 
     /// True if nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.run.is_empty() && self.inbox.is_empty()
+        self.run.is_empty() && self.inbox.is_empty()
     }
 
     /// Best (lowest) pending priority, `Priority::MAX` when empty; `O(1)`.
@@ -116,9 +118,7 @@ impl<V: Copy> Lane<V> {
     /// — a lane that looks a little more urgent than it is — until the inbox
     /// next runs empty.
     pub fn min_priority(&self) -> Priority {
-        let local = self.heap.peek().map_or(Priority::MAX, |entry| entry.op.priority);
-        let merged = self.run.last().map_or(Priority::MAX, |op| op.priority);
-        local.min(merged).min(self.inbox_min)
+        self.run.last().map_or(Priority::MAX, |op| op.priority).min(self.inbox_min)
     }
 
     /// Append an arrival to the inbox.
@@ -128,7 +128,7 @@ impl<V: Copy> Lane<V> {
         self.inbox.push_back(op);
     }
 
-    /// Visit start of an ordered lane: drop the arrivals `is_dead` already
+    /// Turn start of an ordered lane: drop the arrivals `is_dead` already
     /// condemns, consolidate the survivors with one sort and merge them into
     /// the run from the back — no per-operation sift, and no allocation once
     /// the run has grown to the lane's size. Returns how many arrivals were
@@ -158,35 +158,27 @@ impl<V: Copy> Lane<V> {
         dropped
     }
 
-    /// Visit end: a heap or run that has shrunk to under a quarter of its
-    /// capacity gives half of it back — the usual amortised-constant policy,
-    /// so allocations stay proportional to operations, never to yields,
-    /// while an engine run's footprint follows its live operations instead
-    /// of the sum of every lane's historical peak.
-    pub(crate) fn trim(&mut self) {
-        if self.heap.capacity() > 4 * self.heap.len() + RESIDENT_SLACK {
-            self.heap.shrink_to(2 * self.heap.len());
-        }
+    /// Turn end, by a yield or by draining: merge what the worker's queue
+    /// still holds into the run, leaving the queue empty for the next lane.
+    /// Then a run that has shrunk to under a quarter of its capacity gives
+    /// half of it back — the usual amortised-constant policy, so allocations
+    /// stay proportional to operations, never to yields, while an engine
+    /// run's footprint follows its live operations instead of the sum of
+    /// every lane's historical peak.
+    pub(crate) fn end_turn(&mut self, local: &mut LocalQueue<V>) {
+        local.spill_into(&mut self.run);
         if self.run.capacity() > 4 * self.run.len() + RESIDENT_SLACK {
             self.run.shrink_to(2 * self.run.len());
         }
     }
 
     /// Remove the next operation: best `(priority, vertex)` of an ordered
-    /// lane (its inbox merged), oldest arrival otherwise.
+    /// lane (its inbox merged) and the worker's queue, oldest arrival
+    /// otherwise.
     #[inline]
-    pub(crate) fn pop(&mut self, ordered: bool) -> Option<Operation<V>> {
+    pub(crate) fn pop(&mut self, ordered: bool, local: &mut LocalQueue<V>) -> Option<Operation<V>> {
         if ordered {
-            let from_run = match (self.heap.peek(), self.run.last()) {
-                (Some(local), Some(merged)) => key(merged) < key(&local.op),
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if from_run {
-                self.run.pop()
-            } else {
-                self.heap.pop().map(|entry| entry.op)
-            }
+            local.pop_or(&mut self.run)
         } else {
             let op = self.inbox.pop_front();
             if self.inbox.is_empty() {
@@ -196,12 +188,18 @@ impl<V: Copy> Lane<V> {
         }
     }
 
-    /// Add an operation the lane's own visit emitted: it will be popped from
-    /// here, so it goes straight to where [`Self::pop`] looks.
+    /// Add an operation the lane's own turn emitted: it will be popped from
+    /// there, so it goes straight to where [`Self::pop`] looks — the worker's
+    /// queue of an ordered lane, the inbox of an unordered one.
     #[inline]
-    pub(crate) fn push_local(&mut self, ordered: bool, op: Operation<V>) {
+    pub(crate) fn push_local(
+        &mut self,
+        ordered: bool,
+        local: &mut LocalQueue<V>,
+        op: Operation<V>,
+    ) {
         if ordered {
-            self.heap.push(HeapEntry { op });
+            local.push(op);
         } else {
             self.push_inbox(op);
         }
@@ -226,6 +224,214 @@ fn merge_descending<V: Copy>(run: &mut Vec<Operation<V>>, arrivals: &[Operation<
             run[k] = arrivals[j - 1];
             j -= 1;
         }
+    }
+}
+
+/// Sort a [`LocalQueue`] slot that has become the lowest, descending by
+/// vertex. This and [`insert_sorted`] stay out of line: inlined, they made
+/// the pop and push paths of kernels whose pushes almost all overflow
+/// slower (`fpp-ppr-resident` `vs_seq` 1.39 against 1.25 out of line, medians
+/// of 6 alternating pairs).
+#[inline(never)]
+fn sort_slot<V: Copy>(slot: &mut [Operation<V>]) {
+    slot.sort_unstable_by_key(|op| Reverse(op.vertex));
+}
+
+/// Insert `op` into the slot being drained, keeping it sorted descending by
+/// vertex: a push of the priority being popped, as a zero-weight edge makes.
+#[cold]
+#[inline(never)]
+fn insert_sorted<V: Copy>(slot: &mut Vec<Operation<V>>, op: Operation<V>) {
+    let at = slot.partition_point(|queued| queued.vertex > op.vertex);
+    slot.insert(at, op);
+}
+
+/// Width of a [`LocalQueue`]'s bucket window: one slot per priority, tracked
+/// by the bits of one `u64`.
+const WINDOW: u64 = 64;
+
+/// [`LocalQueue::sorted`] when no slot is being drained.
+const NO_SLOT: usize = WINDOW as usize;
+
+/// A worker's queue of what the lane it is running pushes to its own
+/// partition: Dial's bucket queue (Dial, CACM 1969) over a sliding window of
+/// [`WINDOW`] priorities, with a binary heap for pushes outside it.
+///
+/// * **Ring** — the operations of priority `p` in `[base, base + WINDOW)`
+///   wait in `slots[p % WINDOW]`; bit `s` of `occupied` says slot `s` holds
+///   any, so the lowest is one rotate and one `trailing_zeros` away. A pop
+///   moves `base` to the popped priority wherever the ring stays inside the
+///   window, so the window follows the turn's frontier and a push of weight
+///   `w < WINDOW` lands in it. A push below `base` moves the window down if
+///   the ring's highest entry stays inside it; into an empty ring it does
+///   not, since a kernel that pushes below its frontier (PPR, DFS) rarely
+///   pushes within a window of it.
+/// * **Overflow** — a push the window cannot take (PPR's `1/residual`
+///   priorities, weights of `WINDOW` or more, a push too far below `base`)
+///   goes onto the heap.
+/// * **Lazy sorting** — a slot is sorted descending by vertex when it
+///   becomes the lowest, and a push into the slot being drained is inserted
+///   in order, so pops keep the exact `(priority, vertex)` order of one heap
+///   across the ring, the overflow and the lane's run.
+///
+/// For SSSP on weights below `WINDOW` and for BFS every push lands in the
+/// ring, and a pop costs a bit scan and a `Vec::pop` instead of a heap sift;
+/// on `fpp-road-spill`'s batch, where a per-lane heap held 2 855 entries at
+/// the mean pop, that took `vs_seq` from 0.70 to 0.50 (medians of 10
+/// alternating pairs, seed 42, 2-core Xeon). A lane's
+/// turn leaves the queue empty ([`Lane::end_turn`]), so one queue serves
+/// every lane a worker runs, and its slots' capacity is reused from lane to
+/// lane instead of allocated per lane.
+#[derive(Debug)]
+pub(crate) struct LocalQueue<V> {
+    /// `WINDOW` buckets, one per priority in the window.
+    slots: Vec<Vec<Operation<V>>>,
+    /// Bit `s` set iff `slots[s]` is non-empty.
+    occupied: u64,
+    /// Every operation in the ring has a priority in `[base, base + WINDOW)`.
+    base: Priority,
+    /// The slot being drained, kept sorted descending by vertex: the one the
+    /// last pop from the ring drew from, while it holds any; else `NO_SLOT`.
+    sorted: usize,
+    /// Pushes outside the window.
+    heap: BinaryHeap<HeapEntry<V>>,
+    /// Leftovers gathered at a turn's end; reused.
+    spill: Vec<Operation<V>>,
+}
+
+impl<V: Copy> LocalQueue<V> {
+    pub(crate) fn new() -> Self {
+        LocalQueue {
+            slots: (0..WINDOW).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            base: 0,
+            sorted: NO_SLOT,
+            heap: BinaryHeap::new(),
+            spill: Vec::new(),
+        }
+    }
+
+    /// True if nothing is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.occupied == 0 && self.heap.is_empty()
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum::<usize>() + self.heap.len()
+    }
+
+    /// Panic unless every operation in the ring lies in the window, in the
+    /// slot of its priority, and `occupied` marks exactly the non-empty slots.
+    #[cfg(test)]
+    fn assert_window(&self) {
+        for (s, slot) in self.slots.iter().enumerate() {
+            assert_eq!(self.occupied & (1 << s) != 0, !slot.is_empty(), "slot {s}'s bit");
+            for op in slot {
+                let p = op.priority;
+                assert!(
+                    p >= self.base && p - self.base < WINDOW,
+                    "{p} outside [{}, +64)",
+                    self.base
+                );
+                assert_eq!((p % WINDOW) as usize, s, "{p} in slot {s}");
+            }
+        }
+    }
+
+    /// `occupied` rotated so that bit `i` is the slot of priority `base + i`.
+    #[inline]
+    fn window_bits(&self) -> u64 {
+        self.occupied.rotate_right((self.base % WINDOW) as u32)
+    }
+
+    /// Queue `op`.
+    #[inline]
+    pub(crate) fn push(&mut self, op: Operation<V>) {
+        let p = op.priority;
+        if p < self.base || p - self.base >= WINDOW {
+            // Above the window, or below it where the ring would not fit in
+            // a window based at `p`.
+            if self.occupied == 0 || p > self.base || self.highest() - p >= WINDOW {
+                self.heap.push(HeapEntry { op });
+                return;
+            }
+            self.base = p;
+        }
+        let s = (p % WINDOW) as usize;
+        let slot = &mut self.slots[s];
+        if s == self.sorted {
+            insert_sorted(slot, op);
+        } else {
+            slot.push(op);
+        }
+        self.occupied |= 1 << s;
+    }
+
+    /// Highest priority in the ring, which must not be empty.
+    fn highest(&self) -> Priority {
+        self.base + u64::from(WINDOW as u32 - 1 - self.window_bits().leading_zeros())
+    }
+
+    /// Remove the lower by `(priority, vertex)` of this queue's next
+    /// operation and `run`'s back, and move the window's base to the popped
+    /// priority where the ring stays inside it.
+    #[inline]
+    pub(crate) fn pop_or(&mut self, run: &mut Vec<Operation<V>>) -> Option<Operation<V>> {
+        let from_run = match (self.heap.peek(), run.last()) {
+            (Some(top), Some(next)) => key(next) < key(&top.op),
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        if self.occupied != 0 {
+            let lowest = self.base + u64::from(self.window_bits().trailing_zeros());
+            let s = (lowest % WINDOW) as usize;
+            if s != self.sorted {
+                sort_slot(&mut self.slots[s]);
+                self.sorted = s;
+            }
+            let slot = &mut self.slots[s];
+            let next = slot.last().expect("an occupied slot holds an operation");
+            let other = if from_run { run.last() } else { self.heap.peek().map(|top| &top.op) };
+            if other.is_none_or(|other| key(next) <= key(other)) {
+                let op = slot.pop().expect("an occupied slot holds an operation");
+                if slot.is_empty() {
+                    self.occupied &= !(1 << s);
+                    self.sorted = NO_SLOT;
+                }
+                // Everything left is at or above `op`, so the ring stays
+                // inside a window based at it.
+                self.base = op.priority;
+                return Some(op);
+            }
+        }
+        let op = if from_run { run.pop() } else { self.heap.pop().map(|entry| entry.op) }?;
+        // The ring stays inside a window based at `op` unless it lies above
+        // the current base.
+        if self.occupied == 0 || op.priority >= self.base {
+            self.base = op.priority;
+        }
+        Some(op)
+    }
+
+    /// Merge everything queued into `run` (sorted descending by `(priority,
+    /// vertex)`), leaving the queue empty. Nothing to do after a lane that
+    /// drained; after a yield, one sort of the leftovers and one merge.
+    fn spill_into(&mut self, run: &mut Vec<Operation<V>>) {
+        if self.is_empty() {
+            return;
+        }
+        let mut bits = self.occupied;
+        while bits != 0 {
+            self.spill.append(&mut self.slots[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+        self.occupied = 0;
+        self.sorted = NO_SLOT;
+        self.spill.extend(self.heap.drain().map(|entry| entry.op));
+        self.spill.sort_unstable_by_key(|op| Reverse(key(op)));
+        merge_descending(run, &self.spill);
+        self.spill.clear();
     }
 }
 
@@ -340,7 +546,7 @@ impl<V: Copy> PartitionBuffer<V> {
 
     /// Remove and return all buffered operations grouped by query, the
     /// groups sorted by query id — the lanes, emptied. Within a group the
-    /// resident operations (heap, then run) come first, then the arrivals in
+    /// resident operations (the run) come first, then the arrivals in
     /// arrival order (the kernel applies its own priority ordering). Lanes
     /// are grouped by construction, so `method` has nothing left to choose.
     pub fn drain_consolidated(
@@ -352,7 +558,6 @@ impl<V: Copy> PartitionBuffer<V> {
         for i in 0..count {
             let (query, lane) = self.active_lane(i);
             let mut ops: Vec<Operation<V>> = Vec::with_capacity(lane.len());
-            ops.extend(lane.heap.drain().map(|entry| entry.op));
             ops.append(&mut lane.run);
             ops.extend(lane.inbox.drain(..));
             lane.inbox_min = Priority::MAX;
@@ -447,6 +652,7 @@ mod tests {
     /// Run one visit of every active lane, popping up to `budget` operations
     /// from each; returns what was popped, in visit order.
     fn visit(b: &mut PartitionBuffer<u64>, ordered: bool, budget: usize) -> Vec<Operation<u64>> {
+        let mut local = LocalQueue::new();
         let mut popped = Vec::new();
         for i in 0..b.begin_visit() {
             let (_, lane) = b.active_lane(i);
@@ -454,11 +660,12 @@ mod tests {
                 lane.merge_inbox(|_| false);
             }
             for _ in 0..budget {
-                match lane.pop(ordered) {
+                match lane.pop(ordered, &mut local) {
                     Some(op) => popped.push(op),
                     None => break,
                 }
             }
+            lane.end_turn(&mut local);
         }
         b.end_visit();
         popped
@@ -495,7 +702,7 @@ mod tests {
             assert_eq!(b.active.len(), 1, "ordered={ordered}: query 4's lane was retired");
             let expected_min = if ordered { 50 } else { 20 };
             assert_eq!(b.min_priority(), expected_min, "ordered={ordered}");
-            // O(1): the lane answers from its heap top and running inbox
+            // O(1): the lane answers from its run's back and running inbox
             // minimum, never by walking what is resident.
             let (_, lane) = b.active_lane(0);
             assert_eq!(lane.min_priority(), expected_min, "ordered={ordered}");
@@ -515,101 +722,130 @@ mod tests {
 
     #[test]
     fn grown_lanes_give_capacity_back() {
-        let mut lane: Lane<u64> = Lane::default();
+        let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
         for i in 0..1000 {
             lane.push_inbox(op(0, i, 2 * i as u64));
-            lane.push_local(true, op(0, i, 2 * i as u64 + 1));
         }
         lane.merge_inbox(|_| false);
-        assert_eq!(lane.len(), 2000);
         assert!(lane.inbox.capacity() <= RESIDENT_SLACK, "a merged inbox releases its buffer");
-        // A yield with most of the lane still resident keeps the heap and the
-        // run as they are.
-        for _ in 0..200 {
-            lane.pop(true);
+        for i in 0..1000 {
+            lane.push_local(true, &mut local, op(0, i, 2 * i as u64 + 1));
         }
-        let (heap, run) = (lane.heap.capacity(), lane.run.capacity());
-        lane.trim();
-        assert_eq!((lane.heap.capacity(), lane.run.capacity()), (heap, run));
+        assert_eq!(lane.len() + local.len(), 2000);
+        // A yield with most of the lane still resident: the queue's leftovers
+        // join the run, which keeps its capacity.
+        for _ in 0..200 {
+            lane.pop(true, &mut local);
+        }
+        lane.end_turn(&mut local);
+        assert!(local.is_empty(), "a turn's end empties the worker's queue");
+        assert_eq!(lane.len(), 1800);
+        let run = lane.run.capacity();
+        lane.end_turn(&mut local);
+        assert_eq!(lane.run.capacity(), run);
         // Once the lane has mostly drained, half the slack goes back.
         while lane.len() > 100 {
-            lane.pop(true);
+            lane.pop(true, &mut local);
         }
-        lane.trim();
-        assert!(lane.heap.capacity() < heap / 4, "the heap gives capacity back");
+        lane.end_turn(&mut local);
         assert!(lane.run.capacity() < run / 4, "the run gives capacity back");
-        assert!(lane.heap.capacity() >= lane.heap.len() && lane.run.capacity() >= lane.run.len());
-        assert_eq!(lane.pop(true).unwrap().priority, 1900);
+        assert!(lane.run.capacity() >= lane.run.len());
+        assert_eq!(lane.pop(true, &mut local).unwrap().priority, 1900);
     }
 
     /// The reference a lane must match: one heap of everything pushed,
     /// from which the arrivals a merge dropped are skipped.
     struct Reference {
-        heap: BinaryHeap<HeapEntry<u64>>,
+        pushed: BinaryHeap<HeapEntry<u64>>,
         dropped: Vec<u64>,
     }
 
     impl Reference {
         fn skip_dropped(&mut self) {
-            while let Some(top) = self.heap.peek() {
+            while let Some(top) = self.pushed.peek() {
                 let Some(at) = self.dropped.iter().position(|&id| id == top.op.value) else {
                     break;
                 };
                 self.dropped.swap_remove(at);
-                self.heap.pop();
+                self.pushed.pop();
             }
         }
 
         fn pop(&mut self) -> Option<Operation<u64>> {
             self.skip_dropped();
-            self.heap.pop().map(|entry| entry.op)
+            self.pushed.pop().map(|entry| entry.op)
         }
 
         fn min_priority(&mut self) -> Priority {
             self.skip_dropped();
-            self.heap.peek().map_or(Priority::MAX, |entry| entry.op.priority)
+            self.pushed.peek().map_or(Priority::MAX, |entry| entry.op.priority)
+        }
+    }
+
+    /// A priority for the interleaving test near `at`: equal to it (two
+    /// draws in five), up to
+    /// two windows above or below it, or anywhere in the case's range of 151
+    /// priorities from `origin`.
+    fn draw_priority(rng: &mut rand::rngs::SmallRng, origin: Priority, at: Priority) -> Priority {
+        use rand::Rng;
+        match rng.gen_range(0u32..5) {
+            0 | 1 => at,
+            2 => at.saturating_add(rng.gen_range(0..2 * WINDOW)),
+            3 => at.saturating_sub(rng.gen_range(0..2 * WINDOW)),
+            _ => origin.saturating_add(rng.gen_range(0..=150)),
         }
     }
 
     /// Seeded interleavings of arrivals, merges, local pushes and partial
-    /// drains (yields): an ordered lane pops the `(priority, vertex)`
-    /// sequence of one `BinaryHeap<HeapEntry>` holding every operation, less
-    /// the arrivals a merge found dead. Liveness follows min-relaxation —
-    /// an operation is dead once its vertex's entry falls below its
-    /// priority, and entries only fall — so a dropped arrival would have been
-    /// pruned when popped.
+    /// drains (yields), every turn ending with the worker's queue spilled
+    /// into the lane: an ordered lane pops the `(priority, vertex)` sequence
+    /// of one `BinaryHeap<HeapEntry>` holding every operation, less the
+    /// arrivals a merge found dead. Liveness follows min-relaxation — an
+    /// operation is dead once its vertex's entry falls below its priority,
+    /// and entries only fall — so a dropped arrival would have been pruned
+    /// when popped. Priorities cluster around the last one popped, so local
+    /// pushes land in the slot being drained, inside the queue's window,
+    /// above it and below its base; half the cases sit at the top of the
+    /// `u64` range. One queue serves every case, as one serves every lane a
+    /// worker runs.
     #[test]
     fn lane_pops_in_the_order_of_one_heap_under_any_interleaving() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
 
         let mut rng = SmallRng::seed_from_u64(43);
+        let mut local = LocalQueue::new();
         let mut dropped_in_all_cases = 0;
+        // Local pushes by the queue's path they took, over all cases.
+        let (mut into_drained, mut overflowed, mut rebased, mut near_max) = (0, 0, 0, 0);
         for case in 0..300 {
             let drop_dead = case % 2 == 1;
+            let origin = if case % 4 >= 2 { Priority::MAX - 150 } else { 0 };
             let mut lane: Lane<u64> = Lane::default();
-            let mut reference = Reference { heap: BinaryHeap::new(), dropped: Vec::new() };
+            let mut reference = Reference { pushed: BinaryHeap::new(), dropped: Vec::new() };
             let mut entry = [Priority::MAX; 8];
             // Operation values are unique ids, so a dropped arrival can be
             // told from a live one with the same `(priority, vertex)`.
             let mut next_id = 0u64;
-            let mut new_op = |rng: &mut SmallRng, entry: &mut [Priority; 8]| {
+            let mut new_op = |rng: &mut SmallRng, entry: &mut [Priority; 8], at: Priority| {
                 let vertex = rng.gen_range(0u32..8);
-                let priority = rng.gen_range(0u64..24);
+                let priority = draw_priority(rng, origin, at);
                 entry[vertex as usize] = entry[vertex as usize].min(priority);
                 next_id += 1;
                 Operation::new(0, vertex, next_id, priority)
             };
+            // The priority last popped: where the case's frontier is.
+            let mut last = origin;
             for _visit in 0..rng.gen_range(1usize..12) {
                 // Between visits: arrivals, and entries falling elsewhere.
                 for _ in 0..rng.gen_range(0usize..10) {
-                    let op = new_op(&mut rng, &mut entry);
+                    let op = new_op(&mut rng, &mut entry, last);
                     lane.push_inbox(op);
-                    reference.heap.push(HeapEntry { op });
+                    reference.pushed.push(HeapEntry { op });
                 }
                 for _ in 0..rng.gen_range(0usize..3) {
                     let vertex = rng.gen_range(0usize..8);
-                    entry[vertex] = entry[vertex].min(rng.gen_range(0u64..24));
+                    entry[vertex] = entry[vertex].min(draw_priority(&mut rng, origin, last));
                 }
                 // Visit start.
                 let mut condemned = Vec::new();
@@ -629,42 +865,66 @@ mod tests {
                 let mut popped = 0;
                 while popped < budget {
                     if rng.gen_bool(0.5) {
-                        let op = new_op(&mut rng, &mut entry);
-                        lane.push_local(true, op);
-                        reference.heap.push(HeapEntry { op });
+                        let op = new_op(&mut rng, &mut entry, last);
+                        let slot = (op.priority % WINDOW) as usize;
+                        let draining = slot == local.sorted && !local.slots[slot].is_empty();
+                        let (ring_before, base_before) = (local.occupied != 0, local.base);
+                        let heap_before = local.heap.len();
+                        lane.push_local(true, &mut local, op);
+                        local.assert_window();
+                        if local.heap.len() > heap_before {
+                            overflowed += 1;
+                        } else {
+                            into_drained += u32::from(draining);
+                            rebased += u32::from(ring_before && local.base < base_before);
+                        }
+                        near_max += u32::from(op.priority > Priority::MAX - WINDOW);
+                        reference.pushed.push(HeapEntry { op });
                     }
-                    let (got, want) = (lane.pop(true), reference.pop());
+                    let (got, want) = (lane.pop(true, &mut local), reference.pop());
+                    local.assert_window();
                     assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
                     let Some(got) = got else { break };
                     assert!(!condemned.contains(&got.value), "case {case}: a dead arrival popped");
+                    last = got.priority;
                     popped += 1;
                 }
-                lane.trim();
+                lane.end_turn(&mut local);
+                assert!(local.is_empty(), "case {case}: a turn's end empties the queue");
                 assert_eq!(lane.min_priority(), reference.min_priority(), "case {case}");
             }
             // Drain what the last yield left.
             lane.merge_inbox(|_| false);
             loop {
-                let (got, want) = (lane.pop(true), reference.pop());
+                let (got, want) = (lane.pop(true, &mut local), reference.pop());
                 assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
                 if got.is_none() {
                     break;
                 }
             }
-            assert!(lane.is_empty());
+            lane.end_turn(&mut local);
+            assert!(lane.is_empty() && local.is_empty());
         }
         assert!(dropped_in_all_cases > 100, "the cases drop dead arrivals");
+        let paths = [into_drained, overflowed, rebased, near_max];
+        assert!(paths.iter().all(|&count| count > 100), "pushes by path: {paths:?}");
     }
 
     #[test]
     fn local_pushes_land_where_the_visit_pops() {
         for ordered in [true, false] {
-            let mut lane: Lane<u64> = Lane::default();
-            lane.push_local(ordered, op(0, 1, 30));
-            lane.push_local(ordered, op(0, 2, 10));
-            assert_eq!(lane.len(), 2);
-            assert_eq!(lane.min_priority(), 10);
-            assert_eq!(lane.pop(ordered).unwrap().vertex, if ordered { 2 } else { 1 });
+            let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
+            lane.push_local(ordered, &mut local, op(0, 1, 30));
+            lane.push_local(ordered, &mut local, op(0, 2, 10));
+            // An ordered lane's own pushes wait in the worker's queue, an
+            // unordered lane's in its inbox.
+            let expected = if ordered { (0, 2) } else { (2, 0) };
+            assert_eq!((lane.len(), local.len()), expected);
+            assert_eq!(lane.pop(ordered, &mut local).unwrap().vertex, if ordered { 2 } else { 1 });
+            // What the turn leaves is the lane's once it ends.
+            lane.end_turn(&mut local);
+            assert_eq!((lane.len(), local.len()), (1, 0));
+            assert_eq!(lane.pop(ordered, &mut local).unwrap().vertex, if ordered { 1 } else { 2 });
         }
     }
 
@@ -688,18 +948,18 @@ mod tests {
 
     #[test]
     fn unordered_lane_minimum_is_a_lower_bound_until_the_inbox_empties() {
-        let mut lane: Lane<u64> = Lane::default();
+        let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
         for (vertex, priority) in [(1, 10), (2, 40), (3, 30)] {
-            lane.push_local(false, op(0, vertex, priority));
+            lane.push_local(false, &mut local, op(0, vertex, priority));
         }
         assert_eq!(lane.min_priority(), 10);
-        lane.pop(false);
+        lane.pop(false, &mut local);
         // The true minimum is now 30; the running one still says 10.
         assert_eq!(lane.min_priority(), 10);
-        lane.pop(false);
-        lane.pop(false);
+        lane.pop(false, &mut local);
+        lane.pop(false, &mut local);
         assert_eq!(lane.min_priority(), u64::MAX);
-        lane.push_local(false, op(0, 4, 25));
+        lane.push_local(false, &mut local, op(0, 4, 25));
         assert_eq!(lane.min_priority(), 25);
     }
 }

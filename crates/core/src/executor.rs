@@ -43,8 +43,10 @@
 //!   visit is in progress; the crew then quiesces. A run with no seeds
 //!   starts quiesced.
 //! * **Storage** — a run builds its mailboxes and lanes (one stripe per
-//!   worker) and each worker its routing scratch, and all of it is dropped
-//!   when the run ends: the pool lends threads only.
+//!   worker), and each worker its local queue (the bucket queue its lanes'
+//!   own pushes go through, `buffer::LocalQueue`) and its routing
+//!   scratch; all of it is dropped when the run ends: the pool lends threads
+//!   only.
 //!
 //! A visit (`RunState::visit`) is the whole of Algorithm 2's
 //! `IntraPartProcess`: it moves the mailbox's arrivals into the lanes,
@@ -80,7 +82,7 @@ use fg_graph::partition::PartitionId;
 use fg_metrics::{Stopwatch, WorkSnapshot, WorkerSnapshot};
 use fg_trace::{EventKind, Histogram, PhaseTimes, RunProfile};
 
-use crate::buffer::{Lane, PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
+use crate::buffer::{Lane, LocalQueue, PartitionBuffer, RemoteScratch, RESIDENT_SLACK};
 use crate::engine::{ForkGraphEngine, ForkGraphRunResult};
 use crate::kernel::FppKernel;
 use crate::operation::{Operation, Priority};
@@ -177,6 +179,14 @@ impl<V: Copy> Mailbox<V> {
             stamp: self.stamp.load(Ordering::Relaxed),
         }
     }
+}
+
+/// What one worker builds at the start of a run and reuses for every lane it
+/// runs: the queue the lane's own pushes go through, and the batches it
+/// stages for other partitions.
+struct WorkerScratch<V> {
+    local: LocalQueue<V>,
+    remote: RemoteScratch<V>,
 }
 
 /// The run's one runnable set and the workers waiting for it to fill.
@@ -316,15 +326,14 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// remote batches once the last lane is done, update the termination
     /// counter, and run the `Running → Idle | Queued` epilogue. The visit is
     /// counted into the worker's own `stats` and, when the run is profiling,
-    /// its size into `visit_ops`; `remote` is the worker's reusable routing
-    /// scratch.
+    /// its size into `visit_ops`.
     fn visit(
         &self,
         w: usize,
         p: usize,
         stats: &mut WorkerSnapshot,
         visit_ops: &mut Histogram,
-        remote: &mut RemoteScratch<K::Value>,
+        scratch: &mut WorkerScratch<K::Value>,
     ) {
         let mailbox = &self.mailboxes[p];
         mailbox.state.store(RUNNING, Ordering::Release);
@@ -356,7 +365,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             for i in 0..active {
                 let (query, lane) = lanes.active_lane(i);
                 emitted_local +=
-                    self.process_lane(partition, edge_budget, query, lane, remote, stats);
+                    self.process_lane(partition, edge_budget, query, lane, scratch, stats);
             }
             let consumed = stats.operations - executed_before;
             // Send operations to neighbour partitions in batches (Line 16),
@@ -364,7 +373,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             // query and untouched until its own visit, so sending after the
             // last lane instead of after each one changes no lane's contents
             // or order, and pays each target's post cost once.
-            remote.flush(|target, batch| self.post(w, target as usize, batch));
+            scratch.remote.flush(|target, batch| self.post(w, target as usize, batch));
             lanes.end_visit();
             mailbox.note_visit(emitted_local, consumed, &lanes);
             // The consumed operations leave the system only now, after their
@@ -417,16 +426,18 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// With consolidation the lane's new arrivals are checked against the
     /// query's state ([`FppKernel::is_dead`]), the dead ones dropped and the
     /// rest sorted and merged into its resident run, and operations are
-    /// popped in `(priority, vertex)` order from the run and the heap of the
-    /// lane's own pushes; without it, in arrival order. Once the lane has
-    /// processed more edges than `edge_budget` it yields instead of popping
-    /// again; a **yield just stops** — what the lane still holds stays
-    /// resident for the next visit. An operation the kernel emits is
-    /// appended once to where it will be popped from: this lane if its
-    /// vertex lives in this partition, else the `remote` batch of its target
-    /// (which [`Self::visit`] posts when the last lane is done). The work is
-    /// counted into the worker's own `stats`; the return value is the number
-    /// of operations pushed onto this lane, which never pass through a
+    /// popped in `(priority, vertex)` order from the run and the worker's
+    /// local queue, which holds this turn's own pushes; without it, in
+    /// arrival order. Once the lane has processed more edges than
+    /// `edge_budget` it yields instead of popping again; a **yield just
+    /// stops** — the queue's leftovers are merged into the run, and what the
+    /// lane holds stays resident for the next visit. An operation the kernel
+    /// emits is appended once to where it will be popped from: the local
+    /// queue (the inbox, unordered) if its vertex lives in this partition,
+    /// else the worker's remote batch for its target (which [`Self::visit`]
+    /// posts when the last lane is done). The work is counted into the
+    /// worker's own `stats`; the return value is the number of operations
+    /// this turn pushed for its own lane, which never pass through a
     /// mailbox. Only a kernel that prunes ([`FppKernel::PRUNES`]) has its
     /// arrivals checked or yields.
     fn process_lane(
@@ -435,9 +446,10 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         edge_budget: u64,
         query: u32,
         lane: &mut Lane<K::Value>,
-        remote: &mut RemoteScratch<K::Value>,
+        scratch: &mut WorkerScratch<K::Value>,
         stats: &mut WorkerSnapshot,
     ) -> u64 {
+        let WorkerScratch { local, remote } = scratch;
         let (engine, kernel, tracer) = (self.engine, self.kernel, self.tracer);
         let pg = engine.partitioned_graph();
         let ordered = engine.config().consolidate;
@@ -469,7 +481,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         }
         let mut emitted_local = 0u64;
         let mut edges_this_visit = 0u64;
-        while let Some(op) = lane.pop(ordered) {
+        while let Some(op) = lane.pop(ordered, local) {
             let vertex = op.vertex;
             let edges = kernel.process(
                 &view,
@@ -481,7 +493,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                     let new_op = Operation::new(query, t, value, priority);
                     let target_partition = pg.partition_of(t);
                     if target_partition == partition {
-                        lane.push_local(ordered, new_op);
+                        lane.push_local(ordered, local, new_op);
                         emitted_local += 1;
                     } else {
                         remote.push(target_partition, new_op);
@@ -515,25 +527,28 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                     tracer.state_read(query as usize, vertex as u64);
                 }
             }
-            if edges_this_visit > edge_budget && !lane.is_empty() {
+            if edges_this_visit > edge_budget && !(lane.is_empty() && local.is_empty()) {
                 stats.yields += 1;
                 engine.emit_trace(EventKind::Yield, query, partition, 0);
                 break;
             }
         }
-        lane.trim();
+        lane.end_turn(local);
         emitted_local
     }
 
     /// One worker's drive of the run to quiescence; returns the worker's
     /// tally and its visit sizes (empty unless the run is profiling).
     fn worker_loop(&self, w: usize) -> (WorkerSnapshot, Histogram) {
-        let mut remote = RemoteScratch::new(self.mailboxes.len());
+        let mut scratch = WorkerScratch {
+            local: LocalQueue::new(),
+            remote: RemoteScratch::new(self.mailboxes.len()),
+        };
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
         let mut visit_ops = Histogram::default();
         while let Some(p) = self.claim(w, &mut stats) {
-            self.visit(w, p, &mut stats, &mut visit_ops, &mut remote);
+            self.visit(w, p, &mut stats, &mut visit_ops, &mut scratch);
         }
         (stats, visit_ops)
     }
