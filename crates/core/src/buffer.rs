@@ -15,10 +15,10 @@
 //! then consolidates its **inbox** with **one sort** and merges it into the
 //! lane's **sorted run** of earlier arrivals and leftovers. Operations a turn
 //! emits to its own partition go onto the worker's `LocalQueue`, a bucket
-//! ring with a heap for what falls outside it, which one worker reuses for
-//! every lane it runs. Popping takes the lower of the queue's next operation
-//! and the run's back by `(priority, vertex)` — the order one heap of both
-//! would give. When the turn ends, by draining or by a yield, the queue's
+//! ring (for kernels that prune) with a heap for what falls outside it,
+//! which one worker reuses for every lane it runs. Popping takes the lower
+//! of the queue's next operation and the run's back by `(priority, vertex)`
+//! — the order one heap of both would give. When the turn ends, by draining or by a yield, the queue's
 //! leftovers merge into the run, so a **yield just stops**: what the lane
 //! holds stays where it is for the next visit, and a lane with nothing newly
 //! arrived merges nothing.
@@ -174,11 +174,17 @@ impl<V: Copy> Lane<V> {
 
     /// Remove the next operation: best `(priority, vertex)` of an ordered
     /// lane (its inbox merged) and the worker's queue, oldest arrival
-    /// otherwise.
+    /// otherwise. `ring` says whether the queue's bucket ring is in use
+    /// ([`LocalQueue::push`]).
     #[inline]
-    pub(crate) fn pop(&mut self, ordered: bool, local: &mut LocalQueue<V>) -> Option<Operation<V>> {
+    pub(crate) fn pop(
+        &mut self,
+        ordered: bool,
+        local: &mut LocalQueue<V>,
+        ring: bool,
+    ) -> Option<Operation<V>> {
         if ordered {
-            local.pop_or(&mut self.run)
+            local.pop_or(&mut self.run, ring)
         } else {
             let op = self.inbox.pop_front();
             if self.inbox.is_empty() {
@@ -196,10 +202,11 @@ impl<V: Copy> Lane<V> {
         &mut self,
         ordered: bool,
         local: &mut LocalQueue<V>,
+        ring: bool,
         op: Operation<V>,
     ) {
         if ordered {
-            local.push(op);
+            local.push(op, ring);
         } else {
             self.push_inbox(op);
         }
@@ -246,6 +253,25 @@ fn insert_sorted<V: Copy>(slot: &mut Vec<Operation<V>>, op: Operation<V>) {
     slot.insert(at, op);
 }
 
+/// Remove the lower by `(priority, vertex)` of `heap`'s top and `run`'s
+/// back, the heap's on a tie.
+#[inline]
+fn pop_lower<V: Copy>(
+    heap: &mut BinaryHeap<HeapEntry<V>>,
+    run: &mut Vec<Operation<V>>,
+) -> Option<Operation<V>> {
+    let from_run = match (heap.peek(), run.last()) {
+        (Some(top), Some(next)) => key(next) < key(&top.op),
+        (None, Some(_)) => true,
+        (_, None) => false,
+    };
+    if from_run {
+        run.pop()
+    } else {
+        heap.pop().map(|entry| entry.op)
+    }
+}
+
 /// Width of a [`LocalQueue`]'s bucket window: one slot per priority, tracked
 /// by the bits of one `u64`.
 const WINDOW: u64 = 64;
@@ -262,13 +288,18 @@ const NO_SLOT: usize = WINDOW as usize;
 ///   any, so the lowest is one rotate and one `trailing_zeros` away. A pop
 ///   moves `base` to the popped priority wherever the ring stays inside the
 ///   window, so the window follows the turn's frontier and a push of weight
-///   `w < WINDOW` lands in it. A push below `base` moves the window down if
-///   the ring's highest entry stays inside it; into an empty ring it does
-///   not, since a kernel that pushes below its frontier (PPR, DFS) rarely
-///   pushes within a window of it.
-/// * **Overflow** — a push the window cannot take (PPR's `1/residual`
-///   priorities, weights of `WINDOW` or more, a push too far below `base`)
-///   goes onto the heap.
+///   `w < WINDOW` lands in it.
+/// * **Overflow** — a push outside the window (a weight of `WINDOW` or
+///   more) goes onto the heap. The window does not move down to take a push
+///   below `base`: in `repro figure15` SSSP and BFS made none.
+/// * **Only for kernels that prune** — callers pass `ring` =
+///   [`crate::FppKernel::PRUNES`], a constant. SSSP and BFS settle in
+///   priority order, so their pushes land just above the frontier. PPR, DFS
+///   and random walks push far from it (in `repro figure15`, 58 % of PPR's
+///   local pushes and all of DFS's and the walks' fell outside the window),
+///   and their queue is the heap alone: compiled in, the ring's pop path
+///   made PPR on one partition 8 % slower, whether or not the pushes that
+///   fit the window went into the ring.
 /// * **Lazy sorting** — a slot is sorted descending by vertex when it
 ///   becomes the lowest, and a push into the slot being drained is inserted
 ///   in order, so pops keep the exact `(priority, vertex)` order of one heap
@@ -278,10 +309,10 @@ const NO_SLOT: usize = WINDOW as usize;
 /// ring, and a pop costs a bit scan and a `Vec::pop` instead of a heap sift;
 /// on `fpp-road-spill`'s batch, where a per-lane heap held 2 855 entries at
 /// the mean pop, that took `vs_seq` from 0.70 to 0.50 (medians of 10
-/// alternating pairs, seed 42, 2-core Xeon). A lane's
-/// turn leaves the queue empty ([`Lane::end_turn`]), so one queue serves
-/// every lane a worker runs, and its slots' capacity is reused from lane to
-/// lane instead of allocated per lane.
+/// alternating pairs, seed 42, 2-core Xeon). A lane's turn leaves the queue
+/// empty ([`Lane::end_turn`]), so one queue serves every lane a worker runs,
+/// and its slots' capacity is reused from lane to lane instead of allocated
+/// per lane.
 #[derive(Debug)]
 pub(crate) struct LocalQueue<V> {
     /// `WINDOW` buckets, one per priority in the window.
@@ -345,18 +376,15 @@ impl<V: Copy> LocalQueue<V> {
         self.occupied.rotate_right((self.base % WINDOW) as u32)
     }
 
-    /// Queue `op`.
+    /// Queue `op`: into the ring if `ring` is set and its priority lies in
+    /// the window, onto the heap otherwise. `ring` is a constant of the
+    /// kernel, so a kernel that does not use the ring compiles without it.
     #[inline]
-    pub(crate) fn push(&mut self, op: Operation<V>) {
+    pub(crate) fn push(&mut self, op: Operation<V>, ring: bool) {
         let p = op.priority;
-        if p < self.base || p - self.base >= WINDOW {
-            // Above the window, or below it where the ring would not fit in
-            // a window based at `p`.
-            if self.occupied == 0 || p > self.base || self.highest() - p >= WINDOW {
-                self.heap.push(HeapEntry { op });
-                return;
-            }
-            self.base = p;
+        if !ring || p < self.base || p - self.base >= WINDOW {
+            self.heap.push(HeapEntry { op });
+            return;
         }
         let s = (p % WINDOW) as usize;
         let slot = &mut self.slots[s];
@@ -368,50 +396,55 @@ impl<V: Copy> LocalQueue<V> {
         self.occupied |= 1 << s;
     }
 
-    /// Highest priority in the ring, which must not be empty.
-    fn highest(&self) -> Priority {
-        self.base + u64::from(WINDOW as u32 - 1 - self.window_bits().leading_zeros())
-    }
-
     /// Remove the lower by `(priority, vertex)` of this queue's next
     /// operation and `run`'s back, and move the window's base to the popped
-    /// priority where the ring stays inside it.
+    /// priority where the ring stays inside it. `ring` as for [`Self::push`].
     #[inline]
-    pub(crate) fn pop_or(&mut self, run: &mut Vec<Operation<V>>) -> Option<Operation<V>> {
-        let from_run = match (self.heap.peek(), run.last()) {
-            (Some(top), Some(next)) => key(next) < key(&top.op),
-            (None, Some(_)) => true,
-            (_, None) => false,
-        };
-        if self.occupied != 0 {
-            let lowest = self.base + u64::from(self.window_bits().trailing_zeros());
-            let s = (lowest % WINDOW) as usize;
-            if s != self.sorted {
-                sort_slot(&mut self.slots[s]);
-                self.sorted = s;
-            }
-            let slot = &mut self.slots[s];
-            let next = slot.last().expect("an occupied slot holds an operation");
-            let other = if from_run { run.last() } else { self.heap.peek().map(|top| &top.op) };
-            if other.is_none_or(|other| key(next) <= key(other)) {
-                let op = slot.pop().expect("an occupied slot holds an operation");
-                if slot.is_empty() {
-                    self.occupied &= !(1 << s);
-                    self.sorted = NO_SLOT;
-                }
-                // Everything left is at or above `op`, so the ring stays
-                // inside a window based at it.
-                self.base = op.priority;
-                return Some(op);
-            }
+    pub(crate) fn pop_or(
+        &mut self,
+        run: &mut Vec<Operation<V>>,
+        ring: bool,
+    ) -> Option<Operation<V>> {
+        if ring && self.occupied != 0 {
+            return Some(self.pop_ring_or(run));
         }
-        let op = if from_run { run.pop() } else { self.heap.pop().map(|entry| entry.op) }?;
-        // The ring stays inside a window based at `op` unless it lies above
-        // the current base.
-        if self.occupied == 0 || op.priority >= self.base {
+        let op = pop_lower(&mut self.heap, run)?;
+        // An empty ring fits any window.
+        self.base = op.priority;
+        Some(op)
+    }
+
+    /// [`Self::pop_or`] with operations in the ring.
+    #[inline]
+    fn pop_ring_or(&mut self, run: &mut Vec<Operation<V>>) -> Operation<V> {
+        let lowest = self.base + u64::from(self.window_bits().trailing_zeros());
+        let s = (lowest % WINDOW) as usize;
+        if s != self.sorted {
+            sort_slot(&mut self.slots[s]);
+            self.sorted = s;
+        }
+        let slot = &mut self.slots[s];
+        let next = key(slot.last().expect("an occupied slot holds an operation"));
+        let beaten = self.heap.peek().is_some_and(|top| key(&top.op) < next)
+            || run.last().is_some_and(|op| key(op) < next);
+        if !beaten {
+            let op = slot.pop().expect("an occupied slot holds an operation");
+            if slot.is_empty() {
+                self.occupied &= !(1 << s);
+                self.sorted = NO_SLOT;
+            }
+            // Everything left is at or above `op`, so the ring stays inside
+            // a window based at it.
+            self.base = op.priority;
+            return op;
+        }
+        let op = pop_lower(&mut self.heap, run).expect("a lower operation was found");
+        // The ring lies above `op`, so it stays inside a window based at
+        // `op` unless `op` lies below the current base.
+        if op.priority >= self.base {
             self.base = op.priority;
         }
-        Some(op)
+        op
     }
 
     /// Merge everything queued into `run` (sorted descending by `(priority,
@@ -660,7 +693,7 @@ mod tests {
                 lane.merge_inbox(|_| false);
             }
             for _ in 0..budget {
-                match lane.pop(ordered, &mut local) {
+                match lane.pop(ordered, &mut local, true) {
                     Some(op) => popped.push(op),
                     None => break,
                 }
@@ -723,19 +756,20 @@ mod tests {
     #[test]
     fn grown_lanes_give_capacity_back() {
         let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
+        let ring = true;
         for i in 0..1000 {
             lane.push_inbox(op(0, i, 2 * i as u64));
         }
         lane.merge_inbox(|_| false);
         assert!(lane.inbox.capacity() <= RESIDENT_SLACK, "a merged inbox releases its buffer");
         for i in 0..1000 {
-            lane.push_local(true, &mut local, op(0, i, 2 * i as u64 + 1));
+            lane.push_local(true, &mut local, ring, op(0, i, 2 * i as u64 + 1));
         }
         assert_eq!(lane.len() + local.len(), 2000);
         // A yield with most of the lane still resident: the queue's leftovers
         // join the run, which keeps its capacity.
         for _ in 0..200 {
-            lane.pop(true, &mut local);
+            lane.pop(true, &mut local, ring);
         }
         lane.end_turn(&mut local);
         assert!(local.is_empty(), "a turn's end empties the worker's queue");
@@ -745,12 +779,12 @@ mod tests {
         assert_eq!(lane.run.capacity(), run);
         // Once the lane has mostly drained, half the slack goes back.
         while lane.len() > 100 {
-            lane.pop(true, &mut local);
+            lane.pop(true, &mut local, ring);
         }
         lane.end_turn(&mut local);
         assert!(lane.run.capacity() < run / 4, "the run gives capacity back");
         assert!(lane.run.capacity() >= lane.run.len());
-        assert_eq!(lane.pop(true, &mut local).unwrap().priority, 1900);
+        assert_eq!(lane.pop(true, &mut local, ring).unwrap().priority, 1900);
     }
 
     /// The reference a lane must match: one heap of everything pushed,
@@ -783,9 +817,8 @@ mod tests {
     }
 
     /// A priority for the interleaving test near `at`: equal to it (two
-    /// draws in five), up to
-    /// two windows above or below it, or anywhere in the case's range of 151
-    /// priorities from `origin`.
+    /// draws in five), up to two windows above or below it, or anywhere in
+    /// the case's range of 151 priorities from `origin`.
     fn draw_priority(rng: &mut rand::rngs::SmallRng, origin: Priority, at: Priority) -> Priority {
         use rand::Rng;
         match rng.gen_range(0u32..5) {
@@ -806,8 +839,8 @@ mod tests {
     /// when popped. Priorities cluster around the last one popped, so local
     /// pushes land in the slot being drained, inside the queue's window,
     /// above it and below its base; half the cases sit at the top of the
-    /// `u64` range. One queue serves every case, as one serves every lane a
-    /// worker runs.
+    /// `u64` range, and one in five leaves the ring unused. One queue serves
+    /// every case, as one serves every lane a worker runs.
     #[test]
     fn lane_pops_in_the_order_of_one_heap_under_any_interleaving() {
         use rand::rngs::SmallRng;
@@ -817,9 +850,12 @@ mod tests {
         let mut local = LocalQueue::new();
         let mut dropped_in_all_cases = 0;
         // Local pushes by the queue's path they took, over all cases.
-        let (mut into_drained, mut overflowed, mut rebased, mut near_max) = (0, 0, 0, 0);
+        let (mut into_drained, mut overflowed, mut near_max) = (0, 0, 0);
         for case in 0..300 {
             let drop_dead = case % 2 == 1;
+            // One case in five leaves the ring unused, as a kernel that does
+            // not prune does.
+            let ring = case % 5 != 4;
             let origin = if case % 4 >= 2 { Priority::MAX - 150 } else { 0 };
             let mut lane: Lane<u64> = Lane::default();
             let mut reference = Reference { pushed: BinaryHeap::new(), dropped: Vec::new() };
@@ -868,20 +904,19 @@ mod tests {
                         let op = new_op(&mut rng, &mut entry, last);
                         let slot = (op.priority % WINDOW) as usize;
                         let draining = slot == local.sorted && !local.slots[slot].is_empty();
-                        let (ring_before, base_before) = (local.occupied != 0, local.base);
                         let heap_before = local.heap.len();
-                        lane.push_local(true, &mut local, op);
+                        lane.push_local(true, &mut local, ring, op);
                         local.assert_window();
+                        assert!(ring || local.occupied == 0, "case {case}: the ring is unused");
                         if local.heap.len() > heap_before {
                             overflowed += 1;
                         } else {
                             into_drained += u32::from(draining);
-                            rebased += u32::from(ring_before && local.base < base_before);
                         }
                         near_max += u32::from(op.priority > Priority::MAX - WINDOW);
                         reference.pushed.push(HeapEntry { op });
                     }
-                    let (got, want) = (lane.pop(true, &mut local), reference.pop());
+                    let (got, want) = (lane.pop(true, &mut local, ring), reference.pop());
                     local.assert_window();
                     assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
                     let Some(got) = got else { break };
@@ -896,7 +931,7 @@ mod tests {
             // Drain what the last yield left.
             lane.merge_inbox(|_| false);
             loop {
-                let (got, want) = (lane.pop(true, &mut local), reference.pop());
+                let (got, want) = (lane.pop(true, &mut local, ring), reference.pop());
                 assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
                 if got.is_none() {
                     break;
@@ -906,7 +941,7 @@ mod tests {
             assert!(lane.is_empty() && local.is_empty());
         }
         assert!(dropped_in_all_cases > 100, "the cases drop dead arrivals");
-        let paths = [into_drained, overflowed, rebased, near_max];
+        let paths = [into_drained, overflowed, near_max];
         assert!(paths.iter().all(|&count| count > 100), "pushes by path: {paths:?}");
     }
 
@@ -914,17 +949,23 @@ mod tests {
     fn local_pushes_land_where_the_visit_pops() {
         for ordered in [true, false] {
             let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
-            lane.push_local(ordered, &mut local, op(0, 1, 30));
-            lane.push_local(ordered, &mut local, op(0, 2, 10));
+            lane.push_local(ordered, &mut local, true, op(0, 1, 30));
+            lane.push_local(ordered, &mut local, true, op(0, 2, 10));
             // An ordered lane's own pushes wait in the worker's queue, an
             // unordered lane's in its inbox.
             let expected = if ordered { (0, 2) } else { (2, 0) };
             assert_eq!((lane.len(), local.len()), expected);
-            assert_eq!(lane.pop(ordered, &mut local).unwrap().vertex, if ordered { 2 } else { 1 });
+            assert_eq!(
+                lane.pop(ordered, &mut local, true).unwrap().vertex,
+                if ordered { 2 } else { 1 }
+            );
             // What the turn leaves is the lane's once it ends.
             lane.end_turn(&mut local);
             assert_eq!((lane.len(), local.len()), (1, 0));
-            assert_eq!(lane.pop(ordered, &mut local).unwrap().vertex, if ordered { 1 } else { 2 });
+            assert_eq!(
+                lane.pop(ordered, &mut local, true).unwrap().vertex,
+                if ordered { 1 } else { 2 }
+            );
         }
     }
 
@@ -950,16 +991,16 @@ mod tests {
     fn unordered_lane_minimum_is_a_lower_bound_until_the_inbox_empties() {
         let (mut lane, mut local): (Lane<u64>, _) = (Lane::default(), LocalQueue::new());
         for (vertex, priority) in [(1, 10), (2, 40), (3, 30)] {
-            lane.push_local(false, &mut local, op(0, vertex, priority));
+            lane.push_local(false, &mut local, true, op(0, vertex, priority));
         }
         assert_eq!(lane.min_priority(), 10);
-        lane.pop(false, &mut local);
+        lane.pop(false, &mut local, true);
         // The true minimum is now 30; the running one still says 10.
         assert_eq!(lane.min_priority(), 10);
-        lane.pop(false, &mut local);
-        lane.pop(false, &mut local);
+        lane.pop(false, &mut local, true);
+        lane.pop(false, &mut local, true);
         assert_eq!(lane.min_priority(), u64::MAX);
-        lane.push_local(false, &mut local, op(0, 4, 25));
+        lane.push_local(false, &mut local, true, op(0, 4, 25));
         assert_eq!(lane.min_priority(), 25);
     }
 }

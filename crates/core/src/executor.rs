@@ -181,14 +181,6 @@ impl<V: Copy> Mailbox<V> {
     }
 }
 
-/// What one worker builds at the start of a run and reuses for every lane it
-/// runs: the queue the lane's own pushes go through, and the batches it
-/// stages for other partitions.
-struct WorkerScratch<V> {
-    local: LocalQueue<V>,
-    remote: RemoteScratch<V>,
-}
-
 /// The run's one runnable set and the workers waiting for it to fill.
 struct Runnable {
     /// Claimable partitions; a partition id appears at most once.
@@ -326,14 +318,16 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// remote batches once the last lane is done, update the termination
     /// counter, and run the `Running → Idle | Queued` epilogue. The visit is
     /// counted into the worker's own `stats` and, when the run is profiling,
-    /// its size into `visit_ops`.
+    /// its size into `visit_ops`; `local` and `remote` are the worker's
+    /// reusable local queue and routing scratch.
     fn visit(
         &self,
         w: usize,
         p: usize,
         stats: &mut WorkerSnapshot,
         visit_ops: &mut Histogram,
-        scratch: &mut WorkerScratch<K::Value>,
+        local: &mut LocalQueue<K::Value>,
+        remote: &mut RemoteScratch<K::Value>,
     ) {
         let mailbox = &self.mailboxes[p];
         mailbox.state.store(RUNNING, Ordering::Release);
@@ -365,7 +359,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             for i in 0..active {
                 let (query, lane) = lanes.active_lane(i);
                 emitted_local +=
-                    self.process_lane(partition, edge_budget, query, lane, scratch, stats);
+                    self.process_lane(partition, edge_budget, query, lane, local, remote, stats);
             }
             let consumed = stats.operations - executed_before;
             // Send operations to neighbour partitions in batches (Line 16),
@@ -373,7 +367,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
             // query and untouched until its own visit, so sending after the
             // last lane instead of after each one changes no lane's contents
             // or order, and pays each target's post cost once.
-            scratch.remote.flush(|target, batch| self.post(w, target as usize, batch));
+            remote.flush(|target, batch| self.post(w, target as usize, batch));
             lanes.end_visit();
             mailbox.note_visit(emitted_local, consumed, &lanes);
             // The consumed operations leave the system only now, after their
@@ -440,19 +434,23 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// this turn pushed for its own lane, which never pass through a
     /// mailbox. Only a kernel that prunes ([`FppKernel::PRUNES`]) has its
     /// arrivals checked or yields.
+    #[allow(clippy::too_many_arguments)]
     fn process_lane(
         &self,
         partition: PartitionId,
         edge_budget: u64,
         query: u32,
         lane: &mut Lane<K::Value>,
-        scratch: &mut WorkerScratch<K::Value>,
+        local: &mut LocalQueue<K::Value>,
+        remote: &mut RemoteScratch<K::Value>,
         stats: &mut WorkerSnapshot,
     ) -> u64 {
-        let WorkerScratch { local, remote } = scratch;
         let (engine, kernel, tracer) = (self.engine, self.kernel, self.tracer);
         let pg = engine.partitioned_graph();
         let ordered = engine.config().consolidate;
+        // Only a kernel that prunes settles in priority order, pushing just
+        // above its frontier, so only its turns use the local queue's ring.
+        let ring = K::PRUNES;
         let mut state = self.states[query as usize].lock();
         let state = &mut *state;
 
@@ -481,7 +479,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
         }
         let mut emitted_local = 0u64;
         let mut edges_this_visit = 0u64;
-        while let Some(op) = lane.pop(ordered, local) {
+        while let Some(op) = lane.pop(ordered, local, ring) {
             let vertex = op.vertex;
             let edges = kernel.process(
                 &view,
@@ -493,7 +491,7 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
                     let new_op = Operation::new(query, t, value, priority);
                     let target_partition = pg.partition_of(t);
                     if target_partition == partition {
-                        lane.push_local(ordered, local, new_op);
+                        lane.push_local(ordered, local, ring, new_op);
                         emitted_local += 1;
                     } else {
                         remote.push(target_partition, new_op);
@@ -540,15 +538,13 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// One worker's drive of the run to quiescence; returns the worker's
     /// tally and its visit sizes (empty unless the run is profiling).
     fn worker_loop(&self, w: usize) -> (WorkerSnapshot, Histogram) {
-        let mut scratch = WorkerScratch {
-            local: LocalQueue::new(),
-            remote: RemoteScratch::new(self.mailboxes.len()),
-        };
+        let mut local = LocalQueue::new();
+        let mut remote = RemoteScratch::new(self.mailboxes.len());
         let _reaper = PanicReaper(self);
         let mut stats = WorkerSnapshot { worker: w as u32, ..Default::default() };
         let mut visit_ops = Histogram::default();
         while let Some(p) = self.claim(w, &mut stats) {
-            self.visit(w, p, &mut stats, &mut visit_ops, &mut scratch);
+            self.visit(w, p, &mut stats, &mut visit_ops, &mut local, &mut remote);
         }
         (stats, visit_ops)
     }
