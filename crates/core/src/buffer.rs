@@ -16,12 +16,14 @@
 //! lane's **sorted run** of earlier arrivals and leftovers. Operations a turn
 //! emits to its own partition go onto the worker's `LocalQueue`, a bucket
 //! ring (for kernels that prune) with a heap for what falls outside it,
-//! which one worker reuses for every lane it runs. Popping takes the lower
-//! of the queue's next operation and the run's back by `(priority, vertex)`
-//! — the order one heap of both would give. When the turn ends, by draining or by a yield, the queue's
-//! leftovers merge into the run, so a **yield just stops**: what the lane
-//! holds stays where it is for the next visit, and a lane with nothing newly
-//! arrived merges nothing.
+//! which one worker reuses for every lane it runs. Popping takes whichever
+//! of the queue's next operation and the run's back has the lower priority,
+//! so pops follow priority as one heap of both would. Operations of equal
+//! priority pop in an order left unspecified; it depends only on the pushes
+//! and pops before it, so it repeats from process to process. When the turn
+//! ends, by draining or by a yield, the queue's leftovers merge into the
+//! run, so a **yield just stops**: what the lane holds stays where it is for
+//! the next visit, and a lane with nothing newly arrived merges nothing.
 //!
 //! The inbox is not there to spare a cold partition heap traffic — the
 //! drain and the merge both happen in the visit, with the partition about
@@ -73,16 +75,15 @@ pub(crate) const RESIDENT_SLACK: usize = 32;
 /// query's last turn here.
 ///
 /// With query-centric consolidation on, a turn first merges the inbox into
-/// the run, then pops in `(priority, vertex)` order from whichever of the run
-/// and the worker's [`LocalQueue`] — where the turn's own pushes go — holds
-/// the lower next operation, the order one heap of both would give; when the
-/// turn ends the queue's leftovers are merged into the run. With it off (the
-/// "+buffer" ablation) the run and the queue stay unused and the inbox is the
-/// whole lane, popped in arrival order.
+/// the run, then pops in priority order from whichever of the run and the
+/// worker's [`LocalQueue`] — where the turn's own pushes go — holds the lower
+/// next priority; when the turn ends the queue's leftovers are merged into
+/// the run. With it off (the "+buffer" ablation) the run and the queue stay
+/// unused and the inbox is the whole lane, popped in arrival order.
 #[derive(Clone, Debug)]
 pub(crate) struct Lane<V> {
     /// Merged arrivals and earlier turns' leftovers, sorted descending by
-    /// `(priority, vertex)`: the next one is at the back.
+    /// priority: the next one is at the back.
     run: Vec<Operation<V>>,
     inbox: VecDeque<Operation<V>>,
     /// Lowest priority appended to the inbox since it was last empty.
@@ -95,10 +96,11 @@ impl<V> Default for Lane<V> {
     }
 }
 
-/// The order a lane pops in: `(priority, vertex)`, lowest first.
+/// The order a lane pops in: priority, lowest first. Ties are left to
+/// whichever container holds the operations.
 #[inline]
-fn key<V>(op: &Operation<V>) -> (Priority, u32) {
-    (op.priority, op.vertex)
+fn key<V>(op: &Operation<V>) -> Priority {
+    op.priority
 }
 
 impl<V: Copy> Lane<V> {
@@ -172,8 +174,8 @@ impl<V: Copy> Lane<V> {
         }
     }
 
-    /// Remove the next operation: best `(priority, vertex)` of an ordered
-    /// lane (its inbox merged) and the worker's queue, oldest arrival
+    /// Remove the next operation: the lowest priority of an ordered lane
+    /// (its inbox merged) and the worker's queue, the oldest arrival
     /// otherwise. `ring` says whether the queue's bucket ring is in use
     /// ([`LocalQueue::push`]).
     #[inline]
@@ -213,11 +215,15 @@ impl<V: Copy> Lane<V> {
     }
 }
 
-/// Merge `arrivals` into `run`, both sorted descending by `(priority,
-/// vertex)`, in place: grow `run` by the arrivals, then fill it from the back
-/// with the lower of the two sequences' last elements. Only the run's entries
-/// below the highest arrival move.
+/// Merge `arrivals` into `run`, both sorted descending by priority, in
+/// place: grow `run` by the arrivals, then fill it from the back with the
+/// lower of the two sequences' last elements. Only the run's entries below
+/// the highest arrival move.
 fn merge_descending<V: Copy>(run: &mut Vec<Operation<V>>, arrivals: &[Operation<V>]) {
+    debug_assert!(
+        [&run[..], arrivals].iter().all(|ops| ops.windows(2).all(|w| key(&w[0]) >= key(&w[1]))),
+        "merge_descending's inputs must be sorted descending by priority"
+    );
     let mut i = run.len();
     run.extend_from_slice(arrivals);
     let mut j = arrivals.len();
@@ -234,27 +240,8 @@ fn merge_descending<V: Copy>(run: &mut Vec<Operation<V>>, arrivals: &[Operation<
     }
 }
 
-/// Sort a [`LocalQueue`] slot that has become the lowest, descending by
-/// vertex. This and [`insert_sorted`] stay out of line: inlined, they made
-/// the pop and push paths of kernels whose pushes almost all overflow
-/// slower (`fpp-ppr-resident` `vs_seq` 1.39 against 1.25 out of line, medians
-/// of 6 alternating pairs).
-#[inline(never)]
-fn sort_slot<V: Copy>(slot: &mut [Operation<V>]) {
-    slot.sort_unstable_by_key(|op| Reverse(op.vertex));
-}
-
-/// Insert `op` into the slot being drained, keeping it sorted descending by
-/// vertex: a push of the priority being popped, as a zero-weight edge makes.
-#[cold]
-#[inline(never)]
-fn insert_sorted<V: Copy>(slot: &mut Vec<Operation<V>>, op: Operation<V>) {
-    let at = slot.partition_point(|queued| queued.vertex > op.vertex);
-    slot.insert(at, op);
-}
-
-/// Remove the lower by `(priority, vertex)` of `heap`'s top and `run`'s
-/// back, the heap's on a tie.
+/// Remove the lower by priority of `heap`'s top and `run`'s back, the
+/// heap's on a tie.
 #[inline]
 fn pop_lower<V: Copy>(
     heap: &mut BinaryHeap<HeapEntry<V>>,
@@ -275,9 +262,6 @@ fn pop_lower<V: Copy>(
 /// Width of a [`LocalQueue`]'s bucket window: one slot per priority, tracked
 /// by the bits of one `u64`.
 const WINDOW: u64 = 64;
-
-/// [`LocalQueue::sorted`] when no slot is being drained.
-const NO_SLOT: usize = WINDOW as usize;
 
 /// A worker's queue of what the lane it is running pushes to its own
 /// partition: Dial's bucket queue (Dial, CACM 1969) over a sliding window of
@@ -300,10 +284,11 @@ const NO_SLOT: usize = WINDOW as usize;
 ///   and their queue is the heap alone: compiled in, the ring's pop path
 ///   made PPR on one partition 8 % slower, whether or not the pushes that
 ///   fit the window went into the ring.
-/// * **Lazy sorting** — a slot is sorted descending by vertex when it
-///   becomes the lowest, and a push into the slot being drained is inserted
-///   in order, so pops keep the exact `(priority, vertex)` order of one heap
-///   across the ring, the overflow and the lane's run.
+/// * **No order within a slot** — a slot holds one priority, so it is popped
+///   with `Vec::pop` as it stands, and a push into the slot being popped is
+///   a plain push. Pops follow priority across the ring, the overflow and
+///   the lane's run; operations of equal priority pop in an order that
+///   depends only on the pushes and pops before it.
 ///
 /// For SSSP on weights below `WINDOW` and for BFS every push lands in the
 /// ring, and a pop costs a bit scan and a `Vec::pop` instead of a heap sift;
@@ -321,13 +306,13 @@ pub(crate) struct LocalQueue<V> {
     occupied: u64,
     /// Every operation in the ring has a priority in `[base, base + WINDOW)`.
     base: Priority,
-    /// The slot being drained, kept sorted descending by vertex: the one the
-    /// last pop from the ring drew from, while it holds any; else `NO_SLOT`.
-    sorted: usize,
     /// Pushes outside the window.
     heap: BinaryHeap<HeapEntry<V>>,
-    /// Leftovers gathered at a turn's end; reused.
+    /// Leftovers gathered at a turn's end, sorted descending; reused.
     spill: Vec<Operation<V>>,
+    /// The heap's leftovers at a turn's end, sorted before they join
+    /// `spill`; reused.
+    overflow: Vec<Operation<V>>,
 }
 
 impl<V: Copy> LocalQueue<V> {
@@ -336,9 +321,9 @@ impl<V: Copy> LocalQueue<V> {
             slots: (0..WINDOW).map(|_| Vec::new()).collect(),
             occupied: 0,
             base: 0,
-            sorted: NO_SLOT,
             heap: BinaryHeap::new(),
             spill: Vec::new(),
+            overflow: Vec::new(),
         }
     }
 
@@ -387,18 +372,13 @@ impl<V: Copy> LocalQueue<V> {
             return;
         }
         let s = (p % WINDOW) as usize;
-        let slot = &mut self.slots[s];
-        if s == self.sorted {
-            insert_sorted(slot, op);
-        } else {
-            slot.push(op);
-        }
+        self.slots[s].push(op);
         self.occupied |= 1 << s;
     }
 
-    /// Remove the lower by `(priority, vertex)` of this queue's next
-    /// operation and `run`'s back, and move the window's base to the popped
-    /// priority where the ring stays inside it. `ring` as for [`Self::push`].
+    /// Remove the lower by priority of this queue's next operation and
+    /// `run`'s back, and move the window's base to the popped priority where
+    /// the ring stays inside it. `ring` as for [`Self::push`].
     #[inline]
     pub(crate) fn pop_or(
         &mut self,
@@ -418,24 +398,18 @@ impl<V: Copy> LocalQueue<V> {
     #[inline]
     fn pop_ring_or(&mut self, run: &mut Vec<Operation<V>>) -> Operation<V> {
         let lowest = self.base + u64::from(self.window_bits().trailing_zeros());
-        let s = (lowest % WINDOW) as usize;
-        if s != self.sorted {
-            sort_slot(&mut self.slots[s]);
-            self.sorted = s;
-        }
-        let slot = &mut self.slots[s];
-        let next = key(slot.last().expect("an occupied slot holds an operation"));
-        let beaten = self.heap.peek().is_some_and(|top| key(&top.op) < next)
-            || run.last().is_some_and(|op| key(op) < next);
+        let beaten = self.heap.peek().is_some_and(|top| key(&top.op) < lowest)
+            || run.last().is_some_and(|op| key(op) < lowest);
         if !beaten {
+            let s = (lowest % WINDOW) as usize;
+            let slot = &mut self.slots[s];
             let op = slot.pop().expect("an occupied slot holds an operation");
             if slot.is_empty() {
                 self.occupied &= !(1 << s);
-                self.sorted = NO_SLOT;
             }
             // Everything left is at or above `op`, so the ring stays inside
             // a window based at it.
-            self.base = op.priority;
+            self.base = lowest;
             return op;
         }
         let op = pop_lower(&mut self.heap, run).expect("a lower operation was found");
@@ -447,22 +421,29 @@ impl<V: Copy> LocalQueue<V> {
         op
     }
 
-    /// Merge everything queued into `run` (sorted descending by `(priority,
-    /// vertex)`), leaving the queue empty. Nothing to do after a lane that
-    /// drained; after a yield, one sort of the leftovers and one merge.
+    /// Merge everything queued into `run` (sorted descending by priority),
+    /// leaving the queue empty. Nothing to do after a lane that drained.
+    /// After a yield the ring's slots, each of one priority, are appended
+    /// from the window's highest priority down, already in order; only the
+    /// heap's leftovers are sorted, and merged in before the one merge into
+    /// the run.
     fn spill_into(&mut self, run: &mut Vec<Operation<V>>) {
         if self.is_empty() {
             return;
         }
-        let mut bits = self.occupied;
+        let mut bits = self.window_bits();
         while bits != 0 {
-            self.spill.append(&mut self.slots[bits.trailing_zeros() as usize]);
-            bits &= bits - 1;
+            let i = 63 - bits.leading_zeros();
+            self.spill.append(&mut self.slots[((self.base + u64::from(i)) % WINDOW) as usize]);
+            bits ^= 1 << i;
         }
         self.occupied = 0;
-        self.sorted = NO_SLOT;
-        self.spill.extend(self.heap.drain().map(|entry| entry.op));
-        self.spill.sort_unstable_by_key(|op| Reverse(key(op)));
+        if !self.heap.is_empty() {
+            self.overflow.extend(self.heap.drain().map(|entry| entry.op));
+            self.overflow.sort_unstable_by_key(|op| Reverse(key(op)));
+            merge_descending(&mut self.spill, &self.overflow);
+            self.overflow.clear();
+        }
         merge_descending(run, &self.spill);
         self.spill.clear();
     }
@@ -788,7 +769,9 @@ mod tests {
     }
 
     /// The reference a lane must match: one heap of everything pushed,
-    /// from which the arrivals a merge dropped are skipped.
+    /// from which the arrivals a merge dropped are skipped. Its ties pop in
+    /// its own order, so a lane matches it in priorities at every pop and in
+    /// the operations popped at each priority by the end of a case.
     struct Reference {
         pushed: BinaryHeap<HeapEntry<u64>>,
         dropped: Vec<u64>,
@@ -831,9 +814,11 @@ mod tests {
 
     /// Seeded interleavings of arrivals, merges, local pushes and partial
     /// drains (yields), every turn ending with the worker's queue spilled
-    /// into the lane: an ordered lane pops the `(priority, vertex)` sequence
-    /// of one `BinaryHeap<HeapEntry>` holding every operation, less the
-    /// arrivals a merge found dead. Liveness follows min-relaxation — an
+    /// into the lane: an ordered lane pops the priority sequence of one
+    /// `BinaryHeap<HeapEntry>` holding every operation, and by the case's end
+    /// the same operations at each priority, less the arrivals a merge found
+    /// dead; in a debug build a misordered spill already fails
+    /// `merge_descending`'s assertion. Liveness follows min-relaxation — an
     /// operation is dead once its vertex's entry falls below its priority,
     /// and entries only fall — so a dropped arrival would have been pruned
     /// when popped. Priorities cluster around the last one popped, so local
@@ -861,8 +846,10 @@ mod tests {
             let mut reference = Reference { pushed: BinaryHeap::new(), dropped: Vec::new() };
             let mut entry = [Priority::MAX; 8];
             // Operation values are unique ids, so a dropped arrival can be
-            // told from a live one with the same `(priority, vertex)`.
+            // told from a live one with the same priority and vertex.
             let mut next_id = 0u64;
+            // `(priority, id)` of every pop, the lane's and the reference's.
+            let (mut got_ids, mut want_ids) = (Vec::new(), Vec::new());
             let mut new_op = |rng: &mut SmallRng, entry: &mut [Priority; 8], at: Priority| {
                 let vertex = rng.gen_range(0u32..8);
                 let priority = draw_priority(rng, origin, at);
@@ -900,10 +887,16 @@ mod tests {
                 let budget = if rng.gen_bool(0.5) { rng.gen_range(0usize..6) } else { usize::MAX };
                 let mut popped = 0;
                 while popped < budget {
-                    if rng.gen_bool(0.5) {
+                    // Two pushes of one priority before a pop leave a slot
+                    // that the pop does not empty.
+                    let pushes = if rng.gen_bool(0.5) { rng.gen_range(1u32..=2) } else { 0 };
+                    for _ in 0..pushes {
                         let op = new_op(&mut rng, &mut entry, last);
+                        // The slot being popped: the lowest, at the window's
+                        // base, which is the priority last popped.
                         let slot = (op.priority % WINDOW) as usize;
-                        let draining = slot == local.sorted && !local.slots[slot].is_empty();
+                        let draining =
+                            op.priority == local.base && local.occupied & (1 << slot) != 0;
                         let heap_before = local.heap.len();
                         lane.push_local(true, &mut local, ring, op);
                         local.assert_window();
@@ -919,8 +912,10 @@ mod tests {
                     let (got, want) = (lane.pop(true, &mut local, ring), reference.pop());
                     local.assert_window();
                     assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
-                    let Some(got) = got else { break };
+                    let (Some(got), Some(want)) = (got, want) else { break };
                     assert!(!condemned.contains(&got.value), "case {case}: a dead arrival popped");
+                    got_ids.push((got.priority, got.value));
+                    want_ids.push((want.priority, want.value));
                     last = got.priority;
                     popped += 1;
                 }
@@ -933,12 +928,15 @@ mod tests {
             loop {
                 let (got, want) = (lane.pop(true, &mut local, ring), reference.pop());
                 assert_eq!(got.map(|o| key(&o)), want.map(|o| key(&o)), "case {case}");
-                if got.is_none() {
-                    break;
-                }
+                let (Some(got), Some(want)) = (got, want) else { break };
+                got_ids.push((got.priority, got.value));
+                want_ids.push((want.priority, want.value));
             }
             lane.end_turn(&mut local);
             assert!(lane.is_empty() && local.is_empty());
+            got_ids.sort_unstable();
+            want_ids.sort_unstable();
+            assert_eq!(got_ids, want_ids, "case {case}: the operations popped at each priority");
         }
         assert!(dropped_in_all_cases > 100, "the cases drop dead arrivals");
         let paths = [into_drained, overflowed, near_max];

@@ -420,10 +420,10 @@ impl<'e, 'g, K: FppKernel> RunState<'e, 'g, K> {
     /// With consolidation the lane's new arrivals are checked against the
     /// query's state ([`FppKernel::is_dead`]), the dead ones dropped and the
     /// rest sorted and merged into its resident run, and operations are
-    /// popped in `(priority, vertex)` order from the run and the worker's
-    /// local queue, which holds this turn's own pushes; without it, in
-    /// arrival order. Once the lane has processed more edges than
-    /// `edge_budget` it yields instead of popping again; a **yield just
+    /// popped in priority order (ties in no specified order) from the run
+    /// and the worker's local queue, which holds this turn's own pushes;
+    /// without it, in arrival order. Once the lane has processed more edges
+    /// than `edge_budget` it yields instead of popping again; a **yield just
     /// stops** — the queue's leftovers are merged into the run, and what the
     /// lane holds stays resident for the next visit. An operation the kernel
     /// emits is appended once to where it will be popped from: the local

@@ -37,8 +37,9 @@ impl<V> Operation<V> {
     }
 }
 
-/// Heap entry ordering operations by `(priority, vertex)`, lowest first, for
-/// use inside a `BinaryHeap<Reverse<…>>`-style min-queue.
+/// Heap entry ordering operations by priority alone, lowest first, for use
+/// inside a `BinaryHeap<Reverse<…>>`-style min-queue. Entries of equal
+/// priority pop in an order the heap's pushes and pops decide, nothing else.
 #[derive(Clone, Copy, Debug)]
 pub struct HeapEntry<V> {
     /// The wrapped operation.
@@ -47,7 +48,7 @@ pub struct HeapEntry<V> {
 
 impl<V> PartialEq for HeapEntry<V> {
     fn eq(&self, other: &Self) -> bool {
-        self.op.priority == other.op.priority && self.op.vertex == other.op.vertex
+        self.op.priority == other.op.priority
     }
 }
 
@@ -63,7 +64,7 @@ impl<V> Ord for HeapEntry<V> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // Reverse so that a max-heap (std BinaryHeap) pops the *smallest*
         // priority first.
-        (other.op.priority, other.op.vertex).cmp(&(self.op.priority, self.op.vertex))
+        other.op.priority.cmp(&self.op.priority)
     }
 }
 
@@ -91,10 +92,9 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_on_vertex_id() {
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { op: Operation::new(0, 9, (), 5) });
-        heap.push(HeapEntry { op: Operation::new(0, 2, (), 5) });
-        assert_eq!(heap.pop().unwrap().op.vertex, 2);
+    fn equal_priorities_tie_whatever_the_vertex() {
+        let (a, b) = (Operation::new(0, 9, (), 5), Operation::new(0, 2, (), 5));
+        assert_eq!(HeapEntry { op: a }.cmp(&HeapEntry { op: b }), std::cmp::Ordering::Equal);
+        assert!(HeapEntry { op: Operation::new(0, 9, (), 4) } > HeapEntry { op: b });
     }
 }
